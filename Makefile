@@ -16,7 +16,7 @@ FUZZTIME ?= 15s
 # toolchain — not PATH — decides the version CI lints with.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
-.PHONY: all build lint staticcheck test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff \
+.PHONY: all build lint staticcheck test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test \
 	ci ci-lint ci-race ci-fuzz ci-soak ci-bench nightly
 
 all: check
@@ -123,7 +123,15 @@ FLOOD_ITERATIONS ?= 5
 flood:
 	$(GO) run ./cmd/fbschaos -flood -prefilter -crash -iterations $(FLOOD_ITERATIONS) -json | $(GO) run ./cmd/fbsstat bench-validate
 
-check: build lint test race bench-smoke fuzz-smoke diff
+# gwbench-test vets and tests the end-to-end benchmark. bench/gwbench is
+# its own module (the benchmark contract wants it self-contained), so
+# `go build ./... && go test ./...` at the root never compiles it; this
+# is the gate where a core or gateway signature change that breaks the
+# benchmark fails, rather than in the benchmark driver.
+gwbench-test:
+	cd bench/gwbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build lint test race bench-smoke fuzz-smoke diff gwbench-test
 
 # The ci-* targets are the five parallel CI jobs. Each is self-contained
 # (its own build graph comes from the shared Go build cache), so the
@@ -133,6 +141,7 @@ ci-lint: build lint
 
 ci-race:
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) test -race -coverprofile=coverage.out ./...
+	@$(MAKE) --no-print-directory gwbench-test
 
 ci-fuzz: fuzz-smoke
 

@@ -3,29 +3,29 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
 )
 
-// Batched data plane. SealBatch and OpenBatch process N datagrams per
-// call so the per-datagram fixed costs — FAM stripe acquisition, suite
-// dispatch, flow-key resolution, confounder-generator borrow, replay
-// stripe locks — are paid once per flow run (seal) or once per stripe
-// (replay) instead of once per datagram. The single-datagram paths are
-// the same engine invoked with a run of one (see sealGated/openGated),
-// so the golden wire vectors, the 0 allocs/op bound and the refmodel
-// differential harness pin batch-of-1 to the historic behaviour, and a
-// batch of N is observationally a loop of N single calls: identical
-// bytes, identical per-DropReason counters, identical FAM accounting.
+// The run engine: the one implementation of the protocol stages.
+// sealRun is FBSSend (Figure 4, S1–S9) and openRun is FBSReceive
+// (R1–R11), each written once over a run of datagrams; every Seal*,
+// Open*, Send* and Receive* entry point, single or batched, ends up in
+// one of them. A single-datagram call is a run of one, so the golden
+// wire vectors, the 0 allocs/op bound and the refmodel differential
+// harness pin the same code the batch entry points execute, and a batch
+// of N is observationally a loop of N single calls: identical bytes,
+// identical per-DropReason counters, identical FAM accounting.
 //
-// What a batch amortises — and what it deliberately does not change:
+// What a run amortises — and what it deliberately does not change:
 //
 //   - FAM: one stripe lock per run of same-flow datagrams, with the
 //     policy's Match re-checked per datagram under the held lock, so
 //     wear-out rekeying (MaxPackets/MaxBytes) splits a run exactly
-//     where a loop of classify calls would.
+//     where a loop of single calls would.
 //   - Nonces: a run's sequence numbers are reserved consecutively in
 //     that one acquisition — the per-flow AEAD nonce counter advances
 //     by the run length at once.
@@ -36,9 +36,109 @@ import (
 //     stay in run order, so intra-batch duplicates are classified
 //     exactly as per-datagram checks would classify them.
 //   - Observation: the sampling and tracing gates still roll once per
-//     datagram, in order. A datagram whose gate fires is sealed/opened
-//     individually through the instrumented path (its sample and spans
-//     are per datagram, as ever); only the quiet majority rides a run.
+//     datagram, in order. A datagram whose gate fires is cut out of its
+//     neighbours' run and goes through the same stages as a run of one
+//     carrying its observation (below), so its sample and spans are per
+//     datagram, as ever; only the quiet majority shares a run.
+
+// observation is what a run of one carries when its datagram's gates
+// fired: the sample the stages fill in (sampled) and the context their
+// spans go to (traced). The zero value — what every quiet run carries,
+// whatever its length — reads no clock and emits nothing.
+type observation struct {
+	s  *PacketSample
+	tc *traceCtx
+}
+
+// observe attaches the gates' decisions to a run of one. s arrives with
+// the identity fields the entry point knows; the stages fill in the rest.
+func observe(sampled bool, tc *traceCtx, s PacketSample) observation {
+	ob := observation{tc: tc}
+	if sampled {
+		if tc.active() {
+			s.Trace = tc.id
+		}
+		ob.s = &s
+	}
+	return ob
+}
+
+// on reports whether anything is watching the run.
+func (ob observation) on() bool { return ob.s != nil || ob.tc.active() }
+
+// start reads the wall clock for a stage about to begin, if anyone is
+// watching.
+func (ob observation) start() (t time.Time) {
+	if ob.on() {
+		t = time.Now()
+	}
+	return t
+}
+
+// parsed emits the span of the receive stages that precede keying —
+// addressing, header decode, algorithm policy, freshness — begun at t.
+// drop names the check that refused the datagram (DropNone: it goes on
+// to keying); sfl is zero until the header has decoded.
+func (ob observation) parsed(t time.Time, sfl SFL, secret bool, drop DropReason) {
+	if !ob.tc.active() {
+		return
+	}
+	sp := Span{Kind: SpanParse, Drop: drop, SFL: sfl, Start: t, Dur: time.Since(t)}
+	if secret {
+		sp.Flags = FlagSecretBody
+	}
+	ob.tc.span(sp)
+}
+
+// keyed records the flow-key stage begun at t, on either side: which
+// tier served the key in the sample, the keying plane's annotations and
+// the stage's verdict in the span. Callers check on() first.
+func (ob observation) keyed(t time.Time, sfl SFL, hit bool, note KeyNote, drop DropReason) {
+	d := time.Since(t)
+	if ob.s != nil {
+		if hit {
+			ob.s.Stages[StageKeyHit] = d
+		} else {
+			ob.s.Stages[StageKeyMiss] = d
+		}
+	}
+	if ob.tc.active() {
+		sp := Span{Kind: SpanFlowKey, Drop: drop, SFL: sfl, Start: t, Dur: d,
+			Flags: note.flags(), Attr: uint64(note.Attempts)}
+		if hit {
+			sp.Flags |= FlagKeyHit
+		}
+		ob.tc.span(sp)
+	}
+}
+
+// crypto emits the span of the suite's body transform begun at t over n
+// body bytes (the sample's MAC/crypt stages are timed inside the suite).
+// Callers check tc.active() first.
+func (ob observation) crypto(t time.Time, sfl SFL, secret bool, n int, drop DropReason) {
+	sp := Span{Kind: SpanCrypto, Drop: drop, SFL: sfl, Start: t, Dur: time.Since(t), Attr: uint64(n)}
+	if secret {
+		sp.Flags = FlagSecretBody
+	}
+	ob.tc.span(sp)
+}
+
+// finish closes a watched run of one: the whole call's duration and
+// verdict go into the sample, which is delivered to o, and into root,
+// the side's root span, which is emitted last. Callers check on() first.
+func (ob observation) finish(o Observer, root Span, err error) {
+	root.Dur = time.Since(root.Start)
+	root.Drop = DropReasonOf(err)
+	if ob.s != nil {
+		ob.s.Stages[StageTotal] = root.Dur
+		ob.s.Drop = root.Drop
+		root.SFL = ob.s.SFL
+		o.Packet(*ob.s)
+	}
+	if ob.tc.active() {
+		ob.tc.span(root)
+	}
+}
 
 // batchChunk bounds how many datagrams one run processes per stripe
 // acquisition (and sizes the batch engine's stack-allocated scratch:
@@ -200,33 +300,36 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 			j++
 		}
 		var n int
-		dst, n = e.sealRun(dst, dgs[i:j], id, secret, res[i:j])
+		dst, n = e.sealRun(dst, dgs[i:j], id, secret, res[i:j], observation{})
 		sealed += n
 		i = j
 	}
 	return dst, sealed
 }
 
-// sealGates rolls the send-side observation gates for one datagram.
+// sealGates rolls the send-side observation gates for one datagram: the
+// Tracer's trace-sampling decision, then the Observer's sampling
+// decision. With both quiet the datagram pays the two gate calls and
+// nothing else.
 func (e *Endpoint) sealGates() (sampled bool, tc *traceCtx) {
 	if tr := e.cfg.Tracer; tr != nil {
 		if tid := tr.StartTrace(); tid != 0 {
-			tc = &traceCtx{tr: tr, id: tid}
+			tc = &traceCtx{tr: tr, id: tid, seal: true}
 		}
 	}
 	o := e.cfg.Observer
 	return o != nil && o.Sample(), tc
 }
 
-// sealRun seals a run of datagrams that share one flow: one batched
-// classify per chunk (reserving the run's consecutive sequence numbers
-// under a single stripe acquisition), one suite resolution, one
-// flow-key resolution and one confounder-generator borrow, then a
-// per-datagram header encode + body transform. Per-datagram results are
-// recorded into res; the return values are the extended buffer and the
-// number sealed. The run is uninstrumented by construction — the caller
-// routes sampled and traced datagrams through sealGated instead.
-func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secret bool, res []BatchResult) ([]byte, int) {
+// sealRun is FBSSend (Figure 4) over a run of datagrams that share one
+// flow: one batched classify per chunk (reserving the run's consecutive
+// sequence numbers under a single stripe acquisition), one suite
+// resolution, one flow-key resolution and one confounder-generator
+// borrow, then a per-datagram header encode + body transform.
+// Per-datagram results are recorded into res; the return values are the
+// extended buffer and the number sealed. ob is the zero value unless the
+// run is one watched datagram.
+func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secret bool, res []BatchResult, ob observation) ([]byte, int) {
 	sealed := 0
 	for len(dgs) > 0 {
 		chunk := len(dgs)
@@ -238,21 +341,32 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			sizes[k] = len(dgs[k].Payload)
 		}
 		now := e.cfg.Clock.Now()
+		t := ob.start()
+		// (S1) classify the run into a flow. The flow entry carries the
+		// cipher suite pinned at flow creation (keying time) — suite choice
+		// is per flow, never per datagram — and hands back the run's
+		// sequence numbers within the flow, the AEAD nonce counter.
 		sfl, suiteID, firstSeq, n, slot, ok := e.fam.classifyBatch(id, now, sizes[:chunk])
 		if !ok {
-			// Budget refusal sheds exactly one datagram — the
-			// per-datagram path re-checks the budget for each — then
-			// retries the remainder as a fresh run.
+			// At the budget hard limit a datagram needing a fresh flow entry
+			// is shed; existing flows are untouched. The refusal sheds
+			// exactly one datagram — a loop of single calls re-checks the
+			// budget for each — then retries the remainder as a fresh run.
 			e.metrics.drop(DropStateBudget)
 			e.maybeRelievePressure(now)
+			if ob.tc.active() {
+				ob.tc.span(Span{Kind: SpanClassify, Drop: DropStateBudget,
+					Flags: FlagBudgetRefused, Start: t, Dur: time.Since(t)})
+			}
 			res[0] = BatchResult{Off: len(dst), Err: fmt.Errorf("%w: flow to %q", ErrStateBudget, dgs[0].Destination)}
 			dgs, res = dgs[1:], res[1:]
 			continue
 		}
 		suite := SuiteByID(suiteID)
 		if suite == nil {
-			// Unreachable with a validated config (see sealFlowAppend);
-			// kept as a typed per-datagram failure, not a panic.
+			// Unreachable with a validated config (the FAM selector wrapper
+			// falls back to cfg.Cipher); kept as a typed per-datagram
+			// failure, not a panic.
 			err := fmt.Errorf("%w: pinned suite %d unregistered", ErrAlgorithmRange, suiteID)
 			for k := 0; k < n; k++ {
 				res[k] = BatchResult{Off: len(dst), Err: err}
@@ -260,7 +374,26 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			dgs, res = dgs[n:], res[n:]
 			continue
 		}
-		kf, _, _, err := e.transmitFlowKey(sfl, slot, dgs[0].Source, dgs[0].Destination)
+		if ob.on() {
+			d := time.Since(t)
+			if ob.s != nil {
+				ob.s.Stages[StageFAM] = d
+				ob.s.SFL = sfl
+			}
+			if ob.tc.active() {
+				ob.tc.span(Span{Kind: SpanClassify, SFL: sfl, Start: t, Dur: d})
+			}
+			t = time.Now()
+		}
+		// (S2-3) obtain the flow key (cached per Figure 6).
+		kf, keyHit, note, err := e.transmitFlowKey(sfl, slot, dgs[0].Source, dgs[0].Destination)
+		if ob.on() {
+			drop := DropNone
+			if err != nil {
+				drop = DropKeying
+			}
+			ob.keyed(t, sfl, keyHit, note, drop)
+		}
 		if err != nil {
 			// The run shares one key resolution; each datagram is still
 			// dropped and counted individually, as a loop would drop it.
@@ -271,6 +404,21 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			dgs, res = dgs[n:], res[n:]
 			continue
 		}
+		// (S4-5) confounder and timestamp. The wire algorithm bytes are the
+		// suite's mapping of the configured MAC/mode (legacy suites pass
+		// them through; AEAD suites force MACAEAD and a zero mode nibble).
+		//
+		// Legacy suites draw a statistically random confounder (the paper's
+		// per-datagram freshness material and IV seed). AEAD suites must NOT:
+		// their confounder field feeds the nonce, and an AEAD nonce has to be
+		// unique under the flow key, not merely random — 32 random bits
+		// birthday-collide around 2^16 datagrams, well inside a bulk flow's
+		// minute. The flow's datagram counter is unique by construction:
+		// under one K_f (one sfl) the nonce counter|timestamp|sfl can only
+		// repeat if 2^32 datagrams are sealed within a single timestamp
+		// minute. Rekeying (a new sfl, so a new K_f) restarts the counter
+		// safely, and a restarted endpoint randomises its sfl seed, so a
+		// crash never resumes an old (key, counter) pair.
 		wireMAC, wireMode := suite.WireAlg(e.cfg.MAC, e.cfg.Mode)
 		aead := suite.AEAD()
 		var confs [batchChunk]uint32
@@ -295,9 +443,20 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			if secret {
 				h.Flags |= FlagSecret
 			}
+			// (S7, hoisted) encode the header with a zero MAC value; the MAC —
+			// or AEAD tag — is patched in at macValueOffset once the body has
+			// been traversed, so the body can be protected in place after the
+			// header without a staging buffer.
 			hdrOff := len(dst)
 			encoded := h.Encode(dst)
-			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, e.cfg.SinglePass, nil)
+			// (S6, S8-9) the suite owns the body transform and MAC/tag patch.
+			if ob.tc.active() {
+				t = time.Now()
+			}
+			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, e.cfg.SinglePass, ob.s)
+			if ob.tc.active() {
+				ob.crypto(t, sfl, secret, len(dgs[k].Payload), DropReasonOf(err))
+			}
 			if err != nil {
 				res[k] = BatchResult{Off: hdrOff, Err: err}
 				continue
@@ -356,11 +515,11 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 				i++
 				continue
 			}
-			sampled, tc = e.openGates(&dgs[i])
+			sampled, tc = e.openGates(dgs[i].Trace)
 		}
 		if sampled || tc.active() {
 			off := len(dst)
-			out, err := e.openGated(dst, dgs[i], true, sampled, tc)
+			out, err := e.openGated(dst, dgs[i], nil, sampled, tc)
 			if err != nil {
 				res[i] = BatchResult{Off: off, Err: err}
 			} else {
@@ -379,7 +538,7 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[j].Source) {
 				break
 			}
-			js, jtc := e.openGates(&dgs[j])
+			js, jtc := e.openGates(dgs[j].Trace)
 			if js || jtc.active() {
 				pendValid, pendSampled, pendTC = true, js, jtc
 				break
@@ -387,7 +546,7 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 			j++
 		}
 		var n int
-		dst, n = e.openRun(dst, dgs[i:j], res[i:j])
+		dst, n = e.openRun(dst, dgs[i:j], res[i:j], observation{}, nil)
 		opened += n
 		i = j
 	}
@@ -395,12 +554,15 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 }
 
 // openGates rolls the receive-side observation gates for one datagram.
-// An incoming trace ID (a tracing sender over a metadata-preserving
-// transport) is always continued, exactly as in open().
-func (e *Endpoint) openGates(dg *transport.Datagram) (sampled bool, tc *traceCtx) {
+// An incoming trace ID (set by a tracing sender over a
+// metadata-preserving transport) is always continued so one trace spans
+// both endpoints; otherwise the tracer may start a local trace, which is
+// how datagrams no sender traced — adversary injections in particular —
+// still get a receive-side trace ending in their DropReason.
+func (e *Endpoint) openGates(incoming TraceID) (sampled bool, tc *traceCtx) {
 	if tr := e.cfg.Tracer; tr != nil {
-		if dg.Trace != 0 {
-			tc = &traceCtx{tr: tr, id: dg.Trace}
+		if incoming != 0 {
+			tc = &traceCtx{tr: tr, id: incoming}
 		} else if tid := tr.StartTrace(); tid != 0 {
 			tc = &traceCtx{tr: tr, id: tid}
 		}
@@ -409,16 +571,36 @@ func (e *Endpoint) openGates(dg *transport.Datagram) (sampled bool, tc *traceCtx
 	return o != nil && o.Sample(), tc
 }
 
-// openRun is the uninstrumented batched receive pipeline. Each datagram
-// walks the same stages as openInner — addressing, header decode,
-// algorithm policy, freshness, flow key, suite open, replay — with two
-// amortisations: the previous datagram's (sfl, src) → K_f resolution is
-// reused while the run stays on one flow, and replay verdicts for the
-// chunk's survivors are computed in one stripe-grouped pass. Plaintext
-// of a datagram the replay window later rejects remains as dead bytes
-// in dst (no result references it); results and counters are exact per
-// datagram.
-func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResult) ([]byte, int) {
+// replayPending is openRun's deferred replay bookkeeping: a chunk's
+// survivors wait here until their verdicts are computed in one
+// stripe-grouped pass.
+type replayPending struct {
+	idx      [batchChunk]int // position in the chunk
+	src      [batchChunk]principal.Address
+	hdr      [batchChunk]Header
+	off      [batchChunk]int    // where a secret body's plaintext sits in dst
+	body     [batchChunk][]byte // the authenticated body (see deliver)
+	verdicts [batchChunk]ReplayVerdict
+}
+
+// openRun is FBSReceive (Figure 4) over a run of datagrams. Each walks
+// the stages — addressing, pre-filter, header decode, algorithm policy,
+// freshness, flow key, suite open, replay — with two amortisations: the
+// previous datagram's (sfl, src) → K_f resolution is reused while the
+// run stays on one flow, and replay verdicts for the chunk's survivors
+// are computed in one stripe-grouped pass. Plaintext of a datagram the
+// replay window later rejects remains as dead bytes in dst (no result
+// references it); results and counters are exact per datagram. ob is the
+// zero value unless the run is one watched datagram, and alias is nil
+// unless it is Open's run of one (see deliver).
+func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResult, ob observation, alias *[]byte) ([]byte, int) {
+	// The pending-replay scratch is ≈7 KB, and clearing it costs more
+	// than all the fixed work of opening a small datagram; an endpoint
+	// without a replay cache never pays for it.
+	var pend *replayPending
+	if e.rc != nil {
+		pend = new(replayPending)
+	}
 	opened := 0
 	for len(dgs) > 0 {
 		chunk := len(dgs)
@@ -430,60 +612,80 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		var memoSFL SFL
 		var memoSrc principal.Address
 		var memoKey [16]byte
-		// Deferred replay bookkeeping for the chunk's survivors.
-		var rsrc [batchChunk]principal.Address
-		var rhdr [batchChunk]Header
-		var ridx [batchChunk]int
-		var roff [batchChunk]int
-		var rlen [batchChunk]int
-		var rbody [batchChunk][]byte // cleartext alias; nil for secret bodies
-		nr := 0
+		var t time.Time
+		nr := 0 // survivors pending a replay verdict
 		for k := 0; k < chunk; k++ {
 			dg := &dgs[k]
+			t = ob.start()
 			if dg.Destination != e.Addr() {
 				e.metrics.drop(DropNotForUs)
+				ob.parsed(t, 0, false, DropNotForUs)
 				res[k] = BatchResult{Err: fmt.Errorf("%w: %q", ErrNotForUs, dg.Destination)}
 				continue
 			}
-			// The edge pre-filter runs before the header decode, exactly
-			// as in openInner; this is where the batch path amortises —
-			// a shed datagram costs two atomic loads and no parse.
+			// (R1b) the edge pre-filter: control-frame absorption,
+			// echo-envelope verification, sketch shedding and the cookie
+			// challenge — all before any header parse or cache work, so a
+			// shed datagram costs two atomic loads and no parse. A verified
+			// echo rewrites dg.Payload in place.
 			if e.pf != nil {
-				if err := e.prefilterInbound(dg, nil); err != nil {
+				if err := e.prefilterInbound(dg, ob.tc); err != nil {
 					res[k] = BatchResult{Err: err}
 					continue
 				}
 				e.pf.headerParses.Add(1)
 			}
+			// (R2) retrieve the security flow header.
 			var h Header
 			hn, err := h.Decode(dg.Payload)
 			if err != nil {
 				e.metrics.drop(DropMalformed)
+				ob.parsed(t, 0, false, DropMalformed)
 				res[k] = BatchResult{Err: fmt.Errorf("%w: %v", ErrMalformed, err)}
 				continue
 			}
 			body := dg.Payload[hn:]
+			if ob.s != nil {
+				ob.s.SFL = h.SFL
+				ob.s.Secret = h.Secret()
+				ob.s.Bytes = len(body)
+			}
+			// (R2b) resolve the algorithm identification against the suite
+			// registry (structure) and the Accept* policy, before any keying
+			// or crypto work.
 			suite, err := e.checkAlg(&h)
 			if err != nil {
 				e.metrics.drop(DropAlgorithm)
+				ob.parsed(t, h.SFL, false, DropAlgorithm)
 				res[k] = BatchResult{Err: err}
 				continue
 			}
+			// (R3-4) freshness.
 			if !h.Timestamp.Fresh(now, e.cfg.FreshnessWindow) {
 				e.metrics.drop(DropStale)
+				ob.parsed(t, h.SFL, false, DropStale)
 				res[k] = BatchResult{Err: fmt.Errorf("%w: timestamp %v at %v", ErrStale, h.Timestamp.Time(), now)}
 				continue
 			}
+			if ob.on() {
+				ob.parsed(t, h.SFL, h.Secret(), DropNone)
+				t = time.Now()
+			}
+			// (R5-6) recover the flow key.
 			var kf [16]byte
 			if memoValid && memoSFL == h.SFL && memoSrc == dg.Source {
 				kf = memoKey
 			} else {
-				kf, _, _, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination)
+				var keyHit bool
+				var note KeyNote
+				kf, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination)
+				// The overload sheds carry their own reason; everything
+				// else on this path is a keying failure.
+				reason := dropOr(err, DropKeying)
+				if ob.on() {
+					ob.keyed(t, h.SFL, keyHit, note, reason)
+				}
 				if err != nil {
-					reason := DropReasonOf(err)
-					if reason == DropNone {
-						reason = DropKeying
-					}
 					e.metrics.drop(reason)
 					e.prefilterObserveDrop(dg.Source, reason)
 					res[k] = BatchResult{Err: fmt.Errorf("%w: flow from %q: %w", ErrKeying, dg.Source, err)}
@@ -491,75 +693,99 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				}
 				memoValid, memoSFL, memoSrc, memoKey = true, h.SFL, dg.Source, kf
 			}
+			// (R7-11) the suite owns decryption and authentication: legacy
+			// suites decrypt-then-verify (the MAC covers the plaintext body,
+			// hoisted per the package comment), AEAD suites open the sealed
+			// box in one pass. Sentinel errors map straight onto drop
+			// reasons.
+			if ob.tc.active() {
+				t = time.Now()
+			}
 			off := len(dst)
-			newDst, plain, err := suite.OpenAppend(dst, h, kf, body, nil)
+			newDst, plain, err := suite.OpenAppend(dst, h, kf, body, ob.s)
+			reason := dropOr(err, DropDecrypt)
+			if ob.tc.active() {
+				ob.crypto(t, h.SFL, h.Secret(), len(plain), reason)
+			}
 			if err != nil {
-				reason := DropReasonOf(err)
-				if reason == DropNone {
-					reason = DropDecrypt
-				}
 				e.metrics.drop(reason)
 				e.prefilterObserveDrop(dg.Source, reason)
 				res[k] = BatchResult{Err: err}
 				continue
 			}
 			dst = newDst
-			secret := h.Secret()
-			plen := len(plain)
-			if e.rc == nil {
-				if !secret {
-					off = len(dst)
-					dst = append(dst, plain...)
-				}
-				res[k] = BatchResult{Off: off, Len: plen}
-				e.metrics.received.Add(1)
-				e.metrics.receivedBytes.Add(uint64(plen))
-				e.metrics.opensBySuite[h.Cipher].Add(1)
+			if pend == nil {
+				dst, res[k] = e.deliver(dst, off, plain, &h, alias)
 				opened++
 				continue
 			}
-			rsrc[nr] = dg.Source
-			rhdr[nr] = h
-			ridx[nr] = k
-			rlen[nr] = plen
-			if secret {
-				roff[nr] = off
-				rbody[nr] = nil
-			} else {
-				rbody[nr] = plain
-			}
+			pend.idx[nr], pend.src[nr], pend.hdr[nr], pend.off[nr], pend.body[nr] = k, dg.Source, h, off, plain
 			nr++
 		}
+		// Optional exact-duplicate suppression (extension). A datagram is
+		// only accepted with its signature recorded: at the budget hard
+		// limit the newcomer is refused, never admitted unrecorded and never
+		// traded against a resident signature (see ReplayVerdict).
 		if nr > 0 {
-			var verdicts [batchChunk]ReplayVerdict
-			e.rc.CheckRun(rsrc[:nr], rhdr[:nr], now, verdicts[:nr])
-			for t := 0; t < nr; t++ {
-				k := ridx[t]
-				switch verdicts[t] {
+			var took time.Duration
+			if ob.tc.active() {
+				t = time.Now()
+			}
+			e.rc.CheckRun(pend.src[:nr], pend.hdr[:nr], now, pend.verdicts[:nr])
+			if ob.tc.active() {
+				took = time.Since(t)
+			}
+			for i := 0; i < nr; i++ {
+				k, h := pend.idx[i], &pend.hdr[i]
+				drop := DropNone
+				switch pend.verdicts[i] {
 				case ReplayDuplicate:
-					e.metrics.drop(DropReplay)
+					drop = DropReplay
 					res[k] = BatchResult{Err: ErrReplay}
 				case ReplayRefused:
-					e.metrics.drop(DropReplayBudget)
+					drop = DropReplayBudget
 					e.maybeRelievePressure(now)
 					res[k] = BatchResult{Err: fmt.Errorf("%w: from %q", ErrReplayBudget, dgs[k].Source)}
 				default:
-					off := roff[t]
-					if rbody[t] != nil {
-						off = len(dst)
-						dst = append(dst, rbody[t]...)
-					}
-					res[k] = BatchResult{Off: off, Len: rlen[t]}
-					e.metrics.received.Add(1)
-					e.metrics.receivedBytes.Add(uint64(rlen[t]))
-					e.metrics.opensBySuite[rhdr[t].Cipher].Add(1)
+					dst, res[k] = e.deliver(dst, pend.off[i], pend.body[i], h, alias)
 					opened++
+				}
+				if drop != DropNone {
+					e.metrics.drop(drop)
+				}
+				if ob.tc.active() {
+					sp := Span{Kind: SpanReplay, Drop: drop, SFL: h.SFL, Start: t, Dur: took}
+					if drop == DropReplayBudget {
+						sp.Flags = FlagBudgetRefused
+					}
+					ob.tc.span(sp)
 				}
 			}
 		}
 		dgs, res = dgs[chunk:], res[chunk:]
 	}
 	return dst, opened
+}
+
+// deliver accepts one authenticated datagram: it locates the body for
+// the caller and moves the receive counters. plain is the body as the
+// suite returned it — a secret body's plaintext already sits in dst at
+// off, a cleartext body still aliases the input datagram's payload
+// (after any pre-filter envelope was stripped from it). Appending the
+// cleartext to dst is the one step a run of one may skip: with alias
+// set, *alias receives plain as it is, which is Open's zero-copy
+// contract (the paper's Section 5.3 data-touching concern).
+func (e *Endpoint) deliver(dst []byte, off int, plain []byte, h *Header, alias *[]byte) ([]byte, BatchResult) {
+	if alias != nil {
+		*alias = plain
+	} else if !h.Secret() {
+		off = len(dst)
+		dst = append(dst, plain...)
+	}
+	e.metrics.received.Add(1)
+	e.metrics.receivedBytes.Add(uint64(len(plain)))
+	e.metrics.opensBySuite[h.Cipher].Add(1)
+	return dst, BatchResult{Off: off, Len: len(plain)}
 }
 
 // SendBatch seals dgs (SealBatch) and hands the sealed wire datagrams

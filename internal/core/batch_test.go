@@ -266,109 +266,294 @@ func TestBatchDropReasonsExact(t *testing.T) {
 	}
 }
 
-// TestBatchObservationGates runs SealBatch/OpenBatch under an
-// always-sampling observer and always-tracing tracer: every datagram
-// must produce its own sample and trace exactly as single calls would,
-// and outcomes must be unchanged.
+// TestBatchObservationGates runs every seal and open entry point —
+// single and batch — under an always-sampling observer and an
+// always-tracing tracer. Every datagram, accepted or refused, must
+// produce its own sample and its own trace, and both must describe the
+// stages the datagram actually crossed: the span-kind sequence with the
+// refusing stage's DropReason, and exactly the visited PacketSample
+// stages filled.
 func TestBatchObservationGates(t *testing.T) {
 	w := newWorld(t)
-	obs := &countingObserver{}
-	tr := &countingTracer{}
-	sender, err := NewEndpoint(Config{
-		Identity:  w.principal(t, "obs-a"),
-		Transport: nullTransport{},
-		Directory: w.dir,
-		Verifier:  w.ver,
-		Clock:     w.clock,
-		Cipher:    CipherAES128GCM,
-		Observer:  obs,
-		Tracer:    tr,
-	})
-	if err != nil {
-		t.Fatal(err)
+	obs := &recordingObserver{}
+	tr := &recordingTracer{spans: map[TraceID][]Span{}}
+	mk := func(name principal.Address, mutate func(*Config)) *Endpoint {
+		cfg := Config{
+			Identity:  w.principal(t, name),
+			Transport: nullTransport{},
+			Directory: w.dir,
+			Verifier:  w.ver,
+			Clock:     w.clock,
+			Cipher:    CipherAES128GCM,
+			SFLSeed:   100,
+			Observer:  obs,
+			Tracer:    tr,
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		ep, err := NewEndpoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return ep
 	}
-	defer sender.Close()
-	recv, err := NewEndpoint(Config{
-		Identity:  w.principal(t, "obs-b"),
-		Transport: nullTransport{},
-		Directory: w.dir,
-		Verifier:  w.ver,
-		Clock:     w.clock,
-		Cipher:    CipherAES128GCM,
-		Observer:  obs,
-		Tracer:    tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recv.Close()
+	sender := mk("obs-a", nil)
+	w.principal(t, "obs-b")
+	// A sender whose budget is already spent refuses at classification.
+	full := NewBudget(0, CostFAMEntry)
+	full.TryCharge(CostFAMEntry)
+	broke := mk("obs-a", func(c *Config) { c.StateBudget = full })
 
-	const N = 6
-	dgs := make([]transport.Datagram, N)
-	for i := range dgs {
-		dgs[i] = transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: []byte{byte(i)}}
+	type step struct {
+		kind SpanKind
+		drop DropReason
 	}
-	res := make([]BatchResult, N)
-	sealed, n := sender.SealBatch(nil, dgs, true, res)
-	if n != N {
-		t.Fatalf("sealed %d of %d", n, N)
+	type want struct {
+		seal   bool
+		drop   DropReason
+		steps  []step
+		stages []Stage // filled beside StageTotal; every other stage must read zero
+		bytes  int
 	}
-	if got := obs.packets.Load(); got != N {
-		t.Errorf("observer saw %d seal samples, want %d", got, N)
-	}
-	rdgs := make([]transport.Datagram, N)
-	for i, r := range res {
-		rdgs[i] = transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: sealed[r.Off : r.Off+r.Len]}
-	}
-	rres := make([]BatchResult, N)
-	_, rn := recv.OpenBatch(nil, rdgs, rres)
-	if rn != N {
-		for i, r := range rres {
-			if r.Err != nil {
-				t.Logf("datagram %d: %v", i, r.Err)
+	// check consumes the samples and traces recorded since the last call:
+	// one of each per datagram, in datagram order.
+	check := func(t *testing.T, wants []want) {
+		t.Helper()
+		samples, traces := obs.take(), tr.take()
+		if len(samples) != len(wants) || len(traces) != len(wants) {
+			t.Fatalf("%d samples and %d traces for %d datagrams", len(samples), len(traces), len(wants))
+		}
+		for i, wt := range wants {
+			var got []step
+			for _, sp := range traces[i] {
+				if sp.Seal != wt.seal {
+					t.Errorf("datagram %d: %v span on the wrong side", i, sp.Kind)
+				}
+				got = append(got, step{sp.Kind, sp.Drop})
+			}
+			if fmt.Sprint(got) != fmt.Sprint(wt.steps) {
+				t.Errorf("datagram %d: spans %v, want %v", i, got, wt.steps)
+			}
+			s := samples[i]
+			if s.Seal != wt.seal || s.Drop != wt.drop || s.Bytes != wt.bytes || s.Trace != traces[i][0].Trace {
+				t.Errorf("datagram %d: sample %+v, want seal=%v drop=%v bytes=%d trace=%d",
+					i, s, wt.seal, wt.drop, wt.bytes, traces[i][0].Trace)
+			}
+			visited := map[Stage]bool{StageTotal: true}
+			for _, st := range wt.stages {
+				visited[st] = true
+			}
+			for st := Stage(0); int(st) < NumStages; st++ {
+				if filled := s.Stages[st] != 0; filled != visited[st] {
+					t.Errorf("datagram %d: stage %v filled=%v, want %v", i, st, filled, visited[st])
+				}
 			}
 		}
-		t.Fatalf("opened %d of %d", rn, N)
 	}
-	if got := obs.packets.Load(); got != 2*N {
-		t.Errorf("observer saw %d total samples, want %d", got, 2*N)
+	repeat := func(n int, first, rest want) []want {
+		out := []want{first}
+		for len(out) < n {
+			out = append(out, rest)
+		}
+		return out
 	}
-	if got := tr.started.Load(); got != 2*N {
-		t.Errorf("tracer started %d traces, want %d", got, 2*N)
+
+	const N = 4
+	sealSteps := []step{{SpanClassify, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanSeal, 0}}
+	sealMiss := want{seal: true, steps: sealSteps, stages: []Stage{StageFAM, StageKeyMiss, StageCrypt}, bytes: 1}
+	sealHit := want{seal: true, steps: sealSteps, stages: []Stage{StageFAM, StageKeyHit, StageCrypt}, bytes: 1}
+	noKey := want{seal: true, drop: DropKeying, bytes: 1, stages: []Stage{StageFAM, StageKeyMiss},
+		steps: []step{{SpanClassify, 0}, {SpanFlowKey, DropKeying}, {SpanSeal, DropKeying}}}
+	noRoom := want{seal: true, drop: DropStateBudget, bytes: 1,
+		steps: []step{{SpanClassify, DropStateBudget}, {SpanSeal, DropStateBudget}}}
+	dgsTo := func(dst principal.Address) []transport.Datagram {
+		dgs := make([]transport.Datagram, N)
+		for i := range dgs {
+			dgs[i] = transport.Datagram{Source: "obs-a", Destination: dst, Payload: []byte{byte(i)}}
+		}
+		return dgs
 	}
+	res := make([]BatchResult, N)
+
+	var wires [][]byte
+	t.Run("seal/single", func(t *testing.T) {
+		for _, dg := range dgsTo("obs-b") {
+			out, err := sender.SealAppend(nil, dg, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wires = append(wires, out)
+		}
+		check(t, repeat(N, sealMiss, sealHit))
+		for _, dg := range dgsTo("nobody") {
+			if _, err := sender.Seal(dg, true); DropReasonOf(err) != DropKeying {
+				t.Fatalf("seal to an unknown peer: %v", err)
+			}
+		}
+		check(t, repeat(N, noKey, noKey))
+		if _, err := broke.Seal(dgsTo("obs-b")[0], true); DropReasonOf(err) != DropStateBudget {
+			t.Fatalf("seal over budget: %v", err)
+		}
+		check(t, []want{noRoom})
+	})
+	t.Run("seal/batch", func(t *testing.T) {
+		sealed, n := sender.SealBatch(nil, dgsTo("obs-b"), true, res)
+		if n != N {
+			t.Fatalf("sealed %d of %d", n, N)
+		}
+		for _, r := range res {
+			wires = append(wires, sealed[r.Off:r.Off+r.Len])
+		}
+		check(t, repeat(N, sealHit, sealHit))
+		if _, n := sender.SealBatch(nil, dgsTo("nobody"), true, res); n != 0 {
+			t.Fatalf("sealed %d to an unknown peer", n)
+		}
+		check(t, repeat(N, noKey, noKey))
+		if _, n := broke.SealBatch(nil, dgsTo("obs-b"), true, res); n != 0 {
+			t.Fatalf("sealed %d over budget", n)
+		}
+		check(t, repeat(N, noRoom, noRoom))
+	})
+
+	// Receive side: N accepted, then one refusal per stage that can
+	// refuse — addressing, header structure, freshness, authentication,
+	// and (with a replay cache) the duplicate.
+	arrivals := func(wires [][]byte) ([]transport.Datagram, []want) {
+		var dgs []transport.Datagram
+		for _, wire := range wires {
+			dgs = append(dgs, transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: wire})
+		}
+		elsewhere := dgs[0]
+		elsewhere.Destination = "elsewhere"
+		runt := dgs[0]
+		runt.Payload = []byte{0x01}
+		forged := dgs[0].Clone()
+		forged.Payload[len(forged.Payload)-1] ^= 0x40
+		dgs = append(dgs, elsewhere, runt, forged)
+		return dgs, []want{
+			{drop: DropNotForUs, bytes: len(wires[0]), steps: []step{{SpanParse, DropNotForUs}, {SpanOpen, DropNotForUs}}},
+			{drop: DropMalformed, bytes: 1, steps: []step{{SpanParse, DropMalformed}, {SpanOpen, DropMalformed}}},
+			{drop: DropBadMAC, bytes: 1, stages: []Stage{StageKeyHit, StageCrypt},
+				steps: []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, DropBadMAC}, {SpanOpen, DropBadMAC}}},
+		}
+	}
+	for _, replay := range []bool{false, true} {
+		okSteps := []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanOpen, 0}}
+		dupSteps := okSteps
+		if replay {
+			okSteps = []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanReplay, 0}, {SpanOpen, 0}}
+			dupSteps = []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanReplay, DropReplay}, {SpanOpen, DropReplay}}
+		}
+		openMiss := want{steps: okSteps, stages: []Stage{StageKeyMiss, StageCrypt}, bytes: 1}
+		openHit := want{steps: okSteps, stages: []Stage{StageKeyHit, StageCrypt}, bytes: 1}
+		dup := want{steps: dupSteps, stages: []Stage{StageKeyHit, StageCrypt}, bytes: 1}
+		if replay {
+			dup.drop = DropReplay
+		}
+		recv := mk("obs-b", func(c *Config) { c.EnableReplayCache = replay })
+		t.Run(fmt.Sprintf("open/single/replay=%v", replay), func(t *testing.T) {
+			dgs, refused := arrivals(wires[:N])
+			dgs = append(dgs, dgs[0])
+			for i, dg := range dgs {
+				var err error
+				if i%2 == 0 {
+					_, err = recv.Open(dg)
+				} else {
+					_, err = recv.OpenAppend(nil, dg)
+				}
+				if accepted := i < N || (i == len(dgs)-1 && !replay); (err == nil) != accepted {
+					t.Fatalf("arrival %d: %v", i, err)
+				}
+			}
+			check(t, append(append(repeat(N, openMiss, openHit), refused...), dup))
+		})
+		t.Run(fmt.Sprintf("open/batch/replay=%v", replay), func(t *testing.T) {
+			dgs, refused := arrivals(wires[N:])
+			dgs = append(dgs, dgs[0])
+			rres := make([]BatchResult, len(dgs))
+			wantOK := N
+			if !replay {
+				wantOK++
+			}
+			if _, n := recv.OpenBatch(nil, dgs, rres); n != wantOK {
+				t.Fatalf("opened %d, want %d", n, wantOK)
+			}
+			check(t, append(append(repeat(N, openHit, openHit), refused...), dup))
+		})
+	}
+
+	// A stale datagram is refused at the parse stage with its flow label
+	// already known.
+	t.Run("open/stale", func(t *testing.T) {
+		recv := mk("obs-b", nil)
+		w.clock.Advance(21 * time.Minute)
+		dg := transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: wires[0]}
+		if _, err := recv.Open(dg); DropReasonOf(err) != DropStale {
+			t.Fatalf("stale open: %v", err)
+		}
+		if _, n := recv.OpenBatch(nil, []transport.Datagram{dg}, res); n != 0 {
+			t.Fatal("stale datagram accepted by OpenBatch")
+		}
+		stale := want{drop: DropStale, bytes: 1, steps: []step{{SpanParse, DropStale}, {SpanOpen, DropStale}}}
+		check(t, []want{stale, stale})
+	})
 }
 
-type countingObserver struct {
-	packets atomicCounter
+// recordingObserver samples every datagram and keeps the samples.
+type recordingObserver struct {
+	mu      sync.Mutex
+	samples []PacketSample
 }
 
-func (o *countingObserver) Sample() bool        { return true }
-func (o *countingObserver) Packet(PacketSample) { o.packets.Add(1) }
-
-type countingTracer struct {
-	started atomicCounter
-	nextID  atomicCounter
+func (o *recordingObserver) Sample() bool { return true }
+func (o *recordingObserver) Packet(s PacketSample) {
+	o.mu.Lock()
+	o.samples = append(o.samples, s)
+	o.mu.Unlock()
 }
 
-func (tr *countingTracer) StartTrace() TraceID {
-	tr.started.Add(1)
-	return TraceID(tr.nextID.Add(1))
-}
-func (tr *countingTracer) Span(Span) {}
-
-type atomicCounter struct {
-	mu sync.Mutex
-	n  int64
+func (o *recordingObserver) take() []PacketSample {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	out := o.samples
+	o.samples = nil
+	return out
 }
 
-func (c *atomicCounter) Add(d int64) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n += d
-	return c.n
+// recordingTracer traces every datagram and keeps each trace's spans in
+// emission order.
+type recordingTracer struct {
+	mu     sync.Mutex
+	nextID TraceID
+	order  []TraceID
+	spans  map[TraceID][]Span
 }
-func (c *atomicCounter) Load() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
+
+func (tr *recordingTracer) StartTrace() TraceID {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.nextID++
+	tr.order = append(tr.order, tr.nextID)
+	return tr.nextID
+}
+
+func (tr *recordingTracer) Span(s Span) {
+	tr.mu.Lock()
+	tr.spans[s.Trace] = append(tr.spans[s.Trace], s)
+	tr.mu.Unlock()
+}
+
+// take returns the traces started since the last call, in start order.
+func (tr *recordingTracer) take() [][]Span {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	var out [][]Span
+	for _, id := range tr.order {
+		out = append(out, tr.spans[id])
+		delete(tr.spans, id)
+	}
+	tr.order = nil
+	return out
 }

@@ -152,3 +152,12 @@ func DropReasonOf(err error) DropReason {
 	}
 	return DropNone
 }
+
+// dropOr is DropReasonOf for a stage that knows what its failures mean:
+// an error carrying no reason of its own maps to fallback.
+func dropOr(err error, fallback DropReason) DropReason {
+	if r := DropReasonOf(err); r != DropNone || err == nil {
+		return r
+	}
+	return fallback
+}

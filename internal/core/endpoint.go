@@ -266,23 +266,10 @@ func newConfounderWell(src cryptolib.ConfounderSource) *confounderWell {
 	}
 }
 
-func (w *confounderWell) next() uint32 {
-	if w.pool != nil {
-		g := w.pool.Get().(*cryptolib.LCG)
-		v := g.Uint32()
-		w.pool.Put(g)
-		return v
-	}
-	w.mu.Lock()
-	v := w.src.Uint32()
-	w.mu.Unlock()
-	return v
-}
-
 // drawRun fills conf with per-datagram confounders, borrowing the pooled
 // generator (or taking the source lock) once for the whole run instead of
 // once per datagram. The values drawn are the same sequence a loop of
-// next() calls would produce.
+// single draws would produce.
 func (w *confounderWell) drawRun(conf []uint32) {
 	if w.pool != nil {
 		g := w.pool.Get().(*cryptolib.LCG)
@@ -945,7 +932,6 @@ func (e *Endpoint) Seal(dg transport.Datagram, secret bool) (transport.Datagram,
 	if dg.Source == "" {
 		dg.Source = e.Addr()
 	}
-	// (S1) classify the datagram into a flow.
 	return e.SealFlow(dg, e.cfg.Selector(dg), secret)
 }
 
@@ -970,7 +956,7 @@ func (e *Endpoint) SealFlow(dg transport.Datagram, id FlowID, secret bool) (tran
 		dg.Source = e.Addr()
 	}
 	buf := make([]byte, 0, HeaderSize+len(dg.Payload)+cryptolib.BlockSize)
-	out, tid, err := e.sealFlowGate(buf, dg, id, secret)
+	out, tid, err := e.sealOne(buf, dg, id, secret)
 	if err != nil {
 		return transport.Datagram{}, err
 	}
@@ -984,17 +970,16 @@ func (e *Endpoint) SealFlow(dg transport.Datagram, id FlowID, secret bool) (tran
 // block is padding headroom when encrypting); give dst that much and the
 // steady-state path allocates nothing. dst must not alias dg.Payload.
 func (e *Endpoint) SealFlowAppend(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, error) {
-	out, _, err := e.sealFlowGate(dst, dg, id, secret)
+	out, _, err := e.sealOne(dst, dg, id, secret)
 	return out, err
 }
 
-// sealFlowGate applies the two observation gates — the Observer's
-// sampling decision and the Tracer's trace-sampling decision — around
-// sealFlowAppend, and reports the trace ID it allocated (0 when the
-// datagram is untraced) so Datagram-returning callers can stamp it
-// into the metadata. The un-sampled, un-traced path pays the two gate
-// calls and nothing else.
-func (e *Endpoint) sealFlowGate(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, TraceID, error) {
+// sealOne is the single-datagram door into the run engine: the drain
+// gate, the bypass, the two observation gates, then a run of one. It
+// reports the trace ID the gates allocated (0 when the datagram is
+// untraced) so Datagram-returning callers can stamp it into the
+// metadata.
+func (e *Endpoint) sealOne(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, TraceID, error) {
 	if err := e.beginOp(); err != nil {
 		return nil, 0, err
 	}
@@ -1004,205 +989,42 @@ func (e *Endpoint) sealFlowGate(dst []byte, dg transport.Datagram, id FlowID, se
 	}
 	if e.cfg.Bypass != nil && e.cfg.Bypass(dg.Destination) {
 		e.metrics.bypassedSent.Add(1)
-		out := append(dst, dg.Payload...)
-		return out, 0, nil
+		return append(dst, dg.Payload...), 0, nil
 	}
-	var tc *traceCtx
-	if tr := e.cfg.Tracer; tr != nil {
-		if tid := tr.StartTrace(); tid != 0 {
-			tc = &traceCtx{tr: tr, id: tid}
-		}
-	}
-	o := e.cfg.Observer
-	sampled := o != nil && o.Sample()
+	sampled, tc := e.sealGates()
 	return e.sealGated(dst, dg, id, secret, sampled, tc)
 }
 
-// sealGated runs the seal with the observation-gate decisions already
-// made (SealBatch evaluates the gates itself during run grouping, so a
-// sampled or traced datagram inside a batch takes exactly this path).
-// The un-sampled, un-traced case is the batch engine with a run of one:
-// the single-datagram path IS batch-of-1, so golden vectors and the
-// 0 allocs/op bound pin the shared machinery.
+// sealGated seals one datagram as a run of one, with the observation-gate
+// decisions already made (SealBatch rolls the gates itself while grouping
+// runs, so a sampled or traced datagram inside a batch comes through
+// here too). A datagram whose gates fired carries its observation into
+// the run; a quiet one carries nothing and pays nothing — the golden
+// vectors and the 0 allocs/op bound pin that case.
 func (e *Endpoint) sealGated(dst []byte, dg transport.Datagram, id FlowID, secret bool, sampled bool, tc *traceCtx) ([]byte, TraceID, error) {
-	if !sampled && !tc.active() {
-		var one [1]transport.Datagram
-		var res [1]BatchResult
-		one[0] = dg
-		out, _ := e.sealRun(dst, one[:], id, secret, res[:])
-		if res[0].Err != nil {
-			return nil, 0, res[0].Err
-		}
-		return out, 0, nil
-	}
-	o := e.cfg.Observer
-	var s PacketSample
-	var sp *PacketSample
-	if sampled {
-		sp = &s
-		s.Seal = true
-		s.Flow = id
-		s.Bytes = len(dg.Payload)
-		s.Secret = secret
-		if tc.active() {
-			s.Trace = tc.id
-		}
-	}
-	start := time.Now()
-	out, err := e.sealFlowAppend(dst, dg, id, secret, sp, tc)
-	total := time.Since(start)
-	drop := DropNone
-	if err != nil {
-		drop = DropReasonOf(err)
-	}
-	if sampled {
-		s.Stages[StageTotal] = total
-		s.Drop = drop
-		o.Packet(s)
-	}
+	one := [1]transport.Datagram{dg}
+	var res [1]BatchResult
+	var ob observation
+	var root Span
 	var tid TraceID
-	if tc.active() {
-		tid = tc.id
-		flags := SpanFlags(0)
+	if sampled || tc.active() {
+		ob = observe(sampled, tc, PacketSample{Seal: true, Flow: id, Bytes: len(dg.Payload), Secret: secret})
+		root = Span{Kind: SpanSeal, Start: time.Now(), Attr: uint64(len(dg.Payload))}
 		if secret {
-			flags |= FlagSecretBody
-		}
-		tc.span(Span{Kind: SpanSeal, Seal: true, Drop: drop, Flags: flags,
-			SFL: s.SFL, Start: start, Dur: total, Attr: uint64(len(dg.Payload))})
-	}
-	return out, tid, err
-}
-
-// sealFlowAppend is the body of SealFlowAppend. When s is non-nil the
-// packet is being sampled: stage timings and flow identity are recorded
-// into it as the pipeline advances. When tc is active the packet is
-// being traced and each stage emits a span.
-func (e *Endpoint) sealFlowAppend(dst []byte, dg transport.Datagram, id FlowID, secret bool, s *PacketSample, tc *traceCtx) ([]byte, error) {
-	now := e.cfg.Clock.Now()
-	instr := s != nil || tc.active()
-	var t time.Time
-	if instr {
-		t = time.Now()
-	}
-	// (S1) classify the datagram into a flow. At the budget hard limit a
-	// datagram needing a fresh flow entry is shed; existing flows are
-	// untouched. The flow entry carries the cipher suite pinned at flow
-	// creation (keying time) — suite choice is per flow, never per
-	// datagram — and hands back this datagram's sequence number within
-	// the flow, the AEAD nonce counter.
-	sfl, suiteID, seq, _, slot, ok := e.fam.classify(id, now, len(dg.Payload))
-	if !ok {
-		e.metrics.drop(DropStateBudget)
-		e.maybeRelievePressure(now)
-		if tc.active() {
-			tc.span(Span{Kind: SpanClassify, Seal: true, Drop: DropStateBudget,
-				Flags: FlagBudgetRefused, Start: t, Dur: time.Since(t)})
-		}
-		return nil, fmt.Errorf("%w: flow to %q", ErrStateBudget, dg.Destination)
-	}
-	suite := SuiteByID(suiteID)
-	if suite == nil {
-		// Unreachable with a validated config (the FAM selector wrapper
-		// falls back to cfg.Cipher); kept as a typed failure, not a panic.
-		return nil, fmt.Errorf("%w: pinned suite %d unregistered", ErrAlgorithmRange, suiteID)
-	}
-	if instr {
-		d := time.Since(t)
-		if s != nil {
-			s.Stages[StageFAM] = d
-			s.SFL = sfl
+			root.Flags = FlagSecretBody
 		}
 		if tc.active() {
-			tc.span(Span{Kind: SpanClassify, Seal: true, SFL: sfl, Start: t, Dur: d})
-		}
-		t = time.Now()
-	}
-	// (S2-3) obtain the flow key (cached per Figure 6).
-	kf, keyHit, note, err := e.transmitFlowKey(sfl, slot, dg.Source, dg.Destination)
-	if instr {
-		d := time.Since(t)
-		if s != nil {
-			if keyHit {
-				s.Stages[StageKeyHit] = d
-			} else {
-				s.Stages[StageKeyMiss] = d
-			}
-		}
-		if tc.active() {
-			sp := Span{Kind: SpanFlowKey, Seal: true, SFL: sfl, Start: t, Dur: d,
-				Flags: note.flags(), Attr: uint64(note.Attempts)}
-			if keyHit {
-				sp.Flags |= FlagKeyHit
-			}
-			if err != nil {
-				sp.Drop = DropKeying
-			}
-			tc.span(sp)
+			tid = tc.id
 		}
 	}
-	if err != nil {
-		e.metrics.drop(DropKeying)
-		return nil, fmt.Errorf("%w: flow to %q: %w", ErrKeying, dg.Destination, err)
+	out, _ := e.sealRun(dst, one[:], id, secret, res[:], ob)
+	if ob.on() {
+		ob.finish(e.cfg.Observer, root, res[0].Err)
 	}
-	// (S4-5) confounder and timestamp. The wire algorithm bytes are the
-	// suite's mapping of the configured MAC/mode (legacy suites pass
-	// them through; AEAD suites force MACAEAD and a zero mode nibble).
-	//
-	// Legacy suites draw a statistically random confounder (the paper's
-	// per-datagram freshness material and IV seed). AEAD suites must NOT:
-	// their confounder field feeds the nonce, and an AEAD nonce has to be
-	// unique under the flow key, not merely random — 32 random bits
-	// birthday-collide around 2^16 datagrams, well inside a bulk flow's
-	// minute. The flow's datagram counter is unique by construction:
-	// under one K_f (one sfl) the nonce counter|timestamp|sfl can only
-	// repeat if 2^32 datagrams are sealed within a single timestamp
-	// minute. Rekeying (a new sfl, so a new K_f) restarts the counter
-	// safely, and a restarted endpoint randomises its sfl seed, so a
-	// crash never resumes an old (key, counter) pair.
-	wireMAC, wireMode := suite.WireAlg(e.cfg.MAC, e.cfg.Mode)
-	conf := uint32(seq)
-	if !suite.AEAD() {
-		conf = e.conf.next()
+	if res[0].Err != nil {
+		return nil, tid, res[0].Err
 	}
-	h := Header{
-		Version:    HeaderVersion,
-		MAC:        wireMAC,
-		Cipher:     suite.ID(),
-		Mode:       wireMode,
-		SFL:        sfl,
-		Confounder: conf,
-		Timestamp:  TimestampOf(now),
-	}
-	if secret {
-		h.Flags |= FlagSecret
-	}
-	// (S7, hoisted) encode the header with a zero MAC value; the MAC —
-	// or AEAD tag — is patched in at macValueOffset once the body has
-	// been traversed, so the body can be protected in place after the
-	// header without a staging buffer.
-	hdrOff := len(dst)
-	dst = h.Encode(dst)
-	// (S6, S8-9) the suite owns the body transform and MAC/tag patch.
-	if tc.active() {
-		t = time.Now()
-	}
-	out, err := suite.SealAppend(dst, hdrOff, h, kf, dg.Payload, e.cfg.SinglePass, s)
-	if tc.active() {
-		sp := Span{Kind: SpanCrypto, Seal: true, SFL: sfl, Start: t, Dur: time.Since(t),
-			Attr: uint64(len(dg.Payload))}
-		if secret {
-			sp.Flags |= FlagSecretBody
-		}
-		if err != nil {
-			sp.Drop = DropReasonOf(err)
-		}
-		tc.span(sp)
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.metrics.sealsBySuite[suite.ID()].Add(1)
-	return out, nil
+	return out, tid, nil
 }
 
 // Send seals and transmits a datagram (FBSSend step S10). A traced
@@ -1254,8 +1076,8 @@ func (e *Endpoint) SendTo(dst principal.Address, payload []byte, secret bool) er
 // plaintext datagram; for an unencrypted body the returned payload
 // aliases dg.Payload.
 func (e *Endpoint) Open(dg transport.Datagram) (transport.Datagram, error) {
-	body, err := e.open(nil, dg, false)
-	if err != nil {
+	var body []byte
+	if _, err := e.openOne(nil, dg, &body); err != nil {
 		return transport.Datagram{}, err
 	}
 	return transport.Datagram{Source: dg.Source, Destination: dg.Destination, Payload: body}, nil
@@ -1266,278 +1088,51 @@ func (e *Endpoint) Open(dg transport.Datagram) (transport.Datagram, error) {
 // With capacity for len(dg.Payload) more bytes in dst the steady-state
 // path performs no allocation. dst must not alias dg.Payload.
 func (e *Endpoint) OpenAppend(dst []byte, dg transport.Datagram) ([]byte, error) {
-	return e.open(dst, dg, true)
+	return e.openOne(dst, dg, nil)
 }
 
-// open is the shared receive path. With copyBody set the recovered body
-// is appended to dst; otherwise dst is unused and the returned slice
-// aliases dg.Payload when the body was not encrypted.
-func (e *Endpoint) open(dst []byte, dg transport.Datagram, copyBody bool) ([]byte, error) {
+// openOne is the single-datagram door into the run engine: the drain
+// gate, the bypass, the two observation gates, then a run of one. With
+// alias nil the recovered body is appended to dst; otherwise dst only
+// stages a decrypted body and *alias receives the body itself, which
+// for cleartext is a slice of dg.Payload (see deliver).
+func (e *Endpoint) openOne(dst []byte, dg transport.Datagram, alias *[]byte) ([]byte, error) {
 	if err := e.beginOp(); err != nil {
 		return nil, err
 	}
 	defer e.endOp()
 	if e.cfg.Bypass != nil && e.cfg.Bypass(dg.Source) {
 		e.metrics.bypassedReceived.Add(1)
-		if copyBody {
-			return append(dst, dg.Payload...), nil
+		if alias != nil {
+			*alias = dg.Payload
+			return dst, nil
 		}
-		return dg.Payload, nil
+		return append(dst, dg.Payload...), nil
 	}
-	// Observation gates — see sealFlowGate. An incoming trace ID (set
-	// by a tracing sender over a metadata-preserving transport) is
-	// always continued so one trace spans both endpoints; otherwise the
-	// tracer may start a local trace, which is how datagrams no sender
-	// traced — adversary injections in particular — still get a
-	// receive-side trace ending in their DropReason.
-	var tc *traceCtx
-	if tr := e.cfg.Tracer; tr != nil {
-		if dg.Trace != 0 {
-			tc = &traceCtx{tr: tr, id: dg.Trace}
-		} else if tid := tr.StartTrace(); tid != 0 {
-			tc = &traceCtx{tr: tr, id: tid}
-		}
-	}
-	o := e.cfg.Observer
-	sampled := o != nil && o.Sample()
-	return e.openGated(dst, dg, copyBody, sampled, tc)
+	sampled, tc := e.openGates(dg.Trace)
+	return e.openGated(dst, dg, alias, sampled, tc)
 }
 
-// openGated runs the receive pipeline with the observation-gate
-// decisions already made (OpenBatch evaluates the gates during batch
-// grouping). The un-sampled, un-traced append path is the batch engine
-// with a run of one — the production single-datagram path IS batch-of-1.
-// The alias-returning path (copyBody == false) keeps openInner: batch
-// output is always appended, so a run of one cannot alias the input.
-func (e *Endpoint) openGated(dst []byte, dg transport.Datagram, copyBody bool, sampled bool, tc *traceCtx) ([]byte, error) {
-	if !sampled && !tc.active() {
-		if copyBody {
-			var one [1]transport.Datagram
-			var res [1]BatchResult
-			one[0] = dg
-			out, _ := e.openRun(dst, one[:], res[:])
-			if res[0].Err != nil {
-				return nil, res[0].Err
-			}
-			return out, nil
-		}
-		return e.openInner(dst, dg, copyBody, nil, nil)
+// openGated opens one datagram as a run of one, with the observation-gate
+// decisions already made (OpenBatch rolls the gates itself while grouping
+// runs) — the receive-side twin of sealGated.
+func (e *Endpoint) openGated(dst []byte, dg transport.Datagram, alias *[]byte, sampled bool, tc *traceCtx) ([]byte, error) {
+	one := [1]transport.Datagram{dg}
+	var res [1]BatchResult
+	var ob observation
+	var root Span
+	if sampled || tc.active() {
+		ob = observe(sampled, tc, PacketSample{Flow: FlowID{Src: dg.Source, Dst: dg.Destination}, Bytes: len(dg.Payload)})
+		root = Span{Kind: SpanOpen, Start: time.Now(), Attr: uint64(len(dg.Payload))}
 	}
-	o := e.cfg.Observer
-	var s PacketSample
-	var sp *PacketSample
-	if sampled {
-		sp = &s
-		s.Flow = FlowID{Src: dg.Source, Dst: dg.Destination}
-		s.Bytes = len(dg.Payload)
-		if tc.active() {
-			s.Trace = tc.id
-		}
+	out, _ := e.openRun(dst, one[:], res[:], ob, alias)
+	if ob.on() {
+		ob.finish(e.cfg.Observer, root, res[0].Err)
 	}
-	start := time.Now()
-	out, err := e.openInner(dst, dg, copyBody, sp, tc)
-	total := time.Since(start)
-	drop := DropNone
-	if err != nil {
-		drop = DropReasonOf(err)
+	if res[0].Err != nil {
+		return nil, res[0].Err
 	}
-	if sampled {
-		s.Stages[StageTotal] = total
-		s.Drop = drop
-		o.Packet(s)
-	}
-	if tc.active() {
-		tc.span(Span{Kind: SpanOpen, Drop: drop, SFL: s.SFL, Start: start, Dur: total,
-			Attr: uint64(len(dg.Payload))})
-	}
-	return out, err
-}
-
-// openInner is the body of open (FBSReceive proper). When s is non-nil
-// the packet is being sampled and stage timings, flow identity and the
-// secret flag are recorded into it. When tc is active the packet is
-// being traced and each stage emits a span.
-func (e *Endpoint) openInner(dst []byte, dg transport.Datagram, copyBody bool, s *PacketSample, tc *traceCtx) ([]byte, error) {
-	instr := s != nil || tc.active()
-	var t time.Time
-	if instr {
-		t = time.Now()
-	}
-	// parseFail emits the parse span for a datagram refused before
-	// keying (addressing, header structure, algorithm policy,
-	// freshness).
-	parseFail := func(reason DropReason) {
-		if tc.active() {
-			tc.span(Span{Kind: SpanParse, Drop: reason, Start: t, Dur: time.Since(t)})
-		}
-	}
-	if dg.Destination != e.Addr() {
-		e.metrics.drop(DropNotForUs)
-		parseFail(DropNotForUs)
-		return nil, fmt.Errorf("%w: %q", ErrNotForUs, dg.Destination)
-	}
-	// (R1b) the edge pre-filter: control-frame absorption, echo-envelope
-	// verification, sketch shedding and the cookie challenge — all
-	// before any header parse or cache work. A verified echo rewrites
-	// dg.Payload in place.
-	if e.pf != nil {
-		if err := e.prefilterInbound(&dg, tc); err != nil {
-			return nil, err
-		}
-		e.pf.headerParses.Add(1)
-	}
-	// (R2) retrieve the security flow header.
-	var h Header
-	n, err := h.Decode(dg.Payload)
-	if err != nil {
-		e.metrics.drop(DropMalformed)
-		parseFail(DropMalformed)
-		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
-	}
-	body := dg.Payload[n:]
-	if s != nil {
-		s.SFL = h.SFL
-		s.Secret = h.Secret()
-		s.Bytes = len(body)
-	}
-	// (R2b) resolve the algorithm identification against the suite
-	// registry (structure) and the Accept* policy, before any keying or
-	// crypto work.
-	suite, err := e.checkAlg(&h)
-	if err != nil {
-		e.metrics.drop(DropAlgorithm)
-		if tc.active() {
-			tc.span(Span{Kind: SpanParse, Drop: DropAlgorithm, SFL: h.SFL, Start: t, Dur: time.Since(t)})
-		}
-		return nil, err
-	}
-	now := e.cfg.Clock.Now()
-	// (R3-4) freshness.
-	if !h.Timestamp.Fresh(now, e.cfg.FreshnessWindow) {
-		e.metrics.drop(DropStale)
-		if tc.active() {
-			tc.span(Span{Kind: SpanParse, Drop: DropStale, SFL: h.SFL, Start: t, Dur: time.Since(t)})
-		}
-		return nil, fmt.Errorf("%w: timestamp %v at %v", ErrStale, h.Timestamp.Time(), now)
-	}
-	if instr {
-		if tc.active() {
-			sp := Span{Kind: SpanParse, SFL: h.SFL, Start: t, Dur: time.Since(t)}
-			if h.Secret() {
-				sp.Flags |= FlagSecretBody
-			}
-			tc.span(sp)
-		}
-		t = time.Now()
-	}
-	// (R5-6) recover the flow key.
-	kf, keyHit, note, err := e.receiveFlowKey(h.SFL, dg.Source, dg.Destination)
-	if instr {
-		d := time.Since(t)
-		if s != nil {
-			if keyHit {
-				s.Stages[StageKeyHit] = d
-			} else {
-				s.Stages[StageKeyMiss] = d
-			}
-		}
-		if tc.active() {
-			sp := Span{Kind: SpanFlowKey, SFL: h.SFL, Start: t, Dur: d,
-				Flags: note.flags(), Attr: uint64(note.Attempts)}
-			if keyHit {
-				sp.Flags |= FlagKeyHit
-			}
-			if err != nil {
-				sp.Drop = DropReasonOf(err)
-				if sp.Drop == DropNone {
-					sp.Drop = DropKeying
-				}
-			}
-			tc.span(sp)
-		}
-	}
-	if err != nil {
-		// The overload sheds carry their own reason; everything else on
-		// this path is a keying failure.
-		reason := DropReasonOf(err)
-		if reason == DropNone {
-			reason = DropKeying
-		}
-		e.metrics.drop(reason)
-		e.prefilterObserveDrop(dg.Source, reason)
-		return nil, fmt.Errorf("%w: flow from %q: %w", ErrKeying, dg.Source, err)
-	}
-	// (R7-11) the suite owns decryption and authentication: legacy
-	// suites decrypt-then-verify (the MAC covers the plaintext body,
-	// hoisted per the package comment), AEAD suites open the sealed box
-	// in one pass. Sentinel errors map straight onto drop reasons.
-	if tc.active() {
-		t = time.Now()
-	}
-	dst, body, err = suite.OpenAppend(dst, h, kf, body, s)
-	if tc.active() {
-		sp := Span{Kind: SpanCrypto, SFL: h.SFL, Start: t, Dur: time.Since(t),
-			Attr: uint64(len(body))}
-		if h.Secret() {
-			sp.Flags |= FlagSecretBody
-		}
-		if err != nil {
-			sp.Drop = DropReasonOf(err)
-			if sp.Drop == DropNone {
-				sp.Drop = DropDecrypt
-			}
-		}
-		tc.span(sp)
-	}
-	if err != nil {
-		reason := DropReasonOf(err)
-		if reason == DropNone {
-			reason = DropDecrypt
-		}
-		e.metrics.drop(reason)
-		e.prefilterObserveDrop(dg.Source, reason)
-		return nil, err
-	}
-	// Optional exact-duplicate suppression (extension). A datagram is
-	// only accepted with its signature recorded: at the budget hard
-	// limit the newcomer is refused, never admitted unrecorded and never
-	// traded against a resident signature (see ReplayVerdict).
-	if e.rc != nil {
-		if tc.active() {
-			t = time.Now()
-		}
-		verdict := e.rc.Check(dg.Source, &h, now)
-		if tc.active() {
-			sp := Span{Kind: SpanReplay, SFL: h.SFL, Start: t, Dur: time.Since(t)}
-			switch verdict {
-			case ReplayDuplicate:
-				sp.Drop = DropReplay
-			case ReplayRefused:
-				sp.Drop = DropReplayBudget
-				sp.Flags |= FlagBudgetRefused
-			}
-			tc.span(sp)
-		}
-		switch verdict {
-		case ReplayDuplicate:
-			e.metrics.drop(DropReplay)
-			return nil, ErrReplay
-		case ReplayRefused:
-			e.metrics.drop(DropReplayBudget)
-			e.maybeRelievePressure(now)
-			return nil, fmt.Errorf("%w: from %q", ErrReplayBudget, dg.Source)
-		}
-	}
-	e.metrics.received.Add(1)
-	e.metrics.receivedBytes.Add(uint64(len(body)))
-	e.metrics.opensBySuite[h.Cipher].Add(1)
-	if copyBody && !h.Secret() {
-		return append(dst, body...), nil
-	}
-	if h.Secret() && copyBody {
-		return dst, nil
-	}
-	return body, nil
+	return out, nil
 }
 
 // Receive blocks for the next datagram from the transport and opens it.

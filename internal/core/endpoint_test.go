@@ -562,3 +562,48 @@ func TestEndpointDuplexUsesTwoFlows(t *testing.T) {
 		t.Fatal("the two directions shared an sfl")
 	}
 }
+
+// TestOpenAliasesInput pins Open's zero-copy contract (the Section 5.3
+// data-touching concern): an accepted cleartext body is not copied — it
+// is the tail of the datagram the caller handed in, whether or not a
+// pre-filter echo envelope had to be stripped from the front — and
+// getting there allocates nothing (verifying an envelope's cookie is an
+// HMAC, which does allocate; that is the pre-filter's cost, not Open's).
+func TestOpenAliasesInput(t *testing.T) {
+	w := newWorld(t)
+	a, b, _ := endpointPair(t, w, func(c *Config) {
+		c.Cipher = CipherAES128GCM
+		c.Prefilter = PrefilterConfig{Enable: true, SecretSeed: []byte("alias-seed")}
+	})
+	want := []byte("cleartext body, authenticated in place")
+	sealed, err := a.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: want}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	echo := appendCookieFrame(nil, CookieKindEcho, b.pf.mint("alice", w.clock.Now()))
+	for name, wire := range map[string][]byte{
+		"bare":      sealed.Payload,
+		"enveloped": append(echo, sealed.Payload...),
+	} {
+		dg := transport.Datagram{Source: "alice", Destination: "bob", Payload: wire}
+		var got transport.Datagram
+		allocs := testing.AllocsPerRun(100, func() {
+			if got, err = b.Open(dg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !bytes.Equal(got.Payload, want) {
+			t.Fatalf("%s: body = %q", name, got.Payload)
+		}
+		tail := wire[len(wire)-len(want):]
+		if &got.Payload[0] != &tail[0] {
+			t.Errorf("%s: accepted cleartext body was copied out of the input", name)
+		}
+		if name == "bare" && allocs != 0 {
+			t.Errorf("%s: Open allocates %v times per cleartext datagram, want 0", name, allocs)
+		}
+	}
+	if got := b.Stats().Prefilter.EchoAccepted; got == 0 {
+		t.Error("the enveloped datagram never reached the cookie check")
+	}
+}

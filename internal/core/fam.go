@@ -242,8 +242,8 @@ type FAM struct {
 
 	// budget, when set, is charged CostFAMEntry per valid entry; flow
 	// creation that would fill a fresh slot past the hard limit is
-	// refused (classify reports !ok and the caller sheds the datagram
-	// with DropStateBudget).
+	// refused (classifyBatch reports !ok and the caller sheds the
+	// datagram with DropStateBudget).
 	budget *Budget
 
 	// suiteOf, when set, picks the cipher suite pinned into a freshly
@@ -303,78 +303,31 @@ func (f *FAM) SetSuiteSelector(sel func(FlowID) CipherID) { f.suiteOf = sel }
 // Classify assigns the datagram with attributes id and size bytes to a
 // flow, creating a new flow when no valid entry matches (the mapper
 // module of Figure 7). It returns the flow's sfl and whether a new flow
-// was started. With a budget at its hard limit, creation into an empty
-// slot is refused and the zero SFL is returned with ok == false.
+// was started — a flow is new exactly when this datagram is its first.
+// With a budget at its hard limit, creation into an empty slot is
+// refused and the zero SFL is returned.
 func (f *FAM) Classify(id FlowID, now time.Time, size int) (SFL, bool) {
-	sfl, _, _, isNew, _, _ := f.classify(id, now, size)
-	return sfl, isNew
-}
-
-// classify additionally returns the flow's pinned cipher suite, the
-// datagram's 1-based sequence number within the flow (the entry's packet
-// count after this datagram — monotonic under the stripe lock, so AEAD
-// suites can use it as nonce material), and the slot index for the
-// combined FST/TFKC fast path. ok == false when the state budget refused
-// a creation.
-func (f *FAM) classify(id FlowID, now time.Time, size int) (sfl SFL, suite CipherID, seq uint64, isNew bool, slot int, ok bool) {
-	orig := id
-	if n, nok := f.policy.(flowNormalizer); nok {
-		id = n.normalize(id)
-	}
-	i := f.policy.Index(id, len(f.table))
-	st := &f.stripes[i&f.stripeMask]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.stats.Lookups++
-	e := &f.table[i]
-	if f.policy.Match(e, id, now) {
-		e.Last = now
-		e.Packets++
-		e.Bytes += uint64(size)
-		st.stats.Hits++
-		return e.SFL, e.Suite, e.Packets, false, i, true
-	}
-	if e.Valid && e.ID != id {
-		st.stats.Collisions++
-	}
-	// Overwriting a valid slot (collision or expired flow) is
-	// budget-neutral; only filling an empty slot grows state.
-	if !e.Valid && !f.budget.TryCharge(CostFAMEntry) {
-		return 0, 0, 0, false, i, false
-	}
-	suite = CipherNone
-	if f.suiteOf != nil {
-		// The selector sees the un-normalized attributes: policy
-		// aggregation (e.g. host-pair) must not hide the ports a
-		// selector keys on. Whatever it picks is pinned with the entry.
-		suite = f.suiteOf(orig)
-	}
-	sfl = SFL(f.nextSFL.Add(1) - 1)
-	*e = FSTEntry{
-		Valid:   true,
-		ID:      id,
-		SFL:     sfl,
-		Created: now,
-		Last:    now,
-		Packets: 1,
-		Bytes:   uint64(size),
-		Suite:   suite,
-	}
-	st.stats.FlowsCreated++
-	return sfl, suite, 1, true, i, true
+	sizes := [1]int{size}
+	sfl, _, seq, _, _, ok := f.classifyBatch(id, now, sizes[:])
+	return sfl, ok && seq == 1
 }
 
 // classifyBatch classifies a run of datagrams that share one FlowID
-// under a single stripe acquisition. sizes carries the run's payload
-// sizes in order. The entry's accounting advances one datagram at a
-// time with the policy's Match re-checked before each, so wear-out
-// limits (MaxPackets/MaxBytes) end the run exactly where the
-// per-datagram path would; the caller re-classifies the remainder into
-// a fresh flow. Sequence numbers are consecutive from firstSeq — the
-// batch's nonce-counter reservation. On a budget refusal (ok == false)
-// nothing was accepted and the caller sheds only the first datagram:
-// re-attempting the rest re-checks the budget per datagram, exactly as
-// a loop of classify calls would.
+// under a single stripe acquisition (a run of one is the single-datagram
+// case). sizes carries the run's payload sizes in order. Beside the sfl
+// it returns the flow's pinned cipher suite, the slot index for the
+// combined FST/TFKC fast path, and firstSeq, the first datagram's
+// 1-based sequence number within the flow (the entry's packet count —
+// monotonic under the stripe lock, so AEAD suites can use it as nonce
+// material); the run's sequence numbers are consecutive from there, the
+// batch's nonce-counter reservation. The entry's accounting advances one
+// datagram at a time with the policy's Match re-checked before each, so
+// wear-out limits (MaxPackets/MaxBytes) end the run exactly where a loop
+// of single calls would: n reports how many datagrams were accepted and
+// the caller re-classifies the remainder into a fresh flow. On a budget
+// refusal (ok == false) nothing was accepted and the caller sheds only
+// the first datagram: re-attempting the rest re-checks the budget per
+// datagram, as a loop would.
 func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, suite CipherID, firstSeq uint64, n int, slot int, ok bool) {
 	orig := id
 	if nz, nok := f.policy.(flowNormalizer); nok {
@@ -396,11 +349,16 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 		if e.Valid && e.ID != id {
 			st.stats.Collisions++
 		}
+		// Overwriting a valid slot (collision or expired flow) is
+		// budget-neutral; only filling an empty slot grows state.
 		if !e.Valid && !f.budget.TryCharge(CostFAMEntry) {
 			return 0, 0, 0, 0, i, false
 		}
 		suite = CipherNone
 		if f.suiteOf != nil {
+			// The selector sees the un-normalized attributes: policy
+			// aggregation (e.g. host-pair) must not hide the ports a
+			// selector keys on. Whatever it picks is pinned with the entry.
 			suite = f.suiteOf(orig)
 		}
 		sfl = SFL(f.nextSFL.Add(1) - 1)
@@ -419,8 +377,8 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 	}
 	// The rest of the run rides the same entry while the policy still
 	// matches it; each accepted datagram is one lookup + one hit, so the
-	// FAM's counter invariants reconcile identically to a loop of
-	// classify calls.
+	// FAM's counter invariants reconcile identically to a loop of single
+	// calls.
 	for n = 1; n < len(sizes); n++ {
 		if !f.policy.Match(e, id, now) {
 			break

@@ -122,8 +122,8 @@ func TestFAMSweeper(t *testing.T) {
 func TestFAMAccounting(t *testing.T) {
 	f := testFAM(time.Hour, 4)
 	id := FlowID{Src: "a", Dst: "b"}
-	_, _, _, _, slot, _ := f.classify(id, famEpoch, 100)
-	f.classify(id, famEpoch.Add(time.Second), 150)
+	_, _, _, _, slot, _ := f.classifyBatch(id, famEpoch, []int{100})
+	f.Classify(id, famEpoch.Add(time.Second), 150)
 	e := f.entry(slot)
 	if e.Packets != 2 || e.Bytes != 250 {
 		t.Fatalf("entry accounting = %d pkts %d bytes", e.Packets, e.Bytes)

@@ -345,7 +345,7 @@ func newChaCha(kf [16]byte) (sealedBox, error) {
 // confidentiality and the authentication key. So for AEAD flows the
 // sender does not draw a random confounder: the confounder field
 // carries the flow's monotonic datagram counter (maintained in the flow
-// state entry, incremented under the stripe lock; see sealFlowAppend).
+// state entry, incremented under the stripe lock; see sealRun).
 // Under one K_f (one sfl) the nonce can then only repeat if 2^32
 // datagrams are sealed within a single timestamp minute; rekeying
 // allocates a fresh sfl and thus a fresh K_f, and a restarted endpoint

@@ -226,22 +226,24 @@ type Tracer interface {
 	Span(s Span)
 }
 
-// traceCtx threads the active tracer and this datagram's trace ID
-// through the pipeline. A nil *traceCtx means "not traced" — every
-// helper is nil-safe, so the un-traced path never branches more than
-// once per emission site.
+// traceCtx threads the active tracer, this datagram's trace ID and the
+// side of the pipeline it is on through the stages. A nil *traceCtx
+// means "not traced" — every helper is nil-safe, so the un-traced path
+// never branches more than once per emission site.
 type traceCtx struct {
-	tr Tracer
-	id TraceID
+	tr   Tracer
+	id   TraceID
+	seal bool
 }
 
 // active reports whether spans should be emitted.
 func (t *traceCtx) active() bool { return t != nil && t.id != 0 }
 
-// span stamps the trace ID and emits. Callers must have checked
-// active().
+// span stamps the trace ID and the side, and emits. Callers must have
+// checked active().
 func (t *traceCtx) span(s Span) {
 	s.Trace = t.id
+	s.Seal = t.seal
 	t.tr.Span(s)
 }
 

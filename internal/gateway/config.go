@@ -109,7 +109,8 @@ type TenantConfig struct {
 	// SecretEcho encrypts echoed bodies (echo mode only).
 	SecretEcho bool `json:"secret_echo,omitempty"`
 	// FreshnessWindow is the receive-side timestamp window; 0 keeps
-	// the core default (10m).
+	// the core default (10m). Anything else must be at least 1m, the
+	// resolution of header timestamps.
 	FreshnessWindow Duration `json:"freshness_window,omitempty"`
 	// FlowIdleTimeout ends a flow after this idle gap; 0 keeps the
 	// core default policy.
@@ -210,6 +211,14 @@ func (c *Config) Validate() error {
 		case "", "echo", "sink":
 		default:
 			return fmt.Errorf("gateway: tenant %q: unknown mode %q (want echo or sink)", t.Name, t.Mode)
+		}
+		if t.FreshnessWindow > 0 && t.FreshnessWindow < Duration(time.Minute) {
+			// Header timestamps count whole minutes and freshness is
+			// measured from the start of the sender's minute, so a datagram
+			// sealed late in its minute arrives reading up to 60 s old.
+			return fmt.Errorf("gateway: tenant %q: freshness_window %v is below the 1m resolution of header timestamps, "+
+				"so nearly every datagram would be refused as stale (use 0 for the 10m default, or at least 1m)",
+				t.Name, time.Duration(t.FreshnessWindow))
 		}
 		if pf := t.Prefilter; pf != nil && pf.Enable &&
 			pf.EpochInterval > 0 && pf.EpochInterval < Duration(time.Second) {

@@ -49,11 +49,15 @@ func (o *Options) validate() error {
 	return nil
 }
 
-// tenantPlane is one tenant's realised data plane within an epoch.
+// tenantPlane is one tenant's realised data plane within an epoch. The
+// listener is resolved once, when the epoch is built: echoes go out on
+// it without a lookup, and a plane whose tenant has since been removed
+// finds it closed (the send fails and counts as an echo failure).
 type tenantPlane struct {
 	cfg TenantConfig
 	id  *principal.Identity
 	grp *core.ShardGroup
+	ln  *listener
 }
 
 // epoch is one realised configuration: the immutable unit the atomic
@@ -115,8 +119,9 @@ type Gateway struct {
 	swaps    atomic.Uint64
 	draining atomic.Bool
 
-	listenMu  sync.Mutex
+	// listeners is only touched by swap and shutdown, under swapMu.
 	listeners map[principal.Address]*listener
+	refusals  refusalLog
 
 	retiredMu sync.Mutex
 	retired   ledger
@@ -213,12 +218,10 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 		for _, p := range next.tenants {
 			p.grp.Close()
 		}
-		g.listenMu.Lock()
 		for _, ln := range newListeners {
 			ln.tr.Close()
 			delete(g.listeners, ln.addr)
 		}
-		g.listenMu.Unlock()
 		return nil, err
 	}
 	for _, tc := range cfg.Tenants {
@@ -254,7 +257,7 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 		if err != nil {
 			return fail(fmt.Errorf("gateway: tenant %q: %w", tc.Name, err))
 		}
-		next.tenants[addr] = &tenantPlane{cfg: tc, id: id, grp: grp}
+		next.tenants[addr] = &tenantPlane{cfg: tc, id: id, grp: grp, ln: ln}
 	}
 
 	// Warm phase: hand the old epoch's keying caches to the new one so
@@ -296,14 +299,12 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 			g.retiredMu.Unlock()
 			op.grp.Close()
 		}
-		g.listenMu.Lock()
 		for addr, ln := range g.listeners {
 			if _, keep := next.tenants[addr]; !keep {
 				ln.tr.Close()
 				delete(g.listeners, addr)
 			}
 		}
-		g.listenMu.Unlock()
 	}
 	g.opts.Logf("gateway: epoch %d live (%d tenants, %d certs / %d master keys handed off)",
 		next.seq, len(next.tenants), report.Certs, report.MasterKeys)
@@ -314,20 +315,15 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 // or binds a new one. Caller holds swapMu.
 func (g *Gateway) ensureListener(tc TenantConfig) (*listener, bool, error) {
 	addr := principal.Address(tc.Address)
-	g.listenMu.Lock()
-	ln, ok := g.listeners[addr]
-	g.listenMu.Unlock()
-	if ok {
+	if ln, ok := g.listeners[addr]; ok {
 		return ln, false, nil
 	}
 	tr, err := g.opts.Listen(tc)
 	if err != nil {
 		return nil, false, err
 	}
-	ln = &listener{addr: addr, tr: tr}
-	g.listenMu.Lock()
+	ln := &listener{addr: addr, tr: tr}
 	g.listeners[addr] = ln
-	g.listenMu.Unlock()
 	return ln, true, nil
 }
 
@@ -383,8 +379,8 @@ func (g *Gateway) handle(dg transport.Datagram) {
 			g.absorbed.Add(1)
 			return
 		default:
-			// Refused: the shard's drop ledger has the reason.
-			g.opts.Logf("gateway: tenant %s: refused datagram from %s: %v", dg.Destination, dg.Source, err)
+			// Refused: the shard's drop ledger has the reason and the count.
+			g.logRefusal(err, "refused datagram", dg.Destination, dg.Source)
 			return
 		}
 	}
@@ -407,9 +403,9 @@ func (g *Gateway) reply(plane *tenantPlane, dst principal.Address, payload []byt
 		sealed, err := shard.Seal(out, plane.cfg.SecretEcho)
 		switch {
 		case err == nil:
-			if err := g.send(plane, sealed); err != nil {
+			if err := plane.ln.tr.Send(sealed); err != nil {
 				g.echoFailures.Add(1)
-				g.opts.Logf("gateway: tenant %s: echo to %s: %v", plane.id.Addr, dst, err)
+				g.logRefusal(err, "echo send failed", plane.id.Addr, dst)
 				return
 			}
 			g.echoed.Add(1)
@@ -429,22 +425,43 @@ func (g *Gateway) reply(plane *tenantPlane, dst principal.Address, payload []byt
 			continue
 		default:
 			g.echoFailures.Add(1)
-			g.opts.Logf("gateway: tenant %s: echo seal for %s: %v", plane.id.Addr, dst, err)
+			g.logRefusal(err, "echo seal refused", plane.id.Addr, dst)
 			return
 		}
 	}
 	g.echoFailures.Add(1)
 }
 
-// send pushes a sealed datagram out the tenant's listener.
-func (g *Gateway) send(plane *tenantPlane, dg transport.Datagram) error {
-	g.listenMu.Lock()
-	ln := g.listeners[plane.id.Addr]
-	g.listenMu.Unlock()
-	if ln == nil {
-		return errors.New("gateway: listener gone")
+// refusalLogInterval is how often one DropReason may produce a log
+// line. A flood is exactly when refusals are most frequent, so logging
+// each one would let an attacker buy log volume — and the CPU to format
+// it — at one spoofed datagram per line.
+const refusalLogInterval = time.Second
+
+// refusalLog rate-limits the per-datagram refusal lines: per DropReason
+// (slot DropNone takes errors that carry no reason, such as a failed
+// send), when the next line may be written and how many refusals have
+// gone unlogged since the last one. The drop ledger stays the exact
+// record; the log is a sample of it.
+type refusalLog [core.NumDropReasons]struct {
+	next       atomic.Int64 // unix nanos
+	suppressed atomic.Uint64
+}
+
+// logRefusal writes at most one line per DropReason per
+// refusalLogInterval: the refusal at hand as the example, plus the
+// number of same-reason refusals suppressed since the previous line.
+func (g *Gateway) logRefusal(err error, what string, tenant, peer principal.Address) {
+	reason := core.DropReasonOf(err)
+	slot := &g.refusals[reason]
+	now := g.opts.Clock.Now().UnixNano()
+	next := slot.next.Load()
+	if now < next || !slot.next.CompareAndSwap(next, now+int64(refusalLogInterval)) {
+		slot.suppressed.Add(1)
+		return
 	}
-	return ln.tr.Send(dg)
+	g.opts.Logf("gateway: tenant %s: %s, peer %s: %v (reason %s; %d more suppressed since its last line)",
+		tenant, what, peer, err, reason, slot.suppressed.Swap(0))
 }
 
 // FlushPeer evicts one peer's keying state from every shard of the
@@ -609,12 +626,10 @@ func (g *Gateway) Shutdown(timeout time.Duration) (Stats, error) {
 	defer g.swapMu.Unlock()
 	g.draining.Store(true)
 
-	g.listenMu.Lock()
 	for addr, ln := range g.listeners {
 		ln.tr.Close()
 		delete(g.listeners, addr)
 	}
-	g.listenMu.Unlock()
 	g.recvWG.Wait()
 
 	var firstErr error

@@ -583,3 +583,98 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayRefusalLogIsRateLimited is the log-amplification bound: a
+// flood of refusals inside one second writes at most one line per
+// DropReason — not one per datagram — while the drop ledger still counts
+// every one of them; the next second's first line reports how many went
+// unlogged.
+func TestGatewayRefusalLogIsRateLimited(t *testing.T) {
+	w := newGWWorld(t)
+	var mu sync.Mutex
+	var lines []string
+	opts := w.options()
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(oneTenant()); err != nil {
+		t.Fatal(err)
+	}
+	refusalLines := func() (out []string) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, l := range lines {
+			if strings.Contains(l, "refused datagram") {
+				out = append(out, l)
+			}
+		}
+		return out
+	}
+
+	client := w.client("client-1")
+	sealed, err := client.Seal(transport.Datagram{Destination: "gw-edge", Payload: []byte("x")}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := sealed.Clone()
+	forged.Payload[len(forged.Payload)-1] ^= 0x01
+	runt := transport.Datagram{Source: "client-1", Destination: "gw-edge", Payload: []byte{0x01}}
+	const flood = 10000
+	for i := 0; i < flood; i++ {
+		if i%2 == 0 {
+			g.handle(forged)
+		} else {
+			g.handle(runt)
+		}
+	}
+	if got := refusalLines(); len(got) != 2 {
+		t.Fatalf("%d refusals of two kinds logged %d lines, want 2:\n%s", flood, len(got), strings.Join(got, "\n"))
+	}
+	w.clock.Advance(refusalLogInterval)
+	g.handle(runt)
+	got := refusalLines()
+	if len(got) != 3 || !strings.Contains(got[2], fmt.Sprintf("%d more suppressed", flood/2-1)) {
+		t.Fatalf("after the interval, want a third line reporting %d suppressed:\n%s", flood/2-1, strings.Join(got, "\n"))
+	}
+
+	st, err := g.Shutdown(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Drops["bad_mac"] != flood/2 || st.Drops["malformed"] != flood/2+1 {
+		t.Fatalf("drop ledger moved with the log: %v", st.Drops)
+	}
+	checkReconciliation(t, st)
+}
+
+// TestConfigFreshnessWindowFloor: header timestamps have minute
+// resolution, so a freshness window under a minute refuses almost
+// everything as stale; Validate says so instead of letting it boot.
+func TestConfigFreshnessWindowFloor(t *testing.T) {
+	for _, tc := range []struct {
+		window time.Duration
+		ok     bool
+	}{
+		{0, true}, // the 10m default
+		{time.Nanosecond, false},
+		{59 * time.Second, false},
+		{time.Minute, true},
+		{10 * time.Minute, true},
+	} {
+		cfg := oneTenant()
+		cfg.Tenants[0].FreshnessWindow = Duration(tc.window)
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("freshness_window %v: Validate = %v, want ok=%v", tc.window, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "resolution of header timestamps") {
+			t.Errorf("freshness_window %v: error does not say why: %v", tc.window, err)
+		}
+	}
+}

@@ -16,7 +16,7 @@ FUZZTIME ?= 15s
 # toolchain — not PATH — decides the version CI lints with.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
-.PHONY: all build lint staticcheck test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test \
+.PHONY: all build lint staticcheck test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
 	ci ci-lint ci-race ci-fuzz ci-soak ci-bench nightly
 
 all: check
@@ -54,9 +54,10 @@ test:
 
 # The concurrency-sensitive packages: striped caches and atomic metrics
 # live in core; transport backs the blocking endpoint loops; obs holds
-# the wait-free histograms and the sampled recorder.
+# the wait-free histograms and the sampled recorder; gateway runs the
+# receive loops against concurrent epoch swaps.
 race:
-	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/obs/...
+	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/obs/... ./internal/gateway/...
 
 # bench-smoke runs one small fbsbench iteration and validates the JSON
 # shape with fbsstat, so scripted consumers of `fbsbench -json` find out
@@ -131,6 +132,17 @@ flood:
 gwbench-test:
 	cd bench/gwbench && $(GO) vet ./... && $(GO) test ./...
 
+# gwbench-smoke boots the real daemon and drives five seconds of
+# verified window-32 echoes at it, untraced: the result object on the
+# last line must say the ledger reconciled and every echo came back, so
+# a ledger or echo break in fbsgw fails here and not in the benchmark
+# driver. It gates correctness only; its timings are not compared.
+gwbench-smoke:
+	@last=$$(bash bench/gwbench/run.sh --workload small_echo --seconds 5 --trace 0 | tail -n 1); \
+	echo "$$last"; \
+	echo "$$last" | grep -Eq '"correct": ?true' && echo "$$last" | grep -Eq '"failed": ?0[,}]' || \
+		{ echo 'gwbench-smoke: last line does not carry "correct": true and "failed": 0' >&2; exit 1; }
+
 check: build lint test race bench-smoke fuzz-smoke diff gwbench-test
 
 # The ci-* targets are the five parallel CI jobs. Each is self-contained
@@ -174,7 +186,8 @@ ci-soak:
 #                       it fresh (with variance headroom via -floor-scale).
 # bench-compare then gates every fresh document against the committed
 # trajectory (>20% throughput drop or a doubled seal p99 fails CI) and
-# appends passing runs so the baseline tracks the codebase.
+# appends passing runs so the baseline tracks the codebase. gwbench-smoke
+# (above) then checks the real daemon end to end.
 ci-bench:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | tee fbsbench.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
@@ -182,6 +195,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
 	$(GO) run ./cmd/fbsstat bench-compare < BENCH_batch.json
+	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces
 # the CI verdict bit for bit.

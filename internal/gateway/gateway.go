@@ -62,8 +62,8 @@ type tenantPlane struct {
 
 // epoch is one realised configuration: the immutable unit the atomic
 // swap exchanges. Datagram dispatch loads the current epoch once per
-// datagram, so a datagram is processed entirely against the
-// configuration it arrived under.
+// batch (and once more per re-dispatch), so a datagram is opened
+// entirely against one configuration.
 type epoch struct {
 	seq     uint64
 	file    *Config
@@ -327,109 +327,256 @@ func (g *Gateway) ensureListener(tc TenantConfig) (*listener, bool, error) {
 	return ln, true, nil
 }
 
-// recvLoop pulls datagrams off one listener for the gateway's
-// lifetime. Dispatch is synchronous: by the time the loop returns to
-// Receive, the datagram is fully processed (opened, and echoed if the
-// tenant echoes), which is what lets shutdown reason "loops joined ⇒
-// nothing in flight".
+// maxBatch is how many datagrams a receive loop takes off its socket,
+// opens, echoes and sends in one turn. It matches the transport's vector
+// call, so a full batch is one recvmmsg and (GSO permitting) one sendmsg
+// per peer.
+const maxBatch = 32
+
+// recvLoop pulls batches off one listener for the gateway's lifetime:
+// ReceiveBatch blocks for the first datagram and then takes only what
+// the socket already holds, so a lone datagram is a batch of one and
+// never waits for company. Dispatch is synchronous: by the time the
+// loop returns to ReceiveBatch, every datagram of the batch is fully
+// processed (opened, and echoed if the tenant echoes), which is what
+// lets shutdown reason "loops joined ⇒ nothing in flight".
 func (g *Gateway) recvLoop(ln *listener) {
 	defer g.recvWG.Done()
+	l := &batchLoop{g: g}
+	in := make([]transport.Datagram, maxBatch)
 	for {
-		dg, err := ln.tr.Receive()
+		n, err := transport.ReceiveBatch(ln.tr, in)
 		if err != nil {
-			if errors.Is(err, transport.ErrClosed) {
+			if errors.Is(err, transport.ErrClosed) || g.draining.Load() {
 				return
 			}
-			if g.draining.Load() {
-				return
+			// An undecodable frame lands here, so anyone who can reach
+			// the socket can cause this line: it is rate-limited like a
+			// refusal, in the slot for errors that carry no DropReason.
+			if suppressed, ok := g.refusals.allow(core.DropNone, g.opts.Clock.Now()); ok {
+				g.opts.Logf("gateway: listener %s: receive: %v (%d more suppressed since the last reason-less line)",
+					ln.addr, err, suppressed)
 			}
-			g.opts.Logf("gateway: listener %s: receive: %v", ln.addr, err)
 			continue
 		}
-		g.handle(dg)
+		l.dispatch(in[:n])
 	}
 }
 
-// handle processes one datagram against the current epoch. The
-// ErrDraining retry is the seam that makes the swap lossless: a
-// datagram that loaded the old epoch just as it was retired is simply
-// re-dispatched against the successor — never dropped.
-func (g *Gateway) handle(dg transport.Datagram) {
-	g.received.Add(1)
-	for attempt := 0; attempt < 4; attempt++ {
+// steered is a set of datagrams, each bound to the tenant plane and
+// shard that must process it.
+type steered struct {
+	dgs    []transport.Datagram
+	planes []*tenantPlane
+	shards []int
+}
+
+func (s *steered) reset() {
+	s.dgs, s.planes, s.shards = s.dgs[:0], s.planes[:0], s.shards[:0]
+}
+
+func (s *steered) add(dg transport.Datagram, plane *tenantPlane, shard int) {
+	s.dgs = append(s.dgs, dg)
+	s.planes = append(s.planes, plane)
+	s.shards = append(s.shards, shard)
+}
+
+// takeBucket removes the first datagram's bucket — every datagram bound
+// to the same plane and shard, in arrival order — and appends it to
+// run. A batch is mostly one train, so this is mostly one pass.
+func (s *steered) takeBucket(run []transport.Datagram) ([]transport.Datagram, *tenantPlane, *core.Endpoint) {
+	plane, shard := s.planes[0], s.shards[0]
+	kept := 0
+	for i := range s.dgs {
+		if s.planes[i] == plane && s.shards[i] == shard {
+			run = append(run, s.dgs[i])
+			continue
+		}
+		s.dgs[kept], s.planes[kept], s.shards[kept] = s.dgs[i], s.planes[i], s.shards[i]
+		kept++
+	}
+	s.dgs, s.planes, s.shards = s.dgs[:kept], s.planes[:kept], s.shards[:kept]
+	return run, plane, plane.grp.Shard(shard)
+}
+
+// batchLoop is one receive loop's scratch: every slice is reused from
+// batch to batch, so the steady state allocates nothing of its own.
+type batchLoop struct {
+	g *Gateway
+
+	arrivals steered              // the batch, steered into the epoch being tried
+	bounced  []transport.Datagram // arrivals a retiring epoch refused with ErrDraining
+	echoes   steered              // accepted payloads awaiting their echo seal
+	reseal   steered              // echoes a retiring epoch refused, bound to its successor
+	run      []transport.Datagram // the bucket at hand
+	res      [maxBatch]core.BatchResult
+	clear    []byte // cleartext of the batch's accepted datagrams
+	wire     []byte // the batch's sealed echoes
+
+	out   []transport.Datagram // sealed echoes queued for outLn
+	outLn *listener
+}
+
+// dispatch processes one batch. The epoch is loaded once per attempt,
+// so every datagram is opened entirely against one configuration; the
+// ErrDraining retry is the seam that makes the swap lossless: datagrams
+// that reached a shard just as its epoch was retired — all of a bucket,
+// or the buckets a swap landed between — are re-dispatched against the
+// successor, never dropped.
+func (l *batchLoop) dispatch(batch []transport.Datagram) {
+	g := l.g
+	g.received.Add(uint64(len(batch)))
+	l.clear, l.wire = l.clear[:0], l.wire[:0]
+	l.echoes.reset()
+	for attempt := 0; len(batch) > 0; attempt++ {
+		if attempt == 4 {
+			// Four consecutive swaps raced these datagrams — possible
+			// only under adversarial reconfiguration rates, but counted
+			// so the reconciliation invariant stays exact rather than
+			// approximately true.
+			g.retryStarved.Add(uint64(len(batch)))
+			break
+		}
 		ep := g.current.Load()
 		if ep == nil {
-			return
+			break
 		}
-		plane := ep.tenants[dg.Destination]
-		if plane == nil {
-			g.noTenant.Add(1)
-			return
-		}
-		shard := plane.grp.Shard(plane.grp.ShardOfIncoming(dg))
-		opened, err := shard.Open(dg)
-		switch {
-		case err == nil:
-			g.delivered.Add(1)
-			g.reply(plane, dg.Source, opened.Payload)
-			return
-		case errors.Is(err, core.ErrDraining):
-			continue
-		case errors.Is(err, core.ErrChallengeAbsorbed):
-			g.absorbed.Add(1)
-			return
-		default:
-			// Refused: the shard's drop ledger has the reason and the count.
-			g.logRefusal(err, "refused datagram", dg.Destination, dg.Source)
-			return
-		}
+		batch = l.open(ep, batch)
 	}
-	// Four consecutive swaps raced this one datagram — possible only
-	// under adversarial reconfiguration rates, but counted so the
-	// reconciliation invariant stays exact rather than approximately
-	// true.
-	g.retryStarved.Add(1)
+	l.echo()
 }
 
-// reply seals an accepted payload back to its sender when the tenant
-// is in echo mode. Like handle, it retries across an epoch swap.
-func (g *Gateway) reply(plane *tenantPlane, dst principal.Address, payload []byte) {
-	if plane.cfg.Mode == "sink" {
-		return
-	}
-	out := transport.Datagram{Source: plane.id.Addr, Destination: dst, Payload: payload}
-	for attempt := 0; attempt < 4; attempt++ {
-		shard := plane.grp.Shard(plane.grp.ShardOfPair(plane.id.Addr, dst))
-		sealed, err := shard.Seal(out, plane.cfg.SecretEcho)
-		switch {
-		case err == nil:
-			if err := plane.ln.tr.Send(sealed); err != nil {
-				g.echoFailures.Add(1)
-				g.logRefusal(err, "echo send failed", plane.id.Addr, dst)
-				return
-			}
-			g.echoed.Add(1)
-			return
-		case errors.Is(err, core.ErrDraining):
-			cur := g.current.Load()
-			if cur == nil {
-				g.echoFailures.Add(1)
-				return
-			}
-			np := cur.tenants[plane.id.Addr]
-			if np == nil {
-				g.echoFailures.Add(1)
-				return
-			}
-			plane = np
+// open steers batch into ep's shards, opens it one bucket at a time and
+// queues an echo for each accepted payload. It returns the datagrams
+// ep's shards refused because they are draining.
+func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) []transport.Datagram {
+	g := l.g
+	var noTenant, delivered, absorbed uint64
+	l.arrivals.reset()
+	for _, dg := range batch {
+		plane := ep.tenants[dg.Destination]
+		if plane == nil {
+			noTenant++
 			continue
-		default:
-			g.echoFailures.Add(1)
-			g.logRefusal(err, "echo seal refused", plane.id.Addr, dst)
-			return
+		}
+		l.arrivals.add(dg, plane, plane.grp.ShardOfIncoming(dg))
+	}
+	// batch may be the previous attempt's bounced slice; it has been
+	// copied into arrivals, so the slice can be refilled.
+	l.bounced = l.bounced[:0]
+	for len(l.arrivals.dgs) > 0 {
+		run, plane, shard := l.arrivals.takeBucket(l.run[:0])
+		l.run = run
+		res := l.res[:len(run)]
+		l.clear, _ = shard.OpenBatch(l.clear, run, res)
+		for i, r := range res {
+			switch {
+			case r.Err == nil:
+				delivered++
+				if plane.cfg.Mode != "sink" {
+					l.echoes.add(transport.Datagram{
+						Source:      plane.id.Addr,
+						Destination: run[i].Source,
+						Payload:     l.clear[r.Off : r.Off+r.Len],
+					}, plane, plane.grp.ShardOfPair(plane.id.Addr, run[i].Source))
+				}
+			case errors.Is(r.Err, core.ErrDraining):
+				l.bounced = append(l.bounced, run[i])
+			case errors.Is(r.Err, core.ErrChallengeAbsorbed):
+				absorbed++
+			default:
+				// Refused: the shard's drop ledger has the reason and the count.
+				g.logRefusal(r.Err, "refused datagram", run[i].Destination, run[i].Source)
+			}
 		}
 	}
-	g.echoFailures.Add(1)
+	g.noTenant.Add(noTenant)
+	g.delivered.Add(delivered)
+	g.absorbed.Add(absorbed)
+	return l.bounced
+}
+
+// echo seals the queued echoes one bucket at a time and sends them. Like
+// dispatch, it retries across an epoch swap: an echo its plane refuses
+// with ErrDraining is sealed by the same tenant's plane in the successor
+// epoch.
+func (l *batchLoop) echo() {
+	g := l.g
+	var failures uint64
+	for attempt := 0; len(l.echoes.dgs) > 0; attempt++ {
+		if attempt == 4 {
+			failures += uint64(len(l.echoes.dgs))
+			break
+		}
+		l.reseal.reset()
+		for len(l.echoes.dgs) > 0 {
+			run, plane, shard := l.echoes.takeBucket(l.run[:0])
+			l.run = run
+			res := l.res[:len(run)]
+			l.wire, _ = shard.SealBatch(l.wire, run, plane.cfg.SecretEcho, res)
+			// The successor is resolved once per bucket, not per echo: a
+			// swap landing between two of a peer's echoes would otherwise
+			// split them over two epochs, and the later one's could leave
+			// first.
+			var next *tenantPlane
+			if cur := g.current.Load(); cur != nil {
+				next = cur.tenants[plane.id.Addr]
+			}
+			for i, r := range res {
+				switch {
+				case r.Err == nil:
+					l.queue(plane.ln, transport.Datagram{
+						Source:      run[i].Source,
+						Destination: run[i].Destination,
+						Payload:     l.wire[r.Off : r.Off+r.Len],
+					})
+				case errors.Is(r.Err, core.ErrDraining):
+					if next == nil {
+						failures++
+						continue
+					}
+					l.reseal.add(run[i], next, next.grp.ShardOfPair(run[i].Source, run[i].Destination))
+				default:
+					failures++
+					g.logRefusal(r.Err, "echo seal refused", run[i].Source, run[i].Destination)
+				}
+			}
+		}
+		l.echoes, l.reseal = l.reseal, l.echoes
+	}
+	g.echoFailures.Add(failures)
+	l.flush()
+}
+
+// queue adds a sealed echo to the pending send. Echoes leave on their
+// plane's listener; a batch that spans listeners (a frame addressed to
+// another tenant than the socket it arrived on) is sent in one piece
+// per listener.
+func (l *batchLoop) queue(ln *listener, dg transport.Datagram) {
+	if ln != l.outLn {
+		l.flush()
+		l.outLn = ln
+	}
+	l.out = append(l.out, dg)
+}
+
+// flush hands the pending echoes to their listener in one SendBatch. A
+// send error is about the first datagram not handed off: it is counted
+// and logged, and the rest of the batch is still sent.
+func (l *batchLoop) flush() {
+	g := l.g
+	out := l.out
+	for len(out) > 0 {
+		n, err := transport.SendBatch(l.outLn.tr, out)
+		g.echoed.Add(uint64(n))
+		if err == nil || n >= len(out) {
+			break
+		}
+		g.echoFailures.Add(1)
+		g.logRefusal(err, "echo send failed", out[n].Source, out[n].Destination)
+		out = out[n+1:]
+	}
+	l.out = l.out[:0]
 }
 
 // refusalLogInterval is how often one DropReason may produce a log
@@ -448,20 +595,28 @@ type refusalLog [core.NumDropReasons]struct {
 	suppressed atomic.Uint64
 }
 
+// allow reports whether a line for reason may be written now and, if
+// so, how many same-reason lines went unwritten since the previous one.
+func (r *refusalLog) allow(reason core.DropReason, at time.Time) (suppressed uint64, ok bool) {
+	slot := &r[reason]
+	now := at.UnixNano()
+	next := slot.next.Load()
+	if now < next || !slot.next.CompareAndSwap(next, now+int64(refusalLogInterval)) {
+		slot.suppressed.Add(1)
+		return 0, false
+	}
+	return slot.suppressed.Swap(0), true
+}
+
 // logRefusal writes at most one line per DropReason per
 // refusalLogInterval: the refusal at hand as the example, plus the
 // number of same-reason refusals suppressed since the previous line.
 func (g *Gateway) logRefusal(err error, what string, tenant, peer principal.Address) {
 	reason := core.DropReasonOf(err)
-	slot := &g.refusals[reason]
-	now := g.opts.Clock.Now().UnixNano()
-	next := slot.next.Load()
-	if now < next || !slot.next.CompareAndSwap(next, now+int64(refusalLogInterval)) {
-		slot.suppressed.Add(1)
-		return
+	if suppressed, ok := g.refusals.allow(reason, g.opts.Clock.Now()); ok {
+		g.opts.Logf("gateway: tenant %s: %s, peer %s: %v (reason %s; %d more suppressed since its last line)",
+			tenant, what, peer, err, reason, suppressed)
 	}
-	g.opts.Logf("gateway: tenant %s: %s, peer %s: %v (reason %s; %d more suppressed since its last line)",
-		tenant, what, peer, err, reason, slot.suppressed.Swap(0))
 }
 
 // FlushPeer evicts one peer's keying state from every shard of the

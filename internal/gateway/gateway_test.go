@@ -3,9 +3,13 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,9 +94,9 @@ func (w *gwWorld) gateway(cfg *Config) *Gateway {
 	return g
 }
 
-func (w *gwWorld) client(addr string) *core.Endpoint {
+func (w *gwWorld) client(addr string, opts ...func(*core.Config)) *core.Endpoint {
 	w.t.Helper()
-	ep, err := w.dom.NewEndpoint(principal.Address(addr), w.net)
+	ep, err := w.dom.NewEndpoint(principal.Address(addr), w.net, opts...)
 	if err != nil {
 		w.t.Fatalf("client %s: %v", addr, err)
 	}
@@ -178,61 +182,77 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 	cfg := oneTenant()
 	g := w.gateway(cfg)
 
+	// Each client keeps a window of 32 in flight — a burst out, its 32
+	// echoes back — so the listener's batches are deep, and swaps come
+	// back to back for as long as the clients run (every other one
+	// resharding: union fan-out handoff). Some land inside a batch: its
+	// opened buckets echo through the successor epoch, the rest are
+	// refused with ErrDraining and re-dispatched on it.
 	const clients = 3
-	const rounds = 60
-	var done atomic.Int64
-	var wg sync.WaitGroup
+	const bursts = 12
+	const total = clients * bursts * maxBatch
+	var wg, keyed sync.WaitGroup
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
 		ep := w.client(fmt.Sprintf("client-%d", c))
 		wg.Add(1)
+		keyed.Add(1)
 		go func(c int, ep *core.Endpoint) {
 			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				msg := fmt.Sprintf("c%d-%04d", c, i)
-				if err := ep.SendTo("gw-edge", []byte(msg), true); err != nil {
-					errs <- fmt.Errorf("client %d send %d: %w", c, i, err)
+			isKeyed := sync.OnceFunc(keyed.Done)
+			defer isKeyed()
+			for b := 0; b < bursts; b++ {
+				burst := make([]transport.Datagram, maxBatch)
+				for j := range burst {
+					burst[j] = transport.Datagram{Destination: "gw-edge", Payload: []byte(fmt.Sprintf("c%d-%02d-%02d", c, b, j))}
+				}
+				if n, err := ep.SendBatch(burst, true); err != nil || n != maxBatch {
+					errs <- fmt.Errorf("client %d burst %d: sent %d: %v", c, b, n, err)
 					return
 				}
-				dg, err := ep.Receive()
-				if err != nil {
-					errs <- fmt.Errorf("client %d echo %d: %w", c, i, err)
-					return
+				for j := range burst {
+					dg, err := ep.Receive()
+					if err != nil {
+						errs <- fmt.Errorf("client %d burst %d echo %d: %w", c, b, j, err)
+						return
+					}
+					if !bytes.Equal(dg.Payload, burst[j].Payload) {
+						errs <- fmt.Errorf("client %d burst %d echo %d = %q, want %q", c, b, j, dg.Payload, burst[j].Payload)
+						return
+					}
 				}
-				if string(dg.Payload) != msg {
-					errs <- fmt.Errorf("client %d echo %d = %q, want %q", c, i, dg.Payload, msg)
-					return
-				}
-				done.Add(1)
+				isKeyed() // one burst echoed: the first epoch holds this peer's master key
 			}
 		}(c, ep)
 	}
 
-	const total = clients * rounds
+	keyed.Wait()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
 	var reports []*SwapReport
-	for s := 0; s < 3; s++ {
-		for done.Load() < int64((s+1)*total/4) {
-			time.Sleep(time.Millisecond)
+	for s := 0; ; s++ {
+		select {
+		case <-finished:
+		default:
+			next, err := cfg.Clone()
+			if err != nil {
+				t.Fatalf("clone: %v", err)
+			}
+			next.Tenants[0].FlowMaxPackets = uint64(1000 + s)
+			next.Tenants[0].Shards = 2 + 2*(s%2)
+			rep, err := g.Swap(next)
+			if err != nil {
+				t.Fatalf("swap %d under load: %v", s, err)
+			}
+			reports = append(reports, rep)
+			cfg = next
+			continue
 		}
-		next, err := cfg.Clone()
-		if err != nil {
-			t.Fatalf("clone: %v", err)
-		}
-		next.Tenants[0].FlowMaxPackets = uint64(1000 + s)
-		if s == 1 {
-			next.Tenants[0].Shards = 4 // resharding mid-flight: union fan-out handoff
-		}
-		rep, err := g.Swap(next)
-		if err != nil {
-			t.Fatalf("swap %d under load: %v", s, err)
-		}
-		reports = append(reports, rep)
-		cfg = next
+		break
 	}
-	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		t.Fatalf("%v\nstats: %+v", err, g.Stats())
 	}
 
 	for i, rep := range reports {
@@ -247,7 +267,7 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 
 	// The live epoch must have been warmed, not re-keyed: zero
 	// exponentiations across all its shards even though three peers
-	// kept flowing straight through three swaps.
+	// kept flowing straight through every swap.
 	ep := g.current.Load()
 	for _, plane := range ep.tenants {
 		for i := 0; i < plane.grp.NumShards(); i++ {
@@ -262,8 +282,8 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if st.Swaps != 4 { // Start + 3 reloads
-		t.Fatalf("swaps = %d, want 4", st.Swaps)
+	if want := uint64(1 + len(reports)); st.Swaps != want { // Start + reloads
+		t.Fatalf("swaps = %d, want %d", st.Swaps, want)
 	}
 	if st.Received != total || st.Echoed != total {
 		t.Fatalf("received %d echoed %d, want %d each (an in-flight datagram was lost across a swap)",
@@ -570,6 +590,9 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		t.Fatalf("WriteText: %v", err)
 	}
 	out := buf.String()
+	if deepBatchCalls(t, out) != 0 {
+		t.Fatalf("one datagram at a time produced a batch deeper than one:\n%s", out)
+	}
 	for _, want := range []string{
 		"fbs_gateway_config_epoch 1",
 		"fbs_gateway_received_total 1",
@@ -582,6 +605,53 @@ func TestGatewayMetricsExposition(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
 	}
+
+	// A window-32 burst reaches the loop as batches deeper than one, and
+	// the size classes above "1" of the existing per-shard families say
+	// so — "how deep are my receive batches" needs no new metric. (How
+	// a burst splits into batches is up to the scheduler, so a burst is
+	// repeated until one arrives deep; the first nearly always does.)
+	for try := 0; ; try++ {
+		burst := make([]transport.Datagram, maxBatch)
+		for i := range burst {
+			burst[i] = transport.Datagram{Destination: "gw-edge", Payload: []byte("burst")}
+		}
+		if n, err := client.SendBatch(burst, true); err != nil || n != maxBatch {
+			t.Fatalf("burst: sent %d: %v", n, err)
+		}
+		for range burst {
+			if _, err := client.Receive(); err != nil {
+				t.Fatalf("burst echo: %v", err)
+			}
+		}
+		buf.Reset()
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatalf("WriteText: %v", err)
+		}
+		if deepBatchCalls(t, buf.String()) > 0 {
+			break
+		}
+		if try == 20 {
+			t.Fatalf("20 window-32 bursts and no OpenBatch call deeper than one:\n%s", buf.String())
+		}
+	}
+}
+
+// deepBatchCalls sums fbs_batch_open_calls_total over the size classes
+// above "1" in a text exposition.
+func deepBatchCalls(t *testing.T, exposition string) (calls uint64) {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if !strings.HasPrefix(line, "fbs_batch_open_calls_total{") || strings.Contains(line, `size="1"`) {
+			continue
+		}
+		n, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("unparsable sample %q: %v", line, err)
+		}
+		calls += n
+	}
+	return calls
 }
 
 // TestGatewayRefusalLogIsRateLimited is the log-amplification bound: a
@@ -626,18 +696,19 @@ func TestGatewayRefusalLogIsRateLimited(t *testing.T) {
 	forged.Payload[len(forged.Payload)-1] ^= 0x01
 	runt := transport.Datagram{Source: "client-1", Destination: "gw-edge", Payload: []byte{0x01}}
 	const flood = 10000
+	l := &batchLoop{g: g}
 	for i := 0; i < flood; i++ {
 		if i%2 == 0 {
-			g.handle(forged)
+			l.dispatch([]transport.Datagram{forged})
 		} else {
-			g.handle(runt)
+			l.dispatch([]transport.Datagram{runt})
 		}
 	}
 	if got := refusalLines(); len(got) != 2 {
 		t.Fatalf("%d refusals of two kinds logged %d lines, want 2:\n%s", flood, len(got), strings.Join(got, "\n"))
 	}
 	w.clock.Advance(refusalLogInterval)
-	g.handle(runt)
+	l.dispatch([]transport.Datagram{runt})
 	got := refusalLines()
 	if len(got) != 3 || !strings.Contains(got[2], fmt.Sprintf("%d more suppressed", flood/2-1)) {
 		t.Fatalf("after the interval, want a third line reporting %d suppressed:\n%s", flood/2-1, strings.Join(got, "\n"))
@@ -677,4 +748,350 @@ func TestConfigFreshnessWindowFloor(t *testing.T) {
 			t.Errorf("freshness_window %v: error does not say why: %v", tc.window, err)
 		}
 	}
+}
+
+// misaddressed wraps a tenant's in-memory port so a stream can carry
+// what the in-memory network cannot route: it delivers by destination,
+// so a frame for an unknown destination never reaches a listener, while
+// a UDP socket takes whatever frame is sent to it. Datagrams from
+// source "stray" come out re-addressed to a principal nobody keys for.
+type misaddressed struct{ transport.BatchConn }
+
+func (m misaddressed) ReceiveBatch(buf []transport.Datagram) (int, error) {
+	n, err := m.BatchConn.ReceiveBatch(buf)
+	for i := range buf[:n] {
+		if buf[i].Source == "stray" {
+			buf[i].Destination = "gw-nobody"
+		}
+	}
+	return n, err
+}
+
+// TestGatewayBatchMatchesSingleLoop: the batch loop is the scalar loop.
+// One seeded stream — two tenants, accepted traffic on four flows, an
+// unknown destination, bad-MAC datagrams, runts and pre-filter challenge
+// frames — is delivered once as bursts of 32 and once one datagram at a
+// time; every client must get the same echoes in the same order and the
+// two final Stats must be equal field for field.
+func TestGatewayBatchMatchesSingleLoop(t *testing.T) {
+	const streamLen = 8 * maxBatch
+	type outcome struct {
+		echoes map[string][]string // "client<-tenant" → echoed payloads, in order
+		stats  Stats
+		deep   bool // some OpenBatch call carried more than one datagram
+	}
+	run := func(burst int) outcome {
+		w := newGWWorld(t)
+		opts := w.options()
+		listen := opts.Listen
+		opts.Listen = func(tc TenantConfig) (transport.Transport, error) {
+			tr, err := listen(tc)
+			if err != nil {
+				return nil, err
+			}
+			return misaddressed{tr.(transport.BatchConn)}, nil
+		}
+		g, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Start(&Config{Tenants: []TenantConfig{
+			{Name: "alpha", Address: "gw-alpha", Shards: 2, ReplayCache: true, Prefilter: &PrefilterConfig{Enable: true}},
+			{Name: "beta", Address: "gw-beta", SecretEcho: true},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		clients := []*core.Endpoint{w.client("c0"), w.client("c1"), w.client("c2")}
+		injector, err := w.net.Attach("injector", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer injector.Close()
+
+		// The same seed draws the same stream shape in both runs; the
+		// sealed bytes differ (fresh keys and confounders per world),
+		// which is why the comparison is on what the clients open.
+		rng := rand.New(rand.NewSource(14))
+		stream := make([]transport.Datagram, 0, streamLen)
+		expect := make([]int, len(clients))
+		for i := 0; i < streamLen; i++ {
+			c := rng.Intn(len(clients))
+			src := principal.Address(fmt.Sprintf("c%d", c))
+			tenant := principal.Address("gw-alpha")
+			if c == 1 && rng.Intn(2) == 0 {
+				tenant = "gw-beta" // c1 talks to both tenants: a fourth flow
+			}
+			sealed, err := clients[c].Seal(transport.Datagram{
+				Destination: tenant,
+				Payload:     []byte(fmt.Sprintf("%s-%03d", src, i)),
+			}, rng.Intn(2) == 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch kind := rng.Intn(20); kind {
+			case 0:
+				stream = append(stream, transport.Datagram{Source: "stray", Destination: tenant, Payload: sealed.Payload})
+			case 1:
+				sealed.Payload[len(sealed.Payload)-1] ^= 0x01
+				stream = append(stream, sealed)
+			case 2:
+				stream = append(stream, transport.Datagram{Source: src, Destination: tenant, Payload: []byte{0x01}})
+			case 3:
+				frame := make([]byte, core.CookieFrameLen)
+				frame[0], frame[1], frame[2] = core.CookieMagic, core.CookieKindChallenge, core.CookieVersion
+				stream = append(stream, transport.Datagram{Source: src, Destination: "gw-alpha", Payload: frame})
+			default:
+				stream = append(stream, sealed)
+				expect[c]++
+			}
+		}
+
+		for i := 0; i < len(stream); i += burst {
+			if n, err := transport.SendBatch(injector, stream[i:i+burst]); err != nil || n != burst {
+				t.Fatalf("inject %d: sent %d: %v", i, n, err)
+			}
+			// The next burst leaves when this one is off the listeners,
+			// so burst 1 never lets two datagrams share a batch.
+			for deadline := time.Now().Add(10 * time.Second); g.Stats().Received < uint64(i+burst); {
+				if time.Now().After(deadline) {
+					t.Fatalf("gateway took %d of %d datagrams", g.Stats().Received, i+burst)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		out := outcome{echoes: make(map[string][]string)}
+		for c, ep := range clients {
+			for i := 0; i < expect[c]; i++ {
+				dg, err := ep.Receive()
+				if err != nil {
+					t.Fatalf("c%d echo %d of %d: %v", c, i, expect[c], err)
+				}
+				key := fmt.Sprintf("c%d<-%s", c, dg.Source)
+				out.echoes[key] = append(out.echoes[key], string(dg.Payload))
+			}
+		}
+		for _, plane := range g.current.Load().tenants {
+			bs := plane.grp.BatchStats()
+			for class := 1; class < core.NumBatchBuckets; class++ {
+				out.deep = out.deep || bs.OpenCalls[class] > 0
+			}
+		}
+		if out.stats, err = g.Shutdown(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		checkReconciliation(t, out.stats)
+		return out
+	}
+
+	batched, single := run(maxBatch), run(1)
+	if !batched.deep || single.deep {
+		t.Fatalf("batch depth: bursts of %d deep=%v, single deep=%v; want true, false", maxBatch, batched.deep, single.deep)
+	}
+	if !reflect.DeepEqual(batched.echoes, single.echoes) {
+		t.Fatalf("echoes differ:\nbatched %v\nsingle  %v", batched.echoes, single.echoes)
+	}
+	if !reflect.DeepEqual(batched.stats, single.stats) {
+		t.Fatalf("final stats differ:\nbatched %+v\nsingle  %+v", batched.stats, single.stats)
+	}
+	st := single.stats
+	if st.NoTenant == 0 || st.Absorbed == 0 || st.Drops["bad_mac"] == 0 || st.Drops["malformed"] == 0 || len(single.echoes) != 4 {
+		t.Fatalf("the stream missed a case it is meant to carry: %+v, echo flows %d", st, len(single.echoes))
+	}
+}
+
+// TestGatewayDrainingBucketIsRedispatched drives, step by step, what a
+// swap landing inside a batch does: one bucket opens on the old epoch,
+// the other is refused with ErrDraining and comes back — all of it, in
+// arrival order — to be opened on the successor, and the echoes queued
+// against the retired plane are sealed by the successor's.
+func TestGatewayDrainingBucketIsRedispatched(t *testing.T) {
+	w := newGWWorld(t)
+	cfg := oneTenant()
+	g := w.gateway(cfg)
+	old := g.current.Load()
+	plane := old.tenants["gw-edge"]
+
+	// Two clients whose host pairs steer to different shards.
+	var clients [2]*core.Endpoint
+	for i, found := 0, 0; found < 2; i++ {
+		name := principal.Address(fmt.Sprintf("client-%d", i))
+		if shard := plane.grp.ShardOfPair(name, "gw-edge"); clients[shard] == nil {
+			clients[shard] = w.client(string(name))
+			found++
+		}
+	}
+	batch := make([]transport.Datagram, maxBatch)
+	for i := range batch {
+		sealed, err := clients[i%2].Seal(transport.Datagram{Destination: "gw-edge", Payload: []byte(fmt.Sprintf("dg-%02d", i))}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = sealed
+	}
+
+	// The swap has reached shard 1 but not shard 0.
+	plane.grp.Shard(1).BeginDrain()
+	l := &batchLoop{g: g}
+	g.received.Add(maxBatch)
+	bounced := l.open(old, batch)
+	if len(bounced) != maxBatch/2 {
+		t.Fatalf("%d datagrams bounced, want shard 1's %d", len(bounced), maxBatch/2)
+	}
+	for i, dg := range bounced {
+		if !bytes.Equal(dg.Payload, batch[2*i+1].Payload) {
+			t.Fatalf("bounced[%d] is not arrival %d: order lost", i, 2*i+1)
+		}
+	}
+	if len(l.echoes.dgs) != maxBatch/2 {
+		t.Fatalf("%d echoes queued from shard 0, want %d", len(l.echoes.dgs), maxBatch/2)
+	}
+
+	next, err := cfg.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Swap(next); err != nil {
+		t.Fatal(err)
+	}
+	if again := l.open(g.current.Load(), bounced); len(again) != 0 {
+		t.Fatalf("%d datagrams bounced off the live epoch", len(again))
+	}
+	l.echo() // shard 0's echoes still name the retired plane
+
+	for c, ep := range clients {
+		for i := c; i < maxBatch; i += 2 {
+			dg, err := ep.Receive()
+			if err != nil {
+				t.Fatalf("client %d: %v", c, err)
+			}
+			if want := fmt.Sprintf("dg-%02d", i); string(dg.Payload) != want {
+				t.Fatalf("client %d got %q, want %q", c, dg.Payload, want)
+			}
+		}
+	}
+	st, err := g.Shutdown(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Received != maxBatch || st.Accepted != maxBatch || st.Echoed != maxBatch || st.RetryStarved != 0 {
+		t.Fatalf("received %d accepted %d echoed %d retry-starved %d, want %d/%d/%d/0",
+			st.Received, st.Accepted, st.Echoed, st.RetryStarved, maxBatch, maxBatch, maxBatch)
+	}
+	checkReconciliation(t, st)
+}
+
+// scriptedListener is a listener whose socket the test plays: Receive
+// fails failures times — each the error an undecodable frame produces —
+// and then blocks until Close; sends are counted and dropped.
+type scriptedListener struct {
+	failures atomic.Int64
+	drained  chan struct{} // closed when the last scripted failure is out
+	closed   chan struct{}
+	sent     atomic.Uint64
+}
+
+func newScriptedListener(failures int64) *scriptedListener {
+	s := &scriptedListener{drained: make(chan struct{}), closed: make(chan struct{})}
+	s.failures.Store(failures)
+	return s
+}
+
+func (s *scriptedListener) Receive() (transport.Datagram, error) {
+	switch left := s.failures.Add(-1); {
+	case left >= 0:
+		return transport.Datagram{}, errors.New("transport: bad frame: truncated address length")
+	case left == -1:
+		close(s.drained)
+	}
+	<-s.closed
+	return transport.Datagram{}, transport.ErrClosed
+}
+
+func (s *scriptedListener) Send(transport.Datagram) error { s.sent.Add(1); return nil }
+
+func (s *scriptedListener) Close() error { close(s.closed); return nil }
+
+// TestGatewayReceiveErrorLogIsRateLimited: an undecodable frame costs
+// its sender one UDP datagram, so it may not buy a log line each. A
+// flood of them inside one second writes one line and moves no counter.
+func TestGatewayReceiveErrorLogIsRateLimited(t *testing.T) {
+	w := newGWWorld(t)
+	const flood = 10000
+	ln := newScriptedListener(flood)
+	var mu sync.Mutex
+	var lines []string
+	opts := w.options()
+	opts.Listen = func(TenantConfig) (transport.Transport, error) { return ln, nil }
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(oneTenant()); err != nil {
+		t.Fatal(err)
+	}
+	<-ln.drained
+	st, err := g.Shutdown(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, l := range lines {
+		if strings.Contains(l, "receive:") {
+			got = append(got, l)
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "bad frame") {
+		t.Fatalf("%d failed receives logged %d lines, want 1 naming the error:\n%s", flood, len(got), strings.Join(got, "\n"))
+	}
+	if st.Received != 0 || st.Accepted != 0 || st.NoTenant != 0 || len(st.Drops) != 0 {
+		t.Fatalf("failed receives moved the ledger: %+v", st)
+	}
+}
+
+// TestGatewayDispatchAllocs pins the loop's steady state: a full batch
+// on the hit path (flows, keys and scratch warm) through dispatch —
+// steer, OpenBatch, SealBatch, SendBatch — costs at most two allocations
+// per datagram. The scalar loop this replaced cost twelve.
+func TestGatewayDispatchAllocs(t *testing.T) {
+	w := newGWWorld(t)
+	ln := newScriptedListener(0)
+	opts := w.options()
+	opts.Listen = func(TenantConfig) (transport.Transport, error) { return ln, nil }
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No replay cache, so the same sealed batch is accepted every time.
+	if err := g.Start(&Config{Tenants: []TenantConfig{{Name: "edge", Address: "gw-edge", Shards: 2, SecretEcho: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Shutdown(2 * time.Second) }) //nolint:errcheck
+	// The tenant's default suite on both legs, as a deployment has it
+	// (the clients' own default is the paper's DES/keyed-MD5).
+	gcm := func(c *core.Config) { c.Cipher = core.CipherAES128GCM }
+	clients := []*core.Endpoint{w.client("client-0", gcm), w.client("client-1", gcm), w.client("client-2", gcm)}
+	batch := make([]transport.Datagram, maxBatch)
+	for i := range batch {
+		sealed, err := clients[i*len(clients)/maxBatch].Seal(transport.Datagram{Destination: "gw-edge", Payload: make([]byte, 64)}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch[i] = sealed
+	}
+	l := &batchLoop{g: g}
+	l.dispatch(batch) // keys the peers, grows the scratch
+	const runs = 50
+	perBatch := testing.AllocsPerRun(runs, func() { l.dispatch(batch) })
+	if perDatagram := perBatch / maxBatch; perDatagram > 2 {
+		t.Fatalf("dispatch allocates %.2f times per datagram (%.0f per batch of %d), want ≤ 2", perDatagram, perBatch, maxBatch)
+	}
+	if sent, want := ln.sent.Load(), uint64((runs+2)*maxBatch); sent != want {
+		t.Fatalf("%d echoes sent, want %d", sent, want)
+	}
+	t.Logf("dispatch: %.2f allocs per datagram", perBatch/maxBatch)
 }

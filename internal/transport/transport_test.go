@@ -200,48 +200,129 @@ func TestUDPTransportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUDPTransportLearnPeers: a server with no static peer table
+// answers to each client's observed UDP origin, and follows a client
+// that re-binds to a new port mid-stream — on the single-datagram path,
+// the recvmmsg batch path and the portable batch fallback alike.
 func TestUDPTransportLearnPeers(t *testing.T) {
-	server, err := NewUDPTransport("server", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("UDP unavailable: %v", err)
-	}
-	defer server.Close()
-	client, err := NewUDPTransport("client", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	client.AddPeer("server", server.LocalAddr().String())
+	for _, mode := range []struct {
+		name            string
+		batch, portable bool
+	}{
+		{"single", false, false},
+		{"batch-mmsg", true, false},
+		{"batch-portable", true, true},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			server, err := NewUDPTransport("server", "127.0.0.1:0")
+			if err != nil {
+				t.Skipf("UDP unavailable: %v", err)
+			}
+			defer server.Close()
+			server.SetPortableBatch(mode.portable)
+			serverRecv := func() Datagram {
+				t.Helper()
+				if !mode.batch {
+					dg, err := server.Receive()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return dg
+				}
+				buf := make([]Datagram, 4)
+				n, err := server.ReceiveBatch(buf)
+				if err != nil || n != 1 {
+					t.Fatalf("ReceiveBatch = %d, %v; want one datagram", n, err)
+				}
+				return buf[0]
+			}
+			serverSend := func(dg Datagram) error {
+				if !mode.batch {
+					return server.Send(dg)
+				}
+				_, err := server.SendBatch([]Datagram{dg})
+				return err
+			}
+			newClient := func() *UDPTransport {
+				t.Helper()
+				c, err := NewUDPTransport("client", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				if err := c.AddPeer("server", server.LocalAddr().String()); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			roundTrip := func(c *UDPTransport, msg string) {
+				t.Helper()
+				if err := c.Send(Datagram{Destination: "server", Payload: []byte(msg)}); err != nil {
+					t.Fatal(err)
+				}
+				if got := serverRecv(); got.Source != "client" || string(got.Payload) != msg {
+					t.Fatalf("server got %+v, want %q from client", got, msg)
+				}
+				if err := serverSend(Datagram{Destination: "client", Payload: []byte("re:" + msg)}); err != nil {
+					t.Fatalf("reply after learning: %v", err)
+				}
+				got, err := c.Receive()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Source != "server" || string(got.Payload) != "re:"+msg {
+					t.Fatalf("learned-route reply = %+v", got)
+				}
+			}
 
-	// Without learning, the server has no route back to an
-	// unannounced client.
-	if err := client.Send(Datagram{Destination: "server", Payload: []byte("hi")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.Receive(); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Send(Datagram{Destination: "client", Payload: []byte("yo")}); err == nil {
-		t.Fatal("reply to unlearned client should fail without SetLearnPeers")
-	}
+			// Without learning, the server has no route back to an
+			// unannounced client.
+			client := newClient()
+			if err := client.Send(Datagram{Destination: "server", Payload: []byte("hi")}); err != nil {
+				t.Fatal(err)
+			}
+			serverRecv()
+			if err := serverSend(Datagram{Destination: "client", Payload: []byte("yo")}); err == nil {
+				t.Fatal("reply to unlearned client should fail without SetLearnPeers")
+			}
 
-	// With learning, one received frame teaches the reply route.
-	server.SetLearnPeers(true)
-	if err := client.Send(Datagram{Destination: "server", Payload: []byte("hi2")}); err != nil {
-		t.Fatal(err)
+			// With learning, one received frame teaches the reply route,
+			// and a frame that confirms it leaves the table alone.
+			server.SetLearnPeers(true)
+			roundTrip(client, "hi2")
+			roundTrip(client, "hi3")
+
+			// The client re-binds: same principal, new port. The echo
+			// must follow it, and nothing may reach the old socket.
+			moved := newClient()
+			roundTrip(moved, "moved")
+			client.conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+			if dg, err := client.Receive(); err == nil {
+				t.Fatalf("old socket still received %+v after the client moved", dg)
+			}
+		})
 	}
-	if _, err := server.Receive(); err != nil {
-		t.Fatal(err)
-	}
-	if err := server.Send(Datagram{Destination: "client", Payload: []byte("yo")}); err != nil {
-		t.Fatalf("reply after learning: %v", err)
-	}
-	got, err := client.Receive()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Source != "server" || !bytes.Equal(got.Payload, []byte("yo")) {
-		t.Fatalf("learned-route reply = %+v", got)
+}
+
+// TestUDPSendBatchStopsAtUnmappedPeer: both batch send paths hand off
+// exactly the datagrams that precede one with no UDP mapping and report
+// that count with the error, as a loop of Send calls would.
+func TestUDPSendBatchStopsAtUnmappedPeer(t *testing.T) {
+	for _, portable := range []bool{false, true} {
+		a, b := udpPair(t)
+		a.SetPortableBatch(portable)
+		dgs := make([]Datagram, 8)
+		for i := range dgs {
+			dgs[i] = Datagram{Destination: "ub", Payload: []byte{byte(i)}}
+		}
+		dgs[5].Destination = "stranger"
+		n, err := a.SendBatch(dgs)
+		if n != 5 || err == nil {
+			t.Fatalf("portable=%v: SendBatch = %d, %v; want 5 and the mapping error", portable, n, err)
+		}
+		if got := collect(t, b, 5); len(got) != 5 {
+			t.Fatalf("portable=%v: delivered %d, want 5", portable, len(got))
+		}
 	}
 }
 

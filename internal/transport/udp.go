@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 
 	"fbs/internal/principal"
@@ -18,9 +19,12 @@ type UDPTransport struct {
 	local principal.Address
 	conn  *net.UDPConn
 
+	// peers holds unmapped addresses (an IPv4 peer is stored as IPv4
+	// even when a dual-stack socket reports it IPv4-mapped), so the
+	// learn step can tell "same origin" by comparing values.
 	mu    sync.RWMutex
 	learn bool
-	peers map[principal.Address]*net.UDPAddr
+	peers map[principal.Address]netip.AddrPort
 
 	batchState
 }
@@ -39,7 +43,7 @@ func NewUDPTransport(local principal.Address, listenAddr string) (*UDPTransport,
 	return &UDPTransport{
 		local: local,
 		conn:  conn,
-		peers: make(map[principal.Address]*net.UDPAddr),
+		peers: make(map[principal.Address]netip.AddrPort),
 	}, nil
 }
 
@@ -55,73 +59,88 @@ func (u *UDPTransport) AddPeer(peer principal.Address, addr string) error {
 		return fmt.Errorf("transport: resolving peer %q: %w", addr, err)
 	}
 	u.mu.Lock()
-	u.peers[peer] = ua
+	u.peers[peer] = unmap(ua.AddrPort())
 	u.mu.Unlock()
 	return nil
 }
 
-// SetLearnPeers makes Receive record each frame's source principal →
-// UDP origin mapping — the reply-to-observed-source behaviour a server
-// needs to answer clients it has no static peer table for (a gateway
-// cannot enumerate its clients in advance). Later frames from the same
-// principal update the mapping, so a client that re-binds keeps
-// working; static AddPeer entries are overwritten the same way.
-// Learning applies to the single-datagram Receive path; the recvmmsg
-// batch path keeps the static peer table.
+// unmap turns an IPv4-mapped IPv6 address into the IPv4 address it
+// stands for and leaves every other address alone.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// SetLearnPeers makes every receive call — Receive and both ReceiveBatch
+// paths — record each frame's source principal → UDP origin mapping:
+// the reply-to-observed-source behaviour a server needs to answer
+// clients it has no static peer table for (a gateway cannot enumerate
+// its clients in advance). A later frame from the same principal at a
+// new origin moves the mapping, so a client that re-binds keeps
+// working; static AddPeer entries are overwritten the same way. A frame
+// that confirms the mapping already held costs a read lock and nothing
+// else.
 func (u *UDPTransport) SetLearnPeers(on bool) {
 	u.mu.Lock()
 	u.learn = on
 	u.mu.Unlock()
 }
 
-// Send implements Transport.
+// learnPeer is the learn step every receive path shares: origin is
+// where src's frame came from, already unmapped. The write lock is
+// taken only when the mapping actually changes.
+func (u *UDPTransport) learnPeer(src principal.Address, origin netip.AddrPort) {
+	u.mu.RLock()
+	settled := !u.learn || u.peers[src] == origin
+	u.mu.RUnlock()
+	if settled {
+		return
+	}
+	u.mu.Lock()
+	u.peers[src] = origin
+	u.mu.Unlock()
+}
+
+// peerOf resolves a destination principal to its UDP address.
+func (u *UDPTransport) peerOf(dst principal.Address) (netip.AddrPort, error) {
+	u.mu.RLock()
+	peer, ok := u.peers[dst]
+	u.mu.RUnlock()
+	if !ok {
+		return netip.AddrPort{}, fmt.Errorf("transport: no UDP mapping for principal %q", dst)
+	}
+	return peer, nil
+}
+
+// Send implements Transport. The frame is built in the socket's send
+// arena, so a steady-state Send allocates nothing.
 func (u *UDPTransport) Send(dg Datagram) error {
 	if dg.Source == "" {
 		dg.Source = u.local
 	}
-	u.mu.RLock()
-	peer, ok := u.peers[dg.Destination]
-	u.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("transport: no UDP mapping for principal %q", dg.Destination)
+	peer, err := u.peerOf(dg.Destination)
+	if err != nil {
+		return err
 	}
-	frame := make([]byte, 0, 4+len(dg.Source)+len(dg.Destination)+len(dg.Payload))
-	frame = append(frame, dg.Source.Wire()...)
-	frame = append(frame, dg.Destination.Wire()...)
-	frame = append(frame, dg.Payload...)
-	_, err := u.conn.WriteToUDP(frame, peer)
+	u.sendMu.Lock()
+	defer u.sendMu.Unlock()
+	u.sendArena = appendFrame(u.sendArena[:0], dg)
+	_, err = u.conn.WriteToUDPAddrPort(u.sendArena, peer)
 	return err
 }
 
-// Receive implements Transport.
+// Receive implements Transport. The datagram is read into the socket's
+// first receive slot and decoded by the decoder the batch path uses;
+// only the payload copy handed to the caller is allocated.
 func (u *UDPTransport) Receive() (Datagram, error) {
-	buf := make([]byte, 65536)
-	n, raddr, err := u.conn.ReadFromUDP(buf)
+	u.recvMu.Lock()
+	defer u.recvMu.Unlock()
+	slot := u.recvSlot(0)
+	n, origin, err := u.conn.ReadFromUDPAddrPort(slot)
 	if err != nil {
 		return Datagram{}, ErrClosed
 	}
-	b := buf[:n]
-	src, used, err := principal.DecodeAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	u.mu.RLock()
-	learn := u.learn
-	u.mu.RUnlock()
-	if learn {
-		u.mu.Lock()
-		u.peers[src] = raddr
-		u.mu.Unlock()
-	}
-	b = b[used:]
-	dst, used, err := principal.DecodeAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	payload := make([]byte, len(b))
-	copy(payload, b)
-	return Datagram{Source: src, Destination: dst, Payload: payload}, nil
+	var payload []byte
+	return u.decodeFrame(slot[:n], unmap(origin), &payload)
 }
 
 // Close implements Transport.

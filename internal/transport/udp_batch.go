@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"fmt"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -72,21 +74,108 @@ func (u *UDPTransport) ReceiveBatch(buf []Datagram) (int, error) {
 	return 1, nil
 }
 
+// mmsgMaxBatch bounds one vector call: enough to amortise the syscall
+// to noise, small enough that the cached receive slots stay modest
+// (mmsgMaxBatch × mmsgSlotSize = 2 MiB; a slot is allocated on first
+// use, so a socket only ever read with Receive holds one).
+const (
+	mmsgMaxBatch = 32
+	mmsgSlotSize = 65536
+)
+
 // batchState is embedded in UDPTransport: the fallback switches plus
-// the reusable per-socket batch scratch (recvmmsg slot buffers, the
-// sendmmsg frame arena, and the receive-side address intern table).
-// Batched sends and receives on one socket each serialise on their
-// mutex, which matches how a sharded deployment drives one socket per
-// shard.
+// the reusable per-socket scratch (receive slots, the send frame arena,
+// and the receive-side address intern table). Sends and receives on one
+// socket each serialise on their mutex, which matches how a sharded
+// deployment drives one socket per shard.
 type batchState struct {
 	portable   atomic.Int32
 	mmsgBroken atomic.Int32
 	gsoBroken  atomic.Int32
 
 	recvMu     sync.Mutex
-	recvBufs   [][]byte
+	recvBufs   [mmsgMaxBatch][]byte
 	addrIntern map[string]principal.Address
 
 	sendMu    sync.Mutex
 	sendArena []byte
+
+	mmsg mmsgState
+}
+
+// recvSlot returns receive slot i, allocating it on first use. Caller
+// holds recvMu.
+func (u *UDPTransport) recvSlot(i int) []byte {
+	if u.recvBufs[i] == nil {
+		u.recvBufs[i] = make([]byte, mmsgSlotSize)
+	}
+	return u.recvBufs[i]
+}
+
+// appendFrame appends dg's wire frame: the length-prefixed source and
+// destination addresses, then the payload.
+func appendFrame(b []byte, dg Datagram) []byte {
+	b = appendWireAddress(b, dg.Source)
+	b = appendWireAddress(b, dg.Destination)
+	return append(b, dg.Payload...)
+}
+
+// appendWireAddress appends the length-prefixed wire form of a without
+// the intermediate allocation Address.Wire makes.
+func appendWireAddress(b []byte, a principal.Address) []byte {
+	b = append(b, byte(len(a)>>8), byte(len(a)))
+	return append(b, a...)
+}
+
+// decodeFrame is the one frame decoder: it parses a wire frame that
+// arrived from origin (length-prefixed source and destination
+// addresses, then payload), runs the learn step, and appends the
+// payload to *arena — the returned Datagram owns that copy, so the
+// receive slot b sits in can be reused. Addresses come from the
+// socket's intern table. Caller holds recvMu.
+func (u *UDPTransport) decodeFrame(b []byte, origin netip.AddrPort, arena *[]byte) (Datagram, error) {
+	src, used, err := u.internAddress(b)
+	if err != nil {
+		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
+	}
+	b = b[used:]
+	dst, used, err := u.internAddress(b)
+	if err != nil {
+		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
+	}
+	b = b[used:]
+	u.learnPeer(src, origin)
+	a := *arena
+	off := len(a)
+	a = append(a, b...)
+	*arena = a
+	return Datagram{Source: src, Destination: dst, Payload: a[off:len(a):len(a)]}, nil
+}
+
+// internAddress decodes one length-prefixed address, returning the
+// socket's canonical string for it — a map hit costs no allocation.
+// The table is capped so a flood of forged source addresses cannot
+// grow it without bound. Caller holds recvMu.
+func (u *UDPTransport) internAddress(b []byte) (principal.Address, int, error) {
+	if len(b) < 2 {
+		return "", 0, fmt.Errorf("truncated address length")
+	}
+	n := int(b[0])<<8 | int(b[1])
+	if len(b) < 2+n {
+		return "", 0, fmt.Errorf("truncated address body: need %d bytes, have %d", n, len(b)-2)
+	}
+	raw := b[2 : 2+n]
+	// A map probe keyed by string(raw) does not allocate; only a miss
+	// materialises the string.
+	if a, ok := u.addrIntern[string(raw)]; ok {
+		return a, 2 + n, nil
+	}
+	a := principal.Address(raw)
+	if u.addrIntern == nil {
+		u.addrIntern = make(map[string]principal.Address)
+	}
+	if len(u.addrIntern) < 1024 {
+		u.addrIntern[string(a)] = a
+	}
+	return a, 2 + n, nil
 }

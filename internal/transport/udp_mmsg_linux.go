@@ -4,10 +4,10 @@ package transport
 
 import (
 	"fmt"
+	"net/netip"
+	"strconv"
 	"syscall"
 	"unsafe"
-
-	"fbs/internal/principal"
 )
 
 // sendmmsg/recvmmsg plumbing. Go's frozen syscall package predates
@@ -20,14 +20,6 @@ import (
 // of blocking.
 
 const mmsgAvailable = true
-
-// mmsgMaxBatch bounds one vector call: enough to amortise the syscall
-// to noise, small enough that the cached receive buffers stay modest
-// (mmsgMaxBatch × mmsgSlotSize = 2 MiB).
-const (
-	mmsgMaxBatch = 32
-	mmsgSlotSize = 65536
-)
 
 // UDP generic segmentation offload. A run of consecutive frames with
 // one destination and one size can ride a single sendmsg as one
@@ -100,6 +92,63 @@ type rawSockaddrInet4 struct {
 	Zero   [8]byte
 }
 
+// rawSockaddrInet6 is also the msg_name storage of a receive: it is the
+// larger of the two layouts a UDP socket reports, and both start with
+// the family and the port.
+type rawSockaddrInet6 struct {
+	Family   uint16
+	Port     uint16 // network byte order
+	Flowinfo uint32
+	Addr     [16]byte
+	ScopeID  uint32
+}
+
+// origin converts a received msg_name — AF_INET or AF_INET6, the two
+// families a UDP socket reports — to the unmapped form the peer table
+// holds.
+func (sa *rawSockaddrInet6) origin() netip.AddrPort {
+	port := sa.Port<<8 | sa.Port>>8
+	if sa.Family == syscall.AF_INET {
+		in4 := (*rawSockaddrInet4)(unsafe.Pointer(sa))
+		return netip.AddrPortFrom(netip.AddrFrom4(in4.Addr), port)
+	}
+	a := netip.AddrFrom16(sa.Addr).Unmap()
+	if sa.ScopeID != 0 {
+		a = a.WithZone(strconv.FormatUint(uint64(sa.ScopeID), 10))
+	}
+	return netip.AddrPortFrom(a, port)
+}
+
+// mmsgState is a socket's vector-call state. The arrays the kernel
+// reads and writes live here, not on the stack: the RawConn callback
+// captures them, so on the stack each would be moved to the heap, and
+// zeroed, on every call (8 KB and 16 allocations per send+receive
+// round, whatever the batch depth). rx is guarded by recvMu, tx by
+// sendMu; each half is set up by its first call.
+type mmsgState struct {
+	rx struct {
+		rc     syscall.RawConn
+		call   func(fd uintptr) bool
+		hdrs   [mmsgMaxBatch]mmsghdr
+		iovs   [mmsgMaxBatch]iovec
+		names  [mmsgMaxBatch]rawSockaddrInet6
+		want   int  // messages to ask for
+		got    int  // messages received
+		failed bool // the socket reported an error: closed
+	}
+	tx struct {
+		rc     syscall.RawConn
+		call   func(fd uintptr) bool
+		hdrs   [mmsgMaxBatch]mmsghdr
+		iovs   [mmsgMaxBatch]iovec
+		cmsgs  [mmsgMaxBatch]gsoCmsg
+		addrs  [mmsgMaxBatch]rawSockaddrInet4
+		groups int           // messages to send
+		sent   int           // messages sent
+		errno  syscall.Errno // what stopped the send, if anything
+	}
+}
+
 // sendBatchMmsg transmits dgs with sendmmsg, coalescing equal-size
 // same-destination runs into GSO super-packets. handled == false means
 // the socket or peer set cannot take the fast path (an IPv6 peer; a
@@ -136,63 +185,59 @@ func (u *UDPTransport) sendBatchMmsg(dgs []Datagram) (n int, err error, handled 
 // call, retrying without GSO if the kernel rejects UDP_SEGMENT.
 func (u *UDPTransport) sendChunkMmsg(dgs []Datagram) (n int, err error, handled bool) {
 	batch := len(dgs)
-	var addrs [mmsgMaxBatch]rawSockaddrInet4
+	addrs := &u.mmsg.tx.addrs
 	var offs [mmsgMaxBatch + 1]int
 	// Frames are packed into one reusable arena rather than allocated
 	// per datagram; iovecs are built only after the arena stops
 	// growing, since append may move it.
 	arena := u.sendArena[:0]
+	var unmapped error
 	for i := 0; i < batch; i++ {
 		dg := &dgs[i]
 		if dg.Source == "" {
 			dg.Source = u.local
 		}
-		u.mu.RLock()
-		peer, ok := u.peers[dg.Destination]
-		u.mu.RUnlock()
-		if !ok {
-			return 0, fmt.Errorf("transport: no UDP mapping for principal %q", dg.Destination), true
+		peer, err := u.peerOf(dg.Destination)
+		if err != nil {
+			// Hand off what precedes it, then report: n is how many
+			// datagrams went out before the error, as a loop of Send
+			// calls would have it.
+			batch, unmapped = i, err
+			break
 		}
-		ip4 := peer.IP.To4()
-		if ip4 == nil {
+		if !peer.Addr().Is4() {
 			return 0, nil, false
 		}
 		addrs[i].Family = syscall.AF_INET
-		p := uint16(peer.Port)
+		p := peer.Port()
 		addrs[i].Port = p<<8 | p>>8
-		copy(addrs[i].Addr[:], ip4)
+		addrs[i].Addr = peer.Addr().As4()
 		offs[i] = len(arena)
-		arena = appendWireAddress(arena, dg.Source)
-		arena = appendWireAddress(arena, dg.Destination)
-		arena = append(arena, dg.Payload...)
+		arena = appendFrame(arena, *dg)
 	}
 	offs[batch] = len(arena)
 	u.sendArena = arena
 
 	gso := u.gsoBroken.Load() == 0
-	for {
+	for batch > 0 {
 		sent, callErr := u.sendGroupsMmsg(arena, addrs[:batch], offs[:batch+1], gso)
+		n += sent
 		if gso && callErr == syscall.EINVAL {
 			// The kernel refused a UDP_SEGMENT control message; latch it
 			// and resend whatever remains as plain per-datagram messages.
 			u.gsoBroken.Store(1)
 			gso = false
-			n += sent
-			dgsLeft := batch - n
-			if dgsLeft == 0 {
-				return n, nil, true
-			}
-			copy(offs[:dgsLeft+1], offs[n:batch+1])
-			copy(addrs[:dgsLeft], addrs[n:batch])
-			batch = dgsLeft
+			copy(offs[:batch-sent+1], offs[sent:batch+1])
+			copy(addrs[:batch-sent], addrs[sent:batch])
+			batch -= sent
 			continue
 		}
-		n += sent
 		if callErr != nil {
 			return n, fmt.Errorf("transport: sendmmsg: %w", callErr), true
 		}
-		return n, nil, true
+		break
 	}
+	return n, unmapped, true
 }
 
 // sendGroupsMmsg issues one sendmmsg over the packed frames, grouping
@@ -217,67 +262,75 @@ func (u *UDPTransport) sendGroupsMmsg(arena []byte, addrs []rawSockaddrInet4, of
 		ng++
 	}
 
-	var iovs [mmsgMaxBatch]iovec
-	var hdrs [mmsgMaxBatch]mmsghdr
-	var cmsgs [mmsgMaxBatch]gsoCmsg
+	tx := &u.mmsg.tx
+	if tx.rc == nil {
+		rc, err := u.conn.SyscallConn()
+		if err != nil {
+			return 0, err
+		}
+		tx.rc, tx.call = rc, u.sendmmsg
+	}
 	for g := 0; g < ng; g++ {
 		gr := &groups[g]
-		iovs[g] = iovec{Base: &arena[gr.off], Len: uint64(gr.size)}
-		hdrs[g].Hdr = msghdr{
+		tx.iovs[g] = iovec{Base: &arena[gr.off], Len: uint64(gr.size)}
+		tx.hdrs[g].Hdr = msghdr{
 			Name:    (*byte)(unsafe.Pointer(&addrs[gr.first])),
 			Namelen: uint32(unsafe.Sizeof(addrs[gr.first])),
-			Iov:     &iovs[g],
+			Iov:     &tx.iovs[g],
 			Iovlen:  1,
 		}
 		if gr.count > 1 {
-			cmsgs[g] = gsoCmsg{len: gsoCmsgLen, level: solUDP, typ: udpSegment, seg: uint16(gr.segSize)}
-			hdrs[g].Hdr.Control = (*byte)(unsafe.Pointer(&cmsgs[g]))
-			hdrs[g].Hdr.Controllen = gsoCmsgLen
+			tx.cmsgs[g] = gsoCmsg{len: gsoCmsgLen, level: solUDP, typ: udpSegment, seg: uint16(gr.segSize)}
+			tx.hdrs[g].Hdr.Control = (*byte)(unsafe.Pointer(&tx.cmsgs[g]))
+			tx.hdrs[g].Hdr.Controllen = gsoCmsgLen
 		}
 	}
-
-	rc, rerr := u.conn.SyscallConn()
-	if rerr != nil {
-		return 0, rerr
-	}
-	sent := 0
-	var callErr error
-	werr := rc.Write(func(fd uintptr) bool {
-		for sent < ng {
-			r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(ng-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // block until writable, then retry
-			}
-			if e == syscall.EINTR {
-				continue
-			}
-			if e != 0 {
-				callErr = e
-				return true
-			}
-			sent += int(r)
-		}
-		return true
-	})
+	tx.groups, tx.sent, tx.errno = ng, 0, 0
+	werr := tx.rc.Write(tx.call)
 	dgSent := 0
-	for g := 0; g < sent; g++ {
+	for g := 0; g < tx.sent; g++ {
 		dgSent += groups[g].count
 	}
 	if werr != nil {
 		return dgSent, werr
 	}
-	return dgSent, callErr
+	if tx.errno != 0 {
+		return dgSent, tx.errno
+	}
+	return dgSent, nil
+}
+
+// sendmmsg is the RawConn write callback: it sends tx.hdrs[tx.sent:
+// tx.groups], returning false to wait for the socket to become
+// writable. Caller holds sendMu.
+func (u *UDPTransport) sendmmsg(fd uintptr) bool {
+	tx := &u.mmsg.tx
+	for tx.sent < tx.groups {
+		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+			uintptr(unsafe.Pointer(&tx.hdrs[tx.sent])), uintptr(tx.groups-tx.sent),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false
+		}
+		if e == syscall.EINTR {
+			continue
+		}
+		if e != 0 {
+			tx.errno = e
+			return true
+		}
+		tx.sent += int(r)
+	}
+	return true
 }
 
 // recvBatchMmsg fills buf with recvmmsg: it blocks for the first
 // datagram (via the runtime poller) and returns whatever else the
-// socket already holds, up to min(len(buf), mmsgMaxBatch). Frames that
-// fail address decoding are skipped, exactly as a Receive loop would
-// surface them one error at a time — except the batch path drops them
-// silently to keep the happy-path contract simple; the single-datagram
-// path remains the debugging tool for malformed framing.
+// socket already holds, up to min(len(buf), mmsgMaxBatch). Each
+// message's msg_name is filled, so the learn step sees every frame's
+// UDP origin exactly as Receive does. Frames that fail address decoding
+// are skipped, where a Receive loop would surface them one error at a
+// time; only a batch with nothing else in it reports the error.
 func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled bool) {
 	batch := len(buf)
 	if batch > mmsgMaxBatch {
@@ -285,44 +338,25 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 	}
 	u.recvMu.Lock()
 	defer u.recvMu.Unlock()
-	if u.recvBufs == nil {
-		u.recvBufs = make([][]byte, mmsgMaxBatch)
-		for i := range u.recvBufs {
-			u.recvBufs[i] = make([]byte, mmsgSlotSize)
+	rx := &u.mmsg.rx
+	if rx.rc == nil {
+		rc, err := u.conn.SyscallConn()
+		if err != nil {
+			return 0, ErrClosed, true
 		}
+		rx.rc, rx.call = rc, u.recvmmsg
 	}
-	var iovs [mmsgMaxBatch]iovec
-	var hdrs [mmsgMaxBatch]mmsghdr
 	for i := 0; i < batch; i++ {
-		iovs[i] = iovec{Base: &u.recvBufs[i][0], Len: mmsgSlotSize}
-		hdrs[i].Hdr = msghdr{Iov: &iovs[i], Iovlen: 1}
-	}
-	rc, rerr := u.conn.SyscallConn()
-	if rerr != nil {
-		return 0, ErrClosed, true
-	}
-	got := 0
-	closed := false
-	perr := rc.Read(func(fd uintptr) bool {
-		for {
-			r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-				uintptr(unsafe.Pointer(&hdrs[0])), uintptr(batch),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // block until readable
-			}
-			if e == syscall.EINTR {
-				continue
-			}
-			if e != 0 {
-				closed = true
-				return true
-			}
-			got = int(r)
-			return true
+		rx.iovs[i] = iovec{Base: &u.recvSlot(i)[0], Len: mmsgSlotSize}
+		rx.hdrs[i].Hdr = msghdr{
+			Name:    (*byte)(unsafe.Pointer(&rx.names[i])),
+			Namelen: uint32(unsafe.Sizeof(rx.names[i])),
+			Iov:     &rx.iovs[i],
+			Iovlen:  1,
 		}
-	})
-	if perr != nil || closed {
+	}
+	rx.want, rx.got, rx.failed = batch, 0, false
+	if perr := rx.rc.Read(rx.call); perr != nil || rx.failed {
 		return 0, ErrClosed, true
 	}
 	// Payloads are copied out of the reused slots into one backing
@@ -331,98 +365,45 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 	// — a small stable set per socket, so the per-datagram decode makes
 	// no allocations on the steady state.
 	need := 0
-	for i := 0; i < got; i++ {
-		need += int(hdrs[i].Len)
+	for i := 0; i < rx.got; i++ {
+		need += int(rx.hdrs[i].Len)
 	}
 	arena := make([]byte, 0, need)
-	n = 0
-	for i := 0; i < got; i++ {
-		dg, derr := u.decodeFrameInto(u.recvBufs[i][:hdrs[i].Len], &arena)
+	var bad error
+	for i := 0; i < rx.got; i++ {
+		dg, derr := u.decodeFrame(u.recvBufs[i][:rx.hdrs[i].Len], rx.names[i].origin(), &arena)
 		if derr != nil {
+			bad = derr
 			continue
 		}
 		buf[n] = dg
 		n++
 	}
-	if n == 0 && got > 0 {
+	if n == 0 {
 		// Every frame in the batch was malformed; report one receive
 		// with no datagrams rather than blocking again, so callers see
 		// progress (the loop path would have returned the decode error).
-		return 0, fmt.Errorf("transport: bad frame batch"), true
+		return 0, bad, true
 	}
 	return n, nil, true
 }
 
-// appendWireAddress appends the length-prefixed wire form of a without
-// the intermediate allocation Address.Wire makes.
-func appendWireAddress(b []byte, a principal.Address) []byte {
-	b = append(b, byte(len(a)>>8), byte(len(a)))
-	return append(b, a...)
-}
-
-// decodeFrame parses one wire frame (length-prefixed source and
-// destination addresses, then payload) into an owned Datagram.
-func decodeFrame(b []byte) (Datagram, error) {
-	src, used, err := principal.DecodeAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
+// recvmmsg is the RawConn read callback: one non-blocking recvmmsg of
+// up to rx.want messages, returning false to wait for the socket to
+// become readable. Caller holds recvMu.
+func (u *UDPTransport) recvmmsg(fd uintptr) bool {
+	rx := &u.mmsg.rx
+	for {
+		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+			uintptr(unsafe.Pointer(&rx.hdrs[0])), uintptr(rx.want),
+			syscall.MSG_DONTWAIT, 0, 0)
+		if e == syscall.EAGAIN {
+			return false
+		}
+		if e == syscall.EINTR {
+			continue
+		}
+		rx.got, rx.failed = int(r), e != 0
+		return true
 	}
-	b = b[used:]
-	dst, used, err := principal.DecodeAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	payload := make([]byte, len(b))
-	copy(payload, b)
-	return Datagram{Source: src, Destination: dst, Payload: payload}, nil
-}
-
-// decodeFrameInto is decodeFrame for the batch path: the payload copy
-// lands in the caller's batch arena and the addresses come from the
-// socket's intern table. Caller holds recvMu.
-func (u *UDPTransport) decodeFrameInto(b []byte, arena *[]byte) (Datagram, error) {
-	src, used, err := u.internAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	dst, used, err := u.internAddress(b)
-	if err != nil {
-		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
-	}
-	b = b[used:]
-	a := *arena
-	off := len(a)
-	a = append(a, b...)
-	*arena = a
-	return Datagram{Source: src, Destination: dst, Payload: a[off:len(a):len(a)]}, nil
-}
-
-// internAddress decodes one length-prefixed address, returning the
-// socket's canonical string for it — a map hit costs no allocation.
-// The table is capped so a flood of forged source addresses cannot
-// grow it without bound. Caller holds recvMu.
-func (u *UDPTransport) internAddress(b []byte) (principal.Address, int, error) {
-	if len(b) < 2 {
-		return "", 0, fmt.Errorf("truncated address length")
-	}
-	n := int(b[0])<<8 | int(b[1])
-	if len(b) < 2+n {
-		return "", 0, fmt.Errorf("truncated address body: need %d bytes, have %d", n, len(b)-2)
-	}
-	raw := b[2 : 2+n]
-	// A map probe keyed by string(raw) does not allocate; only a miss
-	// materialises the string.
-	if a, ok := u.addrIntern[string(raw)]; ok {
-		return a, 2 + n, nil
-	}
-	a := principal.Address(raw)
-	if u.addrIntern == nil {
-		u.addrIntern = make(map[string]principal.Address)
-	}
-	if len(u.addrIntern) < 1024 {
-		u.addrIntern[string(a)] = a
-	}
-	return a, 2 + n, nil
 }

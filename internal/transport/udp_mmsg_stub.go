@@ -7,6 +7,8 @@ package transport
 
 const mmsgAvailable = false
 
+type mmsgState struct{}
+
 func (u *UDPTransport) sendBatchMmsg(dgs []Datagram) (n int, err error, handled bool) {
 	return 0, nil, false
 }

@@ -16,7 +16,7 @@ FUZZTIME ?= 15s
 # toolchain — not PATH — decides the version CI lints with.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
-.PHONY: all build lint staticcheck test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
+.PHONY: all build lint staticcheck loc test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
 	ci ci-lint ci-race ci-fuzz ci-soak ci-bench nightly
 
 all: check
@@ -48,6 +48,15 @@ staticcheck:
 	else \
 		echo "$$out"; exit $$status; \
 	fi
+
+# loc prints non-test Go lines for the packages ROADMAP aim 2 keeps
+# score on ("report net lines; internal/core ends smaller") and for the
+# whole tree, so the figure a PR reports is one the job log shows.
+loc:
+	@for d in internal/core internal/obs internal/gateway; do \
+		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done; \
+	printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)
 
 test:
 	$(GO) test ./...
@@ -149,7 +158,7 @@ check: build lint test race bench-smoke fuzz-smoke diff gwbench-test
 # (its own build graph comes from the shared Go build cache), so the
 # workflow fans them out and a local `make ci` runs them back to back.
 
-ci-lint: build lint
+ci-lint: build lint loc
 
 ci-race:
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) test -race -coverprofile=coverage.out ./...

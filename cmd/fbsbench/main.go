@@ -283,7 +283,7 @@ func run(total int, native, quiet bool, admin *obs.Admin) ([]benchResult, error)
 		}
 		fmt.Println(flowsim.RenderTable(hdr, tbl))
 		fmt.Printf("real protocol work performed inside the simulation: %d datagrams sealed, %d opened\n\n",
-			a.FAMStats().Lookups, b.Metrics().Received)
+			a.Snapshot().FAM.Lookups, b.Snapshot().Received)
 		fmt.Println("Per-call latency of the real protocol code inside the simulation (log2-bucket percentiles):")
 		lhdr := []string{"configuration", "path", "count", "mean", "p50", "p95", "p99"}
 		var ltbl [][]string

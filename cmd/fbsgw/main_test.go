@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -213,8 +215,30 @@ func TestFBSGWLiveUDPSmoke(t *testing.T) {
 	var metrics bytes.Buffer
 	metrics.ReadFrom(resp.Body) //nolint:errcheck
 	resp.Body.Close()
-	if !bytes.Contains(metrics.Bytes(), []byte("fbs_gateway_received_total")) {
-		t.Fatalf("/metrics missing fbs_gateway_received_total:\n%.2000s", metrics.String())
+	// The ledger identity reconciles from the scrape alone, two swaps
+	// after the first epoch's per-shard series left the exposition.
+	ledger := map[string]uint64{}
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if !strings.HasPrefix(line, "fbs_gateway_") {
+			continue
+		}
+		series, value, _ := strings.Cut(line, " ")
+		family, _, _ := strings.Cut(series, "{")
+		n, err := strconv.ParseUint(value, 10, 64)
+		if err != nil {
+			t.Fatalf("unparsable sample %q: %v", line, err)
+		}
+		ledger[family] += n // fbs_gateway_drops_total sums over its reasons
+	}
+	if got := ledger["fbs_gateway_received_total"]; got != uint64(sent) {
+		t.Fatalf("/metrics: received %d, want %d\n%.2000s", got, sent, metrics.String())
+	}
+	if got, want := ledger["fbs_gateway_accepted_total"]+ledger["fbs_gateway_drops_total"]+ledger["fbs_gateway_no_tenant_total"]+
+		ledger["fbs_gateway_absorbed_total"]+ledger["fbs_gateway_retry_starved_total"], ledger["fbs_gateway_received_total"]; got != want {
+		t.Fatalf("/metrics does not reconcile: accepted+drops+no_tenant+absorbed+retry_starved = %d, received = %d (%v)", got, want, ledger)
+	}
+	if got := ledger["fbs_gateway_accepted_total"]; got != uint64(sent) {
+		t.Fatalf("/metrics: accepted %d across three epochs, want %d", got, sent)
 	}
 
 	// Graceful drain on SIGTERM: the daemon exits cleanly and prints

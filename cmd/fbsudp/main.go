@@ -126,7 +126,7 @@ func instrument(role string, ep *fbs.Endpoint, pipe *obs.Pipeline, adminAddr str
 // statsReport is the -stats-json document.
 type statsReport struct {
 	Role        string               `json:"role"`
-	Metrics     core.Metrics         `json:"metrics"`
+	Metrics     trafficStats         `json:"metrics"`
 	Drops       map[string]uint64    `json:"drops,omitempty"`
 	FAM         core.FAMStats        `json:"fam"`
 	ActiveFlows int                  `json:"active_flows"`
@@ -136,25 +136,36 @@ type statsReport struct {
 	Prefilter   core.PrefilterStats  `json:"prefilter"`
 }
 
+// trafficStats is the document's "metrics" object: the data-plane
+// counters, with refusals in Drops (indexed by core.DropReason).
+type trafficStats struct {
+	Sent, SentSecret, SentBytes, Received, ReceivedBytes uint64
+
+	Drops                          [core.NumDropReasons]uint64
+	BypassedSent, BypassedReceived uint64
+}
+
+func newStatsReport(role string, m core.Snapshot) statsReport {
+	return statsReport{
+		Role: role,
+		Metrics: trafficStats{
+			Sent: m.Sent, SentSecret: m.SentSecret, SentBytes: m.SentBytes,
+			Received: m.Received, ReceivedBytes: m.ReceivedBytes, Drops: m.Drops,
+			BypassedSent: m.BypassedSent, BypassedReceived: m.BypassedReceived,
+		},
+		Drops:       core.DropMap(m.Drops),
+		FAM:         m.FAM,
+		ActiveFlows: m.ActiveFlows,
+		Caches:      m.Caches[:],
+		KeyService:  m.Keying,
+		MKDUpcalls:  m.MKDUpcalls,
+		Prefilter:   m.Prefilter,
+	}
+}
+
 func printStats(role string, ep *fbs.Endpoint, asJSON bool) {
-	m := ep.Metrics()
-	ks, _, _, upcalls := ep.KeyStats()
-	rep := statsReport{
-		Role:        role,
-		Metrics:     m,
-		Drops:       make(map[string]uint64),
-		FAM:         ep.FAMStats(),
-		ActiveFlows: ep.ActiveFlows(),
-		Caches:      ep.Caches(),
-		KeyService:  ks,
-		MKDUpcalls:  upcalls,
-		Prefilter:   ep.Stats().Prefilter,
-	}
-	for _, d := range core.DropReasons() {
-		if n := m.Drops[d]; n > 0 {
-			rep.Drops[d.String()] = n
-		}
-	}
+	m := ep.Snapshot()
+	rep := newStatsReport(role, m)
 	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -181,8 +192,9 @@ func printStats(role string, ep *fbs.Endpoint, asJSON bool) {
 		fmt.Printf("cache %-5s %d/%d used, hits=%d misses=%d installs=%d evictions=%d\n",
 			c.Name, c.Used, c.Slots, c.Stats.Hits, c.Stats.Misses, c.Stats.Installs, c.Stats.Evictions)
 	}
+	ks := m.Keying
 	fmt.Printf("keying:   master key requests=%d computes=%d cert fetches=%d verifies=%d failures=%d mkd upcalls=%d\n",
-		ks.MasterKeyRequests, ks.MasterKeyComputes, ks.CertFetches, ks.CertVerifies, ks.Failures, upcalls)
+		ks.MasterKeyRequests, ks.MasterKeyComputes, ks.CertFetches, ks.CertVerifies, ks.Failures, m.MKDUpcalls)
 	if pf := rep.Prefilter; pf.Challenged+pf.EchoAccepted+pf.CookiesLearned+pf.CookiesAttached+pf.SketchSheds > 0 {
 		fmt.Printf("prefilter: level=%d challenged=%d echo ok=%d bad=%d sheds=%d cookies learned=%d attached=%d\n",
 			pf.Level, pf.Challenged, pf.EchoAccepted, pf.EchoRejected, pf.SketchSheds, pf.CookiesLearned, pf.CookiesAttached)
@@ -314,7 +326,7 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 		// A challenged datagram was shed at the receiver's edge; once
 		// the drain goroutine absorbs the cookie, resend it so every
 		// payload is delivered.
-		if now := ep.Stats().Prefilter.CookiesLearned; now > learned {
+		if now := ep.Snapshot().Prefilter.CookiesLearned; now > learned {
 			learned = now
 			fmt.Printf("challenge absorbed — resending datagram %d with cookie echo\n", i)
 			if err := ep.SendTo("receiver", []byte(payload), true); err != nil {

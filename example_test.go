@@ -71,7 +71,7 @@ func ExampleThresholdPolicy() {
 	sender.SendTo("receiver", []byte{1, 'x'}, true)
 	sender.SendTo("receiver", []byte{2, 'y'}, true)
 	sender.SendTo("receiver", []byte{1, 'z'}, true)
-	fmt.Printf("flows created: %d\n", sender.FAMStats().FlowsCreated)
+	fmt.Printf("flows created: %d\n", sender.Snapshot().FAM.FlowsCreated)
 	// Output: flows created: 2
 }
 

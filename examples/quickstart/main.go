@@ -56,11 +56,10 @@ func main() {
 	// The protocol's bookkeeping shows what happened: one flow, one
 	// master key computation, one upcall — everything else came out of
 	// the soft-state caches.
-	fam := alice.FAMStats()
-	tfkc := alice.TFKCStats()
-	ks, _, _, upcalls := alice.KeyStats()
+	as, bs := alice.Snapshot(), bob.Snapshot()
+	tfkc := as.Caches[fbs.CacheTFKC].Stats
 	fmt.Printf("\nalice: flows created: %d, TFKC hits/misses: %d/%d, DH exponentiations: %d, MKD upcalls: %d\n",
-		fam.FlowsCreated, tfkc.Hits, tfkc.Misses, ks.MasterKeyComputes, upcalls)
+		as.FAM.FlowsCreated, tfkc.Hits, tfkc.Misses, as.Keying.MasterKeyComputes, as.MKDUpcalls)
 	fmt.Printf("bob:   accepted: %d, rejected: %d\n",
-		bob.Metrics().Received, bob.Metrics().RejectedMAC+bob.Metrics().RejectedStale)
+		bs.Received, bs.Drops[fbs.DropBadMAC]+bs.Drops[fbs.DropStale])
 }

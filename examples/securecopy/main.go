@@ -142,18 +142,13 @@ func main() {
 	}
 	fmt.Printf("file intact after transfer (%v)\n", elapsed)
 
-	sm := sender.Metrics()
-	rm := receiver.Metrics()
+	sm := sender.Snapshot()
+	rm := receiver.Snapshot()
 	ns := network.Stats()
 	fmt.Printf("\nnetwork: %d sent, %d lost, %d corrupted, %d duplicated\n",
 		ns.Sent, ns.Lost, ns.Corrupted, ns.Duplicated)
 	fmt.Printf("receiver: %d accepted, %d rejected by MAC (corruption), %d duplicates suppressed\n",
-		rm.Received, rm.RejectedMAC, rm.RejectedReplay)
+		rm.Received, rm.Drops[fbs.DropBadMAC], rm.Drops[fbs.DropReplay])
 	fmt.Printf("sender: %d datagrams over %d flow(s); %d DH exponentiation(s) total\n",
-		sm.Sent, sender.FAMStats().FlowsCreated, keyOps(sender))
-}
-
-func keyOps(e *fbs.Endpoint) uint64 {
-	ks, _, _, _ := e.KeyStats()
-	return ks.MasterKeyComputes
+		sm.Sent, sm.FAM.FlowsCreated, sm.Keying.MasterKeyComputes)
 }

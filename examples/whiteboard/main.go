@@ -96,7 +96,7 @@ func main() {
 	// it used — the application conversations, not the host pairs.
 	fmt.Println()
 	for _, u := range users {
-		s := eps[u].FAMStats()
+		s := eps[u].Snapshot().FAM
 		if s.Lookups == 0 {
 			continue
 		}

@@ -64,8 +64,9 @@ type (
 	HostPairPolicy = core.HostPairPolicy
 	// Selector extracts flow attributes from outgoing datagrams.
 	Selector = core.Selector
-	// Metrics are the endpoint's counters.
-	Metrics = core.Metrics
+	// Snapshot is everything an endpoint counts, as one value
+	// (Endpoint.Snapshot).
+	Snapshot = core.Snapshot
 	// Clock abstracts time (see SimClock for simulations).
 	Clock = core.Clock
 	// SimClock is a manually advanced clock.
@@ -89,6 +90,20 @@ type (
 	PacketSample = core.PacketSample
 	// Stage names one timed span of the seal/open pipeline.
 	Stage = core.Stage
+)
+
+// Indices into Snapshot.Drops — the paper's own receive checks; every
+// other reason is reachable by name through DropReason.String — and into
+// Snapshot.Caches.
+const (
+	DropStale  = core.DropStale
+	DropBadMAC = core.DropBadMAC
+	DropReplay = core.DropReplay
+
+	CacheTFKC = core.CacheTFKC
+	CacheRFKC = core.CacheRFKC
+	CachePVC  = core.CachePVC
+	CacheMKC  = core.CacheMKC
 )
 
 // Identity and naming.

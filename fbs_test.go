@@ -107,8 +107,8 @@ func TestPublicAPIOverLossyNetwork(t *testing.T) {
 			t.Fatalf("datagram %d accepted %d times despite replay cache", v, c)
 		}
 	}
-	m := b.Metrics()
-	if m.RejectedMAC == 0 {
+	m := b.Snapshot()
+	if m.Drops[DropBadMAC] == 0 {
 		t.Error("corruption impairment never triggered a MAC rejection")
 	}
 	t.Logf("received %d/%d; metrics %+v", len(received), n, m)

@@ -51,7 +51,7 @@ type AdmissionConfig struct {
 // enabled reports whether the configuration turns the gate on.
 func (c AdmissionConfig) enabled() bool { return c.UpcallRate > 0 }
 
-// AdmissionStats snapshots gate activity for EndpointStats and
+// AdmissionStats snapshots gate activity for Snapshot and
 // /metrics.
 type AdmissionStats struct {
 	// Admitted counts keying attempts that passed the gate.

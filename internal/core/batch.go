@@ -181,18 +181,6 @@ type BatchStats struct {
 	OpenDatagrams uint64
 }
 
-// BatchStats snapshots the batch-call histograms.
-func (e *Endpoint) BatchStats() BatchStats {
-	var out BatchStats
-	for i := 0; i < NumBatchBuckets; i++ {
-		out.SealCalls[i] = e.metrics.sealBatchCalls[i].Load()
-		out.OpenCalls[i] = e.metrics.openBatchCalls[i].Load()
-	}
-	out.SealDatagrams = e.metrics.sealBatchDatagrams.Load()
-	out.OpenDatagrams = e.metrics.openBatchDatagrams.Load()
-	return out
-}
-
 // BatchResult reports one datagram's outcome within a SealBatch or
 // OpenBatch call.
 type BatchResult struct {
@@ -792,7 +780,7 @@ func (e *Endpoint) deliver(dst []byte, off int, plain []byte, h *Header, alias *
 // to the transport in one batched call (transport.SendBatch, which uses
 // the transport's native vector path when it has one). It returns how
 // many datagrams were transmitted; per-datagram seal refusals are
-// counted in Metrics exactly as Send counts them and simply drop out of
+// counted in Snapshot exactly as Send counts them and simply drop out of
 // the transmitted set. Traced datagrams get their seal-stage spans as
 // usual but no per-send transport span — the batched hand-off is one
 // operation, not N.
@@ -852,7 +840,7 @@ func (e *Endpoint) SendBatch(dgs []transport.Datagram, secret bool) (int, error)
 // datagrams in one vector receive where the transport supports it),
 // opens the arrivals through OpenBatch, and returns the accepted
 // plaintext datagrams plus the total arrival count. Rejected datagrams
-// are counted in Metrics per DropReason, as Receive counts them. A
+// are counted in Snapshot per DropReason, as Receive counts them. A
 // transport.ErrClosed error means the endpoint is shut down.
 func (e *Endpoint) ReceiveBatch(max int) (accepted []transport.Datagram, arrived int, err error) {
 	if max <= 0 {

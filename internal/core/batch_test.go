@@ -106,21 +106,21 @@ func TestSealBatchMatchesSingleLoop(t *testing.T) {
 				}
 			}
 
-			bf, lf := batchEP.FAMStats(), loopEP.FAMStats()
+			bf, lf := batchEP.Snapshot().FAM, loopEP.Snapshot().FAM
 			if bf.Lookups != lf.Lookups || bf.Hits != lf.Hits || bf.FlowsCreated != lf.FlowsCreated {
 				t.Errorf("FAM accounting diverged: batch %+v vs loop %+v", bf, lf)
 			}
 			if bf.Lookups != bf.Hits+bf.FlowsCreated {
 				t.Errorf("FAM invariant broken: Lookups=%d Hits=%d FlowsCreated=%d", bf.Lookups, bf.Hits, bf.FlowsCreated)
 			}
-			bs := batchEP.BatchStats()
+			bs := batchEP.Snapshot().Batch
 			if bs.SealDatagrams != uint64(len(dgs)) {
 				t.Errorf("SealDatagrams = %d, want %d", bs.SealDatagrams, len(dgs))
 			}
 			if bs.SealCalls[batchBucket(len(dgs))] != 1 {
 				t.Errorf("SealCalls bucket %d = %d, want 1", batchBucket(len(dgs)), bs.SealCalls[batchBucket(len(dgs))])
 			}
-			if ls := loopEP.BatchStats(); ls.SealDatagrams != 0 {
+			if ls := loopEP.Snapshot().Batch; ls.SealDatagrams != 0 {
 				t.Errorf("single-datagram calls moved batch stats: %+v", ls)
 			}
 		})
@@ -195,7 +195,7 @@ func TestOpenBatchMatchesSingleLoop(t *testing.T) {
 			t.Errorf("datagram %d: batch plaintext %q vs single %q", i, got, singleOuts[i])
 		}
 	}
-	bm, lm := batchRecv.Metrics(), loopRecv.Metrics()
+	bm, lm := batchRecv.Snapshot(), loopRecv.Snapshot()
 	if bm.Received != lm.Received || bm.ReceivedBytes != lm.ReceivedBytes {
 		t.Errorf("receive counters diverged: batch %d/%d vs loop %d/%d",
 			bm.Received, bm.ReceivedBytes, lm.Received, lm.ReceivedBytes)
@@ -206,7 +206,7 @@ func TestOpenBatchMatchesSingleLoop(t *testing.T) {
 	if bm.Drops[DropReplay] != 1 {
 		t.Errorf("DropReplay = %d, want 1", bm.Drops[DropReplay])
 	}
-	bs := batchRecv.BatchStats()
+	bs := batchRecv.Snapshot().Batch
 	if bs.OpenDatagrams != uint64(len(dgs)) {
 		t.Errorf("OpenDatagrams = %d, want %d", bs.OpenDatagrams, len(dgs))
 	}
@@ -258,7 +258,7 @@ func TestBatchDropReasonsExact(t *testing.T) {
 			t.Errorf("datagram %d: drop reason %v, want %v (err: %v)", i, got, want, res[i].Err)
 		}
 	}
-	m := recv.Metrics()
+	m := recv.Snapshot()
 	for _, want := range []DropReason{DropNotForUs, DropMalformed, DropStale} {
 		if m.Drops[want] != 1 {
 			t.Errorf("Drops[%v] = %d, want 1", want, m.Drops[want])

@@ -28,7 +28,8 @@ func (s CacheStats) MissRate() float64 {
 	return float64(s.Misses) / float64(total)
 }
 
-// add accumulates o into s (per-stripe aggregation on Stats()).
+// add accumulates o into s (per-stripe aggregation on Stats(), and
+// Snapshot.Merge).
 func (s *CacheStats) add(o CacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses

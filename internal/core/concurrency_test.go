@@ -112,7 +112,7 @@ func TestConcurrentSealOpenReconciles(t *testing.T) {
 	}
 
 	const seals = goroutines * peers * rounds
-	fam := hub.FAMStats()
+	fam := hub.Snapshot().FAM
 	if fam.Lookups != seals {
 		t.Errorf("FAM Lookups = %d, want %d", fam.Lookups, seals)
 	}
@@ -123,22 +123,22 @@ func TestConcurrentSealOpenReconciles(t *testing.T) {
 	if fam.FlowsCreated < peers {
 		t.Errorf("FlowsCreated = %d, want >= %d (one flow per peer)", fam.FlowsCreated, peers)
 	}
-	tfkc := hub.TFKCStats()
+	tfkc := hub.Snapshot().Caches[CacheTFKC].Stats
 	if tfkc.Hits+tfkc.Misses != fam.Lookups {
 		t.Errorf("TFKC lookups (%d hits + %d misses = %d) != FAM lookups %d",
 			tfkc.Hits, tfkc.Misses, tfkc.Hits+tfkc.Misses, fam.Lookups)
 	}
 	// Seal must not count transmissions; only Send does.
-	if m := hub.Metrics(); m.Sent != 0 {
+	if m := hub.Snapshot(); m.Sent != 0 {
 		t.Errorf("hub Sent = %d after Seal-only traffic, want 0", m.Sent)
 	}
 	var received, receivedBytes uint64
 	for i, ep := range eps {
-		m := ep.Metrics()
+		m := ep.Snapshot()
 		if m.Received != goroutines*rounds {
 			t.Errorf("peer %d Received = %d, want %d", i, m.Received, goroutines*rounds)
 		}
-		rfkc := ep.RFKCStats()
+		rfkc := ep.Snapshot().Caches[CacheRFKC].Stats
 		if rfkc.Hits+rfkc.Misses != m.Received {
 			t.Errorf("peer %d RFKC lookups (%d) != opens (%d)", i, rfkc.Hits+rfkc.Misses, m.Received)
 		}
@@ -280,13 +280,13 @@ func TestConcurrentShardedBatchReconciles(t *testing.T) {
 	const seals = goroutines * rounds * batchSize
 	var famLookups, activeFlows uint64
 	for i := 0; i < grp.NumShards(); i++ {
-		fam := grp.Shard(i).FAMStats()
+		fam := grp.Shard(i).Snapshot().FAM
 		if fam.Lookups != fam.Hits+fam.FlowsCreated {
 			t.Errorf("shard %d FAM accounting broken: Lookups=%d Hits=%d FlowsCreated=%d",
 				i, fam.Lookups, fam.Hits, fam.FlowsCreated)
 		}
 		famLookups += fam.Lookups
-		activeFlows += uint64(grp.Shard(i).ActiveFlows())
+		activeFlows += uint64(grp.Shard(i).Snapshot().ActiveFlows)
 	}
 	if famLookups != seals {
 		t.Errorf("Σ shard FAM Lookups = %d, want %d", famLookups, seals)
@@ -296,10 +296,10 @@ func TestConcurrentShardedBatchReconciles(t *testing.T) {
 	if activeFlows != goroutines {
 		t.Errorf("Σ shard ActiveFlows = %d, want %d", activeFlows, goroutines)
 	}
-	if m := grp.Metrics(); m.Sent != 0 {
+	if m := grp.Snapshot(); m.Sent != 0 {
 		t.Errorf("group Sent = %d after Seal-only traffic, want 0", m.Sent)
 	}
-	bs := grp.BatchStats()
+	bs := grp.Snapshot().Batch
 	if bs.SealDatagrams != seals {
 		t.Errorf("group SealDatagrams = %d, want %d", bs.SealDatagrams, seals)
 	}
@@ -318,7 +318,7 @@ func TestConcurrentShardedBatchReconciles(t *testing.T) {
 	// Per-peer ledger: every datagram accepted exactly once, every
 	// injected duplicate and corruption counted under its exact reason.
 	for g, peer := range peers {
-		m := peer.Metrics()
+		m := peer.Snapshot()
 		if m.Received != rounds*batchSize {
 			t.Errorf("peer %d Received = %d, want %d", g, m.Received, rounds*batchSize)
 		}
@@ -338,7 +338,7 @@ func TestConcurrentShardedBatchReconciles(t *testing.T) {
 		if total != 2*rounds {
 			t.Errorf("peer %d total drops = %d, want %d", g, total, 2*rounds)
 		}
-		ob := peer.BatchStats()
+		ob := peer.Snapshot().Batch
 		if ob.OpenDatagrams != rounds*(batchSize+2) {
 			t.Errorf("peer %d OpenDatagrams = %d, want %d", g, ob.OpenDatagrams, rounds*(batchSize+2))
 		}

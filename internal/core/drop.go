@@ -103,6 +103,19 @@ func DropReasons() []DropReason {
 	return out
 }
 
+// DropMap names the non-zero entries of a per-reason counter array: the
+// form the JSON documents (/flows, gateway stats, fbsudp -stats-json)
+// carry drops in. Never nil.
+func DropMap(drops [NumDropReasons]uint64) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, d := range DropReasons() {
+		if drops[d] > 0 {
+			out[d.String()] = drops[d]
+		}
+	}
+	return out
+}
+
 // DropReasonOf maps a receive-path error to its DropReason. Unrecognised
 // errors (and nil) map to DropNone; callers that know the error came from
 // Open can treat that as "other".

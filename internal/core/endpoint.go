@@ -176,40 +176,9 @@ type Config struct {
 	Prefilter PrefilterConfig
 }
 
-// Metrics is a snapshot of endpoint activity. All counters are
-// cumulative. The Rejected* fields are views over the per-DropReason
-// counter array (see Drops); they are kept as named fields so existing
-// callers and the paper's experiment scripts read unchanged.
-type Metrics struct {
-	Sent          uint64
-	SentSecret    uint64
-	SentBytes     uint64
-	Received      uint64
-	ReceivedBytes uint64
-
-	// Drops counts refused datagrams by reason, indexed by DropReason.
-	// Drops[DropNone] is always zero.
-	Drops [NumDropReasons]uint64
-
-	RejectedStale     uint64
-	RejectedMAC       uint64
-	RejectedReplay    uint64
-	RejectedMalformed uint64
-	RejectedNotForUs  uint64
-	RejectedAlgorithm uint64
-	DecryptErrors     uint64
-	// KeyingErrors counts datagrams (either direction) whose flow key
-	// could not be derived.
-	KeyingErrors uint64
-
-	BypassedSent     uint64
-	BypassedReceived uint64
-}
-
-// endpointCounters is the live form of Metrics: independent atomics, so
-// per-packet accounting never serialises concurrent senders or receivers
-// on a shared mutex. Metrics() snapshots it field by field; the snapshot
-// is not a single atomic cut across counters, but each counter is exact.
+// endpointCounters is the live form of Snapshot's data-plane fields:
+// independent atomics, so per-packet accounting never serialises
+// concurrent senders or receivers on a shared mutex.
 type endpointCounters struct {
 	sent          atomic.Uint64
 	sentSecret    atomic.Uint64
@@ -217,9 +186,7 @@ type endpointCounters struct {
 	received      atomic.Uint64
 	receivedBytes atomic.Uint64
 
-	// drops is indexed by DropReason; the old per-field rejected
-	// counters became slots of this array when the DropReason taxonomy
-	// unified endpoint, stack, recorder and exposition naming.
+	// drops is indexed by DropReason.
 	drops [NumDropReasons]atomic.Uint64
 
 	// Per-suite activity, indexed by cipher nibble: successful seals and
@@ -562,85 +529,6 @@ func (e *Endpoint) FlushPeer(peer principal.Address) {
 	e.rfkc.EvictIf(match)
 }
 
-// Metrics returns a snapshot of the endpoint counters.
-func (e *Endpoint) Metrics() Metrics {
-	c := &e.metrics
-	m := Metrics{
-		Sent:          c.sent.Load(),
-		SentSecret:    c.sentSecret.Load(),
-		SentBytes:     c.sentBytes.Load(),
-		Received:      c.received.Load(),
-		ReceivedBytes: c.receivedBytes.Load(),
-
-		BypassedSent:     c.bypassedSent.Load(),
-		BypassedReceived: c.bypassedReceived.Load(),
-	}
-	for i := range m.Drops {
-		m.Drops[i] = c.drops[i].Load()
-	}
-	m.RejectedStale = m.Drops[DropStale]
-	m.RejectedMAC = m.Drops[DropBadMAC]
-	m.RejectedReplay = m.Drops[DropReplay]
-	m.RejectedMalformed = m.Drops[DropMalformed]
-	m.RejectedNotForUs = m.Drops[DropNotForUs]
-	m.RejectedAlgorithm = m.Drops[DropAlgorithm]
-	m.DecryptErrors = m.Drops[DropDecrypt]
-	m.KeyingErrors = m.Drops[DropKeying]
-	return m
-}
-
-// DropCounts returns the per-reason drop counters, indexed by
-// DropReason (the array behind Metrics' Rejected* fields).
-func (e *Endpoint) DropCounts() [NumDropReasons]uint64 {
-	var out [NumDropReasons]uint64
-	for i := range out {
-		out[i] = e.metrics.drops[i].Load()
-	}
-	return out
-}
-
-// SuiteCounts returns per-suite activity counters, indexed by cipher
-// nibble: successful seals and accepted opens. Slots with no registered
-// suite are always zero. The obs adapter exposes these as the
-// suite-labeled fbs_endpoint_suite_{seals,opens}_total families.
-func (e *Endpoint) SuiteCounts() (seals, opens [maxAlgNibble + 1]uint64) {
-	for i := range seals {
-		seals[i] = e.metrics.sealsBySuite[i].Load()
-		opens[i] = e.metrics.opensBySuite[i].Load()
-	}
-	return seals, opens
-}
-
-// EndpointStats aggregates the endpoint's overload-plane state: budget
-// occupancy, admission gate activity, replay-window occupancy, the
-// flow-key derivation dedup count, and how many pressure-mode sweeps
-// the data path has triggered.
-type EndpointStats struct {
-	Budget         BudgetStats
-	Admission      AdmissionStats
-	Replay         ReplayStats
-	Prefilter      PrefilterStats
-	FlowKeyDedups  uint64
-	PressureSweeps uint64
-}
-
-// Stats snapshots the overload plane. All components are nil-safe, so
-// an endpoint with no budget, gate, replay cache or pre-filter reports
-// zeros.
-func (e *Endpoint) Stats() EndpointStats {
-	return EndpointStats{
-		Budget:         e.cfg.StateBudget.Stats(),
-		Admission:      e.gate.Stats(),
-		Replay:         e.rc.Stats(),
-		Prefilter:      e.pf.stats(e.cfg.Clock.Now()),
-		FlowKeyDedups:  e.flight.Dedups(),
-		PressureSweeps: e.pressureSweeps.Load(),
-	}
-}
-
-// Budget returns the endpoint's state budget (nil when unbudgeted).
-func (e *Endpoint) Budget() *Budget { return e.cfg.StateBudget }
-
 // ReplayPerPeer returns per-peer replay-window occupancy — the
 // first-class budget input that attributes state pressure to the peer
 // creating it. Nil when the replay cache is disabled.
@@ -658,48 +546,6 @@ func (e *Endpoint) PeerFlowKey(sfl SFL, peer principal.Address) ([16]byte, error
 		return [16]byte{}, err
 	}
 	return FlowKey(cryptolib.HashMD5, sfl, master, e.Addr(), peer), nil
-}
-
-// CacheInfo describes one key/certificate cache for monitoring: its
-// name, occupancy, geometry and counters.
-type CacheInfo struct {
-	Name  string
-	Used  int
-	Slots int
-	Stats CacheStats
-}
-
-// Caches reports occupancy and counters for the endpoint's four soft
-// caches (TFKC, RFKC, PVC, MKC), netstat-style. Occupancy is counted
-// under the stripe locks, so it is exact at the instant each stripe is
-// visited.
-func (e *Endpoint) Caches() []CacheInfo {
-	return []CacheInfo{
-		{Name: "tfkc", Used: e.tfkc.Occupancy(), Slots: e.tfkc.Size(), Stats: e.tfkc.Stats()},
-		{Name: "rfkc", Used: e.rfkc.Occupancy(), Slots: e.rfkc.Size(), Stats: e.rfkc.Stats()},
-		{Name: "pvc", Used: e.ks.pvc.Occupancy(), Slots: e.ks.pvc.Size(), Stats: e.ks.pvc.Stats()},
-		{Name: "mkc", Used: e.ks.mkc.Occupancy(), Slots: e.ks.mkc.Size(), Stats: e.ks.mkc.Stats()},
-	}
-}
-
-// FAMStats exposes flow association counters.
-func (e *Endpoint) FAMStats() FAMStats { return e.fam.Stats() }
-
-// TFKCStats and RFKCStats expose the flow key cache counters.
-func (e *Endpoint) TFKCStats() CacheStats { return e.tfkc.Stats() }
-
-// RFKCStats exposes the receive flow key cache counters.
-func (e *Endpoint) RFKCStats() CacheStats { return e.rfkc.Stats() }
-
-// KeyStats exposes keying (PVC/MKC/daemon) counters.
-func (e *Endpoint) KeyStats() (ks KeyServiceStats, pvc, mkc CacheStats, upcalls uint64) {
-	return e.ks.Stats(), e.ks.PVCStats(), e.ks.MKCStats(), e.mkd.Upcalls()
-}
-
-// MKDStats exposes the master key daemon's upcall and deadline-miss
-// counters.
-func (e *Endpoint) MKDStats() (upcalls, timeouts uint64) {
-	return e.mkd.Upcalls(), e.mkd.Timeouts()
 }
 
 // Sweep runs the sweeper policy module over the flow state table. With
@@ -751,9 +597,6 @@ func (e *Endpoint) FlushKeys() {
 	e.ks.pvc.Flush()
 	e.ks.mkc.Flush()
 }
-
-// ActiveFlows reports the number of live entries in the flow state table.
-func (e *Endpoint) ActiveFlows() int { return e.fam.ActiveFlows() }
 
 // Flows returns a snapshot of the live flow state table, for monitoring.
 func (e *Endpoint) Flows() []FlowInfo { return e.fam.Snapshot() }
@@ -1147,7 +990,7 @@ func (e *Endpoint) Receive() (transport.Datagram, error) {
 }
 
 // ReceiveValid loops until a datagram passes all checks or the transport
-// closes, counting rejections in Metrics.
+// closes, counting rejections in the drop counters.
 func (e *Endpoint) ReceiveValid() (transport.Datagram, error) {
 	for {
 		dg, err := e.Receive()

@@ -85,7 +85,7 @@ func TestEndpointRoundTripSecret(t *testing.T) {
 	if bytes.Contains(sealed.Payload, want) {
 		t.Fatal("secret payload visible on the wire")
 	}
-	if b.Metrics().Received != 1 {
+	if b.Snapshot().Received != 1 {
 		t.Fatal("receive not counted")
 	}
 }
@@ -158,7 +158,7 @@ func TestStaleTimestampRejected(t *testing.T) {
 	if !errors.Is(err, ErrStale) {
 		t.Fatalf("err = %v, want ErrStale", err)
 	}
-	if b.Metrics().RejectedStale != 1 {
+	if b.Snapshot().Drops[DropStale] != 1 {
 		t.Fatal("stale rejection not counted")
 	}
 	w.clock.Advance(-21 * time.Minute)
@@ -200,7 +200,7 @@ func TestReplayWithinWindow(t *testing.T) {
 	if _, err := b2.Open(sealed2); !errors.Is(err, ErrReplay) {
 		t.Fatalf("err = %v, want ErrReplay", err)
 	}
-	if b2.Metrics().RejectedReplay != 1 {
+	if b2.Snapshot().Drops[DropReplay] != 1 {
 		t.Fatal("replay rejection not counted")
 	}
 }
@@ -239,10 +239,10 @@ func TestReplayBudgetSurfacesThroughOpen(t *testing.T) {
 	if !errors.Is(refused, ErrReplayBudget) {
 		t.Fatalf("saturated budget returned %v, want ErrReplayBudget", refused)
 	}
-	if b.Metrics().Drops[DropReplayBudget] == 0 {
+	if b.Snapshot().Drops[DropReplayBudget] == 0 {
 		t.Error("DropReplayBudget never counted")
 	}
-	if b.Stats().Replay.Refusals == 0 {
+	if b.Snapshot().Replay.Refusals == 0 {
 		t.Error("replay cache reports no refusals")
 	}
 	// The resident entry survived the pressure: replaying the first
@@ -427,10 +427,11 @@ func TestCombinedFSTTFKC(t *testing.T) {
 		}
 	}
 	// In combined mode the separate TFKC is never consulted.
-	if s := a.TFKCStats(); s.Hits+s.Misses != 0 {
+	if s := a.Snapshot().Caches[CacheTFKC].Stats; s.Hits+s.Misses != 0 {
 		t.Fatalf("combined mode touched the separate TFKC: %+v", s)
 	}
-	ks, _, _, upcalls := a.KeyStats()
+	snap := a.Snapshot()
+	ks, upcalls := snap.Keying, snap.MKDUpcalls
 	if upcalls != 1 {
 		t.Fatalf("upcalls = %d, want 1 (flow key cached in FST)", upcalls)
 	}
@@ -450,13 +451,13 @@ func TestKeyCachingAcrossDatagrams(t *testing.T) {
 		}
 	}
 	// One flow: one TFKC miss then hits; one upcall; one exponentiation.
-	if s := a.TFKCStats(); s.Misses != 1 || s.Hits != n-1 {
+	if s := a.Snapshot().Caches[CacheTFKC].Stats; s.Misses != 1 || s.Hits != n-1 {
 		t.Fatalf("TFKC stats = %+v", s)
 	}
-	if s := b.RFKCStats(); s.Misses != 1 || s.Hits != n-1 {
+	if s := b.Snapshot().Caches[CacheRFKC].Stats; s.Misses != 1 || s.Hits != n-1 {
 		t.Fatalf("RFKC stats = %+v", s)
 	}
-	ksStats, _, _, _ := a.KeyStats()
+	ksStats := a.Snapshot().Keying
 	if ksStats.MasterKeyComputes != 1 {
 		t.Fatalf("MasterKeyComputes = %d, want 1", ksStats.MasterKeyComputes)
 	}
@@ -496,7 +497,7 @@ func TestBypass(t *testing.T) {
 	if !bytes.Equal(sealed.Payload, dg.Payload) {
 		t.Fatal("bypass traffic was modified")
 	}
-	if a.Metrics().BypassedSent != 1 {
+	if a.Snapshot().BypassedSent != 1 {
 		t.Fatal("bypass not counted")
 	}
 	// Receive side: traffic from the bypass peer passes through raw.
@@ -537,7 +538,7 @@ func TestReceiveValidSkipsGarbage(t *testing.T) {
 	if !bytes.Equal(got.Payload, []byte("real")) {
 		t.Fatalf("got %q", got.Payload)
 	}
-	if b.Metrics().RejectedMalformed != 1 {
+	if b.Snapshot().Drops[DropMalformed] != 1 {
 		t.Fatal("garbage not counted")
 	}
 }
@@ -603,7 +604,7 @@ func TestOpenAliasesInput(t *testing.T) {
 			t.Errorf("%s: Open allocates %v times per cleartext datagram, want 0", name, allocs)
 		}
 	}
-	if got := b.Stats().Prefilter.EchoAccepted; got == 0 {
+	if got := b.Snapshot().Prefilter.EchoAccepted; got == 0 {
 		t.Error("the enveloped datagram never reached the cookie check")
 	}
 }

@@ -108,7 +108,7 @@ func TestAlgorithmRestrictions(t *testing.T) {
 	if _, err := strict.Open(sealed); !errors.Is(err, ErrAlgorithmRejected) {
 		t.Fatalf("err = %v, want ErrAlgorithmRejected", err)
 	}
-	if strict.Metrics().RejectedAlgorithm != 1 {
+	if strict.Snapshot().Drops[DropAlgorithm] != 1 {
 		t.Fatal("algorithm rejection not counted")
 	}
 	// A matching sender passes.
@@ -154,7 +154,7 @@ func TestStartSweeper(t *testing.T) {
 	if err := a.SendTo("bob", []byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
-	if a.ActiveFlows() != 1 {
+	if a.Snapshot().ActiveFlows != 1 {
 		t.Fatal("no active flow recorded")
 	}
 	// Expire the flow in simulated time, then let the background
@@ -163,7 +163,7 @@ func TestStartSweeper(t *testing.T) {
 	stop := a.StartSweeper(5 * time.Millisecond)
 	defer stop()
 	deadline := time.After(2 * time.Second)
-	for a.ActiveFlows() != 0 {
+	for a.Snapshot().ActiveFlows != 0 {
 		select {
 		case <-deadline:
 			t.Fatal("sweeper never expired the flow")
@@ -233,7 +233,7 @@ func TestEndpointWithNetworkDirectory(t *testing.T) {
 		t.Fatalf("payload %q", got.Payload)
 	}
 	// The fetch happened over the wire exactly once per side.
-	ks, _, _, _ := a.KeyStats()
+	ks := a.Snapshot().Keying
 	if ks.CertFetches != 1 {
 		t.Fatalf("sender cert fetches = %d, want 1", ks.CertFetches)
 	}
@@ -321,7 +321,7 @@ func TestMultiHomedPrincipal(t *testing.T) {
 	}
 	// And the RFKC holds both without conflict (different S → different
 	// cache keys).
-	if s := bob.RFKCStats(); s.Installs < 2 {
+	if s := bob.Snapshot().Caches[CacheRFKC].Stats; s.Installs < 2 {
 		t.Fatalf("RFKC installed %d keys, want 2", s.Installs)
 	}
 }
@@ -344,7 +344,7 @@ func TestNOPConfiguration(t *testing.T) {
 		t.Fatalf("payload %q", got.Payload)
 	}
 	// All protocol machinery ran...
-	if a.FAMStats().FlowsCreated != 1 {
+	if a.Snapshot().FAM.FlowsCreated != 1 {
 		t.Fatal("NOP skipped flow association")
 	}
 	// ...but there is no protection: corruption passes.

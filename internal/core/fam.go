@@ -214,6 +214,16 @@ type FAMStats struct {
 	Expirations uint64
 }
 
+// add accumulates o into s (per-stripe aggregation on Stats(), and
+// Snapshot.Merge).
+func (s *FAMStats) add(o FAMStats) {
+	s.Lookups += o.Lookups
+	s.Hits += o.Hits
+	s.FlowsCreated += o.FlowsCreated
+	s.Collisions += o.Collisions
+	s.Expirations += o.Expirations
+}
+
 // famStripe is one lock stripe of the flow state table: a mutex guarding
 // the slots whose index has the stripe's low bits, plus that stripe's
 // share of the counters (mutated under the stripe lock; Stats()
@@ -457,11 +467,7 @@ func (f *FAM) Stats() FAMStats {
 	for i := range f.stripes {
 		st := &f.stripes[i]
 		st.mu.Lock()
-		out.Lookups += st.stats.Lookups
-		out.Hits += st.stats.Hits
-		out.FlowsCreated += st.stats.FlowsCreated
-		out.Collisions += st.stats.Collisions
-		out.Expirations += st.stats.Expirations
+		out.add(st.stats)
 		st.mu.Unlock()
 	}
 	return out

@@ -538,12 +538,6 @@ func (ks *KeyService) Stats() KeyServiceStats {
 	}
 }
 
-// PVCStats and MKCStats expose the underlying cache counters.
-func (ks *KeyService) PVCStats() CacheStats { return ks.pvc.Stats() }
-
-// MKCStats exposes the master key cache counters.
-func (ks *KeyService) MKCStats() CacheStats { return ks.mkc.Stats() }
-
 // now is a helper for tests.
 func (ks *KeyService) now() time.Time { return ks.clock.Now() }
 

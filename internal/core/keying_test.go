@@ -100,7 +100,7 @@ func TestKeyServiceCaching(t *testing.T) {
 	if s.CertFetches != 1 {
 		t.Fatalf("CertFetches = %d, want 1 (PVC should absorb repeats)", s.CertFetches)
 	}
-	if mkc := ks.MKCStats(); mkc.Hits != 4 {
+	if mkc := ks.mkc.Stats(); mkc.Hits != 4 {
 		t.Fatalf("MKC hits = %d, want 4", mkc.Hits)
 	}
 }

@@ -142,11 +142,11 @@ func TestEndpointDrainRefusesNewWork(t *testing.T) {
 		t.Fatalf("OpenBatch while draining: n = %d, res[0].Err = %v, want 0/ErrDraining", n, res[0].Err)
 	}
 	var total uint64
-	for _, c := range ep.DropCounts() {
+	for _, c := range ep.Snapshot().Drops {
 		total += c
 	}
 	if total != 0 {
-		t.Fatalf("draining refusals charged the drop ledger: %v", ep.DropCounts())
+		t.Fatalf("draining refusals charged the drop ledger: %v", ep.Snapshot().Drops)
 	}
 	if err := ep.Quiesce(time.Second); err != nil {
 		t.Fatalf("Quiesce on idle endpoint: %v", err)
@@ -221,7 +221,7 @@ func TestHandoffSoftState(t *testing.T) {
 	if _, err := succ.Seal(dg, true); err != nil {
 		t.Fatal(err)
 	}
-	if ks, _, _, _ := succ.KeyStats(); ks.MasterKeyComputes != 0 {
+	if ks := succ.Snapshot().Keying; ks.MasterKeyComputes != 0 {
 		t.Fatalf("successor computed %d master keys after a warm handoff, want 0", ks.MasterKeyComputes)
 	}
 
@@ -288,11 +288,11 @@ func TestFlushPeerEvictsOnlyThatPeer(t *testing.T) {
 	}
 
 	// Re-keying the flushed peer works and costs a fresh computation.
-	before, _, _, _ := ep.KeyStats()
+	before := ep.Snapshot().Keying
 	if _, err := ep.Seal(transport.Datagram{Source: "flush-self", Destination: "flush-p1", Payload: []byte("y")}, true); err != nil {
 		t.Fatal(err)
 	}
-	after, _, _, _ := ep.KeyStats()
+	after := ep.Snapshot().Keying
 	if after.MasterKeyComputes != before.MasterKeyComputes+1 {
 		t.Fatalf("re-key after flush: computes %d → %d, want +1", before.MasterKeyComputes, after.MasterKeyComputes)
 	}

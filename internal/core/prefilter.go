@@ -194,7 +194,7 @@ type PrefilterConfig struct {
 }
 
 // PrefilterStats is a snapshot of pre-filter activity, exported through
-// EndpointStats and the fbs_prefilter_* metric families.
+// Snapshot and the fbs_prefilter_* metric families.
 type PrefilterStats struct {
 	// Level is the ladder's current rung (0 off, 1 sketch, 2
 	// sketch+challenge).

@@ -73,7 +73,7 @@ func (st *replayStripe) remove(sig replaySig, e replayEntry) {
 	}
 }
 
-// ReplayStats snapshots replay-window occupancy for EndpointStats and
+// ReplayStats snapshots replay-window occupancy for Snapshot and
 // /metrics.
 type ReplayStats struct {
 	// Entries is the number of signatures currently remembered.
@@ -247,19 +247,6 @@ func (r *ReplayCache) maybeSweep(now time.Time) {
 	if swept > 0 {
 		r.budget.Release(int64(swept) * CostReplayEntry)
 	}
-}
-
-// Len returns the number of remembered datagrams (for tests and
-// monitoring).
-func (r *ReplayCache) Len() int {
-	n := 0
-	for i := range r.stripes {
-		st := &r.stripes[i]
-		st.mu.Lock()
-		n += len(st.seen)
-		st.mu.Unlock()
-	}
-	return n
 }
 
 // Stats snapshots occupancy. Safe on nil (all zero).

@@ -49,13 +49,13 @@ func TestReplayCacheSweeps(t *testing.T) {
 	for i := uint32(0); i < 100; i++ {
 		rc.Check("alice", &Header{SFL: 1, Confounder: i}, now)
 	}
-	if rc.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", rc.Len())
+	if rc.Stats().Entries != 100 {
+		t.Fatalf("Len = %d, want 100", rc.Stats().Entries)
 	}
 	// A sighting two minutes later sweeps the expired entries.
 	rc.Check("bob", &Header{SFL: 2, Confounder: 0}, now.Add(2*time.Minute))
-	if rc.Len() > 2 {
-		t.Fatalf("Len after sweep = %d, want <= 2", rc.Len())
+	if rc.Stats().Entries > 2 {
+		t.Fatalf("Len after sweep = %d, want <= 2", rc.Stats().Entries)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestReplayCacheBudgetRefusesAtHardLimit(t *testing.T) {
 	for i := uint32(0); i < 50; i++ {
 		rc.Check("mallory", &Header{SFL: 1, Confounder: i}, now)
 	}
-	if got := rc.Len(); got != 10 {
+	if got := rc.Stats().Entries; got != 10 {
 		t.Fatalf("entries = %d, want exactly the 10 the budget admits", got)
 	}
 	if b.Used() > 10*CostReplayEntry {

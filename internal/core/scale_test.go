@@ -78,14 +78,15 @@ func TestManyPeersTinyCaches(t *testing.T) {
 	}
 	// The hub's caches are hammered: evictions must have happened (the
 	// working set exceeds every cache), and yet nothing failed above.
-	_, pvc, mkc, _ := hub.KeyStats()
+	caches := hub.Snapshot().Caches
+	pvc, mkc := caches[CachePVC].Stats, caches[CacheMKC].Stats
 	if pvc.Evictions == 0 && mkc.Evictions == 0 {
 		t.Error("no evictions despite 24 peers in 4-entry caches")
 	}
-	if tf := hub.TFKCStats(); tf.Evictions == 0 {
+	if tf := hub.Snapshot().Caches[CacheTFKC].Stats; tf.Evictions == 0 {
 		t.Error("TFKC saw no evictions under pressure")
 	}
-	ks, _, _, _ := hub.KeyStats()
+	ks := hub.Snapshot().Keying
 	// Recomputation happened (more exponentiations than peers proves
 	// eviction-driven rework), but correctness never suffered.
 	if ks.MasterKeyComputes <= peers {
@@ -132,7 +133,7 @@ func TestSetupMessageCounts(t *testing.T) {
 	if got := net.Stats().Sent; got != 0 {
 		t.Fatalf("FBS emitted %d protocol messages for %d conversations, want 0", got, conversations)
 	}
-	ks, _, _, _ := fbsEp.KeyStats()
+	ks := fbsEp.Snapshot().Keying
 	if ks.MasterKeyComputes != conversations {
 		t.Fatalf("expected one exponentiation per new peer, got %d", ks.MasterKeyComputes)
 	}

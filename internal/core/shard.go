@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"fbs/internal/principal"
@@ -89,67 +90,28 @@ func (g *ShardGroup) ShardOfIncoming(dg transport.Datagram) int {
 	return g.ShardOf(FlowID{Src: dg.Source, Dst: dg.Destination})
 }
 
-// Metrics aggregates the per-shard counters into one snapshot.
-func (g *ShardGroup) Metrics() Metrics {
-	var out Metrics
-	for _, ep := range g.shards {
-		m := ep.Metrics()
-		out.Sent += m.Sent
-		out.SentSecret += m.SentSecret
-		out.SentBytes += m.SentBytes
-		out.Received += m.Received
-		out.ReceivedBytes += m.ReceivedBytes
-		for i := range out.Drops {
-			out.Drops[i] += m.Drops[i]
+// Snapshots reads every shard once and returns the readings, in shard
+// order, beside their fold. A tenant's shards usually share one *Budget
+// (one tenant, one envelope): each shard's own reading shows it, the
+// fold counts it once.
+func (g *ShardGroup) Snapshots() (fold Snapshot, shards []Snapshot) {
+	shards = make([]Snapshot, len(g.shards))
+	for i, ep := range g.shards {
+		shards[i] = ep.Snapshot()
+		s := shards[i]
+		b := ep.cfg.StateBudget
+		if b != nil && slices.ContainsFunc(g.shards[:i], func(prev *Endpoint) bool { return prev.cfg.StateBudget == b }) {
+			s.Budget = BudgetStats{}
 		}
-		out.RejectedStale += m.RejectedStale
-		out.RejectedMAC += m.RejectedMAC
-		out.RejectedReplay += m.RejectedReplay
-		out.RejectedMalformed += m.RejectedMalformed
-		out.RejectedNotForUs += m.RejectedNotForUs
-		out.RejectedAlgorithm += m.RejectedAlgorithm
-		out.DecryptErrors += m.DecryptErrors
-		out.KeyingErrors += m.KeyingErrors
-		out.BypassedSent += m.BypassedSent
-		out.BypassedReceived += m.BypassedReceived
+		fold.Merge(s)
 	}
-	return out
+	return fold, shards
 }
 
-// DropCounts aggregates per-DropReason counters across shards.
-func (g *ShardGroup) DropCounts() [NumDropReasons]uint64 {
-	var out [NumDropReasons]uint64
-	for _, ep := range g.shards {
-		d := ep.DropCounts()
-		for i := range out {
-			out[i] += d[i]
-		}
-	}
-	return out
-}
-
-// BatchStats aggregates the batch-call histograms across shards.
-func (g *ShardGroup) BatchStats() BatchStats {
-	var out BatchStats
-	for _, ep := range g.shards {
-		s := ep.BatchStats()
-		for i := 0; i < NumBatchBuckets; i++ {
-			out.SealCalls[i] += s.SealCalls[i]
-			out.OpenCalls[i] += s.OpenCalls[i]
-		}
-		out.SealDatagrams += s.SealDatagrams
-		out.OpenDatagrams += s.OpenDatagrams
-	}
-	return out
-}
-
-// ActiveFlows sums resident flow state across shards.
-func (g *ShardGroup) ActiveFlows() int {
-	n := 0
-	for _, ep := range g.shards {
-		n += ep.ActiveFlows()
-	}
-	return n
+// Snapshot is the group read as one endpoint: the fold of its shards.
+func (g *ShardGroup) Snapshot() Snapshot {
+	fold, _ := g.Snapshots()
+	return fold
 }
 
 // BeginDrain flips every shard into drain mode (see

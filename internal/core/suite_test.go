@@ -164,8 +164,7 @@ func TestSuiteRoundTripMatrix(t *testing.T) {
 					t.Fatalf("secret=%v: payload mismatch", secret)
 				}
 			}
-			seals, _ := a.SuiteCounts()
-			_, opens := b.SuiteCounts()
+			seals, opens := a.Snapshot().SuiteSeals, b.Snapshot().SuiteOpens
 			if seals[s.ID()] != 2 || opens[s.ID()] != 2 {
 				t.Errorf("suite counters: seals=%d opens=%d, want 2/2", seals[s.ID()], opens[s.ID()])
 			}
@@ -328,7 +327,7 @@ func TestSuiteDowngradeTamperMatrix(t *testing.T) {
 			}
 
 			// Every tamper above landed in a typed drop bucket.
-			drops := b.DropCounts()
+			drops := b.Snapshot().Drops
 			if drops[DropAlgorithm] == 0 || drops[DropBadMAC]+drops[DropDecrypt] == 0 {
 				t.Errorf("tamper drops not counted: %v", drops)
 			}

@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,26 +87,6 @@ type sharedTransport struct{ transport.Transport }
 
 func (sharedTransport) Close() error { return nil }
 
-// ledger accumulates the datagram accounting of retired epochs so the
-// gateway's totals stay exact across any number of swaps: every
-// datagram ever pulled off a listener is accounted either in a live
-// shard's counters or here.
-type ledger struct {
-	sent     uint64
-	accepted uint64
-	drops    [core.NumDropReasons]uint64
-}
-
-func (l *ledger) absorb(g *core.ShardGroup) {
-	m := g.Metrics()
-	l.sent += m.Sent
-	l.accepted += m.Received
-	d := g.DropCounts()
-	for i := range l.drops {
-		l.drops[i] += d[i]
-	}
-}
-
 // Gateway is the long-running daemon core: persistent listeners, an
 // atomically swappable config epoch, and cumulative accounting.
 type Gateway struct {
@@ -123,8 +104,16 @@ type Gateway struct {
 	listeners map[principal.Address]*listener
 	refusals  refusalLog
 
+	// The cumulative ledger. Every datagram ever pulled off a listener is
+	// counted in exactly one shard group, and every group is in exactly
+	// one of three places: the live epoch, the retiring list (superseded,
+	// still draining), or folded into retired. retiredMu guards the last
+	// two and every move between the three — install and retire — so a
+	// reading taken under it never misses a group or sees one twice. The
+	// datagram path never takes it.
 	retiredMu sync.Mutex
-	retired   ledger
+	retired   core.Snapshot
+	retiring  []*core.ShardGroup
 
 	recvWG sync.WaitGroup
 
@@ -188,9 +177,9 @@ type SwapReport struct {
 // the old epoch's keying caches) before the pointer moves, so a
 // failing config is rejected while the old epoch keeps serving. After
 // the pointer moves, the old epoch drains: in-flight datagrams finish
-// against it, its counters are absorbed into the cumulative ledger,
-// and its shards close (their transports are nop-close wrappers, so
-// the shared listeners live on).
+// against it, its counters are folded into the cumulative ledger, and
+// its shards close (their transports are nop-close wrappers, so the
+// shared listeners live on).
 func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
@@ -277,7 +266,7 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 
 	// Commit phase: one atomic store redirects every datagram that
 	// loads the epoch after this line.
-	g.current.Store(next)
+	g.install(next)
 	g.seq.Store(next.seq)
 	g.swaps.Add(1)
 	for _, ln := range newListeners {
@@ -289,15 +278,8 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 	// its totals move to the cumulative ledger, and tenant addresses
 	// dropped from the config lose their listeners.
 	if old != nil {
-		timeout := cfg.drainTimeout()
-		for _, op := range old.tenants {
-			if err := op.grp.Quiesce(timeout); err != nil && report.DrainErr == "" {
-				report.DrainErr = fmt.Sprintf("tenant %q: %v", op.cfg.Name, err)
-			}
-			g.retiredMu.Lock()
-			g.retired.absorb(op.grp)
-			g.retiredMu.Unlock()
-			op.grp.Close()
+		if err := g.retire(old, cfg.drainTimeout()); err != nil {
+			report.DrainErr = err.Error()
 		}
 		for addr, ln := range g.listeners {
 			if _, keep := next.tenants[addr]; !keep {
@@ -309,6 +291,40 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 	g.opts.Logf("gateway: epoch %d live (%d tenants, %d certs / %d master keys handed off)",
 		next.seq, len(next.tenants), report.Certs, report.MasterKeys)
 	return report, nil
+}
+
+// install makes next the live epoch (nil: none, at shutdown) and puts
+// the groups of the epoch it supersedes on the retiring list, as one
+// step under retiredMu. Caller holds swapMu.
+func (g *Gateway) install(next *epoch) {
+	g.retiredMu.Lock()
+	defer g.retiredMu.Unlock()
+	if old := g.current.Load(); old != nil {
+		for _, p := range old.tenants {
+			g.retiring = append(g.retiring, p.grp)
+		}
+	}
+	g.current.Store(next)
+}
+
+// retire drains a superseded epoch: each tenant's group finishes what it
+// already admitted, moves from the retiring list into the retired fold,
+// and closes. It reports the first tenant that missed the deadline (its
+// residual operations finish against freed-from-duty state; nothing is
+// lost). Caller holds swapMu.
+func (g *Gateway) retire(old *epoch, timeout time.Duration) error {
+	var first error
+	for _, p := range old.tenants {
+		if err := p.grp.Quiesce(timeout); err != nil && first == nil {
+			first = fmt.Errorf("tenant %q: %w", p.cfg.Name, err)
+		}
+		g.retiredMu.Lock()
+		g.retired.Merge(p.grp.Snapshot())
+		g.retiring = slices.DeleteFunc(g.retiring, func(r *core.ShardGroup) bool { return r == p.grp })
+		g.retiredMu.Unlock()
+		p.grp.Close()
+	}
+	return first
 }
 
 // ensureListener reuses the persistent listener for a tenant address
@@ -639,38 +655,21 @@ func (g *Gateway) FlushPeer(tenant string, peer principal.Address) error {
 	return fmt.Errorf("gateway: no tenant %q", tenant)
 }
 
-// TenantKeyStats aggregates the keying-plane statistics across every
-// shard of the named tenant in the live epoch, plus the shards' MKD
-// upcall count. It is the external witness for warm handoff: an epoch
-// created by a swap that carried master keys across reports zero
-// MasterKeyComputes for peers that were already flowing.
-func (g *Gateway) TenantKeyStats(tenant string) (core.KeyServiceStats, uint64, error) {
+// TenantSnapshot folds the shards of the named tenant in the live
+// epoch. It is the external witness for warm handoff: an epoch created
+// by a swap that carried master keys across reports zero
+// Keying.MasterKeyComputes for peers that were already flowing.
+func (g *Gateway) TenantSnapshot(tenant string) (core.Snapshot, error) {
 	ep := g.current.Load()
 	if ep == nil {
-		return core.KeyServiceStats{}, 0, errors.New("gateway: not running")
+		return core.Snapshot{}, errors.New("gateway: not running")
 	}
 	for _, plane := range ep.tenants {
-		if plane.cfg.Name != tenant {
-			continue
+		if plane.cfg.Name == tenant {
+			return plane.grp.Snapshot(), nil
 		}
-		var sum core.KeyServiceStats
-		var upcalls uint64
-		for i := 0; i < plane.grp.NumShards(); i++ {
-			ks, _, _, up := plane.grp.Shard(i).KeyStats()
-			sum.MasterKeyRequests += ks.MasterKeyRequests
-			sum.MasterKeyComputes += ks.MasterKeyComputes
-			sum.CertFetches += ks.CertFetches
-			sum.CertVerifies += ks.CertVerifies
-			sum.Failures += ks.Failures
-			sum.Retries += ks.Retries
-			sum.NegativeHits += ks.NegativeHits
-			sum.StaleServed += ks.StaleServed
-			sum.DeadlineExceeded += ks.DeadlineExceeded
-			upcalls += up
-		}
-		return sum, upcalls, nil
 	}
-	return core.KeyServiceStats{}, 0, fmt.Errorf("gateway: no tenant %q", tenant)
+	return core.Snapshot{}, fmt.Errorf("gateway: no tenant %q", tenant)
 }
 
 // TenantStats is one tenant's slice of a stats snapshot.
@@ -711,70 +710,77 @@ type Stats struct {
 	Tenants      []TenantStats     `json:"tenants,omitempty"`
 }
 
+// reading is one consistent look at the ledger: the live epoch with each
+// tenant's shards read once (tenants in name order), and total, the fold
+// of retired + retiring + live whose counters are the cumulative ones.
+type reading struct {
+	epoch   *epoch
+	tenants []tenantReading
+	total   core.Snapshot
+}
+
+type tenantReading struct {
+	plane  *tenantPlane
+	fold   core.Snapshot
+	shards []core.Snapshot
+}
+
+func (g *Gateway) read() reading {
+	g.retiredMu.Lock()
+	defer g.retiredMu.Unlock()
+	r := reading{epoch: g.current.Load(), total: g.retired}
+	for _, grp := range g.retiring {
+		r.total.Merge(grp.Snapshot())
+	}
+	if r.epoch == nil {
+		return r
+	}
+	for _, p := range r.epoch.tenants {
+		fold, shards := p.grp.Snapshots()
+		r.tenants = append(r.tenants, tenantReading{plane: p, fold: fold, shards: shards})
+		r.total.Merge(fold)
+	}
+	sort.Slice(r.tenants, func(i, j int) bool { return r.tenants[i].plane.cfg.Name < r.tenants[j].plane.cfg.Name })
+	return r
+}
+
 // Stats snapshots the cumulative ledger plus the live epoch.
-func (g *Gateway) Stats() Stats {
+func (g *Gateway) Stats() Stats { return g.stats(g.read()) }
+
+func (g *Gateway) stats(r reading) Stats {
 	st := Stats{
 		Epoch:        g.seq.Load(),
 		Swaps:        g.swaps.Load(),
 		Received:     g.received.Load(),
+		Accepted:     r.total.Received,
 		Delivered:    g.delivered.Load(),
 		Echoed:       g.echoed.Load(),
 		EchoFailures: g.echoFailures.Load(),
 		NoTenant:     g.noTenant.Load(),
 		Absorbed:     g.absorbed.Load(),
 		RetryStarved: g.retryStarved.Load(),
-		Drops:        make(map[string]uint64),
+		Drops:        core.DropMap(r.total.Drops),
 	}
-	var drops [core.NumDropReasons]uint64
-	g.retiredMu.Lock()
-	st.Accepted = g.retired.accepted
-	drops = g.retired.drops
-	g.retiredMu.Unlock()
-	if ep := g.current.Load(); ep != nil {
-		names := make([]string, 0, len(ep.tenants))
-		byName := make(map[string]*tenantPlane, len(ep.tenants))
-		for _, p := range ep.tenants {
-			names = append(names, p.cfg.Name)
-			byName[p.cfg.Name] = p
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			p := byName[name]
-			m := p.grp.Metrics()
-			dc := p.grp.DropCounts()
-			ts := TenantStats{
-				Name:        name,
-				Address:     p.cfg.Address,
-				Shards:      p.grp.NumShards(),
-				Accepted:    m.Received,
-				Sent:        m.Sent,
-				ActiveFlows: p.grp.ActiveFlows(),
-				Inflight:    p.grp.Inflight(),
-				Drops:       make(map[string]uint64),
-			}
-			st.Accepted += m.Received
-			st.ActiveFlows += ts.ActiveFlows
-			for _, d := range core.DropReasons() {
-				drops[d] += dc[d]
-				if dc[d] > 0 {
-					ts.Drops[d.String()] = dc[d]
-				}
-			}
-			st.Tenants = append(st.Tenants, ts)
-		}
-	}
-	for _, d := range core.DropReasons() {
-		if drops[d] > 0 {
-			st.Drops[d.String()] = drops[d]
-		}
+	for _, t := range r.tenants {
+		st.ActiveFlows += t.fold.ActiveFlows
+		st.Tenants = append(st.Tenants, TenantStats{
+			Name:        t.plane.cfg.Name,
+			Address:     t.plane.cfg.Address,
+			Shards:      len(t.shards),
+			Accepted:    t.fold.Received,
+			Sent:        t.fold.Sent,
+			ActiveFlows: t.fold.ActiveFlows,
+			Inflight:    t.plane.grp.Inflight(),
+			Drops:       core.DropMap(t.fold.Drops),
+		})
 	}
 	return st
 }
 
 // Shutdown is the graceful exit: stop intake (close every listener),
 // join the receive loops (synchronous dispatch means joined loops ⇒
-// nothing mid-datagram), quiesce and absorb the final epoch, and
-// return the final cumulative stats. The returned error reports a
+// nothing mid-datagram), retire the final epoch, and return the final
+// cumulative stats. The returned error reports a
 // missed drain deadline; the stats are valid either way.
 func (g *Gateway) Shutdown(timeout time.Duration) (Stats, error) {
 	g.swapMu.Lock()
@@ -789,16 +795,10 @@ func (g *Gateway) Shutdown(timeout time.Duration) (Stats, error) {
 
 	var firstErr error
 	if ep := g.current.Load(); ep != nil {
-		for _, plane := range ep.tenants {
-			if err := plane.grp.Quiesce(timeout); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("gateway: drain tenant %q: %w", plane.cfg.Name, err)
-			}
-			g.retiredMu.Lock()
-			g.retired.absorb(plane.grp)
-			g.retiredMu.Unlock()
-			plane.grp.Close()
+		g.install(nil)
+		if err := g.retire(ep, timeout); err != nil {
+			firstErr = fmt.Errorf("gateway: drain %w", err)
 		}
-		g.current.Store(nil)
 	}
 	st := g.Stats()
 	g.opts.Logf("gateway: drained at epoch %d: %d received, %d accepted, %d echoed",

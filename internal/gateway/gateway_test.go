@@ -227,6 +227,7 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 	}
 
 	keyed.Wait()
+	watch := watchLedger(g, false) // cumulative counts never step back while epochs retire
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
 	var reports []*SwapReport
@@ -254,6 +255,7 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("%v\nstats: %+v", err, g.Stats())
 	}
+	watch.finish(t)
 
 	for i, rep := range reports {
 		if rep.DrainErr != "" {
@@ -268,14 +270,12 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 	// The live epoch must have been warmed, not re-keyed: zero
 	// exponentiations across all its shards even though three peers
 	// kept flowing straight through every swap.
-	ep := g.current.Load()
-	for _, plane := range ep.tenants {
-		for i := 0; i < plane.grp.NumShards(); i++ {
-			if ks, _, _, _ := plane.grp.Shard(i).KeyStats(); ks.MasterKeyComputes != 0 {
-				t.Fatalf("epoch %d shard %d computed %d master keys after warm handoff, want 0",
-					ep.seq, i, ks.MasterKeyComputes)
-			}
-		}
+	live, err := g.TenantSnapshot("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := live.Keying.MasterKeyComputes; n != 0 {
+		t.Fatalf("epoch %d computed %d master keys after warm handoff, want 0", g.Epoch(), n)
 	}
 
 	st, err := g.Shutdown(2 * time.Second)
@@ -544,15 +544,12 @@ func TestGatewayFlushPeerForcesRekey(t *testing.T) {
 	roundTrip()
 
 	computes := func() uint64 {
-		var total uint64
-		ep := g.current.Load()
-		for _, plane := range ep.tenants {
-			for i := 0; i < plane.grp.NumShards(); i++ {
-				ks, _, _, _ := plane.grp.Shard(i).KeyStats()
-				total += ks.MasterKeyComputes
-			}
+		t.Helper()
+		s, err := g.TenantSnapshot("edge")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return total
+		return s.Keying.MasterKeyComputes
 	}
 	before := computes()
 	roundTrip() // warm: no new exponentiation
@@ -597,6 +594,9 @@ func TestGatewayMetricsExposition(t *testing.T) {
 		"fbs_gateway_config_epoch 1",
 		"fbs_gateway_received_total 1",
 		"fbs_gateway_echoed_total 1",
+		"fbs_gateway_accepted_total 1",
+		`fbs_gateway_drops_total{reason="bad_mac"} 0`,
+		"fbs_gateway_retry_starved_total 0",
 		`fbs_gateway_active_flows{tenant="edge"}`,
 		`fbs_endpoint_received_total{tenant="edge",shard="0",config_epoch="1"}`,
 		`fbs_endpoint_received_total{tenant="edge",shard="1",config_epoch="1"}`,
@@ -871,7 +871,7 @@ func TestGatewayBatchMatchesSingleLoop(t *testing.T) {
 			}
 		}
 		for _, plane := range g.current.Load().tenants {
-			bs := plane.grp.BatchStats()
+			bs := plane.grp.Snapshot().Batch
 			for class := 1; class < core.NumBatchBuckets; class++ {
 				out.deep = out.deep || bs.OpenCalls[class] > 0
 			}

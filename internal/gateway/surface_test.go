@@ -133,3 +133,86 @@ func metricsSurface(t *testing.T, exposition string) string {
 	sort.Strings(out)
 	return strings.Join(out, "\n") + "\n"
 }
+
+// TestObservabilityDocListsEveryFamily holds docs/OBSERVABILITY.md's
+// metric table to what is emitted: every family the registration entry
+// points put on /metrics has a row (by name, or under a `fbs_x_*`
+// wildcard row), and every name a row spells out is emitted. A row may
+// abbreviate `fbs_<subsystem>_a`, `_b` for fbs_<subsystem>_b.
+func TestObservabilityDocListsEveryFamily(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	var wildcards []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if !strings.HasPrefix(line, "| `fbs_") {
+			continue
+		}
+		cell, _, _ := strings.Cut(line[2:], " | ")
+		subsystem := ""
+		for i, part := range strings.Split(cell, "`") {
+			if i%2 == 0 { // outside backticks
+				continue
+			}
+			name, _, _ := strings.Cut(part, "{")
+			switch {
+			case strings.HasSuffix(name, "_*"):
+				wildcards = append(wildcards, strings.TrimSuffix(name, "*"))
+			case strings.HasPrefix(name, "fbs_"):
+				words := strings.SplitN(name, "_", 3)
+				subsystem = words[0] + "_" + words[1]
+				documented[name] = true
+			case strings.HasPrefix(name, "_") && subsystem != "":
+				documented[subsystem+name] = true
+			}
+		}
+	}
+	if len(documented) < 80 {
+		t.Fatalf("parsed only %d families out of the table; has its format changed?", len(documented))
+	}
+
+	w := newGWWorld(t)
+	pipe := obs.NewPipeline(obs.PipelineConfig{})
+	tr, err := w.net.Attach("doc-group", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	grp, err := core.NewShardGroup(2, func(int) (core.Config, error) {
+		id, err := w.identity(TenantConfig{Address: "doc-group"})
+		return core.Config{Identity: id, Transport: sharedTransport{tr}, Directory: w.dom.Directory(), Verifier: w.dom.Verifier()}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grp.Close()
+	reg := obs.NewRegistry()
+	obs.RegisterEndpoint(reg, "a", w.client("doc-peer"))
+	obs.RegisterShardGroup(reg, "g", grp)
+	obs.RegisterPipeline(reg, "p", pipe)
+	w.gateway(oneTenant()).RegisterMetrics(reg)
+
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(reg.Text(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			emitted[name] = true
+		}
+	}
+	for name := range emitted {
+		covered := documented[name]
+		for _, prefix := range wildcards {
+			covered = covered || strings.HasPrefix(name, prefix)
+		}
+		if !covered {
+			t.Errorf("%s is emitted but has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range documented {
+		if !emitted[name] {
+			t.Errorf("docs/OBSERVABILITY.md documents %s, which nothing emits", name)
+		}
+	}
+}

@@ -73,7 +73,7 @@ func TestPingThroughFBS(t *testing.T) {
 		t.Fatal(err)
 	}
 	hook := sa.Hook().(*FBSHook)
-	if got := hook.Endpoint.FAMStats().FlowsCreated; got != 1 {
+	if got := hook.Endpoint.Snapshot().FAM.FlowsCreated; got != 1 {
 		t.Fatalf("ICMP created %d flows, want 1 host-level flow", got)
 	}
 }

@@ -164,11 +164,11 @@ func TestTTCPFlowEconomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	hookA := stackHook(t, ssa)
-	fam := hookA.Endpoint.FAMStats()
+	fam := hookA.Endpoint.Snapshot().FAM
 	if fam.FlowsCreated != 1 {
 		t.Errorf("sender created %d flows for one connection, want 1", fam.FlowsCreated)
 	}
-	ks, _, _, _ := hookA.Endpoint.KeyStats()
+	ks := hookA.Endpoint.Snapshot().Keying
 	if ks.MasterKeyComputes != 1 {
 		t.Errorf("sender performed %d DH exponentiations, want 1", ks.MasterKeyComputes)
 	}

@@ -350,13 +350,9 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		for {
 			net.Quiesce(time.Second)
 			ps := net.PortStats(receiver)
-			m := bob.Metrics()
-			var drops uint64
-			for _, d := range m.Drops {
-				drops += d
-			}
+			m := bob.Snapshot()
 			enq := ps.DeliveredClean + ps.DeliveredDup + ps.DeliveredCorrupt + ps.Injected
-			if m.Received+drops >= enq && net.Pending() == 0 {
+			if m.Received+sumDrops(m.Drops) >= enq && net.Pending() == 0 {
 				return true
 			}
 			if time.Now().After(deadline) {
@@ -420,15 +416,15 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 
 	// Collect the books before closing (Close drops the transports).
 	report.Sent = sent
-	am, bm := alice.Metrics(), bob.Metrics()
+	am, bm := alice.Snapshot(), bob.Snapshot()
 	report.Accepted = bm.Received
 	report.SenderDrops = am.Drops
 	report.ReceiverDrops = bm.Drops
 	report.Port = net.PortStats(receiver)
 	report.Links = net.Links()
 	report.Injected = adv.Injected()
-	report.Keys = bobKeyStats(bob)
-	report.MKDUpcalls, report.MKDTimeouts = bob.MKDStats()
+	report.Keys = bm.Keying
+	report.MKDUpcalls, report.MKDTimeouts = bm.MKDUpcalls, bm.MKDTimeouts
 	report.DirectoryCalls = dir.Calls()
 	report.DirectoryFails = dir.Fails()
 	if col != nil {
@@ -449,9 +445,12 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 	return report, nil
 }
 
-func bobKeyStats(e *core.Endpoint) core.KeyServiceStats {
-	ks, _, _, _ := e.KeyStats()
-	return ks
+// sumDrops totals a per-reason drop ledger.
+func sumDrops(drops [core.NumDropReasons]uint64) (n uint64) {
+	for _, d := range drops {
+		n += d
+	}
+	return n
 }
 
 // reconcile checks the accounting equations and appends a line per
@@ -471,10 +470,7 @@ func (r *ChaosReport) reconcile(sc *ChaosScenario) {
 	for _, n := range r.Injected {
 		injected += n
 	}
-	var rdrops uint64
-	for _, d := range r.ReceiverDrops {
-		rdrops += d
-	}
+	rdrops := sumDrops(r.ReceiverDrops)
 	// Conservation: every copy enqueued at the receiver was either
 	// accepted or dropped with exactly one reason.
 	enq := r.Port.DeliveredClean + r.Port.DeliveredDup + r.Port.DeliveredCorrupt + r.Port.Injected

@@ -182,13 +182,9 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 		for {
 			net.Quiesce(time.Second)
 			ps := net.PortStats(receiver)
-			m := e.Metrics()
-			var drops uint64
-			for _, d := range m.Drops {
-				drops += d
-			}
+			m := e.Snapshot()
 			enq := ps.DeliveredClean + ps.DeliveredDup + ps.DeliveredCorrupt + ps.Injected
-			if m.Received+drops >= enq && net.Pending() == 0 {
+			if m.Received+sumDrops(m.Drops) >= enq && net.Pending() == 0 {
 				return true
 			}
 			if time.Now().After(deadline) {
@@ -196,13 +192,6 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-	}
-	sumDrops := func(m core.Metrics) uint64 {
-		var n uint64
-		for _, d := range m.Drops {
-			n += d
-		}
-		return n
 	}
 
 	report := &CrashReport{Scenario: sc.Name, Unique: sc.Datagrams}
@@ -221,9 +210,9 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 		alice.SendTo(receiver, payload(uint32(seq)), sc.Secret)
 	}
 	drained := drain(bob1)
-	m1 := bob1.Metrics()
+	m1 := bob1.Snapshot()
 	report.Accepted1 = m1.Received
-	report.Drops1 = sumDrops(m1)
+	report.Drops1 = sumDrops(m1.Drops)
 	report.Port1 = net.PortStats(receiver)
 	report.CrashAfter = uint64(sc.CrashAfter)
 
@@ -268,12 +257,12 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 	}
 	report.Complete = len(rs.missing()) == 0
 
-	m2 := bob2.Metrics()
+	m2 := bob2.Snapshot()
 	report.Accepted2 = m2.Received
-	report.Drops2 = sumDrops(m2)
+	report.Drops2 = sumDrops(m2.Drops)
 	report.Port2 = net.PortStats(receiver)
-	report.Keys = bobKeyStats(bob2)
-	report.Upcalls, _ = bob2.MKDStats()
+	report.Keys = m2.Keying
+	report.Upcalls = m2.MKDUpcalls
 
 	bob2.Close()
 	wg2.Wait()

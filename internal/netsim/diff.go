@@ -554,14 +554,15 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 	// have marched in lockstep.
 	if rep.Divergence == "" {
 		for _, p := range pairs {
-			od, rd := p.opt.DropCounts(), p.ref.Drops()
+			opt := p.opt.Snapshot()
+			od, rd := opt.Drops, p.ref.Drops()
 			for r := 0; r < core.NumDropReasons; r++ {
 				if od[r] != rd[r] {
 					diverge("final drop ledger differs at %s for %v: opt=%d ref=%d",
 						p.addr, core.DropReason(r), od[r], rd[r])
 				}
 			}
-			if got := p.opt.Metrics().Received; got != p.ref.Accepted() {
+			if got := opt.Received; got != p.ref.Accepted() {
 				diverge("final accept totals differ at %s: opt=%d ref=%d", p.addr, got, p.ref.Accepted())
 			}
 		}

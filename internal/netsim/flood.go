@@ -378,13 +378,9 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		for {
 			net.Quiesce(time.Second)
 			ps := net.PortStats(receiver)
-			m := bob.Metrics()
-			var drops uint64
-			for _, d := range m.Drops {
-				drops += d
-			}
+			m := bob.Snapshot()
 			enq := ps.DeliveredClean + ps.DeliveredDup + ps.DeliveredCorrupt + ps.Injected
-			if m.Received+drops >= enq && net.Pending() == 0 {
+			if m.Received+sumDrops(m.Drops) >= enq && net.Pending() == 0 {
 				return true
 			}
 			if time.Now().After(deadline) {
@@ -404,10 +400,10 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	// answered with challenges; wait for both senders' jars to absorb
 	// their cookies so the attack phase measures echo-wrapped traffic,
 	// not the asynchronous jar fill.
-	if sc.Prefilter.Enable && bob.Stats().Prefilter.Challenged > 0 {
+	if sc.Prefilter.Enable && bob.Snapshot().Prefilter.Challenged > 0 {
 		deadline := time.Now().Add(2 * time.Second)
 		for time.Now().Before(deadline) {
-			if alice.Stats().Prefilter.CookiesLearned > 0 && mallory.Stats().Prefilter.CookiesLearned > 0 {
+			if alice.Snapshot().Prefilter.CookiesLearned > 0 && mallory.Snapshot().Prefilter.CookiesLearned > 0 {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -461,19 +457,18 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	}
 	report.Complete = len(rs.missing()) == 0
 
-	mm, bm := mallory.Metrics(), bob.Metrics()
+	mm, bm := mallory.Snapshot(), bob.Snapshot()
 	report.Accepted = bm.Received
 	report.SenderDrops = mm.Drops
 	report.ReceiverDrops = bm.Drops
 	report.Port = net.PortStats(receiver)
-	bs := bob.Stats()
-	report.Budget = bs.Budget
-	report.Admission = bs.Admission
-	report.Replay = bs.Replay
-	report.SenderBudget = mallory.Stats().Budget
-	report.Keys = bobKeyStats(bob)
+	report.Budget = bm.Budget
+	report.Admission = bm.Admission
+	report.Replay = bm.Replay
+	report.SenderBudget = mm.Budget
+	report.Keys = bm.Keying
 	report.LegitPeers = 2 // alice and mallory
-	report.Prefilter = bs.Prefilter
+	report.Prefilter = bm.Prefilter
 	report.PreParseShedFloor = sc.PreParseShedFloor
 	if report.SpoofOffered > 0 {
 		shed := float64(report.ReceiverDrops[core.DropPrefilter] + report.ReceiverDrops[core.DropChallenged])
@@ -510,10 +505,7 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 
 	// Conservation: every copy enqueued at the receiver was either
 	// accepted or dropped with exactly one reason.
-	var rdrops uint64
-	for _, d := range r.ReceiverDrops {
-		rdrops += d
-	}
+	rdrops := sumDrops(r.ReceiverDrops)
 	enq := r.Port.DeliveredClean + r.Port.DeliveredDup + r.Port.DeliveredCorrupt + r.Port.Injected
 	if got := r.Accepted + rdrops; got != enq {
 		fail("conservation: accepted(%d)+drops(%d)=%d != enqueued(%d)", r.Accepted, rdrops, got, enq)
@@ -568,10 +560,7 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 	}
 	// The churn flooder's books: every attempt was sealed onto the wire
 	// or shed by its own endpoint with a counted reason.
-	var sdrops uint64
-	for _, d := range r.SenderDrops {
-		sdrops += d
-	}
+	sdrops := sumDrops(r.SenderDrops)
 	if got, want := r.ChurnOffered+sdrops, r.ChurnAttempts; got != want {
 		fail("churn accounting: offered(%d)+sender drops(%d) != attempts(%d)", r.ChurnOffered, sdrops, want)
 	}

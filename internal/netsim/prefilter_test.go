@@ -209,7 +209,7 @@ func TestPrefilterCookieChaos(t *testing.T) {
 		t.Fatalf("stolen echo: err = %v, want ErrBadCookie", err)
 	}
 
-	ps := bob.Stats().Prefilter
+	ps := bob.Snapshot().Prefilter
 	if ps.Challenged != 4 { // two first-contact, two bad-echo re-challenges
 		t.Errorf("Challenged = %d, want 4", ps.Challenged)
 	}
@@ -222,12 +222,12 @@ func TestPrefilterCookieChaos(t *testing.T) {
 	if ps.HeaderParses != 2 { // only the healed echo and its replay got parsed
 		t.Errorf("HeaderParses = %d, want 2", ps.HeaderParses)
 	}
-	drops := bob.DropCounts()
+	drops := bob.Snapshot().Drops
 	if drops[core.DropChallenged] != 2 || drops[core.DropBadCookie] != 2 || drops[core.DropReplay] != 1 {
 		t.Errorf("drops: challenged=%d badcookie=%d replay=%d",
 			drops[core.DropChallenged], drops[core.DropBadCookie], drops[core.DropReplay])
 	}
-	as := alice.Stats().Prefilter
+	as := alice.Snapshot().Prefilter
 	if as.CookiesLearned != 2 || as.CookiesAttached != 2 {
 		t.Errorf("sender jar: learned=%d attached=%d, want 2/2", as.CookiesLearned, as.CookiesAttached)
 	}
@@ -295,11 +295,11 @@ func TestPrefilterCrashRestartSecretResume(t *testing.T) {
 	if frames := bob2Tr.take(); len(frames) != 0 {
 		t.Fatalf("restarted receiver emitted %d frames; the returning sender should not be re-challenged", len(frames))
 	}
-	ps := bob2.Stats().Prefilter
+	ps := bob2.Snapshot().Prefilter
 	if ps.EchoAccepted != 1 || ps.Challenged != 0 {
 		t.Fatalf("restart stats: echo accepted=%d challenged=%d", ps.EchoAccepted, ps.Challenged)
 	}
-	ks, _, _, _ := bob2.KeyStats()
+	ks := bob2.Snapshot().Keying
 	if ks.MasterKeyComputes != 1 {
 		t.Fatalf("restarted receiver computed %d master keys, want 1 (cold caches, fresh DH)", ks.MasterKeyComputes)
 	}

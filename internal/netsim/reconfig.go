@@ -262,9 +262,8 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 		if gw.Epoch() < 2 {
 			return
 		}
-		ks, _, err := gw.TenantKeyStats(tenant)
-		if err == nil {
-			report.SuccessorComputes += ks.MasterKeyComputes
+		if s, err := gw.TenantSnapshot(tenant); err == nil {
+			report.SuccessorComputes += s.Keying.MasterKeyComputes
 		}
 	}
 	for k := 1; k <= sc.Swaps; k++ {

@@ -10,20 +10,20 @@ import (
 	"fbs/internal/transport"
 )
 
-// This file adapts the snapshot accessors the rest of the repo already
-// exposes (core.Metrics, FAMStats, CacheStats, KeyServiceStats,
-// ip.StackStats, transport.NetworkStats) into metric families. Metric
-// names follow fbs_<subsystem>_<what>_total for counters and
-// fbs_<subsystem>_<what> for gauges; label values reuse the canonical
-// DropReason/Stage/cache names so every layer speaks one taxonomy.
+// This file adapts the snapshot values the rest of the repo already
+// exposes (core.Snapshot, ip.StackStats, transport.NetworkStats) into
+// metric families. Metric names follow fbs_<subsystem>_<what>_total for
+// counters and fbs_<subsystem>_<what> for gauges; label values reuse the
+// canonical DropReason/Stage/cache names so every layer speaks one
+// taxonomy.
 
-// RegisterEndpoint registers collectors for an endpoint's counters, FAM
-// and cache statistics. The endpoint label distinguishes multiple
-// registered endpoints within one registry.
+// RegisterEndpoint registers a collector for everything an endpoint
+// counts, plus its per-peer replay listing. The endpoint label
+// distinguishes multiple registered endpoints within one registry.
 func RegisterEndpoint(r *Registry, name string, ep *core.Endpoint) {
 	eplbl := Label{Key: "endpoint", Value: name}
 	r.RegisterFunc(func() []Family {
-		return EndpointFamilies(ep, eplbl)
+		return append(EndpointFamilies(ep.Snapshot(), eplbl), ReplayPeerFamily(ep.ReplayPerPeer(), eplbl))
 	})
 }
 
@@ -35,15 +35,15 @@ func labelsWith(base []Label, extra ...Label) []Label {
 	return append(out, extra...)
 }
 
-// EndpointFamilies snapshots one endpoint's full metric surface —
+// EndpointFamilies renders a snapshot as the endpoint metric surface —
 // data-plane counters, drops, suites, batches, FAM, caches, keying,
-// overload plane, pre-filter — with lbls prepended to every sample.
-// RegisterEndpoint wraps it with a static endpoint label; the gateway
-// calls it from a single dynamic collector so the label set (endpoint,
-// tenant, config epoch) can change across an atomic config swap
-// without re-registering anything.
-func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
-	m := ep.Metrics()
+// overload plane, pre-filter — with lbls prepended to every sample. It
+// is a pure function of its arguments: the one row per counter that
+// core.Snapshot's contract asks for lives here. RegisterEndpoint wraps
+// it with a static endpoint label; the gateway calls it from a single
+// dynamic collector so the label set (tenant, shard, config epoch) can
+// change across an atomic config swap without re-registering anything.
+func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 	fams := []Family{
 		CounterFamily("fbs_endpoint_sent_total", "Datagrams sealed and sent.", m.Sent, lbls...),
 		CounterFamily("fbs_endpoint_sent_secret_total", "Sent datagrams with encrypted bodies.", m.SentSecret, lbls...),
@@ -53,37 +53,29 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 		CounterFamily("fbs_endpoint_bypassed_sent_total", "Datagrams sent around FBS by bypass policy.", m.BypassedSent, lbls...),
 		CounterFamily("fbs_endpoint_bypassed_received_total", "Datagrams received around FBS by bypass policy.", m.BypassedReceived, lbls...),
 	}
-	drops := Family{Name: "fbs_endpoint_drops_total", Help: "Datagrams refused, by drop reason.", Type: "counter"}
-	for _, d := range core.DropReasons() {
-		drops.Samples = append(drops.Samples, Sample{
-			Labels: labelsWith(lbls, Label{Key: "reason", Value: d.String()}),
-			Value:  float64(m.Drops[d]),
-		})
-	}
-	fams = append(fams, drops)
+	fams = append(fams, DropsFamily("fbs_endpoint_drops_total", "Datagrams refused, by drop reason.", m.Drops, lbls...))
 
 	// Per-suite data-plane traffic, labelled by the registry's
 	// canonical suite names. Only registered suites are emitted —
 	// unassigned nibbles can never seal or open a datagram.
-	seals, opens := ep.SuiteCounts()
 	sealFam := Family{Name: "fbs_endpoint_suite_seals_total", Help: "Datagrams sealed, by cipher suite.", Type: "counter"}
 	openFam := Family{Name: "fbs_endpoint_suite_opens_total", Help: "Datagrams opened and accepted, by cipher suite.", Type: "counter"}
 	for _, s := range core.Suites() {
 		sl := labelsWith(lbls, Label{Key: "suite", Value: s.Name()})
-		sealFam.Samples = append(sealFam.Samples, Sample{Labels: sl, Value: float64(seals[s.ID()])})
-		openFam.Samples = append(openFam.Samples, Sample{Labels: sl, Value: float64(opens[s.ID()])})
+		sealFam.Samples = append(sealFam.Samples, Sample{Labels: sl, Value: float64(m.SuiteSeals[s.ID()])})
+		openFam.Samples = append(openFam.Samples, Sample{Labels: sl, Value: float64(m.SuiteOpens[s.ID()])})
 	}
 	fams = append(fams, sealFam, openFam)
-	fams = appendBatchFamilies(fams, ep.BatchStats(), lbls...)
+	fams = appendBatchFamilies(fams, m.Batch, lbls...)
 
-	fs := ep.FAMStats()
+	fs := m.FAM
 	fams = append(fams,
 		CounterFamily("fbs_fam_lookups_total", "Flow association map lookups.", fs.Lookups, lbls...),
 		CounterFamily("fbs_fam_hits_total", "FAM lookups that found a live flow.", fs.Hits, lbls...),
 		CounterFamily("fbs_fam_flows_created_total", "Flows instantiated in the FAM.", fs.FlowsCreated, lbls...),
 		CounterFamily("fbs_fam_collisions_total", "FAM slot collisions on create.", fs.Collisions, lbls...),
 		CounterFamily("fbs_fam_expirations_total", "Flows expired by the sweeper policy.", fs.Expirations, lbls...),
-		GaugeFamily("fbs_fam_active_flows", "Live FAM entries.", float64(ep.ActiveFlows()), lbls...),
+		GaugeFamily("fbs_fam_active_flows", "Live FAM entries.", float64(m.ActiveFlows), lbls...),
 	)
 
 	hits := Family{Name: "fbs_cache_hits_total", Help: "Soft-cache hits, by cache.", Type: "counter"}
@@ -92,7 +84,7 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 	evictions := Family{Name: "fbs_cache_evictions_total", Help: "Soft-cache evictions, by cache.", Type: "counter"}
 	used := Family{Name: "fbs_cache_used", Help: "Occupied soft-cache slots, by cache.", Type: "gauge"}
 	slots := Family{Name: "fbs_cache_slots", Help: "Total soft-cache slots, by cache.", Type: "gauge"}
-	for _, ci := range ep.Caches() {
+	for _, ci := range m.Caches {
 		cl := labelsWith(lbls, Label{Key: "cache", Value: ci.Name})
 		hits.Samples = append(hits.Samples, Sample{Labels: cl, Value: float64(ci.Stats.Hits)})
 		misses.Samples = append(misses.Samples, Sample{Labels: cl, Value: float64(ci.Stats.Misses)})
@@ -103,8 +95,7 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 	}
 	fams = append(fams, hits, misses, installs, evictions, used, slots)
 
-	ks, _, _, upcalls := ep.KeyStats()
-	_, mkdTimeouts := ep.MKDStats()
+	ks := m.Keying
 	fams = append(fams,
 		CounterFamily("fbs_keyservice_master_key_requests_total", "Master key requests.", ks.MasterKeyRequests, lbls...),
 		CounterFamily("fbs_keyservice_master_key_computes_total", "Master key computations (PVC+MKC miss path).", ks.MasterKeyComputes, lbls...),
@@ -115,34 +106,33 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 		CounterFamily("fbs_keyservice_negative_hits_total", "Lookups refused fast by the negative-result cache.", ks.NegativeHits, lbls...),
 		CounterFamily("fbs_keyservice_stale_served_total", "Just-expired certificates served under stale-while-revalidate.", ks.StaleServed, lbls...),
 		CounterFamily("fbs_keyservice_deadline_exceeded_total", "Retry loops abandoned at their deadline.", ks.DeadlineExceeded, lbls...),
-		CounterFamily("fbs_mkd_upcalls_total", "Upcalls to the master key daemon.", upcalls, lbls...),
-		CounterFamily("fbs_mkd_timeouts_total", "Upcalls abandoned at the MKD deadline.", mkdTimeouts, lbls...),
+		CounterFamily("fbs_mkd_upcalls_total", "Upcalls to the master key daemon.", m.MKDUpcalls, lbls...),
+		CounterFamily("fbs_mkd_timeouts_total", "Upcalls abandoned at the MKD deadline.", m.MKDTimeouts, lbls...),
 	)
 
 	// Overload plane: the soft-state memory budget, the keying
 	// admission gate, replay-window occupancy, and the flow-key
 	// derivation single-flight.
-	es := ep.Stats()
 	fams = append(fams,
-		GaugeFamily("fbs_budget_used_bytes", "Soft-state bytes currently charged to the memory budget.", float64(es.Budget.Used), lbls...),
-		GaugeFamily("fbs_budget_peak_bytes", "High-water mark of charged soft-state bytes.", float64(es.Budget.Peak), lbls...),
-		GaugeFamily("fbs_budget_high_water_bytes", "Pressure threshold of the memory budget.", float64(es.Budget.HighWater), lbls...),
-		GaugeFamily("fbs_budget_hard_limit_bytes", "Hard limit of the memory budget (0 = unbudgeted).", float64(es.Budget.HardLimit), lbls...),
-		CounterFamily("fbs_budget_pressure_events_total", "Transitions into the pressure band.", es.Budget.PressureEvents, lbls...),
-		CounterFamily("fbs_budget_denials_total", "Soft-state installs refused at the hard limit.", es.Budget.Denials, lbls...),
-		CounterFamily("fbs_admission_admitted_total", "New-peer keying attempts admitted by the gate.", es.Admission.Admitted, lbls...),
-		GaugeFamily("fbs_admission_queue_depth", "Admitted keying upcalls currently in flight.", float64(es.Admission.Depth), lbls...),
-		GaugeFamily("fbs_admission_active_prefixes", "Source prefixes tracked by the admission quota.", float64(es.Admission.ActivePrefixes), lbls...),
-		GaugeFamily("fbs_replay_entries", "Live replay-window entries.", float64(es.Replay.Entries), lbls...),
-		GaugeFamily("fbs_replay_peers", "Distinct peers holding replay-window entries.", float64(es.Replay.Peers), lbls...),
-		CounterFamily("fbs_replay_refusals_total", "Datagrams refused because the budget hard limit left no room to record their replay signature.", es.Replay.Refusals, lbls...),
-		CounterFamily("fbs_keying_flowkey_dedup_total", "Concurrent flow-key derivations coalesced into one.", es.FlowKeyDedups, lbls...),
-		CounterFamily("fbs_pressure_sweeps_total", "Tightened-threshold sweeps triggered by budget pressure.", es.PressureSweeps, lbls...),
+		GaugeFamily("fbs_budget_used_bytes", "Soft-state bytes currently charged to the memory budget.", float64(m.Budget.Used), lbls...),
+		GaugeFamily("fbs_budget_peak_bytes", "High-water mark of charged soft-state bytes.", float64(m.Budget.Peak), lbls...),
+		GaugeFamily("fbs_budget_high_water_bytes", "Pressure threshold of the memory budget.", float64(m.Budget.HighWater), lbls...),
+		GaugeFamily("fbs_budget_hard_limit_bytes", "Hard limit of the memory budget (0 = unbudgeted).", float64(m.Budget.HardLimit), lbls...),
+		CounterFamily("fbs_budget_pressure_events_total", "Transitions into the pressure band.", m.Budget.PressureEvents, lbls...),
+		CounterFamily("fbs_budget_denials_total", "Soft-state installs refused at the hard limit.", m.Budget.Denials, lbls...),
+		CounterFamily("fbs_admission_admitted_total", "New-peer keying attempts admitted by the gate.", m.Admission.Admitted, lbls...),
+		GaugeFamily("fbs_admission_queue_depth", "Admitted keying upcalls currently in flight.", float64(m.Admission.Depth), lbls...),
+		GaugeFamily("fbs_admission_active_prefixes", "Source prefixes tracked by the admission quota.", float64(m.Admission.ActivePrefixes), lbls...),
+		GaugeFamily("fbs_replay_entries", "Live replay-window entries.", float64(m.Replay.Entries), lbls...),
+		GaugeFamily("fbs_replay_peers", "Distinct peers holding replay-window entries.", float64(m.Replay.Peers), lbls...),
+		CounterFamily("fbs_replay_refusals_total", "Datagrams refused because the budget hard limit left no room to record their replay signature.", m.Replay.Refusals, lbls...),
+		CounterFamily("fbs_keying_flowkey_dedup_total", "Concurrent flow-key derivations coalesced into one.", m.FlowKeyDedups, lbls...),
+		CounterFamily("fbs_pressure_sweeps_total", "Tightened-threshold sweeps triggered by budget pressure.", m.PressureSweeps, lbls...),
 	)
 	shed := Family{Name: "fbs_admission_shed_total", Help: "New-peer keying attempts refused by the gate, by cause.", Type: "counter"}
 	shed.Samples = append(shed.Samples,
-		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "overload"}), Value: float64(es.Admission.ShedOverload)},
-		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "quota"}), Value: float64(es.Admission.ShedQuota)})
+		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "overload"}), Value: float64(m.Admission.ShedOverload)},
+		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "quota"}), Value: float64(m.Admission.ShedQuota)})
 	fams = append(fams, shed)
 
 	// Edge pre-filter: ladder position, pre-parse shedding, the
@@ -150,7 +140,7 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 	// shed datagrams were never parsed. The per-reason refusals
 	// (prefilter/bad_cookie/challenged) ride fbs_endpoint_drops_total
 	// like every other drop.
-	pf := es.Prefilter
+	pf := m.Prefilter
 	fams = append(fams,
 		GaugeFamily("fbs_prefilter_level", "Current degradation-ladder rung (0 off, 1 sketch, 2 sketch+challenge).", float64(pf.Level), lbls...),
 		GaugeFamily("fbs_prefilter_epoch", "Current cookie-secret epoch.", float64(pf.Epoch), lbls...),
@@ -166,8 +156,27 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 		CounterFamily("fbs_prefilter_cookies_attached_total", "Outgoing datagrams wrapped in an echo envelope.", pf.CookiesAttached, lbls...),
 		CounterFamily("fbs_prefilter_header_parses_total", "Datagrams that reached the header decode (pre-parse sheds never increment this).", pf.HeaderParses, lbls...),
 	)
+	return fams
+}
+
+// DropsFamily renders a per-reason drop ledger as one counter family
+// with a sample per countable DropReason, labelled lbls + reason.
+func DropsFamily(name, help string, drops [core.NumDropReasons]uint64, lbls ...Label) Family {
+	f := Family{Name: name, Help: help, Type: "counter"}
+	for _, d := range core.DropReasons() {
+		f.Samples = append(f.Samples, Sample{
+			Labels: labelsWith(lbls, Label{Key: "reason", Value: d.String()}),
+			Value:  float64(drops[d]),
+		})
+	}
+	return f
+}
+
+// ReplayPeerFamily renders an endpoint's per-peer replay-window listing
+// (Endpoint.ReplayPerPeer): the one endpoint family that is a listing,
+// not a counter, and so is not part of core.Snapshot.
+func ReplayPeerFamily(occupancy map[principal.Address]int, lbls ...Label) Family {
 	perPeer := Family{Name: "fbs_replay_peer_entries", Help: "Replay-window entries held per peer (bounded by the budget).", Type: "gauge"}
-	occupancy := ep.ReplayPerPeer()
 	peers := make([]string, 0, len(occupancy))
 	for peer := range occupancy {
 		peers = append(peers, string(peer))
@@ -179,8 +188,7 @@ func EndpointFamilies(ep *core.Endpoint, lbls ...Label) []Family {
 			Value:  float64(occupancy[principal.Address(peer)]),
 		})
 	}
-	fams = append(fams, perPeer)
-	return fams
+	return perPeer
 }
 
 // appendBatchFamilies emits the batched data-plane counters: calls by
@@ -191,7 +199,7 @@ func appendBatchFamilies(fams []Family, bs core.BatchStats, lbls ...Label) []Fam
 	sealCalls := Family{Name: "fbs_batch_seal_calls_total", Help: "SealBatch invocations, by batch size class.", Type: "counter"}
 	openCalls := Family{Name: "fbs_batch_open_calls_total", Help: "OpenBatch invocations, by batch size class.", Type: "counter"}
 	for i := 0; i < core.NumBatchBuckets; i++ {
-		bl := append(append([]Label{}, lbls...), Label{Key: "size", Value: core.BatchBucketLabel(i)})
+		bl := labelsWith(lbls, Label{Key: "size", Value: core.BatchBucketLabel(i)})
 		sealCalls.Samples = append(sealCalls.Samples, Sample{Labels: bl, Value: float64(bs.SealCalls[i])})
 		openCalls.Samples = append(openCalls.Samples, Sample{Labels: bl, Value: float64(bs.OpenCalls[i])})
 	}
@@ -216,24 +224,19 @@ func RegisterShardGroup(r *Registry, name string, g *core.ShardGroup) {
 		sent := Family{Name: "fbs_shard_sent_total", Help: "Datagrams sealed and sent, by shard.", Type: "counter"}
 		received := Family{Name: "fbs_shard_received_total", Help: "Datagrams accepted by open processing, by shard.", Type: "counter"}
 		flows := Family{Name: "fbs_shard_active_flows", Help: "Live FAM entries, by shard.", Type: "gauge"}
-		drops := Family{Name: "fbs_shard_drops_total", Help: "Datagrams refused, by shard and drop reason.", Type: "counter"}
+		var drops []Family // one per shard; the registry merges them under one header
 		for i := 0; i < g.NumShards(); i++ {
 			ep := g.Shard(i)
 			shlbl := Label{Key: "shard", Value: strconv.Itoa(i)}
 			sl := []Label{eplbl, shlbl}
-			m := ep.Metrics()
+			m := ep.Snapshot()
 			sent.Samples = append(sent.Samples, Sample{Labels: sl, Value: float64(m.Sent)})
 			received.Samples = append(received.Samples, Sample{Labels: sl, Value: float64(m.Received)})
-			flows.Samples = append(flows.Samples, Sample{Labels: sl, Value: float64(ep.ActiveFlows())})
-			for _, d := range core.DropReasons() {
-				drops.Samples = append(drops.Samples, Sample{
-					Labels: []Label{eplbl, shlbl, {Key: "reason", Value: d.String()}},
-					Value:  float64(m.Drops[d]),
-				})
-			}
-			fams = appendBatchFamilies(fams, ep.BatchStats(), eplbl, shlbl)
+			flows.Samples = append(flows.Samples, Sample{Labels: sl, Value: float64(m.ActiveFlows)})
+			drops = append(drops, DropsFamily("fbs_shard_drops_total", "Datagrams refused, by shard and drop reason.", m.Drops, sl...))
+			fams = appendBatchFamilies(fams, m.Batch, eplbl, shlbl)
 		}
-		return append(fams, sent, received, flows, drops)
+		return append(append(fams, sent, received, flows), drops...)
 	})
 }
 

@@ -180,18 +180,12 @@ func (a *Admin) flowsReport() FlowsReport {
 	for _, ae := range eps {
 		flows := ae.ep.Flows()
 		sort.Slice(flows, func(i, j int) bool { return flows[i].SFL < flows[j].SFL })
-		drops := make(map[string]uint64)
-		dc := ae.ep.DropCounts()
-		for _, d := range core.DropReasons() {
-			if dc[d] > 0 {
-				drops[d.String()] = dc[d]
-			}
-		}
+		s := ae.ep.Snapshot()
 		rep.Endpoints = append(rep.Endpoints, EndpointFlows{
 			Name:   ae.name,
 			Flows:  flows,
-			Caches: ae.ep.Caches(),
-			Drops:  drops,
+			Caches: s.Caches[:],
+			Drops:  core.DropMap(s.Drops),
 		})
 	}
 	return rep

@@ -75,7 +75,7 @@ func TestFBSOverRealUDP(t *testing.T) {
 		t.Fatalf("reverse payload %q", got.Payload)
 	}
 	// One flow each way, keys cached after the first datagram.
-	if s := alice.TFKCStats(); s.Misses != 1 || s.Hits != 4 {
+	if s := alice.Snapshot().Caches[fbs.CacheTFKC].Stats; s.Misses != 1 || s.Hits != 4 {
 		t.Fatalf("alice TFKC = %+v", s)
 	}
 }

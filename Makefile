@@ -1,7 +1,7 @@
 # Developer entry points. `make check` is the gate for every change:
-# build, lint (gofmt + vet + staticcheck), the full test suite, the race
-# detector over the packages with lock-striped/atomic hot paths, and a
-# bench smoke run that validates fbsbench's JSON contract end to end.
+# build, lint (gofmt + vet + staticcheck), the full test suite under the
+# race detector (plus the bench/gwbench module's own tests), and a bench
+# smoke run that validates fbsbench's JSON contract end to end.
 #
 # CI runs the ci-* targets as five parallel jobs (see
 # .github/workflows/ci.yml); `make ci` runs the same five sequentially
@@ -16,7 +16,7 @@ FUZZTIME ?= 15s
 # toolchain — not PATH — decides the version CI lints with.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
-.PHONY: all build lint staticcheck loc test race check bench bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
+.PHONY: all build lint staticcheck loc test check bench experiments bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
 	ci ci-lint ci-race ci-fuzz ci-soak ci-bench nightly
 
 all: check
@@ -60,13 +60,6 @@ loc:
 
 test:
 	$(GO) test ./...
-
-# The concurrency-sensitive packages: striped caches and atomic metrics
-# live in core; transport backs the blocking endpoint loops; obs holds
-# the wait-free histograms and the sampled recorder; gateway runs the
-# receive loops against concurrent epoch swaps.
-race:
-	$(GO) test -race ./internal/core/... ./internal/transport/... ./internal/obs/... ./internal/gateway/...
 
 # bench-smoke runs one small fbsbench iteration and validates the JSON
 # shape with fbsstat, so scripted consumers of `fbsbench -json` find out
@@ -152,7 +145,9 @@ gwbench-smoke:
 	echo "$$last" | grep -Eq '"correct": ?true' && echo "$$last" | grep -Eq '"failed": ?0[,}]' || \
 		{ echo 'gwbench-smoke: last line does not carry "correct": true and "failed": 0' >&2; exit 1; }
 
-check: build lint test race bench-smoke fuzz-smoke diff gwbench-test
+# ci-race is the whole suite under the race detector and ends with
+# gwbench-test.
+check: build lint ci-race bench-smoke fuzz-smoke diff
 
 # The ci-* targets are the five parallel CI jobs. Each is self-contained
 # (its own build graph comes from the shared Go build cache), so the
@@ -227,3 +222,12 @@ nightly:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# experiments regenerates every table and figure of the paper's
+# evaluation, plus the ablations, into ./results/ (see EXPERIMENTS.md).
+# The §7.2 CryptoLib table is BenchmarkCryptoLibTable, part of `bench`.
+experiments:
+	mkdir -p results
+	$(GO) run ./cmd/fbsbench -native -stack | tee results/figure8.txt
+	$(GO) run ./cmd/flowsim -fig all | tee results/figures9-14.txt
+	@$(MAKE) --no-print-directory bench | tee results/bench.txt

@@ -21,7 +21,7 @@ type benchWire struct {
 	peers map[ip.Addr]*ip.Stack
 }
 
-func (w *benchWire) sender(self ip.Addr) ip.LinkSender {
+func (w *benchWire) sender(self ip.Addr) ip.LinkFunc {
 	return ip.LinkFunc(func(frame []byte) error {
 		w.mu.Lock()
 		var dst *ip.Stack

@@ -699,7 +699,7 @@ func stackRun(total int, quiet bool, admin *obs.Admin) ([]benchResult, error) {
 		peers map[ip.Addr]*ip.Stack
 	}
 	w := &wireT{peers: make(map[ip.Addr]*ip.Stack)}
-	sender := func(self ip.Addr) ip.LinkSender {
+	sender := func(self ip.Addr) ip.LinkFunc {
 		return ip.LinkFunc(func(frame []byte) error {
 			w.mu.Lock()
 			var dst *ip.Stack

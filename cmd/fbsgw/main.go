@@ -23,8 +23,8 @@
 // tenant identities, pre-provisions the client identities named with
 // -clients, and writes certificates, the CA key, client private
 // values, and the bound listener addresses to the -state file, which
-// clients load to build their endpoints. (Production would use a real
-// certificate service; see internal/cert.)
+// clients load with fbs.LoadProvision to build their endpoints.
+// (Production would use a real certificate service; see internal/cert.)
 //
 // Usage:
 //
@@ -33,23 +33,17 @@
 package main
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math/big"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"fbs/internal/cert"
-	"fbs/internal/core"
-	"fbs/internal/cryptolib"
 	"fbs/internal/gateway"
 	"fbs/internal/obs"
 	"fbs/internal/principal"
@@ -106,16 +100,14 @@ type cliOptions struct {
 }
 
 // provisionState is the side-channel clients load to join the
-// gateway's security domain: certificates for every principal, the CA
-// verification key, the clients' private values, and where each
-// tenant's listener actually bound (so port-0 configs work).
+// gateway's security domain: the domain's fbs.Provision (certificates
+// for every principal, the CA verification key, the clients' private
+// values) plus where each tenant's listener actually bound (so port-0
+// configs work).
 type provisionState struct {
-	CAN           string            `json:"ca_n"`
-	CAE           string            `json:"ca_e"`
-	Certs         [][]byte          `json:"certs"`
-	ClientPrivate map[string]string `json:"client_private"`
-	TenantUDP     map[string]string `json:"tenant_udp"`
-	AdminAddr     string            `json:"admin_addr,omitempty"`
+	fbs.Provision
+	TenantUDP map[string]string `json:"tenant_udp"`
+	AdminAddr string            `json:"admin_addr,omitempty"`
 }
 
 type daemon struct {
@@ -126,10 +118,9 @@ type daemon struct {
 	dom *fbs.Domain
 	gw  *gateway.Gateway
 
-	mu          sync.Mutex
-	ids         map[principal.Address]*principal.Identity
-	clientPrivs map[principal.Address]*big.Int
-	bound       map[principal.Address]string // tenant → bound UDP addr
+	mu    sync.Mutex
+	ids   map[principal.Address]*principal.Identity
+	bound map[principal.Address]string // tenant → bound UDP addr
 
 	adminAddr string
 	adminStop func() error
@@ -141,13 +132,12 @@ func newDaemon(opts cliOptions, out io.Writer, logf func(string, ...any)) *daemo
 		logf = func(string, ...any) {}
 	}
 	return &daemon{
-		opts:        opts,
-		out:         out,
-		logf:        logf,
-		ids:         make(map[principal.Address]*principal.Identity),
-		clientPrivs: make(map[principal.Address]*big.Int),
-		bound:       make(map[principal.Address]string),
-		sig:         make(chan os.Signal, 2),
+		opts:  opts,
+		out:   out,
+		logf:  logf,
+		ids:   make(map[principal.Address]*principal.Identity),
+		bound: make(map[principal.Address]string),
+		sig:   make(chan os.Signal, 2),
 	}
 }
 
@@ -229,9 +219,6 @@ func (d *daemon) run() error {
 		d.logf("admin plane at http://%s/ (config at /config)", bound)
 	}
 
-	if err := d.provisionClients(); err != nil {
-		return err
-	}
 	if err := d.writeState(cfg); err != nil {
 		return err
 	}
@@ -281,157 +268,40 @@ func (d *daemon) run() error {
 	return nil
 }
 
-// provisionClients mints an identity per -clients name and enrolls it,
-// so the state file carries everything a client process needs.
-func (d *daemon) provisionClients() error {
-	if d.opts.clients == "" {
-		return nil
-	}
-	for _, name := range strings.Split(d.opts.clients, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		addr := principal.Address(name)
-		d.mu.Lock()
-		_, have := d.clientPrivs[addr]
-		d.mu.Unlock()
-		if have {
-			continue
-		}
-		priv, err := d.dom.Group.GeneratePrivate()
-		if err != nil {
-			return err
-		}
-		id, err := principal.NewIdentityWithPrivate(addr, d.dom.Group, priv)
-		if err != nil {
-			return err
-		}
-		if err := d.dom.Enroll(id); err != nil {
-			return err
-		}
-		d.mu.Lock()
-		d.clientPrivs[addr] = priv
-		d.mu.Unlock()
-	}
-	return nil
-}
-
-// writeState serialises the provisioning side channel. Called after
-// every successful swap so newly added tenants appear too.
+// writeState serialises the provisioning side channel: the domain's
+// export — which mints and enrolls each -clients name the first time, so
+// the file carries everything a client process needs — and the bound
+// listener addresses. Called after every successful swap so newly added
+// tenants appear too.
 func (d *daemon) writeState(cfg *gateway.Config) error {
 	if d.opts.statePath == "" {
 		return nil
 	}
-	caKey := d.dom.CAKey()
+	var clients []principal.Address
+	for _, name := range strings.Split(d.opts.clients, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			clients = append(clients, principal.Address(name))
+		}
+	}
+	prov, err := d.dom.Provision(clients...)
+	if err != nil {
+		return fmt.Errorf("state: %w", err)
+	}
 	st := provisionState{
-		CAN:           caKey.N.Text(16),
-		CAE:           caKey.E.Text(16),
-		ClientPrivate: make(map[string]string),
-		TenantUDP:     make(map[string]string),
-		AdminAddr:     d.adminAddr,
+		Provision: *prov,
+		TenantUDP: make(map[string]string),
+		AdminAddr: d.adminAddr,
 	}
 	d.mu.Lock()
-	subjects := make([]principal.Address, 0, len(d.ids)+len(d.clientPrivs))
-	for addr := range d.ids {
-		subjects = append(subjects, addr)
-	}
-	for addr, priv := range d.clientPrivs {
-		subjects = append(subjects, addr)
-		st.ClientPrivate[string(addr)] = hex.EncodeToString(priv.Bytes())
-	}
 	for _, tc := range cfg.Tenants {
 		if bound, ok := d.bound[principal.Address(tc.Address)]; ok {
 			st.TenantUDP[tc.Address] = bound
 		}
 	}
 	d.mu.Unlock()
-	sort.Slice(subjects, func(i, j int) bool { return subjects[i] < subjects[j] })
-	for _, addr := range subjects {
-		c, err := d.dom.Directory().Lookup(addr)
-		if err != nil {
-			return fmt.Errorf("state: certificate for %q: %w", addr, err)
-		}
-		st.Certs = append(st.Certs, c.Marshal())
-	}
 	blob, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(d.opts.statePath, blob, 0600)
-}
-
-// loadState reads a provisioning state file.
-func loadState(path string) (*provisionState, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	st := new(provisionState)
-	if err := json.Unmarshal(blob, st); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// newClientEndpoint rebuilds a pre-provisioned client from state: its
-// identity from the stored private value, a static directory from the
-// stored certificates, the CA key, and a UDP socket with a peer route
-// to every tenant listener.
-func newClientEndpoint(st *provisionState, name string) (*fbs.Endpoint, error) {
-	privHex, ok := st.ClientPrivate[name]
-	if !ok {
-		return nil, fmt.Errorf("state has no client %q", name)
-	}
-	privBytes, err := hex.DecodeString(privHex)
-	if err != nil {
-		return nil, err
-	}
-	dir := cert.NewStaticDirectory()
-	var own *cert.Certificate
-	for _, wire := range st.Certs {
-		c, err := cert.Unmarshal(wire)
-		if err != nil {
-			return nil, err
-		}
-		dir.Publish(c)
-		if c.Subject == principal.Address(name) {
-			own = c
-		}
-	}
-	if own == nil {
-		return nil, fmt.Errorf("state carries no certificate for %q", name)
-	}
-	id, err := principal.NewIdentityWithPrivate(principal.Address(name), own.Group(), new(big.Int).SetBytes(privBytes))
-	if err != nil {
-		return nil, err
-	}
-	n, ok := new(big.Int).SetString(st.CAN, 16)
-	if !ok {
-		return nil, fmt.Errorf("bad CA modulus")
-	}
-	e, ok := new(big.Int).SetString(st.CAE, 16)
-	if !ok {
-		return nil, fmt.Errorf("bad CA exponent")
-	}
-	udp, err := transport.NewUDPTransport(principal.Address(name), "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	for tenant, addr := range st.TenantUDP {
-		if err := udp.AddPeer(principal.Address(tenant), addr); err != nil {
-			udp.Close()
-			return nil, err
-		}
-	}
-	return fbs.NewEndpoint(fbs.Config{
-		Identity:  id,
-		Transport: udp,
-		Directory: dir,
-		Verifier:  &cert.Verifier{CAKey: cryptolib.RSAPublicKey{N: n, E: e}, CA: "fbsgw"},
-		// Seal with the gateway tenants' default suite so a config
-		// that narrows accept_suites to the AEAD set keeps accepting
-		// this client.
-		Cipher: core.CipherAES128GCM,
-	})
 }

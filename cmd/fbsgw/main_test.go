@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,8 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"fbs/internal/core"
 	"fbs/internal/gateway"
 	"fbs/internal/transport"
+
+	fbs "fbs"
 )
 
 func TestExampleConfigValidates(t *testing.T) {
@@ -44,6 +48,152 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// stateDoc is the part of the -state document a client reads beside the
+// fbs.Provision keys: where the daemon's listeners actually bound.
+type stateDoc struct {
+	TenantUDP map[string]string `json:"tenant_udp"`
+	AdminAddr string            `json:"admin_addr"`
+}
+
+// awaitState polls for the state file, which appears once the daemon is
+// serving.
+func awaitState(t *testing.T, statePath string, runErr <-chan error) stateDoc {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var st stateDoc
+		blob, err := os.ReadFile(statePath)
+		if err == nil {
+			err = json.Unmarshal(blob, &st)
+		}
+		if err == nil && st.AdminAddr != "" && len(st.TenantUDP) == 1 {
+			return st
+		}
+		select {
+		case err := <-runErr:
+			t.Fatalf("daemon exited during boot: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon did not provision within 10s (last err: %v)", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// clientFromState rebuilds a pre-provisioned client the way an external
+// client process does: identity, directory and verifier from
+// fbs.LoadProvision, plus a UDP socket with a peer route to every tenant
+// listener.
+func clientFromState(t *testing.T, statePath string, st stateDoc, name fbs.Address) *fbs.Endpoint {
+	t.Helper()
+	p, err := fbs.LoadProvision(statePath)
+	if err != nil {
+		t.Fatalf("loading state: %v", err)
+	}
+	cfg, err := p.Config(name)
+	if err != nil {
+		t.Fatalf("client from state: %v", err)
+	}
+	udp, err := transport.NewUDPTransport(name, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tenant, addr := range st.TenantUDP {
+		if err := udp.AddPeer(fbs.Address(tenant), addr); err != nil {
+			udp.Close()
+			t.Fatal(err)
+		}
+	}
+	cfg.Transport = udp
+	// Seal with the gateway tenants' default suite so a config that
+	// narrows accept_suites to the AEAD set keeps accepting this client.
+	cfg.Cipher = core.CipherAES128GCM
+	ep, err := fbs.NewEndpoint(cfg)
+	if err != nil {
+		udp.Close()
+		t.Fatalf("client from state: %v", err)
+	}
+	return ep
+}
+
+// TestStateFileKeys pins the -state document: bench/gwbench and any
+// external client parse it, so its top-level key set is a contract, and
+// a client rebuilt from it through fbs.LoadProvision must be able to
+// exchange a sealed datagram with the gateway.
+func TestStateFileKeys(t *testing.T) {
+	if probe, err := transport.NewUDPTransport("probe", "127.0.0.1:0"); err != nil {
+		t.Skipf("UDP unavailable: %v", err)
+	} else {
+		probe.Close()
+	}
+	dir := t.TempDir()
+	cfgPath := filepath.Join(dir, "gateway.json")
+	statePath := filepath.Join(dir, "fbsgw.state")
+	blob, err := json.Marshal(&gateway.Config{
+		AdminAddr:    "127.0.0.1:0",
+		DrainTimeout: gateway.Duration(2 * time.Second),
+		Tenants:      []gateway.TenantConfig{{Name: "edge", Address: "gw-edge", Listen: "127.0.0.1:0"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfgPath, blob, 0600); err != nil {
+		t.Fatal(err)
+	}
+	var out syncBuffer
+	d := newDaemon(cliOptions{configPath: cfgPath, statePath: statePath, clients: "alice, bob"}, &out, t.Logf)
+	runErr := make(chan error, 1)
+	go func() { runErr <- d.run() }()
+	st := awaitState(t, statePath, runErr)
+
+	blob, err = os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "admin_addr ca_e ca_n certs client_private tenant_udp"; got != want {
+		t.Fatalf("state document keys = %q, want %q", got, want)
+	}
+	var certs [][]byte
+	var private map[string]string
+	if err := json.Unmarshal(doc["certs"], &certs); err != nil || len(certs) != 3 {
+		t.Fatalf("certs: %d entries (err %v), want 3 (tenant + two clients)", len(certs), err)
+	}
+	if err := json.Unmarshal(doc["client_private"], &private); err != nil || len(private) != 2 || private["alice"] == "" || private["bob"] == "" {
+		t.Fatalf("client_private = %v (err %v), want hex values for alice and bob", private, err)
+	}
+
+	client := clientFromState(t, statePath, st, "alice")
+	defer client.Close()
+	if err := client.SendTo("gw-edge", []byte("keys"), true); err != nil {
+		t.Fatal(err)
+	}
+	if dg, err := client.Receive(); err != nil || string(dg.Payload) != "keys" {
+		t.Fatalf("echo = %q, %v; want \"keys\"", dg.Payload, err)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("daemon exit: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not drain within 15s of SIGTERM")
+	}
 }
 
 // TestFBSGWLiveUDPSmoke is the end-to-end gateway smoke test over real
@@ -95,30 +245,10 @@ func TestFBSGWLiveUDPSmoke(t *testing.T) {
 	runErr := make(chan error, 1)
 	go func() { runErr <- d.run() }()
 
-	// The state file appears once the daemon is serving.
-	var st *provisionState
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var err error
-		if st, err = loadState(statePath); err == nil && st.AdminAddr != "" && len(st.TenantUDP) == 1 {
-			break
-		}
-		select {
-		case err := <-runErr:
-			t.Fatalf("daemon exited during boot: %v", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon did not provision within 10s (last err: %v)", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	st := awaitState(t, statePath, runErr)
 	adminURL := "http://" + st.AdminAddr + "/config"
 
-	client, err := newClientEndpoint(st, "smoke-client")
-	if err != nil {
-		t.Fatalf("client from state: %v", err)
-	}
+	client := clientFromState(t, statePath, st, "smoke-client")
 	defer client.Close()
 
 	sent := 0
@@ -198,7 +328,7 @@ func TestFBSGWLiveUDPSmoke(t *testing.T) {
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for getEpoch() != 3 {
 		if time.Now().After(deadline) {
 			t.Fatalf("SIGHUP reload did not reach epoch 3 (at %d)", getEpoch())

@@ -4,9 +4,10 @@
 //
 // Because zero-message keying needs both sides' public values, the
 // sender process plays the Domain: it mints both identities, writes the
-// receiver's identity material and the shared directory to a state file,
-// and the receiver loads it. (A production deployment would use a real
-// certificate service instead; see internal/cert.)
+// domain's fbs.Provision (the receiver's private value, both
+// certificates, the CA key) to a state file, and the receiver loads it.
+// (A production deployment would use a real certificate service instead;
+// see internal/cert.)
 //
 // Usage:
 //
@@ -30,35 +31,26 @@
 package main
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"math/big"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"fbs/internal/cert"
 	"fbs/internal/core"
-	"fbs/internal/cryptolib"
 	"fbs/internal/obs"
-	"fbs/internal/principal"
 	"fbs/internal/transport"
 
 	fbs "fbs"
 )
 
+// state is the provisioning side channel: the sender's domain export
+// with the receiver's private value in it.
 type state struct {
-	// Receiver's private value (hex) — the "provisioning" side channel.
-	RecvPrivate string `json:"recv_private"`
-	// Serialized certificates for both principals.
-	Certs [][]byte `json:"certs"`
-	// CA public key.
-	CAN string `json:"ca_n"`
-	CAE string `json:"ca_e"`
+	fbs.Provision
 	// Sender's bound UDP address, so the receiver can route return
 	// traffic (challenge frames) before the sender is a known peer.
 	SendAddr string `json:"send_addr,omitempty"`
@@ -216,25 +208,10 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	if err != nil {
 		return err
 	}
-	// Mint the receiver's identity with a known private value so the
-	// receiver process can reconstruct it from the state file.
-	recvPriv, err := d.Group.GeneratePrivate()
-	if err != nil {
-		return err
-	}
-	recvID, err := principal.NewIdentityWithPrivate("receiver", d.Group, recvPriv)
-	if err != nil {
-		return err
-	}
-	if err := d.Enroll(recvID); err != nil {
-		return err
-	}
-	// Write provisioning state.
-	senderCert, err := lookupWire(d, "sender")
-	if err != nil {
-		return err
-	}
-	recvCert, err := lookupWire(d, "receiver")
+	// Mint the receiver's identity inside the export, so its private
+	// value reaches the state file and the receiver process can
+	// reconstruct it.
+	prov, err := d.Provision("receiver")
 	if err != nil {
 		return err
 	}
@@ -247,15 +224,7 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	if err := udp.AddPeer("receiver", peerAddr); err != nil {
 		return err
 	}
-	caKey := caPublic(d)
-	st := state{
-		RecvPrivate: hex.EncodeToString(recvPriv.Bytes()),
-		Certs:       [][]byte{senderCert, recvCert},
-		CAN:         caKey.N.Text(16),
-		CAE:         caKey.E.Text(16),
-		SendAddr:    udp.LocalAddr().String(),
-	}
-	blob, err := json.Marshal(st)
+	blob, err := json.Marshal(state{Provision: *prov, SendAddr: udp.LocalAddr().String()})
 	if err != nil {
 		return err
 	}
@@ -362,6 +331,7 @@ func recv(listen, statePath string, count, batch int, adminAddr string, statsJSO
 		return err
 	}
 	defer ep.Close()
+	defer ep.StartSweeper(0)() // the standing sweeper of Figure 1, once a minute
 	report, err := instrument("receiver", ep, pipe, adminAddr, statsJSON)
 	if err != nil {
 		return err
@@ -400,50 +370,10 @@ func recv(listen, statePath string, count, batch int, adminAddr string, statsJSO
 	return nil
 }
 
-// lookupWire fetches a certificate from the domain directory in wire
-// form.
-func lookupWire(d *fbs.Domain, addr fbs.Address) ([]byte, error) {
-	c, err := d.Directory().Lookup(addr)
-	if err != nil {
-		return nil, err
-	}
-	return c.Marshal(), nil
-}
-
-// caPublic extracts the domain CA verification key.
-func caPublic(d *fbs.Domain) cryptolib.RSAPublicKey { return d.CAKey() }
-
 // rebuildEndpoint reconstructs the receiver endpoint from provisioning
 // state: certificates, CA key, and the receiver's private value.
 func rebuildEndpoint(st state, listen string, pipe *obs.Pipeline, pf core.PrefilterConfig) (*fbs.Endpoint, error) {
-	dir := cert.NewStaticDirectory()
-	var recvCert *cert.Certificate
-	for _, wire := range st.Certs {
-		c, err := cert.Unmarshal(wire)
-		if err != nil {
-			return nil, err
-		}
-		dir.Publish(c)
-		if c.Subject == "receiver" {
-			recvCert = c
-		}
-	}
-	if recvCert == nil {
-		return nil, fmt.Errorf("state carries no receiver certificate")
-	}
-	privBytes, err := hex.DecodeString(st.RecvPrivate)
-	if err != nil {
-		return nil, err
-	}
-	n, ok := new(big.Int).SetString(st.CAN, 16)
-	if !ok {
-		return nil, fmt.Errorf("bad CA modulus")
-	}
-	e, ok := new(big.Int).SetString(st.CAE, 16)
-	if !ok {
-		return nil, fmt.Errorf("bad CA exponent")
-	}
-	id, err := principal.NewIdentityWithPrivate("receiver", recvCert.Group(), new(big.Int).SetBytes(privBytes))
+	cfg, err := st.Provision.Config("receiver")
 	if err != nil {
 		return nil, err
 	}
@@ -456,12 +386,8 @@ func rebuildEndpoint(st state, listen string, pipe *obs.Pipeline, pf core.Prefil
 			return nil, err
 		}
 	}
-	return fbs.NewEndpoint(fbs.Config{
-		Identity:  id,
-		Transport: udp,
-		Directory: dir,
-		Verifier:  &cert.Verifier{CAKey: cryptolib.RSAPublicKey{N: n, E: e}, CA: "fbsudp"},
-		Observer:  pipe,
-		Prefilter: pf,
-	})
+	cfg.Transport = udp
+	cfg.Observer = pipe
+	cfg.Prefilter = pf
+	return fbs.NewEndpoint(cfg)
 }

@@ -1,7 +1,12 @@
 package fbs
 
 import (
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math/big"
+	"os"
+	"sync"
 	"time"
 
 	"fbs/internal/cert"
@@ -29,6 +34,11 @@ type Domain struct {
 	ca  *cert.Authority
 	dir *cert.StaticDirectory
 	ver *cert.Verifier
+
+	// provisioned holds the private values minted by Provision, so a
+	// repeated export names the same principals instead of re-keying them.
+	mu          sync.Mutex
+	provisioned map[Address]*big.Int
 }
 
 // DomainOption mutates a Domain under construction.
@@ -63,15 +73,12 @@ func NewDomain(name string, opts ...DomainOption) (*Domain, error) {
 	d.ca = ca
 	d.dir = cert.NewStaticDirectory()
 	d.ver = &cert.Verifier{CAKey: ca.PublicKey(), CA: name}
+	d.provisioned = make(map[Address]*big.Int)
 	return d, nil
 }
 
 // Directory returns the domain's certificate directory.
 func (d *Domain) Directory() Directory { return d.dir }
-
-// CAKey returns the domain CA's public verification key, for relying
-// parties outside this process.
-func (d *Domain) CAKey() cryptolib.RSAPublicKey { return d.ca.PublicKey() }
 
 // Verifier returns a certificate verifier pinned to this domain's CA.
 func (d *Domain) Verifier() *cert.Verifier { return d.ver }
@@ -170,4 +177,113 @@ func (d *Domain) NewEndpointOn(id *Identity, tr Transport, opts ...func(*Config)
 		o(&cfg)
 	}
 	return core.NewEndpoint(cfg)
+}
+
+// Provision is the out-of-band side channel zero-message keying assumes
+// (Section 5.2): everything a process outside the Domain's needs to join
+// it. Its JSON form is the provisioning document fbsgw and fbsudp write
+// with -state; bench/gwbench parses the same keys.
+type Provision struct {
+	// CAN and CAE are the CA verification key's modulus and exponent, hex.
+	CAN string `json:"ca_n"`
+	CAE string `json:"ca_e"`
+	// Certs holds every published certificate in wire form, ordered by
+	// subject.
+	Certs [][]byte `json:"certs"`
+	// Private maps a provisioned principal's name to its private value,
+	// hex: the secret half of the side channel.
+	Private map[string]string `json:"client_private"`
+}
+
+// Provision exports the domain: the CA key, every certificate published
+// so far, and the private value of each named principal. A name seen for
+// the first time is minted and enrolled here, because a private value
+// leaves the process only for a principal created to live elsewhere.
+func (d *Domain) Provision(names ...Address) (*Provision, error) {
+	caKey := d.ca.PublicKey()
+	p := &Provision{
+		CAN:     caKey.N.Text(16),
+		CAE:     caKey.E.Text(16),
+		Private: make(map[string]string, len(names)),
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, name := range names {
+		priv, ok := d.provisioned[name]
+		if !ok {
+			var err error
+			if priv, err = d.Group.GeneratePrivate(); err != nil {
+				return nil, err
+			}
+			id, err := principal.NewIdentityWithPrivate(name, d.Group, priv)
+			if err != nil {
+				return nil, err
+			}
+			if err := d.Enroll(id); err != nil {
+				return nil, err
+			}
+			d.provisioned[name] = priv
+		}
+		p.Private[string(name)] = hex.EncodeToString(priv.Bytes())
+	}
+	for _, c := range d.dir.All() {
+		p.Certs = append(p.Certs, c.Marshal())
+	}
+	return p, nil
+}
+
+// LoadProvision reads a provisioning document; keys beyond Provision's
+// own (a writer's bound addresses, say) are ignored.
+func LoadProvision(path string) (*Provision, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	p := new(Provision)
+	if err := json.Unmarshal(blob, p); err != nil {
+		return nil, fmt.Errorf("fbs: provisioning document %s: %w", path, err)
+	}
+	return p, nil
+}
+
+// Config rebuilds what the provisioned principal name needs to join the
+// domain: its Identity from the stored private value, a static Directory
+// of every certificate, and a Verifier pinned to the CA key and to the
+// issuer of the principal's own certificate. The caller adds a Transport
+// (and any policy) and hands the result to NewEndpoint.
+func (p *Provision) Config(name Address) (Config, error) {
+	privHex, ok := p.Private[string(name)]
+	if !ok {
+		return Config{}, fmt.Errorf("fbs: provisioning document has no private value for %q", name)
+	}
+	priv, err := hex.DecodeString(privHex)
+	if err != nil {
+		return Config{}, fmt.Errorf("fbs: private value of %q: %w", name, err)
+	}
+	n, okN := new(big.Int).SetString(p.CAN, 16)
+	e, okE := new(big.Int).SetString(p.CAE, 16)
+	if !okN || !okE {
+		return Config{}, fmt.Errorf("fbs: provisioning document has a malformed CA key")
+	}
+	dir := cert.NewStaticDirectory()
+	for _, wire := range p.Certs {
+		c, err := cert.Unmarshal(wire)
+		if err != nil {
+			return Config{}, err
+		}
+		dir.Publish(c)
+	}
+	own, err := dir.Lookup(name)
+	if err != nil {
+		return Config{}, err
+	}
+	id, err := principal.NewIdentityWithPrivate(name, own.Group(), new(big.Int).SetBytes(priv))
+	if err != nil {
+		return Config{}, err
+	}
+	return Config{
+		Identity:  id,
+		Directory: dir,
+		Verifier:  &cert.Verifier{CAKey: cryptolib.RSAPublicKey{N: n, E: e}, CA: own.Issuer},
+	}, nil
 }

@@ -1,9 +1,13 @@
 package fbs
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"fbs/internal/cert"
 	"fbs/internal/core"
 )
 
@@ -18,7 +22,7 @@ func TestDomainDefaults(t *testing.T) {
 	if d.Directory() == nil || d.Verifier() == nil {
 		t.Fatal("directory/verifier not wired")
 	}
-	if d.CAKey().N == nil {
+	if d.Verifier().CAKey.N == nil {
 		t.Fatal("CA key missing")
 	}
 }
@@ -116,4 +120,76 @@ func bIdentity(t *testing.T, d *Domain, b *Endpoint) *Identity {
 	// directory's current certificate), only the directory entry
 	// matters; b never receives, we only check c's send-side keying.
 	return id
+}
+
+// TestProvisionRoundTrip drives the out-of-band side channel end to end:
+// a principal exported by one Domain is rebuilt from the JSON document
+// alone and exchanges a sealed datagram with a principal that never left
+// the Domain's process.
+func TestProvisionRoundTrip(t *testing.T) {
+	d, err := NewDomain("prov", WithGroup(TestGroup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewNetwork(Impairments{})
+	home, err := d.NewEndpoint("home", net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	exported, err := d.Provision("away")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := d.Provision("away")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if exported.Private["away"] == "" || again.Private["away"] != exported.Private["away"] || len(again.Certs) != 2 {
+		t.Fatalf("a repeated export re-keyed or re-enrolled the principal: %d certs", len(again.Certs))
+	}
+	blob, err := json.Marshal(struct {
+		*Provision
+		Extra string `json:"writer_specific"`
+	}{exported, "ignored by LoadProvision"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "prov.json")
+	if err := os.WriteFile(path, blob, 0600); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadProvision(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := loaded.Config("away")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver := cfg.Verifier.(*cert.Verifier); ver.CA != "prov" {
+		t.Fatalf("verifier pinned to issuer %q, want the domain's name", ver.CA)
+	}
+	if cfg.Transport, err = net.Attach("away", 0); err != nil {
+		t.Fatal(err)
+	}
+	away, err := NewEndpoint(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer away.Close()
+	if err := away.SendTo("home", []byte("from outside"), true); err != nil {
+		t.Fatal(err)
+	}
+	if dg, err := home.ReceiveValid(); err != nil || string(dg.Payload) != "from outside" {
+		t.Fatalf("home received %q, %v", dg.Payload, err)
+	}
+
+	if _, err := loaded.Config("home"); err == nil {
+		t.Fatal("rebuilt a principal whose private value was never exported")
+	}
+	loaded.CAN = "not hex"
+	if _, err := loaded.Config("away"); err == nil {
+		t.Fatal("accepted a malformed CA key")
+	}
 }

@@ -1,4 +1,4 @@
-// Gateway: the FBS-to-IP mapping of Section 7, end to end.
+// Ipmapping: the FBS-to-IP mapping of Section 7, end to end.
 //
 // Two hosts talk UDP-over-IPv4 through a forwarding router. Both end
 // hosts run FBS inside their IP stacks at exactly the paper's hook
@@ -56,7 +56,7 @@ func main() {
 		return nil
 	})
 
-	mkHost := func(addr ip.Addr, link ip.LinkSender) *ip.Stack {
+	mkHost := func(addr ip.Addr, link ip.LinkFunc) *ip.Stack {
 		id, err := principal.NewIdentity(ip.Principal(addr), cryptolib.Oakley2)
 		if err != nil {
 			log.Fatal(err)

@@ -2,6 +2,7 @@ package cert
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"fbs/internal/principal"
@@ -49,6 +50,18 @@ func (d *StaticDirectory) Lookup(addr principal.Address) (*Certificate, error) {
 		return nil, fmt.Errorf("cert: no certificate for %q", addr)
 	}
 	return c, nil
+}
+
+// All returns the published certificates ordered by subject.
+func (d *StaticDirectory) All() []*Certificate {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	out := make([]*Certificate, 0, len(d.certs))
+	for _, c := range d.certs {
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Subject < out[j].Subject })
+	return out
 }
 
 // Len returns the number of published certificates.

@@ -148,9 +148,6 @@ func (c *DirectMapped[K, V]) ClassifyMisses() {
 // Size returns the number of slots.
 func (c *DirectMapped[K, V]) Size() int { return len(c.slots) }
 
-// Stripes returns the number of lock stripes (for monitoring and tests).
-func (c *DirectMapped[K, V]) Stripes() int { return len(c.stripes) }
-
 // slotStripe locates the slot and its stripe for key.
 func (c *DirectMapped[K, V]) slotStripe(key K) (*dmSlot[K, V], *cacheStripe[K]) {
 	i := c.hash(key) % uint32(len(c.slots))

@@ -406,9 +406,6 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 // Addr returns this endpoint's principal address.
 func (e *Endpoint) Addr() principal.Address { return e.cfg.Identity.Addr }
 
-// Pin installs a peer certificate into the public value cache.
-func (e *Endpoint) Pin(c *cert.Certificate) { e.ks.Pin(c) }
-
 // Close stops the master key daemon and closes the transport. It is
 // idempotent: only the first call releases anything, and later calls
 // return nil — so a ShardGroup torn down twice (a mid-construction

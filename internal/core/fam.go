@@ -64,42 +64,30 @@ type FSTEntry struct {
 	flowKeySet bool
 }
 
-// Mapper is the policy module that maps a datagram's attributes to a flow
-// state table slot and decides whether an existing entry still covers the
-// datagram (Section 5.1).
-type Mapper interface {
-	// Index picks the table slot for the attributes.
-	Index(id FlowID, tableSize int) int
-	// Match reports whether entry e is valid for a datagram with the
-	// given attributes at time now.
-	Match(e *FSTEntry, id FlowID, now time.Time) bool
-}
-
-// Sweeper is the policy module that expires flows that are no longer
-// active (Section 5.1).
-type Sweeper interface {
-	// Expired reports whether entry e should be invalidated at time now.
-	Expired(e *FSTEntry, now time.Time) bool
-}
-
-// PressureSweeper is an optional Sweeper extension for memory-budgeted
-// endpoints: when the soft-state budget crosses its high-water mark the
-// sweep runs in pressure mode, and policies implementing this interface
-// expire flows under a tightened THRESHOLD. Expiring a still-live flow
-// early is always safe — the next datagram simply starts a fresh flow
-// with a fresh sfl — so pressure trades a little rekeying work for
-// reclaimed state, exactly the soft-state bargain of Section 4.
-type PressureSweeper interface {
-	// ExpiredUnderPressure reports whether e should be invalidated at
-	// time now given that the endpoint is under memory pressure.
-	ExpiredUnderPressure(e *FSTEntry, now time.Time) bool
-}
-
-// Policy bundles the two plug-in modules. Most policies, like the
-// paper's THRESHOLD policy, implement both with shared state.
+// Policy is the FAM's plug-in: the mapper and sweeper modules of Figure 7
+// as one object, since every policy implements both over shared state.
 type Policy interface {
-	Mapper
-	Sweeper
+	// Index is the mapper's slot choice for a datagram's attributes.
+	Index(id FlowID, tableSize int) int
+	// Match is the mapper's verdict on whether entry e is valid for a
+	// datagram with the given attributes at time now (Section 5.1).
+	Match(e *FSTEntry, id FlowID, now time.Time) bool
+	// Normalize reduces the attributes to the ones the policy tells flows
+	// apart by: what the FAM stores in a new entry's ID, and so what
+	// Match compares against and Index must hash. A policy that
+	// aggregates nothing returns id unchanged. It runs once per flow
+	// creation; Index and Match, which run per datagram, take the raw
+	// attributes and do their own reduction.
+	Normalize(id FlowID) FlowID
+	// Expired is the sweeper: whether entry e should be invalidated at
+	// time now (Section 5.1). pressure is set on a memory-budgeted
+	// endpoint whose soft-state budget has crossed its high-water mark; a
+	// policy may then expire under a tightened THRESHOLD. Expiring a
+	// still-live flow early is always safe — the next datagram simply
+	// starts a fresh flow with a fresh sfl — so pressure trades a little
+	// rekeying work for reclaimed state, exactly the soft-state bargain
+	// of Section 4. A policy with nothing to tighten ignores the flag.
+	Expired(e *FSTEntry, now time.Time, pressure bool) bool
 }
 
 // ThresholdPolicy is the security flow policy of Section 7.1 in its
@@ -124,16 +112,16 @@ type ThresholdPolicy struct {
 	MaxBytes uint64
 	// PressureThreshold is the tightened idle gap used when sweeping
 	// under memory pressure; 0 defaults to Threshold/8. See
-	// PressureSweeper.
+	// Policy.Expired.
 	PressureThreshold time.Duration
 }
 
-// Index implements Mapper.
+// Index implements Policy.
 func (p ThresholdPolicy) Index(id FlowID, tableSize int) int {
 	return int(id.hash() % uint32(tableSize))
 }
 
-// Match implements Mapper: same attributes, within the threshold, and
+// Match implements Policy: same attributes, within the threshold, and
 // under the key wear-out limits.
 func (p ThresholdPolicy) Match(e *FSTEntry, id FlowID, now time.Time) bool {
 	if !e.Valid || e.ID != id || now.Sub(e.Last) > p.Threshold {
@@ -148,17 +136,18 @@ func (p ThresholdPolicy) Match(e *FSTEntry, id FlowID, now time.Time) bool {
 	return true
 }
 
-// Expired implements Sweeper.
-func (p ThresholdPolicy) Expired(e *FSTEntry, now time.Time) bool {
-	return e.Valid && now.Sub(e.Last) > p.Threshold
-}
+// Normalize implements Policy: every attribute tells flows apart.
+func (ThresholdPolicy) Normalize(id FlowID) FlowID { return id }
 
-// ExpiredUnderPressure implements PressureSweeper with the tightened
-// threshold.
-func (p ThresholdPolicy) ExpiredUnderPressure(e *FSTEntry, now time.Time) bool {
-	t := p.PressureThreshold
-	if t <= 0 {
-		t = p.Threshold / 8
+// Expired implements Policy, with the tightened threshold under
+// pressure.
+func (p ThresholdPolicy) Expired(e *FSTEntry, now time.Time, pressure bool) bool {
+	t := p.Threshold
+	if pressure {
+		t = p.PressureThreshold
+		if t <= 0 {
+			t = p.Threshold / 8
+		}
 	}
 	return e.Valid && now.Sub(e.Last) > t
 }
@@ -174,12 +163,12 @@ type HostPairPolicy struct {
 
 func hostPair(id FlowID) FlowID { return FlowID{Src: id.Src, Dst: id.Dst} }
 
-// Index implements Mapper.
+// Index implements Policy.
 func (p HostPairPolicy) Index(id FlowID, tableSize int) int {
 	return int(hostPair(id).hash() % uint32(tableSize))
 }
 
-// Match implements Mapper.
+// Match implements Policy.
 func (p HostPairPolicy) Match(e *FSTEntry, id FlowID, now time.Time) bool {
 	if !e.Valid || e.ID != hostPair(id) {
 		return false
@@ -187,19 +176,14 @@ func (p HostPairPolicy) Match(e *FSTEntry, id FlowID, now time.Time) bool {
 	return p.Threshold == 0 || now.Sub(e.Last) <= p.Threshold
 }
 
-// Expired implements Sweeper.
-func (p HostPairPolicy) Expired(e *FSTEntry, now time.Time) bool {
+// Normalize implements Policy: only the principals tell flows apart.
+func (HostPairPolicy) Normalize(id FlowID) FlowID { return hostPair(id) }
+
+// Expired implements Policy. Host-pair flows have no tightened
+// threshold, so a pressure sweep expires exactly what a normal one does.
+func (p HostPairPolicy) Expired(e *FSTEntry, now time.Time, _ bool) bool {
 	return e.Valid && p.Threshold != 0 && now.Sub(e.Last) > p.Threshold
 }
-
-// normalize reduces the FlowID according to the policy before storing it,
-// so Match's equality works. Policies that aggregate attributes implement
-// flowNormalizer; others store the FlowID as-is.
-type flowNormalizer interface {
-	normalize(FlowID) FlowID
-}
-
-func (HostPairPolicy) normalize(id FlowID) FlowID { return hostPair(id) }
 
 // FAMStats counts flow association mechanism activity.
 type FAMStats struct {
@@ -339,10 +323,6 @@ func (f *FAM) Classify(id FlowID, now time.Time, size int) (SFL, bool) {
 // the first datagram: re-attempting the rest re-checks the budget per
 // datagram, as a loop would.
 func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, suite CipherID, firstSeq uint64, n int, slot int, ok bool) {
-	orig := id
-	if nz, nok := f.policy.(flowNormalizer); nok {
-		id = nz.normalize(id)
-	}
 	i := f.policy.Index(id, len(f.table))
 	st := &f.stripes[i&f.stripeMask]
 	st.mu.Lock()
@@ -356,7 +336,8 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 		st.stats.Hits++
 		sfl, suite, firstSeq = e.SFL, e.Suite, e.Packets
 	} else {
-		if e.Valid && e.ID != id {
+		stored := f.policy.Normalize(id)
+		if e.Valid && e.ID != stored {
 			st.stats.Collisions++
 		}
 		// Overwriting a valid slot (collision or expired flow) is
@@ -369,12 +350,12 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 			// The selector sees the un-normalized attributes: policy
 			// aggregation (e.g. host-pair) must not hide the ports a
 			// selector keys on. Whatever it picks is pinned with the entry.
-			suite = f.suiteOf(orig)
+			suite = f.suiteOf(id)
 		}
 		sfl = SFL(f.nextSFL.Add(1) - 1)
 		*e = FSTEntry{
 			Valid:   true,
-			ID:      id,
+			ID:      stored,
 			SFL:     sfl,
 			Created: now,
 			Last:    now,
@@ -407,18 +388,11 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 // concurrently with the sweep.
 func (f *FAM) Sweep(now time.Time) int { return f.sweep(now, false) }
 
-// SweepPressure sweeps in pressure mode: policies implementing
-// PressureSweeper expire under their tightened threshold; others sweep
-// normally.
+// SweepPressure sweeps in pressure mode: the policy may expire under a
+// tightened threshold (see Policy.Expired).
 func (f *FAM) SweepPressure(now time.Time) int { return f.sweep(now, true) }
 
 func (f *FAM) sweep(now time.Time, pressure bool) int {
-	expired := f.policy.Expired
-	if pressure {
-		if ps, ok := f.policy.(PressureSweeper); ok {
-			expired = ps.ExpiredUnderPressure
-		}
-	}
 	total := 0
 	stripes := len(f.stripes)
 	for si := range f.stripes {
@@ -426,7 +400,7 @@ func (f *FAM) sweep(now time.Time, pressure bool) int {
 		st.mu.Lock()
 		n := 0
 		for i := si; i < len(f.table); i += stripes {
-			if expired(&f.table[i], now) {
+			if f.policy.Expired(&f.table[i], now, pressure) {
 				f.table[i].Valid = false
 				n++
 			}

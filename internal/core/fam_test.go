@@ -162,6 +162,48 @@ func TestHostPairPolicyWithThreshold(t *testing.T) {
 	}
 }
 
+func TestHostPairPolicyPressureSweepsAsNormal(t *testing.T) {
+	// Host-pair flows have no tightened threshold: a pressure sweep must
+	// expire exactly what a normal sweep at the same instant would.
+	f := newFAMWithSeed(HostPairPolicy{Threshold: 8 * time.Minute}, 64, 5)
+	f.Classify(FlowID{Src: "a", Dst: "b"}, famEpoch, 1)
+	f.Classify(FlowID{Src: "a", Dst: "c"}, famEpoch.Add(time.Minute), 1)
+	// a->b idle 2 min: past Threshold/8, which a ThresholdPolicy would
+	// reclaim under pressure, but inside the host-pair threshold.
+	if n := f.SweepPressure(famEpoch.Add(2 * time.Minute)); n != 0 {
+		t.Fatalf("pressure sweep inside the threshold expired %d flows", n)
+	}
+	at := famEpoch.Add(8*time.Minute + 30*time.Second)
+	if n := f.SweepPressure(at); n != 1 {
+		t.Fatalf("pressure sweep expired %d flows, want 1 (only a->b is idle past 8 min)", n)
+	}
+	if n := f.Sweep(at); n != 0 {
+		t.Fatalf("normal sweep after the pressure sweep expired %d more flows", n)
+	}
+}
+
+func TestHostPairNormalisesBeforeIndex(t *testing.T) {
+	// Two 5-tuples of one host pair must land in one slot as one flow: a
+	// FAM that indexed before normalising would spread them over the
+	// table and count the second as a collision whenever they met.
+	f := newFAMWithSeed(HostPairPolicy{}, 64, 5)
+	a := FlowID{Src: "a", Dst: "b", Proto: 6, SrcPort: 1, DstPort: 80}
+	b := FlowID{Src: "a", Dst: "b", Proto: 17, SrcPort: 999, DstPort: 53, Aux: 7}
+	sizes := []int{1}
+	_, _, _, _, slotA, okA := f.classifyBatch(a, famEpoch, sizes)
+	_, _, _, _, slotB, okB := f.classifyBatch(b, famEpoch, sizes)
+	if !okA || !okB || slotA != slotB {
+		t.Fatalf("slots %d, %d (ok %v, %v): one host pair must map to one slot", slotA, slotB, okA, okB)
+	}
+	if got, want := f.entry(slotA).ID, (FlowID{Src: "a", Dst: "b"}); got != want {
+		t.Fatalf("stored FlowID = %+v, want the normalised pair %+v", got, want)
+	}
+	want := FAMStats{Lookups: 2, Hits: 1, FlowsCreated: 1}
+	if got := f.Stats(); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
+	}
+}
+
 func TestNewFAMValidation(t *testing.T) {
 	if _, err := NewFAM(nil, 0); err == nil {
 		t.Fatal("nil policy accepted")
@@ -275,10 +317,10 @@ func TestFAMPressureThresholdDefault(t *testing.T) {
 	p := ThresholdPolicy{Threshold: 8 * time.Minute}
 	e := &FSTEntry{Valid: true, Last: famEpoch}
 	// Default pressure threshold is Threshold/8 = 1 minute.
-	if p.ExpiredUnderPressure(e, famEpoch.Add(time.Minute)) {
+	if p.Expired(e, famEpoch.Add(time.Minute), true) {
 		t.Fatal("expired at exactly the default pressure threshold")
 	}
-	if !p.ExpiredUnderPressure(e, famEpoch.Add(time.Minute+time.Nanosecond)) {
+	if !p.Expired(e, famEpoch.Add(time.Minute+time.Nanosecond), true) {
 		t.Fatal("not expired just past the default pressure threshold")
 	}
 }

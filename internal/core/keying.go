@@ -248,9 +248,6 @@ func NewKeyService(self *principal.Identity, dir cert.Directory, verifier cert.C
 	}
 }
 
-// Self returns the principal this service keys for.
-func (ks *KeyService) Self() *principal.Identity { return ks.self }
-
 // SetBudget attaches the shared soft-state budget: the PVC charges
 // CostCertEntry and the MKC CostMasterKeyEntry per valid slot. Call
 // before the service handles traffic.
@@ -414,19 +411,15 @@ func (ks *KeyService) staleUsable(c *cert.Certificate, peer principal.Address, n
 	return ks.verifier.Verify(c, peer, c.NotAfter) == nil
 }
 
-// certificate returns a verified certificate for peer, via the PVC. The
-// certificate is verified on every use — the PVC need not be a secure
+// certificateNoted returns a verified certificate for peer, via the PVC.
+// The certificate is verified on every use — the PVC need not be a secure
 // store because of this (Section 5.3). When the directory is failing,
 // the retry policy bounds the fetch, the negative cache absorbs repeat
 // misses, and (if enabled) stale-while-revalidate lets a just-expired
 // certificate keep the flow alive while each use retries the refetch.
-func (ks *KeyService) certificate(peer principal.Address) (*cert.Certificate, error) {
-	return ks.certificateNoted(peer, nil)
-}
-
-// certificateNoted is certificate, annotating note (nil-safe) with the
-// degradation verdicts (negative-cache refusals, retry attempts, stale
-// serves) for the tracing plane.
+// note (nil-safe) is annotated with the degradation verdicts
+// (negative-cache refusals, retry attempts, stale serves) for the
+// tracing plane.
 func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*cert.Certificate, error) {
 	now := ks.clock.Now()
 	c, ok := ks.pvc.Get(peer)
@@ -537,9 +530,6 @@ func (ks *KeyService) Stats() KeyServiceStats {
 		DeadlineExceeded:  ks.stats.deadlineExceeded.Load(),
 	}
 }
-
-// now is a helper for tests.
-func (ks *KeyService) now() time.Time { return ks.clock.Now() }
 
 // flowKeyResult carries a coalesced derivation's outcome to waiters,
 // including the leader's keying annotations so a follower's trace span

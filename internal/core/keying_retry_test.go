@@ -170,7 +170,7 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	ks := NewKeyService(alice, w.dir, w.ver, w.clock, KeyServiceConfig{
 		StaleWhileRevalidate: 24 * time.Hour,
 	})
-	if _, err := ks.certificate("bob"); err != nil {
+	if _, err := ks.certificateNoted("bob", nil); err != nil {
 		t.Fatalf("fresh certificate rejected: %v", err)
 	}
 	// Two hours later the cert is expired everywhere (the directory
@@ -178,7 +178,7 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	// but it is within the stale window and verifies at its own expiry
 	// instant, so the flow stays alive.
 	w.clock.Advance(2 * time.Hour)
-	got, err := ks.certificate("bob")
+	got, err := ks.certificateNoted("bob", nil)
 	if err != nil {
 		t.Fatalf("stale-while-revalidate did not serve: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	}
 	// Past the stale window the certificate is dead for good.
 	w.clock.Advance(48 * time.Hour)
-	if _, err := ks.certificate("bob"); err == nil {
+	if _, err := ks.certificateNoted("bob", nil); err == nil {
 		t.Fatal("certificate served beyond the stale window")
 	}
 }
@@ -212,7 +212,7 @@ func TestStaleWindowNeverServesTamperedCert(t *testing.T) {
 		StaleWhileRevalidate: 24 * time.Hour,
 	})
 	w.clock.Advance(2 * time.Hour)
-	if _, err := ks.certificate("bob"); err == nil {
+	if _, err := ks.certificateNoted("bob", nil); err == nil {
 		t.Fatal("tampered certificate served under the stale window")
 	}
 	if st := ks.Stats(); st.StaleServed != 0 {

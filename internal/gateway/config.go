@@ -220,6 +220,17 @@ func (c *Config) Validate() error {
 				"so nearly every datagram would be refused as stale (use 0 for the 10m default, or at least 1m)",
 				t.Name, time.Duration(t.FreshnessWindow))
 		}
+		// core.NewBudget would quietly repair each of these (no budget
+		// for a negative limit, its own default for an out-of-range
+		// mark), so a typo would run unbudgeted or at another threshold.
+		if t.StateBudgetBytes < 0 || t.StateBudgetHighWater < 0 {
+			return fmt.Errorf("gateway: tenant %q: negative state budget (state_budget_bytes %d, state_budget_high_water %d)",
+				t.Name, t.StateBudgetBytes, t.StateBudgetHighWater)
+		}
+		if t.StateBudgetHighWater > t.StateBudgetBytes {
+			return fmt.Errorf("gateway: tenant %q: state_budget_high_water %d is above state_budget_bytes %d (0 bytes means unbudgeted, where a high-water mark has no effect)",
+				t.Name, t.StateBudgetHighWater, t.StateBudgetBytes)
+		}
 		if pf := t.Prefilter; pf != nil && pf.Enable &&
 			pf.EpochInterval > 0 && pf.EpochInterval < Duration(time.Second) {
 			// Same floor core enforces at endpoint construction;

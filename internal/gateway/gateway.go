@@ -115,7 +115,10 @@ type Gateway struct {
 	retired   core.Snapshot
 	retiring  []*core.ShardGroup
 
-	recvWG sync.WaitGroup
+	// loops counts the receive loops and the sweeper; stop ends the
+	// sweeper (the receive loops end when their listener closes).
+	loops sync.WaitGroup
+	stop  chan struct{}
 
 	// Gateway-plane counters (everything endpoint counters can't see).
 	received     atomic.Uint64 // datagrams pulled off listeners
@@ -139,7 +142,7 @@ func New(opts Options) (*Gateway, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	return &Gateway{opts: opts, listeners: make(map[principal.Address]*listener)}, nil
+	return &Gateway{opts: opts, listeners: make(map[principal.Address]*listener), stop: make(chan struct{})}, nil
 }
 
 // Start realises cfg as the first config epoch and begins serving.
@@ -270,8 +273,12 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 	g.seq.Store(next.seq)
 	g.swaps.Add(1)
 	for _, ln := range newListeners {
-		g.recvWG.Add(1)
+		g.loops.Add(1)
 		go g.recvLoop(ln)
+	}
+	if old == nil {
+		g.loops.Add(1)
+		go g.sweepLoop()
 	}
 
 	// Retire phase: the old epoch finishes what it already admitted,
@@ -327,6 +334,44 @@ func (g *Gateway) retire(old *epoch, timeout time.Duration) error {
 	return first
 }
 
+// sweepInterval is how often the sweeper module of Figure 7 runs over
+// the live epoch: the interval core.Endpoint.StartSweeper defaults to.
+const sweepInterval = time.Minute
+
+// sweepLoop is the gateway's standing sweeper, started with the first
+// epoch and stopped by Shutdown. Without it idle flows are only ever
+// reclaimed when a budget is already hot, and the active-flow gauges
+// only grow.
+func (g *Gateway) sweepLoop() {
+	defer g.loops.Done()
+	t := time.NewTicker(sweepInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			g.sweep()
+		case <-g.stop:
+			return
+		}
+	}
+}
+
+// sweep expires idle flows on every shard of the current epoch. A
+// retiring epoch needs none: it closes as soon as it has drained. Sweep
+// takes one FAM stripe lock at a time and never the drain gate, so it
+// neither delays a swap nor is delayed by one.
+func (g *Gateway) sweep() {
+	ep := g.current.Load()
+	if ep == nil {
+		return
+	}
+	for _, p := range ep.tenants {
+		for i := 0; i < p.grp.NumShards(); i++ {
+			p.grp.Shard(i).Sweep()
+		}
+	}
+}
+
 // ensureListener reuses the persistent listener for a tenant address
 // or binds a new one. Caller holds swapMu.
 func (g *Gateway) ensureListener(tc TenantConfig) (*listener, bool, error) {
@@ -357,7 +402,7 @@ const maxBatch = 32
 // processed (opened, and echoed if the tenant echoes), which is what
 // lets shutdown reason "loops joined ⇒ nothing in flight".
 func (g *Gateway) recvLoop(ln *listener) {
-	defer g.recvWG.Done()
+	defer g.loops.Done()
 	l := &batchLoop{g: g}
 	in := make([]transport.Datagram, maxBatch)
 	for {
@@ -777,21 +822,23 @@ func (g *Gateway) stats(r reading) Stats {
 	return st
 }
 
-// Shutdown is the graceful exit: stop intake (close every listener),
-// join the receive loops (synchronous dispatch means joined loops ⇒
-// nothing mid-datagram), retire the final epoch, and return the final
-// cumulative stats. The returned error reports a
+// Shutdown is the graceful exit: stop the sweeper and intake (close
+// every listener), join the loops (synchronous dispatch means joined
+// receive loops ⇒ nothing mid-datagram), retire the final epoch, and
+// return the final cumulative stats. The returned error reports a
 // missed drain deadline; the stats are valid either way.
 func (g *Gateway) Shutdown(timeout time.Duration) (Stats, error) {
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
-	g.draining.Store(true)
+	if !g.draining.Swap(true) {
+		close(g.stop)
+	}
 
 	for addr, ln := range g.listeners {
 		ln.tr.Close()
 		delete(g.listeners, addr)
 	}
-	g.recvWG.Wait()
+	g.loops.Wait()
 
 	var firstErr error
 	if ep := g.current.Load(); ep != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -579,6 +580,11 @@ func TestGatewayMetricsExposition(t *testing.T) {
 	if _, err := client.Receive(); err != nil {
 		t.Fatalf("echo: %v", err)
 	}
+	// The loop counts an echo once SendBatch returns, which is after the
+	// client can have read it: wait for the count before scraping it.
+	for deadline := time.Now().Add(2 * time.Second); g.Stats().Echoed < 1 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 
 	reg := obs.NewRegistry()
 	g.RegisterMetrics(reg)
@@ -746,6 +752,44 @@ func TestConfigFreshnessWindowFloor(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), "resolution of header timestamps") {
 			t.Errorf("freshness_window %v: error does not say why: %v", tc.window, err)
+		}
+	}
+}
+
+// TestConfigStateBudgetBounds: core.NewBudget quietly repairs an
+// out-of-range mark (no budget at all for a negative limit, its own
+// default for a high-water mark it cannot use), so a budget typo would
+// boot and run unbudgeted or at another threshold; Validate names the
+// tenant and both values instead.
+func TestConfigStateBudgetBounds(t *testing.T) {
+	for _, tc := range []struct {
+		bytes, high int64
+		ok          bool
+	}{
+		{0, 0, true},                // unbudgeted
+		{1 << 20, 0, true},          // the 80% default mark (bench/gwbench, examples/fbsgw)
+		{1 << 20, 1 << 19, true},    // an explicit mark inside the limit
+		{1 << 20, 1 << 20, true},    // pressure only at the limit itself
+		{1 << 20, 1<<20 + 1, false}, // mark above the limit: was silently 3/4 of it
+		{-1 << 20, 0, false},        // negative limit: was silently unbudgeted
+		{1 << 20, -1, false},        // negative mark: was silently the 80% default
+		{0, 1 << 19, false},         // a mark with no limit: was silently ignored
+	} {
+		cfg := oneTenant()
+		cfg.Tenants[0].StateBudgetBytes = tc.bytes
+		cfg.Tenants[0].StateBudgetHighWater = tc.high
+		err := cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("state_budget_bytes %d, high_water %d: Validate = %v, want ok=%v", tc.bytes, tc.high, err, tc.ok)
+			continue
+		}
+		if err == nil {
+			continue
+		}
+		for _, want := range []string{`"edge"`, strconv.FormatInt(tc.bytes, 10), strconv.FormatInt(tc.high, 10)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("state_budget_bytes %d, high_water %d: error lacks %s: %v", tc.bytes, tc.high, want, err)
+			}
 		}
 	}
 }
@@ -1094,4 +1138,77 @@ func TestGatewayDispatchAllocs(t *testing.T) {
 		t.Fatalf("%d echoes sent, want %d", sent, want)
 	}
 	t.Logf("dispatch: %.2f allocs per datagram", perBatch/maxBatch)
+}
+
+// TestGatewaySweeperExpiresIdleFlows gives the FAM's sweeper module its
+// production caller: after the flow idle timeout, the function the
+// gateway's ticker calls must empty the tenant's flow table, count the
+// expirations, return the FAM's share of the state budget, and the
+// goroutine that calls it must be gone after Shutdown.
+func TestGatewaySweeperExpiresIdleFlows(t *testing.T) {
+	w := newGWWorld(t)
+	const n = 8
+	clients := make([]*core.Endpoint, n)
+	for i := range clients {
+		clients[i] = w.client(fmt.Sprintf("sweep-client-%d", i))
+	}
+	before := runtime.NumGoroutine()
+
+	cfg := oneTenant()
+	cfg.Tenants[0].FlowIdleTimeout = Duration(5 * time.Minute)
+	cfg.Tenants[0].StateBudgetBytes = 1 << 20
+	g := w.gateway(cfg)
+	for i, c := range clients {
+		if err := c.SendTo("gw-edge", []byte("ping"), true); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if _, err := c.Receive(); err != nil {
+			t.Fatalf("echo %d: %v", i, err)
+		}
+	}
+	live, err := g.TenantSnapshot("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.ActiveFlows != n || live.FAM.Expirations != 0 {
+		t.Fatalf("after %d echoes: %d active flows, %d expirations; want %d and 0", n, live.ActiveFlows, live.FAM.Expirations, n)
+	}
+
+	// Inside the idle timeout the sweeper leaves every flow alone.
+	w.clock.Advance(4 * time.Minute)
+	g.sweep()
+	if s, _ := g.TenantSnapshot("edge"); s.ActiveFlows != n {
+		t.Fatalf("sweep inside the idle timeout left %d active flows, want %d", s.ActiveFlows, n)
+	}
+	w.clock.Advance(2 * time.Minute)
+	g.sweep()
+	swept, err := g.TenantSnapshot("edge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept.ActiveFlows != 0 {
+		t.Fatalf("active flows after the sweep = %d, want 0", swept.ActiveFlows)
+	}
+	if swept.FAM.Expirations != n {
+		t.Fatalf("expirations = %d, want %d", swept.FAM.Expirations, n)
+	}
+	if got, want := live.Budget.Used-swept.Budget.Used, int64(n*core.CostFAMEntry); got != want {
+		t.Fatalf("sweep released %d budget bytes, want %d (%d FAM entries)", got, want, n)
+	}
+	if st := g.Stats(); st.Tenants[0].ActiveFlows != 0 {
+		t.Fatalf("Stats().Tenants[0].ActiveFlows = %d after the sweep, want 0", st.Tenants[0].ActiveFlows)
+	}
+
+	if _, err := g.Shutdown(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown joins the sweeper and the receive loops; the MKD daemons
+	// of the closed shards finish exiting just after Close returns.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before Start", after, before)
+	}
 }

@@ -16,10 +16,10 @@ type corruptingWire struct {
 	rng *cryptolib.LCG
 }
 
-func (w *corruptingWire) sender(self Addr) LinkSender {
+func (w *corruptingWire) sender(self Addr) LinkFunc {
 	inner := w.wire.sender(self)
 	return LinkFunc(func(frame []byte) error {
-		if err := inner.Transmit(append([]byte(nil), frame...)); err != nil {
+		if err := inner(append([]byte(nil), frame...)); err != nil {
 			return err
 		}
 		// Flip one bit past the IP header, inside the FBS header or
@@ -33,7 +33,7 @@ func (w *corruptingWire) sender(self Addr) LinkSender {
 		bit := w.rng.Uint32()
 		idx := off + int(bit/8)%len(pay)
 		bad[idx] ^= 1 << (bit % 8)
-		return inner.Transmit(bad)
+		return inner(bad)
 	})
 }
 

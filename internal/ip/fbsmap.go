@@ -88,15 +88,9 @@ func NewFBSHook(cfg core.Config, secret SecretPolicy) (*FBSHook, error) {
 }
 
 // OutputHook implements SecurityHook: FBSSend between output processing
-// and fragmentation.
-func (f *FBSHook) OutputHook(h *Header, payload []byte) ([]byte, error) {
-	return f.OutputAppend(nil, h, payload)
-}
-
-// OutputAppend implements AppendSecurityHook: the sealed datagram is
-// appended to the stack-owned dst buffer via the endpoint's
-// allocation-free seal path.
-func (f *FBSHook) OutputAppend(dst []byte, h *Header, payload []byte) ([]byte, error) {
+// and fragmentation. The sealed datagram is appended to the stack-owned
+// dst buffer via the endpoint's allocation-free seal path.
+func (f *FBSHook) OutputHook(dst []byte, h *Header, payload []byte) ([]byte, error) {
 	return f.Endpoint.SealFlowAppend(dst, transport.Datagram{
 		Source:      Principal(h.Src),
 		Destination: Principal(h.Dst),

@@ -9,17 +9,9 @@ import (
 	"fbs/internal/core"
 )
 
-// LinkSender is the network interface below the stack: it transmits one
+// LinkFunc is the network interface below the stack: it transmits one
 // marshalled IP packet toward its destination.
-type LinkSender interface {
-	Transmit(frame []byte) error
-}
-
-// LinkFunc adapts a function to LinkSender.
 type LinkFunc func(frame []byte) error
-
-// Transmit implements LinkSender.
-func (f LinkFunc) Transmit(frame []byte) error { return f(frame) }
 
 // ProtocolHandler consumes a reassembled, security-processed packet for
 // one transport protocol.
@@ -31,25 +23,17 @@ type ProtocolHandler func(h *Header, payload []byte)
 // dispatch. FBS plugs in here; a nil hook reproduces GENERIC (stock IP).
 type SecurityHook interface {
 	// OutputHook may transform the packet (e.g. insert the FBS header)
-	// after route/option processing and before fragmentation.
-	OutputHook(h *Header, payload []byte) ([]byte, error)
+	// after route/option processing and before fragmentation: it appends
+	// the transformed packet body to dst and returns the extended slice,
+	// so output processing need not allocate. Ownership rule: dst is a
+	// pooled buffer that belongs to the stack; the hook must only append
+	// to it and must not retain the returned slice past the call — the
+	// stack recycles the buffer as soon as the packet's fragments have
+	// been copied out for transmission.
+	OutputHook(dst []byte, h *Header, payload []byte) ([]byte, error)
 	// InputHook inverts OutputHook after reassembly and before
 	// dispatch. Returning an error drops the packet.
 	InputHook(h *Header, payload []byte) ([]byte, error)
-}
-
-// AppendSecurityHook is an optional extension of SecurityHook for
-// allocation-free output processing. When the installed hook implements
-// it, the stack calls OutputAppend with a pooled buffer instead of
-// OutputHook. Ownership rule: dst belongs to the stack; the hook must
-// only append to it and must not retain the returned slice past the
-// call — the stack recycles the buffer as soon as the packet's
-// fragments have been copied out for transmission.
-type AppendSecurityHook interface {
-	SecurityHook
-	// OutputAppend appends the transformed packet body to dst and
-	// returns the extended slice.
-	OutputAppend(dst []byte, h *Header, payload []byte) ([]byte, error)
 }
 
 // StackStats is a snapshot of stack activity.
@@ -101,7 +85,7 @@ func (c *stackCounters) dropHook(err error) {
 type Stack struct {
 	addr Addr
 	mtu  int
-	link LinkSender
+	link LinkFunc
 	hook SecurityHook
 	now  func() time.Time
 
@@ -112,8 +96,8 @@ type Stack struct {
 	nextID atomic.Uint32
 	stats  stackCounters
 
-	// outBufs recycles the buffers handed to an AppendSecurityHook on
-	// the output path (see the ownership rule on AppendSecurityHook).
+	// outBufs recycles the buffers handed to the hook on the output path
+	// (see the ownership rule on SecurityHook.OutputHook).
 	outBufs sync.Pool
 
 	mu       sync.Mutex
@@ -127,7 +111,7 @@ type StackConfig struct {
 	// MTU of the attached link; default 1500 (Ethernet).
 	MTU int
 	// Link transmits marshalled packets. Required.
-	Link LinkSender
+	Link LinkFunc
 	// Hook is the optional security hook (FBS).
 	Hook SecurityHook
 	// Now supplies time for reassembly timeouts; default time.Now.
@@ -216,30 +200,19 @@ func (s *Stack) Output(proto uint8, dst Addr, payload []byte, df bool) error {
 	if df {
 		h.Flags |= FlagDF
 	}
-	// Security hook: FBS send processing. An append-capable hook seals
-	// into a pooled buffer the stack owns; the buffer is recycled after
-	// the fragments below have been copied into their frames.
-	var hookBuf *[]byte
+	// Security hook: FBS send processing. The hook seals into a pooled
+	// buffer the stack owns; the buffer is recycled after the fragments
+	// below have been copied into their frames.
 	if s.hook != nil {
-		var err error
-		if ah, ok := s.hook.(AppendSecurityHook); ok {
-			hookBuf = s.outBufs.Get().(*[]byte)
-			sealed, herr := ah.OutputAppend((*hookBuf)[:0], &h, payload)
-			if herr != nil {
-				s.outBufs.Put(hookBuf)
-				s.stats.dropHook(herr)
-				return fmt.Errorf("ip: output hook: %w", herr)
-			}
-			*hookBuf = sealed
-			payload = sealed
-			defer s.outBufs.Put(hookBuf)
-		} else {
-			payload, err = s.hook.OutputHook(&h, payload)
-			if err != nil {
-				s.stats.dropHook(err)
-				return fmt.Errorf("ip: output hook: %w", err)
-			}
+		hookBuf := s.outBufs.Get().(*[]byte)
+		defer s.outBufs.Put(hookBuf)
+		sealed, err := s.hook.OutputHook((*hookBuf)[:0], &h, payload)
+		if err != nil {
+			s.stats.dropHook(err)
+			return fmt.Errorf("ip: output hook: %w", err)
 		}
+		*hookBuf = sealed
+		payload = sealed
 	}
 	// Part 2: fragmentation.
 	frags, err := Fragment(Packet{Header: h, Payload: payload}, s.mtu)
@@ -260,7 +233,7 @@ func (s *Stack) Output(proto uint8, dst Addr, payload []byte, df bool) error {
 		if err != nil {
 			return err
 		}
-		if err := s.link.Transmit(frames[off:]); err != nil {
+		if err := s.link(frames[off:]); err != nil {
 			return err
 		}
 		s.stats.fragmentsOut.Add(1)
@@ -339,7 +312,7 @@ func (s *Stack) forward(h *Header, payload []byte) {
 		if err != nil {
 			return
 		}
-		if s.link.Transmit(frame) != nil {
+		if s.link(frame) != nil {
 			return
 		}
 	}

@@ -20,7 +20,7 @@ type wire struct {
 	peers []*Stack
 }
 
-func (w *wire) sender(self Addr) LinkSender {
+func (w *wire) sender(self Addr) LinkFunc {
 	return LinkFunc(func(frame []byte) error {
 		w.mu.Lock()
 		peers := append([]*Stack(nil), w.peers...)
@@ -330,7 +330,7 @@ func TestSealedPacketFragmentsReassemblesOpens(t *testing.T) {
 	}
 	payload[0], payload[1], payload[2], payload[3] = 0x10, 0x01, 0x00, 0x50 // "ports"
 	h := Header{ID: 99, TTL: 64, Protocol: ProtoUDP, Src: a, Dst: b}
-	sealed, err := hookA.OutputHook(&h, payload)
+	sealed, err := hookA.OutputHook(nil, &h, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,6 @@ type StreamConfig struct {
 	// Ports allocates ephemeral ports; default 1024-65535 with no
 	// reuse quarantine.
 	Ports *PortAllocator
-	// Now supplies time; default time.Now.
-	Now func() time.Time
 }
 
 type connKey struct {
@@ -71,9 +69,6 @@ func NewStreamStack(stack *ip.Stack, cfg StreamConfig) (*StreamStack, error) {
 	}
 	if cfg.RTO <= 0 {
 		cfg.RTO = 50 * time.Millisecond
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	if cfg.Ports == nil {
 		p, err := NewPortAllocator(1024, 65535, 0)
@@ -178,7 +173,7 @@ type segment struct {
 
 // Dial opens a stream to remote:port, blocking through the handshake.
 func (ss *StreamStack) Dial(remote ip.Addr, port uint16) (*StreamConn, error) {
-	local, err := ss.cfg.Ports.Alloc(ss.cfg.Now())
+	local, err := ss.cfg.Ports.Alloc(time.Now())
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +186,13 @@ func (ss *StreamStack) Dial(remote ip.Addr, port uint16) (*StreamConn, error) {
 	ss.mu.Unlock()
 
 	// SYN / SYN-ACK.
-	deadline := ss.cfg.Now().Add(64 * ss.cfg.RTO)
+	deadline := time.Now().Add(64 * ss.cfg.RTO)
 	for {
 		if err := c.sendFlags(TCPSyn, c.sndBase, 0, nil); err != nil {
 			return nil, err
 		}
 		c.mu.Lock()
-		for !c.established && c.err == nil && ss.cfg.Now().Before(deadline) {
+		for !c.established && c.err == nil && time.Now().Before(deadline) {
 			c.waitWithTimeout(ss.cfg.RTO)
 		}
 		est, cerr := c.established, c.err
@@ -208,7 +203,7 @@ func (ss *StreamStack) Dial(remote ip.Addr, port uint16) (*StreamConn, error) {
 		if est {
 			break
 		}
-		if !ss.cfg.Now().Before(deadline) {
+		if !time.Now().Before(deadline) {
 			ss.dropConn(key)
 			return nil, fmt.Errorf("l4: connect to %v:%d timed out", remote, port)
 		}
@@ -317,9 +312,9 @@ func (c *StreamConn) CloseWrite() error {
 	c.segments = append(c.segments, segment{seq: c.sndNext, fin: true})
 	c.sndNext++
 	c.cond.Broadcast()
-	deadline := c.ss.cfg.Now().Add(256 * c.ss.cfg.RTO)
+	deadline := time.Now().Add(256 * c.ss.cfg.RTO)
 	for c.sndBase != c.sndNext && c.err == nil {
-		if !c.ss.cfg.Now().Before(deadline) {
+		if !time.Now().Before(deadline) {
 			c.mu.Unlock()
 			return fmt.Errorf("l4: close timed out with %d bytes unacked", c.sndNext-c.sndBase)
 		}
@@ -328,7 +323,7 @@ func (c *StreamConn) CloseWrite() error {
 	err := c.err
 	c.mu.Unlock()
 	c.ss.dropConn(c.key)
-	c.ss.cfg.Ports.Release(c.key.localPort, c.ss.cfg.Now())
+	c.ss.cfg.Ports.Release(c.key.localPort, time.Now())
 	return err
 }
 
@@ -373,7 +368,7 @@ func (c *StreamConn) pump() {
 		}
 		toSend := make([]segment, w)
 		copy(toSend, c.segments[:w])
-		c.lastSend = c.ss.cfg.Now()
+		c.lastSend = time.Now()
 		c.mu.Unlock()
 		for _, s := range toSend {
 			flags := uint8(TCPAck | TCPPsh)
@@ -389,8 +384,8 @@ func (c *StreamConn) pump() {
 		// the (possibly advanced) base.
 		c.mu.Lock()
 		before := c.sndBase
-		deadline := c.ss.cfg.Now().Add(c.ss.cfg.RTO)
-		for c.sndBase == before && len(c.segments) > 0 && c.err == nil && c.ss.cfg.Now().Before(deadline) {
+		deadline := time.Now().Add(c.ss.cfg.RTO)
+		for c.sndBase == before && len(c.segments) > 0 && c.err == nil && time.Now().Before(deadline) {
 			c.waitWithTimeout(c.ss.cfg.RTO)
 		}
 		done := len(c.segments) == 0 && c.closed && c.sndBase == c.sndNext

@@ -19,7 +19,7 @@ type streamWire struct {
 	count int
 }
 
-func (w *streamWire) sender(self ip.Addr) ip.LinkSender {
+func (w *streamWire) sender(self ip.Addr) ip.LinkFunc {
 	return ip.LinkFunc(func(frame []byte) error {
 		w.mu.Lock()
 		w.count++
@@ -183,8 +183,8 @@ func TestStreamSegmentSizingWithSecurityHeader(t *testing.T) {
 	a := ip.Addr{10, 0, 0, 1}
 	b := ip.Addr{10, 0, 0, 2}
 	grow := hookFunc{
-		out: func(h *ip.Header, p []byte) ([]byte, error) {
-			return append(make([]byte, fbsHdr), p...), nil
+		out: func(dst []byte, h *ip.Header, p []byte) ([]byte, error) {
+			return append(append(dst, make([]byte, fbsHdr)...), p...), nil
 		},
 		in: func(h *ip.Header, p []byte) ([]byte, error) {
 			return p[fbsHdr:], nil
@@ -230,9 +230,11 @@ func mustStack(t *testing.T, addr ip.Addr, w *streamWire) *ip.Stack {
 }
 
 type hookFunc struct {
-	out func(*ip.Header, []byte) ([]byte, error)
+	out func([]byte, *ip.Header, []byte) ([]byte, error)
 	in  func(*ip.Header, []byte) ([]byte, error)
 }
 
-func (h hookFunc) OutputHook(hd *ip.Header, p []byte) ([]byte, error) { return h.out(hd, p) }
-func (h hookFunc) InputHook(hd *ip.Header, p []byte) ([]byte, error)  { return h.in(hd, p) }
+func (h hookFunc) OutputHook(dst []byte, hd *ip.Header, p []byte) ([]byte, error) {
+	return h.out(dst, hd, p)
+}
+func (h hookFunc) InputHook(hd *ip.Header, p []byte) ([]byte, error) { return h.in(hd, p) }

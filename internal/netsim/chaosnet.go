@@ -344,17 +344,6 @@ func (p *chaosPort) Close() error {
 	return nil
 }
 
-// QueueLen reports how many datagrams sit undrained in addr's queue.
-func (n *ChaosNetwork) QueueLen(addr principal.Address) int {
-	n.mu.Lock()
-	p := n.ports[addr]
-	n.mu.Unlock()
-	if p == nil {
-		return 0
-	}
-	return len(p.ch)
-}
-
 // InjectKind names one adversary mutation. Each kind is crafted to land
 // in exactly one DropReason bucket at the receiver, which is what makes
 // per-bucket reconciliation exact (see the mapping on each constant).

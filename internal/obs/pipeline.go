@@ -27,7 +27,6 @@ type Pipeline struct {
 	open [core.NumStages]Histogram
 
 	rec *Recorder
-	now func() time.Time
 }
 
 // PipelineConfig configures a Pipeline.
@@ -38,16 +37,11 @@ type PipelineConfig struct {
 	// RecorderSize is the flight-recorder ring capacity; 0 selects
 	// DefaultRecorderSize, negative disables the recorder.
 	RecorderSize int
-	// Now supplies event timestamps; default time.Now.
-	Now func() time.Time
 }
 
 // NewPipeline builds a pipeline.
 func NewPipeline(cfg PipelineConfig) *Pipeline {
-	p := &Pipeline{now: cfg.Now}
-	if p.now == nil {
-		p.now = time.Now
-	}
+	p := &Pipeline{}
 	if cfg.RecorderSize >= 0 {
 		p.rec = NewRecorder(cfg.RecorderSize)
 	}
@@ -62,9 +56,6 @@ func (p *Pipeline) SetSampleEvery(n int) {
 	}
 	p.sampleEvery.Store(uint64(n))
 }
-
-// SampleEvery returns the current sampling rate.
-func (p *Pipeline) SampleEvery() int { return int(p.sampleEvery.Load()) }
 
 // Sample implements core.Observer. With sampling disabled it is one
 // atomic load; enabled, it counts packets and fires every Nth.
@@ -93,7 +84,7 @@ func (p *Pipeline) Packet(s core.PacketSample) {
 		}
 	}
 	if p.rec != nil {
-		p.rec.Record(s, p.now())
+		p.rec.Record(s, time.Now())
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -41,44 +40,31 @@ type Family struct {
 	Samples []Sample
 }
 
-// Collector produces families at scrape time.
-type Collector interface {
-	Collect() []Family
-}
-
-// CollectorFunc adapts a function to Collector.
-type CollectorFunc func() []Family
-
-// Collect implements Collector.
-func (f CollectorFunc) Collect() []Family { return f() }
-
-// Registry is an ordered set of collectors. Output is deterministic for
-// a fixed registration order and collector output (the golden-test
-// property): families appear in first-registration order, samples in
-// collector order, and families with the same name emitted by multiple
-// collectors are merged under a single HELP/TYPE header.
+// Registry is an ordered set of collectors, functions that produce
+// families at scrape time. Output is deterministic for a fixed
+// registration order and collector output (the golden-test property):
+// families appear in first-registration order, samples in collector
+// order, and families with the same name emitted by multiple collectors
+// are merged under a single HELP/TYPE header.
 type Registry struct {
 	mu         sync.Mutex
-	collectors []Collector
+	collectors []func() []Family
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Register appends a collector. Safe for concurrent use.
-func (r *Registry) Register(c Collector) {
+// RegisterFunc appends a collector function. Safe for concurrent use.
+func (r *Registry) RegisterFunc(f func() []Family) {
 	r.mu.Lock()
-	r.collectors = append(r.collectors, c)
+	r.collectors = append(r.collectors, f)
 	r.mu.Unlock()
 }
-
-// RegisterFunc appends a collector function.
-func (r *Registry) RegisterFunc(f func() []Family) { r.Register(CollectorFunc(f)) }
 
 // WriteText renders every family in the Prometheus text format.
 func (r *Registry) WriteText(w io.Writer) error {
 	r.mu.Lock()
-	collectors := make([]Collector, len(r.collectors))
+	collectors := make([]func() []Family, len(r.collectors))
 	copy(collectors, r.collectors)
 	r.mu.Unlock()
 
@@ -86,8 +72,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 	// first-seen order.
 	index := make(map[string]int)
 	var merged []Family
-	for _, c := range collectors {
-		for _, f := range c.Collect() {
+	for _, collect := range collectors {
+		for _, f := range collect() {
 			if i, ok := index[f.Name]; ok {
 				merged[i].Samples = append(merged[i].Samples, f.Samples...)
 				continue
@@ -226,24 +212,4 @@ func histLabels(name string, labels []Label, extra ...Label) []Label {
 	out = append(out, labels...)
 	out = append(out, extra...)
 	return out
-}
-
-// SortSamples orders a family's samples lexicographically by their
-// labels — useful when a collector gathers from an unordered source and
-// wants deterministic exposition.
-func SortSamples(f *Family) {
-	sort.SliceStable(f.Samples, func(i, j int) bool {
-		return labelKey(f.Samples[i].Labels) < labelKey(f.Samples[j].Labels)
-	})
-}
-
-func labelKey(ls []Label) string {
-	var b strings.Builder
-	for _, l := range ls {
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-		b.WriteByte(';')
-	}
-	return b.String()
 }

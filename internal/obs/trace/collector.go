@@ -112,9 +112,6 @@ func (c *Collector) SetSampleEvery(n int) {
 	c.sampleEvery.Store(uint64(n))
 }
 
-// SampleEvery returns the current sampling rate.
-func (c *Collector) SampleEvery() int { return int(c.sampleEvery.Load()) }
-
 // StartTrace implements core.Tracer: it allocates a fresh trace ID for
 // every Nth datagram, 0 otherwise. Disabled sampling costs one atomic
 // load and nothing else.

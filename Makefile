@@ -135,15 +135,19 @@ gwbench-test:
 	cd bench/gwbench && $(GO) vet ./... && $(GO) test ./...
 
 # gwbench-smoke boots the real daemon and drives five seconds of
-# verified window-32 echoes at it, untraced: the result object on the
-# last line must say the ledger reconciled and every echo came back, so
-# a ledger or echo break in fbsgw fails here and not in the benchmark
-# driver. It gates correctness only; its timings are not compared.
+# verified window-32 echoes at it, untraced, once on the hit path
+# (small_echo) and once on the keying-miss path (peer_churn: 256 peers, a
+# fresh flow per visit): the result object on the last line must say the
+# ledger reconciled and every echo came back, so a ledger, echo or keying
+# break in fbsgw fails here and not in the benchmark driver. It gates
+# correctness only; its timings are not compared.
 gwbench-smoke:
-	@last=$$(bash bench/gwbench/run.sh --workload small_echo --seconds 5 --trace 0 | tail -n 1); \
-	echo "$$last"; \
-	echo "$$last" | grep -Eq '"correct": ?true' && echo "$$last" | grep -Eq '"failed": ?0[,}]' || \
-		{ echo 'gwbench-smoke: last line does not carry "correct": true and "failed": 0' >&2; exit 1; }
+	@for w in small_echo peer_churn; do \
+		last=$$(bash bench/gwbench/run.sh --workload $$w --seconds 5 --trace 0 | tail -n 1); \
+		echo "$$last"; \
+		echo "$$last" | grep -Eq '"correct": ?true' && echo "$$last" | grep -Eq '"failed": ?0[,}]' || \
+			{ echo "gwbench-smoke: $$w: last line does not carry \"correct\": true and \"failed\": 0" >&2; exit 1; }; \
+	done
 
 # ci-race is the whole suite under the race detector and ends with
 # gwbench-test.
@@ -190,8 +194,10 @@ ci-soak:
 #                       it fresh (with variance headroom via -floor-scale).
 # bench-compare then gates every fresh document against the committed
 # trajectory (>20% throughput drop or a doubled seal p99 fails CI) and
-# appends passing runs so the baseline tracks the codebase. gwbench-smoke
-# (above) then checks the real daemon end to end.
+# appends passing runs so the baseline tracks the codebase. One
+# iteration of the keying-miss benchmarks keeps their rows from rotting
+# (they key on Oakley 2, which no test does), and gwbench-smoke (above)
+# then checks the real daemon end to end.
 ci-bench:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | tee fbsbench.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
@@ -199,6 +205,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
 	$(GO) run ./cmd/fbsstat bench-compare < BENCH_batch.json
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation' -benchtime 1x .
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces

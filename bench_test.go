@@ -544,24 +544,122 @@ func BenchmarkFlowKeyDerivation(b *testing.B) {
 	}
 }
 
-// Master key (Diffie-Hellman) computation: the cost an MKC miss pays.
+// Master key (Diffie-Hellman) computation: the cost an MKC miss pays, on
+// the test group the suite keys with and on the Oakley groups the
+// product runs (each side's private value drawn the way an identity
+// draws it).
 func BenchmarkMasterKeyComputation(b *testing.B) {
-	g := TestGroup
-	priv, err := g.GeneratePrivate()
+	for _, row := range []struct {
+		name string
+		g    cryptolib.DHGroup
+	}{{"TestGroup", TestGroup}, {"Oakley1", cryptolib.Oakley1}, {"Oakley2", cryptolib.Oakley2}} {
+		b.Run(row.name, func(b *testing.B) {
+			g := row.g
+			priv, err := g.GeneratePrivate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			peer, err := g.GeneratePrivate()
+			if err != nil {
+				b.Fatal(err)
+			}
+			peerPub := g.Public(peer)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Shared(priv, peerPub); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKeyingMiss prices each level of Figure 6 for one datagram at
+// the gateway's shape — Oakley 2, AES-128-GCM, 64 B secret bodies:
+// "hit" is a round trip on an established flow (TFKC/RFKC hits);
+// "new-flow-known-peer" starts a flow with a peer whose master key is
+// cached (flow-key cache miss, MKC hit), seal and open apart;
+// "new-peer" seals to a peer flushed from every cache first, the whole
+// chain: certificate fetch and verification, one exponentiation, K_f.
+func BenchmarkKeyingMiss(b *testing.B) {
+	d, err := NewDomain("bench-miss")
 	if err != nil {
 		b.Fatal(err)
 	}
-	peer, err := g.GeneratePrivate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	peerPub := g.Public(peer)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Shared(priv, peerPub); err != nil {
+	net := NewNetwork(Impairments{})
+	mk := func(addr Address) *Endpoint {
+		ep, err := d.NewEndpoint(addr, net, func(c *Config) { c.Cipher = core.CipherAES128GCM })
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Cleanup(func() { ep.Close() })
+		return ep
 	}
+	a, bb := mk("miss-a"), mk("miss-b")
+	payload := make([]byte, 64)
+	dg := Datagram{Source: "miss-a", Destination: "miss-b", Payload: payload}
+	wire := make([]byte, 0, core.HeaderSize+len(payload)+core.MACLen)
+	clear := make([]byte, 0, core.HeaderSize+len(payload)+core.MACLen)
+	// A flow no iteration has used: the mapper files each under its own sfl.
+	var flows uint64
+	fresh := func() core.FlowID {
+		flows++
+		return core.FlowID{Src: "miss-a", Dst: "miss-b", Proto: 17, SrcPort: uint16(flows), Aux: flows}
+	}
+	sealOpen(b, a, bb, dg, true) // both sides hold K_{a,b}
+
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sealed, err := a.SealAppend(wire[:0], dg, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := bb.OpenAppend(clear[:0], Datagram{Source: "miss-a", Destination: "miss-b", Payload: sealed}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("new-flow-known-peer/seal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.SealFlowAppend(wire[:0], dg, fresh(), true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("new-flow-known-peer/open", func(b *testing.B) {
+		// Sealing the arrivals is set-up: a chunk at a time, off the clock.
+		const chunk = 256
+		arrivals := make([]Datagram, 0, chunk)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%chunk == 0 {
+				b.StopTimer()
+				arrivals = arrivals[:0]
+				for j := 0; j < chunk; j++ {
+					sealed, err := a.SealFlowAppend(nil, dg, fresh(), true)
+					if err != nil {
+						b.Fatal(err)
+					}
+					arrivals = append(arrivals, Datagram{Source: "miss-a", Destination: "miss-b", Payload: sealed})
+				}
+				b.StartTimer()
+			}
+			if _, err := bb.OpenAppend(clear[:0], arrivals[i%chunk]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("new-peer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a.FlushPeer("miss-b")
+			if _, err := a.SealAppend(wire[:0], dg, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // Cache associativity ablation (Section 5.3: associativity "can not be

@@ -105,7 +105,7 @@ type cliOptions struct {
 // values) plus where each tenant's listener actually bound (so port-0
 // configs work).
 type provisionState struct {
-	fbs.Provision
+	*fbs.Provision
 	TenantUDP map[string]string `json:"tenant_udp"`
 	AdminAddr string            `json:"admin_addr,omitempty"`
 }
@@ -288,7 +288,7 @@ func (d *daemon) writeState(cfg *gateway.Config) error {
 		return fmt.Errorf("state: %w", err)
 	}
 	st := provisionState{
-		Provision: *prov,
+		Provision: prov,
 		TenantUDP: make(map[string]string),
 		AdminAddr: d.adminAddr,
 	}

@@ -50,7 +50,7 @@ import (
 // state is the provisioning side channel: the sender's domain export
 // with the receiver's private value in it.
 type state struct {
-	fbs.Provision
+	*fbs.Provision
 	// Sender's bound UDP address, so the receiver can route return
 	// traffic (challenge frames) before the sender is a known peer.
 	SendAddr string `json:"send_addr,omitempty"`
@@ -224,7 +224,7 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	if err := udp.AddPeer("receiver", peerAddr); err != nil {
 		return err
 	}
-	blob, err := json.Marshal(state{Provision: *prov, SendAddr: udp.LocalAddr().String()})
+	blob, err := json.Marshal(state{Provision: prov, SendAddr: udp.LocalAddr().String()})
 	if err != nil {
 		return err
 	}
@@ -313,7 +313,7 @@ func recv(listen, statePath string, count, batch int, adminAddr string, statsJSO
 	if err != nil {
 		return fmt.Errorf("reading provisioning state (run the sender first): %w", err)
 	}
-	var st state
+	st := state{Provision: new(fbs.Provision)}
 	if err := json.Unmarshal(blob, &st); err != nil {
 		return err
 	}

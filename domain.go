@@ -138,7 +138,8 @@ func (d *Domain) NewEndpoint(addr Address, net *Network, opts ...func(*Config)) 
 // (the SO_REUSEPORT model: one socket per core). Steer outgoing
 // datagrams with ShardGroup.ShardOf and incoming ones with
 // ShardOfIncoming so each flow's FAM and replay state stays on one
-// shard.
+// shard. Shards share no caches on the datagram path; the key plane
+// (one PVC, MKC and MKD for the identity) is touched at flow start only.
 func (d *Domain) NewShardedEndpoint(addr Address, n int, mkTransport func(shard int) (Transport, error), opts ...func(*Config)) (*ShardGroup, error) {
 	id, err := d.NewPrincipal(addr)
 	if err != nil {
@@ -193,6 +194,43 @@ type Provision struct {
 	// Private maps a provisioned principal's name to its private value,
 	// hex: the secret half of the side channel.
 	Private map[string]string `json:"client_private"`
+
+	// The public half, parsed by the first Config call and shared,
+	// read-only, by every Config returned after it: rebuilding n
+	// principals costs n certificate decodes, not n². Later edits to CAN,
+	// CAE or Certs are not seen.
+	parse    sync.Once
+	dir      *cert.StaticDirectory
+	ver      *cert.Verifier
+	parseErr error
+}
+
+// parsed decodes the CA key and every certificate once. The shared
+// Verifier pins the issuer of the document's first certificate; a Domain
+// exports certificates of one issuer only.
+func (p *Provision) parsed() error {
+	p.parse.Do(func() {
+		n, okN := new(big.Int).SetString(p.CAN, 16)
+		e, okE := new(big.Int).SetString(p.CAE, 16)
+		if !okN || !okE {
+			p.parseErr = fmt.Errorf("fbs: provisioning document has a malformed CA key")
+			return
+		}
+		p.dir = cert.NewStaticDirectory()
+		p.ver = &cert.Verifier{CAKey: cryptolib.RSAPublicKey{N: n, E: e}}
+		for i, wire := range p.Certs {
+			c, err := cert.Unmarshal(wire)
+			if err != nil {
+				p.parseErr = err
+				return
+			}
+			if i == 0 {
+				p.ver.CA = c.Issuer
+			}
+			p.dir.Publish(c)
+		}
+	})
+	return p.parseErr
 }
 
 // Provision exports the domain: the CA key, every certificate published
@@ -249,8 +287,10 @@ func LoadProvision(path string) (*Provision, error) {
 // Config rebuilds what the provisioned principal name needs to join the
 // domain: its Identity from the stored private value, a static Directory
 // of every certificate, and a Verifier pinned to the CA key and to the
-// issuer of the principal's own certificate. The caller adds a Transport
-// (and any policy) and hands the result to NewEndpoint.
+// issuer of the principal's own certificate. The Directory and Verifier
+// are the document's, shared by every Config it returns; treat them as
+// read-only. The caller adds a Transport (and any policy) and hands the
+// result to NewEndpoint.
 func (p *Provision) Config(name Address) (Config, error) {
 	privHex, ok := p.Private[string(name)]
 	if !ok {
@@ -260,20 +300,10 @@ func (p *Provision) Config(name Address) (Config, error) {
 	if err != nil {
 		return Config{}, fmt.Errorf("fbs: private value of %q: %w", name, err)
 	}
-	n, okN := new(big.Int).SetString(p.CAN, 16)
-	e, okE := new(big.Int).SetString(p.CAE, 16)
-	if !okN || !okE {
-		return Config{}, fmt.Errorf("fbs: provisioning document has a malformed CA key")
+	if err := p.parsed(); err != nil {
+		return Config{}, err
 	}
-	dir := cert.NewStaticDirectory()
-	for _, wire := range p.Certs {
-		c, err := cert.Unmarshal(wire)
-		if err != nil {
-			return Config{}, err
-		}
-		dir.Publish(c)
-	}
-	own, err := dir.Lookup(name)
+	own, err := p.dir.Lookup(name)
 	if err != nil {
 		return Config{}, err
 	}
@@ -281,9 +311,9 @@ func (p *Provision) Config(name Address) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	return Config{
-		Identity:  id,
-		Directory: dir,
-		Verifier:  &cert.Verifier{CAKey: cryptolib.RSAPublicKey{N: n, E: e}, CA: own.Issuer},
-	}, nil
+	ver := p.ver
+	if own.Issuer != ver.CA {
+		ver = &cert.Verifier{CAKey: ver.CAKey, CA: own.Issuer}
+	}
+	return Config{Identity: id, Directory: p.dir, Verifier: ver}, nil
 }

@@ -2,6 +2,7 @@ package fbs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -188,8 +189,63 @@ func TestProvisionRoundTrip(t *testing.T) {
 	if _, err := loaded.Config("home"); err == nil {
 		t.Fatal("rebuilt a principal whose private value was never exported")
 	}
-	loaded.CAN = "not hex"
-	if _, err := loaded.Config("away"); err == nil {
+	// The document is parsed once, so a malformed one is a fresh load.
+	bad, err := LoadProvision(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.CAN = "not hex"
+	if _, err := bad.Config("away"); err == nil {
 		t.Fatal("accepted a malformed CA key")
+	}
+
+	// Many names from one document: every Config shares the one parsed
+	// Directory and Verifier (rebuilding n principals is n certificate
+	// decodes, not n²), and what it returns still keys.
+	names := make([]Address, 64)
+	for i := range names {
+		names[i] = Address(fmt.Sprintf("fleet-%02d", i))
+	}
+	fleet, err := d.Provision(names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := fleet.Config(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		cfg, err := fleet.Config(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.Directory != first.Directory || cfg.Verifier != first.Verifier {
+			t.Fatalf("%s: Config built its own Directory or Verifier; the document's are shared", name)
+		}
+		if cfg.Identity.Addr != name {
+			t.Fatalf("%s: identity is %s", name, cfg.Identity.Addr)
+		}
+		if cfg.Transport, err = net.Attach(name, 0); err != nil {
+			t.Fatal(err)
+		}
+		ep, err := NewEndpoint(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = ep.SendTo("home", []byte(name), true)
+		ep.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dg, err := home.ReceiveValid(); err != nil || dg.Source != name || string(dg.Payload) != string(name) {
+			t.Fatalf("home received %q from %s, %v; want %s", dg.Payload, dg.Source, err, name)
+		}
+	}
+
+	// A document carrying an end-of-range private value fails loudly
+	// instead of yielding an identity whose every pair key is public.
+	fleet.Private[string(names[1])] = "01"
+	if _, err := fleet.Config(names[1]); err == nil {
+		t.Fatal("accepted a private value of 1")
 	}
 }

@@ -198,14 +198,18 @@ func (c *DirectMapped[K, V]) Put(key K, val V) {
 	}
 }
 
-// Contains reports whether key is cached, without touching the
-// hit/miss counters (a peek for admission decisions, so probing does
-// not distort the miss-rate experiments).
-func (c *DirectMapped[K, V]) Contains(key K) bool {
+// Peek is Get without touching the hit/miss counters: for admission
+// decisions, and for the second look of a request whose probe was
+// already counted, so neither distorts the miss-rate experiments.
+func (c *DirectMapped[K, V]) Peek(key K) (V, bool) {
 	s, st := c.slotStripe(key)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return s.valid && s.key == key
+	if s.valid && s.key == key {
+		return s.val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Invalidate removes key if present and reports whether it was.

@@ -262,12 +262,16 @@ func (w *confounderWell) drawRun(conf []uint32) {
 type Endpoint struct {
 	cfg  Config
 	fam  *FAM
-	ks   *KeyService
-	mkd  *MKD
 	tfkc *DirectMapped[flowCacheKey, [16]byte]
 	rfkc *DirectMapped[flowCacheKey, [16]byte]
 	rc   *ReplayCache
 	conf *confounderWell
+
+	// plane is the PVC/MKC/MKD this endpoint keys through; the endpoint
+	// that built it (standalone, or shard 0 of a group) carries it in its
+	// Snapshot.
+	plane        *keyPlane
+	carriesPlane bool
 
 	// Overload plane: the keying admission gate (nil when disabled),
 	// the flow-key derivation single-flight, the rate limiter for
@@ -288,8 +292,13 @@ type Endpoint struct {
 	metrics endpointCounters
 }
 
-// NewEndpoint validates the configuration and assembles an endpoint.
-func NewEndpoint(cfg Config) (*Endpoint, error) {
+// NewEndpoint validates the configuration and assembles an endpoint with
+// a key plane of its own.
+func NewEndpoint(cfg Config) (*Endpoint, error) { return newEndpoint(cfg, nil, 1) }
+
+// newEndpoint assembles an endpoint that keys through plane; nil means
+// build one from cfg, sized for shards endpoints (shard 0's path too).
+func newEndpoint(cfg Config, plane *keyPlane, shards int) (*Endpoint, error) {
 	if cfg.Identity == nil {
 		return nil, fmt.Errorf("core: Config.Identity is required")
 	}
@@ -340,6 +349,15 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	if cfg.RFKCSize <= 0 {
 		cfg.RFKCSize = 256
 	}
+	if cfg.PVCSize <= 0 {
+		cfg.PVCSize = 64
+	}
+	if cfg.MKCSize <= 0 {
+		cfg.MKCSize = 64
+	}
+	if plane != nil && !sameIdentity(plane.ks.self, cfg.Identity) {
+		return nil, fmt.Errorf("core: identity %q differs from the one the group's key plane serves", cfg.Identity.Addr)
+	}
 	var fam *FAM
 	if cfg.SFLSeed != 0 {
 		fam = newFAMWithSeed(cfg.Policy, cfg.FSTSize, cfg.SFLSeed)
@@ -361,21 +379,9 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 		}
 		return defaultSuite
 	})
-	ks := NewKeyService(cfg.Identity, cfg.Directory, cfg.Verifier, cfg.Clock,
-		KeyServiceConfig{
-			PVCSize:              cfg.PVCSize,
-			MKCSize:              cfg.MKCSize,
-			Retry:                cfg.KeyRetry,
-			NegativeTTL:          cfg.KeyNegativeTTL,
-			StaleWhileRevalidate: cfg.KeyStaleWindow,
-		})
-	mkd := NewMKD(ks)
-	mkd.SetTimeout(cfg.UpcallTimeout)
 	e := &Endpoint{
 		cfg:  cfg,
 		fam:  fam,
-		ks:   ks,
-		mkd:  mkd,
 		tfkc: NewDirectMapped[flowCacheKey, [16]byte](cfg.TFKCSize, flowCacheKey.hash),
 		rfkc: NewDirectMapped[flowCacheKey, [16]byte](cfg.RFKCSize, flowCacheKey.hash),
 		conf: newConfounderWell(cfg.Confounder),
@@ -393,20 +399,27 @@ func NewEndpoint(cfg Config) (*Endpoint, error) {
 	}
 	if b := cfg.StateBudget; b != nil {
 		fam.SetBudget(b)
-		ks.SetBudget(b)
 		e.tfkc.SetBudget(b, CostFlowKeyEntry)
 		e.rfkc.SetBudget(b, CostFlowKeyEntry)
 		if e.rc != nil {
 			e.rc.SetBudget(b)
 		}
 	}
+	// Last, once nothing can fail: a new plane starts the daemon.
+	if plane == nil {
+		plane, e.carriesPlane = newKeyPlane(cfg, shards), true
+	}
+	e.plane = plane
+	plane.users.Add(1)
 	return e, nil
 }
 
 // Addr returns this endpoint's principal address.
 func (e *Endpoint) Addr() principal.Address { return e.cfg.Identity.Addr }
 
-// Close stops the master key daemon and closes the transport. It is
+// Close stops the master key daemon, if this is the last endpoint on its
+// key plane — ShardGroup.Close ends a group's, not the first shard
+// closed, whose siblings go on keying — and closes the transport. It is
 // idempotent: only the first call releases anything, and later calls
 // return nil — so a ShardGroup torn down twice (a mid-construction
 // failure followed by a deferred Close) closes each transport exactly
@@ -415,7 +428,9 @@ func (e *Endpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	e.mkd.Stop()
+	if e.plane.users.Add(-1) == 0 {
+		e.plane.mkd.Stop()
+	}
 	return e.cfg.Transport.Close()
 }
 
@@ -468,49 +483,6 @@ func (e *Endpoint) Quiesce(timeout time.Duration) error {
 	}
 }
 
-// HandoffStats reports what HandoffSoftState carried across.
-type HandoffStats struct {
-	// Certs counts verified peer certificates offered to the
-	// successor's PVC.
-	Certs int
-	// MasterKeys counts pair master keys offered to the successor's
-	// MKC (zero when the identities differ).
-	MasterKeys int
-}
-
-// SameIdentity reports whether dst keys for the same principal: same
-// address and same DH public value in the same group. Equal public
-// values imply equal pair master keys with every peer — the property
-// that makes a master-key handoff sound.
-func (e *Endpoint) SameIdentity(dst *Endpoint) bool {
-	a, b := e.cfg.Identity, dst.cfg.Identity
-	return a.Addr == b.Addr &&
-		a.Public.Cmp(b.Public) == 0 &&
-		a.Group.P.Cmp(b.Group.P) == 0 &&
-		a.Group.G.Cmp(b.Group.G) == 0
-}
-
-// HandoffSoftState warms dst from this endpoint's keying caches so a
-// config-epoch swap does not trigger a thundering herd of upcalls.
-// Verified peer certificates always carry over — they are public,
-// signature-checked material, valid under any local configuration.
-// Pair master keys carry over only when dst keys for the same
-// identity: a rotated private value changes every pair key, so
-// rotation deliberately hands nothing over and the keys rebuild
-// through the normal upcall path. Flow keys and flow state stay
-// behind by design — they are one hash away from the master key, and
-// the successor's suite or policy choices may differ. Installs into
-// dst are gated by dst's own StateBudget; anything refused simply
-// rebuilds on demand.
-func (e *Endpoint) HandoffSoftState(dst *Endpoint) HandoffStats {
-	var hs HandoffStats
-	hs.Certs = e.ks.HandoffCerts(dst.ks)
-	if e.SameIdentity(dst) {
-		hs.MasterKeys = e.ks.HandoffMasterKeys(dst.ks)
-	}
-	return hs
-}
-
 // FlushPeer evicts everything cached about peer — verified
 // certificate, pair master key, negative-lookup memory, and both
 // directions' flow keys — so the next datagram to or from peer re-keys
@@ -518,7 +490,7 @@ func (e *Endpoint) HandoffSoftState(dst *Endpoint) HandoffStats {
 // credentials flushes that peer alone, leaving every other flow's
 // soft state untouched.
 func (e *Endpoint) FlushPeer(peer principal.Address) {
-	e.ks.FlushPeer(peer)
+	e.plane.ks.FlushPeer(peer)
 	match := func(k flowCacheKey, _ [16]byte) bool {
 		return k.Src == peer || k.Dst == peer
 	}
@@ -538,7 +510,7 @@ func (e *Endpoint) ReplayPerPeer() map[principal.Address]int { return e.rc.PerPe
 // the regular keying path (MKC, upcall), so it can fail with the same
 // keying errors a seal would.
 func (e *Endpoint) PeerFlowKey(sfl SFL, peer principal.Address) ([16]byte, error) {
-	master, err := e.mkd.Upcall(peer)
+	master, _, err := e.plane.masterKey(peer, nil)
 	if err != nil {
 		return [16]byte{}, err
 	}
@@ -591,8 +563,8 @@ func (e *Endpoint) maybeRelievePressure(now time.Time) {
 func (e *Endpoint) FlushKeys() {
 	e.tfkc.Flush()
 	e.rfkc.Flush()
-	e.ks.pvc.Flush()
-	e.ks.mkc.Flush()
+	e.plane.ks.pvc.Flush()
+	e.plane.ks.mkc.Flush()
 }
 
 // Flows returns a snapshot of the live flow state table, for monitoring.
@@ -701,7 +673,7 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, slot int, src, dst principal.Address
 			return k, true, note, nil
 		}
 	}
-	master, mnote, err := e.mkd.UpcallNoted(dst)
+	master, mnote, err := e.plane.masterKey(dst, nil)
 	note.merge(mnote)
 	if err != nil {
 		return [16]byte{}, false, note, err
@@ -730,7 +702,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address) (k [16]by
 	k, note, joined, err := e.flight.do(ck, func() ([16]byte, KeyNote, error) {
 		var n KeyNote
 		if e.gate != nil || e.cfg.StateBudget != nil {
-			if !e.ks.KnownPeer(src) {
+			if !e.plane.ks.KnownPeer(src) {
 				if e.gate != nil {
 					if err := e.gate.Admit(src); err != nil {
 						n.AdmitRefused = true
@@ -745,9 +717,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address) (k [16]by
 				}
 			}
 		}
-		e.gate.enter()
-		master, mnote, err := e.mkd.UpcallNoted(src)
-		e.gate.leave()
+		master, mnote, err := e.plane.masterKey(src, e.gate)
 		n.merge(mnote)
 		if err != nil {
 			return [16]byte{}, n, err

@@ -310,7 +310,7 @@ func TestMultiHomedPrincipal(t *testing.T) {
 	var h0, h1 Header
 	h0.Decode(s0.Payload)
 	h1.Decode(s1.Payload)
-	master, err := eps[0].ks.MasterKey("mh-bob")
+	master, err := eps[0].plane.ks.MasterKey("mh-bob")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,26 +260,39 @@ func (ks *KeyService) SetBudget(b *Budget) {
 // without touching cache counters. The admission gate uses this peek:
 // keying a known peer costs one hash, not an exponentiation, so known
 // peers bypass admission control entirely.
-func (ks *KeyService) KnownPeer(peer principal.Address) bool { return ks.mkc.Contains(peer) }
+func (ks *KeyService) KnownPeer(peer principal.Address) bool {
+	_, ok := ks.mkc.Peek(peer)
+	return ok
+}
 
 // MasterKey returns the pair-based master key with peer, computing and
 // caching it as needed. The path mirrors Figure 6: MKC hit → done;
 // otherwise PVC (fetching and verifying a certificate on miss), then one
 // modular exponentiation, then install in the MKC.
 func (ks *KeyService) MasterKey(peer principal.Address) ([16]byte, error) {
-	return ks.masterKeyNoted(peer, nil)
+	if k, ok := ks.cachedMasterKey(peer); ok {
+		return k, nil
+	}
+	return ks.masterKeyMiss(peer, new(KeyNote))
 }
 
-// masterKeyNoted is MasterKey, annotating note (nil-safe) with which
-// tier answered and how the fetch path degraded — the per-request
-// counterpart of the aggregate KeyServiceStats counters, consumed by
-// the tracing plane.
-func (ks *KeyService) masterKeyNoted(peer principal.Address, note *KeyNote) ([16]byte, error) {
+// cachedMasterKey is the MKC probe every request makes exactly once: it
+// moves one request count and one MKC hit-or-miss count.
+func (ks *KeyService) cachedMasterKey(peer principal.Address) ([16]byte, bool) {
 	ks.stats.masterKeyRequests.Add(1)
-	if k, ok := ks.mkc.Get(peer); ok {
-		if note != nil {
-			note.MKCHit = true
-		}
+	return ks.mkc.Get(peer)
+}
+
+// masterKeyMiss is Figure 6 below the MKC — what the daemon runs for a
+// request whose probe missed — annotating note with which tier answered
+// and how the fetch path degraded: the per-request counterpart of the
+// aggregate KeyServiceStats counters, consumed by the tracing plane. It
+// looks at the MKC once more, uncounted: a request that missed just
+// before a computation for the same peer finished must find that key,
+// not pay a second exponentiation.
+func (ks *KeyService) masterKeyMiss(peer principal.Address, note *KeyNote) ([16]byte, error) {
+	if k, ok := ks.mkc.Peek(peer); ok {
+		note.MKCHit = true
 		return k, nil
 	}
 	c, err := ks.certificateNoted(peer, note)
@@ -293,9 +306,7 @@ func (ks *KeyService) masterKeyNoted(peer principal.Address, note *KeyNote) ([16
 		return [16]byte{}, fmt.Errorf("core: master key with %q: %w", peer, err)
 	}
 	ks.stats.masterKeyComputes.Add(1)
-	if note != nil {
-		note.Computed = true
-	}
+	note.Computed = true
 	ks.mkc.Put(peer, k)
 	return k, nil
 }
@@ -366,14 +377,12 @@ func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certi
 	start := ks.clock.Now()
 	if ks.negCached(peer, start) {
 		ks.stats.negativeHits.Add(1)
-		if note != nil {
-			note.NegativeHit = true
-		}
+		note.NegativeHit = true
 		return nil, fmt.Errorf("%w: %q", ErrPeerUnavailable, peer)
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		if note != nil && uint32(attempt) > note.Attempts {
+		if uint32(attempt) > note.Attempts {
 			note.Attempts = uint32(attempt)
 		}
 		c, err := ks.dir.Lookup(peer)
@@ -417,7 +426,7 @@ func (ks *KeyService) staleUsable(c *cert.Certificate, peer principal.Address, n
 // the retry policy bounds the fetch, the negative cache absorbs repeat
 // misses, and (if enabled) stale-while-revalidate lets a just-expired
 // certificate keep the flow alive while each use retries the refetch.
-// note (nil-safe) is annotated with the degradation verdicts
+// note is annotated with the degradation verdicts
 // (negative-cache refusals, retry attempts, stale serves) for the
 // tracing plane.
 func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*cert.Certificate, error) {
@@ -442,9 +451,7 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 		if ferr != nil {
 			if ks.staleUsable(c, peer, now) {
 				ks.stats.staleServed.Add(1)
-				if note != nil {
-					note.StaleServed = true
-				}
+				note.StaleServed = true
 				ks.pvc.Put(peer, c) // keep revalidating on later uses
 				return c, nil
 			}
@@ -454,9 +461,7 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 		if verr := ks.verifier.Verify(fresh, peer, now); verr != nil {
 			if ks.staleUsable(c, peer, now) {
 				ks.stats.staleServed.Add(1)
-				if note != nil {
-					note.StaleServed = true
-				}
+				note.StaleServed = true
 				ks.pvc.Put(peer, c)
 				return c, nil
 			}
@@ -478,33 +483,6 @@ func (ks *KeyService) Pin(c *cert.Certificate) { ks.pvc.Put(c.Subject, c) }
 func (ks *KeyService) InvalidatePeer(peer principal.Address) {
 	ks.pvc.Invalidate(peer)
 	ks.mkc.Invalidate(peer)
-}
-
-// HandoffCerts offers every verified peer certificate to dst's PVC and
-// reports how many were offered. Certificates are public,
-// signature-checked material, so they are valid under any local
-// configuration; each install is still gated by dst's own budget.
-func (ks *KeyService) HandoffCerts(dst *KeyService) int {
-	n := 0
-	ks.pvc.Each(func(_ principal.Address, c *cert.Certificate) {
-		dst.pvc.Put(c.Subject, c)
-		n++
-	})
-	return n
-}
-
-// HandoffMasterKeys offers every cached pair master key to dst's MKC
-// and reports how many were offered. Sound only when dst keys for the
-// same identity (same DH private value ⇒ identical pair keys with
-// every peer) — callers must check first; Endpoint.HandoffSoftState
-// does.
-func (ks *KeyService) HandoffMasterKeys(dst *KeyService) int {
-	n := 0
-	ks.mkc.Each(func(peer principal.Address, k [16]byte) {
-		dst.mkc.Put(peer, k)
-		n++
-	})
-	return n
 }
 
 // FlushPeer drops all keying state for peer — verified certificate,

@@ -170,7 +170,7 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	ks := NewKeyService(alice, w.dir, w.ver, w.clock, KeyServiceConfig{
 		StaleWhileRevalidate: 24 * time.Hour,
 	})
-	if _, err := ks.certificateNoted("bob", nil); err != nil {
+	if _, err := ks.certificateNoted("bob", new(KeyNote)); err != nil {
 		t.Fatalf("fresh certificate rejected: %v", err)
 	}
 	// Two hours later the cert is expired everywhere (the directory
@@ -178,7 +178,7 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	// but it is within the stale window and verifies at its own expiry
 	// instant, so the flow stays alive.
 	w.clock.Advance(2 * time.Hour)
-	got, err := ks.certificateNoted("bob", nil)
+	got, err := ks.certificateNoted("bob", new(KeyNote))
 	if err != nil {
 		t.Fatalf("stale-while-revalidate did not serve: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	}
 	// Past the stale window the certificate is dead for good.
 	w.clock.Advance(48 * time.Hour)
-	if _, err := ks.certificateNoted("bob", nil); err == nil {
+	if _, err := ks.certificateNoted("bob", new(KeyNote)); err == nil {
 		t.Fatal("certificate served beyond the stale window")
 	}
 }
@@ -212,7 +212,7 @@ func TestStaleWindowNeverServesTamperedCert(t *testing.T) {
 		StaleWhileRevalidate: 24 * time.Hour,
 	})
 	w.clock.Advance(2 * time.Hour)
-	if _, err := ks.certificateNoted("bob", nil); err == nil {
+	if _, err := ks.certificateNoted("bob", new(KeyNote)); err == nil {
 		t.Fatal("tampered certificate served under the stale window")
 	}
 	if st := ks.Stats(); st.StaleServed != 0 {
@@ -236,11 +236,11 @@ func TestMKDUpcallTimeout(t *testing.T) {
 	w.principal(t, "bob")
 	bd := &blockingDirectory{Inner: w.dir, release: make(chan struct{})}
 	ks := NewKeyService(w.principal(t, "alice"), bd, w.ver, w.clock, KeyServiceConfig{})
-	m := NewMKD(ks)
+	m := NewMKD(ks, 1)
 	defer m.Stop()
 	m.SetTimeout(20 * time.Millisecond)
 
-	if _, err := m.Upcall("bob"); !errors.Is(err, ErrUpcallTimeout) {
+	if _, _, err := m.UpcallNoted("bob"); !errors.Is(err, ErrUpcallTimeout) {
 		t.Fatalf("err = %v, want ErrUpcallTimeout", err)
 	}
 	if m.Timeouts() != 1 {
@@ -251,7 +251,7 @@ func TestMKDUpcallTimeout(t *testing.T) {
 	close(bd.release)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := m.Upcall("bob"); err == nil {
+		if _, _, err := m.UpcallNoted("bob"); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -205,7 +205,7 @@ func TestMKDCoalescesUpcalls(t *testing.T) {
 	w := newWorld(t)
 	w.principal(t, "peer")
 	ks := w.keyService(t, "self", KeyServiceConfig{})
-	mkd := NewMKD(ks)
+	mkd := NewMKD(ks, 1)
 	defer mkd.Stop()
 	const n = 16
 	var wg sync.WaitGroup
@@ -214,7 +214,7 @@ func TestMKDCoalescesUpcalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k, err := mkd.Upcall("peer")
+			k, _, err := mkd.UpcallNoted("peer")
 			if err != nil {
 				t.Error(err)
 				return
@@ -241,10 +241,10 @@ func TestMKDCoalescesUpcalls(t *testing.T) {
 func TestMKDStop(t *testing.T) {
 	w := newWorld(t)
 	ks := w.keyService(t, "self", KeyServiceConfig{})
-	mkd := NewMKD(ks)
+	mkd := NewMKD(ks, 1)
 	mkd.Stop()
 	mkd.Stop() // idempotent
-	if _, err := mkd.Upcall("peer"); err != ErrMKDStopped {
+	if _, _, err := mkd.UpcallNoted("peer"); err != ErrMKDStopped {
 		t.Fatalf("Upcall after Stop = %v, want ErrMKDStopped", err)
 	}
 }

@@ -204,18 +204,18 @@ func TestHandoffSoftState(t *testing.T) {
 	if _, err := old.Seal(dg, true); err != nil {
 		t.Fatal(err)
 	}
-	if !old.ks.KnownPeer("handoff-peer") {
+	if !old.plane.ks.KnownPeer("handoff-peer") {
 		t.Fatal("seal did not warm the old endpoint's MKC")
 	}
 
 	// Same identity: certs and master keys both carry; the successor
 	// never computes an exponentiation for the known peer.
 	succ := lifecycleEndpoint(t, w, "handoff-self", nullTransport{})
-	hs := old.HandoffSoftState(succ)
+	hs := old.plane.handoff(succ.plane)
 	if hs.Certs == 0 || hs.MasterKeys == 0 {
 		t.Fatalf("same-identity handoff = %+v, want certs and master keys", hs)
 	}
-	if !succ.ks.KnownPeer("handoff-peer") {
+	if !succ.plane.ks.KnownPeer("handoff-peer") {
 		t.Fatal("successor does not know the peer after handoff")
 	}
 	if _, err := succ.Seal(dg, true); err != nil {
@@ -242,17 +242,17 @@ func TestHandoffSoftState(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rotEP.Close() })
-	if old.SameIdentity(rotEP) {
-		t.Fatal("SameIdentity true across a private-value rotation")
+	if sameIdentity(old.cfg.Identity, rotated) {
+		t.Fatal("sameIdentity true across a private-value rotation")
 	}
-	hs = old.HandoffSoftState(rotEP)
+	hs = old.plane.handoff(rotEP.plane)
 	if hs.Certs == 0 {
 		t.Fatalf("rotated handoff carried no certs: %+v", hs)
 	}
 	if hs.MasterKeys != 0 {
 		t.Fatalf("rotated handoff carried %d master keys, want 0", hs.MasterKeys)
 	}
-	if rotEP.ks.KnownPeer("handoff-peer") {
+	if rotEP.plane.ks.KnownPeer("handoff-peer") {
 		t.Fatal("rotated endpoint inherited a master key its private value cannot have produced")
 	}
 }
@@ -271,16 +271,16 @@ func TestFlushPeerEvictsOnlyThatPeer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !ep.ks.KnownPeer("flush-p1") || !ep.ks.KnownPeer("flush-p2") {
+	if !ep.plane.ks.KnownPeer("flush-p1") || !ep.plane.ks.KnownPeer("flush-p2") {
 		t.Fatal("seals did not warm both peers")
 	}
 	tfkcBefore := ep.tfkc.Occupancy()
 
 	ep.FlushPeer("flush-p1")
-	if ep.ks.KnownPeer("flush-p1") {
+	if ep.plane.ks.KnownPeer("flush-p1") {
 		t.Fatal("flushed peer still has a cached master key")
 	}
-	if !ep.ks.KnownPeer("flush-p2") {
+	if !ep.plane.ks.KnownPeer("flush-p2") {
 		t.Fatal("flush evicted an unrelated peer's master key")
 	}
 	if got := ep.tfkc.Occupancy(); got != tfkcBefore-1 {

@@ -14,10 +14,11 @@ import (
 // implementation, kernel send/receive processing Upcall()s a user-level
 // daemon on an MKC miss; the daemon fetches certificates over the secure
 // flow bypass, computes the Diffie-Hellman master key, and installs it.
-// Here the daemon is a goroutine serving requests over a channel, with
-// single-flight coalescing so a burst of datagrams to a new peer costs
-// one certificate fetch and one exponentiation — the behaviour the
-// paper's caching design is built around.
+// Here the daemon is worker goroutines serving requests over a channel,
+// with single-flight coalescing so a burst of datagrams to a new peer
+// costs one certificate fetch and one exponentiation — the behaviour the
+// paper's caching design is built around. A peer is queued at most once,
+// so workers only ever overlap the misses of different peers.
 type MKD struct {
 	ks *KeyService
 
@@ -52,15 +53,18 @@ var ErrMKDStopped = errors.New("core: master key daemon stopped")
 // instead of blocking the pipeline on a slow directory.
 var ErrUpcallTimeout = errors.New("core: master key upcall deadline exceeded")
 
-// NewMKD starts a master key daemon over the key service.
-func NewMKD(ks *KeyService) *MKD {
+// NewMKD starts a master key daemon over the key service, serving misses
+// on workers goroutines (at least one) until Stop.
+func NewMKD(ks *KeyService, workers int) *MKD {
 	m := &MKD{
 		ks:       ks,
 		inflight: make(map[principal.Address][]chan mkdResult),
 		reqs:     make(chan principal.Address, 64),
 		done:     make(chan struct{}),
 	}
-	go m.serve()
+	for i := 0; i < max(workers, 1); i++ {
+		go m.serve()
+	}
 	return m
 }
 
@@ -69,7 +73,7 @@ func (m *MKD) serve() {
 		select {
 		case peer := <-m.reqs:
 			var note KeyNote
-			key, err := m.ks.masterKeyNoted(peer, &note)
+			key, err := m.ks.masterKeyMiss(peer, &note)
 			m.mu.Lock()
 			waiters := m.inflight[peer]
 			delete(m.inflight, peer)
@@ -91,17 +95,10 @@ func (m *MKD) serve() {
 	}
 }
 
-// Upcall blocks until the daemon has the pair-based master key for peer.
-// Concurrent upcalls for the same peer are coalesced into one
-// computation.
-func (m *MKD) Upcall(peer principal.Address) ([16]byte, error) {
-	key, _, err := m.UpcallNoted(peer)
-	return key, err
-}
-
-// UpcallNoted is Upcall, also reporting the keying annotations of the
-// computation that produced the key. Coalesced waiters share the
-// leader's note with KeyNote.Coalesced set.
+// UpcallNoted blocks until the daemon has the pair-based master key for
+// peer, and reports the annotations of the computation that produced it.
+// Concurrent upcalls for one peer coalesce into one computation, whose
+// waiters share the leader's note with KeyNote.Coalesced set.
 func (m *MKD) UpcallNoted(peer principal.Address) ([16]byte, KeyNote, error) {
 	ch := make(chan mkdResult, 1)
 	m.mu.Lock()

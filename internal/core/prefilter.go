@@ -665,7 +665,7 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 			return fmt.Errorf("%w: prefix %q", ErrPrefilter, prefix)
 		}
 	}
-	if lvl >= PrefilterChallenge && !e.ks.KnownPeer(dg.Source) {
+	if lvl >= PrefilterChallenge && !e.plane.ks.KnownPeer(dg.Source) {
 		p.emitChallenge(e, dg.Source, now, tc)
 		p.penalize(p.prefixOf(dg.Source))
 		e.metrics.drop(DropChallenged)

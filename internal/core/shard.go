@@ -19,9 +19,16 @@ import (
 // wear-out accounting, replay-window exactness — holds per shard with
 // no cross-shard coordination: shards share no locks, no caches and no
 // counters on the datagram path. The cost is per-shard soft state
-// (separate FST/TFKC/RFKC/replay windows) and per-shard keying upcalls;
-// the pay-off fbsbench's -shards matrix demonstrates is near-linear
-// scaling of seal/open throughput with cores.
+// (separate FST/TFKC/RFKC/replay windows); the pay-off fbsbench's -shards
+// matrix demonstrates is near-linear scaling of seal/open throughput with
+// cores.
+//
+// What the shards do share is the key plane — one PVC, MKC and MKD per
+// principal, as in Figure 5 — touched at flow start only (a TFKC/RFKC
+// miss). K_{S,D} belongs to the principal, not to a slice of its flow
+// space: a peer is opened on ShardOfIncoming(peer, self) and answered on
+// ShardOfPair(self, peer), often two shards, and with per-shard key
+// caches each paid its own certificate check and exponentiation.
 //
 // Receive steering uses only the (source, destination) host pair — the
 // ports and protocol of the original FlowID are sealed inside the
@@ -31,16 +38,19 @@ import (
 // resolves independently) but lopsided. Symmetric deployments steer
 // both directions by host pair via ShardOfIncoming/ShardOfPair.
 
-// ShardGroup runs M endpoints as one logical data plane.
+// ShardGroup runs M endpoints as one logical data plane on one key plane.
 type ShardGroup struct {
 	shards []*Endpoint
+	plane  *keyPlane
 }
 
 // NewShardGroup builds n endpoints from mk, which returns the Config
 // for shard i. Configs typically differ only in Transport (each shard
 // owns its own socket, mirroring SO_REUSEPORT deployments) and
-// observation plumbing (shard-labelled collectors). On error, shards
-// already built are closed.
+// observation plumbing (shard-labelled collectors); they must name one
+// identity, and the key plane is built from shard 0's (directory,
+// verifier, clock, retry policy, budget, n × its PVC/MKC sizes). On
+// error, shards already built are closed.
 func NewShardGroup(n int, mk func(shard int) (Config, error)) (*ShardGroup, error) {
 	if n <= 0 {
 		return nil, errors.New("core: shard count must be positive")
@@ -52,12 +62,12 @@ func NewShardGroup(n int, mk func(shard int) (Config, error)) (*ShardGroup, erro
 			g.Close()
 			return nil, fmt.Errorf("shard %d config: %w", i, err)
 		}
-		ep, err := NewEndpoint(cfg)
+		ep, err := newEndpoint(cfg, g.plane, n)
 		if err != nil {
 			g.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		g.shards = append(g.shards, ep)
+		g.shards, g.plane = append(g.shards, ep), ep.plane
 	}
 	return g, nil
 }
@@ -93,7 +103,8 @@ func (g *ShardGroup) ShardOfIncoming(dg transport.Datagram) int {
 // Snapshots reads every shard once and returns the readings, in shard
 // order, beside their fold. A tenant's shards usually share one *Budget
 // (one tenant, one envelope): each shard's own reading shows it, the
-// fold counts it once.
+// fold counts it once. The key plane needs no such care: only shard 0's
+// reading carries it.
 func (g *ShardGroup) Snapshots() (fold Snapshot, shards []Snapshot) {
 	shards = make([]Snapshot, len(g.shards))
 	for i, ep := range g.shards {
@@ -146,31 +157,18 @@ func (g *ShardGroup) Inflight() int64 {
 	return n
 }
 
-// HandoffSoftState warms every shard of dst from the keying caches of
-// every shard of this group, returning the summed counts. The union
-// fan-out makes the handoff insensitive to a shard-count change:
-// receive steering is hash % M, so a new M moves peers between shards,
-// and seeding each successor shard with every peer's certificate and
-// master key guarantees the swap costs zero exponentiations no matter
-// where a peer lands. Master keys carry only between matching
-// identities (see Endpoint.HandoffSoftState); installs a successor's
-// budget refuses simply rebuild via upcalls.
+// HandoffSoftState warms dst's key plane from this group's, once (see
+// keyPlane.handoff). A plane serves every shard of its group, so a new
+// shard count, which moves peers between shards, costs the swap no
+// exponentiation: wherever a peer lands, its master key is there.
 func (g *ShardGroup) HandoffSoftState(dst *ShardGroup) HandoffStats {
-	var hs HandoffStats
-	for _, old := range g.shards {
-		for _, ep := range dst.shards {
-			s := old.HandoffSoftState(ep)
-			hs.Certs += s.Certs
-			hs.MasterKeys += s.MasterKeys
-		}
-	}
-	return hs
+	return g.plane.handoff(dst.plane)
 }
 
-// Close closes every shard, returning the first error. Endpoint.Close
-// is idempotent, so closing a group twice — or closing a group whose
-// construction already failed partway — releases each transport
-// exactly once.
+// Close closes every shard — the last of them stops the key plane's
+// daemon — returning the first error. Endpoint.Close is idempotent, so
+// closing a group twice — or closing a group whose construction already
+// failed partway — releases each transport exactly once.
 func (g *ShardGroup) Close() error {
 	var first error
 	for _, ep := range g.shards {

@@ -71,6 +71,8 @@ type Snapshot struct {
 // Snapshot reads every counter the endpoint keeps: the atomics, plus one
 // pass over the flow table and the caches, a stripe lock at a time, for
 // the occupancies. It is not one atomic cut, but each counter is exact.
+// The key plane (PVC, MKC, Keying, MKD*) is read by the endpoint that
+// carries it and zero on the shards that borrow it: a group adds up.
 func (e *Endpoint) Snapshot() Snapshot {
 	c := &e.metrics
 	s := Snapshot{
@@ -86,18 +88,21 @@ func (e *Endpoint) Snapshot() Snapshot {
 		Caches: [NumCaches]CacheInfo{
 			CacheTFKC: {"tfkc", e.tfkc.Occupancy(), e.tfkc.Size(), e.tfkc.Stats()},
 			CacheRFKC: {"rfkc", e.rfkc.Occupancy(), e.rfkc.Size(), e.rfkc.Stats()},
-			CachePVC:  {"pvc", e.ks.pvc.Occupancy(), e.ks.pvc.Size(), e.ks.pvc.Stats()},
-			CacheMKC:  {"mkc", e.ks.mkc.Occupancy(), e.ks.mkc.Size(), e.ks.mkc.Stats()},
+			CachePVC:  {Name: "pvc"},
+			CacheMKC:  {Name: "mkc"},
 		},
-		Keying:         e.ks.Stats(),
-		MKDUpcalls:     e.mkd.Upcalls(),
-		MKDTimeouts:    e.mkd.Timeouts(),
 		Budget:         e.cfg.StateBudget.Stats(),
 		Admission:      e.gate.Stats(),
 		Replay:         e.rc.Stats(),
 		Prefilter:      e.pf.stats(e.cfg.Clock.Now()),
 		FlowKeyDedups:  e.flight.Dedups(),
 		PressureSweeps: e.pressureSweeps.Load(),
+	}
+	if e.carriesPlane {
+		ks, mkd := e.plane.ks, e.plane.mkd
+		s.Caches[CachePVC] = CacheInfo{"pvc", ks.pvc.Occupancy(), ks.pvc.Size(), ks.pvc.Stats()}
+		s.Caches[CacheMKC] = CacheInfo{"mkc", ks.mkc.Occupancy(), ks.mkc.Size(), ks.mkc.Stats()}
+		s.Keying, s.MKDUpcalls, s.MKDTimeouts = ks.Stats(), mkd.Upcalls(), mkd.Timeouts()
 	}
 	loadEach(s.Drops[:], c.drops[:])
 	loadEach(s.SuiteSeals[:], c.sealsBySuite[:])

@@ -66,8 +66,36 @@ func must512() *big.Int {
 // Bits returns the modulus size in bits.
 func (g DHGroup) Bits() int { return g.P.BitLen() }
 
-// GeneratePrivate draws a random private value x with 1 < x < P-1.
+// shortExponentBits is the private-value length on the built-in
+// safe-prime groups: the best attack on an exponent known to be short is
+// Pollard's lambda at 2^(bits/2) (van Oorschot-Wiener 1996, RFC 3526
+// section 8), so 256 bits cost 2^128 — above the groups' own strength
+// (about 2^80 for 1024 bits) and the 128-bit K_{S,D} they protect — at a
+// quarter of a full-range exponentiation's price.
+const shortExponentBits = 256
+
+// builtinSafePrime reports whether g is Oakley 1 or 2: p = 2q+1 with q
+// prime and the generator 2 of order q, so the only small-subgroup
+// elements are 1 and p-1 (which Shared refuses) and a short exponent
+// gives nothing away. Recognised by value, so a group decoded from a
+// certificate behaves like the package variable. TestGroup's (p-1)/2 is
+// composite: it and any foreign group keep the full range.
+func (g DHGroup) builtinSafePrime() bool {
+	return g.G.Cmp(Oakley2.G) == 0 && (g.P.Cmp(Oakley2.P) == 0 || g.P.Cmp(Oakley1.P) == 0)
+}
+
+// GeneratePrivate draws a random private value x with 1 < x < P-1: on
+// the built-in safe-prime groups exactly shortExponentBits long (top bit
+// set), otherwise from the whole range.
 func (g DHGroup) GeneratePrivate() (*big.Int, error) {
+	if g.builtinSafePrime() {
+		var b [shortExponentBits / 8]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			return nil, fmt.Errorf("cryptolib: generating DH private value: %w", err)
+		}
+		b[0] |= 0x80
+		return new(big.Int).SetBytes(b[:]), nil
+	}
 	max := new(big.Int).Sub(g.P, big.NewInt(3))
 	x, err := rand.Int(rand.Reader, max)
 	if err != nil {

@@ -1,6 +1,7 @@
 package cryptolib
 
 import (
+	"crypto/rand"
 	"math/big"
 	"testing"
 )
@@ -85,6 +86,68 @@ func TestGeneratePrivateInRange(t *testing.T) {
 		}
 		if x.Cmp(big.NewInt(2)) < 0 || x.Cmp(g.P) >= 0 {
 			t.Fatalf("private value %v out of range", x)
+		}
+	}
+}
+
+// TestBuiltinSafePrimes pins what the short-exponent draw rests on: for
+// Oakley 1 and 2, q = (p-1)/2 is prime and the generator has order q;
+// TestGroup is no safe prime and must not be taken for one.
+func TestBuiltinSafePrimes(t *testing.T) {
+	one := big.NewInt(1)
+	half := func(g DHGroup) *big.Int { return new(big.Int).Rsh(new(big.Int).Sub(g.P, one), 1) }
+	for name, g := range map[string]DHGroup{"Oakley1": Oakley1, "Oakley2": Oakley2} {
+		q := half(g)
+		if !q.ProbablyPrime(32) {
+			t.Errorf("%s: (p-1)/2 is composite", name)
+		}
+		if new(big.Int).Exp(g.G, q, g.P).Cmp(one) != 0 {
+			t.Errorf("%s: g^q != 1, the generator is not of order q", name)
+		}
+		if !g.builtinSafePrime() {
+			t.Errorf("%s not recognised as a built-in safe-prime group", name)
+		}
+	}
+	if half(TestGroup).ProbablyPrime(32) {
+		t.Error("TestGroup's (p-1)/2 is prime; the comments and the full-range draw assume it is not")
+	}
+	if TestGroup.builtinSafePrime() {
+		t.Error("TestGroup recognised as a built-in safe-prime group")
+	}
+	// Same modulus, another generator: its order is not known to be q.
+	if (DHGroup{P: Oakley2.P, G: big.NewInt(5)}).builtinSafePrime() {
+		t.Error("Oakley 2's modulus with generator 5 recognised as built-in")
+	}
+}
+
+// TestShortAndFullExponentsAgree: a full-length private value from a
+// state file written before the short draw, and a short one, derive the
+// same K_{S,D} from either side.
+func TestShortAndFullExponentsAgree(t *testing.T) {
+	for name, g := range map[string]DHGroup{"Oakley1": Oakley1, "Oakley2": Oakley2} {
+		// The old draw: uniform in [2, p-2].
+		legacy, err := rand.Int(rand.Reader, new(big.Int).Sub(g.P, big.NewInt(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy.Add(legacy, big.NewInt(2))
+		if legacy.BitLen() < g.Bits()-64 {
+			t.Fatalf("%s: legacy draw is only %d bits", name, legacy.BitLen())
+		}
+		short, err := g.GeneratePrivate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := g.Shared(legacy, g.Public(short))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := g.Shared(short, g.Public(legacy))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if MasterKey(a) != MasterKey(b) {
+			t.Errorf("%s: a %d-bit and a %d-bit private value disagree on K_{S,D}", name, legacy.BitLen(), short.BitLen())
 		}
 	}
 }

@@ -23,6 +23,11 @@ type RSAPublicKey struct {
 type RSAPrivateKey struct {
 	RSAPublicKey
 	D *big.Int
+
+	// The CRT form GenerateRSA keeps: the primes, D mod (p-1), D mod
+	// (q-1) and q^-1 mod p. A key built from (N, E, D) alone has none
+	// and signs with one full-size exponentiation.
+	p, q, dP, dQ, qInv *big.Int
 }
 
 // GenerateRSA creates an RSA key pair with a modulus of the given bit
@@ -51,7 +56,13 @@ func GenerateRSA(bits int) (*RSAPrivateKey, error) {
 		if d == nil {
 			continue // gcd(e, phi) != 1; retry with new primes
 		}
-		return &RSAPrivateKey{RSAPublicKey: RSAPublicKey{N: n, E: e}, D: d}, nil
+		return &RSAPrivateKey{
+			RSAPublicKey: RSAPublicKey{N: n, E: e}, D: d,
+			p: p, q: q,
+			dP:   new(big.Int).Mod(d, new(big.Int).Sub(p, one)),
+			dQ:   new(big.Int).Mod(d, new(big.Int).Sub(q, one)),
+			qInv: new(big.Int).ModInverse(q, p),
+		}, nil
 	}
 }
 
@@ -74,7 +85,10 @@ func padDigest(digest []byte, modBytes int) ([]byte, error) {
 }
 
 // Sign produces a signature over message: RSA-decrypt of the padded MD5
-// digest.
+// digest. A key that holds its primes decrypts by CRT — two half-size
+// exponentiations recombined by Garner's formula — and releases the
+// result only once Verify accepts it: a fault in either half would
+// otherwise hand out a value whose gcd with N is a prime factor.
 func (k *RSAPrivateKey) Sign(message []byte) ([]byte, error) {
 	digest := MD5Sum(message)
 	modBytes := (k.N.BitLen() + 7) / 8
@@ -83,8 +97,18 @@ func (k *RSAPrivateKey) Sign(message []byte) ([]byte, error) {
 		return nil, err
 	}
 	m := new(big.Int).SetBytes(padded)
-	sig := new(big.Int).Exp(m, k.D, k.N)
-	return sig.FillBytes(make([]byte, modBytes)), nil
+	if k.p == nil {
+		return new(big.Int).Exp(m, k.D, k.N).FillBytes(make([]byte, modBytes)), nil
+	}
+	s := new(big.Int).Exp(m, k.dP, k.p)
+	sq := new(big.Int).Exp(m, k.dQ, k.q)
+	s.Sub(s, sq).Mul(s, k.qInv).Mod(s, k.p) // h = qInv (sp - sq) mod p
+	s.Mul(s, k.q).Add(s, sq)
+	sig := s.FillBytes(make([]byte, modBytes))
+	if !k.Verify(message, sig) {
+		return nil, fmt.Errorf("cryptolib: RSA-CRT signature failed verification; not released")
+	}
+	return sig, nil
 }
 
 // Verify checks a signature produced by Sign.

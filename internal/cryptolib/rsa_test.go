@@ -1,6 +1,10 @@
 package cryptolib
 
-import "testing"
+import (
+	"bytes"
+	"math/big"
+	"testing"
+)
 
 func testRSAKey(t *testing.T) *RSAPrivateKey {
 	t.Helper()
@@ -64,5 +68,47 @@ func TestRSAVerifyMalformedSig(t *testing.T) {
 func TestGenerateRSARejectsTiny(t *testing.T) {
 	if _, err := GenerateRSA(128); err == nil {
 		t.Fatal("GenerateRSA accepted 128-bit modulus")
+	}
+}
+
+// TestRSACRTMatchesExp: the CRT signature is the signature — byte for
+// byte what one full-size Exp(m, D, N) yields — over 1,000 random
+// messages under each of three fresh keys.
+func TestRSACRTMatchesExp(t *testing.T) {
+	rng := NewLCGSeeded(19)
+	for k := 0; k < 3; k++ {
+		key := testRSAKey(t)
+		if key.p == nil || key.qInv == nil {
+			t.Fatal("GenerateRSA did not keep the CRT form")
+		}
+		plain := &RSAPrivateKey{RSAPublicKey: key.RSAPublicKey, D: key.D}
+		for i := 0; i < 1000; i++ {
+			msg := make([]byte, 1+rng.Uint32()%200)
+			for j := range msg {
+				msg[j] = byte(rng.Uint32())
+			}
+			got, err := key.Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("key %d message %d: CRT signature differs from Exp(m, D, N)", k, i)
+			}
+		}
+	}
+}
+
+// TestRSACRTFaultIsNotReleased: a CRT half computed wrong (here: a
+// corrupted dP) would yield a value whose gcd with N is a prime factor;
+// Sign must refuse to hand it out.
+func TestRSACRTFaultIsNotReleased(t *testing.T) {
+	key := testRSAKey(t)
+	key.dP = new(big.Int).Add(key.dP, big.NewInt(2))
+	if sig, err := key.Sign([]byte("message")); err == nil {
+		t.Fatalf("faulty CRT signature released: %x", sig)
 	}
 }

@@ -252,10 +252,11 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 		next.tenants[addr] = &tenantPlane{cfg: tc, id: id, grp: grp, ln: ln}
 	}
 
-	// Warm phase: hand the old epoch's keying caches to the new one so
-	// established peers keep flowing without a single upcall. Master
-	// keys only cross when the tenant's identity is unchanged — a
-	// rotation hands nothing over by design.
+	// Warm phase: hand each tenant's key plane to its successor's — one
+	// copy per certificate and master key, whatever the shard counts on
+	// either side — so established peers keep flowing without a single
+	// upcall. Master keys only cross when the tenant's identity is
+	// unchanged — a rotation hands nothing over by design.
 	report := &SwapReport{Epoch: next.seq}
 	if old != nil {
 		for addr, np := range next.tenants {
@@ -680,10 +681,10 @@ func (g *Gateway) logRefusal(err error, what string, tenant, peer principal.Addr
 	}
 }
 
-// FlushPeer evicts one peer's keying state from every shard of the
-// named tenant — the hot-rotation path when a peer's certificate is
-// reissued: only flows with that peer re-key; everything else keeps
-// its soft state.
+// FlushPeer evicts one peer's keying state from the named tenant — its
+// key plane, and the flow keys every shard holds for that peer — the
+// hot-rotation path when a peer's certificate is reissued: only flows
+// with that peer re-key; everything else keeps its soft state.
 func (g *Gateway) FlushPeer(tenant string, peer principal.Address) error {
 	ep := g.current.Load()
 	if ep == nil {

@@ -186,7 +186,8 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 	// Each client keeps a window of 32 in flight — a burst out, its 32
 	// echoes back — so the listener's batches are deep, and swaps come
 	// back to back for as long as the clients run (every other one
-	// resharding: union fan-out handoff). Some land inside a batch: its
+	// resharding, which the plane → plane handoff does not notice: a
+	// tenant's shards share one key plane). Some land inside a batch: its
 	// opened buckets echo through the successor epoch, the rest are
 	// refused with ErrDraining and re-dispatched on it.
 	const clients = 3
@@ -262,9 +263,11 @@ func TestGatewaySwapUnderTrafficLossless(t *testing.T) {
 		if rep.DrainErr != "" {
 			t.Fatalf("swap %d drain: %s", i, rep.DrainErr)
 		}
-		if rep.Certs == 0 || rep.MasterKeys == 0 {
-			t.Fatalf("swap %d was cold (certs %d, master keys %d) — soft state not handed off",
-				i, rep.Certs, rep.MasterKeys)
+		// Plane → plane, once: each peer's certificate and master key
+		// cross exactly one time, whatever the shard counts on either side.
+		if rep.Certs != clients || rep.MasterKeys != clients {
+			t.Fatalf("swap %d handed off %d certs and %d master keys, want %d of each (one per peer, no fan-out)",
+				i, rep.Certs, rep.MasterKeys, clients)
 		}
 	}
 
@@ -940,6 +943,69 @@ func TestGatewayBatchMatchesSingleLoop(t *testing.T) {
 	st := single.stats
 	if st.NoTenant == 0 || st.Absorbed == 0 || st.Drops["bad_mac"] == 0 || st.Drops["malformed"] == 0 || len(single.echoes) != 4 {
 		t.Fatalf("the stream missed a case it is meant to carry: %+v, echo flows %d", st, len(single.echoes))
+	}
+}
+
+// TestGatewayChurnOneExponentiationPerPeer is peer_churn in miniature:
+// 64 peers each pay one visit of four datagrams, opened on
+// ShardOfIncoming(peer, tenant) and echoed on ShardOfPair(tenant, peer) —
+// two different shards for about half of them. The tenant's shards share
+// one key plane, so the visit costs one exponentiation whichever shards
+// it touches.
+func TestGatewayChurnOneExponentiationPerPeer(t *testing.T) {
+	const peers, visit = 64, 4
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			w := newGWWorld(t)
+			ln := newScriptedListener(0)
+			opts := w.options()
+			opts.Listen = func(TenantConfig) (transport.Transport, error) { return ln, nil }
+			g, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.Start(&Config{Tenants: []TenantConfig{{Name: "edge", Address: "gw-edge", Shards: shards, SecretEcho: true, ReplayCache: true}}}); err != nil {
+				t.Fatal(err)
+			}
+			l := &batchLoop{g: g}
+			crossed := 0
+			for p := 0; p < peers; p++ {
+				name := fmt.Sprintf("churn-%d", p)
+				client := w.client(name, func(c *core.Config) { c.Cipher = core.CipherAES128GCM })
+				batch := make([]transport.Datagram, visit)
+				for i := range batch {
+					if batch[i], err = client.Seal(transport.Datagram{Destination: "gw-edge", Payload: []byte(fmt.Sprintf("%s-%d", name, i))}, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+				l.dispatch(batch)
+				if grp := g.current.Load().tenants["gw-edge"].grp; grp.ShardOfPair(principal.Address(name), "gw-edge") != grp.ShardOfPair("gw-edge", principal.Address(name)) {
+					crossed++
+				}
+			}
+			if crossed < peers/4 {
+				t.Fatalf("only %d of %d peers were opened and echoed on different shards; the test needs them", crossed, peers)
+			}
+			snap, err := g.TenantSnapshot("edge")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snap.Caches[core.CacheMKC].Slots; got != shards*64 {
+				t.Errorf("tenant MKC has %d slots, want shards × 64 = %d: the plane is no bigger than the per-shard caches were", got, shards*64)
+			}
+			if snap.Keying.MasterKeyComputes != peers || snap.Keying.CertFetches != peers {
+				t.Errorf("%d peers cost %d exponentiations and %d certificate fetches, want one of each per peer",
+					peers, snap.Keying.MasterKeyComputes, snap.Keying.CertFetches)
+			}
+			st, err := g.Shutdown(2 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Received != peers*visit || st.Accepted != peers*visit || st.Echoed != peers*visit || ln.sent.Load() != peers*visit {
+				t.Fatalf("received %d accepted %d echoed %d sent %d, want %d each", st.Received, st.Accepted, st.Echoed, ln.sent.Load(), peers*visit)
+			}
+			checkReconciliation(t, st)
+		})
 	}
 }
 

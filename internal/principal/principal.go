@@ -79,13 +79,17 @@ func NewIdentity(addr Address, group cryptolib.DHGroup) (*Identity, error) {
 }
 
 // NewIdentityWithPrivate creates a principal from an existing private
-// value (for tests and deterministic simulations).
+// value of any length in the range GeneratePrivate documents, 1 < x <
+// P-1 (state files, tests and deterministic simulations). The ends are
+// refused because they make every pair key public or unusable: x = 1
+// publishes g and derives K_{S,D} from the peer's certified public
+// value itself; x = P-1 publishes 1, which every peer's Shared rejects.
 func NewIdentityWithPrivate(addr Address, group cryptolib.DHGroup, private *big.Int) (*Identity, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("principal: empty address")
 	}
-	if private.Sign() <= 0 || private.Cmp(group.P) >= 0 {
-		return nil, fmt.Errorf("principal: private value out of range")
+	if private.Cmp(big.NewInt(1)) <= 0 || private.Cmp(new(big.Int).Sub(group.P, big.NewInt(1))) >= 0 {
+		return nil, fmt.Errorf("principal: private value out of range (want 1 < x < P-1)")
 	}
 	return &Identity{
 		Addr:    addr,

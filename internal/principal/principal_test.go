@@ -59,11 +59,28 @@ func TestNewIdentityValidation(t *testing.T) {
 	if _, err := NewIdentity("", cryptolib.TestGroup); err == nil {
 		t.Error("empty address accepted")
 	}
-	if _, err := NewIdentityWithPrivate("a", cryptolib.TestGroup, big.NewInt(0)); err == nil {
-		t.Error("zero private value accepted")
-	}
-	if _, err := NewIdentityWithPrivate("a", cryptolib.TestGroup, cryptolib.TestGroup.P); err == nil {
-		t.Error("private value >= P accepted")
+	// The range is GeneratePrivate's, 1 < x < P-1: x = 1 publishes g and
+	// makes every K_{S,D} the hash of the peer's certified public value;
+	// x = P-1 publishes 1, which no peer will key with.
+	p := cryptolib.TestGroup.P
+	for _, c := range []struct {
+		x  *big.Int
+		ok bool
+	}{
+		{big.NewInt(0), false},
+		{big.NewInt(1), false},
+		{big.NewInt(2), true},
+		{new(big.Int).Sub(p, big.NewInt(2)), true},
+		{new(big.Int).Sub(p, big.NewInt(1)), false},
+		{p, false},
+	} {
+		id, err := NewIdentityWithPrivate("a", cryptolib.TestGroup, c.x)
+		if (err == nil) != c.ok {
+			t.Errorf("private value %v: err = %v, want accepted = %v", c.x, err, c.ok)
+		}
+		if err == nil && (id.Public.Cmp(big.NewInt(1)) <= 0 || id.Public.Cmp(cryptolib.TestGroup.G) == 0) {
+			t.Errorf("private value %v accepted with public value %v", c.x, id.Public)
+		}
 	}
 }
 

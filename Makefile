@@ -16,7 +16,7 @@ FUZZTIME ?= 15s
 # toolchain — not PATH — decides the version CI lints with.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
-.PHONY: all build lint staticcheck loc test check bench experiments bench-smoke bench-batch fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
+.PHONY: all build lint staticcheck loc test check bench experiments bench-smoke fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
 	ci ci-lint ci-race ci-fuzz ci-soak ci-bench nightly
 
 all: check
@@ -50,10 +50,11 @@ staticcheck:
 	fi
 
 # loc prints non-test Go lines for the packages ROADMAP aim 2 keeps
-# score on ("report net lines; internal/core ends smaller") and for the
-# whole tree, so the figure a PR reports is one the job log shows.
+# score on ("report net lines; internal/core ends smaller"), for the six
+# CLIs, and for the whole tree, so the figure a PR reports is one the
+# job log shows.
 loc:
-	@for d in internal/core internal/obs internal/gateway; do \
+	@for d in internal/core internal/obs internal/gateway cmd; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done; \
 	printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l)
@@ -66,29 +67,6 @@ test:
 # here rather than in their dashboards.
 bench-smoke:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | $(GO) run ./cmd/fbsstat bench-validate
-
-# bench-batch regenerates BENCH_batch.json: the batched data plane's
-# committed throughput matrix (AEAD suite x batch size x shard count on
-# real loopback sockets). bench-validate holds the single-shard batch=32
-# cells to the amortisation floor over batch=1, so only a run that still
-# demonstrates the batching win can become the committed artifact.
-#
-# The run is sequential (measure, then validate — a piped `go run`
-# would compile the validator on top of the measurement windows) and
-# retried up to BATCH_TRIES times: the matrix measures capability, and
-# on a contended runner an individual run can land below the floor from
-# scheduling noise alone. A runner that cannot produce one passing run
-# in BATCH_TRIES attempts has genuinely lost the batching win.
-BATCH_SHARDS ?= 2
-BATCH_TRIES ?= 6
-bench-batch:
-	@i=1; while :; do \
-		echo "bench-batch: attempt $$i/$(BATCH_TRIES)"; \
-		$(GO) run ./cmd/fbsbench -batch -shards $(BATCH_SHARDS) -json > BENCH_batch.json && \
-		$(GO) run ./cmd/fbsstat bench-validate < BENCH_batch.json && break; \
-		i=$$((i+1)); \
-		if [ $$i -gt $(BATCH_TRIES) ]; then echo "bench-batch: no passing run in $(BATCH_TRIES) attempts"; exit 1; fi; \
-	done
 
 # fuzz-smoke gives each core fuzz target a short budget on top of the
 # checked-in corpus — enough to catch decoder regressions without
@@ -182,29 +160,23 @@ ci-soak:
 	$(GO) run ./cmd/fbschaos -flood -prefilter -crash -json >> BENCH_overload.json
 	$(GO) run ./cmd/fbsstat bench-validate < BENCH_overload.json
 
-# The bench matrix + trajectory gate.
+# The bench matrix + trajectory gate. Every document gated here is
+# measured by this run, from the commit under test:
 #   fbsbench.json       fresh native run, shape-validated.
-#   BENCH_suites.json   per-suite matrix, re-measured every run;
-#                       bench-validate enforces completeness and the
-#                       AES-128-GCM >= 5x DES-CBC/keyed-MD5 claim.
-#   BENCH_batch.json    the COMMITTED batched-data-plane matrix —
-#                       validated, not regenerated, so the batch=32 >= 3x
-#                       batch=1 amortisation floor gates deterministically
-#                       on every runner; the nightly workflow regenerates
-#                       it fresh (with variance headroom via -floor-scale).
-# bench-compare then gates every fresh document against the committed
-# trajectory (>20% throughput drop or a doubled seal p99 fails CI) and
-# appends passing runs so the baseline tracks the codebase. One
-# iteration of the keying-miss benchmarks keeps their rows from rotting
-# (they key on Oakley 2, which no test does), and gwbench-smoke (above)
-# then checks the real daemon end to end.
+#   BENCH_suites.json   per-suite matrix; bench-validate enforces
+#                       completeness and the AES-128-GCM >= 5x
+#                       DES-CBC/keyed-MD5 claim.
+# bench-compare then gates both against the committed trajectory (>20%
+# throughput drop or a doubled seal p99 fails CI) and appends passing
+# runs so the baseline tracks the codebase. One iteration of the
+# keying-miss benchmarks keeps their rows from rotting (they key on
+# Oakley 2, which no test does), and gwbench-smoke (above) then checks
+# the real daemon end to end — the batched socket plane included.
 ci-bench:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | tee fbsbench.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
-	$(GO) run ./cmd/fbsstat bench-validate < BENCH_batch.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) run ./cmd/fbsstat bench-compare < BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation' -benchtime 1x .
 	@$(MAKE) --no-print-directory gwbench-smoke
 
@@ -213,28 +185,22 @@ ci-bench:
 ci: ci-lint ci-race ci-fuzz ci-soak ci-bench
 
 # nightly is the scheduled soak (.github/workflows/nightly.yml): the
-# chaos, differential, flood, and fuzz budgets at 10x their CI sizes,
-# plus a fresh regeneration of the batched data-plane matrix. The fresh
-# matrix is held to the amortisation floor with variance headroom
-# (-floor-scale 0.7): per-push CI gates the committed BENCH_batch.json
-# deterministically, nightly proves a from-scratch run on today's
-# runner still demonstrates the batching win.
+# chaos, differential, flood, and fuzz budgets at 10x their CI sizes.
 nightly:
 	FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) run ./cmd/fbschaos -trace -iterations 10
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts $(MAKE) diff DIFF_OPS=200000
 	$(MAKE) flood FLOOD_ITERATIONS=50
 	$(MAKE) fuzz-smoke FUZZTIME=150s
-	$(GO) run ./cmd/fbsbench -batch -shards $(BATCH_SHARDS) -json > BENCH_batch_nightly.json
-	$(GO) run ./cmd/fbsstat bench-validate -floor-scale 0.7 < BENCH_batch_nightly.json
 
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # experiments regenerates every table and figure of the paper's
 # evaluation, plus the ablations, into ./results/ (see EXPERIMENTS.md).
-# The §7.2 CryptoLib table is BenchmarkCryptoLibTable, part of `bench`.
+# The §7.2 CryptoLib table (BenchmarkCryptoLibTable) and the full-stack
+# Figure 8 run (BenchmarkFigure8FullStack) are part of `bench`.
 experiments:
 	mkdir -p results
-	$(GO) run ./cmd/fbsbench -native -stack | tee results/figure8.txt
+	$(GO) run ./cmd/fbsbench -native | tee results/figure8.txt
 	$(GO) run ./cmd/flowsim -fig all | tee results/figures9-14.txt
 	@$(MAKE) --no-print-directory bench | tee results/bench.txt

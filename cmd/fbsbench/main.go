@@ -4,27 +4,22 @@
 // protocol code of every configuration on every simulated packet.
 //
 // With -native it also measures raw Seal/Open throughput of the real
-// implementation on the local machine, and with -stack it pushes a
-// ttcp-style transfer through the real IPv4 + TCP-lite stack with FBS
-// at the Section 7.2 hook points.
+// implementation on the local machine.
 //
 // With -suites it instead measures the native Seal/Open throughput of
 // every data-carrying suite in the registry (DES, 3DES and the AEAD
-// suites), emitting a standalone "suites" section; make ci freezes that
-// output into BENCH_suites.json and validates it with fbsstat.
+// suites), emitting a standalone "suites" section that make ci-bench
+// validates with fbsstat and gates against BENCH_trajectory.json.
 //
-// With -batch it measures the batched UDP data plane on the local
-// loopback: SendBatch/ReceiveBatch over real kernel sockets
-// (sendmmsg/recvmmsg where the platform has them) across a batch-size ×
-// shard-count matrix, emitting a standalone "batch" section; make
-// bench-batch freezes that output into BENCH_batch.json and fbsstat
-// holds batch=32 to its amortisation claim over batch=1.
+// These are in-process library loops. What the product sustains on real
+// sockets — the batched receive/open/seal/send plane included — is
+// bench/gwbench's job, and the full IPv4 + TCP-lite stack's is
+// BenchmarkFigure8FullStack's.
 //
 // Usage:
 //
-//	fbsbench [-bytes N] [-native] [-stack] [-json]
+//	fbsbench [-bytes N] [-native] [-json]
 //	fbsbench -suites [-json]
-//	fbsbench -batch [-shards N] [-json]
 //
 // With -json the human-readable tables are suppressed and one JSON
 // document with every measured throughput (in kb/s) is written to
@@ -35,32 +30,25 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"fbs/internal/baseline"
-	"fbs/internal/cert"
 	"fbs/internal/core"
 	"fbs/internal/cryptolib"
 	"fbs/internal/flowsim"
-	"fbs/internal/ip"
-	"fbs/internal/l4"
 	"fbs/internal/netsim"
 	"fbs/internal/obs"
-	"fbs/internal/principal"
 	"fbs/internal/transport"
 
 	fbs "fbs"
 )
 
 // latencyStats summarises one latency histogram for the -json output.
-// Values are nanoseconds; percentiles are log2-bucket upper bounds
-// (over-estimates by at most 2×, the bucketing precision).
+// Values are nanoseconds; percentiles are log-linear bucket upper bounds
+// (four sub-buckets per power of two: over-estimates by at most 25 %).
 type latencyStats struct {
 	Count  uint64 `json:"count"`
 	MeanNs int64  `json:"mean_ns"`
@@ -84,7 +72,7 @@ func summarize(s obs.HistSnapshot) *latencyStats {
 
 // benchResult is one measured throughput, the unit of the -json output.
 type benchResult struct {
-	// Section is "figure8", "native", "stack" or "suites".
+	// Section is "figure8", "native" or "suites".
 	Section string `json:"section"`
 	// Workload is the figure-8 workload ("ttcp", "rcp"); empty
 	// elsewhere.
@@ -101,15 +89,16 @@ type benchResult struct {
 	OpenLatency *latencyStats `json:"open_latency,omitempty"`
 }
 
+// The whole flag surface; TestFlagSurface pins it.
+var (
+	total     = flag.Int("bytes", 4<<20, "bytes per simulated transfer")
+	native    = flag.Bool("native", false, "also measure native Seal/Open throughput")
+	suites    = flag.Bool("suites", false, "measure every registered suite's native Seal/Open throughput instead of the figure-8 simulation")
+	jsonOut   = flag.Bool("json", false, "emit one JSON document of kb/s results instead of tables")
+	adminAddr = flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /recorder, pprof) on this address and wait after the run")
+)
+
 func main() {
-	total := flag.Int("bytes", 4<<20, "bytes per simulated transfer")
-	native := flag.Bool("native", false, "also measure native Seal/Open throughput")
-	stack := flag.Bool("stack", false, "also run a ttcp transfer through the real IPv4+TCP-lite stack with FBS")
-	suites := flag.Bool("suites", false, "measure every registered suite's native Seal/Open throughput instead of the figure-8 simulation")
-	batch := flag.Bool("batch", false, "measure the batched UDP loopback pipeline across a batch-size x shard matrix")
-	shards := flag.Int("shards", 2, "highest shard count in the -batch matrix (powers of two from 1)")
-	jsonOut := flag.Bool("json", false, "emit one JSON document of kb/s results instead of tables")
-	adminAddr := flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /recorder, pprof) on this address and wait after the run")
 	flag.Parse()
 
 	var admin *obs.Admin
@@ -124,35 +113,15 @@ func main() {
 	}
 
 	var results []benchResult
-	if *batch {
-		res, err := batchRun(*jsonOut, *shards, admin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbsbench:", err)
-			os.Exit(1)
-		}
-		results = append(results, res...)
-	} else if *suites {
-		res, err := suitesRun(*jsonOut, admin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbsbench:", err)
-			os.Exit(1)
-		}
-		results = append(results, res...)
+	var err error
+	if *suites {
+		results, err = suitesRun(*jsonOut, admin)
 	} else {
-		res, err := run(*total, *native, *jsonOut, admin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fbsbench:", err)
-			os.Exit(1)
-		}
-		results = append(results, res...)
-		if *stack {
-			res, err := stackRun(*total, *jsonOut, admin)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fbsbench:", err)
-				os.Exit(1)
-			}
-			results = append(results, res...)
-		}
+		results, err = run(*total, *native, *jsonOut, admin)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fbsbench:", err)
+		os.Exit(1)
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -284,7 +253,7 @@ func run(total int, native, quiet bool, admin *obs.Admin) ([]benchResult, error)
 		fmt.Println(flowsim.RenderTable(hdr, tbl))
 		fmt.Printf("real protocol work performed inside the simulation: %d datagrams sealed, %d opened\n\n",
 			a.Snapshot().FAM.Lookups, b.Snapshot().Received)
-		fmt.Println("Per-call latency of the real protocol code inside the simulation (log2-bucket percentiles):")
+		fmt.Println("Per-call latency of the real protocol code inside the simulation (log-linear bucket percentiles):")
 		lhdr := []string{"configuration", "path", "count", "mean", "p50", "p95", "p99"}
 		var ltbl [][]string
 		for _, c := range configs {
@@ -343,10 +312,9 @@ func nativeRun(quiet bool, admin *obs.Admin) ([]benchResult, error) {
 
 // suitesRun measures every data-carrying suite in the registry on the
 // same append path, encrypted, one endpoint pair per suite. The
-// resulting "suites" section is what make ci freezes into
-// BENCH_suites.json and hands to fbsstat bench-validate, which holds
-// the AEAD suites to their single-pass throughput claim against the
-// paper's DES-CBC/keyed-MD5 configuration.
+// resulting "suites" section is what make ci-bench hands to fbsstat
+// bench-validate, which holds the AEAD suites to their single-pass
+// throughput claim against the paper's DES-CBC/keyed-MD5 configuration.
 func suitesRun(quiet bool, admin *obs.Admin) ([]benchResult, error) {
 	if !quiet {
 		fmt.Println("Per-suite Seal+Open throughput on this machine (1460-byte datagrams, encrypted):")
@@ -372,233 +340,6 @@ func suitesRun(quiet bool, admin *obs.Admin) ([]benchResult, error) {
 		results = append(results, res)
 	}
 	return results, nil
-}
-
-// batchRun measures the batched UDP data plane over the real loopback:
-// for every AEAD suite, a matrix of batch sizes × shard counts, each
-// cell a lockstep SendBatch/ReceiveBatch pipeline on kernel sockets.
-// Payloads are small (256 bytes) so the per-datagram syscall is the
-// dominant fixed cost — exactly what the mmsg path amortises; the
-// committed BENCH_batch.json holds batch=32 to a 3× floor over
-// batch=1 in this section.
-func batchRun(quiet bool, maxShards int, admin *obs.Admin) ([]benchResult, error) {
-	if !quiet {
-		fmt.Println("Batched UDP loopback throughput (256-byte datagrams, encrypted):")
-	}
-	if maxShards < 1 {
-		maxShards = 1
-	}
-	var results []benchResult
-	for _, s := range core.Suites() {
-		if !s.AEAD() {
-			continue
-		}
-		for sh := 1; sh <= maxShards; sh *= 2 {
-			for _, bsz := range []int{1, 8, 32, 128} {
-				name := fmt.Sprintf("%s/b=%d/s=%d", s.Name(), bsz, sh)
-				kbps, err := measureBatchUDP(s.ID(), bsz, sh, name, admin)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-				results = append(results, benchResult{Section: "batch", Config: name, Kbps: kbps})
-				if !quiet {
-					fmt.Printf("  %-28s %10.0f kb/s\n", name, kbps)
-				}
-			}
-		}
-	}
-	return results, nil
-}
-
-// measureBatchUDP runs one matrix cell: a sharded sender and a sharded
-// receiver, one UDP socket pair per shard (the SO_REUSEPORT model).
-// Each shard models a real deployment's split: a dedicated receive-loop
-// goroutine blocks in Receive/ReceiveBatch and reports what it drained
-// through a credit channel, while the sender transmits one
-// batch-of-bsz window and waits for the credits to return before the
-// next — so at b=1 every datagram pays the send syscall plus a full
-// receiver wakeup, and at b=32 one syscall pair and one wakeup are
-// split 32 ways. That is precisely the amortisation the batched data
-// plane claims, measured against the scalar plane it replaces.
-// Credit-window lockstep also bounds in-flight bytes far below the
-// socket buffers, so loopback delivery is lossless and credited payload
-// is the throughput. Each cell runs three windows and reports the best:
-// the first window doubles as warmup (flow setup, cipher instance and
-// intern tables), and on a small shared machine the max is the
-// least-interfered estimate of what the configuration can do.
-func measureBatchUDP(cipher core.CipherID, bsz, shards int, label string, admin *obs.Admin) (float64, error) {
-	d, err := fbs.NewDomain("fbsbench-batch", fbs.WithGroup(cryptolib.TestGroup))
-	if err != nil {
-		return 0, err
-	}
-	txU := make([]*transport.UDPTransport, shards)
-	rxU := make([]*transport.UDPTransport, shards)
-	for i := 0; i < shards; i++ {
-		if txU[i], err = transport.NewUDPTransport("batch-tx", "127.0.0.1:0"); err != nil {
-			return 0, err
-		}
-		if rxU[i], err = transport.NewUDPTransport("batch-rx", "127.0.0.1:0"); err != nil {
-			return 0, err
-		}
-		if err := txU[i].AddPeer("batch-rx", rxU[i].LocalAddr().String()); err != nil {
-			return 0, err
-		}
-		if err := rxU[i].AddPeer("batch-tx", txU[i].LocalAddr().String()); err != nil {
-			return 0, err
-		}
-	}
-	opt := func(c *core.Config) {
-		c.Cipher = cipher
-		c.SinglePass = true
-	}
-	txGrp, err := d.NewShardedEndpoint("batch-tx", shards, func(i int) (fbs.Transport, error) { return txU[i], nil }, opt)
-	if err != nil {
-		return 0, err
-	}
-	defer txGrp.Close()
-	rxGrp, err := d.NewShardedEndpoint("batch-rx", shards, func(i int) (fbs.Transport, error) { return rxU[i], nil }, opt)
-	if err != nil {
-		return 0, err
-	}
-	defer rxGrp.Close()
-	if admin != nil {
-		obs.RegisterShardGroup(admin.Registry, "batch-tx-"+label, txGrp)
-		obs.RegisterShardGroup(admin.Registry, "batch-rx-"+label, rxGrp)
-	}
-	// Failsafe: a lost datagram would stall a lockstep shard forever;
-	// closing the sockets turns a stall into an error.
-	watchdog := time.AfterFunc(30*time.Second, func() {
-		txGrp.Close()
-		rxGrp.Close()
-	})
-	defer watchdog.Stop()
-
-	const payloadLen = 256
-	const window = 300 * time.Millisecond
-	const windows = 3
-	var (
-		mu       sync.Mutex
-		runErr   error
-		stopping atomic.Bool
-	)
-	broken := make(chan struct{})
-	var brokeOnce sync.Once
-	fail := func(shard int, err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = fmt.Errorf("shard %d: %w", shard, err)
-		}
-		mu.Unlock()
-		brokeOnce.Do(func() { close(broken) })
-	}
-
-	// Receive loops live for the whole cell; they are unblocked at the
-	// end by closing the sockets, which they treat as a clean exit once
-	// stopping is set.
-	credits := make([]chan int, shards)
-	var rxWg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		credits[i] = make(chan int, 1024)
-		rxWg.Add(1)
-		go func(i int) {
-			defer rxWg.Done()
-			rx := rxGrp.Shard(i)
-			for {
-				var arrived int
-				var err error
-				if bsz == 1 {
-					// The scalar receive loop the batched one replaces:
-					// one syscall and one poller wakeup per datagram.
-					_, err = rx.Receive()
-					arrived = 1
-				} else {
-					var accepted []transport.Datagram
-					accepted, arrived, err = rx.ReceiveBatch(bsz)
-					if err == nil && len(accepted) != arrived {
-						err = fmt.Errorf("receiver rejected %d of %d datagrams", arrived-len(accepted), arrived)
-					}
-				}
-				if err != nil {
-					if !stopping.Load() {
-						fail(i, err)
-					}
-					return
-				}
-				credits[i] <- arrived
-			}
-		}(i)
-	}
-
-	dgsBy := make([][]transport.Datagram, shards)
-	payload := make([]byte, payloadLen)
-	for i := range dgsBy {
-		dgsBy[i] = make([]transport.Datagram, bsz)
-		for k := range dgsBy[i] {
-			dgsBy[i][k] = transport.Datagram{Source: "batch-tx", Destination: "batch-rx", Payload: payload}
-		}
-	}
-
-	var best float64
-	for w := 0; w < windows; w++ {
-		var (
-			wg       sync.WaitGroup
-			winBytes int64
-		)
-		start := time.Now()
-		deadline := start.Add(window)
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				tx := txGrp.Shard(i)
-				dgs := dgsBy[i]
-				for time.Now().Before(deadline) {
-					if bsz == 1 {
-						if err := tx.Send(dgs[0], true); err != nil {
-							fail(i, err)
-							return
-						}
-					} else if n, err := tx.SendBatch(dgs, true); err != nil || n != bsz {
-						fail(i, fmt.Errorf("SendBatch sent %d of %d: %w", n, bsz, err))
-						return
-					}
-					for need := bsz; need > 0; {
-						select {
-						case n := <-credits[i]:
-							need -= n
-						case <-broken:
-							return
-						}
-					}
-					atomic.AddInt64(&winBytes, int64(bsz)*payloadLen)
-				}
-			}(i)
-		}
-		wg.Wait()
-		el := time.Since(start).Seconds()
-		mu.Lock()
-		failed := runErr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		if kbps := float64(winBytes) * 8 / el / 1000; kbps > best {
-			best = kbps
-		}
-	}
-
-	stopping.Store(true)
-	txGrp.Close()
-	rxGrp.Close()
-	for i := 0; i < shards; i++ {
-		txU[i].Close()
-		rxU[i].Close()
-	}
-	rxWg.Wait()
-	if runErr != nil {
-		return 0, runErr
-	}
-	return best, nil
 }
 
 // measureAppend benchmarks one endpoint configuration on the
@@ -680,120 +421,4 @@ func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, m
 		fmt.Println()
 	}
 	return res, nil
-}
-
-// stackRun pushes a ttcp-style transfer through the real IPv4 stack with
-// the FBS hook installed, end to end, at native speed.
-func stackRun(total int, quiet bool, admin *obs.Admin) ([]benchResult, error) {
-	if !quiet {
-		fmt.Printf("\nFull-stack native run: %d MB through real IPv4 + TCP-lite + FBS (DES+MD5)\n", total>>20)
-	}
-	ca, err := cert.NewAuthority("fbsbench-stack", 512)
-	if err != nil {
-		return nil, err
-	}
-	dir := cert.NewStaticDirectory()
-	ver := &cert.Verifier{CAKey: ca.PublicKey(), CA: "fbsbench-stack"}
-	type wireT struct {
-		mu    sync.Mutex
-		peers map[ip.Addr]*ip.Stack
-	}
-	w := &wireT{peers: make(map[ip.Addr]*ip.Stack)}
-	sender := func(self ip.Addr) ip.LinkFunc {
-		return ip.LinkFunc(func(frame []byte) error {
-			w.mu.Lock()
-			var dst *ip.Stack
-			if h, _, err := ip.Unmarshal(frame); err == nil {
-				dst = w.peers[h.Dst]
-			}
-			w.mu.Unlock()
-			if dst != nil {
-				go dst.Input(append([]byte(nil), frame...))
-			}
-			return nil
-		})
-	}
-	mk := func(addr ip.Addr) (*ip.Stack, error) {
-		id, err := principal.NewIdentity(ip.Principal(addr), cryptolib.TestGroup)
-		if err != nil {
-			return nil, err
-		}
-		c, err := ca.Issue(id, time.Now().Add(-time.Hour), time.Now().Add(time.Hour))
-		if err != nil {
-			return nil, err
-		}
-		dir.Publish(c)
-		hook, err := ip.NewFBSHook(core.Config{
-			Identity: id, Directory: dir, Verifier: ver, SinglePass: true,
-		}, ip.AlwaysSecret)
-		if err != nil {
-			return nil, err
-		}
-		s, err := ip.NewStack(ip.StackConfig{Addr: addr, Link: sender(addr), Hook: hook})
-		if err != nil {
-			return nil, err
-		}
-		w.mu.Lock()
-		w.peers[addr] = s
-		w.mu.Unlock()
-		return s, nil
-	}
-	addrA, addrB := ip.Addr{10, 8, 0, 1}, ip.Addr{10, 8, 0, 2}
-	sa, err := mk(addrA)
-	if err != nil {
-		return nil, err
-	}
-	sb, err := mk(addrB)
-	if err != nil {
-		return nil, err
-	}
-	if admin != nil {
-		obs.RegisterStack(admin.Registry, "stack-a", sa)
-		obs.RegisterStack(admin.Registry, "stack-b", sb)
-	}
-	overhead := core.SealOverhead
-	ssa, err := l4.NewStreamStack(sa, l4.StreamConfig{SecurityHeaderLen: overhead})
-	if err != nil {
-		return nil, err
-	}
-	ssb, err := l4.NewStreamStack(sb, l4.StreamConfig{SecurityHeaderLen: overhead})
-	if err != nil {
-		return nil, err
-	}
-	ln, err := ssb.Listen(5001)
-	if err != nil {
-		return nil, err
-	}
-	got := make(chan int64, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			got <- -1
-			return
-		}
-		n, _ := io.Copy(io.Discard, conn)
-		got <- n
-	}()
-	start := time.Now()
-	conn, err := ssa.Dial(addrB, 5001)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := conn.Write(make([]byte, total)); err != nil {
-		return nil, err
-	}
-	if err := conn.CloseWrite(); err != nil {
-		return nil, err
-	}
-	n := <-got
-	elapsed := time.Since(start)
-	if int(n) != total {
-		return nil, fmt.Errorf("received %d of %d bytes", n, total)
-	}
-	kbps := float64(total) * 8 / elapsed.Seconds() / 1000
-	if !quiet {
-		fmt.Printf("  %d bytes in %v = %.0f kb/s (every packet MACed and DES-encrypted end to end)\n",
-			total, elapsed.Round(time.Millisecond), kbps)
-	}
-	return []benchResult{{Section: "stack", Config: "FBS DES+MD5", Kbps: kbps}}, nil
 }

@@ -2,8 +2,27 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"reflect"
+	"strings"
 	"testing"
 )
+
+// TestFlagSurface pins the flag set: fbsbench is the in-process library
+// loops (Figure 8 simulation, -native, -suites) and nothing else, so a
+// new mode has to be argued for here as well as in main.
+func TestFlagSurface(t *testing.T) {
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, "-"+f.Name)
+		}
+	})
+	want := []string{"-admin", "-bytes", "-json", "-native", "-suites"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags = %v, want %v", got, want)
+	}
+}
 
 // TestJSONContract pins the -json document fbsstat bench-validate (and
 // through it `make bench-smoke`, ci-soak and ci-bench) consume: the rows

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,23 +89,16 @@ func TestBenchCompareMissingTrajectory(t *testing.T) {
 	}
 }
 
-// batchDoc builds a batch-section document with the given s=1 b=1 and
-// b=32 throughputs (plus complete b=8/b=128 cells and an s=2 group, so
-// the shape checks pass).
-func batchDoc(t *testing.T, b1, b32 float64) string {
+// suitesDoc builds a complete suites-section document (the four rows
+// fbsbench -suites emits) with the given AES-128-GCM throughput over a
+// 100 Mb/s DES baseline.
+func suitesDoc(t *testing.T, gcmKbps float64) string {
 	t.Helper()
-	var rows []benchRow
-	for _, sh := range []int{1, 2} {
-		for _, cell := range []struct {
-			bsz  int
-			kbps float64
-		}{{1, b1}, {8, (b1 + b32) / 2}, {32, b32}, {128, b32}} {
-			rows = append(rows, benchRow{
-				Section: "batch",
-				Config:  fmt.Sprintf("AES-128-GCM/b=%d/s=%d", cell.bsz, sh),
-				Kbps:    cell.kbps,
-			})
-		}
+	rows := []benchRow{
+		{Section: "suites", Config: "DES-CBC/keyed-MD5", Kbps: 100000},
+		{Section: "suites", Config: "3DES-CBC/keyed-MD5", Kbps: 40000},
+		{Section: "suites", Config: "AES-128-GCM", Kbps: gcmKbps},
+		{Section: "suites", Config: "ChaCha20-Poly1305", Kbps: 700000},
 	}
 	data, err := json.Marshal(rows)
 	if err != nil {
@@ -115,31 +107,39 @@ func batchDoc(t *testing.T, b1, b32 float64) string {
 	return string(data)
 }
 
-func TestValidateBatchFloor(t *testing.T) {
-	// 4x amortisation clears the 3x floor.
-	if err := benchValidate(strings.NewReader(batchDoc(t, 100000, 400000)), 1.0); err != nil {
-		t.Fatalf("4x batch run rejected: %v", err)
+// TestValidateRefusesUnknownSection: the document comes from outside
+// the program, so a section bench-validate has no checks for — "batch",
+// which fbsbench emitted until its -batch mode was deleted, or a typo —
+// is refused by name rather than waved through as validated.
+func TestValidateRefusesUnknownSection(t *testing.T) {
+	batch, err := json.Marshal([]benchRow{
+		{Section: "batch", Config: "AES-128-GCM/b=1/s=1", Kbps: 100000},
+		{Section: "batch", Config: "AES-128-GCM/b=32/s=1", Kbps: 400000},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 2.5x trips the full floor...
-	err := benchValidate(strings.NewReader(batchDoc(t, 100000, 250000)), 1.0)
-	if err == nil || !strings.Contains(err.Error(), "below") {
-		t.Fatalf("2.5x batch run not gated: %v", err)
+	err = benchValidate(strings.NewReader(string(batch)))
+	if err == nil || !strings.Contains(err.Error(), `unknown section "batch"`) {
+		t.Fatalf("batch-only document: err = %v, want the section refused by name", err)
 	}
-	// ...but passes the nightly-scaled floor (0.7 * 3 = 2.1x).
-	if err := benchValidate(strings.NewReader(batchDoc(t, 100000, 250000)), 0.7); err != nil {
-		t.Fatalf("2.5x batch run rejected at -floor-scale 0.7: %v", err)
+	// One unknown row poisons an otherwise valid document.
+	var rows []benchRow
+	if err := json.Unmarshal([]byte(suitesDoc(t, 900000)), &rows); err != nil {
+		t.Fatal(err)
 	}
-	// A group missing its b=32 cell is a malformed matrix.
-	rows := []benchRow{{Section: "batch", Config: "AES-128-GCM/b=1/s=1", Kbps: 100}}
-	data, _ := json.Marshal(rows)
-	if err := benchValidate(strings.NewReader(string(data)), 1.0); err == nil {
-		t.Fatal("incomplete batch matrix accepted")
+	rows = append(rows, benchRow{Section: "stack", Config: "FBS DES+MD5", Kbps: 1})
+	mixed, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A malformed config name is rejected outright.
-	rows[0].Config = "AES-128-GCM/batch32"
-	data, _ = json.Marshal(rows)
-	if err := benchValidate(strings.NewReader(string(data)), 1.0); err == nil {
-		t.Fatal("malformed batch config accepted")
+	err = benchValidate(strings.NewReader(string(mixed)))
+	if err == nil || !strings.Contains(err.Error(), `unknown section "stack"`) {
+		t.Fatalf("suites + stack document: err = %v, want the section refused by name", err)
+	}
+	// The suites claim itself still gates: 4x DES is below the 5x floor.
+	if err := benchValidate(strings.NewReader(suitesDoc(t, 400000))); err == nil || !strings.Contains(err.Error(), "below 5x") {
+		t.Fatalf("4x suites run: err = %v, want the 5x claim enforced", err)
 	}
 }
 
@@ -162,36 +162,36 @@ func floodDoc(t *testing.T, scenario string, ratio, floor float64, complete bool
 
 func TestValidateFloodReports(t *testing.T) {
 	// A clean report above its committed floor passes.
-	if err := benchValidate(strings.NewReader(floodDoc(t, "prefilter-sketch", 0.97, 0.9, true, nil)), 1.0); err != nil {
+	if err := benchValidate(strings.NewReader(floodDoc(t, "prefilter-sketch", 0.97, 0.9, true, nil))); err != nil {
 		t.Fatalf("clean flood report rejected: %v", err)
 	}
 	// A ratio below the committed floor fails even when the harness's
 	// own Violations list is empty — the gate re-derives the check.
-	err := benchValidate(strings.NewReader(floodDoc(t, "prefilter-sketch", 0.5, 0.9, true, nil)), 1.0)
+	err := benchValidate(strings.NewReader(floodDoc(t, "prefilter-sketch", 0.5, 0.9, true, nil)))
 	if err == nil || !strings.Contains(err.Error(), "below committed floor") {
 		t.Fatalf("under-floor report not gated: %v", err)
 	}
 	// Violations and incompleteness fail.
-	if err := benchValidate(strings.NewReader(floodDoc(t, "spoof-10x", 0, 0, true, []string{"conservation broke"})), 1.0); err == nil {
+	if err := benchValidate(strings.NewReader(floodDoc(t, "spoof-10x", 0, 0, true, []string{"conservation broke"}))); err == nil {
 		t.Fatal("report with violations accepted")
 	}
-	if err := benchValidate(strings.NewReader(floodDoc(t, "spoof-10x", 0, 0, false, nil)), 1.0); err == nil {
+	if err := benchValidate(strings.NewReader(floodDoc(t, "spoof-10x", 0, 0, false, nil))); err == nil {
 		t.Fatal("incomplete report accepted")
 	}
 	// A mixed stream — bench rows then flood reports, as `make flood`
 	// and CI pipe them — validates both document kinds.
-	mixed := batchDoc(t, 100000, 400000) + "\n" +
+	mixed := suitesDoc(t, 900000) + "\n" +
 		floodDoc(t, "prefilter-challenge", 1.0, 0.9, true, nil) + "\n" +
 		floodDoc(t, "churn-budget", 0, 0, true, nil) + "\n"
-	if err := benchValidate(strings.NewReader(mixed), 1.0); err != nil {
+	if err := benchValidate(strings.NewReader(mixed)); err != nil {
 		t.Fatalf("mixed stream rejected: %v", err)
 	}
 	// An object with no scenario name is not a flood report.
-	if err := benchValidate(strings.NewReader(`{"Foo": 1}`), 1.0); err == nil {
+	if err := benchValidate(strings.NewReader(`{"Foo": 1}`)); err == nil {
 		t.Fatal("anonymous object accepted as a flood report")
 	}
 	// An empty stream is still an error.
-	if err := benchValidate(strings.NewReader(""), 1.0); err == nil {
+	if err := benchValidate(strings.NewReader("")); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }

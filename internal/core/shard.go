@@ -19,9 +19,9 @@ import (
 // wear-out accounting, replay-window exactness — holds per shard with
 // no cross-shard coordination: shards share no locks, no caches and no
 // counters on the datagram path. The cost is per-shard soft state
-// (separate FST/TFKC/RFKC/replay windows); the pay-off fbsbench's -shards
-// matrix demonstrates is near-linear scaling of seal/open throughput with
-// cores.
+// (separate FST/TFKC/RFKC/replay windows); the intended pay-off, scaling
+// with cores, is unmeasured: two shards read the same as one on a two-vCPU
+// runner, and the gateway has one loop per listener (ROADMAP 2(a)).
 //
 // What the shards do share is the key plane — one PVC, MKC and MKD per
 // principal, as in Figure 5 — touched at flow start only (a TFKC/RFKC

@@ -203,28 +203,12 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		receiver principal.Address = "chaos-bob"
 	)
 
-	// World: CA, directory (flaky so outages can be injected), identities.
-	ca, err := cert.NewAuthority("chaos-root", 512)
+	// The directory is flaky so outages can be injected.
+	w, err := newWorld("chaos-root", sender, receiver)
 	if err != nil {
 		return nil, err
 	}
-	static := cert.NewStaticDirectory()
-	dir := &FlakyDirectory{Inner: static}
-	ver := &cert.Verifier{CAKey: ca.PublicKey(), CA: "chaos-root"}
-	now := time.Now()
-	ids := make(map[principal.Address]*principal.Identity)
-	for _, addr := range []principal.Address{sender, receiver} {
-		id, err := principal.NewIdentity(addr, cryptolib.TestGroup)
-		if err != nil {
-			return nil, err
-		}
-		c, err := ca.Issue(id, now.Add(-time.Hour), now.Add(24*time.Hour))
-		if err != nil {
-			return nil, err
-		}
-		static.Publish(c)
-		ids[addr] = id
-	}
+	dir := &FlakyDirectory{Inner: w.dir}
 
 	net := NewChaosNetwork(LinkModel{Seed: sc.Seed, Stages: sc.Link})
 	adv := NewAdversary(net, sc.Seed)
@@ -257,10 +241,10 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		return core.NewEndpoint(core.Config{
 			Tracer:    tracer,
 			Observer:  observer,
-			Identity:  ids[addr],
+			Identity:  w.ids[addr],
 			Transport: tr,
 			Directory: dir,
-			Verifier:  ver,
+			Verifier:  w.ver,
 			// Keyed-MD5 (or the AEAD's intrinsic MAC) with a replay
 			// cache: every exact duplicate must surface as DropReplay,
 			// which is what makes duplicate accounting exact.

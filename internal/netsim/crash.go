@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"fbs/internal/cert"
 	"fbs/internal/core"
 	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
@@ -98,25 +97,9 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 		receiver principal.Address = "crash-bob"
 	)
 
-	ca, err := cert.NewAuthority("crash-root", 512)
+	w, err := newWorld("crash-root", sender, receiver)
 	if err != nil {
 		return nil, err
-	}
-	dir := cert.NewStaticDirectory()
-	ver := &cert.Verifier{CAKey: ca.PublicKey(), CA: "crash-root"}
-	now := time.Now()
-	ids := make(map[principal.Address]*principal.Identity)
-	for _, addr := range []principal.Address{sender, receiver} {
-		id, err := principal.NewIdentity(addr, cryptolib.TestGroup)
-		if err != nil {
-			return nil, err
-		}
-		c, err := ca.Issue(id, now.Add(-time.Hour), now.Add(24*time.Hour))
-		if err != nil {
-			return nil, err
-		}
-		dir.Publish(c)
-		ids[addr] = id
 	}
 
 	net := NewChaosNetwork(LinkModel{Seed: sc.Seed}) // clean link: the crash is the fault
@@ -127,10 +110,10 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 			return nil, err
 		}
 		return core.NewEndpoint(core.Config{
-			Identity:          ids[receiver],
+			Identity:          w.ids[receiver],
 			Transport:         tr,
-			Directory:         dir,
-			Verifier:          ver,
+			Directory:         w.dir,
+			Verifier:          w.ver,
 			MAC:               cryptolib.MACPrefixMD5,
 			AcceptMACs:        []cryptolib.MACID{cryptolib.MACPrefixMD5},
 			EnableReplayCache: true,
@@ -143,10 +126,10 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 		return nil, err
 	}
 	alice, err := core.NewEndpoint(core.Config{
-		Identity:  ids[sender],
+		Identity:  w.ids[sender],
 		Transport: atr,
-		Directory: dir,
-		Verifier:  ver,
+		Directory: w.dir,
+		Verifier:  w.ver,
 		MAC:       cryptolib.MACPrefixMD5,
 	})
 	if err != nil {

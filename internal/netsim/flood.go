@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"fbs/internal/cert"
 	"fbs/internal/core"
 	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
@@ -205,39 +204,16 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		flooder  principal.Address = "flood-mallory"
 	)
 
-	// World: CA, directory, identities. The spoof sources are REGISTERED
-	// principals — their certificates resolve and verify, so an admitted
-	// spoof costs the receiver real keying work, which is exactly what
-	// the gate must ration.
-	ca, err := cert.NewAuthority("flood-root", 512)
-	if err != nil {
-		return nil, err
-	}
-	dir := cert.NewStaticDirectory()
-	ver := &cert.Verifier{CAKey: ca.PublicKey(), CA: "flood-root"}
-	now := time.Now()
-	ids := make(map[principal.Address]*principal.Identity)
-	register := func(addr principal.Address) error {
-		id, err := principal.NewIdentity(addr, cryptolib.TestGroup)
-		if err != nil {
-			return err
-		}
-		c, err := ca.Issue(id, now.Add(-time.Hour), now.Add(24*time.Hour))
-		if err != nil {
-			return err
-		}
-		dir.Publish(c)
-		ids[addr] = id
-		return nil
-	}
+	// The spoof sources are REGISTERED principals — their certificates
+	// resolve and verify, so an admitted spoof costs the receiver real
+	// keying work, which is exactly what the gate must ration.
 	spoofs := make([]principal.Address, sc.SpoofSources)
 	for i := range spoofs {
 		spoofs[i] = principal.Address(fmt.Sprintf("flood-spoof-%03d", i))
 	}
-	for _, addr := range append([]principal.Address{sender, receiver, flooder}, spoofs...) {
-		if err := register(addr); err != nil {
-			return nil, err
-		}
+	w, err := newWorld("flood-root", append([]principal.Address{sender, receiver, flooder}, spoofs...)...)
+	if err != nil {
+		return nil, err
 	}
 
 	net := NewChaosNetwork(LinkModel{Seed: seed}) // clean link: the flood is the fault
@@ -246,7 +222,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	// the freshness window, expiring replay signatures that the sound
 	// refuse-the-newcomer policy holds until expiry (nothing else frees
 	// them once the budget saturates).
-	clk := core.NewSimClock(now)
+	clk := core.NewSimClock(time.Now())
 	const freshness = 10 * time.Minute
 
 	attach := func(addr principal.Address, cfg core.Config) (*core.Endpoint, error) {
@@ -254,10 +230,10 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Identity = ids[addr]
+		cfg.Identity = w.ids[addr]
 		cfg.Transport = tr
-		cfg.Directory = dir
-		cfg.Verifier = ver
+		cfg.Directory = w.dir
+		cfg.Verifier = w.ver
 		cfg.Clock = clk
 		cfg.FreshnessWindow = freshness
 		cfg.MAC = cryptolib.MACPrefixMD5

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fbs/internal/cert"
 	"fbs/internal/core"
-	"fbs/internal/cryptolib"
 	"fbs/internal/gateway"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
@@ -101,36 +99,20 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 	const tenant = "edge"
 	gwAddr := principal.Address("reconfig-gw")
 
-	ca, err := cert.NewAuthority("reconfig-root", 512)
-	if err != nil {
-		return nil, err
-	}
-	dir := cert.NewStaticDirectory()
-	ver := &cert.Verifier{CAKey: ca.PublicKey(), CA: "reconfig-root"}
-	now := time.Now()
-	ids := make(map[principal.Address]*principal.Identity)
 	addrs := []principal.Address{gwAddr}
 	for i := 0; i < sc.Senders; i++ {
 		addrs = append(addrs, principal.Address(fmt.Sprintf("reconfig-c%d", i)))
 	}
-	for _, addr := range addrs {
-		id, err := principal.NewIdentity(addr, cryptolib.TestGroup)
-		if err != nil {
-			return nil, err
-		}
-		c, err := ca.Issue(id, now.Add(-time.Hour), now.Add(24*time.Hour))
-		if err != nil {
-			return nil, err
-		}
-		dir.Publish(c)
-		ids[addr] = id
+	w, err := newWorld("reconfig-root", addrs...)
+	if err != nil {
+		return nil, err
 	}
 
 	net := NewChaosNetwork(LinkModel{Seed: sc.Seed}) // clean link: the swap is the event
 
 	gw, err := gateway.New(gateway.Options{
 		Identity: func(tc gateway.TenantConfig) (*principal.Identity, error) {
-			id := ids[principal.Address(tc.Address)]
+			id := w.ids[principal.Address(tc.Address)]
 			if id == nil {
 				return nil, fmt.Errorf("netsim: no identity for %q", tc.Address)
 			}
@@ -139,8 +121,8 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 		Listen: func(tc gateway.TenantConfig) (transport.Transport, error) {
 			return net.Attach(principal.Address(tc.Address), 0)
 		},
-		Directory: dir,
-		Verifier:  ver,
+		Directory: w.dir,
+		Verifier:  w.ver,
 	})
 	if err != nil {
 		return nil, err
@@ -170,10 +152,10 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 			return nil, err
 		}
 		ep, err := core.NewEndpoint(core.Config{
-			Identity:  ids[addr],
+			Identity:  w.ids[addr],
 			Transport: tr,
-			Directory: dir,
-			Verifier:  ver,
+			Directory: w.dir,
+			Verifier:  w.ver,
 			Cipher:    core.CipherAES128GCM,
 		})
 		if err != nil {

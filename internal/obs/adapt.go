@@ -5,13 +5,12 @@ import (
 	"strconv"
 
 	"fbs/internal/core"
-	"fbs/internal/ip"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
 )
 
 // This file adapts the snapshot values the rest of the repo already
-// exposes (core.Snapshot, ip.StackStats, transport.NetworkStats) into
+// exposes (core.Snapshot, transport.NetworkStats) into
 // metric families. Metric names follow fbs_<subsystem>_<what>_total for
 // counters and fbs_<subsystem>_<what> for gauges; label values reuse the
 // canonical DropReason/Stage/cache names so every layer speaks one
@@ -270,35 +269,6 @@ func RegisterPipeline(r *Registry, name string, p *Pipeline) {
 		}
 		rec.Samples = append(rec.Samples, Sample{Labels: []Label{eplbl}, Value: float64(total)})
 		return []Family{f, rec}
-	})
-}
-
-// RegisterStack registers collectors for an IP stack's counters,
-// including the per-reason security hook drop breakdown.
-func RegisterStack(r *Registry, name string, st *ip.Stack) {
-	lbl := Label{Key: "stack", Value: name}
-	r.RegisterFunc(func() []Family {
-		s := st.Stats()
-		fams := []Family{
-			CounterFamily("fbs_ip_packets_out_total", "IP packets emitted.", s.PacketsOut, lbl),
-			CounterFamily("fbs_ip_fragments_out_total", "IP fragments transmitted.", s.FragmentsOut, lbl),
-			CounterFamily("fbs_ip_packets_in_total", "IP frames received.", s.PacketsIn, lbl),
-			CounterFamily("fbs_ip_reassembled_total", "Fragment trains reassembled.", s.Reassembled, lbl),
-			CounterFamily("fbs_ip_delivered_total", "Packets delivered to a transport handler.", s.Delivered, lbl),
-			CounterFamily("fbs_ip_forwarded_total", "Transit packets forwarded.", s.Forwarded, lbl),
-			CounterFamily("fbs_ip_dropped_ttl_total", "Transit packets dropped for TTL expiry.", s.DroppedTTL, lbl),
-			CounterFamily("fbs_ip_dropped_bad_packet_total", "Frames dropped as unparsable or misaddressed.", s.DroppedBadPkt, lbl),
-			CounterFamily("fbs_ip_dropped_no_proto_total", "Packets dropped for want of a protocol handler.", s.DroppedNoProto, lbl),
-			CounterFamily("fbs_ip_dropped_hook_total", "Packets dropped by the security hook.", s.DroppedHook, lbl),
-		}
-		hd := Family{Name: "fbs_ip_hook_drops_total", Help: "Security hook drops, by drop reason (none = unclassified).", Type: "counter"}
-		for d := 0; d < core.NumDropReasons; d++ {
-			hd.Samples = append(hd.Samples, Sample{
-				Labels: []Label{lbl, {Key: "reason", Value: core.DropReason(d).String()}},
-				Value:  float64(s.HookDrops[d]),
-			})
-		}
-		return append(fams, hd)
 	})
 }
 

@@ -29,13 +29,6 @@ type UDPTransport struct {
 	batchState
 }
 
-// udpReadBuffer is the receive buffer every socket asks for. The
-// kernel's default (208 KiB on Linux) holds about 200 small datagrams,
-// less than a gateway listener is sent during one scheduling stall of
-// its receive loop; whatever does not fit, the kernel discards and
-// counts under Udp: RcvbufErrors.
-const udpReadBuffer = 4 << 20
-
 // NewUDPTransport binds a UDP socket on listenAddr (e.g. "127.0.0.1:7001")
 // for the given principal.
 func NewUDPTransport(local principal.Address, listenAddr string) (*UDPTransport, error) {
@@ -47,10 +40,6 @@ func NewUDPTransport(local principal.Address, listenAddr string) (*UDPTransport,
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %q: %w", listenAddr, err)
 	}
-	// A request, not a requirement: the kernel clamps it to
-	// net.core.rmem_max, and a socket left at the default is the socket
-	// every caller had before, so a refusal is not worth failing over.
-	_ = conn.SetReadBuffer(udpReadBuffer)
 	return &UDPTransport{
 		local: local,
 		conn:  conn,

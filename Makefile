@@ -96,13 +96,14 @@ chaos:
 # flood soaks the overload matrix: flow-churn and spoofed-source keying
 # floods against a budgeted receiver, the edge pre-filter scenarios
 # (sketch shedding, cookie challenge, adaptive ladder), plus
-# crash-restart recovery, each iteration on a fresh seed block. The
-# serialised reports pipe through `fbsstat bench-validate`, which
-# re-derives the pre-parse-shed floor from each report rather than
-# trusting the harness's own verdict. FLOOD_ITERATIONS scales the soak.
+# crash-restart recovery and gateway reconfiguration under load, each
+# iteration on a fresh seed block. The serialised reports pipe through
+# `fbsstat bench-validate`, which re-derives the pre-parse-shed floor
+# from each report rather than trusting the harness's own verdict.
+# FLOOD_ITERATIONS scales the soak.
 FLOOD_ITERATIONS ?= 5
 flood:
-	$(GO) run ./cmd/fbschaos -flood -prefilter -crash -iterations $(FLOOD_ITERATIONS) -json | $(GO) run ./cmd/fbsstat bench-validate
+	$(GO) run ./cmd/fbschaos -flood -prefilter -crash -reconfig -iterations $(FLOOD_ITERATIONS) -json | $(GO) run ./cmd/fbsstat bench-validate
 
 # gwbench-test vets and tests the end-to-end benchmark. bench/gwbench is
 # its own module (the benchmark contract wants it self-contained), so
@@ -149,15 +150,15 @@ ci-fuzz: fuzz-smoke
 # for the workflow to upload; render with `fbsstat trace -f <file>`),
 # and the overload matrix (including the edge pre-filter scenarios).
 # BENCH_overload.json (JSON lines) pairs a short unattacked fbsbench
-# baseline with one report per overload/crash scenario, so a regression
-# in goodput-under-flood or budget accounting is visible from the
-# uploaded artifact alone; bench-validate then gates the artifact,
-# re-asserting each flood report's pre-parse-shed floor.
+# baseline with one report per overload/crash/reconfig scenario, so a
+# regression in goodput-under-flood, budget accounting or swap cost is
+# visible from the uploaded artifact alone; bench-validate then gates
+# the artifact, re-asserting each flood report's pre-parse-shed floor.
 ci-soak:
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts $(MAKE) diff
 	FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) run ./cmd/fbschaos -trace
 	$(GO) run ./cmd/fbsbench -bytes 16384 -native -json > BENCH_overload.json
-	$(GO) run ./cmd/fbschaos -flood -prefilter -crash -json >> BENCH_overload.json
+	$(GO) run ./cmd/fbschaos -flood -prefilter -crash -reconfig -json >> BENCH_overload.json
 	$(GO) run ./cmd/fbsstat bench-validate < BENCH_overload.json
 
 # The bench matrix + trajectory gate. Every document gated here is
@@ -167,7 +168,8 @@ ci-soak:
 #                       completeness and the AES-128-GCM >= 5x
 #                       DES-CBC/keyed-MD5 claim.
 # bench-compare then gates both against the committed trajectory (>20%
-# throughput drop or a doubled seal p99 fails CI) and appends passing
+# throughput drop, or a doubled seal p99 on rows with >= 1000 seal
+# timings, fails CI) and appends passing
 # runs so the baseline tracks the codebase. One iteration of the
 # keying-miss benchmarks keeps their rows from rotting (they key on
 # Oakley 2, which no test does), and gwbench-smoke (above) then checks

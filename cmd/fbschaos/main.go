@@ -7,7 +7,8 @@
 // Usage:
 //
 //	fbschaos [-seed N] [-run regexp] [-iterations N] [-json] [-list]
-//	         [-flood [-prefilter]] [-crash] [-diff [-ops N]] [-trace]
+//	         [-flood [-prefilter]] [-crash] [-reconfig] [-diff [-ops N]]
+//	         [-trace]
 //
 // With -trace the chaos matrix runs with every-datagram tracing
 // (internal/obs/trace); a scenario that fails reconciliation dumps its
@@ -18,8 +19,9 @@
 // overload matrix (flow-churn and spoofed-source keying floods against
 // a budgeted, admission-controlled receiver; -prefilter adds the edge
 // pre-filter scenarios — sketch shedding, cookie challenge, adaptive
-// ladder); -crash to the
-// crash-restart recovery matrix; -diff to the differential matrix
+// ladder); -crash to the crash-restart recovery matrix; -reconfig to the
+// gateway reconfiguration-under-load matrix (config swaps landing amid
+// lockstep echoes); -diff to the differential matrix
 // (seeded op streams cross-validated between the optimised endpoint
 // and the internal/refmodel reference, -ops operations per stream,
 // divergence artifacts written to $FBS_DIFF_ARTIFACT_DIR when set).
@@ -52,6 +54,25 @@ func matrix(base uint64) []netsim.ChaosScenario {
 	for k := 0; k < netsim.NumInjectKinds; k++ {
 		everyKind[netsim.InjectKind(k)] = 4
 	}
+	fullStorm := netsim.ChaosScenario{
+		Name: "lossy-burst-full-storm",
+		Seed: base + 2,
+		Link: []netsim.Stage{
+			netsim.GilbertElliott(0.05, 0.4, 0.02, 0.6),
+			netsim.Duplicate(0.1),
+			netsim.CorruptBits(0.05),
+			netsim.DelayJitter(500*time.Microsecond, 2*time.Millisecond),
+			netsim.Reorder(0.2, time.Millisecond),
+		},
+		Datagrams:    128,
+		PayloadBytes: 128,
+		Secret:       true,
+		Inject: map[netsim.InjectKind]int{
+			netsim.InjectReplay:   6,
+			netsim.InjectForgeMAC: 6,
+			netsim.InjectTruncate: 6,
+		},
+	}
 	scenarios := []netsim.ChaosScenario{
 		{
 			Name:         "adversary-clean-link",
@@ -74,25 +95,7 @@ func matrix(base uint64) []netsim.ChaosScenario {
 			Secret:       true,
 			ExactBuckets: true,
 		},
-		{
-			Name: "lossy-burst-full-storm",
-			Seed: base + 2,
-			Link: []netsim.Stage{
-				netsim.GilbertElliott(0.05, 0.4, 0.02, 0.6),
-				netsim.Duplicate(0.1),
-				netsim.CorruptBits(0.05),
-				netsim.DelayJitter(500*time.Microsecond, 2*time.Millisecond),
-				netsim.Reorder(0.2, time.Millisecond),
-			},
-			Datagrams:    128,
-			PayloadBytes: 128,
-			Secret:       true,
-			Inject: map[netsim.InjectKind]int{
-				netsim.InjectReplay:   6,
-				netsim.InjectForgeMAC: 6,
-				netsim.InjectTruncate: 6,
-			},
-		},
+		fullStorm,
 		{
 			Name: "keying-outage",
 			Seed: base + 3,
@@ -117,26 +120,9 @@ func matrix(base uint64) []netsim.ChaosScenario {
 	// ReceiveBatch → OpenBatch must reconcile the same ledger the
 	// per-datagram path does under loss, duplication, corruption,
 	// reordering and adversary injection.
-	scenarios = append(scenarios, netsim.ChaosScenario{
-		Name: "lossy-burst-full-storm-batched",
-		Seed: base + 2,
-		Link: []netsim.Stage{
-			netsim.GilbertElliott(0.05, 0.4, 0.02, 0.6),
-			netsim.Duplicate(0.1),
-			netsim.CorruptBits(0.05),
-			netsim.DelayJitter(500*time.Microsecond, 2*time.Millisecond),
-			netsim.Reorder(0.2, time.Millisecond),
-		},
-		Datagrams:    128,
-		PayloadBytes: 128,
-		Secret:       true,
-		Batch:        true,
-		Inject: map[netsim.InjectKind]int{
-			netsim.InjectReplay:   6,
-			netsim.InjectForgeMAC: 6,
-			netsim.InjectTruncate: 6,
-		},
-	})
+	fullStorm.Name += "-batched"
+	fullStorm.Batch = true
+	scenarios = append(scenarios, fullStorm)
 	// One adversary run per data-carrying suite in the registry, so the
 	// exact-bucket reconciliation (including the suite-aware downgrade
 	// and swap injections) holds under every framing, not just DES.
@@ -258,17 +244,17 @@ func floodMatrix(base uint64, prefilter bool) []netsim.FloodScenario {
 	return scenarios
 }
 
+// A diffRun names a differential scenario, which has no name of its own.
+type diffRun struct {
+	Name string
+	Sc   netsim.DiffScenario
+}
+
 // diffMatrix returns the standing differential cross-validation runs:
 // seeded op streams executed against both the optimised endpoint and
 // the naive reference model, with and without the replay cache.
-func diffMatrix(base uint64, ops int) []struct {
-	Name string
-	Sc   netsim.DiffScenario
-} {
-	runs := []struct {
-		Name string
-		Sc   netsim.DiffScenario
-	}{
+func diffMatrix(base uint64, ops int) []diffRun {
+	runs := []diffRun{
 		{"diff-replay", netsim.DiffScenario{Seed: base, Ops: ops, ReplayCache: true}},
 		{"diff-noreplay", netsim.DiffScenario{Seed: base + 1, Ops: ops, ReplayCache: false}},
 	}
@@ -283,10 +269,7 @@ func diffMatrix(base uint64, ops int) []struct {
 		if s.ID() == core.CipherNone || s.ID() == core.CipherDES {
 			continue
 		}
-		runs = append(runs, struct {
-			Name string
-			Sc   netsim.DiffScenario
-		}{
+		runs = append(runs, diffRun{
 			"diff-suite-" + s.Name(),
 			netsim.DiffScenario{Seed: base + 16 + uint64(s.ID()), Ops: sops, ReplayCache: true, Suite: s.ID()},
 		})
@@ -327,22 +310,38 @@ func reconfigMatrix(base uint64) []netsim.ReconfigScenario {
 	}
 }
 
-// dumpTraces writes a failing scenario's assembled per-datagram traces
-// and its flight-recorder window to $FBS_TRACE_ARTIFACT_DIR (when set,
-// and when the scenario ran with -trace), so CI uploads the
-// datagram-level story of the failure alongside the reconciliation
-// books. Render the traces with `fbsstat trace -f <file>`.
-func dumpTraces(name string, rep *netsim.ChaosReport) {
-	dir := os.Getenv("FBS_TRACE_ARTIFACT_DIR")
-	if dir == "" || rep == nil || rep.TraceReport == nil {
-		return
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	write := func(suffix string, doc any) {
-		data, err := json.MarshalIndent(doc, "", "  ")
+// A runnable is one matrix entry with its scenario type erased: a name
+// and an execution that yields a report.
+type runnable struct {
+	name string
+	run  func() (netsim.Report, error)
+}
+
+// entry binds a scenario to the netsim harness that runs it. The matrix
+// names the run: the four harnesses whose scenarios carry a name have
+// already put the same one in the header, a differential scenario has
+// none of its own.
+func entry[S any, R netsim.Report](name string, sc S, run func(S) (R, error)) runnable {
+	return runnable{name, func() (netsim.Report, error) {
+		rep, err := run(sc)
 		if err != nil {
+			return nil, err
+		}
+		rep.Header().Scenario = name
+		return rep, nil
+	}}
+}
+
+// dumpArtifacts writes what a failing run left behind for CI to upload
+// alongside the reconciliation books: a chaos scenario run with -trace
+// dumps its assembled per-datagram traces and its flight-recorder window
+// to $FBS_TRACE_ARTIFACT_DIR (render the traces with `fbsstat trace -f
+// <file>`), a diverged differential run its op stream and both
+// transcripts to $FBS_DIFF_ARTIFACT_DIR.
+func dumpArtifacts(name string, rep netsim.Report) {
+	write := func(env, suffix string, data []byte) {
+		dir := os.Getenv(env)
+		if dir == "" || os.MkdirAll(dir, 0o755) != nil {
 			return
 		}
 		path := filepath.Join(dir, name+suffix)
@@ -350,9 +349,19 @@ func dumpTraces(name string, rep *netsim.ChaosReport) {
 			fmt.Fprintf(os.Stderr, "fbschaos: %s: artifact written to %s\n", name, path)
 		}
 	}
-	write("-traces.json", rep.TraceReport)
-	if len(rep.RecorderDump) > 0 {
-		write("-recorder.json", rep.RecorderDump)
+	switch rep := rep.(type) {
+	case *netsim.ChaosReport:
+		if rep.TraceReport == nil {
+			return
+		}
+		if data, err := json.MarshalIndent(rep.TraceReport, "", "  "); err == nil {
+			write("FBS_TRACE_ARTIFACT_DIR", "-traces.json", data)
+		}
+		if data, err := json.MarshalIndent(rep.RecorderDump, "", "  "); err == nil && len(rep.RecorderDump) > 0 {
+			write("FBS_TRACE_ARTIFACT_DIR", "-recorder.json", data)
+		}
+	case *netsim.DiffReport:
+		write("FBS_DIFF_ARTIFACT_DIR", ".txt", []byte(rep.Artifact()))
 	}
 }
 
@@ -380,91 +389,33 @@ func main() {
 		}
 	}
 
-	// A runnable erases the scenario type: every matrix entry reduces to
-	// a name and an execution that reports its summary, violations, and
-	// completion.
-	type runnable struct {
-		name string
-		run  func() (report any, summary string, violations []string, complete bool, err error)
-	}
 	collect := func(base uint64) []runnable {
 		var rs []runnable
-		if *flood || *crash || *diff || *reconfig {
-			if *reconfig {
-				for _, sc := range reconfigMatrix(base) {
-					sc := sc
-					rs = append(rs, runnable{sc.Name, func() (any, string, []string, bool, error) {
-						rep, err := netsim.RunReconfig(sc)
-						if err != nil {
-							return nil, "", nil, false, err
-						}
-						return rep, rep.Summary(), rep.Violations, rep.Complete, nil
-					}})
-				}
+		if !(*flood || *crash || *diff || *reconfig) {
+			for _, sc := range matrix(base) {
+				sc.Trace = *trace
+				rs = append(rs, entry(sc.Name, sc, netsim.RunChaos))
 			}
-			if *diff {
-				for _, d := range diffMatrix(base, *diffOps) {
-					d := d
-					rs = append(rs, runnable{d.Name, func() (any, string, []string, bool, error) {
-						rep, err := netsim.RunDiff(d.Sc)
-						if err != nil {
-							return nil, "", nil, false, err
-						}
-						var violations []string
-						if rep.Divergence != "" {
-							violations = append(violations, rep.Divergence)
-							if dir := os.Getenv("FBS_DIFF_ARTIFACT_DIR"); dir != "" {
-								if err := os.MkdirAll(dir, 0o755); err == nil {
-									path := filepath.Join(dir, d.Name+".txt")
-									if os.WriteFile(path, []byte(rep.Artifact()), 0o644) == nil {
-										fmt.Fprintf(os.Stderr, "fbschaos: %s: divergence artifact written to %s\n", d.Name, path)
-									}
-								}
-							}
-						}
-						return rep, rep.Summary(), violations, true, nil
-					}})
-				}
-			}
-			if *flood {
-				for _, sc := range floodMatrix(base, *prefilter) {
-					sc := sc
-					rs = append(rs, runnable{sc.Name, func() (any, string, []string, bool, error) {
-						rep, err := netsim.RunFlood(sc)
-						if err != nil {
-							return nil, "", nil, false, err
-						}
-						return rep, rep.Summary(), rep.Violations, rep.Complete, nil
-					}})
-				}
-			}
-			if *crash {
-				for _, sc := range crashMatrix(base) {
-					sc := sc
-					rs = append(rs, runnable{sc.Name, func() (any, string, []string, bool, error) {
-						rep, err := netsim.RunCrashRestart(sc)
-						if err != nil {
-							return nil, "", nil, false, err
-						}
-						return rep, rep.Summary(), rep.Violations, rep.Complete, nil
-					}})
-				}
-			}
-			return rs
 		}
-		for _, sc := range matrix(base) {
-			sc := sc
-			sc.Trace = *trace
-			rs = append(rs, runnable{sc.Name, func() (any, string, []string, bool, error) {
-				rep, err := netsim.RunChaos(sc)
-				if err != nil {
-					return nil, "", nil, false, err
-				}
-				if len(rep.Violations) > 0 || !rep.Complete {
-					dumpTraces(sc.Name, rep)
-				}
-				return rep, rep.Summary(), rep.Violations, rep.Complete, nil
-			}})
+		if *reconfig {
+			for _, sc := range reconfigMatrix(base) {
+				rs = append(rs, entry(sc.Name, sc, netsim.RunReconfig))
+			}
+		}
+		if *diff {
+			for _, d := range diffMatrix(base, *diffOps) {
+				rs = append(rs, entry(d.Name, d.Sc, netsim.RunDiff))
+			}
+		}
+		if *flood {
+			for _, sc := range floodMatrix(base, *prefilter) {
+				rs = append(rs, entry(sc.Name, sc, netsim.RunFlood))
+			}
+		}
+		if *crash {
+			for _, sc := range crashMatrix(base) {
+				rs = append(rs, entry(sc.Name, sc, netsim.RunCrashRestart))
+			}
 		}
 		return rs
 	}
@@ -482,7 +433,7 @@ func main() {
 				fmt.Println(r.name)
 				continue
 			}
-			rep, summary, violations, complete, err := r.run()
+			rep, err := r.run()
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "fbschaos: %s: %v\n", r.name, err)
 				failed++
@@ -494,10 +445,11 @@ func main() {
 					os.Exit(2)
 				}
 			} else {
-				fmt.Println(summary)
+				fmt.Println(rep.Summary())
 			}
-			if len(violations) > 0 || !complete {
+			if h := rep.Header(); len(h.Violations) > 0 || !h.Complete {
 				failed++
+				dumpArtifacts(r.name, rep)
 			}
 		}
 		if *list {

@@ -16,6 +16,10 @@ import (
 const (
 	kbpsDropLimit = 0.20
 	p99GrowLimit  = 2.0
+	// p99MinSamples is where a p99 becomes a percentile: ten samples
+	// beyond it. Below that it is the maximum of a handful of timings
+	// (the figure8 GENERIC rows time 90 no-ops) and is not gated.
+	p99MinSamples = 1000
 	// trajectoryKeep bounds the committed history; the gate only ever
 	// reads the most recent run per row, older entries are context for
 	// humans plotting the trajectory.
@@ -56,8 +60,9 @@ func lastRun(entries []trajectoryEntry, key string) (benchRow, string, bool) {
 
 // benchCompare reads a fresh fbsbench -json document from r and gates
 // it against the committed trajectory at path: any row whose throughput
-// dropped more than kbpsDropLimit, or whose seal p99 more than
-// p99GrowLimit-ed, versus its last committed measurement fails the run.
+// dropped more than kbpsDropLimit, or whose seal p99 (where both rows
+// carry p99MinSamples timings) more than p99GrowLimit-ed, versus its
+// last committed measurement fails the run.
 // With appendRun set, a passing run is appended to the trajectory file
 // (creating it if absent) so it becomes the next baseline.
 func benchCompare(r io.Reader, path string, appendRun bool) error {
@@ -94,13 +99,16 @@ func benchCompare(r io.Reader, path string, appendRun bool) error {
 				"%s: throughput %.0f kb/s is down %.0f%% from %.0f kb/s (%s)",
 				key, cur.Kbps, 100*(1-cur.Kbps/prev.Kbps), prev.Kbps, when))
 		}
-		if cur.SealLatency != nil && prev.SealLatency != nil && prev.SealLatency.P99Ns > 0 &&
-			float64(cur.SealLatency.P99Ns) > p99GrowLimit*float64(prev.SealLatency.P99Ns) {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf(
-				"%s: seal p99 %v is more than %.0fx the committed %v (%s)",
-				key, time.Duration(cur.SealLatency.P99Ns), p99GrowLimit,
-				time.Duration(prev.SealLatency.P99Ns), when))
+		if cur.SealLatency != nil && prev.SealLatency != nil && prev.SealLatency.P99Ns > 0 {
+			if n := min(cur.SealLatency.Count, prev.SealLatency.Count); n < p99MinSamples {
+				status += fmt.Sprintf(", p99 not gated (n=%d)", n)
+			} else if float64(cur.SealLatency.P99Ns) > p99GrowLimit*float64(prev.SealLatency.P99Ns) {
+				status = "FAIL"
+				failures = append(failures, fmt.Sprintf(
+					"%s: seal p99 %v is more than %.0fx the committed %v (%s)",
+					key, time.Duration(cur.SealLatency.P99Ns), p99GrowLimit,
+					time.Duration(prev.SealLatency.P99Ns), when))
+			}
 		}
 		fmt.Printf("  %-40s %10.0f kb/s vs %.0f kb/s @ %s %s\n", key, cur.Kbps, prev.Kbps, when, status)
 	}

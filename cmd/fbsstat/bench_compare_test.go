@@ -9,10 +9,14 @@ import (
 )
 
 func runJSON(t *testing.T, kbps float64, p99 int64) string {
+	return runJSONSamples(t, kbps, p99, 5000)
+}
+
+func runJSONSamples(t *testing.T, kbps float64, p99 int64, samples uint64) string {
 	t.Helper()
 	rows := []benchRow{{
 		Section: "native", Config: "FBS DES+MD5", Kbps: kbps,
-		SealLatency: &benchLatency{Count: 100, MeanNs: p99 / 2, P50Ns: p99 / 2, P95Ns: p99, P99Ns: p99},
+		SealLatency: &benchLatency{Count: samples, MeanNs: p99 / 2, P50Ns: p99 / 2, P95Ns: p99, P99Ns: p99},
 	}}
 	data, err := json.Marshal(rows)
 	if err != nil {
@@ -76,6 +80,25 @@ func TestBenchCompareGate(t *testing.T) {
 	}
 	if err := benchCompare(strings.NewReader(string(suites)), path, false); err != nil {
 		t.Fatalf("new-key run: %v", err)
+	}
+}
+
+// TestBenchCompareP99NeedsSamples: a p99 is gated only where it is a
+// percentile. The figure8 GENERIC rows time 90 no-ops, so their "p99"
+// is a maximum that doubles between identical runs.
+func TestBenchCompareP99NeedsSamples(t *testing.T) {
+	for _, tc := range []struct {
+		samples uint64
+		gated   bool
+	}{{90, false}, {5000, true}} {
+		path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+		if err := benchCompare(strings.NewReader(runJSONSamples(t, 10000, 50000, tc.samples)), path, true); err != nil {
+			t.Fatalf("n=%d baseline: %v", tc.samples, err)
+		}
+		err := benchCompare(strings.NewReader(runJSONSamples(t, 10000, 200000, tc.samples)), path, false)
+		if failed := err != nil; failed != tc.gated {
+			t.Errorf("n=%d, seal p99 at 4x the committed: err = %v, gated should be %v", tc.samples, err, tc.gated)
+		}
 	}
 }
 
@@ -147,13 +170,16 @@ func TestValidateRefusesUnknownSection(t *testing.T) {
 // does (one object per line).
 func floodDoc(t *testing.T, scenario string, ratio, floor float64, complete bool, violations []string) string {
 	t.Helper()
-	data, err := json.Marshal(floodReportDoc{
+	data, err := json.Marshal(struct {
+		scenarioReportDoc
+		Goodput float64
+	}{scenarioReportDoc{
 		Scenario:          scenario,
 		Complete:          complete,
 		PreParseShedRatio: ratio,
 		PreParseShedFloor: floor,
 		Violations:        violations,
-	})
+	}, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +194,8 @@ func TestValidateFloodReports(t *testing.T) {
 	// A ratio below the committed floor fails even when the harness's
 	// own Violations list is empty — the gate re-derives the check.
 	err := benchValidate(strings.NewReader(floodDoc(t, "prefilter-sketch", 0.5, 0.9, true, nil)))
-	if err == nil || !strings.Contains(err.Error(), "below committed floor") {
-		t.Fatalf("under-floor report not gated: %v", err)
+	if err == nil || !strings.Contains(err.Error(), "below committed floor") || !strings.HasPrefix(err.Error(), "flood prefilter-sketch:") {
+		t.Fatalf("under-floor report not gated, or not named by the kind of report it is: %v", err)
 	}
 	// Violations and incompleteness fail.
 	if err := benchValidate(strings.NewReader(floodDoc(t, "spoof-10x", 0, 0, true, []string{"conservation broke"}))); err == nil {
@@ -186,9 +212,9 @@ func TestValidateFloodReports(t *testing.T) {
 	if err := benchValidate(strings.NewReader(mixed)); err != nil {
 		t.Fatalf("mixed stream rejected: %v", err)
 	}
-	// An object with no scenario name is not a flood report.
+	// An object with no scenario name is not a scenario report.
 	if err := benchValidate(strings.NewReader(`{"Foo": 1}`)); err == nil {
-		t.Fatal("anonymous object accepted as a flood report")
+		t.Fatal("anonymous object accepted as a scenario report")
 	}
 	// An empty stream is still an error.
 	if err := benchValidate(strings.NewReader("")); err == nil {

@@ -21,14 +21,16 @@
 // clears 5x the DES-CBC/keyed-MD5 baseline throughput. A row whose
 // section fbsbench does not emit is refused by name, not skipped.
 // The input is a stream: JSON arrays are bench result sets, JSON
-// objects are serialised flood reports (fbschaos -flood -json), whose
-// reconciliation and committed pre-parse shed floor are re-asserted
-// offline; `make flood` pipes the matrix through this gate.
+// objects are serialised scenario reports (fbschaos -json, any matrix),
+// whose reconciliation and — where one is declared — committed
+// pre-parse shed floor are re-asserted offline; `make flood` pipes the
+// overload, crash and reconfiguration matrices through this gate.
 //
 // bench-compare reads the same document and gates it against the
 // committed perf trajectory (BENCH_trajectory.json): a row that lost
-// more than 20% throughput, or whose seal p99 more than doubled, versus
-// its last committed measurement fails the run. With -append a passing
+// more than 20% throughput, or whose seal p99 more than doubled (gated
+// only where both rows carry enough samples for a p99 to be a
+// percentile), versus its last committed measurement fails the run. With -append a passing
 // run is recorded as the next baseline; `make ci` runs it after every
 // fbsbench invocation.
 package main
@@ -191,13 +193,13 @@ type benchRow struct {
 
 // benchValidate stream-decodes a sequence of JSON documents from r:
 // each top-level array is an fbsbench result set (validated as before),
-// each top-level object a serialised flood report (fbschaos -flood
-// -json emits one per scenario run), whose committed pre-parse shed
-// floor is re-asserted from the report alone. Mixing the two in one
-// pipe is how CI gates a bench run and the flood matrix together.
+// each top-level object a serialised scenario report (fbschaos -json
+// emits one per scenario run), re-checked from the report alone. Mixing
+// the two in one pipe is how CI gates a bench run and the soak matrices
+// together.
 func benchValidate(r io.Reader) error {
 	dec := json.NewDecoder(r)
-	var benchDocs, floodDocs int
+	var benchDocs, scenarioDocs int
 	for {
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
@@ -218,63 +220,78 @@ func benchValidate(r io.Reader) error {
 			}
 			benchDocs++
 		case len(doc) > 0 && doc[0] == '{':
-			var rep floodReportDoc
-			if err := json.Unmarshal(doc, &rep); err != nil {
-				return fmt.Errorf("decoding flood report JSON: %w", err)
-			}
-			if err := validateFloodReport(rep); err != nil {
+			if err := validateScenarioReport(doc); err != nil {
 				return err
 			}
-			floodDocs++
+			scenarioDocs++
 		default:
-			return fmt.Errorf("unrecognised JSON document (neither bench rows nor a flood report)")
+			return fmt.Errorf("unrecognised JSON document (neither bench rows nor a scenario report)")
 		}
 	}
-	if benchDocs == 0 && floodDocs == 0 {
+	if benchDocs == 0 && scenarioDocs == 0 {
 		return fmt.Errorf("bench JSON is an empty result set")
 	}
-	if floodDocs > 0 {
-		fmt.Printf("flood reports ok: %d validated\n", floodDocs)
+	if scenarioDocs > 0 {
+		fmt.Printf("scenario reports ok: %d validated\n", scenarioDocs)
 	}
 	return nil
 }
 
-// floodReportDoc declares only the fields bench-validate re-asserts
-// from a serialised netsim.FloodReport (or CrashReport — the scenario/
-// violations/complete triple is shared).
-type floodReportDoc struct {
+// scenarioReportDoc declares only the fields bench-validate re-asserts
+// from a serialised netsim report: the header every kind shares and the
+// shed floor a flood scenario may declare.
+type scenarioReportDoc struct {
 	Scenario          string
 	Complete          bool
+	Violations        []string
 	PreParseShedRatio float64
 	PreParseShedFloor float64
-	Violations        []string
 }
 
-// validateFloodReport re-checks a flood report's claims offline: the
-// run reconciled, completed, and — when the scenario committed to a
-// pre-parse shed floor — the serialised ratio still clears it. The
-// ratio check is deliberately re-derived here rather than trusting the
-// harness's own Violations list, so a report whose floor assertion was
-// edited out (or a harness regression that stopped checking it) still
-// fails the pipeline.
-func validateFloodReport(rep floodReportDoc) error {
+// scenarioKinds names a report's kind by a key only that kind carries,
+// so the verdict line says what it validated.
+var scenarioKinds = []struct{ key, kind string }{
+	{"Links", "chaos"}, {"Port1", "crash"}, {"Goodput", "flood"}, {"Final", "reconfig"}, {"Divergence", "diff"},
+}
+
+// validateScenarioReport re-checks a scenario report's claims offline:
+// it names its scenario, the run reconciled, completed, and — when the
+// scenario committed to a pre-parse shed floor — the serialised ratio
+// still clears it. The ratio check is deliberately re-derived here
+// rather than trusting the harness's own Violations list, so a report
+// whose floor assertion was edited out (or a harness regression that
+// stopped checking it) still fails the pipeline.
+func validateScenarioReport(doc []byte) error {
+	var rep scenarioReportDoc
+	var keys map[string]json.RawMessage
+	for _, into := range []any{&rep, &keys} {
+		if err := json.Unmarshal(doc, into); err != nil {
+			return fmt.Errorf("decoding scenario report JSON: %w", err)
+		}
+	}
 	if rep.Scenario == "" {
-		return fmt.Errorf("object document carries no scenario name; not a flood report")
+		return fmt.Errorf("object document carries no scenario name; not a scenario report")
+	}
+	kind := "scenario"
+	for _, k := range scenarioKinds {
+		if _, ok := keys[k.key]; ok {
+			kind = k.kind
+		}
 	}
 	if len(rep.Violations) > 0 {
-		return fmt.Errorf("flood %s: %d reconciliation violation(s): %s", rep.Scenario, len(rep.Violations), rep.Violations[0])
+		return fmt.Errorf("%s %s: %d reconciliation violation(s): %s", kind, rep.Scenario, len(rep.Violations), rep.Violations[0])
 	}
 	if !rep.Complete {
-		return fmt.Errorf("flood %s: transfer incomplete", rep.Scenario)
+		return fmt.Errorf("%s %s: transfer incomplete", kind, rep.Scenario)
 	}
 	if rep.PreParseShedFloor > 0 && rep.PreParseShedRatio < rep.PreParseShedFloor {
-		return fmt.Errorf("flood %s: pre-parse shed ratio %.3f below committed floor %.2f",
-			rep.Scenario, rep.PreParseShedRatio, rep.PreParseShedFloor)
+		return fmt.Errorf("%s %s: pre-parse shed ratio %.3f below committed floor %.2f",
+			kind, rep.Scenario, rep.PreParseShedRatio, rep.PreParseShedFloor)
 	}
 	if rep.PreParseShedFloor > 0 {
-		fmt.Printf("  flood %-24s preparse ratio %.3f >= floor %.2f ok\n", rep.Scenario, rep.PreParseShedRatio, rep.PreParseShedFloor)
+		fmt.Printf("  %-8s %-32s preparse ratio %.3f >= floor %.2f ok\n", kind, rep.Scenario, rep.PreParseShedRatio, rep.PreParseShedFloor)
 	} else {
-		fmt.Printf("  flood %-24s reconciled, complete\n", rep.Scenario)
+		fmt.Printf("  %-8s %-32s reconciled, complete\n", kind, rep.Scenario)
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +12,6 @@ import (
 	"fbs/internal/obs"
 	obstrace "fbs/internal/obs/trace"
 	"fbs/internal/principal"
-	"fbs/internal/transport"
 )
 
 // This file is the chaos soak harness: a two-endpoint world (CA,
@@ -116,7 +113,7 @@ type ChaosScenario struct {
 
 // ChaosReport is the outcome of a soak run plus its reconciliation.
 type ChaosReport struct {
-	Scenario string
+	ReportHeader
 	// Unique is the number of distinct datagrams the transfer needed;
 	// Sent counts transmissions including retransmissions.
 	Unique int
@@ -142,13 +139,8 @@ type ChaosReport struct {
 	// bounded-retry evidence).
 	DirectoryCalls uint64
 	DirectoryFails uint64
-	// Rounds is how many retransmission rounds completion took;
-	// Complete reports whether every unique datagram arrived.
-	Rounds   int
-	Complete bool
-	// Violations lists every reconciliation equation that failed; empty
-	// means the run reconciled exactly.
-	Violations []string
+	// Rounds is how many retransmission rounds completion took.
+	Rounds int
 	// TraceReport holds the assembled per-datagram traces when the
 	// scenario ran with Trace set (nil otherwise).
 	TraceReport *obstrace.Report
@@ -159,119 +151,16 @@ type ChaosReport struct {
 	RecorderDump []obs.Event `json:"recorder,omitempty"`
 }
 
-// receiverState tracks which sequence numbers have been accepted.
-type receiverState struct {
-	mu   sync.Mutex
-	got  map[uint32]bool
-	want int
-}
-
-func (r *receiverState) mark(seq uint32) {
-	r.mu.Lock()
-	r.got[seq] = true
-	r.mu.Unlock()
-}
-
-func (r *receiverState) missing() []uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []uint32
-	for i := 0; i < r.want; i++ {
-		if !r.got[uint32(i)] {
-			out = append(out, uint32(i))
-		}
-	}
-	return out
-}
-
 // RunChaos executes one scenario to completion and reconciles the
 // books. The returned report's Violations field is the verdict: an
 // empty slice means every induced fault was accounted for exactly and
 // the transfer completed.
 func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
-	if sc.Datagrams <= 0 {
-		sc.Datagrams = 64
-	}
-	if sc.PayloadBytes < 8 {
-		sc.PayloadBytes = 256
-	}
-	if sc.MaxRounds <= 0 {
-		sc.MaxRounds = 10
-	}
+	transferDefaults(&sc.Datagrams, &sc.PayloadBytes, &sc.MaxRounds, 256)
 	const (
 		sender   principal.Address = "chaos-alice"
 		receiver principal.Address = "chaos-bob"
 	)
-
-	// The directory is flaky so outages can be injected.
-	w, err := newWorld("chaos-root", sender, receiver)
-	if err != nil {
-		return nil, err
-	}
-	dir := &FlakyDirectory{Inner: w.dir}
-
-	net := NewChaosNetwork(LinkModel{Seed: sc.Seed, Stages: sc.Link})
-	adv := NewAdversary(net, sc.Seed)
-
-	// Tracing samples every datagram: the collector is shared by both
-	// endpoints and the network so one trace covers seal → link → open.
-	var col *obstrace.Collector
-	var pipe *obs.Pipeline
-	if sc.Trace {
-		col = obstrace.New(obstrace.Config{SampleEvery: 1, RingSize: 1 << 15})
-		net.SetTracer(col)
-		// A fully-sampled flight recorder rides along: the failure
-		// artifact then carries stage timings next to the waterfalls.
-		pipe = obs.NewPipeline(obs.PipelineConfig{SampleEvery: 1})
-	}
-
-	endpoint := func(addr principal.Address) (*core.Endpoint, error) {
-		tr, err := net.Attach(addr, 0)
-		if err != nil {
-			return nil, err
-		}
-		var tracer core.Tracer
-		if col != nil {
-			tracer = col
-		}
-		var observer core.Observer
-		if pipe != nil {
-			observer = pipe
-		}
-		return core.NewEndpoint(core.Config{
-			Tracer:    tracer,
-			Observer:  observer,
-			Identity:  w.ids[addr],
-			Transport: tr,
-			Directory: dir,
-			Verifier:  w.ver,
-			// Keyed-MD5 (or the AEAD's intrinsic MAC) with a replay
-			// cache: every exact duplicate must surface as DropReplay,
-			// which is what makes duplicate accounting exact.
-			MAC: cryptolib.MACPrefixMD5,
-			// MACAEAD is the explicit opt-in for the AEAD tier: a
-			// pinned AcceptMACs no longer admits AEAD suites for free,
-			// and the chaos ledger needs AEAD scenarios (and suite-swap
-			// injections into AEAD targets) to keep landing in their
-			// predicted DropBadMAC buckets rather than DropAlgorithm.
-			AcceptMACs:        []cryptolib.MACID{cryptolib.MACPrefixMD5, cryptolib.MACAEAD},
-			Cipher:            sc.Suite,
-			EnableReplayCache: true,
-			KeyRetry:          sc.Retry,
-			KeyNegativeTTL:    sc.NegativeTTL,
-		})
-	}
-	alice, err := endpoint(sender)
-	if err != nil {
-		return nil, err
-	}
-	defer alice.Close()
-	bob, err := endpoint(receiver)
-	if err != nil {
-		return nil, err
-	}
-	defer bob.Close()
-
 	unique := sc.Datagrams
 	if sc.KeyOutage {
 		if sc.OutageDatagrams <= 0 {
@@ -279,80 +168,69 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		}
 		unique += sc.OutageDatagrams
 	}
-	rs := &receiverState{got: make(map[uint32]bool), want: unique}
-
-	// Receiver loop: open everything; rejections are counted by the
-	// endpoint, accepted datagrams are marked off by sequence number.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			if sc.Batch {
-				accepted, _, err := bob.ReceiveBatch(32)
-				if errors.Is(err, transport.ErrClosed) {
-					return
-				}
-				for _, dg := range accepted {
-					if len(dg.Payload) >= 4 {
-						rs.mark(binary.BigEndian.Uint32(dg.Payload))
-					}
-				}
-				continue
-			}
-			dg, err := bob.Receive()
-			if errors.Is(err, transport.ErrClosed) {
-				return
-			}
-			if err != nil || len(dg.Payload) < 4 {
-				continue
-			}
-			rs.mark(binary.BigEndian.Uint32(dg.Payload))
-		}
-	}()
-
-	var sent uint64
-	payload := func(seq uint32) []byte {
-		p := make([]byte, sc.PayloadBytes)
-		binary.BigEndian.PutUint32(p, seq)
-		for i := 4; i < len(p); i++ {
-			p[i] = byte(seq + uint32(i))
-		}
-		return p
+	report := &ChaosReport{ReportHeader: ReportHeader{Scenario: sc.Name}, Unique: unique}
+	r, err := newRig(&report.ReportHeader, "chaos-root", LinkModel{Seed: sc.Seed, Stages: sc.Link},
+		sc.PayloadBytes, unique, receiver, sender)
+	if err != nil {
+		return nil, err
 	}
+	// The directory is flaky so outages can be injected.
+	dir := &FlakyDirectory{Inner: r.dir}
+	adv := NewAdversary(r.net, sc.Seed)
+
+	cfg := core.Config{
+		Directory: dir,
+		// MACAEAD is the explicit opt-in for the AEAD tier: a
+		// pinned AcceptMACs no longer admits AEAD suites for free,
+		// and the chaos ledger needs AEAD scenarios (and suite-swap
+		// injections into AEAD targets) to keep landing in their
+		// predicted DropBadMAC buckets rather than DropAlgorithm.
+		AcceptMACs: []cryptolib.MACID{cryptolib.MACPrefixMD5, cryptolib.MACAEAD},
+		Cipher:     sc.Suite,
+		// Keyed-MD5 (or the AEAD's intrinsic MAC) with a replay
+		// cache: every exact duplicate must surface as DropReplay,
+		// which is what makes duplicate accounting exact.
+		EnableReplayCache: true,
+		KeyRetry:          sc.Retry,
+		KeyNegativeTTL:    sc.NegativeTTL,
+	}
+	// Tracing samples every datagram: the collector is shared by both
+	// endpoints and the network so one trace covers seal → link → open.
+	var col *obstrace.Collector
+	var pipe *obs.Pipeline
+	if sc.Trace {
+		col = obstrace.New(obstrace.Config{SampleEvery: 1, RingSize: 1 << 15})
+		r.net.SetTracer(col)
+		// A fully-sampled flight recorder rides along: the failure
+		// artifact then carries stage timings next to the waterfalls.
+		pipe = obs.NewPipeline(obs.PipelineConfig{SampleEvery: 1})
+		cfg.Tracer, cfg.Observer = col, pipe
+	}
+	alice, err := r.attach(sender, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer alice.Close()
+	bob, err := r.attach(receiver, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer bob.Close()
+	r.receive(bob, sc.Batch)
+
 	send := func(seq uint32) {
 		// Seal failures (keying) are counted by the sender endpoint;
 		// link loss is silent by design.
-		if alice.SendTo(receiver, payload(seq), sc.Secret) == nil {
-			sent++
+		if alice.SendTo(receiver, r.payload(seq), sc.Secret) == nil {
+			report.Sent++
 		}
 	}
-	// drain blocks until the receiver has processed every copy the
-	// network enqueued for it.
-	drain := func() bool {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			net.Quiesce(time.Second)
-			ps := net.PortStats(receiver)
-			m := bob.Snapshot()
-			enq := ps.DeliveredClean + ps.DeliveredDup + ps.DeliveredCorrupt + ps.Injected
-			if m.Received+sumDrops(m.Drops) >= enq && net.Pending() == 0 {
-				return true
-			}
-			if time.Now().After(deadline) {
-				return false
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	report := &ChaosReport{Scenario: sc.Name, Unique: unique, Links: map[string]LinkStats{}}
 
 	// Phase 1: the transfer, through the impaired link.
 	for seq := 0; seq < sc.Datagrams; seq++ {
 		send(uint32(seq))
 	}
-	drained := drain()
+	r.drain(bob)
 
 	// Phase 2: keying outage. The directory goes down, the receiver's
 	// key caches are flushed, and fresh datagrams arrive: every one must
@@ -364,7 +242,7 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		for seq := sc.Datagrams; seq < unique; seq++ {
 			send(uint32(seq))
 		}
-		drained = drain() && drained
+		r.drain(bob)
 		dir.SetDown(false)
 		// Let the negative-cache entry age out so recovery can proceed.
 		if sc.NegativeTTL > 0 {
@@ -380,89 +258,46 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 			adv.Inject(InjectKind(kind))
 		}
 	}
-	drained = drain() && drained
+	r.drain(bob)
 
 	// Phase 4: the network heals; retransmission rounds must complete
 	// the transfer on soft state alone.
-	net.Heal()
-	for report.Rounds < sc.MaxRounds {
-		missing := rs.missing()
-		if len(missing) == 0 {
-			break
-		}
-		report.Rounds++
-		for _, seq := range missing {
-			send(seq)
-		}
-		drained = drain() && drained
-	}
-	report.Complete = len(rs.missing()) == 0
+	r.net.Heal()
+	report.Rounds = r.recover(bob, sc.MaxRounds, send, nil)
 
 	// Collect the books before closing (Close drops the transports).
-	report.Sent = sent
 	am, bm := alice.Snapshot(), bob.Snapshot()
 	report.Accepted = bm.Received
 	report.SenderDrops = am.Drops
 	report.ReceiverDrops = bm.Drops
-	report.Port = net.PortStats(receiver)
-	report.Links = net.Links()
+	report.Port = r.net.PortStats(receiver)
+	report.Links = r.net.Links()
 	report.Injected = adv.Injected()
 	report.Keys = bm.Keying
 	report.MKDUpcalls, report.MKDTimeouts = bm.MKDUpcalls, bm.MKDTimeouts
 	report.DirectoryCalls = dir.Calls()
 	report.DirectoryFails = dir.Fails()
-	if col != nil {
+	if sc.Trace {
 		tr := obstrace.NewReport(col)
 		report.TraceReport = &tr
-	}
-	if pipe != nil {
 		report.RecorderDump = pipe.Recorder().Events()
 	}
+	r.stop(bob)
 
-	bob.Close() // unblocks the receiver loop
-	wg.Wait()
-
-	if !drained {
-		report.Violations = append(report.Violations, "network failed to drain before the books were read")
-	}
+	r.verdict(report.Rounds, report.Accepted, sumDrops(report.ReceiverDrops), report.Port)
 	report.reconcile(&sc)
 	return report, nil
 }
 
-// sumDrops totals a per-reason drop ledger.
-func sumDrops(drops [core.NumDropReasons]uint64) (n uint64) {
-	for _, d := range drops {
-		n += d
-	}
-	return n
-}
-
-// reconcile checks the accounting equations and appends a line per
-// violation.
+// reconcile checks the accounting equations only a chaos run asserts
+// and appends a line per violation.
 func (r *ChaosReport) reconcile(sc *ChaosScenario) {
-	fail := func(format string, args ...any) {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
-	if !r.Complete {
-		fail("transfer incomplete after %d retransmission rounds", r.Rounds)
-	}
-	if r.Port.Overflow != 0 {
-		fail("receiver queue overflowed %d times; accounting not exact", r.Port.Overflow)
-	}
-
 	var injected uint64
 	for _, n := range r.Injected {
 		injected += n
 	}
-	rdrops := sumDrops(r.ReceiverDrops)
-	// Conservation: every copy enqueued at the receiver was either
-	// accepted or dropped with exactly one reason.
-	enq := r.Port.DeliveredClean + r.Port.DeliveredDup + r.Port.DeliveredCorrupt + r.Port.Injected
-	if got := r.Accepted + rdrops; got != enq {
-		fail("conservation: accepted(%d)+drops(%d)=%d != enqueued(%d)", r.Accepted, rdrops, got, enq)
-	}
 	if r.Port.Injected != injected {
-		fail("injection accounting: port saw %d, adversary placed %d", r.Port.Injected, injected)
+		r.fail("injection accounting: port saw %d, adversary placed %d", r.Port.Injected, injected)
 	}
 
 	// With the replay cache on and a corruption-free link, buckets are
@@ -470,11 +305,11 @@ func (r *ChaosReport) reconcile(sc *ChaosScenario) {
 	// copy a replay, every injection in its designated bucket.
 	if sc.ExactBuckets {
 		if r.Port.DeliveredCorrupt != 0 {
-			fail("ExactBuckets scenario delivered %d corrupt copies; link must be corruption-free", r.Port.DeliveredCorrupt)
+			r.fail("ExactBuckets scenario delivered %d corrupt copies; link must be corruption-free", r.Port.DeliveredCorrupt)
 		}
 		keying := r.ReceiverDrops[core.DropKeying]
 		if got, want := r.Accepted, r.Port.DeliveredClean-keying; got != want {
-			fail("accepted %d, want clean(%d)-keying(%d)=%d", got, r.Port.DeliveredClean, keying, want)
+			r.fail("accepted %d, want clean(%d)-keying(%d)=%d", got, r.Port.DeliveredClean, keying, want)
 		}
 		wantByReason := [core.NumDropReasons]uint64{}
 		wantByReason[core.DropReplay] = r.Port.DeliveredDup
@@ -486,7 +321,7 @@ func (r *ChaosReport) reconcile(sc *ChaosScenario) {
 				continue // asserted separately below for outage scenarios
 			}
 			if got, want := r.ReceiverDrops[reason], wantByReason[reason]; got != want {
-				fail("drops[%s]=%d, want %d", reason, got, want)
+				r.fail("drops[%s]=%d, want %d", reason, got, want)
 			}
 		}
 	}
@@ -494,13 +329,13 @@ func (r *ChaosReport) reconcile(sc *ChaosScenario) {
 	if sc.KeyOutage {
 		outage := uint64(sc.OutageDatagrams)
 		if got := r.ReceiverDrops[core.DropKeying]; got != outage {
-			fail("drops[keying]=%d, want one per outage datagram (%d)", got, outage)
+			r.fail("drops[keying]=%d, want one per outage datagram (%d)", got, outage)
 		}
 		if r.Keys.NegativeHits == 0 {
-			fail("negative cache never hit during the outage")
+			r.fail("negative cache never hit during the outage")
 		}
 		if r.Keys.Retries == 0 {
-			fail("retry policy never retried during the outage")
+			r.fail("retry policy never retried during the outage")
 		}
 		// Bounded retry: even if every outage datagram ran a full loop,
 		// failed lookups cannot exceed datagrams × MaxAttempts.
@@ -509,10 +344,10 @@ func (r *ChaosReport) reconcile(sc *ChaosScenario) {
 			max = 1
 		}
 		if bound := outage * uint64(max); r.DirectoryFails > bound {
-			fail("%d failed directory calls exceed the retry bound %d", r.DirectoryFails, bound)
+			r.fail("%d failed directory calls exceed the retry bound %d", r.DirectoryFails, bound)
 		}
 	} else if r.ReceiverDrops[core.DropKeying] != 0 && sc.ExactBuckets {
-		fail("drops[keying]=%d with no keying fault injected", r.ReceiverDrops[core.DropKeying])
+		r.fail("drops[keying]=%d with no keying fault injected", r.ReceiverDrops[core.DropKeying])
 	}
 }
 
@@ -527,18 +362,8 @@ func (r *ChaosReport) Summary() string {
 		s += fmt.Sprintf("  link %s: offered=%d lost=%d burst=%d dup=%d corrupt=%d reorder=%d\n",
 			name, ls.Offered, ls.Lost, ls.BurstLost, ls.Duplicated, ls.Corrupted, ls.Reordered)
 	}
-	for reason := core.DropReason(1); int(reason) < core.NumDropReasons; reason++ {
-		if n := r.ReceiverDrops[reason]; n > 0 {
-			s += fmt.Sprintf("  drop %s: %d\n", reason, n)
-		}
-	}
+	s += dropLines(r.ReceiverDrops)
 	s += fmt.Sprintf("  keying: retries=%d neghits=%d stale=%d dircalls=%d dirfails=%d upcalls=%d timeouts=%d\n",
 		r.Keys.Retries, r.Keys.NegativeHits, r.Keys.StaleServed, r.DirectoryCalls, r.DirectoryFails, r.MKDUpcalls, r.MKDTimeouts)
-	if len(r.Violations) == 0 {
-		s += "  reconciliation: exact\n"
-	}
-	for _, v := range r.Violations {
-		s += "  VIOLATION: " + v + "\n"
-	}
-	return s
+	return s + r.verdictLines()
 }

@@ -192,14 +192,7 @@ func (n *ChaosNetwork) Pending() int { return int(n.pending.Load()) }
 // Quiesce blocks until every scheduled delivery has been enqueued or
 // the timeout expires; it reports whether the network drained.
 func (n *ChaosNetwork) Quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for n.pending.Load() > 0 {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
+	return poll(timeout, func() bool { return n.pending.Load() <= 0 })
 }
 
 // takeSample stores a clean delivered copy for the adversary (bounded).

@@ -13,6 +13,7 @@ package netsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"strings"
@@ -51,8 +52,12 @@ type DiffScenario struct {
 	Prefilter core.PrefilterLevel
 }
 
-// DiffReport is the outcome of a differential run.
+// DiffReport is the outcome of a differential run. A DiffScenario has no
+// name, so RunDiff leaves Scenario for the caller that names its matrix;
+// Complete is set once the stream ran to its verdict, and Violations
+// holds the Divergence, if any.
 type DiffReport struct {
+	ReportHeader
 	Ops      int
 	Sends    int
 	Delivers int
@@ -238,17 +243,67 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 	diverge := func(format string, args ...any) {
 		if rep.Divergence == "" {
 			rep.Divergence = fmt.Sprintf("op %d: %s", rep.Ops, fmt.Sprintf(format, args...))
+			rep.Violations = []string{rep.Divergence}
 		}
+	}
+	// agree puts one operation's outcome on both transcripts and
+	// cross-checks it: the same verdict, the same drop reason when
+	// refused, the same bytes when not. what names the operation in a
+	// divergence ("seal", "batch open at 3"). It reports whether both
+	// sides succeeded with equal output.
+	agree := func(what string, outcome func([]byte, error) string, opt []byte, optErr error, ref []byte, refErr error) bool {
+		rep.OptLog = append(rep.OptLog, outcome(opt, optErr))
+		rep.RefLog = append(rep.RefLog, outcome(ref, refErr))
+		switch {
+		case (optErr == nil) != (refErr == nil):
+			diverge("%s verdicts differ: opt=%v ref=%v", what, optErr, refErr)
+		case optErr != nil:
+			if or, rr := core.DropReasonOf(optErr), core.DropReasonOf(refErr); or != rr {
+				diverge("%s drop reasons differ: opt=%v ref=%v", what, or, rr)
+			}
+		case !bytes.Equal(opt, ref):
+			diverge("%s output differs:\n opt %x\n ref %x", what, opt, ref)
+		default:
+			return true
+		}
+		return false
+	}
+	// opened is agree for an open, which also feeds the report's totals:
+	// a datagram counts once both sides gave the same verdict on it.
+	opened := func(what string, opt []byte, optErr error, ref []byte, refErr error) bool {
+		if optErr == nil && refErr == nil {
+			rep.Accepted++
+		} else if optErr != nil && refErr != nil {
+			rep.Dropped++
+		}
+		return agree(what, openOutcome, opt, optErr, ref, refErr)
+	}
+	randBytes := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(rng.Uint32())
+		}
+		return p
+	}
+	// delivered records f as replay material, keeping the newest
+	// maxHistory.
+	delivered := func(f inFlight) {
+		history = append(history, f)
+		if len(history) > maxHistory {
+			history = history[1:]
+		}
+	}
+	// cookieFrame forges a cookie control frame of the given kind:
+	// well-formed framing, random epoch, stamp and MAC.
+	cookieFrame := func(kind byte) []byte {
+		return append([]byte{core.CookieMagic, kind, core.CookieVersion}, randBytes(core.CookieFrameLen-3)...)
 	}
 
 	// send seals one datagram on both implementations and cross-checks
 	// the result. flowAux varies the flow identity (flow churn).
 	send := func(si, di int, flowAux uint64, size int, secret bool, enqueue bool) {
 		s, d := &pairs[si], &pairs[di]
-		payload := make([]byte, size)
-		for i := range payload {
-			payload[i] = byte(rng.Uint32())
-		}
+		payload := randBytes(size)
 		id := core.FlowID{
 			Src: s.addr, Dst: d.addr, Proto: 17,
 			SrcPort: 4000 + uint16(flowAux%4), DstPort: 5000, Aux: flowAux / 4,
@@ -259,26 +314,13 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 		}, id, secret)
 		refOut, refErr := s.ref.Seal(d.addr, id, payload, secret)
 		logOp("send %s->%s aux=%d len=%d secret=%v", s.addr, d.addr, flowAux, size, secret)
-		rep.OptLog = append(rep.OptLog, sealOutcome(optOut.Payload, optErr))
-		rep.RefLog = append(rep.RefLog, sealOutcome(refOut, refErr))
-		if (optErr == nil) != (refErr == nil) {
-			diverge("seal verdicts differ: opt=%v ref=%v", optErr, refErr)
-			return
-		}
-		if optErr != nil {
-			if or, rr := core.DropReasonOf(optErr), core.DropReasonOf(refErr); or != rr {
-				diverge("seal drop reasons differ: opt=%v ref=%v", or, rr)
-			}
-			return
-		}
-		if !bytes.Equal(optOut.Payload, refOut) {
-			diverge("sealed wire bytes differ:\n opt %x\n ref %x", optOut.Payload, refOut)
+		if !agree("seal", sealOutcome, optOut.Payload, optErr, refOut, refErr) {
 			return
 		}
 		// Every few sends, cross-check the derived flow key material
 		// itself, not just its effect on the MAC.
 		if rep.Sends%8 == 0 {
-			sfl := core.SFL(beUint64(optOut.Payload[4:12]))
+			sfl := core.SFL(binary.BigEndian.Uint64(optOut.Payload[4:12]))
 			ok, oerr := s.opt.PeerFlowKey(sfl, d.addr)
 			rk, rerr := s.ref.FlowKeyTo(uint64(sfl), d.addr)
 			if (oerr == nil) != (rerr == nil) || (oerr == nil && ok != rk) {
@@ -302,12 +344,8 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 		dgs := make([]transport.Datagram, count)
 		payloads := make([][]byte, count)
 		for i := 0; i < count; i++ {
-			payload := make([]byte, int(rng.Uint32()%128))
-			for j := range payload {
-				payload[j] = byte(rng.Uint32())
-			}
-			payloads[i] = payload
-			dgs[i] = transport.Datagram{Source: s.addr, Destination: d.addr, Payload: payload}
+			payloads[i] = randBytes(int(rng.Uint32() % 128))
+			dgs[i] = transport.Datagram{Source: s.addr, Destination: d.addr, Payload: payloads[i]}
 		}
 		rep.Sends += count
 		res := make([]core.BatchResult, count)
@@ -319,25 +357,11 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			if res[i].Err == nil {
 				optWire = out[res[i].Off : res[i].Off+res[i].Len]
 			}
-			rep.OptLog = append(rep.OptLog, sealOutcome(optWire, res[i].Err))
-			rep.RefLog = append(rep.RefLog, sealOutcome(refOuts[i], refErrs[i]))
-			if (res[i].Err == nil) != (refErrs[i] == nil) {
-				diverge("batch seal verdicts differ at %d: opt=%v ref=%v", i, res[i].Err, refErrs[i])
+			if agree(fmt.Sprintf("batch seal at %d", i), sealOutcome, optWire, res[i].Err, refOuts[i], refErrs[i]) {
+				queue = append(queue, inFlight{src: si, dst: di, wire: append([]byte{}, optWire...)})
+			} else if rep.Divergence != "" {
 				return
 			}
-			if res[i].Err != nil {
-				if or, rr := core.DropReasonOf(res[i].Err), core.DropReasonOf(refErrs[i]); or != rr {
-					diverge("batch seal drop reasons differ at %d: opt=%v ref=%v", i, or, rr)
-					return
-				}
-				continue
-			}
-			if !bytes.Equal(optWire, refOuts[i]) {
-				diverge("batch sealed wire bytes differ at %d:\n opt %x\n ref %x", i, optWire, refOuts[i])
-				return
-			}
-			wire := append([]byte{}, optWire...)
-			queue = append(queue, inFlight{src: si, dst: di, wire: wire})
 		}
 	}
 
@@ -357,22 +381,12 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			// Forged echo envelope: well-formed framing, random epoch,
 			// stamp and MAC. Both sides must refuse it as a bad cookie
 			// and charge the source's sketch prefix identically.
-			env := make([]byte, core.CookieFrameLen)
-			env[0], env[1], env[2] = core.CookieMagic, core.CookieKindEcho, core.CookieVersion
-			for i := 3; i < len(env); i++ {
-				env[i] = byte(rng.Uint32())
-			}
-			wire = append(env, wire...)
+			wire = append(cookieFrame(core.CookieKindEcho), wire...)
 		case "cookie-frame":
 			// A bare forged challenge frame: both sides absorb it into
 			// the sender-side jar (cookies are opaque to the learner)
 			// and classify it DropNone.
-			env := make([]byte, core.CookieFrameLen)
-			env[0], env[1], env[2] = core.CookieMagic, core.CookieKindChallenge, core.CookieVersion
-			for i := 3; i < len(env); i++ {
-				env[i] = byte(rng.Uint32())
-			}
-			wire = env
+			wire = cookieFrame(core.CookieKindChallenge)
 		}
 		rep.Delivers++
 		optOut, optErr := d.opt.Open(transport.Datagram{
@@ -380,23 +394,7 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 		})
 		refOut, refErr := d.ref.Open(s.addr, d.addr, wire)
 		logOp("deliver %s->%s len=%d mut=%s", s.addr, d.addr, len(wire), mutation)
-		rep.OptLog = append(rep.OptLog, openOutcome(optOut.Payload, optErr))
-		rep.RefLog = append(rep.RefLog, openOutcome(refOut, refErr))
-		if (optErr == nil) != (refErr == nil) {
-			diverge("open verdicts differ: opt=%v ref=%v", optErr, refErr)
-			return
-		}
-		if optErr != nil {
-			rep.Dropped++
-			if or, rr := core.DropReasonOf(optErr), core.DropReasonOf(refErr); or != rr {
-				diverge("open drop reasons differ: opt=%v ref=%v", or, rr)
-			}
-			return
-		}
-		rep.Accepted++
-		if !bytes.Equal(optOut.Payload, refOut) {
-			diverge("opened plaintext differs:\n opt %x\n ref %x", optOut.Payload, refOut)
-		}
+		opened("open", optOut.Payload, optErr, refOut, refErr)
 	}
 
 	// deliverBatch opens a same-destination run from the queue through
@@ -436,28 +434,10 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			if res[i].Err == nil {
 				optBody = out[res[i].Off : res[i].Off+res[i].Len]
 			}
-			rep.OptLog = append(rep.OptLog, openOutcome(optBody, res[i].Err))
-			rep.RefLog = append(rep.RefLog, openOutcome(refOut, refErr))
-			if (res[i].Err == nil) != (refErr == nil) {
-				diverge("batch open verdicts differ at %d: opt=%v ref=%v", i, res[i].Err, refErr)
+			if opened(fmt.Sprintf("batch open at %d", i), optBody, res[i].Err, refOut, refErr) {
+				delivered(f)
+			} else if rep.Divergence != "" {
 				return
-			}
-			if res[i].Err != nil {
-				rep.Dropped++
-				if or, rr := core.DropReasonOf(res[i].Err), core.DropReasonOf(refErr); or != rr {
-					diverge("batch open drop reasons differ at %d: opt=%v ref=%v", i, or, rr)
-					return
-				}
-				continue
-			}
-			rep.Accepted++
-			if !bytes.Equal(optBody, refOut) {
-				diverge("batch opened plaintext differs at %d:\n opt %x\n ref %x", i, optBody, refOut)
-				return
-			}
-			history = append(history, f)
-			if len(history) > maxHistory {
-				history = history[1:]
 			}
 		}
 	}
@@ -500,10 +480,7 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 				}
 				deliver(f, mutation)
 				if mutation == "clean" {
-					history = append(history, f)
-					if len(history) > maxHistory {
-						history = history[1:]
-					}
+					delivered(f)
 				}
 			}
 		case pick < 70: // replay something already delivered
@@ -537,11 +514,7 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			}, id, true)
 			_, refErr := s.ref.Seal("diff-stranger", id, []byte("hello?"), true)
 			logOp("send %s->stranger", s.addr)
-			rep.OptLog = append(rep.OptLog, sealOutcome(nil, optErr))
-			rep.RefLog = append(rep.RefLog, sealOutcome(nil, refErr))
-			if core.DropReasonOf(optErr) != core.DropReasonOf(refErr) {
-				diverge("stranger seal reasons differ: opt=%v ref=%v", optErr, refErr)
-			}
+			agree("stranger seal", sealOutcome, nil, optErr, nil, refErr)
 		default: // detach: flush every cached key on one principal
 			p := &pairs[si]
 			p.opt.FlushKeys()
@@ -567,6 +540,7 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			}
 		}
 	}
+	rep.Complete = true
 	return rep, nil
 }
 
@@ -582,12 +556,4 @@ func openOutcome(body []byte, err error) string {
 		return "open DROP " + core.DropReasonOf(err).String()
 	}
 	return fmt.Sprintf("open ACCEPT %d bytes", len(body))
-}
-
-func beUint64(b []byte) uint64 {
-	var v uint64
-	for _, x := range b {
-		v = v<<8 | uint64(x)
-	}
-	return v
 }

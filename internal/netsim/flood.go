@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"fbs/internal/core"
@@ -95,7 +93,7 @@ type FloodScenario struct {
 
 // FloodReport is the outcome of an overload run plus its reconciliation.
 type FloodReport struct {
-	Scenario string
+	ReportHeader
 	// LegitOffered/LegitAccepted count the legitimate transfer during
 	// the attack phase (acceptance measured before retransmission);
 	// Goodput is their ratio.
@@ -126,7 +124,6 @@ type FloodReport struct {
 	// (the allowance on top of Admitted in the exponentiation bound).
 	LegitPeers uint64
 	Rounds     int
-	Complete   bool
 	// Prefilter snapshots the receiver's edge pre-filter;
 	// PreParseShedRatio is the fraction of spoofed datagrams refused
 	// before the header parse (exact when no legitimate datagram was
@@ -137,22 +134,6 @@ type FloodReport struct {
 	Prefilter         core.PrefilterStats
 	PreParseShedRatio float64
 	PreParseShedFloor float64
-	// Violations lists every reconciliation equation that failed; empty
-	// means the run reconciled exactly.
-	Violations []string
-}
-
-// countBelow reports how many sequence numbers under want are marked.
-func (r *receiverState) countBelow(want int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for seq := range r.got {
-		if int(seq) < want {
-			n++
-		}
-	}
-	return n
 }
 
 // spoofHeader forges a wire datagram from src: a plausible fresh header
@@ -179,20 +160,12 @@ func spoofHeader(rng *cryptolib.LCG, src, dst principal.Address, now time.Time) 
 // held, the sheds were attributed exactly, the exponentiations stayed
 // bounded by admissions, and the legitimate transfer survived.
 func RunFlood(sc FloodScenario) (*FloodReport, error) {
-	if sc.Datagrams <= 0 {
-		sc.Datagrams = 64
-	}
-	if sc.PayloadBytes < 8 {
-		sc.PayloadBytes = 64
-	}
+	transferDefaults(&sc.Datagrams, &sc.PayloadBytes, &sc.MaxRounds, 64)
 	if sc.SpoofSources <= 0 {
 		sc.SpoofSources = 16
 	}
 	if sc.GoodputFloor <= 0 {
 		sc.GoodputFloor = 0.7
-	}
-	if sc.MaxRounds <= 0 {
-		sc.MaxRounds = 10
 	}
 	seed := sc.Seed
 	if seed == 0 {
@@ -211,12 +184,14 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	for i := range spoofs {
 		spoofs[i] = principal.Address(fmt.Sprintf("flood-spoof-%03d", i))
 	}
-	w, err := newWorld("flood-root", append([]principal.Address{sender, receiver, flooder}, spoofs...)...)
+	report := &FloodReport{ReportHeader: ReportHeader{Scenario: sc.Name}}
+	// A clean link: the flood is the fault.
+	r, err := newRig(&report.ReportHeader, "flood-root", LinkModel{Seed: seed},
+		sc.PayloadBytes, sc.Datagrams, receiver, append([]principal.Address{sender, flooder}, spoofs...)...)
 	if err != nil {
 		return nil, err
 	}
-
-	net := NewChaosNetwork(LinkModel{Seed: seed}) // clean link: the flood is the fault
+	r.queue = 1 << 16
 	rng := cryptolib.NewLCGSeeded(seed)
 	// A shared simulated clock lets the recovery phase advance time past
 	// the freshness window, expiring replay signatures that the sound
@@ -226,27 +201,14 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	const freshness = 10 * time.Minute
 
 	attach := func(addr principal.Address, cfg core.Config) (*core.Endpoint, error) {
-		tr, err := net.Attach(addr, 1<<16)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Identity = w.ids[addr]
-		cfg.Transport = tr
-		cfg.Directory = w.dir
-		cfg.Verifier = w.ver
-		cfg.Clock = clk
-		cfg.FreshnessWindow = freshness
-		cfg.MAC = cryptolib.MACPrefixMD5
+		cfg.Clock, cfg.FreshnessWindow = clk, freshness
 		cfg.AcceptMACs = []cryptolib.MACID{cryptolib.MACPrefixMD5}
-		return core.NewEndpoint(cfg)
+		return r.attach(addr, cfg)
 	}
 	// Senders run the pre-filter machinery at the resting level when the
 	// receiver's is enabled: their inbound path absorbs challenge frames
 	// into the jar and their send path wraps retries in echo envelopes.
-	var senderPF core.PrefilterConfig
-	if sc.Prefilter.Enable {
-		senderPF = core.PrefilterConfig{Enable: true}
-	}
+	senderPF := core.PrefilterConfig{Enable: sc.Prefilter.Enable}
 	alice, err := attach(sender, core.Config{Prefilter: senderPF})
 	if err != nil {
 		return nil, err
@@ -280,50 +242,17 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	}
 	defer mallory.Close()
 
-	rs := &receiverState{got: make(map[uint32]bool), want: sc.Datagrams}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			dg, err := bob.Receive()
-			if errors.Is(err, transport.ErrClosed) {
-				return
-			}
-			if err != nil || len(dg.Payload) < 4 {
-				continue
-			}
-			rs.mark(binary.BigEndian.Uint32(dg.Payload))
-		}
-	}()
+	r.receive(bob, false)
 	// With the pre-filter on, the senders must drain their inbound
 	// queues: processing a challenge frame is what stocks their jars.
+	// Nothing else is addressed to them, so the same loop marks nothing.
 	if sc.Prefilter.Enable {
-		for _, ep := range []*core.Endpoint{alice, mallory} {
-			ep := ep
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if _, err := ep.Receive(); errors.Is(err, transport.ErrClosed) {
-						return
-					}
-				}
-			}()
-		}
+		r.receive(alice, false)
+		r.receive(mallory, false)
 	}
 
-	report := &FloodReport{Scenario: sc.Name}
-	payload := func(seq uint32) []byte {
-		p := make([]byte, sc.PayloadBytes)
-		binary.BigEndian.PutUint32(p, seq)
-		for i := 4; i < len(p); i++ {
-			p[i] = byte(seq + uint32(i))
-		}
-		return p
-	}
 	sendLegit := func(seq uint32) {
-		if alice.SendTo(receiver, payload(seq), sc.Secret) == nil {
+		if alice.SendTo(receiver, r.payload(seq), sc.Secret) == nil {
 			report.LegitOffered++
 		}
 	}
@@ -335,7 +264,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		dg := transport.Datagram{
 			Source:      flooder,
 			Destination: receiver,
-			Payload:     payload(churnSeq),
+			Payload:     r.payload(churnSeq),
 		}
 		churnSeq++
 		// Seal failures (the flooder's own budget refusing a fresh flow)
@@ -346,24 +275,8 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		}
 	}
 	sendSpoof := func(i int) {
-		net.Inject(spoofHeader(rng, spoofs[i%len(spoofs)], receiver, clk.Now()))
+		r.net.Inject(spoofHeader(rng, spoofs[i%len(spoofs)], receiver, clk.Now()))
 		report.SpoofOffered++
-	}
-	drain := func() bool {
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			net.Quiesce(time.Second)
-			ps := net.PortStats(receiver)
-			m := bob.Snapshot()
-			enq := ps.DeliveredClean + ps.DeliveredDup + ps.DeliveredCorrupt + ps.Injected
-			if m.Received+sumDrops(m.Drops) >= enq && net.Pending() == 0 {
-				return true
-			}
-			if time.Now().After(deadline) {
-				return false
-			}
-			time.Sleep(time.Millisecond)
-		}
 	}
 
 	// Warm-up: both genuine correspondents key themselves before the
@@ -371,19 +284,15 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	// first contacts rather than deciding them.
 	sendLegit(0)
 	sendChurn()
-	drained := drain()
+	r.drain(bob)
 	// At the challenge level the warm-up datagrams were refused and
 	// answered with challenges; wait for both senders' jars to absorb
 	// their cookies so the attack phase measures echo-wrapped traffic,
 	// not the asynchronous jar fill.
 	if sc.Prefilter.Enable && bob.Snapshot().Prefilter.Challenged > 0 {
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if alice.Snapshot().Prefilter.CookiesLearned > 0 && mallory.Snapshot().Prefilter.CookiesLearned > 0 {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
+		poll(2*time.Second, func() bool {
+			return alice.Snapshot().Prefilter.CookiesLearned > 0 && mallory.Snapshot().Prefilter.CookiesLearned > 0
+		})
 	}
 
 	// Attack phase: legitimate transfer interleaved with both floods.
@@ -404,10 +313,10 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	for int(report.SpoofOffered) < sc.SpoofDatagrams {
 		sendSpoof(int(report.SpoofOffered))
 	}
-	drained = drain() && drained
+	r.drain(bob)
 
 	// Goodput is measured here — what survived DURING the attack.
-	report.LegitAccepted = uint64(rs.countBelow(sc.Datagrams))
+	report.LegitAccepted = uint64(sc.Datagrams - len(r.missing()))
 	if report.LegitOffered > 0 {
 		report.Goodput = float64(report.LegitAccepted) / float64(report.LegitOffered)
 	}
@@ -419,25 +328,13 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	// round's retransmissions have room to record themselves. (A
 	// saturated budget smaller than the transfer's replay working set
 	// therefore completes across several windows, a window per round.)
-	for report.Rounds < sc.MaxRounds {
-		missing := rs.missing()
-		if len(missing) == 0 {
-			break
-		}
-		report.Rounds++
-		clk.Advance(freshness + time.Minute)
-		for _, seq := range missing {
-			sendLegit(seq)
-		}
-		drained = drain() && drained
-	}
-	report.Complete = len(rs.missing()) == 0
+	report.Rounds = r.recover(bob, sc.MaxRounds, sendLegit, func() { clk.Advance(freshness + time.Minute) })
 
 	mm, bm := mallory.Snapshot(), bob.Snapshot()
 	report.Accepted = bm.Received
 	report.SenderDrops = mm.Drops
 	report.ReceiverDrops = bm.Drops
-	report.Port = net.PortStats(receiver)
+	report.Port = r.net.PortStats(receiver)
 	report.Budget = bm.Budget
 	report.Admission = bm.Admission
 	report.Replay = bm.Replay
@@ -454,14 +351,9 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		}
 	}
 
-	alice.Close()
-	mallory.Close()
-	bob.Close()
-	wg.Wait()
+	r.stop(alice, mallory, bob)
 
-	if !drained {
-		report.Violations = append(report.Violations, "network failed to drain before the books were read")
-	}
+	r.verdict(report.Rounds, report.Accepted, sumDrops(report.ReceiverDrops), report.Port)
 	report.reconcile(&sc)
 	return report, nil
 }
@@ -469,29 +361,12 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 // reconcile checks the overload accounting equations and appends a line
 // per violation.
 func (r *FloodReport) reconcile(sc *FloodScenario) {
-	fail := func(format string, args ...any) {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
-	if !r.Complete {
-		fail("legitimate transfer incomplete after %d retransmission rounds", r.Rounds)
-	}
-	if r.Port.Overflow != 0 {
-		fail("receiver queue overflowed %d times; accounting not exact", r.Port.Overflow)
-	}
-
-	// Conservation: every copy enqueued at the receiver was either
-	// accepted or dropped with exactly one reason.
-	rdrops := sumDrops(r.ReceiverDrops)
-	enq := r.Port.DeliveredClean + r.Port.DeliveredDup + r.Port.DeliveredCorrupt + r.Port.Injected
-	if got := r.Accepted + rdrops; got != enq {
-		fail("conservation: accepted(%d)+drops(%d)=%d != enqueued(%d)", r.Accepted, rdrops, got, enq)
-	}
 	if r.Port.Injected != r.SpoofOffered {
-		fail("injection accounting: port saw %d, flooder placed %d", r.Port.Injected, r.SpoofOffered)
+		r.fail("injection accounting: port saw %d, flooder placed %d", r.Port.Injected, r.SpoofOffered)
 	}
 	// The link is clean: every enqueued copy is first-delivery, intact.
 	if r.Port.DeliveredDup != 0 || r.Port.DeliveredCorrupt != 0 {
-		fail("clean link delivered dup=%d corrupt=%d", r.Port.DeliveredDup, r.Port.DeliveredCorrupt)
+		r.fail("clean link delivered dup=%d corrupt=%d", r.Port.DeliveredDup, r.Port.DeliveredCorrupt)
 	}
 	// Every spoofed datagram lands in exactly one of the keying-path
 	// buckets: shed by the gate or the budget before any expensive work,
@@ -519,7 +394,7 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 		r.ReceiverDrops[core.DropChallenged]
 	cleanShed := r.Port.DeliveredClean - r.Accepted
 	if spoofDrops != r.SpoofOffered+cleanShed {
-		fail("spoof accounting: keying-path drops %d != spoofs(%d)+overload sheds(%d)",
+		r.fail("spoof accounting: keying-path drops %d != spoofs(%d)+overload sheds(%d)",
 			spoofDrops, r.SpoofOffered, cleanShed)
 	}
 	// The pre-parse work ledger: with the pre-filter on, every copy
@@ -529,8 +404,8 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 		preParse := r.ReceiverDrops[core.DropPrefilter] +
 			r.ReceiverDrops[core.DropBadCookie] +
 			r.ReceiverDrops[core.DropChallenged]
-		if got := r.Prefilter.HeaderParses + preParse; got != enq {
-			fail("work counter: header parses(%d)+pre-parse sheds(%d)=%d != enqueued(%d)",
+		if got, enq := r.Prefilter.HeaderParses+preParse, r.Port.enqueued(); got != enq {
+			r.fail("work counter: header parses(%d)+pre-parse sheds(%d)=%d != enqueued(%d)",
 				r.Prefilter.HeaderParses, preParse, got, enq)
 		}
 	}
@@ -538,28 +413,28 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 	// or shed by its own endpoint with a counted reason.
 	sdrops := sumDrops(r.SenderDrops)
 	if got, want := r.ChurnOffered+sdrops, r.ChurnAttempts; got != want {
-		fail("churn accounting: offered(%d)+sender drops(%d) != attempts(%d)", r.ChurnOffered, sdrops, want)
+		r.fail("churn accounting: offered(%d)+sender drops(%d) != attempts(%d)", r.ChurnOffered, sdrops, want)
 	}
 
 	// The hard budget is a ceiling, not a suggestion: peak occupancy
 	// never exceeds it, on either side.
 	if r.Budget.HardLimit > 0 {
 		if r.Budget.Peak > r.Budget.HardLimit {
-			fail("receiver budget peak %d exceeds hard limit %d", r.Budget.Peak, r.Budget.HardLimit)
+			r.fail("receiver budget peak %d exceeds hard limit %d", r.Budget.Peak, r.Budget.HardLimit)
 		}
 		if sc.ChurnDatagrams > 0 && r.Budget.Denials == 0 {
-			fail("churn flood never drove the receiver budget to a denial")
+			r.fail("churn flood never drove the receiver budget to a denial")
 		}
 	}
 	if r.SenderBudget.HardLimit > 0 && r.SenderBudget.Peak > r.SenderBudget.HardLimit {
-		fail("flooder budget peak %d exceeds hard limit %d", r.SenderBudget.Peak, r.SenderBudget.HardLimit)
+		r.fail("flooder budget peak %d exceeds hard limit %d", r.SenderBudget.Peak, r.SenderBudget.HardLimit)
 	}
 
 	// The exponentiation bound: Diffie-Hellman work grows with the peers
 	// the gate admitted (plus the genuine correspondents), never with
 	// the packets the flood offered.
 	if bound := r.LegitPeers + r.Admission.Admitted; r.Keys.MasterKeyComputes > bound {
-		fail("exponentiations %d exceed admitted peers bound %d", r.Keys.MasterKeyComputes, bound)
+		r.fail("exponentiations %d exceed admitted peers bound %d", r.Keys.MasterKeyComputes, bound)
 	}
 	if sc.Admission.UpcallRate > 0 && sc.SpoofDatagrams > 0 {
 		// The storm must have been shed by SOMETHING cheap: the gate, or
@@ -567,29 +442,29 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 		// cookie challenge, which legitimately starve the gate of spoofs.
 		if r.Admission.ShedOverload+r.Admission.ShedQuota == 0 &&
 			r.ReceiverDrops[core.DropPrefilter]+r.ReceiverDrops[core.DropChallenged] == 0 {
-			fail("spoof flood at 10x never tripped the admission gate or the pre-filter")
+			r.fail("spoof flood at 10x never tripped the admission gate or the pre-filter")
 		}
 	}
 
 	// The legitimate transfer survived the storm.
 	if r.Goodput < sc.GoodputFloor {
-		fail("legit goodput %.2f below floor %.2f", r.Goodput, sc.GoodputFloor)
+		r.fail("legit goodput %.2f below floor %.2f", r.Goodput, sc.GoodputFloor)
 	}
 
 	// Pre-filter expectations.
 	if sc.PreParseShedFloor > 0 && r.PreParseShedRatio < sc.PreParseShedFloor {
-		fail("pre-parse shed ratio %.3f below floor %.3f", r.PreParseShedRatio, sc.PreParseShedFloor)
+		r.fail("pre-parse shed ratio %.3f below floor %.3f", r.PreParseShedRatio, sc.PreParseShedFloor)
 	}
 	if sc.ExpectEscalation && r.Prefilter.Escalations == 0 {
-		fail("adaptive ladder never escalated under flood pressure")
+		r.fail("adaptive ladder never escalated under flood pressure")
 	}
 	if sc.ExpectNoSpoofKeying {
 		if r.Keys.MasterKeyComputes != r.LegitPeers {
-			fail("spoofed flood bought keying work: %d DH computes != %d legitimate peers",
+			r.fail("spoofed flood bought keying work: %d DH computes != %d legitimate peers",
 				r.Keys.MasterKeyComputes, r.LegitPeers)
 		}
 		if r.Admission.Admitted > r.LegitPeers {
-			fail("spoofed source passed admission: %d admitted > %d legitimate peers",
+			r.fail("spoofed source passed admission: %d admitted > %d legitimate peers",
 				r.Admission.Admitted, r.LegitPeers)
 		}
 	}
@@ -613,16 +488,5 @@ func (r *FloodReport) Summary() string {
 			pf.Level, pf.SketchSheds, pf.Challenged, pf.ChallengeSuppressed,
 			pf.EchoAccepted, pf.EchoRejected, pf.HeaderParses, r.PreParseShedRatio)
 	}
-	for reason := core.DropReason(1); int(reason) < core.NumDropReasons; reason++ {
-		if n := r.ReceiverDrops[reason]; n > 0 {
-			s += fmt.Sprintf("  drop %s: %d\n", reason, n)
-		}
-	}
-	if len(r.Violations) == 0 {
-		s += "  reconciliation: exact\n"
-	}
-	for _, v := range r.Violations {
-		s += "  VIOLATION: " + v + "\n"
-	}
-	return s
+	return s + dropLines(r.ReceiverDrops) + r.verdictLines()
 }

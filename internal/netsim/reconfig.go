@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -49,8 +48,8 @@ type ReconfigScenario struct {
 // ReconfigReport is the outcome of a reconfiguration run plus its
 // reconciliation.
 type ReconfigReport struct {
-	Scenario string
-	Senders  int
+	ReportHeader
+	Senders int
 	// RoundTrips is how many send→echo→verify cycles completed; a
 	// complete run has Senders×Datagrams of them.
 	RoundTrips uint64
@@ -69,10 +68,6 @@ type ReconfigReport struct {
 	Final gateway.Stats
 	// DrainErrs lists retiring epochs that missed the drain deadline.
 	DrainErrs []string
-	Complete  bool
-	// Violations lists every reconciliation equation that failed; empty
-	// means the swaps cost nothing observable.
-	Violations []string
 }
 
 // RunReconfig executes one reconfiguration-under-load scenario and
@@ -99,30 +94,30 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 	const tenant = "edge"
 	gwAddr := principal.Address("reconfig-gw")
 
-	addrs := []principal.Address{gwAddr}
-	for i := 0; i < sc.Senders; i++ {
-		addrs = append(addrs, principal.Address(fmt.Sprintf("reconfig-c%d", i)))
+	clientAddrs := make([]principal.Address, sc.Senders)
+	for i := range clientAddrs {
+		clientAddrs[i] = principal.Address(fmt.Sprintf("reconfig-c%d", i))
 	}
-	w, err := newWorld("reconfig-root", addrs...)
+	report := &ReconfigReport{ReportHeader: ReportHeader{Scenario: sc.Name}, Senders: sc.Senders}
+	// A clean link: the swap is the event. No one-way transfer runs over
+	// it, so the rig's receiver loop, drain and recovery stay unused.
+	r, err := newRig(&report.ReportHeader, "reconfig-root", LinkModel{Seed: sc.Seed}, sc.PayloadBytes, 0, gwAddr, clientAddrs...)
 	if err != nil {
 		return nil, err
 	}
-
-	net := NewChaosNetwork(LinkModel{Seed: sc.Seed}) // clean link: the swap is the event
-
 	gw, err := gateway.New(gateway.Options{
 		Identity: func(tc gateway.TenantConfig) (*principal.Identity, error) {
-			id := w.ids[principal.Address(tc.Address)]
+			id := r.ids[principal.Address(tc.Address)]
 			if id == nil {
 				return nil, fmt.Errorf("netsim: no identity for %q", tc.Address)
 			}
 			return id, nil
 		},
 		Listen: func(tc gateway.TenantConfig) (transport.Transport, error) {
-			return net.Attach(principal.Address(tc.Address), 0)
+			return r.net.Attach(principal.Address(tc.Address), 0)
 		},
-		Directory: w.dir,
-		Verifier:  w.ver,
+		Directory: r.dir,
+		Verifier:  r.ver,
 	})
 	if err != nil {
 		return nil, err
@@ -145,44 +140,17 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 	defer gw.Shutdown(sc.DrainTimeout) //nolint:errcheck // idempotent safety net
 
 	clients := make([]*core.Endpoint, sc.Senders)
-	for i := range clients {
-		addr := principal.Address(fmt.Sprintf("reconfig-c%d", i))
-		tr, err := net.Attach(addr, 0)
-		if err != nil {
+	for i, addr := range clientAddrs {
+		if clients[i], err = r.attach(addr, core.Config{Cipher: core.CipherAES128GCM}); err != nil {
 			return nil, err
 		}
-		ep, err := core.NewEndpoint(core.Config{
-			Identity:  w.ids[addr],
-			Transport: tr,
-			Directory: w.dir,
-			Verifier:  w.ver,
-			Cipher:    core.CipherAES128GCM,
-		})
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = ep
-		defer ep.Close()
+		defer clients[i].Close()
 	}
 
-	report := &ReconfigReport{Scenario: sc.Name, Senders: sc.Senders}
-	fail := func(format string, args ...any) {
-		report.Violations = append(report.Violations, fmt.Sprintf(format, args...))
-	}
-
-	payload := func(sender, seq int) []byte {
-		p := make([]byte, sc.PayloadBytes)
-		binary.BigEndian.PutUint32(p, uint32(sender))
-		binary.BigEndian.PutUint32(p[4:], uint32(seq))
-		for i := 8; i < len(p); i++ {
-			p[i] = byte(sender + seq + i)
-		}
-		return p
-	}
 	var completed atomic.Uint64
 	violCh := make(chan string, sc.Senders*4)
 	roundTrip := func(sender, seq int) bool {
-		want := payload(sender, seq)
+		want := r.payload(uint32(sender)<<16 | uint32(seq))
 		if err := clients[sender].SendTo(gwAddr, want, sc.Secret); err != nil {
 			violCh <- fmt.Sprintf("sender %d send %d: %v", sender, seq, err)
 			return false
@@ -253,7 +221,7 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 		for completed.Load() < mark {
 			select {
 			case <-timedOut:
-				fail("timed out waiting for round-trip mark %d", mark)
+				report.fail("timed out waiting for round-trip mark %d", mark)
 				goto drain
 			default:
 			}
@@ -268,15 +236,15 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 		}
 		rep, err := gw.Swap(cfg(shards, uint64(100000+k)))
 		if err != nil {
-			fail("swap %d: %v", k, err)
+			report.fail("swap %d: %v", k, err)
 			break
 		}
 		if rep.MasterKeys < sc.Senders {
-			fail("swap %d handed off %d master keys; every one of the %d established peers must cross",
+			report.fail("swap %d handed off %d master keys; every one of the %d established peers must cross",
 				k, rep.MasterKeys, sc.Senders)
 		}
 		if rep.Certs == 0 {
-			fail("swap %d handed off no certificates", k)
+			report.fail("swap %d handed off no certificates", k)
 		}
 		report.CertsHandedOff += rep.Certs
 		report.MasterKeysHandedOff += rep.MasterKeys
@@ -290,13 +258,13 @@ drain:
 	watchdog.Stop()
 	close(violCh)
 	for v := range violCh {
-		fail("%s", v)
+		report.fail("%s", v)
 	}
-	net.Quiesce(time.Second)
+	r.net.Quiesce(time.Second)
 	successorComputes() // the final epoch's books, before drain retires them
 	report.RoundTrips = completed.Load()
 	report.Complete = report.RoundTrips == total
-	report.Port = net.PortStats(gwAddr)
+	report.Port = r.net.PortStats(gwAddr)
 	final, err := gw.Shutdown(sc.DrainTimeout)
 	if err != nil {
 		report.DrainErrs = append(report.DrainErrs, err.Error())
@@ -310,15 +278,12 @@ drain:
 
 // reconcile checks the zero-downtime equations.
 func (r *ReconfigReport) reconcile(sc ReconfigScenario) {
-	fail := func(format string, args ...any) {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
 	total := uint64(sc.Senders * sc.Datagrams)
 	if !r.Complete {
-		fail("transfer incomplete: %d of %d round trips", r.RoundTrips, total)
+		r.fail("transfer incomplete: %d of %d round trips", r.RoundTrips, total)
 	}
 	if want := uint64(sc.Swaps + 1); r.Swaps != want || r.FinalEpoch != want {
-		fail("epoch bookkeeping: swaps=%d epoch=%d, want %d each", r.Swaps, r.FinalEpoch, want)
+		r.fail("epoch bookkeeping: swaps=%d epoch=%d, want %d each", r.Swaps, r.FinalEpoch, want)
 	}
 
 	// The network delivered every client datagram to the listener
@@ -326,7 +291,7 @@ func (r *ReconfigReport) reconcile(sc ReconfigScenario) {
 	// fault, not a gateway one.
 	if r.Port.DeliveredClean != total || r.Port.DeliveredDup != 0 ||
 		r.Port.DeliveredCorrupt != 0 || r.Port.Injected != 0 || r.Port.Overflow != 0 {
-		fail("listener port: clean=%d dup=%d corrupt=%d injected=%d overflow=%d, want %d/0/0/0/0",
+		r.fail("listener port: clean=%d dup=%d corrupt=%d injected=%d overflow=%d, want %d/0/0/0/0",
 			r.Port.DeliveredClean, r.Port.DeliveredDup, r.Port.DeliveredCorrupt,
 			r.Port.Injected, r.Port.Overflow, total)
 	}
@@ -336,30 +301,30 @@ func (r *ReconfigReport) reconcile(sc ReconfigScenario) {
 	// finished under.
 	f := r.Final
 	if f.Received != total || f.Accepted != total || f.Echoed != total {
-		fail("gateway books: received=%d accepted=%d echoed=%d, want %d each",
+		r.fail("gateway books: received=%d accepted=%d echoed=%d, want %d each",
 			f.Received, f.Accepted, f.Echoed, total)
 	}
 	var drops uint64
 	for reason, n := range f.Drops {
 		drops += n
-		fail("dropped %d datagrams (%s); a swap must not cost a single one", n, reason)
+		r.fail("dropped %d datagrams (%s); a swap must not cost a single one", n, reason)
 	}
 	if f.EchoFailures != 0 || f.RetryStarved != 0 || f.NoTenant != 0 {
-		fail("echoFailures=%d retryStarved=%d noTenant=%d, want 0 each",
+		r.fail("echoFailures=%d retryStarved=%d noTenant=%d, want 0 each",
 			f.EchoFailures, f.RetryStarved, f.NoTenant)
 	}
 	if f.Received != f.Accepted+drops+f.NoTenant+f.Absorbed+f.RetryStarved {
-		fail("ledger does not reconcile: received %d != accepted %d + drops %d + noTenant %d + absorbed %d + retryStarved %d",
+		r.fail("ledger does not reconcile: received %d != accepted %d + drops %d + noTenant %d + absorbed %d + retryStarved %d",
 			f.Received, f.Accepted, drops, f.NoTenant, f.Absorbed, f.RetryStarved)
 	}
 
 	// Warm handoff: the successors served the whole tail of the stream
 	// without recomputing a single master key.
 	if r.SuccessorComputes != 0 {
-		fail("successor epochs performed %d master-key computes; warm handoff means zero", r.SuccessorComputes)
+		r.fail("successor epochs performed %d master-key computes; warm handoff means zero", r.SuccessorComputes)
 	}
 	if len(r.DrainErrs) != 0 {
-		fail("%d retiring epochs missed the drain deadline: %v", len(r.DrainErrs), r.DrainErrs)
+		r.fail("%d retiring epochs missed the drain deadline: %v", len(r.DrainErrs), r.DrainErrs)
 	}
 }
 
@@ -372,11 +337,5 @@ func (r *ReconfigReport) Summary() string {
 		r.CertsHandedOff, r.MasterKeysHandedOff, r.SuccessorComputes)
 	s += fmt.Sprintf("  books: received=%d accepted=%d echoed=%d\n",
 		r.Final.Received, r.Final.Accepted, r.Final.Echoed)
-	if len(r.Violations) == 0 {
-		s += "  reconciliation: exact\n"
-	}
-	for _, v := range r.Violations {
-		s += "  VIOLATION: " + v + "\n"
-	}
-	return s
+	return s + r.verdictLines()
 }

@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the gate for every change:
-# build, lint (gofmt + vet + staticcheck), the full test suite under the
-# race detector (plus the bench/gwbench module's own tests), and a bench
-# smoke run that validates fbsbench's JSON contract end to end.
+# build, lint (gofmt + vet + staticcheck), the five examples run to
+# completion, the full test suite under the race detector (plus the
+# bench/gwbench module's own tests), and a bench smoke run that validates
+# fbsbench's JSON contract end to end.
 #
 # CI runs the ci-* targets as five parallel jobs (see
 # .github/workflows/ci.yml); `make ci` runs the same five sequentially
@@ -16,7 +17,7 @@ FUZZTIME ?= 15s
 # toolchain — not PATH — decides the version CI lints with.
 STATICCHECK ?= honnef.co/go/tools/cmd/staticcheck@2024.1.1
 
-.PHONY: all build lint staticcheck loc test check bench experiments bench-smoke fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
+.PHONY: all build lint staticcheck loc test check bench experiments examples bench-smoke fuzz-smoke chaos flood diff gwbench-test gwbench-smoke \
 	ci ci-lint ci-race ci-fuzz ci-soak ci-bench nightly
 
 all: check
@@ -61,6 +62,17 @@ loc:
 
 test:
 	$(GO) test ./...
+
+# examples runs the five README walk-throughs, each to completion under
+# a 60 s timeout, and fails on the first non-zero exit: `go build ./...`
+# compiles them and nothing else executes them, so this is where a
+# walk-through that rotted fails. It is also what makes examples/ count
+# as a reader under TestEveryExportHasAReader.
+examples:
+	@for e in quickstart securecopy whiteboard ipmapping attacks; do \
+		echo "== examples/$$e"; \
+		timeout 60 $(GO) run ./examples/$$e >/dev/null || { echo "examples/$$e failed" >&2; exit 1; }; \
+	done
 
 # bench-smoke runs one small fbsbench iteration and validates the JSON
 # shape with fbsstat, so scripted consumers of `fbsbench -json` find out
@@ -130,13 +142,13 @@ gwbench-smoke:
 
 # ci-race is the whole suite under the race detector and ends with
 # gwbench-test.
-check: build lint ci-race bench-smoke fuzz-smoke diff
+check: build lint examples ci-race bench-smoke fuzz-smoke diff
 
 # The ci-* targets are the five parallel CI jobs. Each is self-contained
 # (its own build graph comes from the shared Go build cache), so the
 # workflow fans them out and a local `make ci` runs them back to back.
 
-ci-lint: build lint loc
+ci-lint: build lint examples loc
 
 ci-race:
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) test -race -coverprofile=coverage.out ./...

@@ -173,7 +173,11 @@ func fig12(out io.Writer, tr *trace.Trace, th time.Duration) {
 		"Figure 12 — number of active flows over time",
 		"time (minutes)", "active flows", 64, 14, false,
 		flowsim.Series{Name: "active flows", X: x, Y: y}))
-	fmt.Fprintf(out, "peak %d, mean %.1f\n\n", flowsim.MaxActive(series), flowsim.MeanActive(series))
+	perHost := func(side flowsim.CacheSide) int {
+		return flowsim.MaxOverHosts(flowsim.PerHostPeakActive(flows, th, time.Minute, tr.Duration(), side))
+	}
+	fmt.Fprintf(out, "peak %d, mean %.1f; per-host peak %d sending, %d receiving\n\n",
+		flowsim.MaxActive(series), flowsim.MeanActive(series), perHost(flowsim.SendSide), perHost(flowsim.ReceiveSide))
 }
 
 func fig13(out io.Writer, tr *trace.Trace, _ time.Duration) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -23,26 +24,22 @@ type seamCensus struct {
 	declared   map[string]bool // every type, function, method and struct field
 }
 
-// takeSeamCensus parses every non-test .go file outside internal/refmodel
-// (whose duplication is the point) and bench/ (its own module).
-func takeSeamCensus(t *testing.T) seamCensus {
+// walkGoFiles parses every .go file under the repo root and hands it to
+// visit with its package directory ("fbs" for the root itself).
+func walkGoFiles(t *testing.T, visit func(dir, path string, f *ast.File)) {
 	t.Helper()
-	c := seamCensus{map[string]bool{}, map[string]bool{}, map[string]bool{}}
-	type field struct{ key, typ string }
-	var candidates []field         // *Config / *Options fields of a named type
-	funcTypes := map[string]bool{} // "<dir>.<Name>" of named func types
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == "bench" || path == filepath.Join("internal", "refmodel") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -53,26 +50,57 @@ func takeSeamCensus(t *testing.T) seamCensus {
 		if dir == "." {
 			dir = "fbs"
 		}
+		visit(dir, filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// censused reports whether a file is one the design rules apply to: a
+// non-test file outside internal/refmodel (whose duplication is the
+// point) and bench/ (its own module).
+func censused(dir, path string) bool {
+	return !strings.HasSuffix(path, "_test.go") && dir != "internal/refmodel" && dir != "bench" && !strings.HasPrefix(dir, "bench/")
+}
+
+// declKey names a function, or a method by its receiver type, the way the
+// Seams table does.
+func declKey(dir string, decl *ast.FuncDecl) string {
+	if decl.Recv != nil && len(decl.Recv.List) == 1 {
+		recv := decl.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if idx, ok := recv.(*ast.IndexListExpr); ok {
+			recv = idx.X
+		}
+		if idx, ok := recv.(*ast.IndexExpr); ok {
+			recv = idx.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			return dir + "." + id.Name + "." + decl.Name.Name
+		}
+	}
+	return dir + "." + decl.Name.Name
+}
+
+// takeSeamCensus reads every censused file.
+func takeSeamCensus(t *testing.T) seamCensus {
+	t.Helper()
+	c := seamCensus{map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	type field struct{ key, typ string }
+	var candidates []field         // *Config / *Options fields of a named type
+	funcTypes := map[string]bool{} // "<dir>.<Name>" of named func types
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		if !censused(dir, path) {
+			return
+		}
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				key := dir + "." + decl.Name.Name
-				if decl.Recv != nil && len(decl.Recv.List) == 1 {
-					recv := decl.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					if idx, ok := recv.(*ast.IndexListExpr); ok {
-						recv = idx.X
-					}
-					if idx, ok := recv.(*ast.IndexExpr); ok {
-						recv = idx.X
-					}
-					if id, ok := recv.(*ast.Ident); ok {
-						key = dir + "." + id.Name + "." + decl.Name.Name
-					}
-				}
-				c.declared[key] = true
+				c.declared[declKey(dir, decl)] = true
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
@@ -107,11 +135,7 @@ func takeSeamCensus(t *testing.T) seamCensus {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, f := range candidates {
 		if funcTypes[f.typ] {
 			c.funcFields[f.key] = true
@@ -177,4 +201,106 @@ func TestSeamTableMatchesCode(t *testing.T) {
 		}
 	}
 	t.Logf("%d interfaces and %d func-typed Config/Options fields declared; %d rows", len(census.interfaces), len(census.funcFields), len(rows))
+}
+
+// stdlibMethods are method names that satisfy a standard-library
+// interface (json.Marshaler/Unmarshaler, sort and heap.Interface,
+// cipher.AEAD): their reader is the library, which no walk of this tree
+// can see.
+var stdlibMethods = map[string]bool{
+	"MarshalJSON": true, "UnmarshalJSON": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"NonceSize": true, "Overhead": true,
+}
+
+// unreadExports are the exported names under internal/ that
+// TestEveryExportHasAReader lets stand without a reader, each with the
+// reason. The list is capped: a thirteenth entry means a subsystem, and a
+// subsystem needs a reader.
+var unreadExports = map[string]string{
+	"internal/cert.ChainVerifier":                      "§5.2 certification hierarchy, CertVerifier's second implementation; deleting it collapses the interface",
+	"internal/cert.Authority.CertifySubordinate":       "§5.2 hierarchy: issues the CA certificates ChainVerifier walks",
+	"internal/cert.UnmarshalCA":                        "§5.2 hierarchy: the decoder half of CACertificate.Marshal",
+	"internal/core.KeyService.Pin":                     "§5.3 \"pin certain certificates in the cache upon initialization\", one line; Config.Directory's doc names it",
+	"internal/core.DirectMapped.ClassifyMisses":        "§5.3 cold/conflict miss split on the live cache; deleting it reshapes CacheStats, and so core.Snapshot",
+	"internal/cryptolib.NewSafeDES":                    "refuses weak and semi-weak DES keys: a check on key material, not a census target",
+	"internal/ip.Stack.ServeEcho":                      "footnote 10's portless-protocol (ICMP) case of the §7 IP mapping; TestPingThroughFBS pings through it",
+	"internal/netsim.RateCap":                          "the link model's bandwidth stage (docs/ROBUSTNESS.md §1); no standing scenario composes it",
+	"internal/transport.UDPTransport.SetPortableBatch": "test seam (DESIGN.md Seams): runs the portable batch loop on a platform that has mmsg",
+}
+
+// TestEveryExportHasAReader holds the second census's rule: an exported
+// func, method or type declared in a non-test file under internal/ stays
+// only if some Go file other than a _test.go file of its own package
+// names it — a binary, an example, the root package, another package,
+// another package's tests, bench/gwbench. Matching is by identifier, so
+// the rule is a floor: it cannot tell two methods of one name apart, but
+// a name nothing else spells is unread for certain.
+func TestEveryExportHasAReader(t *testing.T) {
+	type export struct{ dir, name string }
+	exports := map[string]export{}  // key -> where it is declared
+	named := map[string]int{}       // identifier -> uses anywhere, declarations excluded
+	ownTests := map[[2]string]int{} // {dir, identifier} -> uses in that dir's _test.go files
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		inScope := censused(dir, path) && strings.HasPrefix(dir, "internal/")
+		declares := map[*ast.Ident]bool{} // identifiers that declare rather than use
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				declares[decl.Name] = true
+				if decl.Recv != nil {
+					// A method's receiver spells its type without reading it.
+					ast.Inspect(decl.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							declares[id] = true
+						}
+						return true
+					})
+				}
+				if inScope && decl.Name.IsExported() && !(decl.Recv != nil && stdlibMethods[decl.Name.Name]) {
+					exports[declKey(dir, decl)] = export{dir, decl.Name.Name}
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						declares[ts.Name] = true
+						if inScope && ts.Name.IsExported() {
+							exports[dir+"."+ts.Name.Name] = export{dir, ts.Name.Name}
+						}
+					}
+				}
+			}
+		}
+		test := strings.HasSuffix(path, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declares[id] {
+				named[id.Name]++
+				if test {
+					ownTests[[2]string{dir, id.Name}]++
+				}
+			}
+			return true
+		})
+	})
+	var unread []string
+	for key, e := range exports {
+		if named[e.name] == ownTests[[2]string{e.dir, e.name}] {
+			unread = append(unread, key)
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		if unreadExports[key] == "" {
+			t.Errorf("%s is exported and only its own package's tests name it: give it a reader, unexport it, or delete it with what serves it", key)
+		}
+	}
+	for key := range unreadExports {
+		if !slices.Contains(unread, key) {
+			t.Errorf("unreadExports lists %s, which has a reader now or is gone; delete the entry", key)
+		}
+	}
+	if len(unreadExports) > 12 {
+		t.Errorf("unreadExports has %d entries; the cap is 12", len(unreadExports))
+	}
+	t.Logf("%d exported funcs, methods and types under internal/; %d unread, %d of them allowed", len(exports), len(unread), len(unreadExports))
 }

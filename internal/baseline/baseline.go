@@ -12,9 +12,6 @@
 //     under the master key. Cryptographically random per-datagram keys
 //     come from the Blum-Blum-Shub generator, whose cost is exactly the
 //     bottleneck the paper ascribes to this design.
-//   - KDC — Kerberos-style session keying through a key distribution
-//     centre (Section 2.1): a ticket fetch per conversation, hard session
-//     state at the client.
 //   - Session — Photuris/Oakley-style session keying (Section 2.1): an
 //     explicit key-exchange handshake per peer pair and hard state on
 //     both sides.
@@ -42,8 +39,8 @@ type Sealer interface {
 // Stats common to the baselines.
 type Stats struct {
 	// SetupMessages counts extra protocol messages beyond the data
-	// datagrams themselves (ticket fetches, key exchanges). FBS's
-	// defining property is that this stays zero.
+	// datagrams themselves (key exchanges). FBS's defining property is
+	// that this stays zero.
 	SetupMessages uint64
 	// KeyGenerations counts fresh key materialisations (per datagram,
 	// per session, or per conversation depending on the scheme).

@@ -198,91 +198,6 @@ func TestSKIPWrapUnwrap(t *testing.T) {
 	}
 }
 
-func TestKDCRoundTrip(t *testing.T) {
-	w := newWorld(t)
-	server := NewKDCServer(w.clk)
-	secA, err := server.Register("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	secB, err := server.Register("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewKDC("a", secA, server, w.clk)
-	b := NewKDC("b", secB, server, w.clk)
-	roundTrip(t, a, b, true)
-	roundTrip(t, a, b, false)
-	// One conversation: one ticket fetch (two messages), even across
-	// many datagrams.
-	for i := 0; i < 10; i++ {
-		sealed, _ := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("x")}, true)
-		if _, err := b.Open(sealed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := a.Stats().SetupMessages; got != 2 {
-		t.Fatalf("SetupMessages = %d, want 2", got)
-	}
-	if server.Requests() != 1 {
-		t.Fatalf("KDC served %d requests, want 1", server.Requests())
-	}
-	if a.Stats().HardStateEntries != 1 {
-		t.Fatal("session state not counted")
-	}
-}
-
-func TestKDCTicketMisuse(t *testing.T) {
-	w := newWorld(t)
-	server := NewKDCServer(w.clk)
-	secA, _ := server.Register("a")
-	secB, _ := server.Register("b")
-	secC, _ := server.Register("c")
-	a := NewKDC("a", secA, server, w.clk)
-	b := NewKDC("b", secB, server, w.clk)
-	c := NewKDC("c", secC, server, w.clk)
-	sealed, err := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("for b")}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// c cannot open b's traffic: the ticket is sealed under b's secret.
-	misdirected := sealed.Clone()
-	misdirected.Destination = "c"
-	if _, err := c.Open(misdirected); err == nil {
-		t.Fatal("third party opened a ticketed datagram")
-	}
-	// A datagram claiming to be from someone else fails the ticket
-	// source check.
-	spoofed := sealed.Clone()
-	spoofed.Source = "mallory"
-	if _, err := b.Open(spoofed); err == nil {
-		t.Fatal("spoofed source accepted")
-	}
-	// Expired tickets are rejected.
-	w.clk.Advance(2 * time.Hour)
-	sealed2, _ := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("later")}, true)
-	_ = sealed2
-	w.clk.Advance(-2 * time.Hour)
-	late := sealed.Clone()
-	w.clk.Advance(61 * time.Minute)
-	// Refresh timestamp freshness by rewriting? No — the timestamp is
-	// also stale now, which masks the expiry path; accept either error.
-	if _, err := b.Open(late); err == nil {
-		t.Fatal("expired/stale datagram accepted")
-	}
-	w.clk.Advance(-61 * time.Minute)
-}
-
-func TestKDCUnknownDestination(t *testing.T) {
-	w := newWorld(t)
-	server := NewKDCServer(w.clk)
-	secA, _ := server.Register("a")
-	a := NewKDC("a", secA, server, w.clk)
-	if _, err := a.Seal(transport.Datagram{Source: "a", Destination: "ghost", Payload: nil}, false); err == nil {
-		t.Fatal("seal to unregistered principal succeeded")
-	}
-}
-
 func TestSessionRequiresHandshake(t *testing.T) {
 	a := NewSession("a", cryptolib.TestGroup, nil)
 	if _, err := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("x")}, false); err == nil {
@@ -300,9 +215,6 @@ func TestSessionRoundTrip(t *testing.T) {
 	roundTrip(t, a, b, false)
 	if a.Stats().SetupMessages != 1 || b.Stats().SetupMessages != 1 {
 		t.Fatalf("setup messages: a=%d b=%d", a.Stats().SetupMessages, b.Stats().SetupMessages)
-	}
-	if !a.HasSession("b") || a.HasSession("c") {
-		t.Fatal("HasSession wrong")
 	}
 }
 
@@ -332,117 +244,27 @@ func TestSessionSequenceReplay(t *testing.T) {
 	}
 }
 
+// crash discards all of s's session state. Subsequent Seals fail until a
+// new handshake — the "hard state" failure mode FBS avoids.
+func crash(s *Session) {
+	s.sendSess = make(map[principal.Address]*sessionState)
+	s.recvSess = make(map[uint64]*sessionState)
+}
+
 func TestSessionDropStateBreaksTraffic(t *testing.T) {
 	a := NewSession("a", cryptolib.TestGroup, nil)
 	b := NewSession("b", cryptolib.TestGroup, nil)
 	a.Handshake(b)
 	sealed, _ := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("x")}, false)
-	b.DropState()
+	crash(b)
 	if _, err := b.Open(sealed); err == nil {
 		t.Fatal("datagram opened after state loss — hard state would be soft")
 	}
 	if _, err := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("y")}, false); err != nil {
 		t.Fatal("sender state should survive (only receiver dropped)")
 	}
-	a.DropState()
+	crash(a)
 	if _, err := a.Seal(transport.Datagram{Source: "a", Destination: "b", Payload: []byte("y")}, false); err == nil {
 		t.Fatal("seal succeeded after sender state loss")
-	}
-}
-
-// The KDC exchange over an actual (lossy) datagram network: the setup
-// messages that FBS never needs are not only countable, they are
-// droppable.
-func TestKDCOverNetwork(t *testing.T) {
-	w := newWorld(t)
-	net := transport.NewNetwork(transport.Impairments{LossProb: 0.3, Seed: 23})
-	server := NewKDCServer(w.clk)
-	secA, err := server.Register("nk-alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := server.Register("nk-bob"); err != nil {
-		t.Fatal(err)
-	}
-	serverTr, err := net.Attach("kdc", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { serverTr.Close() })
-	go NewKDCNetServer(serverTr, server).Serve()
-
-	clientTr, err := net.Attach("nk-alice", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { clientTr.Close() })
-	client := NewKDCNetClient("nk-alice", secA, "kdc", clientTr)
-	client.Timeout = 100 * time.Millisecond
-	client.Retries = 30
-
-	session, ticket, err := client.RequestTicket("nk-bob")
-	if err != nil {
-		t.Fatalf("ticket fetch through 30%% loss failed: %v", err)
-	}
-	// The ticket opens correctly at bob and carries the same session key.
-	secB, _ := server.secretOf("nk-bob")
-	src, gotSession, expiry, err := OpenTicket(secB, ticket)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != "nk-alice" || gotSession != session {
-		t.Fatal("ticket contents wrong")
-	}
-	if !expiry.After(w.clk.Now()) {
-		t.Fatal("ticket already expired")
-	}
-	// Every retry was a real message: under loss the setup cost
-	// multiplies, which zero-message keying never pays.
-	if client.Messages() < 2 {
-		t.Fatalf("messages = %d; expected retries under 30%% loss", client.Messages())
-	}
-	t.Logf("setup messages sent under 30%% loss: %d (FBS: always 0)", client.Messages())
-}
-
-func TestKDCNetClientUnknownPrincipal(t *testing.T) {
-	w := newWorld(t)
-	net := transport.NewNetwork(transport.Impairments{})
-	server := NewKDCServer(w.clk)
-	secA, _ := server.Register("nk2-alice")
-	serverTr, _ := net.Attach("kdc2", 64)
-	t.Cleanup(func() { serverTr.Close() })
-	go NewKDCNetServer(serverTr, server).Serve()
-	clientTr, _ := net.Attach("nk2-alice", 64)
-	t.Cleanup(func() { clientTr.Close() })
-	client := NewKDCNetClient("nk2-alice", secA, "kdc2", clientTr)
-	client.Timeout = 100 * time.Millisecond
-	if _, _, err := client.RequestTicket("ghost"); err == nil {
-		t.Fatal("ticket for unregistered principal")
-	}
-}
-
-// The complete over-the-wire KDC baseline: ticket fetch over the
-// network, then ticketed datagrams between the peers.
-func TestKDCEndToEndOverWire(t *testing.T) {
-	w := newWorld(t)
-	net := transport.NewNetwork(transport.Impairments{})
-	server := NewKDCServer(w.clk)
-	// roundTrip exchanges datagrams between principals "a" and "b".
-	secA, _ := server.Register("a")
-	secB, _ := server.Register("b")
-	serverTr, _ := net.Attach("kdc-w", 64)
-	t.Cleanup(func() { serverTr.Close() })
-	go NewKDCNetServer(serverTr, server).Serve()
-
-	clientTr, _ := net.Attach("w-client", 64)
-	t.Cleanup(func() { clientTr.Close() })
-	netClient := NewKDCNetClient("a", secA, "kdc-w", clientTr)
-	netClient.Timeout = 200 * time.Millisecond
-
-	alice := NewKDCWithFetcher("a", secA, netClient, w.clk)
-	bob := NewKDC("b", secB, server, w.clk)
-	roundTrip(t, alice, bob, true)
-	if netClient.Messages() != 1 {
-		t.Fatalf("network messages = %d, want 1 request", netClient.Messages())
 	}
 }

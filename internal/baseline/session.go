@@ -116,14 +116,6 @@ func (s *Session) Handshake(peer *Session) error {
 	return nil
 }
 
-// HasSession reports whether a send session to peer exists.
-func (s *Session) HasSession(peer principal.Address) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.sendSess[peer]
-	return ok
-}
-
 // session data header: sessionID(8) seq(8) confounder(4) flags(1)
 // mac(16).
 const sessHeaderLen = 8 + 8 + 4 + 1 + 16
@@ -223,14 +215,4 @@ func (s *Session) Open(dg transport.Datagram) (transport.Datagram, error) {
 		sess.recvBitmap |= bit
 	}
 	return transport.Datagram{Source: dg.Source, Destination: dg.Destination, Payload: body}, nil
-}
-
-// DropState discards all session state, modelling a crash. Subsequent
-// Seals fail until a new handshake — the "hard state" failure mode FBS
-// avoids.
-func (s *Session) DropState() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sendSess = make(map[principal.Address]*sessionState)
-	s.recvSess = make(map[uint64]*sessionState)
 }

@@ -175,22 +175,6 @@ func TestStaticDirectory(t *testing.T) {
 	}
 }
 
-func TestDelayedDirectory(t *testing.T) {
-	ca := testAuthority(t)
-	d := NewStaticDirectory()
-	id := testIdentity(t, "p")
-	c, _ := ca.Issue(id, time.Now(), time.Now().Add(time.Hour))
-	d.Publish(c)
-	var fetches []principal.Address
-	dd := &DelayedDirectory{Inner: d, OnFetch: func(a principal.Address) { fetches = append(fetches, a) }}
-	if _, err := dd.Lookup("p"); err != nil {
-		t.Fatal(err)
-	}
-	if len(fetches) != 1 || fetches[0] != "p" {
-		t.Fatalf("fetch callback got %v", fetches)
-	}
-}
-
 // Decoder fuzz: arbitrary bytes must never panic Unmarshal, and nothing
 // random may parse into a verifiable certificate.
 func TestCertUnmarshalNeverPanics(t *testing.T) {

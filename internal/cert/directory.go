@@ -70,20 +70,3 @@ func (d *StaticDirectory) Len() int {
 	defer d.mu.RUnlock()
 	return len(d.certs)
 }
-
-// DelayedDirectory wraps a Directory and invokes a callback before each
-// lookup; simulations use it to charge the round-trip cost the paper
-// attributes to PVC misses ("extremely expensive... at the minimum a
-// round trip communication delay").
-type DelayedDirectory struct {
-	Inner   Directory
-	OnFetch func(addr principal.Address)
-}
-
-// Lookup implements Directory.
-func (d *DelayedDirectory) Lookup(addr principal.Address) (*Certificate, error) {
-	if d.OnFetch != nil {
-		d.OnFetch(addr)
-	}
-	return d.Inner.Lookup(addr)
-}

@@ -39,21 +39,12 @@ type DirectoryServer struct {
 	// publishes into).
 	Source Directory
 
-	tr     transport.Transport
-	served uint64
-	mu     sync.Mutex
+	tr transport.Transport
 }
 
 // NewDirectoryServer attaches a server to a transport endpoint.
 func NewDirectoryServer(tr transport.Transport, source Directory) *DirectoryServer {
 	return &DirectoryServer{Source: source, tr: tr}
-}
-
-// Served reports how many requests were answered.
-func (s *DirectoryServer) Served() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
 }
 
 // Serve processes requests until the transport closes.
@@ -76,9 +67,6 @@ func (s *DirectoryServer) Serve() {
 			resp = append(resp, dirStatusNotFound)
 		}
 		s.tr.Send(transport.Datagram{Destination: dg.Source, Payload: resp})
-		s.mu.Lock()
-		s.served++
-		s.mu.Unlock()
 	}
 }
 

@@ -319,6 +319,7 @@ func (e *Endpoint) sealGates() (sampled bool, tc *traceCtx) {
 // run is one watched datagram.
 func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secret bool, res []BatchResult, ob observation) ([]byte, int) {
 	sealed := 0
+	suite := e.suite
 	for len(dgs) > 0 {
 		chunk := len(dgs)
 		if chunk > batchChunk {
@@ -330,11 +331,9 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 		}
 		now := e.cfg.Clock.Now()
 		t := ob.start()
-		// (S1) classify the run into a flow. The flow entry carries the
-		// cipher suite pinned at flow creation (keying time) — suite choice
-		// is per flow, never per datagram — and hands back the run's
-		// sequence numbers within the flow, the AEAD nonce counter.
-		sfl, suiteID, firstSeq, n, slot, ok := e.fam.classifyBatch(id, now, sizes[:chunk])
+		// (S1) classify the run into a flow. The flow entry hands back the
+		// run's sequence numbers within the flow, the AEAD nonce counter.
+		sfl, firstSeq, n, slot, ok := e.fam.classifyBatch(id, now, sizes[:chunk])
 		if !ok {
 			// At the budget hard limit a datagram needing a fresh flow entry
 			// is shed; existing flows are untouched. The refusal sheds
@@ -348,18 +347,6 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			}
 			res[0] = BatchResult{Off: len(dst), Err: fmt.Errorf("%w: flow to %q", ErrStateBudget, dgs[0].Destination)}
 			dgs, res = dgs[1:], res[1:]
-			continue
-		}
-		suite := SuiteByID(suiteID)
-		if suite == nil {
-			// Unreachable with a validated config (the FAM selector wrapper
-			// falls back to cfg.Cipher); kept as a typed per-datagram
-			// failure, not a panic.
-			err := fmt.Errorf("%w: pinned suite %d unregistered", ErrAlgorithmRange, suiteID)
-			for k := 0; k < n; k++ {
-				res[k] = BatchResult{Off: len(dst), Err: err}
-			}
-			dgs, res = dgs[n:], res[n:]
 			continue
 		}
 		if ob.on() {

@@ -113,20 +113,6 @@ func (b *Budget) updatePeak(used int64) {
 	}
 }
 
-// Charge adds n bytes unconditionally (used by overwrite-in-place
-// installs whose net growth was already admitted). It records
-// high-water crossings.
-func (b *Budget) Charge(n int64) {
-	if b == nil || n == 0 {
-		return
-	}
-	after := b.used.Add(n)
-	b.updatePeak(after)
-	if after >= b.high && after-n < b.high {
-		b.pressure.Add(1)
-	}
-}
-
 // TryCharge adds n bytes only if the hard limit holds, reporting
 // whether it did. A nil budget always admits.
 func (b *Budget) TryCharge(n int64) bool {

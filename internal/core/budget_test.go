@@ -11,18 +11,18 @@ func TestBudgetLevels(t *testing.T) {
 	if b.Level() != BudgetNormal {
 		t.Fatalf("fresh budget level = %v", b.Level())
 	}
-	b.Charge(700)
+	b.TryCharge(700)
 	if b.Level() != BudgetNormal {
 		t.Fatalf("below high water, level = %v", b.Level())
 	}
-	b.Charge(100)
+	b.TryCharge(100)
 	if b.Level() != BudgetPressure {
 		t.Fatalf("above high water, level = %v", b.Level())
 	}
 	if !b.UnderPressure() {
 		t.Fatal("UnderPressure false above high water")
 	}
-	b.Charge(200) // used = 1000: no smallest entry fits
+	b.TryCharge(200) // used = 1000: no smallest entry fits
 	if b.Level() != BudgetHard {
 		t.Fatalf("at limit, level = %v", b.Level())
 	}
@@ -55,7 +55,6 @@ func TestBudgetTryCharge(t *testing.T) {
 
 func TestBudgetNilSafe(t *testing.T) {
 	var b *Budget
-	b.Charge(10)
 	if !b.TryCharge(1 << 40) {
 		t.Fatal("nil budget refused a charge")
 	}
@@ -106,7 +105,7 @@ func TestFAMBudgetShedsAndRecovers(t *testing.T) {
 	ids := []FlowID{{SrcPort: 1}, {SrcPort: 2}, {SrcPort: 3}}
 	var denied int
 	for _, id := range ids {
-		if _, _, _, _, _, ok := f.classifyBatch(id, famEpoch, []int{1}); !ok {
+		if _, _, _, _, ok := f.classifyBatch(id, famEpoch, []int{1}); !ok {
 			denied++
 		}
 	}
@@ -124,7 +123,7 @@ func TestFAMBudgetShedsAndRecovers(t *testing.T) {
 	if b.Used() != 0 {
 		t.Fatalf("used after sweep = %d, want 0", b.Used())
 	}
-	if _, _, _, _, _, ok := f.classifyBatch(ids[2], famEpoch.Add(2*time.Minute), []int{1}); !ok {
+	if _, _, _, _, ok := f.classifyBatch(ids[2], famEpoch.Add(2*time.Minute), []int{1}); !ok {
 		t.Fatal("classification still refused after sweep made room")
 	}
 }

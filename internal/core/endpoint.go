@@ -57,13 +57,6 @@ type Config struct {
 	// unregistered IDs with ErrAlgorithmRange.
 	Cipher CipherID
 	Mode   cryptolib.Mode
-	// SuiteSelector, when non-nil, chooses the cipher suite per flow at
-	// classification time: the returned suite is pinned into the flow
-	// state entry when the flow is created and reused for every later
-	// datagram of that flow (suite negotiation happens at keying time,
-	// never per datagram). Returning an unregistered ID falls back to
-	// Cipher. Nil pins Cipher for every flow.
-	SuiteSelector func(FlowID) CipherID
 	// FreshnessWindow is the replay window half-width; default 10
 	// minutes (Section 6.2 suggests "on the order of minutes" for WANs).
 	FreshnessWindow time.Duration
@@ -267,6 +260,10 @@ type Endpoint struct {
 	rc   *ReplayCache
 	conf *confounderWell
 
+	// suite is cfg.Cipher's, resolved and validated once: every flow
+	// seals under it.
+	suite Suite
+
 	// plane is the PVC/MKC/MKD this endpoint keys through; the endpoint
 	// that built it (standalone, or shard 0 of a group) carries it in its
 	// Snapshot.
@@ -367,25 +364,14 @@ func newEndpoint(cfg Config, plane *keyPlane, shards int) (*Endpoint, error) {
 			return nil, err
 		}
 	}
-	// Suite negotiation happens at flow creation: the FAM pins the
-	// selector's (validated) choice into the flow state entry.
-	defaultSuite := cfg.Cipher
-	sel := cfg.SuiteSelector
-	fam.SetSuiteSelector(func(id FlowID) CipherID {
-		if sel != nil {
-			if c := sel(id); c <= maxAlgNibble && SuiteByID(c) != nil {
-				return c
-			}
-		}
-		return defaultSuite
-	})
 	e := &Endpoint{
-		cfg:  cfg,
-		fam:  fam,
-		tfkc: NewDirectMapped[flowCacheKey, [16]byte](cfg.TFKCSize, flowCacheKey.hash),
-		rfkc: NewDirectMapped[flowCacheKey, [16]byte](cfg.RFKCSize, flowCacheKey.hash),
-		conf: newConfounderWell(cfg.Confounder),
-		gate: newAdmissionGate(cfg.Admission, cfg.Clock),
+		cfg:   cfg,
+		suite: suite,
+		fam:   fam,
+		tfkc:  NewDirectMapped[flowCacheKey, [16]byte](cfg.TFKCSize, flowCacheKey.hash),
+		rfkc:  NewDirectMapped[flowCacheKey, [16]byte](cfg.RFKCSize, flowCacheKey.hash),
+		conf:  newConfounderWell(cfg.Confounder),
+		gate:  newAdmissionGate(cfg.Admission, cfg.Clock),
 	}
 	if cfg.EnableReplayCache {
 		e.rc = NewReplayCache(cfg.FreshnessWindow)
@@ -456,9 +442,6 @@ func (e *Endpoint) endOp() { e.inflight.Add(-1) }
 // one-way — a gateway swapping config epochs builds a fresh endpoint
 // rather than reviving a drained one.
 func (e *Endpoint) BeginDrain() { e.draining.Store(true) }
-
-// Draining reports whether BeginDrain has been called.
-func (e *Endpoint) Draining() bool { return e.draining.Load() }
 
 // Inflight reports the number of datagram operations currently past
 // the drain gate (a monitoring aid for drain progress).

@@ -53,11 +53,6 @@ type FSTEntry struct {
 	Packets uint64
 	Bytes   uint64
 
-	// Suite is the cipher suite pinned to this flow when it was created
-	// (suite negotiation happens at keying time; every datagram of the
-	// flow seals under the same suite until rekeying starts a new flow).
-	Suite CipherID
-
 	// flowKey caches the flow key alongside the entry when the combined
 	// FST/TFKC optimisation of Section 7.2 is enabled.
 	flowKey    [16]byte
@@ -239,11 +234,6 @@ type FAM struct {
 	// refused (classifyBatch reports !ok and the caller sheds the
 	// datagram with DropStateBudget).
 	budget *Budget
-
-	// suiteOf, when set, picks the cipher suite pinned into a freshly
-	// created flow entry (see Config.SuiteSelector). Nil pins CipherNone,
-	// which standalone FAM users (tests, experiments) ignore.
-	suiteOf func(FlowID) CipherID
 }
 
 // DefaultFSTSize is the default flow state table size. The paper observes
@@ -289,11 +279,6 @@ func newFAMWithSeed(policy Policy, tableSize int, seed uint64) *FAM {
 // serves traffic.
 func (f *FAM) SetBudget(b *Budget) { f.budget = b }
 
-// SetSuiteSelector installs the per-flow suite choice; call before the
-// FAM serves traffic. The selector runs once per flow creation, and its
-// result is pinned in the entry for the flow's lifetime.
-func (f *FAM) SetSuiteSelector(sel func(FlowID) CipherID) { f.suiteOf = sel }
-
 // Classify assigns the datagram with attributes id and size bytes to a
 // flow, creating a new flow when no valid entry matches (the mapper
 // module of Figure 7). It returns the flow's sfl and whether a new flow
@@ -302,27 +287,26 @@ func (f *FAM) SetSuiteSelector(sel func(FlowID) CipherID) { f.suiteOf = sel }
 // refused and the zero SFL is returned.
 func (f *FAM) Classify(id FlowID, now time.Time, size int) (SFL, bool) {
 	sizes := [1]int{size}
-	sfl, _, seq, _, _, ok := f.classifyBatch(id, now, sizes[:])
+	sfl, seq, _, _, ok := f.classifyBatch(id, now, sizes[:])
 	return sfl, ok && seq == 1
 }
 
 // classifyBatch classifies a run of datagrams that share one FlowID
 // under a single stripe acquisition (a run of one is the single-datagram
 // case). sizes carries the run's payload sizes in order. Beside the sfl
-// it returns the flow's pinned cipher suite, the slot index for the
-// combined FST/TFKC fast path, and firstSeq, the first datagram's
-// 1-based sequence number within the flow (the entry's packet count —
-// monotonic under the stripe lock, so AEAD suites can use it as nonce
-// material); the run's sequence numbers are consecutive from there, the
-// batch's nonce-counter reservation. The entry's accounting advances one
-// datagram at a time with the policy's Match re-checked before each, so
-// wear-out limits (MaxPackets/MaxBytes) end the run exactly where a loop
-// of single calls would: n reports how many datagrams were accepted and
-// the caller re-classifies the remainder into a fresh flow. On a budget
-// refusal (ok == false) nothing was accepted and the caller sheds only
-// the first datagram: re-attempting the rest re-checks the budget per
-// datagram, as a loop would.
-func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, suite CipherID, firstSeq uint64, n int, slot int, ok bool) {
+// it returns the slot index for the combined FST/TFKC fast path, and
+// firstSeq, the first datagram's 1-based sequence number within the flow
+// (the entry's packet count — monotonic under the stripe lock, so AEAD
+// suites can use it as nonce material); the run's sequence numbers are
+// consecutive from there, the batch's nonce-counter reservation. The
+// entry's accounting advances one datagram at a time with the policy's
+// Match re-checked before each, so wear-out limits (MaxPackets/MaxBytes)
+// end the run exactly where a loop of single calls would: n reports how
+// many datagrams were accepted and the caller re-classifies the remainder
+// into a fresh flow. On a budget refusal (ok == false) nothing was
+// accepted and the caller sheds only the first datagram: re-attempting
+// the rest re-checks the budget per datagram, as a loop would.
+func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, firstSeq uint64, n int, slot int, ok bool) {
 	i := f.policy.Index(id, len(f.table))
 	st := &f.stripes[i&f.stripeMask]
 	st.mu.Lock()
@@ -334,7 +318,7 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 		e.Packets++
 		e.Bytes += uint64(sizes[0])
 		st.stats.Hits++
-		sfl, suite, firstSeq = e.SFL, e.Suite, e.Packets
+		sfl, firstSeq = e.SFL, e.Packets
 	} else {
 		stored := f.policy.Normalize(id)
 		if e.Valid && e.ID != stored {
@@ -343,14 +327,7 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 		// Overwriting a valid slot (collision or expired flow) is
 		// budget-neutral; only filling an empty slot grows state.
 		if !e.Valid && !f.budget.TryCharge(CostFAMEntry) {
-			return 0, 0, 0, 0, i, false
-		}
-		suite = CipherNone
-		if f.suiteOf != nil {
-			// The selector sees the un-normalized attributes: policy
-			// aggregation (e.g. host-pair) must not hide the ports a
-			// selector keys on. Whatever it picks is pinned with the entry.
-			suite = f.suiteOf(id)
+			return 0, 0, 0, i, false
 		}
 		sfl = SFL(f.nextSFL.Add(1) - 1)
 		*e = FSTEntry{
@@ -361,7 +338,6 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 			Last:    now,
 			Packets: 1,
 			Bytes:   uint64(sizes[0]),
-			Suite:   suite,
 		}
 		st.stats.FlowsCreated++
 		firstSeq = 1
@@ -379,7 +355,7 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, sui
 		st.stats.Lookups++
 		st.stats.Hits++
 	}
-	return sfl, suite, firstSeq, n, i, true
+	return sfl, firstSeq, n, i, true
 }
 
 // Sweep runs the sweeper module over the whole table (Figure 7),
@@ -457,8 +433,6 @@ type FlowInfo struct {
 	Last    time.Time
 	Packets uint64
 	Bytes   uint64
-	// Suite is the cipher suite pinned to the flow at creation.
-	Suite CipherID
 }
 
 // Snapshot lists the currently valid flows.
@@ -477,7 +451,6 @@ func (f *FAM) Snapshot() []FlowInfo {
 				ID: e.ID, SFL: e.SFL,
 				Created: e.Created, Last: e.Last,
 				Packets: e.Packets, Bytes: e.Bytes,
-				Suite: e.Suite,
 			})
 		}
 		st.mu.Unlock()

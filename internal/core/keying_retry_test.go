@@ -9,6 +9,7 @@ import (
 
 	"fbs/internal/cert"
 	"fbs/internal/principal"
+	"fbs/internal/transport"
 )
 
 // failingDirectory fails the first FailFirst lookups, then delegates.
@@ -192,6 +193,38 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	w.clock.Advance(48 * time.Hour)
 	if _, err := ks.certificateNoted("bob", new(KeyNote)); err == nil {
 		t.Fatal("certificate served beyond the stale window")
+	}
+
+	// The same through an Endpoint: Config.KeyStaleWindow is the only way
+	// the window reaches a key plane. bob holds alice's certificate from
+	// an earlier flow; a day later it has expired, the directory is down
+	// and the pair key has left the MKC, so alice's next flow opens only
+	// if the window was plumbed.
+	w = newWorld(t)
+	dir := &failingDirectory{Inner: w.dir}
+	a, b, _ := endpointPair(t, w, func(c *Config) {
+		c.Directory = dir
+		c.KeyStaleWindow = 48 * time.Hour
+	})
+	exchange := func() error {
+		sealed, err := a.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: []byte("x")}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = b.Open(sealed)
+		return err
+	}
+	if err := exchange(); err != nil {
+		t.Fatalf("fresh certificate rejected: %v", err)
+	}
+	w.clock.Advance(25 * time.Hour) // past the 24 h validity, and a new flow
+	dir.FailFirst = 1 << 30
+	b.plane.ks.mkc.Invalidate("alice")
+	if err := exchange(); err != nil {
+		t.Fatalf("endpoint with KeyStaleWindow did not open under a just-expired certificate: %v", err)
+	}
+	if got := b.Snapshot().Keying.StaleServed; got != 1 {
+		t.Errorf("Snapshot().Keying.StaleServed = %d, want 1", got)
 	}
 }
 

@@ -27,8 +27,8 @@ type CacheInfo struct {
 // only way statistics leave an endpoint and Merge the only place two
 // endpoints' statistics are added, so a new counter is one field here,
 // one line in each of those and one exposition row in internal/obs. The
-// unbounded listings (Flows, ReplayPerPeer) and the drain-control reads
-// (Inflight, Draining) are not counters and are not here.
+// unbounded listings (Flows, ReplayPerPeer) and the drain-control read
+// (Inflight) are not counters and are not here.
 type Snapshot struct {
 	// Data plane; every counter is cumulative.
 	Sent             uint64

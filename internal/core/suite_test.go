@@ -172,60 +172,6 @@ func TestSuiteRoundTripMatrix(t *testing.T) {
 	}
 }
 
-// TestSuiteSelectorPinning drives two flows through one endpoint with a
-// per-flow suite selector and checks each flow sticks with the suite it
-// was born with.
-func TestSuiteSelectorPinning(t *testing.T) {
-	w := newWorld(t)
-	a, b, _ := endpointPair(t, w, func(c *Config) {
-		c.Cipher = CipherDES
-		c.SuiteSelector = func(id FlowID) CipherID {
-			if id.DstPort == 443 {
-				return CipherAES128GCM
-			}
-			if id.DstPort == 9999 {
-				return CipherID(13) // unregistered: must fall back to cfg.Cipher
-			}
-			return CipherDES
-		}
-	})
-	seal := func(dstPort uint16) Header {
-		t.Helper()
-		id := FlowID{Src: "alice", Dst: "bob", Proto: 17, SrcPort: 1234, DstPort: dstPort}
-		dg, err := a.SealFlow(transport.Datagram{
-			Source: "alice", Destination: "bob", Payload: []byte("pinned"),
-		}, id, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var h Header
-		if _, err := h.Decode(dg.Payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Open(dg); err != nil {
-			t.Fatalf("port %d datagram rejected: %v", dstPort, err)
-		}
-		return h
-	}
-	if h := seal(443); h.Cipher != CipherAES128GCM || h.MAC != cryptolib.MACAEAD {
-		t.Errorf("port 443 flow: cipher %v MAC %v, want AES-128-GCM/MACAEAD", h.Cipher, h.MAC)
-	}
-	if h := seal(80); h.Cipher != CipherDES {
-		t.Errorf("port 80 flow: cipher %v, want DES", h.Cipher)
-	}
-	if h := seal(9999); h.Cipher != CipherDES {
-		t.Errorf("invalid selector result must fall back: cipher %v, want DES", h.Cipher)
-	}
-	// The pin is recorded in the flow table snapshot.
-	bySuite := map[CipherID]int{}
-	for _, f := range a.Flows() {
-		bySuite[f.Suite]++
-	}
-	if bySuite[CipherAES128GCM] != 1 || bySuite[CipherDES] != 2 {
-		t.Errorf("flow snapshot suites = %v, want 1×AES-128-GCM, 2×DES", bySuite)
-	}
-}
-
 // TestSuiteDowngradeTamperMatrix is the downgrade-tampering satellite:
 // for every registered suite, flip the header's algorithm bytes every
 // way an on-path attacker can, and require the typed rejection — never

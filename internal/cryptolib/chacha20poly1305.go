@@ -400,17 +400,6 @@ func (p *poly1305) sum(tag *[16]byte) {
 	binary.LittleEndian.PutUint64(tag[8:], h1)
 }
 
-// Poly1305Tag computes the one-shot Poly1305 MAC of msg under key.
-// Exposed for vector tests; the AEAD path uses polyAEADTag.
-func Poly1305Tag(key *[32]byte, msg []byte) [16]byte {
-	var p poly1305
-	p.init(key)
-	p.update(msg)
-	var tag [16]byte
-	p.sum(&tag)
-	return tag
-}
-
 var polyZeroPad [16]byte
 
 // polyAEADTag evaluates the RFC 8439 AEAD MAC layout:

@@ -297,9 +297,6 @@ func ByteShareOfTop(flows []Flow, topFraction float64) float64 {
 	return float64(top) / float64(total)
 }
 
-// sweepKey is used by the cache simulations.
-type hostAddr = ip.Addr
-
 // CacheSide selects which end's key cache a simulation models.
 type CacheSide int
 
@@ -344,44 +341,9 @@ const (
 
 // CacheSim replays the trace against per-host direct-mapped flow key
 // caches of the given size and reports aggregate miss behaviour
-// (Figure 11). threshold expires cache entries the way flow expiry
-// (rekeying) invalidates flow keys.
+// (Figure 11): CacheSimAssoc at one way.
 func CacheSim(tr *trace.Trace, threshold time.Duration, size int, side CacheSide, hash HashKind) CacheResult {
-	type entry struct {
-		tuple FiveTuple
-		valid bool
-		last  time.Duration
-	}
-	caches := make(map[hostAddr][]entry)
-	seen := make(map[FiveTuple]bool)
-	res := CacheResult{Size: size}
-	for _, p := range tr.Packets {
-		host := p.Src
-		if side == ReceiveSide {
-			host = p.Dst
-		}
-		c, ok := caches[host]
-		if !ok {
-			c = make([]entry, size)
-			caches[host] = c
-		}
-		tup := tupleOf(p)
-		slot := &c[cacheIndex(tup, size, hash)]
-		res.Lookups++
-		if slot.valid && slot.tuple == tup && p.Time-slot.last <= threshold {
-			slot.last = p.Time
-			continue
-		}
-		res.Misses++
-		if seen[tup] {
-			res.Conflict++
-		} else {
-			res.Cold++
-			seen[tup] = true
-		}
-		*slot = entry{tuple: tup, valid: true, last: p.Time}
-	}
-	return res
+	return CacheSimAssoc(tr, threshold, size, 1, side, hash)
 }
 
 func cacheIndex(t FiveTuple, size int, hash HashKind) int {
@@ -409,12 +371,13 @@ func cacheIndex(t FiveTuple, size int, hash HashKind) int {
 	}
 }
 
-// CacheSimAssoc generalises CacheSim to an N-way set-associative cache
-// with LRU replacement inside each set. Section 5.3 argues associativity
-// "can not be too great" because the caches are software with strict
-// lookup-time budgets; this simulation quantifies what a little
-// associativity buys in conflict misses. size is the total entry count;
-// assoc divides it into size/assoc sets.
+// CacheSimAssoc replays the trace against per-host N-way set-associative
+// flow key caches with LRU replacement inside each set. threshold expires
+// cache entries the way flow expiry (rekeying) invalidates flow keys.
+// Section 5.3 argues associativity "can not be too great" because the
+// caches are software with strict lookup-time budgets; this simulation
+// quantifies what a little associativity buys in conflict misses. size is
+// the total entry count; assoc divides it into size/assoc sets.
 func CacheSimAssoc(tr *trace.Trace, threshold time.Duration, size, assoc int, side CacheSide, hash HashKind) CacheResult {
 	if assoc < 1 {
 		assoc = 1
@@ -429,7 +392,7 @@ func CacheSimAssoc(tr *trace.Trace, threshold time.Duration, size, assoc int, si
 		last  time.Duration
 		used  uint64 // LRU stamp
 	}
-	caches := make(map[hostAddr][]entry) // sets*assoc flat
+	caches := make(map[ip.Addr][]entry) // sets*assoc flat
 	seen := make(map[FiveTuple]bool)
 	res := CacheResult{Size: size}
 	var tick uint64

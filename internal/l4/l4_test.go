@@ -167,8 +167,8 @@ func TestPortAllocatorBasic(t *testing.T) {
 	if got, err := p.Alloc(now); err != nil || got != 5001 {
 		t.Fatalf("Alloc after release = %d, %v", got, err)
 	}
-	if p.InUse() != 4 {
-		t.Fatalf("InUse = %d", p.InUse())
+	if len(p.inUse) != 4 {
+		t.Fatalf("in use = %d", len(p.inUse))
 	}
 }
 
@@ -205,7 +205,7 @@ func TestPortAllocatorValidation(t *testing.T) {
 	}
 	p, _ := NewPortAllocator(7000, 7001, 0)
 	p.Release(7000, time.Now()) // releasing an unallocated port is a no-op
-	if p.InUse() != 0 {
+	if len(p.inUse) != 0 {
 		t.Fatal("phantom allocation")
 	}
 }

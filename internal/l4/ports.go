@@ -80,10 +80,3 @@ func (p *PortAllocator) Release(port uint16, now time.Time) {
 		p.released[port] = now
 	}
 }
-
-// InUse reports how many ports are currently allocated.
-func (p *PortAllocator) InUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.inUse)
-}

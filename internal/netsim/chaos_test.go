@@ -338,7 +338,7 @@ func TestChaosDeterministicFaults(t *testing.T) {
 		Datagrams:    50,
 		PayloadBytes: 128,
 		Secret:       true,
-		Link:         []Stage{BernoulliLoss(0.2), Duplicate(0.2)},
+		Link:         []Stage{bernoulliLoss(0.2), Duplicate(0.2)},
 	}
 	a, err := RunChaos(sc)
 	if err != nil {

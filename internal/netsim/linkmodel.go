@@ -88,17 +88,6 @@ func chance(rng *cryptolib.LCG, p float64) bool {
 	return float64(rng.Uint32())/float64(1<<32) < p
 }
 
-// BernoulliLoss drops each datagram independently with probability p.
-func BernoulliLoss(p float64) Stage {
-	return Stage{name: "loss", build: func() stageFn {
-		return func(rng *cryptolib.LCG, d *Decision, st *LinkStats) {
-			if chance(rng, p) {
-				d.Fates = nil
-			}
-		}
-	}}
-}
-
 // GilbertElliott is two-state burst loss: the link moves between a good
 // and a bad regime with the given per-packet transition probabilities
 // and drops with lossGood/lossBad in each. It models the correlated

@@ -41,8 +41,12 @@ func TestLinkModelDeterministic(t *testing.T) {
 	}
 }
 
+// bernoulliLoss drops each datagram independently with probability p:
+// Gilbert-Elliott that never enters its bad regime.
+func bernoulliLoss(p float64) Stage { return GilbertElliott(0, 0, p, 0) }
+
 func TestLinkModelSaltIndependence(t *testing.T) {
-	m := LinkModel{Seed: 7, Stages: []Stage{BernoulliLoss(0.5)}}
+	m := LinkModel{Seed: 7, Stages: []Stage{bernoulliLoss(0.5)}}
 	la, lb := m.Instantiate(1), m.Instantiate(2)
 	same := true
 	for i := 0; i < 200; i++ {
@@ -58,7 +62,7 @@ func TestLinkModelSaltIndependence(t *testing.T) {
 }
 
 func TestBernoulliLossRate(t *testing.T) {
-	_, l := transmitN(LinkModel{Stages: []Stage{BernoulliLoss(0.25)}}, 4000, 64)
+	_, l := transmitN(LinkModel{Stages: []Stage{bernoulliLoss(0.25)}}, 4000, 64)
 	st := l.Stats()
 	rate := float64(st.Lost) / float64(st.Offered)
 	if rate < 0.20 || rate > 0.30 {
@@ -156,7 +160,7 @@ func TestRateCapSerialises(t *testing.T) {
 }
 
 func TestHealDeliversEverything(t *testing.T) {
-	l := LinkModel{Stages: []Stage{BernoulliLoss(1.0), DelayJitter(time.Second, 0)}}.Instantiate(0)
+	l := LinkModel{Stages: []Stage{bernoulliLoss(1.0), DelayJitter(time.Second, 0)}}.Instantiate(0)
 	if pre := l.Transmit(0, 64); !pre.Lost() {
 		t.Fatal("pre-heal datagram survived p=1 loss")
 	}

@@ -56,14 +56,6 @@ type TransferConfig struct {
 	SealHist, OpenHist *obs.Histogram
 }
 
-// appendSealer is the allocation-free protocol surface (core.Endpoint
-// implements it); when both ends of a transfer provide it, segments are
-// sealed and opened into reused buffers.
-type appendSealer interface {
-	SealAppend(dst []byte, dg transport.Datagram, secret bool) ([]byte, error)
-	OpenAppend(dst []byte, dg transport.Datagram) ([]byte, error)
-}
-
 // Validate normalises the configuration in place and reports the first
 // inconsistency. It is called by BulkTransfer, so callers only need it
 // when they want the error (or the applied defaults) before running:
@@ -129,13 +121,9 @@ func BulkTransfer(cfg TransferConfig) (Result, error) {
 		runErr         error
 	)
 
-	// Buffers for running the real protocol code are hoisted out of the
-	// per-segment closure and reused for the whole transfer; with an
-	// append-capable sealer the steady state allocates nothing per
-	// segment.
-	var segBuf, sealBuf, openBuf []byte
-	sealAppender, _ := cfg.Sealer.(appendSealer)
-	openAppender, _ := cfg.Opener.(appendSealer)
+	// The segment buffer for running the real protocol code is hoisted
+	// out of the per-segment closure and reused for the whole transfer.
+	var segBuf []byte
 	sealSegment := func(n int) (int, error) {
 		// Run the real protocol code when configured; the sealed size
 		// feeds the wire model.
@@ -148,31 +136,6 @@ func BulkTransfer(cfg TransferConfig) (Result, error) {
 				Source:      transportAddr(cfg.SealerSrc),
 				Destination: transportAddr(cfg.SealerDst),
 				Payload:     segBuf[:n],
-			}
-			if sealAppender != nil && openAppender != nil {
-				t := time.Now()
-				sealed, err := sealAppender.SealAppend(sealBuf[:0], dg, true)
-				if cfg.SealHist != nil {
-					cfg.SealHist.Observe(time.Since(t))
-				}
-				if err != nil {
-					return 0, err
-				}
-				sealBuf = sealed
-				t = time.Now()
-				opened, err := openAppender.OpenAppend(openBuf[:0], transport.Datagram{
-					Source:      dg.Source,
-					Destination: dg.Destination,
-					Payload:     sealed,
-				})
-				if cfg.OpenHist != nil {
-					cfg.OpenHist.Observe(time.Since(t))
-				}
-				if err != nil {
-					return 0, err
-				}
-				openBuf = opened
-				return len(sealed) + cfg.HeaderBytes, nil
 			}
 			t := time.Now()
 			sealed, err := cfg.Sealer.Seal(dg, true)

@@ -6,15 +6,13 @@ import (
 
 	"fbs/internal/core"
 	"fbs/internal/principal"
-	"fbs/internal/transport"
 )
 
-// This file adapts the snapshot values the rest of the repo already
-// exposes (core.Snapshot, transport.NetworkStats) into
-// metric families. Metric names follow fbs_<subsystem>_<what>_total for
-// counters and fbs_<subsystem>_<what> for gauges; label values reuse the
-// canonical DropReason/Stage/cache names so every layer speaks one
-// taxonomy.
+// This file adapts the snapshot value the rest of the repo already
+// exposes (core.Snapshot) into metric families. Metric names follow
+// fbs_<subsystem>_<what>_total for counters and fbs_<subsystem>_<what>
+// for gauges; label values reuse the canonical DropReason/Stage/cache
+// names so every layer speaks one taxonomy.
 
 // RegisterEndpoint registers a collector for everything an endpoint
 // counts, plus its per-peer replay listing. The endpoint label
@@ -269,24 +267,5 @@ func RegisterPipeline(r *Registry, name string, p *Pipeline) {
 		}
 		rec.Samples = append(rec.Samples, Sample{Labels: []Label{eplbl}, Value: float64(total)})
 		return []Family{f, rec}
-	})
-}
-
-// RegisterNetwork registers collectors for the in-memory transport
-// network's fault-model counters.
-func RegisterNetwork(r *Registry, name string, n *transport.Network) {
-	lbl := Label{Key: "network", Value: name}
-	r.RegisterFunc(func() []Family {
-		s := n.Stats()
-		return []Family{
-			CounterFamily("fbs_net_sent_total", "Datagrams submitted to the network.", s.Sent, lbl),
-			CounterFamily("fbs_net_delivered_total", "Datagrams delivered.", s.Delivered, lbl),
-			CounterFamily("fbs_net_lost_total", "Datagrams dropped by the loss model.", s.Lost, lbl),
-			CounterFamily("fbs_net_duplicated_total", "Datagrams duplicated.", s.Duplicated, lbl),
-			CounterFamily("fbs_net_reordered_total", "Datagrams delivered out of order.", s.Reordered, lbl),
-			CounterFamily("fbs_net_corrupted_total", "Datagrams corrupted in flight.", s.Corrupted, lbl),
-			CounterFamily("fbs_net_no_route_total", "Datagrams to unbound addresses.", s.NoRoute, lbl),
-			CounterFamily("fbs_net_overflow_total", "Datagrams dropped on full receive queues.", s.Overflow, lbl),
-		}
 	})
 }

@@ -42,7 +42,6 @@ func adminWorld(t *testing.T) (*fbs.Endpoint, *fbs.Endpoint, *obs.Pipeline, *obs
 	obs.RegisterEndpoint(reg, "alice", alice)
 	obs.RegisterEndpoint(reg, "bob", bob)
 	obs.RegisterPipeline(reg, "pair", pipe)
-	obs.RegisterNetwork(reg, "lan", net)
 	admin := obs.NewAdmin(reg)
 	admin.WatchEndpoint("alice", alice)
 	admin.WatchEndpoint("bob", bob)
@@ -123,7 +122,6 @@ func TestAdminPlane(t *testing.T) {
 		`fbs_fam_active_flows{endpoint="alice"} 1`,
 		`fbs_stage_duration_ns_bucket{endpoint="pair",path="seal",stage="total",le="+Inf"}`,
 		`fbs_stage_duration_ns_count{endpoint="pair",path="open",stage="total"}`,
-		`fbs_net_delivered_total{network="lan"}`,
 		`fbs_keyservice_retries_total{endpoint="alice"}`,
 		`fbs_keyservice_negative_hits_total{endpoint="bob"}`,
 		`fbs_keyservice_stale_served_total{endpoint="alice"}`,

@@ -763,16 +763,14 @@ func BenchmarkEndpointParallel(b *testing.B) {
 // BenchmarkSealOpenAllocs pins down the allocation-free steady state of
 // the append-style entry points: with warm caches and NOP crypto,
 // SealAppend+OpenAppend into reused buffers must not allocate at all.
-// An observability pipeline and a trace collector are attached with
-// sampling disabled, so the guarantee holds with instrumentation wired
-// in (each gate is one atomic load per datagram).
+// An observability pipeline is attached with sampling disabled, so the
+// guarantee holds with instrumentation wired in (the gate is one atomic
+// load per datagram).
 func BenchmarkSealOpenAllocs(b *testing.B) {
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 0})
-	col := obstrace.New(obstrace.Config{SampleEvery: 0})
+	pipe := obs.NewPipeline(obstrace.Config{})
 	a, bb := benchEndpoints(b, func(c *Config) {
 		c.MAC = cryptolib.MACNull
-		c.Observer = pipe
-		c.Tracer = col
+		c.Tracer = pipe
 	})
 	payload := make([]byte, 1460)
 	dg := Datagram{Source: "bench-a", Destination: "bench-b", Payload: payload}
@@ -811,16 +809,26 @@ func BenchmarkSealOpenAllocs(b *testing.B) {
 // gateway and the IP mapping call; OpenAppend and SealAppend are the
 // append forms BenchmarkSealOpenAllocs covers only as a 1460 B round
 // trip. Cleartext Open and both append forms must stay 0 allocs/op;
-// secret Open allocates its plaintext.
+// secret Open allocates its plaintext. The "+tracer" rows repeat the
+// measurement with a pipeline attached and quiet (SampleEvery 0), which
+// prices the observation gate.
 func BenchmarkRunOfOne(b *testing.B) {
 	a, bb := benchEndpoints(b, func(c *Config) { c.Cipher = core.CipherAES128GCM })
+	ta, tb := benchEndpoints(b, func(c *Config) {
+		c.Cipher = core.CipherAES128GCM
+		c.Tracer = obs.NewPipeline(obstrace.Config{})
+	})
 	payload := make([]byte, 64)
 	dg := Datagram{Source: "bench-a", Destination: "bench-b", Payload: payload}
-	for _, secret := range []bool{false, true} {
-		name := "cleartext"
-		if secret {
-			name = "secret"
-		}
+	for _, v := range []struct {
+		name   string
+		secret bool
+		a, bb  *Endpoint
+	}{
+		{"cleartext", false, a, bb}, {"secret", true, a, bb},
+		{"cleartext+tracer", false, ta, tb}, {"secret+tracer", true, ta, tb},
+	} {
+		name, secret, a, bb := v.name, v.secret, v.a, v.bb
 		sealed, err := a.Seal(dg, secret)
 		if err != nil {
 			b.Fatal(err)
@@ -856,22 +864,20 @@ func BenchmarkRunOfOne(b *testing.B) {
 	}
 }
 
-// TestSealOpenAllocsWithObserver is the go-test-enforced form of the
-// BenchmarkSealOpenAllocs guarantee: with an observability pipeline and
-// a trace collector attached and both samplers disabled, the
-// append-style round trip performs zero allocations; flipping sampling
-// on at runtime must not disturb correctness (and flipping it back off
-// restores the zero-alloc state).
-func TestSealOpenAllocsWithObserver(t *testing.T) {
+// TestSealOpenAllocsWithTracer is the go-test-enforced form of the
+// BenchmarkSealOpenAllocs guarantee: with an observability pipeline
+// attached and its sampler disabled, the append-style round trip
+// performs zero allocations; flipping sampling on at runtime must not
+// disturb correctness (and flipping it back off restores the zero-alloc
+// state).
+func TestSealOpenAllocsWithTracer(t *testing.T) {
 	d := testDomain(t)
 	net := NewNetwork(Impairments{})
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 0})
-	col := obstrace.New(obstrace.Config{SampleEvery: 0})
+	pipe := obs.NewPipeline(obstrace.Config{})
 	mk := func(addr Address) *Endpoint {
 		ep, err := d.NewEndpoint(addr, net, func(c *Config) {
 			c.MAC = cryptolib.MACNull
-			c.Observer = pipe
-			c.Tracer = col
+			c.Tracer = pipe
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -900,31 +906,24 @@ func TestSealOpenAllocsWithObserver(t *testing.T) {
 	}
 	roundTrip() // warm flow + key caches
 	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
-		t.Fatalf("append path with observer attached allocates: %v allocs/op, want 0", avg)
+		t.Fatalf("append path with a quiet tracer attached allocates: %v allocs/op, want 0", avg)
 	}
-	// Runtime toggle: sample everything, confirm telemetry flows.
+	// Runtime toggle: trace every datagram briefly, confirm the spans
+	// land in the ring and feed the histograms, then re-assert the
+	// zero-alloc steady state with sampling off and the pipeline still
+	// attached.
 	pipe.SetSampleEvery(1)
-	before := pipe.StageSnapshot(true, core.StageTotal).Count
+	before := pipe.StageSnapshot(true, "total").Count
 	roundTrip()
-	if after := pipe.StageSnapshot(true, core.StageTotal).Count; after != before+1 {
+	if after := pipe.StageSnapshot(true, "total").Count; after != before+1 {
 		t.Fatalf("sampling enabled but seal count stayed %d", after)
+	}
+	if pipe.Started() != 2 || pipe.Recorded() == 0 {
+		t.Fatalf("one traced round trip: started=%d recorded=%d, want 2 traces", pipe.Started(), pipe.Recorded())
 	}
 	pipe.SetSampleEvery(0)
 	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
 		t.Fatalf("append path allocates after sampling toggled off: %v allocs/op", avg)
-	}
-	// Same runtime toggle for the tracer: trace every datagram briefly,
-	// confirm spans land in the collector, then re-assert the zero-alloc
-	// steady state with tracing off but the collector still attached.
-	col.SetSampleEvery(1)
-	roundTrip()
-	if col.Started() == 0 || col.Recorded() == 0 {
-		t.Fatalf("tracing enabled but nothing collected: started=%d recorded=%d",
-			col.Started(), col.Recorded())
-	}
-	col.SetSampleEvery(0)
-	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
-		t.Fatalf("append path allocates after tracing toggled off: %v allocs/op", avg)
 	}
 }
 

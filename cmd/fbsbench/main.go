@@ -41,6 +41,7 @@ import (
 	"fbs/internal/flowsim"
 	"fbs/internal/netsim"
 	"fbs/internal/obs"
+	obstrace "fbs/internal/obs/trace"
 	"fbs/internal/transport"
 
 	fbs "fbs"
@@ -95,7 +96,7 @@ var (
 	native    = flag.Bool("native", false, "also measure native Seal/Open throughput")
 	suites    = flag.Bool("suites", false, "measure every registered suite's native Seal/Open throughput instead of the figure-8 simulation")
 	jsonOut   = flag.Bool("json", false, "emit one JSON document of kb/s results instead of tables")
-	adminAddr = flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /recorder, pprof) on this address and wait after the run")
+	adminAddr = flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /traces, pprof) on this address and wait after the run")
 )
 
 func main() {
@@ -345,13 +346,13 @@ func suitesRun(quiet bool, admin *obs.Admin) ([]benchResult, error) {
 // measureAppend benchmarks one endpoint configuration on the
 // allocation-free append path: a one-second throughput phase with
 // sampling disabled (the production steady state), then a short
-// every-packet phase whose StageTotal histograms feed the latency
+// every-packet phase whose root seal/open spans feed the latency
 // percentiles.
 func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, mutate ...func(*core.Config)) (benchResult, error) {
 	payload := make([]byte, 1460)
 	dg := transport.Datagram{Source: "sim-a", Destination: "sim-b", Payload: payload}
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 0})
-	mutate = append(mutate, func(c *core.Config) { c.Observer = pipe })
+	pipe := obs.NewPipeline(obstrace.Config{})
+	mutate = append(mutate, func(c *core.Config) { c.Tracer = pipe })
 	a, b, err := endpointPair(true, mutate...)
 	if err != nil {
 		return benchResult{}, err
@@ -363,7 +364,7 @@ func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, m
 		obs.RegisterEndpoint(admin.Registry, label, a)
 		obs.RegisterPipeline(admin.Registry, label, pipe)
 		admin.WatchEndpoint(label, a)
-		admin.WatchRecorder(pipe.Recorder())
+		admin.WatchTracer(pipe.Collector)
 	}
 	sealBuf := make([]byte, 0, core.HeaderSize+len(payload)+cryptolib.BlockSize)
 	openBuf := make([]byte, 0, core.HeaderSize+len(payload)+cryptolib.BlockSize)
@@ -395,8 +396,8 @@ func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, m
 	}
 	el := time.Since(start).Seconds()
 	kbps := float64(bytes) * 8 / el / 1000
-	// Latency phase: sample every packet briefly; percentiles come
-	// from the whole-call StageTotal histograms.
+	// Latency phase: trace every packet briefly; percentiles come from
+	// the whole-call histograms the root spans feed.
 	pipe.SetSampleEvery(1)
 	latStart := time.Now()
 	for time.Since(latStart) < 200*time.Millisecond {
@@ -405,8 +406,8 @@ func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, m
 		}
 	}
 	pipe.SetSampleEvery(0)
-	sealLat := summarize(pipe.StageSnapshot(true, core.StageTotal))
-	openLat := summarize(pipe.StageSnapshot(false, core.StageTotal))
+	sealLat := summarize(pipe.StageSnapshot(true, "total"))
+	openLat := summarize(pipe.StageSnapshot(false, "total"))
 	res := benchResult{
 		Section: section, Config: name, Kbps: kbps,
 		SealLatency: sealLat, OpenLatency: openLat,

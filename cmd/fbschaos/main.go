@@ -334,10 +334,9 @@ func entry[S any, R netsim.Report](name string, sc S, run func(S) (R, error)) ru
 
 // dumpArtifacts writes what a failing run left behind for CI to upload
 // alongside the reconciliation books: a chaos scenario run with -trace
-// dumps its assembled per-datagram traces and its flight-recorder window
-// to $FBS_TRACE_ARTIFACT_DIR (render the traces with `fbsstat trace -f
-// <file>`), a diverged differential run its op stream and both
-// transcripts to $FBS_DIFF_ARTIFACT_DIR.
+// dumps its assembled per-datagram traces to $FBS_TRACE_ARTIFACT_DIR
+// (render them with `fbsstat trace -f <file>`), a diverged differential
+// run its op stream and both transcripts to $FBS_DIFF_ARTIFACT_DIR.
 func dumpArtifacts(name string, rep netsim.Report) {
 	write := func(env, suffix string, data []byte) {
 		dir := os.Getenv(env)
@@ -356,9 +355,6 @@ func dumpArtifacts(name string, rep netsim.Report) {
 		}
 		if data, err := json.MarshalIndent(rep.TraceReport, "", "  "); err == nil {
 			write("FBS_TRACE_ARTIFACT_DIR", "-traces.json", data)
-		}
-		if data, err := json.MarshalIndent(rep.RecorderDump, "", "  "); err == nil && len(rep.RecorderDump) > 0 {
-			write("FBS_TRACE_ARTIFACT_DIR", "-recorder.json", data)
 		}
 	case *netsim.DiffReport:
 		write("FBS_DIFF_ARTIFACT_DIR", ".txt", []byte(rep.Artifact()))

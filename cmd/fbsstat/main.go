@@ -7,8 +7,7 @@
 //
 //	fbsstat -addr 127.0.0.1:6060 metrics    # raw Prometheus exposition
 //	fbsstat -addr 127.0.0.1:6060 flows      # netstat-style live flows
-//	fbsstat -addr 127.0.0.1:6060 recorder   # flight-recorder ring
-//	fbsstat -addr 127.0.0.1:6060 trace      # per-datagram trace waterfalls
+//	fbsstat -addr 127.0.0.1:6060 trace      # the flight recorder: per-datagram trace waterfalls
 //	fbsstat trace -f traces.json            # render a dumped trace artifact
 //	fbsbench -json | fbsstat bench-validate # sanity-check bench output
 //	fbsstat bench-compare -append < fbsbench.json  # gate vs BENCH_trajectory.json
@@ -52,14 +51,14 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6060", "admin plane address (host:port)")
-	limit := flag.Int("n", 0, "recorder/trace: show only the most recent N entries")
+	limit := flag.Int("n", 0, "trace: show only the most recent N traces")
 	file := flag.String("f", "", "trace: render this JSON artifact instead of querying the admin plane (\"-\" for stdin)")
 	trajectory := flag.String("trajectory", "BENCH_trajectory.json", "bench-compare: committed perf-trajectory file")
 	appendRun := flag.Bool("append", false, "bench-compare: append a passing run to the trajectory file")
 	flag.Parse()
 
 	cmd := flag.Arg(0)
-	// Accept flags after the subcommand too (`fbsstat recorder -n 4`);
+	// Accept flags after the subcommand too (`fbsstat trace -n 4`);
 	// flag.Parse stops at the first non-flag argument.
 	if flag.NArg() > 1 {
 		_ = flag.CommandLine.Parse(flag.Args()[1:])
@@ -70,8 +69,6 @@ func main() {
 		err = metrics(os.Stdout, *addr)
 	case "flows":
 		err = flows(os.Stdout, *addr)
-	case "recorder":
-		err = recorder(os.Stdout, *addr, *limit)
 	case "trace":
 		err = traces(os.Stdout, *addr, *file, *limit)
 	case "bench-validate":
@@ -79,7 +76,7 @@ func main() {
 	case "bench-compare":
 		err = benchCompare(os.Stdin, *trajectory, *appendRun)
 	default:
-		err = fmt.Errorf("need a subcommand: metrics, flows, recorder, trace, bench-validate, or bench-compare")
+		err = fmt.Errorf("need a subcommand: metrics, flows, trace, bench-validate, or bench-compare")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fbsstat:", err)
@@ -119,23 +116,6 @@ func flows(w io.Writer, addr string) error {
 		return fmt.Errorf("decoding /flows: %w", err)
 	}
 	obs.WriteFlowsText(w, rep)
-	return nil
-}
-
-func recorder(w io.Writer, addr string, limit int) error {
-	path := "/recorder?json=1"
-	if limit > 0 {
-		path = fmt.Sprintf("%s&n=%d", path, limit)
-	}
-	body, err := get(addr, path)
-	if err != nil {
-		return err
-	}
-	var rep obs.RecorderReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		return fmt.Errorf("decoding /recorder: %w", err)
-	}
-	obs.WriteRecorderText(w, rep)
 	return nil
 }
 

@@ -42,6 +42,7 @@ import (
 
 	"fbs/internal/core"
 	"fbs/internal/obs"
+	obstrace "fbs/internal/obs/trace"
 	"fbs/internal/transport"
 
 	fbs "fbs"
@@ -63,7 +64,7 @@ func main() {
 	statePath := flag.String("state", "/tmp/fbsudp.state", "shared provisioning file")
 	msg := flag.String("msg", "hello over real UDP", "message to send")
 	count := flag.Int("count", 3, "datagrams to send/receive")
-	adminAddr := flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /recorder, pprof) on this address")
+	adminAddr := flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /traces, pprof) on this address")
 	statsJSON := flag.Bool("stats-json", false, "emit the completion stats summary as JSON on stdout")
 	batch := flag.Int("batch", 0, "batch size for SendBatch/ReceiveBatch (0 = single-datagram calls)")
 	prefilter := flag.Bool("prefilter", false, "recv: pin the edge pre-filter at sketch+challenge; send: absorb challenges and attach cookie echoes")
@@ -87,7 +88,7 @@ func main() {
 
 // instrument attaches the observability plumbing to one endpoint: a
 // fully-sampled pipeline (fbsudp's packet rates are interactive, so
-// every packet is cheap to record), the optional admin HTTP plane, and
+// every packet is cheap to trace), the optional admin HTTP plane, and
 // a SIGINT/SIGTERM handler that prints the stats summary before exit.
 // The returned function prints the summary; call it once on normal
 // completion.
@@ -97,7 +98,7 @@ func instrument(role string, ep *fbs.Endpoint, pipe *obs.Pipeline, adminAddr str
 		obs.RegisterEndpoint(admin.Registry, role, ep)
 		obs.RegisterPipeline(admin.Registry, role, pipe)
 		admin.WatchEndpoint(role, ep)
-		admin.WatchRecorder(pipe.Recorder())
+		admin.WatchTracer(pipe.Collector)
 		bound, _, err := admin.Serve(adminAddr)
 		if err != nil {
 			return nil, err
@@ -233,9 +234,9 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	}
 	fmt.Printf("provisioning state written to %s — start the receiver, then press enter\n", statePath)
 	fmt.Scanln()
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 1})
+	pipe := obs.NewPipeline(obstrace.Config{SampleEvery: 1})
 	ep, err := d.NewEndpointOn(sender, udp, func(c *core.Config) {
-		c.Observer = pipe
+		c.Tracer = pipe
 		c.Prefilter.Enable = prefilter
 	})
 	if err != nil {
@@ -325,7 +326,7 @@ func recv(listen, statePath string, count, batch int, adminAddr string, statsJSO
 			SecretSeed: []byte(prefilterSeed),
 		}
 	}
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 1})
+	pipe := obs.NewPipeline(obstrace.Config{SampleEvery: 1})
 	ep, err := rebuildEndpoint(st, listen, pipe, pf)
 	if err != nil {
 		return err
@@ -387,7 +388,7 @@ func rebuildEndpoint(st state, listen string, pipe *obs.Pipeline, pf core.Prefil
 		}
 	}
 	cfg.Transport = udp
-	cfg.Observer = pipe
+	cfg.Tracer = pipe
 	cfg.Prefilter = pf
 	return fbs.NewEndpoint(cfg)
 }

@@ -304,3 +304,35 @@ func TestEveryExportHasAReader(t *testing.T) {
 	}
 	t.Logf("%d exported funcs, methods and types under internal/; %d unread, %d of them allowed", len(exports), len(unread), len(unreadExports))
 }
+
+// TestDesignPathsExist holds the prose to the tree: every backticked
+// internal/…, cmd/…, examples/… or docs/… path in DESIGN.md, README.md
+// and docs/*.md must exist. A token may continue past the path — flags
+// after a space, or the Seams table's ".Name" after a package directory —
+// so what must exist is the token up to its first space, whole or cut at
+// the first dot of its last segment.
+func TestDesignPathsExist(t *testing.T) {
+	files, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := regexp.MustCompile("`((?:internal|cmd|examples|docs)/[^`]*)`")
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	for _, file := range append(files, "DESIGN.md", "README.md") {
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range token.FindAllStringSubmatch(string(text), -1) {
+			path, _, _ := strings.Cut(m[1], " ")
+			dir, last := filepath.Split(path)
+			pkg, _, _ := strings.Cut(last, ".")
+			if !exists(path) && !exists(dir+pkg) {
+				t.Errorf("%s names `%s`, which is not in the tree", file, m[1])
+			}
+		}
+	}
+}

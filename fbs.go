@@ -75,21 +75,18 @@ type (
 	Timestamp = core.Timestamp
 )
 
-// Observability. The taxonomy and the sampling hook live in core so the
-// protocol package stays dependency-free; the collectors (histograms,
-// flight recorder, Prometheus exposition, admin HTTP plane) are in
+// Observability. The taxonomy and the tracing hook live in core so the
+// protocol package stays dependency-free; the collectors (span ring,
+// histograms, Prometheus exposition, admin HTTP plane) are in
 // fbs/internal/obs.
 type (
 	// DropReason classifies why FBS processing refused a datagram.
 	DropReason = core.DropReason
-	// Observer receives sampled per-packet pipeline telemetry; see
-	// Config.Observer.
-	Observer = core.Observer
-	// PacketSample is one sampled packet's record: flow, verdict, and
-	// per-stage timings.
-	PacketSample = core.PacketSample
-	// Stage names one timed span of the seal/open pipeline.
-	Stage = core.Stage
+	// Tracer receives the spans of sampled datagrams; see Config.Tracer.
+	Tracer = core.Tracer
+	// Span is one timed step of a sampled datagram: stage, duration,
+	// verdict and annotations.
+	Span = core.Span
 )
 
 // Indices into Snapshot.Drops — the paper's own receive checks; every

@@ -35,110 +35,12 @@ import (
 //     lock per stripe touched. Identical signatures share a stripe and
 //     stay in run order, so intra-batch duplicates are classified
 //     exactly as per-datagram checks would classify them.
-//   - Observation: the sampling and tracing gates still roll once per
-//     datagram, in order. A datagram whose gate fires is cut out of its
-//     neighbours' run and goes through the same stages as a run of one
-//     carrying its observation (below), so its sample and spans are per
-//     datagram, as ever; only the quiet majority shares a run.
-
-// observation is what a run of one carries when its datagram's gates
-// fired: the sample the stages fill in (sampled) and the context their
-// spans go to (traced). The zero value — what every quiet run carries,
-// whatever its length — reads no clock and emits nothing.
-type observation struct {
-	s  *PacketSample
-	tc *traceCtx
-}
-
-// observe attaches the gates' decisions to a run of one. s arrives with
-// the identity fields the entry point knows; the stages fill in the rest.
-func observe(sampled bool, tc *traceCtx, s PacketSample) observation {
-	ob := observation{tc: tc}
-	if sampled {
-		if tc.active() {
-			s.Trace = tc.id
-		}
-		ob.s = &s
-	}
-	return ob
-}
-
-// on reports whether anything is watching the run.
-func (ob observation) on() bool { return ob.s != nil || ob.tc.active() }
-
-// start reads the wall clock for a stage about to begin, if anyone is
-// watching.
-func (ob observation) start() (t time.Time) {
-	if ob.on() {
-		t = time.Now()
-	}
-	return t
-}
-
-// parsed emits the span of the receive stages that precede keying —
-// addressing, header decode, algorithm policy, freshness — begun at t.
-// drop names the check that refused the datagram (DropNone: it goes on
-// to keying); sfl is zero until the header has decoded.
-func (ob observation) parsed(t time.Time, sfl SFL, secret bool, drop DropReason) {
-	if !ob.tc.active() {
-		return
-	}
-	sp := Span{Kind: SpanParse, Drop: drop, SFL: sfl, Start: t, Dur: time.Since(t)}
-	if secret {
-		sp.Flags = FlagSecretBody
-	}
-	ob.tc.span(sp)
-}
-
-// keyed records the flow-key stage begun at t, on either side: which
-// tier served the key in the sample, the keying plane's annotations and
-// the stage's verdict in the span. Callers check on() first.
-func (ob observation) keyed(t time.Time, sfl SFL, hit bool, note KeyNote, drop DropReason) {
-	d := time.Since(t)
-	if ob.s != nil {
-		if hit {
-			ob.s.Stages[StageKeyHit] = d
-		} else {
-			ob.s.Stages[StageKeyMiss] = d
-		}
-	}
-	if ob.tc.active() {
-		sp := Span{Kind: SpanFlowKey, Drop: drop, SFL: sfl, Start: t, Dur: d,
-			Flags: note.flags(), Attr: uint64(note.Attempts)}
-		if hit {
-			sp.Flags |= FlagKeyHit
-		}
-		ob.tc.span(sp)
-	}
-}
-
-// crypto emits the span of the suite's body transform begun at t over n
-// body bytes (the sample's MAC/crypt stages are timed inside the suite).
-// Callers check tc.active() first.
-func (ob observation) crypto(t time.Time, sfl SFL, secret bool, n int, drop DropReason) {
-	sp := Span{Kind: SpanCrypto, Drop: drop, SFL: sfl, Start: t, Dur: time.Since(t), Attr: uint64(n)}
-	if secret {
-		sp.Flags = FlagSecretBody
-	}
-	ob.tc.span(sp)
-}
-
-// finish closes a watched run of one: the whole call's duration and
-// verdict go into the sample, which is delivered to o, and into root,
-// the side's root span, which is emitted last. Callers check on() first.
-func (ob observation) finish(o Observer, root Span, err error) {
-	root.Dur = time.Since(root.Start)
-	root.Drop = DropReasonOf(err)
-	if ob.s != nil {
-		ob.s.Stages[StageTotal] = root.Dur
-		ob.s.Drop = root.Drop
-		root.SFL = ob.s.SFL
-		o.Packet(*ob.s)
-	}
-	if ob.tc.active() {
-		ob.tc.span(root)
-	}
-}
+//   - Observation: the tracing gate still rolls once per datagram, in
+//     order. A datagram whose gate fires is cut out of its neighbours'
+//     run and goes through the same stages as a run of one carrying its
+//     trace context, so its spans are per datagram, as ever; only the
+//     quiet majority shares a run. A quiet run, whatever its length,
+//     carries a nil context: it reads no clock and emits nothing.
 
 // batchChunk bounds how many datagrams one run processes per stripe
 // acquisition (and sizes the batch engine's stack-allocated scratch:
@@ -224,22 +126,18 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 	e.metrics.sealBatchCalls[batchBucket(len(dgs))].Add(1)
 	e.metrics.sealBatchDatagrams.Add(uint64(len(dgs)))
 	sealed := 0
-	// pend carries gate decisions already rolled for the datagram that
-	// terminated the previous run, so every datagram's Sample() and
-	// StartTrace() draws are consumed exactly once, in order.
-	pendValid := false
-	var pendSampled bool
-	var pendTC *traceCtx
+	// pend carries the gate decision that fired on the datagram which
+	// terminated the previous run, so every datagram's gate is drawn
+	// exactly once, in order.
+	var pend *traceCtx
 	i := 0
 	for i < len(dgs) {
 		if dgs[i].Source == "" {
 			dgs[i].Source = e.Addr()
 		}
-		var sampled bool
-		var tc *traceCtx
-		if pendValid {
-			sampled, tc, pendValid = pendSampled, pendTC, false
-		} else {
+		tc := pend
+		pend = nil
+		if tc == nil {
 			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[i].Destination) {
 				e.metrics.bypassedSent.Add(1)
 				off := len(dst)
@@ -249,12 +147,12 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 				i++
 				continue
 			}
-			sampled, tc = e.sealGates()
+			tc = e.traceGate(0, true)
 		}
 		id := e.cfg.Selector(dgs[i])
-		if sampled || tc.active() {
+		if tc.active() {
 			off := len(dst)
-			out, _, err := e.sealGated(dst, dgs[i], id, secret, sampled, tc)
+			out, _, err := e.sealGated(dst, dgs[i], id, secret, tc)
 			if err != nil {
 				res[i] = BatchResult{Off: off, Err: err}
 			} else {
@@ -266,9 +164,9 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 			continue
 		}
 		// Extend the run: consecutive, non-bypassed datagrams with the
-		// same flow attributes whose gates stay quiet. The selector is
-		// checked before the gates so a flow change never consumes the
-		// next datagram's gate draws.
+		// same flow attributes whose gate stays quiet. The selector is
+		// checked before the gate so a flow change never consumes the
+		// next datagram's draw.
 		j := i + 1
 		for j < len(dgs) {
 			if dgs[j].Source == "" {
@@ -280,33 +178,38 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 			if e.cfg.Selector(dgs[j]) != id {
 				break
 			}
-			js, jtc := e.sealGates()
-			if js || jtc.active() {
-				pendValid, pendSampled, pendTC = true, js, jtc
+			if pend = e.traceGate(0, true); pend != nil {
 				break
 			}
 			j++
 		}
 		var n int
-		dst, n = e.sealRun(dst, dgs[i:j], id, secret, res[i:j], observation{})
+		dst, n = e.sealRun(dst, dgs[i:j], id, secret, res[i:j], nil)
 		sealed += n
 		i = j
 	}
 	return dst, sealed
 }
 
-// sealGates rolls the send-side observation gates for one datagram: the
-// Tracer's trace-sampling decision, then the Observer's sampling
-// decision. With both quiet the datagram pays the two gate calls and
-// nothing else.
-func (e *Endpoint) sealGates() (sampled bool, tc *traceCtx) {
-	if tr := e.cfg.Tracer; tr != nil {
-		if tid := tr.StartTrace(); tid != 0 {
-			tc = &traceCtx{tr: tr, id: tid, seal: true}
+// traceGate is the one observation gate, rolled once per datagram on either
+// side: nil with no tracer attached, otherwise one interface call unless
+// the datagram arrived carrying a trace ID. An incoming ID (set by a
+// tracing sender over a metadata-preserving transport) is always
+// continued so one trace spans both endpoints; otherwise the tracer may
+// start a local trace, which is how datagrams no sender traced —
+// adversary injections in particular — still get a receive-side trace
+// ending in their DropReason. A nil result is a quiet datagram.
+func (e *Endpoint) traceGate(incoming TraceID, seal bool) *traceCtx {
+	tr := e.cfg.Tracer
+	if tr == nil {
+		return nil
+	}
+	if incoming == 0 {
+		if incoming = tr.StartTrace(); incoming == 0 {
+			return nil
 		}
 	}
-	o := e.cfg.Observer
-	return o != nil && o.Sample(), tc
+	return &traceCtx{tr: tr, id: incoming, seal: seal}
 }
 
 // sealRun is FBSSend (Figure 4) over a run of datagrams that share one
@@ -315,9 +218,9 @@ func (e *Endpoint) sealGates() (sampled bool, tc *traceCtx) {
 // resolution, one flow-key resolution and one confounder-generator
 // borrow, then a per-datagram header encode + body transform.
 // Per-datagram results are recorded into res; the return values are the
-// extended buffer and the number sealed. ob is the zero value unless the
-// run is one watched datagram.
-func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secret bool, res []BatchResult, ob observation) ([]byte, int) {
+// extended buffer and the number sealed. tc is nil unless the run is one
+// traced datagram.
+func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secret bool, res []BatchResult, tc *traceCtx) ([]byte, int) {
 	sealed := 0
 	suite := e.suite
 	for len(dgs) > 0 {
@@ -330,7 +233,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			sizes[k] = len(dgs[k].Payload)
 		}
 		now := e.cfg.Clock.Now()
-		t := ob.start()
+		t := tc.start()
 		// (S1) classify the run into a flow. The flow entry hands back the
 		// run's sequence numbers within the flow, the AEAD nonce counter.
 		sfl, firstSeq, n, slot, ok := e.fam.classifyBatch(id, now, sizes[:chunk])
@@ -341,33 +244,26 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			// budget for each — then retries the remainder as a fresh run.
 			e.metrics.drop(DropStateBudget)
 			e.maybeRelievePressure(now)
-			if ob.tc.active() {
-				ob.tc.span(Span{Kind: SpanClassify, Drop: DropStateBudget,
+			if tc.active() {
+				tc.span(Span{Kind: SpanClassify, Drop: DropStateBudget,
 					Flags: FlagBudgetRefused, Start: t, Dur: time.Since(t)})
 			}
 			res[0] = BatchResult{Off: len(dst), Err: fmt.Errorf("%w: flow to %q", ErrStateBudget, dgs[0].Destination)}
 			dgs, res = dgs[1:], res[1:]
 			continue
 		}
-		if ob.on() {
-			d := time.Since(t)
-			if ob.s != nil {
-				ob.s.Stages[StageFAM] = d
-				ob.s.SFL = sfl
-			}
-			if ob.tc.active() {
-				ob.tc.span(Span{Kind: SpanClassify, SFL: sfl, Start: t, Dur: d})
-			}
+		if tc.active() {
+			tc.span(Span{Kind: SpanClassify, SFL: sfl, Start: t, Dur: time.Since(t)})
 			t = time.Now()
 		}
 		// (S2-3) obtain the flow key (cached per Figure 6).
 		kf, keyHit, note, err := e.transmitFlowKey(sfl, slot, dgs[0].Source, dgs[0].Destination)
-		if ob.on() {
+		if tc.active() {
 			drop := DropNone
 			if err != nil {
 				drop = DropKeying
 			}
-			ob.keyed(t, sfl, keyHit, note, drop)
+			tc.keyed(t, sfl, keyHit, note, drop)
 		}
 		if err != nil {
 			// The run shares one key resolution; each datagram is still
@@ -425,12 +321,10 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			hdrOff := len(dst)
 			encoded := h.Encode(dst)
 			// (S6, S8-9) the suite owns the body transform and MAC/tag patch.
-			if ob.tc.active() {
-				t = time.Now()
-			}
-			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, e.cfg.SinglePass, ob.s)
-			if ob.tc.active() {
-				ob.crypto(t, sfl, secret, len(dgs[k].Payload), DropReasonOf(err))
+			t = tc.start()
+			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, e.cfg.SinglePass, tc)
+			if tc.active() {
+				tc.crypto(t, sfl, secret, len(dgs[k].Payload), DropReasonOf(err))
 			}
 			if err != nil {
 				res[k] = BatchResult{Off: hdrOff, Err: err}
@@ -471,16 +365,12 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 	e.metrics.openBatchCalls[batchBucket(len(dgs))].Add(1)
 	e.metrics.openBatchDatagrams.Add(uint64(len(dgs)))
 	opened := 0
-	pendValid := false
-	var pendSampled bool
-	var pendTC *traceCtx
+	var pend *traceCtx // as in SealBatch
 	i := 0
 	for i < len(dgs) {
-		var sampled bool
-		var tc *traceCtx
-		if pendValid {
-			sampled, tc, pendValid = pendSampled, pendTC, false
-		} else {
+		tc := pend
+		pend = nil
+		if tc == nil {
 			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[i].Source) {
 				e.metrics.bypassedReceived.Add(1)
 				off := len(dst)
@@ -490,11 +380,11 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 				i++
 				continue
 			}
-			sampled, tc = e.openGates(dgs[i].Trace)
+			tc = e.traceGate(dgs[i].Trace, false)
 		}
-		if sampled || tc.active() {
+		if tc.active() {
 			off := len(dst)
-			out, err := e.openGated(dst, dgs[i], nil, sampled, tc)
+			out, err := e.openGated(dst, dgs[i], nil, tc)
 			if err != nil {
 				res[i] = BatchResult{Off: off, Err: err}
 			} else {
@@ -513,37 +403,17 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[j].Source) {
 				break
 			}
-			js, jtc := e.openGates(dgs[j].Trace)
-			if js || jtc.active() {
-				pendValid, pendSampled, pendTC = true, js, jtc
+			if pend = e.traceGate(dgs[j].Trace, false); pend != nil {
 				break
 			}
 			j++
 		}
 		var n int
-		dst, n = e.openRun(dst, dgs[i:j], res[i:j], observation{}, nil)
+		dst, n = e.openRun(dst, dgs[i:j], res[i:j], nil, nil)
 		opened += n
 		i = j
 	}
 	return dst, opened
-}
-
-// openGates rolls the receive-side observation gates for one datagram.
-// An incoming trace ID (set by a tracing sender over a
-// metadata-preserving transport) is always continued so one trace spans
-// both endpoints; otherwise the tracer may start a local trace, which is
-// how datagrams no sender traced — adversary injections in particular —
-// still get a receive-side trace ending in their DropReason.
-func (e *Endpoint) openGates(incoming TraceID) (sampled bool, tc *traceCtx) {
-	if tr := e.cfg.Tracer; tr != nil {
-		if incoming != 0 {
-			tc = &traceCtx{tr: tr, id: incoming}
-		} else if tid := tr.StartTrace(); tid != 0 {
-			tc = &traceCtx{tr: tr, id: tid}
-		}
-	}
-	o := e.cfg.Observer
-	return o != nil && o.Sample(), tc
 }
 
 // replayPending is openRun's deferred replay bookkeeping: a chunk's
@@ -565,10 +435,10 @@ type replayPending struct {
 // run stays on one flow, and replay verdicts for the chunk's survivors
 // are computed in one stripe-grouped pass. Plaintext of a datagram the
 // replay window later rejects remains as dead bytes in dst (no result
-// references it); results and counters are exact per datagram. ob is the
-// zero value unless the run is one watched datagram, and alias is nil
-// unless it is Open's run of one (see deliver).
-func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResult, ob observation, alias *[]byte) ([]byte, int) {
+// references it); results and counters are exact per datagram. tc is nil
+// unless the run is one traced datagram, and alias is nil unless it is
+// Open's run of one (see deliver).
+func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResult, tc *traceCtx, alias *[]byte) ([]byte, int) {
 	// The pending-replay scratch is ≈7 KB, and clearing it costs more
 	// than all the fixed work of opening a small datagram; an endpoint
 	// without a replay cache never pays for it.
@@ -591,10 +461,10 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		nr := 0 // survivors pending a replay verdict
 		for k := 0; k < chunk; k++ {
 			dg := &dgs[k]
-			t = ob.start()
+			t = tc.start()
 			if dg.Destination != e.Addr() {
 				e.metrics.drop(DropNotForUs)
-				ob.parsed(t, 0, false, DropNotForUs)
+				tc.parsed(t, 0, false, DropNotForUs)
 				res[k] = BatchResult{Err: fmt.Errorf("%w: %q", ErrNotForUs, dg.Destination)}
 				continue
 			}
@@ -604,7 +474,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			// shed datagram costs two atomic loads and no parse. A verified
 			// echo rewrites dg.Payload in place.
 			if e.pf != nil {
-				if err := e.prefilterInbound(dg, ob.tc); err != nil {
+				if err := e.prefilterInbound(dg, tc); err != nil {
 					res[k] = BatchResult{Err: err}
 					continue
 				}
@@ -615,35 +485,30 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			hn, err := h.Decode(dg.Payload)
 			if err != nil {
 				e.metrics.drop(DropMalformed)
-				ob.parsed(t, 0, false, DropMalformed)
+				tc.parsed(t, 0, false, DropMalformed)
 				res[k] = BatchResult{Err: fmt.Errorf("%w: %v", ErrMalformed, err)}
 				continue
 			}
 			body := dg.Payload[hn:]
-			if ob.s != nil {
-				ob.s.SFL = h.SFL
-				ob.s.Secret = h.Secret()
-				ob.s.Bytes = len(body)
-			}
 			// (R2b) resolve the algorithm identification against the suite
 			// registry (structure) and the Accept* policy, before any keying
 			// or crypto work.
 			suite, err := e.checkAlg(&h)
 			if err != nil {
 				e.metrics.drop(DropAlgorithm)
-				ob.parsed(t, h.SFL, false, DropAlgorithm)
+				tc.parsed(t, h.SFL, false, DropAlgorithm)
 				res[k] = BatchResult{Err: err}
 				continue
 			}
 			// (R3-4) freshness.
 			if !h.Timestamp.Fresh(now, e.cfg.FreshnessWindow) {
 				e.metrics.drop(DropStale)
-				ob.parsed(t, h.SFL, false, DropStale)
+				tc.parsed(t, h.SFL, false, DropStale)
 				res[k] = BatchResult{Err: fmt.Errorf("%w: timestamp %v at %v", ErrStale, h.Timestamp.Time(), now)}
 				continue
 			}
-			if ob.on() {
-				ob.parsed(t, h.SFL, h.Secret(), DropNone)
+			if tc.active() {
+				tc.parsed(t, h.SFL, h.Secret(), DropNone)
 				t = time.Now()
 			}
 			// (R5-6) recover the flow key.
@@ -657,8 +522,8 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				// The overload sheds carry their own reason; everything
 				// else on this path is a keying failure.
 				reason := dropOr(err, DropKeying)
-				if ob.on() {
-					ob.keyed(t, h.SFL, keyHit, note, reason)
+				if tc.active() {
+					tc.keyed(t, h.SFL, keyHit, note, reason)
 				}
 				if err != nil {
 					e.metrics.drop(reason)
@@ -673,14 +538,12 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			// hoisted per the package comment), AEAD suites open the sealed
 			// box in one pass. Sentinel errors map straight onto drop
 			// reasons.
-			if ob.tc.active() {
-				t = time.Now()
-			}
+			t = tc.start()
 			off := len(dst)
-			newDst, plain, err := suite.OpenAppend(dst, h, kf, body, ob.s)
+			newDst, plain, err := suite.OpenAppend(dst, h, kf, body, tc)
 			reason := dropOr(err, DropDecrypt)
-			if ob.tc.active() {
-				ob.crypto(t, h.SFL, h.Secret(), len(plain), reason)
+			if tc.active() {
+				tc.crypto(t, h.SFL, h.Secret(), len(plain), reason)
 			}
 			if err != nil {
 				e.metrics.drop(reason)
@@ -703,11 +566,9 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		// traded against a resident signature (see ReplayVerdict).
 		if nr > 0 {
 			var took time.Duration
-			if ob.tc.active() {
-				t = time.Now()
-			}
+			t = tc.start()
 			e.rc.CheckRun(pend.src[:nr], pend.hdr[:nr], now, pend.verdicts[:nr])
-			if ob.tc.active() {
+			if tc.active() {
 				took = time.Since(t)
 			}
 			for i := 0; i < nr; i++ {
@@ -728,12 +589,12 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				if drop != DropNone {
 					e.metrics.drop(drop)
 				}
-				if ob.tc.active() {
+				if tc.active() {
 					sp := Span{Kind: SpanReplay, Drop: drop, SFL: h.SFL, Start: t, Dur: took}
 					if drop == DropReplayBudget {
 						sp.Flags = FlagBudgetRefused
 					}
-					ob.tc.span(sp)
+					tc.span(sp)
 				}
 			}
 		}

@@ -267,15 +267,14 @@ func TestBatchDropReasonsExact(t *testing.T) {
 }
 
 // TestBatchObservationGates runs every seal and open entry point —
-// single and batch — under an always-sampling observer and an
-// always-tracing tracer. Every datagram, accepted or refused, must
-// produce its own sample and its own trace, and both must describe the
-// stages the datagram actually crossed: the span-kind sequence with the
-// refusing stage's DropReason, and exactly the visited PacketSample
-// stages filled.
+// single and batch — under an always-tracing tracer. Every datagram,
+// accepted or refused, must produce its own trace, and the trace must
+// describe the stages the datagram actually crossed: the span-kind
+// sequence (MAC and cipher passes included) with the refusing stage's
+// DropReason, the key tier on the flow-key span, and the payload length
+// on the root span.
 func TestBatchObservationGates(t *testing.T) {
 	w := newWorld(t)
-	obs := &recordingObserver{}
 	tr := &recordingTracer{spans: map[TraceID][]Span{}}
 	mk := func(name principal.Address, mutate func(*Config)) *Endpoint {
 		cfg := Config{
@@ -286,7 +285,6 @@ func TestBatchObservationGates(t *testing.T) {
 			Clock:     w.clock,
 			Cipher:    CipherAES128GCM,
 			SFLSeed:   100,
-			Observer:  obs,
 			Tracer:    tr,
 		}
 		if mutate != nil {
@@ -312,18 +310,17 @@ func TestBatchObservationGates(t *testing.T) {
 	}
 	type want struct {
 		seal   bool
-		drop   DropReason
-		steps  []step
-		stages []Stage // filled beside StageTotal; every other stage must read zero
-		bytes  int
+		steps  []step // the last is the root span, whose Drop is the datagram's verdict
+		keyHit bool   // FlagKeyHit on the flow-key span, where the datagram reached keying
+		bytes  int    // the root span's Attr
 	}
-	// check consumes the samples and traces recorded since the last call:
-	// one of each per datagram, in datagram order.
+	// check consumes the traces recorded since the last call: one per
+	// datagram, in datagram order.
 	check := func(t *testing.T, wants []want) {
 		t.Helper()
-		samples, traces := obs.take(), tr.take()
-		if len(samples) != len(wants) || len(traces) != len(wants) {
-			t.Fatalf("%d samples and %d traces for %d datagrams", len(samples), len(traces), len(wants))
+		traces := tr.take()
+		if len(traces) != len(wants) {
+			t.Fatalf("%d traces for %d datagrams", len(traces), len(wants))
 		}
 		for i, wt := range wants {
 			var got []step
@@ -331,24 +328,16 @@ func TestBatchObservationGates(t *testing.T) {
 				if sp.Seal != wt.seal {
 					t.Errorf("datagram %d: %v span on the wrong side", i, sp.Kind)
 				}
+				if sp.Kind == SpanFlowKey && (sp.Flags&FlagKeyHit != 0) != wt.keyHit {
+					t.Errorf("datagram %d: flow-key span flags %v, want key hit=%v", i, sp.Flags.Names(), wt.keyHit)
+				}
 				got = append(got, step{sp.Kind, sp.Drop})
 			}
 			if fmt.Sprint(got) != fmt.Sprint(wt.steps) {
 				t.Errorf("datagram %d: spans %v, want %v", i, got, wt.steps)
 			}
-			s := samples[i]
-			if s.Seal != wt.seal || s.Drop != wt.drop || s.Bytes != wt.bytes || s.Trace != traces[i][0].Trace {
-				t.Errorf("datagram %d: sample %+v, want seal=%v drop=%v bytes=%d trace=%d",
-					i, s, wt.seal, wt.drop, wt.bytes, traces[i][0].Trace)
-			}
-			visited := map[Stage]bool{StageTotal: true}
-			for _, st := range wt.stages {
-				visited[st] = true
-			}
-			for st := Stage(0); int(st) < NumStages; st++ {
-				if filled := s.Stages[st] != 0; filled != visited[st] {
-					t.Errorf("datagram %d: stage %v filled=%v, want %v", i, st, filled, visited[st])
-				}
+			if root := traces[i][len(traces[i])-1]; root.Attr != uint64(wt.bytes) {
+				t.Errorf("datagram %d: root span carries %d bytes, want %d", i, root.Attr, wt.bytes)
 			}
 		}
 	}
@@ -361,12 +350,15 @@ func TestBatchObservationGates(t *testing.T) {
 	}
 
 	const N = 4
-	sealSteps := []step{{SpanClassify, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanSeal, 0}}
-	sealMiss := want{seal: true, steps: sealSteps, stages: []Stage{StageFAM, StageKeyMiss, StageCrypt}, bytes: 1}
-	sealHit := want{seal: true, steps: sealSteps, stages: []Stage{StageFAM, StageKeyHit, StageCrypt}, bytes: 1}
-	noKey := want{seal: true, drop: DropKeying, bytes: 1, stages: []Stage{StageFAM, StageKeyMiss},
+	// A one-byte body sealed by an AEAD suite: no padding.
+	const wireLen = HeaderSize + 1
+	// An AEAD sealed box is one fused pass: a cipher span, no MAC span.
+	sealSteps := []step{{SpanClassify, 0}, {SpanFlowKey, 0}, {SpanCipher, 0}, {SpanCrypto, 0}, {SpanSeal, 0}}
+	sealMiss := want{seal: true, steps: sealSteps, bytes: 1}
+	sealHit := want{seal: true, steps: sealSteps, keyHit: true, bytes: 1}
+	noKey := want{seal: true, bytes: 1,
 		steps: []step{{SpanClassify, 0}, {SpanFlowKey, DropKeying}, {SpanSeal, DropKeying}}}
-	noRoom := want{seal: true, drop: DropStateBudget, bytes: 1,
+	noRoom := want{seal: true, bytes: 1,
 		steps: []step{{SpanClassify, DropStateBudget}, {SpanSeal, DropStateBudget}}}
 	dgsTo := func(dst principal.Address) []transport.Datagram {
 		dgs := make([]transport.Datagram, N)
@@ -433,25 +425,22 @@ func TestBatchObservationGates(t *testing.T) {
 		forged.Payload[len(forged.Payload)-1] ^= 0x40
 		dgs = append(dgs, elsewhere, runt, forged)
 		return dgs, []want{
-			{drop: DropNotForUs, bytes: len(wires[0]), steps: []step{{SpanParse, DropNotForUs}, {SpanOpen, DropNotForUs}}},
-			{drop: DropMalformed, bytes: 1, steps: []step{{SpanParse, DropMalformed}, {SpanOpen, DropMalformed}}},
-			{drop: DropBadMAC, bytes: 1, stages: []Stage{StageKeyHit, StageCrypt},
-				steps: []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, DropBadMAC}, {SpanOpen, DropBadMAC}}},
+			{bytes: wireLen, steps: []step{{SpanParse, DropNotForUs}, {SpanOpen, DropNotForUs}}},
+			{bytes: 1, steps: []step{{SpanParse, DropMalformed}, {SpanOpen, DropMalformed}}},
+			{bytes: wireLen, keyHit: true,
+				steps: []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCipher, 0}, {SpanCrypto, DropBadMAC}, {SpanOpen, DropBadMAC}}},
 		}
 	}
 	for _, replay := range []bool{false, true} {
-		okSteps := []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanOpen, 0}}
+		okSteps := []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCipher, 0}, {SpanCrypto, 0}, {SpanOpen, 0}}
 		dupSteps := okSteps
 		if replay {
-			okSteps = []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanReplay, 0}, {SpanOpen, 0}}
-			dupSteps = []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCrypto, 0}, {SpanReplay, DropReplay}, {SpanOpen, DropReplay}}
+			okSteps = []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCipher, 0}, {SpanCrypto, 0}, {SpanReplay, 0}, {SpanOpen, 0}}
+			dupSteps = []step{{SpanParse, 0}, {SpanFlowKey, 0}, {SpanCipher, 0}, {SpanCrypto, 0}, {SpanReplay, DropReplay}, {SpanOpen, DropReplay}}
 		}
-		openMiss := want{steps: okSteps, stages: []Stage{StageKeyMiss, StageCrypt}, bytes: 1}
-		openHit := want{steps: okSteps, stages: []Stage{StageKeyHit, StageCrypt}, bytes: 1}
-		dup := want{steps: dupSteps, stages: []Stage{StageKeyHit, StageCrypt}, bytes: 1}
-		if replay {
-			dup.drop = DropReplay
-		}
+		openMiss := want{steps: okSteps, bytes: wireLen}
+		openHit := want{steps: okSteps, keyHit: true, bytes: wireLen}
+		dup := want{steps: dupSteps, keyHit: true, bytes: wireLen}
 		recv := mk("obs-b", func(c *Config) { c.EnableReplayCache = replay })
 		t.Run(fmt.Sprintf("open/single/replay=%v", replay), func(t *testing.T) {
 			dgs, refused := arrivals(wires[:N])
@@ -484,6 +473,99 @@ func TestBatchObservationGates(t *testing.T) {
 		})
 	}
 
+	// A gate that fires mid-run (quiet, quiet, fire) ends the run it
+	// interrupts, and the decision already drawn for that datagram is
+	// carried into the next iteration rather than dropped or drawn again:
+	// under a 1-in-3 tracer a batch of ten must consult the gate ten
+	// times and trace the datagrams a loop of ten single calls traces,
+	// and tracing must not move a byte. Payload lengths differ, so a root
+	// span's Attr names the datagram it describes.
+	t.Run("mid-run", func(t *testing.T) {
+		const M = 10
+		dgs := make([]transport.Datagram, M)
+		for i := range dgs {
+			dgs[i] = transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: make([]byte, i+1)}
+		}
+		// run seals the ten datagrams and opens the ten sealed ones on a
+		// fresh pair, each side under its own tracer, in one batch call
+		// per side or in ten single calls. It returns every output and
+		// which datagrams each side traced.
+		run := func(every int, batch bool) (outs [][]byte, sealed, opened []int) {
+			sealTr := &recordingTracer{every: every, spans: map[TraceID][]Span{}}
+			openTr := &recordingTracer{every: every, spans: map[TraceID][]Span{}}
+			a := mk("obs-a", func(c *Config) { c.Tracer = sealTr })
+			b := mk("obs-b", func(c *Config) { c.Tracer = openTr })
+			arrived := make([]transport.Datagram, M)
+			if batch {
+				res := make([]BatchResult, M)
+				wire, n := a.SealBatch(nil, dgs, true, res)
+				if n != M {
+					t.Fatalf("sealed %d of %d", n, M)
+				}
+				for i, r := range res {
+					arrived[i] = transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: wire[r.Off : r.Off+r.Len]}
+					outs = append(outs, arrived[i].Payload)
+				}
+				plain, n := b.OpenBatch(nil, arrived, res)
+				if n != M {
+					t.Fatalf("opened %d of %d", n, M)
+				}
+				for _, r := range res {
+					outs = append(outs, plain[r.Off:r.Off+r.Len])
+				}
+			} else {
+				for i, dg := range dgs {
+					wire, err := a.SealAppend(nil, dg, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					arrived[i] = transport.Datagram{Source: "obs-a", Destination: "obs-b", Payload: wire}
+					outs = append(outs, wire)
+				}
+				for _, dg := range arrived {
+					plain, err := b.OpenAppend(nil, dg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					outs = append(outs, plain)
+				}
+			}
+			if sealTr.calls != M || openTr.calls != M {
+				t.Errorf("batch=%v: gate drawn %d times sealing and %d opening %d datagrams", batch, sealTr.calls, openTr.calls, M)
+			}
+			// index names the datagram a trace describes: its root span
+			// carries the payload length, less overhead bytes of framing.
+			index := func(spans []Span, overhead int) int {
+				if len(spans) == 0 {
+					t.Errorf("batch=%v: a trace was started and no span followed", batch)
+					return -1
+				}
+				return int(spans[len(spans)-1].Attr) - overhead - 1
+			}
+			for _, spans := range sealTr.take() {
+				sealed = append(sealed, index(spans, 0))
+			}
+			for _, spans := range openTr.take() {
+				opened = append(opened, index(spans, HeaderSize))
+			}
+			return outs, sealed, opened
+		}
+		quiet, _, _ := run(M+1, true)
+		_, loopSealed, loopOpened := run(3, false)
+		traced, sealed, opened := run(3, true)
+		if want := "[2 5 8]"; fmt.Sprint(loopSealed) != want || fmt.Sprint(loopOpened) != want {
+			t.Fatalf("the loop traced %v sealing and %v opening, want %s", loopSealed, loopOpened, want)
+		}
+		if fmt.Sprint(sealed) != fmt.Sprint(loopSealed) || fmt.Sprint(opened) != fmt.Sprint(loopOpened) {
+			t.Errorf("the batch traced %v sealing and %v opening; the loop traced %v and %v", sealed, opened, loopSealed, loopOpened)
+		}
+		for i := range quiet {
+			if !bytes.Equal(traced[i], quiet[i]) {
+				t.Errorf("output %d differs between the traced and the untraced batch", i)
+			}
+		}
+	})
+
 	// A stale datagram is refused at the parse stage with its flow label
 	// already known.
 	t.Run("open/stale", func(t *testing.T) {
@@ -496,36 +578,18 @@ func TestBatchObservationGates(t *testing.T) {
 		if _, n := recv.OpenBatch(nil, []transport.Datagram{dg}, res); n != 0 {
 			t.Fatal("stale datagram accepted by OpenBatch")
 		}
-		stale := want{drop: DropStale, bytes: 1, steps: []step{{SpanParse, DropStale}, {SpanOpen, DropStale}}}
+		stale := want{bytes: wireLen, steps: []step{{SpanParse, DropStale}, {SpanOpen, DropStale}}}
 		check(t, []want{stale, stale})
 	})
 }
 
-// recordingObserver samples every datagram and keeps the samples.
-type recordingObserver struct {
-	mu      sync.Mutex
-	samples []PacketSample
-}
-
-func (o *recordingObserver) Sample() bool { return true }
-func (o *recordingObserver) Packet(s PacketSample) {
-	o.mu.Lock()
-	o.samples = append(o.samples, s)
-	o.mu.Unlock()
-}
-
-func (o *recordingObserver) take() []PacketSample {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	out := o.samples
-	o.samples = nil
-	return out
-}
-
-// recordingTracer traces every datagram and keeps each trace's spans in
+// recordingTracer traces every datagram (or, with every > 1, every
+// every-th), counts its gate draws, and keeps each trace's spans in
 // emission order.
 type recordingTracer struct {
 	mu     sync.Mutex
+	every  int
+	calls  int
 	nextID TraceID
 	order  []TraceID
 	spans  map[TraceID][]Span
@@ -534,6 +598,10 @@ type recordingTracer struct {
 func (tr *recordingTracer) StartTrace() TraceID {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	tr.calls++
+	if tr.every > 1 && tr.calls%tr.every != 0 {
+		return 0
+	}
 	tr.nextID++
 	tr.order = append(tr.order, tr.nextID)
 	return tr.nextID

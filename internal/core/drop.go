@@ -4,8 +4,8 @@ import "errors"
 
 // DropReason classifies why FBS processing refused a datagram. It is the
 // single taxonomy shared by the endpoint reject counters, the IP stack's
-// hook-drop accounting, the flight recorder, and the /metrics label
-// values, so a drop observed at any layer carries the same name
+// hook-drop accounting, the verdict on a trace's spans, and the /metrics
+// label values, so a drop observed at any layer carries the same name
 // everywhere.
 type DropReason uint8
 

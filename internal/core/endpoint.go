@@ -72,7 +72,6 @@ type Config struct {
 	Confounder cryptolib.ConfounderSource
 
 	// Cache geometry; zero picks reasonable defaults.
-	FSTSize  int
 	TFKCSize int
 	RFKCSize int
 	PVCSize  int
@@ -128,19 +127,14 @@ type Config struct {
 	// circularity (Section 5.3, Figure 5).
 	Bypass func(peer principal.Address) bool
 
-	// Observer receives sampled per-packet telemetry (stage timings,
-	// verdicts) — see Observer and internal/obs. Nil disables sampling
-	// entirely; a non-nil observer whose Sample() returns false costs
-	// the hot path only that call.
-	Observer Observer
-
-	// Tracer receives per-datagram spans for sampled traces — see
-	// Tracer and internal/obs/trace. Nil disables tracing; a non-nil
-	// tracer whose StartTrace() returns 0 costs the hot path only that
-	// call. Incoming datagrams whose metadata carries a trace ID are
-	// always traced (continuing the sender's trace); otherwise the
-	// receive path asks StartTrace for a local sample, which is what
-	// catches injected or forged datagrams that no sender traced.
+	// Tracer receives the spans of sampled datagrams — stage timings,
+	// keying annotations, verdicts; see Tracer and internal/obs. Nil
+	// disables observation; a non-nil tracer whose StartTrace() returns
+	// 0 costs the hot path only that call. Incoming datagrams whose
+	// metadata carries a trace ID are always traced (continuing the
+	// sender's trace); otherwise the receive path asks StartTrace for a
+	// local sample, which is what catches injected or forged datagrams
+	// that no sender traced.
 	Tracer Tracer
 
 	// SFLSeed, when nonzero, fixes the starting point of the sfl counter
@@ -357,10 +351,10 @@ func newEndpoint(cfg Config, plane *keyPlane, shards int) (*Endpoint, error) {
 	}
 	var fam *FAM
 	if cfg.SFLSeed != 0 {
-		fam = newFAMWithSeed(cfg.Policy, cfg.FSTSize, cfg.SFLSeed)
+		fam = newFAMWithSeed(cfg.Policy, 0, cfg.SFLSeed)
 	} else {
 		var err error
-		if fam, err = NewFAM(cfg.Policy, cfg.FSTSize); err != nil {
+		if fam, err = NewFAM(cfg.Policy, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -768,8 +762,8 @@ func (e *Endpoint) SealFlowAppend(dst []byte, dg transport.Datagram, id FlowID, 
 }
 
 // sealOne is the single-datagram door into the run engine: the drain
-// gate, the bypass, the two observation gates, then a run of one. It
-// reports the trace ID the gates allocated (0 when the datagram is
+// gate, the bypass, the observation gate, then a run of one. It
+// reports the trace ID the gate allocated (0 when the datagram is
 // untraced) so Datagram-returning callers can stamp it into the
 // metadata.
 func (e *Endpoint) sealOne(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, TraceID, error) {
@@ -784,35 +778,30 @@ func (e *Endpoint) sealOne(dst []byte, dg transport.Datagram, id FlowID, secret 
 		e.metrics.bypassedSent.Add(1)
 		return append(dst, dg.Payload...), 0, nil
 	}
-	sampled, tc := e.sealGates()
-	return e.sealGated(dst, dg, id, secret, sampled, tc)
+	return e.sealGated(dst, dg, id, secret, e.traceGate(0, true))
 }
 
 // sealGated seals one datagram as a run of one, with the observation-gate
-// decisions already made (SealBatch rolls the gates itself while grouping
-// runs, so a sampled or traced datagram inside a batch comes through
-// here too). A datagram whose gates fired carries its observation into
-// the run; a quiet one carries nothing and pays nothing — the golden
-// vectors and the 0 allocs/op bound pin that case.
-func (e *Endpoint) sealGated(dst []byte, dg transport.Datagram, id FlowID, secret bool, sampled bool, tc *traceCtx) ([]byte, TraceID, error) {
+// decision already made (SealBatch rolls the gate itself while grouping
+// runs, so a traced datagram inside a batch comes through here too). A
+// datagram whose gate fired carries its trace context into the run; a
+// quiet one carries nil and pays nothing — the golden vectors and the 0
+// allocs/op bound pin that case.
+func (e *Endpoint) sealGated(dst []byte, dg transport.Datagram, id FlowID, secret bool, tc *traceCtx) ([]byte, TraceID, error) {
 	one := [1]transport.Datagram{dg}
 	var res [1]BatchResult
-	var ob observation
 	var root Span
 	var tid TraceID
-	if sampled || tc.active() {
-		ob = observe(sampled, tc, PacketSample{Seal: true, Flow: id, Bytes: len(dg.Payload), Secret: secret})
+	if tc.active() {
 		root = Span{Kind: SpanSeal, Start: time.Now(), Attr: uint64(len(dg.Payload))}
 		if secret {
 			root.Flags = FlagSecretBody
 		}
-		if tc.active() {
-			tid = tc.id
-		}
+		tid = tc.id
 	}
-	out, _ := e.sealRun(dst, one[:], id, secret, res[:], ob)
-	if ob.on() {
-		ob.finish(e.cfg.Observer, root, res[0].Err)
+	out, _ := e.sealRun(dst, one[:], id, secret, res[:], tc)
+	if tc.active() {
+		tc.finish(root, res[0].Err)
 	}
 	if res[0].Err != nil {
 		return nil, tid, res[0].Err
@@ -885,7 +874,7 @@ func (e *Endpoint) OpenAppend(dst []byte, dg transport.Datagram) ([]byte, error)
 }
 
 // openOne is the single-datagram door into the run engine: the drain
-// gate, the bypass, the two observation gates, then a run of one. With
+// gate, the bypass, the observation gate, then a run of one. With
 // alias nil the recovered body is appended to dst; otherwise dst only
 // stages a decrypted body and *alias receives the body itself, which
 // for cleartext is a slice of dg.Payload (see deliver).
@@ -902,25 +891,22 @@ func (e *Endpoint) openOne(dst []byte, dg transport.Datagram, alias *[]byte) ([]
 		}
 		return append(dst, dg.Payload...), nil
 	}
-	sampled, tc := e.openGates(dg.Trace)
-	return e.openGated(dst, dg, alias, sampled, tc)
+	return e.openGated(dst, dg, alias, e.traceGate(dg.Trace, false))
 }
 
 // openGated opens one datagram as a run of one, with the observation-gate
-// decisions already made (OpenBatch rolls the gates itself while grouping
+// decision already made (OpenBatch rolls the gate itself while grouping
 // runs) — the receive-side twin of sealGated.
-func (e *Endpoint) openGated(dst []byte, dg transport.Datagram, alias *[]byte, sampled bool, tc *traceCtx) ([]byte, error) {
+func (e *Endpoint) openGated(dst []byte, dg transport.Datagram, alias *[]byte, tc *traceCtx) ([]byte, error) {
 	one := [1]transport.Datagram{dg}
 	var res [1]BatchResult
-	var ob observation
 	var root Span
-	if sampled || tc.active() {
-		ob = observe(sampled, tc, PacketSample{Flow: FlowID{Src: dg.Source, Dst: dg.Destination}, Bytes: len(dg.Payload)})
+	if tc.active() {
 		root = Span{Kind: SpanOpen, Start: time.Now(), Attr: uint64(len(dg.Payload))}
 	}
-	out, _ := e.openRun(dst, one[:], res[:], ob, alias)
-	if ob.on() {
-		ob.finish(e.cfg.Observer, root, res[0].Err)
+	out, _ := e.openRun(dst, one[:], res[:], tc, alias)
+	if tc.active() {
+		tc.finish(root, res[0].Err)
 	}
 	if res[0].Err != nil {
 		return nil, res[0].Err

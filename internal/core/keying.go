@@ -210,8 +210,6 @@ type KeyServiceConfig struct {
 	// Sleep is the backoff sleeper; nil means time.Sleep. Tests inject
 	// a recorder to assert the backoff schedule without waiting it out.
 	Sleep func(time.Duration)
-	// RetrySeed seeds backoff jitter; 0 picks a fixed default.
-	RetrySeed uint64
 }
 
 // NewKeyService wires the keying mechanism for one principal.
@@ -228,10 +226,6 @@ func NewKeyService(self *principal.Identity, dir cert.Directory, verifier cert.C
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
 	}
-	seed := cfg.RetrySeed
-	if seed == 0 {
-		seed = 0xFB5BACC0FF
-	}
 	return &KeyService{
 		self:     self,
 		dir:      dir,
@@ -244,7 +238,8 @@ func NewKeyService(self *principal.Identity, dir cert.Directory, verifier cert.C
 		swr:      cfg.StaleWhileRevalidate,
 		sleep:    cfg.Sleep,
 		neg:      make(map[principal.Address]time.Time),
-		rng:      cryptolib.NewLCGSeeded(seed),
+		// Backoff jitter wants spread, not secrecy: a fixed seed will do.
+		rng: cryptolib.NewLCGSeeded(0xFB5BACC0FF),
 	}
 }
 

@@ -55,14 +55,15 @@ type Suite interface {
 	// SealAppend appends the protected body to dst and patches the MAC
 	// value (or AEAD tag) into the already-encoded header at
 	// dst[hdrOff+macValueOffset:]. h carries the wire algorithm fields
-	// this suite's WireAlg chose. When s is non-nil the packet is
-	// sampled: MAC/crypt stage timings are recorded.
-	SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, s *PacketSample) ([]byte, error)
+	// this suite's WireAlg chose. When tc is non-nil the datagram is
+	// traced: each MAC and cipher pass emits its own span. The context
+	// type is core's own; callers outside the package pass nil.
+	SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, tc *traceCtx) ([]byte, error)
 	// OpenAppend recovers and authenticates the body. For a secret body
 	// the plaintext is appended to dst; for a cleartext body the returned
 	// body aliases the input. Errors are the endpoint's sentinel errors
 	// (ErrDecrypt, ErrBadMAC) — the caller maps them to drop reasons.
-	OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, s *PacketSample) (newDst []byte, plain []byte, err error)
+	OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) (newDst []byte, plain []byte, err error)
 }
 
 // maxAlgNibble bounds the IDs that fit the header's packed algorithm
@@ -145,7 +146,7 @@ func (l *legacySuite) DeriveIV(h Header) []byte {
 	return iv[:]
 }
 
-func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, s *PacketSample) ([]byte, error) {
+func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, tc *traceCtx) ([]byte, error) {
 	var t time.Time
 	if !h.Secret() {
 		// (S6) MAC over confounder | timestamp | plaintext body. MACNull
@@ -155,15 +156,11 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 			// Copies declared inside the branch so the variadic MAC call
 			// only forces a heap allocation when a MAC is computed; the
 			// NOP configuration stays allocation-free.
-			if s != nil {
-				t = time.Now()
-			}
+			t = tc.start()
 			kfc, mic := kf, h.macInput()
 			mac := h.MAC.Compute(kfc[:], mic[:], payload)
 			copy(dst[hdrOff+macValueOffset:], mac[:MACLen])
-			if s != nil {
-				s.Stages[StageMAC] = time.Since(t)
-			}
+			tc.pass(SpanMAC, h.SFL, t)
 		}
 		return dst, nil
 	}
@@ -181,11 +178,9 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 		// Section 5.3: roll MAC computation and encryption into one pass
 		// over the data. CBC chaining fused with MAC absorption; other
 		// modes fall back to two passes below. The fused pass is charged
-		// to StageCrypt (StageMAC stays zero — there is no separate MAC
+		// to SpanCipher (no SpanMAC is emitted — there is no separate MAC
 		// traversal to time).
-		if s != nil {
-			t = time.Now()
-		}
+		t = tc.start()
 		mac := h.MAC.NewStream(kfs[:])
 		mac.Write(mis[:])
 		prev := iv
@@ -209,42 +204,30 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 		if h.MAC != cryptolib.MACNull {
 			copy(dst[hdrOff+macValueOffset:], mac.Sum()[:MACLen])
 		}
-		if s != nil {
-			s.Stages[StageCrypt] = time.Since(t)
-		}
+		tc.pass(SpanCipher, h.SFL, t)
 		return dst, nil
 	}
 	// (S6) MAC, then (S8-9) encrypt in place.
 	if h.MAC != cryptolib.MACNull {
-		if s != nil {
-			t = time.Now()
-		}
+		t = tc.start()
 		mac := h.MAC.Compute(kfs[:], mis[:], payload)
 		copy(dst[hdrOff+macValueOffset:], mac[:MACLen])
-		if s != nil {
-			s.Stages[StageMAC] = time.Since(t)
-		}
+		tc.pass(SpanMAC, h.SFL, t)
 	}
-	if s != nil {
-		t = time.Now()
-	}
+	t = tc.start()
 	if _, err := cryptolib.EncryptMode(c, h.Mode, iv[:], padded, padded); err != nil {
 		return nil, err
 	}
-	if s != nil {
-		s.Stages[StageCrypt] = time.Since(t)
-	}
+	tc.pass(SpanCipher, h.SFL, t)
 	return dst, nil
 }
 
-func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, s *PacketSample) ([]byte, []byte, error) {
+func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) ([]byte, []byte, error) {
 	var t time.Time
 	// (R10-11, hoisted — see package comment) decrypt before verifying,
 	// since the MAC covers the plaintext body.
 	if h.Secret() {
-		if s != nil {
-			t = time.Now()
-		}
+		t = tc.start()
 		kfs := kf
 		c, err := h.Cipher.newCipher(kfs[:])
 		if err != nil {
@@ -268,9 +251,7 @@ func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte,
 		}
 		dst = dst[:off+len(unpadded)]
 		body = unpadded
-		if s != nil {
-			s.Stages[StageCrypt] = time.Since(t)
-		}
+		tc.pass(SpanCipher, h.SFL, t)
 	}
 	// (R7-9) verify the MAC, using the construction the header's
 	// algorithm identification names (gated upstream by checkAlg).
@@ -278,14 +259,10 @@ func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte,
 	// skipping the call keeps the variadic arguments from forcing heap
 	// allocations on the NOP path.
 	if h.MAC != cryptolib.MACNull {
-		if s != nil {
-			t = time.Now()
-		}
+		t = tc.start()
 		kfc, mic := kf, h.macInput()
 		ok := h.MAC.Verify(kfc[:], h.MACValue[:], mic[:], body)
-		if s != nil {
-			s.Stages[StageMAC] = time.Since(t)
-		}
+		tc.pass(SpanMAC, h.SFL, t)
 		if !ok {
 			return nil, nil, ErrBadMAC
 		}
@@ -442,7 +419,7 @@ func (a *aeadSuite) DeriveIV(h Header) []byte {
 	return n[:]
 }
 
-func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, s *PacketSample) ([]byte, error) {
+func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, tc *traceCtx) ([]byte, error) {
 	box, err := a.box(kf)
 	if err != nil {
 		return nil, err
@@ -458,27 +435,21 @@ func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, pa
 		// plaintext with header | body as AAD, and lands in the MAC value
 		// field like a legacy MAC would.
 		dst = append(dst, payload...)
-		if s != nil {
-			t = time.Now()
-		}
+		t = tc.start()
 		sc.aad = append(sc.aad[:0], mi[:]...)
 		sc.aad = append(sc.aad, payload...)
 		box.Seal(sc.tag[:0], nonce[:], nil, sc.aad)
 		copy(dst[hdrOff+macValueOffset:], sc.tag[:])
-		if s != nil {
-			s.Stages[StageMAC] = time.Since(t)
-		}
+		tc.pass(SpanMAC, h.SFL, t)
 		return dst, nil
 	}
 	// Sealed box in place: append the plaintext plus tag headroom, seal
 	// over the appended region (the documented plaintext[:0] aliasing
 	// form), then move the tag into the header and truncate the body back
 	// to exact ciphertext length. One pass, no padding. Charged to
-	// StageCrypt — like the single-pass legacy fusion, there is no
+	// SpanCipher — like the single-pass legacy fusion, there is no
 	// separate MAC traversal to time.
-	if s != nil {
-		t = time.Now()
-	}
+	t = tc.start()
 	bodyOff := len(dst)
 	dst = append(dst, payload...)
 	var tagRoom [MACLen]byte
@@ -486,13 +457,11 @@ func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, pa
 	sealed := box.Seal(dst[bodyOff:bodyOff], nonce[:], dst[bodyOff:bodyOff+len(payload)], mi[:])
 	copy(dst[hdrOff+macValueOffset:], sealed[len(payload):])
 	dst = dst[:bodyOff+len(payload)]
-	if s != nil {
-		s.Stages[StageCrypt] = time.Since(t)
-	}
+	tc.pass(SpanCipher, h.SFL, t)
 	return dst, nil
 }
 
-func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, s *PacketSample) ([]byte, []byte, error) {
+func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) ([]byte, []byte, error) {
 	box, err := a.box(kf)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
@@ -504,24 +473,18 @@ func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, s
 	nonce, mi := &sc.nonce, &sc.mi
 	var t time.Time
 	if !h.Secret() {
-		if s != nil {
-			t = time.Now()
-		}
+		t = tc.start()
 		sc.aad = append(sc.aad[:0], mi[:]...)
 		sc.aad = append(sc.aad, body...)
 		sc.tag = h.MACValue
 		_, err := box.Open(nil, nonce[:], sc.tag[:], sc.aad)
-		if s != nil {
-			s.Stages[StageMAC] = time.Since(t)
-		}
+		tc.pass(SpanMAC, h.SFL, t)
 		if err != nil {
 			return nil, nil, ErrBadMAC
 		}
 		return dst, body, nil
 	}
-	if s != nil {
-		t = time.Now()
-	}
+	t = tc.start()
 	// Stage ciphertext | tag at the end of dst and open in place (the
 	// documented ciphertext[:0] aliasing form); on success the appended
 	// region is exactly the plaintext.
@@ -529,9 +492,7 @@ func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, s
 	dst = append(dst, body...)
 	dst = append(dst, h.MACValue[:]...)
 	plain, err := box.Open(dst[off:off], nonce[:], dst[off:], mi[:])
-	if s != nil {
-		s.Stages[StageCrypt] = time.Since(t)
-	}
+	tc.pass(SpanCipher, h.SFL, t)
 	if err != nil {
 		// An AEAD open failure is indistinguishably corruption or a wrong
 		// key; like the legacy pad check, report it as an authentication

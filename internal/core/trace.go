@@ -6,20 +6,20 @@ import (
 	"fbs/internal/transport"
 )
 
-// This file defines the endpoint's tracing surface, the per-datagram
-// companion to the aggregate Observer seam in obs.go. Where the
-// Observer answers "what does the pipeline cost on average", a Tracer
-// answers "where did THIS datagram spend its time, and why was it
-// dropped": a sampled datagram carries a TraceID through seal,
-// transport, the link fault model, and the peer's open path, and every
-// stage it crosses emits a Span against that ID. The core package
-// stays free of any collector dependency — internal/obs/trace provides
-// the standard implementation.
+// This file defines the endpoint's instrumentation surface: the span is
+// the only thing core emits about a watched datagram. A sampled datagram
+// carries a TraceID through seal, transport, the link fault model, and
+// the peer's open path, and every stage it crosses emits a Span against
+// that ID — so one record answers both "where did THIS datagram spend
+// its time, and why was it dropped" and, folded by a consumer, "what
+// does the pipeline cost on average". The core package stays free of any
+// collector dependency — internal/obs provides the standard
+// implementation (a span ring plus per-stage histograms fed from it).
 //
-// The gate discipline matches the Observer's: a nil Config.Tracer
-// costs nothing; an attached tracer whose StartTrace returns 0 costs
-// the hot path exactly that call (an atomic load or two) and no
-// allocations — the invariant BenchmarkSealOpenAllocs enforces.
+// The gate discipline: a nil Config.Tracer costs one nil check per
+// datagram; an attached tracer whose StartTrace returns 0 costs the hot
+// path exactly that call (an atomic load or two) and no allocations —
+// the invariant BenchmarkSealOpenAllocs enforces.
 
 // TraceID aliases the transport-level trace identifier so spans and
 // datagram metadata share one type. Zero means "not traced".
@@ -74,6 +74,16 @@ const (
 	// SpanCookie is the sender-side absorption of a challenge frame
 	// into the cookie jar. Attr is the cookie's secret epoch.
 	SpanCookie
+	// SpanMAC is a separate MAC traversal inside the suite's transform:
+	// computation on seal, verification on open, or an AEAD suite's tag
+	// over a cleartext body. It nests inside the SpanCrypto that follows
+	// it.
+	SpanMAC
+	// SpanCipher is the encryption (seal) or decryption (open) pass
+	// inside the suite's transform, padding included. A fused pass — the
+	// legacy SinglePass seal, an AEAD sealed box — is charged here and
+	// emits no SpanMAC: there is no separate MAC traversal to time.
+	SpanCipher
 
 	// NumSpanKinds sizes per-kind arrays.
 	NumSpanKinds = int(iota)
@@ -92,6 +102,8 @@ var spanKindNames = [NumSpanKinds]string{
 	SpanPrefilter:     "prefilter",
 	SpanChallenge:     "challenge",
 	SpanCookie:        "cookie",
+	SpanMAC:           "mac",
+	SpanCipher:        "cipher",
 }
 
 // String returns the canonical label for the span kind.
@@ -245,6 +257,69 @@ func (t *traceCtx) span(s Span) {
 	s.Trace = t.id
 	s.Seal = t.seal
 	t.tr.Span(s)
+}
+
+// start reads the wall clock for a step about to begin, if the datagram
+// is traced.
+func (t *traceCtx) start() (now time.Time) {
+	if t.active() {
+		now = time.Now()
+	}
+	return now
+}
+
+// parsed emits the span of the receive stages that precede keying —
+// addressing, header decode, algorithm policy, freshness — begun at t0.
+// drop names the check that refused the datagram (DropNone: it goes on
+// to keying); sfl is zero until the header has decoded.
+func (t *traceCtx) parsed(t0 time.Time, sfl SFL, secret bool, drop DropReason) {
+	if !t.active() {
+		return
+	}
+	sp := Span{Kind: SpanParse, Drop: drop, SFL: sfl, Start: t0, Dur: time.Since(t0)}
+	if secret {
+		sp.Flags = FlagSecretBody
+	}
+	t.span(sp)
+}
+
+// keyed emits the span of the flow-key stage begun at t0, on either
+// side: which tier served the key, the keying plane's annotations and
+// the stage's verdict. Callers check active() first.
+func (t *traceCtx) keyed(t0 time.Time, sfl SFL, hit bool, note KeyNote, drop DropReason) {
+	sp := Span{Kind: SpanFlowKey, Drop: drop, SFL: sfl, Start: t0, Dur: time.Since(t0),
+		Flags: note.flags(), Attr: uint64(note.Attempts)}
+	if hit {
+		sp.Flags |= FlagKeyHit
+	}
+	t.span(sp)
+}
+
+// pass emits the span of one MAC or cipher pass inside a suite's
+// transform (SpanMAC, SpanCipher), begun at t0.
+func (t *traceCtx) pass(kind SpanKind, sfl SFL, t0 time.Time) {
+	if t.active() {
+		t.span(Span{Kind: kind, SFL: sfl, Start: t0, Dur: time.Since(t0)})
+	}
+}
+
+// crypto emits the span of the suite's whole body transform begun at t0
+// over n body bytes. Callers check active() first.
+func (t *traceCtx) crypto(t0 time.Time, sfl SFL, secret bool, n int, drop DropReason) {
+	sp := Span{Kind: SpanCrypto, Drop: drop, SFL: sfl, Start: t0, Dur: time.Since(t0), Attr: uint64(n)}
+	if secret {
+		sp.Flags = FlagSecretBody
+	}
+	t.span(sp)
+}
+
+// finish closes a traced run of one: the whole call's duration and
+// verdict go into root, the side's root span, which is emitted last.
+// Callers check active() first.
+func (t *traceCtx) finish(root Span, err error) {
+	root.Dur = time.Since(root.Start)
+	root.Drop = DropReasonOf(err)
+	t.span(root)
 }
 
 // KeyNote accumulates the keying-plane annotations of one flow-key

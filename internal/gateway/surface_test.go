@@ -9,6 +9,7 @@ import (
 
 	"fbs/internal/core"
 	"fbs/internal/obs"
+	obstrace "fbs/internal/obs/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -174,7 +175,7 @@ func TestObservabilityDocListsEveryFamily(t *testing.T) {
 	}
 
 	w := newGWWorld(t)
-	pipe := obs.NewPipeline(obs.PipelineConfig{})
+	pipe := obs.NewPipeline(obstrace.Config{})
 	tr, err := w.net.Attach("doc-group", 1)
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"fbs/internal/cert"
 	"fbs/internal/core"
 	"fbs/internal/cryptolib"
-	"fbs/internal/obs"
 	obstrace "fbs/internal/obs/trace"
 	"fbs/internal/principal"
 )
@@ -144,11 +143,6 @@ type ChaosReport struct {
 	// TraceReport holds the assembled per-datagram traces when the
 	// scenario ran with Trace set (nil otherwise).
 	TraceReport *obstrace.Report
-	// RecorderDump holds the flight-recorder window of the same run (a
-	// fully-sampled pipeline is attached alongside the tracer), so a
-	// failing scenario's artifact carries both the span waterfalls and
-	// the per-packet stage timings.
-	RecorderDump []obs.Event `json:"recorder,omitempty"`
 }
 
 // RunChaos executes one scenario to completion and reconciles the
@@ -197,14 +191,10 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 	// Tracing samples every datagram: the collector is shared by both
 	// endpoints and the network so one trace covers seal → link → open.
 	var col *obstrace.Collector
-	var pipe *obs.Pipeline
 	if sc.Trace {
 		col = obstrace.New(obstrace.Config{SampleEvery: 1, RingSize: 1 << 15})
 		r.net.SetTracer(col)
-		// A fully-sampled flight recorder rides along: the failure
-		// artifact then carries stage timings next to the waterfalls.
-		pipe = obs.NewPipeline(obs.PipelineConfig{SampleEvery: 1})
-		cfg.Tracer, cfg.Observer = col, pipe
+		cfg.Tracer = col
 	}
 	alice, err := r.attach(sender, cfg)
 	if err != nil {
@@ -280,7 +270,6 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 	if sc.Trace {
 		tr := obstrace.NewReport(col)
 		report.TraceReport = &tr
-		report.RecorderDump = pipe.Recorder().Events()
 	}
 	r.stop(bob)
 

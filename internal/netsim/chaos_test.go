@@ -52,15 +52,6 @@ func dumpTraceArtifact(t *testing.T, name string, r *ChaosReport) {
 	if os.WriteFile(path, data, 0o644) == nil {
 		t.Logf("trace artifact written to %s", path)
 	}
-	if len(r.RecorderDump) == 0 {
-		return
-	}
-	if data, err := json.MarshalIndent(r.RecorderDump, "", "  "); err == nil {
-		path := filepath.Join(dir, "chaos-"+name+"-recorder.json")
-		if os.WriteFile(path, data, 0o644) == nil {
-			t.Logf("recorder artifact written to %s", path)
-		}
-	}
 }
 
 // allInjections asks for every adversary kind, several of each, so each

@@ -11,7 +11,7 @@ import (
 // This file adapts the snapshot value the rest of the repo already
 // exposes (core.Snapshot) into metric families. Metric names follow
 // fbs_<subsystem>_<what>_total for counters and fbs_<subsystem>_<what>
-// for gauges; label values reuse the canonical DropReason/Stage/cache
+// for gauges; label values reuse the canonical DropReason/stage/cache
 // names so every layer speaks one taxonomy.
 
 // RegisterEndpoint registers a collector for everything an endpoint
@@ -250,22 +250,16 @@ func RegisterPipeline(r *Registry, name string, p *Pipeline) {
 			name string
 			seal bool
 		}{{"seal", true}, {"open", false}} {
-			for _, st := range core.Stages() {
-				s := p.StageSnapshot(path.seal, st)
+			for i, stage := range stageNames {
+				s := p.hist(path.seal, i).Snapshot()
 				if s.Count == 0 {
 					continue
 				}
 				AppendHistogram(&f, s, eplbl,
 					Label{Key: "path", Value: path.name},
-					Label{Key: "stage", Value: st.String()})
+					Label{Key: "stage", Value: stage})
 			}
 		}
-		rec := Family{Name: "fbs_recorder_events_total", Help: "Packets captured by the flight recorder.", Type: "counter"}
-		var total uint64
-		if p.Recorder() != nil {
-			total = p.Recorder().Total()
-		}
-		rec.Samples = append(rec.Samples, Sample{Labels: []Label{eplbl}, Value: float64(total)})
-		return []Family{f, rec}
+		return []Family{f}
 	})
 }

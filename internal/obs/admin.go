@@ -22,9 +22,9 @@ import (
 //	/metrics   Prometheus text exposition of the registry
 //	/flows     live FAM entries and cache occupancy, netstat-style
 //	           (?json=1 for machine-readable output)
-//	/recorder  the flight-recorder ring, oldest first (?json=1, ?n=K)
-//	/traces    assembled per-datagram traces from watched trace
-//	           collectors, waterfall-style (?json=1, ?n=K newest traces)
+//	/traces    the flight recorder: assembled per-datagram traces from
+//	           watched collectors, oldest first, waterfall-style
+//	           (?json=1, ?n=K newest traces)
 //	/debug/pprof/...  the standard runtime profiles
 //
 // It binds nothing by itself — callers decide the listen address via
@@ -41,7 +41,6 @@ type Admin struct {
 
 	mu        sync.Mutex
 	endpoints []adminEndpoint
-	recorders []*Recorder
 	tracers   []*obstrace.Collector
 	extra     []adminRoute
 }
@@ -73,16 +72,6 @@ func (a *Admin) WatchEndpoint(name string, ep *core.Endpoint) {
 	a.mu.Unlock()
 }
 
-// WatchRecorder adds a flight recorder to /recorder.
-func (a *Admin) WatchRecorder(rec *Recorder) {
-	if rec == nil {
-		return
-	}
-	a.mu.Lock()
-	a.recorders = append(a.recorders, rec)
-	a.mu.Unlock()
-}
-
 // WatchTracer adds a trace collector to /traces.
 func (a *Admin) WatchTracer(c *obstrace.Collector) {
 	if c == nil {
@@ -107,7 +96,6 @@ func (a *Admin) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", a.serveMetrics)
 	mux.HandleFunc("/flows", a.serveFlows)
-	mux.HandleFunc("/recorder", a.serveRecorder)
 	mux.HandleFunc("/traces", a.serveTraces)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -237,47 +225,6 @@ func WriteFlowsText(w interface{ Write([]byte) (int, error) }, rep FlowsReport) 
 	}
 }
 
-// RecorderReport is the machine-readable /recorder payload.
-type RecorderReport struct {
-	Total  uint64  `json:"total"`
-	Events []Event `json:"events"`
-}
-
-func (a *Admin) recorderReport(limit int) RecorderReport {
-	a.mu.Lock()
-	recs := make([]*Recorder, len(a.recorders))
-	copy(recs, a.recorders)
-	a.mu.Unlock()
-
-	var rep RecorderReport
-	for _, rec := range recs {
-		rep.Total += rec.Total()
-		rep.Events = append(rep.Events, rec.Events()...)
-	}
-	sort.Slice(rep.Events, func(i, j int) bool { return rep.Events[i].When.Before(rep.Events[j].When) })
-	if limit > 0 && len(rep.Events) > limit {
-		rep.Events = rep.Events[len(rep.Events)-limit:]
-	}
-	return rep
-}
-
-func (a *Admin) serveRecorder(w http.ResponseWriter, r *http.Request) {
-	limit := 0
-	if s := r.URL.Query().Get("n"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			limit = n
-		}
-	}
-	rep := a.recorderReport(limit)
-	if r.URL.Query().Get("json") != "" {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(rep)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	WriteRecorderText(w, rep)
-}
-
 func (a *Admin) tracesReport(limit int) obstrace.Report {
 	a.mu.Lock()
 	cols := make([]*obstrace.Collector, len(a.tracers))
@@ -292,6 +239,15 @@ func (a *Admin) tracesReport(limit int) obstrace.Report {
 		rep.Dropped += r.Dropped
 		rep.Traces = append(rep.Traces, r.Traces...)
 	}
+	// Each collector lists its own traces oldest first; merged, "the
+	// newest K" means by start time across all of them.
+	sort.SliceStable(rep.Traces, func(i, j int) bool {
+		x, y := rep.Traces[i], rep.Traces[j]
+		if x.StartNs != y.StartNs {
+			return x.StartNs < y.StartNs
+		}
+		return x.ID < y.ID
+	})
 	if limit > 0 && len(rep.Traces) > limit {
 		rep.Traces = rep.Traces[len(rep.Traces)-limit:]
 	}
@@ -330,7 +286,7 @@ func WriteTracesText(w interface{ Write([]byte) (int, error) }, rep obstrace.Rep
 	}
 	fmt.Fprintf(w, ", %d traces assembled\n", len(rep.Traces))
 	for _, t := range rep.Traces {
-		verdict := "delivered"
+		verdict := "ok"
 		if t.Drop != "" {
 			verdict = "drop:" + t.Drop
 		}
@@ -404,23 +360,4 @@ func waterfallBar(off, dur, span int64) string {
 		b[i] = '='
 	}
 	return string(b)
-}
-
-// WriteRecorderText renders a RecorderReport (shared with cmd/fbsstat).
-func WriteRecorderText(w interface{ Write([]byte) (int, error) }, rep RecorderReport) {
-	fmt.Fprintf(w, "%d events captured, %d retained\n", rep.Total, len(rep.Events))
-	for _, e := range rep.Events {
-		dir := "open"
-		if e.Seal {
-			dir = "seal"
-		}
-		verdict := "ok"
-		if e.Drop != core.DropNone.String() {
-			verdict = "drop:" + e.Drop
-		}
-		fmt.Fprintf(w, "#%-6d %s %-4s sfl=%x %s:%d->%s:%d proto=%d bytes=%d secret=%t %s total=%s\n",
-			e.Seq, e.When.Format("15:04:05.000000"), dir, e.SFL,
-			e.Flow.Src, e.Flow.SrcPort, e.Flow.Dst, e.Flow.DstPort, e.Flow.Proto,
-			e.Bytes, e.Secret, verdict, e.Stages["total"])
-	}
 }

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -25,10 +27,10 @@ func adminWorld(t *testing.T) (*fbs.Endpoint, *fbs.Endpoint, *obs.Pipeline, *obs
 		t.Fatal(err)
 	}
 	net := fbs.NewNetwork(fbs.Impairments{})
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 1})
+	pipe := obs.NewPipeline(obstrace.Config{SampleEvery: 1})
 	mk := func(addr fbs.Address) *fbs.Endpoint {
 		ep, err := d.NewEndpoint(addr, net, func(c *fbs.Config) {
-			c.Observer = pipe
+			c.Tracer = pipe
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +47,7 @@ func adminWorld(t *testing.T) (*fbs.Endpoint, *fbs.Endpoint, *obs.Pipeline, *obs
 	admin := obs.NewAdmin(reg)
 	admin.WatchEndpoint("alice", alice)
 	admin.WatchEndpoint("bob", bob)
-	admin.WatchRecorder(pipe.Recorder())
+	admin.WatchTracer(pipe.Collector)
 	return alice, bob, pipe, admin
 }
 
@@ -164,35 +166,67 @@ func TestAdminPlane(t *testing.T) {
 		t.Errorf("bob drops = %v, want bad_mac:1", flows.Endpoints[1].Drops)
 	}
 
-	var rec obs.RecorderReport
-	if err := json.Unmarshal([]byte(get(t, srv, "/recorder?json=1")), &rec); err != nil {
-		t.Fatalf("/recorder?json=1: %v", err)
+	// Every stage the traffic crossed has a histogram on each path —
+	// DES + keyed MD5 makes a MAC pass on every datagram and a cipher
+	// pass on the secret ones; classification is seal-side only.
+	for _, series := range []string{
+		`path="seal",stage="fam_lookup"`, `path="seal",stage="flowkey_miss"`, `path="seal",stage="flowkey_hit"`,
+		`path="seal",stage="mac"`, `path="seal",stage="crypt"`,
+		`path="open",stage="flowkey_miss"`, `path="open",stage="flowkey_hit"`,
+		`path="open",stage="mac"`, `path="open",stage="crypt"`,
+	} {
+		if !strings.Contains(metrics, `fbs_stage_duration_ns_count{endpoint="pair",`+series+"} ") {
+			t.Errorf("/metrics has no stage histogram for %s", series)
+		}
 	}
-	// 11+4 seals + 10+4 opens + 1 failed open, all sampled.
-	if rec.Total != 30 {
-		t.Errorf("recorder total = %d, want 30", rec.Total)
+	if strings.Contains(metrics, `path="open",stage="fam_lookup"`) {
+		t.Error("/metrics reports flow classification on the open path")
 	}
+
+	// The flight recorder is /traces: one trace per traced datagram. The
+	// in-memory network carries the trace ID, so the 10 sends and the
+	// corrupted seal are each one trace across both endpoints; the batch
+	// was sealed (4 traces) and then opened from bare wire bytes (4 more).
+	var rec obstrace.Report
+	if err := json.Unmarshal([]byte(get(t, srv, "/traces?json=1")), &rec); err != nil {
+		t.Fatalf("/traces?json=1: %v", err)
+	}
+	if rec.Started != 19 || len(rec.Traces) != 19 {
+		t.Errorf("%d traces started, %d assembled, want 19", rec.Started, len(rec.Traces))
+	}
+	known := make(map[uint64]bool)
 	drops := 0
-	for _, e := range rec.Events {
-		if e.Drop == "bad_mac" {
+	for _, tr := range rec.Traces {
+		known[tr.ID] = true
+		if tr.Drop == "bad_mac" {
 			drops++
 		}
 	}
 	if drops != 1 {
-		t.Errorf("recorder shows %d bad_mac drops, want 1", drops)
+		t.Errorf("/traces shows %d bad_mac drops, want 1", drops)
 	}
-	if !strings.Contains(get(t, srv, "/recorder?n=5"), "retained") {
-		t.Error("/recorder text output malformed")
+	// Every histogram exemplar names a trace the same plane serves.
+	exemplars := regexp.MustCompile(`# exemplar trace=0x([0-9a-f]+) `).FindAllStringSubmatch(metrics, -1)
+	if len(exemplars) == 0 {
+		t.Error("/metrics carries no exemplars")
+	}
+	for _, m := range exemplars {
+		if id, err := strconv.ParseUint(m[1], 16, 64); err != nil || !known[id] {
+			t.Errorf("exemplar trace %s is not in /traces (%v)", m[1], err)
+		}
+	}
+	if !strings.Contains(get(t, srv, "/traces?n=5"), "5 traces assembled") {
+		t.Error("/traces text output malformed")
 	}
 	if !strings.Contains(get(t, srv, "/debug/pprof/cmdline"), "") {
 		t.Error("pprof unreachable")
 	}
 
 	// Latency snapshots must have consistent counts with the traffic.
-	if n := pipe.StageSnapshot(true, core.StageTotal).Count; n != 15 {
+	if n := pipe.StageSnapshot(true, "total").Count; n != 15 {
 		t.Errorf("seal total count = %d, want 15", n)
 	}
-	if n := pipe.StageSnapshot(false, core.StageTotal).Count; n != 15 {
+	if n := pipe.StageSnapshot(false, "total").Count; n != 15 {
 		t.Errorf("open total count = %d, want 15", n)
 	}
 }
@@ -319,7 +353,7 @@ func TestAdminTraces(t *testing.T) {
 	text := get(t, srv, "/traces")
 	for _, want := range []string{
 		"3 traces started",
-		"spans=", "delivered",
+		"spans=", " ok\n",
 		"seal seal", "open open",
 	} {
 		if !strings.Contains(text, want) {
@@ -333,6 +367,33 @@ func TestAdminTraces(t *testing.T) {
 	}
 	if len(rep.Traces) != 1 {
 		t.Errorf("n=1 returned %d traces", len(rep.Traces))
+	}
+
+	// With several collectors watched, "the newest K" is by start time
+	// across all of them, not the tail of the one registered last.
+	first, second := obstrace.New(obstrace.Config{SampleEvery: 1}), obstrace.New(obstrace.Config{SampleEvery: 1})
+	base := time.Now()
+	for i := 0; i < 6; i++ {
+		c := first
+		if i%2 == 0 {
+			c = second
+		}
+		c.Span(core.Span{Trace: c.StartTrace(), Kind: core.SpanSeal, Seal: true, Start: base.Add(time.Duration(i) * time.Millisecond)})
+	}
+	both := obs.NewAdmin(nil)
+	both.WatchTracer(first)
+	both.WatchTracer(second)
+	bsrv := httptest.NewServer(both.Handler())
+	defer bsrv.Close()
+	if err := json.Unmarshal([]byte(get(t, bsrv, "/traces?json=1&n=3")), &rep); err != nil {
+		t.Fatalf("/traces?json=1&n=3: %v", err)
+	}
+	var offsets []time.Duration
+	for _, tr := range rep.Traces {
+		offsets = append(offsets, time.Duration(tr.StartNs-base.UnixNano()))
+	}
+	if fmt.Sprint(offsets) != "[3ms 4ms 5ms]" {
+		t.Errorf("n=3 over two interleaved collectors returned traces started at %v, want the newest three in order", offsets)
 	}
 }
 
@@ -448,16 +509,16 @@ func TestAdminServeStopDeadline(t *testing.T) {
 }
 
 func TestSamplingDisabledObservesNothing(t *testing.T) {
-	pipe := obs.NewPipeline(obs.PipelineConfig{SampleEvery: 0})
+	pipe := obs.NewPipeline(obstrace.Config{})
 	for i := 0; i < 100; i++ {
-		if pipe.Sample() {
-			t.Fatal("Sample() fired with sampling disabled")
+		if pipe.StartTrace() != 0 {
+			t.Fatal("StartTrace fired with sampling disabled")
 		}
 	}
 	pipe.SetSampleEvery(3)
 	fired := 0
 	for i := 0; i < 99; i++ {
-		if pipe.Sample() {
+		if pipe.StartTrace() != 0 {
 			fired++
 		}
 	}

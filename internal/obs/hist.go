@@ -1,13 +1,14 @@
-// Package obs is the observability layer for the FBS pipeline: latency
-// histograms, a metrics registry with Prometheus text exposition, a
-// sampled per-packet flight recorder, and an opt-in admin HTTP plane.
+// Package obs is the observability layer for the FBS pipeline: a metrics
+// registry with Prometheus text exposition, one sampled per-datagram
+// tracer (Pipeline) whose span ring is the flight recorder and whose
+// spans feed the latency histograms, and an opt-in admin HTTP plane.
 //
 // The package is dependency-free (standard library only) and is built to
 // preserve the PR 1 concurrency model: histograms are striped over
 // padded cache lines and mutated with atomics only (no locks on the
 // record path), counters are adapted from the snapshot accessors the
 // core/ip/transport packages already expose, and everything per-packet
-// sits behind core.Observer's sampling gate so the un-sampled steady
+// sits behind core.Tracer's sampling gate so the un-sampled steady
 // state stays allocation-free.
 package obs
 

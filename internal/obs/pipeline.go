@@ -1,105 +1,103 @@
 package obs
 
 import (
-	"sync/atomic"
-	"time"
-
 	"fbs/internal/core"
+	obstrace "fbs/internal/obs/trace"
 )
 
-// Pipeline implements core.Observer: it is the glue between an
-// endpoint's sampled packet telemetry and this package's histograms and
-// flight recorder. One Pipeline may be shared by several endpoints (the
-// histograms then aggregate across them) or dedicated per endpoint.
+// Pipeline is the one core.Tracer a binary constructs. It owns a trace
+// collector — the span ring is the flight recorder, read through /traces
+// — and feeds the fbs_stage_duration_ns histograms from the spans as
+// they arrive, so every histogram observation is also a span in the ring
+// and every bucket's exemplar is a trace ID /traces can resolve (until
+// the ring wraps past it). One Pipeline may be shared by several
+// endpoints (the histograms then aggregate across them) or dedicated per
+// endpoint.
 //
-// Sampling is 1-in-N: SetSampleEvery(0) disables sampling entirely, in
-// which case Sample() is a single atomic load and the endpoint hot path
-// does no other observability work — the configuration under which
-// BenchmarkSealOpenAllocs must still measure 0 allocs/op.
+// Sampling, the gate and the ring are the collector's: with
+// SetSampleEvery(0) StartTrace is a single atomic load and the endpoint
+// hot path does no other observability work — the configuration under
+// which BenchmarkSealOpenAllocs must still measure 0 allocs/op.
 type Pipeline struct {
-	sampleEvery atomic.Uint64
-	tick        atomic.Uint64
+	*obstrace.Collector
 
-	// seal/open hold one histogram per pipeline stage; indexed by
-	// core.Stage. Flat arrays (not maps) so Packet() stays
-	// allocation-free.
-	seal [core.NumStages]Histogram
-	open [core.NumStages]Histogram
-
-	rec *Recorder
+	// hists holds one histogram per path (open, seal) and stage. Flat
+	// arrays (not maps) so Span stays allocation-free.
+	hists [2][len(stageNames)]Histogram
 }
 
-// PipelineConfig configures a Pipeline.
-type PipelineConfig struct {
-	// SampleEvery samples every Nth packet: 1 samples everything, 0
-	// disables sampling (the default).
-	SampleEvery int
-	// RecorderSize is the flight-recorder ring capacity; 0 selects
-	// DefaultRecorderSize, negative disables the recorder.
-	RecorderSize int
+// The stages of fbs_stage_duration_ns, in exposition order, and their
+// label values.
+const (
+	stageFAM = iota
+	stageKeyHit
+	stageKeyMiss
+	stageMAC
+	stageCrypt
+	stageTotal
+)
+
+var stageNames = [...]string{
+	stageFAM:     "fam_lookup",
+	stageKeyHit:  "flowkey_hit",
+	stageKeyMiss: "flowkey_miss",
+	stageMAC:     "mac",
+	stageCrypt:   "crypt",
+	stageTotal:   "total",
 }
 
-// NewPipeline builds a pipeline.
-func NewPipeline(cfg PipelineConfig) *Pipeline {
-	p := &Pipeline{}
-	if cfg.RecorderSize >= 0 {
-		p.rec = NewRecorder(cfg.RecorderSize)
+// stageOf maps a span to the stage it timed, or -1: parse, replay,
+// pre-filter, transport and link spans time no stage, and the crypto span
+// is the sum of its MAC and cipher passes.
+func stageOf(s core.Span) int {
+	switch s.Kind {
+	case core.SpanClassify:
+		return stageFAM
+	case core.SpanFlowKey:
+		if s.Flags&core.FlagKeyHit != 0 {
+			return stageKeyHit
+		}
+		return stageKeyMiss
+	case core.SpanMAC:
+		return stageMAC
+	case core.SpanCipher:
+		return stageCrypt
+	case core.SpanSeal, core.SpanOpen:
+		return stageTotal
 	}
-	p.SetSampleEvery(cfg.SampleEvery)
-	return p
+	return -1
 }
 
-// SetSampleEvery changes the sampling rate at runtime (0 disables).
-func (p *Pipeline) SetSampleEvery(n int) {
-	if n < 0 {
-		n = 0
-	}
-	p.sampleEvery.Store(uint64(n))
+// NewPipeline builds a pipeline over a fresh collector.
+func NewPipeline(cfg obstrace.Config) *Pipeline {
+	return &Pipeline{Collector: obstrace.New(cfg)}
 }
 
-// Sample implements core.Observer. With sampling disabled it is one
-// atomic load; enabled, it counts packets and fires every Nth.
-func (p *Pipeline) Sample() bool {
-	n := p.sampleEvery.Load()
-	if n == 0 {
-		return false
+// Span implements core.Tracer: the span goes into the ring and, when it
+// timed a stage, into that stage's histogram with its trace ID as the
+// bucket's exemplar. The ring write comes first, so an exemplar never
+// names a trace the ring has not seen.
+func (p *Pipeline) Span(s core.Span) {
+	p.Collector.Span(s)
+	if st := stageOf(s); st >= 0 {
+		p.hist(s.Seal, st).ObserveTrace(s.Dur, uint64(s.Trace))
 	}
-	return p.tick.Add(1)%n == 0
 }
 
-// Packet implements core.Observer: it feeds the stage histograms and
-// the flight recorder. The sample arrives by value and the histograms
-// are flat arrays, so this allocates nothing.
-func (p *Pipeline) Packet(s core.PacketSample) {
-	hs := &p.open
-	if s.Seal {
-		hs = &p.seal
+func (p *Pipeline) hist(seal bool, stage int) *Histogram {
+	if seal {
+		return &p.hists[1][stage]
 	}
-	for i, d := range s.Stages {
-		if d > 0 {
-			// A nonzero s.Trace links the observation to a captured
-			// trace: the bucket remembers it as its exemplar, so a hot
-			// latency bucket points at a concrete datagram's waterfall.
-			hs[i].ObserveTrace(d, uint64(s.Trace))
+	return &p.hists[0][stage]
+}
+
+// StageSnapshot returns the merged snapshot for one path and stage label
+// (a stage no span feeds reads empty).
+func (p *Pipeline) StageSnapshot(seal bool, stage string) HistSnapshot {
+	for i, name := range stageNames {
+		if name == stage {
+			return p.hist(seal, i).Snapshot()
 		}
 	}
-	if p.rec != nil {
-		p.rec.Record(s, time.Now())
-	}
-}
-
-// Hist returns the histogram for one path (seal or open) and stage.
-func (p *Pipeline) Hist(seal bool, st core.Stage) *Histogram {
-	if seal {
-		return &p.seal[st]
-	}
-	return &p.open[st]
-}
-
-// Recorder returns the flight recorder (nil when disabled).
-func (p *Pipeline) Recorder() *Recorder { return p.rec }
-
-// StageSnapshot returns the merged snapshot for one path and stage.
-func (p *Pipeline) StageSnapshot(seal bool, st core.Stage) HistSnapshot {
-	return p.Hist(seal, st).Snapshot()
+	return HistSnapshot{}
 }

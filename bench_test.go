@@ -68,6 +68,11 @@ func BenchmarkCryptoLibTable(b *testing.B) {
 	nonce := make([]byte, 12)
 	aad := make([]byte, 12)
 	sealed := make([]byte, 0, len(buf)+16)
+	// The datagram-sized ChaCha rows: 64 B and 1200 B are gwbench's
+	// small_echo and bulk_chacha payloads, and the open row is the
+	// receive half of the 1200 B seal.
+	dgram := chacha.Seal(nil, nonce, buf[:1200], aad)
+	opened := make([]byte, 0, 1200)
 	// Confounder/key sources: the paper's LCG-vs-CSPRNG argument. BBS (the
 	// quadratic residue generator, the paper's per-datagram-key
 	// bottleneck) is slow by design, so its row produces 256 bytes per
@@ -82,26 +87,38 @@ func BenchmarkCryptoLibTable(b *testing.B) {
 		name  string
 		bytes int
 		step  func()
+		// noAlloc rows sit on the per-datagram path: the cipher state
+		// and keystream buffer must stay on the stack.
+		noAlloc bool
 	}{
-		{"DES-CBC", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.CBC, iv, buf, buf) }},
-		{"DES-ECB", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.ECB, iv, buf, buf) }},
-		{"3DES-CBC", len(buf), func() { cryptolib.EncryptMode(tdes, cryptolib.CBC, iv, buf, buf) }},
-		{"MD5", len(buf), func() { cryptolib.MD5Sum(buf) }},
-		{"SHA1", len(buf), func() { cryptolib.SHA1Sum(buf) }},
-		{"KeyedMD5-MAC", len(buf), func() { cryptolib.MACPrefixMD5.Compute(key, buf) }},
-		{"HMAC-MD5", len(buf), func() { cryptolib.MACHMACMD5.Compute(key, buf) }},
-		{"CRC32", len(buf), func() { cryptolib.CRC32(buf) }},
-		{"AES-128-GCM-seal", len(buf), func() { sealed = gcm.Seal(sealed[:0], nonce, buf, aad) }},
-		{"ChaCha20-Poly1305-seal", len(buf), func() { sealed = chacha.Seal(sealed[:0], nonce, buf, aad) }},
+		{"DES-CBC", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.CBC, iv, buf, buf) }, false},
+		{"DES-ECB", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.ECB, iv, buf, buf) }, false},
+		{"3DES-CBC", len(buf), func() { cryptolib.EncryptMode(tdes, cryptolib.CBC, iv, buf, buf) }, false},
+		{"MD5", len(buf), func() { cryptolib.MD5Sum(buf) }, false},
+		{"SHA1", len(buf), func() { cryptolib.SHA1Sum(buf) }, false},
+		{"KeyedMD5-MAC", len(buf), func() { cryptolib.MACPrefixMD5.Compute(key, buf) }, false},
+		{"HMAC-MD5", len(buf), func() { cryptolib.MACHMACMD5.Compute(key, buf) }, false},
+		{"CRC32", len(buf), func() { cryptolib.CRC32(buf) }, false},
+		{"AES-128-GCM-seal", len(buf), func() { sealed = gcm.Seal(sealed[:0], nonce, buf, aad) }, false},
+		{"ChaCha20-Poly1305-seal", len(buf), func() { sealed = chacha.Seal(sealed[:0], nonce, buf, aad) }, true},
+		{"ChaCha20-Poly1305-seal-64B", 64, func() { sealed = chacha.Seal(sealed[:0], nonce, buf[:64], aad) }, true},
+		{"ChaCha20-Poly1305-seal-1200B", 1200, func() { sealed = chacha.Seal(sealed[:0], nonce, buf[:1200], aad) }, true},
+		{"ChaCha20-Poly1305-open-1200B", 1200, func() { opened, _ = chacha.Open(opened[:0], nonce, dgram, aad) }, true},
 		{"LCG", len(buf), func() {
 			for i := 0; i < len(buf); i += 4 {
 				lcg.Uint32()
 			}
-		}},
-		{"BBS", 256, func() { bbs.Read(buf[:256]) }},
+		}, false},
+		{"BBS", 256, func() { bbs.Read(buf[:256]) }, false},
 	}
 	for _, r := range rows {
 		b.Run(r.name, func(b *testing.B) {
+			if r.noAlloc {
+				if n := testing.AllocsPerRun(100, r.step); n != 0 {
+					b.Fatalf("%s: %v allocs/op, want 0", r.name, n)
+				}
+			}
+			b.ReportAllocs()
 			b.SetBytes(int64(r.bytes))
 			for i := 0; i < b.N; i++ {
 				r.step()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // ChaCha20-Poly1305 AEAD per RFC 8439, implemented from scratch on the
@@ -16,6 +17,12 @@ import (
 // and ciphertext together. The data-plane suites use it for the modern
 // non-NIST cipher option; the refmodel shares only this primitive and
 // reassembles nonce/AAD framing independently.
+//
+// The keystream has two implementations, chosen by CPUID at init and by
+// nothing else: chachaKeystream8 (chacha_amd64.s, eight blocks per call
+// in AVX2 registers) where the CPU has AVX2, and the Go block function
+// below everywhere else. The Go path is also the kernel's differential
+// oracle: NewPortableChaCha20Poly1305 pins it.
 
 // ChaCha20Poly1305 sizes.
 const (
@@ -31,11 +38,25 @@ var ErrAEADOpen = errors.New("cryptolib: chacha20poly1305 authentication failed"
 // Seal/Open follow crypto/cipher.AEAD append semantics, including the
 // documented in-place forms Seal(pt[:0], ...) and Open(ct[:0], ...).
 type ChaCha20Poly1305 struct {
-	key [8]uint32
+	key    [8]uint32
+	kernel bool // the keystream comes from chachaKeystream8
 }
 
 // NewChaCha20Poly1305 builds an AEAD from a 32-byte key.
 func NewChaCha20Poly1305(key []byte) (*ChaCha20Poly1305, error) {
+	a, err := NewPortableChaCha20Poly1305(key)
+	if err != nil {
+		return nil, err
+	}
+	a.kernel = useKernel
+	return a, nil
+}
+
+// NewPortableChaCha20Poly1305 builds an AEAD that runs the Go block
+// function on every CPU. It is for the differential oracle
+// (internal/refmodel) and the kernel's own tests, which must not have
+// the assembly on both sides of a comparison.
+func NewPortableChaCha20Poly1305(key []byte) (*ChaCha20Poly1305, error) {
 	if len(key) != ChaChaKeySize {
 		return nil, fmt.Errorf("cryptolib: chacha20poly1305 key must be %d bytes, got %d", ChaChaKeySize, len(key))
 	}
@@ -55,22 +76,18 @@ func (*ChaCha20Poly1305) Overhead() int { return Poly1305TagSize }
 // Seal encrypts and authenticates plaintext with additionalData bound
 // into the tag, appending ciphertext||tag to dst. The nonce must be
 // unique per key. plaintext and the appended region may overlap exactly
-// (dst = plaintext[:0]).
+// (dst = plaintext[:0]) or not at all; any other overlap panics.
 func (a *ChaCha20Poly1305) Seal(dst, nonce, plaintext, additionalData []byte) []byte {
-	if len(nonce) != ChaChaNonceSize {
-		panic("cryptolib: chacha20poly1305 nonce must be 12 bytes")
-	}
-	var n [3]uint32
-	n[0] = binary.LittleEndian.Uint32(nonce[0:])
-	n[1] = binary.LittleEndian.Uint32(nonce[4:])
-	n[2] = binary.LittleEndian.Uint32(nonce[8:])
+	var k keystream
+	otk := a.start(&k, nonce)
 
 	ret, out := aeadSliceForAppend(dst, len(plaintext)+Poly1305TagSize)
+	if inexactOverlap(out, plaintext) {
+		panic("cryptolib: invalid buffer overlap")
+	}
 	ct := out[:len(plaintext)]
-	chachaXORStream(&a.key, &n, 1, ct, plaintext)
+	a.xor(&k, ct, plaintext)
 
-	var otk [32]byte
-	polyOneTimeKey(&a.key, &n, &otk)
 	tag := polyAEADTag(&otk, additionalData, ct)
 	copy(out[len(plaintext):], tag[:])
 	return ret
@@ -78,32 +95,85 @@ func (a *ChaCha20Poly1305) Seal(dst, nonce, plaintext, additionalData []byte) []
 
 // Open authenticates ciphertext (which must end in the 16-byte tag) and
 // additionalData, then decrypts, appending the plaintext to dst. The
-// ciphertext and the appended region may overlap exactly (dst = ct[:0]).
+// ciphertext and the appended region may overlap exactly (dst = ct[:0])
+// or not at all; any other overlap panics.
 func (a *ChaCha20Poly1305) Open(dst, nonce, ciphertext, additionalData []byte) ([]byte, error) {
-	if len(nonce) != ChaChaNonceSize {
-		panic("cryptolib: chacha20poly1305 nonce must be 12 bytes")
-	}
+	var k keystream
+	otk := a.start(&k, nonce)
 	if len(ciphertext) < Poly1305TagSize {
 		return nil, ErrAEADOpen
 	}
-	var n [3]uint32
-	n[0] = binary.LittleEndian.Uint32(nonce[0:])
-	n[1] = binary.LittleEndian.Uint32(nonce[4:])
-	n[2] = binary.LittleEndian.Uint32(nonce[8:])
 
 	body := ciphertext[:len(ciphertext)-Poly1305TagSize]
 	got := ciphertext[len(ciphertext)-Poly1305TagSize:]
 
-	var otk [32]byte
-	polyOneTimeKey(&a.key, &n, &otk)
 	want := polyAEADTag(&otk, additionalData, body)
 	if subtle.ConstantTimeCompare(want[:], got) != 1 {
 		return nil, ErrAEADOpen
 	}
 
 	ret, out := aeadSliceForAppend(dst, len(body))
-	chachaXORStream(&a.key, &n, 1, out, body)
+	if inexactOverlap(out, body) {
+		panic("cryptolib: invalid buffer overlap")
+	}
+	a.xor(&k, out, body)
 	return ret, nil
+}
+
+// keystream is the cipher state of one Seal or Open, kept on the
+// caller's stack: the ChaCha20 input block and, on the kernel path, the
+// eight keystream blocks of the latest chachaKeystream8 call.
+type keystream struct {
+	state [16]uint32 // constants, key, block counter, nonce
+	buf   [512]byte
+}
+
+// start loads key and nonce into k and returns the Poly1305 one-time
+// key, the first half of keystream block zero (RFC 8439 section 2.6).
+// The kernel computes blocks 1…7 in the same call and leaves them in
+// k.buf for xor.
+func (a *ChaCha20Poly1305) start(k *keystream, nonce []byte) (otk [32]byte) {
+	if len(nonce) != ChaChaNonceSize {
+		panic("cryptolib: chacha20poly1305 nonce must be 12 bytes")
+	}
+	k.state[0], k.state[1], k.state[2], k.state[3] = chachaC0, chachaC1, chachaC2, chachaC3
+	copy(k.state[4:12], a.key[:])
+	k.state[13] = binary.LittleEndian.Uint32(nonce[0:])
+	k.state[14] = binary.LittleEndian.Uint32(nonce[4:])
+	k.state[15] = binary.LittleEndian.Uint32(nonce[8:])
+	if a.kernel {
+		chachaKeystream8(&k.state, &k.buf)
+		return [32]byte(k.buf[:32])
+	}
+	var block [64]byte
+	chachaBlock(&a.key, (*[3]uint32)(k.state[13:16]), 0, &block)
+	return [32]byte(block[:32])
+}
+
+// xor writes src XOR the keystream from block counter 1 on into dst;
+// the two may be the same slice. It follows start and runs once.
+func (a *ChaCha20Poly1305) xor(k *keystream, dst, src []byte) {
+	if !a.kernel {
+		chachaXORStream(&a.key, (*[3]uint32)(k.state[13:16]), 1, dst, src)
+		return
+	}
+	n := subtle.XORBytes(dst, src, k.buf[64:])
+	for n < len(src) {
+		k.state[12] += 8
+		chachaKeystream8(&k.state, &k.buf)
+		n += subtle.XORBytes(dst[n:], src[n:], k.buf[:])
+	}
+}
+
+// inexactOverlap reports whether x and y share memory at different
+// offsets — the shape a streaming XOR turns into garbage, since it
+// would read bytes it has already overwritten.
+func inexactOverlap(x, y []byte) bool {
+	if len(x) == 0 || len(y) == 0 || &x[0] == &y[0] {
+		return false
+	}
+	return uintptr(unsafe.Pointer(&x[0])) <= uintptr(unsafe.Pointer(&y[len(y)-1])) &&
+		uintptr(unsafe.Pointer(&y[0])) <= uintptr(unsafe.Pointer(&x[len(x)-1]))
 }
 
 // aeadSliceForAppend grows in (reusing capacity where possible) and
@@ -260,14 +330,6 @@ func chachaXORStream(key *[8]uint32, nonce *[3]uint32, counter uint32, dst, src 
 		src = src[n:]
 		dst = dst[n:]
 	}
-}
-
-// polyOneTimeKey derives the Poly1305 one-time key from ChaCha20 block
-// counter zero (RFC 8439 section 2.6).
-func polyOneTimeKey(key *[8]uint32, nonce *[3]uint32, otk *[32]byte) {
-	var block [64]byte
-	chachaBlock(key, nonce, 0, &block)
-	copy(otk[:], block[:32])
 }
 
 // --- Poly1305 (RFC 8439 section 2.5), 64-bit limb implementation ---

@@ -618,7 +618,9 @@ type sealedBox interface {
 // ChaCha20 expands the 16-byte K_f to 32 bytes as K_f | MD5(K_f |
 // label), with the label string restated here. The expansion adds no
 // entropy — the suite's effective strength is capped at 128 bits by
-// the flow key, matching AES-128-GCM.
+// the flow key, matching AES-128-GCM. The ChaCha box is pinned to
+// cryptolib's portable Go keystream, so where core runs the AVX2 kernel
+// the harness compares kernel against pure Go on every datagram.
 func newAEAD(id core.CipherID, kf [16]byte) (sealedBox, error) {
 	switch id {
 	case core.CipherAES128GCM:
@@ -635,7 +637,7 @@ func newAEAD(id core.CipherID, kf [16]byte) (sealedBox, error) {
 		expand = append(expand, []byte("fbs chacha20poly1305 key expand v1")...)
 		sum := cryptolib.MD5Sum(expand)
 		key = append(key, sum[:]...)
-		return cryptolib.NewChaCha20Poly1305(key)
+		return cryptolib.NewPortableChaCha20Poly1305(key)
 	default:
 		return nil, fmt.Errorf("refmodel: cipher %v is not an AEAD suite", id)
 	}

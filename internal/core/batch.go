@@ -14,11 +14,13 @@ import (
 // sealRun is FBSSend (Figure 4, S1–S9) and openRun is FBSReceive
 // (R1–R11), each written once over a run of datagrams; every Seal*,
 // Open*, Send* and Receive* entry point, single or batched, ends up in
-// one of them. A single-datagram call is a run of one, so the golden
-// wire vectors, the 0 allocs/op bound and the refmodel differential
-// harness pin the same code the batch entry points execute, and a batch
-// of N is observationally a loop of N single calls: identical bytes,
-// identical per-DropReason counters, identical FAM accounting.
+// one of them through one door per direction, sealWalk or openWalk,
+// which cut a call's datagrams into runs. A single-datagram call is a
+// run of one, so the golden wire vectors, the 0 allocs/op bound and the
+// refmodel differential harness pin the same code the batch entry
+// points execute, and a batch of N is observationally a loop of N
+// single calls: identical bytes, identical per-DropReason counters,
+// identical FAM accounting.
 //
 // What a run amortises — and what it deliberately does not change:
 //
@@ -98,6 +100,10 @@ type BatchResult struct {
 	// returned for this datagram, so DropReasonOf(Err) recovers the
 	// exact DropReason. Nil on success.
 	Err error
+	// Trace is the datagram's trace ID when its observation gate fired,
+	// on either side, else 0. SendBatch stamps a seal's on the wire
+	// datagram, as Send does, so the receiver continues the trace.
+	Trace TraceID
 }
 
 // SealBatch performs FBS send processing on a batch of datagrams,
@@ -113,6 +119,18 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 	if len(res) < len(dgs) {
 		panic("core: SealBatch requires len(res) >= len(dgs)")
 	}
+	return e.sealWalk(dst, dgs, nil, secret, res, true)
+}
+
+// sealWalk is the one door into sealRun: SealBatch and, through sealOne,
+// every single-datagram seal come here, and only here are the drain gate
+// taken, Source defaulted, Bypass applied and the observation gate
+// rolled. id is the flow a single door chose; nil takes each datagram's
+// flow from the Selector. batch marks an explicit SealBatch call, the
+// only kind the fbs_batch_* histograms count. A datagram whose gate
+// fires is a run of one under its root SpanSeal, and its result carries
+// the trace ID.
+func (e *Endpoint) sealWalk(dst []byte, dgs []transport.Datagram, id *FlowID, secret bool, res []BatchResult, batch bool) ([]byte, int) {
 	if len(dgs) == 0 {
 		return dst, 0
 	}
@@ -123,18 +141,21 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 		return dst, 0
 	}
 	defer e.endOp()
-	e.metrics.sealBatchCalls[batchBucket(len(dgs))].Add(1)
-	e.metrics.sealBatchDatagrams.Add(uint64(len(dgs)))
+	if batch {
+		e.metrics.sealBatchCalls[batchBucket(len(dgs))].Add(1)
+		e.metrics.sealBatchDatagrams.Add(uint64(len(dgs)))
+	}
+	for i := range dgs {
+		if dgs[i].Source == "" {
+			dgs[i].Source = e.Addr()
+		}
+	}
 	sealed := 0
 	// pend carries the gate decision that fired on the datagram which
 	// terminated the previous run, so every datagram's gate is drawn
 	// exactly once, in order.
 	var pend *traceCtx
-	i := 0
-	for i < len(dgs) {
-		if dgs[i].Source == "" {
-			dgs[i].Source = e.Addr()
-		}
+	for i := 0; i < len(dgs); {
 		tc := pend
 		pend = nil
 		if tc == nil {
@@ -149,42 +170,38 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 			}
 			tc = e.traceGate(0, true)
 		}
-		id := e.cfg.Selector(dgs[i])
-		if tc.active() {
-			off := len(dst)
-			out, _, err := e.sealGated(dst, dgs[i], id, secret, tc)
-			if err != nil {
-				res[i] = BatchResult{Off: off, Err: err}
-			} else {
-				dst = out
-				res[i] = BatchResult{Off: off, Len: len(out) - off}
-				sealed++
-			}
-			i++
-			continue
+		var flow FlowID
+		if id != nil {
+			flow = *id
+		} else {
+			flow = e.cfg.Selector(dgs[i])
 		}
-		// Extend the run: consecutive, non-bypassed datagrams with the
-		// same flow attributes whose gate stays quiet. The selector is
-		// checked before the gate so a flow change never consumes the
-		// next datagram's draw.
+		// Extend a quiet run: consecutive, non-bypassed datagrams of the
+		// same flow whose gate stays quiet. The bypass and the flow are
+		// checked before the gate, so neither a bypassed datagram nor a
+		// flow change consumes the next draw.
 		j := i + 1
-		for j < len(dgs) {
-			if dgs[j].Source == "" {
-				dgs[j].Source = e.Addr()
-			}
-			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[j].Destination) {
-				break
-			}
-			if e.cfg.Selector(dgs[j]) != id {
-				break
-			}
+		for !tc.active() && j < len(dgs) &&
+			(e.cfg.Bypass == nil || !e.cfg.Bypass(dgs[j].Destination)) &&
+			(id != nil || e.cfg.Selector(dgs[j]) == flow) {
 			if pend = e.traceGate(0, true); pend != nil {
 				break
 			}
 			j++
 		}
+		var root Span
+		if tc.active() {
+			root = Span{Kind: SpanSeal, Start: time.Now(), Attr: uint64(len(dgs[i].Payload))}
+			if secret {
+				root.Flags = FlagSecretBody
+			}
+		}
 		var n int
-		dst, n = e.sealRun(dst, dgs[i:j], id, secret, res[i:j], nil)
+		dst, n = e.sealRun(dst, dgs[i:j], flow, secret, res[i:j], tc)
+		if tc.active() {
+			tc.finish(root, res[i].Err)
+			res[i].Trace = tc.id
+		}
 		sealed += n
 		i = j
 	}
@@ -352,6 +369,17 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 	if len(res) < len(dgs) {
 		panic("core: OpenBatch requires len(res) >= len(dgs)")
 	}
+	return e.openWalk(dst, dgs, res, nil, true)
+}
+
+// openWalk is the one door into openRun, the receive-side twin of
+// sealWalk: OpenBatch and, through openOne, every single-datagram open
+// come here. alias is set only by Open, whose run of one hands its
+// accepted body over in *alias (see deliver); batch marks an explicit
+// OpenBatch call. Unlike seal, open needs no per-flow grouping — the key
+// memo inside openRun amortises repeated flows on its own — so a quiet
+// run is every consecutive non-bypassed datagram whose gate stays quiet.
+func (e *Endpoint) openWalk(dst []byte, dgs []transport.Datagram, res []BatchResult, alias *[]byte, batch bool) ([]byte, int) {
 	if len(dgs) == 0 {
 		return dst, 0
 	}
@@ -362,54 +390,48 @@ func (e *Endpoint) OpenBatch(dst []byte, dgs []transport.Datagram, res []BatchRe
 		return dst, 0
 	}
 	defer e.endOp()
-	e.metrics.openBatchCalls[batchBucket(len(dgs))].Add(1)
-	e.metrics.openBatchDatagrams.Add(uint64(len(dgs)))
+	if batch {
+		e.metrics.openBatchCalls[batchBucket(len(dgs))].Add(1)
+		e.metrics.openBatchDatagrams.Add(uint64(len(dgs)))
+	}
 	opened := 0
-	var pend *traceCtx // as in SealBatch
-	i := 0
-	for i < len(dgs) {
+	var pend *traceCtx // as in sealWalk
+	for i := 0; i < len(dgs); {
 		tc := pend
 		pend = nil
 		if tc == nil {
 			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[i].Source) {
 				e.metrics.bypassedReceived.Add(1)
 				off := len(dst)
-				dst = append(dst, dgs[i].Payload...)
-				res[i] = BatchResult{Off: off, Len: len(dst) - off}
+				if alias != nil {
+					*alias = dgs[i].Payload
+				} else {
+					dst = append(dst, dgs[i].Payload...)
+				}
+				res[i] = BatchResult{Off: off, Len: len(dgs[i].Payload)}
 				opened++
 				i++
 				continue
 			}
 			tc = e.traceGate(dgs[i].Trace, false)
 		}
-		if tc.active() {
-			off := len(dst)
-			out, err := e.openGated(dst, dgs[i], nil, tc)
-			if err != nil {
-				res[i] = BatchResult{Off: off, Err: err}
-			} else {
-				dst = out
-				res[i] = BatchResult{Off: off, Len: len(out) - off}
-				opened++
-			}
-			i++
-			continue
-		}
-		// Extend the run with consecutive ungated, non-bypassed
-		// datagrams. Unlike seal, open needs no per-flow grouping — the
-		// key memo inside openRun amortises repeated flows on its own.
 		j := i + 1
-		for j < len(dgs) {
-			if e.cfg.Bypass != nil && e.cfg.Bypass(dgs[j].Source) {
-				break
-			}
+		for !tc.active() && j < len(dgs) && (e.cfg.Bypass == nil || !e.cfg.Bypass(dgs[j].Source)) {
 			if pend = e.traceGate(dgs[j].Trace, false); pend != nil {
 				break
 			}
 			j++
 		}
+		var root Span
+		if tc.active() {
+			root = Span{Kind: SpanOpen, Start: time.Now(), Attr: uint64(len(dgs[i].Payload))}
+		}
 		var n int
-		dst, n = e.openRun(dst, dgs[i:j], res[i:j], nil, nil)
+		dst, n = e.openRun(dst, dgs[i:j], res[i:j], tc, alias)
+		if tc.active() {
+			tc.finish(root, res[i].Err)
+			res[i].Trace = tc.id
+		}
 		opened += n
 		i = j
 	}
@@ -668,6 +690,7 @@ func (e *Endpoint) SendBatch(dgs []transport.Datagram, secret bool) (int, error)
 			Source:      dgs[i].Source,
 			Destination: dgs[i].Destination,
 			Payload:     payload,
+			Trace:       res[i].Trace,
 		})
 		orig = append(orig, i)
 	}

@@ -583,6 +583,70 @@ func TestBatchObservationGates(t *testing.T) {
 	})
 }
 
+// TestSendBatchCarriesTraceIDs sends three datagrams with SendBatch over
+// a metadata-preserving transport, both ends sharing an always-sampling
+// tracer. Each wire must carry its seal's trace ID, as Send's does, so
+// the receiver continues the sender's trace: three traces, each holding
+// both roots — not three seal traces beside three open traces.
+func TestSendBatchCarriesTraceIDs(t *testing.T) {
+	w := newWorld(t)
+	tr := &recordingTracer{spans: map[TraceID][]Span{}}
+	net := transport.NewNetwork(transport.Impairments{})
+	mk := func(name principal.Address) *Endpoint {
+		port, err := net.Attach(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := NewEndpoint(Config{
+			Identity:  w.principal(t, name),
+			Transport: port,
+			Directory: w.dir,
+			Verifier:  w.ver,
+			Clock:     w.clock,
+			Cipher:    CipherAES128GCM,
+			Tracer:    tr,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+	a, b := mk("trace-a"), mk("trace-b")
+	dgs := make([]transport.Datagram, 3)
+	for i := range dgs {
+		dgs[i] = transport.Datagram{Source: "trace-a", Destination: "trace-b", Payload: []byte{byte(i)}}
+	}
+	if n, err := a.SendBatch(dgs, true); n != len(dgs) || err != nil {
+		t.Fatalf("SendBatch sent %d of %d: %v", n, len(dgs), err)
+	}
+	accepted := 0
+	for arrived := 0; arrived < len(dgs); {
+		acc, n, err := b.ReceiveBatch(len(dgs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted, arrived = accepted+len(acc), arrived+n
+	}
+	if accepted != len(dgs) {
+		t.Fatalf("ReceiveBatch accepted %d of %d", accepted, len(dgs))
+	}
+	traces := tr.take()
+	if len(traces) != len(dgs) {
+		t.Fatalf("%d traces for %d datagrams sent and received", len(traces), len(dgs))
+	}
+	for i, spans := range traces {
+		var sealRoot, openRoot bool
+		for _, sp := range spans {
+			sealRoot = sealRoot || sp.Kind == SpanSeal
+			openRoot = openRoot || sp.Kind == SpanOpen
+		}
+		if !sealRoot || !openRoot {
+			t.Errorf("trace %d: seal root %v, open root %v; want one trace spanning both ends", i, sealRoot, openRoot)
+		}
+	}
+}
+
 // recordingTracer traces every datagram (or, with every > 1, every
 // every-th), counts its gate draws, and keeps each trace's spans in
 // emission order.

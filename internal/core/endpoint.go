@@ -269,7 +269,7 @@ type Endpoint struct {
 	// pressure-relief sweeps, and the edge pre-filter (nil when
 	// disabled).
 	gate           *admissionGate
-	flight         flowKeyFlight
+	flight         flight[flowCacheKey, keyResult]
 	lastPressure   atomic.Int64 // unix nanos of the last pressure sweep
 	pressureSweeps atomic.Uint64
 	pf             *prefilter
@@ -676,39 +676,39 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address) (k [16]by
 	if k, ok := e.rfkc.Get(ck); ok {
 		return k, true, note, nil
 	}
-	k, note, joined, err := e.flight.do(ck, func() ([16]byte, KeyNote, error) {
-		var n KeyNote
+	r, joined := e.flight.do(ck, func() (m keyResult) {
 		if e.gate != nil || e.cfg.StateBudget != nil {
 			if !e.plane.ks.KnownPeer(src) {
 				if e.gate != nil {
-					if err := e.gate.Admit(src); err != nil {
-						n.AdmitRefused = true
-						return [16]byte{}, n, err
+					if m.err = e.gate.Admit(src); m.err != nil {
+						m.note.Flags |= FlagAdmitRefused
+						return m
 					}
-					n.Admitted = true
+					m.note.Flags |= FlagAdmitted
 				}
 				if e.cfg.StateBudget.Level() == BudgetHard {
-					n.BudgetRefused = true
+					m.note.Flags |= FlagBudgetRefused
 					e.maybeRelievePressure(e.cfg.Clock.Now())
-					return [16]byte{}, n, fmt.Errorf("%w: keying %q", ErrStateBudget, src)
+					m.err = fmt.Errorf("%w: keying %q", ErrStateBudget, src)
+					return m
 				}
 			}
 		}
 		master, mnote, err := e.plane.masterKey(src, e.gate)
-		n.merge(mnote)
-		if err != nil {
-			return [16]byte{}, n, err
+		m.note.merge(mnote)
+		if m.err = err; err != nil {
+			return m
 		}
-		k := FlowKey(cryptolib.HashMD5, sfl, master, src, dst)
-		e.rfkc.Put(ck, k)
-		return k, n, nil
+		m.key = FlowKey(cryptolib.HashMD5, sfl, master, src, dst)
+		e.rfkc.Put(ck, m.key)
+		return m
 	})
 	if joined {
 		// A follower shares the leader's result and note, plus the
 		// coalescing mark itself.
-		note.Coalesced = true
+		r.note.Flags |= FlagKeyCoalesced
 	}
-	return k, false, note, err
+	return r.key, false, r.note, r.err
 }
 
 // Seal performs FBS send processing (FBSSend, Figure 4): classify into a
@@ -742,8 +742,7 @@ func (e *Endpoint) SealFlow(dg transport.Datagram, id FlowID, secret bool) (tran
 	if dg.Source == "" {
 		dg.Source = e.Addr()
 	}
-	buf := make([]byte, 0, HeaderSize+len(dg.Payload)+cryptolib.BlockSize)
-	out, tid, err := e.sealOne(buf, dg, id, secret)
+	out, tid, err := e.sealOne(make([]byte, 0, HeaderSize+len(dg.Payload)+cryptolib.BlockSize), dg, id, secret)
 	if err != nil {
 		return transport.Datagram{}, err
 	}
@@ -761,52 +760,18 @@ func (e *Endpoint) SealFlowAppend(dst []byte, dg transport.Datagram, id FlowID, 
 	return out, err
 }
 
-// sealOne is the single-datagram door into the run engine: the drain
-// gate, the bypass, the observation gate, then a run of one. It
-// reports the trace ID the gate allocated (0 when the datagram is
-// untraced) so Datagram-returning callers can stamp it into the
-// metadata.
+// sealOne is the single doors' way into sealWalk: dg as a run of one
+// under the flow its caller chose. It reports the trace ID the
+// observation gate allocated (0 when untraced), which SealFlow stamps
+// on the sealed Datagram for Send.
 func (e *Endpoint) sealOne(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, TraceID, error) {
-	if err := e.beginOp(); err != nil {
-		return nil, 0, err
-	}
-	defer e.endOp()
-	if dg.Source == "" {
-		dg.Source = e.Addr()
-	}
-	if e.cfg.Bypass != nil && e.cfg.Bypass(dg.Destination) {
-		e.metrics.bypassedSent.Add(1)
-		return append(dst, dg.Payload...), 0, nil
-	}
-	return e.sealGated(dst, dg, id, secret, e.traceGate(0, true))
-}
-
-// sealGated seals one datagram as a run of one, with the observation-gate
-// decision already made (SealBatch rolls the gate itself while grouping
-// runs, so a traced datagram inside a batch comes through here too). A
-// datagram whose gate fired carries its trace context into the run; a
-// quiet one carries nil and pays nothing — the golden vectors and the 0
-// allocs/op bound pin that case.
-func (e *Endpoint) sealGated(dst []byte, dg transport.Datagram, id FlowID, secret bool, tc *traceCtx) ([]byte, TraceID, error) {
 	one := [1]transport.Datagram{dg}
 	var res [1]BatchResult
-	var root Span
-	var tid TraceID
-	if tc.active() {
-		root = Span{Kind: SpanSeal, Start: time.Now(), Attr: uint64(len(dg.Payload))}
-		if secret {
-			root.Flags = FlagSecretBody
-		}
-		tid = tc.id
-	}
-	out, _ := e.sealRun(dst, one[:], id, secret, res[:], tc)
-	if tc.active() {
-		tc.finish(root, res[0].Err)
-	}
+	out, _ := e.sealWalk(dst, one[:], &id, secret, res[:], false)
 	if res[0].Err != nil {
-		return nil, tid, res[0].Err
+		return nil, 0, res[0].Err
 	}
-	return out, tid, nil
+	return out, res[0].Trace, nil
 }
 
 // Send seals and transmits a datagram (FBSSend step S10). A traced
@@ -873,41 +838,14 @@ func (e *Endpoint) OpenAppend(dst []byte, dg transport.Datagram) ([]byte, error)
 	return e.openOne(dst, dg, nil)
 }
 
-// openOne is the single-datagram door into the run engine: the drain
-// gate, the bypass, the observation gate, then a run of one. With
-// alias nil the recovered body is appended to dst; otherwise dst only
-// stages a decrypted body and *alias receives the body itself, which
-// for cleartext is a slice of dg.Payload (see deliver).
+// openOne is the single doors' way into openWalk: dg as a run of one.
+// With alias nil the recovered body is appended to dst; otherwise dst
+// only stages a decrypted body and *alias receives the body itself,
+// which for cleartext is a slice of dg.Payload (see deliver).
 func (e *Endpoint) openOne(dst []byte, dg transport.Datagram, alias *[]byte) ([]byte, error) {
-	if err := e.beginOp(); err != nil {
-		return nil, err
-	}
-	defer e.endOp()
-	if e.cfg.Bypass != nil && e.cfg.Bypass(dg.Source) {
-		e.metrics.bypassedReceived.Add(1)
-		if alias != nil {
-			*alias = dg.Payload
-			return dst, nil
-		}
-		return append(dst, dg.Payload...), nil
-	}
-	return e.openGated(dst, dg, alias, e.traceGate(dg.Trace, false))
-}
-
-// openGated opens one datagram as a run of one, with the observation-gate
-// decision already made (OpenBatch rolls the gate itself while grouping
-// runs) — the receive-side twin of sealGated.
-func (e *Endpoint) openGated(dst []byte, dg transport.Datagram, alias *[]byte, tc *traceCtx) ([]byte, error) {
 	one := [1]transport.Datagram{dg}
 	var res [1]BatchResult
-	var root Span
-	if tc.active() {
-		root = Span{Kind: SpanOpen, Start: time.Now(), Attr: uint64(len(dg.Payload))}
-	}
-	out, _ := e.openRun(dst, one[:], res[:], tc, alias)
-	if tc.active() {
-		tc.finish(root, res[0].Err)
-	}
+	out, _ := e.openWalk(dst, one[:], res[:], alias, false)
 	if res[0].Err != nil {
 		return nil, res[0].Err
 	}

@@ -287,7 +287,7 @@ func (ks *KeyService) cachedMasterKey(peer principal.Address) ([16]byte, bool) {
 // not pay a second exponentiation.
 func (ks *KeyService) masterKeyMiss(peer principal.Address, note *KeyNote) ([16]byte, error) {
 	if k, ok := ks.mkc.Peek(peer); ok {
-		note.MKCHit = true
+		note.Flags |= FlagKeyMKCHit
 		return k, nil
 	}
 	c, err := ks.certificateNoted(peer, note)
@@ -301,7 +301,7 @@ func (ks *KeyService) masterKeyMiss(peer principal.Address, note *KeyNote) ([16]
 		return [16]byte{}, fmt.Errorf("core: master key with %q: %w", peer, err)
 	}
 	ks.stats.masterKeyComputes.Add(1)
-	note.Computed = true
+	note.Flags |= FlagKeyComputed
 	ks.mkc.Put(peer, k)
 	return k, nil
 }
@@ -372,14 +372,12 @@ func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certi
 	start := ks.clock.Now()
 	if ks.negCached(peer, start) {
 		ks.stats.negativeHits.Add(1)
-		note.NegativeHit = true
+		note.Flags |= FlagKeyNegCache
 		return nil, fmt.Errorf("%w: %q", ErrPeerUnavailable, peer)
 	}
 	var lastErr error
 	for attempt := 1; ; attempt++ {
-		if uint32(attempt) > note.Attempts {
-			note.Attempts = uint32(attempt)
-		}
+		note.Attempts = max(note.Attempts, uint32(attempt))
 		c, err := ks.dir.Lookup(peer)
 		if err == nil {
 			ks.negForget(peer)
@@ -394,6 +392,7 @@ func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certi
 			break
 		}
 		ks.stats.retries.Add(1)
+		note.Flags |= FlagKeyRetried
 		ks.sleep(ks.retry.backoff(attempt, ks.jitterUnit()))
 	}
 	ks.negRemember(peer, ks.clock.Now())
@@ -446,7 +445,7 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 		if ferr != nil {
 			if ks.staleUsable(c, peer, now) {
 				ks.stats.staleServed.Add(1)
-				note.StaleServed = true
+				note.Flags |= FlagKeyStale
 				ks.pvc.Put(peer, c) // keep revalidating on later uses
 				return c, nil
 			}
@@ -456,7 +455,7 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 		if verr := ks.verifier.Verify(fresh, peer, now); verr != nil {
 			if ks.staleUsable(c, peer, now) {
 				ks.stats.staleServed.Add(1)
-				note.StaleServed = true
+				note.Flags |= FlagKeyStale
 				ks.pvc.Put(peer, c)
 				return c, nil
 			}
@@ -503,58 +502,3 @@ func (ks *KeyService) Stats() KeyServiceStats {
 		DeadlineExceeded:  ks.stats.deadlineExceeded.Load(),
 	}
 }
-
-// flowKeyResult carries a coalesced derivation's outcome to waiters,
-// including the leader's keying annotations so a follower's trace span
-// still reports what the shared derivation actually did.
-type flowKeyResult struct {
-	key  [16]byte
-	note KeyNote
-	err  error
-}
-
-// flowKeyFlight coalesces concurrent derivations of the same flow key,
-// the way MKD.inflight already coalesces master-key upcalls one level
-// down. A datagram burst on a fresh flow would otherwise send every
-// packet through the miss path at once — each charging the admission
-// gate and queueing behind the MKD — when a single derivation serves
-// them all.
-type flowKeyFlight struct {
-	mu      sync.Mutex
-	waiting map[flowCacheKey][]chan flowKeyResult
-	dedups  atomic.Uint64
-}
-
-// do runs fn for ck, unless a derivation for ck is already in flight, in
-// which case it waits for and shares that one's result. joined reports
-// whether this call was such a follower.
-func (f *flowKeyFlight) do(ck flowCacheKey, fn func() ([16]byte, KeyNote, error)) (key [16]byte, note KeyNote, joined bool, err error) {
-	f.mu.Lock()
-	if f.waiting == nil {
-		f.waiting = make(map[flowCacheKey][]chan flowKeyResult)
-	}
-	if chans, leader := f.waiting[ck]; leader {
-		ch := make(chan flowKeyResult, 1)
-		f.waiting[ck] = append(chans, ch)
-		f.mu.Unlock()
-		f.dedups.Add(1)
-		r := <-ch
-		return r.key, r.note, true, r.err
-	}
-	f.waiting[ck] = []chan flowKeyResult{}
-	f.mu.Unlock()
-
-	k, n, err := fn()
-
-	f.mu.Lock()
-	chans := f.waiting[ck]
-	delete(f.waiting, ck)
-	f.mu.Unlock()
-	for _, ch := range chans {
-		ch <- flowKeyResult{key: k, note: n, err: err}
-	}
-	return k, n, false, err
-}
-
-// Dedups counts derivations satisfied by joining an in-flight one.
-func (f *flowKeyFlight) Dedups() uint64 { return f.dedups.Load() }

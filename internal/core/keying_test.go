@@ -10,6 +10,7 @@ import (
 	"fbs/internal/cert"
 	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
+	"fbs/internal/transport"
 )
 
 // testWorld is a small universe: a CA, a directory, and identities.
@@ -249,23 +250,68 @@ func TestMKDStop(t *testing.T) {
 	}
 }
 
+// TestMKDStopStrandsNoWaiter races Stop against upcalls, leaders and
+// followers of four peers: half are waiting on a directory that does
+// not answer when Stop lands, half arrive as it lands. Every call must
+// return, with a key or with ErrMKDStopped — a join that slipped past
+// the stop-drain would wait forever.
+func TestMKDStopStrandsNoWaiter(t *testing.T) {
+	w := newWorld(t)
+	peers := []principal.Address{"stop-p0", "stop-p1", "stop-p2", "stop-p3"}
+	for _, p := range peers {
+		w.principal(t, p)
+	}
+	bd := &blockingDirectory{Inner: w.dir, release: make(chan struct{})}
+	defer close(bd.release)
+	mkd := NewMKD(NewKeyService(w.principal(t, "stop-self"), bd, w.ver, w.clock, KeyServiceConfig{}), 2)
+	const n = 32
+	errc := make(chan error, n)
+	upcall := func(i int) {
+		_, _, err := mkd.UpcallNoted(peers[i%len(peers)])
+		errc <- err
+	}
+	for i := 0; i < n/2; i++ {
+		go upcall(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); mkd.Upcalls() < n/2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d upcalls joined", mkd.Upcalls(), n/2)
+		}
+	}
+	for i := n / 2; i < n; i++ {
+		go upcall(i)
+	}
+	mkd.Stop()
+	deadline := time.After(5 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errc:
+			if err != nil && !errors.Is(err, ErrMKDStopped) {
+				t.Errorf("upcall returned %v, want a key or ErrMKDStopped", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d upcalls still waiting 5 s after Stop", n-i, n)
+		}
+	}
+}
+
 func TestFlowKeyFlightCoalesces(t *testing.T) {
-	var fl flowKeyFlight
+	var fl flight[flowCacheKey, keyResult]
 	var calls atomic.Int32
 	release := make(chan struct{})
 	ck := flowCacheKey{SFL: 1, Dst: "b", Src: "a"}
 	want := [16]byte{0xAB, 0xCD}
 
 	results := make(chan [16]byte, 9)
-	derive := func() ([16]byte, KeyNote, error) {
+	derive := func() keyResult {
 		calls.Add(1)
 		<-release
-		return want, KeyNote{}, nil
+		return keyResult{key: want}
 	}
 	// The leader takes the slot and blocks inside the derivation...
 	go func() {
-		k, _, _, _ := fl.do(ck, derive)
-		results <- k
+		r, _ := fl.do(ck, derive)
+		results <- r.key
 	}()
 	for calls.Load() == 0 {
 		time.Sleep(time.Millisecond)
@@ -274,8 +320,8 @@ func TestFlowKeyFlightCoalesces(t *testing.T) {
 	// as a dedup rather than starting its own derivation.
 	for i := 0; i < 8; i++ {
 		go func() {
-			k, _, _, _ := fl.do(ck, derive)
-			results <- k
+			r, _ := fl.do(ck, derive)
+			results <- r.key
 		}()
 	}
 	for fl.Dedups() != 8 {
@@ -293,14 +339,14 @@ func TestFlowKeyFlightCoalesces(t *testing.T) {
 }
 
 func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
-	var fl flowKeyFlight
-	a, _, _, _ := fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() ([16]byte, KeyNote, error) {
-		return [16]byte{1}, KeyNote{}, nil
+	var fl flight[flowCacheKey, keyResult]
+	a, _ := fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult {
+		return keyResult{key: [16]byte{1}}
 	})
-	b, _, _, _ := fl.do(flowCacheKey{SFL: 2, Dst: "b", Src: "a"}, func() ([16]byte, KeyNote, error) {
-		return [16]byte{2}, KeyNote{}, nil
+	b, _ := fl.do(flowCacheKey{SFL: 2, Dst: "b", Src: "a"}, func() keyResult {
+		return keyResult{key: [16]byte{2}}
 	})
-	if a == b {
+	if a.key == b.key {
 		t.Fatal("distinct flows shared a derivation")
 	}
 	if fl.Dedups() != 0 {
@@ -309,9 +355,9 @@ func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
 	// The slot is released after completion: a later derivation for the
 	// same key runs again (the RFKC, not the flight, is the cache).
 	var calls int
-	fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() ([16]byte, KeyNote, error) {
+	fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult {
 		calls++
-		return [16]byte{1}, KeyNote{}, nil
+		return keyResult{key: [16]byte{1}}
 	})
 	if calls != 1 {
 		t.Fatal("post-completion derivation did not run")
@@ -319,23 +365,23 @@ func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
 }
 
 func TestFlowKeyFlightPropagatesError(t *testing.T) {
-	var fl flowKeyFlight
+	var fl flight[flowCacheKey, keyResult]
 	release := make(chan struct{})
 	started := make(chan struct{})
 	ck := flowCacheKey{SFL: 9, Dst: "b", Src: "a"}
 	errc := make(chan error, 2)
 	go func() {
-		_, _, _, err := fl.do(ck, func() ([16]byte, KeyNote, error) {
+		r, _ := fl.do(ck, func() keyResult {
 			close(started)
 			<-release
-			return [16]byte{}, KeyNote{}, ErrKeyingOverload
+			return keyResult{err: ErrKeyingOverload}
 		})
-		errc <- err
+		errc <- r.err
 	}()
 	<-started
 	go func() {
-		_, _, _, err := fl.do(ck, func() ([16]byte, KeyNote, error) { return [16]byte{}, KeyNote{}, nil })
-		errc <- err
+		r, _ := fl.do(ck, func() keyResult { return keyResult{} })
+		errc <- r.err
 	}()
 	for fl.Dedups() != 1 {
 		time.Sleep(time.Millisecond)
@@ -345,5 +391,68 @@ func TestFlowKeyFlightPropagatesError(t *testing.T) {
 		if err := <-errc; !errors.Is(err, ErrKeyingOverload) {
 			t.Fatalf("waiter %d err = %v, want ErrKeyingOverload", i, err)
 		}
+	}
+}
+
+// TestOpenCoalescesFlowKeyMisses drives receiveFlowKey's flight through
+// Open: concurrent opens on one fresh flow, while the receiver's
+// directory holds the leading miss, share one derivation. Every other
+// open counts in Snapshot().FlowKeyDedups and its key span carries
+// FlagKeyCoalesced; a leader that never landed would hang them here.
+func TestOpenCoalescesFlowKeyMisses(t *testing.T) {
+	w := newWorld(t)
+	bd := &blockingDirectory{Inner: w.dir, release: make(chan struct{})}
+	tr := &recordingTracer{spans: map[TraceID][]Span{}}
+	a, b, _ := endpointPair(t, w, func(c *Config) {
+		if c.Identity.Addr == "bob" {
+			c.Directory = bd
+			c.Tracer = tr
+		}
+	})
+	const n = 6
+	sealed := make([]transport.Datagram, n)
+	for i := range sealed {
+		var err error
+		if sealed[i], err = a.Seal(transport.Datagram{Destination: "bob", Payload: []byte{byte(i)}}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errc := make(chan error, n)
+	for _, dg := range sealed {
+		go func() {
+			_, err := b.Open(dg)
+			errc <- err
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); b.Snapshot().FlowKeyDedups < n-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("FlowKeyDedups = %d, want %d joins on the held miss", b.Snapshot().FlowKeyDedups, n-1)
+		}
+	}
+	close(bd.release)
+	deadline := time.After(5 * time.Second)
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d opens still waiting on the flow-key flight", n-i, n)
+		}
+	}
+	if d := b.Snapshot().FlowKeyDedups; d != n-1 {
+		t.Errorf("FlowKeyDedups = %d, want %d", d, n-1)
+	}
+	coalesced := 0
+	for _, spans := range tr.take() {
+		for _, sp := range spans {
+			if sp.Kind == SpanFlowKey && sp.Flags&FlagKeyCoalesced != 0 {
+				coalesced++
+			}
+		}
+	}
+	if coalesced != n-1 {
+		t.Errorf("%d key spans carry FlagKeyCoalesced, want %d", coalesced, n-1)
 	}
 }

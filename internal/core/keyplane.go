@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"fbs/internal/cert"
@@ -39,12 +40,101 @@ func newKeyPlane(cfg Config, shards int) *keyPlane {
 // counted in gate's depth (gate may be nil) while it waits.
 func (p *keyPlane) masterKey(peer principal.Address, gate *admissionGate) ([16]byte, KeyNote, error) {
 	if k, ok := p.ks.cachedMasterKey(peer); ok {
-		return k, KeyNote{MKCHit: true}, nil
+		return k, KeyNote{Flags: FlagKeyMKCHit}, nil
 	}
 	gate.enter()
 	defer gate.leave()
 	return p.mkd.UpcallNoted(peer)
 }
+
+// flight is the one single-flight under the key plane: concurrent
+// requests for one key wait on the first, which sees that a result is
+// produced and lands it on every waiter. Its two instantiations are the
+// MKD's upcalls (by peer, landed by a daemon worker) and the endpoint's
+// flow-key misses (by flow, derived and landed by the leading miss
+// itself), so a burst of datagrams on a fresh flow to a new peer costs
+// one derivation and one exponentiation. A closed flight refuses new
+// waiters, which is how a stopped MKD strands none.
+type flight[K comparable, R any] struct {
+	mu      sync.Mutex
+	waiting map[K][]chan R
+	closed  bool
+	dedups  atomic.Uint64
+}
+
+// keyResult is what the key plane's flights land: a key, the
+// annotations of the work that produced it, and its error.
+type keyResult struct {
+	key  [16]byte
+	note KeyNote
+	err  error
+}
+
+// join enrols the caller as a waiter for k and returns the channel its
+// result lands on. lead reports that no request for k was in flight, so
+// the caller must see one through to land. ok is false, and nothing is
+// enrolled, once the flight is closed.
+func (f *flight[K, R]) join(k K) (ch chan R, lead, ok bool) {
+	ch = make(chan R, 1)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil, false, false
+	}
+	if f.waiting == nil {
+		f.waiting = make(map[K][]chan R)
+	}
+	w, inFlight := f.waiting[k]
+	f.waiting[k] = append(w, ch)
+	if inFlight {
+		f.dedups.Add(1)
+	}
+	return ch, !inFlight, true
+}
+
+// land delivers r to every waiter for k; the next join for k leads.
+// Each waiter's channel holds one result, so land never blocks on a
+// waiter that gave up.
+func (f *flight[K, R]) land(k K, r R) {
+	f.mu.Lock()
+	w := f.waiting[k]
+	delete(f.waiting, k)
+	f.mu.Unlock()
+	for _, ch := range w {
+		ch <- r
+	}
+}
+
+// do runs fn for k on the caller's goroutine and lands its result,
+// unless a request for k is in flight, in which case it waits for and
+// shares that one's result; joined reports the latter. On a closed
+// flight fn runs uncoalesced.
+func (f *flight[K, R]) do(k K, fn func() R) (r R, joined bool) {
+	ch, lead, ok := f.join(k)
+	if ok && !lead {
+		return <-ch, true
+	}
+	r = fn()
+	f.land(k, r)
+	return r, false
+}
+
+// close lands r on every waiter of every key and refuses later joins.
+func (f *flight[K, R]) close(r R) {
+	f.mu.Lock()
+	f.closed = true
+	waiting := f.waiting
+	f.waiting = nil
+	f.mu.Unlock()
+	for _, w := range waiting {
+		for _, ch := range w {
+			ch <- r
+		}
+	}
+}
+
+// Dedups counts joins that found a request already in flight.
+func (f *flight[K, R]) Dedups() uint64 { return f.dedups.Load() }
 
 // HandoffStats counts what a soft-state handoff offered the successor:
 // verified peer certificates, and pair master keys (zero when the

@@ -111,8 +111,9 @@ func TestShardGroupCloseIdempotent(t *testing.T) {
 
 // TestEndpointDrainRefusesNewWork pins the drain gate on all four
 // datagram funnels: after BeginDrain, single and batched seals and
-// opens refuse with ErrDraining, nothing is charged to the drop
-// ledger, and Quiesce returns promptly on the now-idle endpoint.
+// opens refuse with ErrDraining, nothing is charged to the drop ledger
+// or the batch histograms, and Quiesce returns promptly on the
+// now-idle endpoint.
 func TestEndpointDrainRefusesNewWork(t *testing.T) {
 	w := newWorld(t)
 	ep := lifecycleEndpoint(t, w, "drain-a", nullTransport{})
@@ -124,6 +125,7 @@ func TestEndpointDrainRefusesNewWork(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	batchBefore := ep.Snapshot().Batch
 	ep.BeginDrain()
 	if _, err := ep.Seal(dg, true); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Seal while draining: err = %v, want ErrDraining", err)
@@ -137,6 +139,11 @@ func TestEndpointDrainRefusesNewWork(t *testing.T) {
 	}
 	if _, n := ep.OpenBatch(nil, []transport.Datagram{sealed}, res); n != 0 || !errors.Is(res[0].Err, ErrDraining) {
 		t.Fatalf("OpenBatch while draining: n = %d, res[0].Err = %v, want 0/ErrDraining", n, res[0].Err)
+	}
+	// The fbs_batch_* histograms count batch calls admitted past the
+	// drain gate, so the refused ones leave them where they were.
+	if got := ep.Snapshot().Batch; got != batchBefore {
+		t.Fatalf("refused batch calls moved the batch histograms: %+v → %+v", batchBefore, got)
 	}
 	var total uint64
 	for _, c := range ep.Snapshot().Drops {
@@ -156,9 +163,7 @@ func TestQuiesceWaitsForInflight(t *testing.T) {
 	w := newWorld(t)
 	ep := lifecycleEndpoint(t, w, "quiesce-a", nullTransport{})
 
-	if err := ep.beginOp(); err != nil {
-		t.Fatal(err)
-	}
+	ep.inflight.Add(1) // an operation past the drain gate
 	done := make(chan error, 1)
 	go func() { done <- ep.Quiesce(5 * time.Second) }()
 	select {
@@ -169,7 +174,7 @@ func TestQuiesceWaitsForInflight(t *testing.T) {
 	if got := ep.Inflight(); got != 1 {
 		t.Fatalf("Inflight() = %d, want 1", got)
 	}
-	ep.endOp()
+	ep.inflight.Add(-1)
 	select {
 	case err := <-done:
 		if err != nil {

@@ -15,10 +15,11 @@ import (
 // daemon on an MKC miss; the daemon fetches certificates over the secure
 // flow bypass, computes the Diffie-Hellman master key, and installs it.
 // Here the daemon is worker goroutines serving requests over a channel,
-// with single-flight coalescing so a burst of datagrams to a new peer
-// costs one certificate fetch and one exponentiation — the behaviour the
-// paper's caching design is built around. A peer is queued at most once,
-// so workers only ever overlap the misses of different peers.
+// with the key plane's single-flight in front so a burst of datagrams to
+// a new peer costs one certificate fetch and one exponentiation — the
+// behaviour the paper's caching design is built around. A peer is queued
+// at most once, so workers only ever overlap the misses of different
+// peers.
 type MKD struct {
 	ks *KeyService
 
@@ -28,19 +29,12 @@ type MKD struct {
 	timeout  time.Duration
 	timeouts atomic.Uint64
 
-	mu       sync.Mutex
-	inflight map[principal.Address][]chan mkdResult
-	reqs     chan principal.Address
-	done     chan struct{}
-	once     sync.Once
+	flight flight[principal.Address, keyResult]
+	reqs   chan principal.Address
+	done   chan struct{}
+	once   sync.Once
 
-	upcalls uint64
-}
-
-type mkdResult struct {
-	key  [16]byte
-	note KeyNote
-	err  error
+	upcalls atomic.Uint64
 }
 
 // ErrMKDStopped is returned by Upcall after Stop.
@@ -57,10 +51,9 @@ var ErrUpcallTimeout = errors.New("core: master key upcall deadline exceeded")
 // on workers goroutines (at least one) until Stop.
 func NewMKD(ks *KeyService, workers int) *MKD {
 	m := &MKD{
-		ks:       ks,
-		inflight: make(map[principal.Address][]chan mkdResult),
-		reqs:     make(chan principal.Address, 64),
-		done:     make(chan struct{}),
+		ks:   ks,
+		reqs: make(chan principal.Address, 64),
+		done: make(chan struct{}),
 	}
 	for i := 0; i < max(workers, 1); i++ {
 		go m.serve()
@@ -72,24 +65,10 @@ func (m *MKD) serve() {
 	for {
 		select {
 		case peer := <-m.reqs:
-			var note KeyNote
-			key, err := m.ks.masterKeyMiss(peer, &note)
-			m.mu.Lock()
-			waiters := m.inflight[peer]
-			delete(m.inflight, peer)
-			m.mu.Unlock()
-			for _, w := range waiters {
-				w <- mkdResult{key: key, note: note, err: err}
-			}
+			var r keyResult
+			r.key, r.err = m.ks.masterKeyMiss(peer, &r.note)
+			m.flight.land(peer, r)
 		case <-m.done:
-			m.mu.Lock()
-			for peer, waiters := range m.inflight {
-				for _, w := range waiters {
-					w <- mkdResult{err: ErrMKDStopped}
-				}
-				delete(m.inflight, peer)
-			}
-			m.mu.Unlock()
 			return
 		}
 	}
@@ -98,66 +77,57 @@ func (m *MKD) serve() {
 // UpcallNoted blocks until the daemon has the pair-based master key for
 // peer, and reports the annotations of the computation that produced it.
 // Concurrent upcalls for one peer coalesce into one computation, whose
-// waiters share the leader's note with KeyNote.Coalesced set.
+// waiters share the leader's note with FlagKeyCoalesced set.
 func (m *MKD) UpcallNoted(peer principal.Address) ([16]byte, KeyNote, error) {
-	ch := make(chan mkdResult, 1)
-	m.mu.Lock()
-	select {
-	case <-m.done:
-		m.mu.Unlock()
+	ch, lead, ok := m.flight.join(peer)
+	if !ok {
 		return [16]byte{}, KeyNote{}, ErrMKDStopped
-	default:
 	}
-	m.upcalls++
-	first := len(m.inflight[peer]) == 0
-	m.inflight[peer] = append(m.inflight[peer], ch)
-	m.mu.Unlock()
-	if first {
+	m.upcalls.Add(1)
+	var joined KeyNote
+	if lead {
 		select {
 		case m.reqs <- peer:
 		case <-m.done:
 			return [16]byte{}, KeyNote{}, ErrMKDStopped
 		}
+	} else {
+		joined.Flags = FlagKeyCoalesced
 	}
+	var deadline <-chan time.Time // nil, and so never ready, without a timeout
 	if m.timeout > 0 {
 		t := time.NewTimer(m.timeout)
 		defer t.Stop()
-		select {
-		case r := <-ch:
-			if !first {
-				r.note.Coalesced = true
-			}
-			return r.key, r.note, r.err
-		case <-t.C:
-			// The daemon still resolves the request and installs the
-			// key; only this waiter gives up (ch is buffered, so the
-			// daemon's send never blocks on an abandoned waiter).
-			m.timeouts.Add(1)
-			return [16]byte{}, KeyNote{Coalesced: !first},
-				fmt.Errorf("%w: peer %q after %v", ErrUpcallTimeout, peer, m.timeout)
-		}
+		deadline = t.C
 	}
-	r := <-ch
-	if !first {
-		r.note.Coalesced = true
+	select {
+	case r := <-ch:
+		r.note.merge(joined)
+		return r.key, r.note, r.err
+	case <-deadline:
+		// The daemon still resolves the request and installs the key;
+		// only this waiter gives up (its channel holds the result the
+		// daemon lands, so the daemon never blocks on it).
+		m.timeouts.Add(1)
+		return [16]byte{}, joined, fmt.Errorf("%w: peer %q after %v", ErrUpcallTimeout, peer, m.timeout)
 	}
-	return r.key, r.note, r.err
 }
 
 // SetTimeout bounds future Upcalls; call before serving traffic.
 func (m *MKD) SetTimeout(d time.Duration) { m.timeout = d }
 
 // Upcalls returns how many upcalls were made.
-func (m *MKD) Upcalls() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.upcalls
-}
+func (m *MKD) Upcalls() uint64 { return m.upcalls.Load() }
 
 // Timeouts returns how many upcalls gave up at the deadline.
 func (m *MKD) Timeouts() uint64 { return m.timeouts.Load() }
 
-// Stop terminates the daemon; pending upcalls fail with ErrMKDStopped.
+// Stop terminates the daemon; pending upcalls fail with ErrMKDStopped,
+// and so does every later one: the flight closes before the workers are
+// told to exit, so no waiter is left without a result.
 func (m *MKD) Stop() {
-	m.once.Do(func() { close(m.done) })
+	m.once.Do(func() {
+		m.flight.close(keyResult{err: ErrMKDStopped})
+		close(m.done)
+	})
 }

@@ -137,7 +137,7 @@ const (
 	// stale-while-revalidate.
 	FlagKeyStale
 	// FlagKeyCoalesced: this derivation joined an in-flight one (the
-	// flow-key single-flight or the MKD's inflight coalescing).
+	// key plane's single-flight, at the flow key or in the MKD).
 	FlagKeyCoalesced
 	// FlagAdmitted: an unknown peer passed the keying admission gate.
 	FlagAdmitted
@@ -288,7 +288,7 @@ func (t *traceCtx) parsed(t0 time.Time, sfl SFL, secret bool, drop DropReason) {
 // the stage's verdict. Callers check active() first.
 func (t *traceCtx) keyed(t0 time.Time, sfl SFL, hit bool, note KeyNote, drop DropReason) {
 	sp := Span{Kind: SpanFlowKey, Drop: drop, SFL: sfl, Start: t0, Dur: time.Since(t0),
-		Flags: note.flags(), Attr: uint64(note.Attempts)}
+		Flags: note.Flags, Attr: uint64(note.Attempts)}
 	if hit {
 		sp.Flags |= FlagKeyHit
 	}
@@ -324,78 +324,22 @@ func (t *traceCtx) finish(root Span, err error) {
 
 // KeyNote accumulates the keying-plane annotations of one flow-key
 // retrieval: which cache tier answered, what degraded, and what the
-// admission machinery decided. It is threaded by pointer (nil-safely)
-// through the KeyService and MKD so the trace span — and only the
+// admission machinery decided. It is threaded by pointer through the
+// KeyService and MKD so the trace span — and only the
 // trace span — can report per-datagram keying verdicts without new
 // shared counters.
 type KeyNote struct {
 	// Attempts counts directory lookups performed (0 when no fetch was
 	// needed; >1 means the backoff policy retried).
 	Attempts uint32
-	// MKCHit: the master key came from cache.
-	MKCHit bool
-	// Computed: a Diffie-Hellman exponentiation was performed.
-	Computed bool
-	// NegativeHit: the negative-result cache refused the lookup.
-	NegativeHit bool
-	// StaleServed: a just-expired certificate was served.
-	StaleServed bool
-	// Coalesced: this request joined an in-flight derivation.
-	Coalesced bool
-	// Admitted / AdmitRefused / BudgetRefused: the receive-path
-	// admission verdicts.
-	Admitted      bool
-	AdmitRefused  bool
-	BudgetRefused bool
+	// Flags are the verdicts, already in the flow-key span's encoding:
+	// FlagKeyMKCHit, FlagKeyComputed, FlagKeyRetried, FlagKeyNegCache,
+	// FlagKeyStale, FlagKeyCoalesced and the admission flags.
+	Flags SpanFlags
 }
 
-// merge folds another note into n (nil-safe).
+// merge folds another note into n.
 func (n *KeyNote) merge(o KeyNote) {
-	if n == nil {
-		return
-	}
-	if o.Attempts > n.Attempts {
-		n.Attempts = o.Attempts
-	}
-	n.MKCHit = n.MKCHit || o.MKCHit
-	n.Computed = n.Computed || o.Computed
-	n.NegativeHit = n.NegativeHit || o.NegativeHit
-	n.StaleServed = n.StaleServed || o.StaleServed
-	n.Coalesced = n.Coalesced || o.Coalesced
-	n.Admitted = n.Admitted || o.Admitted
-	n.AdmitRefused = n.AdmitRefused || o.AdmitRefused
-	n.BudgetRefused = n.BudgetRefused || o.BudgetRefused
-}
-
-// flags renders the note as span flags.
-func (n KeyNote) flags() SpanFlags {
-	var f SpanFlags
-	if n.MKCHit {
-		f |= FlagKeyMKCHit
-	}
-	if n.Computed {
-		f |= FlagKeyComputed
-	}
-	if n.Attempts > 1 {
-		f |= FlagKeyRetried
-	}
-	if n.NegativeHit {
-		f |= FlagKeyNegCache
-	}
-	if n.StaleServed {
-		f |= FlagKeyStale
-	}
-	if n.Coalesced {
-		f |= FlagKeyCoalesced
-	}
-	if n.Admitted {
-		f |= FlagAdmitted
-	}
-	if n.AdmitRefused {
-		f |= FlagAdmitRefused
-	}
-	if n.BudgetRefused {
-		f |= FlagBudgetRefused
-	}
-	return f
+	n.Attempts = max(n.Attempts, o.Attempts)
+	n.Flags |= o.Flags
 }

@@ -591,6 +591,7 @@ func (l *batchLoop) echo() {
 						Source:      run[i].Source,
 						Destination: run[i].Destination,
 						Payload:     l.wire[r.Off : r.Off+r.Len],
+						Trace:       r.Trace,
 					})
 				case errors.Is(r.Err, core.ErrDraining):
 					if next == nil {

@@ -176,22 +176,8 @@ func TestObservabilityDocListsEveryFamily(t *testing.T) {
 
 	w := newGWWorld(t)
 	pipe := obs.NewPipeline(obstrace.Config{})
-	tr, err := w.net.Attach("doc-group", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	grp, err := core.NewShardGroup(2, func(int) (core.Config, error) {
-		id, err := w.identity(TenantConfig{Address: "doc-group"})
-		return core.Config{Identity: id, Transport: sharedTransport{tr}, Directory: w.dom.Directory(), Verifier: w.dom.Verifier()}, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer grp.Close()
 	reg := obs.NewRegistry()
 	obs.RegisterEndpoint(reg, "a", w.client("doc-peer"))
-	obs.RegisterShardGroup(reg, "g", grp)
 	obs.RegisterPipeline(reg, "p", pipe)
 	w.gateway(oneTenant()).RegisterMetrics(reg)
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strconv"
 
 	"fbs/internal/core"
 	"fbs/internal/principal"
@@ -204,37 +203,6 @@ func appendBatchFamilies(fams []Family, bs core.BatchStats, lbls ...Label) []Fam
 		CounterFamily("fbs_batch_seal_datagrams_total", "Datagrams processed through the SealBatch API.", bs.SealDatagrams, lbls...),
 		CounterFamily("fbs_batch_open_datagrams_total", "Datagrams processed through the OpenBatch API.", bs.OpenDatagrams, lbls...),
 	)
-}
-
-// RegisterShardGroup registers collectors for a sharded endpoint
-// group: per-shard data-plane counters labelled by shard index, shard-
-// labelled batch families, and group-wide aggregates. Per-shard
-// families keep the hot counters cheap to scrape; deep soft-state
-// introspection of an individual shard is available by registering it
-// directly with RegisterEndpoint.
-func RegisterShardGroup(r *Registry, name string, g *core.ShardGroup) {
-	eplbl := Label{Key: "endpoint", Value: name}
-	r.RegisterFunc(func() []Family {
-		fams := []Family{
-			GaugeFamily("fbs_shard_count", "Endpoint shards in the group.", float64(g.NumShards()), eplbl),
-		}
-		sent := Family{Name: "fbs_shard_sent_total", Help: "Datagrams sealed and sent, by shard.", Type: "counter"}
-		received := Family{Name: "fbs_shard_received_total", Help: "Datagrams accepted by open processing, by shard.", Type: "counter"}
-		flows := Family{Name: "fbs_shard_active_flows", Help: "Live FAM entries, by shard.", Type: "gauge"}
-		var drops []Family // one per shard; the registry merges them under one header
-		for i := 0; i < g.NumShards(); i++ {
-			ep := g.Shard(i)
-			shlbl := Label{Key: "shard", Value: strconv.Itoa(i)}
-			sl := []Label{eplbl, shlbl}
-			m := ep.Snapshot()
-			sent.Samples = append(sent.Samples, Sample{Labels: sl, Value: float64(m.Sent)})
-			received.Samples = append(received.Samples, Sample{Labels: sl, Value: float64(m.Received)})
-			flows.Samples = append(flows.Samples, Sample{Labels: sl, Value: float64(m.ActiveFlows)})
-			drops = append(drops, DropsFamily("fbs_shard_drops_total", "Datagrams refused, by shard and drop reason.", m.Drops, sl...))
-			fams = appendBatchFamilies(fams, m.Batch, eplbl, shlbl)
-		}
-		return append(append(fams, sent, received, flows), drops...)
-	})
 }
 
 // RegisterPipeline registers the per-stage latency histograms.

@@ -54,13 +54,16 @@ staticcheck:
 # score on ("report net lines; internal/core ends smaller"), for the six
 # CLIs, and for the whole tree, so the figure a PR reports is one the
 # job log shows. Assembly has its own row: hand-written .s lines are
-# counted, not hidden in (or from) the Go total.
+# counted, not hidden in (or from) the Go total. The totals count the
+# working tree: files on disk, tracked or untracked-but-not-ignored, so a
+# count taken before a commit sees new files and skips deleted ones.
+ON_DISK = git ls-files -co --exclude-standard -z $(1) | xargs -0 -r sh -c 'for f; do [ ! -f "$$f" ] || cat "$$f"; done' sh
 loc:
 	@for d in internal/core internal/obs internal/gateway cmd; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done; \
-	printf '%-18s %6d\n' total $$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l); \
-	printf '%-18s %6d\n' 'assembly (.s)' $$(git ls-files '*.s' | xargs cat | wc -l)
+	printf '%-18s %6d\n' total $$($(call ON_DISK,'*.go' ':!:*_test.go') | wc -l); \
+	printf '%-18s %6d\n' 'assembly (.s)' $$($(call ON_DISK,'*.s') | wc -l)
 
 test:
 	$(GO) test ./...

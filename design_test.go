@@ -215,17 +215,11 @@ var stdlibMethods = map[string]bool{
 
 // unreadExports are the exported names under internal/ that
 // TestEveryExportHasAReader lets stand without a reader, each with the
-// reason. The list is capped: a thirteenth entry means a subsystem, and a
+// reason. The list is capped: a fourth entry means a subsystem, and a
 // subsystem needs a reader.
 var unreadExports = map[string]string{
-	"internal/cert.ChainVerifier":                      "§5.2 certification hierarchy, CertVerifier's second implementation; deleting it collapses the interface",
-	"internal/cert.Authority.CertifySubordinate":       "§5.2 hierarchy: issues the CA certificates ChainVerifier walks",
-	"internal/cert.UnmarshalCA":                        "§5.2 hierarchy: the decoder half of CACertificate.Marshal",
-	"internal/core.KeyService.Pin":                     "§5.3 \"pin certain certificates in the cache upon initialization\", one line; Config.Directory's doc names it",
-	"internal/core.DirectMapped.ClassifyMisses":        "§5.3 cold/conflict miss split on the live cache; deleting it reshapes CacheStats, and so core.Snapshot",
-	"internal/cryptolib.NewSafeDES":                    "refuses weak and semi-weak DES keys: a check on key material, not a census target",
+	"internal/core.KeyService.Pin":                     "§5.3 \"pin certain certificates in the cache upon initialization\", one line",
 	"internal/ip.Stack.ServeEcho":                      "footnote 10's portless-protocol (ICMP) case of the §7 IP mapping; TestPingThroughFBS pings through it",
-	"internal/netsim.RateCap":                          "the link model's bandwidth stage (docs/ROBUSTNESS.md §1); no standing scenario composes it",
 	"internal/transport.UDPTransport.SetPortableBatch": "test seam (DESIGN.md Seams): runs the portable batch loop on a platform that has mmsg",
 }
 
@@ -299,8 +293,8 @@ func TestEveryExportHasAReader(t *testing.T) {
 			t.Errorf("unreadExports lists %s, which has a reader now or is gone; delete the entry", key)
 		}
 	}
-	if len(unreadExports) > 12 {
-		t.Errorf("unreadExports has %d entries; the cap is 12", len(unreadExports))
+	if len(unreadExports) > 3 {
+		t.Errorf("unreadExports has %d entries; the cap is 3", len(unreadExports))
 	}
 	t.Logf("%d exported funcs, methods and types under internal/; %d unread, %d of them allowed", len(exports), len(unread), len(unreadExports))
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fbs/internal/cert"
 	"fbs/internal/core"
 )
 
@@ -168,8 +167,8 @@ func TestProvisionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver := cfg.Verifier.(*cert.Verifier); ver.CA != "prov" {
-		t.Fatalf("verifier pinned to issuer %q, want the domain's name", ver.CA)
+	if cfg.Verifier.CA != "prov" {
+		t.Fatalf("verifier pinned to issuer %q, want the domain's name", cfg.Verifier.CA)
 	}
 	if cfg.Transport, err = net.Attach("away", 0); err != nil {
 		t.Fatal(err)

@@ -129,8 +129,8 @@ func (c *Certificate) Group() cryptolib.DHGroup {
 	return cryptolib.DHGroup{P: c.GroupP, G: c.GroupG}
 }
 
-// Authority is a certificate authority: the root of the reproduction's
-// certification hierarchy.
+// Authority is a certificate authority: the one CA whose key every
+// endpoint's Verifier pins.
 type Authority struct {
 	Name string
 
@@ -175,13 +175,6 @@ func (a *Authority) Issue(id *principal.Identity, notBefore, notAfter time.Time)
 	}
 	c.Signature = sig
 	return c, nil
-}
-
-// CertVerifier validates a leaf certificate for a subject at a point in
-// time. Verifier (single pinned CA) and ChainVerifier (hierarchy) both
-// implement it; FBS endpoints accept either.
-type CertVerifier interface {
-	Verify(c *Certificate, subject principal.Address, now time.Time) error
 }
 
 // Verifier validates certificates against a pinned CA key. The paper

@@ -5,16 +5,12 @@ import (
 	"sync"
 )
 
-// CacheStats classifies cache activity. Misses are divided per Section
-// 5.3 into compulsory (cold — key never seen before), and conflict misses
-// (key was present earlier but was displaced). Capacity misses are a
-// subset of conflict misses here; flowsim separates them offline by
-// replaying traces against a fully associative cache of equal size.
+// CacheStats counts cache activity. Section 5.3's split of misses into
+// cold and conflict misses is measured offline, over traces, by
+// flowsim.CacheSimAssoc (flowsim -fig 11).
 type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
-	Cold      uint64
-	Conflict  uint64
 	Installs  uint64
 	Evictions uint64
 }
@@ -33,8 +29,6 @@ func (s CacheStats) MissRate() float64 {
 func (s *CacheStats) add(o CacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
-	s.Cold += o.Cold
-	s.Conflict += o.Conflict
 	s.Installs += o.Installs
 	s.Evictions += o.Evictions
 }
@@ -71,15 +65,10 @@ func nextPow2(v int) int {
 // Counters are plain integers mutated under the stripe lock; Stats()
 // aggregates across stripes, preserving exact totals. The padding keeps
 // adjacent stripes off the same cache line.
-type cacheStripe[K comparable] struct {
+type cacheStripe struct {
 	mu    sync.Mutex
 	stats CacheStats
-	// seen supports cold-vs-conflict miss classification for the keys of
-	// this stripe. It grows with the number of distinct keys ever
-	// inserted, so it is disabled by default in protocol use and enabled
-	// for experiments.
-	seen map[K]struct{}
-	_    [40]byte // pad to a cache line boundary
+	_     [24]byte // pad to 64 bytes
 }
 
 // DirectMapped is a direct-mapped software cache, the structure Section
@@ -94,7 +83,7 @@ type cacheStripe[K comparable] struct {
 type DirectMapped[K comparable, V any] struct {
 	slots      []dmSlot[K, V]
 	hash       func(K) uint32
-	stripes    []cacheStripe[K]
+	stripes    []cacheStripe
 	stripeMask uint32
 
 	// budget, when set, is charged entryCost per valid slot. Installs
@@ -120,7 +109,7 @@ func NewDirectMapped[K comparable, V any](size int, hash func(K) uint32) *Direct
 	return &DirectMapped[K, V]{
 		slots:      make([]dmSlot[K, V], size),
 		hash:       hash,
-		stripes:    make([]cacheStripe[K], n),
+		stripes:    make([]cacheStripe, n),
 		stripeMask: uint32(n - 1),
 	}
 }
@@ -132,24 +121,11 @@ func (c *DirectMapped[K, V]) SetBudget(b *Budget, cost int64) {
 	c.entryCost = cost
 }
 
-// ClassifyMisses enables cold/conflict miss accounting (costs memory
-// proportional to distinct keys).
-func (c *DirectMapped[K, V]) ClassifyMisses() {
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		if s.seen == nil {
-			s.seen = make(map[K]struct{})
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Size returns the number of slots.
 func (c *DirectMapped[K, V]) Size() int { return len(c.slots) }
 
 // slotStripe locates the slot and its stripe for key.
-func (c *DirectMapped[K, V]) slotStripe(key K) (*dmSlot[K, V], *cacheStripe[K]) {
+func (c *DirectMapped[K, V]) slotStripe(key K) (*dmSlot[K, V], *cacheStripe) {
 	i := c.hash(key) % uint32(len(c.slots))
 	return &c.slots[i], &c.stripes[i&c.stripeMask]
 }
@@ -164,13 +140,6 @@ func (c *DirectMapped[K, V]) Get(key K) (V, bool) {
 		return s.val, true
 	}
 	st.stats.Misses++
-	if st.seen != nil {
-		if _, ok := st.seen[key]; ok {
-			st.stats.Conflict++
-		} else {
-			st.stats.Cold++
-		}
-	}
 	var zero V
 	return zero, false
 }
@@ -193,9 +162,6 @@ func (c *DirectMapped[K, V]) Put(key K, val V) {
 	s.key = key
 	s.val = val
 	st.stats.Installs++
-	if st.seen != nil {
-		st.seen[key] = struct{}{}
-	}
 }
 
 // Peek is Get without touching the hit/miss counters: for admission

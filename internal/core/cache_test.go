@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"fbs/internal/cryptolib"
 )
@@ -46,10 +47,9 @@ func TestDirectMappedNeverReturnsWrongValue(t *testing.T) {
 	}
 }
 
-func TestDirectMappedMissClassification(t *testing.T) {
+func TestDirectMappedMissAfterEviction(t *testing.T) {
 	c := NewDirectMapped[uint32, int](4, u32hash)
-	c.ClassifyMisses()
-	c.Get(5) // cold
+	c.Get(5) // cold miss
 	c.Put(5, 1)
 	// Evict key 5 by finding a key in the same slot.
 	var evictor uint32
@@ -60,13 +60,26 @@ func TestDirectMappedMissClassification(t *testing.T) {
 		}
 	}
 	c.Put(evictor, 2)
-	c.Get(5) // conflict: seen before, displaced
-	s := c.Stats()
-	if s.Cold != 1 || s.Conflict != 1 || s.Evictions != 1 {
+	if _, ok := c.Get(5); ok { // displaced: a miss again
+		t.Fatal("hit on a displaced key")
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Evictions != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.Cold+s.Conflict != s.Misses {
-		t.Fatalf("classified misses %d+%d != total %d", s.Cold, s.Conflict, s.Misses)
+}
+
+// TestStripesFillWholeCacheLines holds the lock stripes to their padding
+// comments: a stripe that is not a whole number of 64-byte lines lets
+// the hot fields of adjacent stripes share one.
+func TestStripesFillWholeCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"cacheStripe":  unsafe.Sizeof(cacheStripe{}),
+		"famStripe":    unsafe.Sizeof(famStripe{}),
+		"replayStripe": unsafe.Sizeof(replayStripe{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d bytes, not a multiple of 64", name, size)
+		}
 	}
 }
 

@@ -33,11 +33,10 @@ type Config struct {
 	// Transport is the underlying insecure datagram service. Required.
 	Transport transport.Transport
 	// Directory serves peer certificates (the PVC-miss fetch path).
-	// Required unless every peer certificate is pinned via Pin.
+	// Default: an empty StaticDirectory, which fails every fetch.
 	Directory cert.Directory
-	// Verifier validates certificates against the pinned trust anchor
-	// (a single CA or a hierarchy). Required.
-	Verifier cert.CertVerifier
+	// Verifier validates certificates against the pinned CA. Required.
+	Verifier *cert.Verifier
 
 	// Policy is the security flow policy (mapper + sweeper). Default:
 	// ThresholdPolicy{10 * time.Minute}, the paper's favoured setting.

@@ -211,7 +211,7 @@ func (s *FAMStats) add(o FAMStats) {
 type famStripe struct {
 	mu    sync.Mutex
 	stats FAMStats
-	_     [24]byte
+	_     [16]byte // pad to 64 bytes
 }
 
 // FAM is the flow association mechanism (Figure 1): a flow state table

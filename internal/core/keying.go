@@ -160,7 +160,7 @@ func (p RetryPolicy) backoff(n int, u float64) time.Duration {
 type KeyService struct {
 	self     *principal.Identity
 	dir      cert.Directory
-	verifier cert.CertVerifier
+	verifier *cert.Verifier
 	clock    Clock
 
 	pvc *DirectMapped[principal.Address, *cert.Certificate]
@@ -213,7 +213,7 @@ type KeyServiceConfig struct {
 }
 
 // NewKeyService wires the keying mechanism for one principal.
-func NewKeyService(self *principal.Identity, dir cert.Directory, verifier cert.CertVerifier, clock Clock, cfg KeyServiceConfig) *KeyService {
+func NewKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, cfg KeyServiceConfig) *KeyService {
 	if clock == nil {
 		clock = RealClock{}
 	}

@@ -5,7 +5,6 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -240,17 +239,11 @@ const (
 // restates these values.
 var sketchSalts = [sketchRows]uint32{0x9e3779b9, 0x85ebca6b}
 
-var sketchCRCTable = crc32.MakeTable(crc32.IEEE)
-
-// sketchSlot hashes a prefix into row's bucket index. Hand-rolled CRC
-// over the string so scoring a datagram never converts the address to
-// a byte slice (which would allocate on the pre-parse hot path).
+// sketchSlot hashes a prefix into row's bucket index. CRC over the
+// string so scoring a datagram never converts the address to a byte
+// slice (which would allocate on the pre-parse hot path).
 func sketchSlot(row int, prefix string) uint32 {
-	crc := sketchSalts[row]
-	for i := 0; i < len(prefix); i++ {
-		crc = sketchCRCTable[byte(crc)^prefix[i]] ^ (crc >> 8)
-	}
-	return crc % sketchCols
+	return cryptolib.CRC32UpdateString(sketchSalts[row], prefix) % sketchCols
 }
 
 // prefilter is the per-endpoint pre-filter state.

@@ -60,7 +60,7 @@ type replayStripe struct {
 	seen     map[replaySig]replayEntry
 	peers    map[principal.Address]int
 	refusals uint64
-	_        [40]byte
+	_        [32]byte // pad to 64 bytes
 }
 
 // remove deletes sig under the stripe lock, keeping peer counts exact.

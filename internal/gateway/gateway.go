@@ -33,7 +33,7 @@ type Options struct {
 	// Directory resolves peer certificates (required).
 	Directory cert.Directory
 	// Verifier checks certificate signatures (required).
-	Verifier cert.CertVerifier
+	Verifier *cert.Verifier
 	// Clock is the time source; nil means the real clock.
 	Clock core.Clock
 	// Logf receives operational log lines; nil discards them.

@@ -264,7 +264,7 @@ func (p *chaosPort) Send(dg transport.Datagram) error {
 	}
 	n := p.net
 	now := time.Since(n.start)
-	d := n.link(dg.Source, dg.Destination).Transmit(now, len(dg.Payload))
+	d := n.link(dg.Source, dg.Destination).Transmit(now)
 	if d.Lost() {
 		if tr := n.tracer; tr != nil && dg.Trace != 0 {
 			tr.Span(core.Span{Trace: dg.Trace, Kind: core.SpanLink,

@@ -9,17 +9,17 @@ import (
 
 // This file is the composable link fault model: a LinkModel is a seeded
 // pipeline of impairment Stages (Bernoulli and Gilbert-Elliott burst
-// loss, reordering, duplication, bit corruption, delay/jitter, and a
-// bandwidth cap) instantiated per direction. The model decides the fate
-// of each datagram — lost, delivered once or several times, at what
-// offset, corrupted or clean — deterministically from the seed and the
+// loss, reordering, duplication, bit corruption, delay/jitter)
+// instantiated per direction. The model decides the fate of each
+// datagram — lost, delivered once or several times, at what offset,
+// corrupted or clean — deterministically from the seed and the
 // submission sequence, so a chaos run can be replayed exactly and every
 // induced fault reconciled against a drop counter.
 
 // Fate is one delivery of a datagram copy decided by the link.
 type Fate struct {
 	// At is the delivery time as an offset on the link's clock (the
-	// submission time plus queueing, serialization, delay and jitter).
+	// submission time plus delay, jitter and reorder holdback).
 	At time.Duration
 }
 
@@ -30,8 +30,6 @@ type Fate struct {
 type Decision struct {
 	// Now is the submission time the decision was computed at.
 	Now time.Duration
-	// Size is the datagram size in bytes (drives the bandwidth cap).
-	Size int
 	// Corrupt marks the datagram for a single-bit flip on delivery.
 	Corrupt bool
 	// CorruptBit selects the flipped bit: byte CorruptBit/8 mod size,
@@ -68,10 +66,10 @@ type LinkStats struct {
 type stageFn func(rng *cryptolib.LCG, d *Decision, st *LinkStats)
 
 // Stage is one impairment in a link pipeline. Stages carry per-link
-// state (a Gilbert-Elliott regime, a bandwidth-cap horizon), so a Stage
-// value is a spec: each Link instantiated from a model builds fresh
-// state. Construct stages with the exported constructors below and
-// compose them in the order faults should apply.
+// state (a Gilbert-Elliott regime), so a Stage value is a spec: each
+// Link instantiated from a model builds fresh state. Construct stages
+// with the exported constructors below and compose them in the order
+// faults should apply.
 type Stage struct {
 	name  string
 	build func() stageFn
@@ -175,29 +173,6 @@ func Reorder(p float64, holdback time.Duration) Stage {
 	}}
 }
 
-// RateCap serialises datagrams through a bps bottleneck: each copy
-// occupies the link for size*8/bps and queues behind earlier traffic.
-// The queue is unbounded; combine with loss stages to model tail drop.
-func RateCap(bps float64) Stage {
-	return Stage{name: "ratecap", build: func() stageFn {
-		var horizon time.Duration // when the bottleneck frees up
-		return func(rng *cryptolib.LCG, d *Decision, st *LinkStats) {
-			if bps <= 0 || d.Lost() {
-				return
-			}
-			occupancy := time.Duration(float64(d.Size*8) / bps * float64(time.Second))
-			for i := range d.Fates {
-				start := d.Fates[i].At
-				if horizon > start {
-					start = horizon
-				}
-				horizon = start + occupancy
-				d.Fates[i].At = horizon
-			}
-		}
-	}}
-}
-
 // LinkModel is a seeded pipeline of impairment stages. Instantiate
 // builds an independent Link per direction; two links built from the
 // same model share the spec but not the RNG or stage state, so each
@@ -235,13 +210,13 @@ func (m LinkModel) Instantiate(salt uint64) *Link {
 	return l
 }
 
-// Transmit decides the fate of one datagram of size bytes submitted at
-// now on the link clock. A healed link delivers everything immediately.
-func (l *Link) Transmit(now time.Duration, size int) Decision {
+// Transmit decides the fate of one datagram submitted at now on the
+// link clock. A healed link delivers everything immediately.
+func (l *Link) Transmit(now time.Duration) Decision {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats.Offered++
-	d := Decision{Now: now, Size: size, Fates: []Fate{{At: now}}}
+	d := Decision{Now: now, Fates: []Fate{{At: now}}}
 	if !l.healed {
 		for _, s := range l.stages {
 			s(l.rng, &d, &l.stats)

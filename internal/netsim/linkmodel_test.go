@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// transmitN drives n datagrams of the given size through a fresh link
+// transmitN drives n datagrams through a fresh link
 // built from the model and returns the decisions.
-func transmitN(m LinkModel, n, size int) ([]Decision, *Link) {
+func transmitN(m LinkModel, n int) ([]Decision, *Link) {
 	l := m.Instantiate(0)
 	out := make([]Decision, n)
 	for i := range out {
-		out[i] = l.Transmit(time.Duration(i)*time.Millisecond, size)
+		out[i] = l.Transmit(time.Duration(i) * time.Millisecond)
 	}
 	return out, l
 }
@@ -24,8 +24,8 @@ func TestLinkModelDeterministic(t *testing.T) {
 		DelayJitter(time.Millisecond, 2*time.Millisecond),
 		Reorder(0.05, 5*time.Millisecond),
 	}}
-	a, la := transmitN(m, 500, 128)
-	b, lb := transmitN(m, 500, 128)
+	a, la := transmitN(m, 500)
+	b, lb := transmitN(m, 500)
 	for i := range a {
 		if len(a[i].Fates) != len(b[i].Fates) || a[i].Corrupt != b[i].Corrupt || a[i].CorruptBit != b[i].CorruptBit {
 			t.Fatalf("decision %d diverged between identical seeded runs", i)
@@ -50,8 +50,8 @@ func TestLinkModelSaltIndependence(t *testing.T) {
 	la, lb := m.Instantiate(1), m.Instantiate(2)
 	same := true
 	for i := 0; i < 200; i++ {
-		a := la.Transmit(0, 64)
-		b := lb.Transmit(0, 64)
+		a := la.Transmit(0)
+		b := lb.Transmit(0)
 		if a.Lost() != b.Lost() {
 			same = false
 		}
@@ -62,7 +62,7 @@ func TestLinkModelSaltIndependence(t *testing.T) {
 }
 
 func TestBernoulliLossRate(t *testing.T) {
-	_, l := transmitN(LinkModel{Stages: []Stage{bernoulliLoss(0.25)}}, 4000, 64)
+	_, l := transmitN(LinkModel{Stages: []Stage{bernoulliLoss(0.25)}}, 4000)
 	st := l.Stats()
 	rate := float64(st.Lost) / float64(st.Offered)
 	if rate < 0.20 || rate > 0.30 {
@@ -73,7 +73,7 @@ func TestBernoulliLossRate(t *testing.T) {
 func TestGilbertElliottBursts(t *testing.T) {
 	// A bad regime that is entered rarely but drops heavily must produce
 	// burst losses, and more total loss than the good regime alone.
-	_, l := transmitN(LinkModel{Stages: []Stage{GilbertElliott(0.05, 0.2, 0.0, 0.9)}}, 4000, 64)
+	_, l := transmitN(LinkModel{Stages: []Stage{GilbertElliott(0.05, 0.2, 0.0, 0.9)}}, 4000)
 	st := l.Stats()
 	if st.BurstLost == 0 {
 		t.Fatal("no burst losses recorded")
@@ -84,7 +84,7 @@ func TestGilbertElliottBursts(t *testing.T) {
 }
 
 func TestDuplicateSchedulesExtraCopy(t *testing.T) {
-	ds, l := transmitN(LinkModel{Stages: []Stage{Duplicate(0.3)}}, 1000, 64)
+	ds, l := transmitN(LinkModel{Stages: []Stage{Duplicate(0.3)}}, 1000)
 	st := l.Stats()
 	if st.Duplicated == 0 {
 		t.Fatal("no duplicates at p=0.3")
@@ -101,7 +101,7 @@ func TestDuplicateSchedulesExtraCopy(t *testing.T) {
 }
 
 func TestCorruptBitsMarksOnce(t *testing.T) {
-	ds, l := transmitN(LinkModel{Stages: []Stage{CorruptBits(0.5), Duplicate(1.0)}}, 500, 64)
+	ds, l := transmitN(LinkModel{Stages: []Stage{CorruptBits(0.5), Duplicate(1.0)}}, 500)
 	if l.Stats().Corrupted == 0 {
 		t.Fatal("no corruption at p=0.5")
 	}
@@ -116,7 +116,7 @@ func TestCorruptBitsMarksOnce(t *testing.T) {
 
 func TestDelayJitterShiftsFates(t *testing.T) {
 	base := 5 * time.Millisecond
-	ds, _ := transmitN(LinkModel{Stages: []Stage{DelayJitter(base, 3*time.Millisecond)}}, 200, 64)
+	ds, _ := transmitN(LinkModel{Stages: []Stage{DelayJitter(base, 3*time.Millisecond)}}, 200)
 	for i, d := range ds {
 		for _, f := range d.Fates {
 			delta := f.At - d.Now
@@ -129,7 +129,7 @@ func TestDelayJitterShiftsFates(t *testing.T) {
 
 func TestReorderHoldsBack(t *testing.T) {
 	hold := 10 * time.Millisecond
-	ds, l := transmitN(LinkModel{Stages: []Stage{Reorder(0.2, hold)}}, 500, 64)
+	ds, l := transmitN(LinkModel{Stages: []Stage{Reorder(0.2, hold)}}, 500)
 	st := l.Stats()
 	if st.Reordered == 0 {
 		t.Fatal("no reorders at p=0.2")
@@ -145,27 +145,13 @@ func TestReorderHoldsBack(t *testing.T) {
 	}
 }
 
-func TestRateCapSerialises(t *testing.T) {
-	// 8000 bit/s and 100-byte datagrams: each occupies the link 100ms,
-	// so back-to-back submissions depart 100ms apart.
-	l := LinkModel{Stages: []Stage{RateCap(8000)}}.Instantiate(0)
-	d1 := l.Transmit(0, 100)
-	d2 := l.Transmit(0, 100)
-	if got, want := d1.Fates[0].At, 100*time.Millisecond; got != want {
-		t.Fatalf("first departure %v, want %v", got, want)
-	}
-	if got, want := d2.Fates[0].At, 200*time.Millisecond; got != want {
-		t.Fatalf("queued departure %v, want %v", got, want)
-	}
-}
-
 func TestHealDeliversEverything(t *testing.T) {
 	l := LinkModel{Stages: []Stage{bernoulliLoss(1.0), DelayJitter(time.Second, 0)}}.Instantiate(0)
-	if pre := l.Transmit(0, 64); !pre.Lost() {
+	if pre := l.Transmit(0); !pre.Lost() {
 		t.Fatal("pre-heal datagram survived p=1 loss")
 	}
 	l.Heal()
-	d := l.Transmit(0, 64)
+	d := l.Transmit(0)
 	if d.Lost() {
 		t.Fatal("healed link lost a datagram")
 	}
@@ -175,7 +161,7 @@ func TestHealDeliversEverything(t *testing.T) {
 }
 
 func TestZeroModelIsTransparent(t *testing.T) {
-	ds, l := transmitN(LinkModel{}, 100, 64)
+	ds, l := transmitN(LinkModel{}, 100)
 	for i, d := range ds {
 		if d.Lost() || d.Corrupt || len(d.Fates) != 1 || d.Fates[0].At != d.Now {
 			t.Fatalf("stage-free model mangled datagram %d: %+v", i, d)

@@ -64,7 +64,7 @@ type Config struct {
 	// Directory and Verifier serve and validate peer certificates.
 	// Required.
 	Directory cert.Directory
-	Verifier  cert.CertVerifier
+	Verifier  *cert.Verifier
 
 	// Clock drives timestamps; default core.RealClock.
 	Clock core.Clock

@@ -196,8 +196,9 @@ ci-soak:
 # throughput drop, or a doubled seal p99 on rows with >= 1000 seal
 # timings, fails CI) and appends passing
 # runs so the baseline tracks the codebase. One iteration of the
-# keying-miss benchmarks keeps their rows from rotting (they key on
-# Oakley 2, which no test does), one of BenchmarkRunOfOne executes its
+# keying-miss, master-key and provisioning benchmarks keeps their rows
+# from rotting (they key on Oakley 2, which no test does), one of
+# BenchmarkRunOfOne executes its
 # per-row allocation assertions (the single doors at 0 allocs/op), and
 # gwbench-smoke (above) then checks the real daemon end to end — the
 # batched socket plane included.
@@ -206,7 +207,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RunOfOne' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RunOfOne|Provision' -benchtime 1x .
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces

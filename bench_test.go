@@ -14,6 +14,7 @@ import (
 	"crypto/cipher"
 	"fmt"
 	"io"
+	"math/big"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -561,10 +562,12 @@ func BenchmarkFlowKeyDerivation(b *testing.B) {
 	}
 }
 
-// Master key (Diffie-Hellman) computation: the cost an MKC miss pays, on
-// the test group the suite keys with and on the Oakley groups the
-// product runs (each side's private value drawn the way an identity
-// draws it).
+// Master key (Diffie-Hellman) computation: "Shared" is the cost an MKC
+// miss pays, "Public" the g^x an identity pays once when it is minted or
+// rebuilt from a provisioning document — on the Oakley groups a
+// fixed-base table, elsewhere big.Int.Exp. Rows run on the test group
+// the suite keys with and on the Oakley groups the product runs, each
+// side's private value drawn the way an identity draws it.
 func BenchmarkMasterKeyComputation(b *testing.B) {
 	for _, row := range []struct {
 		name string
@@ -580,14 +583,44 @@ func BenchmarkMasterKeyComputation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			peerPub := g.Public(peer)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Shared(priv, peerPub); err != nil {
-					b.Fatal(err)
+			peerPub := g.Public(peer) // builds the fixed-base table, off the clock
+			b.Run("Shared", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := g.Shared(priv, peerPub); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
+			})
+			b.Run("Public", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSinkInt = g.Public(priv)
+				}
+			})
 		})
+	}
+}
+
+var benchSinkInt *big.Int
+
+// BenchmarkProvision prices minting a fleet through Domain.Provision:
+// 64 first-seen names on Oakley 2, each a private value, a g^x and a
+// certificate signature, on min(GOMAXPROCS, 64) goroutines. Each
+// iteration gets a fresh domain, its CA key drawn off the clock.
+func BenchmarkProvision(b *testing.B) {
+	names := make([]Address, 64)
+	for i := range names {
+		names[i] = Address(fmt.Sprintf("prov-%02d", i))
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d, err := NewDomain("bench-provision")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := d.Provision(names...); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -597,7 +630,8 @@ func BenchmarkMasterKeyComputation(b *testing.B) {
 // "new-flow-known-peer" starts a flow with a peer whose master key is
 // cached (flow-key cache miss, MKC hit), seal and open apart;
 // "new-peer" seals to a peer flushed from every cache first, the whole
-// chain: certificate fetch and verification, one exponentiation, K_f.
+// chain: certificate fetch and verification, one exponentiation, K_f;
+// "cold-batch" opens one gateway-sized receive batch of first contacts.
 func BenchmarkKeyingMiss(b *testing.B) {
 	d, err := NewDomain("bench-miss")
 	if err != nil {
@@ -676,6 +710,52 @@ func BenchmarkKeyingMiss(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// peer_churn's shape: 8 peers × 4 datagrams of one flow each,
+	// interleaved, opened as one batch by a 2-shard group whose caches
+	// hold none of the 8 (flushed off the clock before every iteration).
+	// The batch pays 8 exponentiations; the look-ahead spreads them over
+	// the key plane's min(2, GOMAXPROCS) workers.
+	const numPeers, perPeer = 8, 4
+	hub, err := d.NewShardedEndpoint("cold-hub", 2, func(shard int) (Transport, error) {
+		return net.Attach(Address(fmt.Sprintf("cold-hub-%d", shard)), 0)
+	}, func(c *Config) { c.Cipher = core.CipherAES128GCM })
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { hub.Close() })
+	peers := make([]*Endpoint, numPeers)
+	for p := range peers {
+		peers[p] = mk(Address(fmt.Sprintf("cold-peer-%d", p)))
+	}
+	var arrivals []Datagram
+	for r := 0; r < perPeer; r++ {
+		for _, p := range peers {
+			sealed, err := p.Seal(Datagram{Destination: "cold-hub", Payload: payload}, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			arrivals = append(arrivals, sealed)
+		}
+	}
+	b.Run("cold-batch", func(b *testing.B) {
+		res := make([]core.BatchResult, len(arrivals))
+		plain := make([]byte, 0, len(arrivals)*len(payload))
+		computes := hub.Snapshot().Keying.MasterKeyComputes
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for s := 0; s < hub.NumShards(); s++ {
+				for _, p := range peers {
+					hub.Shard(s).FlushPeer(p.Addr())
+				}
+			}
+			b.StartTimer()
+			if _, n := hub.Shard(0).OpenBatch(plain[:0], arrivals, res); n != len(arrivals) {
+				b.Fatalf("opened %d of %d", n, len(arrivals))
+			}
+		}
+		b.ReportMetric(float64(hub.Snapshot().Keying.MasterKeyComputes-computes)/float64(b.N), "exps/op")
 	})
 }
 

@@ -196,6 +196,47 @@ func TestStateFileKeys(t *testing.T) {
 	}
 }
 
+// TestWriteStateReplaces: the -state document is replaced, never
+// rewritten in place, so a client loading it mid-write sees a whole
+// document. The replacement keeps mode 0600 and leaves no temporary
+// file beside it.
+func TestWriteStateReplaces(t *testing.T) {
+	dir := t.TempDir()
+	statePath := filepath.Join(dir, "fbsgw.state")
+	d := newDaemon(cliOptions{statePath: statePath, clients: "alice"}, &syncBuffer{}, t.Logf)
+	var err error
+	if d.dom, err = fbs.NewDomain("state", fbs.WithGroup(fbs.TestGroup)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := &gateway.Config{}
+	if err := d.writeState(cfg); err != nil {
+		t.Fatal(err)
+	}
+	first, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.writeState(cfg); err != nil {
+		t.Fatal(err)
+	}
+	second, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(first, second) {
+		t.Error("the second writeState rewrote the first file in place")
+	}
+	if perm := second.Mode().Perm(); perm != 0600 {
+		t.Errorf("state file mode %v, want 0600", perm)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("state directory holds %d entries (err %v), want the state file alone", len(entries), err)
+	}
+	if _, err := fbs.LoadProvision(statePath); err != nil {
+		t.Errorf("replacement does not load: %v", err)
+	}
+}
+
 // TestFBSGWLiveUDPSmoke is the end-to-end gateway smoke test over real
 // loopback sockets: boot the daemon from a config file, stream client
 // round trips, hot-swap the config twice mid-transfer (admin API POST,

@@ -3,9 +3,12 @@ package fbs
 import (
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/big"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -237,6 +240,8 @@ func (p *Provision) parsed() error {
 // so far, and the private value of each named principal. A name seen for
 // the first time is minted and enrolled here, because a private value
 // leaves the process only for a principal created to live elsewhere.
+// Minting is a g^x and a certificate signature per name, so first-seen
+// names are minted on min(GOMAXPROCS, n) goroutines.
 func (d *Domain) Provision(names ...Address) (*Provision, error) {
 	caKey := d.ca.PublicKey()
 	p := &Provision{
@@ -246,28 +251,64 @@ func (d *Domain) Provision(names ...Address) (*Provision, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var fresh []Address
 	for _, name := range names {
-		priv, ok := d.provisioned[name]
-		if !ok {
-			var err error
-			if priv, err = d.Group.GeneratePrivate(); err != nil {
-				return nil, err
-			}
-			id, err := principal.NewIdentityWithPrivate(name, d.Group, priv)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.Enroll(id); err != nil {
-				return nil, err
-			}
-			d.provisioned[name] = priv
+		if _, ok := d.provisioned[name]; !ok && !slices.Contains(fresh, name) {
+			fresh = append(fresh, name)
 		}
-		p.Private[string(name)] = hex.EncodeToString(priv.Bytes())
+	}
+	privs, err := d.mint(fresh)
+	for i, priv := range privs {
+		if priv != nil {
+			d.provisioned[fresh[i]] = priv
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range names {
+		p.Private[string(name)] = hex.EncodeToString(d.provisioned[name].Bytes())
 	}
 	for _, c := range d.dir.All() {
 		p.Certs = append(p.Certs, c.Marshal())
 	}
 	return p, nil
+}
+
+// mint draws a private value for each name and enrolls its identity, on
+// min(GOMAXPROCS, len(names)) goroutines. It returns the values in
+// names' order, nil where minting failed, and every failure.
+func (d *Domain) mint(names []Address) ([]*big.Int, error) {
+	privs := make([]*big.Int, len(names))
+	errs := make([]error, len(names))
+	workers := min(runtime.GOMAXPROCS(0), len(names))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(names); i += workers {
+				privs[i], errs[i] = d.mintOne(names[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return privs, errors.Join(errs...)
+}
+
+func (d *Domain) mintOne(name Address) (*big.Int, error) {
+	priv, err := d.Group.GeneratePrivate()
+	if err != nil {
+		return nil, err
+	}
+	id, err := principal.NewIdentityWithPrivate(name, d.Group, priv)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Enroll(id); err != nil {
+		return nil, err
+	}
+	return priv, nil
 }
 
 // LoadProvision reads a provisioning document; keys beyond Provision's

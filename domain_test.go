@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fbs/internal/cert"
 	"fbs/internal/core"
 )
 
@@ -205,9 +206,21 @@ func TestProvisionRoundTrip(t *testing.T) {
 	for i := range names {
 		names[i] = Address(fmt.Sprintf("fleet-%02d", i))
 	}
-	fleet, err := d.Provision(names...)
+	fleet, err := d.Provision(append(names, names[0])...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Minted in parallel, exported as ever: one certificate per
+	// principal, ordered by subject.
+	if len(fleet.Certs) != 2+len(names) || len(fleet.Private) != len(names) {
+		t.Fatalf("fleet document: %d certs, %d private values; want %d and %d", len(fleet.Certs), len(fleet.Private), 2+len(names), len(names))
+	}
+	for i := 1; i < len(fleet.Certs); i++ {
+		prev, _ := cert.Unmarshal(fleet.Certs[i-1])
+		cur, _ := cert.Unmarshal(fleet.Certs[i])
+		if prev == nil || cur == nil || prev.Subject >= cur.Subject {
+			t.Fatalf("certificates %d and %d are not in subject order", i-1, i)
+		}
 	}
 	first, err := fleet.Config(names[0])
 	if err != nil {

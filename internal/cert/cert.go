@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 	"time"
 
 	"fbs/internal/cryptolib"
@@ -130,12 +131,12 @@ func (c *Certificate) Group() cryptolib.DHGroup {
 }
 
 // Authority is a certificate authority: the one CA whose key every
-// endpoint's Verifier pins.
+// endpoint's Verifier pins. Issue is safe for concurrent use.
 type Authority struct {
 	Name string
 
 	key    *cryptolib.RSAPrivateKey
-	serial uint64
+	serial atomic.Uint64
 }
 
 // NewAuthority creates a CA with a fresh RSA signing key of the given
@@ -157,10 +158,9 @@ func (a *Authority) Issue(id *principal.Identity, notBefore, notAfter time.Time)
 	if !notAfter.After(notBefore) {
 		return nil, fmt.Errorf("cert: empty validity interval")
 	}
-	a.serial++
 	c := &Certificate{
 		Version:   certVersion,
-		Serial:    a.serial,
+		Serial:    a.serial.Add(1),
 		Subject:   id.Addr,
 		GroupP:    id.Group.P,
 		GroupG:    id.Group.G,

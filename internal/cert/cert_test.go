@@ -154,6 +154,45 @@ func TestSerialsIncrease(t *testing.T) {
 	}
 }
 
+// TestConcurrentIssueSerials: an Authority issues from many goroutines
+// at once — a domain provisioning clients in parallel while its admin
+// plane enrolls a tenant — and every certificate gets its own serial.
+func TestConcurrentIssueSerials(t *testing.T) {
+	ca := testAuthority(t)
+	id := testIdentity(t, "serial-race")
+	const workers, each = 8, 4
+	serials := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range serials {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			now := time.Now()
+			for i := 0; i < each; i++ {
+				c, err := ca.Issue(id, now, now.Add(time.Hour))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				serials[w] = append(serials[w], c.Serial)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool)
+	for _, ss := range serials {
+		for _, s := range ss {
+			if seen[s] {
+				t.Fatalf("serial %d issued twice", s)
+			}
+			seen[s] = true
+		}
+	}
+	if len(seen) != workers*each {
+		t.Fatalf("%d distinct serials, want %d", len(seen), workers*each)
+	}
+}
+
 func TestStaticDirectory(t *testing.T) {
 	ca := testAuthority(t)
 	d := NewStaticDirectory()

@@ -468,6 +468,14 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 	if e.rc != nil {
 		pend = new(replayPending)
 	}
+	// The look-ahead applies where keying a new peer involves no decision
+	// but the budget's, which it checks when it runs: behind an admission
+	// gate or a pre-filter a chunk keys serially, as a loop would.
+	var ahead lookahead
+	var la *lookahead
+	if len(dgs) > 1 && e.gate == nil && e.pf == nil {
+		la = &ahead
+	}
 	opened := 0
 	for len(dgs) > 0 {
 		chunk := len(dgs)
@@ -475,6 +483,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			chunk = batchChunk
 		}
 		now := e.cfg.Clock.Now()
+		ahead = lookahead{e: e, now: now}
 		var memoValid bool
 		var memoSFL SFL
 		var memoSrc principal.Address
@@ -540,7 +549,8 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			} else {
 				var keyHit bool
 				var note KeyNote
-				kf, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination)
+				ahead.rest = dgs[k+1 : chunk]
+				kf, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, la)
 				// The overload sheds carry their own reason; everything
 				// else on this path is a keying failure.
 				reason := dropOr(err, DropKeying)
@@ -623,6 +633,87 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		dgs, res = dgs[chunk:], res[chunk:]
 	}
 	return dst, opened
+}
+
+// lookahead overlaps a chunk's master-key misses on the key plane's
+// workers. Without it the walk waits on each new peer's upcall in turn,
+// so however many workers the MKD runs, one exponentiation is under way
+// at a time. At the chunk's first miss it starts the daemon on every
+// later datagram that would reach the same miss, and each of those
+// upcalls stays the walk's handle for the rest of the chunk: a later
+// miss on that peer waits on it, so a slot-mate's key landing in the
+// MKC after it cannot cost a second exponentiation.
+type lookahead struct {
+	e       *Endpoint
+	now     time.Time
+	rest    []transport.Datagram // the chunk after the datagram being keyed
+	ran     bool
+	started []upcall // the first miss's own upcall, then the ones it started
+}
+
+// upcall returns the upcall the look-ahead started for peer, or nil.
+func (la *lookahead) upcall(peer principal.Address) *upcall {
+	if la == nil {
+		return nil
+	}
+	for i := range la.started {
+		if la.started[i].peer == peer {
+			return &la.started[i]
+		}
+	}
+	return nil
+}
+
+// start runs the look-ahead at the chunk's first master-key miss, whose
+// upcall own is, and returns the walk's handle to own; nil when it does
+// not run (no look-ahead, not the first miss, or the budget above
+// normal). A later datagram qualifies as the walk itself would judge it
+// — addressed here, decoding, accepted by the algorithm policy, fresh —
+// and its flow key and its peer's master key are both uncached; the
+// caches are peeked, so no counter moves.
+func (la *lookahead) start(own upcall) *upcall {
+	if la == nil || la.ran {
+		return nil
+	}
+	la.ran = true
+	e := la.e
+	if e.cfg.StateBudget.Level() != BudgetNormal {
+		return nil
+	}
+	// Sized so appends never move it: the walk holds pointers into it.
+	// Appends go to a local and are stored into la, never read back out
+	// of it: a slice read through la and stored again would take la's
+	// contents to the heap, the walk's datagrams with them, and escape
+	// analysis would then heap-allocate Open's run of one.
+	started := make([]upcall, 1, 1+len(la.rest))
+	started[0] = own
+	la.started = started
+	for i := range la.rest {
+		dg := &la.rest[i]
+		if dg.Destination != e.Addr() || la.upcall(dg.Source) != nil {
+			continue
+		}
+		var h Header
+		if _, err := h.Decode(dg.Payload); err != nil {
+			continue
+		}
+		if _, err := e.checkAlg(&h); err != nil || !h.Timestamp.Fresh(la.now, e.cfg.FreshnessWindow) {
+			continue
+		}
+		if _, ok := e.rfkc.Peek(flowCacheKey{SFL: h.SFL, Dst: dg.Destination, Src: dg.Source}); ok {
+			continue
+		}
+		if _, ok := e.plane.ks.mkc.Peek(dg.Source); ok {
+			continue
+		}
+		u, err := e.plane.mkd.start(dg.Source)
+		if err != nil {
+			break
+		}
+		started = append(started, u)
+		la.started = started
+	}
+	return &started[0]
 }
 
 // deliver accepts one authenticated datagram: it locates the body for

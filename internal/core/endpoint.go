@@ -486,7 +486,7 @@ func (e *Endpoint) ReplayPerPeer() map[principal.Address]int { return e.rc.PerPe
 // the regular keying path (MKC, upcall), so it can fail with the same
 // keying errors a seal would.
 func (e *Endpoint) PeerFlowKey(sfl SFL, peer principal.Address) ([16]byte, error) {
-	master, _, err := e.plane.masterKey(peer, nil)
+	master, _, err := e.plane.masterKey(peer, nil, nil)
 	if err != nil {
 		return [16]byte{}, err
 	}
@@ -649,7 +649,7 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, slot int, src, dst principal.Address
 			return k, true, note, nil
 		}
 	}
-	master, mnote, err := e.plane.masterKey(dst, nil)
+	master, mnote, err := e.plane.masterKey(dst, nil, nil)
 	note.merge(mnote)
 	if err != nil {
 		return [16]byte{}, false, note, err
@@ -669,8 +669,9 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, slot int, src, dst principal.Address
 // flow coalesce into one derivation, and unknown peers (no cached
 // master key) must pass the admission gate and fit under the state
 // budget before any directory or Diffie-Hellman work begins. Known
-// peers bypass both — their keying costs one hash.
-func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address) (k [16]byte, hit bool, note KeyNote, err error) {
+// peers bypass both — their keying costs one hash. la is openRun's
+// look-ahead over the rest of the chunk, nil where it does not apply.
+func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *lookahead) (k [16]byte, hit bool, note KeyNote, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
 	if k, ok := e.rfkc.Get(ck); ok {
 		return k, true, note, nil
@@ -693,7 +694,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address) (k [16]by
 				}
 			}
 		}
-		master, mnote, err := e.plane.masterKey(src, e.gate)
+		master, mnote, err := e.plane.masterKey(src, e.gate, la)
 		m.note.merge(mnote)
 		if m.err = err; err != nil {
 			return m

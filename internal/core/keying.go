@@ -49,6 +49,16 @@ func addrHash(a principal.Address) uint32 {
 	return cryptolib.CRC32UpdateString(0xFFFFFFFF, string(a)) ^ 0xFFFFFFFF
 }
 
+// pvcHash indexes the PVC. Under addrHash, the MKC's index, two
+// equal-sized caches would put every peer in the same slot of each, so a
+// peer evicted from the MKC by a slot-mate has lost its certificate too.
+// The salt is a suffix because CRC-32 is affine in its initial state: a
+// salted start would only XOR every hash with one constant per address
+// length and keep the collisions.
+func pvcHash(a principal.Address) uint32 {
+	return cryptolib.CRC32UpdateString(cryptolib.CRC32UpdateString(0xFFFFFFFF, string(a)), "pvc") ^ 0xFFFFFFFF
+}
+
 // KeyServiceStats counts keying activity below the flow key caches.
 type KeyServiceStats struct {
 	MasterKeyRequests uint64
@@ -231,7 +241,7 @@ func NewKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.
 		dir:      dir,
 		verifier: verifier,
 		clock:    clock,
-		pvc:      NewDirectMapped[principal.Address, *cert.Certificate](cfg.PVCSize, addrHash),
+		pvc:      NewDirectMapped[principal.Address, *cert.Certificate](cfg.PVCSize, pvcHash),
 		mkc:      NewDirectMapped[principal.Address, [16]byte](cfg.MKCSize, addrHash),
 		retry:    cfg.Retry.withDefaults(),
 		negTTL:   cfg.NegativeTTL,

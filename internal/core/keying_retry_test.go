@@ -273,7 +273,7 @@ func TestMKDUpcallTimeout(t *testing.T) {
 	defer m.Stop()
 	m.SetTimeout(20 * time.Millisecond)
 
-	if _, _, err := m.UpcallNoted("bob"); !errors.Is(err, ErrUpcallTimeout) {
+	if _, _, err := upcallKey(m, "bob"); !errors.Is(err, ErrUpcallTimeout) {
 		t.Fatalf("err = %v, want ErrUpcallTimeout", err)
 	}
 	if m.Timeouts() != 1 {
@@ -284,7 +284,7 @@ func TestMKDUpcallTimeout(t *testing.T) {
 	close(bd.release)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := m.UpcallNoted("bob"); err == nil {
+		if _, _, err := upcallKey(m, "bob"); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -106,6 +107,34 @@ func TestKeyServiceCaching(t *testing.T) {
 	}
 }
 
+// TestPVCEvictionIndependentOfMKC: two peers that share a slot of a
+// 64-slot MKC. Keying A, B, A computes A's master key twice — the MKC
+// conflict is real — but the PVC, indexed by its own hash, still holds
+// A's certificate: two directory fetches, not three.
+func TestPVCEvictionIndependentOfMKC(t *testing.T) {
+	const size = 64
+	w := newWorld(t)
+	a := principal.Address("pvc-a")
+	b := principal.Address("")
+	for i := 0; b == ""; i++ {
+		if c := principal.Address(fmt.Sprintf("pvc-b%d", i)); addrHash(c)%size == addrHash(a)%size {
+			b = c
+		}
+	}
+	w.principal(t, a)
+	w.principal(t, b)
+	ks := w.keyService(t, "self", KeyServiceConfig{PVCSize: size, MKCSize: size})
+	for _, peer := range []principal.Address{a, b, a} {
+		if _, err := ks.MasterKey(peer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := ks.Stats(); s.MasterKeyComputes != 3 || s.CertFetches != 2 {
+		t.Fatalf("A, B, A with A and B sharing an MKC slot: %d computes, %d certificate fetches; want 3 and 2",
+			s.MasterKeyComputes, s.CertFetches)
+	}
+}
+
 func TestKeyServiceUnknownPeer(t *testing.T) {
 	w := newWorld(t)
 	ks := w.keyService(t, "self", KeyServiceConfig{})
@@ -202,6 +231,16 @@ func TestFlowKeyUnambiguousEncoding(t *testing.T) {
 	}
 }
 
+// upcallKey is one upcall from start to result, as the key plane makes
+// it on an MKC miss.
+func upcallKey(m *MKD, peer principal.Address) ([16]byte, KeyNote, error) {
+	u, err := m.start(peer)
+	if err != nil {
+		return [16]byte{}, KeyNote{}, err
+	}
+	return m.wait(&u)
+}
+
 func TestMKDCoalescesUpcalls(t *testing.T) {
 	w := newWorld(t)
 	w.principal(t, "peer")
@@ -215,7 +254,7 @@ func TestMKDCoalescesUpcalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k, _, err := mkd.UpcallNoted("peer")
+			k, _, err := upcallKey(mkd, "peer")
 			if err != nil {
 				t.Error(err)
 				return
@@ -245,7 +284,7 @@ func TestMKDStop(t *testing.T) {
 	mkd := NewMKD(ks, 1)
 	mkd.Stop()
 	mkd.Stop() // idempotent
-	if _, _, err := mkd.UpcallNoted("peer"); err != ErrMKDStopped {
+	if _, _, err := upcallKey(mkd, "peer"); err != ErrMKDStopped {
 		t.Fatalf("Upcall after Stop = %v, want ErrMKDStopped", err)
 	}
 }
@@ -267,7 +306,7 @@ func TestMKDStopStrandsNoWaiter(t *testing.T) {
 	const n = 32
 	errc := make(chan error, n)
 	upcall := func(i int) {
-		_, _, err := mkd.UpcallNoted(peers[i%len(peers)])
+		_, _, err := upcallKey(mkd, peers[i%len(peers)])
 		errc <- err
 	}
 	for i := 0; i < n/2; i++ {

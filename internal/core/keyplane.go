@@ -37,14 +37,27 @@ func newKeyPlane(cfg Config, shards int) *keyPlane {
 
 // masterKey is Figure 6 from the MKC down. A key already held is
 // answered on the caller's goroutine; only an MKC miss wakes the daemon,
-// counted in gate's depth (gate may be nil) while it waits.
-func (p *keyPlane) masterKey(peer principal.Address, gate *admissionGate) ([16]byte, KeyNote, error) {
+// counted in gate's depth (gate may be nil) while it waits. la (may be
+// nil) is a receive walk's look-ahead over the rest of its chunk: a miss
+// on a peer it started waits on that upcall instead of starting another,
+// and the chunk's first miss starts it before waiting.
+func (p *keyPlane) masterKey(peer principal.Address, gate *admissionGate, la *lookahead) ([16]byte, KeyNote, error) {
 	if k, ok := p.ks.cachedMasterKey(peer); ok {
 		return k, KeyNote{Flags: FlagKeyMKCHit}, nil
 	}
+	if u := la.upcall(peer); u != nil {
+		return p.mkd.wait(u)
+	}
 	gate.enter()
 	defer gate.leave()
-	return p.mkd.UpcallNoted(peer)
+	u, err := p.mkd.start(peer)
+	if err != nil {
+		return [16]byte{}, KeyNote{}, err
+	}
+	if own := la.start(u); own != nil {
+		return p.mkd.wait(own)
+	}
+	return p.mkd.wait(&u)
 }
 
 // flight is the one single-flight under the key plane: concurrent

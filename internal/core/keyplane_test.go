@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fbs/internal/cert"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
 )
@@ -233,5 +235,200 @@ func TestKnownPeerNewFlowMakesNoUpcall(t *testing.T) {
 		if got.Admission != was.Admission || got.Drops != was.Drops {
 			t.Errorf("%s: admission %+v → %+v, drops changed %v: a known peer bypasses the gate", ep.Addr(), was.Admission, got.Admission, got.Drops != was.Drops)
 		}
+	}
+}
+
+// pairingDirectory holds each certificate lookup until a second one is
+// in flight, or until a bounded wait passes, and records the most
+// lookups it saw at once: two lookups in flight means two MKD workers
+// keying two peers at the same time.
+type pairingDirectory struct {
+	cert.Directory
+	bound  time.Duration
+	paired chan struct{}
+	once   sync.Once
+
+	mu             sync.Mutex
+	inFlight, most int
+}
+
+func (d *pairingDirectory) Lookup(addr principal.Address) (*cert.Certificate, error) {
+	d.mu.Lock()
+	d.inFlight++
+	d.most = max(d.most, d.inFlight)
+	if d.inFlight >= 2 {
+		d.once.Do(func() { close(d.paired) })
+	}
+	d.mu.Unlock()
+	select {
+	case <-d.paired:
+	case <-time.After(d.bound):
+	}
+	d.mu.Lock()
+	d.inFlight--
+	d.mu.Unlock()
+	return d.Directory.Lookup(addr)
+}
+
+// firstContacts seals one datagram to hub from each named peer, each a
+// peer's first.
+func firstContacts(t *testing.T, w *testWorld, hub principal.Address, peers ...principal.Address) []transport.Datagram {
+	t.Helper()
+	var dgs []transport.Datagram
+	for _, name := range peers {
+		sealed, err := lifecycleEndpoint(t, w, name, nullTransport{}).Seal(transport.Datagram{Destination: hub, Payload: []byte("first")}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dgs = append(dgs, sealed)
+	}
+	return dgs
+}
+
+// TestOpenBatchOverlapsMasterKeyMisses: a batch carrying first contacts
+// from four cold peers keys them on both of a 2-shard plane's MKD
+// workers at once. Serially, one lookup is ever in flight.
+func TestOpenBatchOverlapsMasterKeyMisses(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const hub = principal.Address("overlap-hub")
+	w := newWorld(t)
+	dir := &pairingDirectory{Directory: w.dir, bound: 250 * time.Millisecond, paired: make(chan struct{})}
+	grp, err := planeGroup(t, w, hub, 2, func(_ int, c *Config) { c.Directory = dir })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dgs := firstContacts(t, w, hub, "overlap-p0", "overlap-p1", "overlap-p2", "overlap-p3")
+	res := make([]BatchResult, len(dgs))
+	if _, n := grp.Shard(0).OpenBatch(nil, dgs, res); n != len(dgs) {
+		t.Fatalf("opened %d of %d first contacts: %+v", n, len(dgs), res)
+	}
+	dir.mu.Lock()
+	most := dir.most
+	dir.mu.Unlock()
+	if most != 2 {
+		t.Errorf("at most %d certificate lookups in flight, want 2: one per MKD worker", most)
+	}
+	if k := grp.Snapshot().Keying; k.MasterKeyComputes != 4 || k.CertFetches != 4 {
+		t.Errorf("%d computes, %d certificate fetches for 4 peers; want 4 and 4", k.MasterKeyComputes, k.CertFetches)
+	}
+}
+
+// TestOpenBatchHandlesOutliveMKCEviction: two cold peers share an MKC
+// slot and each opens a second flow later in the chunk. Whichever key
+// lands last evicts the other, but a later datagram takes its peer's key
+// from the upcall the walk holds, so the chunk costs two
+// exponentiations; a loop of single opens pays four.
+func TestOpenBatchHandlesOutliveMKCEviction(t *testing.T) {
+	const hub, size = principal.Address("handle-hub"), 64
+	w := newWorld(t)
+	a := principal.Address("handle-a")
+	var b principal.Address
+	for i := 0; b == ""; i++ {
+		if c := principal.Address(fmt.Sprintf("handle-b%d", i)); addrHash(c)%size == addrHash(a)%size {
+			b = c
+		}
+	}
+	rx := lifecycleEndpoint(t, w, hub, nullTransport{})
+	pa, pb := lifecycleEndpoint(t, w, a, nullTransport{}), lifecycleEndpoint(t, w, b, nullTransport{})
+	var dgs []transport.Datagram
+	for _, port := range []uint16{1, 2} {
+		for _, p := range []*Endpoint{pa, pb} {
+			sealed, err := p.SealFlow(transport.Datagram{Destination: hub, Payload: []byte("x")}, FlowID{Src: p.Addr(), Dst: hub, SrcPort: port}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dgs = append(dgs, sealed)
+		}
+	}
+	res := make([]BatchResult, len(dgs))
+	if _, n := rx.OpenBatch(nil, dgs, res); n != len(dgs) {
+		t.Fatalf("opened %d of %d: %+v", n, len(dgs), res)
+	}
+	if got := rx.Snapshot().Keying.MasterKeyComputes; got != 2 {
+		t.Fatalf("A, B, A', B' with A and B sharing an MKC slot: %d exponentiations, want 2", got)
+	}
+}
+
+// TestGuardedPlanesKeySerially: where keying a new peer involves another
+// decision — an admission gate, a pre-filter — a batch keys its chunk
+// serially, exactly as a loop of single opens would: same verdicts, same
+// drop ledger, same certificate fetches, exponentiations and admission
+// counts. The chunk mixes real first contacts with spoofed ones under
+// published and unpublished names. On an unguarded plane the look-ahead
+// keeps the verdicts and the ledger, and does no more keying work.
+func TestGuardedPlanesKeySerially(t *testing.T) {
+	const hub = principal.Address("guard-hub")
+	w := newWorld(t)
+	w.principal(t, hub)
+	var legit, published, unknown []principal.Address
+	for i := 0; i < 5; i++ {
+		legit = append(legit, principal.Address(fmt.Sprintf("guard-peer-%d", i)))
+		published = append(published, principal.Address(fmt.Sprintf("guard-victim-%d", i)))
+		unknown = append(unknown, principal.Address(fmt.Sprintf("guard-ghost-%d", i)))
+		w.principal(t, published[i])
+	}
+	mallory := lifecycleEndpoint(t, w, "guard-mallory", nullTransport{})
+	var dgs []transport.Datagram
+	for i, first := range firstContacts(t, w, hub, legit...) {
+		dgs = append(dgs, first)
+		for _, spoofed := range []principal.Address{published[i], unknown[i]} {
+			dg, err := mallory.Seal(transport.Datagram{Destination: hub, Payload: []byte("first")}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dg.Source = spoofed
+			dgs = append(dgs, dg)
+		}
+	}
+	for _, plane := range []struct {
+		name    string
+		guarded bool
+		cfg     func(*Config)
+	}{
+		{"admission", true, func(c *Config) { c.Admission = AdmissionConfig{UpcallRate: 0.001, UpcallBurst: 6} }},
+		// The sketch sheds a prefix after one bad MAC: the loop keys the
+		// first spoofed victim and sheds the other four.
+		{"prefilter", true, func(c *Config) {
+			c.Prefilter = PrefilterConfig{Enable: true, ForceLevel: PrefilterSketch, ShedThreshold: 1, SecretSeed: []byte("guard")}
+		}},
+		{"unguarded", false, func(*Config) {}},
+	} {
+		t.Run(plane.name, func(t *testing.T) {
+			mk := func() *Endpoint {
+				c := Config{Identity: w.principal(t, hub), Transport: nullTransport{}, Directory: w.dir, Verifier: w.ver, Clock: w.clock}
+				plane.cfg(&c)
+				ep, err := NewEndpoint(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { ep.Close() })
+				return ep
+			}
+			batch, loop := mk(), mk()
+			res := make([]BatchResult, len(dgs))
+			batch.OpenBatch(nil, append([]transport.Datagram(nil), dgs...), res)
+			for i, dg := range dgs {
+				_, err := loop.Open(dg)
+				if got, want := DropReasonOf(res[i].Err), DropReasonOf(err); got != want {
+					t.Errorf("datagram %d from %s: batch verdict %v, loop %v", i, dg.Source, got, want)
+				}
+			}
+			b, l := batch.Snapshot(), loop.Snapshot()
+			if b.Drops != l.Drops {
+				t.Errorf("drop ledger: batch %v, loop %v", b.Drops, l.Drops)
+			}
+			if b.Admission != l.Admission {
+				t.Errorf("admission: batch %+v, loop %+v", b.Admission, l.Admission)
+			}
+			bk, lk := b.Keying, l.Keying
+			if plane.guarded && (bk.CertFetches != lk.CertFetches || bk.MasterKeyComputes != lk.MasterKeyComputes) {
+				t.Errorf("batch fetched %d certificates and computed %d keys; the loop %d and %d",
+					bk.CertFetches, bk.MasterKeyComputes, lk.CertFetches, lk.MasterKeyComputes)
+			}
+			if bk.CertFetches > lk.CertFetches || bk.MasterKeyComputes > lk.MasterKeyComputes {
+				t.Errorf("batch fetched %d certificates and computed %d keys, more than the loop's %d and %d",
+					bk.CertFetches, bk.MasterKeyComputes, lk.CertFetches, lk.MasterKeyComputes)
+			}
+		})
 	}
 }

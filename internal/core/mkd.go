@@ -19,11 +19,12 @@ import (
 // a new peer costs one certificate fetch and one exponentiation — the
 // behaviour the paper's caching design is built around. A peer is queued
 // at most once, so workers only ever overlap the misses of different
-// peers.
+// peers; a receive walk's look-ahead (see lookahead) is what hands them
+// several at once.
 type MKD struct {
 	ks *KeyService
 
-	// timeout bounds how long an Upcall waits for the daemon; 0 waits
+	// timeout bounds how long an upcall waits for the daemon; 0 waits
 	// forever (the historic behaviour). Set via SetTimeout before
 	// serving traffic.
 	timeout  time.Duration
@@ -37,10 +38,10 @@ type MKD struct {
 	upcalls atomic.Uint64
 }
 
-// ErrMKDStopped is returned by Upcall after Stop.
+// ErrMKDStopped is returned by an upcall after Stop.
 var ErrMKDStopped = errors.New("core: master key daemon stopped")
 
-// ErrUpcallTimeout is returned by Upcall when the daemon does not
+// ErrUpcallTimeout is returned by an upcall when the daemon does not
 // answer within the configured deadline. The daemon keeps computing;
 // the result lands in the MKC, so a later datagram on the same flow
 // succeeds from cache — the caller drops this one datagram (DropKeying)
@@ -74,46 +75,63 @@ func (m *MKD) serve() {
 	}
 }
 
-// UpcallNoted blocks until the daemon has the pair-based master key for
-// peer, and reports the annotations of the computation that produced it.
-// Concurrent upcalls for one peer coalesce into one computation, whose
-// waiters share the leader's note with FlagKeyCoalesced set.
-func (m *MKD) UpcallNoted(peer principal.Address) ([16]byte, KeyNote, error) {
+// upcall is one request's place in the daemon's flight. Its result is
+// kept once received, so whoever holds the upcall may read it again.
+type upcall struct {
+	peer   principal.Address
+	ch     chan keyResult
+	joined KeyNote // FlagKeyCoalesced when it joined a request in flight
+	done   bool
+	r      keyResult
+}
+
+// start enrols a request for peer's master key and queues peer for a
+// worker, unless a request for peer is already in flight; it does not
+// wait for the result.
+func (m *MKD) start(peer principal.Address) (upcall, error) {
 	ch, lead, ok := m.flight.join(peer)
 	if !ok {
-		return [16]byte{}, KeyNote{}, ErrMKDStopped
+		return upcall{}, ErrMKDStopped
 	}
 	m.upcalls.Add(1)
-	var joined KeyNote
-	if lead {
-		select {
-		case m.reqs <- peer:
-		case <-m.done:
-			return [16]byte{}, KeyNote{}, ErrMKDStopped
-		}
-	} else {
-		joined.Flags = FlagKeyCoalesced
-	}
-	var deadline <-chan time.Time // nil, and so never ready, without a timeout
-	if m.timeout > 0 {
-		t := time.NewTimer(m.timeout)
-		defer t.Stop()
-		deadline = t.C
+	u := upcall{peer: peer, ch: ch}
+	if !lead {
+		u.joined.Flags = FlagKeyCoalesced
+		return u, nil
 	}
 	select {
-	case r := <-ch:
-		r.note.merge(joined)
-		return r.key, r.note, r.err
-	case <-deadline:
-		// The daemon still resolves the request and installs the key;
-		// only this waiter gives up (its channel holds the result the
-		// daemon lands, so the daemon never blocks on it).
-		m.timeouts.Add(1)
-		return [16]byte{}, joined, fmt.Errorf("%w: peer %q after %v", ErrUpcallTimeout, peer, m.timeout)
+	case m.reqs <- peer:
+		return u, nil
+	case <-m.done:
+		return upcall{}, ErrMKDStopped
 	}
 }
 
-// SetTimeout bounds future Upcalls; call before serving traffic.
+// wait blocks until u's result has landed, or the upcall deadline passes.
+func (m *MKD) wait(u *upcall) ([16]byte, KeyNote, error) {
+	if !u.done {
+		var deadline <-chan time.Time // nil, and so never ready, without a timeout
+		if m.timeout > 0 {
+			t := time.NewTimer(m.timeout)
+			defer t.Stop()
+			deadline = t.C
+		}
+		select {
+		case u.r = <-u.ch:
+			u.done = true
+			u.r.note.merge(u.joined)
+		case <-deadline:
+			// The daemon still resolves the request and installs the key;
+			// only this waiter gives up (its channel holds the result the
+			// daemon lands, so the daemon never blocks on it).
+			m.timeouts.Add(1)
+			return [16]byte{}, u.joined, fmt.Errorf("%w: peer %q after %v", ErrUpcallTimeout, u.peer, m.timeout)
+		}
+	}
+	return u.r.key, u.r.note, u.r.err
+}
+
+// SetTimeout bounds future upcalls' waits; call before serving traffic.
 func (m *MKD) SetTimeout(d time.Duration) { m.timeout = d }
 
 // Upcalls returns how many upcalls were made.

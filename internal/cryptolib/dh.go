@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"sync"
 )
 
 // DHGroup is a Diffie-Hellman group: a prime modulus and a generator.
@@ -104,9 +105,90 @@ func (g DHGroup) GeneratePrivate() (*big.Int, error) {
 	return x.Add(x, big.NewInt(2)), nil
 }
 
-// Public computes the public value g^x mod p for private value x.
+// Public computes the public value g^x mod p for private value x. On
+// Oakley 1 and 2 an x of at most shortExponentBits — every value
+// GeneratePrivate draws there — is a product of precomputed powers of g
+// (see fixedBase); any other group or length runs big.Int.Exp.
 func (g DHGroup) Public(private *big.Int) *big.Int {
+	if t := g.fixedBase(private); t != nil {
+		return t.exp(private)
+	}
 	return new(big.Int).Exp(g.G, private, g.P)
+}
+
+// fixedBaseWindows and fixedBaseDigits shape the fixed-base table: the
+// exponent is read as 64 base-16 digits, and window i holds g^(d·16^i)
+// for every digit d.
+const (
+	fixedBaseWindows = shortExponentBits / 4
+	fixedBaseDigits  = 16
+)
+
+// fixedBaseTable is g^(d·16^i) mod p for one group: entry [i][d-1], the
+// zero digit needing no entry. g^x is then the product of one entry per
+// non-zero digit of x — at most 63 modular multiplications instead of
+// the 256 squarings and ≈ 60 multiplications of a windowed Exp.
+type fixedBaseTable struct {
+	p *big.Int
+	t [fixedBaseWindows][fixedBaseDigits - 1]big.Int
+}
+
+// oakleyTables are Oakley 1's and 2's tables, each built on first use.
+var oakleyTables = [2]func() *fixedBaseTable{
+	sync.OnceValue(func() *fixedBaseTable { return newFixedBaseTable(Oakley1) }),
+	sync.OnceValue(func() *fixedBaseTable { return newFixedBaseTable(Oakley2) }),
+}
+
+func newFixedBaseTable(g DHGroup) *fixedBaseTable {
+	t := &fixedBaseTable{p: g.P}
+	base := new(big.Int).Set(g.G) // g^(16^i)
+	prod, quo := new(big.Int), new(big.Int)
+	for i := range t.t {
+		t.t[i][0].Set(base)
+		for d := 1; d < fixedBaseDigits-1; d++ {
+			// Reduce in scratch, then copy: an entry keeps a 1024-bit
+			// footprint, not the product's 2048-bit capacity.
+			quo.QuoRem(prod.Mul(&t.t[i][d-1], base), g.P, prod)
+			t.t[i][d].Set(prod)
+		}
+		quo.QuoRem(prod.Mul(&t.t[i][fixedBaseDigits-2], base), g.P, base)
+	}
+	return t
+}
+
+// fixedBase returns the table Public uses for x, or nil where it does
+// not apply: a group other than Oakley 1 or 2 (recognised by value), or
+// an x that is not positive or is longer than shortExponentBits.
+func (g DHGroup) fixedBase(x *big.Int) *fixedBaseTable {
+	if x.Sign() <= 0 || x.BitLen() > shortExponentBits || !g.builtinSafePrime() {
+		return nil
+	}
+	if g.P.Cmp(Oakley1.P) == 0 {
+		return oakleyTables[0]()
+	}
+	return oakleyTables[1]()
+}
+
+// exp returns g^x mod p for 0 < x < 2^shortExponentBits. Like
+// big.Int.Exp, its time depends on x: here on the number of zero digits.
+func (t *fixedBaseTable) exp(x *big.Int) *big.Int {
+	acc, prod, quo := new(big.Int), new(big.Int), new(big.Int)
+	started := false
+	for i := 0; i < fixedBaseWindows; i++ {
+		d := 0
+		for b := 3; b >= 0; b-- {
+			d = d<<1 | int(x.Bit(4*i+b))
+		}
+		switch {
+		case d == 0:
+		case !started:
+			acc.Set(&t.t[i][d-1])
+			started = true
+		default:
+			quo.QuoRem(prod.Mul(acc, &t.t[i][d-1]), t.p, acc)
+		}
+	}
+	return acc
 }
 
 // Shared computes the pair-based master secret g^(xy) mod p from one

@@ -120,6 +120,57 @@ func TestBuiltinSafePrimes(t *testing.T) {
 	}
 }
 
+// TestFixedBasePublic: on both Oakley groups — also when the group is
+// a copy, recognised by value — the fixed-base table gives big.Int.Exp's
+// g^x for exponents of every length from 2 to 256 bits, with random,
+// all-one and all-zero 4-bit digits. Longer exponents, and TestGroup,
+// take big.Int.Exp itself.
+func TestFixedBasePublic(t *testing.T) {
+	two := big.NewInt(2)
+	groups := map[string]DHGroup{
+		"Oakley1": Oakley1, "Oakley2": Oakley2,
+		"Oakley2 by value": {P: new(big.Int).Set(Oakley2.P), G: big.NewInt(2)},
+	}
+	for name, g := range groups {
+		for bits := 2; bits <= shortExponentBits; bits++ {
+			top := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
+			random, err := rand.Int(rand.Reader, top)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xs := []*big.Int{
+				random.Add(random, top),                                   // random digits, top bit set
+				new(big.Int).Sub(new(big.Int).Lsh(top, 1), big.NewInt(1)), // every digit 0xF
+				new(big.Int).Add(top, big.NewInt(1)),                      // every inner digit 0
+			}
+			for _, x := range xs {
+				if g.fixedBase(x) == nil {
+					t.Fatalf("%s: a %d-bit exponent does not take the table", name, bits)
+				}
+				if got, want := g.Public(x), new(big.Int).Exp(g.G, x, g.P); got.Cmp(want) != 0 {
+					t.Fatalf("%s: g^%x from the table differs from big.Int.Exp", name, x)
+				}
+			}
+		}
+		for _, bits := range []int{shortExponentBits + 1, g.Bits() - 1} {
+			x := new(big.Int).Add(new(big.Int).Lsh(big.NewInt(1), uint(bits-1)), two)
+			if g.fixedBase(x) != nil {
+				t.Errorf("%s: a %d-bit exponent takes the table", name, bits)
+			}
+			if g.Public(x).Cmp(new(big.Int).Exp(g.G, x, g.P)) != 0 {
+				t.Errorf("%s: a %d-bit g^x differs from big.Int.Exp", name, bits)
+			}
+		}
+	}
+	x := big.NewInt(12345)
+	if TestGroup.fixedBase(x) != nil {
+		t.Error("TestGroup takes a fixed-base table")
+	}
+	if TestGroup.Public(x).Cmp(new(big.Int).Exp(TestGroup.G, x, TestGroup.P)) != 0 {
+		t.Error("TestGroup's g^x differs from big.Int.Exp")
+	}
+}
+
 // TestShortAndFullExponentsAgree: a full-length private value from a
 // state file written before the short draw, and a short one, derive the
 // same K_{S,D} from either side.

@@ -22,6 +22,19 @@
 // encoding/binary only; the test suite cross-checks each primitive against
 // the Go standard library and published test vectors.
 //
+// DHGroup.Public on Oakley 1 and 2, for the 256-bit private values
+// GeneratePrivate draws there, multiplies precomputed powers of the
+// generator instead of exponentiating: a fixed-base table of
+// g^(d·16^i) mod p, 64 four-bit windows × 15 non-zero digits, ≈ 140 KB
+// of big.Int for Oakley 2, built once per group on first use in ≈ 1–4
+// ms. A g^x is then at most 63 modular multiplications, ≈ 0.4× a
+// big.Int.Exp. Every other group and exponent length, and Shared (whose
+// base is the peer's public value, different every time), use
+// big.Int.Exp. The table is variable time in the same way Exp is: the
+// work done depends on the exponent (here, on how many of its digits are
+// zero), which the reproduction accepts for the 1997 threat model as it
+// does for RSA.
+//
 // One file is not Go: chacha_amd64.s, an AVX2 ChaCha20 keystream kernel
 // (eight blocks per call) that ChaCha20-Poly1305 uses on amd64 CPUs whose
 // CPUID reports AVX2 with OS-enabled YMM state. It is there because the

@@ -31,7 +31,9 @@ type RSAPrivateKey struct {
 }
 
 // GenerateRSA creates an RSA key pair with a modulus of the given bit
-// size (at least 512).
+// size (at least 512). The two prime searches are independent random
+// walks of a few tens of milliseconds each at 1024 bits, so q is sought
+// on a second goroutine while this one seeks p.
 func GenerateRSA(bits int) (*RSAPrivateKey, error) {
 	if bits < 512 {
 		return nil, fmt.Errorf("cryptolib: RSA modulus must be at least 512 bits, got %d", bits)
@@ -39,11 +41,18 @@ func GenerateRSA(bits int) (*RSAPrivateKey, error) {
 	e := big.NewInt(65537)
 	one := big.NewInt(1)
 	for {
+		var q *big.Int
+		var qErr error
+		found := make(chan struct{})
+		go func() {
+			defer close(found)
+			q, qErr = rand.Prime(rand.Reader, bits-bits/2)
+		}()
 		p, err := rand.Prime(rand.Reader, bits/2)
-		if err != nil {
-			return nil, fmt.Errorf("cryptolib: generating RSA prime: %w", err)
+		<-found
+		if err == nil {
+			err = qErr
 		}
-		q, err := rand.Prime(rand.Reader, bits-bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("cryptolib: generating RSA prime: %w", err)
 		}

@@ -10,8 +10,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-# FUZZTIME is per fuzz target; CI runs five targets, so the default
-# keeps the whole fuzz-smoke step to ~75 s.
+# FUZZTIME is per fuzz target; CI runs six targets, so the default
+# keeps the whole fuzz-smoke step to ~90 s.
 FUZZTIME ?= 15s
 # Pinned staticcheck build: `go run` fetches and caches it, so the
 # toolchain — not PATH — decides the version CI lints with.
@@ -86,7 +86,8 @@ bench-smoke:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | $(GO) run ./cmd/fbsstat bench-validate
 
 # fuzz-smoke gives each fuzz target (the core decoders, the differential
-# harness, the ChaCha20 keystream kernel against its Go oracle) a short
+# harness, the ChaCha20 keystream kernel against its Go oracle, the UDP
+# receive splitter over attacker-shaped GRO messages) a short
 # budget on top of the checked-in corpus — enough to catch regressions
 # without turning the gate into a campaign. Targets run one at a time
 # because `go test -fuzz` accepts a single target per invocation.
@@ -96,6 +97,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzCookie$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsim -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzChaCha20Poly1305$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzUDPFrames$$' -fuzztime=$(FUZZTIME)
 
 # diff soaks the differential harness: seeded op streams cross-validated
 # between the optimised endpoint and the naive reference model
@@ -156,12 +158,13 @@ check: build lint examples ci-race bench-smoke fuzz-smoke diff
 # workflow fans them out and a local `make ci` runs them back to back.
 
 # The arm64 cross-build and vet (offline, ~30 s cold) are what compile
-# the !amd64 file set — cryptolib's no-kernel stub — so it cannot rot
-# unseen; go vet's asmdecl pass, part of lint, holds chacha_amd64.s to
-# its Go declarations.
+# the !amd64 file set — cryptolib's no-kernel stub, and the transport's
+# raw msghdr/cmsg layouts under arm64's syscall numbers — so it cannot
+# rot unseen; go vet's asmdecl pass, part of lint, holds chacha_amd64.s
+# to its Go declarations.
 ci-lint: build lint examples loc
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/cryptolib
+	GOARCH=arm64 $(GO) vet ./internal/cryptolib ./internal/transport
 
 ci-race:
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) test -race -coverprofile=coverage.out ./...
@@ -199,7 +202,10 @@ ci-soak:
 # keying-miss, master-key and provisioning benchmarks keeps their rows
 # from rotting (they key on Oakley 2, which no test does), one of
 # BenchmarkRunOfOne executes its
-# per-row allocation assertions (the single doors at 0 allocs/op), and
+# per-row allocation assertions (the single doors at 0 allocs/op), one
+# of BenchmarkUDPLoopbackBatch asserts the socket layer's one allocation
+# per batch (32 frames out through sendmmsg + GSO, in through
+# recvmmsg + GRO), and
 # gwbench-smoke (above) then checks the real daemon end to end — the
 # batched socket plane included.
 ci-bench:
@@ -207,7 +213,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RunOfOne|Provision' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RunOfOne|Provision|UDPLoopbackBatch' -benchtime 1x . ./internal/transport
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces

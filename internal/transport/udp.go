@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -40,11 +41,13 @@ func NewUDPTransport(local principal.Address, listenAddr string) (*UDPTransport,
 	if err != nil {
 		return nil, fmt.Errorf("transport: listening on %q: %w", listenAddr, err)
 	}
-	return &UDPTransport{
+	u := &UDPTransport{
 		local: local,
 		conn:  conn,
 		peers: make(map[principal.Address]netip.AddrPort),
-	}, nil
+	}
+	u.enableGRO()
+	return u, nil
 }
 
 // LocalAddr returns the bound UDP address (useful with port 0).
@@ -128,19 +131,39 @@ func (u *UDPTransport) Send(dg Datagram) error {
 	return err
 }
 
-// Receive implements Transport. The datagram is read into the socket's
-// first receive slot and decoded by the decoder the batch path uses;
-// only the payload copy handed to the caller is allocated.
+// Receive implements Transport. A datagram still queued from an earlier
+// message is returned first, with no syscall. Otherwise one message is
+// read, with its control bytes, into the socket's first receive slot and
+// cut by the splitter the batch path uses; only its payload copy is
+// allocated, and segments after the first wait in the queue.
 func (u *UDPTransport) Receive() (Datagram, error) {
 	u.recvMu.Lock()
 	defer u.recvMu.Unlock()
-	slot := u.recvSlot(0)
-	n, origin, err := u.conn.ReadFromUDPAddrPort(slot)
-	if err != nil {
-		return Datagram{}, ErrClosed
+	if len(u.rxq) == 0 {
+		slot, ctrl := u.recvSlot(0), u.recvControl(0)
+		n, ctrln, flags, origin, err := u.conn.ReadMsgUDPAddrPort(slot, ctrl)
+		if err != nil {
+			return Datagram{}, receiveError(err)
+		}
+		arena := make([]byte, 0, n)
+		if err := u.splitMessage(slot[:n], ctrl[:ctrln], flags, unmap(origin), &arena); len(u.rxq) == 0 {
+			return Datagram{}, err
+		}
 	}
-	var payload []byte
-	return u.decodeFrame(slot[:n], unmap(origin), &payload)
+	var one [1]Datagram
+	u.takePending(one[:])
+	return one[0], nil
+}
+
+// receiveError maps a failed socket read: the poller's report that the
+// socket was closed is ErrClosed, and anything else — a deadline, a
+// transient errno such as ENOMEM — is an error on a socket that is still
+// open, so a caller that stops at ErrClosed keeps reading.
+func receiveError(err error) error {
+	if errors.Is(err, net.ErrClosed) {
+		return ErrClosed
+	}
+	return fmt.Errorf("transport: receive: %w", err)
 }
 
 // Close implements Transport.

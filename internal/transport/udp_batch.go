@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -53,8 +54,9 @@ func (u *UDPTransport) SendBatch(dgs []Datagram) (int, error) {
 }
 
 // ReceiveBatch implements BatchConn over recvmmsg where available: it
-// blocks for the first datagram, then returns whatever else the socket
-// already holds, up to len(buf).
+// returns what an earlier GRO message left queued, or else blocks for
+// the first datagram and returns whatever else the socket already
+// holds, up to len(buf).
 func (u *UDPTransport) ReceiveBatch(buf []Datagram) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
@@ -84,8 +86,9 @@ const (
 )
 
 // batchState is embedded in UDPTransport: the fallback switches plus
-// the reusable per-socket scratch (receive slots, the send frame arena,
-// and the receive-side address intern table). Sends and receives on one
+// the reusable per-socket scratch (receive slots, the queue of decoded
+// datagrams a receive could not hand out yet, the send frame arena, and
+// the receive-side address intern table). Sends and receives on one
 // socket each serialise on their mutex, which matches how a sharded
 // deployment drives one socket per shard.
 type batchState struct {
@@ -95,6 +98,8 @@ type batchState struct {
 
 	recvMu     sync.Mutex
 	recvBufs   [mmsgMaxBatch][]byte
+	rxq        []Datagram // decoded, not yet returned; empty (len 0) once drained
+	rxHead     int        // rxq[rxHead:] is still owed
 	addrIntern map[string]principal.Address
 
 	sendMu    sync.Mutex
@@ -125,6 +130,49 @@ func appendFrame(b []byte, dg Datagram) []byte {
 func appendWireAddress(b []byte, a principal.Address) []byte {
 	b = append(b, byte(len(a)>>8), byte(len(a)))
 	return append(b, a...)
+}
+
+// errTruncated reports a message dropped whole by segmentSize.
+var errTruncated = errors.New("transport: truncated message dropped")
+
+// splitMessage is the one receive splitter, behind Receive and the
+// recvmmsg path alike. msg is one kernel message from origin with its
+// control bytes and flags: a plain frame, or a UDP_GRO super-buffer of
+// equal segments (the last may be shorter), cut where segmentSize says.
+// Each segment is decoded by decodeFrame, which learns it at the
+// message's origin, into *arena and queued on rxq in order. The segments
+// that decode are queued whatever else happens; a message dropped whole,
+// or the last segment that failed to decode, is the returned error.
+// Caller holds recvMu.
+func (u *UDPTransport) splitMessage(msg, control []byte, flags int, origin netip.AddrPort, arena *[]byte) error {
+	seg, ok := segmentSize(len(msg), control, flags)
+	if !ok {
+		return errTruncated
+	}
+	var bad error
+	for off := 0; ; {
+		end := min(off+seg, len(msg))
+		if dg, err := u.decodeFrame(msg[off:end], origin, arena); err != nil {
+			bad = err
+		} else {
+			u.rxq = append(u.rxq, dg)
+		}
+		if off = end; off >= len(msg) {
+			return bad
+		}
+	}
+}
+
+// takePending moves queued datagrams into buf, oldest first, and returns
+// how many. A drained queue keeps its backing array, cleared so it pins
+// no arena. Caller holds recvMu.
+func (u *UDPTransport) takePending(buf []Datagram) int {
+	n := copy(buf, u.rxq[u.rxHead:])
+	if u.rxHead += n; u.rxHead == len(u.rxq) {
+		clear(u.rxq)
+		u.rxq, u.rxHead = u.rxq[:0], 0
+	}
+	return n
 }
 
 // decodeFrame is the one frame decoder: it parses a wire frame that

@@ -8,7 +8,7 @@ import (
 )
 
 // udpPair binds two loopback UDP transports mapped at each other.
-func udpPair(t *testing.T) (*UDPTransport, *UDPTransport) {
+func udpPair(t testing.TB) (*UDPTransport, *UDPTransport) {
 	t.Helper()
 	a, err := NewUDPTransport("ua", "127.0.0.1:0")
 	if err != nil {
@@ -71,7 +71,9 @@ func deliverySet(dgs []Datagram) []string {
 // sets for the same send sequence, in every pairing (mmsg→mmsg,
 // mmsg→loop, loop→mmsg, loop→loop). On platforms without mmsg all four
 // cases exercise the loop, and the test still verifies batch calls
-// round-trip.
+// round-trip. mmsg-then-loop hands one socket from ReceiveBatch to
+// Receive mid-stream: a GSO run split by the first call must come out of
+// the second as separate frames, its queued remainder first.
 func TestUDPBatchFallbackEquivalence(t *testing.T) {
 	const N = 50
 	mkBatch := func() []Datagram {
@@ -89,11 +91,13 @@ func TestUDPBatchFallbackEquivalence(t *testing.T) {
 	for _, mode := range []struct {
 		name               string
 		sendPort, recvPort bool
+		handoff            bool // one ReceiveBatch, then Receive
 	}{
-		{"mmsg-to-mmsg", false, false},
-		{"mmsg-to-loop", false, true},
-		{"loop-to-mmsg", true, false},
-		{"loop-to-loop", true, true},
+		{"mmsg-to-mmsg", false, false, false},
+		{"mmsg-to-loop", false, true, false},
+		{"loop-to-mmsg", true, false, false},
+		{"loop-to-loop", true, true, false},
+		{"mmsg-then-loop", false, false, true},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			a, b := udpPair(t)
@@ -107,7 +111,28 @@ func TestUDPBatchFallbackEquivalence(t *testing.T) {
 			if sent != N {
 				t.Fatalf("sent %d of %d", sent, N)
 			}
-			got := collect(t, b, N)
+			var got []Datagram
+			if mode.handoff {
+				// A one-slot ReceiveBatch takes one message: with GRO the
+				// rest of its run stays queued and the second run stays in
+				// the socket, so Receive must drain the one and split the
+				// other.
+				got = make([]Datagram, 1)
+				if n, err := b.ReceiveBatch(got); err != nil || n != 1 {
+					t.Fatalf("ReceiveBatch = %d, %v", n, err)
+				}
+				b.SetPortableBatch(true)
+				for len(got) < N {
+					b.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+					dg, err := b.Receive()
+					if err != nil {
+						t.Fatalf("Receive after %d datagrams: %v", len(got), err)
+					}
+					got = append(got, dg)
+				}
+			} else {
+				got = collect(t, b, N)
+			}
 			sets = append(sets, deliverySet(got))
 		})
 	}
@@ -183,4 +208,42 @@ func TestNetworkBatchMatchesLoop(t *testing.T) {
 			t.Fatalf("delivery %d diverges: %v vs %v", i, loopOut[i], batchOut[i])
 		}
 	}
+}
+
+// BenchmarkUDPLoopbackBatch prices the batched socket layer on its own:
+// 32 frames of 64 B through SendBatch and back out of ReceiveBatch over
+// loopback, reported per datagram. Where mmsg is available the batch
+// rides one GSO message out and, with GRO, one message in; either way
+// one recvmmsg takes it, and the payload arena is the batch's only
+// allocation — asserted before timing.
+func BenchmarkUDPLoopbackBatch(b *testing.B) {
+	const batch = 32
+	a, r := udpPair(b)
+	dgs := make([]Datagram, batch)
+	for i := range dgs {
+		dgs[i] = Datagram{Destination: "ub", Payload: make([]byte, 64)}
+	}
+	buf := make([]Datagram, batch)
+	round := func() {
+		if n, err := a.SendBatch(dgs); err != nil || n != batch {
+			b.Fatalf("SendBatch = %d, %v", n, err)
+		}
+		for got := 0; got < batch; {
+			n, err := r.ReceiveBatch(buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			got += n
+		}
+	}
+	if mmsgAvailable {
+		if allocs := testing.AllocsPerRun(100, round); allocs > 1 {
+			b.Fatalf("%.2f allocations per batch, want at most 1 (the payload arena)", allocs)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/dgram")
 }

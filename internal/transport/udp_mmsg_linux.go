@@ -3,6 +3,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"strconv"
@@ -26,16 +27,30 @@ const mmsgAvailable = true
 // super-buffer with a UDP_SEGMENT control message: the kernel splits it
 // into wire datagrams itself, so the per-datagram cost of traversing
 // the socket layer is paid once per run instead of once per datagram —
-// on top of what sendmmsg already amortises. The receiver needs nothing
-// special: segmentation happens before delivery, so recvmmsg sees
-// ordinary datagrams. Kernels without UDP_SEGMENT reject the control
-// message with EINVAL; the first rejection latches gsoBroken and the
-// socket quietly stays on plain sendmmsg.
+// on top of what sendmmsg already amortises. Kernels without UDP_SEGMENT
+// reject the control message with EINVAL; the first rejection latches
+// gsoBroken and the socket quietly stays on plain sendmmsg.
+//
+// UDP generic receive offload is the mirror image. Every socket asks
+// for UDP_GRO when it is bound, so a GSO run from a local sender reaches
+// it unsplit — and a NIC may coalesce a remote peer's same-flow packets
+// the same way — as one message whose UDP_GRO control message carries
+// the segment size. The receiver therefore reads every message with a
+// control buffer (Receive as well as recvmmsg) and cuts it in the one
+// splitter, splitMessage. A kernel that refuses the option (ENOPROTOOPT
+// or EINVAL before 5.0) segments before delivery and writes no control
+// message, so every message reads back as one frame on the same path.
 const (
 	solUDP        = 17  // SOL_UDP, the cmsg level for UDP socket options
 	udpSegment    = 103 // UDP_SEGMENT
+	udpGRO        = 104 // UDP_GRO
 	maxGSOSegs    = 64  // kernel UDP_MAX_SEGMENTS
 	maxGSOPayload = 65000
+
+	cmsgHdrLen = 16 // struct cmsghdr: uint64 len, int32 level, int32 type
+	// groCtrlLen is CmsgSpace(4): room for the one control message a
+	// receive can carry, UDP_GRO with the kernel's int segment size.
+	groCtrlLen = 24
 )
 
 // gsoCmsg is struct cmsghdr plus the uint16 segment size, padded so an
@@ -127,14 +142,15 @@ func (sa *rawSockaddrInet6) origin() netip.AddrPort {
 // sendMu; each half is set up by its first call.
 type mmsgState struct {
 	rx struct {
-		rc     syscall.RawConn
-		call   func(fd uintptr) bool
-		hdrs   [mmsgMaxBatch]mmsghdr
-		iovs   [mmsgMaxBatch]iovec
-		names  [mmsgMaxBatch]rawSockaddrInet6
-		want   int  // messages to ask for
-		got    int  // messages received
-		failed bool // the socket reported an error: closed
+		rc    syscall.RawConn
+		call  func(fd uintptr) bool
+		hdrs  [mmsgMaxBatch]mmsghdr
+		iovs  [mmsgMaxBatch]iovec
+		names [mmsgMaxBatch]rawSockaddrInet6
+		ctrls [mmsgMaxBatch][groCtrlLen]byte
+		want  int           // messages to ask for
+		got   int           // messages received
+		errno syscall.Errno // what stopped the receive, if anything
 	}
 	tx struct {
 		rc     syscall.RawConn
@@ -147,6 +163,50 @@ type mmsgState struct {
 		sent   int           // messages sent
 		errno  syscall.Errno // what stopped the send, if anything
 	}
+}
+
+// enableGRO asks the kernel for UDP_GRO, best effort: a socket whose
+// kernel refuses it receives no UDP_GRO control message, which the
+// splitter reads as one frame per message.
+func (u *UDPTransport) enableGRO() {
+	if rc, err := u.conn.SyscallConn(); err == nil {
+		_ = rc.Control(func(fd uintptr) {
+			_ = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+		})
+	}
+}
+
+// recvControl is receive slot i's control buffer. Caller holds recvMu.
+func (u *UDPTransport) recvControl(i int) []byte {
+	return u.mmsg.rx.ctrls[i][:]
+}
+
+// segmentSize reads where a received n-byte message is cut: at the
+// segment size its UDP_GRO control message carries, or nowhere (seg =
+// n) when it has no control bytes. ok is false for a message that must
+// be dropped whole, because a boundary could hide in it: a truncated
+// payload (MSG_TRUNC), truncated control bytes (MSG_CTRUNC), or control
+// bytes that are not one UDP_GRO message — the only one a socket asks
+// for. The kernel's value is an int; a segment size fits its low 16
+// bits, read little-endian as on both supported architectures.
+func segmentSize(n int, control []byte, flags int) (seg int, ok bool) {
+	if flags&(syscall.MSG_TRUNC|syscall.MSG_CTRUNC) != 0 {
+		return 0, false
+	}
+	if len(control) == 0 {
+		return n, true
+	}
+	if len(control) < cmsgHdrLen+2 {
+		return 0, false
+	}
+	l := binary.LittleEndian.Uint64(control)
+	level := binary.LittleEndian.Uint32(control[8:])
+	typ := binary.LittleEndian.Uint32(control[12:])
+	if l < cmsgHdrLen+2 || l > uint64(len(control)) || level != solUDP || typ != udpGRO {
+		return 0, false
+	}
+	seg = int(binary.LittleEndian.Uint16(control[cmsgHdrLen:]))
+	return seg, seg > 0
 }
 
 // sendBatchMmsg transmits dgs with sendmmsg, coalescing equal-size
@@ -324,46 +384,54 @@ func (u *UDPTransport) sendmmsg(fd uintptr) bool {
 	return true
 }
 
-// recvBatchMmsg fills buf with recvmmsg: it blocks for the first
-// datagram (via the runtime poller) and returns whatever else the
-// socket already holds, up to min(len(buf), mmsgMaxBatch). Each
-// message's msg_name is filled, so the learn step sees every frame's
-// UDP origin exactly as Receive does. Frames that fail address decoding
-// are skipped, where a Receive loop would surface them one error at a
-// time; only a batch with nothing else in it reports the error.
+// recvBatchMmsg fills buf with recvmmsg. Datagrams still queued from an
+// earlier message are handed out first, with no syscall; otherwise it
+// blocks for the first message (via the runtime poller) and takes
+// whatever else the socket already holds, up to min(len(buf),
+// mmsgMaxBatch) messages. Each message's msg_name is filled, so the
+// learn step sees every frame's UDP origin exactly as Receive does, and
+// each goes through splitMessage; segments past len(buf) wait in the
+// queue. Frames that fail decoding are skipped, where a Receive loop
+// would surface them one error at a time; only a batch with nothing else
+// in it reports the error.
 func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled bool) {
-	batch := len(buf)
-	if batch > mmsgMaxBatch {
-		batch = mmsgMaxBatch
-	}
 	u.recvMu.Lock()
 	defer u.recvMu.Unlock()
+	if len(u.rxq) > 0 {
+		return u.takePending(buf), nil, true
+	}
+	batch := min(len(buf), mmsgMaxBatch)
 	rx := &u.mmsg.rx
 	if rx.rc == nil {
 		rc, err := u.conn.SyscallConn()
 		if err != nil {
-			return 0, ErrClosed, true
+			return 0, receiveError(err), true
 		}
 		rx.rc, rx.call = rc, u.recvmmsg
 	}
 	for i := 0; i < batch; i++ {
 		rx.iovs[i] = iovec{Base: &u.recvSlot(i)[0], Len: mmsgSlotSize}
 		rx.hdrs[i].Hdr = msghdr{
-			Name:    (*byte)(unsafe.Pointer(&rx.names[i])),
-			Namelen: uint32(unsafe.Sizeof(rx.names[i])),
-			Iov:     &rx.iovs[i],
-			Iovlen:  1,
+			Name:       (*byte)(unsafe.Pointer(&rx.names[i])),
+			Namelen:    uint32(unsafe.Sizeof(rx.names[i])),
+			Iov:        &rx.iovs[i],
+			Iovlen:     1,
+			Control:    &rx.ctrls[i][0],
+			Controllen: groCtrlLen,
 		}
 	}
-	rx.want, rx.got, rx.failed = batch, 0, false
-	if perr := rx.rc.Read(rx.call); perr != nil || rx.failed {
-		return 0, ErrClosed, true
+	rx.want, rx.got, rx.errno = batch, 0, 0
+	if perr := rx.rc.Read(rx.call); perr != nil {
+		return 0, receiveError(perr), true
+	}
+	if rx.errno != 0 {
+		return 0, fmt.Errorf("transport: recvmmsg: %w", rx.errno), true
 	}
 	// Payloads are copied out of the reused slots into one backing
-	// buffer for the whole batch (the exact-capacity allocation keeps
-	// the appends from moving it), and the address strings are interned
-	// — a small stable set per socket, so the per-datagram decode makes
-	// no allocations on the steady state.
+	// buffer for the whole call (the exact-capacity allocation keeps the
+	// appends from moving it), and the address strings are interned — a
+	// small stable set per socket, so the per-datagram decode makes no
+	// allocations on the steady state.
 	need := 0
 	for i := 0; i < rx.got; i++ {
 		need += int(rx.hdrs[i].Len)
@@ -371,21 +439,19 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 	arena := make([]byte, 0, need)
 	var bad error
 	for i := 0; i < rx.got; i++ {
-		dg, derr := u.decodeFrame(u.recvBufs[i][:rx.hdrs[i].Len], rx.names[i].origin(), &arena)
-		if derr != nil {
-			bad = derr
-			continue
+		h := &rx.hdrs[i].Hdr
+		ctrl := rx.ctrls[i][:h.Controllen]
+		if err := u.splitMessage(u.recvBufs[i][:rx.hdrs[i].Len], ctrl, int(h.Flags), rx.names[i].origin(), &arena); err != nil {
+			bad = err
 		}
-		buf[n] = dg
-		n++
 	}
-	if n == 0 {
+	if len(u.rxq) == 0 {
 		// Every frame in the batch was malformed; report one receive
 		// with no datagrams rather than blocking again, so callers see
 		// progress (the loop path would have returned the decode error).
 		return 0, bad, true
 	}
-	return n, nil, true
+	return u.takePending(buf), nil, true
 }
 
 // recvmmsg is the RawConn read callback: one non-blocking recvmmsg of
@@ -403,7 +469,11 @@ func (u *UDPTransport) recvmmsg(fd uintptr) bool {
 		if e == syscall.EINTR {
 			continue
 		}
-		rx.got, rx.failed = int(r), e != 0
+		if e != 0 {
+			rx.errno = e
+		} else {
+			rx.got = int(r)
+		}
 		return true
 	}
 }

@@ -10,8 +10,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-# FUZZTIME is per fuzz target; CI runs six targets, so the default
-# keeps the whole fuzz-smoke step to ~90 s.
+# FUZZTIME is per fuzz target; CI runs seven targets, so the default
+# keeps the whole fuzz-smoke step to ~105 s.
 FUZZTIME ?= 15s
 # Pinned staticcheck build: `go run` fetches and caches it, so the
 # toolchain — not PATH — decides the version CI lints with.
@@ -86,8 +86,9 @@ bench-smoke:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | $(GO) run ./cmd/fbsstat bench-validate
 
 # fuzz-smoke gives each fuzz target (the core decoders, the differential
-# harness, the ChaCha20 keystream kernel against its Go oracle, the UDP
-# receive splitter over attacker-shaped GRO messages) a short
+# harness, the ChaCha20 keystream kernel against its Go oracle, the
+# Montgomery kernel against big.Int.Exp, the UDP receive splitter over
+# attacker-shaped GRO messages) a short
 # budget on top of the checked-in corpus — enough to catch regressions
 # without turning the gate into a campaign. Targets run one at a time
 # because `go test -fuzz` accepts a single target per invocation.
@@ -97,6 +98,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzCookie$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsim -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzChaCha20Poly1305$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzModExp$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzUDPFrames$$' -fuzztime=$(FUZZTIME)
 
 # diff soaks the differential harness: seeded op streams cross-validated
@@ -158,10 +160,10 @@ check: build lint examples ci-race bench-smoke fuzz-smoke diff
 # workflow fans them out and a local `make ci` runs them back to back.
 
 # The arm64 cross-build and vet (offline, ~30 s cold) are what compile
-# the !amd64 file set — cryptolib's no-kernel stub, and the transport's
+# the !amd64 file set — cryptolib's no-kernel stubs, and the transport's
 # raw msghdr/cmsg layouts under arm64's syscall numbers — so it cannot
 # rot unseen; go vet's asmdecl pass, part of lint, holds chacha_amd64.s
-# to its Go declarations.
+# and mont_amd64.s to their Go declarations.
 ci-lint: build lint examples loc
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/cryptolib ./internal/transport
@@ -199,8 +201,9 @@ ci-soak:
 # throughput drop, or a doubled seal p99 on rows with >= 1000 seal
 # timings, fails CI) and appends passing
 # runs so the baseline tracks the codebase. One iteration of the
-# keying-miss, master-key and provisioning benchmarks keeps their rows
-# from rotting (they key on Oakley 2, which no test does), one of
+# keying-miss, master-key, RSA-1024 and provisioning benchmarks keeps
+# their rows, kernel and portable, from rotting (they key on Oakley 2,
+# which no test does), one of
 # BenchmarkRunOfOne executes its
 # per-row allocation assertions (the single doors at 0 allocs/op), one
 # of BenchmarkUDPLoopbackBatch asserts the socket layer's one allocation
@@ -213,7 +216,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RunOfOne|Provision|UDPLoopbackBatch' -benchtime 1x . ./internal/transport
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch' -benchtime 1x . ./internal/transport ./internal/cryptolib
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces

@@ -565,9 +565,13 @@ func BenchmarkFlowKeyDerivation(b *testing.B) {
 // Master key (Diffie-Hellman) computation: "Shared" is the cost an MKC
 // miss pays, "Public" the g^x an identity pays once when it is minted or
 // rebuilt from a provisioning document — on the Oakley groups a
-// fixed-base table, elsewhere big.Int.Exp. Rows run on the test group
-// the suite keys with and on the Oakley groups the product runs, each
-// side's private value drawn the way an identity draws it.
+// fixed-base table, elsewhere the window walk, both on the Montgomery
+// kernel where the CPU has it. Each has a "-portable" sibling on
+// big.Int.Exp, the path every other CPU takes (cryptolib's
+// BenchmarkRSA1024 prices the certificate half of a miss the same way).
+// Rows run on the test group the suite keys with and on the Oakley
+// groups the product runs, each side's private value drawn the way an
+// identity draws it.
 func BenchmarkMasterKeyComputation(b *testing.B) {
 	for _, row := range []struct {
 		name string
@@ -591,9 +595,21 @@ func BenchmarkMasterKeyComputation(b *testing.B) {
 					}
 				}
 			})
+			b.Run("Shared-portable", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := g.PortableShared(priv, peerPub); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 			b.Run("Public", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					benchSinkInt = g.Public(priv)
+				}
+			})
+			b.Run("Public-portable", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSinkInt = new(big.Int).Exp(g.G, priv, g.P)
 				}
 			})
 		})
@@ -906,9 +922,9 @@ func BenchmarkSealOpenAllocs(b *testing.B) {
 // gateway and the IP mapping call; OpenAppend and SealAppend are the
 // append forms BenchmarkSealOpenAllocs covers only as a 1460 B round
 // trip. Cleartext Open and both append forms must stay 0 allocs/op;
-// secret Open allocates its plaintext (2 allocs, 192 B: the staged
-// ciphertext, then its growth by the tag). Each row asserts its count
-// before timing, as BenchmarkCryptoLibTable's noAlloc rows do. The
+// secret Open allocates its plaintext and Seal its wire buffer, each
+// once, sized for the tag an AEAD stages past the body. Each row asserts
+// its count before timing, as BenchmarkCryptoLibTable's noAlloc rows do. The
 // "+tracer" rows repeat the measurement with a pipeline attached and
 // quiet (SampleEvery 0), which prices the observation gate.
 func BenchmarkRunOfOne(b *testing.B) {
@@ -938,7 +954,7 @@ func BenchmarkRunOfOne(b *testing.B) {
 		buf := make([]byte, 0, core.HeaderSize+len(payload)+core.MACLen)
 		openAllocs := 0.0
 		if secret {
-			openAllocs = 2
+			openAllocs = 1
 		}
 		for _, r := range []struct {
 			op     string
@@ -948,6 +964,7 @@ func BenchmarkRunOfOne(b *testing.B) {
 			{"Open", openAllocs, func() error { _, err := bb.Open(wire); return err }},
 			{"OpenAppend", 0, func() error { _, err := bb.OpenAppend(buf[:0], wire); return err }},
 			{"SealAppend", 0, func() error { _, err := a.SealAppend(buf[:0], dg, secret); return err }},
+			{"Seal", 1, func() error { _, err := a.Seal(dg, secret); return err }},
 		} {
 			b.Run(name+"/"+r.op, func(b *testing.B) {
 				var err error

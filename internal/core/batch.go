@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
 )
@@ -754,7 +753,7 @@ func (e *Endpoint) SendBatch(dgs []transport.Datagram, secret bool) (int, error)
 	res := sc.res[:len(dgs)]
 	capHint := 0
 	for i := range dgs {
-		capHint += HeaderSize + len(dgs[i].Payload) + cryptolib.BlockSize
+		capHint += len(dgs[i].Payload) + sealRoom
 	}
 	if cap(sc.buf) < capHint {
 		sc.buf = make([]byte, 0, capHint)

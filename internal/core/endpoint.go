@@ -742,7 +742,7 @@ func (e *Endpoint) SealFlow(dg transport.Datagram, id FlowID, secret bool) (tran
 	if dg.Source == "" {
 		dg.Source = e.Addr()
 	}
-	out, tid, err := e.sealOne(make([]byte, 0, HeaderSize+len(dg.Payload)+cryptolib.BlockSize), dg, id, secret)
+	out, tid, err := e.sealOne(make([]byte, 0, len(dg.Payload)+sealRoom), dg, id, secret)
 	if err != nil {
 		return transport.Datagram{}, err
 	}
@@ -751,10 +751,10 @@ func (e *Endpoint) SealFlow(dg transport.Datagram, id FlowID, secret bool) (tran
 
 // SealFlowAppend is the allocation-free form of SealFlow. The sealed
 // datagram — or, for a bypassed peer, the payload unchanged — is
-// appended to dst. A sealed datagram needs at most
-// HeaderSize+len(payload)+cryptolib.BlockSize bytes of capacity (the
-// block is padding headroom when encrypting); give dst that much and the
-// steady-state path allocates nothing. dst must not alias dg.Payload.
+// appended to dst. A seal needs HeaderSize+len(payload)+MACLen bytes of
+// capacity (room for a legacy suite's padding block or an AEAD suite's
+// staged tag); give dst that much and the steady-state path allocates
+// nothing. dst must not alias dg.Payload.
 func (e *Endpoint) SealFlowAppend(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, error) {
 	out, _, err := e.sealOne(dst, dg, id, secret)
 	return out, err

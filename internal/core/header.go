@@ -92,6 +92,11 @@ const (
 // then fail with ErrNeedsFragmentation under DF.
 const SealOverhead = HeaderSize + cryptolib.BlockSize
 
+// sealRoom is the capacity a seal needs beyond the payload: the header
+// plus the larger of a legacy suite's padding block and the tag an AEAD
+// seal stages after the body before moving it into the header.
+const sealRoom = HeaderSize + max(cryptolib.BlockSize, MACLen)
+
 // Header flag bits.
 const (
 	// FlagSecret marks an encrypted body (the secret flag of FBSSend).

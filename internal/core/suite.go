@@ -5,6 +5,7 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -489,6 +490,7 @@ func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, t
 	// documented ciphertext[:0] aliasing form); on success the appended
 	// region is exactly the plaintext.
 	off := len(dst)
+	dst = slices.Grow(dst, len(body)+MACLen)
 	dst = append(dst, body...)
 	dst = append(dst, h.MACValue[:]...)
 	plain, err := box.Open(dst[off:off], nonce[:], dst[off:], mi[:])

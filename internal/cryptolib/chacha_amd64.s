@@ -1,5 +1,5 @@
-// The one assembly file in cryptolib: an AVX2 ChaCha20 keystream kernel
-// and the CPUID probe that selects it. Constant time by construction:
+// An AVX2 ChaCha20 keystream kernel and the CPUID probe that selects it
+// (the Montgomery kernel is mont_amd64.s). Constant time by construction:
 // no branch, load address or shuffle index depends on key, nonce,
 // counter or keystream — the only branches are the fixed ten-iteration
 // round loop and the CPUID checks, and both VPSHUFB masks are constants.

@@ -106,14 +106,48 @@ func (g DHGroup) GeneratePrivate() (*big.Int, error) {
 }
 
 // Public computes the public value g^x mod p for private value x. On
-// Oakley 1 and 2 an x of at most shortExponentBits — every value
-// GeneratePrivate draws there — is a product of precomputed powers of g
-// (see fixedBase); any other group or length runs big.Int.Exp.
+// Oakley 1 and 2, where the Montgomery kernel runs, an x of at most
+// shortExponentBits — every value GeneratePrivate draws there — is a
+// product of precomputed powers of g (see fixedBase); any other group or
+// length takes the kernel's window walk where it serves p, and
+// big.Int.Exp elsewhere.
 func (g DHGroup) Public(private *big.Int) *big.Int {
 	if t := g.fixedBase(private); t != nil {
 		return t.exp(private)
 	}
-	return new(big.Int).Exp(g.G, private, g.P)
+	return g.exp(g.G, private)
+}
+
+// exp returns base^x mod p: the kernel's window walk where it serves p,
+// big.Int.Exp elsewhere.
+func (g DHGroup) exp(base, x *big.Int) *big.Int {
+	if x.Sign() >= 0 {
+		if mm := g.mont(); mm != nil {
+			return mm.exp(base, x)
+		}
+	}
+	return new(big.Int).Exp(base, x, g.P)
+}
+
+// oakleyMont holds Oakley 1's and 2's Montgomery contexts, each built on
+// first use.
+var oakleyMont = [2]func() *montModulus{
+	sync.OnceValue(func() *montModulus { return newMontModulus(Oakley1.P) }),
+	sync.OnceValue(func() *montModulus { return newMontModulus(Oakley2.P) }),
+}
+
+// mont returns the Montgomery context for g's modulus, or nil where the
+// kernel does not serve it. Oakley 1 and 2, recognised by value, share
+// one context each; any other modulus builds its own per call, so no
+// group a certificate names can grow a cache.
+func (g DHGroup) mont() *montModulus {
+	switch {
+	case g.P.Cmp(Oakley2.P) == 0:
+		return oakleyMont[1]()
+	case g.P.Cmp(Oakley1.P) == 0:
+		return oakleyMont[0]()
+	}
+	return newMontModulus(g.P)
 }
 
 // fixedBaseWindows and fixedBaseDigits shape the fixed-base table: the
@@ -124,13 +158,13 @@ const (
 	fixedBaseDigits  = 16
 )
 
-// fixedBaseTable is g^(d·16^i) mod p for one group: entry [i][d-1], the
-// zero digit needing no entry. g^x is then the product of one entry per
-// non-zero digit of x — at most 63 modular multiplications instead of
-// the 256 squarings and ≈ 60 multiplications of a windowed Exp.
+// fixedBaseTable is g^(d·16^i) mod p for one group, in Montgomery form:
+// entry [i][d], digit 0 included. g^x is then the product of one entry
+// per digit of x — 63 products on the kernel instead of the 252
+// squarings and 63 products of the window walk.
 type fixedBaseTable struct {
-	p *big.Int
-	t [fixedBaseWindows][fixedBaseDigits - 1]big.Int
+	mm *montModulus
+	t  [fixedBaseWindows][fixedBaseDigits]montNat
 }
 
 // oakleyTables are Oakley 1's and 2's tables, each built on first use.
@@ -140,27 +174,27 @@ var oakleyTables = [2]func() *fixedBaseTable{
 }
 
 func newFixedBaseTable(g DHGroup) *fixedBaseTable {
-	t := &fixedBaseTable{p: g.P}
-	base := new(big.Int).Set(g.G) // g^(16^i)
-	prod, quo := new(big.Int), new(big.Int)
+	mm := g.mont()
+	t := &fixedBaseTable{mm: mm}
+	var base montNat // g^(16^i)
+	mm.toMont(&base, g.G)
 	for i := range t.t {
-		t.t[i][0].Set(base)
-		for d := 1; d < fixedBaseDigits-1; d++ {
-			// Reduce in scratch, then copy: an entry keeps a 1024-bit
-			// footprint, not the product's 2048-bit capacity.
-			quo.QuoRem(prod.Mul(&t.t[i][d-1], base), g.P, prod)
-			t.t[i][d].Set(prod)
+		w := &t.t[i]
+		w[0], w[1] = mm.one, base
+		for d := 2; d < fixedBaseDigits; d++ {
+			mm.mul(&w[d], &w[d-1], &base)
 		}
-		quo.QuoRem(prod.Mul(&t.t[i][fixedBaseDigits-2], base), g.P, base)
+		mm.mul(&base, &w[fixedBaseDigits-1], &base)
 	}
 	return t
 }
 
 // fixedBase returns the table Public uses for x, or nil where it does
-// not apply: a group other than Oakley 1 or 2 (recognised by value), or
-// an x that is not positive or is longer than shortExponentBits.
+// not apply: no kernel on this CPU, a group other than Oakley 1 or 2
+// (recognised by value), or an x that is not positive or is longer than
+// shortExponentBits.
 func (g DHGroup) fixedBase(x *big.Int) *fixedBaseTable {
-	if x.Sign() <= 0 || x.BitLen() > shortExponentBits || !g.builtinSafePrime() {
+	if !useMont || x.Sign() <= 0 || x.BitLen() > shortExponentBits || !g.builtinSafePrime() {
 		return nil
 	}
 	if g.P.Cmp(Oakley1.P) == 0 {
@@ -169,42 +203,58 @@ func (g DHGroup) fixedBase(x *big.Int) *fixedBaseTable {
 	return oakleyTables[1]()
 }
 
-// exp returns g^x mod p for 0 < x < 2^shortExponentBits. Like
-// big.Int.Exp, its time depends on x: here on the number of zero digits.
+// exp returns g^x mod p for 0 < x < 2^shortExponentBits: every window
+// reads its digit's entry with montSelect and multiplies it in, a zero
+// digit included, so the work is the same for every x.
 func (t *fixedBaseTable) exp(x *big.Int) *big.Int {
-	acc, prod, quo := new(big.Int), new(big.Int), new(big.Int)
-	started := false
-	for i := 0; i < fixedBaseWindows; i++ {
-		d := 0
-		for b := 3; b >= 0; b-- {
-			d = d<<1 | int(x.Bit(4*i+b))
-		}
-		switch {
-		case d == 0:
-		case !started:
-			acc.Set(&t.t[i][d-1])
-			started = true
-		default:
-			quo.QuoRem(prod.Mul(acc, &t.t[i][d-1]), t.p, acc)
-		}
+	var digits [shortExponentBits / 64]uint64
+	for i, w := range x.Bits() {
+		digits[i] = uint64(w)
 	}
-	return acc
+	mm := t.mm
+	var acc, sel montNat
+	montSelect(&acc, &t.t[0], mm.n, digits[0]&15)
+	for i := 1; i < fixedBaseWindows; i++ {
+		montSelect(&sel, &t.t[i], mm.n, digits[i/16]>>(4*(i%16))&15)
+		mm.mul(&acc, &acc, &sel)
+	}
+	return mm.fromMont(&acc)
 }
 
 // Shared computes the pair-based master secret g^(xy) mod p from one
 // side's private value and the other side's public value. The FBS master
-// key K_{S,D} is derived from this value.
+// key K_{S,D} is derived from this value. Where the kernel serves p it
+// runs the constant-time window walk (montModulus.exp); elsewhere
+// big.Int.Exp, as PortableShared does everywhere.
 func (g DHGroup) Shared(private, peerPublic *big.Int) (*big.Int, error) {
-	if peerPublic.Sign() <= 0 || peerPublic.Cmp(g.P) >= 0 {
-		return nil, fmt.Errorf("cryptolib: peer public value out of range")
+	if err := g.checkPeer(peerPublic); err != nil {
+		return nil, err
 	}
-	// Reject the degenerate subgroup elements 1 and p-1.
+	return g.exp(peerPublic, private), nil
+}
+
+// PortableShared is Shared on math/big alone, whatever the CPU: the
+// oracle internal/refmodel derives K_{S,D} with, so the differential
+// harness checks the kernel against big.Int.Exp on every op stream.
+func (g DHGroup) PortableShared(private, peerPublic *big.Int) (*big.Int, error) {
+	if err := g.checkPeer(peerPublic); err != nil {
+		return nil, err
+	}
+	return new(big.Int).Exp(peerPublic, private, g.P), nil
+}
+
+// checkPeer refuses a peer public value outside (1, p-1): out of range,
+// or one of the degenerate subgroup elements 1 and p-1.
+func (g DHGroup) checkPeer(peerPublic *big.Int) error {
+	if peerPublic.Sign() <= 0 || peerPublic.Cmp(g.P) >= 0 {
+		return fmt.Errorf("cryptolib: peer public value out of range")
+	}
 	one := big.NewInt(1)
 	pm1 := new(big.Int).Sub(g.P, one)
 	if peerPublic.Cmp(one) == 0 || peerPublic.Cmp(pm1) == 0 {
-		return nil, fmt.Errorf("cryptolib: degenerate peer public value")
+		return fmt.Errorf("cryptolib: degenerate peer public value")
 	}
-	return new(big.Int).Exp(peerPublic, private, g.P), nil
+	return nil
 }
 
 // MasterKey reduces a Diffie-Hellman shared secret to a fixed-size master

@@ -121,10 +121,11 @@ func TestBuiltinSafePrimes(t *testing.T) {
 }
 
 // TestFixedBasePublic: on both Oakley groups — also when the group is
-// a copy, recognised by value — the fixed-base table gives big.Int.Exp's
-// g^x for exponents of every length from 2 to 256 bits, with random,
-// all-one and all-zero 4-bit digits. Longer exponents, and TestGroup,
-// take big.Int.Exp itself.
+// a copy, recognised by value — the fixed-base table (on a CPU with the
+// Montgomery kernel) gives big.Int.Exp's g^x for exponents of every
+// length from 2 to 256 bits, with random, all-one and all-zero 4-bit
+// digits. Longer exponents, and TestGroup, take the window walk or
+// big.Int.Exp itself.
 func TestFixedBasePublic(t *testing.T) {
 	two := big.NewInt(2)
 	groups := map[string]DHGroup{
@@ -144,7 +145,7 @@ func TestFixedBasePublic(t *testing.T) {
 				new(big.Int).Add(top, big.NewInt(1)),                      // every inner digit 0
 			}
 			for _, x := range xs {
-				if g.fixedBase(x) == nil {
+				if g.fixedBase(x) == nil && useMont {
 					t.Fatalf("%s: a %d-bit exponent does not take the table", name, bits)
 				}
 				if got, want := g.Public(x), new(big.Int).Exp(g.G, x, g.P); got.Cmp(want) != 0 {

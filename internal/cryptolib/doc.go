@@ -22,28 +22,41 @@
 // encoding/binary only; the test suite cross-checks each primitive against
 // the Go standard library and published test vectors.
 //
-// DHGroup.Public on Oakley 1 and 2, for the 256-bit private values
-// GeneratePrivate draws there, multiplies precomputed powers of the
-// generator instead of exponentiating: a fixed-base table of
-// g^(d·16^i) mod p, 64 four-bit windows × 15 non-zero digits, ≈ 140 KB
-// of big.Int for Oakley 2, built once per group on first use in ≈ 1–4
-// ms. A g^x is then at most 63 modular multiplications, ≈ 0.4× a
-// big.Int.Exp. Every other group and exponent length, and Shared (whose
-// base is the peer's public value, different every time), use
-// big.Int.Exp. The table is variable time in the same way Exp is: the
-// work done depends on the exponent (here, on how many of its digits are
-// zero), which the reproduction accepts for the 1997 threat model as it
-// does for RSA.
+// Two files are not Go. chacha_amd64.s is an AVX2 ChaCha20 keystream
+// kernel (eight blocks per call) that ChaCha20-Poly1305 uses on amd64 CPUs
+// whose CPUID reports AVX2 with OS-enabled YMM state; every other CPU runs
+// the Go block function, which is also the kernel's differential oracle
+// (NewPortableChaCha20Poly1305). It is constant time the same way the Go
+// code is: ChaCha20 is add, rotate and xor on fixed registers, so no
+// branch, load address or shuffle index depends on key, nonce, counter or
+// data.
 //
-// One file is not Go: chacha_amd64.s, an AVX2 ChaCha20 keystream kernel
-// (eight blocks per call) that ChaCha20-Poly1305 uses on amd64 CPUs whose
-// CPUID reports AVX2 with OS-enabled YMM state. It is there because the
-// scalar block function was the dominant layer of the gateway's 1200-byte
-// ChaCha workload; every other CPU and architecture runs the Go block
-// function, which is also the kernel's differential oracle
-// (NewPortableChaCha20Poly1305). The kernel is constant time the same way
-// the Go code is: ChaCha20 is add, rotate and xor on fixed registers, so
-// no branch, load address or shuffle index depends on key, nonce, counter
-// or data — its only branches are the ten-iteration round loop and the
-// CPUID probe, and both byte-shuffle masks are constants.
+// mont_amd64.s is a Montgomery kernel on MULX/ADCX/ADOX for moduli of 8,
+// 12 and 16 words (the CA's CRT primes and TestGroup, Oakley 1, Oakley 2
+// and the 1024-bit CA modulus): a product with the reduction fused into
+// each row, a dedicated squaring, and a masked read of a 16-entry table,
+// chosen at init when CPUID reports BMI2 and ADX. Montgomery contexts for
+// Oakley 1 and 2 are built once per group; any other modulus builds its
+// own per call. Every other width and CPU runs big.Int.Exp, which is also
+// the kernel's oracle (DHGroup.PortableShared, which internal/refmodel
+// derives its master keys with, so the differential harness compares the
+// two on every op stream).
+//
+// On the kernel, these are constant time in the exponent: DHGroup.Shared,
+// DHGroup.Public off the fixed-base table, and both CRT halves of
+// RSAPrivateKey.Sign (a key without its primes: the one full-size
+// exponentiation) walk the exponent in fixed 4-bit windows, four
+// squarings and one product per window, the product's operand read from
+// every table entry and kept by mask, and the kernel's final subtraction
+// is kept or undone by CMOV — no branch or load address depends on an
+// exponent bit, only the walk's length on the exponent's word count. DHGroup.Public on Oakley 1 and 2, for private values of at
+// most 256 bits (all GeneratePrivate draws there), multiplies precomputed
+// powers of the generator instead: a fixed-base table of g^(d·16^i) mod p
+// in Montgomery form, 64 four-bit windows × 16 digits, ≈ 128 KB per group,
+// built once on first use. Each window's entry is read by the same masked
+// select, so g^x is 63 kernel products whatever the digits. Not constant
+// time: RSAPublicKey.Verify's square-and-multiply follows its public
+// exponent's bits, and everything on big.Int.Exp — the portable path, and
+// whatever math/big does around the kernel (reducing a base, the CRT
+// recombination) — is variable time as in 1997 practice.
 package cryptolib

@@ -10,8 +10,10 @@ import (
 // Textbook RSA with deterministic full-domain-style padding, used by the
 // certificate substrate (internal/cert) to sign public-value certificates.
 // CryptoLib — the paper's crypto substrate — shipped RSA for exactly this
-// purpose. This is a reproduction-quality implementation: correct and
-// tested, but (like 1997 practice) not hardened against side channels.
+// purpose. Where the Montgomery kernel serves the modulus (mont.go), the
+// exponentiations under the private key run its constant-time window
+// walk; the padding, the CRT recombination and everything on math/big are
+// not hardened against side channels, as in 1997 practice.
 
 // RSAPublicKey holds an RSA modulus and public exponent.
 type RSAPublicKey struct {
@@ -93,12 +95,20 @@ func padDigest(digest []byte, modBytes int) ([]byte, error) {
 	return out, nil
 }
 
+// expFunc is x^e mod m; Sign and Verify take theirs from the kernel
+// (expSecret, expPublic), the tests and benchmarks also from big.Int.Exp.
+type expFunc func(x, e, m *big.Int) *big.Int
+
 // Sign produces a signature over message: RSA-decrypt of the padded MD5
 // digest. A key that holds its primes decrypts by CRT — two half-size
 // exponentiations recombined by Garner's formula — and releases the
 // result only once Verify accepts it: a fault in either half would
 // otherwise hand out a value whose gcd with N is a prime factor.
 func (k *RSAPrivateKey) Sign(message []byte) ([]byte, error) {
+	return k.sign(message, expSecret, expPublic)
+}
+
+func (k *RSAPrivateKey) sign(message []byte, exp, verifyExp expFunc) ([]byte, error) {
 	digest := MD5Sum(message)
 	modBytes := (k.N.BitLen() + 7) / 8
 	padded, err := padDigest(digest[:], modBytes)
@@ -107,14 +117,14 @@ func (k *RSAPrivateKey) Sign(message []byte) ([]byte, error) {
 	}
 	m := new(big.Int).SetBytes(padded)
 	if k.p == nil {
-		return new(big.Int).Exp(m, k.D, k.N).FillBytes(make([]byte, modBytes)), nil
+		return exp(m, k.D, k.N).FillBytes(make([]byte, modBytes)), nil
 	}
-	s := new(big.Int).Exp(m, k.dP, k.p)
-	sq := new(big.Int).Exp(m, k.dQ, k.q)
+	s := exp(m, k.dP, k.p)
+	sq := exp(m, k.dQ, k.q)
 	s.Sub(s, sq).Mul(s, k.qInv).Mod(s, k.p) // h = qInv (sp - sq) mod p
 	s.Mul(s, k.q).Add(s, sq)
 	sig := s.FillBytes(make([]byte, modBytes))
-	if !k.Verify(message, sig) {
+	if !k.verify(message, sig, verifyExp) {
 		return nil, fmt.Errorf("cryptolib: RSA-CRT signature failed verification; not released")
 	}
 	return sig, nil
@@ -122,6 +132,10 @@ func (k *RSAPrivateKey) Sign(message []byte) ([]byte, error) {
 
 // Verify checks a signature produced by Sign.
 func (k *RSAPublicKey) Verify(message, sig []byte) bool {
+	return k.verify(message, sig, expPublic)
+}
+
+func (k *RSAPublicKey) verify(message, sig []byte, exp expFunc) bool {
 	modBytes := (k.N.BitLen() + 7) / 8
 	if len(sig) != modBytes {
 		return false
@@ -130,7 +144,7 @@ func (k *RSAPublicKey) Verify(message, sig []byte) bool {
 	if s.Cmp(k.N) >= 0 {
 		return false
 	}
-	m := new(big.Int).Exp(s, k.E, k.N)
+	m := exp(s, k.E, k.N)
 	digest := MD5Sum(message)
 	want, err := padDigest(digest[:], modBytes)
 	if err != nil {

@@ -103,11 +103,23 @@ func NewIdentityWithPrivate(addr Address, group cryptolib.DHGroup, private *big.
 // with the peer identified by its authenticated public value. Either side
 // of a pair computes the same key; nobody else can (Section 5.2).
 func (id *Identity) MasterKey(peerPublic *big.Int) ([16]byte, error) {
-	shared, err := id.Group.Shared(id.private, peerPublic)
+	return id.masterKey(id.Group.Shared, peerPublic)
+}
+
+// PortableMasterKey is MasterKey on math/big alone
+// (cryptolib.DHGroup.PortableShared): the reference model derives K_{S,D}
+// this way, so a differential run checks the Montgomery kernel behind
+// MasterKey against big.Int.Exp.
+func (id *Identity) PortableMasterKey(peerPublic *big.Int) ([16]byte, error) {
+	return id.masterKey(id.Group.PortableShared, peerPublic)
+}
+
+func (id *Identity) masterKey(shared func(private, peerPublic *big.Int) (*big.Int, error), peerPublic *big.Int) ([16]byte, error) {
+	s, err := shared(id.private, peerPublic)
 	if err != nil {
 		return [16]byte{}, fmt.Errorf("principal %s: computing master key: %w", id.Addr, err)
 	}
-	return cryptolib.MasterKey(shared), nil
+	return cryptolib.MasterKey(s), nil
 }
 
 // Rekey replaces the private value, invalidating every pair-based master

@@ -243,7 +243,9 @@ func (e *Endpoint) FlowKeyTo(sfl uint64, peer principal.Address) ([16]byte, erro
 // master returns the shared master key with peer, performing the
 // zero-message exchange of Section 5.3 on first use: fetch the peer's
 // certificate, verify it, and combine its public value with our own
-// exponent.
+// exponent. The exponentiation runs on math/big alone
+// (PortableMasterKey): it is the oracle for the Montgomery kernel the
+// core endpoint keys with.
 func (e *Endpoint) master(peer principal.Address) ([16]byte, error) {
 	if k, ok := e.masters[peer]; ok {
 		return k, nil
@@ -255,7 +257,7 @@ func (e *Endpoint) master(peer principal.Address) ([16]byte, error) {
 	if err := e.cfg.Verifier.Verify(c, peer, e.cfg.Clock.Now()); err != nil {
 		return [16]byte{}, err
 	}
-	k, err := e.cfg.Identity.MasterKey(c.Public)
+	k, err := e.cfg.Identity.PortableMasterKey(c.Public)
 	if err != nil {
 		return [16]byte{}, err
 	}

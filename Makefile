@@ -10,8 +10,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-# FUZZTIME is per fuzz target; CI runs seven targets, so the default
-# keeps the whole fuzz-smoke step to ~105 s.
+# FUZZTIME is per fuzz target; CI runs eight targets, so the default
+# keeps the whole fuzz-smoke step to ~120 s.
 FUZZTIME ?= 15s
 # Pinned staticcheck build: `go run` fetches and caches it, so the
 # toolchain — not PATH — decides the version CI lints with.
@@ -88,7 +88,8 @@ bench-smoke:
 # fuzz-smoke gives each fuzz target (the core decoders, the differential
 # harness, the ChaCha20 keystream kernel against its Go oracle, the
 # Montgomery kernel against big.Int.Exp, the UDP receive splitter over
-# attacker-shaped GRO messages) a short
+# attacker-shaped GRO messages, the gateway config parser against what a
+# swap builds) a short
 # budget on top of the checked-in corpus — enough to catch regressions
 # without turning the gate into a campaign. Targets run one at a time
 # because `go test -fuzz` accepts a single target per invocation.
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzChaCha20Poly1305$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzModExp$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/transport -run='^$$' -fuzz='^FuzzUDPFrames$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/gateway -run='^$$' -fuzz='^FuzzGatewayConfig$$' -fuzztime=$(FUZZTIME)
 
 # diff soaks the differential harness: seeded op streams cross-validated
 # between the optimised endpoint and the naive reference model

@@ -252,18 +252,21 @@ type diffRun struct {
 
 // diffMatrix returns the standing differential cross-validation runs:
 // seeded op streams executed against both the optimised endpoint and
-// the naive reference model, with and without the replay cache.
+// the naive reference model, with and without the replay cache, and
+// with the pre-filter pinned at its sketch rung.
 func diffMatrix(base uint64, ops int) []diffRun {
-	runs := []diffRun{
-		{"diff-replay", netsim.DiffScenario{Seed: base, Ops: ops, ReplayCache: true}},
-		{"diff-noreplay", netsim.DiffScenario{Seed: base + 1, Ops: ops, ReplayCache: false}},
-	}
-	// Shorter per-suite streams: the long runs above soak the default
-	// (DES) configuration; these cross-validate every other registered
-	// framing against its independent reference implementation.
+	// Shorter per-suite and pre-filter streams: the long runs soak the
+	// default (DES) configuration; the short ones cross-validate every
+	// other registered framing, and the sketch under seed-drawn settings,
+	// against their independent reference implementations.
 	sops := ops / 4
 	if sops < 1000 {
 		sops = 1000
+	}
+	runs := []diffRun{
+		{"diff-replay", netsim.DiffScenario{Seed: base, Ops: ops, ReplayCache: true}},
+		{"diff-noreplay", netsim.DiffScenario{Seed: base + 1, Ops: ops, ReplayCache: false}},
+		{"diff-prefilter-sketch", netsim.DiffScenario{Seed: base + 2, Ops: sops, ReplayCache: true, Prefilter: core.PrefilterSketch}},
 	}
 	for _, s := range core.Suites() {
 		if s.ID() == core.CipherNone || s.ID() == core.CipherDES {

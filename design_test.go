@@ -330,3 +330,123 @@ func TestDesignPathsExist(t *testing.T) {
 		}
 	}
 }
+
+// unsetKnobs are the internal/core configuration values that
+// TestEveryKnobHasASetter lets stand without a setter outside
+// internal/core, each with the reason. The list is capped at 2: a knob
+// nothing sets is a constant with extra steps.
+var unsetKnobs = map[string]string{}
+
+// TestEveryKnobHasASetter holds the third census's rule: an exported
+// non-func field of an exported internal/core struct named *Config or
+// *Policy stays only if some non-test file outside internal/core,
+// internal/refmodel and examples/ sets it — a `Key:` in a composite
+// literal or a `.Key =` assignment. Matching is by identifier, as in the
+// export census, sharpened by the literal's type where the literal names
+// it; so the rule is a floor: a field nothing outside internal/core ever
+// sets is a knob no caller turns, and it becomes a constant or goes with
+// the behaviour it gates.
+func TestEveryKnobHasASetter(t *testing.T) {
+	type field struct {
+		typ, name string   // the struct type and the field
+		expr      ast.Expr // the field's type
+	}
+	var fields []field             // exported fields of internal/core's *Config / *Policy structs
+	funcTypes := map[string]bool{} // named func types of internal/core
+	// set holds "Type.Key" for a key of a literal that names its struct
+	// type, and "*.Key" for one whose type is elided and for a .Key =
+	// assignment, whose receiver's type the syntax does not show.
+	set := map[string]bool{}
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		if dir != "internal/core" {
+			if dir == "internal/refmodel" || dir == "examples" || strings.HasPrefix(dir, "examples/") {
+				return // the reference model sets only its own restatement
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := "*"
+					switch lt := n.Type.(type) {
+					case *ast.Ident:
+						typ = lt.Name
+					case *ast.SelectorExpr:
+						typ = lt.Sel.Name
+					}
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set[typ+"."+id.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							set["*."+sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+			return
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				if _, ok := ts.Type.(*ast.FuncType); ok {
+					funcTypes[ts.Name.Name] = true
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(ts.Name.Name, "Config") || strings.HasSuffix(ts.Name.Name, "Policy")) {
+					continue
+				}
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						if name.IsExported() {
+							fields = append(fields, field{ts.Name.Name, name.Name, fld.Type})
+						}
+					}
+				}
+			}
+		}
+	})
+	knobs := 0
+	var unset []string
+	for _, f := range fields {
+		if _, ok := f.expr.(*ast.FuncType); ok {
+			continue // a seam, censused by TestSeamTableMatchesCode
+		}
+		if id, ok := f.expr.(*ast.Ident); ok && funcTypes[id.Name] {
+			continue
+		}
+		knobs++
+		if !set[f.typ+"."+f.name] && !set["*."+f.name] {
+			unset = append(unset, "internal/core."+f.typ+"."+f.name)
+		}
+	}
+	sort.Strings(unset)
+	for _, key := range unset {
+		if unsetKnobs[key] == "" {
+			t.Errorf("%s is a configuration value nothing outside internal/core sets: make it a constant at its default, or delete it with the behaviour it gates", key)
+		}
+	}
+	for key := range unsetKnobs {
+		if !slices.Contains(unset, key) {
+			t.Errorf("unsetKnobs lists %s, which has a setter now or is gone; delete the entry", key)
+		}
+	}
+	if len(unsetKnobs) > 2 {
+		t.Errorf("unsetKnobs has %d entries; the cap is 2", len(unsetKnobs))
+	}
+	t.Logf("%d settable values in internal/core's *Config/*Policy structs; %d unset, %d of them allowed", knobs, len(unset), len(unsetKnobs))
+}

@@ -25,7 +25,7 @@ import (
 //
 //   - FAM: one stripe lock per run of same-flow datagrams, with the
 //     policy's Match re-checked per datagram under the held lock, so
-//     wear-out rekeying (MaxPackets/MaxBytes) splits a run exactly
+//     wear-out rekeying (MaxPackets) splits a run exactly
 //     where a loop of single calls would.
 //   - Nonces: a run's sequence numbers are reserved consecutively in
 //     that one acquisition — the per-flow AEAD nonce counter advances

@@ -70,28 +70,11 @@ type Config struct {
 	// must be unique under the flow key, not merely statistically random.
 	Confounder cryptolib.ConfounderSource
 
-	// Cache geometry; zero picks reasonable defaults.
-	TFKCSize int
-	RFKCSize int
-	PVCSize  int
-	MKCSize  int
-
-	// KeyRetry bounds directory fetches on the keying path; the zero
-	// value keeps the historic single-attempt behaviour. See
-	// RetryPolicy.
-	KeyRetry RetryPolicy
-	// KeyNegativeTTL remembers failed peer lookups for this long so a
-	// burst of datagrams to an unreachable peer fails fast instead of
-	// queueing a full retry loop each (0 disables).
-	KeyNegativeTTL time.Duration
-	// KeyStaleWindow serves a certificate that expired less than this
-	// long ago while refetching fails (stale-while-revalidate; 0
-	// disables). See KeyServiceConfig.StaleWhileRevalidate.
-	KeyStaleWindow time.Duration
-	// UpcallTimeout bounds how long a seal/open blocks on a master key
-	// daemon upcall; 0 waits forever. A timed-out datagram is dropped
-	// with DropKeying while the daemon finishes in the background.
-	UpcallTimeout time.Duration
+	// Keying configures how the key plane degrades when the directory
+	// does not answer: bounded retry, the negative-result cache, and the
+	// backoff sleeper (see KeyServiceConfig). The zero value keeps the
+	// single-attempt behaviour.
+	Keying KeyServiceConfig
 
 	// AcceptMACs restricts which MAC constructions incoming datagrams
 	// may use; empty accepts any construction this library implements.
@@ -333,18 +316,6 @@ func newEndpoint(cfg Config, plane *keyPlane, shards int) (*Endpoint, error) {
 	if cfg.FreshnessWindow <= 0 {
 		cfg.FreshnessWindow = 10 * time.Minute
 	}
-	if cfg.TFKCSize <= 0 {
-		cfg.TFKCSize = 256
-	}
-	if cfg.RFKCSize <= 0 {
-		cfg.RFKCSize = 256
-	}
-	if cfg.PVCSize <= 0 {
-		cfg.PVCSize = 64
-	}
-	if cfg.MKCSize <= 0 {
-		cfg.MKCSize = 64
-	}
 	if plane != nil && !sameIdentity(plane.ks.self, cfg.Identity) {
 		return nil, fmt.Errorf("core: identity %q differs from the one the group's key plane serves", cfg.Identity.Addr)
 	}
@@ -361,8 +332,8 @@ func newEndpoint(cfg Config, plane *keyPlane, shards int) (*Endpoint, error) {
 		cfg:   cfg,
 		suite: suite,
 		fam:   fam,
-		tfkc:  NewDirectMapped[flowCacheKey, [16]byte](cfg.TFKCSize, flowCacheKey.hash),
-		rfkc:  NewDirectMapped[flowCacheKey, [16]byte](cfg.RFKCSize, flowCacheKey.hash),
+		tfkc:  NewDirectMapped[flowCacheKey, [16]byte](flowKeyCacheSize, flowCacheKey.hash),
+		rfkc:  NewDirectMapped[flowCacheKey, [16]byte](flowKeyCacheSize, flowCacheKey.hash),
 		conf:  newConfounderWell(cfg.Confounder),
 		gate:  newAdmissionGate(cfg.Admission, cfg.Clock),
 	}

@@ -32,20 +32,6 @@ func TestRekeyPolicyPacketLimit(t *testing.T) {
 	}
 }
 
-func TestRekeyPolicyByteLimit(t *testing.T) {
-	f := newFAMWithSeed(ThresholdPolicy{Threshold: time.Hour, MaxBytes: 1000}, 64, 9)
-	id := FlowID{Src: "a", Dst: "b"}
-	s1, _ := f.Classify(id, famEpoch, 600)
-	s2, _ := f.Classify(id, famEpoch, 600) // 600 < 1000: still flow one
-	s3, _ := f.Classify(id, famEpoch, 600) // 1200 >= 1000: rekey
-	if s1 != s2 {
-		t.Fatal("flow split before byte budget")
-	}
-	if s2 == s3 {
-		t.Fatal("byte budget did not rekey")
-	}
-}
-
 // TestRekeyEndToEnd: the wear-out rekey is invisible to the peer — the
 // new flow keys itself with zero messages.
 func TestRekeyEndToEnd(t *testing.T) {

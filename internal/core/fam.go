@@ -90,25 +90,18 @@ type Policy interface {
 // attributes whose inter-arrival gap never exceeds Threshold. It indexes
 // the table with CRC-32 as Figure 7 prescribes.
 //
-// The optional wear-out limits implement the paper's rekeying story
+// The optional wear-out limit implements the paper's rekeying story
 // (Section 5.2): "with use, an encryption key will 'wear out'...
 // rekeying can be easily accomplished via the FAM by changing the sfl.
 // Rekeying decisions, though, are made by policy modules." When a flow
-// exceeds MaxPackets or MaxBytes the next datagram simply starts a new
-// flow — and with it a fresh sfl and a fresh key — with zero protocol
-// messages.
+// reaches MaxPackets the next datagram simply starts a new flow — and
+// with it a fresh sfl and a fresh key — with zero protocol messages.
 type ThresholdPolicy struct {
 	// Threshold is the idle gap that ends a flow. The paper evaluates
 	// 300-1200 s and finds 300-600 s a good trade-off (Figures 13, 14).
 	Threshold time.Duration
 	// MaxPackets rekeys a flow after this many datagrams (0 = no limit).
 	MaxPackets uint64
-	// MaxBytes rekeys a flow after this much payload (0 = no limit).
-	MaxBytes uint64
-	// PressureThreshold is the tightened idle gap used when sweeping
-	// under memory pressure; 0 defaults to Threshold/8. See
-	// Policy.Expired.
-	PressureThreshold time.Duration
 }
 
 // Index implements Policy.
@@ -117,32 +110,21 @@ func (p ThresholdPolicy) Index(id FlowID, tableSize int) int {
 }
 
 // Match implements Policy: same attributes, within the threshold, and
-// under the key wear-out limits.
+// under the key wear-out limit.
 func (p ThresholdPolicy) Match(e *FSTEntry, id FlowID, now time.Time) bool {
-	if !e.Valid || e.ID != id || now.Sub(e.Last) > p.Threshold {
-		return false
-	}
-	if p.MaxPackets > 0 && e.Packets >= p.MaxPackets {
-		return false
-	}
-	if p.MaxBytes > 0 && e.Bytes >= p.MaxBytes {
-		return false
-	}
-	return true
+	return e.Valid && e.ID == id && now.Sub(e.Last) <= p.Threshold &&
+		(p.MaxPackets == 0 || e.Packets < p.MaxPackets)
 }
 
 // Normalize implements Policy: every attribute tells flows apart.
 func (ThresholdPolicy) Normalize(id FlowID) FlowID { return id }
 
-// Expired implements Policy, with the tightened threshold under
-// pressure.
+// Expired implements Policy, with the threshold tightened to Threshold/8
+// under pressure.
 func (p ThresholdPolicy) Expired(e *FSTEntry, now time.Time, pressure bool) bool {
 	t := p.Threshold
 	if pressure {
-		t = p.PressureThreshold
-		if t <= 0 {
-			t = p.Threshold / 8
-		}
+		t /= 8
 	}
 	return e.Valid && now.Sub(e.Last) > t
 }
@@ -150,11 +132,8 @@ func (p ThresholdPolicy) Expired(e *FSTEntry, now time.Time, pressure bool) bool
 // HostPairPolicy classifies all traffic between a pair of principals into
 // one flow, regardless of ports or protocol: the degenerate policy that
 // reduces FBS to host-pair granularity (Section 2.2's comparison point).
-type HostPairPolicy struct {
-	// Threshold optionally expires idle host-pair flows; zero means
-	// flows never expire.
-	Threshold time.Duration
-}
+// A host pair keys once and keeps its key, so its flows never idle out.
+type HostPairPolicy struct{}
 
 func hostPair(id FlowID) FlowID { return FlowID{Src: id.Src, Dst: id.Dst} }
 
@@ -164,21 +143,16 @@ func (p HostPairPolicy) Index(id FlowID, tableSize int) int {
 }
 
 // Match implements Policy.
-func (p HostPairPolicy) Match(e *FSTEntry, id FlowID, now time.Time) bool {
-	if !e.Valid || e.ID != hostPair(id) {
-		return false
-	}
-	return p.Threshold == 0 || now.Sub(e.Last) <= p.Threshold
+func (HostPairPolicy) Match(e *FSTEntry, id FlowID, _ time.Time) bool {
+	return e.Valid && e.ID == hostPair(id)
 }
 
 // Normalize implements Policy: only the principals tell flows apart.
 func (HostPairPolicy) Normalize(id FlowID) FlowID { return hostPair(id) }
 
-// Expired implements Policy. Host-pair flows have no tightened
-// threshold, so a pressure sweep expires exactly what a normal one does.
-func (p HostPairPolicy) Expired(e *FSTEntry, now time.Time, _ bool) bool {
-	return e.Valid && p.Threshold != 0 && now.Sub(e.Last) > p.Threshold
-}
+// Expired implements Policy: host-pair flows never expire, under
+// pressure or not.
+func (HostPairPolicy) Expired(*FSTEntry, time.Time, bool) bool { return false }
 
 // FAMStats counts flow association mechanism activity.
 type FAMStats struct {
@@ -300,8 +274,8 @@ func (f *FAM) Classify(id FlowID, now time.Time, size int) (SFL, bool) {
 // suites can use it as nonce material); the run's sequence numbers are
 // consecutive from there, the batch's nonce-counter reservation. The
 // entry's accounting advances one datagram at a time with the policy's
-// Match re-checked before each, so wear-out limits (MaxPackets/MaxBytes)
-// end the run exactly where a loop of single calls would: n reports how
+// Match re-checked before each, so the wear-out limit (MaxPackets) ends
+// the run exactly where a loop of single calls would: n reports how
 // many datagrams were accepted and the caller re-classifies the remainder
 // into a fresh flow. On a budget refusal (ok == false) nothing was
 // accepted and the caller sheds only the first datagram: re-attempting

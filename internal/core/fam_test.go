@@ -149,36 +149,21 @@ func TestHostPairPolicyAggregates(t *testing.T) {
 	}
 }
 
-func TestHostPairPolicyWithThreshold(t *testing.T) {
-	f := newFAMWithSeed(HostPairPolicy{Threshold: time.Minute}, 64, 5)
-	id := FlowID{Src: "a", Dst: "b"}
-	s1, _ := f.Classify(id, famEpoch, 1)
-	s2, isNew := f.Classify(id, famEpoch.Add(2*time.Minute), 1)
-	if !isNew || s1 == s2 {
-		t.Fatal("host-pair flow with threshold did not expire")
-	}
-	if f.Sweep(famEpoch.Add(10*time.Minute)) != 1 {
-		t.Fatal("sweeper did not expire host-pair flow")
-	}
-}
-
 func TestHostPairPolicyPressureSweepsAsNormal(t *testing.T) {
-	// Host-pair flows have no tightened threshold: a pressure sweep must
-	// expire exactly what a normal sweep at the same instant would.
-	f := newFAMWithSeed(HostPairPolicy{Threshold: 8 * time.Minute}, 64, 5)
+	// Host-pair flows have no idle threshold to tighten: a pressure sweep,
+	// like a normal one, leaves them in place however long they idle.
+	f := newFAMWithSeed(HostPairPolicy{}, 64, 5)
 	f.Classify(FlowID{Src: "a", Dst: "b"}, famEpoch, 1)
 	f.Classify(FlowID{Src: "a", Dst: "c"}, famEpoch.Add(time.Minute), 1)
-	// a->b idle 2 min: past Threshold/8, which a ThresholdPolicy would
-	// reclaim under pressure, but inside the host-pair threshold.
-	if n := f.SweepPressure(famEpoch.Add(2 * time.Minute)); n != 0 {
-		t.Fatalf("pressure sweep inside the threshold expired %d flows", n)
-	}
-	at := famEpoch.Add(8*time.Minute + 30*time.Second)
-	if n := f.SweepPressure(at); n != 1 {
-		t.Fatalf("pressure sweep expired %d flows, want 1 (only a->b is idle past 8 min)", n)
+	at := famEpoch.Add(100 * time.Hour)
+	if n := f.SweepPressure(at); n != 0 {
+		t.Fatalf("pressure sweep expired %d host-pair flows", n)
 	}
 	if n := f.Sweep(at); n != 0 {
-		t.Fatalf("normal sweep after the pressure sweep expired %d more flows", n)
+		t.Fatalf("normal sweep expired %d host-pair flows", n)
+	}
+	if got := f.ActiveFlows(); got != 2 {
+		t.Fatalf("ActiveFlows = %d after both sweeps, want 2", got)
 	}
 }
 
@@ -293,10 +278,7 @@ func TestFAMSweepAtExactThresholdBoundary(t *testing.T) {
 }
 
 func TestFAMPressureSweepTightensThreshold(t *testing.T) {
-	f := newFAMWithSeed(ThresholdPolicy{
-		Threshold:         10 * time.Minute,
-		PressureThreshold: time.Minute,
-	}, 64, 1000)
+	f := newFAMWithSeed(ThresholdPolicy{Threshold: 8 * time.Minute}, 64, 1000)
 	f.Classify(FlowID{SrcPort: 1}, famEpoch, 1)
 	f.Classify(FlowID{SrcPort: 2}, famEpoch.Add(4*time.Minute), 1)
 	at := famEpoch.Add(5 * time.Minute)
@@ -304,7 +286,8 @@ func TestFAMPressureSweepTightensThreshold(t *testing.T) {
 	if n := f.Sweep(at); n != 0 {
 		t.Fatalf("normal sweep expired %d flows", n)
 	}
-	// ...but under pressure the first (idle 5min > 1min) is reclaimed.
+	// ...but under pressure the first (idle 5min > Threshold/8 = 1min) is
+	// reclaimed.
 	if n := f.SweepPressure(at); n != 1 {
 		t.Fatalf("pressure sweep expired %d flows, want 1", n)
 	}
@@ -316,7 +299,7 @@ func TestFAMPressureSweepTightensThreshold(t *testing.T) {
 func TestFAMPressureThresholdDefault(t *testing.T) {
 	p := ThresholdPolicy{Threshold: 8 * time.Minute}
 	e := &FSTEntry{Valid: true, Last: famEpoch}
-	// Default pressure threshold is Threshold/8 = 1 minute.
+	// The pressure threshold is Threshold/8 = 1 minute.
 	if p.Expired(e, famEpoch.Add(time.Minute), true) {
 		t.Fatal("expired at exactly the default pressure threshold")
 	}

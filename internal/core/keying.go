@@ -35,6 +35,10 @@ type flowCacheKey struct {
 	Src principal.Address
 }
 
+// flowKeyCacheSize is the slot count of each of an endpoint's TFKC and
+// RFKC.
+const flowKeyCacheSize = 256
+
 func (k flowCacheKey) hash() uint32 {
 	state := uint32(0xFFFFFFFF)
 	var b [8]byte
@@ -73,12 +77,6 @@ type KeyServiceStats struct {
 	// NegativeHits counts lookups refused fast because the peer failed
 	// recently (the negative-result cache).
 	NegativeHits uint64
-	// StaleServed counts just-expired certificates served under the
-	// stale-while-revalidate window because revalidation failed.
-	StaleServed uint64
-	// DeadlineExceeded counts retry loops abandoned for blowing their
-	// deadline before exhausting MaxAttempts.
-	DeadlineExceeded uint64
 }
 
 // keyServiceCounters is the lock-free internal form of KeyServiceStats:
@@ -91,10 +89,8 @@ type keyServiceCounters struct {
 	certVerifies      atomic.Uint64
 	failures          atomic.Uint64
 
-	retries          atomic.Uint64
-	negativeHits     atomic.Uint64
-	staleServed      atomic.Uint64
-	deadlineExceeded atomic.Uint64
+	retries      atomic.Uint64
+	negativeHits atomic.Uint64
 }
 
 // RetryPolicy bounds how hard the keying plane fights a failing
@@ -102,9 +98,9 @@ type keyServiceCounters struct {
 // exactly the pre-chaos behaviour — so existing configurations are
 // unchanged. A populated policy retries with exponential backoff plus
 // jitter: sleep_n = min(Base·2ⁿ, Max) scaled by a uniform factor in
-// [1-JitterFrac, 1+JitterFrac], abandoning the loop once Deadline has
-// elapsed. Bounding both attempts and elapsed time is what keeps an MKD
-// outage from turning a datagram burst into an upcall storm.
+// [1-JitterFrac, 1+JitterFrac]. Bounding the attempts, and so the loop's
+// length to MaxAttempts × MaxBackoff, is what keeps an MKD outage from
+// turning a datagram burst into an upcall storm.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of directory lookups per fetch
 	// (1 attempt = no retry). Values below 1 mean 1.
@@ -116,9 +112,6 @@ type RetryPolicy struct {
 	MaxBackoff time.Duration
 	// JitterFrac spreads each sleep by ±JitterFrac (clamped to [0, 1]).
 	JitterFrac float64
-	// Deadline bounds the whole retry loop, sleeps included; 0 means
-	// attempts alone bound it.
-	Deadline time.Duration
 }
 
 // withDefaults normalises the policy.
@@ -178,7 +171,6 @@ type KeyService struct {
 
 	retry  RetryPolicy
 	negTTL time.Duration
-	swr    time.Duration
 	sleep  func(time.Duration)
 
 	// negative-result cache and the jitter RNG, both off the per-packet
@@ -194,16 +186,14 @@ type KeyService struct {
 // cannot grow it without limit.
 const negCacheCap = 1024
 
-// KeyServiceConfig sizes the key caches and configures how the service
-// degrades when the directory does not answer.
-type KeyServiceConfig struct {
-	// PVCSize should be at least the expected number of concurrent
-	// correspondent principals — PVC misses cost a network round trip.
-	PVCSize int
-	// MKCSize bounds cached pair-based master keys; an MKC miss costs a
-	// modular exponentiation.
-	MKCSize int
+// keyCacheSize is the slot count of a key service's PVC and of its MKC:
+// a PVC miss costs a directory round trip, an MKC miss a modular
+// exponentiation. A ShardGroup's key plane has shards × this many.
+const keyCacheSize = 64
 
+// KeyServiceConfig configures how the key service degrades when the
+// directory does not answer.
+type KeyServiceConfig struct {
 	// Retry bounds directory lookups; the zero value keeps the historic
 	// single-attempt behaviour.
 	Retry RetryPolicy
@@ -211,12 +201,6 @@ type KeyServiceConfig struct {
 	// later requests for the same peer immediately instead of hammering
 	// a directory that just said no. 0 disables the cache.
 	NegativeTTL time.Duration
-	// StaleWhileRevalidate lets a certificate that expired less than
-	// this long ago keep deriving flow keys while refetching fails. The
-	// stale certificate is still required to verify at its own NotAfter
-	// instant, so only genuine, recently valid certificates qualify —
-	// never a bad signature. 0 disables the mode.
-	StaleWhileRevalidate time.Duration
 	// Sleep is the backoff sleeper; nil means time.Sleep. Tests inject
 	// a recorder to assert the backoff schedule without waiting it out.
 	Sleep func(time.Duration)
@@ -224,14 +208,14 @@ type KeyServiceConfig struct {
 
 // NewKeyService wires the keying mechanism for one principal.
 func NewKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, cfg KeyServiceConfig) *KeyService {
+	return newKeyService(self, dir, verifier, clock, cfg, keyCacheSize)
+}
+
+// newKeyService is NewKeyService with slots entries in each of the PVC
+// and the MKC.
+func newKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, cfg KeyServiceConfig, slots int) *KeyService {
 	if clock == nil {
 		clock = RealClock{}
-	}
-	if cfg.PVCSize <= 0 {
-		cfg.PVCSize = 64
-	}
-	if cfg.MKCSize <= 0 {
-		cfg.MKCSize = 64
 	}
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep
@@ -241,11 +225,10 @@ func NewKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.
 		dir:      dir,
 		verifier: verifier,
 		clock:    clock,
-		pvc:      NewDirectMapped[principal.Address, *cert.Certificate](cfg.PVCSize, pvcHash),
-		mkc:      NewDirectMapped[principal.Address, [16]byte](cfg.MKCSize, addrHash),
+		pvc:      NewDirectMapped[principal.Address, *cert.Certificate](slots, pvcHash),
+		mkc:      NewDirectMapped[principal.Address, [16]byte](slots, addrHash),
 		retry:    cfg.Retry.withDefaults(),
 		negTTL:   cfg.NegativeTTL,
-		swr:      cfg.StaleWhileRevalidate,
 		sleep:    cfg.Sleep,
 		neg:      make(map[principal.Address]time.Time),
 		// Backoff jitter wants spread, not secrecy: a fixed seed will do.
@@ -374,13 +357,12 @@ func (ks *KeyService) jitterUnit() float64 {
 
 // lookup fetches a certificate from the directory under the retry
 // policy: negative-cache fast path, then up to MaxAttempts tries with
-// exponential backoff + jitter, abandoned early once Deadline elapses.
+// exponential backoff + jitter.
 // Failures are remembered in the negative cache so the next burst of
 // datagrams to the same unreachable peer fails fast instead of queueing
 // behind a full retry loop each.
 func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certificate, error) {
-	start := ks.clock.Now()
-	if ks.negCached(peer, start) {
+	if ks.negCached(peer, ks.clock.Now()) {
 		ks.stats.negativeHits.Add(1)
 		note.Flags |= FlagKeyNegCache
 		return nil, fmt.Errorf("%w: %q", ErrPeerUnavailable, peer)
@@ -397,10 +379,6 @@ func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certi
 		if attempt >= ks.retry.MaxAttempts {
 			break
 		}
-		if ks.retry.Deadline > 0 && ks.clock.Now().Sub(start) >= ks.retry.Deadline {
-			ks.stats.deadlineExceeded.Add(1)
-			break
-		}
 		ks.stats.retries.Add(1)
 		note.Flags |= FlagKeyRetried
 		ks.sleep(ks.retry.backoff(attempt, ks.jitterUnit()))
@@ -409,30 +387,12 @@ func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certi
 	return nil, lastErr
 }
 
-// staleUsable decides whether an expired cached certificate may keep
-// serving under stale-while-revalidate: it must have failed only by
-// expiry (it still verifies at its own NotAfter instant — signature,
-// issuer and subject intact) and the expiry must be within the window.
-// A forged or revoked-by-reissue certificate never qualifies.
-func (ks *KeyService) staleUsable(c *cert.Certificate, peer principal.Address, now time.Time) bool {
-	if ks.swr <= 0 || c == nil {
-		return false
-	}
-	if !now.After(c.NotAfter) || now.Sub(c.NotAfter) > ks.swr {
-		return false
-	}
-	return ks.verifier.Verify(c, peer, c.NotAfter) == nil
-}
-
 // certificateNoted returns a verified certificate for peer, via the PVC.
 // The certificate is verified on every use — the PVC need not be a secure
 // store because of this (Section 5.3). When the directory is failing,
-// the retry policy bounds the fetch, the negative cache absorbs repeat
-// misses, and (if enabled) stale-while-revalidate lets a just-expired
-// certificate keep the flow alive while each use retries the refetch.
-// note is annotated with the degradation verdicts
-// (negative-cache refusals, retry attempts, stale serves) for the
-// tracing plane.
+// the retry policy bounds the fetch and the negative cache absorbs repeat
+// misses. note is annotated with the degradation verdicts (negative-cache
+// refusals, retry attempts) for the tracing plane.
 func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*cert.Certificate, error) {
 	now := ks.clock.Now()
 	c, ok := ks.pvc.Get(peer)
@@ -453,22 +413,10 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 		ks.stats.certFetches.Add(1)
 		fresh, ferr := ks.lookup(peer, note)
 		if ferr != nil {
-			if ks.staleUsable(c, peer, now) {
-				ks.stats.staleServed.Add(1)
-				note.Flags |= FlagKeyStale
-				ks.pvc.Put(peer, c) // keep revalidating on later uses
-				return c, nil
-			}
 			return nil, err
 		}
 		ks.stats.certVerifies.Add(1)
 		if verr := ks.verifier.Verify(fresh, peer, now); verr != nil {
-			if ks.staleUsable(c, peer, now) {
-				ks.stats.staleServed.Add(1)
-				note.Flags |= FlagKeyStale
-				ks.pvc.Put(peer, c)
-				return c, nil
-			}
 			return nil, verr
 		}
 		ks.pvc.Put(peer, fresh)
@@ -508,7 +456,5 @@ func (ks *KeyService) Stats() KeyServiceStats {
 		Failures:          ks.stats.failures.Load(),
 		Retries:           ks.stats.retries.Load(),
 		NegativeHits:      ks.stats.negativeHits.Load(),
-		StaleServed:       ks.stats.staleServed.Load(),
-		DeadlineExceeded:  ks.stats.deadlineExceeded.Load(),
 	}
 }

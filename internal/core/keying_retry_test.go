@@ -101,28 +101,6 @@ func TestLookupBoundedByMaxAttempts(t *testing.T) {
 	}
 }
 
-func TestLookupDeadlineAbandonsRetryLoop(t *testing.T) {
-	w := newWorld(t)
-	w.principal(t, "bob")
-	fd := &failingDirectory{Inner: w.dir, FailFirst: 1 << 30}
-	// Each sleep advances the sim clock 30ms; with a 50ms deadline the
-	// loop must stop after the second failed attempt, well short of
-	// MaxAttempts.
-	ks := NewKeyService(w.principal(t, "alice"), fd, w.ver, w.clock, KeyServiceConfig{
-		Retry: RetryPolicy{MaxAttempts: 100, BaseBackoff: time.Millisecond, Deadline: 50 * time.Millisecond},
-		Sleep: func(time.Duration) { w.clock.Advance(30 * time.Millisecond) },
-	})
-	if _, err := ks.MasterKey("bob"); err == nil {
-		t.Fatal("MasterKey succeeded against a dead directory")
-	}
-	if calls := fd.Calls(); calls >= 100 || calls < 2 {
-		t.Errorf("directory calls = %d, want a handful bounded by the deadline", calls)
-	}
-	if st := ks.Stats(); st.DeadlineExceeded != 1 {
-		t.Errorf("DeadlineExceeded = %d, want 1", st.DeadlineExceeded)
-	}
-}
-
 func TestNegativeCacheFailsFastThenExpires(t *testing.T) {
 	w := newWorld(t)
 	w.principal(t, "bob")
@@ -158,54 +136,31 @@ func TestNegativeCacheFailsFastThenExpires(t *testing.T) {
 	}
 }
 
-func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
+// TestStaleWindowNeverServesTamperedCert: there is no stale window. A
+// cached certificate that no longer verifies — tampered, or merely
+// expired while the directory is down — is never served: the lookup
+// fails, and an endpoint refuses the datagram with DropKeying.
+func TestStaleWindowNeverServesTamperedCert(t *testing.T) {
 	w := newWorld(t)
 	alice := w.principal(t, "alice")
 	bob := w.principal(t, "bob")
-	// Publish a certificate for bob that expires in one hour.
 	c, err := w.ca.Issue(bob, w.clock.Now().Add(-time.Hour), w.clock.Now().Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Signature[0] ^= 0xFF
 	w.dir.Publish(c)
-	ks := NewKeyService(alice, w.dir, w.ver, w.clock, KeyServiceConfig{
-		StaleWhileRevalidate: 24 * time.Hour,
-	})
-	if _, err := ks.certificateNoted("bob", new(KeyNote)); err != nil {
-		t.Fatalf("fresh certificate rejected: %v", err)
-	}
-	// Two hours later the cert is expired everywhere (the directory
-	// still serves the same expired cert — revalidation cannot help),
-	// but it is within the stale window and verifies at its own expiry
-	// instant, so the flow stays alive.
-	w.clock.Advance(2 * time.Hour)
-	got, err := ks.certificateNoted("bob", new(KeyNote))
-	if err != nil {
-		t.Fatalf("stale-while-revalidate did not serve: %v", err)
-	}
-	if got != c {
-		t.Error("served a different certificate than the stale one")
-	}
-	if st := ks.Stats(); st.StaleServed == 0 {
-		t.Error("StaleServed never incremented")
-	}
-	// Past the stale window the certificate is dead for good.
-	w.clock.Advance(48 * time.Hour)
+	ks := NewKeyService(alice, w.dir, w.ver, w.clock, KeyServiceConfig{})
 	if _, err := ks.certificateNoted("bob", new(KeyNote)); err == nil {
-		t.Fatal("certificate served beyond the stale window")
+		t.Fatal("tampered certificate served")
 	}
 
-	// The same through an Endpoint: Config.KeyStaleWindow is the only way
-	// the window reaches a key plane. bob holds alice's certificate from
-	// an earlier flow; a day later it has expired, the directory is down
-	// and the pair key has left the MKC, so alice's next flow opens only
-	// if the window was plumbed.
+	// bob holds alice's certificate from an earlier flow; a day later it
+	// has expired, the directory is down and the pair key has left the
+	// MKC, so alice's next flow is refused.
 	w = newWorld(t)
 	dir := &failingDirectory{Inner: w.dir}
-	a, b, _ := endpointPair(t, w, func(c *Config) {
-		c.Directory = dir
-		c.KeyStaleWindow = 48 * time.Hour
-	})
+	a, b, _ := endpointPair(t, w, func(c *Config) { c.Directory = dir })
 	exchange := func() error {
 		sealed, err := a.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: []byte("x")}, true)
 		if err != nil {
@@ -220,36 +175,8 @@ func TestStaleWhileRevalidateServesJustExpiredCert(t *testing.T) {
 	w.clock.Advance(25 * time.Hour) // past the 24 h validity, and a new flow
 	dir.FailFirst = 1 << 30
 	b.plane.ks.mkc.Invalidate("alice")
-	if err := exchange(); err != nil {
-		t.Fatalf("endpoint with KeyStaleWindow did not open under a just-expired certificate: %v", err)
-	}
-	if got := b.Snapshot().Keying.StaleServed; got != 1 {
-		t.Errorf("Snapshot().Keying.StaleServed = %d, want 1", got)
-	}
-}
-
-func TestStaleWindowNeverServesTamperedCert(t *testing.T) {
-	w := newWorld(t)
-	alice := w.principal(t, "alice")
-	bob := w.principal(t, "bob")
-	c, err := w.ca.Issue(bob, w.clock.Now().Add(-time.Hour), w.clock.Now().Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the signature: the certificate must not survive under any
-	// window, expired or not — stale-while-revalidate only forgives
-	// expiry, never a bad signature.
-	c.Signature[0] ^= 0xFF
-	w.dir.Publish(c)
-	ks := NewKeyService(alice, w.dir, w.ver, w.clock, KeyServiceConfig{
-		StaleWhileRevalidate: 24 * time.Hour,
-	})
-	w.clock.Advance(2 * time.Hour)
-	if _, err := ks.certificateNoted("bob", new(KeyNote)); err == nil {
-		t.Fatal("tampered certificate served under the stale window")
-	}
-	if st := ks.Stats(); st.StaleServed != 0 {
-		t.Errorf("StaleServed = %d for a tampered certificate", st.StaleServed)
+	if err := exchange(); DropReasonOf(err) != DropKeying {
+		t.Fatalf("open under an expired certificate with the directory down: %v, want a keying drop", err)
 	}
 }
 
@@ -262,34 +189,4 @@ type blockingDirectory struct {
 func (d *blockingDirectory) Lookup(addr principal.Address) (*cert.Certificate, error) {
 	<-d.release
 	return d.Inner.Lookup(addr)
-}
-
-func TestMKDUpcallTimeout(t *testing.T) {
-	w := newWorld(t)
-	w.principal(t, "bob")
-	bd := &blockingDirectory{Inner: w.dir, release: make(chan struct{})}
-	ks := NewKeyService(w.principal(t, "alice"), bd, w.ver, w.clock, KeyServiceConfig{})
-	m := NewMKD(ks, 1)
-	defer m.Stop()
-	m.SetTimeout(20 * time.Millisecond)
-
-	if _, _, err := upcallKey(m, "bob"); !errors.Is(err, ErrUpcallTimeout) {
-		t.Fatalf("err = %v, want ErrUpcallTimeout", err)
-	}
-	if m.Timeouts() != 1 {
-		t.Errorf("Timeouts = %d, want 1", m.Timeouts())
-	}
-	// The daemon keeps working: once the directory answers, the key is
-	// installed and a later upcall succeeds from cache.
-	close(bd.release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, err := upcallKey(m, "bob"); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("upcall never succeeded after the directory recovered")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }

@@ -112,7 +112,7 @@ func TestKeyServiceCaching(t *testing.T) {
 // conflict is real — but the PVC, indexed by its own hash, still holds
 // A's certificate: two directory fetches, not three.
 func TestPVCEvictionIndependentOfMKC(t *testing.T) {
-	const size = 64
+	const size = keyCacheSize
 	w := newWorld(t)
 	a := principal.Address("pvc-a")
 	b := principal.Address("")
@@ -123,7 +123,7 @@ func TestPVCEvictionIndependentOfMKC(t *testing.T) {
 	}
 	w.principal(t, a)
 	w.principal(t, b)
-	ks := w.keyService(t, "self", KeyServiceConfig{PVCSize: size, MKCSize: size})
+	ks := w.keyService(t, "self", KeyServiceConfig{})
 	for _, peer := range []principal.Address{a, b, a} {
 		if _, err := ks.MasterKey(peer); err != nil {
 			t.Fatal(err)

@@ -21,18 +21,13 @@ type keyPlane struct {
 }
 
 // newKeyPlane builds the plane for cfg's identity, sized for shards
-// endpoints: shards × the per-endpoint PVC/MKC sizes and min(shards,
+// endpoints: shards × keyCacheSize PVC and MKC slots and min(shards,
 // GOMAXPROCS) daemon workers, so a group keeps the capacity, budget
 // ceiling and miss concurrency its per-shard key services had.
 func newKeyPlane(cfg Config, shards int) *keyPlane {
-	ks := NewKeyService(cfg.Identity, cfg.Directory, cfg.Verifier, cfg.Clock, KeyServiceConfig{
-		PVCSize: shards * cfg.PVCSize, MKCSize: shards * cfg.MKCSize,
-		Retry: cfg.KeyRetry, NegativeTTL: cfg.KeyNegativeTTL, StaleWhileRevalidate: cfg.KeyStaleWindow,
-	})
+	ks := newKeyService(cfg.Identity, cfg.Directory, cfg.Verifier, cfg.Clock, cfg.Keying, shards*keyCacheSize)
 	ks.SetBudget(cfg.StateBudget)
-	mkd := NewMKD(ks, min(shards, runtime.GOMAXPROCS(0)))
-	mkd.SetTimeout(cfg.UpcallTimeout)
-	return &keyPlane{ks: ks, mkd: mkd}
+	return &keyPlane{ks: ks, mkd: NewMKD(ks, min(shards, runtime.GOMAXPROCS(0)))}
 }
 
 // masterKey is Figure 6 from the MKC down. A key already held is

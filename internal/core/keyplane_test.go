@@ -88,7 +88,7 @@ func TestShardGroupSharesOneKeyPlane(t *testing.T) {
 	// readings add up to the fold.
 	planeOf := func(s Snapshot) Snapshot {
 		return Snapshot{Caches: [NumCaches]CacheInfo{CachePVC: s.Caches[CachePVC], CacheMKC: s.Caches[CacheMKC]},
-			Keying: s.Keying, MKDUpcalls: s.MKDUpcalls, MKDTimeouts: s.MKDTimeouts}
+			Keying: s.Keying, MKDUpcalls: s.MKDUpcalls}
 	}
 	borrowed := Snapshot{Caches: [NumCaches]CacheInfo{CachePVC: {Name: "pvc"}, CacheMKC: {Name: "mkc"}}}
 	var sum Snapshot
@@ -185,16 +185,14 @@ func TestKeyPlaneSingleFlightAcrossShards(t *testing.T) {
 
 // TestKnownPeerNewFlowMakesNoUpcall: Figure 6 puts the MKC before the
 // daemon. A new flow to or from a peer whose master key is cached is
-// keyed on the caller's goroutine — with an upcall deadline configured,
-// and with an admission gate that has nothing left to give, which known
-// peers bypass.
+// keyed on the caller's goroutine — with an admission gate that has
+// nothing left to give, which known peers bypass.
 func TestKnownPeerNewFlowMakesNoUpcall(t *testing.T) {
 	w := newWorld(t)
 	mk := func(name principal.Address) *Endpoint {
 		ep, err := NewEndpoint(Config{
 			Identity: w.principal(t, name), Transport: nullTransport{}, Directory: w.dir, Verifier: w.ver, Clock: w.clock,
-			UpcallTimeout: time.Second,
-			Admission:     AdmissionConfig{UpcallRate: 0.001, UpcallBurst: 1},
+			Admission: AdmissionConfig{UpcallRate: 0.001, UpcallBurst: 1},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fbs/internal/principal"
 )
@@ -24,12 +22,6 @@ import (
 type MKD struct {
 	ks *KeyService
 
-	// timeout bounds how long an upcall waits for the daemon; 0 waits
-	// forever (the historic behaviour). Set via SetTimeout before
-	// serving traffic.
-	timeout  time.Duration
-	timeouts atomic.Uint64
-
 	flight flight[principal.Address, keyResult]
 	reqs   chan principal.Address
 	done   chan struct{}
@@ -40,13 +32,6 @@ type MKD struct {
 
 // ErrMKDStopped is returned by an upcall after Stop.
 var ErrMKDStopped = errors.New("core: master key daemon stopped")
-
-// ErrUpcallTimeout is returned by an upcall when the daemon does not
-// answer within the configured deadline. The daemon keeps computing;
-// the result lands in the MKC, so a later datagram on the same flow
-// succeeds from cache — the caller drops this one datagram (DropKeying)
-// instead of blocking the pipeline on a slow directory.
-var ErrUpcallTimeout = errors.New("core: master key upcall deadline exceeded")
 
 // NewMKD starts a master key daemon over the key service, serving misses
 // on workers goroutines (at least one) until Stop.
@@ -107,38 +92,18 @@ func (m *MKD) start(peer principal.Address) (upcall, error) {
 	}
 }
 
-// wait blocks until u's result has landed, or the upcall deadline passes.
+// wait blocks until u's result has landed.
 func (m *MKD) wait(u *upcall) ([16]byte, KeyNote, error) {
 	if !u.done {
-		var deadline <-chan time.Time // nil, and so never ready, without a timeout
-		if m.timeout > 0 {
-			t := time.NewTimer(m.timeout)
-			defer t.Stop()
-			deadline = t.C
-		}
-		select {
-		case u.r = <-u.ch:
-			u.done = true
-			u.r.note.merge(u.joined)
-		case <-deadline:
-			// The daemon still resolves the request and installs the key;
-			// only this waiter gives up (its channel holds the result the
-			// daemon lands, so the daemon never blocks on it).
-			m.timeouts.Add(1)
-			return [16]byte{}, u.joined, fmt.Errorf("%w: peer %q after %v", ErrUpcallTimeout, u.peer, m.timeout)
-		}
+		u.r = <-u.ch
+		u.done = true
+		u.r.note.merge(u.joined)
 	}
 	return u.r.key, u.r.note, u.r.err
 }
 
-// SetTimeout bounds future upcalls' waits; call before serving traffic.
-func (m *MKD) SetTimeout(d time.Duration) { m.timeout = d }
-
 // Upcalls returns how many upcalls were made.
 func (m *MKD) Upcalls() uint64 { return m.upcalls.Load() }
-
-// Timeouts returns how many upcalls gave up at the deadline.
-func (m *MKD) Timeouts() uint64 { return m.timeouts.Load() }
 
 // Stop terminates the daemon; pending upcalls fail with ErrMKDStopped,
 // and so does every later one: the flight closes before the workers are

@@ -173,24 +173,28 @@ type PrefilterConfig struct {
 	// observations (charges), forgiving prefixes that go quiet;
 	// default 1024.
 	DecayEvery uint64
-	// EvalEvery re-evaluates the adaptive ladder every this many
-	// received datagrams; default 256. The challenge rate cap window
-	// resets on the same cadence.
-	EvalEvery uint64
-	// HotEvals / ColdEvals are the hysteresis streaks: consecutive hot
-	// evaluations required to climb one rung, and consecutive cold
-	// ones to descend. Defaults 2 and 4 — quick to engage, slow to
-	// stand down.
-	HotEvals  int
-	ColdEvals int
-	// ChallengeBurst caps challenge frames emitted per eval window;
-	// beyond it a challenged datagram is still refused but no frame is
-	// sent (counted ChallengeSuppressed). Default 64.
-	ChallengeBurst int
-	// JarCap bounds the sender-side cookie jar; default 256. At
-	// capacity the stalest entry is evicted.
-	JarCap int
 }
+
+// The ladder's cadence and the pre-filter's fixed bounds.
+const (
+	// prefilterEvalEvery re-evaluates the adaptive ladder every this
+	// many received datagrams; the challenge rate cap window resets on
+	// the same cadence.
+	prefilterEvalEvery = 256
+	// prefilterHotEvals and prefilterColdEvals are the hysteresis
+	// streaks: consecutive hot evaluations required to climb one rung,
+	// and consecutive cold ones to descend — quick to engage, slow to
+	// stand down.
+	prefilterHotEvals  = 2
+	prefilterColdEvals = 4
+	// challengeBurst caps challenge frames emitted per eval window;
+	// beyond it a challenged datagram is still refused but no frame is
+	// sent (counted ChallengeSuppressed).
+	challengeBurst = 64
+	// jarCap bounds the sender-side cookie jar; at capacity the stalest
+	// entry is evicted.
+	jarCap = 256
+)
 
 // PrefilterStats is a snapshot of pre-filter activity, exported through
 // Snapshot and the fbs_prefilter_* metric families.
@@ -305,6 +309,12 @@ func newPrefilter(cfg PrefilterConfig) (*prefilter, error) {
 	if cfg.CookieTTL <= 0 {
 		cfg.CookieTTL = 2 * cfg.EpochInterval
 	}
+	// Cookie age is likewise measured in whole seconds (verifyCookie
+	// compares it with CookieTTL/time.Second), so a TTL in (0, 1s)
+	// would refuse every echo stamped in an earlier second.
+	if cfg.CookieTTL < time.Second {
+		return nil, fmt.Errorf("core: Prefilter.CookieTTL %v below the 1s cookie-stamp granularity", cfg.CookieTTL)
+	}
 	if cfg.PrefixLen <= 0 {
 		cfg.PrefixLen = 8
 	}
@@ -314,28 +324,12 @@ func newPrefilter(cfg PrefilterConfig) (*prefilter, error) {
 	if cfg.DecayEvery == 0 {
 		cfg.DecayEvery = 1024
 	}
-	if cfg.EvalEvery == 0 {
-		cfg.EvalEvery = 256
-	}
-	if cfg.HotEvals <= 0 {
-		cfg.HotEvals = 2
-	}
-	if cfg.ColdEvals <= 0 {
-		cfg.ColdEvals = 4
-	}
-	if cfg.ChallengeBurst <= 0 {
-		cfg.ChallengeBurst = 64
-	}
-	if cfg.JarCap <= 0 {
-		cfg.JarCap = 256
-	}
 	p := &prefilter{cfg: cfg}
 	if len(cfg.SecretSeed) > 0 {
 		copy(p.root[:], cryptolib.Digest(cryptolib.HashMD5, []byte("fbs-prefilter-root"), cfg.SecretSeed))
 	} else if _, err := crand.Read(p.root[:]); err != nil {
 		return nil, fmt.Errorf("core: prefilter secret: %w", err)
 	}
-	p.jar.cap = cfg.JarCap
 	return p, nil
 }
 
@@ -461,7 +455,6 @@ func (p *prefilter) verifyCookie(addr principal.Address, ck cookie, now time.Tim
 // frames, keyed by the challenging peer. Bounded; stalest-out.
 type cookieJar struct {
 	mu      sync.Mutex
-	cap     int
 	entries map[principal.Address]jarEntry
 }
 
@@ -476,7 +469,7 @@ func (j *cookieJar) learn(peer principal.Address, ck cookie, now time.Time) {
 	if j.entries == nil {
 		j.entries = make(map[principal.Address]jarEntry)
 	}
-	if _, exists := j.entries[peer]; !exists && len(j.entries) >= j.cap {
+	if _, exists := j.entries[peer]; !exists && len(j.entries) >= jarCap {
 		var stalest principal.Address
 		var oldest time.Time
 		first := true
@@ -504,13 +497,13 @@ func (j *cookieJar) lookup(peer principal.Address, now time.Time, ttl time.Durat
 	return e.ck, true
 }
 
-// tick advances the eval cadence: every EvalEvery received datagrams
-// one caller is elected (TryLock) to reset the challenge window and,
-// in adaptive mode, re-evaluate the ladder against the endpoint's
+// tick advances the eval cadence: every prefilterEvalEvery received
+// datagrams one caller is elected (TryLock) to reset the challenge window
+// and, in adaptive mode, re-evaluate the ladder against the endpoint's
 // pressure signals with hysteresis.
 func (p *prefilter) tick(e *Endpoint) {
 	n := p.seen.Add(1)
-	if n%p.cfg.EvalEvery != 0 {
+	if n%prefilterEvalEvery != 0 {
 		return
 	}
 	if !p.evalMu.TryLock() {
@@ -524,7 +517,7 @@ func (p *prefilter) tick(e *Endpoint) {
 	if p.hotSignal(e) {
 		p.coldStreak = 0
 		p.hotStreak++
-		if p.hotStreak >= p.cfg.HotEvals {
+		if p.hotStreak >= prefilterHotEvals {
 			p.hotStreak = 0
 			if cur := p.lvl.Load(); cur < int32(PrefilterChallenge) {
 				p.lvl.Store(cur + 1)
@@ -535,7 +528,7 @@ func (p *prefilter) tick(e *Endpoint) {
 	}
 	p.hotStreak = 0
 	p.coldStreak++
-	if p.coldStreak >= p.cfg.ColdEvals {
+	if p.coldStreak >= prefilterColdEvals {
 		p.coldStreak = 0
 		if cur := p.lvl.Load(); cur > int32(PrefilterOff) {
 			p.lvl.Store(cur - 1)
@@ -556,7 +549,7 @@ func (p *prefilter) hotSignal(e *Endpoint) bool {
 	sheds := e.metrics.drops[DropKeyingOverload].Load() + e.metrics.drops[DropPeerQuota].Load()
 	delta := sheds - p.lastShedRead
 	p.lastShedRead = sheds
-	if delta*8 >= p.cfg.EvalEvery {
+	if delta*8 >= prefilterEvalEvery {
 		return true
 	}
 	if e.cfg.StateBudget.Level() != BudgetNormal {
@@ -572,7 +565,7 @@ func (p *prefilter) hotSignal(e *Endpoint) bool {
 // counted as endpoint Sent — it is control traffic), subject to the
 // per-window rate cap.
 func (p *prefilter) emitChallenge(e *Endpoint, src principal.Address, now time.Time, tc *traceCtx) {
-	if int(p.challengeWin.Add(1)) > p.cfg.ChallengeBurst {
+	if p.challengeWin.Add(1) > challengeBurst {
 		p.challengeSuppressed.Add(1)
 		return
 	}

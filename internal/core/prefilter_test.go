@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -137,19 +138,26 @@ func TestCookieSecretDeterminism(t *testing.T) {
 }
 
 func TestCookieJarBoundedStalestOut(t *testing.T) {
-	p := newTestPrefilter(t, PrefilterConfig{Enable: true, SecretSeed: []byte("jar"), JarCap: 2})
+	p := newTestPrefilter(t, PrefilterConfig{Enable: true, SecretSeed: []byte("jar")})
 	now := pfEpoch
 	ttl := p.cfg.CookieTTL
 
 	p.jar.learn("peer-a", p.mint("peer-a", now), now)
 	p.jar.learn("peer-b", p.mint("peer-b", now), now.Add(time.Second))
+	for i := 0; i < jarCap-2; i++ {
+		peer := principal.Address(fmt.Sprintf("fill-%d", i))
+		p.jar.learn(peer, p.mint(peer, now), now.Add(2*time.Second))
+	}
 	// Re-learning an existing peer must not evict anybody.
 	p.jar.learn("peer-a", p.mint("peer-a", now), now.Add(2*time.Second))
-	if len(p.jar.entries) != 2 {
-		t.Fatalf("jar holds %d entries, want 2", len(p.jar.entries))
+	if len(p.jar.entries) != jarCap {
+		t.Fatalf("jar holds %d entries, want %d", len(p.jar.entries), jarCap)
 	}
 	// At capacity the stalest entry (peer-b now) makes room.
 	p.jar.learn("peer-c", p.mint("peer-c", now), now.Add(3*time.Second))
+	if len(p.jar.entries) != jarCap {
+		t.Fatalf("jar holds %d entries past capacity, want %d", len(p.jar.entries), jarCap)
+	}
 	if _, ok := p.jar.lookup("peer-b", now.Add(3*time.Second), ttl); ok {
 		t.Error("stalest entry survived eviction")
 	}
@@ -195,20 +203,22 @@ func TestSketchScorePenalizeDecay(t *testing.T) {
 }
 
 // TestPrefilterLadderHysteresis drives the adaptive ladder's evaluation
-// cadence directly: a streak of hot windows (admission sheds) climbs one
-// rung per HotEvals, a streak of cold ones descends per ColdEvals, and a
-// single sample in either direction moves nothing.
+// cadence directly: a streak of two hot windows (admission sheds) climbs
+// one rung, a streak of four cold ones descends one, and a single sample
+// in either direction moves nothing.
 func TestPrefilterLadderHysteresis(t *testing.T) {
 	w := newWorld(t)
 	_, b, _ := endpointPair(t, w, func(c *Config) {
-		c.Prefilter = PrefilterConfig{Enable: true, EvalEvery: 4, HotEvals: 2, ColdEvals: 2}
+		c.Prefilter = PrefilterConfig{Enable: true}
 	})
 	p := b.pf
 	window := func(hot bool) {
-		if hot {
-			b.metrics.drop(DropKeyingOverload)
+		if hot { // an eighth of the window shed: the hot mark
+			for i := 0; i < prefilterEvalEvery/8; i++ {
+				b.metrics.drop(DropKeyingOverload)
+			}
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < prefilterEvalEvery; i++ {
 			p.tick(b)
 		}
 	}
@@ -234,17 +244,20 @@ func TestPrefilterLadderHysteresis(t *testing.T) {
 	if p.levelNow() != PrefilterChallenge || p.escalations.Load() != 2 {
 		t.Fatalf("top rung: level %v, escalations %d", p.levelNow(), p.escalations.Load())
 	}
-	// Quiet: one cold window holds, a streak descends.
-	window(false)
+	// Quiet: three cold windows hold, a streak of four descends.
+	for i := 0; i < 3; i++ {
+		window(false)
+	}
 	if p.levelNow() != PrefilterChallenge {
-		t.Fatal("a single cold window de-escalated; hysteresis missing")
+		t.Fatal("three cold windows de-escalated; hysteresis missing")
 	}
 	window(false)
 	if p.levelNow() != PrefilterSketch {
-		t.Fatalf("after two cold windows level = %v, want sketch", p.levelNow())
+		t.Fatalf("after four cold windows level = %v, want sketch", p.levelNow())
 	}
-	window(false)
-	window(false)
+	for i := 0; i < 4; i++ {
+		window(false)
+	}
 	if p.levelNow() != PrefilterOff || p.deescalations.Load() != 2 {
 		t.Fatalf("stand-down: level %v, deescalations %d", p.levelNow(), p.deescalations.Load())
 	}
@@ -255,9 +268,9 @@ func TestPrefilterLadderHysteresis(t *testing.T) {
 func TestPrefilterForceLevelStatic(t *testing.T) {
 	w := newWorld(t)
 	_, b, _ := endpointPair(t, w, func(c *Config) {
-		c.Prefilter = PrefilterConfig{Enable: true, ForceLevel: PrefilterSketch, EvalEvery: 2, HotEvals: 1}
+		c.Prefilter = PrefilterConfig{Enable: true, ForceLevel: PrefilterSketch}
 	})
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 8*prefilterEvalEvery; i++ {
 		b.metrics.drop(DropKeyingOverload)
 		b.pf.tick(b)
 	}
@@ -302,6 +315,25 @@ func TestPrefilterSubSecondEpochIntervalRejected(t *testing.T) {
 	}
 	if got := p.stats(pfEpoch).Epoch; got != uint32(pfEpoch.Unix()) {
 		t.Fatalf("1s epochs: stats epoch = %d, want %d", got, pfEpoch.Unix())
+	}
+}
+
+// TestPrefilterSubSecondCookieTTLRejected: cookie age is compared in
+// whole seconds, so a CookieTTL in (0, 1s) truncated to zero and refused
+// every echo stamped in an earlier second — a sender's retry one second
+// after its challenge always failed as DropBadCookie. Such configs are
+// refused at construction, like a sub-second EpochInterval; the 1s
+// floor itself accepts that retry.
+func TestPrefilterSubSecondCookieTTLRejected(t *testing.T) {
+	for _, d := range []time.Duration{time.Nanosecond, 500 * time.Millisecond, 999 * time.Millisecond} {
+		if _, err := newPrefilter(PrefilterConfig{Enable: true, CookieTTL: d}); err == nil {
+			t.Fatalf("CookieTTL %v accepted (every cookie a second old would be refused)", d)
+		}
+	}
+	p := newTestPrefilter(t, PrefilterConfig{Enable: true, CookieTTL: time.Second, SecretSeed: []byte("ttl-floor")})
+	const addr principal.Address = "ttl-floor-peer"
+	if ck := p.mint(addr, pfEpoch); !p.verifyCookie(addr, ck, pfEpoch.Add(time.Second)) {
+		t.Fatal("cookie echoed one second after its challenge refused at the 1s CookieTTL floor")
 	}
 }
 

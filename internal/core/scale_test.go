@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"testing"
 
+	"fbs/internal/cert"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
 )
 
 // Cache-pressure behaviour: one endpoint talking to many peers with
-// deliberately tiny caches. Everything must still work — soft state
-// means evictions cost recomputation, never correctness (Section 5.3).
+// deliberately tiny caches, swapped in for the constant-sized ones.
+// Everything must still work — soft state means evictions cost
+// recomputation, never correctness (Section 5.3).
 func TestManyPeersTinyCaches(t *testing.T) {
 	w := newWorld(t)
 	net := transport.NewNetwork(transport.Impairments{})
@@ -23,11 +25,6 @@ func TestManyPeersTinyCaches(t *testing.T) {
 			Directory: w.dir,
 			Verifier:  w.ver,
 			Clock:     w.clock,
-			// Tiny caches: 4 entries each against 24 peers.
-			PVCSize:  4,
-			MKCSize:  4,
-			TFKCSize: 4,
-			RFKCSize: 4,
 		}
 	}
 	hubTr, err := net.Attach("hub", 4096)
@@ -39,6 +36,11 @@ func TestManyPeersTinyCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { hub.Close() })
+	// Tiny caches: 4 entries each against 24 peers.
+	hub.tfkc = NewDirectMapped[flowCacheKey, [16]byte](4, flowCacheKey.hash)
+	hub.rfkc = NewDirectMapped[flowCacheKey, [16]byte](4, flowCacheKey.hash)
+	hub.plane.ks.pvc = NewDirectMapped[principal.Address, *cert.Certificate](4, pvcHash)
+	hub.plane.ks.mkc = NewDirectMapped[principal.Address, [16]byte](4, addrHash)
 
 	eps := make([]*Endpoint, peers)
 	for i := range eps {

@@ -55,9 +55,8 @@ type Snapshot struct {
 	// Caches is indexed by CacheTFKC … CacheMKC.
 	Caches [NumCaches]CacheInfo
 
-	Keying      KeyServiceStats
-	MKDUpcalls  uint64
-	MKDTimeouts uint64 // upcalls abandoned at UpcallTimeout
+	Keying     KeyServiceStats
+	MKDUpcalls uint64
 
 	// Overload plane; zero for a component the endpoint runs without.
 	Budget         BudgetStats
@@ -102,7 +101,7 @@ func (e *Endpoint) Snapshot() Snapshot {
 		ks, mkd := e.plane.ks, e.plane.mkd
 		s.Caches[CachePVC] = CacheInfo{"pvc", ks.pvc.Occupancy(), ks.pvc.Size(), ks.pvc.Stats()}
 		s.Caches[CacheMKC] = CacheInfo{"mkc", ks.mkc.Occupancy(), ks.mkc.Size(), ks.mkc.Stats()}
-		s.Keying, s.MKDUpcalls, s.MKDTimeouts = ks.Stats(), mkd.Upcalls(), mkd.Timeouts()
+		s.Keying, s.MKDUpcalls = ks.Stats(), mkd.Upcalls()
 	}
 	loadEach(s.Drops[:], c.drops[:])
 	loadEach(s.SuiteSeals[:], c.sealsBySuite[:])
@@ -166,10 +165,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.Keying.Failures += o.Keying.Failures
 	s.Keying.Retries += o.Keying.Retries
 	s.Keying.NegativeHits += o.Keying.NegativeHits
-	s.Keying.StaleServed += o.Keying.StaleServed
-	s.Keying.DeadlineExceeded += o.Keying.DeadlineExceeded
 	s.MKDUpcalls += o.MKDUpcalls
-	s.MKDTimeouts += o.MKDTimeouts
 
 	s.Budget.Used += o.Budget.Used
 	s.Budget.Peak += o.Budget.Peak

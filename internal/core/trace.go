@@ -133,9 +133,6 @@ const (
 	// FlagKeyNegCache: the lookup was refused fast by the
 	// negative-result cache.
 	FlagKeyNegCache
-	// FlagKeyStale: a just-expired certificate was served under
-	// stale-while-revalidate.
-	FlagKeyStale
 	// FlagKeyCoalesced: this derivation joined an in-flight one (the
 	// key plane's single-flight, at the flow key or in the MKD).
 	FlagKeyCoalesced
@@ -166,7 +163,6 @@ var spanFlagNames = []string{
 	"computed",
 	"retried",
 	"neg_cache",
-	"stale_served",
 	"coalesced",
 	"admitted",
 	"admit_refused",
@@ -334,7 +330,7 @@ type KeyNote struct {
 	Attempts uint32
 	// Flags are the verdicts, already in the flow-key span's encoding:
 	// FlagKeyMKCHit, FlagKeyComputed, FlagKeyRetried, FlagKeyNegCache,
-	// FlagKeyStale, FlagKeyCoalesced and the admission flags.
+	// FlagKeyCoalesced and the admission flags.
 	Flags SpanFlags
 }
 

@@ -231,12 +231,29 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("gateway: tenant %q: state_budget_high_water %d is above state_budget_bytes %d (0 bytes means unbudgeted, where a high-water mark has no effect)",
 				t.Name, t.StateBudgetHighWater, t.StateBudgetBytes)
 		}
-		if pf := t.Prefilter; pf != nil && pf.Enable &&
-			pf.EpochInterval > 0 && pf.EpochInterval < Duration(time.Second) {
-			// Same floor core enforces at endpoint construction;
-			// catching it here gives -check the error too.
-			return fmt.Errorf("gateway: tenant %q: prefilter epoch_interval %v below the 1s epoch granularity",
-				t.Name, time.Duration(pf.EpochInterval))
+		// core would quietly read a negative admission or pre-filter
+		// value as "off" or as its default, so a sign typo would run
+		// without the gate, without the quota, or at another setting.
+		if a := t.Admission; a != nil && (a.UpcallRate < 0 || a.UpcallBurst < 0 || a.PrefixQuota < 0 || a.PrefixLen < 0 || a.QuotaWindow < 0) {
+			return fmt.Errorf("gateway: tenant %q: negative admission value (upcall_rate %v, upcall_burst %d, prefix_quota %d, prefix_len %d, quota_window %v)",
+				t.Name, a.UpcallRate, a.UpcallBurst, a.PrefixQuota, a.PrefixLen, time.Duration(a.QuotaWindow))
+		}
+		if pf := t.Prefilter; pf != nil {
+			if pf.EpochInterval < 0 || pf.CookieTTL < 0 || pf.PrefixLen < 0 {
+				return fmt.Errorf("gateway: tenant %q: negative prefilter value (epoch_interval %v, cookie_ttl %v, prefix_len %d)",
+					t.Name, time.Duration(pf.EpochInterval), time.Duration(pf.CookieTTL), pf.PrefixLen)
+			}
+			// The floors core enforces at endpoint construction: epochs
+			// and cookie stamps count whole seconds. Catching them here
+			// gives -check the error too.
+			if pf.EpochInterval > 0 && pf.EpochInterval < Duration(time.Second) {
+				return fmt.Errorf("gateway: tenant %q: prefilter epoch_interval %v below the 1s epoch granularity",
+					t.Name, time.Duration(pf.EpochInterval))
+			}
+			if pf.CookieTTL > 0 && pf.CookieTTL < Duration(time.Second) {
+				return fmt.Errorf("gateway: tenant %q: prefilter cookie_ttl %v below the 1s cookie-stamp granularity",
+					t.Name, time.Duration(pf.CookieTTL))
+			}
 		}
 	}
 	return nil
@@ -305,11 +322,11 @@ func (t *TenantConfig) coreConfigFor() (core.Config, error) {
 		cfg.FreshnessWindow = time.Duration(t.FreshnessWindow)
 	}
 	if t.FlowIdleTimeout > 0 || t.FlowMaxPackets > 0 {
-		p := core.ThresholdPolicy{Threshold: time.Duration(t.FlowIdleTimeout), MaxPackets: t.FlowMaxPackets}
-		if p.Threshold <= 0 {
-			p.Threshold = 10 * time.Minute
+		idle := time.Duration(t.FlowIdleTimeout)
+		if idle <= 0 {
+			idle = 10 * time.Minute
 		}
-		cfg.Policy = p
+		cfg.Policy = core.ThresholdPolicy{Threshold: idle, MaxPackets: t.FlowMaxPackets}
 	}
 	cfg.EnableReplayCache = t.ReplayCache
 	if t.StateBudgetBytes > 0 {

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -795,6 +796,108 @@ func TestConfigStateBudgetBounds(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConfigAdmissionPrefilterBounds: core reads a negative admission or
+// pre-filter value as "off" or as its default, and measured a sub-second
+// cookie_ttl in whole seconds — zero, so every echo stamped in an earlier
+// second was refused. Validate refuses each, naming the tenant.
+func TestConfigAdmissionPrefilterBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		json string
+		ok   bool
+	}{
+		{"defaults", `"admission": {"upcall_rate": 200}, "prefilter": {"enable": true}`, true},
+		{"second floors", `"prefilter": {"enable": true, "epoch_interval": "1s", "cookie_ttl": "1s"}`, true},
+		{"sub-second cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "500ms"}`, false},
+		{"negative upcall_rate", `"admission": {"upcall_rate": -1}`, false},
+		{"negative upcall_burst", `"admission": {"upcall_rate": 200, "upcall_burst": -1}`, false},
+		{"negative prefix_quota", `"admission": {"upcall_rate": 200, "prefix_quota": -4}`, false},
+		{"negative admission prefix_len", `"admission": {"upcall_rate": 200, "prefix_len": -8}`, false},
+		{"negative quota_window", `"admission": {"upcall_rate": 200, "quota_window": "-1s"}`, false},
+		{"negative epoch_interval", `"prefilter": {"enable": true, "epoch_interval": "-64s"}`, false},
+		{"negative cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "-2m"}`, false},
+		{"negative prefilter prefix_len", `"prefilter": {"enable": true, "prefix_len": -8}`, false},
+	} {
+		_, err := Parse([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", ` + tc.json + `}]}`))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Parse = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), `"edge"`) {
+			t.Errorf("%s: error does not name the tenant: %v", tc.name, err)
+		}
+	}
+}
+
+// nullTransport discards what is sent and has nothing to receive.
+type nullTransport struct{}
+
+func (nullTransport) Send(transport.Datagram) error { return nil }
+func (nullTransport) Receive() (transport.Datagram, error) {
+	return transport.Datagram{}, transport.ErrClosed
+}
+func (nullTransport) Close() error { return nil }
+
+// FuzzGatewayConfig holds -check to what a swap builds: Parse never
+// panics, every config it accepts realises each tenant through
+// coreConfigFor and core.NewEndpoint, and Clone round-trips it.
+func FuzzGatewayConfig(f *testing.F) {
+	example, err := os.ReadFile("../../examples/fbsgw/gateway.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	for _, tenant := range []string{
+		`"flow_idle_timeout": "2m", "flow_max_packets": 1000, "state_budget_bytes": 1048576`,
+		`"prefilter": {"enable": true, "cookie_ttl": "500ms"}`,
+		`"prefilter": {"enable": true, "epoch_interval": "1s", "cookie_ttl": "1s", "prefix_len": 4, "shed_threshold": 2, "decay_every": 16}`,
+		`"admission": {"upcall_rate": -1}`,
+		`"admission": {"upcall_rate": 200, "upcall_burst": 50, "prefix_quota": -4, "quota_window": "-1s"}`,
+		`"prefilter": {"enable": true, "epoch_interval": "-64s", "prefix_len": -8}`,
+	} {
+		f.Add([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", ` + tenant + `}]}`))
+	}
+	dom, err := fbs.NewDomain("gw-fuzz", fbs.WithGroup(cryptolib.TestGroup))
+	if err != nil {
+		f.Fatal(err)
+	}
+	id, err := dom.NewPrincipal("gw-fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cfg, err := Parse(b)
+		if err != nil {
+			return
+		}
+		for i := range cfg.Tenants {
+			cc, err := cfg.Tenants[i].coreConfigFor()
+			if err != nil {
+				t.Fatalf("tenant %d: Parse accepted a config coreConfigFor refuses: %v", i, err)
+			}
+			cc.Identity, cc.Transport, cc.Directory, cc.Verifier = id, nullTransport{}, dom.Directory(), dom.Verifier()
+			ep, err := core.NewEndpoint(cc)
+			if err != nil {
+				t.Fatalf("tenant %d: Parse accepted a config core.NewEndpoint refuses: %v", i, err)
+			}
+			ep.Close()
+		}
+		clone, err := cfg.Clone()
+		if err != nil {
+			t.Fatalf("Clone: %v", err)
+		}
+		// JSON cannot tell an empty list from an absent one, so the clone
+		// is compared by its encoding, and a clone of the clone by value.
+		want, _ := json.Marshal(cfg)
+		if got, _ := json.Marshal(clone); !bytes.Equal(got, want) {
+			t.Fatalf("Clone changed the config:\n%s\nbecame\n%s", want, got)
+		}
+		again, err := clone.Clone()
+		if err != nil || !reflect.DeepEqual(again, clone) {
+			t.Fatalf("a clone of the clone differs (%v):\n%+v\n%+v", err, clone, again)
+		}
+	})
 }
 
 // misaddressed wraps a tenant's in-memory port so a stream can carry

@@ -131,9 +131,8 @@ type ChaosReport struct {
 	// Injected counts adversary datagrams actually placed.
 	Injected [NumInjectKinds]uint64
 	// Keying plane counters from the receiver.
-	Keys        core.KeyServiceStats
-	MKDUpcalls  uint64
-	MKDTimeouts uint64
+	Keys       core.KeyServiceStats
+	MKDUpcalls uint64
 	// DirectoryCalls and DirectoryFails count certificate lookups (the
 	// bounded-retry evidence).
 	DirectoryCalls uint64
@@ -185,8 +184,7 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		// cache: every exact duplicate must surface as DropReplay,
 		// which is what makes duplicate accounting exact.
 		EnableReplayCache: true,
-		KeyRetry:          sc.Retry,
-		KeyNegativeTTL:    sc.NegativeTTL,
+		Keying:            core.KeyServiceConfig{Retry: sc.Retry, NegativeTTL: sc.NegativeTTL},
 	}
 	// Tracing samples every datagram: the collector is shared by both
 	// endpoints and the network so one trace covers seal → link → open.
@@ -264,7 +262,7 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 	report.Links = r.net.Links()
 	report.Injected = adv.Injected()
 	report.Keys = bm.Keying
-	report.MKDUpcalls, report.MKDTimeouts = bm.MKDUpcalls, bm.MKDTimeouts
+	report.MKDUpcalls = bm.MKDUpcalls
 	report.DirectoryCalls = dir.Calls()
 	report.DirectoryFails = dir.Fails()
 	if sc.Trace {
@@ -352,7 +350,7 @@ func (r *ChaosReport) Summary() string {
 			name, ls.Offered, ls.Lost, ls.BurstLost, ls.Duplicated, ls.Corrupted, ls.Reordered)
 	}
 	s += dropLines(r.ReceiverDrops)
-	s += fmt.Sprintf("  keying: retries=%d neghits=%d stale=%d dircalls=%d dirfails=%d upcalls=%d timeouts=%d\n",
-		r.Keys.Retries, r.Keys.NegativeHits, r.Keys.StaleServed, r.DirectoryCalls, r.DirectoryFails, r.MKDUpcalls, r.MKDTimeouts)
+	s += fmt.Sprintf("  keying: retries=%d neghits=%d dircalls=%d dirfails=%d upcalls=%d\n",
+		r.Keys.Retries, r.Keys.NegativeHits, r.DirectoryCalls, r.DirectoryFails, r.MKDUpcalls)
 	return s + r.verdictLines()
 }

@@ -126,6 +126,9 @@ func TestDifferentialPrefilter(t *testing.T) {
 			if rep.Dropped == 0 {
 				t.Fatalf("prefilter run dropped nothing: the op mix no longer exercises refusals")
 			}
+			if rep.Sheds == 0 {
+				t.Fatalf("prefilter run shed nothing: the sketch settings no longer bite")
+			}
 			t.Log(rep.Summary())
 		})
 	}

@@ -100,10 +100,7 @@ func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 		CounterFamily("fbs_keyservice_failures_total", "Keying failures.", ks.Failures, lbls...),
 		CounterFamily("fbs_keyservice_retries_total", "Directory lookups retried after failure (bounded backoff).", ks.Retries, lbls...),
 		CounterFamily("fbs_keyservice_negative_hits_total", "Lookups refused fast by the negative-result cache.", ks.NegativeHits, lbls...),
-		CounterFamily("fbs_keyservice_stale_served_total", "Just-expired certificates served under stale-while-revalidate.", ks.StaleServed, lbls...),
-		CounterFamily("fbs_keyservice_deadline_exceeded_total", "Retry loops abandoned at their deadline.", ks.DeadlineExceeded, lbls...),
 		CounterFamily("fbs_mkd_upcalls_total", "Upcalls to the master key daemon.", m.MKDUpcalls, lbls...),
-		CounterFamily("fbs_mkd_timeouts_total", "Upcalls abandoned at the MKD deadline.", m.MKDTimeouts, lbls...),
 	)
 
 	// Overload plane: the soft-state memory budget, the keying

@@ -126,9 +126,6 @@ func TestAdminPlane(t *testing.T) {
 		`fbs_stage_duration_ns_count{endpoint="pair",path="open",stage="total"}`,
 		`fbs_keyservice_retries_total{endpoint="alice"}`,
 		`fbs_keyservice_negative_hits_total{endpoint="bob"}`,
-		`fbs_keyservice_stale_served_total{endpoint="alice"}`,
-		`fbs_keyservice_deadline_exceeded_total{endpoint="bob"}`,
-		`fbs_mkd_timeouts_total{endpoint="alice"}`,
 		`fbs_budget_used_bytes{endpoint="alice"}`,
 		`fbs_budget_denials_total{endpoint="bob"}`,
 		`fbs_admission_admitted_total{endpoint="bob"}`,

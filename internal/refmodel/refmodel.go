@@ -83,11 +83,10 @@ type Config struct {
 	FreshnessWindow time.Duration
 
 	// Threshold is the idle gap that ends a flow; default 10 minutes.
-	// MaxPackets and MaxBytes are the wear-out rekeying limits (0 = no
-	// limit). Together they restate core.ThresholdPolicy.
+	// MaxPackets is the wear-out rekeying limit (0 = no limit). Together
+	// they restate core.ThresholdPolicy.
 	Threshold  time.Duration
 	MaxPackets uint64
-	MaxBytes   uint64
 	// TableSize is the flow slot table size; default 256.
 	TableSize int
 	// SFLSeed, when nonzero, fixes the first sfl allocated, matching
@@ -106,11 +105,11 @@ type Config struct {
 // flowSlot is one row of the naive flow table (Figure 7, without the
 // combined key cache).
 type flowSlot struct {
-	valid         bool
-	id            core.FlowID
-	sfl           uint64
-	last          time.Time
-	packets, size uint64
+	valid   bool
+	id      core.FlowID
+	sfl     uint64
+	last    time.Time
+	packets uint64
 }
 
 // replaySig identifies a datagram within the freshness window, restating
@@ -296,23 +295,21 @@ func slotIndex(id core.FlowID, tableSize int) int {
 }
 
 // classify maps the datagram to a flow: reuse the slot's sfl when the
-// attributes match within the threshold and under the wear-out limits,
+// attributes match within the threshold and under the wear-out limit,
 // otherwise start a new flow (and thereby a new key) in that slot. The
 // second return is the datagram's 1-based sequence number within the
 // flow — AEAD seals restate core's counter-filled confounder from it.
-func (e *Endpoint) classify(id core.FlowID, now time.Time, size int) (uint64, uint64) {
+func (e *Endpoint) classify(id core.FlowID, now time.Time) (uint64, uint64) {
 	s := &e.table[slotIndex(id, len(e.table))]
 	if s.valid && s.id == id && now.Sub(s.last) <= e.cfg.Threshold &&
-		(e.cfg.MaxPackets == 0 || s.packets < e.cfg.MaxPackets) &&
-		(e.cfg.MaxBytes == 0 || s.size < e.cfg.MaxBytes) {
+		(e.cfg.MaxPackets == 0 || s.packets < e.cfg.MaxPackets) {
 		s.last = now
 		s.packets++
-		s.size += uint64(size)
 		return s.sfl, s.packets
 	}
 	sfl := e.nextSFL
 	e.nextSFL++
-	*s = flowSlot{valid: true, id: id, sfl: sfl, last: now, packets: 1, size: uint64(size)}
+	*s = flowSlot{valid: true, id: id, sfl: sfl, last: now, packets: 1}
 	return sfl, 1
 }
 
@@ -349,7 +346,7 @@ func (e *Endpoint) Seal(dst principal.Address, id core.FlowID, payload []byte, s
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.cfg.Clock.Now()
-	sfl, seq := e.classify(id, now, len(payload))
+	sfl, seq := e.classify(id, now)
 	kf, err := e.flowKey(sfl, e.cfg.Identity.Addr, dst, dst)
 	if err != nil {
 		e.drops[core.DropKeying]++

@@ -210,7 +210,8 @@ ci-soak:
 # per-row allocation assertions (the single doors at 0 allocs/op), one
 # of BenchmarkUDPLoopbackBatch asserts the socket layer's one allocation
 # per batch (32 frames out through sendmmsg + GSO, in through
-# recvmmsg + GRO), and
+# recvmmsg + GRO), one of BenchmarkCryptoLibTable runs the §7.2 table and
+# asserts its ChaCha20-Poly1305 rows at 0 allocs/op, and
 # gwbench-smoke (above) then checks the real daemon end to end — the
 # batched socket plane included.
 ci-bench:
@@ -218,7 +219,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch' -benchtime 1x . ./internal/transport ./internal/cryptolib
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch|CryptoLibTable' -benchtime 1x . ./internal/transport ./internal/cryptolib
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces

@@ -12,6 +12,8 @@ package fbs
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/md5"
+	"crypto/sha1"
 	"fmt"
 	"io"
 	"math/big"
@@ -95,8 +97,8 @@ func BenchmarkCryptoLibTable(b *testing.B) {
 		{"DES-CBC", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.CBC, iv, buf, buf) }, false},
 		{"DES-ECB", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.ECB, iv, buf, buf) }, false},
 		{"3DES-CBC", len(buf), func() { cryptolib.EncryptMode(tdes, cryptolib.CBC, iv, buf, buf) }, false},
-		{"MD5", len(buf), func() { cryptolib.MD5Sum(buf) }, false},
-		{"SHA1", len(buf), func() { cryptolib.SHA1Sum(buf) }, false},
+		{"MD5", len(buf), func() { md5.Sum(buf) }, false},
+		{"SHA1", len(buf), func() { sha1.Sum(buf) }, false},
 		{"KeyedMD5-MAC", len(buf), func() { cryptolib.MACPrefixMD5.Compute(key, buf) }, false},
 		{"HMAC-MD5", len(buf), func() { cryptolib.MACHMACMD5.Compute(key, buf) }, false},
 		{"CRC32", len(buf), func() { cryptolib.CRC32(buf) }, false},

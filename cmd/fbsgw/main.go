@@ -39,7 +39,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -300,33 +299,5 @@ func (d *daemon) writeState(cfg *gateway.Config) error {
 		}
 	}
 	d.mu.Unlock()
-	blob, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(d.opts.statePath, blob)
-}
-
-// writeFileAtomic replaces path with blob, mode 0600, by writing a
-// temporary file beside it and renaming that over it: a client loading
-// the document mid-write (at boot, or after a SIGHUP swap) reads the old
-// file or the new one, never a truncated one. There is no fsync: every
-// start mints a fresh domain and rewrites the file, so a document that
-// outlived a crash would name keys nobody holds.
-func writeFileAtomic(path string, blob []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(blob)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-	}
-	return err
+	return fbs.WriteProvision(d.opts.statePath, st)
 }

@@ -209,13 +209,6 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	if err != nil {
 		return err
 	}
-	// Mint the receiver's identity inside the export, so its private
-	// value reaches the state file and the receiver process can
-	// reconstruct it.
-	prov, err := d.Provision("receiver")
-	if err != nil {
-		return err
-	}
 	// Bind the socket before writing state so the receiver learns where
 	// to route return traffic (the pre-filter's challenge frames).
 	udp, err := transport.NewUDPTransport("sender", listen)
@@ -225,11 +218,7 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	if err := udp.AddPeer("receiver", peerAddr); err != nil {
 		return err
 	}
-	blob, err := json.Marshal(state{Provision: prov, SendAddr: udp.LocalAddr().String()})
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(statePath, blob, 0600); err != nil {
+	if err := writeState(d, statePath, udp.LocalAddr().String()); err != nil {
 		return err
 	}
 	fmt.Printf("provisioning state written to %s — start the receiver, then press enter\n", statePath)
@@ -307,6 +296,17 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 	}
 	report()
 	return nil
+}
+
+// writeState mints the receiver's identity inside the domain's export, so
+// its private value reaches the state file and the receiver process can
+// reconstruct it, and writes the file readable by its owner only.
+func writeState(d *fbs.Domain, path, sendAddr string) error {
+	prov, err := d.Provision("receiver")
+	if err != nil {
+		return err
+	}
+	return fbs.WriteProvision(path, state{Provision: prov, SendAddr: sendAddr})
 }
 
 func recv(listen, statePath string, count, batch int, adminAddr string, statsJSON bool, prefilter bool, prefilterSeed string) error {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/big"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -323,6 +324,36 @@ func LoadProvision(path string) (*Provision, error) {
 		return nil, fmt.Errorf("fbs: provisioning document %s: %w", path, err)
 	}
 	return p, nil
+}
+
+// WriteProvision writes doc — a Provision, or a document that embeds one
+// beside a writer's own keys — to path as indented JSON, mode 0600. The
+// document carries private values, so it is written to a temporary file
+// beside path and renamed over it: the mode holds even where path already
+// existed with a wider one, and a reader loading it mid-write sees the old
+// document or the new one, never a truncated one. There is no fsync: every
+// writer mints a fresh domain at start and rewrites the file, so a
+// document that outlived a crash would name keys nobody holds.
+func WriteProvision(path string, doc any) error {
+	blob, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(blob)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Config rebuilds what the provisioned principal name needs to join the

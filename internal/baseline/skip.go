@@ -78,8 +78,8 @@ func wrapKey(master [16]byte, kp [16]byte) ([16]byte, error) {
 		return [16]byte{}, err
 	}
 	var out [16]byte
-	c.EncryptBlock(out[0:8], kp[0:8])
-	c.EncryptBlock(out[8:16], kp[8:16])
+	c.Encrypt(out[0:8], kp[0:8])
+	c.Encrypt(out[8:16], kp[8:16])
 	return out, nil
 }
 
@@ -89,8 +89,8 @@ func unwrapKey(master [16]byte, wrapped []byte) ([16]byte, error) {
 		return [16]byte{}, err
 	}
 	var out [16]byte
-	c.DecryptBlock(out[0:8], wrapped[0:8])
-	c.DecryptBlock(out[8:16], wrapped[8:16])
+	c.Decrypt(out[0:8], wrapped[0:8])
+	c.Decrypt(out[8:16], wrapped[8:16])
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/md5"
 	"encoding/hex"
 	"fmt"
 	"math/big"
@@ -27,7 +28,7 @@ func TestGoldenFlowKey(t *testing.T) {
 	})
 	kf := FlowKey(cryptolib.HashMD5, 0x0123456789abcdef, master, "10.0.0.1", "10.0.0.2")
 	// K_f = MD5(sfl_be64 | master | len16|"10.0.0.1" | len16|"10.0.0.2")
-	want := cryptolib.MD5Sum(append(append(append(append([]byte{},
+	want := md5.Sum(append(append(append(append([]byte{},
 		0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef),
 		master[:]...),
 		0x00, 0x08, '1', '0', '.', '0', '.', '0', '.', '1'),

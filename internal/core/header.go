@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 
@@ -55,7 +56,7 @@ func (c CipherID) String() string {
 }
 
 // newCipher builds the block cipher for a 16-byte flow key.
-func (c CipherID) newCipher(flowKey []byte) (cryptolib.BlockCipher, error) {
+func (c CipherID) newCipher(flowKey []byte) (cipher.Block, error) {
 	switch c {
 	case CipherDES:
 		return cryptolib.NewDES(flowKey[:8])

@@ -170,7 +170,7 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 	if err != nil {
 		return nil, err
 	}
-	bs := c.BlockSize()
+	const bs = cryptolib.BlockSize
 	bodyOff := len(dst)
 	dst = cryptolib.AppendPadded(dst, payload, bs)
 	padded := dst[bodyOff:]
@@ -199,7 +199,7 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 			for j := 0; j < bs; j++ {
 				block[j] ^= prev[j]
 			}
-			c.EncryptBlock(block, block)
+			c.Encrypt(block, block)
 			copy(prev[:], block)
 		}
 		if h.MAC != cryptolib.MACNull {
@@ -244,7 +244,7 @@ func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte,
 		if _, err := cryptolib.DecryptMode(c, h.Mode, iv[:], plain, plain); err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
 		}
-		unpadded, err := cryptolib.Unpad(plain, c.BlockSize())
+		unpadded, err := cryptolib.Unpad(plain, cryptolib.BlockSize)
 		if err != nil {
 			// Bad padding means corruption or wrong key; report it as
 			// an authentication failure to avoid a padding oracle.

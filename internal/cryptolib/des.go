@@ -1,298 +1,33 @@
 package cryptolib
 
 import (
-	"encoding/binary"
+	"crypto/cipher"
+	"crypto/des"
 	"fmt"
 )
 
-// BlockSize is the DES block size in bytes.
-const BlockSize = 8
+// BlockSize is the DES block size in bytes, the only block size the
+// modes in this package accept.
+const BlockSize = des.BlockSize
 
-// KeySize is the DES key size in bytes (including parity bits).
-const KeySize = 8
-
-// BlockCipher is a 64-bit block cipher. Both DES and TripleDES satisfy it,
-// as does any external cipher a caller wants to plug into the mode
-// implementations in this package.
-type BlockCipher interface {
-	// BlockSize returns the cipher's block size in bytes.
-	BlockSize() int
-	// EncryptBlock encrypts exactly one block from src into dst.
-	// dst and src may overlap entirely.
-	EncryptBlock(dst, src []byte)
-	// DecryptBlock decrypts exactly one block from src into dst.
-	DecryptBlock(dst, src []byte)
+// NewDES returns the DES (FIPS 46) cipher for an 8-byte key; the parity
+// bits are ignored.
+func NewDES(key []byte) (cipher.Block, error) {
+	return des.NewCipher(key)
 }
 
-// DES implements the Data Encryption Standard (FIPS 46) as a 64-bit block
-// cipher with a 56-bit effective key.
-type DES struct {
-	subkeys [16]uint64 // 48-bit round keys
-}
-
-// NewDES expands an 8-byte key (parity bits ignored) into a DES key
-// schedule.
-func NewDES(key []byte) (*DES, error) {
-	if len(key) != KeySize {
-		return nil, fmt.Errorf("cryptolib: DES key must be %d bytes, got %d", KeySize, len(key))
-	}
-	d := new(DES)
-	d.expandKey(binary.BigEndian.Uint64(key))
-	return d, nil
-}
-
-// BlockSize returns 8.
-func (d *DES) BlockSize() int { return BlockSize }
-
-// EncryptBlock encrypts one 8-byte block.
-func (d *DES) EncryptBlock(dst, src []byte) {
-	b := binary.BigEndian.Uint64(src[:BlockSize])
-	binary.BigEndian.PutUint64(dst[:BlockSize], d.crypt(b, false))
-}
-
-// DecryptBlock decrypts one 8-byte block.
-func (d *DES) DecryptBlock(dst, src []byte) {
-	b := binary.BigEndian.Uint64(src[:BlockSize])
-	binary.BigEndian.PutUint64(dst[:BlockSize], d.crypt(b, true))
-}
-
-// The permutation tables below are exactly those of FIPS 46. Bit numbering
-// follows the standard: bit 1 is the most significant bit of the 64-bit
-// input.
-
-var initialPermutation = [64]byte{
-	58, 50, 42, 34, 26, 18, 10, 2,
-	60, 52, 44, 36, 28, 20, 12, 4,
-	62, 54, 46, 38, 30, 22, 14, 6,
-	64, 56, 48, 40, 32, 24, 16, 8,
-	57, 49, 41, 33, 25, 17, 9, 1,
-	59, 51, 43, 35, 27, 19, 11, 3,
-	61, 53, 45, 37, 29, 21, 13, 5,
-	63, 55, 47, 39, 31, 23, 15, 7,
-}
-
-var finalPermutation = [64]byte{
-	40, 8, 48, 16, 56, 24, 64, 32,
-	39, 7, 47, 15, 55, 23, 63, 31,
-	38, 6, 46, 14, 54, 22, 62, 30,
-	37, 5, 45, 13, 53, 21, 61, 29,
-	36, 4, 44, 12, 52, 20, 60, 28,
-	35, 3, 43, 11, 51, 19, 59, 27,
-	34, 2, 42, 10, 50, 18, 58, 26,
-	33, 1, 41, 9, 49, 17, 57, 25,
-}
-
-var expansion = [48]byte{
-	32, 1, 2, 3, 4, 5,
-	4, 5, 6, 7, 8, 9,
-	8, 9, 10, 11, 12, 13,
-	12, 13, 14, 15, 16, 17,
-	16, 17, 18, 19, 20, 21,
-	20, 21, 22, 23, 24, 25,
-	24, 25, 26, 27, 28, 29,
-	28, 29, 30, 31, 32, 1,
-}
-
-var roundPermutation = [32]byte{
-	16, 7, 20, 21, 29, 12, 28, 17,
-	1, 15, 23, 26, 5, 18, 31, 10,
-	2, 8, 24, 14, 32, 27, 3, 9,
-	19, 13, 30, 6, 22, 11, 4, 25,
-}
-
-var permutedChoice1 = [56]byte{
-	57, 49, 41, 33, 25, 17, 9,
-	1, 58, 50, 42, 34, 26, 18,
-	10, 2, 59, 51, 43, 35, 27,
-	19, 11, 3, 60, 52, 44, 36,
-	63, 55, 47, 39, 31, 23, 15,
-	7, 62, 54, 46, 38, 30, 22,
-	14, 6, 61, 53, 45, 37, 29,
-	21, 13, 5, 28, 20, 12, 4,
-}
-
-var permutedChoice2 = [48]byte{
-	14, 17, 11, 24, 1, 5,
-	3, 28, 15, 6, 21, 10,
-	23, 19, 12, 4, 26, 8,
-	16, 7, 27, 20, 13, 2,
-	41, 52, 31, 37, 47, 55,
-	30, 40, 51, 45, 33, 48,
-	44, 49, 39, 56, 34, 53,
-	46, 42, 50, 36, 29, 32,
-}
-
-var keyRotations = [16]byte{1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1}
-
-// sboxes[i][row][col] for S-box i+1.
-var sboxes = [8][4][16]byte{
-	{
-		{14, 4, 13, 1, 2, 15, 11, 8, 3, 10, 6, 12, 5, 9, 0, 7},
-		{0, 15, 7, 4, 14, 2, 13, 1, 10, 6, 12, 11, 9, 5, 3, 8},
-		{4, 1, 14, 8, 13, 6, 2, 11, 15, 12, 9, 7, 3, 10, 5, 0},
-		{15, 12, 8, 2, 4, 9, 1, 7, 5, 11, 3, 14, 10, 0, 6, 13},
-	},
-	{
-		{15, 1, 8, 14, 6, 11, 3, 4, 9, 7, 2, 13, 12, 0, 5, 10},
-		{3, 13, 4, 7, 15, 2, 8, 14, 12, 0, 1, 10, 6, 9, 11, 5},
-		{0, 14, 7, 11, 10, 4, 13, 1, 5, 8, 12, 6, 9, 3, 2, 15},
-		{13, 8, 10, 1, 3, 15, 4, 2, 11, 6, 7, 12, 0, 5, 14, 9},
-	},
-	{
-		{10, 0, 9, 14, 6, 3, 15, 5, 1, 13, 12, 7, 11, 4, 2, 8},
-		{13, 7, 0, 9, 3, 4, 6, 10, 2, 8, 5, 14, 12, 11, 15, 1},
-		{13, 6, 4, 9, 8, 15, 3, 0, 11, 1, 2, 12, 5, 10, 14, 7},
-		{1, 10, 13, 0, 6, 9, 8, 7, 4, 15, 14, 3, 11, 5, 2, 12},
-	},
-	{
-		{7, 13, 14, 3, 0, 6, 9, 10, 1, 2, 8, 5, 11, 12, 4, 15},
-		{13, 8, 11, 5, 6, 15, 0, 3, 4, 7, 2, 12, 1, 10, 14, 9},
-		{10, 6, 9, 0, 12, 11, 7, 13, 15, 1, 3, 14, 5, 2, 8, 4},
-		{3, 15, 0, 6, 10, 1, 13, 8, 9, 4, 5, 11, 12, 7, 2, 14},
-	},
-	{
-		{2, 12, 4, 1, 7, 10, 11, 6, 8, 5, 3, 15, 13, 0, 14, 9},
-		{14, 11, 2, 12, 4, 7, 13, 1, 5, 0, 15, 10, 3, 9, 8, 6},
-		{4, 2, 1, 11, 10, 13, 7, 8, 15, 9, 12, 5, 6, 3, 0, 14},
-		{11, 8, 12, 7, 1, 14, 2, 13, 6, 15, 0, 9, 10, 4, 5, 3},
-	},
-	{
-		{12, 1, 10, 15, 9, 2, 6, 8, 0, 13, 3, 4, 14, 7, 5, 11},
-		{10, 15, 4, 2, 7, 12, 9, 5, 6, 1, 13, 14, 0, 11, 3, 8},
-		{9, 14, 15, 5, 2, 8, 12, 3, 7, 0, 4, 10, 1, 13, 11, 6},
-		{4, 3, 2, 12, 9, 5, 15, 10, 11, 14, 1, 7, 6, 0, 8, 13},
-	},
-	{
-		{4, 11, 2, 14, 15, 0, 8, 13, 3, 12, 9, 7, 5, 10, 6, 1},
-		{13, 0, 11, 7, 4, 9, 1, 10, 14, 3, 5, 12, 2, 15, 8, 6},
-		{1, 4, 11, 13, 12, 3, 7, 14, 10, 15, 6, 8, 0, 5, 9, 2},
-		{6, 11, 13, 8, 1, 4, 10, 7, 9, 5, 0, 15, 14, 2, 3, 12},
-	},
-	{
-		{13, 2, 8, 4, 6, 15, 11, 1, 10, 9, 3, 14, 5, 0, 12, 7},
-		{1, 15, 13, 8, 10, 3, 7, 4, 12, 5, 6, 11, 0, 14, 9, 2},
-		{7, 11, 4, 1, 9, 12, 14, 2, 0, 6, 10, 13, 15, 3, 5, 8},
-		{2, 1, 14, 7, 4, 10, 8, 13, 15, 12, 9, 0, 3, 5, 6, 11},
-	},
-}
-
-// permute applies a FIPS-46 style permutation table to src. Bit 1 in the
-// table addresses the most significant of inBits input bits; the first
-// table entry produces the most significant output bit.
-func permute(src uint64, table []byte, inBits uint) uint64 {
-	var out uint64
-	for _, b := range table {
-		out <<= 1
-		out |= (src >> (inBits - uint(b))) & 1
-	}
-	return out
-}
-
-func (d *DES) expandKey(key uint64) {
-	// PC-1 drops the parity bits and yields a 56-bit quantity split into
-	// two 28-bit halves C and D.
-	cd := permute(key, permutedChoice1[:], 64)
-	c := uint32(cd >> 28)
-	dd := uint32(cd & 0x0fffffff)
-	for round := 0; round < 16; round++ {
-		s := uint(keyRotations[round])
-		c = ((c << s) | (c >> (28 - s))) & 0x0fffffff
-		dd = ((dd << s) | (dd >> (28 - s))) & 0x0fffffff
-		d.subkeys[round] = permute(uint64(c)<<28|uint64(dd), permutedChoice2[:], 56)
-	}
-}
-
-// feistel is the DES round function f(R, K).
-func feistel(r uint32, subkey uint64) uint32 {
-	// Expand R from 32 to 48 bits and mix in the round key.
-	x := permute(uint64(r), expansion[:], 32) ^ subkey
-	// Eight 6-bit S-box lookups produce 32 bits.
-	var out uint32
-	for i := 0; i < 8; i++ {
-		six := byte(x>>uint(42-6*i)) & 0x3f
-		row := (six>>4)&2 | six&1
-		col := (six >> 1) & 0xf
-		out = out<<4 | uint32(sboxes[i][row][col])
-	}
-	return uint32(permute(uint64(out), roundPermutation[:], 32))
-}
-
-func (d *DES) crypt(block uint64, decrypt bool) uint64 {
-	b := ipTable.apply(block)
-	l, r := uint32(b>>32), uint32(b)
-	for round := 0; round < 16; round++ {
-		k := d.subkeys[round]
-		if decrypt {
-			k = d.subkeys[15-round]
-		}
-		l, r = r, l^feistelFast(r, k)
-	}
-	// The final swap is undone: pre-output is R16 L16.
-	return fpTable.apply(uint64(r)<<32 | uint64(l))
-}
-
-// cryptReference is the table-free implementation kept for cross-checks.
-func (d *DES) cryptReference(block uint64, decrypt bool) uint64 {
-	b := permute(block, initialPermutation[:], 64)
-	l, r := uint32(b>>32), uint32(b)
-	for round := 0; round < 16; round++ {
-		k := d.subkeys[round]
-		if decrypt {
-			k = d.subkeys[15-round]
-		}
-		l, r = r, l^feistel(r, k)
-	}
-	return permute(uint64(r)<<32|uint64(l), finalPermutation[:], 64)
-}
-
-// TripleDES implements EDE triple DES with either a 16-byte (two-key) or
-// 24-byte (three-key) key.
-type TripleDES struct {
-	k1, k2, k3 *DES
-}
-
-// NewTripleDES builds an EDE triple-DES cipher from a 16- or 24-byte key.
-func NewTripleDES(key []byte) (*TripleDES, error) {
-	var kb [3][]byte
+// NewTripleDES returns EDE triple DES for a 24-byte (three-key) or
+// 16-byte (two-key) key. A two-key k1|k2 is used as k1|k2|k1.
+func NewTripleDES(key []byte) (cipher.Block, error) {
 	switch len(key) {
 	case 16:
-		kb[0], kb[1], kb[2] = key[0:8], key[8:16], key[0:8]
+		var k [24]byte
+		copy(k[:], key)
+		copy(k[16:], key[:8])
+		return des.NewTripleDESCipher(k[:])
 	case 24:
-		kb[0], kb[1], kb[2] = key[0:8], key[8:16], key[16:24]
+		return des.NewTripleDESCipher(key)
 	default:
 		return nil, fmt.Errorf("cryptolib: triple DES key must be 16 or 24 bytes, got %d", len(key))
 	}
-	t := new(TripleDES)
-	var err error
-	if t.k1, err = NewDES(kb[0]); err != nil {
-		return nil, err
-	}
-	if t.k2, err = NewDES(kb[1]); err != nil {
-		return nil, err
-	}
-	if t.k3, err = NewDES(kb[2]); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// BlockSize returns 8.
-func (t *TripleDES) BlockSize() int { return BlockSize }
-
-// EncryptBlock computes E_k3(D_k2(E_k1(src))).
-func (t *TripleDES) EncryptBlock(dst, src []byte) {
-	b := binary.BigEndian.Uint64(src[:BlockSize])
-	b = t.k1.crypt(b, false)
-	b = t.k2.crypt(b, true)
-	b = t.k3.crypt(b, false)
-	binary.BigEndian.PutUint64(dst[:BlockSize], b)
-}
-
-// DecryptBlock inverts EncryptBlock.
-func (t *TripleDES) DecryptBlock(dst, src []byte) {
-	b := binary.BigEndian.Uint64(src[:BlockSize])
-	b = t.k3.crypt(b, true)
-	b = t.k2.crypt(b, false)
-	b = t.k1.crypt(b, true)
-	binary.BigEndian.PutUint64(dst[:BlockSize], b)
 }

@@ -2,7 +2,7 @@ package cryptolib
 
 import (
 	"bytes"
-	stddes "crypto/des"
+	"crypto/des"
 	"crypto/rand"
 	"encoding/hex"
 	"testing"
@@ -19,44 +19,51 @@ func TestDESKnownAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, 8)
-	d.EncryptBlock(got, pt)
+	d.Encrypt(got, pt)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("DES(%x, %x) = %x, want %x", key, pt, got, want)
 	}
 	back := make([]byte, 8)
-	d.DecryptBlock(back, got)
+	d.Decrypt(back, got)
 	if !bytes.Equal(back, pt) {
 		t.Fatalf("decrypt: got %x, want %x", back, pt)
 	}
 }
 
-// TestDESAgainstStdlib cross-checks our DES against crypto/des on random
-// keys and blocks.
-func TestDESAgainstStdlib(t *testing.T) {
-	f := func(key [8]byte, block [8]byte) bool {
-		ours, err := NewDES(key[:])
-		if err != nil {
-			return false
-		}
-		std, err := stddes.NewCipher(key[:])
-		if err != nil {
-			return false
-		}
-		a := make([]byte, 8)
-		b := make([]byte, 8)
-		ours.EncryptBlock(a, block[:])
-		std.Encrypt(b, block[:])
-		if !bytes.Equal(a, b) {
-			return false
-		}
-		ours.DecryptBlock(a, a)
-		return bytes.Equal(a, block[:])
+// TestTripleDESKnownAnswer checks three-key EDE against the NIST SP
+// 800-67 example (whose plaintext carries the standard's "qufck"), and
+// two-key EDE with k1 = k2 against the single-DES vector, to which it
+// reduces.
+func TestTripleDESKnownAnswer(t *testing.T) {
+	vectors := []struct{ key, pt, want string }{
+		{
+			"0123456789ABCDEF23456789ABCDEF01456789ABCDEF0123",
+			hex.EncodeToString([]byte("The qufck brown fox jump")),
+			"A826FD8CE53B855FCCE21C8112256FE668D5C05DD9B6B900",
+		},
+		{"133457799BBCDFF1133457799BBCDFF1", "0123456789ABCDEF", "85E813540F0AB405"},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	for _, v := range vectors {
+		key, _ := hex.DecodeString(v.key)
+		pt, _ := hex.DecodeString(v.pt)
+		want, _ := hex.DecodeString(v.want)
+		c, err := NewTripleDES(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(pt))
+		if _, err := EncryptMode(c, ECB, make([]byte, BlockSize), got, pt); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("3DES(%s) = %X, want %X", v.key, got, want)
+		}
 	}
 }
 
+// TestTripleDESAgainstStdlib pins the key handling: a 24-byte key is
+// crypto/des's three-key EDE as given, and a two-key k1|k2 runs as
+// k1|k2|k1.
 func TestTripleDESAgainstStdlib(t *testing.T) {
 	for _, klen := range []int{16, 24} {
 		key := make([]byte, klen)
@@ -71,7 +78,7 @@ func TestTripleDESAgainstStdlib(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		std, err := stddes.NewTripleDESCipher(stdKey)
+		std, err := des.NewTripleDESCipher(stdKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +86,12 @@ func TestTripleDESAgainstStdlib(t *testing.T) {
 		rand.Read(block)
 		a := make([]byte, 8)
 		b := make([]byte, 8)
-		ours.EncryptBlock(a, block)
+		ours.Encrypt(a, block)
 		std.Encrypt(b, block)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("3DES keylen %d: got %x, want %x", klen, a, b)
 		}
-		ours.DecryptBlock(a, a)
+		ours.Decrypt(a, a)
 		if !bytes.Equal(a, block) {
 			t.Fatalf("3DES keylen %d: roundtrip failed", klen)
 		}
@@ -103,7 +110,8 @@ func TestDESKeyLengthErrors(t *testing.T) {
 	}
 }
 
-// TestDESInPlace verifies dst may alias src.
+// TestDESInPlace verifies dst may alias src, which the modes and the
+// single-pass seal rely on.
 func TestDESInPlace(t *testing.T) {
 	key := []byte("8bytekey")
 	d, err := NewDES(key)
@@ -112,18 +120,18 @@ func TestDESInPlace(t *testing.T) {
 	}
 	buf := []byte("datagram")
 	orig := append([]byte{}, buf...)
-	d.EncryptBlock(buf, buf)
+	d.Encrypt(buf, buf)
 	if bytes.Equal(buf, orig) {
 		t.Fatal("encryption was a no-op")
 	}
-	d.DecryptBlock(buf, buf)
+	d.Decrypt(buf, buf)
 	if !bytes.Equal(buf, orig) {
 		t.Fatalf("in-place roundtrip: got %q, want %q", buf, orig)
 	}
 }
 
 // TestDESComplementProperty checks the classic DES complementation
-// property: E(~k, ~p) = ~E(k, p). This exercises every table.
+// property: E(~k, ~p) = ~E(k, p).
 func TestDESComplementProperty(t *testing.T) {
 	f := func(key [8]byte, block [8]byte) bool {
 		var nkey, nblock [8]byte
@@ -135,8 +143,8 @@ func TestDESComplementProperty(t *testing.T) {
 		d2, _ := NewDES(nkey[:])
 		a := make([]byte, 8)
 		b := make([]byte, 8)
-		d1.EncryptBlock(a, block[:])
-		d2.EncryptBlock(b, nblock[:])
+		d1.Encrypt(a, block[:])
+		d2.Encrypt(b, nblock[:])
 		for i := range a {
 			if a[i] != ^b[i] {
 				return false
@@ -145,49 +153,6 @@ func TestDESComplementProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The table-accelerated path must agree exactly with the reference
-// implementation (and, transitively, with crypto/des).
-func TestDESFastMatchesReference(t *testing.T) {
-	f := func(key [8]byte, block uint64, decrypt bool) bool {
-		d, err := NewDES(key[:])
-		if err != nil {
-			return false
-		}
-		return d.crypt(block, decrypt) == d.cryptReference(block, decrypt)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPermTableMatchesPermute(t *testing.T) {
-	tables := []struct {
-		pt     *permTable
-		raw    []byte
-		inBits uint
-	}{
-		{ipTable, initialPermutation[:], 64},
-		{fpTable, finalPermutation[:], 64},
-		{eTable, expansion[:], 32},
-		{pTable, roundPermutation[:], 32},
-	}
-	f := func(x uint64) bool {
-		for _, tb := range tables {
-			in := x
-			if tb.inBits == 32 {
-				in &= 0xFFFFFFFF
-			}
-			if tb.pt.apply(in) != permute(in, tb.raw, tb.inBits) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package cryptolib
 
 import (
+	"crypto/md5"
 	"crypto/rand"
 	"fmt"
 	"math/big"
@@ -260,6 +261,6 @@ func (g DHGroup) checkPeer(peerPublic *big.Int) error {
 // MasterKey reduces a Diffie-Hellman shared secret to a fixed-size master
 // key by hashing its canonical big-endian encoding. The paper leaves the
 // reduction unspecified; hashing is the standard choice.
-func MasterKey(shared *big.Int) [MD5Size]byte {
-	return MD5Sum(shared.Bytes())
+func MasterKey(shared *big.Int) [md5.Size]byte {
+	return md5.Sum(shared.Bytes())
 }

@@ -1,26 +1,43 @@
-// Package cryptolib is a from-scratch implementation of the cryptographic
-// primitives used by the FBS protocol and its baselines.
+// Package cryptolib holds the cryptographic primitives used by the FBS
+// protocol and its baselines.
 //
 // The SIGCOMM '97 paper implements FBS on top of CryptoLib (Lacy, Mitchell
-// and Schell, 1993), which provided DES, MD5, Diffie-Hellman and friends.
-// This package plays the same role for this reproduction: it provides
+// and Schell, 1993), an off-the-shelf library that provided DES, MD5,
+// Diffie-Hellman and friends. This package plays the same role here. Where
+// Go's standard library has the primitive, this package takes it from
+// there:
 //
-//   - the DES block cipher with ECB, CBC, CFB and OFB modes (FIPS 46/81),
-//     plus two- and three-key triple DES,
-//   - the MD5 (RFC 1321) and SHA-1 (FIPS 180) message digests,
-//   - HMAC (RFC 2104) and the paper's prefix MAC H(key | data),
-//   - classic Diffie-Hellman key agreement over the Oakley MODP groups,
+//   - DES and triple DES (FIPS 46) from crypto/des; NewTripleDES expands a
+//     two-key k1|k2 to k1|k2|k1,
+//   - MD5 (RFC 1321) and SHA-1 (FIPS 180-1) from crypto/md5 and
+//     crypto/sha1, behind HashID,
+//   - HMAC (RFC 2104) from crypto/hmac, behind MACID.
+//
+// The rest is written here, each for a reason:
+//
+//   - the ECB, CBC, CFB and OFB modes (FIPS 81), over any 64-bit
+//     cipher.Block: ECB with the paper's confounder XOR has no
+//     standard-library form, and Go deprecates its CFB and OFB streams;
+//   - the paper's prefix MAC MD5(key | data), a construction rather than a
+//     primitive;
+//   - classic Diffie-Hellman over the Oakley MODP groups, and RSA for
+//     certificate signatures: both run on the Montgomery kernel below, and
+//     the certificates keep their own deterministic signature encoding;
+//   - the ChaCha20-Poly1305 AEAD (RFC 8439) behind the modern suites: Go's
+//     standard library has no public implementation, and
+//     golang.org/x/crypto is not a dependency of this module;
 //   - the Blum-Blum-Shub quadratic residue generator (the cryptographically
 //     strong — and deliberately slow — generator the paper cites as the
-//     bottleneck of per-datagram keying),
-//   - a linear congruential generator (the statistically random,
-//     deliberately cheap confounder source the paper recommends),
-//   - CRC-32, the randomising cache-index hash from Section 5.3, and
-//   - the ChaCha20-Poly1305 AEAD (RFC 8439) behind the modern suites.
+//     bottleneck of per-datagram keying) and a linear congruential
+//     generator (the statistically random, deliberately cheap confounder
+//     source the paper recommends), the paper's two generators;
+//   - CRC-32, the randomising cache-index hash from Section 5.3, because
+//     its string form (CRC32UpdateString) keeps the pre-filter's pre-parse
+//     sketch allocation-free.
 //
-// Everything is implemented from first principles on top of math/big and
-// encoding/binary only; the test suite cross-checks each primitive against
-// the Go standard library and published test vectors.
+// The tests pin each primitive with published vectors (FIPS 46, NIST SP
+// 800-67, RFC 1321, FIPS 180-1, RFC 2202, RFC 8439) and cross-check the
+// hand-written ones against the standard library where it has them.
 //
 // Two files are not Go. chacha_amd64.s is an AVX2 ChaCha20 keystream
 // kernel (eight blocks per call) that ChaCha20-Poly1305 uses on amd64 CPUs

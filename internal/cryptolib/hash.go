@@ -1,6 +1,8 @@
 package cryptolib
 
 import (
+	"crypto/md5"
+	"crypto/sha1"
 	"fmt"
 	"hash"
 )
@@ -34,9 +36,9 @@ func (h HashID) String() string {
 func (h HashID) Size() int {
 	switch h {
 	case HashSHA1:
-		return SHA1Size
+		return sha1.Size
 	default:
-		return MD5Size
+		return md5.Size
 	}
 }
 
@@ -44,9 +46,9 @@ func (h HashID) Size() int {
 func (h HashID) New() hash.Hash {
 	switch h {
 	case HashSHA1:
-		return NewSHA1()
+		return sha1.New()
 	default:
-		return NewMD5()
+		return md5.New()
 	}
 }
 

@@ -2,16 +2,15 @@ package cryptolib
 
 import (
 	"bytes"
-	"crypto/hmac"
-	stdmd5 "crypto/md5"
-	stdsha1 "crypto/sha1"
+	"crypto/md5"
+	"crypto/sha1"
 	"encoding/hex"
 	stdcrc "hash/crc32"
 	"testing"
 	"testing/quick"
 )
 
-// RFC 1321 appendix A.5 test suite.
+// RFC 1321 appendix A.5 test suite, through HashID's dispatch.
 func TestMD5RFC1321Vectors(t *testing.T) {
 	vectors := []struct{ in, want string }{
 		{"", "d41d8cd98f00b204e9800998ecf8427e"},
@@ -23,14 +22,14 @@ func TestMD5RFC1321Vectors(t *testing.T) {
 		{"12345678901234567890123456789012345678901234567890123456789012345678901234567890", "57edf4a22be3c955ac49da2e2107b67a"},
 	}
 	for _, v := range vectors {
-		got := MD5Sum([]byte(v.in))
-		if hex.EncodeToString(got[:]) != v.want {
+		got := Digest(HashMD5, []byte(v.in))
+		if hex.EncodeToString(got) != v.want {
 			t.Errorf("MD5(%q) = %x, want %s", v.in, got, v.want)
 		}
 	}
 }
 
-// FIPS 180 test vectors.
+// FIPS 180-1 test vectors, through HashID's dispatch.
 func TestSHA1Vectors(t *testing.T) {
 	vectors := []struct{ in, want string }{
 		{"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
@@ -38,71 +37,62 @@ func TestSHA1Vectors(t *testing.T) {
 		{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
 	}
 	for _, v := range vectors {
-		got := SHA1Sum([]byte(v.in))
-		if hex.EncodeToString(got[:]) != v.want {
+		got := Digest(HashSHA1, []byte(v.in))
+		if hex.EncodeToString(got) != v.want {
 			t.Errorf("SHA1(%q) = %x, want %s", v.in, got, v.want)
 		}
 	}
 }
 
-// Property: our digests match the standard library for random inputs and
-// arbitrary write chunking.
-func TestDigestsAgainstStdlib(t *testing.T) {
-	f := func(data []byte, splits []uint8) bool {
-		ours := NewMD5()
-		std := stdmd5.New()
-		rest := data
-		for _, s := range splits {
-			if len(rest) == 0 {
-				break
-			}
-			n := int(s) % (len(rest) + 1)
-			ours.Write(rest[:n])
-			std.Write(rest[:n])
-			rest = rest[n:]
-		}
-		ours.Write(rest)
-		std.Write(rest)
-		if !bytes.Equal(ours.Sum(nil), std.Sum(nil)) {
-			return false
-		}
-		s1 := SHA1Sum(data)
-		s2 := stdsha1.Sum(data)
-		return bytes.Equal(s1[:], s2[:])
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSumDoesNotDisturbState ensures Sum may be called mid-stream.
+// TestSumDoesNotDisturbState ensures Sum may be called mid-stream, which
+// StreamMAC.Sum relies on.
 func TestSumDoesNotDisturbState(t *testing.T) {
-	m := NewMD5()
+	m := HashMD5.New()
 	m.Write([]byte("hello "))
 	_ = m.Sum(nil)
 	m.Write([]byte("world"))
 	got := m.Sum(nil)
-	want := MD5Sum([]byte("hello world"))
+	want := md5.Sum([]byte("hello world"))
 	if !bytes.Equal(got, want[:]) {
 		t.Fatalf("mid-stream Sum disturbed state: got %x want %x", got, want)
 	}
 }
 
-func TestHMACAgainstStdlib(t *testing.T) {
-	f := func(key, msg []byte) bool {
-		got := MACHMACMD5.Compute(key, msg)
-		std := hmac.New(stdmd5.New, key)
-		std.Write(msg)
-		if !bytes.Equal(got, std.Sum(nil)) {
-			return false
-		}
-		got = MACHMACSHA1.Compute(key, msg)
-		std2 := hmac.New(stdsha1.New, key)
-		std2.Write(msg)
-		return bytes.Equal(got, std2.Sum(nil))
+// RFC 2202 test cases 1-7 for HMAC-MD5 and HMAC-SHA1.
+func TestHMACRFC2202(t *testing.T) {
+	rep := func(b byte, n int) string { return string(bytes.Repeat([]byte{b}, n)) }
+	seq := make([]byte, 25)
+	for i := range seq {
+		seq[i] = byte(i + 1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	const (
+		bigKey  = "Test Using Larger Than Block-Size Key - Hash Key First"
+		bigData = "Test Using Larger Than Block-Size Key and Larger Than One Block-Size Data"
+	)
+	vectors := []struct {
+		id        MACID
+		key, data string
+		want      string
+	}{
+		{MACHMACMD5, rep(0x0b, 16), "Hi There", "9294727a3638bb1c13f48ef8158bfc9d"},
+		{MACHMACMD5, "Jefe", "what do ya want for nothing?", "750c783e6ab0b503eaa86e310a5db738"},
+		{MACHMACMD5, rep(0xaa, 16), rep(0xdd, 50), "56be34521d144c88dbb8c733f0e8b3f6"},
+		{MACHMACMD5, string(seq), rep(0xcd, 50), "697eaf0aca3a3aea3a75164746ffaa79"},
+		{MACHMACMD5, rep(0x0c, 16), "Test With Truncation", "56461ef2342edc00f9bab995690efd4c"},
+		{MACHMACMD5, rep(0xaa, 80), bigKey, "6b1ab7fe4bd7bf8f0b62e6ce61b9d0cd"},
+		{MACHMACMD5, rep(0xaa, 80), bigData, "6f630fad67cda0ee1fb1f562db3aa53e"},
+		{MACHMACSHA1, rep(0x0b, 20), "Hi There", "b617318655057264e28bc0b6fb378c8ef146be00"},
+		{MACHMACSHA1, "Jefe", "what do ya want for nothing?", "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"},
+		{MACHMACSHA1, rep(0xaa, 20), rep(0xdd, 50), "125d7342b9ac11cd91a39af48aa17b4f63f175d3"},
+		{MACHMACSHA1, string(seq), rep(0xcd, 50), "4c9007f4026250c6bc8414f9bf50c86c2d7235da"},
+		{MACHMACSHA1, rep(0x0c, 20), "Test With Truncation", "4c1a03424b55e07fe7f27be1d58bb9324a9a5a04"},
+		{MACHMACSHA1, rep(0xaa, 80), bigKey, "aa4ae5e15272d00e95705637ce8a3b55ed402112"},
+		{MACHMACSHA1, rep(0xaa, 80), bigData, "e8e99d0f45237d786d6bbaa7965c7808bbff1a91"},
+	}
+	for i, v := range vectors {
+		if got := hex.EncodeToString(v.id.Compute([]byte(v.key), []byte(v.data))); got != v.want {
+			t.Errorf("%v case %d: got %s, want %s", v.id, i%7+1, got, v.want)
+		}
 	}
 }
 
@@ -178,15 +168,18 @@ func TestHashIDProperties(t *testing.T) {
 		t.Fatal("wrong names")
 	}
 	got := Digest(HashSHA1, []byte("ab"), []byte("c"))
-	want := SHA1Sum([]byte("abc"))
+	want := sha1.Sum([]byte("abc"))
 	if !bytes.Equal(got, want[:]) {
 		t.Fatal("Digest does not concatenate parts")
 	}
 }
 
+// TestStreamMACMatchesCompute holds every MACID's stream to Compute,
+// including the null MAC and the IDs Compute refuses (MACAEAD and an
+// unknown one), whose stream must not fall back to a real MAC.
 func TestStreamMACMatchesCompute(t *testing.T) {
 	f := func(key, a, b, c []byte) bool {
-		for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1} {
+		for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1, MACNull, MACAEAD, MACID(9)} {
 			s := id.NewStream(key)
 			s.Write(a)
 			s.Write(b)

@@ -1,6 +1,9 @@
 package cryptolib
 
 import (
+	"crypto/hmac"
+	"crypto/md5"
+	"crypto/sha1"
 	"crypto/subtle"
 	"hash"
 )
@@ -8,8 +11,8 @@ import (
 // The paper defines the FBS MAC as HMAC(K_f | confounder | timestamp |
 // payload) where "HMAC" is "some one-way cryptographic hash function" —
 // i.e. a keyed hash in the 1997 "keyed MD5" style, a prefix MAC. This file
-// provides both that construction and RFC 2104 HMAC; the protocol code
-// selects between them via MACID.
+// provides both that construction and RFC 2104 HMAC (crypto/hmac); the
+// protocol code selects between them via MACID.
 
 // MACID names a MAC construction.
 type MACID uint8
@@ -58,9 +61,9 @@ func (m MACID) String() string {
 // Size returns the MAC output size in bytes.
 func (m MACID) Size() int {
 	if m == MACHMACSHA1 {
-		return SHA1Size
+		return sha1.Size
 	}
-	return MD5Size
+	return md5.Size
 }
 
 // Compute evaluates the MAC over the concatenation of parts under key.
@@ -68,21 +71,11 @@ func (m MACID) Size() int {
 // suite's AEAD) return nil rather than silently falling back to a
 // construction the caller did not ask for.
 func (m MACID) Compute(key []byte, parts ...[]byte) []byte {
-	switch m {
-	case MACPrefixMD5:
-		all := make([][]byte, 0, len(parts)+1)
-		all = append(all, key)
-		all = append(all, parts...)
-		return Digest(HashMD5, all...)
-	case MACHMACMD5:
-		return hmacCompute(HashMD5, key, parts)
-	case MACHMACSHA1:
-		return hmacCompute(HashSHA1, key, parts)
-	case MACNull:
-		return make([]byte, MD5Size)
-	default:
-		return nil
+	s := m.NewStream(key)
+	for _, p := range parts {
+		s.Write(p)
 	}
+	return s.Sum()
 }
 
 // Verify recomputes the MAC and compares it against got in constant time.
@@ -109,101 +102,47 @@ func (m MACID) Verify(key, got []byte, parts ...[]byte) bool {
 // (Section 5.3) — each block is fed to the MAC and the cipher in the
 // same traversal.
 type StreamMAC struct {
-	inner hash.Hash
-	outer hash.Hash // nil for prefix MACs
+	h    hash.Hash // nil for MACNull and for the constructions Compute refuses
+	null bool      // MACNull: Sum is all zeros
 }
 
-// NewStream begins an incremental MAC under key. Unknown constructions
-// (and MACAEAD) get the null stream, whose Sum never matches a real MAC.
+// NewStream begins an incremental MAC under key. Its Sum is what Compute
+// returns for the same message: all zeros for MACNull, and nil for
+// MACAEAD and unknown constructions.
 func (m MACID) NewStream(key []byte) *StreamMAC {
 	switch m {
+	case MACPrefixMD5:
+		h := md5.New()
+		h.Write(key)
+		return &StreamMAC{h: h}
+	case MACHMACMD5:
+		return &StreamMAC{h: hmac.New(md5.New, key)}
+	case MACHMACSHA1:
+		return &StreamMAC{h: hmac.New(sha1.New, key)}
 	case MACNull:
-		return &StreamMAC{}
-	case MACHMACMD5, MACHMACSHA1:
-		id := HashMD5
-		if m == MACHMACSHA1 {
-			id = HashSHA1
-		}
-		blockSize := 64
-		k := make([]byte, blockSize)
-		if len(key) > blockSize {
-			copy(k, Digest(id, key))
-		} else {
-			copy(k, key)
-		}
-		ipad := make([]byte, blockSize)
-		opad := make([]byte, blockSize)
-		for i := range k {
-			ipad[i] = k[i] ^ 0x36
-			opad[i] = k[i] ^ 0x5c
-		}
-		inner := id.New()
-		inner.Write(ipad)
-		outer := id.New()
-		outer.Write(opad)
-		return &StreamMAC{inner: inner, outer: outer}
+		return &StreamMAC{null: true}
 	default:
-		inner := HashMD5.New()
-		inner.Write(key)
-		return &StreamMAC{inner: inner}
+		return &StreamMAC{}
 	}
 }
 
 // Write absorbs more message bytes; it never fails.
 func (s *StreamMAC) Write(p []byte) (int, error) {
-	if s.inner == nil { // MACNull
+	if s.h == nil {
 		return len(p), nil
 	}
-	return s.inner.Write(p)
+	return s.h.Write(p)
 }
 
 // Sum finalises and returns the MAC. The stream remains usable for
 // further writes (Sum reports the MAC of everything written so far).
 func (s *StreamMAC) Sum() []byte {
-	if s.inner == nil { // MACNull
-		return make([]byte, MD5Size)
-	}
-	if s.outer == nil {
-		return s.inner.Sum(nil)
-	}
-	// Our hash implementations' Sum does not disturb running state, so
-	// finish on a copy of the outer hash.
-	switch o := s.outer.(type) {
-	case *MD5:
-		c := *o
-		c.Write(s.inner.Sum(nil))
-		return c.Sum(nil)
-	case *SHA1:
-		c := *o
-		c.Write(s.inner.Sum(nil))
-		return c.Sum(nil)
+	switch {
+	case s.h != nil:
+		return s.h.Sum(nil)
+	case s.null:
+		return make([]byte, md5.Size)
 	default:
-		panic("cryptolib: unreachable outer hash type")
+		return nil
 	}
-}
-
-// hmacCompute is RFC 2104: H(K XOR opad | H(K XOR ipad | message)).
-func hmacCompute(id HashID, key []byte, parts [][]byte) []byte {
-	blockSize := 64
-	k := make([]byte, blockSize)
-	if len(key) > blockSize {
-		copy(k, Digest(id, key))
-	} else {
-		copy(k, key)
-	}
-	ipad := make([]byte, blockSize)
-	opad := make([]byte, blockSize)
-	for i := range k {
-		ipad[i] = k[i] ^ 0x36
-		opad[i] = k[i] ^ 0x5c
-	}
-	inner := id.New()
-	inner.Write(ipad)
-	for _, p := range parts {
-		inner.Write(p)
-	}
-	outer := id.New()
-	outer.Write(opad)
-	outer.Write(inner.Sum(nil))
-	return outer.Sum(nil)
 }

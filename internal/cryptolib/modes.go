@@ -1,8 +1,14 @@
 package cryptolib
 
-import "fmt"
+import (
+	"crypto/cipher"
+	"fmt"
+)
 
 // Mode identifies a FIPS 81 mode of operation for a 64-bit block cipher.
+// The modes are written here rather than taken from crypto/cipher: ECB
+// with the confounder XOR has no standard-library form, and Go deprecates
+// its CFB and OFB streams.
 type Mode int
 
 // Supported modes of operation.
@@ -76,18 +82,13 @@ func Unpad(data []byte, blockSize int) ([]byte, error) {
 
 // EncryptMode encrypts src (whose length must be a multiple of the block
 // size; use Pad first) under the given mode with the 8-byte IV iv. It
-// writes into dst, which may alias src, and returns dst.
-func EncryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) {
-	bs := c.BlockSize()
-	if len(src)%bs != 0 {
-		return nil, fmt.Errorf("cryptolib: plaintext length %d not a multiple of block size %d", len(src), bs)
+// writes into dst, which may alias src, and returns dst. c must be a
+// 64-bit block cipher (DES or triple DES).
+func EncryptMode(c cipher.Block, mode Mode, iv, dst, src []byte) ([]byte, error) {
+	if err := checkMode(c, "plaintext", iv, dst, src); err != nil {
+		return nil, err
 	}
-	if len(iv) != bs {
-		return nil, fmt.Errorf("cryptolib: IV length %d != block size %d", len(iv), bs)
-	}
-	if len(dst) < len(src) {
-		return nil, fmt.Errorf("cryptolib: dst too short: %d < %d", len(dst), len(src))
-	}
+	const bs = BlockSize
 	var prev, tmp [BlockSize]byte
 	copy(prev[:], iv)
 	switch mode {
@@ -96,19 +97,19 @@ func EncryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) 
 			for j := 0; j < bs; j++ {
 				tmp[j] = src[i+j] ^ iv[j]
 			}
-			c.EncryptBlock(dst[i:i+bs], tmp[:bs])
+			c.Encrypt(dst[i:i+bs], tmp[:])
 		}
 	case CBC:
 		for i := 0; i < len(src); i += bs {
 			for j := 0; j < bs; j++ {
 				tmp[j] = src[i+j] ^ prev[j]
 			}
-			c.EncryptBlock(dst[i:i+bs], tmp[:bs])
+			c.Encrypt(dst[i:i+bs], tmp[:])
 			copy(prev[:], dst[i:i+bs])
 		}
 	case CFB:
 		for i := 0; i < len(src); i += bs {
-			c.EncryptBlock(tmp[:bs], prev[:bs])
+			c.Encrypt(tmp[:], prev[:])
 			for j := 0; j < bs; j++ {
 				dst[i+j] = src[i+j] ^ tmp[j]
 			}
@@ -116,8 +117,8 @@ func EncryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) 
 		}
 	case OFB:
 		for i := 0; i < len(src); i += bs {
-			c.EncryptBlock(tmp[:bs], prev[:bs])
-			copy(prev[:], tmp[:bs])
+			c.Encrypt(tmp[:], prev[:])
+			copy(prev[:], tmp[:])
 			for j := 0; j < bs; j++ {
 				dst[i+j] = src[i+j] ^ tmp[j]
 			}
@@ -129,23 +130,17 @@ func EncryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) 
 }
 
 // DecryptMode inverts EncryptMode. dst may alias src.
-func DecryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) {
-	bs := c.BlockSize()
-	if len(src)%bs != 0 {
-		return nil, fmt.Errorf("cryptolib: ciphertext length %d not a multiple of block size %d", len(src), bs)
+func DecryptMode(c cipher.Block, mode Mode, iv, dst, src []byte) ([]byte, error) {
+	if err := checkMode(c, "ciphertext", iv, dst, src); err != nil {
+		return nil, err
 	}
-	if len(iv) != bs {
-		return nil, fmt.Errorf("cryptolib: IV length %d != block size %d", len(iv), bs)
-	}
-	if len(dst) < len(src) {
-		return nil, fmt.Errorf("cryptolib: dst too short: %d < %d", len(dst), len(src))
-	}
+	const bs = BlockSize
 	var prev, cur, tmp [BlockSize]byte
 	copy(prev[:], iv)
 	switch mode {
 	case ECB:
 		for i := 0; i < len(src); i += bs {
-			c.DecryptBlock(tmp[:bs], src[i:i+bs])
+			c.Decrypt(tmp[:], src[i:i+bs])
 			for j := 0; j < bs; j++ {
 				dst[i+j] = tmp[j] ^ iv[j]
 			}
@@ -153,20 +148,20 @@ func DecryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) 
 	case CBC:
 		for i := 0; i < len(src); i += bs {
 			copy(cur[:], src[i:i+bs])
-			c.DecryptBlock(tmp[:bs], src[i:i+bs])
+			c.Decrypt(tmp[:], src[i:i+bs])
 			for j := 0; j < bs; j++ {
 				dst[i+j] = tmp[j] ^ prev[j]
 			}
-			copy(prev[:], cur[:bs])
+			copy(prev[:], cur[:])
 		}
 	case CFB:
 		for i := 0; i < len(src); i += bs {
 			copy(cur[:], src[i:i+bs])
-			c.EncryptBlock(tmp[:bs], prev[:bs])
+			c.Encrypt(tmp[:], prev[:])
 			for j := 0; j < bs; j++ {
 				dst[i+j] = src[i+j] ^ tmp[j]
 			}
-			copy(prev[:], cur[:bs])
+			copy(prev[:], cur[:])
 		}
 	case OFB:
 		// OFB is symmetric.
@@ -175,4 +170,21 @@ func DecryptMode(c BlockCipher, mode Mode, iv, dst, src []byte) ([]byte, error) 
 		return nil, fmt.Errorf("cryptolib: unknown mode %v", mode)
 	}
 	return dst[:len(src)], nil
+}
+
+// checkMode validates the arguments EncryptMode and DecryptMode share.
+func checkMode(c cipher.Block, what string, iv, dst, src []byte) error {
+	if bs := c.BlockSize(); bs != BlockSize {
+		return fmt.Errorf("cryptolib: block size %d, the modes need %d", bs, BlockSize)
+	}
+	if len(src)%BlockSize != 0 {
+		return fmt.Errorf("cryptolib: %s length %d not a multiple of block size %d", what, len(src), BlockSize)
+	}
+	if len(iv) != BlockSize {
+		return fmt.Errorf("cryptolib: IV length %d != block size %d", len(iv), BlockSize)
+	}
+	if len(dst) < len(src) {
+		return fmt.Errorf("cryptolib: dst too short: %d < %d", len(dst), len(src))
+	}
+	return nil
 }

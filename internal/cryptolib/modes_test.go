@@ -2,6 +2,7 @@ package cryptolib
 
 import (
 	"bytes"
+	"crypto/aes"
 	"crypto/cipher"
 	stddes "crypto/des"
 	"crypto/rand"
@@ -9,7 +10,7 @@ import (
 	"testing/quick"
 )
 
-func testCipher(t *testing.T) *DES {
+func testCipher(t *testing.T) cipher.Block {
 	t.Helper()
 	d, err := NewDES([]byte("01234567"))
 	if err != nil {
@@ -128,6 +129,20 @@ func TestModeErrors(t *testing.T) {
 	}
 	if _, err := EncryptMode(d, Mode(99), iv, make([]byte, 8), make([]byte, 8)); err == nil {
 		t.Error("EncryptMode accepted unknown mode")
+	}
+	// A 16-byte block cipher is a cipher.Block too; the modes refuse it
+	// rather than overrun their 8-byte scratch blocks.
+	blk, err := aes.NewCipher(make([]byte, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{ECB, CBC, CFB, OFB} {
+		if _, err := EncryptMode(blk, mode, make([]byte, 16), make([]byte, 16), make([]byte, 16)); err == nil {
+			t.Errorf("EncryptMode %v accepted a 16-byte block cipher", mode)
+		}
+		if _, err := DecryptMode(blk, mode, make([]byte, 16), make([]byte, 16), make([]byte, 16)); err == nil {
+			t.Errorf("DecryptMode %v accepted a 16-byte block cipher", mode)
+		}
 	}
 }
 

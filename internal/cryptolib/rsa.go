@@ -1,6 +1,7 @@
 package cryptolib
 
 import (
+	"crypto/md5"
 	"crypto/rand"
 	"crypto/subtle"
 	"fmt"
@@ -109,7 +110,7 @@ func (k *RSAPrivateKey) Sign(message []byte) ([]byte, error) {
 }
 
 func (k *RSAPrivateKey) sign(message []byte, exp, verifyExp expFunc) ([]byte, error) {
-	digest := MD5Sum(message)
+	digest := md5.Sum(message)
 	modBytes := (k.N.BitLen() + 7) / 8
 	padded, err := padDigest(digest[:], modBytes)
 	if err != nil {
@@ -145,7 +146,7 @@ func (k *RSAPublicKey) verify(message, sig []byte, exp expFunc) bool {
 		return false
 	}
 	m := exp(s, k.E, k.N)
-	digest := MD5Sum(message)
+	digest := md5.Sum(message)
 	want, err := padDigest(digest[:], modBytes)
 	if err != nil {
 		return false

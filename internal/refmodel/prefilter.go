@@ -18,6 +18,7 @@ package refmodel
 // hashing, scoring and decay.
 
 import (
+	"crypto/md5"
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -125,7 +126,7 @@ func newRefPrefilter(cfg PrefilterConfig) (*refPrefilter, error) {
 		in := make([]byte, 0, len("fbs-prefilter-root")+len(cfg.SecretSeed))
 		in = append(in, "fbs-prefilter-root"...)
 		in = append(in, cfg.SecretSeed...)
-		p.root = cryptolib.MD5Sum(in)
+		p.root = md5.Sum(in)
 	} else if _, err := crand.Read(p.root[:]); err != nil {
 		return nil, fmt.Errorf("refmodel: prefilter secret: %w", err)
 	}

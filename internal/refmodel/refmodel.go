@@ -29,6 +29,7 @@ package refmodel
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/md5"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -276,7 +277,7 @@ func (e *Endpoint) flowKey(sfl uint64, src, dst, peer principal.Address) ([16]by
 	buf = append(buf, master[:]...)
 	buf = append(buf, src.Wire()...)
 	buf = append(buf, dst.Wire()...)
-	return cryptolib.MD5Sum(buf), nil
+	return md5.Sum(buf), nil
 }
 
 // slotIndex restates the CRC-32 table index of Figure 7: CRC over
@@ -589,7 +590,7 @@ func ivOf(hdr []byte) []byte {
 }
 
 // newCipher builds the payload cipher for a flow key.
-func newCipher(id core.CipherID, kf [16]byte) (cryptolib.BlockCipher, error) {
+func newCipher(id core.CipherID, kf [16]byte) (cipher.Block, error) {
 	switch id {
 	case core.CipherDES:
 		return cryptolib.NewDES(kf[:8])
@@ -634,7 +635,7 @@ func newAEAD(id core.CipherID, kf [16]byte) (sealedBox, error) {
 		expand := make([]byte, 0, 16+34)
 		expand = append(expand, kf[:]...)
 		expand = append(expand, []byte("fbs chacha20poly1305 key expand v1")...)
-		sum := cryptolib.MD5Sum(expand)
+		sum := md5.Sum(expand)
 		key = append(key, sum[:]...)
 		return cryptolib.NewPortableChaCha20Poly1305(key)
 	default:

@@ -17,21 +17,49 @@ import (
 )
 
 type benchWire struct {
-	mu    sync.Mutex
-	peers map[ip.Addr]*ip.Stack
+	mu     sync.Mutex
+	peers  map[ip.Addr]*ip.Stack
+	queues map[*ip.Stack]*[][]byte // pending frames of a destination being drained
 }
 
+// sender delivers like a lossless link: each destination gets its frames
+// in the order they were sent, from one goroutine that drains its queue
+// while frames wait.
 func (w *benchWire) sender(self ip.Addr) ip.LinkFunc {
 	return ip.LinkFunc(func(frame []byte) error {
 		w.mu.Lock()
+		defer w.mu.Unlock()
 		var dst *ip.Stack
 		if h, _, err := ip.Unmarshal(frame); err == nil {
 			dst = w.peers[h.Dst]
 		}
-		w.mu.Unlock()
-		if dst != nil {
-			go dst.Input(append([]byte(nil), frame...))
+		if dst == nil {
+			return nil
 		}
+		frame = append([]byte(nil), frame...)
+		if q := w.queues[dst]; q != nil {
+			*q = append(*q, frame)
+			return nil
+		}
+		if w.queues == nil {
+			w.queues = make(map[*ip.Stack]*[][]byte)
+		}
+		q := &[][]byte{frame}
+		w.queues[dst] = q
+		go func() {
+			for {
+				w.mu.Lock()
+				if len(*q) == 0 {
+					delete(w.queues, dst)
+					w.mu.Unlock()
+					return
+				}
+				f := (*q)[0]
+				*q = (*q)[1:]
+				w.mu.Unlock()
+				dst.Input(f)
+			}
+		}()
 		return nil
 	})
 }

@@ -680,7 +680,7 @@ func BenchmarkKeyingMiss(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sealed, err := a.SealAppend(wire[:0], dg, true)
+			sealed, err := a.SealAppend(wire[:0], dg, nil, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -692,7 +692,8 @@ func BenchmarkKeyingMiss(b *testing.B) {
 	b.Run("new-flow-known-peer/seal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := a.SealFlowAppend(wire[:0], dg, fresh(), true); err != nil {
+			id := fresh()
+			if _, err := a.SealAppend(wire[:0], dg, &id, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -707,7 +708,8 @@ func BenchmarkKeyingMiss(b *testing.B) {
 				b.StopTimer()
 				arrivals = arrivals[:0]
 				for j := 0; j < chunk; j++ {
-					sealed, err := a.SealFlowAppend(nil, dg, fresh(), true)
+					id := fresh()
+					sealed, err := a.SealAppend(nil, dg, &id, true)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -724,7 +726,7 @@ func BenchmarkKeyingMiss(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a.FlushPeer("miss-b")
-			if _, err := a.SealAppend(wire[:0], dg, true); err != nil {
+			if _, err := a.SealAppend(wire[:0], dg, nil, true); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -838,7 +840,7 @@ func BenchmarkEndpointParallel(b *testing.B) {
 		sealOpen(b, sender, ep, dgs[i], false) // warm flow + key caches
 	}
 	roundTrip := func(sealBuf, openBuf []byte, j int) ([]byte, []byte) {
-		sealed, err := sender.SealAppend(sealBuf[:0], dgs[j], false)
+		sealed, err := sender.SealAppend(sealBuf[:0], dgs[j], nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -892,7 +894,7 @@ func BenchmarkSealOpenAllocs(b *testing.B) {
 	sealBuf := make([]byte, 0, core.HeaderSize+len(payload))
 	openBuf := make([]byte, 0, core.HeaderSize+len(payload))
 	roundTrip := func() {
-		sealed, err := a.SealAppend(sealBuf[:0], dg, false)
+		sealed, err := a.SealAppend(sealBuf[:0], dg, nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -965,7 +967,7 @@ func BenchmarkRunOfOne(b *testing.B) {
 		}{
 			{"Open", openAllocs, func() error { _, err := bb.Open(wire); return err }},
 			{"OpenAppend", 0, func() error { _, err := bb.OpenAppend(buf[:0], wire); return err }},
-			{"SealAppend", 0, func() error { _, err := a.SealAppend(buf[:0], dg, secret); return err }},
+			{"SealAppend", 0, func() error { _, err := a.SealAppend(buf[:0], dg, nil, secret); return err }},
 			{"Seal", 1, func() error { _, err := a.Seal(dg, secret); return err }},
 		} {
 			b.Run(name+"/"+r.op, func(b *testing.B) {
@@ -1012,7 +1014,7 @@ func TestSealOpenAllocsWithTracer(t *testing.T) {
 	sealBuf := make([]byte, 0, core.HeaderSize+len(payload))
 	openBuf := make([]byte, 0, core.HeaderSize+len(payload))
 	roundTrip := func() {
-		sealed, err := a.SealAppend(sealBuf[:0], dg, false)
+		sealed, err := a.SealAppend(sealBuf[:0], dg, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -369,7 +369,7 @@ func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, m
 	sealBuf := make([]byte, 0, core.HeaderSize+len(payload)+cryptolib.BlockSize)
 	openBuf := make([]byte, 0, core.HeaderSize+len(payload)+cryptolib.BlockSize)
 	sealOpen := func() error {
-		sealed, err := a.SealAppend(sealBuf[:0], dg, secret)
+		sealed, err := a.SealAppend(sealBuf[:0], dg, nil, secret)
 		if err != nil {
 			return err
 		}

@@ -15,10 +15,8 @@
 //	fbsudp -mode send -listen 127.0.0.1:7000 -peer 127.0.0.1:7001 \
 //	       -state /tmp/fbsudp.state -msg "hello over real UDP"
 //
-// Start the receiver first with the same -state path. With -batch N
-// both sides drive the batched data plane instead: the sender seals and
-// transmits N-datagram windows through SendBatch (sendmmsg/UDP GSO on
-// Linux), the receiver drains them through ReceiveBatch (recvmmsg).
+// Start the sender first: it writes the -state file and waits for
+// enter while the receiver starts on the same path.
 //
 // With -prefilter on both sides the receiver pins the edge pre-filter
 // at its sketch+challenge rung: first-contact datagrams are refused
@@ -66,7 +64,6 @@ func main() {
 	count := flag.Int("count", 3, "datagrams to send/receive")
 	adminAddr := flag.String("admin", "", "serve the observability admin plane (/metrics, /flows, /traces, pprof) on this address")
 	statsJSON := flag.Bool("stats-json", false, "emit the completion stats summary as JSON on stdout")
-	batch := flag.Int("batch", 0, "batch size for SendBatch/ReceiveBatch (0 = single-datagram calls)")
 	prefilter := flag.Bool("prefilter", false, "recv: pin the edge pre-filter at sketch+challenge; send: absorb challenges and attach cookie echoes")
 	prefilterSeed := flag.String("prefilter-seed", "", "recv: derive the rotating cookie secret from this seed (restarts keep honouring minted cookies)")
 	flag.Parse()
@@ -74,9 +71,9 @@ func main() {
 	var err error
 	switch *mode {
 	case "send":
-		err = send(*listen, *peer, *statePath, *msg, *count, *batch, *adminAddr, *statsJSON, *prefilter)
+		err = send(*listen, *peer, *statePath, *msg, *count, *adminAddr, *statsJSON, *prefilter)
 	case "recv":
-		err = recv(*listen, *statePath, *count, *batch, *adminAddr, *statsJSON, *prefilter, *prefilterSeed)
+		err = recv(*listen, *statePath, *count, *adminAddr, *statsJSON, *prefilter, *prefilterSeed)
 	default:
 		err = fmt.Errorf("need -mode send or -mode recv")
 	}
@@ -194,12 +191,9 @@ func printStats(role string, ep *fbs.Endpoint, asJSON bool) {
 	}
 }
 
-func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr string, statsJSON bool, prefilter bool) error {
+func send(listen, peerAddr, statePath, msg string, count int, adminAddr string, statsJSON bool, prefilter bool) error {
 	if peerAddr == "" {
 		return fmt.Errorf("send mode needs -peer")
-	}
-	if prefilter && batch > 0 {
-		return fmt.Errorf("-prefilter drives the single-datagram path; drop -batch")
 	}
 	d, err := fbs.NewDomain("fbsudp")
 	if err != nil {
@@ -248,32 +242,6 @@ func send(listen, peerAddr, statePath, msg string, count, batch int, adminAddr s
 			}
 		}()
 	}
-	if batch > 0 {
-		// Batched data plane: seal whole windows through SealBatch and
-		// hand them to the transport's sendmmsg path in one call.
-		for i := 0; i < count; i += batch {
-			n := batch
-			if count-i < n {
-				n = count - i
-			}
-			dgs := make([]transport.Datagram, n)
-			for k := range dgs {
-				dgs[k] = transport.Datagram{
-					Source:      "sender",
-					Destination: "receiver",
-					Payload:     []byte(fmt.Sprintf("%s [%d]", msg, i+k)),
-				}
-			}
-			sent, err := ep.SendBatch(dgs, true)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("sent encrypted batch of %d (datagrams %d-%d)\n", sent, i, i+sent-1)
-			time.Sleep(100 * time.Millisecond)
-		}
-		report()
-		return nil
-	}
 	var learned uint64
 	for i := 0; i < count; i++ {
 		payload := fmt.Sprintf("%s [%d]", msg, i)
@@ -309,7 +277,7 @@ func writeState(d *fbs.Domain, path, sendAddr string) error {
 	return fbs.WriteProvision(path, state{Provision: prov, SendAddr: sendAddr})
 }
 
-func recv(listen, statePath string, count, batch int, adminAddr string, statsJSON bool, prefilter bool, prefilterSeed string) error {
+func recv(listen, statePath string, count int, adminAddr string, statsJSON bool, prefilter bool, prefilterSeed string) error {
 	blob, err := os.ReadFile(statePath)
 	if err != nil {
 		return fmt.Errorf("reading provisioning state (run the sender first): %w", err)
@@ -341,27 +309,8 @@ func recv(listen, statePath string, count, batch int, adminAddr string, statsJSO
 		fmt.Println("edge pre-filter pinned at sketch+challenge: first contact must echo a cookie")
 	}
 	fmt.Printf("listening on %s\n", listen)
-	if batch > 0 {
-		// Batched data plane: one ReceiveBatch call drains up to a whole
-		// recvmmsg window and opens it through OpenBatch.
-		for got := 0; got < count; {
-			accepted, arrived, err := ep.ReceiveBatch(batch)
-			if err != nil {
-				return err
-			}
-			for _, dg := range accepted {
-				fmt.Printf("verified+decrypted from %s: %q\n", dg.Source, dg.Payload)
-			}
-			if dropped := arrived - len(accepted); dropped > 0 {
-				fmt.Printf("batch dropped %d of %d arrived datagrams\n", dropped, arrived)
-			}
-			got += arrived
-		}
-		report()
-		return nil
-	}
 	for i := 0; i < count; i++ {
-		dg, err := ep.ReceiveValid()
+		dg, err := ep.Receive()
 		if err != nil {
 			return err
 		}

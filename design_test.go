@@ -331,6 +331,70 @@ func TestDesignPathsExist(t *testing.T) {
 	}
 }
 
+// doorPrefixes are the verbs of Endpoint's datagram entry points.
+var doorPrefixes = []string{"Seal", "Open", "Send", "Receive"}
+
+// TestEntryPointTable holds the fourth census's rule: DESIGN.md's
+// entry-point table lists exactly the exported Seal*, Open*, Send* and
+// Receive* methods of *core.Endpoint, both ways. A door cannot be added
+// without a row that names its callers, and a row cannot outlive its
+// door.
+func TestEntryPointTable(t *testing.T) {
+	doors := map[string]bool{}
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		if dir != "internal/core" || !censused(dir, path) {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := star.X.(*ast.Ident); !ok || id.Name != "Endpoint" {
+				continue
+			}
+			for _, p := range doorPrefixes {
+				if strings.HasPrefix(fd.Name.Name, p) {
+					doors[fd.Name.Name] = true
+				}
+			}
+		}
+	})
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n| Entry point | Non-test callers |\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"| Entry point | Non-test callers |\" table")
+	}
+	if i := strings.Index(table, "\n\n"); i >= 0 {
+		table = table[:i]
+	}
+	rows := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([^`]+)` \\|").FindAllStringSubmatch(table, -1) {
+		if rows[m[1]] {
+			t.Errorf("DESIGN.md's entry-point table lists %s twice", m[1])
+		}
+		rows[m[1]] = true
+	}
+	for door := range doors {
+		if !rows[door] {
+			t.Errorf("(*core.Endpoint).%s is a datagram entry point but DESIGN.md's entry-point table has no row for it: name its callers there, or fold it into a door that exists", door)
+		}
+	}
+	for row := range rows {
+		if !doors[row] {
+			t.Errorf("DESIGN.md's entry-point table lists %s, which is not an exported Seal*/Open*/Send*/Receive* method of *core.Endpoint; delete the row", row)
+		}
+	}
+	t.Logf("%d entry points; %d rows", len(doors), len(rows))
+}
+
 // unsetKnobs are the internal/core configuration values that
 // TestEveryKnobHasASetter lets stand without a setter outside
 // internal/core, each with the reason. The list is capped at 2: a knob

@@ -30,7 +30,7 @@ func Example() {
 	if err := alice.SendTo("bob", []byte("hello, flows"), true); err != nil {
 		log.Fatal(err)
 	}
-	dg, err := bob.ReceiveValid()
+	dg, err := bob.Receive()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 		if err := alice.SendTo("bob", []byte(msg), true); err != nil {
 			log.Fatal(err)
 		}
-		dg, err := bob.ReceiveValid()
+		dg, err := bob.Receive()
 		if err != nil {
 			log.Fatal(err)
 		}

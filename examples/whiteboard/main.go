@@ -85,7 +85,7 @@ func main() {
 		if err := eps[m.from].SendTo(m.to, payload, true); err != nil {
 			log.Fatal(err)
 		}
-		got, err := eps[m.to].ReceiveValid()
+		got, err := eps[m.to].Receive()
 		if err != nil {
 			log.Fatal(err)
 		}

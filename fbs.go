@@ -22,7 +22,7 @@
 //	bob, _ := domain.NewEndpoint("bob", net)
 //
 //	alice.SendTo("bob", []byte("hello, flows"), true /* encrypt */)
-//	dg, _ := bob.ReceiveValid()
+//	dg, _ := bob.Receive() // next verified datagram; refusals are counted and skipped
 //
 // Endpoints expose the full protocol surface — Seal/Open for embedding
 // FBS under another protocol layer (see the IP mapping in

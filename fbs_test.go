@@ -45,7 +45,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := alice.SendTo("bob", want, true); err != nil {
 		t.Fatal(err)
 	}
-	dg, err := bob.ReceiveValid()
+	dg, err := bob.Receive()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDomainRekeyFlow(t *testing.T) {
 	if err := a.SendTo("rk-b", []byte("before rekey"), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.ReceiveValid(); err != nil {
+	if _, err := b.Receive(); err != nil {
 		t.Fatal(err)
 	}
 	// b rekeys, re-enrolls, and drops its derived soft state (all of it
@@ -156,7 +156,11 @@ func TestDomainRekeyFlow(t *testing.T) {
 	if err := a.SendTo("rk-b", []byte("stale key"), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Receive(); !errors.Is(err, ErrBadMAC) {
+	wire, err := trB.Receive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Open(wire); !errors.Is(err, ErrBadMAC) {
 		t.Fatalf("stale-keyed datagram: err = %v, want ErrBadMAC", err)
 	}
 	// Once a also flushes, the pair re-converges on the new master key
@@ -165,7 +169,7 @@ func TestDomainRekeyFlow(t *testing.T) {
 	if err := a.SendTo("rk-b", []byte("after rekey"), true); err != nil {
 		t.Fatal(err)
 	}
-	dg, err := b.ReceiveValid()
+	dg, err := b.Receive()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -740,11 +740,21 @@ func (e *Endpoint) deliver(dst []byte, off int, plain []byte, h *Header, alias *
 // to the transport in one batched call (transport.SendBatch, which uses
 // the transport's native vector path when it has one). It returns how
 // many datagrams were transmitted; per-datagram seal refusals are
-// counted in Snapshot exactly as Send counts them and simply drop out of
-// the transmitted set. Traced datagrams get their seal-stage spans as
-// usual but no per-send transport span — the batched hand-off is one
-// operation, not N.
+// counted in Snapshot and simply drop out of the transmitted set.
 func (e *Endpoint) SendBatch(dgs []transport.Datagram, secret bool) (int, error) {
+	n, _, err := e.send(dgs, secret, true)
+	return n, err
+}
+
+// send is FBSSend's step S10 for Send and SendBatch alike: seal dgs,
+// echo any pending cookie challenge, hand the sealed datagrams to the
+// transport in one call and count what it took. It returns how many
+// the transport took, the first seal refusal, and the transport's
+// error. The wire buffer is the call's own, never pooled:
+// Transport.Send may keep the payload it is given. A traced datagram's
+// transport_send span is timed by the hand-off that carried it. batch
+// marks a SendBatch call, which the fbs_batch_* histograms count.
+func (e *Endpoint) send(dgs []transport.Datagram, secret, batch bool) (n int, refused, err error) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	if cap(sc.res) < len(dgs) {
@@ -755,25 +765,21 @@ func (e *Endpoint) SendBatch(dgs []transport.Datagram, secret bool) (int, error)
 	for i := range dgs {
 		capHint += len(dgs[i].Payload) + sealRoom
 	}
-	if cap(sc.buf) < capHint {
-		sc.buf = make([]byte, 0, capHint)
-	}
-	// The wire buffer is pooled: both in-repo transports copy the
-	// payload out before returning (the network clones on inject, the
-	// UDP paths copy into the kernel), so the hand-off ends when
-	// transport.SendBatch returns.
-	buf, _ := e.SealBatch(sc.buf[:0], dgs, secret, res)
-	sc.buf = buf
-	wires := sc.wires[:0]
-	orig := sc.orig[:0]
+	buf, _ := e.sealWalk(make([]byte, 0, capHint), dgs, nil, secret, res, batch)
+	wires, orig := sc.wires[:0], sc.orig[:0]
+	traced := false
 	for i := range res {
 		if res[i].Err != nil {
+			if refused == nil {
+				refused = res[i].Err
+			}
 			continue
 		}
 		payload := buf[res[i].Off : res[i].Off+res[i].Len]
 		if e.pf != nil {
-			// Echo a pending cookie challenge, as Send does: the envelope
-			// wraps the sealed bytes, leaving the wire image intact.
+			// Echo a pending cookie challenge from this destination: the
+			// envelope wraps the already-sealed datagram, so the sealed
+			// wire image itself is unchanged.
 			payload = e.prefilterWrap(payload, dgs[i].Destination)
 		}
 		wires = append(wires, transport.Datagram{
@@ -783,18 +789,43 @@ func (e *Endpoint) SendBatch(dgs []transport.Datagram, secret bool) (int, error)
 			Trace:       res[i].Trace,
 		})
 		orig = append(orig, i)
+		traced = traced || res[i].Trace != 0
 	}
 	sc.wires, sc.orig = wires, orig
-	n, err := transport.SendBatch(e.cfg.Transport, wires)
-	for i := 0; i < n; i++ {
+	var t time.Time
+	if traced {
+		t = time.Now()
+	}
+	n, err = transport.SendBatch(e.cfg.Transport, wires)
+	if traced {
+		e.sendSpans(wires, n, err, t, time.Since(t))
+	}
+	for _, i := range orig[:n] {
 		e.metrics.sent.Add(1)
-		e.metrics.sentBytes.Add(uint64(len(dgs[orig[i]].Payload)))
+		e.metrics.sentBytes.Add(uint64(len(dgs[i].Payload)))
 		if secret {
 			e.metrics.sentSecret.Add(1)
 		}
 	}
 	clearDatagrams(wires)
-	return n, err
+	return n, refused, err
+}
+
+// sendSpans emits one transport_send span per traced datagram of a
+// hand-off that started at t and took dur; the datagrams past the first
+// n carry the hand-off's error as their drop reason.
+func (e *Endpoint) sendSpans(wires []transport.Datagram, n int, err error, t time.Time, dur time.Duration) {
+	for i := range wires {
+		if wires[i].Trace == 0 {
+			continue
+		}
+		sp := Span{Trace: wires[i].Trace, Kind: SpanTransportSend, Seal: true,
+			Start: t, Dur: dur, Attr: uint64(len(wires[i].Payload))}
+		if i >= n && err != nil {
+			sp.Drop = DropReasonOf(err)
+		}
+		e.cfg.Tracer.Span(sp)
+	}
 }
 
 // ReceiveBatch blocks for the next batch from the transport (up to max
@@ -847,10 +878,9 @@ func (e *Endpoint) ReceiveBatch(max int) (accepted []transport.Datagram, arrived
 
 // batchScratch recycles the per-call slices of the SendBatch and
 // ReceiveBatch convenience wrappers, so steady-state batch I/O costs
-// one cleartext allocation per received batch and nothing per sent
-// one.
+// one cleartext allocation per received batch and one wire buffer per
+// sent one.
 type batchScratch struct {
-	buf   []byte
 	res   []BatchResult
 	wires []transport.Datagram
 	orig  []int

@@ -47,7 +47,7 @@ func (nullTransport) Close() error { return nil }
 
 // TestSealBatchMatchesSingleLoop pins the central batch invariant: a
 // SealBatch over a mixed-flow sequence produces byte-for-byte the wire
-// datagrams a loop of single SealFlowAppend calls produces on an
+// datagrams a loop of single SealAppend calls produces on an
 // identically configured endpoint, with identical counter movement.
 func TestSealBatchMatchesSingleLoop(t *testing.T) {
 	for _, cipher := range []CipherID{CipherAES128GCM, CipherChaCha20Poly1305} {
@@ -80,7 +80,7 @@ func TestSealBatchMatchesSingleLoop(t *testing.T) {
 			var offs []int
 			for _, dg := range dgs {
 				offs = append(offs, len(single))
-				out, err := loopEP.SealAppend(single, dg, true)
+				out, err := loopEP.SealAppend(single, dg, nil, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -372,7 +372,7 @@ func TestBatchObservationGates(t *testing.T) {
 	var wires [][]byte
 	t.Run("seal/single", func(t *testing.T) {
 		for _, dg := range dgsTo("obs-b") {
-			out, err := sender.SealAppend(nil, dg, true)
+			out, err := sender.SealAppend(nil, dg, nil, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -515,7 +515,7 @@ func TestBatchObservationGates(t *testing.T) {
 				}
 			} else {
 				for i, dg := range dgs {
-					wire, err := a.SealAppend(nil, dg, true)
+					wire, err := a.SealAppend(nil, dg, nil, true)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -587,7 +587,8 @@ func TestBatchObservationGates(t *testing.T) {
 // a metadata-preserving transport, both ends sharing an always-sampling
 // tracer. Each wire must carry its seal's trace ID, as Send's does, so
 // the receiver continues the sender's trace: three traces, each holding
-// both roots — not three seal traces beside three open traces.
+// both roots — not three seal traces beside three open traces — and one
+// transport_send span for the hand-off that carried it.
 func TestSendBatchCarriesTraceIDs(t *testing.T) {
 	w := newWorld(t)
 	tr := &recordingTracer{spans: map[TraceID][]Span{}}
@@ -637,12 +638,19 @@ func TestSendBatchCarriesTraceIDs(t *testing.T) {
 	}
 	for i, spans := range traces {
 		var sealRoot, openRoot bool
+		sends := 0
 		for _, sp := range spans {
 			sealRoot = sealRoot || sp.Kind == SpanSeal
 			openRoot = openRoot || sp.Kind == SpanOpen
+			if sp.Kind == SpanTransportSend {
+				sends++
+			}
 		}
 		if !sealRoot || !openRoot {
 			t.Errorf("trace %d: seal root %v, open root %v; want one trace spanning both ends", i, sealRoot, openRoot)
+		}
+		if sends != 1 {
+			t.Errorf("trace %d: %d transport_send spans, want the batch hand-off's one", i, sends)
 		}
 	}
 }

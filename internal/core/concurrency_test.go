@@ -81,7 +81,7 @@ func TestConcurrentSealOpenReconciles(t *testing.T) {
 						Source:      "hub",
 						Destination: ep.Addr(),
 						Payload:     payload,
-					}, false)
+					}, nil, false)
 					if err != nil {
 						errs <- fmt.Errorf("goroutine %d seal to %s: %w", g, ep.Addr(), err)
 						return

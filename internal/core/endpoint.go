@@ -687,100 +687,54 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *looka
 // optionally encrypt. It returns the protected datagram ready for the
 // underlying transport. Seal does not transmit; Send does.
 func (e *Endpoint) Seal(dg transport.Datagram, secret bool) (transport.Datagram, error) {
-	if dg.Source == "" {
-		dg.Source = e.Addr()
-	}
-	return e.SealFlow(dg, e.cfg.Selector(dg), secret)
-}
-
-// SealAppend is the allocation-free form of Seal: it appends the sealed
-// datagram (header then body) to dst and returns the extended slice.
-// With sufficient capacity in dst the steady-state path performs no
-// allocation. dst must not alias dg.Payload.
-func (e *Endpoint) SealAppend(dst []byte, dg transport.Datagram, secret bool) ([]byte, error) {
-	if dg.Source == "" {
-		dg.Source = e.Addr()
-	}
-	return e.SealFlowAppend(dst, dg, e.cfg.Selector(dg), secret)
-}
-
-// SealFlow is Seal with the flow attributes supplied by the caller
-// instead of the configured Selector. Protocol mappings that know more
-// about the datagram than the opaque payload shows (e.g. the IP mapping,
-// which has the protocol number from the IP header) use this entry
-// point.
-func (e *Endpoint) SealFlow(dg transport.Datagram, id FlowID, secret bool) (transport.Datagram, error) {
-	if dg.Source == "" {
-		dg.Source = e.Addr()
-	}
-	out, tid, err := e.sealOne(make([]byte, 0, len(dg.Payload)+sealRoom), dg, id, secret)
+	out, sealed, err := e.sealOne(make([]byte, 0, len(dg.Payload)+sealRoom), dg, nil, secret)
 	if err != nil {
 		return transport.Datagram{}, err
 	}
-	return transport.Datagram{Source: dg.Source, Destination: dg.Destination, Payload: out, Trace: tid}, nil
+	sealed.Payload = out
+	return sealed, nil
 }
 
-// SealFlowAppend is the allocation-free form of SealFlow. The sealed
-// datagram — or, for a bypassed peer, the payload unchanged — is
-// appended to dst. A seal needs HeaderSize+len(payload)+MACLen bytes of
-// capacity (room for a legacy suite's padding block or an AEAD suite's
-// staged tag); give dst that much and the steady-state path allocates
-// nothing. dst must not alias dg.Payload.
-func (e *Endpoint) SealFlowAppend(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, error) {
-	out, _, err := e.sealOne(dst, dg, id, secret)
+// SealAppend is the allocation-free form of Seal: it appends the sealed
+// datagram (header then body) — or, for a bypassed peer, the payload
+// unchanged — to dst and returns the extended slice. flow names the
+// datagram's flow attributes; nil takes them from Config.Selector.
+// Protocol mappings that know more about the datagram than the opaque
+// payload shows (the IP mapping, which has the five-tuple from the IP
+// header) pass them here. A seal needs HeaderSize+len(payload)+MACLen
+// bytes of capacity (room for a legacy suite's padding block or an AEAD
+// suite's staged tag); give dst that much and the steady-state path
+// allocates nothing. dst must not alias dg.Payload.
+func (e *Endpoint) SealAppend(dst []byte, dg transport.Datagram, flow *FlowID, secret bool) ([]byte, error) {
+	out, _, err := e.sealOne(dst, dg, flow, secret)
 	return out, err
 }
 
-// sealOne is the single doors' way into sealWalk: dg as a run of one
-// under the flow its caller chose. It reports the trace ID the
-// observation gate allocated (0 when untraced), which SealFlow stamps
-// on the sealed Datagram for Send.
-func (e *Endpoint) sealOne(dst []byte, dg transport.Datagram, id FlowID, secret bool) ([]byte, TraceID, error) {
+// sealOne is the single doors' way into sealWalk: dg as a run of one.
+// It returns dg as the walk left it — Source defaulted, Trace set when
+// the observation gate fired — which Seal hands back with the sealed
+// bytes as its payload.
+func (e *Endpoint) sealOne(dst []byte, dg transport.Datagram, flow *FlowID, secret bool) ([]byte, transport.Datagram, error) {
 	one := [1]transport.Datagram{dg}
 	var res [1]BatchResult
-	out, _ := e.sealWalk(dst, one[:], &id, secret, res[:], false)
+	out, _ := e.sealWalk(dst, one[:], flow, secret, res[:], false)
 	if res[0].Err != nil {
-		return nil, 0, res[0].Err
+		return nil, transport.Datagram{}, res[0].Err
 	}
-	return out, res[0].Trace, nil
+	one[0].Trace = res[0].Trace
+	return out, one[0], nil
 }
 
-// Send seals and transmits a datagram (FBSSend step S10). A traced
-// datagram (see Config.Tracer) carries its trace ID in the sealed
-// Datagram's metadata, and the transport handoff is timed as its own
-// span.
+// Send seals and transmits a datagram (FBSSend step S10): SendBatch's
+// body over a batch of one. It returns the seal's refusal, or else the
+// transport's error.
 func (e *Endpoint) Send(dg transport.Datagram, secret bool) error {
-	sealed, err := e.Seal(dg, secret)
-	if err != nil {
-		return err
+	one := [1]transport.Datagram{dg}
+	_, refused, err := e.send(one[:], secret, false)
+	if refused != nil {
+		return refused
 	}
-	if e.pf != nil {
-		// Echo a pending cookie challenge from this destination: the
-		// envelope wraps the already-sealed datagram, so the sealed wire
-		// image itself is unchanged.
-		sealed.Payload = e.prefilterWrap(sealed.Payload, sealed.Destination)
-	}
-	if tr := e.cfg.Tracer; tr != nil && sealed.Trace != 0 {
-		t := time.Now()
-		err = e.cfg.Transport.Send(sealed)
-		sp := Span{Trace: sealed.Trace, Kind: SpanTransportSend, Seal: true,
-			Start: t, Dur: time.Since(t), Attr: uint64(len(sealed.Payload))}
-		if err != nil {
-			sp.Drop = DropReasonOf(err)
-		}
-		tr.Span(sp)
-	} else {
-		err = e.cfg.Transport.Send(sealed)
-	}
-	if err != nil {
-		return err
-	}
-	e.metrics.sent.Add(1)
-	e.metrics.sentBytes.Add(uint64(len(dg.Payload)))
-	if secret {
-		e.metrics.sentSecret.Add(1)
-	}
-	return nil
+	return err
 }
 
 // SendTo is a convenience wrapper around Send.
@@ -823,27 +777,19 @@ func (e *Endpoint) openOne(dst []byte, dg transport.Datagram, alias *[]byte) ([]
 	return out, nil
 }
 
-// Receive blocks for the next datagram from the transport and opens it.
-// Rejected datagrams return an error; callers typically log and continue.
-// A transport.ErrClosed error means the endpoint is shut down.
+// Receive blocks for the next datagram from the transport that passes
+// every check and returns it opened. Refused datagrams are counted in
+// Snapshot's Drops and skipped; a transport error ends the call and is
+// returned as it is (transport.ErrClosed once the endpoint is shut
+// down), as is ErrDraining, which refuses every datagram that follows.
 func (e *Endpoint) Receive() (transport.Datagram, error) {
-	dg, err := e.cfg.Transport.Receive()
-	if err != nil {
-		return transport.Datagram{}, err
-	}
-	return e.Open(dg)
-}
-
-// ReceiveValid loops until a datagram passes all checks or the transport
-// closes, counting rejections in the drop counters.
-func (e *Endpoint) ReceiveValid() (transport.Datagram, error) {
 	for {
-		dg, err := e.Receive()
-		if err == nil {
-			return dg, nil
-		}
-		if errors.Is(err, transport.ErrClosed) {
+		dg, err := e.cfg.Transport.Receive()
+		if err != nil {
 			return transport.Datagram{}, err
+		}
+		if dg, err = e.Open(dg); err == nil || errors.Is(err, ErrDraining) {
+			return dg, err
 		}
 	}
 }

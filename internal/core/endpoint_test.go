@@ -522,7 +522,7 @@ func TestNewEndpointValidation(t *testing.T) {
 	}
 }
 
-func TestReceiveValidSkipsGarbage(t *testing.T) {
+func TestReceiveSkipsGarbage(t *testing.T) {
 	w := newWorld(t)
 	a, b, net := endpointPair(t, w, nil)
 	// Inject garbage, then a valid datagram.
@@ -531,7 +531,7 @@ func TestReceiveValidSkipsGarbage(t *testing.T) {
 	if err := a.SendTo("bob", []byte("real"), true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ReceiveValid()
+	got, err := b.Receive()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,6 +540,81 @@ func TestReceiveValidSkipsGarbage(t *testing.T) {
 	}
 	if b.Snapshot().Drops[DropMalformed] != 1 {
 		t.Fatal("garbage not counted")
+	}
+}
+
+// TestReceiveSkipsRefusals: Receive counts a refused datagram and
+// returns the next one that passes every check.
+func TestReceiveSkipsRefusals(t *testing.T) {
+	w := newWorld(t)
+	a, b, net := endpointPair(t, w, nil)
+	sealed, err := a.Seal(transport.Datagram{Destination: "bob", Payload: []byte("tampered")}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed.Payload[len(sealed.Payload)-1] ^= 1
+	mallory, _ := net.Attach("mallory", 16)
+	if err := mallory.Send(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendTo("bob", []byte("good"), false); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Receive()
+	if err != nil || string(got.Payload) != "good" {
+		t.Fatalf("Receive = %q, %v; want \"good\"", got.Payload, err)
+	}
+	if n := b.Snapshot().Drops[DropBadMAC]; n != 1 {
+		t.Fatalf("Drops[DropBadMAC] = %d, want 1", n)
+	}
+}
+
+// TestReceiveStopsOnDrain: a draining endpoint refuses every datagram,
+// so Receive returns ErrDraining instead of discarding traffic forever.
+func TestReceiveStopsOnDrain(t *testing.T) {
+	w := newWorld(t)
+	a, b, _ := endpointPair(t, w, nil)
+	if err := a.SendTo("bob", []byte("late"), true); err != nil {
+		t.Fatal(err)
+	}
+	b.BeginDrain()
+	if _, err := b.Receive(); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Receive while draining = %v, want ErrDraining", err)
+	}
+}
+
+// errTransport fails every Receive with err.
+type errTransport struct{ err error }
+
+func (errTransport) Send(transport.Datagram) error          { return nil }
+func (t errTransport) Receive() (transport.Datagram, error) { return transport.Datagram{}, t.err }
+func (errTransport) Close() error                           { return nil }
+
+// TestReceiveReturnsTransportErrors: a transport error that is not
+// ErrClosed (a UDP errno, say) ends Receive instead of being retried.
+func TestReceiveReturnsTransportErrors(t *testing.T) {
+	w := newWorld(t)
+	boom := errors.New("recvmsg: connection refused")
+	ep, err := NewEndpoint(Config{
+		Identity: w.principal(t, "errs"), Transport: errTransport{boom},
+		Directory: w.dir, Verifier: w.ver, Clock: w.clock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := ep.Receive()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, boom) {
+			t.Fatalf("Receive = %v, want %v", err, boom)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Receive did not return the transport's error within 2 s")
 	}
 }
 

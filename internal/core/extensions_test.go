@@ -211,7 +211,7 @@ func TestEndpointWithNetworkDirectory(t *testing.T) {
 	if err := a.SendTo("nd-bob", []byte("keyed via the network directory"), true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.ReceiveValid()
+	got, err := b.Receive()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,11 +204,13 @@ func TestKnownPeerNewFlowMakesNoUpcall(t *testing.T) {
 	flow := func(port uint16) {
 		t.Helper()
 		dg := transport.Datagram{Source: "known-a", Destination: "known-b", Payload: []byte("hello")}
-		sealed, err := a.SealFlow(dg, FlowID{Src: "known-a", Dst: "known-b", SrcPort: port}, true)
+		id := FlowID{Src: "known-a", Dst: "known-b", SrcPort: port}
+		wire, err := a.SealAppend(nil, dg, &id, true)
 		if err != nil {
 			t.Fatalf("flow %d seal: %v", port, err)
 		}
-		if _, err := b.Open(sealed); err != nil {
+		dg.Payload = wire
+		if _, err := b.Open(dg); err != nil {
 			t.Fatalf("flow %d open: %v", port, err)
 		}
 	}
@@ -331,11 +333,12 @@ func TestOpenBatchHandlesOutliveMKCEviction(t *testing.T) {
 	var dgs []transport.Datagram
 	for _, port := range []uint16{1, 2} {
 		for _, p := range []*Endpoint{pa, pb} {
-			sealed, err := p.SealFlow(transport.Datagram{Destination: hub, Payload: []byte("x")}, FlowID{Src: p.Addr(), Dst: hub, SrcPort: port}, true)
+			id := FlowID{Src: p.Addr(), Dst: hub, SrcPort: port}
+			wire, err := p.SealAppend(nil, transport.Datagram{Destination: hub, Payload: []byte("x")}, &id, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dgs = append(dgs, sealed)
+			dgs = append(dgs, transport.Datagram{Source: p.Addr(), Destination: hub, Payload: wire})
 		}
 	}
 	res := make([]BatchResult, len(dgs))

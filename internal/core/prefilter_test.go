@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fbs/internal/dudect"
 	"fbs/internal/principal"
 )
 
@@ -541,5 +542,31 @@ func TestAdmissionGateBackwardClock(t *testing.T) {
 	s := g.Stats()
 	if s.ShedQuota != 1 || s.ShedOverload != 1 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestVerifyCookieConstantTime holds verifyCookie's constant-time
+// compare to a measurement (dudect, as cryptolib's TestConstantTime, whose
+// control shows the instrument's power): an echoed cookie whose MAC is
+// wrong in its first byte takes the same time to refuse as one wrong in
+// its last.
+func TestVerifyCookieConstantTime(t *testing.T) {
+	dudect.SkipUntimed(t)
+	p := newTestPrefilter(t, PrefilterConfig{Enable: true, SecretSeed: []byte("ct")})
+	const addr, n = principal.Address("ct-peer"), 200000
+	now := pfEpoch.Add(5 * time.Second)
+	ck := p.mint(addr, now)
+	var cks [2][]cookie
+	for range n {
+		for c, at := range [2]int{0, cookieMACLen - 1} {
+			wrong := ck
+			wrong.mac[at] ^= 1
+			cks[c] = append(cks[c], wrong)
+		}
+	}
+	r := dudect.Measure(n, 1, func(c, i int) { p.verifyCookie(addr, cks[c][i], now) })
+	t.Logf("verifyCookie: %v", r)
+	if r.Leaks() {
+		t.Errorf("verifyCookie: %v: its time depends on where the MAC is wrong", r)
 	}
 }

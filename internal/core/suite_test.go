@@ -294,9 +294,9 @@ func TestAEADConfounderCounter(t *testing.T) {
 	}
 	seal := func(id FlowID) Header {
 		t.Helper()
-		dg, err := a.SealFlow(transport.Datagram{
-			Source: "alice", Destination: "bob", Payload: []byte("counter"),
-		}, id, true)
+		dg := transport.Datagram{Source: "alice", Destination: "bob", Payload: []byte("counter")}
+		wire, err := a.SealAppend(nil, dg, &id, true)
+		dg.Payload = wire
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,9 +332,10 @@ func TestAEADConfounderCounter(t *testing.T) {
 	da, db, _ := endpointPair(t, w2, func(c *Config) { c.Cipher = CipherDES })
 	var confs [3]uint32
 	for i := range confs {
-		dg, err := da.SealFlow(transport.Datagram{
-			Source: "alice", Destination: "bob", Payload: []byte("legacy-rand"),
-		}, flow(80), true)
+		id := flow(80)
+		dg := transport.Datagram{Source: "alice", Destination: "bob", Payload: []byte("legacy-rand")}
+		wire, err := da.SealAppend(nil, dg, &id, true)
+		dg.Payload = wire
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,9 +71,12 @@
 // powers of the generator instead: a fixed-base table of g^(d·16^i) mod p
 // in Montgomery form, 64 four-bit windows × 16 digits, ≈ 128 KB per group,
 // built once on first use. Each window's entry is read by the same masked
-// select, so g^x is 63 kernel products whatever the digits. Not constant
-// time: RSAPublicKey.Verify's square-and-multiply follows its public
-// exponent's bits, and everything on big.Int.Exp — the portable path, and
-// whatever math/big does around the kernel (reducing a base, the CRT
-// recombination) — is variable time as in 1997 practice.
+// select, so g^x is 63 kernel products whatever the digits.
+// TestConstantTime measures each of these claims, and MACID.Verify's,
+// with a dudect t-test beside a big.Int.Exp control that must leak.
+//
+// Not constant time: RSAPublicKey.Verify's square-and-multiply follows
+// its public exponent's bits, and everything on big.Int.Exp — the
+// portable path, and whatever math/big does around the kernel (reducing a
+// base, the CRT recombination) — is variable time as in 1997 practice.
 package cryptolib

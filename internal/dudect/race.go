@@ -1,0 +1,5 @@
+//go:build race
+
+package dudect
+
+const raceEnabled = true

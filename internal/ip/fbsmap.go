@@ -73,7 +73,7 @@ func (nopTransport) Close() error { return nil }
 // Verifier; the Transport is filled in by the mapping (the hook transmits
 // through the IP stack, never through the endpoint). Flow attributes are
 // the Figure 7 five-tuple, extracted by FiveTupleSelector and fed through
-// SealFlow, so the caller's Policy (default: 10-minute ThresholdPolicy)
+// SealAppend, so the caller's Policy (default: 10-minute ThresholdPolicy)
 // applies over exactly the paper's attribute set.
 func NewFBSHook(cfg core.Config, secret SecretPolicy) (*FBSHook, error) {
 	cfg.Transport = nopTransport{}
@@ -91,11 +91,12 @@ func NewFBSHook(cfg core.Config, secret SecretPolicy) (*FBSHook, error) {
 // and fragmentation. The sealed datagram is appended to the stack-owned
 // dst buffer via the endpoint's allocation-free seal path.
 func (f *FBSHook) OutputHook(dst []byte, h *Header, payload []byte) ([]byte, error) {
-	return f.Endpoint.SealFlowAppend(dst, transport.Datagram{
+	flow := FiveTupleSelector(h, payload)
+	return f.Endpoint.SealAppend(dst, transport.Datagram{
 		Source:      Principal(h.Src),
 		Destination: Principal(h.Dst),
 		Payload:     payload,
-	}, FiveTupleSelector(h, payload), f.Secret(h, payload))
+	}, &flow, f.Secret(h, payload))
 }
 
 // InputHook implements SecurityHook: FBSReceive between reassembly and

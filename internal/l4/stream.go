@@ -151,10 +151,11 @@ type StreamConn struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// Sender state.
-	sndBase  uint32 // lowest unacked seq
-	sndNext  uint32 // next seq to assign
-	segments []segment
-	lastSend time.Time
+	sndBase  uint32    // lowest unacked seq
+	sndNext  uint32    // next seq to assign
+	segments []segment // unacked, in seq order
+	inFlight int       // how many of segments have been sent
+	rtoAt    time.Time // when the oldest in-flight segment times out
 	// Receiver state.
 	rcvNext uint32
 	rcvBuf  []byte
@@ -345,30 +346,41 @@ func (c *StreamConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// pump is the sender loop: transmit the window, retransmit from the
-// base on timeout (go-back-N).
+// pump is the sender loop: send each queued segment once as the window
+// opens, and re-send from the base only when the RTO fires (go-back-N).
+// An ACK slides the window; it never re-sends what is still in flight.
 func (c *StreamConn) pump() {
 	for {
 		c.mu.Lock()
-		for len(c.segments) == 0 && c.err == nil {
-			if c.closed && c.sndBase == c.sndNext {
+		w := 0
+		for c.err == nil {
+			if len(c.segments) == 0 && c.closed && c.sndBase == c.sndNext {
 				c.mu.Unlock()
 				return
 			}
-			c.cond.Wait()
+			if w = min(c.ss.cfg.Window, len(c.segments)); c.inFlight < w {
+				break
+			}
+			if c.inFlight == 0 {
+				c.cond.Wait()
+				continue
+			}
+			if wait := time.Until(c.rtoAt); wait > 0 {
+				c.waitWithTimeout(wait)
+				continue
+			}
+			c.inFlight = 0 // timeout: go back to the base
 		}
 		if c.err != nil {
 			c.mu.Unlock()
 			return
 		}
-		// Send up to a window of queued segments.
-		w := c.ss.cfg.Window
-		if w > len(c.segments) {
-			w = len(c.segments)
+		toSend := make([]segment, w-c.inFlight)
+		copy(toSend, c.segments[c.inFlight:w])
+		if c.inFlight == 0 {
+			c.rtoAt = time.Now().Add(c.ss.cfg.RTO)
 		}
-		toSend := make([]segment, w)
-		copy(toSend, c.segments[:w])
-		c.lastSend = time.Now()
+		c.inFlight = w
 		c.mu.Unlock()
 		for _, s := range toSend {
 			flags := uint8(TCPAck | TCPPsh)
@@ -379,19 +391,6 @@ func (c *StreamConn) pump() {
 				c.fail(err)
 				return
 			}
-		}
-		// Wait for acks or timeout; on timeout the loop re-sends from
-		// the (possibly advanced) base.
-		c.mu.Lock()
-		before := c.sndBase
-		deadline := time.Now().Add(c.ss.cfg.RTO)
-		for c.sndBase == before && len(c.segments) > 0 && c.err == nil && time.Now().Before(deadline) {
-			c.waitWithTimeout(c.ss.cfg.RTO)
-		}
-		done := len(c.segments) == 0 && c.closed && c.sndBase == c.sndNext
-		c.mu.Unlock()
-		if done {
-			return
 		}
 	}
 }
@@ -480,7 +479,10 @@ func (ss *StreamStack) input(h *ip.Header, payload []byte) {
 		}
 		c.mu.Lock()
 		if seqLessOrEqual(c.sndBase, th.Ack) && seqLessOrEqual(th.Ack, c.sndNext) {
-			// Drop fully-acked segments.
+			// Drop fully-acked segments; progress restarts the RTO.
+			if th.Ack != c.sndBase {
+				c.rtoAt = time.Now().Add(ss.cfg.RTO)
+			}
 			c.sndBase = th.Ack
 			for len(c.segments) > 0 {
 				s := c.segments[0]
@@ -488,11 +490,11 @@ func (ss *StreamStack) input(h *ip.Header, payload []byte) {
 				if s.fin {
 					end = s.seq + 1
 				}
-				if seqLessOrEqual(end, th.Ack) {
-					c.segments = c.segments[1:]
-				} else {
+				if !seqLessOrEqual(end, th.Ack) {
 					break
 				}
+				c.segments = c.segments[1:]
+				c.inFlight = max(c.inFlight-1, 0)
 			}
 			c.cond.Broadcast()
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ var (
 	fsCA   *cert.Authority
 )
 
-func fbsStreamFixture(t *testing.T) (*StreamStack, *StreamStack, ip.Addr) {
+func fbsStreamFixture(t *testing.T, secret ip.SecretPolicy, rto time.Duration) (*StreamStack, *StreamStack, ip.Addr) {
 	t.Helper()
 	fsOnce.Do(func() {
 		ca, err := cert.NewAuthority("stream-root", 512)
@@ -56,7 +57,7 @@ func fbsStreamFixture(t *testing.T) (*StreamStack, *StreamStack, ip.Addr) {
 			Directory:  dir,
 			Verifier:   ver,
 			SinglePass: true,
-		}, ip.AlwaysSecret)
+		}, secret)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,11 +75,11 @@ func fbsStreamFixture(t *testing.T) (*StreamStack, *StreamStack, ip.Addr) {
 	// The encrypted body grows by up to a DES block of padding beyond
 	// the FBS header; SealOverhead is the worst-case sum.
 	const secOverhead = core.SealOverhead
-	ssa, err := NewStreamStack(sa, StreamConfig{RTO: 30 * time.Millisecond, SecurityHeaderLen: secOverhead})
+	ssa, err := NewStreamStack(sa, StreamConfig{RTO: rto, SecurityHeaderLen: secOverhead})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssb, err := NewStreamStack(sb, StreamConfig{RTO: 30 * time.Millisecond, SecurityHeaderLen: secOverhead})
+	ssb, err := NewStreamStack(sb, StreamConfig{RTO: rto, SecurityHeaderLen: secOverhead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func fbsStreamFixture(t *testing.T) (*StreamStack, *StreamStack, ip.Addr) {
 }
 
 func TestTTCPThroughFBSStack(t *testing.T) {
-	ssa, ssb, b := fbsStreamFixture(t)
+	ssa, ssb, b := fbsStreamFixture(t, ip.AlwaysSecret, 30*time.Millisecond)
 	const total = 128 * 1024
 	data := make([]byte, total)
 	lcg := cryptolib.NewLCGSeeded(1997)
@@ -140,7 +141,7 @@ func TestTTCPThroughFBSStack(t *testing.T) {
 // The whole transfer must ride a handful of flows (two: data direction
 // and ack direction) with exactly one master key computation per side.
 func TestTTCPFlowEconomy(t *testing.T) {
-	ssa, ssb, b := fbsStreamFixture(t)
+	ssa, ssb, b := fbsStreamFixture(t, ip.AlwaysSecret, 30*time.Millisecond)
 	ln, err := ssb.Listen(5002)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +175,55 @@ func TestTTCPFlowEconomy(t *testing.T) {
 	}
 	if fam.Lookups < 40 {
 		t.Errorf("only %d datagrams classified; transfer too small to be meaningful", fam.Lookups)
+	}
+}
+
+// TestBulkSendsEachSegmentOnce: on a lossless link a 64 KiB transfer
+// puts each data segment on the wire once — ⌈65536 / MSS⌉ of them —
+// whether the hook encrypts or only MACs. An ACK slides the window and
+// never re-sends a segment still in flight. The RTO is long enough that
+// no stall of a loaded host reaches it, so the count is the ACK clock's
+// alone.
+func TestBulkSendsEachSegmentOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		secret ip.SecretPolicy
+	}{{"FBS-DES-MD5", ip.AlwaysSecret}, {"FBS-MAC-only", ip.NeverSecret}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ssa, ssb, b := fbsStreamFixture(t, tc.secret, 10*time.Second)
+			var segments atomic.Int64
+			ssb.stack.Handle(ip.ProtoTCP, func(h *ip.Header, payload []byte) {
+				if _, data, err := UnmarshalTCP(payload, h.Src, h.Dst); err == nil && len(data) > 0 {
+					segments.Add(1)
+				}
+				ssb.input(h, payload)
+			})
+			ln, err := ssb.Listen(5003)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			go func() {
+				if conn, err := ln.Accept(); err == nil {
+					io.Copy(io.Discard, conn)
+				}
+			}()
+			conn, err := ssa.Dial(b, 5003)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const total = 64 * 1024
+			if _, err := conn.Write(make([]byte, total)); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			mss := ssa.mss()
+			if got, want := segments.Load(), int64((total+mss-1)/mss); got != want {
+				t.Errorf("%d data segments for %d bytes at MSS %d, want %d", got, total, mss, want)
+			}
+		})
 	}
 }
 

@@ -11,29 +11,53 @@ import (
 	"fbs/internal/ip"
 )
 
-// streamWire connects two stacks, optionally dropping frames.
+// streamWire connects two stacks, optionally dropping frames. Like a
+// link, it delivers to each destination in the order frames were sent:
+// one goroutine per destination drains its queue while frames wait.
 type streamWire struct {
-	mu    sync.Mutex
-	peers map[ip.Addr]*ip.Stack
-	drop  func(n int) bool // called with a frame counter; true = drop
-	count int
+	mu     sync.Mutex
+	peers  map[ip.Addr]*ip.Stack
+	drop   func(n int) bool // called with a frame counter; true = drop
+	count  int
+	queues map[*ip.Stack]*[][]byte // pending frames of a destination being drained
 }
 
 func (w *streamWire) sender(self ip.Addr) ip.LinkFunc {
 	return ip.LinkFunc(func(frame []byte) error {
 		w.mu.Lock()
+		defer w.mu.Unlock()
 		w.count++
-		n := w.count
-		dropIt := w.drop != nil && w.drop(n)
 		var dst *ip.Stack
 		if h, _, err := ip.Unmarshal(frame); err == nil {
 			dst = w.peers[h.Dst]
 		}
-		w.mu.Unlock()
-		if dropIt || dst == nil {
+		if dst == nil || (w.drop != nil && w.drop(w.count)) {
 			return nil
 		}
-		go dst.Input(append([]byte(nil), frame...))
+		frame = append([]byte(nil), frame...)
+		if q := w.queues[dst]; q != nil {
+			*q = append(*q, frame)
+			return nil
+		}
+		if w.queues == nil {
+			w.queues = make(map[*ip.Stack]*[][]byte)
+		}
+		q := &[][]byte{frame}
+		w.queues[dst] = q
+		go func() {
+			for {
+				w.mu.Lock()
+				if len(*q) == 0 {
+					delete(w.queues, dst)
+					w.mu.Unlock()
+					return
+				}
+				f := (*q)[0]
+				*q = (*q)[1:]
+				w.mu.Unlock()
+				dst.Input(f)
+			}
+		}()
 		return nil
 	})
 }

@@ -325,18 +325,18 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			SrcPort: 4000 + uint16(flowAux%4), DstPort: 5000, Aux: flowAux / 4,
 		}
 		rep.Sends++
-		optOut, optErr := s.opt.SealFlow(transport.Datagram{
+		optOut, optErr := s.opt.SealAppend(nil, transport.Datagram{
 			Source: s.addr, Destination: d.addr, Payload: payload,
-		}, id, secret)
+		}, &id, secret)
 		refOut, refErr := s.ref.Seal(d.addr, id, payload, secret)
 		logOp("send %s->%s aux=%d len=%d secret=%v", s.addr, d.addr, flowAux, size, secret)
-		if !agree("seal", sealOutcome, optOut.Payload, optErr, refOut, refErr) {
+		if !agree("seal", sealOutcome, optOut, optErr, refOut, refErr) {
 			return
 		}
 		// Every few sends, cross-check the derived flow key material
 		// itself, not just its effect on the MAC.
 		if rep.Sends%8 == 0 {
-			sfl := core.SFL(binary.BigEndian.Uint64(optOut.Payload[4:12]))
+			sfl := core.SFL(binary.BigEndian.Uint64(optOut[4:12]))
 			ok, oerr := s.opt.PeerFlowKey(sfl, d.addr)
 			rk, rerr := s.ref.FlowKeyTo(uint64(sfl), d.addr)
 			if (oerr == nil) != (rerr == nil) || (oerr == nil && ok != rk) {
@@ -345,7 +345,7 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			}
 		}
 		if enqueue {
-			queue = append(queue, inFlight{src: si, dst: di, wire: optOut.Payload})
+			queue = append(queue, inFlight{src: si, dst: di, wire: optOut})
 		}
 	}
 
@@ -525,9 +525,9 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 		case pick < 97: // keying failure: seal for a principal nobody published
 			s := &pairs[si]
 			id := core.FlowID{Src: s.addr, Dst: "diff-stranger", Proto: 17, SrcPort: 9, DstPort: 9}
-			_, optErr := s.opt.SealFlow(transport.Datagram{
+			_, optErr := s.opt.SealAppend(nil, transport.Datagram{
 				Source: s.addr, Destination: "diff-stranger", Payload: []byte("hello?"),
-			}, id, true)
+			}, &id, true)
 			_, refErr := s.ref.Seal("diff-stranger", id, []byte("hello?"), true)
 			logOp("send %s->stranger", s.addr)
 			agree("stranger seal", sealOutcome, nil, optErr, nil, refErr)

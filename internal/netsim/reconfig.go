@@ -139,9 +139,15 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 	}
 	defer gw.Shutdown(sc.DrainTimeout) //nolint:errcheck // idempotent safety net
 
+	// A client reads its echo off its own port and opens it, so a refused
+	// echo is a violation that names its error.
 	clients := make([]*core.Endpoint, sc.Senders)
+	ports := make([]transport.Transport, sc.Senders)
 	for i, addr := range clientAddrs {
-		if clients[i], err = r.attach(addr, core.Config{Cipher: core.CipherAES128GCM}); err != nil {
+		if ports[i], err = r.net.Attach(addr, r.queue); err != nil {
+			return nil, err
+		}
+		if clients[i], err = r.attach(addr, core.Config{Cipher: core.CipherAES128GCM, Transport: ports[i]}); err != nil {
 			return nil, err
 		}
 		defer clients[i].Close()
@@ -155,7 +161,12 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 			violCh <- fmt.Sprintf("sender %d send %d: %v", sender, seq, err)
 			return false
 		}
-		dg, err := clients[sender].Receive()
+		wire, err := ports[sender].Receive()
+		if err != nil {
+			violCh <- fmt.Sprintf("sender %d echo %d: %v", sender, seq, err)
+			return false
+		}
+		dg, err := clients[sender].Open(wire)
 		if err != nil {
 			violCh <- fmt.Sprintf("sender %d echo %d: %v", sender, seq, err)
 			return false

@@ -167,16 +167,20 @@ func newRig(hdr *ReportHeader, root string, link LinkModel, payloadBytes, want i
 	return r, nil
 }
 
-// attach connects addr to the network and builds its endpoint from cfg,
-// filling in what the world decides: identity, transport, verifier, and
-// the directory unless the scenario wraps its own. (The MAC is left at
-// Config's zero value, keyed MD5 in prefix form.)
+// attach builds addr's endpoint from cfg, filling in what the world
+// decides: identity, verifier, a port on the network unless the scenario
+// attached one itself, and the directory unless the scenario wraps its
+// own. (The MAC is left at Config's zero value, keyed MD5 in prefix
+// form.)
 func (r *rig) attach(addr principal.Address, cfg core.Config) (*core.Endpoint, error) {
-	tr, err := r.net.Attach(addr, r.queue)
-	if err != nil {
-		return nil, err
+	if cfg.Transport == nil {
+		tr, err := r.net.Attach(addr, r.queue)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Transport = tr
 	}
-	cfg.Identity, cfg.Transport, cfg.Verifier = r.ids[addr], tr, r.ver
+	cfg.Identity, cfg.Verifier = r.ids[addr], r.ver
 	if cfg.Directory == nil {
 		cfg.Directory = r.dir
 	}

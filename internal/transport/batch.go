@@ -16,7 +16,8 @@ type BatchConn interface {
 	// SendBatch transmits the datagrams in order. It returns how many
 	// were handed to the underlying service before an error stopped the
 	// batch; n == len(dgs) and a nil error is the common case. Delivery
-	// remains best-effort per datagram, exactly as Send.
+	// remains best-effort per datagram, and the payloads are owned, exactly
+	// as with Send.
 	SendBatch(dgs []Datagram) (int, error)
 	// ReceiveBatch blocks until at least one datagram is available, then
 	// fills buf with as many more as are ready without blocking again.

@@ -58,7 +58,12 @@ var ErrClosed = errors.New("transport: closed")
 // Transport is one principal's attachment to a datagram service.
 type Transport interface {
 	// Send transmits the datagram. Delivery is best-effort: the datagram
-	// may be lost, duplicated, reordered or corrupted in transit.
+	// may be lost, duplicated, reordered or corrupted in transit. Send
+	// may keep dg.Payload past its return (a queue flushed later), so a
+	// caller that does not know its transport hands it a buffer it will
+	// not reuse. The in-memory network and the UDP transport copy the
+	// payload before returning; a caller that owns one of them, as the
+	// gateway owns its listeners, may reuse the buffer.
 	Send(dg Datagram) error
 	// Receive blocks until a datagram arrives or the endpoint is closed.
 	Receive() (Datagram, error)

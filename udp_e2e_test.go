@@ -55,7 +55,7 @@ func TestFBSOverRealUDP(t *testing.T) {
 		if err := alice.SendTo("udp-bob", want, true); err != nil {
 			t.Fatal(err)
 		}
-		got, err := bob.ReceiveValid()
+		got, err := bob.Receive()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestFBSOverRealUDP(t *testing.T) {
 	if err := bob.SendTo("udp-alice", []byte("pong"), true); err != nil {
 		t.Fatal(err)
 	}
-	got, err := alice.ReceiveValid()
+	got, err := alice.Receive()
 	if err != nil {
 		t.Fatal(err)
 	}

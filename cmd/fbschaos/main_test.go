@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,6 +155,61 @@ func TestSeedIsARun(t *testing.T) {
 		}
 		if compared < 3 {
 			t.Errorf("%s: only %d ledger keys found in the report", c.name, compared)
+		}
+	}
+}
+
+// TestLedgersPinned holds the default-seed `fbschaos -json` output of the
+// chaos, crash and reconfig matrices to the documents under testdata,
+// byte for byte: a network or harness change that moves one RNG draw,
+// one delivery class or one report field name fails here. The flood
+// matrix is not pinned, its keying and budget books follow the
+// scheduler (see TestSeedIsARun). To re-pin after a deliberate change:
+//
+//	go run ./cmd/fbschaos -json > cmd/fbschaos/testdata/chaos.json
+//	go run ./cmd/fbschaos -crash -json > cmd/fbschaos/testdata/crash.json
+//	go run ./cmd/fbschaos -reconfig -json > cmd/fbschaos/testdata/reconfig.json
+func TestLedgersPinned(t *testing.T) {
+	var chaos, crash, reconfig []runnable
+	for _, sc := range matrix(defaultSeed) {
+		chaos = append(chaos, entry(sc.Name, sc, netsim.RunChaos))
+	}
+	for _, sc := range crashMatrix(defaultSeed) {
+		crash = append(crash, entry(sc.Name, sc, netsim.RunCrashRestart))
+	}
+	for _, sc := range reconfigMatrix(defaultSeed) {
+		reconfig = append(reconfig, entry(sc.Name, sc, netsim.RunReconfig))
+	}
+	for file, runs := range map[string][]runnable{"chaos.json": chaos, "crash.json": crash, "reconfig.json": reconfig} {
+		want, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		enc := json.NewEncoder(&got)
+		for _, r := range runs {
+			rep, err := r.run()
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			if err := enc.Encode(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+			for i := range gl {
+				if i >= len(wl) || gl[i] != wl[i] {
+					w := ""
+					if i < len(wl) {
+						w = wl[i]
+					}
+					t.Errorf("%s line %d differs from the pinned ledger:\n got: %s\nwant: %s", file, i+1, gl[i], w)
+				}
+			}
+			if len(wl) > len(gl) {
+				t.Errorf("%s: %d pinned lines, %d produced", file, len(wl), len(gl))
+			}
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Command fbschaos runs the fault-injection soak matrix: each scenario
-// pushes a transfer through an impaired LinkModel while an adversary
+// pushes a transfer through an impaired in-memory network while an adversary
 // injects forged, replayed, truncated, and bit-flipped datagrams, then
 // reconciles the books — every packet offered to the receiver must be
 // accounted for as accepted or dropped under exactly one DropReason.
@@ -44,6 +44,7 @@ import (
 
 	"fbs/internal/core"
 	"fbs/internal/netsim"
+	"fbs/internal/transport"
 )
 
 // matrix returns the standing chaos scenarios, seeded from base. It
@@ -57,12 +58,12 @@ func matrix(base uint64) []netsim.ChaosScenario {
 	fullStorm := netsim.ChaosScenario{
 		Name: "lossy-burst-full-storm",
 		Seed: base + 2,
-		Link: []netsim.Stage{
-			netsim.GilbertElliott(0.05, 0.4, 0.02, 0.6),
-			netsim.Duplicate(0.1),
-			netsim.CorruptBits(0.05),
-			netsim.DelayJitter(500*time.Microsecond, 2*time.Millisecond),
-			netsim.Reorder(0.2, time.Millisecond),
+		Link: transport.Impairments{
+			LossProb: 0.02, BurstEnter: 0.05, BurstExit: 0.4, BurstLoss: 0.6,
+			DupProb:     0.1,
+			CorruptProb: 0.05,
+			Delay:       500 * time.Microsecond, Jitter: 2 * time.Millisecond,
+			ReorderProb: 0.2, Holdback: time.Millisecond,
 		},
 		Datagrams:    128,
 		PayloadBytes: 128,
@@ -84,12 +85,9 @@ func matrix(base uint64) []netsim.ChaosScenario {
 			ExactBuckets: true,
 		},
 		{
-			Name: "duplicate-storm",
-			Seed: base + 1,
-			Link: []netsim.Stage{
-				netsim.Duplicate(0.5),
-				netsim.DelayJitter(time.Millisecond, 3*time.Millisecond),
-			},
+			Name:         "duplicate-storm",
+			Seed:         base + 1,
+			Link:         transport.Impairments{DupProb: 0.5, Delay: time.Millisecond, Jitter: 3 * time.Millisecond},
 			Datagrams:    96,
 			PayloadBytes: 64,
 			Secret:       true,
@@ -97,11 +95,9 @@ func matrix(base uint64) []netsim.ChaosScenario {
 		},
 		fullStorm,
 		{
-			Name: "keying-outage",
-			Seed: base + 3,
-			Link: []netsim.Stage{
-				netsim.DelayJitter(200*time.Microsecond, time.Millisecond),
-			},
+			Name:            "keying-outage",
+			Seed:            base + 3,
+			Link:            transport.Impairments{Delay: 200 * time.Microsecond, Jitter: time.Millisecond},
 			Datagrams:       30,
 			PayloadBytes:    48,
 			Secret:          true,

@@ -14,6 +14,7 @@ import (
 	"fbs/internal/netsim"
 	"fbs/internal/obs"
 	obstrace "fbs/internal/obs/trace"
+	"fbs/internal/transport"
 )
 
 // TestLiveSubcommands drives metrics, flows and trace against a real
@@ -165,7 +166,7 @@ func TestTraceArtifactFromChaos(t *testing.T) {
 		Datagrams:    8,
 		PayloadBytes: 100,
 		Secret:       true,
-		Link:         []netsim.Stage{netsim.CorruptBits(0.3)},
+		Link:         transport.Impairments{CorruptProb: 0.3},
 		Trace:        true,
 	})
 	if err != nil || len(rep.Violations) != 0 {

@@ -33,10 +33,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// A nasty network: 10% loss, 5% duplication, 10% reordering, 5%
-	// corruption.
+	// A nasty network: 10% loss, 5% duplication, 10% of datagrams held
+	// back 2 ms behind later traffic, 5% corruption.
 	network := fbs.NewNetwork(fbs.Impairments{
-		LossProb: 0.10, DupProb: 0.05, ReorderProb: 0.10, CorruptProb: 0.05, Seed: 42,
+		LossProb: 0.10, DupProb: 0.05, ReorderProb: 0.10, Holdback: 2 * time.Millisecond,
+		CorruptProb: 0.05, Seed: 42,
 	})
 	sender, err := domain.NewEndpoint("src-host", network)
 	if err != nil {
@@ -114,7 +115,6 @@ func main() {
 			if err := sender.SendTo("dst-host", payload, true); err != nil {
 				log.Fatal(err)
 			}
-			network.Flush()
 			timeout := time.After(20 * time.Millisecond)
 		wait:
 			for {
@@ -143,9 +143,13 @@ func main() {
 
 	sm := sender.Snapshot()
 	rm := receiver.Snapshot()
-	ns := network.Stats()
-	fmt.Printf("\nnetwork: %d sent, %d lost, %d corrupted, %d duplicated\n",
-		ns.Sent, ns.Lost, ns.Corrupted, ns.Duplicated)
+	links := network.Links()
+	for _, dir := range []string{"src-host->dst-host", "dst-host->src-host"} {
+		ls := links[dir]
+		fmt.Printf("\nnetwork %s: %d sent, %d lost, %d corrupted, %d duplicated",
+			dir, ls.Offered, ls.Lost, ls.Corrupted, ls.Duplicated)
+	}
+	fmt.Println()
 	fmt.Printf("receiver: %d accepted, %d rejected by MAC (corruption), %d duplicates suppressed\n",
 		rm.Received, rm.Drops[fbs.DropBadMAC], rm.Drops[fbs.DropReplay])
 	fmt.Printf("sender: %d datagrams over %d flow(s); %d DH exponentiation(s) total\n",

@@ -124,8 +124,13 @@ type (
 	Transport = transport.Transport
 	// Network is an in-memory datagram network with a fault model.
 	Network = transport.Network
-	// Impairments configures loss, duplication, reordering and
-	// corruption.
+	// Impairments is the network's per-direction fault model, applied
+	// in one fixed order: Gilbert-Elliott loss (independent at LossProb
+	// when the Burst fields are zero), duplication, one-bit corruption,
+	// delay and jitter, and reordering by holding a datagram back. The
+	// zero value is lossless and instant; NewNetwork panics on a field
+	// another field's zero value would silently disable (ReorderProb
+	// without Holdback, a partial Burst triple).
 	Impairments = transport.Impairments
 )
 
@@ -184,7 +189,8 @@ var ErrClosed = transport.ErrClosed
 // machinery automatically.
 func NewEndpoint(cfg Config) (*Endpoint, error) { return core.NewEndpoint(cfg) }
 
-// NewNetwork creates an in-memory datagram network.
+// NewNetwork creates an in-memory datagram network with the given fault
+// model.
 func NewNetwork(imp Impairments) *Network { return transport.NewNetwork(imp) }
 
 // NewIdentity creates a principal identity in the default (Oakley group

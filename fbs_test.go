@@ -56,7 +56,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIOverLossyNetwork(t *testing.T) {
 	d := testDomain(t)
-	net := NewNetwork(Impairments{LossProb: 0.2, DupProb: 0.1, ReorderProb: 0.2, CorruptProb: 0.1, Seed: 99})
+	net := NewNetwork(Impairments{LossProb: 0.2, DupProb: 0.1, ReorderProb: 0.2, Holdback: time.Millisecond, CorruptProb: 0.1, Seed: 99})
 	a, err := d.NewEndpoint("lossy-a", net)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,9 @@ func TestPublicAPIOverLossyNetwork(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	net.Flush()
+	if !net.Quiesce(time.Second) {
+		t.Fatal("held-back datagrams never delivered")
+	}
 	// Drain everything that survived; every accepted datagram must be
 	// intact and unique (replay cache suppresses duplicates).
 	received := make(map[byte]int)

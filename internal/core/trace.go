@@ -46,8 +46,9 @@ const (
 	SpanCrypto
 	// SpanTransportSend times the underlying transport's Send call.
 	SpanTransportSend
-	// SpanLink is emitted by link fault models (netsim) for a traced
-	// datagram in transit: loss, corruption, duplication, injection.
+	// SpanLink is emitted by netsim's adversary, from the in-memory
+	// network's fault decisions, for a traced datagram in transit:
+	// loss, corruption, duplication, injection.
 	// Dur is the modelled transit delay; Attr is model-specific (the
 	// flipped bit index for corruption, the adversary kind for
 	// injection).

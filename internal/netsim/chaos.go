@@ -11,10 +11,11 @@ import (
 	"fbs/internal/cryptolib"
 	obstrace "fbs/internal/obs/trace"
 	"fbs/internal/principal"
+	"fbs/internal/transport"
 )
 
 // This file is the chaos soak harness: a two-endpoint world (CA,
-// directory, FBS endpoints) over a ChaosNetwork, driven to completion
+// directory, FBS endpoints) over an impaired network, driven to completion
 // through link faults, a keying-plane outage, and adversary injections,
 // with exact reconciliation of every induced fault against the drop
 // counters the endpoints report. The chaos test matrix and the fbschaos
@@ -62,8 +63,9 @@ type ChaosScenario struct {
 	// same scenario and seed reproduce the same run byte for byte on
 	// the fault side.
 	Seed uint64
-	// Link is the impairment pipeline applied to every direction.
-	Link []Stage
+	// Link is the fault model of every direction; its Seed is the
+	// scenario's.
+	Link transport.Impairments
 	// Datagrams is how many unique datagrams the sender must get
 	// across; PayloadBytes sizes each (minimum 8: a sequence number
 	// plus filler).
@@ -125,9 +127,9 @@ type ChaosReport struct {
 	SenderDrops   [core.NumDropReasons]uint64
 	ReceiverDrops [core.NumDropReasons]uint64
 	// Port classifies every copy enqueued at the receiver.
-	Port PortStats
+	Port transport.PortStats
 	// Links snapshots each direction's fault stats.
-	Links map[string]LinkStats
+	Links map[string]transport.LinkStats
 	// Injected counts adversary datagrams actually placed.
 	Injected [NumInjectKinds]uint64
 	// Keying plane counters from the receiver.
@@ -162,14 +164,14 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		unique += sc.OutageDatagrams
 	}
 	report := &ChaosReport{ReportHeader: ReportHeader{Scenario: sc.Name}, Unique: unique}
-	r, err := newRig(&report.ReportHeader, "chaos-root", LinkModel{Seed: sc.Seed, Stages: sc.Link},
-		sc.PayloadBytes, unique, receiver, sender)
+	link := sc.Link
+	link.Seed = sc.Seed
+	r, err := newRig(&report.ReportHeader, "chaos-root", link, sc.PayloadBytes, unique, receiver, sender)
 	if err != nil {
 		return nil, err
 	}
 	// The directory is flaky so outages can be injected.
 	dir := &FlakyDirectory{Inner: r.dir}
-	adv := NewAdversary(r.net, sc.Seed)
 
 	cfg := core.Config{
 		Directory: dir,
@@ -187,13 +189,14 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		Keying:            core.KeyServiceConfig{Retry: sc.Retry, NegativeTTL: sc.NegativeTTL},
 	}
 	// Tracing samples every datagram: the collector is shared by both
-	// endpoints and the network so one trace covers seal → link → open.
+	// endpoints and the adversary's view of the link, so one trace
+	// covers seal → link → open.
 	var col *obstrace.Collector
 	if sc.Trace {
 		col = obstrace.New(obstrace.Config{SampleEvery: 1, RingSize: 1 << 15})
-		r.net.SetTracer(col)
 		cfg.Tracer = col
 	}
+	adv := NewAdversary(r.net, sc.Seed, cfg.Tracer)
 	alice, err := r.attach(sender, cfg)
 	if err != nil {
 		return nil, err

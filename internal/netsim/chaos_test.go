@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fbs/internal/core"
+	"fbs/internal/transport"
 )
 
 // The chaos matrix: each scenario drives a transfer through induced
@@ -145,7 +146,7 @@ func TestChaosDuplicateStormExact(t *testing.T) {
 		Datagrams:    80,
 		PayloadBytes: 128,
 		Secret:       true,
-		Link:         []Stage{Duplicate(0.5), DelayJitter(0, 2*time.Millisecond)},
+		Link:         transport.Impairments{DupProb: 0.5, Jitter: 2 * time.Millisecond},
 		ExactBuckets: true,
 	})
 	if r.ReceiverDrops[core.DropReplay] == 0 {
@@ -167,12 +168,12 @@ func TestChaosLossyBurstCompletesAfterHeal(t *testing.T) {
 		Datagrams:    100,
 		PayloadBytes: 256,
 		Secret:       true,
-		Link: []Stage{
-			GilbertElliott(0.05, 0.3, 0.02, 0.7),
-			Duplicate(0.1),
-			CorruptBits(0.1),
-			DelayJitter(time.Millisecond, 3*time.Millisecond),
-			Reorder(0.05, 5*time.Millisecond),
+		Link: transport.Impairments{
+			LossProb: 0.02, BurstEnter: 0.05, BurstExit: 0.3, BurstLoss: 0.7,
+			DupProb:     0.1,
+			CorruptProb: 0.1,
+			Delay:       time.Millisecond, Jitter: 3 * time.Millisecond,
+			ReorderProb: 0.05, Holdback: 5 * time.Millisecond,
 		},
 		Inject: map[InjectKind]int{InjectReplay: 3, InjectForgeMAC: 3, InjectTruncate: 3},
 	})
@@ -203,7 +204,7 @@ func TestChaosKeyingOutage(t *testing.T) {
 		OutageDatagrams: 12,
 		PayloadBytes:    128,
 		Secret:          true,
-		Link:            []Stage{DelayJitter(0, time.Millisecond)},
+		Link:            transport.Impairments{Jitter: time.Millisecond},
 		KeyOutage:       true,
 		Retry: core.RetryPolicy{
 			MaxAttempts: 3,
@@ -286,7 +287,7 @@ func TestChaosTraceCoversDropReasons(t *testing.T) {
 			Datagrams:    60,
 			PayloadBytes: 256,
 			Secret:       true,
-			Link:         []Stage{Duplicate(0.2), DelayJitter(0, time.Millisecond)},
+			Link:         transport.Impairments{DupProb: 0.2, Jitter: time.Millisecond},
 			Inject:       allInjections(4),
 			Trace:        true,
 		})
@@ -306,7 +307,7 @@ func TestChaosTraceCoversDropReasons(t *testing.T) {
 			OutageDatagrams: 8,
 			PayloadBytes:    128,
 			Secret:          true,
-			Link:            []Stage{DelayJitter(0, time.Millisecond)},
+			Link:            transport.Impairments{Jitter: time.Millisecond},
 			KeyOutage:       true,
 			Retry:           core.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
 			NegativeTTL:     100 * time.Millisecond,
@@ -329,7 +330,7 @@ func TestChaosDeterministicFaults(t *testing.T) {
 		Datagrams:    50,
 		PayloadBytes: 128,
 		Secret:       true,
-		Link:         []Stage{bernoulliLoss(0.2), Duplicate(0.2)},
+		Link:         transport.Impairments{LossProb: 0.2, DupProb: 0.2},
 	}
 	a, err := RunChaos(sc)
 	if err != nil {
@@ -382,12 +383,9 @@ func TestChaosBatchedDuplicateStorm(t *testing.T) {
 	// caught by the stripe-grouped replay pass exactly as a separate
 	// Receive would catch it.
 	r := runScenario(t, ChaosScenario{
-		Name: "duplicate-storm-batched",
-		Seed: 2,
-		Link: []Stage{
-			Duplicate(0.5),
-			DelayJitter(time.Millisecond, 3*time.Millisecond),
-		},
+		Name:         "duplicate-storm-batched",
+		Seed:         2,
+		Link:         transport.Impairments{DupProb: 0.5, Delay: time.Millisecond, Jitter: 3 * time.Millisecond},
 		Datagrams:    96,
 		PayloadBytes: 64,
 		Secret:       true,

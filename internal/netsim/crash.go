@@ -7,6 +7,7 @@ import (
 	"fbs/internal/core"
 	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
+	"fbs/internal/transport"
 )
 
 // This file is the crash-restart recovery harness. The FBS soft-state
@@ -57,10 +58,10 @@ type CrashReport struct {
 	// crash); epoch 2 the restarted incarnation's.
 	Accepted1 uint64
 	Drops1    uint64
-	Port1     PortStats
+	Port1     transport.PortStats
 	Accepted2 uint64
 	Drops2    uint64
-	Port2     PortStats
+	Port2     transport.PortStats
 	// Recovery evidence from the restarted incarnation: the keying plane
 	// rebuilt itself (upcalls, exponentiations, certificate fetches)
 	// without a single failure.
@@ -82,7 +83,7 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 	)
 	report := &CrashReport{ReportHeader: ReportHeader{Scenario: sc.Name}, Unique: sc.Datagrams}
 	// A clean link: the crash is the fault.
-	r, err := newRig(&report.ReportHeader, "crash-root", LinkModel{Seed: sc.Seed},
+	r, err := newRig(&report.ReportHeader, "crash-root", transport.Impairments{Seed: sc.Seed},
 		sc.PayloadBytes, sc.Datagrams, receiver, sender)
 	if err != nil {
 		return nil, err
@@ -125,11 +126,11 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 	report.Port1 = r.net.PortStats(receiver)
 	report.CrashAfter = uint64(sc.CrashAfter)
 
-	// The crash: the endpoint dies and its address falls off the
-	// network. No state is saved — everything the incarnation knew
-	// (flow keys, peer certificates, replay window, FAM) dies with it.
+	// The crash: the endpoint dies, and closing its port takes its
+	// address off the network. No state is saved — everything the
+	// incarnation knew (flow keys, peer certificates, replay window,
+	// FAM) dies with it.
 	r.stop(bob1)
-	r.net.Detach(receiver)
 
 	// The sender, unaware, keeps transmitting into the void.
 	for seq := sc.CrashAfter; seq < sc.Datagrams; seq++ {

@@ -112,7 +112,7 @@ type FloodReport struct {
 	Accepted      uint64
 	SenderDrops   [core.NumDropReasons]uint64
 	ReceiverDrops [core.NumDropReasons]uint64
-	Port          PortStats
+	Port          transport.PortStats
 	// Overload-plane snapshots from the receiver, plus the churn
 	// flooder's own budget.
 	Budget       core.BudgetStats
@@ -186,7 +186,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	}
 	report := &FloodReport{ReportHeader: ReportHeader{Scenario: sc.Name}}
 	// A clean link: the flood is the fault.
-	r, err := newRig(&report.ReportHeader, "flood-root", LinkModel{Seed: seed},
+	r, err := newRig(&report.ReportHeader, "flood-root", transport.Impairments{Seed: seed},
 		sc.PayloadBytes, sc.Datagrams, receiver, append([]principal.Address{sender, flooder}, spoofs...)...)
 	if err != nil {
 		return nil, err
@@ -275,7 +275,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		}
 	}
 	sendSpoof := func(i int) {
-		r.net.Inject(spoofHeader(rng, spoofs[i%len(spoofs)], receiver, clk.Now()))
+		r.net.Inject(receiver, spoofHeader(rng, spoofs[i%len(spoofs)], receiver, clk.Now()))
 		report.SpoofOffered++
 	}
 
@@ -404,7 +404,7 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 		preParse := r.ReceiverDrops[core.DropPrefilter] +
 			r.ReceiverDrops[core.DropBadCookie] +
 			r.ReceiverDrops[core.DropChallenged]
-		if got, enq := r.Prefilter.HeaderParses+preParse, r.Port.enqueued(); got != enq {
+		if got, enq := r.Prefilter.HeaderParses+preParse, enqueued(r.Port); got != enq {
 			r.fail("work counter: header parses(%d)+pre-parse sheds(%d)=%d != enqueued(%d)",
 				r.Prefilter.HeaderParses, preParse, got, enq)
 		}

@@ -63,7 +63,7 @@ type ReconfigReport struct {
 	SuccessorComputes   uint64
 	// Port classifies every datagram copy the network enqueued at the
 	// gateway's listener.
-	Port PortStats
+	Port transport.PortStats
 	// Final is the gateway's cumulative accounting after drain.
 	Final gateway.Stats
 	// DrainErrs lists retiring epochs that missed the drain deadline.
@@ -101,7 +101,7 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 	report := &ReconfigReport{ReportHeader: ReportHeader{Scenario: sc.Name}, Senders: sc.Senders}
 	// A clean link: the swap is the event. No one-way transfer runs over
 	// it, so the rig's receiver loop, drain and recovery stay unused.
-	r, err := newRig(&report.ReportHeader, "reconfig-root", LinkModel{Seed: sc.Seed}, sc.PayloadBytes, 0, gwAddr, clientAddrs...)
+	r, err := newRig(&report.ReportHeader, "reconfig-root", transport.Impairments{Seed: sc.Seed}, sc.PayloadBytes, 0, gwAddr, clientAddrs...)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func RunReconfig(sc ReconfigScenario) (*ReconfigReport, error) {
 			return id, nil
 		},
 		Listen: func(tc gateway.TenantConfig) (transport.Transport, error) {
-			return r.net.Attach(principal.Address(tc.Address), 0)
+			return r.net.Attach(principal.Address(tc.Address), r.queue)
 		},
 		Directory: r.dir,
 		Verifier:  r.ver,

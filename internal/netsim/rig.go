@@ -18,7 +18,7 @@ import (
 
 // This file is the scenario rig: everything a soak run does whatever
 // fault it injects. The rig owns the world (CA, directory, identities),
-// the ChaosNetwork, endpoint attachment, the sequence-marking receiver
+// the in-memory network, endpoint attachment, the sequence-marking receiver
 // loop, the sequence-stamped payload, draining the network into the
 // receiver's books, the retransmission rounds that must complete the
 // transfer on soft state alone, and the opening of the verdict: drained,
@@ -58,8 +58,8 @@ func (h *ReportHeader) fail(format string, args ...any) {
 // conserve asserts the conservation equation for one incarnation of a
 // receiver: every copy enqueued at its port was either accepted or
 // dropped with exactly one reason.
-func (h *ReportHeader) conserve(epoch string, accepted, drops uint64, port PortStats) {
-	if got, enq := accepted+drops, port.enqueued(); got != enq {
+func (h *ReportHeader) conserve(epoch string, accepted, drops uint64, port transport.PortStats) {
+	if got, enq := accepted+drops, enqueued(port); got != enq {
 		h.fail("%sconservation: accepted(%d)+drops(%d)=%d != enqueued(%d)", epoch, accepted, drops, got, enq)
 	}
 }
@@ -73,7 +73,7 @@ func (h *ReportHeader) verdictLines() string {
 }
 
 // enqueued counts every copy the network placed in the port's queue.
-func (ps PortStats) enqueued() uint64 {
+func enqueued(ps transport.PortStats) uint64 {
 	return ps.DeliveredClean + ps.DeliveredDup + ps.DeliveredCorrupt + ps.Injected
 }
 
@@ -123,9 +123,9 @@ type rig struct {
 	ver *cert.Verifier
 	ids map[principal.Address]*principal.Identity
 
-	net          *ChaosNetwork
+	net          *transport.Network
 	receiver     principal.Address
-	queue        int // per-port queue length (0: the network's default)
+	queue        int // per-port queue length
 	payloadBytes int
 
 	wg  sync.WaitGroup
@@ -135,8 +135,10 @@ type rig struct {
 // newRig builds the world — a fresh 512-bit CA named root and, for
 // receiver and others, an identity and a certificate valid from an hour
 // ago for a day — and a network degraded by link. The transfer to
-// complete is want datagrams of payloadBytes each.
-func newRig(hdr *ReportHeader, root string, link LinkModel, payloadBytes, want int, receiver principal.Address, others ...principal.Address) (*rig, error) {
+// complete is want datagrams of payloadBytes each. Ports hold 4096
+// datagrams, enough that a scenario can assert Overflow == 0 and keep
+// its accounting exact.
+func newRig(hdr *ReportHeader, root string, link transport.Impairments, payloadBytes, want int, receiver principal.Address, others ...principal.Address) (*rig, error) {
 	ca, err := cert.NewAuthority(root, 512)
 	if err != nil {
 		return nil, err
@@ -146,8 +148,9 @@ func newRig(hdr *ReportHeader, root string, link LinkModel, payloadBytes, want i
 		dir:          cert.NewStaticDirectory(),
 		ver:          &cert.Verifier{CAKey: ca.PublicKey(), CA: root},
 		ids:          make(map[principal.Address]*principal.Identity),
-		net:          NewChaosNetwork(link),
+		net:          transport.NewNetwork(link),
 		receiver:     receiver,
+		queue:        4096,
 		payloadBytes: payloadBytes,
 		got:          make([]atomic.Bool, want),
 	}
@@ -253,7 +256,7 @@ func (r *rig) payload(seq uint32) []byte {
 func (r *rig) drain(e *core.Endpoint) {
 	if !poll(drainDeadline, func() bool {
 		r.net.Quiesce(time.Second)
-		enq := r.net.PortStats(r.receiver).enqueued()
+		enq := enqueued(r.net.PortStats(r.receiver))
 		m := e.Snapshot()
 		return m.Received+sumDrops(m.Drops) >= enq && r.net.Pending() == 0
 	}) {
@@ -295,7 +298,7 @@ func (r *rig) recover(e *core.Endpoint, maxRounds int, send func(seq uint32), be
 // verdict opens the reconciliation with what every transfer must show:
 // it completed, the receiver's queue never overflowed (or the accounting
 // is not exact), and the final incarnation's books conserve.
-func (r *rig) verdict(rounds int, accepted, drops uint64, port PortStats) {
+func (r *rig) verdict(rounds int, accepted, drops uint64, port transport.PortStats) {
 	if !r.Complete {
 		r.fail("transfer incomplete after %d retransmission rounds", rounds)
 	}

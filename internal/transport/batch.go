@@ -60,51 +60,3 @@ func ReceiveBatch(tr Transport, buf []Datagram) (int, error) {
 	buf[0] = dg
 	return 1, nil
 }
-
-// SendBatch enqueues the whole batch under one network-lock
-// acquisition; the fault model still draws per datagram, in order, so a
-// batch is indistinguishable from a loop of Send calls to any observer
-// of the delivery sequence.
-func (p *netPort) SendBatch(dgs []Datagram) (int, error) {
-	select {
-	case <-p.closed:
-		return 0, ErrClosed
-	default:
-	}
-	for i := range dgs {
-		if dgs[i].Source == "" {
-			dgs[i].Source = p.addr
-		}
-	}
-	n := p.net
-	n.mu.Lock()
-	for i := range dgs {
-		n.injectLocked(dgs[i])
-	}
-	n.mu.Unlock()
-	return len(dgs), nil
-}
-
-// ReceiveBatch blocks for the first datagram, then drains whatever else
-// is already queued, up to len(buf).
-func (p *netPort) ReceiveBatch(buf []Datagram) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	dg, err := p.Receive()
-	if err != nil {
-		return 0, err
-	}
-	buf[0] = dg
-	n := 1
-	for n < len(buf) {
-		select {
-		case dg := <-p.ch:
-			buf[n] = dg
-			n++
-		default:
-			return n, nil
-		}
-	}
-	return n, nil
-}

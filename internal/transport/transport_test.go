@@ -40,9 +40,11 @@ func TestNetworkLoss(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ta.Send(Datagram{Destination: "b", Payload: []byte{byte(i)}})
 	}
-	s := n.Stats()
-	if s.Lost != 10 || s.Delivered != 0 {
-		t.Fatalf("stats = %+v, want 10 lost, 0 delivered", s)
+	if s := n.Links()["a->b"]; s.Offered != 10 || s.Lost != 10 {
+		t.Fatalf("link stats = %+v, want 10 offered, 10 lost", s)
+	}
+	if ps := n.PortStats("b"); ps != (PortStats{}) {
+		t.Fatalf("port stats = %+v, want nothing delivered", ps)
 	}
 }
 
@@ -56,8 +58,14 @@ func TestNetworkDuplication(t *testing.T) {
 	if !bytes.Equal(one.Payload, two.Payload) {
 		t.Fatal("duplicate differs from original")
 	}
-	if n.Stats().Duplicated != 1 {
-		t.Fatalf("Duplicated = %d, want 1", n.Stats().Duplicated)
+	if &one.Payload[0] == &two.Payload[0] {
+		t.Fatal("duplicate shares the original's buffer")
+	}
+	if got := n.Links()["a->b"].Duplicated; got != 1 {
+		t.Fatalf("Duplicated = %d, want 1", got)
+	}
+	if ps := n.PortStats("b"); ps.DeliveredClean != 1 || ps.DeliveredDup != 1 {
+		t.Fatalf("port stats = %+v, want one clean copy and one duplicate", ps)
 	}
 }
 
@@ -83,17 +91,22 @@ func TestNetworkCorruption(t *testing.T) {
 	if diff != 1 {
 		t.Fatalf("%d bits flipped, want 1", diff)
 	}
+	if ps := n.PortStats("b"); ps.DeliveredCorrupt != 1 || ps.DeliveredClean != 0 {
+		t.Fatalf("port stats = %+v, want one corrupt copy", ps)
+	}
 }
 
 func TestNetworkReorder(t *testing.T) {
-	n := NewNetwork(Impairments{ReorderProb: 0.5, Seed: 7})
+	n := NewNetwork(Impairments{ReorderProb: 0.5, Holdback: 5 * time.Millisecond, Seed: 7})
 	ta, _ := n.Attach("a", 0)
 	tb, _ := n.Attach("b", 0)
 	const count = 50
 	for i := 0; i < count; i++ {
 		ta.Send(Datagram{Destination: "b", Payload: []byte{byte(i)}})
 	}
-	n.Flush()
+	if !n.Quiesce(2 * time.Second) {
+		t.Fatalf("%d held-back datagrams never delivered", n.Pending())
+	}
 	seen := make(map[byte]bool)
 	outOfOrder := false
 	last := -1
@@ -121,15 +134,165 @@ func TestNetworkNoRouteAndOverflow(t *testing.T) {
 	n := NewNetwork(Impairments{})
 	ta, _ := n.Attach("a", 1)
 	ta.Send(Datagram{Destination: "nowhere", Payload: nil})
-	if n.Stats().NoRoute != 1 {
+	if n.NoRoute() != 1 {
 		t.Fatal("NoRoute not counted")
 	}
 	// Queue of length 1 at b: second datagram overflows.
 	n.Attach("b", 1)
 	ta.Send(Datagram{Destination: "b", Payload: []byte{1}})
 	ta.Send(Datagram{Destination: "b", Payload: []byte{2}})
-	if n.Stats().Overflow != 1 {
-		t.Fatalf("Overflow = %d, want 1", n.Stats().Overflow)
+	if ps := n.PortStats("b"); ps.Overflow != 1 || ps.DeliveredClean != 1 {
+		t.Fatalf("port stats = %+v, want 1 delivered, 1 overflow", ps)
+	}
+}
+
+// TestCloseDetaches: closing a port takes its address off the network,
+// as a host crash does. Copies addressed to it count as NoRoute, delayed
+// ones in flight included, and a new Attach at the address starts with
+// a fresh queue and zeroed counters.
+func TestCloseDetaches(t *testing.T) {
+	n := NewNetwork(Impairments{Delay: 20 * time.Millisecond})
+	ta, _ := n.Attach("a", 0)
+	tb, _ := n.Attach("b", 0)
+	ta.Send(Datagram{Destination: "b", Payload: []byte{1}}) // in flight
+	tb.Close()
+	ta.Send(Datagram{Destination: "b", Payload: []byte{2}})
+	if !n.Quiesce(2 * time.Second) {
+		t.Fatal("delayed copies never landed")
+	}
+	if got := n.NoRoute(); got != 2 {
+		t.Fatalf("NoRoute = %d, want 2 (one in flight at Close, one sent after)", got)
+	}
+	tb, err := n.Attach("b", 0)
+	if err != nil {
+		t.Fatalf("re-Attach after Close: %v", err)
+	}
+	if ps := n.PortStats("b"); ps != (PortStats{}) {
+		t.Fatalf("re-attached port starts at %+v, want zero", ps)
+	}
+	ta.Send(Datagram{Destination: "b", Payload: []byte{3}})
+	if got, err := tb.Receive(); err != nil || got.Payload[0] != 3 {
+		t.Fatalf("re-attached port received %v, %v", got, err)
+	}
+}
+
+// TestNetworkInject: an injected datagram bypasses the fault model and
+// lands in the named queue, whatever its Destination says.
+func TestNetworkInject(t *testing.T) {
+	n := NewNetwork(Impairments{LossProb: 1})
+	tb, _ := n.Attach("b", 0)
+	n.Inject("b", Datagram{Source: "x", Destination: "elsewhere", Payload: []byte("forged")})
+	got, err := tb.Receive()
+	if err != nil || string(got.Payload) != "forged" || got.Destination != "elsewhere" {
+		t.Fatalf("received %v, %v", got, err)
+	}
+	if ps := n.PortStats("b"); ps.Injected != 1 || ps.DeliveredClean != 0 {
+		t.Fatalf("port stats = %+v, want one injection", ps)
+	}
+	if len(n.Links()) != 0 {
+		t.Fatal("an injection drew from a link")
+	}
+}
+
+// TestNetworkHeal: after Heal every direction, old and new, delivers at
+// once and intact.
+func TestNetworkHeal(t *testing.T) {
+	n := NewNetwork(Impairments{LossProb: 1, Delay: time.Hour})
+	ta, _ := n.Attach("a", 0)
+	tb, _ := n.Attach("b", 0)
+	tc, _ := n.Attach("c", 0)
+	ta.Send(Datagram{Destination: "b", Payload: []byte{0}})
+	n.Heal()
+	ta.Send(Datagram{Destination: "b", Payload: []byte{1}})
+	ta.Send(Datagram{Destination: "c", Payload: []byte{2}})
+	for _, r := range []Transport{tb, tc} {
+		if _, err := r.Receive(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n.Pending() != 0 {
+		t.Fatal("a healed link scheduled a delayed copy")
+	}
+	if s := n.Links()["a->b"]; s.Offered != 2 || s.Lost != 1 {
+		t.Fatalf("a->b stats = %+v, want 2 offered, 1 lost before the heal", s)
+	}
+}
+
+// TestImpairmentsRefused: a field another field's zero value would
+// silently disable is refused, as is a probability outside [0, 1].
+func TestImpairmentsRefused(t *testing.T) {
+	for _, imp := range []Impairments{
+		{ReorderProb: 0.5},
+		{Holdback: time.Millisecond},
+		{BurstEnter: 0.1, BurstExit: 0.5},
+		{BurstLoss: 0.9},
+		{BurstEnter: 0.1, BurstLoss: 0.9},
+		{LossProb: 1.5},
+		{DupProb: -0.1},
+		{Jitter: -time.Millisecond},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewNetwork(%+v) accepted", imp)
+				}
+			}()
+			NewNetwork(imp)
+		}()
+	}
+	for _, imp := range []Impairments{
+		{},
+		{ReorderProb: 0.5, Holdback: time.Millisecond},
+		{BurstEnter: 0.1, BurstExit: 0.5, BurstLoss: 0.9},
+		{Jitter: time.Millisecond},
+	} {
+		NewNetwork(imp)
+	}
+}
+
+// TestLosslessSendReceiveAllocs pins the lossless fast path: a Send and
+// its Receive cost one allocation, the payload clone. The fault model
+// builds no slice and arms no timer when there is nothing to impair.
+func TestLosslessSendReceiveAllocs(t *testing.T) {
+	ta, tb, _, err := Pair("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dg := Datagram{Destination: "b", Payload: make([]byte, 64)}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := ta.Send(dg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Receive(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("lossless Send+Receive = %v allocs/op, want 1 (the payload clone)", allocs)
+	}
+}
+
+// TestSendBatchLeavesCallerSlice: SendBatch defaults an empty Source on
+// its own copy of each datagram, as Send does, and never writes the
+// caller's slice.
+func TestSendBatchLeavesCallerSlice(t *testing.T) {
+	ta, tb, _, err := Pair("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dgs := []Datagram{{Destination: "b", Payload: []byte{1}}, {Destination: "b", Payload: []byte{2}}}
+	if n, err := SendBatch(ta, dgs); err != nil || n != 2 {
+		t.Fatalf("SendBatch = %d, %v", n, err)
+	}
+	for i, dg := range dgs {
+		if dg.Source != "" {
+			t.Errorf("dgs[%d].Source = %q after SendBatch, want the caller's empty value", i, dg.Source)
+		}
+	}
+	for range dgs {
+		if got, err := tb.Receive(); err != nil || got.Source != "a" {
+			t.Fatalf("received %v, %v; want Source defaulted to a", got, err)
+		}
 	}
 }
 

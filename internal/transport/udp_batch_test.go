@@ -2,9 +2,12 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+
+	"fbs/internal/principal"
 )
 
 // udpPair binds two loopback UDP transports mapped at each other.
@@ -149,13 +152,32 @@ func TestUDPBatchFallbackEquivalence(t *testing.T) {
 }
 
 // TestNetworkBatchMatchesLoop pins the in-memory network's batched
-// sends against a loop of single sends under an impaired fault model:
-// the RNG draws per datagram in order either way, so with the same seed
-// the two delivery sequences are identical.
+// sends against a loop of single sends under every fault the model has:
+// each datagram draws in order either way, so with the same seed the
+// decisions the Observe hook sees (copies, corrupt bit, per-copy delay)
+// are equal in order, and so are the books and what is delivered.
 func TestNetworkBatchMatchesLoop(t *testing.T) {
-	imp := Impairments{LossProb: 0.2, DupProb: 0.1, ReorderProb: 0.15, CorruptProb: 0.1, Seed: 42}
-	run := func(batch bool) ([]Datagram, NetworkStats) {
+	imp := Impairments{
+		LossProb: 0.05, BurstEnter: 0.1, BurstExit: 0.4, BurstLoss: 0.6,
+		DupProb: 0.1, CorruptProb: 0.1,
+		Delay: 100 * time.Microsecond, Jitter: time.Millisecond,
+		ReorderProb: 0.15, Holdback: time.Millisecond,
+		Seed: 42,
+	}
+	type run struct {
+		decisions []Decision
+		sources   []principal.Address
+		links     map[string]LinkStats
+		port      PortStats
+		delivered []string
+	}
+	do := func(batch bool) run {
+		var out run
 		n := NewNetwork(imp)
+		n.Observe(func(dg Datagram, d Decision) {
+			out.decisions = append(out.decisions, d)
+			out.sources = append(out.sources, dg.Source)
+		})
 		sender, err := n.Attach("s", 512)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +189,7 @@ func TestNetworkBatchMatchesLoop(t *testing.T) {
 		const N = 100
 		dgs := make([]Datagram, N)
 		for i := range dgs {
-			dgs[i] = Datagram{Source: "s", Destination: "r", Payload: []byte{byte(i), byte(i >> 8)}}
+			dgs[i] = Datagram{Destination: "r", Payload: []byte{byte(i), byte(i >> 8)}}
 		}
 		if batch {
 			if sent, err := SendBatch(sender, dgs); err != nil || sent != N {
@@ -180,33 +202,43 @@ func TestNetworkBatchMatchesLoop(t *testing.T) {
 				}
 			}
 		}
-		n.Flush()
-		var out []Datagram
+		if !n.Quiesce(5 * time.Second) {
+			t.Fatal("network did not drain")
+		}
+		out.links, out.port = n.Links(), n.PortStats("r")
 		buf := make([]Datagram, 32)
-		for {
+		for len(recv.(*netPort).ch) > 0 {
 			got, err := ReceiveBatch(recv, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, buf[:got]...)
-			if len(recv.(*netPort).ch) == 0 {
-				break
+			for _, dg := range buf[:got] {
+				out.delivered = append(out.delivered, string(dg.Source)+":"+string(dg.Payload))
 			}
 		}
-		return out, n.Stats()
+		// Delay timers race one another, so delivery order is not part
+		// of the contract; what is delivered is.
+		sort.Strings(out.delivered)
+		return out
 	}
-	loopOut, loopStats := run(false)
-	batchOut, batchStats := run(true)
-	if loopStats != batchStats {
-		t.Fatalf("fault-model stats diverged:\nloop  %+v\nbatch %+v", loopStats, batchStats)
+	loop, batch := do(false), do(true)
+	if len(loop.decisions) != 100 || !reflect.DeepEqual(loop.decisions, batch.decisions) {
+		t.Fatalf("decisions diverged:\nloop  %v\nbatch %v", loop.decisions, batch.decisions)
 	}
-	if len(loopOut) != len(batchOut) {
-		t.Fatalf("delivered %d via loop, %d via batch", len(loopOut), len(batchOut))
-	}
-	for i := range loopOut {
-		if loopOut[i].Source != batchOut[i].Source || string(loopOut[i].Payload) != string(batchOut[i].Payload) {
-			t.Fatalf("delivery %d diverges: %v vs %v", i, loopOut[i], batchOut[i])
+	for i := range loop.sources {
+		if loop.sources[i] != "s" || batch.sources[i] != "s" {
+			t.Fatalf("datagram %d reached the hook from %q (loop) and %q (batch), want s", i, loop.sources[i], batch.sources[i])
 		}
+	}
+	if !reflect.DeepEqual(loop.links, batch.links) || loop.port != batch.port {
+		t.Fatalf("books diverged:\nloop  %+v %+v\nbatch %+v %+v", loop.links, loop.port, batch.links, batch.port)
+	}
+	ls := loop.links["s->r"]
+	if ls.Lost == 0 || ls.BurstLost == 0 || ls.Duplicated == 0 || ls.Corrupted == 0 || ls.Reordered == 0 {
+		t.Fatalf("fault model too gentle to compare anything: %+v", ls)
+	}
+	if !reflect.DeepEqual(loop.delivered, batch.delivered) {
+		t.Fatalf("delivered sets diverged:\nloop  %q\nbatch %q", loop.delivered, batch.delivered)
 	}
 }
 

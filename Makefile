@@ -188,9 +188,12 @@ ci-fuzz: fuzz-smoke
 # visible from the uploaded artifact alone; bench-validate then gates
 # the artifact, re-asserting each flood report's pre-parse-shed floor.
 # The constant-time leak tests (dudect; they skip under -race and -short,
-# so ci-race never runs them) take about 10 s here.
+# so ci-race never runs them) take about 10 s here; the Figure 8
+# composition check (TestFigure8Composes, a timing check that -race
+# builds leave out and -short skips) about 3 s.
 ci-soak:
 	$(GO) test -run 'ConstantTime' -count=1 ./internal/cryptolib ./internal/core
+	$(GO) test -run '^TestFigure8Composes$$' -count=1 .
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts $(MAKE) diff
 	FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) run ./cmd/fbschaos -trace
 	$(GO) run ./cmd/fbsbench -bytes 16384 -native -json > BENCH_overload.json
@@ -231,10 +234,11 @@ ci-bench:
 ci: ci-lint ci-race ci-fuzz ci-soak ci-bench
 
 # nightly is the scheduled soak (.github/workflows/nightly.yml): the
-# constant-time leak tests, chaos, differential, flood, and fuzz budgets
-# at 10x their CI sizes.
+# constant-time leak tests, the Figure 8 composition check, chaos,
+# differential, flood, and fuzz budgets at 10x their CI sizes.
 nightly:
 	$(GO) test -run 'ConstantTime' -count=10 ./internal/cryptolib ./internal/core
+	$(GO) test -run '^TestFigure8Composes$$' -count=10 .
 	FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) run ./cmd/fbschaos -trace -iterations 10
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts $(MAKE) diff DIFF_OPS=200000
 	$(MAKE) flood FLOOD_ITERATIONS=50

@@ -100,10 +100,9 @@ func fullStackPair(b *testing.B, secret bool) (*l4.StreamStack, *l4.StreamStack,
 		}
 		dir.Publish(c)
 		hook, err := ip.NewFBSHook(core.Config{
-			Identity:   id,
-			Directory:  dir,
-			Verifier:   ver,
-			SinglePass: true,
+			Identity:  id,
+			Directory: dir,
+			Verifier:  ver,
 		}, secretPolicy)
 		if err != nil {
 			b.Fatal(err)

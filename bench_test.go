@@ -39,6 +39,35 @@ import (
 // one way to regenerate the table (`go test -bench CryptoLibTable .`).
 
 func BenchmarkCryptoLibTable(b *testing.B) {
+	for _, r := range cryptoLibRows(b) {
+		b.Run(r.name, func(b *testing.B) {
+			if r.noAlloc {
+				if n := testing.AllocsPerRun(100, r.step); n != 0 {
+					b.Fatalf("%s: %v allocs/op, want 0", r.name, n)
+				}
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(r.bytes))
+			for i := 0; i < b.N; i++ {
+				r.step()
+			}
+		})
+	}
+}
+
+// benchRow is one row of a table benchmark: step is one operation over
+// bytes bytes.
+type benchRow struct {
+	name  string
+	bytes int
+	step  func()
+	// noAlloc rows sit on the per-datagram path: the cipher state
+	// and keystream buffer must stay on the stack.
+	noAlloc bool
+}
+
+// cryptoLibRows builds BenchmarkCryptoLibTable's rows.
+func cryptoLibRows(tb testing.TB) []benchRow {
 	buf := make([]byte, 8192)
 	for i := range buf {
 		buf[i] = byte(i * 31)
@@ -47,26 +76,26 @@ func BenchmarkCryptoLibTable(b *testing.B) {
 	key := []byte("a 16-byte mackey")
 	des, err := cryptolib.NewDES([]byte("8bytekey"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	tdes, err := cryptolib.NewTripleDES([]byte("0123456789abcdef"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// The AEAD suites' sealed boxes: encrypt+authenticate in one pass,
 	// the modern counterpart to the DES-CBC + keyed-MD5 two-pass rows
 	// (and the primitives behind fbsbench -suites).
 	block, err := aes.NewCipher([]byte("a 16-byte aeskey"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	gcm, err := cipher.NewGCM(block)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	chacha, err := cryptolib.NewChaCha20Poly1305([]byte("a 32-byte chacha20poly1305 key!!"))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	nonce := make([]byte, 12)
 	aad := make([]byte, 12)
@@ -83,17 +112,9 @@ func BenchmarkCryptoLibTable(b *testing.B) {
 	lcg := cryptolib.NewLCGSeeded(1)
 	bbs, err := cryptolib.NewBBS(512)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-
-	rows := []struct {
-		name  string
-		bytes int
-		step  func()
-		// noAlloc rows sit on the per-datagram path: the cipher state
-		// and keystream buffer must stay on the stack.
-		noAlloc bool
-	}{
+	return []benchRow{
 		{"DES-CBC", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.CBC, iv, buf, buf) }, false},
 		{"DES-ECB", len(buf), func() { cryptolib.EncryptMode(des, cryptolib.ECB, iv, buf, buf) }, false},
 		{"3DES-CBC", len(buf), func() { cryptolib.EncryptMode(tdes, cryptolib.CBC, iv, buf, buf) }, false},
@@ -114,25 +135,11 @@ func BenchmarkCryptoLibTable(b *testing.B) {
 		}, false},
 		{"BBS", 256, func() { bbs.Read(buf[:256]) }, false},
 	}
-	for _, r := range rows {
-		b.Run(r.name, func(b *testing.B) {
-			if r.noAlloc {
-				if n := testing.AllocsPerRun(100, r.step); n != 0 {
-					b.Fatalf("%s: %v allocs/op, want 0", r.name, n)
-				}
-			}
-			b.ReportAllocs()
-			b.SetBytes(int64(r.bytes))
-			for i := 0; i < b.N; i++ {
-				r.step()
-			}
-		})
-	}
 }
 
 // --- shared fixtures -------------------------------------------------
 
-func benchDomain(b *testing.B) *Domain {
+func benchDomain(b testing.TB) *Domain {
 	b.Helper()
 	d, err := NewDomain("bench", WithGroup(TestGroup))
 	if err != nil {
@@ -141,7 +148,7 @@ func benchDomain(b *testing.B) *Domain {
 	return d
 }
 
-func benchEndpoints(b *testing.B, mutate func(*Config)) (*Endpoint, *Endpoint) {
+func benchEndpoints(b testing.TB, mutate func(*Config)) (*Endpoint, *Endpoint) {
 	b.Helper()
 	d := benchDomain(b)
 	net := NewNetwork(Impairments{})
@@ -161,7 +168,7 @@ func benchEndpoints(b *testing.B, mutate func(*Config)) (*Endpoint, *Endpoint) {
 }
 
 // sealOpen pushes one datagram through the full protocol.
-func sealOpen(b *testing.B, a, bb *Endpoint, dg Datagram, secret bool) {
+func sealOpen(b testing.TB, a, bb *Endpoint, dg Datagram, secret bool) {
 	b.Helper()
 	sealed, err := a.Seal(dg, secret)
 	if err != nil {
@@ -204,30 +211,39 @@ func sanitize(s string) string {
 }
 
 func BenchmarkFigure8Native(b *testing.B) {
-	payload := make([]byte, 1460)
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		secret bool
-	}{
-		{"FBS-NOP-null-crypto", func(c *Config) { c.MAC = cryptolib.MACNull }, false},
-		{"FBS-MAC-only", nil, false},
-		{"FBS-DES-MD5", nil, true},
-		{"FBS-DES-MD5-single-pass", func(c *Config) { c.SinglePass = true }, true},
-		{"FBS-3DES", func(c *Config) { c.Cipher = core.Cipher3DES }, true},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			a, bb := benchEndpoints(b, tc.mutate)
-			dg := Datagram{Source: "bench-a", Destination: "bench-b", Payload: payload}
-			sealOpen(b, a, bb, dg, tc.secret) // warm caches
-			b.SetBytes(int64(len(payload)))
+	for i, c := range figure8NativeCases {
+		b.Run(c.name, func(b *testing.B) {
+			r := figure8NativeRow(b, i)
+			b.SetBytes(int64(r.bytes))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sealOpen(b, a, bb, dg, tc.secret)
+				r.step()
 			}
 		})
 	}
+}
+
+// figure8NativeCases are BenchmarkFigure8Native's endpoint
+// configurations.
+var figure8NativeCases = []struct {
+	name   string
+	mutate func(*Config)
+	secret bool
+}{
+	{"FBS-NOP-null-crypto", func(c *Config) { c.MAC = cryptolib.MACNull }, false},
+	{"FBS-MAC-only", nil, false},
+	{"FBS-DES-MD5", nil, true},
+	{"FBS-3DES", func(c *Config) { c.Cipher = core.Cipher3DES }, true},
+}
+
+// figure8NativeRow builds case i's endpoint pair, warms its caches and
+// returns the row: one seal+open of a 1460-byte datagram.
+func figure8NativeRow(tb testing.TB, i int) benchRow {
+	c := figure8NativeCases[i]
+	a, bb := benchEndpoints(tb, c.mutate)
+	dg := Datagram{Source: "bench-a", Destination: "bench-b", Payload: make([]byte, 1460)}
+	sealOpen(tb, a, bb, dg, c.secret)
+	return benchRow{name: c.name, bytes: len(dg.Payload), step: func() { sealOpen(tb, a, bb, dg, c.secret) }}
 }
 
 // --- Figures 9-14: the flow simulation programs ----------------------
@@ -236,9 +252,11 @@ func BenchmarkFigure8Native(b *testing.B) {
 // run the same analyses and report the headline statistics as metrics,
 // so `go test -bench` alone reproduces every number.
 
+// benchCampus builds the trace EXPERIMENTS.md measures and
+// internal/flowsim's TestFigure9Measured … TestFigure14Measured assert.
 func benchCampus(b *testing.B) *trace.Trace {
 	b.Helper()
-	return trace.Campus(trace.CampusConfig{Seed: 1997, Duration: 30 * time.Minute, Desktops: 20})
+	return trace.Campus(trace.CampusConfig{Seed: 1997, Duration: 60 * time.Minute, Desktops: 25})
 }
 
 func BenchmarkFigure9FlowSizes(b *testing.B) {
@@ -459,56 +477,6 @@ func BenchmarkFirstDatagramLatency(b *testing.B) {
 }
 
 // --- Ablations ---------------------------------------------------------
-
-// Combined FST/TFKC lookup (Section 7.2) vs separate structures.
-func BenchmarkAblationCombinedFSTTFKC(b *testing.B) {
-	payload := make([]byte, 512)
-	for _, combined := range []bool{false, true} {
-		name := "separate"
-		if combined {
-			name = "combined"
-		}
-		b.Run(name, func(b *testing.B) {
-			a, bb := benchEndpoints(b, func(c *Config) { c.CombinedFSTTFKC = combined })
-			dg := Datagram{Source: "bench-a", Destination: "bench-b", Payload: payload}
-			sealOpen(b, a, bb, dg, true)
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sealed, err := a.Seal(dg, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = sealed
-			}
-		})
-	}
-}
-
-// Single-pass MAC+encrypt (Section 5.3) vs two passes over the data.
-func BenchmarkAblationSinglePass(b *testing.B) {
-	payload := make([]byte, 8192)
-	for _, single := range []bool{false, true} {
-		name := "two-pass"
-		if single {
-			name = "single-pass"
-		}
-		b.Run(name, func(b *testing.B) {
-			a, _ := benchEndpoints(b, func(c *Config) { c.SinglePass = single })
-			dg := Datagram{Source: "bench-a", Destination: "bench-b", Payload: payload}
-			if _, err := a.Seal(dg, true); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.Seal(dg, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // Confounder source (Section 5.3): statistically random LCG vs
 // cryptographically strong alternatives.

@@ -142,7 +142,7 @@ func main() {
 
 // endpointPair builds two FBS endpoints in one domain for inline
 // protocol execution inside the simulator.
-func endpointPair(combined bool, mutate ...func(*core.Config)) (*core.Endpoint, *core.Endpoint, error) {
+func endpointPair(mutate ...func(*core.Config)) (*core.Endpoint, *core.Endpoint, error) {
 	d, err := fbs.NewDomain("fbsbench", fbs.WithGroup(cryptolib.TestGroup))
 	if err != nil {
 		return nil, nil, err
@@ -150,8 +150,6 @@ func endpointPair(combined bool, mutate ...func(*core.Config)) (*core.Endpoint, 
 	net := fbs.NewNetwork(fbs.Impairments{})
 	mk := func(addr fbs.Address) (*core.Endpoint, error) {
 		return d.NewEndpoint(addr, net, func(c *core.Config) {
-			c.CombinedFSTTFKC = combined
-			c.SinglePass = true
 			for _, m := range mutate {
 				m(c)
 			}
@@ -185,7 +183,7 @@ func (f fbsSealer) Open(dg transport.Datagram) (transport.Datagram, error) {
 }
 
 func run(total int, native, quiet bool, admin *obs.Admin) ([]benchResult, error) {
-	a, b, err := endpointPair(true)
+	a, b, err := endpointPair()
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +191,7 @@ func run(total int, native, quiet bool, admin *obs.Admin) ([]benchResult, error)
 	defer b.Close()
 	// A true NOP pair: MAC and encryption nullified, everything else
 	// (FAM, keying, caches, header) running for real.
-	nopA, nopB, err := endpointPair(true, func(c *core.Config) { c.MAC = cryptolib.MACNull })
+	nopA, nopB, err := endpointPair(func(c *core.Config) { c.MAC = cryptolib.MACNull })
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +351,7 @@ func measureAppend(section, name string, secret, quiet bool, admin *obs.Admin, m
 	dg := transport.Datagram{Source: "sim-a", Destination: "sim-b", Payload: payload}
 	pipe := obs.NewPipeline(obstrace.Config{})
 	mutate = append(mutate, func(c *core.Config) { c.Tracer = pipe })
-	a, b, err := endpointPair(true, mutate...)
+	a, b, err := endpointPair(mutate...)
 	if err != nil {
 		return benchResult{}, err
 	}

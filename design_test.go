@@ -404,12 +404,13 @@ var unsetKnobs = map[string]string{}
 // TestEveryKnobHasASetter holds the third census's rule: an exported
 // non-func field of an exported internal/core struct named *Config or
 // *Policy stays only if some non-test file outside internal/core,
-// internal/refmodel and examples/ sets it — a `Key:` in a composite
-// literal or a `.Key =` assignment. Matching is by identifier, as in the
-// export census, sharpened by the literal's type where the literal names
-// it; so the rule is a floor: a field nothing outside internal/core ever
-// sets is a knob no caller turns, and it becomes a constant or goes with
-// the behaviour it gates.
+// internal/refmodel, cmd/fbsbench and examples/ sets it — a `Key:` in a
+// composite literal or a `.Key =` assignment. fbsbench does not count: an
+// instrument that sets a value to measure it is not a caller that needs
+// it. Matching is by identifier, as in the export census, sharpened by
+// the literal's type where the literal names it; so the rule is a floor:
+// a field nothing outside internal/core ever sets is a knob no caller
+// turns, and it becomes a constant or goes with the behaviour it gates.
 func TestEveryKnobHasASetter(t *testing.T) {
 	type field struct {
 		typ, name string   // the struct type and the field
@@ -426,8 +427,11 @@ func TestEveryKnobHasASetter(t *testing.T) {
 			return
 		}
 		if dir != "internal/core" {
-			if dir == "internal/refmodel" || dir == "examples" || strings.HasPrefix(dir, "examples/") {
-				return // the reference model sets only its own restatement
+			if dir == "internal/refmodel" || dir == "cmd/fbsbench" || dir == "examples" || strings.HasPrefix(dir, "examples/") {
+				// The reference model sets only its own restatement, and
+				// an instrument sets a value to measure it, not because it
+				// needs it.
+				return
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {

@@ -208,8 +208,6 @@ func TestDomainEndpointOptions(t *testing.T) {
 	net := NewNetwork(Impairments{})
 	ep, err := d.NewEndpoint("opts", net, func(c *Config) {
 		c.Policy = ThresholdPolicy{Threshold: time.Minute}
-		c.CombinedFSTTFKC = true
-		c.SinglePass = true
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -252,7 +252,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 		t := tc.start()
 		// (S1) classify the run into a flow. The flow entry hands back the
 		// run's sequence numbers within the flow, the AEAD nonce counter.
-		sfl, firstSeq, n, slot, ok := e.fam.classifyBatch(id, now, sizes[:chunk])
+		sfl, firstSeq, n, ok := e.fam.classifyBatch(id, now, sizes[:chunk])
 		if !ok {
 			// At the budget hard limit a datagram needing a fresh flow entry
 			// is shed; existing flows are untouched. The refusal sheds
@@ -273,7 +273,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			t = time.Now()
 		}
 		// (S2-3) obtain the flow key (cached per Figure 6).
-		kf, keyHit, note, err := e.transmitFlowKey(sfl, slot, dgs[0].Source, dgs[0].Destination)
+		kf, keyHit, note, err := e.transmitFlowKey(sfl, dgs[0].Source, dgs[0].Destination)
 		if tc.active() {
 			drop := DropNone
 			if err != nil {
@@ -338,7 +338,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			encoded := h.Encode(dst)
 			// (S6, S8-9) the suite owns the body transform and MAC/tag patch.
 			t = tc.start()
-			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, e.cfg.SinglePass, tc)
+			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, false, tc)
 			if tc.active() {
 				tc.crypto(t, sfl, secret, len(dgs[k].Payload), DropReasonOf(err))
 			}

@@ -105,7 +105,7 @@ func TestFAMBudgetShedsAndRecovers(t *testing.T) {
 	ids := []FlowID{{SrcPort: 1}, {SrcPort: 2}, {SrcPort: 3}}
 	var denied int
 	for _, id := range ids {
-		if _, _, _, _, ok := f.classifyBatch(id, famEpoch, []int{1}); !ok {
+		if _, _, _, ok := f.classifyBatch(id, famEpoch, []int{1}); !ok {
 			denied++
 		}
 	}
@@ -123,7 +123,7 @@ func TestFAMBudgetShedsAndRecovers(t *testing.T) {
 	if b.Used() != 0 {
 		t.Fatalf("used after sweep = %d, want 0", b.Used())
 	}
-	if _, _, _, _, ok := f.classifyBatch(ids[2], famEpoch.Add(2*time.Minute), []int{1}); !ok {
+	if _, _, _, ok := f.classifyBatch(ids[2], famEpoch.Add(2*time.Minute), []int{1}); !ok {
 		t.Fatal("classification still refused after sweep made room")
 	}
 }

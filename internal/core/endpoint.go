@@ -97,13 +97,6 @@ type Config struct {
 	// EnableReplayCache turns on exact-duplicate suppression within the
 	// freshness window (an extension beyond the paper; see ReplayCache).
 	EnableReplayCache bool
-	// CombinedFSTTFKC merges the flow state table and the transmission
-	// flow key cache so classification and key lookup are one probe —
-	// the Section 7.2 send-path optimisation.
-	CombinedFSTTFKC bool
-	// SinglePass fuses MAC computation and encryption into one pass
-	// over the data (Section 5.3's data-touching optimisation).
-	SinglePass bool
 	// Bypass exempts traffic with matching peers from FBS processing —
 	// the "secure flow bypass" that certificate fetches use to avoid
 	// circularity (Section 5.3, Figure 5).
@@ -604,21 +597,15 @@ func (e *Endpoint) StartSweeper(interval time.Duration) (stop func()) {
 }
 
 // transmitFlowKey returns the flow key for an outgoing datagram,
-// consulting the TFKC (Figure 6) or, in combined mode, the flow state
-// table entry itself (Section 7.2). hit reports whether the key came
-// from cache (vs. the MKD-miss derivation path) — the instrumentation
-// splits the two, since a miss can cost a modular exponentiation. The
-// note carries the miss path's keying annotations for tracing; a hit
-// returns it empty.
-func (e *Endpoint) transmitFlowKey(sfl SFL, slot int, src, dst principal.Address) (k [16]byte, hit bool, note KeyNote, err error) {
-	if e.cfg.CombinedFSTTFKC {
-		if k, ok := e.fam.getFlowKey(slot, sfl); ok {
-			return k, true, note, nil
-		}
-	} else {
-		if k, ok := e.tfkc.Get(flowCacheKey{SFL: sfl, Dst: dst, Src: src}); ok {
-			return k, true, note, nil
-		}
+// consulting the TFKC (Figure 6). hit reports whether the key came from
+// cache (vs. the MKD-miss derivation path) — the instrumentation splits
+// the two, since a miss can cost a modular exponentiation. The note
+// carries the miss path's keying annotations for tracing; a hit returns
+// it empty.
+func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (k [16]byte, hit bool, note KeyNote, err error) {
+	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
+	if k, ok := e.tfkc.Get(ck); ok {
+		return k, true, note, nil
 	}
 	master, mnote, err := e.plane.masterKey(dst, nil, nil)
 	note.merge(mnote)
@@ -626,11 +613,7 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, slot int, src, dst principal.Address
 		return [16]byte{}, false, note, err
 	}
 	k = FlowKey(cryptolib.HashMD5, sfl, master, src, dst)
-	if e.cfg.CombinedFSTTFKC {
-		e.fam.setFlowKey(slot, sfl, k)
-	} else {
-		e.tfkc.Put(flowCacheKey{SFL: sfl, Dst: dst, Src: src}, k)
-	}
+	e.tfkc.Put(ck, k)
 	return k, false, note, nil
 }
 

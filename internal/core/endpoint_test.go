@@ -361,83 +361,6 @@ func TestFlowKeyIsolation(t *testing.T) {
 	}
 }
 
-func TestSinglePassMatchesTwoPass(t *testing.T) {
-	w := newWorld(t)
-	a1, b1, _ := endpointPair(t, w, func(c *Config) {
-		c.SinglePass = false
-		c.Confounder = cryptolib.NewLCGSeeded(7)
-	})
-	_ = b1
-	a2, b2, _ := endpointPair2(t, w, func(c *Config) {
-		c.SinglePass = true
-		c.Confounder = cryptolib.NewLCGSeeded(7)
-	})
-	payload := []byte("payload spanning multiple blocks with a tail..")
-	s1, err := a1.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: payload}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := a2.Seal(transport.Datagram{Source: "alice2", Destination: "bob2", Payload: payload}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Headers differ (sfl, principals) but both must open correctly.
-	got, err := b2.Open(s2)
-	if err != nil {
-		t.Fatalf("single-pass output rejected: %v", err)
-	}
-	if !bytes.Equal(got.Payload, payload) {
-		t.Fatal("single-pass payload mismatch")
-	}
-	_ = s1
-	// Cross-check: the single-pass seal is openable by a two-pass peer
-	// (wire compatibility).
-	got1, err := b1.Open(s1)
-	if err != nil || !bytes.Equal(got1.Payload, payload) {
-		t.Fatal("two-pass output rejected by its peer")
-	}
-}
-
-func TestSinglePassNonCBCFallback(t *testing.T) {
-	w := newWorld(t)
-	a, b, _ := endpointPair(t, w, func(c *Config) {
-		c.SinglePass = true
-		c.Mode = cryptolib.OFB
-	})
-	payload := []byte("ofb payload")
-	sealed, err := a.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: payload}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Open(sealed)
-	if err != nil || !bytes.Equal(got.Payload, payload) {
-		t.Fatalf("OFB single-pass fallback broken: %v", err)
-	}
-}
-
-func TestCombinedFSTTFKC(t *testing.T) {
-	w := newWorld(t)
-	a, b, _ := endpointPair(t, w, func(c *Config) { c.CombinedFSTTFKC = true })
-	for i := 0; i < 10; i++ {
-		if err := a.SendTo("bob", []byte("combined"), true); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Receive(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// In combined mode the separate TFKC is never consulted.
-	if s := a.Snapshot().Caches[CacheTFKC].Stats; s.Hits+s.Misses != 0 {
-		t.Fatalf("combined mode touched the separate TFKC: %+v", s)
-	}
-	snap := a.Snapshot()
-	ks, upcalls := snap.Keying, snap.MKDUpcalls
-	if upcalls != 1 {
-		t.Fatalf("upcalls = %d, want 1 (flow key cached in FST)", upcalls)
-	}
-	_ = ks
-}
-
 func TestKeyCachingAcrossDatagrams(t *testing.T) {
 	w := newWorld(t)
 	a, b, _ := endpointPair(t, w, nil)

@@ -52,11 +52,6 @@ type FSTEntry struct {
 	Last    time.Time
 	Packets uint64
 	Bytes   uint64
-
-	// flowKey caches the flow key alongside the entry when the combined
-	// FST/TFKC optimisation of Section 7.2 is enabled.
-	flowKey    [16]byte
-	flowKeySet bool
 }
 
 // Policy is the FAM's plug-in: the mapper and sweeper modules of Figure 7
@@ -261,26 +256,26 @@ func (f *FAM) SetBudget(b *Budget) { f.budget = b }
 // refused and the zero SFL is returned.
 func (f *FAM) Classify(id FlowID, now time.Time, size int) (SFL, bool) {
 	sizes := [1]int{size}
-	sfl, seq, _, _, ok := f.classifyBatch(id, now, sizes[:])
+	sfl, seq, _, ok := f.classifyBatch(id, now, sizes[:])
 	return sfl, ok && seq == 1
 }
 
 // classifyBatch classifies a run of datagrams that share one FlowID
 // under a single stripe acquisition (a run of one is the single-datagram
 // case). sizes carries the run's payload sizes in order. Beside the sfl
-// it returns the slot index for the combined FST/TFKC fast path, and
-// firstSeq, the first datagram's 1-based sequence number within the flow
-// (the entry's packet count — monotonic under the stripe lock, so AEAD
-// suites can use it as nonce material); the run's sequence numbers are
-// consecutive from there, the batch's nonce-counter reservation. The
-// entry's accounting advances one datagram at a time with the policy's
-// Match re-checked before each, so the wear-out limit (MaxPackets) ends
-// the run exactly where a loop of single calls would: n reports how
-// many datagrams were accepted and the caller re-classifies the remainder
-// into a fresh flow. On a budget refusal (ok == false) nothing was
-// accepted and the caller sheds only the first datagram: re-attempting
-// the rest re-checks the budget per datagram, as a loop would.
-func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, firstSeq uint64, n int, slot int, ok bool) {
+// it returns firstSeq, the first datagram's 1-based sequence number
+// within the flow (the entry's packet count — monotonic under the stripe
+// lock, so AEAD suites can use it as nonce material); the run's sequence
+// numbers are consecutive from there, the batch's nonce-counter
+// reservation. The entry's accounting advances one datagram at a time
+// with the policy's Match re-checked before each, so the wear-out limit
+// (MaxPackets) ends the run exactly where a loop of single calls would:
+// n reports how many datagrams were accepted and the caller
+// re-classifies the remainder into a fresh flow. On a budget refusal
+// (ok == false) nothing was accepted and the caller sheds only the first
+// datagram: re-attempting the rest re-checks the budget per datagram, as
+// a loop would.
+func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, firstSeq uint64, n int, ok bool) {
 	i := f.policy.Index(id, len(f.table))
 	st := &f.stripes[i&f.stripeMask]
 	st.mu.Lock()
@@ -301,7 +296,7 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, fir
 		// Overwriting a valid slot (collision or expired flow) is
 		// budget-neutral; only filling an empty slot grows state.
 		if !e.Valid && !f.budget.TryCharge(CostFAMEntry) {
-			return 0, 0, 0, i, false
+			return 0, 0, 0, false
 		}
 		sfl = SFL(f.nextSFL.Add(1) - 1)
 		*e = FSTEntry{
@@ -329,7 +324,7 @@ func (f *FAM) classifyBatch(id FlowID, now time.Time, sizes []int) (sfl SFL, fir
 		st.stats.Lookups++
 		st.stats.Hits++
 	}
-	return sfl, firstSeq, n, i, true
+	return sfl, firstSeq, n, true
 }
 
 // Sweep runs the sweeper module over the whole table (Figure 7),
@@ -432,38 +427,10 @@ func (f *FAM) Snapshot() []FlowInfo {
 	return out
 }
 
-// stripe returns the lock stripe covering slot i.
-func (f *FAM) stripe(i int) *famStripe { return &f.stripes[i&f.stripeMask] }
-
-// entry returns a copy of slot i (for the combined FST/TFKC path and
-// tests).
+// entry returns a copy of slot i, for tests.
 func (f *FAM) entry(i int) FSTEntry {
-	st := f.stripe(i)
+	st := &f.stripes[i&f.stripeMask]
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return f.table[i]
-}
-
-// setFlowKey caches the flow key in slot i if it still belongs to sfl
-// (combined FST/TFKC optimisation, Section 7.2).
-func (f *FAM) setFlowKey(i int, sfl SFL, key [16]byte) {
-	st := f.stripe(i)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if f.table[i].Valid && f.table[i].SFL == sfl {
-		f.table[i].flowKey = key
-		f.table[i].flowKeySet = true
-	}
-}
-
-// getFlowKey fetches a cached flow key from slot i for sfl.
-func (f *FAM) getFlowKey(i int, sfl SFL) ([16]byte, bool) {
-	st := f.stripe(i)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e := &f.table[i]
-	if e.Valid && e.SFL == sfl && e.flowKeySet {
-		return e.flowKey, true
-	}
-	return [16]byte{}, false
 }

@@ -122,9 +122,9 @@ func TestFAMSweeper(t *testing.T) {
 func TestFAMAccounting(t *testing.T) {
 	f := testFAM(time.Hour, 4)
 	id := FlowID{Src: "a", Dst: "b"}
-	_, _, _, slot, _ := f.classifyBatch(id, famEpoch, []int{100})
+	f.Classify(id, famEpoch, 100)
 	f.Classify(id, famEpoch.Add(time.Second), 150)
-	e := f.entry(slot)
+	e := f.entry(f.policy.Index(id, len(f.table)))
 	if e.Packets != 2 || e.Bytes != 250 {
 		t.Fatalf("entry accounting = %d pkts %d bytes", e.Packets, e.Bytes)
 	}
@@ -175,8 +175,9 @@ func TestHostPairNormalisesBeforeIndex(t *testing.T) {
 	a := FlowID{Src: "a", Dst: "b", Proto: 6, SrcPort: 1, DstPort: 80}
 	b := FlowID{Src: "a", Dst: "b", Proto: 17, SrcPort: 999, DstPort: 53, Aux: 7}
 	sizes := []int{1}
-	_, _, _, slotA, okA := f.classifyBatch(a, famEpoch, sizes)
-	_, _, _, slotB, okB := f.classifyBatch(b, famEpoch, sizes)
+	_, _, _, okA := f.classifyBatch(a, famEpoch, sizes)
+	_, _, _, okB := f.classifyBatch(b, famEpoch, sizes)
+	slotA, slotB := f.policy.Index(a, len(f.table)), f.policy.Index(b, len(f.table))
 	if !okA || !okB || slotA != slotB {
 		t.Fatalf("slots %d, %d (ok %v, %v): one host pair must map to one slot", slotA, slotB, okA, okB)
 	}

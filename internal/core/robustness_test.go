@@ -82,7 +82,7 @@ func TestOpenMutatedValidDatagram(t *testing.T) {
 // goroutines; run with -race. Every accepted datagram must be intact.
 func TestEndpointConcurrency(t *testing.T) {
 	w := newWorld(t)
-	a, b, _ := endpointPair(t, w, func(c *Config) { c.CombinedFSTTFKC = true })
+	a, b, _ := endpointPair(t, w, nil)
 	const senders = 8
 	const perSender = 50
 	var wg sync.WaitGroup

@@ -22,14 +22,13 @@ import (
 // keyed by the header's cipher nibble through a fixed 16-slot registry.
 //
 // Two families implement it. The legacy suites (none, DES, 3DES) keep
-// the paper's separate MAC-then-encrypt passes (including the Section
-// 5.3 single-pass fusion) bit-for-bit, so the committed golden vectors
-// still hold. The AEAD suites (AES-128-GCM, ChaCha20-Poly1305) collapse
-// encrypt+MAC into one sealed-box pass: the 16-byte MAC value field
-// carries the AEAD tag, the body is exact-length ciphertext (no
-// padding), and the header prefix rides along as AAD so algorithm
-// downgrade stays foreclosed exactly as macInput forecloses it for the
-// legacy suites.
+// the paper's separate MAC-then-encrypt passes bit-for-bit, so the
+// committed golden vectors still hold. The AEAD suites (AES-128-GCM,
+// ChaCha20-Poly1305) collapse encrypt+MAC into one sealed-box pass: the
+// 16-byte MAC value field carries the AEAD tag, the body is exact-length
+// ciphertext (no padding), and the header prefix rides along as AAD so
+// algorithm downgrade stays foreclosed exactly as macInput forecloses it
+// for the legacy suites.
 type Suite interface {
 	// ID is the registry slot: the header's cipher nibble.
 	ID() CipherID
@@ -58,8 +57,10 @@ type Suite interface {
 	// dst[hdrOff+macValueOffset:]. h carries the wire algorithm fields
 	// this suite's WireAlg chose. When tc is non-nil the datagram is
 	// traced: each MAC and cipher pass emits its own span. The context
-	// type is core's own; callers outside the package pass nil.
-	SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, tc *traceCtx) ([]byte, error)
+	// type is core's own; callers outside the package pass nil. The bool
+	// is unused; it stays only because bench/gwbench's replica still
+	// passes it.
+	SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error)
 	// OpenAppend recovers and authenticates the body. For a secret body
 	// the plaintext is appended to dst; for a cleartext body the returned
 	// body aliases the input. Errors are the endpoint's sentinel errors
@@ -147,7 +148,7 @@ func (l *legacySuite) DeriveIV(h Header) []byte {
 	return iv[:]
 }
 
-func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, tc *traceCtx) ([]byte, error) {
+func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error) {
 	var t time.Time
 	if !h.Secret() {
 		// (S6) MAC over confounder | timestamp | plaintext body. MACNull
@@ -170,44 +171,10 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 	if err != nil {
 		return nil, err
 	}
-	const bs = cryptolib.BlockSize
 	bodyOff := len(dst)
-	dst = cryptolib.AppendPadded(dst, payload, bs)
+	dst = cryptolib.AppendPadded(dst, payload, cryptolib.BlockSize)
 	padded := dst[bodyOff:]
 	iv := h.iv()
-	if singlePass && h.Mode == cryptolib.CBC {
-		// Section 5.3: roll MAC computation and encryption into one pass
-		// over the data. CBC chaining fused with MAC absorption; other
-		// modes fall back to two passes below. The fused pass is charged
-		// to SpanCipher (no SpanMAC is emitted — there is no separate MAC
-		// traversal to time).
-		t = tc.start()
-		mac := h.MAC.NewStream(kfs[:])
-		mac.Write(mis[:])
-		prev := iv
-		bodyLen := len(payload)
-		for off := 0; off < len(padded); off += bs {
-			block := padded[off : off+bs]
-			// The MAC covers only the original body, not the padding.
-			if off < bodyLen {
-				end := off + bs
-				if end > bodyLen {
-					end = bodyLen
-				}
-				mac.Write(padded[off:end])
-			}
-			for j := 0; j < bs; j++ {
-				block[j] ^= prev[j]
-			}
-			c.Encrypt(block, block)
-			copy(prev[:], block)
-		}
-		if h.MAC != cryptolib.MACNull {
-			copy(dst[hdrOff+macValueOffset:], mac.Sum()[:MACLen])
-		}
-		tc.pass(SpanCipher, h.SFL, t)
-		return dst, nil
-	}
 	// (S6) MAC, then (S8-9) encrypt in place.
 	if h.MAC != cryptolib.MACNull {
 		t = tc.start()
@@ -420,7 +387,7 @@ func (a *aeadSuite) DeriveIV(h Header) []byte {
 	return n[:]
 }
 
-func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, singlePass bool, tc *traceCtx) ([]byte, error) {
+func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error) {
 	box, err := a.box(kf)
 	if err != nil {
 		return nil, err
@@ -448,8 +415,7 @@ func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, pa
 	// over the appended region (the documented plaintext[:0] aliasing
 	// form), then move the tag into the header and truncate the body back
 	// to exact ciphertext length. One pass, no padding. Charged to
-	// SpanCipher — like the single-pass legacy fusion, there is no
-	// separate MAC traversal to time.
+	// SpanCipher: there is no separate MAC traversal to time.
 	t = tc.start()
 	bodyOff := len(dst)
 	dst = append(dst, payload...)

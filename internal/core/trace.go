@@ -81,9 +81,9 @@ const (
 	// it.
 	SpanMAC
 	// SpanCipher is the encryption (seal) or decryption (open) pass
-	// inside the suite's transform, padding included. A fused pass — the
-	// legacy SinglePass seal, an AEAD sealed box — is charged here and
-	// emits no SpanMAC: there is no separate MAC traversal to time.
+	// inside the suite's transform, padding included. An AEAD sealed
+	// box is one fused pass: it is charged here and emits no SpanMAC,
+	// since there is no separate MAC traversal to time.
 	SpanCipher
 
 	// NumSpanKinds sizes per-kind arrays.

@@ -52,8 +52,7 @@ func CRC32UpdateString(state uint32, s string) uint32 {
 
 // CRC32Fields hashes a sequence of integer fields (ports, addresses,
 // labels) without allocating: each field is folded in big-endian order.
-// It is the cache-index hash used by the FBS key caches and the combined
-// FST/TFKC lookup of Section 7.2.
+// It is the cache-index hash used by the FBS key caches.
 func CRC32Fields(fields ...uint64) uint32 {
 	state := uint32(0xFFFFFFFF)
 	var buf [8]byte

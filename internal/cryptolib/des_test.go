@@ -110,8 +110,7 @@ func TestDESKeyLengthErrors(t *testing.T) {
 	}
 }
 
-// TestDESInPlace verifies dst may alias src, which the modes and the
-// single-pass seal rely on.
+// TestDESInPlace verifies dst may alias src, which the modes rely on.
 func TestDESInPlace(t *testing.T) {
 	key := []byte("8bytekey")
 	d, err := NewDES(key)

@@ -97,10 +97,8 @@ func (m MACID) Verify(key, got []byte, parts ...[]byte) bool {
 }
 
 // StreamMAC is an incremental MAC computation: it lets callers absorb
-// the message in pieces, which is what enables the paper's single-pass
-// "combine all data touching operations into one loop" optimisation
-// (Section 5.3) — each block is fed to the MAC and the cipher in the
-// same traversal.
+// the message in pieces, as Compute does with its parts, without
+// concatenating them first.
 type StreamMAC struct {
 	h    hash.Hash // nil for MACNull and for the constructions Compute refuses
 	null bool      // MACNull: Sum is all zeros

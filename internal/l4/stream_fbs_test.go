@@ -53,10 +53,9 @@ func fbsStreamFixture(t *testing.T, secret ip.SecretPolicy, rto time.Duration) (
 		}
 		dir.Publish(c)
 		hook, err := ip.NewFBSHook(core.Config{
-			Identity:   id,
-			Directory:  dir,
-			Verifier:   ver,
-			SinglePass: true,
+			Identity:  id,
+			Directory: dir,
+			Verifier:  ver,
 		}, secret)
 		if err != nil {
 			t.Fatal(err)

@@ -19,8 +19,10 @@ import "time"
 //     509 kB/s; the in-kernel implementation fuses the two passes, and
 //     the published 3,400 kb/s implies an effective ≈770 kB/s crypto
 //     path. PerByte is set to the published-throughput-derived value;
-//     CryptoLibPerByte preserves the raw userspace figure for the
-//     single-pass ablation.
+//     P133FBSDESMD5TwoPass keeps the raw userspace figure for the
+//     single-pass ablation. Both describe the paper's kernel: the fused
+//     pass is its path, not this code's, whose legacy seal always runs
+//     the MAC and then the cipher.
 type CostModel struct {
 	Name string
 	// PerPacket is the fixed host cost per packet (driver, IP path,

@@ -6,11 +6,11 @@
 // Everything core does for speed is absent here on purpose: there are
 // no flow key caches (every datagram rederives K_f from the master
 // key), no striping (one mutex covers the whole endpoint), no state
-// budgets or admission gates, no allocation discipline (every seal and
-// open builds fresh buffers), and no single-pass MAC+encrypt fusion.
-// What remains is the protocol itself: flow classification into a slot
-// table, zero-message flow key derivation, the security flow header,
-// freshness, MAC, encryption, and exact-duplicate suppression.
+// budgets or admission gates, and no allocation discipline (every seal
+// and open builds fresh buffers). What remains is the protocol itself:
+// flow classification into a slot table, zero-message flow key
+// derivation, the security flow header, freshness, MAC, encryption, and
+// exact-duplicate suppression.
 //
 // The wire format and check order are reimplemented independently —
 // header encoding, MAC input assembly, IV derivation, AEAD nonce/AAD

@@ -60,7 +60,7 @@ staticcheck:
 # count taken before a commit sees new files and skips deleted ones.
 ON_DISK = git ls-files -co --exclude-standard -z $(1) | xargs -0 -r sh -c 'for f; do [ ! -f "$$f" ] || cat "$$f"; done' sh
 loc:
-	@for d in internal/core internal/obs internal/gateway internal/transport internal/netsim cmd; do \
+	@for d in internal/core internal/obs internal/gateway internal/transport internal/netsim internal/cryptolib internal/refmodel cmd; do \
 		printf '%-18s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done; \
 	printf '%-18s %6d\n' total $$($(call ON_DISK,'*.go' ':!:*_test.go') | wc -l); \

@@ -103,13 +103,6 @@ func matrix(base uint64) []netsim.ChaosScenario {
 			Secret:          true,
 			KeyOutage:       true,
 			OutageDatagrams: 12,
-			Retry: core.RetryPolicy{
-				MaxAttempts: 3,
-				BaseBackoff: time.Millisecond,
-				MaxBackoff:  4 * time.Millisecond,
-				JitterFrac:  0.5,
-			},
-			NegativeTTL: 250 * time.Millisecond,
 		},
 	}
 	// The full-storm scenario again, through the batched receive path:

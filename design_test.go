@@ -399,15 +399,18 @@ func TestEntryPointTable(t *testing.T) {
 // TestEveryKnobHasASetter lets stand without a setter outside
 // internal/core, each with the reason. The list is capped at 2: a knob
 // nothing sets is a constant with extra steps.
-var unsetKnobs = map[string]string{}
+var unsetKnobs = map[string]string{
+	"internal/core.Config.Confounder": "netsim/diff.go seeds the endpoint and internal/refmodel with the same confounders so RunDiff can compare their wire bytes; the reference comparison stays",
+}
 
 // TestEveryKnobHasASetter holds the third census's rule: an exported
 // non-func field of an exported internal/core struct named *Config or
 // *Policy stays only if some non-test file outside internal/core,
-// internal/refmodel, cmd/fbsbench and examples/ sets it — a `Key:` in a
-// composite literal or a `.Key =` assignment. fbsbench does not count: an
-// instrument that sets a value to measure it is not a caller that needs
-// it. Matching is by identifier, as in the export census, sharpened by
+// internal/refmodel, cmd/fbsbench, internal/netsim, cmd/fbschaos and
+// examples/ sets it — a `Key:` in a composite literal or a `.Key =`
+// assignment. fbsbench does not count: an instrument that sets a value to
+// measure it is not a caller that needs it. Nor do the soak harnesses,
+// netsim and fbschaos: a harness sets a value in order to exercise it. Matching is by identifier, as in the export census, sharpened by
 // the literal's type where the literal names it; so the rule is a floor:
 // a field nothing outside internal/core ever sets is a knob no caller
 // turns, and it becomes a constant or goes with the behaviour it gates.
@@ -427,10 +430,10 @@ func TestEveryKnobHasASetter(t *testing.T) {
 			return
 		}
 		if dir != "internal/core" {
-			if dir == "internal/refmodel" || dir == "cmd/fbsbench" || dir == "examples" || strings.HasPrefix(dir, "examples/") {
-				// The reference model sets only its own restatement, and
-				// an instrument sets a value to measure it, not because it
-				// needs it.
+			if dir == "internal/refmodel" || dir == "cmd/fbsbench" || dir == "internal/netsim" || dir == "cmd/fbschaos" || dir == "examples" || strings.HasPrefix(dir, "examples/") {
+				// The reference model sets only its own restatement, an
+				// instrument sets a value to measure it and a soak harness
+				// to exercise it, not because either needs it.
 				return
 			}
 			ast.Inspect(f, func(n ast.Node) bool {

@@ -547,7 +547,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				kf = memoKey
 			} else {
 				var keyHit bool
-				var note KeyNote
+				var note SpanFlags
 				ahead.rest = dgs[k+1 : chunk]
 				kf, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, la)
 				// The overload sheds carry their own reason; everything

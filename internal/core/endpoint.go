@@ -49,6 +49,8 @@ type Config struct {
 	// MAC selects the MAC construction; default MACPrefixMD5 (keyed
 	// MD5, as in the paper's implementation). AEAD suites override it on
 	// the wire with MACAEAD (integrity is intrinsic to the sealed box).
+	// MACNull is the NOP configuration, and only a NOP endpoint accepts
+	// a datagram whose MAC byte says MACNull.
 	MAC cryptolib.MACID
 	// Cipher and Mode select payload encryption; defaults CipherDES and
 	// CBC. Cipher must name a registered Suite and, with Mode, fit the
@@ -70,23 +72,6 @@ type Config struct {
 	// must be unique under the flow key, not merely statistically random.
 	Confounder cryptolib.ConfounderSource
 
-	// Keying configures how the key plane degrades when the directory
-	// does not answer: bounded retry, the negative-result cache, and the
-	// backoff sleeper (see KeyServiceConfig). The zero value keeps the
-	// single-attempt behaviour.
-	Keying KeyServiceConfig
-
-	// AcceptMACs restricts which MAC constructions incoming datagrams
-	// may use; empty accepts any construction this library implements.
-	// The header's algorithm identification field is self-describing
-	// (Section 5.2 prescribes the field "for generality"); a receiver
-	// policy is what keeps self-description from becoming
-	// attacker-choice. A non-empty set also gates the AEAD suites: their
-	// integrity is intrinsic (MACAEAD), so a strict config admits them
-	// only by listing MACAEAD here or by naming the suite in
-	// AcceptCiphers — pinning legacy MACs never silently widens to the
-	// AEAD tier.
-	AcceptMACs []cryptolib.MACID
 	// AcceptCiphers is the accept-set of suite IDs incoming datagrams
 	// may use; empty accepts any registered suite. For AEAD suites the
 	// set is enforced on every datagram (the suite owns integrity); for
@@ -527,39 +512,23 @@ func (e *Endpoint) checkAlg(h *Header) (Suite, error) {
 			ErrAlgorithmUnknown, suite.Name(), h.MAC, h.Mode)
 	}
 	if suite.AEAD() {
-		// Integrity is intrinsic — the MAC byte is structurally MACAEAD —
-		// but that must not widen a strict legacy config's accept set: an
-		// endpoint that pinned AcceptMACs before the AEAD suites existed
-		// keeps exactly its pre-AEAD policy until it opts in. An AEAD
-		// suite is admitted when policy is fully open, when AcceptMACs
-		// names MACAEAD, or when AcceptCiphers names the suite explicitly.
+		// Integrity is intrinsic — the MAC byte is structurally MACAEAD.
 		// The cipher accept-set binds secret and cleartext bodies alike
 		// (the suite authenticates both).
-		explicit := containsCipher(e.cfg.AcceptCiphers, h.Cipher)
-		if len(e.cfg.AcceptCiphers) > 0 && !explicit {
-			return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
-		}
-		if len(e.cfg.AcceptMACs) > 0 && !explicit && !containsMAC(e.cfg.AcceptMACs, cryptolib.MACAEAD) {
+		if len(e.cfg.AcceptCiphers) > 0 && !containsCipher(e.cfg.AcceptCiphers, h.Cipher) {
 			return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
 		}
 		return suite, nil
 	}
-	if len(e.cfg.AcceptMACs) > 0 && !containsMAC(e.cfg.AcceptMACs, h.MAC) {
+	// MACNull verifies nothing, so a receiver accepts it only when it is
+	// itself the NOP configuration: anyone can write a null-MAC header.
+	if h.MAC == cryptolib.MACNull && e.cfg.MAC != cryptolib.MACNull {
 		return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
 	}
 	if h.Secret() && len(e.cfg.AcceptCiphers) > 0 && !containsCipher(e.cfg.AcceptCiphers, h.Cipher) {
 		return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
 	}
 	return suite, nil
-}
-
-func containsMAC(set []cryptolib.MACID, m cryptolib.MACID) bool {
-	for _, v := range set {
-		if v == m {
-			return true
-		}
-	}
-	return false
 }
 
 func containsCipher(set []CipherID, c CipherID) bool {
@@ -602,13 +571,12 @@ func (e *Endpoint) StartSweeper(interval time.Duration) (stop func()) {
 // the two, since a miss can cost a modular exponentiation. The note
 // carries the miss path's keying annotations for tracing; a hit returns
 // it empty.
-func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (k [16]byte, hit bool, note KeyNote, err error) {
+func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (k [16]byte, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
 	if k, ok := e.tfkc.Get(ck); ok {
 		return k, true, note, nil
 	}
-	master, mnote, err := e.plane.masterKey(dst, nil, nil)
-	note.merge(mnote)
+	master, note, err := e.plane.masterKey(dst, nil, nil)
 	if err != nil {
 		return [16]byte{}, false, note, err
 	}
@@ -625,7 +593,7 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (k [16]b
 // budget before any directory or Diffie-Hellman work begins. Known
 // peers bypass both — their keying costs one hash. la is openRun's
 // look-ahead over the rest of the chunk, nil where it does not apply.
-func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *lookahead) (k [16]byte, hit bool, note KeyNote, err error) {
+func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *lookahead) (k [16]byte, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
 	if k, ok := e.rfkc.Get(ck); ok {
 		return k, true, note, nil
@@ -635,13 +603,13 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *looka
 			if !e.plane.ks.KnownPeer(src) {
 				if e.gate != nil {
 					if m.err = e.gate.Admit(src); m.err != nil {
-						m.note.Flags |= FlagAdmitRefused
+						m.note |= FlagAdmitRefused
 						return m
 					}
-					m.note.Flags |= FlagAdmitted
+					m.note |= FlagAdmitted
 				}
 				if e.cfg.StateBudget.Level() == BudgetHard {
-					m.note.Flags |= FlagBudgetRefused
+					m.note |= FlagBudgetRefused
 					e.maybeRelievePressure(e.cfg.Clock.Now())
 					m.err = fmt.Errorf("%w: keying %q", ErrStateBudget, src)
 					return m
@@ -649,7 +617,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *looka
 			}
 		}
 		master, mnote, err := e.plane.masterKey(src, e.gate, la)
-		m.note.merge(mnote)
+		m.note |= mnote
 		if m.err = err; err != nil {
 			return m
 		}
@@ -660,7 +628,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *looka
 	if joined {
 		// A follower shares the leader's result and note, plus the
 		// coalescing mark itself.
-		r.note.Flags |= FlagKeyCoalesced
+		r.note |= FlagKeyCoalesced
 	}
 	return r.key, false, r.note, r.err
 }

@@ -79,7 +79,6 @@ func TestAlgorithmRestrictions(t *testing.T) {
 		Directory:     w.dir,
 		Verifier:      w.ver,
 		Clock:         w.clock,
-		AcceptMACs:    []cryptolib.MACID{cryptolib.MACHMACMD5},
 		AcceptCiphers: []CipherID{Cipher3DES},
 	})
 	if err != nil {

@@ -2,11 +2,8 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"fbs/internal/cert"
 	"fbs/internal/cryptolib"
@@ -70,13 +67,6 @@ type KeyServiceStats struct {
 	CertFetches       uint64 // directory round trips (PVC misses)
 	CertVerifies      uint64
 	Failures          uint64
-
-	// Retries counts directory lookups repeated after a failure (the
-	// bounded-backoff path).
-	Retries uint64
-	// NegativeHits counts lookups refused fast because the peer failed
-	// recently (the negative-result cache).
-	NegativeHits uint64
 }
 
 // keyServiceCounters is the lock-free internal form of KeyServiceStats:
@@ -88,71 +78,6 @@ type keyServiceCounters struct {
 	certFetches       atomic.Uint64
 	certVerifies      atomic.Uint64
 	failures          atomic.Uint64
-
-	retries      atomic.Uint64
-	negativeHits atomic.Uint64
-}
-
-// RetryPolicy bounds how hard the keying plane fights a failing
-// directory. The zero value means a single attempt with no backoff —
-// exactly the pre-chaos behaviour — so existing configurations are
-// unchanged. A populated policy retries with exponential backoff plus
-// jitter: sleep_n = min(Base·2ⁿ, Max) scaled by a uniform factor in
-// [1-JitterFrac, 1+JitterFrac]. Bounding the attempts, and so the loop's
-// length to MaxAttempts × MaxBackoff, is what keeps an MKD outage from
-// turning a datagram burst into an upcall storm.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of directory lookups per fetch
-	// (1 attempt = no retry). Values below 1 mean 1.
-	MaxAttempts int
-	// BaseBackoff is the first retry's sleep; default 10ms when
-	// MaxAttempts > 1.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth; default 1s.
-	MaxBackoff time.Duration
-	// JitterFrac spreads each sleep by ±JitterFrac (clamped to [0, 1]).
-	JitterFrac float64
-}
-
-// withDefaults normalises the policy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.MaxAttempts > 1 && p.BaseBackoff <= 0 {
-		p.BaseBackoff = 10 * time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = time.Second
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	if p.JitterFrac > 1 {
-		p.JitterFrac = 1
-	}
-	return p
-}
-
-// backoff returns the sleep before attempt n (1-based: the sleep after
-// the n-th failure), jittered by u ∈ [0, 1).
-func (p RetryPolicy) backoff(n int, u float64) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= p.MaxBackoff {
-			d = p.MaxBackoff
-			break
-		}
-	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	if p.JitterFrac > 0 {
-		scale := 1 - p.JitterFrac + 2*p.JitterFrac*u
-		d = time.Duration(float64(d) * scale)
-	}
-	return d
 }
 
 // KeyService implements the zero-message keying mechanism below the flow
@@ -169,56 +94,30 @@ type KeyService struct {
 	pvc *DirectMapped[principal.Address, *cert.Certificate]
 	mkc *DirectMapped[principal.Address, [16]byte]
 
-	retry  RetryPolicy
-	negTTL time.Duration
-	sleep  func(time.Duration)
-
-	// negative-result cache and the jitter RNG, both off the per-packet
-	// hot path (only directory fetches touch them).
-	negMu sync.Mutex
-	neg   map[principal.Address]time.Time
-	rng   *cryptolib.LCG
-
 	stats keyServiceCounters
 }
-
-// negCacheCap bounds the negative-result cache so an address scan
-// cannot grow it without limit.
-const negCacheCap = 1024
 
 // keyCacheSize is the slot count of a key service's PVC and of its MKC:
 // a PVC miss costs a directory round trip, an MKC miss a modular
 // exponentiation. A ShardGroup's key plane has shards × this many.
 const keyCacheSize = 64
 
-// KeyServiceConfig configures how the key service degrades when the
-// directory does not answer.
-type KeyServiceConfig struct {
-	// Retry bounds directory lookups; the zero value keeps the historic
-	// single-attempt behaviour.
-	Retry RetryPolicy
-	// NegativeTTL caches a failed peer lookup for this long, failing
-	// later requests for the same peer immediately instead of hammering
-	// a directory that just said no. 0 disables the cache.
-	NegativeTTL time.Duration
-	// Sleep is the backoff sleeper; nil means time.Sleep. Tests inject
-	// a recorder to assert the backoff schedule without waiting it out.
-	Sleep func(time.Duration)
-}
+// KeyServiceConfig is empty: a failed directory lookup is not retried
+// or remembered. The key plane's state is soft (Section 5.3), so the
+// next datagram from the peer retries the fetch, and the admission gate
+// bounds the directory calls unknown peers can cause.
+type KeyServiceConfig struct{}
 
 // NewKeyService wires the keying mechanism for one principal.
-func NewKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, cfg KeyServiceConfig) *KeyService {
-	return newKeyService(self, dir, verifier, clock, cfg, keyCacheSize)
+func NewKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, _ KeyServiceConfig) *KeyService {
+	return newKeyService(self, dir, verifier, clock, keyCacheSize)
 }
 
 // newKeyService is NewKeyService with slots entries in each of the PVC
 // and the MKC.
-func newKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, cfg KeyServiceConfig, slots int) *KeyService {
+func newKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.Verifier, clock Clock, slots int) *KeyService {
 	if clock == nil {
 		clock = RealClock{}
-	}
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
 	}
 	return &KeyService{
 		self:     self,
@@ -227,12 +126,6 @@ func newKeyService(self *principal.Identity, dir cert.Directory, verifier *cert.
 		clock:    clock,
 		pvc:      NewDirectMapped[principal.Address, *cert.Certificate](slots, pvcHash),
 		mkc:      NewDirectMapped[principal.Address, [16]byte](slots, addrHash),
-		retry:    cfg.Retry.withDefaults(),
-		negTTL:   cfg.NegativeTTL,
-		sleep:    cfg.Sleep,
-		neg:      make(map[principal.Address]time.Time),
-		// Backoff jitter wants spread, not secrecy: a fixed seed will do.
-		rng: cryptolib.NewLCGSeeded(0xFB5BACC0FF),
 	}
 }
 
@@ -261,7 +154,7 @@ func (ks *KeyService) MasterKey(peer principal.Address) ([16]byte, error) {
 	if k, ok := ks.cachedMasterKey(peer); ok {
 		return k, nil
 	}
-	return ks.masterKeyMiss(peer, new(KeyNote))
+	return ks.masterKeyMiss(peer, new(SpanFlags))
 }
 
 // cachedMasterKey is the MKC probe every request makes exactly once: it
@@ -272,18 +165,18 @@ func (ks *KeyService) cachedMasterKey(peer principal.Address) ([16]byte, bool) {
 }
 
 // masterKeyMiss is Figure 6 below the MKC — what the daemon runs for a
-// request whose probe missed — annotating note with which tier answered
-// and how the fetch path degraded: the per-request counterpart of the
-// aggregate KeyServiceStats counters, consumed by the tracing plane. It
+// request whose probe missed — annotating note with which tier answered:
+// the per-request counterpart of the aggregate KeyServiceStats counters,
+// consumed by the tracing plane. It
 // looks at the MKC once more, uncounted: a request that missed just
 // before a computation for the same peer finished must find that key,
 // not pay a second exponentiation.
-func (ks *KeyService) masterKeyMiss(peer principal.Address, note *KeyNote) ([16]byte, error) {
+func (ks *KeyService) masterKeyMiss(peer principal.Address, note *SpanFlags) ([16]byte, error) {
 	if k, ok := ks.mkc.Peek(peer); ok {
-		note.Flags |= FlagKeyMKCHit
+		*note |= FlagKeyMKCHit
 		return k, nil
 	}
-	c, err := ks.certificateNoted(peer, note)
+	c, err := ks.certificate(peer)
 	if err != nil {
 		ks.stats.failures.Add(1)
 		return [16]byte{}, err
@@ -294,112 +187,22 @@ func (ks *KeyService) masterKeyMiss(peer principal.Address, note *KeyNote) ([16]
 		return [16]byte{}, fmt.Errorf("core: master key with %q: %w", peer, err)
 	}
 	ks.stats.masterKeyComputes.Add(1)
-	note.Flags |= FlagKeyComputed
+	*note |= FlagKeyComputed
 	ks.mkc.Put(peer, k)
 	return k, nil
 }
 
-// ErrPeerUnavailable marks a lookup refused by the negative-result
-// cache: the directory failed for this peer recently and the TTL has
-// not yet expired.
-var ErrPeerUnavailable = errors.New("core: peer certificate recently unavailable")
-
-// negCached reports whether peer is inside its negative-TTL window.
-func (ks *KeyService) negCached(peer principal.Address, now time.Time) bool {
-	if ks.negTTL <= 0 {
-		return false
-	}
-	ks.negMu.Lock()
-	defer ks.negMu.Unlock()
-	exp, ok := ks.neg[peer]
-	if !ok {
-		return false
-	}
-	if now.Before(exp) {
-		return true
-	}
-	delete(ks.neg, peer)
-	return false
-}
-
-// negRemember installs a negative entry for peer; negForget clears it.
-func (ks *KeyService) negRemember(peer principal.Address, now time.Time) {
-	if ks.negTTL <= 0 {
-		return
-	}
-	ks.negMu.Lock()
-	defer ks.negMu.Unlock()
-	if len(ks.neg) >= negCacheCap {
-		for k := range ks.neg { // evict one arbitrary entry
-			delete(ks.neg, k)
-			break
-		}
-	}
-	ks.neg[peer] = now.Add(ks.negTTL)
-}
-
-func (ks *KeyService) negForget(peer principal.Address) {
-	if ks.negTTL <= 0 {
-		return
-	}
-	ks.negMu.Lock()
-	delete(ks.neg, peer)
-	ks.negMu.Unlock()
-}
-
-// jitterUnit draws a uniform value in [0, 1) for backoff jitter.
-func (ks *KeyService) jitterUnit() float64 {
-	ks.negMu.Lock()
-	u := float64(ks.rng.Uint32()) / float64(1<<32)
-	ks.negMu.Unlock()
-	return u
-}
-
-// lookup fetches a certificate from the directory under the retry
-// policy: negative-cache fast path, then up to MaxAttempts tries with
-// exponential backoff + jitter.
-// Failures are remembered in the negative cache so the next burst of
-// datagrams to the same unreachable peer fails fast instead of queueing
-// behind a full retry loop each.
-func (ks *KeyService) lookup(peer principal.Address, note *KeyNote) (*cert.Certificate, error) {
-	if ks.negCached(peer, ks.clock.Now()) {
-		ks.stats.negativeHits.Add(1)
-		note.Flags |= FlagKeyNegCache
-		return nil, fmt.Errorf("%w: %q", ErrPeerUnavailable, peer)
-	}
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		note.Attempts = max(note.Attempts, uint32(attempt))
-		c, err := ks.dir.Lookup(peer)
-		if err == nil {
-			ks.negForget(peer)
-			return c, nil
-		}
-		lastErr = err
-		if attempt >= ks.retry.MaxAttempts {
-			break
-		}
-		ks.stats.retries.Add(1)
-		note.Flags |= FlagKeyRetried
-		ks.sleep(ks.retry.backoff(attempt, ks.jitterUnit()))
-	}
-	ks.negRemember(peer, ks.clock.Now())
-	return nil, lastErr
-}
-
-// certificateNoted returns a verified certificate for peer, via the PVC.
+// certificate returns a verified certificate for peer, via the PVC.
 // The certificate is verified on every use — the PVC need not be a secure
-// store because of this (Section 5.3). When the directory is failing,
-// the retry policy bounds the fetch and the negative cache absorbs repeat
-// misses. note is annotated with the degradation verdicts (negative-cache
-// refusals, retry attempts) for the tracing plane.
-func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*cert.Certificate, error) {
+// store because of this (Section 5.3). A PVC miss asks the directory
+// once; if it fails, the request fails and the next one asks again.
+func (ks *KeyService) certificate(peer principal.Address) (*cert.Certificate, error) {
 	now := ks.clock.Now()
 	c, ok := ks.pvc.Get(peer)
 	if !ok {
 		var err error
 		ks.stats.certFetches.Add(1)
-		c, err = ks.lookup(peer, note)
+		c, err = ks.dir.Lookup(peer)
 		if err != nil {
 			return nil, fmt.Errorf("core: fetching certificate for %q: %w", peer, err)
 		}
@@ -408,10 +211,10 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 	ks.stats.certVerifies.Add(1)
 	if err := ks.verifier.Verify(c, peer, now); err != nil {
 		// A cached certificate may simply have expired; drop it and
-		// refetch (bounded by the retry policy).
+		// refetch once.
 		ks.pvc.Invalidate(peer)
 		ks.stats.certFetches.Add(1)
-		fresh, ferr := ks.lookup(peer, note)
+		fresh, ferr := ks.dir.Lookup(peer)
 		if ferr != nil {
 			return nil, err
 		}
@@ -430,20 +233,13 @@ func (ks *KeyService) certificateNoted(peer principal.Address, note *KeyNote) (*
 // certificate is still verified on each use.
 func (ks *KeyService) Pin(c *cert.Certificate) { ks.pvc.Put(c.Subject, c) }
 
-// InvalidatePeer drops cached state for peer (e.g. after learning it
-// rekeyed).
-func (ks *KeyService) InvalidatePeer(peer principal.Address) {
+// FlushPeer drops all keying state for peer — verified certificate and
+// pair master key — forcing the next contact to re-run the full upcall
+// chain (e.g. after learning it rekeyed). Endpoint.FlushPeer layers the
+// flow-key caches on top.
+func (ks *KeyService) FlushPeer(peer principal.Address) {
 	ks.pvc.Invalidate(peer)
 	ks.mkc.Invalidate(peer)
-}
-
-// FlushPeer drops all keying state for peer — verified certificate,
-// pair master key, and negative-lookup memory — forcing the next
-// contact to re-run the full upcall chain. Endpoint.FlushPeer layers
-// the flow-key caches on top.
-func (ks *KeyService) FlushPeer(peer principal.Address) {
-	ks.InvalidatePeer(peer)
-	ks.negForget(peer)
 }
 
 // Stats returns a snapshot of keying counters.
@@ -454,7 +250,5 @@ func (ks *KeyService) Stats() KeyServiceStats {
 		CertFetches:       ks.stats.certFetches.Load(),
 		CertVerifies:      ks.stats.certVerifies.Load(),
 		Failures:          ks.stats.failures.Load(),
-		Retries:           ks.stats.retries.Load(),
-		NegativeHits:      ks.stats.negativeHits.Load(),
 	}
 }

@@ -64,15 +64,15 @@ func (w *testWorld) principal(t testing.TB, addr principal.Address) *principal.I
 	return id
 }
 
-func (w *testWorld) keyService(t testing.TB, addr principal.Address, cfg KeyServiceConfig) *KeyService {
+func (w *testWorld) keyService(t testing.TB, addr principal.Address) *KeyService {
 	t.Helper()
-	return NewKeyService(w.principal(t, addr), w.dir, w.ver, w.clock, cfg)
+	return NewKeyService(w.principal(t, addr), w.dir, w.ver, w.clock, KeyServiceConfig{})
 }
 
 func TestKeyServiceMasterKeySymmetric(t *testing.T) {
 	w := newWorld(t)
-	ksA := w.keyService(t, "a", KeyServiceConfig{})
-	ksB := w.keyService(t, "b", KeyServiceConfig{})
+	ksA := w.keyService(t, "a")
+	ksB := w.keyService(t, "b")
 	ka, err := ksA.MasterKey("b")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestKeyServiceMasterKeySymmetric(t *testing.T) {
 func TestKeyServiceCaching(t *testing.T) {
 	w := newWorld(t)
 	w.principal(t, "peer")
-	ks := w.keyService(t, "self", KeyServiceConfig{})
+	ks := w.keyService(t, "self")
 	for i := 0; i < 5; i++ {
 		if _, err := ks.MasterKey("peer"); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestPVCEvictionIndependentOfMKC(t *testing.T) {
 	}
 	w.principal(t, a)
 	w.principal(t, b)
-	ks := w.keyService(t, "self", KeyServiceConfig{})
+	ks := w.keyService(t, "self")
 	for _, peer := range []principal.Address{a, b, a} {
 		if _, err := ks.MasterKey(peer); err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestPVCEvictionIndependentOfMKC(t *testing.T) {
 
 func TestKeyServiceUnknownPeer(t *testing.T) {
 	w := newWorld(t)
-	ks := w.keyService(t, "self", KeyServiceConfig{})
+	ks := w.keyService(t, "self")
 	if _, err := ks.MasterKey("ghost"); err == nil {
 		t.Fatal("master key for unpublished peer succeeded")
 	}
@@ -149,7 +149,7 @@ func TestKeyServiceUnknownPeer(t *testing.T) {
 func TestKeyServiceExpiredCertRefetch(t *testing.T) {
 	w := newWorld(t)
 	peer := w.principal(t, "peer")
-	ks := w.keyService(t, "self", KeyServiceConfig{})
+	ks := w.keyService(t, "self")
 	if _, err := ks.MasterKey("peer"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestKeyServiceExpiredCertRefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.dir.Publish(fresh)
-	ks.InvalidatePeer("peer") // drop the MKC entry so the cert path runs
+	ks.FlushPeer("peer") // drop the MKC entry so the cert path runs
 	if _, err := ks.MasterKey("peer"); err != nil {
 		t.Fatalf("refetch after expiry failed: %v", err)
 	}
@@ -233,10 +233,10 @@ func TestFlowKeyUnambiguousEncoding(t *testing.T) {
 
 // upcallKey is one upcall from start to result, as the key plane makes
 // it on an MKC miss.
-func upcallKey(m *MKD, peer principal.Address) ([16]byte, KeyNote, error) {
+func upcallKey(m *MKD, peer principal.Address) ([16]byte, SpanFlags, error) {
 	u, err := m.start(peer)
 	if err != nil {
-		return [16]byte{}, KeyNote{}, err
+		return [16]byte{}, 0, err
 	}
 	return m.wait(&u)
 }
@@ -244,7 +244,7 @@ func upcallKey(m *MKD, peer principal.Address) ([16]byte, KeyNote, error) {
 func TestMKDCoalescesUpcalls(t *testing.T) {
 	w := newWorld(t)
 	w.principal(t, "peer")
-	ks := w.keyService(t, "self", KeyServiceConfig{})
+	ks := w.keyService(t, "self")
 	mkd := NewMKD(ks, 1)
 	defer mkd.Stop()
 	const n = 16
@@ -280,7 +280,7 @@ func TestMKDCoalescesUpcalls(t *testing.T) {
 
 func TestMKDStop(t *testing.T) {
 	w := newWorld(t)
-	ks := w.keyService(t, "self", KeyServiceConfig{})
+	ks := w.keyService(t, "self")
 	mkd := NewMKD(ks, 1)
 	mkd.Stop()
 	mkd.Stop() // idempotent
@@ -494,4 +494,79 @@ func TestOpenCoalescesFlowKeyMisses(t *testing.T) {
 	if coalesced != n-1 {
 		t.Errorf("%d key spans carry FlagKeyCoalesced, want %d", coalesced, n-1)
 	}
+}
+
+// failingDirectory fails the first FailFirst lookups, then delegates.
+type failingDirectory struct {
+	Inner     cert.Directory
+	FailFirst int
+
+	mu    sync.Mutex
+	calls int
+}
+
+func (d *failingDirectory) Lookup(addr principal.Address) (*cert.Certificate, error) {
+	d.mu.Lock()
+	d.calls++
+	n := d.calls
+	d.mu.Unlock()
+	if n <= d.FailFirst {
+		return nil, fmt.Errorf("directory down (call %d)", n)
+	}
+	return d.Inner.Lookup(addr)
+}
+
+// TestStaleWindowNeverServesTamperedCert: there is no stale window. A
+// cached certificate that no longer verifies — tampered, or merely
+// expired while the directory is down — is never served: the lookup
+// fails, and an endpoint refuses the datagram with DropKeying.
+func TestStaleWindowNeverServesTamperedCert(t *testing.T) {
+	w := newWorld(t)
+	alice := w.principal(t, "alice")
+	bob := w.principal(t, "bob")
+	c, err := w.ca.Issue(bob, w.clock.Now().Add(-time.Hour), w.clock.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Signature[0] ^= 0xFF
+	w.dir.Publish(c)
+	ks := NewKeyService(alice, w.dir, w.ver, w.clock, KeyServiceConfig{})
+	if _, err := ks.certificate("bob"); err == nil {
+		t.Fatal("tampered certificate served")
+	}
+
+	// bob holds alice's certificate from an earlier flow; a day later it
+	// has expired, the directory is down and the pair key has left the
+	// MKC, so alice's next flow is refused.
+	w = newWorld(t)
+	dir := &failingDirectory{Inner: w.dir}
+	a, b, _ := endpointPair(t, w, func(c *Config) { c.Directory = dir })
+	exchange := func() error {
+		sealed, err := a.Seal(transport.Datagram{Source: "alice", Destination: "bob", Payload: []byte("x")}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = b.Open(sealed)
+		return err
+	}
+	if err := exchange(); err != nil {
+		t.Fatalf("fresh certificate rejected: %v", err)
+	}
+	w.clock.Advance(25 * time.Hour) // past the 24 h validity, and a new flow
+	dir.FailFirst = 1 << 30
+	b.plane.ks.mkc.Invalidate("alice")
+	if err := exchange(); DropReasonOf(err) != DropKeying {
+		t.Fatalf("open under an expired certificate with the directory down: %v, want a keying drop", err)
+	}
+}
+
+// blockingDirectory parks every lookup until released.
+type blockingDirectory struct {
+	Inner   cert.Directory
+	release chan struct{}
+}
+
+func (d *blockingDirectory) Lookup(addr principal.Address) (*cert.Certificate, error) {
+	<-d.release
+	return d.Inner.Lookup(addr)
 }

@@ -25,7 +25,7 @@ type keyPlane struct {
 // GOMAXPROCS) daemon workers, so a group keeps the capacity, budget
 // ceiling and miss concurrency its per-shard key services had.
 func newKeyPlane(cfg Config, shards int) *keyPlane {
-	ks := newKeyService(cfg.Identity, cfg.Directory, cfg.Verifier, cfg.Clock, cfg.Keying, shards*keyCacheSize)
+	ks := newKeyService(cfg.Identity, cfg.Directory, cfg.Verifier, cfg.Clock, shards*keyCacheSize)
 	ks.SetBudget(cfg.StateBudget)
 	return &keyPlane{ks: ks, mkd: NewMKD(ks, min(shards, runtime.GOMAXPROCS(0)))}
 }
@@ -36,9 +36,9 @@ func newKeyPlane(cfg Config, shards int) *keyPlane {
 // nil) is a receive walk's look-ahead over the rest of its chunk: a miss
 // on a peer it started waits on that upcall instead of starting another,
 // and the chunk's first miss starts it before waiting.
-func (p *keyPlane) masterKey(peer principal.Address, gate *admissionGate, la *lookahead) ([16]byte, KeyNote, error) {
+func (p *keyPlane) masterKey(peer principal.Address, gate *admissionGate, la *lookahead) ([16]byte, SpanFlags, error) {
 	if k, ok := p.ks.cachedMasterKey(peer); ok {
-		return k, KeyNote{Flags: FlagKeyMKCHit}, nil
+		return k, FlagKeyMKCHit, nil
 	}
 	if u := la.upcall(peer); u != nil {
 		return p.mkd.wait(u)
@@ -47,7 +47,7 @@ func (p *keyPlane) masterKey(peer principal.Address, gate *admissionGate, la *lo
 	defer gate.leave()
 	u, err := p.mkd.start(peer)
 	if err != nil {
-		return [16]byte{}, KeyNote{}, err
+		return [16]byte{}, 0, err
 	}
 	if own := la.start(u); own != nil {
 		return p.mkd.wait(own)
@@ -71,10 +71,14 @@ type flight[K comparable, R any] struct {
 }
 
 // keyResult is what the key plane's flights land: a key, the
-// annotations of the work that produced it, and its error.
+// annotations of the work that produced it, and its error. The note
+// carries the flow-key span's keying flags (FlagKeyMKCHit,
+// FlagKeyComputed, FlagKeyCoalesced and the admission flags), so the
+// trace span, and only the trace span, reports per-datagram keying
+// verdicts without new shared counters.
 type keyResult struct {
 	key  [16]byte
-	note KeyNote
+	note SpanFlags
 	err  error
 }
 

@@ -65,7 +65,7 @@ func (m *MKD) serve() {
 type upcall struct {
 	peer   principal.Address
 	ch     chan keyResult
-	joined KeyNote // FlagKeyCoalesced when it joined a request in flight
+	joined SpanFlags // FlagKeyCoalesced when it joined a request in flight
 	done   bool
 	r      keyResult
 }
@@ -81,7 +81,7 @@ func (m *MKD) start(peer principal.Address) (upcall, error) {
 	m.upcalls.Add(1)
 	u := upcall{peer: peer, ch: ch}
 	if !lead {
-		u.joined.Flags = FlagKeyCoalesced
+		u.joined = FlagKeyCoalesced
 		return u, nil
 	}
 	select {
@@ -93,11 +93,11 @@ func (m *MKD) start(peer principal.Address) (upcall, error) {
 }
 
 // wait blocks until u's result has landed.
-func (m *MKD) wait(u *upcall) ([16]byte, KeyNote, error) {
+func (m *MKD) wait(u *upcall) ([16]byte, SpanFlags, error) {
 	if !u.done {
 		u.r = <-u.ch
 		u.done = true
-		u.r.note.merge(u.joined)
+		u.r.note |= u.joined
 	}
 	return u.r.key, u.r.note, u.r.err
 }

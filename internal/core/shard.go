@@ -49,7 +49,7 @@ type ShardGroup struct {
 // owns its own socket, mirroring SO_REUSEPORT deployments) and
 // observation plumbing (shard-labelled collectors); they must name one
 // identity, and the key plane is built from shard 0's (directory,
-// verifier, clock, retry policy, budget, n × its PVC/MKC sizes). On
+// verifier, clock, budget, n × its PVC/MKC sizes). On
 // error, shards already built are closed.
 func NewShardGroup(n int, mk func(shard int) (Config, error)) (*ShardGroup, error) {
 	if n <= 0 {

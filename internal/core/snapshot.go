@@ -163,8 +163,6 @@ func (s *Snapshot) Merge(o Snapshot) {
 	s.Keying.CertFetches += o.Keying.CertFetches
 	s.Keying.CertVerifies += o.Keying.CertVerifies
 	s.Keying.Failures += o.Keying.Failures
-	s.Keying.Retries += o.Keying.Retries
-	s.Keying.NegativeHits += o.Keying.NegativeHits
 	s.MKDUpcalls += o.MKDUpcalls
 
 	s.Budget.Used += o.Budget.Used

@@ -46,7 +46,7 @@ type Suite interface {
 	WireAlg(mac cryptolib.MACID, mode cryptolib.Mode) (cryptolib.MACID, cryptolib.Mode)
 	// ValidHeader reports whether the MAC/mode bytes of a decoded header
 	// are structurally possible for this suite. It is a structural check,
-	// not receiver policy — policy lives in Config.AcceptMACs/AcceptCiphers.
+	// not receiver policy — policy lives in Endpoint.checkAlg.
 	ValidHeader(h Header) bool
 	// DeriveIV returns the per-datagram IV (legacy, 8 bytes) or nonce
 	// (AEAD, 12 bytes) this suite derives from the header. Diagnostic

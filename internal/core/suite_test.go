@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
@@ -353,11 +355,20 @@ func TestAEADConfounderCounter(t *testing.T) {
 	}
 }
 
-// TestAEADAcceptMACsOptIn: a pinned AcceptMACs set must not silently
-// widen to the AEAD tier — AEAD suites are admitted only when policy is
-// fully open, when AcceptMACs names MACAEAD, or when AcceptCiphers
-// names the suite explicitly.
-func TestAEADAcceptMACsOptIn(t *testing.T) {
+// nullMACForgery is what an adversary holding no key can write: a
+// header claiming source src with cipher none, MAC null, an arbitrary
+// sfl, a fresh timestamp and an all-zero MAC value.
+func nullMACForgery(src, dst principal.Address, now time.Time, payload string) transport.Datagram {
+	h := Header{Version: HeaderVersion, MAC: cryptolib.MACNull, Cipher: CipherNone,
+		SFL: 0x5eed, Timestamp: TimestampOf(now)}
+	return transport.Datagram{Source: src, Destination: dst, Payload: append(h.Encode(nil), payload...)}
+}
+
+// TestAEADAcceptCiphers: AcceptCiphers binds the AEAD suites, the open
+// policy admits every registered suite, and no receiver accepts a
+// null-MAC forgery unless it is itself the NOP configuration — with or
+// without a cipher accept-set, legacy or AEAD.
+func TestAEADAcceptCiphers(t *testing.T) {
 	w := newWorld(t)
 	net := transport.NewNetwork(transport.Impairments{})
 	mk := func(addr principal.Address, mutate func(*Config)) *Endpoint {
@@ -388,27 +399,10 @@ func TestAEADAcceptMACsOptIn(t *testing.T) {
 		mutate func(*Config)
 		accept bool
 	}{
-		// Pre-AEAD strict config: legacy MACs pinned, no cipher policy.
-		// The pre-PR accept set must hold — no silent widening.
-		{"pinned-legacy", func(c *Config) {
-			c.AcceptMACs = []cryptolib.MACID{cryptolib.MACPrefixMD5, cryptolib.MACHMACSHA1}
-		}, false},
-		// MACAEAD in AcceptMACs is the explicit opt-in for the tier.
-		{"optin-mac", func(c *Config) {
-			c.AcceptMACs = []cryptolib.MACID{cryptolib.MACPrefixMD5, cryptolib.MACAEAD}
-		}, true},
-		// Naming the suite in AcceptCiphers also opts in, even with a
-		// legacy-only MAC pin.
-		{"optin-cipher", func(c *Config) {
-			c.AcceptMACs = []cryptolib.MACID{cryptolib.MACPrefixMD5}
-			c.AcceptCiphers = []CipherID{CipherAES128GCM}
-		}, true},
-		// AcceptCiphers still binds on its own: MACAEAD in AcceptMACs
-		// does not override a cipher set that excludes the suite.
-		{"cipher-excludes", func(c *Config) {
-			c.AcceptMACs = []cryptolib.MACID{cryptolib.MACAEAD}
-			c.AcceptCiphers = []CipherID{CipherDES}
-		}, false},
+		// Naming the suite in AcceptCiphers admits it.
+		{"optin-cipher", func(c *Config) { c.AcceptCiphers = []CipherID{CipherAES128GCM} }, true},
+		// A cipher set that excludes the suite refuses it.
+		{"cipher-excludes", func(c *Config) { c.AcceptCiphers = []CipherID{CipherDES} }, false},
 		// Fully open policy admits every registered suite.
 		{"open", nil, true},
 	}
@@ -429,6 +423,38 @@ func TestAEADAcceptMACsOptIn(t *testing.T) {
 				t.Errorf("%s: err=%v reason=%v, want ErrAlgorithmRejected/DropAlgorithm", tc.addr, err, DropReasonOf(err))
 			}
 		}
+	}
+
+	// The forgery: DES and AES-128-GCM receivers, each with and without
+	// a cipher accept-set pinned to its own suite (what fbsgw's
+	// accept_suites produces), refuse it by policy.
+	w.principal(t, "alice")
+	for _, c := range []CipherID{CipherDES, CipherAES128GCM} {
+		for _, pinned := range []bool{false, true} {
+			addr := principal.Address(fmt.Sprintf("forged-%v-%t", c, pinned))
+			rx := mk(addr, func(cfg *Config) {
+				cfg.Cipher = c
+				if pinned {
+					cfg.AcceptCiphers = []CipherID{c}
+				}
+			})
+			_, err := rx.Open(nullMACForgery("alice", addr, w.clock.Now(), "forged"))
+			if !errors.Is(err, ErrAlgorithmRejected) || rx.Snapshot().Drops[DropAlgorithm] != 1 {
+				t.Errorf("%s: null-MAC forgery err=%v drops[algorithm]=%d, want ErrAlgorithmRejected and 1",
+					addr, err, rx.Snapshot().Drops[DropAlgorithm])
+			}
+		}
+	}
+
+	// A NOP pair still round-trips: both ends are the NOP configuration.
+	nop := func(c *Config) { c.Cipher, c.MAC = CipherNone, cryptolib.MACNull }
+	nopTx, nopRx := mk("nop-sender", nop), mk("nop-receiver", nop)
+	sealed, err := nopTx.Seal(transport.Datagram{Source: "nop-sender", Destination: "nop-receiver", Payload: []byte("nop")}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := nopRx.Open(sealed); err != nil || string(got.Payload) != "nop" {
+		t.Errorf("NOP pair: %q, %v; want the payload back", got.Payload, err)
 	}
 }
 

@@ -39,7 +39,7 @@ const (
 	SpanClassify
 	// SpanFlowKey is flow-key retrieval or derivation on either side
 	// (TFKC/RFKC probe, MKD upcall, admission verdict). Flags carry the
-	// keying annotations; Attr is the directory attempt count.
+	// keying annotations.
 	SpanFlowKey
 	// SpanCrypto is the suite's body transform: MAC+encrypt on seal,
 	// decrypt+verify (or the AEAD open) on open.
@@ -128,12 +128,6 @@ const (
 	FlagKeyMKCHit
 	// FlagKeyComputed: a Diffie-Hellman exponentiation was performed.
 	FlagKeyComputed
-	// FlagKeyRetried: the directory lookup retried at least once under
-	// the backoff policy.
-	FlagKeyRetried
-	// FlagKeyNegCache: the lookup was refused fast by the
-	// negative-result cache.
-	FlagKeyNegCache
 	// FlagKeyCoalesced: this derivation joined an in-flight one (the
 	// key plane's single-flight, at the flow key or in the MKD).
 	FlagKeyCoalesced
@@ -162,8 +156,6 @@ var spanFlagNames = []string{
 	"key_hit",
 	"mkc_hit",
 	"computed",
-	"retried",
-	"neg_cache",
 	"coalesced",
 	"admitted",
 	"admit_refused",
@@ -215,7 +207,7 @@ type Span struct {
 	// transit delay).
 	Dur time.Duration
 	// Attr is a kind-specific scalar — payload length for root spans,
-	// directory attempts for SpanFlowKey, model detail for SpanLink.
+	// model detail for SpanLink.
 	Attr uint64
 }
 
@@ -283,9 +275,9 @@ func (t *traceCtx) parsed(t0 time.Time, sfl SFL, secret bool, drop DropReason) {
 // keyed emits the span of the flow-key stage begun at t0, on either
 // side: which tier served the key, the keying plane's annotations and
 // the stage's verdict. Callers check active() first.
-func (t *traceCtx) keyed(t0 time.Time, sfl SFL, hit bool, note KeyNote, drop DropReason) {
+func (t *traceCtx) keyed(t0 time.Time, sfl SFL, hit bool, note SpanFlags, drop DropReason) {
 	sp := Span{Kind: SpanFlowKey, Drop: drop, SFL: sfl, Start: t0, Dur: time.Since(t0),
-		Flags: note.Flags, Attr: uint64(note.Attempts)}
+		Flags: note}
 	if hit {
 		sp.Flags |= FlagKeyHit
 	}
@@ -317,26 +309,4 @@ func (t *traceCtx) finish(root Span, err error) {
 	root.Dur = time.Since(root.Start)
 	root.Drop = DropReasonOf(err)
 	t.span(root)
-}
-
-// KeyNote accumulates the keying-plane annotations of one flow-key
-// retrieval: which cache tier answered, what degraded, and what the
-// admission machinery decided. It is threaded by pointer through the
-// KeyService and MKD so the trace span — and only the
-// trace span — can report per-datagram keying verdicts without new
-// shared counters.
-type KeyNote struct {
-	// Attempts counts directory lookups performed (0 when no fetch was
-	// needed; >1 means the backoff policy retried).
-	Attempts uint32
-	// Flags are the verdicts, already in the flow-key span's encoding:
-	// FlagKeyMKCHit, FlagKeyComputed, FlagKeyRetried, FlagKeyNegCache,
-	// FlagKeyCoalesced and the admission flags.
-	Flags SpanFlags
-}
-
-// merge folds another note into n.
-func (n *KeyNote) merge(o KeyNote) {
-	n.Attempts = max(n.Attempts, o.Attempts)
-	n.Flags |= o.Flags
 }

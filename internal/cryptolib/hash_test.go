@@ -44,8 +44,7 @@ func TestSHA1Vectors(t *testing.T) {
 	}
 }
 
-// TestSumDoesNotDisturbState ensures Sum may be called mid-stream, which
-// StreamMAC.Sum relies on.
+// TestSumDoesNotDisturbState ensures Sum may be called mid-stream.
 func TestSumDoesNotDisturbState(t *testing.T) {
 	m := HashMD5.New()
 	m.Write([]byte("hello "))
@@ -120,7 +119,10 @@ func TestMACVerify(t *testing.T) {
 	}
 }
 
-// The prefix MAC must be split-insensitive: MAC(k, a|b) == MAC(k, ab).
+// The MAC must be split-insensitive: MAC(k, a|b) == MAC(k, ab), for
+// every MACID, including the null MAC (all zeros) and the IDs Compute
+// refuses (MACAEAD and an unknown one), which must not fall back to a
+// real MAC.
 func TestMACPartsConcatenate(t *testing.T) {
 	key := []byte("k")
 	for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1} {
@@ -129,6 +131,21 @@ func TestMACPartsConcatenate(t *testing.T) {
 		if !bytes.Equal(one, two) {
 			t.Errorf("%v: parts are not concatenated", id)
 		}
+	}
+	f := func(key, a, b, c []byte) bool {
+		for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1, MACNull, MACAEAD, MACID(9)} {
+			whole := id.Compute(key, append(append(append([]byte{}, a...), b...), c...))
+			if !bytes.Equal(id.Compute(key, a, b, c), whole) {
+				return false
+			}
+			if refused := id == MACAEAD || id == MACID(9); refused != (whole == nil) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -174,42 +191,6 @@ func TestHashIDProperties(t *testing.T) {
 	}
 }
 
-// TestStreamMACMatchesCompute holds every MACID's stream to Compute,
-// including the null MAC and the IDs Compute refuses (MACAEAD and an
-// unknown one), whose stream must not fall back to a real MAC.
-func TestStreamMACMatchesCompute(t *testing.T) {
-	f := func(key, a, b, c []byte) bool {
-		for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1, MACNull, MACAEAD, MACID(9)} {
-			s := id.NewStream(key)
-			s.Write(a)
-			s.Write(b)
-			s.Write(c)
-			if !bytes.Equal(s.Sum(), id.Compute(key, a, b, c)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStreamMACSumMidStream(t *testing.T) {
-	for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1} {
-		s := id.NewStream([]byte("k"))
-		s.Write([]byte("ab"))
-		mid := s.Sum()
-		if !bytes.Equal(mid, id.Compute([]byte("k"), []byte("ab"))) {
-			t.Fatalf("%v: mid-stream Sum wrong", id)
-		}
-		s.Write([]byte("cd"))
-		if !bytes.Equal(s.Sum(), id.Compute([]byte("k"), []byte("abcd"))) {
-			t.Fatalf("%v: Sum disturbed the stream", id)
-		}
-	}
-}
-
 func TestMACNull(t *testing.T) {
 	if MACNull.String() != "null (NOP)" || MACNull.Size() != 16 {
 		t.Fatal("MACNull metadata wrong")
@@ -222,10 +203,5 @@ func TestMACNull(t *testing.T) {
 	}
 	if !MACNull.Verify([]byte("k"), make([]byte, 16), []byte("anything")) {
 		t.Fatal("MACNull rejected")
-	}
-	s := MACNull.NewStream([]byte("k"))
-	s.Write([]byte("data"))
-	if !bytes.Equal(s.Sum(), out) {
-		t.Fatal("MACNull stream disagrees")
 	}
 }

@@ -35,7 +35,7 @@ const (
 	MACNull
 	// MACAEAD marks a datagram whose integrity is intrinsic to an AEAD
 	// cipher suite: the MAC value field carries the AEAD tag, and no
-	// separate MAC construction runs. Compute/Verify/NewStream refuse it
+	// separate MAC construction runs. Compute and Verify refuse it
 	// — the suite's sealed-box path owns authentication.
 	MACAEAD
 )
@@ -67,15 +67,28 @@ func (m MACID) Size() int {
 }
 
 // Compute evaluates the MAC over the concatenation of parts under key.
-// Unknown constructions (and MACAEAD, whose authentication lives in the
-// suite's AEAD) return nil rather than silently falling back to a
-// construction the caller did not ask for.
+// MACNull returns all zeros. Unknown constructions (and MACAEAD, whose
+// authentication lives in the suite's AEAD) return nil rather than
+// silently falling back to a construction the caller did not ask for.
 func (m MACID) Compute(key []byte, parts ...[]byte) []byte {
-	s := m.NewStream(key)
-	for _, p := range parts {
-		s.Write(p)
+	var h hash.Hash
+	switch m {
+	case MACPrefixMD5:
+		h = md5.New()
+		h.Write(key)
+	case MACHMACMD5:
+		h = hmac.New(md5.New, key)
+	case MACHMACSHA1:
+		h = hmac.New(sha1.New, key)
+	case MACNull:
+		return make([]byte, md5.Size)
+	default:
+		return nil
 	}
-	return s.Sum()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return h.Sum(nil)
 }
 
 // Verify recomputes the MAC and compares it against got in constant time.
@@ -94,53 +107,4 @@ func (m MACID) Verify(key, got []byte, parts ...[]byte) bool {
 		return false
 	}
 	return subtle.ConstantTimeCompare(want[:len(got)], got) == 1
-}
-
-// StreamMAC is an incremental MAC computation: it lets callers absorb
-// the message in pieces, as Compute does with its parts, without
-// concatenating them first.
-type StreamMAC struct {
-	h    hash.Hash // nil for MACNull and for the constructions Compute refuses
-	null bool      // MACNull: Sum is all zeros
-}
-
-// NewStream begins an incremental MAC under key. Its Sum is what Compute
-// returns for the same message: all zeros for MACNull, and nil for
-// MACAEAD and unknown constructions.
-func (m MACID) NewStream(key []byte) *StreamMAC {
-	switch m {
-	case MACPrefixMD5:
-		h := md5.New()
-		h.Write(key)
-		return &StreamMAC{h: h}
-	case MACHMACMD5:
-		return &StreamMAC{h: hmac.New(md5.New, key)}
-	case MACHMACSHA1:
-		return &StreamMAC{h: hmac.New(sha1.New, key)}
-	case MACNull:
-		return &StreamMAC{null: true}
-	default:
-		return &StreamMAC{}
-	}
-}
-
-// Write absorbs more message bytes; it never fails.
-func (s *StreamMAC) Write(p []byte) (int, error) {
-	if s.h == nil {
-		return len(p), nil
-	}
-	return s.h.Write(p)
-}
-
-// Sum finalises and returns the MAC. The stream remains usable for
-// further writes (Sum reports the MAC of everything written so far).
-func (s *StreamMAC) Sum() []byte {
-	switch {
-	case s.h != nil:
-		return s.h.Sum(nil)
-	case s.null:
-		return make([]byte, md5.Size)
-	default:
-		return nil
-	}
 }

@@ -174,6 +174,59 @@ func TestGatewayBootEchoDrain(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesNullMACForgery sends a tenant configured like the
+// example config's edge tenant (AES-128-GCM, accept_suites pinned to the
+// AEAD suites) what an adversary holding no key can write: a cleartext
+// header claiming source alice with cipher none and MAC null. The
+// gateway counts it as an algorithm drop and neither delivers nor
+// echoes it.
+func TestGatewayRefusesNullMACForgery(t *testing.T) {
+	example, err := os.ReadFile("../../examples/fbsgw/gateway.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := Parse(example)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.AdminAddr, cfg.Tenants = "", cfg.Tenants[:1]
+	if cfg.Tenants[0].Name != "edge" {
+		t.Fatalf("first example tenant is %q, want edge", cfg.Tenants[0].Name)
+	}
+	w := newGWWorld(t)
+	g := w.gateway(cfg)
+	if _, err := w.dom.NewPrincipal("alice"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := w.net.Attach("alice", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := core.Header{Version: core.HeaderVersion, MAC: cryptolib.MACNull, Cipher: core.CipherNone,
+		SFL: 0x5eed, Timestamp: core.TimestampOf(w.clock.Now())}
+	forged := transport.Datagram{Source: "alice", Destination: principal.Address(cfg.Tenants[0].Address),
+		Payload: append(h.Encode(nil), "forged"...)}
+	if err := raw.Send(forged); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Stats().Received == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st, err := g.Shutdown(2 * time.Second)
+	if err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if st.Received != 1 || st.Drops[core.DropAlgorithm.String()] != 1 || st.Accepted != 0 || st.Delivered != 0 || st.Echoed != 0 {
+		t.Errorf("forgery: received %d drops %v accepted %d delivered %d echoed %d, want one algorithm drop and nothing else",
+			st.Received, st.Drops, st.Accepted, st.Delivered, st.Echoed)
+	}
+	if ps := w.net.PortStats("alice"); ps.DeliveredClean != 0 {
+		t.Errorf("%d datagrams came back to the forger", ps.DeliveredClean)
+	}
+	checkReconciliation(t, st)
+}
+
 // TestGatewaySwapUnderTrafficLossless is the tentpole scenario: clients
 // stream round trips while the config is swapped repeatedly (including
 // a shard-count change). Every datagram must reconcile, every swap must

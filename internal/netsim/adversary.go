@@ -38,7 +38,8 @@ const (
 	// DropStale (freshness is checked before the MAC).
 	InjectStale
 	// InjectBadAlg rewrites the MAC algorithm id to MACNull. Legacy
-	// receivers are configured to reject it by policy; AEAD receivers
+	// receivers reject it by policy unless they are themselves the NOP
+	// configuration; AEAD receivers
 	// reject it structurally (an AEAD cipher nibble admits only the
 	// intrinsic MAC id) → DropAlgorithm either way.
 	InjectBadAlg

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"fbs/internal/cert"
 	"fbs/internal/core"
-	"fbs/internal/cryptolib"
 	obstrace "fbs/internal/obs/trace"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
@@ -23,8 +21,8 @@ import (
 
 // FlakyDirectory wraps a certificate directory with a switchable
 // outage, modelling the reachable-but-failing directory the keying
-// plane must degrade gracefully against. It counts lookups so the
-// harness can assert retries stayed bounded.
+// plane must recover from. It counts lookups so the harness can assert
+// each refused datagram cost at most one failed call.
 type FlakyDirectory struct {
 	Inner cert.Directory
 
@@ -86,17 +84,13 @@ type ChaosScenario struct {
 	// (corrupted copies land in seed-dependent buckets).
 	ExactBuckets bool
 	// KeyOutage takes the directory down for OutageDatagrams sends with
-	// the receiver's key caches flushed, exercising bounded retry,
-	// negative caching, and DropKeying accounting. The keying drop count
+	// the receiver's key caches flushed, exercising DropKeying accounting
+	// and recovery on soft state alone. The keying drop count
 	// is asserted exactly, so outage scenarios must use a link that
 	// neither loses, duplicates, nor corrupts (delay/jitter is fine) —
 	// otherwise an outage datagram can vanish or be double-dropped.
 	KeyOutage       bool
 	OutageDatagrams int
-	// Retry configures the endpoints' keying retry policy.
-	Retry core.RetryPolicy
-	// NegativeTTL configures the endpoints' negative-result cache.
-	NegativeTTL time.Duration
 	// MaxRounds bounds post-heal retransmission rounds (default 10).
 	MaxRounds int
 	// Trace samples every datagram through a trace collector shared by
@@ -136,7 +130,7 @@ type ChaosReport struct {
 	Keys       core.KeyServiceStats
 	MKDUpcalls uint64
 	// DirectoryCalls and DirectoryFails count certificate lookups (the
-	// bounded-retry evidence).
+	// one-call-per-refusal evidence).
 	DirectoryCalls uint64
 	DirectoryFails uint64
 	// Rounds is how many retransmission rounds completion took.
@@ -175,18 +169,11 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 
 	cfg := core.Config{
 		Directory: dir,
-		// MACAEAD is the explicit opt-in for the AEAD tier: a
-		// pinned AcceptMACs no longer admits AEAD suites for free,
-		// and the chaos ledger needs AEAD scenarios (and suite-swap
-		// injections into AEAD targets) to keep landing in their
-		// predicted DropBadMAC buckets rather than DropAlgorithm.
-		AcceptMACs: []cryptolib.MACID{cryptolib.MACPrefixMD5, cryptolib.MACAEAD},
-		Cipher:     sc.Suite,
+		Cipher:    sc.Suite,
 		// Keyed-MD5 (or the AEAD's intrinsic MAC) with a replay
 		// cache: every exact duplicate must surface as DropReplay,
 		// which is what makes duplicate accounting exact.
 		EnableReplayCache: true,
-		Keying:            core.KeyServiceConfig{Retry: sc.Retry, NegativeTTL: sc.NegativeTTL},
 	}
 	// Tracing samples every datagram: the collector is shared by both
 	// endpoints and the adversary's view of the link, so one trace
@@ -225,8 +212,7 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 
 	// Phase 2: keying outage. The directory goes down, the receiver's
 	// key caches are flushed, and fresh datagrams arrive: every one must
-	// be dropped DropKeying after a bounded retry loop, with the
-	// negative cache absorbing the burst.
+	// be dropped DropKeying after one failed directory call.
 	if sc.KeyOutage {
 		dir.SetDown(true)
 		bob.FlushKeys()
@@ -235,10 +221,6 @@ func RunChaos(sc ChaosScenario) (*ChaosReport, error) {
 		}
 		r.drain(bob)
 		dir.SetDown(false)
-		// Let the negative-cache entry age out so recovery can proceed.
-		if sc.NegativeTTL > 0 {
-			time.Sleep(sc.NegativeTTL + 20*time.Millisecond)
-		}
 	}
 
 	// Phase 3: the adversary mutates captured traffic mid-stream.
@@ -321,20 +303,10 @@ func (r *ChaosReport) reconcile(sc *ChaosScenario) {
 		if got := r.ReceiverDrops[core.DropKeying]; got != outage {
 			r.fail("drops[keying]=%d, want one per outage datagram (%d)", got, outage)
 		}
-		if r.Keys.NegativeHits == 0 {
-			r.fail("negative cache never hit during the outage")
-		}
-		if r.Keys.Retries == 0 {
-			r.fail("retry policy never retried during the outage")
-		}
-		// Bounded retry: even if every outage datagram ran a full loop,
-		// failed lookups cannot exceed datagrams × MaxAttempts.
-		max := sc.Retry.MaxAttempts
-		if max < 1 {
-			max = 1
-		}
-		if bound := outage * uint64(max); r.DirectoryFails > bound {
-			r.fail("%d failed directory calls exceed the retry bound %d", r.DirectoryFails, bound)
+		// No retry loop: a refused datagram costs at most one failed
+		// directory call.
+		if r.DirectoryFails > outage {
+			r.fail("%d failed directory calls exceed one per outage datagram (%d)", r.DirectoryFails, outage)
 		}
 	} else if r.ReceiverDrops[core.DropKeying] != 0 && sc.ExactBuckets {
 		r.fail("drops[keying]=%d with no keying fault injected", r.ReceiverDrops[core.DropKeying])
@@ -353,7 +325,7 @@ func (r *ChaosReport) Summary() string {
 			name, ls.Offered, ls.Lost, ls.BurstLost, ls.Duplicated, ls.Corrupted, ls.Reordered)
 	}
 	s += dropLines(r.ReceiverDrops)
-	s += fmt.Sprintf("  keying: retries=%d neghits=%d dircalls=%d dirfails=%d upcalls=%d\n",
-		r.Keys.Retries, r.Keys.NegativeHits, r.DirectoryCalls, r.DirectoryFails, r.MKDUpcalls)
+	s += fmt.Sprintf("  keying: dircalls=%d dirfails=%d upcalls=%d\n",
+		r.DirectoryCalls, r.DirectoryFails, r.MKDUpcalls)
 	return s + r.verdictLines()
 }

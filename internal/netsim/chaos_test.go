@@ -194,9 +194,8 @@ func TestChaosLossyBurstCompletesAfterHeal(t *testing.T) {
 
 func TestChaosKeyingOutage(t *testing.T) {
 	// Directory outage with flushed receiver caches: every datagram in
-	// the outage window drops DropKeying after a bounded retry loop, the
-	// negative cache absorbs the burst, and the transfer still completes
-	// once the directory returns.
+	// the outage window drops DropKeying after one failed directory call,
+	// and the transfer still completes once the directory returns.
 	r := runScenario(t, ChaosScenario{
 		Name:            "keying-outage",
 		Seed:            4,
@@ -206,19 +205,12 @@ func TestChaosKeyingOutage(t *testing.T) {
 		Secret:          true,
 		Link:            transport.Impairments{Jitter: time.Millisecond},
 		KeyOutage:       true,
-		Retry: core.RetryPolicy{
-			MaxAttempts: 3,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  4 * time.Millisecond,
-			JitterFrac:  0.5,
-		},
-		NegativeTTL: 250 * time.Millisecond,
 	})
 	if got := r.ReceiverDrops[core.DropKeying]; got != 12 {
 		t.Errorf("drops[keying]=%d, want 12", got)
 	}
-	if r.Keys.Retries == 0 || r.Keys.NegativeHits == 0 {
-		t.Errorf("retry/negative-cache machinery idle: retries=%d neghits=%d", r.Keys.Retries, r.Keys.NegativeHits)
+	if r.DirectoryFails != 12 {
+		t.Errorf("%d failed directory calls, want one per outage datagram (12)", r.DirectoryFails)
 	}
 }
 
@@ -309,8 +301,6 @@ func TestChaosTraceCoversDropReasons(t *testing.T) {
 			Secret:          true,
 			Link:            transport.Impairments{Jitter: time.Millisecond},
 			KeyOutage:       true,
-			Retry:           core.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond},
-			NegativeTTL:     100 * time.Millisecond,
 			Trace:           true,
 		})
 		check(t, r)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fbs/internal/core"
-	"fbs/internal/cryptolib"
 	"fbs/internal/principal"
 	"fbs/internal/transport"
 )
@@ -90,7 +89,6 @@ func RunCrashRestart(sc CrashScenario) (*CrashReport, error) {
 	}
 	newReceiver := func() (*core.Endpoint, error) {
 		bob, err := r.attach(receiver, core.Config{
-			AcceptMACs:        []cryptolib.MACID{cryptolib.MACPrefixMD5},
 			EnableReplayCache: true,
 			StateBudget:       core.NewBudget(sc.HighWater, sc.HardBudget),
 			Admission:         sc.Admission,

@@ -202,7 +202,6 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 
 	attach := func(addr principal.Address, cfg core.Config) (*core.Endpoint, error) {
 		cfg.Clock, cfg.FreshnessWindow = clk, freshness
-		cfg.AcceptMACs = []cryptolib.MACID{cryptolib.MACPrefixMD5}
 		return r.attach(addr, cfg)
 	}
 	// Senders run the pre-filter machinery at the resting level when the

@@ -98,8 +98,6 @@ func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 		CounterFamily("fbs_keyservice_cert_fetches_total", "Certificate fetches from the directory.", ks.CertFetches, lbls...),
 		CounterFamily("fbs_keyservice_cert_verifies_total", "Certificate signature verifications.", ks.CertVerifies, lbls...),
 		CounterFamily("fbs_keyservice_failures_total", "Keying failures.", ks.Failures, lbls...),
-		CounterFamily("fbs_keyservice_retries_total", "Directory lookups retried after failure (bounded backoff).", ks.Retries, lbls...),
-		CounterFamily("fbs_keyservice_negative_hits_total", "Lookups refused fast by the negative-result cache.", ks.NegativeHits, lbls...),
 		CounterFamily("fbs_mkd_upcalls_total", "Upcalls to the master key daemon.", m.MKDUpcalls, lbls...),
 	)
 

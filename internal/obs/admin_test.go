@@ -124,8 +124,8 @@ func TestAdminPlane(t *testing.T) {
 		`fbs_fam_active_flows{endpoint="alice"} 1`,
 		`fbs_stage_duration_ns_bucket{endpoint="pair",path="seal",stage="total",le="+Inf"}`,
 		`fbs_stage_duration_ns_count{endpoint="pair",path="open",stage="total"}`,
-		`fbs_keyservice_retries_total{endpoint="alice"}`,
-		`fbs_keyservice_negative_hits_total{endpoint="bob"}`,
+		`fbs_keyservice_failures_total{endpoint="alice"}`,
+		`fbs_keyservice_cert_fetches_total{endpoint="bob"}`,
 		`fbs_budget_used_bytes{endpoint="alice"}`,
 		`fbs_budget_denials_total{endpoint="bob"}`,
 		`fbs_admission_admitted_total{endpoint="bob"}`,

@@ -22,7 +22,7 @@ type Record struct {
 	StartNs int64 `json:"start_ns,omitempty"`
 	// DurNs is the step's duration (for link spans: modelled delay).
 	DurNs int64 `json:"dur_ns"`
-	// Attr is the kind-specific scalar (payload length, attempts, ...).
+	// Attr is the kind-specific scalar (payload length, body length, ...).
 	Attr uint64 `json:"attr,omitempty"`
 
 	// seq is the collector write ticket; it orders spans without

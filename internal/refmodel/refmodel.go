@@ -456,8 +456,9 @@ func (e *Endpoint) Open(src, dst principal.Address, wire []byte) ([]byte, error)
 	hdr, body := wire[:headerSize], wire[headerSize:]
 	// Mirror of core's checkAlg decision table, restated as plain
 	// switches: first structure (does the cipher nibble name a suite at
-	// all, and can that suite carry these MAC/mode bytes), then — were
-	// policy configured — acceptance. Both failures are DropAlgorithm.
+	// all, and can that suite carry these MAC/mode bytes), then policy:
+	// a null MAC verifies nothing, so only a NOP receiver accepts one.
+	// Both failures are DropAlgorithm.
 	// Positioned exactly where core runs it: after the version check,
 	// before freshness.
 	cid := core.CipherID(hdr[3] >> 4)
@@ -477,6 +478,10 @@ func (e *Endpoint) Open(src, dst principal.Address, wire []byte) ([]byte, error)
 	default:
 		e.drops[core.DropAlgorithm]++
 		return nil, fmt.Errorf("%w: cipher %d", core.ErrAlgorithmUnknown, cid)
+	}
+	if mid == cryptolib.MACNull && e.cfg.MAC != cryptolib.MACNull {
+		e.drops[core.DropAlgorithm]++
+		return nil, fmt.Errorf("%w: MAC %d, cipher %d", core.ErrAlgorithmRejected, mid, cid)
 	}
 	sfl := binary.BigEndian.Uint64(hdr[4:])
 	ts := binary.BigEndian.Uint32(hdr[16:])

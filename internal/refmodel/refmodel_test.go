@@ -185,3 +185,32 @@ func TestFlushKeysRederives(t *testing.T) {
 		t.Error("unknown peer keyed successfully")
 	}
 }
+
+// TestNullMACForgery restates core's rule: a header claiming MAC null
+// verifies nothing, so a DES or AES-128-GCM receiver refuses it by
+// policy (DropAlgorithm) before any keying, and only a NOP receiver
+// accepts one, from a NOP sender.
+func TestNullMACForgery(t *testing.T) {
+	w := newWorld(t)
+	h := core.Header{Version: core.HeaderVersion, MAC: cryptolib.MACNull, Cipher: core.CipherNone,
+		SFL: 0x5eed, Timestamp: core.TimestampOf(w.clock.Now())}
+	forged := append(h.Encode(nil), "forged"...)
+	for _, c := range []core.CipherID{core.CipherDES, core.CipherAES128GCM} {
+		bob := w.endpoint(t, "ref-bob", func(cfg *Config) { cfg.Cipher = c })
+		if _, err := bob.Open("ref-alice", "ref-bob", forged); !errors.Is(err, core.ErrAlgorithmRejected) {
+			t.Errorf("%v receiver: null-MAC forgery %v, want ErrAlgorithmRejected", c, err)
+		}
+		if d := bob.Drops(); d[core.DropAlgorithm] != 1 || bob.Accepted() != 0 {
+			t.Errorf("%v receiver: drops[algorithm]=%d accepted=%d, want 1 and 0", c, d[core.DropAlgorithm], bob.Accepted())
+		}
+	}
+	nop := func(cfg *Config) { cfg.Cipher, cfg.MAC = core.CipherDES, cryptolib.MACNull }
+	alice, bob := w.endpoint(t, "ref-alice", nop), w.endpoint(t, "ref-bob", nop)
+	wire, err := alice.Seal("ref-bob", testFlow, []byte("nop"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := bob.Open("ref-alice", "ref-bob", wire); err != nil || string(got) != "nop" {
+		t.Errorf("NOP pair: %q, %v; want the payload back", got, err)
+	}
+}

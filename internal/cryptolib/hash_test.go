@@ -119,10 +119,7 @@ func TestMACVerify(t *testing.T) {
 	}
 }
 
-// The MAC must be split-insensitive: MAC(k, a|b) == MAC(k, ab), for
-// every MACID, including the null MAC (all zeros) and the IDs Compute
-// refuses (MACAEAD and an unknown one), which must not fall back to a
-// real MAC.
+// The prefix MAC must be split-insensitive: MAC(k, a|b) == MAC(k, ab).
 func TestMACPartsConcatenate(t *testing.T) {
 	key := []byte("k")
 	for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1} {
@@ -132,6 +129,13 @@ func TestMACPartsConcatenate(t *testing.T) {
 			t.Errorf("%v: parts are not concatenated", id)
 		}
 	}
+}
+
+// TestStreamMACMatchesCompute holds Compute over a stream of parts to
+// Compute over their concatenation, for every MACID: the null MAC is all
+// zeros, and the IDs Compute refuses (MACAEAD and an unknown one) return
+// nil rather than falling back to a real MAC.
+func TestStreamMACMatchesCompute(t *testing.T) {
 	f := func(key, a, b, c []byte) bool {
 		for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1, MACNull, MACAEAD, MACID(9)} {
 			whole := id.Compute(key, append(append(append([]byte{}, a...), b...), c...))
@@ -141,11 +145,34 @@ func TestMACPartsConcatenate(t *testing.T) {
 			if refused := id == MACAEAD || id == MACID(9); refused != (whole == nil) {
 				return false
 			}
+			if id == MACNull && !bytes.Equal(whole, make([]byte, MACNull.Size())) {
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamMACSumMidStream checks that a MAC over a prefix of a stream
+// and a MAC over the whole stream are each what Compute gives for those
+// bytes: no state carries from one call to the next.
+func TestStreamMACSumMidStream(t *testing.T) {
+	key := []byte("k")
+	for _, id := range []MACID{MACPrefixMD5, MACHMACMD5, MACHMACSHA1} {
+		mid := id.Compute(key, []byte("a"), []byte("b"))
+		if !bytes.Equal(mid, id.Compute(key, []byte("ab"))) {
+			t.Fatalf("%v: mid-stream MAC wrong", id)
+		}
+		full := id.Compute(key, []byte("ab"), []byte("cd"))
+		if !bytes.Equal(full, id.Compute(key, []byte("abcd"))) {
+			t.Fatalf("%v: MAC of the whole stream wrong", id)
+		}
+		if bytes.Equal(mid, full) {
+			t.Fatalf("%v: MAC ignores the rest of the stream", id)
+		}
 	}
 }
 

@@ -141,10 +141,15 @@ gwbench-test:
 
 # gwbench-smoke boots the real daemon and drives five seconds of
 # verified window-32 echoes at it, untraced, once on the hit path
-# (small_echo) and once on the keying-miss path (peer_churn: 256 peers, a
-# fresh flow per visit): the result object on the last line must say the
-# ledger reconciled and every echo came back, so a ledger, echo or keying
-# break in fbsgw fails here and not in the benchmark driver. It gates
+# (small_echo) and once on peer_churn (256 peers, a fresh flow per
+# visit): the result object on the last line must say the ledger
+# reconciled and every echo came back, so a ledger, echo or keying break
+# in fbsgw fails here and not in the benchmark driver. peer_churn's
+# keying coverage is its cold pass, 256 first contacts per session; its
+# measured phase misses the RFKC but hits the MKC, since the key plane
+# (2 shards × 512 slots) holds every peer. The eviction and miss paths
+# stay covered in-repo by TestManyPeersTinyCaches (4-slot caches swapped
+# in) and BenchmarkKeyingMiss (FlushPeer before each miss). It gates
 # correctness only; its timings are not compared.
 gwbench-smoke:
 	@for w in small_echo peer_churn; do \

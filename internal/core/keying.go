@@ -100,7 +100,18 @@ type KeyService struct {
 // keyCacheSize is the slot count of a key service's PVC and of its MKC:
 // a PVC miss costs a directory round trip, an MKC miss a modular
 // exponentiation. A ShardGroup's key plane has shards × this many.
-const keyCacheSize = 64
+//
+// It is derived, not tuned: a level is never smaller than the levels it
+// serves. A shard's TFKC and RFKC together hold flow keys for up to
+// 2 × flowKeyCacheSize distinct peers, so a miss here should be
+// compulsory, never one of capacity. The caches are direct-mapped, so
+// size alone does not stop conflicts: of P peers in S slots about
+// 1 − e^(−P/S) share a slot and re-key on every revisit, which is why S
+// is not cut to the TFKC's 256. An empty slot costs 40 B (MKC) + 32 B
+// (PVC): ≈ 37 KB for a standalone endpoint, ≈ 74 KB for a two-shard
+// plane. The budget charge per filled peer (CostMasterKeyEntry +
+// CostCertEntry) does not depend on the size.
+const keyCacheSize = 2 * flowKeyCacheSize
 
 // KeyServiceConfig is empty: a failed directory lookup is not retried
 // or remembered. The key plane's state is soft (Section 5.3), so the

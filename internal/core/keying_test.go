@@ -107,10 +107,10 @@ func TestKeyServiceCaching(t *testing.T) {
 	}
 }
 
-// TestPVCEvictionIndependentOfMKC: two peers that share a slot of a
-// 64-slot MKC. Keying A, B, A computes A's master key twice — the MKC
-// conflict is real — but the PVC, indexed by its own hash, still holds
-// A's certificate: two directory fetches, not three.
+// TestPVCEvictionIndependentOfMKC: two same-slot peers of the MKC.
+// Keying A, B, A computes A's master key twice — the MKC conflict is
+// real — but the PVC, indexed by its own hash, still holds A's
+// certificate: two directory fetches, not three.
 func TestPVCEvictionIndependentOfMKC(t *testing.T) {
 	const size = keyCacheSize
 	w := newWorld(t)

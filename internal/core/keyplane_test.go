@@ -101,8 +101,8 @@ func TestShardGroupSharesOneKeyPlane(t *testing.T) {
 	if planeOf(sum) != planeOf(fold) {
 		t.Errorf("shard readings do not add up to the fold:\n sum %+v\nfold %+v", planeOf(sum), planeOf(fold))
 	}
-	if got := fold.Caches[CacheMKC].Slots; got != numShards*64 {
-		t.Errorf("plane MKC has %d slots, want shards × 64 = %d (capacity unchanged)", got, numShards*64)
+	if got := fold.Caches[CacheMKC].Slots; got != numShards*keyCacheSize {
+		t.Errorf("plane MKC has %d slots, want shards × keyCacheSize = %d", got, numShards*keyCacheSize)
 	}
 
 	// Closing one shard — shard 0, which carries the plane's readings —
@@ -131,6 +131,65 @@ func TestShardGroupSharesOneKeyPlane(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "shard 2") {
 		t.Fatalf("mismatched identity in shard 2: err = %v, want a shard 2 error", err)
 	}
+}
+
+// TestKeyPlaneChurnMatchesSlotModel is peer_churn with revisits: 256
+// peers, round-robin for three rounds, a fresh flow per visit, through a
+// two-shard plane. A fresh flow misses the RFKC, so each visit probes
+// the MKC once, and whether it re-keys is a matter of slots alone. The
+// expected counts replay the same visit order through the plane's two
+// direct-mapped arrays — the MKC indexed by addrHash, the PVC by pvcHash
+// and consulted only on an MKC miss — so the test holds for any names
+// at any size.
+func TestKeyPlaneChurnMatchesSlotModel(t *testing.T) {
+	const numShards, numPeers, rounds = 2, 256, 3
+	const hub = principal.Address("churn-hub")
+	w := newWorld(t)
+	grp, err := planeGroup(t, w, hub, numShards, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := make([]*Endpoint, numPeers)
+	for i := range peers {
+		peers[i] = lifecycleEndpoint(t, w, principal.Address(fmt.Sprintf("churn-%d", i)), nullTransport{})
+	}
+
+	slots := uint32(numShards * keyCacheSize)
+	mkc, pvc := make([]principal.Address, slots), make([]principal.Address, slots)
+	var computes, fetches uint64
+	for r := range rounds {
+		for _, peer := range peers {
+			p := peer.Addr()
+			if i := addrHash(p) % slots; mkc[i] != p {
+				if j := pvcHash(p) % slots; pvc[j] != p {
+					fetches++
+					pvc[j] = p
+				}
+				computes++
+				mkc[i] = p
+			}
+
+			payload := fmt.Sprintf("%s-%d", p, r)
+			sealed := transport.Datagram{Source: p, Destination: hub}
+			if sealed.Payload, err = peer.SealAppend(nil, transport.Datagram{Destination: hub, Payload: []byte(payload)},
+				&FlowID{Src: p, Dst: hub, Aux: uint64(r)}, true); err != nil {
+				t.Fatalf("%s seal: %v", p, err)
+			}
+			got, err := grp.Shard(grp.ShardOfIncoming(sealed)).Open(sealed)
+			if err != nil || string(got.Payload) != payload {
+				t.Fatalf("hub opened %q, %v from %s; want %q", got.Payload, err, p, payload)
+			}
+			if _, err := grp.Shard(grp.ShardOfPair(hub, p)).Seal(transport.Datagram{Source: hub, Destination: p, Payload: got.Payload}, true); err != nil {
+				t.Fatalf("hub seal to %s: %v", p, err)
+			}
+		}
+	}
+	k := grp.Snapshot().Keying
+	if k.MasterKeyComputes != computes || k.CertFetches != fetches {
+		t.Fatalf("%d peers × %d rounds in %d slots: %d exponentiations and %d certificate fetches, the slot model says %d and %d",
+			numPeers, rounds, slots, k.MasterKeyComputes, k.CertFetches, computes, fetches)
+	}
+	t.Logf("%d peers × %d rounds in %d slots: %d exponentiations, %d certificate fetches", numPeers, rounds, slots, computes, fetches)
 }
 
 // TestKeyPlaneSingleFlightAcrossShards: every shard's goroutines miss on

@@ -1146,8 +1146,8 @@ func TestGatewayChurnOneExponentiationPerPeer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := snap.Caches[core.CacheMKC].Slots; got != shards*64 {
-				t.Errorf("tenant MKC has %d slots, want shards × 64 = %d: the plane is no bigger than the per-shard caches were", got, shards*64)
+			if got := snap.Caches[core.CacheMKC].Slots; got != shards*512 {
+				t.Errorf("tenant MKC has %d slots, want shards × 512 = %d: a shard's key level is never smaller than the 2 × 256 flow-key slots it serves", got, shards*512)
 			}
 			if snap.Keying.MasterKeyComputes != peers || snap.Keying.CertFetches != peers {
 				t.Errorf("%d peers cost %d exponentiations and %d certificate fetches, want one of each per peer",
@@ -1163,6 +1163,71 @@ func TestGatewayChurnOneExponentiationPerPeer(t *testing.T) {
 			checkReconciliation(t, st)
 		})
 	}
+}
+
+// TestGatewayChurnRevisitsHitTheKeyPlane is peer_churn with its
+// revisits: gwbench's 256 principals (c000.lan …) visit a two-shard
+// tenant round-robin for three rounds, each visit a fresh 4-datagram
+// flow, so every visit misses the RFKC and asks the key plane. A plane
+// no smaller than the flow-key caches it serves holds every peer's
+// master key and certificate across rounds: one exponentiation and one
+// certificate fetch per peer, as on the first round.
+func TestGatewayChurnRevisitsHitTheKeyPlane(t *testing.T) {
+	const peers, visit, rounds = 256, 4, 3
+	w := newGWWorld(t)
+	ln := newScriptedListener(0)
+	opts := w.options()
+	opts.Listen = func(TenantConfig) (transport.Transport, error) { return ln, nil }
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(&Config{Tenants: []TenantConfig{{Name: "bench", Address: "gw-bench", Shards: 2, Suite: "AES-128-GCM", SecretEcho: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	round := 0
+	freshFlow := func(dg transport.Datagram) core.FlowID {
+		return core.FlowID{Src: dg.Source, Dst: dg.Destination, Aux: uint64(round)}
+	}
+	clients := make([]*core.Endpoint, peers)
+	for p := range clients {
+		clients[p] = w.client(fmt.Sprintf("c%03d.lan", p), func(c *core.Config) {
+			c.Cipher, c.Selector = core.CipherAES128GCM, freshFlow
+		})
+	}
+	l := &batchLoop{g: g}
+	for round = 0; round < rounds; round++ {
+		for _, client := range clients {
+			batch := make([]transport.Datagram, visit)
+			for i := range batch {
+				if batch[i], err = client.Seal(transport.Datagram{Destination: "gw-bench", Payload: []byte(fmt.Sprintf("%s-%d-%d", client.Addr(), round, i))}, true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.dispatch(batch)
+		}
+	}
+	snap, err := g.TenantSnapshot("bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := snap.Keying
+	if k.MasterKeyRequests < peers*rounds {
+		t.Fatalf("%d master-key requests for %d visits: a visit that hits the RFKC never asks the plane", k.MasterKeyRequests, peers*rounds)
+	}
+	if k.MasterKeyComputes != peers || k.CertFetches != peers {
+		t.Errorf("%d peers × %d rounds cost %d exponentiations and %d certificate fetches, want one of each per peer",
+			peers, rounds, k.MasterKeyComputes, k.CertFetches)
+	}
+	st, err := g.Shutdown(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = peers * visit * rounds
+	if st.Received != total || st.Accepted != total || st.Echoed != total || ln.sent.Load() != total {
+		t.Fatalf("received %d accepted %d echoed %d sent %d, want %d each", st.Received, st.Accepted, st.Echoed, ln.sent.Load(), total)
+	}
+	checkReconciliation(t, st)
 }
 
 // TestGatewayDrainingBucketIsRedispatched drives, step by step, what a

@@ -19,7 +19,7 @@
 // overload matrix (flow-churn and spoofed-source keying floods against
 // a budgeted, admission-controlled receiver; -prefilter adds the edge
 // pre-filter scenarios — sketch shedding, cookie challenge, adaptive
-// ladder); -crash to the crash-restart recovery matrix; -reconfig to the
+// ladder, first-contact fairness); -crash to the crash-restart recovery matrix; -reconfig to the
 // gateway reconfiguration-under-load matrix (config swaps landing amid
 // lockstep echoes); -diff to the differential matrix
 // (seeded op streams cross-validated between the optimised endpoint
@@ -137,8 +137,9 @@ func matrix(base uint64) []netsim.ChaosScenario {
 // base. It mirrors the netsim flood test matrix. With prefilter set the
 // edge pre-filter scenarios ride along: the sketch pinned against a
 // shared-prefix storm (with the >=90% pre-parse shed floor), the
-// challenge rung proving zero spoof-attributable keying, and the
-// adaptive ladder escalating from its resting level.
+// challenge rung proving zero spoof-attributable keying, the adaptive
+// ladder escalating from its resting level, and the first-contact
+// fairness row under the sketch and under the adaptive ladder.
 func floodMatrix(base uint64, prefilter bool) []netsim.FloodScenario {
 	scenarios := []netsim.FloodScenario{
 		{
@@ -227,6 +228,34 @@ func floodMatrix(base uint64, prefilter bool) []netsim.FloodScenario {
 				Prefilter:        core.PrefilterConfig{Enable: true},
 				ExpectEscalation: true,
 				GoodputFloor:     0.7,
+			},
+			netsim.FloodScenario{
+				Name:              "fairness-sketch",
+				Seed:              base + 5,
+				Datagrams:         41,
+				PayloadBytes:      64,
+				Secret:            true,
+				SpoofDatagrams:    820,
+				SpoofSources:      1024,
+				Admission:         core.AdmissionConfig{UpcallRate: 20, UpcallBurst: 5},
+				Prefilter:         core.PrefilterConfig{Enable: true, ForceLevel: core.PrefilterSketch},
+				FirstContacts:     16,
+				FirstContactFloor: 20,
+				GoodputFloor:      0.7,
+			},
+			netsim.FloodScenario{
+				Name:              "fairness-adaptive",
+				Seed:              base + 6,
+				Datagrams:         41,
+				PayloadBytes:      64,
+				Secret:            true,
+				SpoofDatagrams:    820,
+				SpoofSources:      1024,
+				Admission:         core.AdmissionConfig{UpcallRate: 20, UpcallBurst: 5},
+				Prefilter:         core.PrefilterConfig{Enable: true},
+				FirstContacts:     16,
+				FirstContactFloor: 30,
+				GoodputFloor:      0.7,
 			},
 		)
 	}
@@ -363,7 +392,7 @@ func main() {
 	crash := flag.Bool("crash", false, "run the crash-restart matrix instead of the chaos matrix")
 	diff := flag.Bool("diff", false, "run the differential matrix (optimised endpoint vs reference model) instead of the chaos matrix")
 	reconfig := flag.Bool("reconfig", false, "run the gateway reconfiguration-under-load matrix instead of the chaos matrix")
-	prefilter := flag.Bool("prefilter", false, "with -flood, include the edge pre-filter scenarios (sketch, challenge, adaptive ladder)")
+	prefilter := flag.Bool("prefilter", false, "with -flood, include the edge pre-filter scenarios (sketch, challenge, adaptive ladder, fairness)")
 	diffOps := flag.Int("ops", 20000, "op-stream length per differential scenario (with -diff)")
 	trace := flag.Bool("trace", false, "run chaos scenarios with every-datagram tracing; failing scenarios dump their trace report to $FBS_TRACE_ARTIFACT_DIR")
 	flag.Parse()

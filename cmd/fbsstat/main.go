@@ -219,13 +219,17 @@ func benchValidate(r io.Reader) error {
 
 // scenarioReportDoc declares only the fields bench-validate re-asserts
 // from a serialised netsim report: the header every kind shares and the
-// shed floor a flood scenario may declare.
+// two floors a flood scenario may declare, the pre-parse shed floor and
+// the first-contact fairness floor.
 type scenarioReportDoc struct {
-	Scenario          string
-	Complete          bool
-	Violations        []string
-	PreParseShedRatio float64
-	PreParseShedFloor float64
+	Scenario           string
+	Complete           bool
+	Violations         []string
+	PreParseShedRatio  float64
+	PreParseShedFloor  float64
+	FirstContactsKeyed int
+	FirstContactStep   int
+	FirstContactFloor  int
 }
 
 // scenarioKinds names a report's kind by a key only that kind carries,
@@ -236,11 +240,12 @@ var scenarioKinds = []struct{ key, kind string }{
 
 // validateScenarioReport re-checks a scenario report's claims offline:
 // it names its scenario, the run reconciled, completed, and — when the
-// scenario committed to a pre-parse shed floor — the serialised ratio
-// still clears it. The ratio check is deliberately re-derived here
-// rather than trusting the harness's own Violations list, so a report
-// whose floor assertion was edited out (or a harness regression that
-// stopped checking it) still fails the pipeline.
+// scenario committed to a pre-parse shed floor or a first-contact floor
+// — the serialised ratio or step still clears it. The floor checks are
+// deliberately re-derived here rather than trusting the harness's own
+// Violations list, so a report whose floor assertion was edited out (or
+// a harness regression that stopped checking it) still fails the
+// pipeline.
 func validateScenarioReport(doc []byte) error {
 	var rep scenarioReportDoc
 	var keys map[string]json.RawMessage
@@ -268,9 +273,16 @@ func validateScenarioReport(doc []byte) error {
 		return fmt.Errorf("%s %s: pre-parse shed ratio %.3f below committed floor %.2f",
 			kind, rep.Scenario, rep.PreParseShedRatio, rep.PreParseShedFloor)
 	}
-	if rep.PreParseShedFloor > 0 {
+	if rep.FirstContactFloor > 0 && (rep.FirstContactStep == 0 || rep.FirstContactStep > rep.FirstContactFloor) {
+		return fmt.Errorf("%s %s: %d first contacts keyed (all by step %d), committed floor step %d",
+			kind, rep.Scenario, rep.FirstContactsKeyed, rep.FirstContactStep, rep.FirstContactFloor)
+	}
+	switch {
+	case rep.PreParseShedFloor > 0:
 		fmt.Printf("  %-8s %-32s preparse ratio %.3f >= floor %.2f ok\n", kind, rep.Scenario, rep.PreParseShedRatio, rep.PreParseShedFloor)
-	} else {
+	case rep.FirstContactFloor > 0:
+		fmt.Printf("  %-8s %-32s first contacts keyed by step %d <= floor %d ok\n", kind, rep.Scenario, rep.FirstContactStep, rep.FirstContactFloor)
+	default:
 		fmt.Printf("  %-8s %-32s reconciled, complete\n", kind, rep.Scenario)
 	}
 	return nil

@@ -89,6 +89,20 @@ type FloodScenario struct {
 	// zero keying work: Diffie-Hellman computes stay exactly at the
 	// legitimate-peer count and no spoofed source passes admission.
 	ExpectNoSpoofKeying bool
+
+	// FirstContacts, when > 0, makes the attack phase a fairness run.
+	// That many registered principals, each with its own 8-byte address
+	// prefix and none keyed before the attack, retry every attack step
+	// until the receiver accepts one of their datagrams. A step injects
+	// its spoofs ahead of the retries, drains the receiver, then advances
+	// the clock by two tokens' worth of Admission.UpcallRate, so the row
+	// measures who gets the refill, not the burst. The spoof sources are
+	// then unregistered: an admitted spoof fails its directory lookup and
+	// is never cached, so every one costs a token.
+	FirstContacts int
+	// FirstContactFloor, when > 0, requires every first contact to have
+	// been accepted by this attack step.
+	FirstContactFloor int
 }
 
 // FloodReport is the outcome of an overload run plus its reconciliation.
@@ -134,6 +148,13 @@ type FloodReport struct {
 	Prefilter         core.PrefilterStats
 	PreParseShedRatio float64
 	PreParseShedFloor float64
+	// FirstContactsKeyed counts the first contacts accepted during the
+	// attack steps, and FirstContactStep is the step by which all of
+	// them were (0 when some never were). FirstContactFloor echoes the
+	// scenario's floor, so bench-validate can re-assert it.
+	FirstContactsKeyed int
+	FirstContactStep   int
+	FirstContactFloor  int
 }
 
 // spoofHeader forges a wire datagram from src: a plausible fresh header
@@ -177,17 +198,29 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		flooder  principal.Address = "flood-mallory"
 	)
 
-	// The spoof sources are REGISTERED principals — their certificates
+	// The spoof sources share the 8-byte prefix "flood-sp". Outside a
+	// fairness run they are REGISTERED principals — their certificates
 	// resolve and verify, so an admitted spoof costs the receiver real
 	// keying work, which is exactly what the gate must ration.
 	spoofs := make([]principal.Address, sc.SpoofSources)
 	for i := range spoofs {
 		spoofs[i] = principal.Address(fmt.Sprintf("flood-spoof-%03d", i))
 	}
+	// First contact i is "first-NN", a prefix of its own; its datagram
+	// carries sequence number Datagrams+i, so the rig marks it off beside
+	// the transfer and the recovery rounds retry it until it lands.
+	contactAddrs := make([]principal.Address, sc.FirstContacts)
+	for i := range contactAddrs {
+		contactAddrs[i] = principal.Address(fmt.Sprintf("first-%02d", i))
+	}
+	registered := append([]principal.Address{sender, flooder}, contactAddrs...)
+	if sc.FirstContacts == 0 {
+		registered = append(registered, spoofs...)
+	}
 	report := &FloodReport{ReportHeader: ReportHeader{Scenario: sc.Name}}
 	// A clean link: the flood is the fault.
 	r, err := newRig(&report.ReportHeader, "flood-root", transport.Impairments{Seed: seed},
-		sc.PayloadBytes, sc.Datagrams, receiver, append([]principal.Address{sender, flooder}, spoofs...)...)
+		sc.PayloadBytes, sc.Datagrams+sc.FirstContacts, receiver, registered...)
 	if err != nil {
 		return nil, err
 	}
@@ -241,16 +274,29 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	}
 	defer mallory.Close()
 
+	contacts := make([]*core.Endpoint, sc.FirstContacts)
+	for i, addr := range contactAddrs {
+		if contacts[i], err = attach(addr, core.Config{Prefilter: senderPF}); err != nil {
+			return nil, err
+		}
+		defer contacts[i].Close()
+	}
+
 	r.receive(bob, false)
 	// With the pre-filter on, the senders must drain their inbound
 	// queues: processing a challenge frame is what stocks their jars.
 	// Nothing else is addressed to them, so the same loop marks nothing.
 	if sc.Prefilter.Enable {
-		r.receive(alice, false)
-		r.receive(mallory, false)
+		for _, e := range append([]*core.Endpoint{alice, mallory}, contacts...) {
+			r.receive(e, false)
+		}
 	}
 
 	sendLegit := func(seq uint32) {
+		if i := int(seq) - sc.Datagrams; i >= 0 {
+			contacts[i].SendTo(receiver, r.payload(seq), sc.Secret)
+			return
+		}
 		if alice.SendTo(receiver, r.payload(seq), sc.Secret) == nil {
 			report.LegitOffered++
 		}
@@ -297,6 +343,10 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	// Attack phase: legitimate transfer interleaved with both floods.
 	churnPer := sc.ChurnDatagrams / sc.Datagrams
 	spoofPer := sc.SpoofDatagrams / sc.Datagrams
+	var step time.Duration
+	if sc.Admission.UpcallRate > 0 {
+		step = time.Duration(2 / sc.Admission.UpcallRate * float64(time.Second))
+	}
 	for seq := 1; seq < sc.Datagrams; seq++ {
 		sendLegit(uint32(seq))
 		for i := 0; i < churnPer; i++ {
@@ -305,6 +355,19 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		for i := 0; i < spoofPer; i++ {
 			sendSpoof(seq*spoofPer + i)
 		}
+		if sc.FirstContacts == 0 {
+			continue
+		}
+		for i := range contacts {
+			if !r.got[sc.Datagrams+i].Load() {
+				sendLegit(uint32(sc.Datagrams + i))
+			}
+		}
+		r.drain(bob)
+		if report.FirstContactsKeyed = r.accepted(sc.Datagrams, len(r.got)); report.FirstContactsKeyed == sc.FirstContacts && report.FirstContactStep == 0 {
+			report.FirstContactStep = seq
+		}
+		clk.Advance(step)
 	}
 	for int(report.ChurnAttempts) < sc.ChurnDatagrams+1 {
 		sendChurn()
@@ -315,7 +378,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	r.drain(bob)
 
 	// Goodput is measured here — what survived DURING the attack.
-	report.LegitAccepted = uint64(sc.Datagrams - len(r.missing()))
+	report.LegitAccepted = uint64(r.accepted(0, sc.Datagrams))
 	if report.LegitOffered > 0 {
 		report.Goodput = float64(report.LegitAccepted) / float64(report.LegitOffered)
 	}
@@ -342,6 +405,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 	report.LegitPeers = 2 // alice and mallory
 	report.Prefilter = bm.Prefilter
 	report.PreParseShedFloor = sc.PreParseShedFloor
+	report.FirstContactFloor = sc.FirstContactFloor
 	if report.SpoofOffered > 0 {
 		shed := float64(report.ReceiverDrops[core.DropPrefilter] + report.ReceiverDrops[core.DropChallenged])
 		report.PreParseShedRatio = shed / float64(report.SpoofOffered)
@@ -350,7 +414,7 @@ func RunFlood(sc FloodScenario) (*FloodReport, error) {
 		}
 	}
 
-	r.stop(alice, mallory, bob)
+	r.stop(append([]*core.Endpoint{alice, mallory, bob}, contacts...)...)
 
 	r.verdict(report.Rounds, report.Accepted, sumDrops(report.ReceiverDrops), report.Port)
 	report.reconcile(&sc)
@@ -454,6 +518,10 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 	if sc.PreParseShedFloor > 0 && r.PreParseShedRatio < sc.PreParseShedFloor {
 		r.fail("pre-parse shed ratio %.3f below floor %.3f", r.PreParseShedRatio, sc.PreParseShedFloor)
 	}
+	if sc.FirstContactFloor > 0 && (r.FirstContactStep == 0 || r.FirstContactStep > sc.FirstContactFloor) {
+		r.fail("first contacts: %d of %d keyed in the attack (all by step %d), floor step %d",
+			r.FirstContactsKeyed, sc.FirstContacts, r.FirstContactStep, sc.FirstContactFloor)
+	}
 	if sc.ExpectEscalation && r.Prefilter.Escalations == 0 {
 		r.fail("adaptive ladder never escalated under flood pressure")
 	}
@@ -482,6 +550,10 @@ func (r *FloodReport) Summary() string {
 		r.Admission.Admitted, r.Admission.ShedOverload, r.Admission.ShedQuota, r.Admission.ActivePrefixes)
 	s += fmt.Sprintf("  replay: entries=%d peers=%d refusals=%d; dh computes=%d (admitted+legit bound %d)\n",
 		r.Replay.Entries, r.Replay.Peers, r.Replay.Refusals, r.Keys.MasterKeyComputes, r.LegitPeers+r.Admission.Admitted)
+	if r.FirstContactsKeyed > 0 || r.FirstContactFloor > 0 {
+		s += fmt.Sprintf("  first contacts: keyed=%d all_by_step=%d floor=%d\n",
+			r.FirstContactsKeyed, r.FirstContactStep, r.FirstContactFloor)
+	}
 	if pf := r.Prefilter; pf.HeaderParses > 0 || pf.SketchSheds > 0 || pf.Challenged > 0 {
 		s += fmt.Sprintf("  prefilter: level=%d sheds=%d challenged=%d(+%d suppressed) echo ok=%d bad=%d parses=%d preparse_ratio=%.3f\n",
 			pf.Level, pf.SketchSheds, pf.Challenged, pf.ChallengeSuppressed,

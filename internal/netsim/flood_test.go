@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -212,6 +213,74 @@ func TestFloodPrefilterAdaptiveEscalates(t *testing.T) {
 	}
 	if rep.Prefilter.Escalations == 0 {
 		t.Error("adaptive ladder never escalated")
+	}
+}
+
+// fairness is the first-contact fairness row: one prefix ("flood-sp")
+// floods from 1,024 unregistered sources, 20 spoofs ahead of the
+// retries in each of 40 steps, while 16 first contacts from prefixes of
+// their own retry until they are keyed. The bucket is tight (20/s,
+// burst 5) and each step refills two tokens, so whoever the gate lets
+// through decides the row.
+func fairness(name string, seed uint64, pf core.PrefilterConfig, floor int) FloodScenario {
+	return FloodScenario{
+		Name:              name,
+		Seed:              seed,
+		Datagrams:         41,
+		PayloadBytes:      64,
+		Secret:            true,
+		SpoofDatagrams:    820,
+		SpoofSources:      1024,
+		Admission:         core.AdmissionConfig{UpcallRate: 20, UpcallBurst: 5},
+		Prefilter:         pf,
+		FirstContacts:     16,
+		FirstContactFloor: floor,
+		GoodputFloor:      0.7,
+	}
+}
+
+// TestFloodFairness: the sketch alone keeps first contacts fair. Pinned
+// at the sketch rung it keys all 16 within 20 steps; the adaptive ladder,
+// which must first climb to that rung, within 30. RunFlood's
+// reconciliation asserts the floor.
+func TestFloodFairness(t *testing.T) {
+	for _, sc := range []FloodScenario{
+		fairness("fairness-sketch", 23, core.PrefilterConfig{Enable: true, ForceLevel: core.PrefilterSketch}, 20),
+		fairness("fairness-adaptive", 29, core.PrefilterConfig{Enable: true}, 30),
+	} {
+		rep, err := RunFlood(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("%s: violation: %s", sc.Name, v)
+		}
+		if t.Failed() {
+			t.Log(rep.Summary())
+		}
+	}
+}
+
+// TestFloodFairnessBucketOnlyMissesFloor is the row's control: with the
+// token bucket alone, the flood's spoofs take every refill ahead of the
+// retries, so no first contact is keyed during the attack and the floor
+// the sketch meets is missed. Without this the row could not tell a
+// fair gate from an unfair one.
+func TestFloodFairnessBucketOnlyMissesFloor(t *testing.T) {
+	rep, err := RunFlood(fairness("fairness-bucket", 23, core.PrefilterConfig{}, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FirstContactsKeyed != 0 || rep.FirstContactStep != 0 {
+		t.Errorf("bucket only keyed %d first contacts (all by step %d); the control should key none",
+			rep.FirstContactsKeyed, rep.FirstContactStep)
+	}
+	if len(rep.Violations) != 1 || !strings.HasPrefix(rep.Violations[0], "first contacts:") {
+		t.Errorf("violations = %q, want exactly the first-contact floor", rep.Violations)
+	}
+	// The recovery rounds, with the flood stopped, still key everyone.
+	if !rep.Complete {
+		t.Error("first contacts never keyed after the flood stopped")
 	}
 }
 

@@ -128,8 +128,9 @@ type rig struct {
 	queue        int // per-port queue length
 	payloadBytes int
 
-	wg  sync.WaitGroup
-	got []atomic.Bool // got[seq]: datagram seq of the transfer was accepted
+	wg     sync.WaitGroup
+	got    []atomic.Bool // got[seq]: datagram seq of the transfer was accepted
+	marked atomic.Uint64 // accepted datagrams the receiver loops have handled
 }
 
 // newRig builds the world — a fresh 512-bit CA named root and, for
@@ -217,6 +218,7 @@ func (r *rig) receive(e *core.Endpoint, batch bool) {
 					r.got[seq].Store(true)
 				}
 			}
+			r.marked.Add(uint64(len(accepted)))
 		}
 	}()
 }
@@ -227,6 +229,17 @@ func (r *rig) stop(eps ...*core.Endpoint) {
 		e.Close()
 	}
 	r.wg.Wait()
+}
+
+// accepted counts the transfer's sequence numbers in [lo, hi) accepted
+// so far.
+func (r *rig) accepted(lo, hi int) (n int) {
+	for seq := lo; seq < hi; seq++ {
+		if r.got[seq].Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // missing lists the transfer's sequence numbers not yet accepted.
@@ -251,14 +264,15 @@ func (r *rig) payload(seq uint32) []byte {
 }
 
 // drain blocks until e, the endpoint attached at the receiver's port,
-// has processed every copy the network enqueued for it; books read
-// after a drain that timed out carry the violation.
+// has processed every copy the network enqueued for it and the receiver
+// loops have marked off every datagram it accepted; books read after a
+// drain that timed out carry the violation.
 func (r *rig) drain(e *core.Endpoint) {
 	if !poll(drainDeadline, func() bool {
 		r.net.Quiesce(time.Second)
 		enq := enqueued(r.net.PortStats(r.receiver))
 		m := e.Snapshot()
-		return m.Received+sumDrops(m.Drops) >= enq && r.net.Pending() == 0
+		return m.Received+sumDrops(m.Drops) >= enq && r.net.Pending() == 0 && r.marked.Load() >= m.Received
 	}) {
 		r.fail("network failed to drain before the books were read")
 	}

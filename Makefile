@@ -125,7 +125,8 @@ chaos:
 # crash-restart recovery and gateway reconfiguration under load, each
 # iteration on a fresh seed block. The serialised reports pipe through
 # `fbsstat bench-validate`, which re-derives the pre-parse-shed floor
-# from each report rather than trusting the harness's own verdict.
+# and the first-contact fairness floor from each report rather than
+# trusting the harness's own verdict.
 # FLOOD_ITERATIONS scales the soak.
 FLOOD_ITERATIONS ?= 5
 flood:
@@ -191,7 +192,8 @@ ci-fuzz: fuzz-smoke
 # baseline with one report per overload/crash/reconfig scenario, so a
 # regression in goodput-under-flood, budget accounting or swap cost is
 # visible from the uploaded artifact alone; bench-validate then gates
-# the artifact, re-asserting each flood report's pre-parse-shed floor.
+# the artifact, re-asserting each flood report's pre-parse-shed and
+# first-contact fairness floors.
 # The constant-time leak tests (dudect; they skip under -race and -short,
 # so ci-race never runs them) take about 10 s here; the Figure 8
 # composition check (TestFigure8Composes, a timing check that -race

@@ -19,12 +19,13 @@
 // overload matrix (flow-churn and spoofed-source keying floods against
 // a budgeted, admission-controlled receiver; -prefilter adds the edge
 // pre-filter scenarios — sketch shedding, cookie challenge, adaptive
-// ladder, first-contact fairness); -crash to the crash-restart recovery matrix; -reconfig to the
-// gateway reconfiguration-under-load matrix (config swaps landing amid
-// lockstep echoes); -diff to the differential matrix
-// (seeded op streams cross-validated between the optimised endpoint
-// and the internal/refmodel reference, -ops operations per stream,
-// divergence artifacts written to $FBS_DIFF_ARTIFACT_DIR when set).
+// ladder, first-contact fairness); -crash to the crash-restart recovery
+// matrix; -reconfig to the gateway reconfiguration-under-load matrix
+// (config swaps landing amid lockstep echoes); -diff to the differential
+// matrix (seeded op streams cross-validated between the optimised
+// endpoint and the internal/refmodel reference, -ops operations per
+// stream, divergence artifacts written to $FBS_DIFF_ARTIFACT_DIR when
+// set).
 // The flags compose: -flood -crash runs both.
 //
 // Exit status is nonzero if any scenario fails to reconcile or to
@@ -155,9 +156,6 @@ func floodMatrix(base uint64, prefilter bool) []netsim.FloodScenario {
 			Admission: core.AdmissionConfig{
 				UpcallRate:  20,
 				UpcallBurst: 5,
-				PrefixQuota: 2,
-				PrefixLen:   14,
-				QuotaWindow: 30 * time.Second,
 			},
 			GoodputFloor: 0.7,
 		},
@@ -184,9 +182,6 @@ func floodMatrix(base uint64, prefilter bool) []netsim.FloodScenario {
 				Admission: core.AdmissionConfig{
 					UpcallRate:  20,
 					UpcallBurst: 5,
-					PrefixQuota: 2,
-					PrefixLen:   14,
-					QuotaWindow: 30 * time.Second,
 				},
 				Prefilter:         core.PrefilterConfig{Enable: true, ForceLevel: core.PrefilterSketch},
 				PreParseShedFloor: 0.9,
@@ -229,35 +224,26 @@ func floodMatrix(base uint64, prefilter bool) []netsim.FloodScenario {
 				ExpectEscalation: true,
 				GoodputFloor:     0.7,
 			},
-			netsim.FloodScenario{
-				Name:              "fairness-sketch",
-				Seed:              base + 5,
-				Datagrams:         41,
-				PayloadBytes:      64,
-				Secret:            true,
-				SpoofDatagrams:    820,
-				SpoofSources:      1024,
-				Admission:         core.AdmissionConfig{UpcallRate: 20, UpcallBurst: 5},
-				Prefilter:         core.PrefilterConfig{Enable: true, ForceLevel: core.PrefilterSketch},
-				FirstContacts:     16,
-				FirstContactFloor: 20,
-				GoodputFloor:      0.7,
-			},
-			netsim.FloodScenario{
-				Name:              "fairness-adaptive",
-				Seed:              base + 6,
-				Datagrams:         41,
-				PayloadBytes:      64,
-				Secret:            true,
-				SpoofDatagrams:    820,
-				SpoofSources:      1024,
-				Admission:         core.AdmissionConfig{UpcallRate: 20, UpcallBurst: 5},
-				Prefilter:         core.PrefilterConfig{Enable: true},
-				FirstContacts:     16,
-				FirstContactFloor: 30,
-				GoodputFloor:      0.7,
-			},
 		)
+		// The first-contact fairness row, under the sketch and under the
+		// adaptive ladder, each held to the step floor its netsim test
+		// states.
+		for i, row := range []struct {
+			name  string
+			pf    core.PrefilterConfig
+			floor int
+		}{
+			{"fairness-sketch", core.PrefilterConfig{Enable: true, ForceLevel: core.PrefilterSketch}, 20},
+			{"fairness-adaptive", core.PrefilterConfig{Enable: true}, 30},
+		} {
+			scenarios = append(scenarios, netsim.FloodScenario{
+				Name: row.name, Seed: base + 5 + uint64(i), Datagrams: 41, PayloadBytes: 64, Secret: true,
+				SpoofDatagrams: 820, SpoofSources: 1024,
+				Admission:     core.AdmissionConfig{UpcallRate: 20, UpcallBurst: 5},
+				Prefilter:     row.pf,
+				FirstContacts: 16, FirstContactFloor: row.floor, GoodputFloor: 0.7,
+			})
+		}
 	}
 	return scenarios
 }

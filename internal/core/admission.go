@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"fbs/internal/principal"
 )
 
 // Keying admission control. The most expensive thing an unauthenticated
@@ -20,10 +18,14 @@ import (
 //   - peers whose master key is already cached bypass the gate entirely
 //     (their keying cost is one hash, not an exponentiation);
 //   - a global token bucket bounds the sustained rate of new-peer
-//     keying attempts (DropKeyingOverload beyond it);
-//   - a per-source-prefix quota keeps any one prefix from monopolising
-//     the bucket (DropPeerQuota), so a flood from one network cannot
-//     starve first-contact traffic from everywhere else.
+//     keying attempts (DropKeyingOverload beyond it).
+//
+// The gate keeps no per-source book. Per-prefix fairness — one network's
+// flood must not starve first contacts from everywhere else — is the
+// pre-filter's counting sketch (prefilter.go): every shed here charges
+// the source's prefix there, and at the sketch rung a heated prefix is
+// refused before it reaches the bucket, so the refill goes to the cold
+// prefixes. The flood matrix's fairness rows hold that to a floor.
 //
 // Everything the gate sheds is recoverable soft-state behaviour: the
 // legitimate peer's next datagram simply retries admission.
@@ -37,15 +39,6 @@ type AdmissionConfig struct {
 	UpcallRate float64
 	// UpcallBurst is the token bucket depth; default max(8, UpcallRate).
 	UpcallBurst int
-	// PrefixQuota caps admitted attempts per source prefix per
-	// QuotaWindow; 0 means no per-prefix quota.
-	PrefixQuota int
-	// PrefixLen is how many leading bytes of the source address form
-	// its prefix; default 8 (longer addresses aggregate, shorter ones
-	// stand alone).
-	PrefixLen int
-	// QuotaWindow is the per-prefix accounting window; default 1s.
-	QuotaWindow time.Duration
 }
 
 // enabled reports whether the configuration turns the gate on.
@@ -58,46 +51,25 @@ type AdmissionStats struct {
 	Admitted uint64
 	// ShedOverload counts datagrams refused by the token bucket.
 	ShedOverload uint64
-	// ShedQuota counts datagrams refused by the per-prefix quota.
-	ShedQuota uint64
 	// Depth is the number of admitted upcalls currently in flight
 	// behind the gate (the keying queue depth gauge).
 	Depth int64
-	// ActivePrefixes is the number of source prefixes currently
-	// tracked by the quota.
-	ActivePrefixes int
-}
-
-// prefixQuotaCap bounds the per-prefix tracking map so an address-scan
-// flood cannot grow the gate's own state without limit.
-const prefixQuotaCap = 4096
-
-// prefixWindow is one prefix's admission count within the current
-// quota window.
-type prefixWindow struct {
-	start time.Time
-	count int
 }
 
 // admissionGate implements AdmissionConfig. Admit is called only on
 // the RFKC-miss + unknown-peer path, so the mutex is far off the
 // steady-state hot path.
 type admissionGate struct {
-	clock  Clock
-	rate   float64
-	burst  float64
-	quota  int
-	plen   int
-	window time.Duration
+	clock Clock
+	rate  float64
+	burst float64
 
-	mu       sync.Mutex
-	tokens   float64
-	last     time.Time
-	prefixes map[string]*prefixWindow
+	mu     sync.Mutex
+	tokens float64
+	last   time.Time
 
 	admitted     atomic.Uint64
 	shedOverload atomic.Uint64
-	shedQuota    atomic.Uint64
 	depth        atomic.Int64
 }
 
@@ -114,68 +86,19 @@ func newAdmissionGate(cfg AdmissionConfig, clock Clock) *admissionGate {
 			burst = 8
 		}
 	}
-	plen := cfg.PrefixLen
-	if plen <= 0 {
-		plen = 8
-	}
-	window := cfg.QuotaWindow
-	if window <= 0 {
-		window = time.Second
-	}
 	return &admissionGate{
-		clock:    clock,
-		rate:     cfg.UpcallRate,
-		burst:    burst,
-		quota:    cfg.PrefixQuota,
-		plen:     plen,
-		window:   window,
-		tokens:   burst,
-		prefixes: make(map[string]*prefixWindow),
+		clock:  clock,
+		rate:   cfg.UpcallRate,
+		burst:  burst,
+		tokens: burst,
 	}
 }
 
-// prefix reduces a source address to its quota key.
-func (g *admissionGate) prefix(src principal.Address) string {
-	s := string(src)
-	if len(s) > g.plen {
-		s = s[:g.plen]
-	}
-	return s
-}
-
-// Admit decides whether a keying attempt for src may proceed,
-// returning nil or the shed error. The per-prefix quota is checked
-// before the bucket so an over-quota prefix cannot drain tokens that
-// first-contact traffic from other prefixes needs.
-func (g *admissionGate) Admit(src principal.Address) error {
+// Admit decides whether a keying attempt for an unknown peer may
+// proceed, returning nil or ErrKeyingOverload.
+func (g *admissionGate) Admit() error {
 	now := g.clock.Now()
 	g.mu.Lock()
-	if g.quota > 0 {
-		p := g.prefix(src)
-		w := g.prefixes[p]
-		// A window is stale when its start is at least one window in the
-		// past — or in the future, which happens when the clock steps
-		// backwards. Without the clamp a future start yields a negative
-		// elapsed that never expires, pinning the window (and its count)
-		// until the clock catches back up.
-		if w == nil || now.Sub(w.start) >= g.window || now.Before(w.start) {
-			if w == nil {
-				if len(g.prefixes) >= prefixQuotaCap {
-					g.evictStalest()
-				}
-				w = &prefixWindow{}
-				g.prefixes[p] = w
-			}
-			w.start = now
-			w.count = 0
-		}
-		if w.count >= g.quota {
-			g.mu.Unlock()
-			g.shedQuota.Add(1)
-			return ErrPeerQuota
-		}
-		w.count++
-	}
 	// Refill the bucket for the elapsed time, then take one token. A
 	// negative elapsed (backward clock step) must not drain the bucket:
 	// refill only moves forward, and last is rewound to now so refill
@@ -200,24 +123,6 @@ func (g *admissionGate) Admit(src principal.Address) error {
 	return nil
 }
 
-// evictStalest removes the prefix window with the oldest start, so an
-// attacker cycling through fresh prefixes ages out idle windows instead
-// of flushing the ones tracking active offenders (an arbitrary map
-// delete let exactly that happen). Caller holds mu.
-func (g *admissionGate) evictStalest() {
-	var stalest string
-	var oldest time.Time
-	first := true
-	for k, w := range g.prefixes {
-		if first || w.start.Before(oldest) {
-			stalest, oldest, first = k, w.start, false
-		}
-	}
-	if !first {
-		delete(g.prefixes, stalest)
-	}
-}
-
 // enter/leave bracket an admitted upcall for the depth gauge.
 func (g *admissionGate) enter() {
 	if g != nil {
@@ -236,14 +141,9 @@ func (g *admissionGate) Stats() AdmissionStats {
 	if g == nil {
 		return AdmissionStats{}
 	}
-	g.mu.Lock()
-	active := len(g.prefixes)
-	g.mu.Unlock()
 	return AdmissionStats{
-		Admitted:       g.admitted.Load(),
-		ShedOverload:   g.shedOverload.Load(),
-		ShedQuota:      g.shedQuota.Load(),
-		Depth:          g.depth.Load(),
-		ActivePrefixes: active,
+		Admitted:     g.admitted.Load(),
+		ShedOverload: g.shedOverload.Load(),
+		Depth:        g.depth.Load(),
 	}
 }

@@ -2,11 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
-
-	"fbs/internal/principal"
 )
 
 func TestAdmissionGateTokenBucket(t *testing.T) {
@@ -14,86 +11,27 @@ func TestAdmissionGateTokenBucket(t *testing.T) {
 	g := newAdmissionGate(AdmissionConfig{UpcallRate: 10, UpcallBurst: 4}, clock)
 	// The burst admits four attempts; the fifth sheds.
 	for i := 0; i < 4; i++ {
-		if err := g.Admit("peer"); err != nil {
+		if err := g.Admit(); err != nil {
 			t.Fatalf("attempt %d shed within burst: %v", i, err)
 		}
 	}
-	if err := g.Admit("peer"); !errors.Is(err, ErrKeyingOverload) {
+	if err := g.Admit(); !errors.Is(err, ErrKeyingOverload) {
 		t.Fatalf("over-burst attempt: err = %v, want ErrKeyingOverload", err)
 	}
 	// 10/s refill: 200ms buys two tokens.
 	clock.Advance(200 * time.Millisecond)
-	if err := g.Admit("peer"); err != nil {
+	if err := g.Admit(); err != nil {
 		t.Fatalf("attempt after refill shed: %v", err)
 	}
-	if err := g.Admit("peer"); err != nil {
+	if err := g.Admit(); err != nil {
 		t.Fatalf("second attempt after refill shed: %v", err)
 	}
-	if err := g.Admit("peer"); !errors.Is(err, ErrKeyingOverload) {
+	if err := g.Admit(); !errors.Is(err, ErrKeyingOverload) {
 		t.Fatal("third attempt should exceed the refill")
 	}
 	s := g.Stats()
 	if s.Admitted != 6 || s.ShedOverload != 2 {
 		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestAdmissionGatePrefixQuota(t *testing.T) {
-	clock := NewSimClock(famEpoch)
-	g := newAdmissionGate(AdmissionConfig{
-		UpcallRate:  1000,
-		UpcallBurst: 1000,
-		PrefixQuota: 2,
-		PrefixLen:   4,
-		QuotaWindow: time.Second,
-	}, clock)
-	// Two admissions for the 10.0. prefix, then quota.
-	if err := g.Admit("10.0.0.1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Admit("10.0.0.2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Admit("10.0.0.3"); !errors.Is(err, ErrPeerQuota) {
-		t.Fatalf("over-quota err = %v, want ErrPeerQuota", err)
-	}
-	// A different prefix is unaffected — the flooded prefix cannot
-	// monopolise admission.
-	if err := g.Admit("10.9.0.1"); err != nil {
-		t.Fatalf("other prefix shed: %v", err)
-	}
-	// The window resets the count.
-	clock.Advance(time.Second)
-	if err := g.Admit("10.0.0.4"); err != nil {
-		t.Fatalf("post-window attempt shed: %v", err)
-	}
-	s := g.Stats()
-	if s.ShedQuota != 1 || s.ActivePrefixes != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestAdmissionGateQuotaDoesNotDrainBucket(t *testing.T) {
-	clock := NewSimClock(famEpoch)
-	g := newAdmissionGate(AdmissionConfig{
-		UpcallRate:  100,
-		UpcallBurst: 2,
-		PrefixQuota: 1,
-		PrefixLen:   4,
-		QuotaWindow: time.Minute,
-	}, clock)
-	if err := g.Admit("10.0.0.1"); err != nil {
-		t.Fatal(err)
-	}
-	// A storm of over-quota attempts must not consume tokens that other
-	// prefixes' first contacts need.
-	for i := 0; i < 50; i++ {
-		if err := g.Admit("10.0.0.1"); !errors.Is(err, ErrPeerQuota) {
-			t.Fatalf("storm attempt %d: err = %v", i, err)
-		}
-	}
-	if err := g.Admit("20.0.0.1"); err != nil {
-		t.Fatalf("fresh prefix starved by over-quota storm: %v", err)
 	}
 }
 
@@ -106,23 +44,5 @@ func TestAdmissionGateDisabledAndNil(t *testing.T) {
 	g.leave()
 	if s := g.Stats(); s != (AdmissionStats{}) {
 		t.Fatalf("nil gate stats = %+v", s)
-	}
-}
-
-func TestAdmissionGatePrefixTrackingBounded(t *testing.T) {
-	clock := NewSimClock(famEpoch)
-	g := newAdmissionGate(AdmissionConfig{
-		UpcallRate:  1e9,
-		UpcallBurst: 1 << 30,
-		PrefixQuota: 1,
-		PrefixLen:   32,
-	}, clock)
-	// An address scan cannot grow the gate's own bookkeeping without
-	// limit.
-	for i := 0; i < 3*prefixQuotaCap; i++ {
-		g.Admit(principal.Address(fmt.Sprintf("peer-%d", i)))
-	}
-	if n := g.Stats().ActivePrefixes; n > prefixQuotaCap {
-		t.Fatalf("tracked prefixes = %d, exceeds cap %d", n, prefixQuotaCap)
 	}
 }

@@ -37,9 +37,6 @@ const (
 	// DropKeyingOverload: the keying admission gate's token bucket shed
 	// the datagram before any keying work for an unknown peer began.
 	DropKeyingOverload
-	// DropPeerQuota: the source prefix exhausted its per-window keying
-	// admission quota.
-	DropPeerQuota
 	// DropStateBudget: the soft-state memory budget is at its hard
 	// limit and the datagram would have required fresh state.
 	DropStateBudget
@@ -77,7 +74,6 @@ var dropNames = [NumDropReasons]string{
 	DropDecrypt:        "decrypt",
 	DropKeying:         "keying",
 	DropKeyingOverload: "keying_overload",
-	DropPeerQuota:      "peer_quota",
 	DropStateBudget:    "state_budget",
 	DropReplayBudget:   "replay_budget",
 	DropPrefilter:      "prefilter",
@@ -145,8 +141,6 @@ func DropReasonOf(err error) DropReason {
 	// win for accounting.
 	case errors.Is(err, ErrKeyingOverload):
 		return DropKeyingOverload
-	case errors.Is(err, ErrPeerQuota):
-		return DropPeerQuota
 	case errors.Is(err, ErrStateBudget):
 		return DropStateBudget
 	case errors.Is(err, ErrReplayBudget):

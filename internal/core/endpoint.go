@@ -602,7 +602,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *looka
 		if e.gate != nil || e.cfg.StateBudget != nil {
 			if !e.plane.ks.KnownPeer(src) {
 				if e.gate != nil {
-					if m.err = e.gate.Admit(src); m.err != nil {
+					if m.err = e.gate.Admit(); m.err != nil {
 						m.note |= FlagAdmitRefused
 						return m
 					}

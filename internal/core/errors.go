@@ -49,9 +49,6 @@ var (
 	// shed the datagram before any expensive keying work: too many
 	// unknown peers asked to be keyed at once.
 	ErrKeyingOverload = errors.New("fbs: keying admission shed (overload)")
-	// ErrPeerQuota means the datagram's source prefix exhausted its
-	// keying admission quota for the current window.
-	ErrPeerQuota = errors.New("fbs: per-source-prefix keying quota exceeded")
 	// ErrStateBudget means the soft-state memory budget is at its hard
 	// limit and the datagram would have required fresh state. Soft
 	// state makes this always safe to do: a later datagram retries once

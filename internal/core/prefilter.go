@@ -546,7 +546,7 @@ const prefilterHotGateDepth = 8
 // state budget's pressure band, and the keying gate depth. Caller
 // holds evalMu.
 func (p *prefilter) hotSignal(e *Endpoint) bool {
-	sheds := e.metrics.drops[DropKeyingOverload].Load() + e.metrics.drops[DropPeerQuota].Load()
+	sheds := e.metrics.drops[DropKeyingOverload].Load()
 	delta := sheds - p.lastShedRead
 	p.lastShedRead = sheds
 	if delta*8 >= prefilterEvalEvery {
@@ -673,7 +673,7 @@ func (e *Endpoint) prefilterObserveDrop(src principal.Address, reason DropReason
 		return
 	}
 	switch reason {
-	case DropBadMAC, DropKeyingOverload, DropPeerQuota:
+	case DropBadMAC, DropKeyingOverload:
 		e.pf.penalize(e.pf.prefixOf(src))
 	}
 }

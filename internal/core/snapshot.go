@@ -174,9 +174,7 @@ func (s *Snapshot) Merge(o Snapshot) {
 
 	s.Admission.Admitted += o.Admission.Admitted
 	s.Admission.ShedOverload += o.Admission.ShedOverload
-	s.Admission.ShedQuota += o.Admission.ShedQuota
 	s.Admission.Depth += o.Admission.Depth
-	s.Admission.ActivePrefixes += o.Admission.ActivePrefixes
 
 	s.Replay.Entries += o.Replay.Entries
 	s.Replay.Peers += o.Replay.Peers

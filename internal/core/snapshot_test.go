@@ -69,7 +69,7 @@ func TestSnapshotMergeCoversEveryField(t *testing.T) {
 		setLeaf(leaf, n)
 		want[path] = n
 	})
-	if n < 138 {
+	if n < 135 {
 		t.Fatalf("walked only %d leaves; the walker is not reaching the whole value", n)
 	}
 	for path := range maxFolded {

@@ -135,11 +135,8 @@ type TenantConfig struct {
 
 // AdmissionConfig mirrors core.AdmissionConfig in config-file form.
 type AdmissionConfig struct {
-	UpcallRate  float64  `json:"upcall_rate,omitempty"`
-	UpcallBurst int      `json:"upcall_burst,omitempty"`
-	PrefixQuota int      `json:"prefix_quota,omitempty"`
-	PrefixLen   int      `json:"prefix_len,omitempty"`
-	QuotaWindow Duration `json:"quota_window,omitempty"`
+	UpcallRate  float64 `json:"upcall_rate,omitempty"`
+	UpcallBurst int     `json:"upcall_burst,omitempty"`
 }
 
 // PrefilterConfig mirrors the operator-relevant subset of
@@ -233,10 +230,10 @@ func (c *Config) Validate() error {
 		}
 		// core would quietly read a negative admission or pre-filter
 		// value as "off" or as its default, so a sign typo would run
-		// without the gate, without the quota, or at another setting.
-		if a := t.Admission; a != nil && (a.UpcallRate < 0 || a.UpcallBurst < 0 || a.PrefixQuota < 0 || a.PrefixLen < 0 || a.QuotaWindow < 0) {
-			return fmt.Errorf("gateway: tenant %q: negative admission value (upcall_rate %v, upcall_burst %d, prefix_quota %d, prefix_len %d, quota_window %v)",
-				t.Name, a.UpcallRate, a.UpcallBurst, a.PrefixQuota, a.PrefixLen, time.Duration(a.QuotaWindow))
+		// without the gate or at another setting.
+		if a := t.Admission; a != nil && (a.UpcallRate < 0 || a.UpcallBurst < 0) {
+			return fmt.Errorf("gateway: tenant %q: negative admission value (upcall_rate %v, upcall_burst %d)",
+				t.Name, a.UpcallRate, a.UpcallBurst)
 		}
 		if pf := t.Prefilter; pf != nil {
 			if pf.EpochInterval < 0 || pf.CookieTTL < 0 || pf.PrefixLen < 0 {
@@ -340,9 +337,6 @@ func (t *TenantConfig) coreConfigFor() (core.Config, error) {
 		cfg.Admission = core.AdmissionConfig{
 			UpcallRate:  a.UpcallRate,
 			UpcallBurst: a.UpcallBurst,
-			PrefixQuota: a.PrefixQuota,
-			PrefixLen:   a.PrefixLen,
-			QuotaWindow: time.Duration(a.QuotaWindow),
 		}
 	}
 	if pf := t.Prefilter; pf != nil && pf.Enable {

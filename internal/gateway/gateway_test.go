@@ -866,9 +866,6 @@ func TestConfigAdmissionPrefilterBounds(t *testing.T) {
 		{"sub-second cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "500ms"}`, false},
 		{"negative upcall_rate", `"admission": {"upcall_rate": -1}`, false},
 		{"negative upcall_burst", `"admission": {"upcall_rate": 200, "upcall_burst": -1}`, false},
-		{"negative prefix_quota", `"admission": {"upcall_rate": 200, "prefix_quota": -4}`, false},
-		{"negative admission prefix_len", `"admission": {"upcall_rate": 200, "prefix_len": -8}`, false},
-		{"negative quota_window", `"admission": {"upcall_rate": 200, "quota_window": "-1s"}`, false},
 		{"negative epoch_interval", `"prefilter": {"enable": true, "epoch_interval": "-64s"}`, false},
 		{"negative cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "-2m"}`, false},
 		{"negative prefilter prefix_len", `"prefilter": {"enable": true, "prefix_len": -8}`, false},
@@ -879,6 +876,20 @@ func TestConfigAdmissionPrefilterBounds(t *testing.T) {
 		}
 		if err != nil && !strings.Contains(err.Error(), `"edge"`) {
 			t.Errorf("%s: error does not name the tenant: %v", tc.name, err)
+		}
+	}
+}
+
+// TestConfigRefusesAdmissionQuota: admission is a token bucket and
+// nothing more; per-prefix fairness is the pre-filter's sketch, with its
+// own prefix_len. A config still carrying the old per-prefix quota's
+// fields is refused by name rather than run without the protection it
+// asks for.
+func TestConfigRefusesAdmissionQuota(t *testing.T) {
+	for field, value := range map[string]string{"prefix_quota": "2", "prefix_len": "8", "quota_window": `"1s"`} {
+		_, err := Parse([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", "admission": {"upcall_rate": 200, "` + field + `": ` + value + `}}]}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
+			t.Errorf("admission %s: Parse = %v, want the field refused by name", field, err)
 		}
 	}
 }
@@ -906,7 +917,7 @@ func FuzzGatewayConfig(f *testing.F) {
 		`"prefilter": {"enable": true, "cookie_ttl": "500ms"}`,
 		`"prefilter": {"enable": true, "epoch_interval": "1s", "cookie_ttl": "1s", "prefix_len": 4, "shed_threshold": 2, "decay_every": 16}`,
 		`"admission": {"upcall_rate": -1}`,
-		`"admission": {"upcall_rate": 200, "upcall_burst": 50, "prefix_quota": -4, "quota_window": "-1s"}`,
+		`"admission": {"upcall_rate": 200, "upcall_burst": 50}`,
 		`"prefilter": {"enable": true, "epoch_interval": "-64s", "prefix_len": -8}`,
 	} {
 		f.Add([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", ` + tenant + `}]}`))

@@ -80,7 +80,7 @@ func TestChaosAdversaryExactBuckets(t *testing.T) {
 	// Satellite guarantee: every link/adversary-reachable DropReason has
 	// a test asserting its counter increments. Keying is exercised by
 	// TestChaosKeyingOutage below; the overload sheds (keying_overload,
-	// peer_quota, state_budget, replay_budget) by the flood tests in
+	// state_budget, replay_budget) by the flood tests in
 	// flood_test.go — this receiver runs unbudgeted, so its replay
 	// window never refuses a newcomer. The edge pre-filter buckets
 	// (prefilter, bad_cookie, challenged) need the pre-filter enabled
@@ -89,7 +89,7 @@ func TestChaosAdversaryExactBuckets(t *testing.T) {
 	// prefilter_test.go.
 	for reason := core.DropReason(1); int(reason) < core.NumDropReasons; reason++ {
 		switch reason {
-		case core.DropKeying, core.DropKeyingOverload, core.DropPeerQuota,
+		case core.DropKeying, core.DropKeyingOverload,
 			core.DropStateBudget, core.DropReplayBudget,
 			core.DropPrefilter, core.DropBadCookie, core.DropChallenged:
 			continue

@@ -447,7 +447,6 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 	// the keying path, and a challenged legitimate first contact is a
 	// clean shed like any other overload refusal.
 	spoofDrops := r.ReceiverDrops[core.DropKeyingOverload] +
-		r.ReceiverDrops[core.DropPeerQuota] +
 		r.ReceiverDrops[core.DropStateBudget] +
 		r.ReceiverDrops[core.DropReplayBudget] +
 		r.ReceiverDrops[core.DropBadMAC] +
@@ -503,7 +502,7 @@ func (r *FloodReport) reconcile(sc *FloodScenario) {
 		// The storm must have been shed by SOMETHING cheap: the gate, or
 		// — when the pre-filter sits in front of it — the sketch and the
 		// cookie challenge, which legitimately starve the gate of spoofs.
-		if r.Admission.ShedOverload+r.Admission.ShedQuota == 0 &&
+		if r.Admission.ShedOverload == 0 &&
 			r.ReceiverDrops[core.DropPrefilter]+r.ReceiverDrops[core.DropChallenged] == 0 {
 			r.fail("spoof flood at 10x never tripped the admission gate or the pre-filter")
 		}
@@ -546,8 +545,7 @@ func (r *FloodReport) Summary() string {
 	s += fmt.Sprintf("  budget: used=%d peak=%d/%d pressure=%d denials=%d (flooder peak=%d/%d)\n",
 		r.Budget.Used, r.Budget.Peak, r.Budget.HardLimit, r.Budget.PressureEvents, r.Budget.Denials,
 		r.SenderBudget.Peak, r.SenderBudget.HardLimit)
-	s += fmt.Sprintf("  admission: admitted=%d shed_overload=%d shed_quota=%d prefixes=%d\n",
-		r.Admission.Admitted, r.Admission.ShedOverload, r.Admission.ShedQuota, r.Admission.ActivePrefixes)
+	s += fmt.Sprintf("  admission: admitted=%d shed_overload=%d\n", r.Admission.Admitted, r.Admission.ShedOverload)
 	s += fmt.Sprintf("  replay: entries=%d peers=%d refusals=%d; dh computes=%d (admitted+legit bound %d)\n",
 		r.Replay.Entries, r.Replay.Peers, r.Replay.Refusals, r.Keys.MasterKeyComputes, r.LegitPeers+r.Admission.Admitted)
 	if r.FirstContactsKeyed > 0 || r.FirstContactFloor > 0 {

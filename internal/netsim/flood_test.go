@@ -3,7 +3,6 @@ package netsim
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"fbs/internal/core"
 )
@@ -37,13 +36,6 @@ func TestFloodSpoofedKeyingAt10x(t *testing.T) {
 		Admission: core.AdmissionConfig{
 			UpcallRate:  20,
 			UpcallBurst: 5,
-			// 14 characters group "flood-spoof-NNN" sources by their
-			// first two digits: a handful of prefix quotas, none able
-			// to monopolise the token bucket, with enough quota-passing
-			// attempts between them to empty it.
-			PrefixQuota: 2,
-			PrefixLen:   14,
-			QuotaWindow: 30 * time.Second,
 		},
 		GoodputFloor: 0.7,
 	})
@@ -60,10 +52,6 @@ func TestFloodSpoofedKeyingAt10x(t *testing.T) {
 	// the token bucket...
 	if rep.ReceiverDrops[core.DropKeyingOverload] == 0 {
 		t.Error("spoof flood never produced DropKeyingOverload at the receiver")
-	}
-	// ...the per-source-prefix quota...
-	if rep.ReceiverDrops[core.DropPeerQuota] == 0 {
-		t.Error("spoof flood never produced DropPeerQuota at the receiver")
 	}
 	// ...and the flooder's own state budget refusing fresh flows.
 	if rep.SenderDrops[core.DropStateBudget] == 0 {
@@ -98,9 +86,6 @@ func TestFloodPrefilterSketchPreParse(t *testing.T) {
 		Admission: core.AdmissionConfig{
 			UpcallRate:  20,
 			UpcallBurst: 5,
-			PrefixQuota: 2,
-			PrefixLen:   14,
-			QuotaWindow: 30 * time.Second,
 		},
 		Prefilter:         core.PrefilterConfig{Enable: true, ForceLevel: core.PrefilterSketch},
 		PreParseShedFloor: 0.9,
@@ -125,7 +110,7 @@ func TestFloodPrefilterSketchPreParse(t *testing.T) {
 	// The sketch does not protect what it has not seen: the first
 	// spoofs reached the keying path and were shed (or unmasked) there,
 	// which is exactly what heated the prefix.
-	if rep.Admission.ShedOverload+rep.Admission.ShedQuota == 0 {
+	if rep.Admission.ShedOverload == 0 {
 		t.Error("no admission shed ever fed the sketch")
 	}
 }

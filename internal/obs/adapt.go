@@ -113,7 +113,6 @@ func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 		CounterFamily("fbs_budget_denials_total", "Soft-state installs refused at the hard limit.", m.Budget.Denials, lbls...),
 		CounterFamily("fbs_admission_admitted_total", "New-peer keying attempts admitted by the gate.", m.Admission.Admitted, lbls...),
 		GaugeFamily("fbs_admission_queue_depth", "Admitted keying upcalls currently in flight.", float64(m.Admission.Depth), lbls...),
-		GaugeFamily("fbs_admission_active_prefixes", "Source prefixes tracked by the admission quota.", float64(m.Admission.ActivePrefixes), lbls...),
 		GaugeFamily("fbs_replay_entries", "Live replay-window entries.", float64(m.Replay.Entries), lbls...),
 		GaugeFamily("fbs_replay_peers", "Distinct peers holding replay-window entries.", float64(m.Replay.Peers), lbls...),
 		CounterFamily("fbs_replay_refusals_total", "Datagrams refused because the budget hard limit left no room to record their replay signature.", m.Replay.Refusals, lbls...),
@@ -122,8 +121,7 @@ func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 	)
 	shed := Family{Name: "fbs_admission_shed_total", Help: "New-peer keying attempts refused by the gate, by cause.", Type: "counter"}
 	shed.Samples = append(shed.Samples,
-		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "overload"}), Value: float64(m.Admission.ShedOverload)},
-		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "quota"}), Value: float64(m.Admission.ShedQuota)})
+		Sample{Labels: labelsWith(lbls, Label{Key: "cause", Value: "overload"}), Value: float64(m.Admission.ShedOverload)})
 	fams = append(fams, shed)
 
 	// Edge pre-filter: ladder position, pre-parse shedding, the

@@ -130,7 +130,6 @@ func TestAdminPlane(t *testing.T) {
 		`fbs_budget_denials_total{endpoint="bob"}`,
 		`fbs_admission_admitted_total{endpoint="bob"}`,
 		`fbs_admission_shed_total{endpoint="bob",cause="overload"}`,
-		`fbs_admission_shed_total{endpoint="bob",cause="quota"}`,
 		`fbs_replay_entries{endpoint="bob"}`,
 		`fbs_keying_flowkey_dedup_total{endpoint="bob"}`,
 		`fbs_pressure_sweeps_total{endpoint="alice"}`,

@@ -288,7 +288,7 @@ func (e *Endpoint) pfPenalize(src principal.Address, reason core.DropReason) {
 		return
 	}
 	switch reason {
-	case core.DropBadMAC, core.DropKeyingOverload, core.DropPeerQuota:
+	case core.DropBadMAC, core.DropKeyingOverload:
 		e.pf.penalize(e.pf.pfPrefix(src))
 	}
 }

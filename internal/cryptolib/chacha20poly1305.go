@@ -18,11 +18,13 @@ import (
 // non-NIST cipher option; the refmodel shares only this primitive and
 // reassembles nonce/AAD framing independently.
 //
-// The keystream has two implementations, chosen by CPUID at init and by
-// nothing else: chachaKeystream8 (chacha_amd64.s, eight blocks per call
-// in AVX2 registers) where the CPU has AVX2, and the Go block function
-// below everywhere else. The Go path is also the kernel's differential
-// oracle: NewPortableChaCha20Poly1305 pins it.
+// Both halves have kernels, chosen by CPUID at init and by nothing else.
+// The keystream comes from chacha_amd64.s — sixteen blocks per ZMM pass
+// and eight per AVX-512VL pass where the CPU has AVX-512, eight per AVX2
+// pass where it has AVX2 — and Poly1305's block loop from
+// poly1305_amd64.s, eight lanes wide, where it has AVX-512 IFMA.
+// Everywhere else the Go block function and Poly1305 loop below run. The Go path is also the kernels'
+// differential oracle: NewPortableChaCha20Poly1305 pins it.
 
 // ChaCha20Poly1305 sizes.
 const (
@@ -38,9 +40,19 @@ var ErrAEADOpen = errors.New("cryptolib: chacha20poly1305 authentication failed"
 // Seal/Open follow crypto/cipher.AEAD append semantics, including the
 // documented in-place forms Seal(pt[:0], ...) and Open(ct[:0], ...).
 type ChaCha20Poly1305 struct {
-	key    [8]uint32
-	kernel bool // the keystream comes from chachaKeystream8
+	key  [8]uint32
+	ks   keystreamKernel
+	ifma bool // Poly1305 blocks go through polyBlocksIFMA
 }
+
+// keystreamKernel is the pass that computes the keystream.
+type keystreamKernel uint8
+
+const (
+	keystreamGo     keystreamKernel = iota // chachaBlock, one block at a time
+	keystreamAVX2                          // chachaKeystream8
+	keystreamAVX512                        // chachaKeystream16, then chachaKeystream8VL for a tail of eight or fewer
+)
 
 // NewChaCha20Poly1305 builds an AEAD from a 32-byte key.
 func NewChaCha20Poly1305(key []byte) (*ChaCha20Poly1305, error) {
@@ -48,14 +60,14 @@ func NewChaCha20Poly1305(key []byte) (*ChaCha20Poly1305, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.kernel = useKernel
+	a.ks, a.ifma = bestKeystream, useIFMA
 	return a, nil
 }
 
 // NewPortableChaCha20Poly1305 builds an AEAD that runs the Go block
-// function on every CPU. It is for the differential oracle
-// (internal/refmodel) and the kernel's own tests, which must not have
-// the assembly on both sides of a comparison.
+// function and Poly1305 loop on every CPU. It is for the differential
+// oracle (internal/refmodel) and the kernels' own tests, which must not
+// have the assembly on both sides of a comparison.
 func NewPortableChaCha20Poly1305(key []byte) (*ChaCha20Poly1305, error) {
 	if len(key) != ChaChaKeySize {
 		return nil, fmt.Errorf("cryptolib: chacha20poly1305 key must be %d bytes, got %d", ChaChaKeySize, len(key))
@@ -79,16 +91,16 @@ func (*ChaCha20Poly1305) Overhead() int { return Poly1305TagSize }
 // (dst = plaintext[:0]) or not at all; any other overlap panics.
 func (a *ChaCha20Poly1305) Seal(dst, nonce, plaintext, additionalData []byte) []byte {
 	var k keystream
-	otk := a.start(&k, nonce)
+	otk, ks := a.start(&k, nonce, len(plaintext))
 
 	ret, out := aeadSliceForAppend(dst, len(plaintext)+Poly1305TagSize)
 	if inexactOverlap(out, plaintext) {
 		panic("cryptolib: invalid buffer overlap")
 	}
 	ct := out[:len(plaintext)]
-	a.xor(&k, ct, plaintext)
+	a.xor(&k, ks, ct, plaintext)
 
-	tag := polyAEADTag(&otk, additionalData, ct)
+	tag := a.tag(&otk, additionalData, ct)
 	copy(out[len(plaintext):], tag[:])
 	return ret
 }
@@ -99,7 +111,7 @@ func (a *ChaCha20Poly1305) Seal(dst, nonce, plaintext, additionalData []byte) []
 // or not at all; any other overlap panics.
 func (a *ChaCha20Poly1305) Open(dst, nonce, ciphertext, additionalData []byte) ([]byte, error) {
 	var k keystream
-	otk := a.start(&k, nonce)
+	otk, ks := a.start(&k, nonce, len(ciphertext)-Poly1305TagSize)
 	if len(ciphertext) < Poly1305TagSize {
 		return nil, ErrAEADOpen
 	}
@@ -107,7 +119,7 @@ func (a *ChaCha20Poly1305) Open(dst, nonce, ciphertext, additionalData []byte) (
 	body := ciphertext[:len(ciphertext)-Poly1305TagSize]
 	got := ciphertext[len(ciphertext)-Poly1305TagSize:]
 
-	want := polyAEADTag(&otk, additionalData, body)
+	want := a.tag(&otk, additionalData, body)
 	if subtle.ConstantTimeCompare(want[:], got) != 1 {
 		return nil, ErrAEADOpen
 	}
@@ -116,23 +128,24 @@ func (a *ChaCha20Poly1305) Open(dst, nonce, ciphertext, additionalData []byte) (
 	if inexactOverlap(out, body) {
 		panic("cryptolib: invalid buffer overlap")
 	}
-	a.xor(&k, out, body)
+	a.xor(&k, ks, out, body)
 	return ret, nil
 }
 
 // keystream is the cipher state of one Seal or Open, kept on the
-// caller's stack: the ChaCha20 input block and, on the kernel path, the
-// eight keystream blocks of the latest chachaKeystream8 call.
+// caller's stack: the ChaCha20 input block and, on a kernel path, the
+// blocks of the latest pass.
 type keystream struct {
 	state [16]uint32 // constants, key, block counter, nonce
-	buf   [512]byte
+	buf   [1024]byte
 }
 
 // start loads key and nonce into k and returns the Poly1305 one-time
 // key, the first half of keystream block zero (RFC 8439 section 2.6).
-// The kernel computes blocks 1…7 in the same call and leaves them in
-// k.buf for xor.
-func (a *ChaCha20Poly1305) start(k *keystream, nonce []byte) (otk [32]byte) {
+// On a kernel path the pass that computes block zero is sized for the
+// n bytes of message after it, and ks is the rest of that pass: the
+// keystream from block 1 on, for xor.
+func (a *ChaCha20Poly1305) start(k *keystream, nonce []byte, n int) (otk [32]byte, ks []byte) {
 	if len(nonce) != ChaChaNonceSize {
 		panic("cryptolib: chacha20poly1305 nonce must be 12 bytes")
 	}
@@ -141,27 +154,45 @@ func (a *ChaCha20Poly1305) start(k *keystream, nonce []byte) (otk [32]byte) {
 	k.state[13] = binary.LittleEndian.Uint32(nonce[0:])
 	k.state[14] = binary.LittleEndian.Uint32(nonce[4:])
 	k.state[15] = binary.LittleEndian.Uint32(nonce[8:])
-	if a.kernel {
-		chachaKeystream8(&k.state, &k.buf)
-		return [32]byte(k.buf[:32])
+	if a.ks != keystreamGo {
+		ks = a.pass(k, 64+n)
+		return [32]byte(ks[:32]), ks[64:]
 	}
 	var block [64]byte
 	chachaBlock(&a.key, (*[3]uint32)(k.state[13:16]), 0, &block)
-	return [32]byte(block[:32])
+	return [32]byte(block[:32]), nil
+}
+
+// pass runs one kernel pass from block counter k.state[12] on, advances
+// the counter past it, and returns its keystream: sixteen blocks on
+// AVX-512 when n more bytes need more than eight, else eight.
+func (a *ChaCha20Poly1305) pass(k *keystream, n int) []byte {
+	if a.ks == keystreamAVX512 && n > 512 {
+		chachaKeystream16(&k.state, &k.buf)
+		k.state[12] += 16
+		return k.buf[:]
+	}
+	half := (*[512]byte)(k.buf[:512])
+	if a.ks == keystreamAVX512 {
+		chachaKeystream8VL(&k.state, half)
+	} else {
+		chachaKeystream8(&k.state, half)
+	}
+	k.state[12] += 8
+	return half[:]
 }
 
 // xor writes src XOR the keystream from block counter 1 on into dst;
-// the two may be the same slice. It follows start and runs once.
-func (a *ChaCha20Poly1305) xor(k *keystream, dst, src []byte) {
-	if !a.kernel {
+// the two may be the same slice. It follows start, whose leftover
+// keystream is ks, and runs once.
+func (a *ChaCha20Poly1305) xor(k *keystream, ks, dst, src []byte) {
+	if a.ks == keystreamGo {
 		chachaXORStream(&a.key, (*[3]uint32)(k.state[13:16]), 1, dst, src)
 		return
 	}
-	n := subtle.XORBytes(dst, src, k.buf[64:])
+	n := subtle.XORBytes(dst, src, ks)
 	for n < len(src) {
-		k.state[12] += 8
-		chachaKeystream8(&k.state, &k.buf)
-		n += subtle.XORBytes(dst[n:], src[n:], k.buf[:])
+		n += subtle.XORBytes(dst[n:], src[n:], a.pass(k, len(src)-n))
 	}
 }
 
@@ -462,26 +493,36 @@ func (p *poly1305) sum(tag *[16]byte) {
 	binary.LittleEndian.PutUint64(tag[8:], h1)
 }
 
-var polyZeroPad [16]byte
-
-// polyAEADTag evaluates the RFC 8439 AEAD MAC layout:
-// aad || pad16 || ct || pad16 || le64(len aad) || le64(len ct).
-func polyAEADTag(otk *[32]byte, aad, ct []byte) [16]byte {
+// tag evaluates the RFC 8439 AEAD MAC layout,
+// aad || pad16 || ct || pad16 || le64(len aad) || le64(len ct),
+// in whole blocks on the path a was built for.
+func (a *ChaCha20Poly1305) tag(otk *[32]byte, aad, ct []byte) [16]byte {
 	var p poly1305
 	p.init(otk)
-	p.update(aad)
-	if rem := len(aad) % 16; rem != 0 {
-		p.update(polyZeroPad[:16-rem])
+	var last [16]byte
+	for _, m := range [2][]byte{aad, ct} {
+		full := len(m) &^ 15
+		p.absorb(m[:full], a.ifma)
+		if full < len(m) {
+			last = [16]byte{}
+			copy(last[:], m[full:])
+			p.absorb(last[:], a.ifma)
+		}
 	}
-	p.update(ct)
-	if rem := len(ct) % 16; rem != 0 {
-		p.update(polyZeroPad[:16-rem])
-	}
-	var lens [16]byte
-	binary.LittleEndian.PutUint64(lens[0:], uint64(len(aad)))
-	binary.LittleEndian.PutUint64(lens[8:], uint64(len(ct)))
-	p.update(lens[:])
+	binary.LittleEndian.PutUint64(last[0:], uint64(len(aad)))
+	binary.LittleEndian.PutUint64(last[8:], uint64(len(ct)))
+	p.absorb(last[:], a.ifma)
 	var tag [16]byte
 	p.sum(&tag)
 	return tag
+}
+
+// absorb takes the whole 16-byte blocks of m, through polyBlocksIFMA
+// when ifma is set and the Go loop otherwise.
+func (p *poly1305) absorb(m []byte, ifma bool) {
+	if ifma {
+		polyBlocksIFMA(&p.h, &p.r, m)
+		return
+	}
+	p.blocks(m, false)
 }

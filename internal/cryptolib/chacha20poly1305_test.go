@@ -19,10 +19,12 @@ func unhex(t testing.TB, s string) []byte {
 	return b
 }
 
-// chachaPath is one of the two keystream implementations behind a
-// common shape, so every vector and property below runs against both by
-// name: "go" is the portable block function, "kernel" is
-// chachaKeystream8.
+// chachaPath is one implementation of the AEAD behind a common shape,
+// so every vector and property below runs against each by name: "go" is
+// the portable block function and Poly1305 loop, "kernel" is what
+// NewChaCha20Poly1305 picks on this CPU, and "avx2" is what a CPU with
+// AVX2 but not AVX-512 runs (the AVX2 keystream pass, the Go Poly1305
+// loop), reached on an AVX-512 CPU by flipping the selectors.
 type chachaPath struct {
 	name string
 	new  func(key []byte) (*ChaCha20Poly1305, error)
@@ -30,7 +32,7 @@ type chachaPath struct {
 	stream func(key *[8]uint32, nonce *[3]uint32, counter uint32, n int) []byte
 }
 
-// chachaPaths lists the Go path and, where the CPU has it, the kernel.
+// chachaPaths lists the Go path and every kernel path this CPU has.
 func chachaPaths() []chachaPath {
 	paths := []chachaPath{{"go", NewPortableChaCha20Poly1305,
 		func(key *[8]uint32, nonce *[3]uint32, counter uint32, n int) []byte {
@@ -38,20 +40,38 @@ func chachaPaths() []chachaPath {
 			chachaXORStream(key, nonce, counter, out, out)
 			return out
 		}}}
-	if useKernel {
-		paths = append(paths, chachaPath{"kernel", NewChaCha20Poly1305,
-			func(key *[8]uint32, nonce *[3]uint32, counter uint32, n int) []byte {
-				state := chachaState(key, nonce, counter)
-				var out []byte
-				for ; len(out) < n; state[12] += 8 {
-					var buf [512]byte
-					chachaKeystream8(&state, &buf)
-					out = append(out, buf[:]...)
+	if bestKeystream == keystreamGo {
+		return paths
+	}
+	paths = append(paths, chachaPath{"kernel", NewChaCha20Poly1305, kernelStream(bestKeystream)})
+	if bestKeystream == keystreamAVX512 {
+		paths = append(paths, chachaPath{"avx2",
+			func(key []byte) (*ChaCha20Poly1305, error) {
+				a, err := NewChaCha20Poly1305(key)
+				if err == nil {
+					a.ks, a.ifma = keystreamAVX2, false
 				}
-				return out[:n]
-			}})
+				return a, err
+			}, kernelStream(keystreamAVX2)})
 	}
 	return paths
+}
+
+// kernelPaths is chachaPaths without the Go path.
+func kernelPaths() []chachaPath { return chachaPaths()[1:] }
+
+// kernelStream returns n bytes of raw keystream from the passes a Seal
+// on the given kernel runs, sized as it sizes them.
+func kernelStream(ks keystreamKernel) func(key *[8]uint32, nonce *[3]uint32, counter uint32, n int) []byte {
+	return func(key *[8]uint32, nonce *[3]uint32, counter uint32, n int) []byte {
+		a := &ChaCha20Poly1305{key: *key, ks: ks}
+		k := keystream{state: chachaState(key, nonce, counter)}
+		var out []byte
+		for len(out) < n {
+			out = append(out, a.pass(&k, n-len(out))...)
+		}
+		return out[:n]
+	}
 }
 
 // mustAEAD builds the path's AEAD or fails the test.
@@ -135,7 +155,7 @@ func TestChaCha20EncryptionVector(t *testing.T) {
 }
 
 // poly1305Tag computes the one-shot Poly1305 MAC of msg under key (the
-// AEAD path uses polyAEADTag).
+// AEAD path uses ChaCha20Poly1305.tag).
 func poly1305Tag(key *[32]byte, msg []byte) [16]byte {
 	var p poly1305
 	p.init(key)
@@ -337,36 +357,53 @@ func TestChaCha20Poly1305BufferOverlap(t *testing.T) {
 	}
 }
 
-// The kernel against the Go block function it replaces, block by block:
-// every lane, the block counter carried across the 2^32 wrap inside a
-// call, and the 512-byte store at every alignment.
+// Each keystream kernel this CPU has against the Go block function it
+// replaces, block by block: every lane, the block counter carried across
+// the 2^32 wrap inside a pass, and the store at every alignment.
 func TestChaChaKernelMatchesBlockFunction(t *testing.T) {
-	if !useKernel {
+	type kernel struct {
+		name   string
+		blocks int
+		run    func(state *[16]uint32, out []byte)
+	}
+	var kernels []kernel
+	if bestKeystream >= keystreamAVX2 {
+		kernels = append(kernels, kernel{"chachaKeystream8", 8, func(s *[16]uint32, out []byte) { chachaKeystream8(s, (*[512]byte)(out)) }})
+	}
+	if bestKeystream >= keystreamAVX512 {
+		kernels = append(kernels,
+			kernel{"chachaKeystream8VL", 8, func(s *[16]uint32, out []byte) { chachaKeystream8VL(s, (*[512]byte)(out)) }},
+			kernel{"chachaKeystream16", 16, func(s *[16]uint32, out []byte) { chachaKeystream16(s, (*[1024]byte)(out)) }})
+	}
+	if len(kernels) == 0 {
 		t.Skip("no keystream kernel on this CPU")
 	}
 	k, n := chachaWords(pattern(32, 21), pattern(12, 22))
-	backing := make([]byte, 512+32)
-	for _, counter := range []uint32{0, 1, 8, 0x7FFFFFFC, 0xFFFFFFF8, 0xFFFFFFF9, 0xFFFFFFFC, 0xFFFFFFFF} {
-		var want [512]byte
-		for lane := range 8 {
-			chachaBlock(&k, &n, counter+uint32(lane), (*[64]byte)(want[64*lane:]))
-		}
-		for off := range 32 {
-			state := chachaState(&k, &n, counter)
-			out := (*[512]byte)(backing[off:])
-			chachaKeystream8(&state, out)
-			if *out != want {
-				t.Fatalf("counter %#x, out offset %d: kernel and chachaBlock disagree", counter, off)
+	for _, kern := range kernels {
+		size := 64 * kern.blocks
+		backing := make([]byte, size+64)
+		for _, counter := range []uint32{0, 1, 8, 0x7FFFFFFC, 0xFFFFFFF0, 0xFFFFFFF8, 0xFFFFFFF9, 0xFFFFFFFC, 0xFFFFFFFF} {
+			want := make([]byte, size)
+			for lane := range kern.blocks {
+				chachaBlock(&k, &n, counter+uint32(lane), (*[64]byte)(want[64*lane:]))
 			}
-			if state[12] != counter {
-				t.Fatalf("counter %#x: kernel wrote to its state", counter)
+			for off := range 64 {
+				state := chachaState(&k, &n, counter)
+				out := backing[off : off+size]
+				kern.run(&state, out)
+				if !bytes.Equal(out, want) {
+					t.Fatalf("%s, counter %#x, out offset %d: kernel and chachaBlock disagree", kern.name, counter, off)
+				}
+				if state[12] != counter {
+					t.Fatalf("%s, counter %#x: kernel wrote to its state", kern.name, counter)
+				}
 			}
 		}
 	}
 }
 
-// The kernel path against the Go path through the whole AEAD: every
-// plaintext length 0…2100 (zero to five kernel calls, every tail), the
+// Every kernel path against the Go path through the whole AEAD: every
+// plaintext length 0…2100 (zero to five kernel passes, every tail), the
 // AAD length cycling through 0…48 beside it and running through all of
 // 0…48 at the lengths around a kernel-call boundary; then source and
 // destination at every offset 0…31 of a 32-byte line, out of place and
@@ -374,15 +411,17 @@ func TestChaChaKernelMatchesBlockFunction(t *testing.T) {
 // not — the AAD reaches only Poly1305, which the paths share — and costs
 // the race-and-coverage build two minutes.)
 func TestChaChaKernelMatchesGo(t *testing.T) {
-	if !useKernel {
+	if len(kernelPaths()) == 0 {
 		t.Skip("no keystream kernel on this CPU")
 	}
-	key, nonce := pattern(32, 31), pattern(12, 32)
-	kern, err := NewChaCha20Poly1305(key)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range kernelPaths() {
+		t.Run(p.name, func(t *testing.T) { kernelMatchesGo(t, p.mustAEAD(t, pattern(32, 31))) })
 	}
-	goPath, err := NewPortableChaCha20Poly1305(key)
+}
+
+func kernelMatchesGo(t *testing.T, kern *ChaCha20Poly1305) {
+	nonce := pattern(12, 32)
+	goPath, err := NewPortableChaCha20Poly1305(pattern(32, 31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +448,7 @@ func TestChaChaKernelMatchesGo(t *testing.T) {
 	for n := 0; n <= len(pt); n++ {
 		agree(n, n%(len(aad)+1))
 	}
-	for _, n := range []int{0, 1, 447, 448, 449, 1200} {
+	for _, n := range []int{0, 1, 447, 448, 449, 959, 960, 961, 1200} {
 		for m := 0; m <= len(aad); m++ {
 			agree(n, m)
 		}
@@ -442,10 +481,42 @@ func TestChaChaKernelMatchesGo(t *testing.T) {
 	}
 }
 
-// FuzzChaCha20Poly1305 holds the AEAD under test (the kernel, where the
-// CPU has it) to the Go path on arbitrary key, nonce, AAD, plaintext and
-// buffer offsets: identical datagram, out of place and in place; each
-// path opens the other's; one flipped bit is refused by both.
+// The Poly1305 kernel against the Go loop through the AEAD's MAC
+// layout: every message length 0…2048 (every count of whole eight-block
+// groups and every tail of one to seven blocks), each with every AAD
+// tail 0…16, under a patterned key and under the all-ones key (the
+// largest clamped r, so every carry the kernel assumes bounded is at
+// its widest) with all-ones messages.
+func TestPoly1305KernelMatchesGo(t *testing.T) {
+	if !useIFMA {
+		t.Skip("no Poly1305 kernel on this CPU")
+	}
+	var keys [2][32]byte
+	copy(keys[0][:], pattern(32, 61))
+	for i := range keys[1] {
+		keys[1][i] = 0xff
+	}
+	ones := bytes.Repeat([]byte{0xff}, 2048+16)
+	goPath, kernel := &ChaCha20Poly1305{}, &ChaCha20Poly1305{ifma: true}
+	for ki, key := range keys {
+		msg, aad := pattern(2048, 62), pattern(16, 63)
+		if ki == 1 {
+			msg, aad = ones[:2048], ones[:16]
+		}
+		for n := 0; n <= len(msg); n++ {
+			for m := 0; m <= len(aad); m++ {
+				if got, want := kernel.tag(&key, aad[:m], msg[:n]), goPath.tag(&key, aad[:m], msg[:n]); got != want {
+					t.Fatalf("key %d, len %d, aad %d: tag %x, Go loop %x", ki, n, m, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzChaCha20Poly1305 holds every kernel path this CPU has to the Go
+// path on arbitrary key, nonce, AAD, plaintext and buffer offsets:
+// identical datagram, out of place and in place; each path opens the
+// other's; one flipped bit is refused by both.
 func FuzzChaCha20Poly1305(f *testing.F) {
 	f.Add([]byte{}, []byte{}, []byte{}, []byte{}, uint8(0), uint8(0), uint16(0))
 	f.Add(unhex(f, "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f"),
@@ -458,46 +529,49 @@ func FuzzChaCha20Poly1305(f *testing.F) {
 		var nonce [ChaChaNonceSize]byte
 		copy(key[:], keyIn)
 		copy(nonce[:], nonceIn)
-		dut, err := NewChaCha20Poly1305(key[:])
-		if err != nil {
-			t.Fatal(err)
-		}
 		goPath, err := NewPortableChaCha20Poly1305(key[:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		so, do := int(srcOff%32), int(dstOff%32)
-		src := make([]byte, so+len(pt)+Poly1305TagSize)
-		dst := make([]byte, do+len(pt)+Poly1305TagSize)
-		copy(src[so:], pt)
-
-		want := goPath.Seal(nil, nonce[:], pt, aad)
-		if got := dut.Seal(dst[do:do], nonce[:], src[so:so+len(pt)], aad); !bytes.Equal(got, want) {
-			t.Fatalf("Seal differs from the Go path:\n got %x\nwant %x", got, want)
-		}
-		if got, err := goPath.Open(nil, nonce[:], dst[do:], aad); err != nil || !bytes.Equal(got, pt) {
-			t.Fatalf("Go path Open of the datagram: %v", err)
-		}
-		sealed := dut.Seal(src[so:so], nonce[:], src[so:so+len(pt)], aad)
-		if !bytes.Equal(sealed, want) {
-			t.Fatalf("in-place Seal differs from the Go path:\n got %x\nwant %x", sealed, want)
-		}
-		if got, err := dut.Open(dst[do:do], nonce[:], sealed, aad); err != nil || !bytes.Equal(got, pt) {
-			t.Fatalf("Open of the in-place datagram: %v", err)
-		}
-
-		bad := append([]byte(nil), want...)
-		bad[int(flip)%len(bad)] ^= 1 << (flip % 8)
-		if _, err := dut.Open(nil, nonce[:], bad, aad); err != ErrAEADOpen {
-			t.Fatalf("Open of a datagram with byte %d flipped: %v", int(flip)%len(bad), err)
-		}
-		if _, err := goPath.Open(nil, nonce[:], bad, aad); err != ErrAEADOpen {
-			t.Fatalf("Go path Open of a datagram with byte %d flipped: %v", int(flip)%len(bad), err)
-		}
-		if got, err := dut.Open(sealed[:0], nonce[:], sealed, aad); err != nil || !bytes.Equal(got, pt) {
-			t.Fatalf("in-place Open: %v", err)
+		for _, p := range kernelPaths() {
+			fuzzPath(t, p.mustAEAD(t, key[:]), goPath, nonce[:], aad, pt, int(srcOff%32), int(dstOff%32), flip)
 		}
 	})
+}
+
+// fuzzPath is one FuzzChaCha20Poly1305 comparison of dut to the Go path.
+func fuzzPath(t *testing.T, dut, goPath *ChaCha20Poly1305, nonce, aad, pt []byte, so, do int, flip uint16) {
+	t.Helper()
+	src := make([]byte, so+len(pt)+Poly1305TagSize)
+	dst := make([]byte, do+len(pt)+Poly1305TagSize)
+	copy(src[so:], pt)
+
+	want := goPath.Seal(nil, nonce, pt, aad)
+	if got := dut.Seal(dst[do:do], nonce, src[so:so+len(pt)], aad); !bytes.Equal(got, want) {
+		t.Fatalf("Seal differs from the Go path:\n got %x\nwant %x", got, want)
+	}
+	if got, err := goPath.Open(nil, nonce, dst[do:], aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Go path Open of the datagram: %v", err)
+	}
+	sealed := dut.Seal(src[so:so], nonce, src[so:so+len(pt)], aad)
+	if !bytes.Equal(sealed, want) {
+		t.Fatalf("in-place Seal differs from the Go path:\n got %x\nwant %x", sealed, want)
+	}
+	if got, err := dut.Open(dst[do:do], nonce, sealed, aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("Open of the in-place datagram: %v", err)
+	}
+
+	bad := append([]byte(nil), want...)
+	bad[int(flip)%len(bad)] ^= 1 << (flip % 8)
+	if _, err := dut.Open(nil, nonce, bad, aad); err != ErrAEADOpen {
+		t.Fatalf("Open of a datagram with byte %d flipped: %v", int(flip)%len(bad), err)
+	}
+	if _, err := goPath.Open(nil, nonce, bad, aad); err != ErrAEADOpen {
+		t.Fatalf("Go path Open of a datagram with byte %d flipped: %v", int(flip)%len(bad), err)
+	}
+	if got, err := dut.Open(sealed[:0], nonce, sealed, aad); err != nil || !bytes.Equal(got, pt) {
+		t.Fatalf("in-place Open: %v", err)
+	}
 }
 
 // Incremental poly1305 update must match one-shot regardless of how the

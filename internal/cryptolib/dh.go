@@ -47,23 +47,16 @@ var (
 	// TestGroup is a small (512-bit) group for fast tests. It must never
 	// be used outside tests and examples.
 	TestGroup = DHGroup{
-		P: must512(),
+		P: new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 512), big.NewInt(testPrimeGap)),
 		G: big.NewInt(2),
 	}
 )
 
-func must512() *big.Int {
-	// Deterministically pick the largest 512-bit prime: scan down from
-	// 2^512 - 1. This runs once at package init and avoids baking in an
-	// unverified constant.
-	p := new(big.Int).Lsh(big.NewInt(1), 512)
-	p.Sub(p, big.NewInt(1))
-	two := big.NewInt(2)
-	for !p.ProbablyPrime(32) {
-		p.Sub(p, two)
-	}
-	return p
-}
+// testPrimeGap places TestGroup's modulus: 2^512 - 569 is the largest
+// 512-bit prime. TestTestGroupIsLargest512BitPrime verifies it (prime,
+// and every odd number above it composite), so the constant is checked
+// where a scan at package init would cost every process start.
+const testPrimeGap = 569
 
 // Bits returns the modulus size in bits.
 func (g DHGroup) Bits() int { return g.P.BitLen() }

@@ -203,3 +203,19 @@ func TestShortAndFullExponentsAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestGroup's modulus is the largest 512-bit prime: it passes
+// ProbablyPrime(32), and every odd number between it and 2^512 fails.
+func TestTestGroupIsLargest512BitPrime(t *testing.T) {
+	p := TestGroup.P
+	if p.BitLen() != 512 || !p.ProbablyPrime(32) {
+		t.Fatalf("TestGroup.P = 2^512 - %d is not a 512-bit prime", testPrimeGap)
+	}
+	top := new(big.Int).Lsh(big.NewInt(1), 512)
+	two := big.NewInt(2)
+	for c := new(big.Int).Add(p, two); c.Cmp(top) < 0; c.Add(c, two) {
+		if c.ProbablyPrime(32) {
+			t.Fatalf("2^512 - %d is prime and above TestGroup.P", new(big.Int).Sub(top, c))
+		}
+	}
+}

@@ -185,6 +185,26 @@ func TestCRC32AgainstStdlib(t *testing.T) {
 	}
 }
 
+// The slicing-by-8 update against hash/crc32 at every length 0…64 and
+// every split point, through both the byte-slice and the string form, so
+// each of the eight-byte loop's tails and restarts is covered.
+func TestCRC32UpdateEverySplit(t *testing.T) {
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(i*167 + 13)
+	}
+	for n := 0; n <= len(data); n++ {
+		want := stdcrc.ChecksumIEEE(data[:n])
+		for k := 0; k <= n; k++ {
+			got := CRC32Update(CRC32Update(0xFFFFFFFF, data[:k]), data[k:n]) ^ 0xFFFFFFFF
+			gotS := CRC32UpdateString(CRC32UpdateString(0xFFFFFFFF, string(data[:k])), string(data[k:n])) ^ 0xFFFFFFFF
+			if got != want || gotS != want {
+				t.Fatalf("len %d split %d: CRC32Update %08x, CRC32UpdateString %08x, want %08x", n, k, got, gotS, want)
+			}
+		}
+	}
+}
+
 func TestCRC32FieldsDistributes(t *testing.T) {
 	// Sequential labels (the paper's worry) must not map to sequential
 	// hash values: check that low-order bits look uniform across a run of

@@ -22,7 +22,11 @@ type BatchConn interface {
 	// ReceiveBatch blocks until at least one datagram is available, then
 	// fills buf with as many more as are ready without blocking again.
 	// It returns the number received, or an error once the endpoint is
-	// closed. A zero-length buf returns (0, nil) immediately.
+	// closed. A zero-length buf returns (0, nil) immediately. The
+	// payloads are lent, not owned: an implementation may hand out its
+	// receive buffers, which stay intact until the next receive call
+	// (Receive or ReceiveBatch) on the same transport. A caller that
+	// keeps a payload past that copies it. Receive's payloads are owned.
 	ReceiveBatch(buf []Datagram) (int, error)
 }
 
@@ -41,7 +45,8 @@ func SendBatch(tr Transport, dgs []Datagram) (int, error) {
 	return len(dgs), nil
 }
 
-// ReceiveBatch fills buf from tr: the transport's native batch receive
+// ReceiveBatch fills buf from tr, lending the payloads as
+// BatchConn.ReceiveBatch does: the transport's native batch receive
 // when available, otherwise one blocking Receive (a portable Transport
 // offers no way to ask "is more ready?" without blocking, so the loop
 // fallback returns after the first datagram rather than stall the

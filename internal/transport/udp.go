@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -134,8 +135,9 @@ func (u *UDPTransport) Send(dg Datagram) error {
 // Receive implements Transport. A datagram still queued from an earlier
 // message is returned first, with no syscall. Otherwise one message is
 // read, with its control bytes, into the socket's first receive slot and
-// cut by the splitter the batch path uses; only its payload copy is
-// allocated, and segments after the first wait in the queue.
+// cut by the splitter the batch path uses; segments after the first wait
+// in the queue. The payload returned is the caller's own copy, the one
+// allocation a Receive makes.
 func (u *UDPTransport) Receive() (Datagram, error) {
 	u.recvMu.Lock()
 	defer u.recvMu.Unlock()
@@ -145,13 +147,13 @@ func (u *UDPTransport) Receive() (Datagram, error) {
 		if err != nil {
 			return Datagram{}, receiveError(err)
 		}
-		arena := make([]byte, 0, n)
-		if err := u.splitMessage(slot[:n], ctrl[:ctrln], flags, unmap(origin), &arena); len(u.rxq) == 0 {
+		if err := u.splitMessage(slot[:n], ctrl[:ctrln], flags, unmap(origin)); len(u.rxq) == 0 {
 			return Datagram{}, err
 		}
 	}
 	var one [1]Datagram
 	u.takePending(one[:])
+	one[0].Payload = bytes.Clone(one[0].Payload)
 	return one[0], nil
 }
 

@@ -56,7 +56,9 @@ func (u *UDPTransport) SendBatch(dgs []Datagram) (int, error) {
 // ReceiveBatch implements BatchConn over recvmmsg where available: it
 // returns what an earlier GRO message left queued, or else blocks for
 // the first datagram and returns whatever else the socket already
-// holds, up to len(buf).
+// holds, up to len(buf). The payloads are lent: each is a slice of the
+// socket's receive slot it arrived in, valid until the next receive
+// call on this transport.
 func (u *UDPTransport) ReceiveBatch(buf []Datagram) (int, error) {
 	if len(buf) == 0 {
 		return 0, nil
@@ -90,7 +92,9 @@ const (
 // datagrams a receive could not hand out yet, the send frame arena, and
 // the receive-side address intern table). Sends and receives on one
 // socket each serialise on their mutex, which matches how a sharded
-// deployment drives one socket per shard.
+// deployment drives one socket per shard. A queued datagram's payload
+// lies in its receive slot, so no receive reads the socket, and no slot
+// is overwritten, until the queue is drained.
 type batchState struct {
 	portable   atomic.Int32
 	mmsgBroken atomic.Int32
@@ -139,12 +143,12 @@ var errTruncated = errors.New("transport: truncated message dropped")
 // recvmmsg path alike. msg is one kernel message from origin with its
 // control bytes and flags: a plain frame, or a UDP_GRO super-buffer of
 // equal segments (the last may be shorter), cut where segmentSize says.
-// Each segment is decoded by decodeFrame, which learns it at the
-// message's origin, into *arena and queued on rxq in order. The segments
-// that decode are queued whatever else happens; a message dropped whole,
-// or the last segment that failed to decode, is the returned error.
-// Caller holds recvMu.
-func (u *UDPTransport) splitMessage(msg, control []byte, flags int, origin netip.AddrPort, arena *[]byte) error {
+// Each segment is decoded in place by decodeFrame, which learns it at
+// the message's origin, and queued on rxq in order. The segments that
+// decode are queued whatever else happens; a message dropped whole, or
+// the last segment that failed to decode, is the returned error. Caller
+// holds recvMu.
+func (u *UDPTransport) splitMessage(msg, control []byte, flags int, origin netip.AddrPort) error {
 	seg, ok := segmentSize(len(msg), control, flags)
 	if !ok {
 		return errTruncated
@@ -152,7 +156,7 @@ func (u *UDPTransport) splitMessage(msg, control []byte, flags int, origin netip
 	var bad error
 	for off := 0; ; {
 		end := min(off+seg, len(msg))
-		if dg, err := u.decodeFrame(msg[off:end], origin, arena); err != nil {
+		if dg, err := u.decodeFrame(msg[off:end], origin); err != nil {
 			bad = err
 		} else {
 			u.rxq = append(u.rxq, dg)
@@ -164,8 +168,8 @@ func (u *UDPTransport) splitMessage(msg, control []byte, flags int, origin netip
 }
 
 // takePending moves queued datagrams into buf, oldest first, and returns
-// how many. A drained queue keeps its backing array, cleared so it pins
-// no arena. Caller holds recvMu.
+// how many. A drained queue keeps its backing array, cleared of its
+// payload references. Caller holds recvMu.
 func (u *UDPTransport) takePending(buf []Datagram) int {
 	n := copy(buf, u.rxq[u.rxHead:])
 	if u.rxHead += n; u.rxHead == len(u.rxq) {
@@ -177,11 +181,11 @@ func (u *UDPTransport) takePending(buf []Datagram) int {
 
 // decodeFrame is the one frame decoder: it parses a wire frame that
 // arrived from origin (length-prefixed source and destination
-// addresses, then payload), runs the learn step, and appends the
-// payload to *arena — the returned Datagram owns that copy, so the
-// receive slot b sits in can be reused. Addresses come from the
-// socket's intern table. Caller holds recvMu.
-func (u *UDPTransport) decodeFrame(b []byte, origin netip.AddrPort, arena *[]byte) (Datagram, error) {
+// addresses, then payload) and runs the learn step. The payload is b's
+// tail, left where it lies, with its capacity capped at its own end so
+// an append to it cannot run into the next frame of a GRO message.
+// Addresses come from the socket's intern table. Caller holds recvMu.
+func (u *UDPTransport) decodeFrame(b []byte, origin netip.AddrPort) (Datagram, error) {
 	src, used, err := u.internAddress(b)
 	if err != nil {
 		return Datagram{}, fmt.Errorf("transport: bad frame: %w", err)
@@ -193,11 +197,7 @@ func (u *UDPTransport) decodeFrame(b []byte, origin netip.AddrPort, arena *[]byt
 	}
 	b = b[used:]
 	u.learnPeer(src, origin)
-	a := *arena
-	off := len(a)
-	a = append(a, b...)
-	*arena = a
-	return Datagram{Source: src, Destination: dst, Payload: a[off:len(a):len(a)]}, nil
+	return Datagram{Source: src, Destination: dst, Payload: b[:len(b):len(b)]}, nil
 }
 
 // internAddress decodes one length-prefixed address, returning the

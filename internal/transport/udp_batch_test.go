@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sort"
@@ -33,7 +34,8 @@ func udpPair(t testing.TB) (*UDPTransport, *UDPTransport) {
 }
 
 // collect receives exactly want datagrams via ReceiveBatch, with a
-// deadline so a lost-datagram bug fails instead of hanging.
+// deadline so a lost-datagram bug fails instead of hanging. The payloads
+// are lent until the next receive, so it keeps copies.
 func collect(t *testing.T, tr Transport, want int) []Datagram {
 	t.Helper()
 	out := make([]Datagram, 0, want)
@@ -47,7 +49,10 @@ func collect(t *testing.T, tr Transport, want int) []Datagram {
 				t.Errorf("ReceiveBatch: %v", err)
 				return
 			}
-			out = append(out, buf[:n]...)
+			for _, dg := range buf[:n] {
+				dg.Payload = bytes.Clone(dg.Payload)
+				out = append(out, dg)
+			}
 		}
 	}()
 	select {
@@ -76,7 +81,9 @@ func deliverySet(dgs []Datagram) []string {
 // cases exercise the loop, and the test still verifies batch calls
 // round-trip. mmsg-then-loop hands one socket from ReceiveBatch to
 // Receive mid-stream: a GSO run split by the first call must come out of
-// the second as separate frames, its queued remainder first.
+// the second as separate frames, its queued remainder first. Every
+// payload kept past the next receive is cloned, since ReceiveBatch lends
+// them.
 func TestUDPBatchFallbackEquivalence(t *testing.T) {
 	const N = 50
 	mkBatch := func() []Datagram {
@@ -124,6 +131,7 @@ func TestUDPBatchFallbackEquivalence(t *testing.T) {
 				if n, err := b.ReceiveBatch(got); err != nil || n != 1 {
 					t.Fatalf("ReceiveBatch = %d, %v", n, err)
 				}
+				got[0].Payload = bytes.Clone(got[0].Payload)
 				b.SetPortableBatch(true)
 				for len(got) < N {
 					b.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -246,8 +254,8 @@ func TestNetworkBatchMatchesLoop(t *testing.T) {
 // 32 frames of 64 B through SendBatch and back out of ReceiveBatch over
 // loopback, reported per datagram. Where mmsg is available the batch
 // rides one GSO message out and, with GRO, one message in; either way
-// one recvmmsg takes it, and the payload arena is the batch's only
-// allocation — asserted before timing.
+// one recvmmsg takes it, and the payloads are lent from its receive
+// slots, so a batch allocates nothing — asserted before timing.
 func BenchmarkUDPLoopbackBatch(b *testing.B) {
 	const batch = 32
 	a, r := udpPair(b)
@@ -269,8 +277,8 @@ func BenchmarkUDPLoopbackBatch(b *testing.B) {
 		}
 	}
 	if mmsgAvailable {
-		if allocs := testing.AllocsPerRun(100, round); allocs > 1 {
-			b.Fatalf("%.2f allocations per batch, want at most 1 (the payload arena)", allocs)
+		if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+			b.Fatalf("%.2f allocations per batch, want 0", allocs)
 		}
 	}
 	b.ResetTimer()

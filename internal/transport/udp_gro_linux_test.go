@@ -86,6 +86,83 @@ func TestUDPGRORunQueuesSegments(t *testing.T) {
 	}
 }
 
+// TestUDPBatchLendsPayloads pins the receive side's lending contract on
+// a GRO socket. A batch's payloads stay intact until the next
+// ReceiveBatch, even with more datagrams waiting in the socket; each is
+// capped at its own end, so appending to one leaves the next frame of
+// its GRO message alone; and a GRO remainder drained by Receive comes
+// back as the caller's own copy, which the next batch read into the same
+// slot does not touch.
+func TestUDPBatchLendsPayloads(t *testing.T) {
+	a, b := udpPair(t)
+	if a.gsoBroken.Load() != 0 || !groEnabled(t, b) {
+		t.Skip("kernel without UDP_SEGMENT or UDP_GRO")
+	}
+	frames := func(tag string, n int) []Datagram {
+		dgs := make([]Datagram, n)
+		for i := range dgs {
+			dgs[i] = Datagram{Destination: "ub", Payload: []byte(fmt.Sprintf("%s-%03d", tag, i))}
+		}
+		return dgs
+	}
+	send := func(dgs []Datagram) {
+		t.Helper()
+		if n, err := a.SendBatch(dgs); err != nil || n != len(dgs) {
+			t.Fatalf("SendBatch = %d, %v", n, err)
+		}
+	}
+	b.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+
+	// One GSO run of eight frames, all taken by one ReceiveBatch.
+	first := frames("first", 8)
+	send(first)
+	buf := make([]Datagram, len(first))
+	if n, err := b.ReceiveBatch(buf); err != nil || n != len(first) {
+		t.Fatalf("ReceiveBatch = %d, %v; want the whole run", n, err)
+	}
+	send(frames("later", 8)) // waits in the socket, not in a slot
+	time.Sleep(10 * time.Millisecond)
+	for i, dg := range buf {
+		if !bytes.Equal(dg.Payload, first[i].Payload) {
+			t.Fatalf("payload %d = %q before the next receive, want %q", i, dg.Payload, first[i].Payload)
+		}
+		if cap(dg.Payload) != len(dg.Payload) {
+			t.Fatalf("payload %d: capacity %d past its %d bytes", i, cap(dg.Payload), len(dg.Payload))
+		}
+	}
+	grown := append(buf[0].Payload, "-appended"...)
+	if !bytes.Equal(buf[1].Payload, first[1].Payload) || !bytes.Equal(grown[:len(first[0].Payload)], first[0].Payload) {
+		t.Fatalf("appending to payload 0 overwrote payload 1: %q", buf[1].Payload)
+	}
+
+	// The waiting run: one datagram by ReceiveBatch, the queued rest by
+	// Receive, then a third run read into the same slot.
+	one := make([]Datagram, 1)
+	if n, err := b.ReceiveBatch(one); err != nil || n != 1 {
+		t.Fatalf("ReceiveBatch = %d, %v", n, err)
+	}
+	if len(b.rxq) == 0 {
+		t.Fatal("the run arrived unsplit, but nothing of it was queued")
+	}
+	var owned []Datagram
+	for len(owned) < 7 {
+		dg, err := b.Receive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned = append(owned, dg)
+	}
+	send(frames("third", 8))
+	if _, err := b.ReceiveBatch(buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, dg := range owned {
+		if want := fmt.Sprintf("later-%03d", i+1); string(dg.Payload) != want {
+			t.Fatalf("Receive's payload %d = %q after the next batch, want %q", i, dg.Payload, want)
+		}
+	}
+}
+
 // TestUDPSendPacksGSORuns pins the send-side grouping: equal-size frames
 // to one peer ride one UDP_SEGMENT message per vector call, and a
 // mixed-size batch is cut at every size change (a run of one goes
@@ -245,8 +322,7 @@ func FuzzUDPFrames(f *testing.F) {
 			flags |= syscall.MSG_TRUNC
 		}
 		u := &UDPTransport{learn: true, peers: map[principal.Address]netip.AddrPort{}}
-		var arena []byte
-		err := u.splitMessage(msg, ctrl, flags, origin, &arena)
+		err := u.splitMessage(msg, ctrl, flags, origin)
 		if drop {
 			if err == nil || len(u.rxq) != 0 {
 				t.Fatalf("dropped message: queued %d, err %v", len(u.rxq), err)
@@ -254,11 +330,10 @@ func FuzzUDPFrames(f *testing.F) {
 			return
 		}
 		ref := &UDPTransport{}
-		var refArena []byte
 		var want []Datagram
 		for off := 0; ; {
 			end := min(off+cut, len(msg))
-			if dg, err := ref.decodeFrame(msg[off:end], origin, &refArena); err == nil {
+			if dg, err := ref.decodeFrame(msg[off:end], origin); err == nil {
 				want = append(want, dg)
 			}
 			if off = end; off >= len(msg) {
@@ -272,6 +347,9 @@ func FuzzUDPFrames(f *testing.F) {
 			w := want[i]
 			if dg.Source != w.Source || dg.Destination != w.Destination || !bytes.Equal(dg.Payload, w.Payload) {
 				t.Fatalf("datagram %d = %q->%q %x, want %q->%q %x", i, dg.Source, dg.Destination, dg.Payload, w.Source, w.Destination, w.Payload)
+			}
+			if cap(dg.Payload) != len(dg.Payload) {
+				t.Fatalf("datagram %d: payload capacity %d runs past its %d bytes", i, cap(dg.Payload), len(dg.Payload))
 			}
 			if u.peers[dg.Source] != origin {
 				t.Fatalf("source %q not learned at the message's origin", dg.Source)

@@ -427,21 +427,15 @@ func (u *UDPTransport) recvBatchMmsg(buf []Datagram) (n int, err error, handled 
 	if rx.errno != 0 {
 		return 0, fmt.Errorf("transport: recvmmsg: %w", rx.errno), true
 	}
-	// Payloads are copied out of the reused slots into one backing
-	// buffer for the whole call (the exact-capacity allocation keeps the
-	// appends from moving it), and the address strings are interned — a
-	// small stable set per socket, so the per-datagram decode makes no
-	// allocations on the steady state.
-	need := 0
-	for i := 0; i < rx.got; i++ {
-		need += int(rx.hdrs[i].Len)
-	}
-	arena := make([]byte, 0, need)
+	// Payloads stay in the slots they arrived in, lent to the caller
+	// until its next receive, and the address strings are interned — a
+	// small stable set per socket — so the steady state allocates
+	// nothing.
 	var bad error
 	for i := 0; i < rx.got; i++ {
 		h := &rx.hdrs[i].Hdr
 		ctrl := rx.ctrls[i][:h.Controllen]
-		if err := u.splitMessage(u.recvBufs[i][:rx.hdrs[i].Len], ctrl, int(h.Flags), rx.names[i].origin(), &arena); err != nil {
+		if err := u.splitMessage(u.recvBufs[i][:rx.hdrs[i].Len], ctrl, int(h.Flags), rx.names[i].origin()); err != nil {
 			bad = err
 		}
 	}

@@ -242,11 +242,16 @@ ci: ci-lint ci-race ci-fuzz ci-soak ci-bench
 
 # nightly is the scheduled soak (.github/workflows/nightly.yml): the
 # constant-time leak tests, the Figure 8 composition check, chaos,
-# differential, flood, and fuzz budgets at 10x their CI sizes.
+# differential, flood, and fuzz budgets at 10x their CI sizes. The swap
+# stress (reconfiguration under load, and the gateway's swap and ledger
+# tests under the race detector) puts the epoch pin's increment-then-
+# recheck through many swap interleavings.
 nightly:
 	$(GO) test -run 'ConstantTime' -count=10 ./internal/cryptolib ./internal/core
 	$(GO) test -run '^TestFigure8Composes$$' -count=10 .
 	FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) run ./cmd/fbschaos -trace -iterations 10
+	$(GO) run ./cmd/fbschaos -reconfig -iterations 10
+	$(GO) test -race -count=10 -run 'Swap|Ledger' ./internal/gateway
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts $(MAKE) diff DIFF_OPS=200000
 	$(MAKE) flood FLOOD_ITERATIONS=50
 	$(MAKE) fuzz-smoke FUZZTIME=150s

@@ -405,8 +405,8 @@ func TestFBSGWLiveUDPSmoke(t *testing.T) {
 		t.Fatalf("/metrics: received %d, want %d\n%.2000s", got, sent, metrics.String())
 	}
 	if got, want := ledger["fbs_gateway_accepted_total"]+ledger["fbs_gateway_drops_total"]+ledger["fbs_gateway_no_tenant_total"]+
-		ledger["fbs_gateway_absorbed_total"]+ledger["fbs_gateway_retry_starved_total"], ledger["fbs_gateway_received_total"]; got != want {
-		t.Fatalf("/metrics does not reconcile: accepted+drops+no_tenant+absorbed+retry_starved = %d, received = %d (%v)", got, want, ledger)
+		ledger["fbs_gateway_absorbed_total"], ledger["fbs_gateway_received_total"]; got != want {
+		t.Fatalf("/metrics does not reconcile: accepted+drops+no_tenant+absorbed = %d, received = %d (%v)", got, want, ledger)
 	}
 	if got := ledger["fbs_gateway_accepted_total"]; got != uint64(sent) {
 		t.Fatalf("/metrics: accepted %d across three epochs, want %d", got, sent)

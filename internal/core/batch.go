@@ -122,24 +122,16 @@ func (e *Endpoint) SealBatch(dst []byte, dgs []transport.Datagram, secret bool, 
 }
 
 // sealWalk is the one door into sealRun: SealBatch and, through sealOne,
-// every single-datagram seal come here, and only here are the drain gate
-// taken, Source defaulted, Bypass applied and the observation gate
-// rolled. id is the flow a single door chose; nil takes each datagram's
-// flow from the Selector. batch marks an explicit SealBatch call, the
-// only kind the fbs_batch_* histograms count. A datagram whose gate
-// fires is a run of one under its root SpanSeal, and its result carries
-// the trace ID.
+// every single-datagram seal come here, and only here are Source
+// defaulted, Bypass applied and the observation gate rolled. id is the
+// flow a single door chose; nil takes each datagram's flow from the
+// Selector. batch marks an explicit SealBatch call, the only kind the
+// fbs_batch_* histograms count. A datagram whose gate fires is a run of
+// one under its root SpanSeal, and its result carries the trace ID.
 func (e *Endpoint) sealWalk(dst []byte, dgs []transport.Datagram, id *FlowID, secret bool, res []BatchResult, batch bool) ([]byte, int) {
 	if len(dgs) == 0 {
 		return dst, 0
 	}
-	if err := e.beginOp(); err != nil {
-		for i := range dgs {
-			res[i] = BatchResult{Err: err}
-		}
-		return dst, 0
-	}
-	defer e.endOp()
 	if batch {
 		e.metrics.sealBatchCalls[batchBucket(len(dgs))].Add(1)
 		e.metrics.sealBatchDatagrams.Add(uint64(len(dgs)))
@@ -382,13 +374,6 @@ func (e *Endpoint) openWalk(dst []byte, dgs []transport.Datagram, res []BatchRes
 	if len(dgs) == 0 {
 		return dst, 0
 	}
-	if err := e.beginOp(); err != nil {
-		for i := range dgs {
-			res[i] = BatchResult{Err: err}
-		}
-		return dst, 0
-	}
-	defer e.endOp()
 	if batch {
 		e.metrics.openBatchCalls[batchBucket(len(dgs))].Add(1)
 		e.metrics.openBatchDatagrams.Add(uint64(len(dgs)))

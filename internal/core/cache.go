@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -100,10 +101,11 @@ type dmSlot[K comparable, V any] struct {
 }
 
 // NewDirectMapped builds a cache with size slots and the given index
-// hash.
+// hash. Every caller passes a derived constant, so a size of zero or
+// less is a programming error and panics.
 func NewDirectMapped[K comparable, V any](size int, hash func(K) uint32) *DirectMapped[K, V] {
 	if size <= 0 {
-		size = 64
+		panic(fmt.Sprintf("core: direct-mapped cache of %d slots", size))
 	}
 	n := defaultStripeCount(size)
 	return &DirectMapped[K, V]{

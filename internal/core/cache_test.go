@@ -102,10 +102,18 @@ func TestDirectMappedInvalidateFlush(t *testing.T) {
 	}
 }
 
+// TestDirectMappedDefaultSize: there is no default size; a cache of
+// zero or fewer slots is a programming error and panics.
 func TestDirectMappedDefaultSize(t *testing.T) {
-	c := NewDirectMapped[uint32, int](0, u32hash)
-	if c.Size() != 64 {
-		t.Fatalf("default size = %d", c.Size())
+	for _, size := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewDirectMapped(%d) did not panic", size)
+				}
+			}()
+			NewDirectMapped[uint32, int](size, u32hash)
+		}()
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -234,11 +233,8 @@ type Endpoint struct {
 	pressureSweeps atomic.Uint64
 	pf             *prefilter
 
-	// Lifecycle plane: draining refuses new datagram work so inflight
-	// can reach zero (Quiesce); closed makes Close idempotent.
-	draining atomic.Bool
-	closed   atomic.Bool
-	inflight atomic.Int64
+	// closed makes Close idempotent.
+	closed atomic.Bool
 
 	metrics endpointCounters
 }
@@ -360,52 +356,6 @@ func (e *Endpoint) Close() error {
 		e.plane.mkd.Stop()
 	}
 	return e.cfg.Transport.Close()
-}
-
-// beginOp admits one datagram-plane operation past the drain gate; it
-// must be paired with endOp. Increment-before-check closes the race
-// with BeginDrain: an op that observes draining surrenders its slot,
-// so once BeginDrain's store is visible every admitted op is covered
-// by Quiesce's wait on the in-flight count.
-func (e *Endpoint) beginOp() error {
-	e.inflight.Add(1)
-	if e.draining.Load() {
-		e.inflight.Add(-1)
-		return ErrDraining
-	}
-	return nil
-}
-
-func (e *Endpoint) endOp() { e.inflight.Add(-1) }
-
-// BeginDrain flips the endpoint into drain mode: subsequent seals and
-// opens (single or batched) are refused with ErrDraining while
-// operations already past the gate run to completion. Draining is
-// one-way — a gateway swapping config epochs builds a fresh endpoint
-// rather than reviving a drained one.
-func (e *Endpoint) BeginDrain() { e.draining.Store(true) }
-
-// Inflight reports the number of datagram operations currently past
-// the drain gate (a monitoring aid for drain progress).
-func (e *Endpoint) Inflight() int64 { return e.inflight.Load() }
-
-// Quiesce begins draining and waits until every in-flight operation
-// has finished. It returns nil once the endpoint is quiet, or an error
-// naming the residual in-flight count if the wall-clock deadline
-// passes first. Idempotent and safe to call concurrently.
-func (e *Endpoint) Quiesce(timeout time.Duration) error {
-	e.BeginDrain()
-	deadline := time.Now().Add(timeout)
-	for {
-		n := e.inflight.Load()
-		if n == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("core: quiesce timed out with %d operations in flight", n)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
 }
 
 // FlushPeer evicts everything cached about peer — verified
@@ -732,15 +682,15 @@ func (e *Endpoint) openOne(dst []byte, dg transport.Datagram, alias *[]byte) ([]
 // every check and returns it opened. Refused datagrams are counted in
 // Snapshot's Drops and skipped; a transport error ends the call and is
 // returned as it is (transport.ErrClosed once the endpoint is shut
-// down), as is ErrDraining, which refuses every datagram that follows.
+// down).
 func (e *Endpoint) Receive() (transport.Datagram, error) {
 	for {
 		dg, err := e.cfg.Transport.Receive()
 		if err != nil {
 			return transport.Datagram{}, err
 		}
-		if dg, err = e.Open(dg); err == nil || errors.Is(err, ErrDraining) {
-			return dg, err
+		if dg, err = e.Open(dg); err == nil {
+			return dg, nil
 		}
 	}
 }

@@ -492,20 +492,6 @@ func TestReceiveSkipsRefusals(t *testing.T) {
 	}
 }
 
-// TestReceiveStopsOnDrain: a draining endpoint refuses every datagram,
-// so Receive returns ErrDraining instead of discarding traffic forever.
-func TestReceiveStopsOnDrain(t *testing.T) {
-	w := newWorld(t)
-	a, b, _ := endpointPair(t, w, nil)
-	if err := a.SendTo("bob", []byte("late"), true); err != nil {
-		t.Fatal(err)
-	}
-	b.BeginDrain()
-	if _, err := b.Receive(); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Receive while draining = %v, want ErrDraining", err)
-	}
-}
-
 // errTransport fails every Receive with err.
 type errTransport struct{ err error }
 

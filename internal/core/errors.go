@@ -87,12 +87,3 @@ var (
 	// any other non-fatal receive error and continue.
 	ErrChallengeAbsorbed = errors.New("fbs: challenge frame absorbed")
 )
-
-// ErrDraining means the endpoint is quiescing ahead of a shutdown or a
-// config-epoch swap: new seal/open work is refused so the in-flight
-// count can reach zero. It is a lifecycle verdict like a closed
-// transport, not a datagram verdict — it carries no DropReason and is
-// never charged to the drop ledger, because a draining endpoint's
-// caller (the gateway swapper) re-routes the datagram to the successor
-// epoch rather than dropping it.
-var ErrDraining = errors.New("fbs: endpoint draining")

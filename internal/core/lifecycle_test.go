@@ -109,90 +109,6 @@ func TestShardGroupCloseIdempotent(t *testing.T) {
 	}
 }
 
-// TestEndpointDrainRefusesNewWork pins the drain gate on all four
-// datagram funnels: after BeginDrain, single and batched seals and
-// opens refuse with ErrDraining, nothing is charged to the drop ledger
-// or the batch histograms, and Quiesce returns promptly on the
-// now-idle endpoint.
-func TestEndpointDrainRefusesNewWork(t *testing.T) {
-	w := newWorld(t)
-	ep := lifecycleEndpoint(t, w, "drain-a", nullTransport{})
-	w.principal(t, "drain-b")
-
-	dg := transport.Datagram{Source: "drain-a", Destination: "drain-b", Payload: []byte("hello")}
-	sealed, err := ep.Seal(dg, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	batchBefore := ep.Snapshot().Batch
-	ep.BeginDrain()
-	if _, err := ep.Seal(dg, true); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Seal while draining: err = %v, want ErrDraining", err)
-	}
-	if _, err := ep.Open(sealed); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Open while draining: err = %v, want ErrDraining", err)
-	}
-	res := make([]BatchResult, 1)
-	if _, n := ep.SealBatch(nil, []transport.Datagram{dg}, true, res); n != 0 || !errors.Is(res[0].Err, ErrDraining) {
-		t.Fatalf("SealBatch while draining: n = %d, res[0].Err = %v, want 0/ErrDraining", n, res[0].Err)
-	}
-	if _, n := ep.OpenBatch(nil, []transport.Datagram{sealed}, res); n != 0 || !errors.Is(res[0].Err, ErrDraining) {
-		t.Fatalf("OpenBatch while draining: n = %d, res[0].Err = %v, want 0/ErrDraining", n, res[0].Err)
-	}
-	// The fbs_batch_* histograms count batch calls admitted past the
-	// drain gate, so the refused ones leave them where they were.
-	if got := ep.Snapshot().Batch; got != batchBefore {
-		t.Fatalf("refused batch calls moved the batch histograms: %+v → %+v", batchBefore, got)
-	}
-	var total uint64
-	for _, c := range ep.Snapshot().Drops {
-		total += c
-	}
-	if total != 0 {
-		t.Fatalf("draining refusals charged the drop ledger: %v", ep.Snapshot().Drops)
-	}
-	if err := ep.Quiesce(time.Second); err != nil {
-		t.Fatalf("Quiesce on idle endpoint: %v", err)
-	}
-}
-
-// TestQuiesceWaitsForInflight pins the wait: Quiesce blocks while an
-// operation holds the gate and returns as soon as it releases.
-func TestQuiesceWaitsForInflight(t *testing.T) {
-	w := newWorld(t)
-	ep := lifecycleEndpoint(t, w, "quiesce-a", nullTransport{})
-
-	ep.inflight.Add(1) // an operation past the drain gate
-	done := make(chan error, 1)
-	go func() { done <- ep.Quiesce(5 * time.Second) }()
-	select {
-	case err := <-done:
-		t.Fatalf("Quiesce returned (%v) with an operation in flight", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	if got := ep.Inflight(); got != 1 {
-		t.Fatalf("Inflight() = %d, want 1", got)
-	}
-	ep.inflight.Add(-1)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Quiesce after release: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Quiesce did not return after the in-flight operation ended")
-	}
-
-	// And the deadline path: a stuck op times out with the count named.
-	ep2 := lifecycleEndpoint(t, w, "quiesce-b", nullTransport{})
-	ep2.inflight.Add(1)
-	if err := ep2.Quiesce(10 * time.Millisecond); err == nil {
-		t.Fatal("Quiesce returned nil despite a stuck in-flight operation")
-	}
-	ep2.inflight.Add(-1)
-}
-
 // TestHandoffSoftState pins the swap-warming contract: certificates
 // always carry to the successor, master keys only when the successor
 // keys for the same identity, and a warmed successor seals to a known
@@ -265,19 +181,47 @@ func TestHandoffSoftState(t *testing.T) {
 func TestFlushPeerEvictsOnlyThatPeer(t *testing.T) {
 	w := newWorld(t)
 	ep := lifecycleEndpoint(t, w, "flush-self", nullTransport{})
-	w.principal(t, "flush-p1")
-	w.principal(t, "flush-p2")
+	peers := []*Endpoint{
+		lifecycleEndpoint(t, w, "flush-p1", nullTransport{}),
+		lifecycleEndpoint(t, w, "flush-p2", nullTransport{}),
+	}
 
-	for _, dst := range []principal.Address{"flush-p1", "flush-p2"} {
-		if _, err := ep.Seal(transport.Datagram{Source: "flush-self", Destination: dst, Payload: []byte("x")}, true); err != nil {
+	// Both directions keyed with both peers; p1 also keeps a second
+	// datagram of its flow, sealed under its first certificate.
+	var stale transport.Datagram
+	for i, p := range peers {
+		if _, err := ep.Seal(transport.Datagram{Source: "flush-self", Destination: p.Addr(), Payload: []byte("x")}, true); err != nil {
 			t.Fatal(err)
+		}
+		in, err := p.Seal(transport.Datagram{Source: p.Addr(), Destination: "flush-self", Payload: []byte("in")}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ep.Open(in); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if stale, err = p.Seal(transport.Datagram{Source: p.Addr(), Destination: "flush-self", Payload: []byte("stale")}, true); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if !ep.plane.ks.KnownPeer("flush-p1") || !ep.plane.ks.KnownPeer("flush-p2") {
 		t.Fatal("seals did not warm both peers")
 	}
-	tfkcBefore := ep.tfkc.Occupancy()
+	tfkcBefore, rfkcBefore := ep.tfkc.Occupancy(), ep.rfkc.Occupancy()
 
+	// p1's certificate is reissued for a new key pair, and the flush is
+	// how ep learns of it.
+	reissued, err := principal.NewIdentity("flush-p1", cryptolib.TestGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := w.ca.Issue(reissued, w.clock.Now().Add(-time.Hour), w.clock.Now().Add(24*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.dir.Publish(c)
 	ep.FlushPeer("flush-p1")
 	if ep.plane.ks.KnownPeer("flush-p1") {
 		t.Fatal("flushed peer still has a cached master key")
@@ -288,9 +232,17 @@ func TestFlushPeerEvictsOnlyThatPeer(t *testing.T) {
 	if got := ep.tfkc.Occupancy(); got != tfkcBefore-1 {
 		t.Fatalf("TFKC occupancy after flush = %d, want %d", got, tfkcBefore-1)
 	}
-
-	// Re-keying the flushed peer works and costs a fresh computation.
+	if got := ep.rfkc.Occupancy(); got != rfkcBefore-1 {
+		t.Fatalf("RFKC occupancy after flush = %d, want %d", got, rfkcBefore-1)
+	}
+	// A flow key cached from the old certificate would still open it.
 	before := ep.Snapshot().Keying
+	if _, err := ep.Open(stale); DropReasonOf(err) != DropBadMAC {
+		t.Fatalf("datagram sealed under the old certificate: err = %v, want %v", err, DropBadMAC)
+	}
+
+	// Re-keying the flushed peer works and costs one fresh computation,
+	// made by the refusal above.
 	if _, err := ep.Seal(transport.Datagram{Source: "flush-self", Destination: "flush-p1", Payload: []byte("y")}, true); err != nil {
 		t.Fatal(err)
 	}

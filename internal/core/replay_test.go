@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"fbs/internal/cryptolib"
+	"fbs/internal/principal"
 )
 
 func TestReplayCacheDetectsDuplicates(t *testing.T) {
@@ -28,6 +30,25 @@ func TestReplayCacheDetectsDuplicates(t *testing.T) {
 	h3.MACValue[0] = 0xFF
 	if rc.Check("alice", &h3, now) != ReplayFresh {
 		t.Fatal("distinct-MAC datagram flagged as duplicate")
+	}
+}
+
+// TestReplayCacheRunKeysOnMAC is Check's distinct-MAC case through the
+// batch door: two datagrams of one flow with equal SFL, confounder and
+// timestamp but different MAC values are two datagrams, not a replay,
+// and a third that repeats the first is.
+func TestReplayCacheRunKeysOnMAC(t *testing.T) {
+	rc := NewReplayCache(10 * time.Minute)
+	now := time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC)
+	h := Header{SFL: 1, Confounder: 42, Timestamp: TimestampOf(now)}
+	other := h
+	other.MACValue[0] = 0xFF
+	hs := []Header{h, other, h}
+	srcs := []principal.Address{"alice", "alice", "alice"}
+	verdicts := make([]ReplayVerdict, len(hs))
+	rc.CheckRun(srcs, hs, now, verdicts)
+	if want := []ReplayVerdict{ReplayFresh, ReplayFresh, ReplayDuplicate}; !slices.Equal(verdicts, want) {
+		t.Fatalf("CheckRun verdicts = %v, want %v", verdicts, want)
 	}
 }
 

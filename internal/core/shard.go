@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"fbs/internal/principal"
 	"fbs/internal/transport"
@@ -123,38 +122,6 @@ func (g *ShardGroup) Snapshots() (fold Snapshot, shards []Snapshot) {
 func (g *ShardGroup) Snapshot() Snapshot {
 	fold, _ := g.Snapshots()
 	return fold
-}
-
-// BeginDrain flips every shard into drain mode (see
-// Endpoint.BeginDrain).
-func (g *ShardGroup) BeginDrain() {
-	for _, ep := range g.shards {
-		ep.BeginDrain()
-	}
-}
-
-// Quiesce drains every shard and waits for their in-flight operations
-// to finish, sharing one wall-clock deadline across the group. All
-// shards are flipped to draining first, so the group's in-flight total
-// only falls while the per-shard waits proceed.
-func (g *ShardGroup) Quiesce(timeout time.Duration) error {
-	g.BeginDrain()
-	deadline := time.Now().Add(timeout)
-	for _, ep := range g.shards {
-		if err := ep.Quiesce(time.Until(deadline)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Inflight sums the in-flight operation counts across shards.
-func (g *ShardGroup) Inflight() int64 {
-	var n int64
-	for _, ep := range g.shards {
-		n += ep.Inflight()
-	}
-	return n
 }
 
 // HandoffSoftState warms dst's key plane from this group's, once (see

@@ -62,13 +62,16 @@ type tenantPlane struct {
 }
 
 // epoch is one realised configuration: the immutable unit the atomic
-// swap exchanges. Datagram dispatch loads the current epoch once per
-// batch (and once more per re-dispatch), so a datagram is opened
-// entirely against one configuration.
+// swap exchanges. Datagram dispatch pins the current epoch once per
+// batch and holds it until the batch's echoes are sent, so a datagram is
+// opened, and its echo sealed, entirely under one configuration.
 type epoch struct {
 	seq     uint64
 	file    *Config
 	tenants map[principal.Address]*tenantPlane
+	// pins counts the batches holding this epoch; retire waits for it to
+	// reach zero before it folds and closes the epoch's groups.
+	pins atomic.Int64
 }
 
 // listener is a persistent receive socket. Listeners belong to the
@@ -127,7 +130,6 @@ type Gateway struct {
 	echoed       atomic.Uint64 // echo replies sealed and sent
 	echoFailures atomic.Uint64 // echo seal/send failures
 	delivered    atomic.Uint64 // accepted payloads handed to the mode
-	retryStarved atomic.Uint64 // ErrDraining retries exhausted (pathological)
 }
 
 // New validates the environment and returns an idle gateway; Start
@@ -168,9 +170,9 @@ type SwapReport struct {
 	Epoch      uint64 `json:"epoch"`
 	Certs      int    `json:"certs_handed_off"`
 	MasterKeys int    `json:"master_keys_handed_off"`
-	// DrainErr reports a retiring tenant that missed the drain
-	// deadline (its residual operations finish against freed-from-duty
-	// state; nothing is lost, but the operator should know).
+	// DrainErr reports a retiring epoch whose batches missed the drain
+	// deadline (they finish against freed-from-duty state; nothing is
+	// lost, but the operator should know).
 	DrainErr string `json:"drain_error,omitempty"`
 }
 
@@ -179,10 +181,10 @@ type SwapReport struct {
 // identities and shard groups are fully constructed (and warmed from
 // the old epoch's keying caches) before the pointer moves, so a
 // failing config is rejected while the old epoch keeps serving. After
-// the pointer moves, the old epoch drains: in-flight datagrams finish
-// against it, its counters are folded into the cumulative ledger, and
-// its shards close (their transports are nop-close wrappers, so the
-// shared listeners live on).
+// the pointer moves, the old epoch drains: the batches that pinned it
+// finish against it, its counters are folded into the cumulative
+// ledger, and its shards close (their transports are nop-close
+// wrappers, so the shared listeners live on).
 func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 	g.swapMu.Lock()
 	defer g.swapMu.Unlock()
@@ -268,8 +270,8 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 		}
 	}
 
-	// Commit phase: one atomic store redirects every datagram that
-	// loads the epoch after this line.
+	// Commit phase: one atomic store redirects every batch that pins
+	// the epoch after this line.
 	g.install(next)
 	g.seq.Store(next.seq)
 	g.swaps.Add(1)
@@ -282,9 +284,9 @@ func (g *Gateway) Swap(cfg *Config) (*SwapReport, error) {
 		go g.sweepLoop()
 	}
 
-	// Retire phase: the old epoch finishes what it already admitted,
-	// its totals move to the cumulative ledger, and tenant addresses
-	// dropped from the config lose their listeners.
+	// Retire phase: the batches holding the old epoch finish, its totals
+	// move to the cumulative ledger, and tenant addresses dropped from
+	// the config lose their listeners.
 	if old != nil {
 		if err := g.retire(old, cfg.drainTimeout()); err != nil {
 			report.DrainErr = err.Error()
@@ -315,24 +317,30 @@ func (g *Gateway) install(next *epoch) {
 	g.current.Store(next)
 }
 
-// retire drains a superseded epoch: each tenant's group finishes what it
-// already admitted, moves from the retiring list into the retired fold,
-// and closes. It reports the first tenant that missed the deadline (its
-// residual operations finish against freed-from-duty state; nothing is
-// lost). Caller holds swapMu.
+// retire drains a superseded epoch: it waits until no batch pins the
+// epoch, then moves each tenant's group from the retiring list into the
+// retired fold and closes it. A batch that still holds the epoch at the
+// deadline is reported (it finishes against freed-from-duty state;
+// nothing is lost). Caller holds swapMu, and old is no longer current,
+// so its pin count only falls.
 func (g *Gateway) retire(old *epoch, timeout time.Duration) error {
-	var first error
-	for _, p := range old.tenants {
-		if err := p.grp.Quiesce(timeout); err != nil && first == nil {
-			first = fmt.Errorf("tenant %q: %w", p.cfg.Name, err)
+	var err error
+	deadline := time.Now().Add(timeout)
+	for n := old.pins.Load(); n != 0; n = old.pins.Load() {
+		if time.Now().After(deadline) {
+			err = fmt.Errorf("epoch %d: %d batches still in flight after %v", old.seq, n, timeout)
+			break
 		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	for _, p := range old.tenants {
 		g.retiredMu.Lock()
 		g.retired.Merge(p.grp.Snapshot())
 		g.retiring = slices.DeleteFunc(g.retiring, func(r *core.ShardGroup) bool { return r == p.grp })
 		g.retiredMu.Unlock()
 		p.grp.Close()
 	}
-	return first
+	return err
 }
 
 // sweepInterval is how often the sweeper module of Figure 7 runs over
@@ -359,8 +367,8 @@ func (g *Gateway) sweepLoop() {
 
 // sweep expires idle flows on every shard of the current epoch. A
 // retiring epoch needs none: it closes as soon as it has drained. Sweep
-// takes one FAM stripe lock at a time and never the drain gate, so it
-// neither delays a swap nor is delayed by one.
+// takes one FAM stripe lock at a time and pins no epoch, so it neither
+// delays a swap nor is delayed by one.
 func (g *Gateway) sweep() {
 	ep := g.current.Load()
 	if ep == nil {
@@ -466,10 +474,8 @@ func (s *steered) takeBucket(run []transport.Datagram) ([]transport.Datagram, *t
 type batchLoop struct {
 	g *Gateway
 
-	arrivals steered              // the batch, steered into the epoch being tried
-	bounced  []transport.Datagram // arrivals a retiring epoch refused with ErrDraining
+	arrivals steered              // the batch, steered into the pinned epoch's shards
 	echoes   steered              // accepted payloads awaiting their echo seal
-	reseal   steered              // echoes a retiring epoch refused, bound to its successor
 	run      []transport.Datagram // the bucket at hand
 	res      [maxBatch]core.BatchResult
 	clear    []byte // cleartext of the batch's accepted datagrams
@@ -479,39 +485,47 @@ type batchLoop struct {
 	outLn *listener
 }
 
-// dispatch processes one batch. The epoch is loaded once per attempt,
-// so every datagram is opened entirely against one configuration; the
-// ErrDraining retry is the seam that makes the swap lossless: datagrams
-// that reached a shard just as its epoch was retired — all of a bucket,
-// or the buckets a swap landed between — are re-dispatched against the
-// successor, never dropped.
+// pin returns the live epoch with one more batch holding it, or nil when
+// there is none. The count goes up before current is read again: if the
+// epoch is still live after the increment, its retire has not begun and
+// will see the pin; if a swap moved current in between, the pin is given
+// back and taken on the successor.
+func (g *Gateway) pin() *epoch {
+	for {
+		ep := g.current.Load()
+		if ep == nil {
+			return nil
+		}
+		ep.pins.Add(1)
+		if g.current.Load() == ep {
+			return ep
+		}
+		ep.pins.Add(-1)
+	}
+}
+
+// dispatch processes one batch under one epoch: it pins the live epoch,
+// opens every datagram and seals every echo with that epoch's groups,
+// sends the echoes and unpins. A swap that commits meanwhile waits in
+// retire until the unpin, so nothing the batch started is refused, and
+// one peer's echoes leave in arrival order.
 func (l *batchLoop) dispatch(batch []transport.Datagram) {
 	g := l.g
 	g.received.Add(uint64(len(batch)))
+	ep := g.pin()
+	if ep == nil {
+		return
+	}
 	l.clear, l.wire = l.clear[:0], l.wire[:0]
 	l.echoes.reset()
-	for attempt := 0; len(batch) > 0; attempt++ {
-		if attempt == 4 {
-			// Four consecutive swaps raced these datagrams — possible
-			// only under adversarial reconfiguration rates, but counted
-			// so the reconciliation invariant stays exact rather than
-			// approximately true.
-			g.retryStarved.Add(uint64(len(batch)))
-			break
-		}
-		ep := g.current.Load()
-		if ep == nil {
-			break
-		}
-		batch = l.open(ep, batch)
-	}
+	l.open(ep, batch)
 	l.echo()
+	ep.pins.Add(-1)
 }
 
 // open steers batch into ep's shards, opens it one bucket at a time and
-// queues an echo for each accepted payload. It returns the datagrams
-// ep's shards refused because they are draining.
-func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) []transport.Datagram {
+// queues an echo for each accepted payload.
+func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) {
 	g := l.g
 	var noTenant, delivered, absorbed uint64
 	l.arrivals.reset()
@@ -523,9 +537,6 @@ func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) []transport.Data
 		}
 		l.arrivals.add(dg, plane, plane.grp.ShardOfIncoming(dg))
 	}
-	// batch may be the previous attempt's bounced slice; it has been
-	// copied into arrivals, so the slice can be refilled.
-	l.bounced = l.bounced[:0]
 	for len(l.arrivals.dgs) > 0 {
 		run, plane, shard := l.arrivals.takeBucket(l.run[:0])
 		l.run = run
@@ -542,8 +553,6 @@ func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) []transport.Data
 						Payload:     l.clear[r.Off : r.Off+r.Len],
 					}, plane, plane.grp.ShardOfPair(plane.id.Addr, run[i].Source))
 				}
-			case errors.Is(r.Err, core.ErrDraining):
-				l.bounced = append(l.bounced, run[i])
 			case errors.Is(r.Err, core.ErrChallengeAbsorbed):
 				absorbed++
 			default:
@@ -555,57 +564,31 @@ func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) []transport.Data
 	g.noTenant.Add(noTenant)
 	g.delivered.Add(delivered)
 	g.absorbed.Add(absorbed)
-	return l.bounced
 }
 
-// echo seals the queued echoes one bucket at a time and sends them. Like
-// dispatch, it retries across an epoch swap: an echo its plane refuses
-// with ErrDraining is sealed by the same tenant's plane in the successor
-// epoch.
+// echo seals the queued echoes one bucket at a time, each with the plane
+// that opened it, and sends them.
 func (l *batchLoop) echo() {
 	g := l.g
 	var failures uint64
-	for attempt := 0; len(l.echoes.dgs) > 0; attempt++ {
-		if attempt == 4 {
-			failures += uint64(len(l.echoes.dgs))
-			break
-		}
-		l.reseal.reset()
-		for len(l.echoes.dgs) > 0 {
-			run, plane, shard := l.echoes.takeBucket(l.run[:0])
-			l.run = run
-			res := l.res[:len(run)]
-			l.wire, _ = shard.SealBatch(l.wire, run, plane.cfg.SecretEcho, res)
-			// The successor is resolved once per bucket, not per echo: a
-			// swap landing between two of a peer's echoes would otherwise
-			// split them over two epochs, and the later one's could leave
-			// first.
-			var next *tenantPlane
-			if cur := g.current.Load(); cur != nil {
-				next = cur.tenants[plane.id.Addr]
+	for len(l.echoes.dgs) > 0 {
+		run, plane, shard := l.echoes.takeBucket(l.run[:0])
+		l.run = run
+		res := l.res[:len(run)]
+		l.wire, _ = shard.SealBatch(l.wire, run, plane.cfg.SecretEcho, res)
+		for i, r := range res {
+			if r.Err != nil {
+				failures++
+				g.logRefusal(r.Err, "echo seal refused", run[i].Source, run[i].Destination)
+				continue
 			}
-			for i, r := range res {
-				switch {
-				case r.Err == nil:
-					l.queue(plane.ln, transport.Datagram{
-						Source:      run[i].Source,
-						Destination: run[i].Destination,
-						Payload:     l.wire[r.Off : r.Off+r.Len],
-						Trace:       r.Trace,
-					})
-				case errors.Is(r.Err, core.ErrDraining):
-					if next == nil {
-						failures++
-						continue
-					}
-					l.reseal.add(run[i], next, next.grp.ShardOfPair(run[i].Source, run[i].Destination))
-				default:
-					failures++
-					g.logRefusal(r.Err, "echo seal refused", run[i].Source, run[i].Destination)
-				}
-			}
+			l.queue(plane.ln, transport.Datagram{
+				Source:      run[i].Source,
+				Destination: run[i].Destination,
+				Payload:     l.wire[r.Off : r.Off+r.Len],
+				Trace:       r.Trace,
+			})
 		}
-		l.echoes, l.reseal = l.reseal, l.echoes
 	}
 	g.echoFailures.Add(failures)
 	l.flush()
@@ -727,14 +710,13 @@ type TenantStats struct {
 	Accepted    uint64            `json:"accepted"`
 	Sent        uint64            `json:"sent"`
 	ActiveFlows int               `json:"active_flows"`
-	Inflight    int64             `json:"inflight"`
 	Drops       map[string]uint64 `json:"drops,omitempty"`
 }
 
 // Stats is a point-in-time accounting snapshot. The cumulative fields
 // (Received, Accepted, Drops, ...) include every retired epoch, so
 //
-//	Received == Accepted + ΣDrops + NoTenant + Absorbed + RetryStarved
+//	Received == Accepted + ΣDrops + NoTenant + Absorbed
 //
 // holds across any number of swaps whenever EchoFailures is zero — the
 // gateway-level restatement of the repo's exact drop-ledger
@@ -742,15 +724,18 @@ type TenantStats struct {
 // ledger from the seal side; each such refusal is also counted in
 // EchoFailures, which is how to tell the two apart.)
 type Stats struct {
-	Epoch        uint64            `json:"epoch"`
-	Swaps        uint64            `json:"swaps"`
-	Received     uint64            `json:"received"`
-	Accepted     uint64            `json:"accepted"`
-	Delivered    uint64            `json:"delivered"`
-	Echoed       uint64            `json:"echoed"`
-	EchoFailures uint64            `json:"echo_failures"`
-	NoTenant     uint64            `json:"no_tenant"`
-	Absorbed     uint64            `json:"absorbed"`
+	Epoch        uint64 `json:"epoch"`
+	Swaps        uint64 `json:"swaps"`
+	Received     uint64 `json:"received"`
+	Accepted     uint64 `json:"accepted"`
+	Delivered    uint64 `json:"delivered"`
+	Echoed       uint64 `json:"echoed"`
+	EchoFailures uint64 `json:"echo_failures"`
+	NoTenant     uint64 `json:"no_tenant"`
+	Absorbed     uint64 `json:"absorbed"`
+	// RetryStarved is always 0: a batch pins its epoch, so no datagram is
+	// refused by a swap and retried. It stays because the end-to-end
+	// benchmark's ledger check (bench/gwbench) still reads it.
 	RetryStarved uint64            `json:"retry_starved"`
 	ActiveFlows  int               `json:"active_flows"`
 	Drops        map[string]uint64 `json:"drops,omitempty"`
@@ -805,7 +790,6 @@ func (g *Gateway) stats(r reading) Stats {
 		EchoFailures: g.echoFailures.Load(),
 		NoTenant:     g.noTenant.Load(),
 		Absorbed:     g.absorbed.Load(),
-		RetryStarved: g.retryStarved.Load(),
 		Drops:        core.DropMap(r.total.Drops),
 	}
 	for _, t := range r.tenants {
@@ -817,7 +801,6 @@ func (g *Gateway) stats(r reading) Stats {
 			Accepted:    t.fold.Received,
 			Sent:        t.fold.Sent,
 			ActiveFlows: t.fold.ActiveFlows,
-			Inflight:    t.plane.grp.Inflight(),
 			Drops:       core.DropMap(t.fold.Drops),
 		})
 	}

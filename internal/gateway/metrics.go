@@ -17,7 +17,7 @@ import (
 // counters appear to reset mid-scrape; the per-shard series of a retired
 // epoch vanish with it, which is why the ledger's terms are also
 // exported cumulatively: received == accepted + Σdrops + no_tenant +
-// absorbed + retry_starved can be checked from one scrape.
+// absorbed can be checked from one scrape.
 func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 	r.RegisterFunc(func() []obs.Family {
 		rd := g.read()
@@ -47,7 +47,6 @@ func (g *Gateway) RegisterMetrics(r *obs.Registry) {
 		fams = append(fams, flows,
 			obs.CounterFamily("fbs_gateway_accepted_total", "Datagrams accepted by any tenant shard of any config epoch.", st.Accepted),
 			obs.DropsFamily("fbs_gateway_drops_total", "Datagrams refused by any tenant shard of any config epoch, by drop reason.", rd.total.Drops),
-			obs.CounterFamily("fbs_gateway_retry_starved_total", "Datagrams given up on after four consecutive swaps raced them.", st.RetryStarved),
 		)
 
 		// Per-shard endpoint families for the live epoch, through the

@@ -42,7 +42,7 @@ func walkGoFiles(t *testing.T, visit func(dir, path string, f *ast.File)) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -520,4 +520,95 @@ func TestEveryKnobHasASetter(t *testing.T) {
 		t.Errorf("unsetKnobs has %d entries; the cap is 2", len(unsetKnobs))
 	}
 	t.Logf("%d settable values in internal/core's *Config/*Policy structs; %d unset, %d of them allowed", knobs, len(unset), len(unsetKnobs))
+}
+
+// ruleless are the internal/core capacities TestEveryCapacityHasARule
+// lets stand without a rule, each with the reason. The cap is 1.
+var ruleless = map[string]string{"batchChunk": "sizes the batch engine's stack scratch; it is at least the 32-frame socket batch (transport's mmsgMaxBatch, the gateway's maxBatch) so a received batch is one chunk, but no test spans that package boundary yet"}
+
+// capacityName picks out the constants that size a table, cache, ring
+// or map, by the words internal/core names them with.
+var capacityName = regexp.MustCompile(`(Size|Cap|Burst|Chunk|Rows|Cols|Every)$`)
+
+// TestEveryCapacityHasARule holds the fifth census's rule: a
+// package-level integer constant of internal/core that sizes a table,
+// cache, ring or map says where its value comes from. Its doc comment
+// (its own, or its const block's) cites a paper section, figure or
+// footnote, or an EXPERIMENTS.md row, or names a test that asserts a
+// relation to another constant; or its value is derived from another
+// capacity, which makes the relation a definition.
+func TestEveryCapacityHasARule(t *testing.T) {
+	type capacity struct {
+		name, doc string
+		derived   bool
+	}
+	var caps []capacity
+	tests := map[string]bool{}
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Test") {
+					tests[fd.Name.Name] = true
+				}
+			}
+			return
+		}
+		if dir != "internal/core" {
+			return
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				doc := vs.Doc
+				if doc == nil {
+					doc = gd.Doc
+				}
+				for i, name := range vs.Names {
+					if vs.Type != nil || i >= len(vs.Values) || !capacityName.MatchString(name.Name) {
+						continue
+					}
+					c := capacity{name: name.Name, doc: doc.Text()}
+					ast.Inspect(vs.Values[i], func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && capacityName.MatchString(id.Name) {
+							c.derived = true
+						}
+						return true
+					})
+					caps = append(caps, c)
+				}
+			}
+		}
+	})
+	cites := regexp.MustCompile(`Section \d|§\d|Figure \d|footnote \d|EXPERIMENTS\.md`)
+	testName := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	var without []string
+	for _, c := range caps {
+		ruled := c.derived || cites.MatchString(c.doc)
+		for _, name := range testName.FindAllString(c.doc, -1) {
+			ruled = ruled || tests[name]
+		}
+		if ruled {
+			continue
+		}
+		without = append(without, c.name)
+		if ruleless[c.name] == "" {
+			t.Errorf("internal/core.%s sizes something but its doc comment states no rule: cite a paper section or an EXPERIMENTS.md row, name the test that asserts its relation to another constant, or derive it from one", c.name)
+		}
+	}
+	for name := range ruleless {
+		if !slices.Contains(without, name) {
+			t.Errorf("ruleless lists %s, which states a rule now or is gone; delete the entry", name)
+		}
+	}
+	if len(ruleless) > 1 {
+		t.Errorf("ruleless has %d entries; the cap is 1", len(ruleless))
+	}
+	if len(caps) < 10 {
+		t.Errorf("the census found %d capacities in internal/core; the ten it was written over are gone or renamed", len(caps))
+	}
+	t.Logf("%d capacities in internal/core; %d without a rule, %d of them allowed", len(caps), len(without), len(ruleless))
 }

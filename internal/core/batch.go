@@ -265,7 +265,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			t = time.Now()
 		}
 		// (S2-3) obtain the flow key (cached per Figure 6).
-		kf, keyHit, note, err := e.transmitFlowKey(sfl, dgs[0].Source, dgs[0].Destination)
+		ks, keyHit, note, err := e.transmitFlowKey(sfl, dgs[0].Source, dgs[0].Destination)
 		if tc.active() {
 			drop := DropNone
 			if err != nil {
@@ -330,7 +330,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			encoded := h.Encode(dst)
 			// (S6, S8-9) the suite owns the body transform and MAC/tag patch.
 			t = tc.start()
-			out, err := suite.SealAppend(encoded, hdrOff, h, kf, dgs[k].Payload, false, tc)
+			out, err := suite.seal(encoded, hdrOff, h, ks, dgs[k].Payload, tc)
 			if tc.active() {
 				tc.crypto(t, sfl, secret, len(dgs[k].Payload), DropReasonOf(err))
 			}
@@ -471,7 +471,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		var memoValid bool
 		var memoSFL SFL
 		var memoSrc principal.Address
-		var memoKey [16]byte
+		var memoKey keySlot
 		var t time.Time
 		nr := 0 // survivors pending a replay verdict
 		for k := 0; k < chunk; k++ {
@@ -527,14 +527,14 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				t = time.Now()
 			}
 			// (R5-6) recover the flow key.
-			var kf [16]byte
+			var ks keySlot
 			if memoValid && memoSFL == h.SFL && memoSrc == dg.Source {
-				kf = memoKey
+				ks = memoKey
 			} else {
 				var keyHit bool
 				var note SpanFlags
 				ahead.rest = dgs[k+1 : chunk]
-				kf, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, la)
+				ks, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, suite, la)
 				// The overload sheds carry their own reason; everything
 				// else on this path is a keying failure.
 				reason := dropOr(err, DropKeying)
@@ -547,7 +547,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 					res[k] = BatchResult{Err: fmt.Errorf("%w: flow from %q: %w", ErrKeying, dg.Source, err)}
 					continue
 				}
-				memoValid, memoSFL, memoSrc, memoKey = true, h.SFL, dg.Source, kf
+				memoValid, memoSFL, memoSrc, memoKey = true, h.SFL, dg.Source, ks
 			}
 			// (R7-11) the suite owns decryption and authentication: legacy
 			// suites decrypt-then-verify (the MAC covers the plaintext body,
@@ -556,7 +556,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			// reasons.
 			t = tc.start()
 			off := len(dst)
-			newDst, plain, err := suite.OpenAppend(dst, h, kf, body, tc)
+			newDst, plain, err := suite.open(dst, h, ks, body, tc)
 			reason := dropOr(err, DropDecrypt)
 			if tc.active() {
 				tc.crypto(t, h.SFL, h.Secret(), len(plain), reason)

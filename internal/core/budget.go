@@ -25,8 +25,8 @@ const (
 	// CostReplayEntry covers one replay-window signature (map key,
 	// timestamp, bucket overhead).
 	CostReplayEntry = 96
-	// CostFlowKeyEntry covers one TFKC/RFKC slot (cache key + 16-byte
-	// flow key).
+	// CostFlowKeyEntry covers one TFKC/RFKC slot's cache key and K_f,
+	// not an AEAD slot's expanded instance (up to 768 B; ROBUSTNESS.md).
 	CostFlowKeyEntry = 64
 	// CostMasterKeyEntry covers one MKC slot.
 	CostMasterKeyEntry = 64

@@ -208,8 +208,8 @@ func (w *confounderWell) drawRun(conf []uint32) {
 type Endpoint struct {
 	cfg  Config
 	fam  *FAM
-	tfkc *DirectMapped[flowCacheKey, [16]byte]
-	rfkc *DirectMapped[flowCacheKey, [16]byte]
+	tfkc *DirectMapped[flowCacheKey, keySlot]
+	rfkc *DirectMapped[flowCacheKey, keySlot]
 	rc   *ReplayCache
 	conf *confounderWell
 
@@ -228,7 +228,7 @@ type Endpoint struct {
 	// pressure-relief sweeps, and the edge pre-filter (nil when
 	// disabled).
 	gate           *admissionGate
-	flight         flight[flowCacheKey, keyResult]
+	flight         flight[flowCacheKey, keyResult[keySlot]]
 	lastPressure   atomic.Int64 // unix nanos of the last pressure sweep
 	pressureSweeps atomic.Uint64
 	pf             *prefilter
@@ -306,8 +306,8 @@ func newEndpoint(cfg Config, plane *keyPlane, shards int) (*Endpoint, error) {
 		cfg:   cfg,
 		suite: suite,
 		fam:   fam,
-		tfkc:  NewDirectMapped[flowCacheKey, [16]byte](flowKeyCacheSize, flowCacheKey.hash),
-		rfkc:  NewDirectMapped[flowCacheKey, [16]byte](flowKeyCacheSize, flowCacheKey.hash),
+		tfkc:  NewDirectMapped[flowCacheKey, keySlot](flowKeyCacheSize, flowCacheKey.hash),
+		rfkc:  NewDirectMapped[flowCacheKey, keySlot](flowKeyCacheSize, flowCacheKey.hash),
 		conf:  newConfounderWell(cfg.Confounder),
 		gate:  newAdmissionGate(cfg.Admission, cfg.Clock),
 	}
@@ -366,7 +366,7 @@ func (e *Endpoint) Close() error {
 // soft state untouched.
 func (e *Endpoint) FlushPeer(peer principal.Address) {
 	e.plane.ks.FlushPeer(peer)
-	match := func(k flowCacheKey, _ [16]byte) bool {
+	match := func(k flowCacheKey, _ keySlot) bool {
 		return k.Src == peer || k.Dst == peer
 	}
 	e.tfkc.EvictIf(match)
@@ -515,40 +515,41 @@ func (e *Endpoint) StartSweeper(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// transmitFlowKey returns the flow key for an outgoing datagram,
-// consulting the TFKC (Figure 6). hit reports whether the key came from
-// cache (vs. the MKD-miss derivation path) — the instrumentation splits
-// the two, since a miss can cost a modular exponentiation. The note
-// carries the miss path's keying annotations for tracing; a hit returns
-// it empty.
-func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (k [16]byte, hit bool, note SpanFlags, err error) {
+// transmitFlowKey returns the TFKC slot for an outgoing datagram
+// (Figure 6): K_f and the endpoint suite's instance expanded from it.
+// hit reports whether the slot came from cache (vs. the MKD-miss
+// derivation path) — the instrumentation splits the two, since a miss
+// can cost a modular exponentiation. The note carries the miss path's
+// keying annotations for tracing; a hit returns it empty.
+func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (ks keySlot, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
-	if k, ok := e.tfkc.Get(ck); ok {
-		return k, true, note, nil
+	if ks, ok := e.tfkc.Get(ck); ok {
+		return ks, true, note, nil
 	}
 	master, note, err := e.plane.masterKey(dst, nil, nil)
 	if err != nil {
-		return [16]byte{}, false, note, err
+		return keySlot{}, false, note, err
 	}
-	k = FlowKey(cryptolib.HashMD5, sfl, master, src, dst)
-	e.tfkc.Put(ck, k)
-	return k, false, note, nil
+	ks = e.suite.slot(FlowKey(cryptolib.HashMD5, sfl, master, src, dst))
+	e.tfkc.Put(ck, ks)
+	return ks, false, note, nil
 }
 
-// receiveFlowKey returns the flow key for an incoming datagram via the
-// RFKC. hit reports whether the RFKC served it. The miss path is where
-// receive-side overload control lives: concurrent misses for the same
-// flow coalesce into one derivation, and unknown peers (no cached
+// receiveFlowKey returns the RFKC slot for an incoming datagram, built
+// on a miss for suite, the one the datagram's header names. hit reports
+// whether the RFKC served it. The miss path is where receive-side
+// overload control lives: concurrent misses for the same flow coalesce
+// into one derivation and one expansion, and unknown peers (no cached
 // master key) must pass the admission gate and fit under the state
 // budget before any directory or Diffie-Hellman work begins. Known
 // peers bypass both — their keying costs one hash. la is openRun's
 // look-ahead over the rest of the chunk, nil where it does not apply.
-func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *lookahead) (k [16]byte, hit bool, note SpanFlags, err error) {
+func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Suite, la *lookahead) (ks keySlot, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
-	if k, ok := e.rfkc.Get(ck); ok {
-		return k, true, note, nil
+	if ks, ok := e.rfkc.Get(ck); ok {
+		return ks, true, note, nil
 	}
-	r, joined := e.flight.do(ck, func() (m keyResult) {
+	r, joined := e.flight.do(ck, func() (m keyResult[keySlot]) {
 		if e.gate != nil || e.cfg.StateBudget != nil {
 			if !e.plane.ks.KnownPeer(src) {
 				if e.gate != nil {
@@ -571,7 +572,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, la *looka
 		if m.err = err; err != nil {
 			return m
 		}
-		m.key = FlowKey(cryptolib.HashMD5, sfl, master, src, dst)
+		m.key = suite.slot(FlowKey(cryptolib.HashMD5, sfl, master, src, dst))
 		e.rfkc.Put(ck, m.key)
 		return m
 	})

@@ -75,8 +75,9 @@ const (
 	MACLen = 16
 	// HeaderSize is the encoded security flow header size in bytes:
 	// version, flags, MAC alg, cipher/mode alg, sfl(8), confounder(4),
-	// timestamp(4), MAC(16). The paper's 28-byte header plus the
-	// algorithm identification field it prescribes but elides.
+	// timestamp(4), MAC(16). The paper's 28-byte header (Figure 2, with
+	// Section 7.2's field sizes) plus the algorithm identification field
+	// it prescribes but elides.
 	HeaderSize = 4 + 8 + 4 + 4 + MACLen
 	// macValueOffset is where the MAC value field starts within the
 	// encoded header. The allocation-free seal path encodes the header

@@ -33,8 +33,9 @@ type flowCacheKey struct {
 }
 
 // flowKeyCacheSize is the slot count of each of an endpoint's TFKC and
-// RFKC.
-const flowKeyCacheSize = 256
+// RFKC: one slot per flow state table entry, well on the flat part of
+// the miss curve EXPERIMENTS.md measures for Figure 11.
+const flowKeyCacheSize = DefaultFSTSize
 
 func (k flowCacheKey) hash() uint32 {
 	state := uint32(0xFFFFFFFF)

@@ -335,17 +335,17 @@ func TestMKDStopStrandsNoWaiter(t *testing.T) {
 }
 
 func TestFlowKeyFlightCoalesces(t *testing.T) {
-	var fl flight[flowCacheKey, keyResult]
+	var fl flight[flowCacheKey, keyResult[[16]byte]]
 	var calls atomic.Int32
 	release := make(chan struct{})
 	ck := flowCacheKey{SFL: 1, Dst: "b", Src: "a"}
 	want := [16]byte{0xAB, 0xCD}
 
 	results := make(chan [16]byte, 9)
-	derive := func() keyResult {
+	derive := func() keyResult[[16]byte] {
 		calls.Add(1)
 		<-release
-		return keyResult{key: want}
+		return keyResult[[16]byte]{key: want}
 	}
 	// The leader takes the slot and blocks inside the derivation...
 	go func() {
@@ -378,12 +378,12 @@ func TestFlowKeyFlightCoalesces(t *testing.T) {
 }
 
 func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
-	var fl flight[flowCacheKey, keyResult]
-	a, _ := fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult {
-		return keyResult{key: [16]byte{1}}
+	var fl flight[flowCacheKey, keyResult[[16]byte]]
+	a, _ := fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult[[16]byte] {
+		return keyResult[[16]byte]{key: [16]byte{1}}
 	})
-	b, _ := fl.do(flowCacheKey{SFL: 2, Dst: "b", Src: "a"}, func() keyResult {
-		return keyResult{key: [16]byte{2}}
+	b, _ := fl.do(flowCacheKey{SFL: 2, Dst: "b", Src: "a"}, func() keyResult[[16]byte] {
+		return keyResult[[16]byte]{key: [16]byte{2}}
 	})
 	if a.key == b.key {
 		t.Fatal("distinct flows shared a derivation")
@@ -394,9 +394,9 @@ func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
 	// The slot is released after completion: a later derivation for the
 	// same key runs again (the RFKC, not the flight, is the cache).
 	var calls int
-	fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult {
+	fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult[[16]byte] {
 		calls++
-		return keyResult{key: [16]byte{1}}
+		return keyResult[[16]byte]{key: [16]byte{1}}
 	})
 	if calls != 1 {
 		t.Fatal("post-completion derivation did not run")
@@ -404,22 +404,22 @@ func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
 }
 
 func TestFlowKeyFlightPropagatesError(t *testing.T) {
-	var fl flight[flowCacheKey, keyResult]
+	var fl flight[flowCacheKey, keyResult[[16]byte]]
 	release := make(chan struct{})
 	started := make(chan struct{})
 	ck := flowCacheKey{SFL: 9, Dst: "b", Src: "a"}
 	errc := make(chan error, 2)
 	go func() {
-		r, _ := fl.do(ck, func() keyResult {
+		r, _ := fl.do(ck, func() keyResult[[16]byte] {
 			close(started)
 			<-release
-			return keyResult{err: ErrKeyingOverload}
+			return keyResult[[16]byte]{err: ErrKeyingOverload}
 		})
 		errc <- r.err
 	}()
 	<-started
 	go func() {
-		r, _ := fl.do(ck, func() keyResult { return keyResult{} })
+		r, _ := fl.do(ck, func() keyResult[[16]byte] { return keyResult[[16]byte]{} })
 		errc <- r.err
 	}()
 	for fl.Dedups() != 1 {

@@ -70,14 +70,14 @@ type flight[K comparable, R any] struct {
 	dedups  atomic.Uint64
 }
 
-// keyResult is what the key plane's flights land: a key, the
-// annotations of the work that produced it, and its error. The note
-// carries the flow-key span's keying flags (FlagKeyMKCHit,
-// FlagKeyComputed, FlagKeyCoalesced and the admission flags), so the
-// trace span, and only the trace span, reports per-datagram keying
-// verdicts without new shared counters.
-type keyResult struct {
-	key  [16]byte
+// keyResult is what the key plane's flights land: a master key or an
+// RFKC slot, the annotations of the work that produced it, and its
+// error. The note carries the flow-key span's
+// keying flags (FlagKeyMKCHit, FlagKeyComputed, FlagKeyCoalesced and
+// the admission flags), so the trace span, and only the trace span,
+// reports per-datagram keying verdicts without new shared counters.
+type keyResult[V any] struct {
+	key  V
 	note SpanFlags
 	err  error
 }

@@ -22,7 +22,7 @@ import (
 type MKD struct {
 	ks *KeyService
 
-	flight flight[principal.Address, keyResult]
+	flight flight[principal.Address, keyResult[[16]byte]]
 	reqs   chan principal.Address
 	done   chan struct{}
 	once   sync.Once
@@ -51,7 +51,7 @@ func (m *MKD) serve() {
 	for {
 		select {
 		case peer := <-m.reqs:
-			var r keyResult
+			var r keyResult[[16]byte]
 			r.key, r.err = m.ks.masterKeyMiss(peer, &r.note)
 			m.flight.land(peer, r)
 		case <-m.done:
@@ -64,10 +64,10 @@ func (m *MKD) serve() {
 // kept once received, so whoever holds the upcall may read it again.
 type upcall struct {
 	peer   principal.Address
-	ch     chan keyResult
+	ch     chan keyResult[[16]byte]
 	joined SpanFlags // FlagKeyCoalesced when it joined a request in flight
 	done   bool
-	r      keyResult
+	r      keyResult[[16]byte]
 }
 
 // start enrols a request for peer's master key and queues peer for a
@@ -110,7 +110,7 @@ func (m *MKD) Upcalls() uint64 { return m.upcalls.Load() }
 // told to exit, so no waiter is left without a result.
 func (m *MKD) Stop() {
 	m.once.Do(func() {
-		m.flight.close(keyResult{err: ErrMKDStopped})
+		m.flight.close(keyResult[[16]byte]{err: ErrMKDStopped})
 		close(m.done)
 	})
 }

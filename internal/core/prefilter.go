@@ -179,7 +179,8 @@ type PrefilterConfig struct {
 const (
 	// prefilterEvalEvery re-evaluates the adaptive ladder every this
 	// many received datagrams; the challenge rate cap window resets on
-	// the same cadence.
+	// the same cadence. EXPERIMENTS.md's first-contact fairness row
+	// measures the adaptive ladder at this cadence.
 	prefilterEvalEvery = 256
 	// prefilterHotEvals and prefilterColdEvals are the hysteresis
 	// streaks: consecutive hot evaluations required to climb one rung,
@@ -187,13 +188,13 @@ const (
 	// stand down.
 	prefilterHotEvals  = 2
 	prefilterColdEvals = 4
-	// challengeBurst caps challenge frames emitted per eval window;
-	// beyond it a challenged datagram is still refused but no frame is
-	// sent (counted ChallengeSuppressed).
-	challengeBurst = 64
-	// jarCap bounds the sender-side cookie jar; at capacity the stalest
-	// entry is evicted.
-	jarCap = 256
+	// challengeBurst caps challenge frames at a quarter of an eval
+	// window's datagrams; beyond it a challenged datagram is refused with
+	// no frame sent (counted ChallengeSuppressed).
+	challengeBurst = prefilterEvalEvery / 4
+	// jarCap bounds the sender-side cookie jar at one cookie per TFKC
+	// slot; at capacity the stalest entry is evicted.
+	jarCap = flowKeyCacheSize
 )
 
 // PrefilterStats is a snapshot of pre-filter activity, exported through
@@ -234,6 +235,7 @@ type PrefilterStats struct {
 // Sketch geometry: two rows of 1024 counters each, scored as the
 // minimum across rows (a count-min sketch). Fixed at compile time so
 // the whole structure is one flat 8 KiB array with no pointers.
+// EXPERIMENTS.md's first-contact fairness row measures this geometry.
 const (
 	sketchRows = 2
 	sketchCols = 1024

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -161,5 +162,116 @@ func TestConcurrentSweeperAndTraffic(t *testing.T) {
 		if _, err := b.Receive(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestFlowKeyCachesAreSoftState holds the TFKC and RFKC to the paper's
+// soft-state rule (Section 5.3) for every registered suite: a flow-key
+// slot lost before every datagram costs a re-derivation, never a
+// verdict. A sender that loses its TFKC before each seal still writes
+// datagrams a warm receiver opens; a receiver that loses its RFKC before
+// each open reaches the verdicts, drop reasons and bytes of an unflushed
+// twin on the same stream — valid datagrams of two flows, a flipped body
+// byte, a flipped tag byte, and the same flow's datagram relabelled as
+// each other suite of its family. The MKC stays warm throughout, so no
+// side computes a master key again.
+func TestFlowKeyCachesAreSoftState(t *testing.T) {
+	const offCipherMode = 3
+	for _, s := range Suites() {
+		t.Run(s.Name(), func(t *testing.T) {
+			secret := s.ID() != CipherNone
+			w := newWorld(t)
+			cfg := func(c *Config) { c.Cipher = s.ID() }
+			a, b, _ := endpointPair(t, w, cfg)
+			twinTr, err := transport.NewNetwork(transport.Impairments{}).Attach("bob", 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewEndpoint(Config{Identity: w.principal(t, "bob"), Transport: twinTr,
+				Directory: w.dir, Verifier: w.ver, Clock: w.clock, Cipher: s.ID()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { twin.Close() })
+
+			flow := func(port uint16) *FlowID {
+				return &FlowID{Src: "alice", Dst: "bob", Proto: 17, SrcPort: port, DstPort: 9}
+			}
+			seal := func(id *FlowID, payload string) transport.Datagram {
+				t.Helper()
+				wire, err := a.SealAppend(nil, transport.Datagram{Source: "alice", Destination: "bob",
+					Payload: []byte(payload)}, id, secret)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return transport.Datagram{Source: "alice", Destination: "bob", Payload: wire}
+			}
+			computes := func(e *Endpoint) uint64 { return e.Snapshot().Keying.MasterKeyComputes }
+			// Warm every MKC: one datagram each way keys both pairs.
+			warm := seal(flow(1), "warm")
+			for _, r := range []*Endpoint{b, twin} {
+				if _, err := r.Open(warm); err != nil {
+					t.Fatalf("warm-up: %v", err)
+				}
+			}
+			before := [3]uint64{computes(a), computes(b), computes(twin)}
+
+			// The sender forgets its TFKC before every seal.
+			for i := range 6 {
+				a.tfkc.Flush()
+				want := fmt.Sprintf("tfkc-loss %d", i)
+				got, err := b.Open(seal(flow(1), want))
+				if err != nil || string(got.Payload) != want {
+					t.Fatalf("datagram %d sealed after a TFKC loss: %q, %v", i, got.Payload, err)
+				}
+			}
+
+			// The receiver forgets its RFKC before every open; the twin
+			// keeps its own.
+			var stream []transport.Datagram
+			for i := range 3 {
+				stream = append(stream, seal(flow(1), fmt.Sprintf("rfkc-loss %d", i)))
+			}
+			stream = append(stream, seal(flow(2), "second flow"))
+			mutate := func(dg transport.Datagram, fn func([]byte)) transport.Datagram {
+				dg.Payload = bytes.Clone(dg.Payload)
+				fn(dg.Payload)
+				return dg
+			}
+			stream = append(stream,
+				mutate(seal(flow(1), "flipped body"), func(p []byte) { p[len(p)-1] ^= 1 }),
+				mutate(seal(flow(1), "flipped tag"), func(p []byte) { p[macValueOffset] ^= 1 }))
+			for _, o := range Suites() {
+				if o.ID() != s.ID() && o.ID() != CipherNone && s.ID() != CipherNone && o.AEAD() == s.AEAD() {
+					stream = append(stream, mutate(seal(flow(1), "relabelled"), func(p []byte) {
+						p[offCipherMode] = byte(o.ID())<<4 | p[offCipherMode]&0x0F
+					}))
+				}
+			}
+			stream = append(stream, seal(flow(1), "after the tampering"))
+			refused := 0
+			for i, dg := range stream {
+				b.rfkc.Flush()
+				got, err := b.Open(dg)
+				want, wantErr := twin.Open(dg)
+				if wantErr != nil {
+					refused++
+				}
+				if DropReasonOf(err) != DropReasonOf(wantErr) || (err == nil) != (wantErr == nil) ||
+					!bytes.Equal(got.Payload, want.Payload) {
+					t.Errorf("datagram %d after an RFKC loss: %q, %v; the unflushed twin: %q, %v",
+						i, got.Payload, err, want.Payload, wantErr)
+				}
+			}
+			if valid := 5; refused != len(stream)-valid {
+				t.Errorf("the twin refused %d of %d datagrams, want all but the %d valid ones", refused, len(stream), valid)
+			}
+			if got, want := b.Snapshot().Drops, twin.Snapshot().Drops; got != want {
+				t.Errorf("drops after RFKC losses %v, the twin's %v", got, want)
+			}
+			if after := [3]uint64{computes(a), computes(b), computes(twin)}; after != before {
+				t.Errorf("master key computes (sender, receiver, twin) %v → %v: a flow-key loss reached the MKC", before, after)
+			}
+		})
 	}
 }

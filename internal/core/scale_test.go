@@ -37,8 +37,8 @@ func TestManyPeersTinyCaches(t *testing.T) {
 	}
 	t.Cleanup(func() { hub.Close() })
 	// Tiny caches: 4 entries each against 24 peers.
-	hub.tfkc = NewDirectMapped[flowCacheKey, [16]byte](4, flowCacheKey.hash)
-	hub.rfkc = NewDirectMapped[flowCacheKey, [16]byte](4, flowCacheKey.hash)
+	hub.tfkc = NewDirectMapped[flowCacheKey, keySlot](4, flowCacheKey.hash)
+	hub.rfkc = NewDirectMapped[flowCacheKey, keySlot](4, flowCacheKey.hash)
 	hub.plane.ks.pvc = NewDirectMapped[principal.Address, *cert.Certificate](4, pvcHash)
 	hub.plane.ks.mkc = NewDirectMapped[principal.Address, [16]byte](4, addrHash)
 

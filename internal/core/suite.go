@@ -48,24 +48,27 @@ type Suite interface {
 	// are structurally possible for this suite. It is a structural check,
 	// not receiver policy — policy lives in Endpoint.checkAlg.
 	ValidHeader(h Header) bool
-	// DeriveIV returns the per-datagram IV (legacy, 8 bytes) or nonce
-	// (AEAD, 12 bytes) this suite derives from the header. Diagnostic
-	// seam for golden/framing tests; the hot paths inline it.
-	DeriveIV(h Header) []byte
 	// SealAppend appends the protected body to dst and patches the MAC
 	// value (or AEAD tag) into the already-encoded header at
 	// dst[hdrOff+macValueOffset:]. h carries the wire algorithm fields
 	// this suite's WireAlg chose. When tc is non-nil the datagram is
 	// traced: each MAC and cipher pass emits its own span. The context
-	// type is core's own; callers outside the package pass nil. The bool
-	// is unused; it stays only because bench/gwbench's replica still
-	// passes it.
+	// type is core's own; callers outside the package pass nil. The
+	// bool is unused; it stays only because bench/gwbench's replica
+	// still passes it. SealAppend and OpenAppend expand kf on every call;
+	// only the replica and the golden vectors use them.
 	SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error)
 	// OpenAppend recovers and authenticates the body. For a secret body
 	// the plaintext is appended to dst; for a cleartext body the returned
 	// body aliases the input. Errors are the endpoint's sentinel errors
 	// (ErrDecrypt, ErrBadMAC) — the caller maps them to drop reasons.
 	OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) (newDst []byte, plain []byte, err error)
+
+	// slot builds the TFKC/RFKC slot value for kf, which the endpoint
+	// seals and opens through with seal and open.
+	slot(kf [16]byte) keySlot
+	seal(dst []byte, hdrOff int, h Header, ks keySlot, payload []byte, tc *traceCtx) ([]byte, error)
+	open(dst []byte, h Header, ks keySlot, body []byte, tc *traceCtx) ([]byte, []byte, error)
 }
 
 // maxAlgNibble bounds the IDs that fit the header's packed algorithm
@@ -143,12 +146,19 @@ func (l *legacySuite) ValidHeader(h Header) bool {
 	return h.MAC <= cryptolib.MACNull && h.Mode <= cryptolib.OFB
 }
 
-func (l *legacySuite) DeriveIV(h Header) []byte {
-	iv := h.iv()
-	return iv[:]
-}
+func (l *legacySuite) slot(kf [16]byte) keySlot { return keySlot{kf: kf, suite: l.id} }
 
 func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error) {
+	return l.seal(dst, hdrOff, h, l.slot(kf), payload, tc)
+}
+
+func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) ([]byte, []byte, error) {
+	return l.open(dst, h, l.slot(kf), body, tc)
+}
+
+// seal and open key the paper's ciphers and MACs from ks.kf on every
+// datagram, as the 1997 implementation did.
+func (l *legacySuite) seal(dst []byte, hdrOff int, h Header, ks keySlot, payload []byte, tc *traceCtx) ([]byte, error) {
 	var t time.Time
 	if !h.Secret() {
 		// (S6) MAC over confounder | timestamp | plaintext body. MACNull
@@ -159,14 +169,14 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 			// only forces a heap allocation when a MAC is computed; the
 			// NOP configuration stays allocation-free.
 			t = tc.start()
-			kfc, mic := kf, h.macInput()
+			kfc, mic := ks.kf, h.macInput()
 			mac := h.MAC.Compute(kfc[:], mic[:], payload)
 			copy(dst[hdrOff+macValueOffset:], mac[:MACLen])
 			tc.pass(SpanMAC, h.SFL, t)
 		}
 		return dst, nil
 	}
-	kfs, mis := kf, h.macInput()
+	kfs, mis := ks.kf, h.macInput()
 	c, err := h.Cipher.newCipher(kfs[:])
 	if err != nil {
 		return nil, err
@@ -190,13 +200,13 @@ func (l *legacySuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, 
 	return dst, nil
 }
 
-func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) ([]byte, []byte, error) {
+func (l *legacySuite) open(dst []byte, h Header, ks keySlot, body []byte, tc *traceCtx) ([]byte, []byte, error) {
 	var t time.Time
 	// (R10-11, hoisted — see package comment) decrypt before verifying,
 	// since the MAC covers the plaintext body.
 	if h.Secret() {
 		t = tc.start()
-		kfs := kf
+		kfs := ks.kf
 		c, err := h.Cipher.newCipher(kfs[:])
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
@@ -228,7 +238,7 @@ func (l *legacySuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte,
 	// allocations on the NOP path.
 	if h.MAC != cryptolib.MACNull {
 		t = tc.start()
-		kfc, mic := kf, h.macInput()
+		kfc, mic := ks.kf, h.macInput()
 		ok := h.MAC.Verify(kfc[:], h.MACValue[:], mic[:], body)
 		tc.pass(SpanMAC, h.SFL, t)
 		if !ok {
@@ -248,12 +258,23 @@ type sealedBox interface {
 	Open(dst, nonce, ciphertext, additionalData []byte) ([]byte, error)
 }
 
-func newGCM(kf [16]byte) (sealedBox, error) {
-	blk, err := aes.NewCipher(kf[:])
-	if err != nil {
-		return nil, err
-	}
-	return cipher.NewGCM(blk)
+// keySlot is a TFKC or RFKC slot's value (Figure 6): K_f and, for an
+// AEAD suite, the instance expanded from it, built once per flow on the
+// slot's miss path and gone with the slot. Both instances are stateless
+// after construction (stdlib GCM documents concurrent use; cryptolib's
+// ChaCha20-Poly1305 holds only the key), so goroutines share them.
+type keySlot struct {
+	kf    [16]byte
+	box   sealedBox // nil for a legacy suite
+	suite CipherID  // the suite whose slot method built it
+}
+
+// newGCM and newChaCha expand a flow key. Their keys are fixed-length,
+// so the constructors cannot fail.
+func newGCM(kf [16]byte) sealedBox {
+	blk, _ := aes.NewCipher(kf[:])
+	gcm, _ := cipher.NewGCM(blk)
+	return gcm
 }
 
 // chachaKeyLabel expands the 16-byte flow key to the 32 bytes ChaCha20
@@ -270,12 +291,13 @@ func newGCM(kf [16]byte) (sealedBox, error) {
 // boundary.
 var chachaKeyLabel = []byte("fbs chacha20poly1305 key expand v1")
 
-func newChaCha(kf [16]byte) (sealedBox, error) {
+func newChaCha(kf [16]byte) sealedBox {
 	var key [32]byte
 	copy(key[:16], kf[:])
 	second := cryptolib.Digest(cryptolib.HashMD5, kf[:], chachaKeyLabel)
 	copy(key[16:], second)
-	return cryptolib.NewChaCha20Poly1305(key[:])
+	box, _ := cryptolib.NewChaCha20Poly1305(key[:])
+	return box
 }
 
 // aeadSuite carries an AEAD construction over the unchanged 36-byte
@@ -304,47 +326,7 @@ func newChaCha(kf [16]byte) (sealedBox, error) {
 type aeadSuite struct {
 	id   CipherID
 	name string
-	new  func(kf [16]byte) (sealedBox, error)
-
-	// boxes caches constructed AEAD instances by flow key. Key schedule
-	// setup (AES expansion + GCM table init, ChaCha key widening)
-	// dominates small-datagram seal/open cost, and a flow keeps one K_f
-	// for its whole life, so the cache turns a per-datagram cost into a
-	// per-flow one. Both cached implementations are stateless after
-	// construction (stdlib GCM documents concurrent use; cryptolib's
-	// ChaCha20-Poly1305 holds only the key), so one instance serves all
-	// goroutines. Holding an expanded key in memory exposes nothing the
-	// flow-key caches don't already hold.
-	mu    sync.RWMutex
-	boxes map[[16]byte]sealedBox
-}
-
-// aeadBoxCacheMax bounds the per-suite instance cache. Eviction is a
-// wholesale reset: at worst every live flow re-expands its key once per
-// aeadBoxCacheMax distinct keys seen, which keeps the common case a
-// single RLock probe with no bookkeeping.
-const aeadBoxCacheMax = 4096
-
-// box returns the cached AEAD instance for kf, constructing it on first
-// use.
-func (a *aeadSuite) box(kf [16]byte) (sealedBox, error) {
-	a.mu.RLock()
-	box, ok := a.boxes[kf]
-	a.mu.RUnlock()
-	if ok {
-		return box, nil
-	}
-	box, err := a.new(kf)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	if a.boxes == nil || len(a.boxes) >= aeadBoxCacheMax {
-		a.boxes = make(map[[16]byte]sealedBox)
-	}
-	a.boxes[kf] = box
-	a.mu.Unlock()
-	return box, nil
+	new  func(kf [16]byte) sealedBox
 }
 
 func (a *aeadSuite) ID() CipherID  { return a.id }
@@ -382,16 +364,22 @@ type aeadScratch struct {
 
 var aeadScratchPool = sync.Pool{New: func() any { return new(aeadScratch) }}
 
-func (a *aeadSuite) DeriveIV(h Header) []byte {
-	n := aeadNonce(h)
-	return n[:]
+func (a *aeadSuite) slot(kf [16]byte) keySlot {
+	return keySlot{kf: kf, box: a.new(kf), suite: a.id}
 }
 
 func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error) {
-	box, err := a.box(kf)
-	if err != nil {
-		return nil, err
-	}
+	return a.seal(dst, hdrOff, h, a.slot(kf), payload, tc)
+}
+
+func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) ([]byte, []byte, error) {
+	return a.open(dst, h, a.slot(kf), body, tc)
+}
+
+// seal uses the slot's instance as it stands: a sender's TFKC holds
+// only slots its own suite built.
+func (a *aeadSuite) seal(dst []byte, hdrOff int, h Header, ks keySlot, payload []byte, tc *traceCtx) ([]byte, error) {
+	box := ks.box
 	sc := aeadScratchPool.Get().(*aeadScratch)
 	defer aeadScratchPool.Put(sc)
 	sc.nonce = aeadNonce(h)
@@ -428,10 +416,13 @@ func (a *aeadSuite) SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, pa
 	return dst, nil
 }
 
-func (a *aeadSuite) OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) ([]byte, []byte, error) {
-	box, err := a.box(kf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
+// open uses the slot's instance when this suite built it. A datagram
+// relabelled to another suite than its flow's first gets a one-off
+// instance, and fails authentication unless its sender really did that.
+func (a *aeadSuite) open(dst []byte, h Header, ks keySlot, body []byte, tc *traceCtx) ([]byte, []byte, error) {
+	box := ks.box
+	if ks.suite != a.id {
+		box = a.new(ks.kf)
 	}
 	sc := aeadScratchPool.Get().(*aeadScratch)
 	defer aeadScratchPool.Put(sc)

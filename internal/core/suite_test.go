@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -77,22 +79,13 @@ func TestSuiteWireAlg(t *testing.T) {
 
 func TestSuiteNonceDiscipline(t *testing.T) {
 	// The AEAD nonce is confounder | timestamp | low 32 bits of sfl, all
-	// big-endian; the legacy IV duplicates the confounder. DeriveIV is
-	// the diagnostic restatement of what the hot paths inline.
+	// big-endian; the legacy IV duplicates the confounder.
 	h := Header{SFL: 0x11223344AABBCCDD, Confounder: 0x01020304, Timestamp: 0x0A0B0C0D}
-	for _, s := range Suites() {
-		iv := s.DeriveIV(h)
-		if s.AEAD() {
-			want := []byte{1, 2, 3, 4, 0x0A, 0x0B, 0x0C, 0x0D, 0xAA, 0xBB, 0xCC, 0xDD}
-			if !bytes.Equal(iv, want) {
-				t.Errorf("%s: nonce %x, want %x", s.Name(), iv, want)
-			}
-		} else {
-			want := []byte{1, 2, 3, 4, 1, 2, 3, 4}
-			if !bytes.Equal(iv, want) {
-				t.Errorf("%s: IV %x, want duplicated confounder %x", s.Name(), iv, want)
-			}
-		}
+	if n, want := aeadNonce(h), [12]byte{1, 2, 3, 4, 0x0A, 0x0B, 0x0C, 0x0D, 0xAA, 0xBB, 0xCC, 0xDD}; n != want {
+		t.Errorf("AEAD nonce %x, want %x", n, want)
+	}
+	if iv, want := h.iv(), [8]byte{1, 2, 3, 4, 1, 2, 3, 4}; iv != want {
+		t.Errorf("legacy IV %x, want duplicated confounder %x", iv, want)
 	}
 }
 
@@ -499,6 +492,42 @@ func TestSuitePolicyRejection(t *testing.T) {
 		}
 		if _, err := strict.Open(sealed); !errors.Is(err, ErrAlgorithmRejected) {
 			t.Errorf("secret=%v: err = %v, want ErrAlgorithmRejected (AEAD accept-set binds cleartext too)", secret, err)
+		}
+	}
+}
+
+// TestAEADSlotHeap holds ROBUSTNESS.md's figures for the heap an AEAD
+// flow-key slot's expanded instance keeps live: 768 B for AES-128-GCM
+// (key schedule and GCM tables), 48 B for ChaCha20-Poly1305 (the widened
+// key), none for a legacy suite. With flowKeyCacheSize slots in each of
+// a shard's two flow-key caches, that bounds a shard's instances at
+// 384 KiB and 24 KiB. The figures are amd64's; elsewhere the test only
+// logs what it measures.
+func TestAEADSlotHeap(t *testing.T) {
+	const n = 16384
+	want := map[CipherID]float64{CipherAES128GCM: 768, CipherChaCha20Poly1305: 48}
+	perShard := map[CipherID]int{CipherAES128GCM: 384 << 10, CipherChaCha20Poly1305: 24 << 10}
+	for _, s := range Suites() {
+		slots := make([]keySlot, n)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		for i := range slots {
+			slots[i] = s.slot([16]byte{byte(i), byte(i >> 8)})
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(slots)
+		got := float64(int64(m1.HeapAlloc)-int64(m0.HeapAlloc)) / n
+		t.Logf("%s: %.1f B live per slot", s.Name(), got)
+		if runtime.GOARCH != "amd64" {
+			continue
+		}
+		if math.Abs(got-want[s.ID()]) > 16 {
+			t.Errorf("%s: %.1f B live per slot, ROBUSTNESS.md says %.0f", s.Name(), got, want[s.ID()])
+		}
+		if bound := int(want[s.ID()]) * 2 * flowKeyCacheSize; bound != perShard[s.ID()] {
+			t.Errorf("%s: a shard's two caches hold up to %d B of instances, ROBUSTNESS.md says %d", s.Name(), bound, perShard[s.ID()])
 		}
 	}
 }

@@ -25,7 +25,9 @@ func exponentClasses(rng *rand.Rand, n, bits int) [2][]*big.Int {
 }
 
 // TestConstantTime holds doc.go's constant-time claims to a measurement
-// (dudect: |t| ≤ 4.5 on the raw and the cropped samples). On the kernel,
+// (dudect: a leak is a |t| above 4.5 on the raw or the cropped samples
+// that a retake on a fresh class sequence repeats in the same
+// direction). On the kernel,
 // Shared, the fixed-base Public and both CRT halves of Sign take the same
 // time for a sparse and a random secret exponent of one length, and
 // MACID.Verify takes the same time for a tag wrong in its first byte and

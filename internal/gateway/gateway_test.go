@@ -626,6 +626,71 @@ func TestGatewayFlushPeerForcesRekey(t *testing.T) {
 	}
 }
 
+// TestGatewayFlushPeerForgetsRotatedIdentity: after a client's
+// certificate is reissued, FlushPeer on an AEAD tenant of two shards
+// leaves no shard holding a transmit or receive flow-key slot for it, so
+// a datagram the client sealed under its old identity meets a key
+// derived from the new certificate and is refused as a bad MAC.
+func TestGatewayFlushPeerForgetsRotatedIdentity(t *testing.T) {
+	w := newGWWorld(t)
+	g := w.gateway(&Config{Tenants: []TenantConfig{{Name: "edge", Address: "gw-edge", Shards: 2, Suite: "AES-128-GCM"}}})
+	client := w.client("client-r", func(c *core.Config) { c.Cipher = core.CipherAES128GCM })
+	for range 3 {
+		if err := client.SendTo("gw-edge", []byte("warm"), true); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		if _, err := client.Receive(); err != nil {
+			t.Fatalf("echo: %v", err)
+		}
+	}
+	stale, err := client.Seal(transport.Datagram{Source: "client-r", Destination: "gw-edge", Payload: []byte("stale")}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := func() (tfkc, rfkc int) {
+		t.Helper()
+		s, err := g.TenantSnapshot("edge")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Caches[core.CacheTFKC].Used, s.Caches[core.CacheRFKC].Used
+	}
+	if tf, rf := slots(); tf == 0 || rf == 0 {
+		t.Fatalf("before the flush the shards hold %d TFKC and %d RFKC slots; the warm-up keyed neither direction", tf, rf)
+	}
+
+	reissued, err := principal.NewIdentity("client-r", cryptolib.TestGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.dom.Enroll(reissued); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.FlushPeer("edge", "client-r"); err != nil {
+		t.Fatalf("FlushPeer: %v", err)
+	}
+	// The client is the tenant's only peer, so an empty cache on every
+	// shard is exactly "no slot for the client".
+	if tf, rf := slots(); tf != 0 || rf != 0 {
+		t.Fatalf("after FlushPeer the shards still hold %d TFKC and %d RFKC slots", tf, rf)
+	}
+
+	before := g.Stats()
+	w.net.Inject("gw-edge", stale)
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Stats().Received == before.Received {
+		if time.Now().After(deadline) {
+			t.Fatal("the gateway never received the stale datagram")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	after := g.Stats()
+	if after.Accepted != before.Accepted || after.Drops["bad_mac"] != before.Drops["bad_mac"]+1 {
+		t.Fatalf("datagram sealed under the pre-rotation identity: accepted %d → %d, bad_mac drops %d → %d; want it refused as a bad MAC",
+			before.Accepted, after.Accepted, before.Drops["bad_mac"], after.Drops["bad_mac"])
+	}
+}
+
 func TestGatewayMetricsExposition(t *testing.T) {
 	w := newGWWorld(t)
 	g := w.gateway(oneTenant())

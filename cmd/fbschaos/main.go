@@ -261,16 +261,16 @@ type diffRun struct {
 func diffMatrix(base uint64, ops int) []diffRun {
 	// Shorter per-suite and pre-filter streams: the long runs soak the
 	// default (DES) configuration; the short ones cross-validate every
-	// other registered framing, and the sketch under seed-drawn settings,
-	// against their independent reference implementations.
-	sops := ops / 4
-	if sops < 1000 {
-		sops = 1000
-	}
+	// other registered framing, and the sketch at its constants, against
+	// their independent reference implementations.
+	// The pre-filter run takes at least 4,000 ops: a shorter stream may
+	// never charge a prefix to the shed score, and runDiff fails a run
+	// that shed nothing.
+	sops := max(ops/4, 1000)
 	runs := []diffRun{
 		{"diff-replay", netsim.DiffScenario{Seed: base, Ops: ops, ReplayCache: true}},
 		{"diff-noreplay", netsim.DiffScenario{Seed: base + 1, Ops: ops, ReplayCache: false}},
-		{"diff-prefilter-sketch", netsim.DiffScenario{Seed: base + 2, Ops: sops, ReplayCache: true, Prefilter: core.PrefilterSketch}},
+		{"diff-prefilter-sketch", netsim.DiffScenario{Seed: base + 2, Ops: max(sops, 4000), ReplayCache: true, Prefilter: core.PrefilterSketch}},
 	}
 	for _, s := range core.Suites() {
 		if s.ID() == core.CipherNone || s.ID() == core.CipherDES {
@@ -282,6 +282,17 @@ func diffMatrix(base uint64, ops int) []diffRun {
 		})
 	}
 	return runs
+}
+
+// runDiff is netsim.RunDiff with the floor TestDifferentialPrefilter
+// holds: a run with the pre-filter pinned that shed nothing agreed on a
+// sketch that never bit, so it fails.
+func runDiff(sc netsim.DiffScenario) (*netsim.DiffReport, error) {
+	rep, err := netsim.RunDiff(sc)
+	if err == nil && sc.Prefilter != core.PrefilterOff && rep.Sheds == 0 {
+		rep.Violations = append(rep.Violations, "the pre-filter sketch shed nothing: the op stream no longer exercises it")
+	}
+	return rep, err
 }
 
 // crashMatrix returns the standing crash-restart scenarios.
@@ -407,7 +418,7 @@ func main() {
 		}
 		if *diff {
 			for _, d := range diffMatrix(base, *diffOps) {
-				rs = append(rs, entry(d.Name, d.Sc, netsim.RunDiff))
+				rs = append(rs, entry(d.Name, d.Sc, runDiff))
 			}
 		}
 		if *flood {

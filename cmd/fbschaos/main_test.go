@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fbs/internal/core"
 	"fbs/internal/netsim"
 )
 
@@ -78,6 +79,31 @@ func TestFloodReportJSONContract(t *testing.T) {
 		} else if v != nil && len(v.([]any)) != 0 {
 			t.Errorf("%s: Violations = %v, want none", r.name, v)
 		}
+	}
+}
+
+// TestDiffShedFloor: the standing pre-filter run sheds at the sketch's
+// constants even at the shortest -ops, and a pinned run that sheds
+// nothing fails by name.
+func TestDiffShedFloor(t *testing.T) {
+	for _, d := range diffMatrix(defaultSeed, 1) {
+		if d.Sc.Prefilter == core.PrefilterOff {
+			continue
+		}
+		rep, err := runDiff(d.Sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Violations) != 0 || rep.Sheds == 0 {
+			t.Errorf("%s at -ops 1: %d sheds, violations %v", d.Name, rep.Sheds, rep.Violations)
+		}
+	}
+	rep, err := runDiff(netsim.DiffScenario{Seed: 1, Ops: 10, Prefilter: core.PrefilterSketch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sheds != 0 || len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "shed nothing") {
+		t.Errorf("a 10-op sketch run: %d sheds, violations %v; want the shed floor to fail it", rep.Sheds, rep.Violations)
 	}
 }
 

@@ -1,15 +1,18 @@
 package fbs
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -395,6 +398,39 @@ func TestEntryPointTable(t *testing.T) {
 	t.Logf("%d entry points; %d rows", len(doors), len(rows))
 }
 
+// recordSetters adds to set every field the file sets: "Type.Key" for a
+// key of a composite literal that names its struct type, and "*.Key" for
+// one whose type is elided and for a .Key = assignment, whose receiver's
+// type the syntax does not show.
+func recordSetters(f *ast.File, set map[string]bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			typ := "*"
+			switch lt := n.Type.(type) {
+			case *ast.Ident:
+				typ = lt.Name
+			case *ast.SelectorExpr:
+				typ = lt.Sel.Name
+			}
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						set[typ+"."+id.Name] = true
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				if sel, ok := lhs.(*ast.SelectorExpr); ok {
+					set["*."+sel.Sel.Name] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
 // unsetKnobs are the internal/core configuration values that
 // TestEveryKnobHasASetter lets stand without a setter outside
 // internal/core, each with the reason. The list is capped at 2: a knob
@@ -421,10 +457,7 @@ func TestEveryKnobHasASetter(t *testing.T) {
 	}
 	var fields []field             // exported fields of internal/core's *Config / *Policy structs
 	funcTypes := map[string]bool{} // named func types of internal/core
-	// set holds "Type.Key" for a key of a literal that names its struct
-	// type, and "*.Key" for one whose type is elided and for a .Key =
-	// assignment, whose receiver's type the syntax does not show.
-	set := map[string]bool{}
+	set := map[string]bool{}       // see recordSetters
 	walkGoFiles(t, func(dir, path string, f *ast.File) {
 		if strings.HasSuffix(path, "_test.go") {
 			return
@@ -436,32 +469,7 @@ func TestEveryKnobHasASetter(t *testing.T) {
 				// to exercise it, not because either needs it.
 				return
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CompositeLit:
-					typ := "*"
-					switch lt := n.Type.(type) {
-					case *ast.Ident:
-						typ = lt.Name
-					case *ast.SelectorExpr:
-						typ = lt.Sel.Name
-					}
-					for _, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								set[typ+"."+id.Name] = true
-							}
-						}
-					}
-				case *ast.AssignStmt:
-					for _, lhs := range n.Lhs {
-						if sel, ok := lhs.(*ast.SelectorExpr); ok {
-							set["*."+sel.Sel.Name] = true
-						}
-					}
-				}
-				return true
-			})
+			recordSetters(f, set)
 			return
 		}
 		for _, decl := range f.Decls {
@@ -522,9 +530,149 @@ func TestEveryKnobHasASetter(t *testing.T) {
 	t.Logf("%d settable values in internal/core's *Config/*Policy structs; %d unset, %d of them allowed", knobs, len(unset), len(unsetKnobs))
 }
 
-// ruleless are the internal/core capacities TestEveryCapacityHasARule
-// lets stand without a rule, each with the reason. The cap is 1.
-var ruleless = map[string]string{"batchChunk": "sizes the batch engine's stack scratch; it is at least the 32-frame socket batch (transport's mmsgMaxBatch, the gateway's maxBatch) so a received batch is one chunk, but no test spans that package boundary yet"}
+// unsetConfigKeys are the gateway config-file keys
+// TestEveryConfigKeyHasASetter lets stand without a setter, each with
+// the reason. The cap is 1.
+var unsetConfigKeys = map[string]string{
+	"flow_max_packets": "netsim's RunReconfig swaps a tenant to a wear-out limit, and internal/refmodel pins the core policy behind it",
+}
+
+// TestEveryConfigKeyHasASetter holds the sixth census's rule, the third's
+// at the gateway's config file: a `json:"…"` key of a struct in
+// internal/gateway/config.go stays only if examples/fbsgw/gateway.json
+// writes it, or some non-test Go file outside internal/gateway,
+// internal/netsim and cmd/fbschaos sets its field (bench/gwbench
+// counts) — a `Key:` in a composite literal or a `.Key =` assignment,
+// matched as in TestEveryKnobHasASetter. A key that no deployment writes
+// is a constant at its default, and one more branch of Validate.
+func TestEveryConfigKeyHasASetter(t *testing.T) {
+	type key struct{ json, typ, field string }
+	var keys []key
+	set := map[string]bool{} // see recordSetters
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		switch {
+		case path == "internal/gateway/config.go":
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fld := range st.Fields.List {
+						if fld.Tag == nil || len(fld.Names) != 1 {
+							continue
+						}
+						tag, _ := strconv.Unquote(fld.Tag.Value)
+						name, _, _ := strings.Cut(reflect.StructTag(tag).Get("json"), ",")
+						if name != "" && name != "-" {
+							keys = append(keys, key{name, ts.Name.Name, fld.Names[0].Name})
+						}
+					}
+				}
+				return false
+			})
+		case strings.HasSuffix(path, "_test.go"), dir == "internal/gateway", dir == "internal/netsim", dir == "cmd/fbschaos":
+			// The gateway sets its own fields, and a soak harness sets a
+			// value in order to exercise it.
+		default:
+			recordSetters(f, set)
+		}
+	})
+	if len(keys) == 0 {
+		t.Fatal("found no json keys in internal/gateway/config.go")
+	}
+	blob, err := os.ReadFile("examples/fbsgw/gateway.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var example any
+	if err := json.Unmarshal(blob, &example); err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]bool{}
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				written[k] = true
+				walk(e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(e)
+			}
+		}
+	}
+	walk(example)
+	var unset []string
+	for _, k := range keys {
+		if written[k.json] || set[k.typ+"."+k.field] || set["*."+k.field] {
+			continue
+		}
+		unset = append(unset, k.json)
+		if unsetConfigKeys[k.json] == "" {
+			t.Errorf("gateway config key %q (%s.%s) is neither in examples/fbsgw/gateway.json nor set by any caller outside internal/gateway and the soak harnesses: make it a constant at its default, or delete it with the behaviour it gates", k.json, k.typ, k.field)
+		}
+	}
+	for k := range unsetConfigKeys {
+		if !slices.Contains(unset, k) {
+			t.Errorf("unsetConfigKeys lists %q, which has a setter now or is gone; delete the entry", k)
+		}
+	}
+	if len(unsetConfigKeys) > 1 {
+		t.Errorf("unsetConfigKeys has %d entries; the cap is 1", len(unsetConfigKeys))
+	}
+	t.Logf("%d config-file keys in internal/gateway/config.go; %d unset, %d of them allowed", len(keys), len(unset), len(unsetConfigKeys))
+}
+
+// TestBatchChunkHoldsASocketBatch is batchChunk's rule: the batch
+// engine's chunk is at least one received socket batch — transport's
+// mmsgMaxBatch, one recvmmsg, and the gateway's maxBatch, one receive
+// loop turn — so a batch the gateway takes off its socket opens as one
+// chunk.
+func TestBatchChunkHoldsASocketBatch(t *testing.T) {
+	want := map[string]string{"internal/core": "batchChunk", "internal/transport": "mmsgMaxBatch", "internal/gateway": "maxBatch"}
+	got := map[string]int{}
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		name, ok := want[dir]
+		if !ok || strings.HasSuffix(path, "_test.go") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			vs, ok := n.(*ast.ValueSpec)
+			if !ok {
+				return true
+			}
+			for i, id := range vs.Names {
+				if id.Name != name || i >= len(vs.Values) {
+					continue
+				}
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.INT {
+					t.Fatalf("%s.%s is not an integer literal; read its value another way", dir, name)
+				}
+				v, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = v
+			}
+			return false
+		})
+	})
+	for dir, name := range want {
+		if _, ok := got[name]; !ok {
+			t.Fatalf("%s.%s is gone or renamed", dir, name)
+		}
+	}
+	for _, name := range []string{"mmsgMaxBatch", "maxBatch"} {
+		if got["batchChunk"] < got[name] {
+			t.Errorf("batchChunk %d is smaller than %s %d: a received socket batch would open as more than one chunk", got["batchChunk"], name, got[name])
+		}
+	}
+	t.Logf("batchChunk %d, mmsgMaxBatch %d, maxBatch %d", got["batchChunk"], got["mmsgMaxBatch"], got["maxBatch"])
+}
 
 // capacityName picks out the constants that size a table, cache, ring
 // or map, by the words internal/core names them with.
@@ -585,7 +733,6 @@ func TestEveryCapacityHasARule(t *testing.T) {
 	})
 	cites := regexp.MustCompile(`Section \d|§\d|Figure \d|footnote \d|EXPERIMENTS\.md`)
 	testName := regexp.MustCompile(`\bTest[A-Z]\w*`)
-	var without []string
 	for _, c := range caps {
 		ruled := c.derived || cites.MatchString(c.doc)
 		for _, name := range testName.FindAllString(c.doc, -1) {
@@ -594,21 +741,10 @@ func TestEveryCapacityHasARule(t *testing.T) {
 		if ruled {
 			continue
 		}
-		without = append(without, c.name)
-		if ruleless[c.name] == "" {
-			t.Errorf("internal/core.%s sizes something but its doc comment states no rule: cite a paper section or an EXPERIMENTS.md row, name the test that asserts its relation to another constant, or derive it from one", c.name)
-		}
-	}
-	for name := range ruleless {
-		if !slices.Contains(without, name) {
-			t.Errorf("ruleless lists %s, which states a rule now or is gone; delete the entry", name)
-		}
-	}
-	if len(ruleless) > 1 {
-		t.Errorf("ruleless has %d entries; the cap is 1", len(ruleless))
+		t.Errorf("internal/core.%s sizes something but its doc comment states no rule: cite a paper section or an EXPERIMENTS.md row, name the test that asserts its relation to another constant, or derive it from one", c.name)
 	}
 	if len(caps) < 10 {
 		t.Errorf("the census found %d capacities in internal/core; the ten it was written over are gone or renamed", len(caps))
 	}
-	t.Logf("%d capacities in internal/core; %d without a rule, %d of them allowed", len(caps), len(without), len(ruleless))
+	t.Logf("%d capacities in internal/core, each with a rule", len(caps))
 }

@@ -47,7 +47,10 @@ import (
 // acquisition (and sizes the batch engine's stack-allocated scratch:
 // per-datagram sizes, confounders, deferred replay signatures). Longer
 // batches are processed in chunks of this size, which keeps the
-// amortisation while bounding lock hold times and stack frames.
+// amortisation while bounding lock hold times and stack frames. It is at
+// least one received socket batch (transport's mmsgMaxBatch, the
+// gateway's maxBatch), so a batch off the socket is one chunk;
+// TestBatchChunkHoldsASocketBatch asserts it.
 const batchChunk = 64
 
 // NumBatchBuckets is the number of log2 size classes in the batch-call

@@ -446,10 +446,11 @@ func TestGuardedPlanesKeySerially(t *testing.T) {
 		cfg     func(*Config)
 	}{
 		{"admission", true, func(c *Config) { c.Admission = AdmissionConfig{UpcallRate: 0.001, UpcallBurst: 6} }},
-		// The sketch sheds a prefix after one bad MAC: the loop keys the
-		// first spoofed victim and sheds the other four.
+		// The victims' prefix is charged to one short of the shed score
+		// (below), so the sketch sheds it after one bad MAC: the loop
+		// keys the first spoofed victim and sheds the other four.
 		{"prefilter", true, func(c *Config) {
-			c.Prefilter = PrefilterConfig{Enable: true, ForceLevel: PrefilterSketch, ShedThreshold: 1, SecretSeed: []byte("guard")}
+			c.Prefilter = PrefilterConfig{Enable: true, ForceLevel: PrefilterSketch, SecretSeed: []byte("guard")}
 		}},
 		{"unguarded", false, func(*Config) {}},
 	} {
@@ -462,6 +463,11 @@ func TestGuardedPlanesKeySerially(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { ep.Close() })
+				if ep.pf != nil {
+					for i := 0; i < sketchShedAt-1; i++ {
+						ep.pf.penalize(ep.pf.prefixOf(published[0]))
+					}
+				}
 				return ep
 			}
 			batch, loop := mk(), mk()

@@ -139,8 +139,9 @@ func parseCookieFrame(wire []byte) (kind byte, ck cookie, ok bool) {
 }
 
 // PrefilterConfig configures the edge pre-filter. The zero value
-// disables it entirely; Enable with everything else zero gets the
-// defaults noted per field and fully adaptive ladder behaviour.
+// disables it entirely; Enable alone gets the fully adaptive ladder.
+// The cookie epoch, cookie TTL, sketch prefix, shed threshold and decay
+// period are constants (below), the same for every endpoint.
 type PrefilterConfig struct {
 	// Enable turns the pre-filter machinery on. Off, the endpoint has
 	// no jar, no sketch, and zero per-datagram overhead.
@@ -156,24 +157,20 @@ type PrefilterConfig struct {
 	// is itself stateless. Empty draws a random root: cookies die with
 	// the process, which is also safe (senders just get re-challenged).
 	SecretSeed []byte
-	// EpochInterval is the secret rotation period; default 64s. A
-	// cookie is accepted under the current or immediately previous
-	// epoch's secret.
-	EpochInterval time.Duration
-	// CookieTTL bounds the age of an acceptable cookie stamp; default
-	// 2×EpochInterval.
-	CookieTTL time.Duration
-	// PrefixLen is how many leading bytes of the source address form
-	// the sketch prefix; default 8.
-	PrefixLen int
-	// ShedThreshold is the sketch score at which a prefix is shed;
-	// default 32.
-	ShedThreshold uint32
-	// DecayEvery halves every sketch bucket after this many
-	// observations (charges), forgiving prefixes that go quiet;
-	// default 1024.
-	DecayEvery uint64
 }
+
+// The cookie's clock. Epochs and stamps count whole seconds.
+// TestCookieBruteForceBound holds cookieMACLen and cookieTTL to the
+// brute-force bound: a blind forger's expected guesses outnumber what a
+// 10^8 datagram/s listener receives in one TTL.
+const (
+	// epochSeconds is the secret rotation period. A cookie is accepted
+	// under the current or immediately previous epoch's secret.
+	epochSeconds = 64
+	// cookieTTL bounds the age of an acceptable cookie stamp, and of a
+	// cookie in the sender's jar: two epochs, the rotation grace.
+	cookieTTL = 2 * epochSeconds * time.Second
+)
 
 // The ladder's cadence and the pre-filter's fixed bounds.
 const (
@@ -234,11 +231,17 @@ type PrefilterStats struct {
 
 // Sketch geometry: two rows of 1024 counters each, scored as the
 // minimum across rows (a count-min sketch). Fixed at compile time so
-// the whole structure is one flat 8 KiB array with no pointers.
-// EXPERIMENTS.md's first-contact fairness row measures this geometry.
+// the whole structure is one flat 8 KiB array with no pointers. A
+// source's prefix is its first sketchPrefixLen address bytes; a prefix
+// scoring sketchShedAt is shed, and every sketchDecayEvery charges
+// halve every bucket, forgiving prefixes that go quiet.
+// EXPERIMENTS.md's first-contact fairness row measures these values.
 const (
-	sketchRows = 2
-	sketchCols = 1024
+	sketchRows       = 2
+	sketchCols       = 1024
+	sketchPrefixLen  = 8
+	sketchShedAt     = 32
+	sketchDecayEvery = 1024
 )
 
 // sketchSalts give each row an independent hash; the refmodel mirror
@@ -291,40 +294,10 @@ type prefilter struct {
 	sketchDecays        atomic.Uint64
 }
 
-// newPrefilter validates the config, applies defaults, and derives the
-// secret root.
+// newPrefilter validates the config and derives the secret root.
 func newPrefilter(cfg PrefilterConfig) (*prefilter, error) {
 	if cfg.ForceLevel < PrefilterOff || cfg.ForceLevel > PrefilterChallenge {
 		return nil, fmt.Errorf("core: Prefilter.ForceLevel %d out of range", cfg.ForceLevel)
-	}
-	if cfg.EpochInterval <= 0 {
-		cfg.EpochInterval = 64 * time.Second
-	}
-	// Epoch arithmetic is in whole seconds (epochAt divides Unix time by
-	// EpochInterval/time.Second), so any interval in (0, 1s) would make
-	// the divisor zero and panic on the first challenge or cookie
-	// operation. Refuse it here, at config time, where the operator can
-	// see it — a sub-second secret rotation is never a sensible ask.
-	if cfg.EpochInterval < time.Second {
-		return nil, fmt.Errorf("core: Prefilter.EpochInterval %v below the 1s epoch granularity", cfg.EpochInterval)
-	}
-	if cfg.CookieTTL <= 0 {
-		cfg.CookieTTL = 2 * cfg.EpochInterval
-	}
-	// Cookie age is likewise measured in whole seconds (verifyCookie
-	// compares it with CookieTTL/time.Second), so a TTL in (0, 1s)
-	// would refuse every echo stamped in an earlier second.
-	if cfg.CookieTTL < time.Second {
-		return nil, fmt.Errorf("core: Prefilter.CookieTTL %v below the 1s cookie-stamp granularity", cfg.CookieTTL)
-	}
-	if cfg.PrefixLen <= 0 {
-		cfg.PrefixLen = 8
-	}
-	if cfg.ShedThreshold == 0 {
-		cfg.ShedThreshold = 32
-	}
-	if cfg.DecayEvery == 0 {
-		cfg.DecayEvery = 1024
 	}
 	p := &prefilter{cfg: cfg}
 	if len(cfg.SecretSeed) > 0 {
@@ -369,8 +342,8 @@ func (p *prefilter) levelNow() PrefilterLevel {
 // a string slice shares the backing bytes).
 func (p *prefilter) prefixOf(addr principal.Address) string {
 	s := string(addr)
-	if len(s) > p.cfg.PrefixLen {
-		return s[:p.cfg.PrefixLen]
+	if len(s) > sketchPrefixLen {
+		return s[:sketchPrefixLen]
 	}
 	return s
 }
@@ -389,7 +362,7 @@ func (p *prefilter) score(prefix string) uint32 {
 func (p *prefilter) penalize(prefix string) {
 	p.buckets[sketchSlot(0, prefix)].Add(1)
 	p.buckets[sketchCols+int(sketchSlot(1, prefix))].Add(1)
-	if p.obs.Add(1)%p.cfg.DecayEvery == 0 {
+	if p.obs.Add(1)%sketchDecayEvery == 0 {
 		for i := range p.buckets {
 			// A racing Add between Load and Store can be forgotten; the
 			// sketch is an estimator and the loss only errs toward
@@ -406,7 +379,7 @@ func (p *prefilter) penalize(prefix string) {
 // its own cookies.
 
 func (p *prefilter) epochAt(now time.Time) uint32 {
-	return uint32(now.Unix() / int64(p.cfg.EpochInterval/time.Second))
+	return uint32(now.Unix() / epochSeconds)
 }
 
 func (p *prefilter) secretFor(epoch uint32) [cookieMACLen]byte {
@@ -446,7 +419,7 @@ func (p *prefilter) verifyCookie(addr principal.Address, ck cookie, now time.Tim
 	if age < 0 {
 		age = -age
 	}
-	if age > int64(p.cfg.CookieTTL/time.Second) {
+	if age > int64(cookieTTL/time.Second) {
 		return false
 	}
 	want := p.cookieMAC(addr, ck)
@@ -485,14 +458,14 @@ func (j *cookieJar) learn(peer principal.Address, ck cookie, now time.Time) {
 	j.entries[peer] = jarEntry{ck: ck, learned: now}
 }
 
-func (j *cookieJar) lookup(peer principal.Address, now time.Time, ttl time.Duration) (cookie, bool) {
+func (j *cookieJar) lookup(peer principal.Address, now time.Time) (cookie, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	e, ok := j.entries[peer]
 	if !ok {
 		return cookie{}, false
 	}
-	if now.Sub(e.learned) > ttl {
+	if now.Sub(e.learned) > cookieTTL {
 		delete(j.entries, peer)
 		return cookie{}, false
 	}
@@ -643,7 +616,7 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 	lvl := p.levelNow()
 	if lvl >= PrefilterSketch {
 		prefix := p.prefixOf(dg.Source)
-		if score := p.score(prefix); score >= p.cfg.ShedThreshold {
+		if score := p.score(prefix); score >= sketchShedAt {
 			p.penalize(prefix)
 			p.sketchSheds.Add(1)
 			e.metrics.drop(DropPrefilter)
@@ -687,7 +660,7 @@ func (e *Endpoint) prefilterObserveDrop(src principal.Address, reason DropReason
 // peer's parse.
 func (e *Endpoint) prefilterWrap(payload []byte, dst principal.Address) []byte {
 	p := e.pf
-	ck, ok := p.jar.lookup(dst, e.cfg.Clock.Now(), p.cfg.CookieTTL)
+	ck, ok := p.jar.lookup(dst, e.cfg.Clock.Now())
 	if !ok {
 		return payload
 	}

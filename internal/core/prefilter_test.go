@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // pfEpoch starts on an exact epoch boundary (Unix time divisible by the
-// default 64 s interval) so the rollover tests can position themselves
+// 64 s epoch) so the rollover tests can position themselves
 // just before and after a secret rotation.
 var pfEpoch = time.Unix(1_767_225_600, 0).UTC()
 
@@ -141,7 +142,7 @@ func TestCookieSecretDeterminism(t *testing.T) {
 func TestCookieJarBoundedStalestOut(t *testing.T) {
 	p := newTestPrefilter(t, PrefilterConfig{Enable: true, SecretSeed: []byte("jar")})
 	now := pfEpoch
-	ttl := p.cfg.CookieTTL
+	ttl := cookieTTL
 
 	p.jar.learn("peer-a", p.mint("peer-a", now), now)
 	p.jar.learn("peer-b", p.mint("peer-b", now), now.Add(time.Second))
@@ -159,17 +160,17 @@ func TestCookieJarBoundedStalestOut(t *testing.T) {
 	if len(p.jar.entries) != jarCap {
 		t.Fatalf("jar holds %d entries past capacity, want %d", len(p.jar.entries), jarCap)
 	}
-	if _, ok := p.jar.lookup("peer-b", now.Add(3*time.Second), ttl); ok {
+	if _, ok := p.jar.lookup("peer-b", now.Add(3*time.Second)); ok {
 		t.Error("stalest entry survived eviction")
 	}
-	if _, ok := p.jar.lookup("peer-a", now.Add(3*time.Second), ttl); !ok {
+	if _, ok := p.jar.lookup("peer-a", now.Add(3*time.Second)); !ok {
 		t.Error("freshened entry was evicted")
 	}
-	if _, ok := p.jar.lookup("peer-c", now.Add(3*time.Second), ttl); !ok {
+	if _, ok := p.jar.lookup("peer-c", now.Add(3*time.Second)); !ok {
 		t.Error("newly learned entry missing")
 	}
 	// TTL expiry deletes on lookup.
-	if _, ok := p.jar.lookup("peer-c", now.Add(3*time.Second).Add(ttl+time.Second), ttl); ok {
+	if _, ok := p.jar.lookup("peer-c", now.Add(3*time.Second).Add(ttl+time.Second)); ok {
 		t.Error("expired cookie served from the jar")
 	}
 	if _, stillThere := p.jar.entries["peer-c"]; stillThere {
@@ -178,28 +179,32 @@ func TestCookieJarBoundedStalestOut(t *testing.T) {
 }
 
 func TestSketchScorePenalizeDecay(t *testing.T) {
-	p := newTestPrefilter(t, PrefilterConfig{Enable: true, ShedThreshold: 4, DecayEvery: 8})
-	for i := 0; i < 4; i++ {
+	p := newTestPrefilter(t, PrefilterConfig{Enable: true})
+	for i := 0; i < sketchShedAt; i++ {
 		p.penalize("hot-pref")
 	}
-	if got := p.score("hot-pref"); got != 4 {
-		t.Fatalf("score after 4 charges = %d", got)
+	if got := p.score("hot-pref"); got != sketchShedAt {
+		t.Fatalf("score after %d charges = %d", sketchShedAt, got)
 	}
 	if got := p.score("cold-pref"); got != 0 {
 		t.Fatalf("unrelated prefix scored %d", got)
 	}
-	// The 8th observation triggers the halving sweep.
-	for i := 0; i < 4; i++ {
+	// The sketchDecayEvery-th observation triggers the halving sweep.
+	for i := 0; i < sketchDecayEvery-sketchShedAt-1; i++ {
 		p.penalize("other-pref")
 	}
+	if p.sketchDecays.Load() != 0 {
+		t.Fatalf("decayed after %d charges", sketchDecayEvery-1)
+	}
+	p.penalize("other-pref")
 	if p.sketchDecays.Load() != 1 {
 		t.Fatalf("decays = %d, want 1", p.sketchDecays.Load())
 	}
-	if got := p.score("hot-pref"); got != 2 {
-		t.Errorf("hot prefix score after decay = %d, want 2", got)
+	if got := p.score("hot-pref"); got != sketchShedAt/2 {
+		t.Errorf("hot prefix score after decay = %d, want %d", got, sketchShedAt/2)
 	}
-	if got := p.score("other-pref"); got != 2 {
-		t.Errorf("other prefix score after decay = %d, want 2", got)
+	if got, want := p.score("other-pref"), uint32(sketchDecayEvery-sketchShedAt)/2; got != want {
+		t.Errorf("other prefix score after decay = %d, want %d", got, want)
 	}
 }
 
@@ -295,93 +300,42 @@ func TestPrefilterConfigValidation(t *testing.T) {
 	}
 }
 
-// TestPrefilterSubSecondEpochIntervalRejected is the regression test for
-// the epochAt division-by-zero: an EpochInterval in (0, 1s) passed the
-// old `<= 0` validation but truncated to a zero divisor in epochAt,
-// panicking on the first challenge or cookie operation. Such configs are
-// now refused at construction; the 1s floor itself must work end to end.
-func TestPrefilterSubSecondEpochIntervalRejected(t *testing.T) {
-	for _, d := range []time.Duration{time.Nanosecond, time.Millisecond, 999 * time.Millisecond} {
-		if _, err := newPrefilter(PrefilterConfig{Enable: true, EpochInterval: d}); err == nil {
-			t.Fatalf("EpochInterval %v accepted (would divide by zero in epochAt)", d)
-		}
-	}
-	p := newTestPrefilter(t, PrefilterConfig{Enable: true, EpochInterval: time.Second, SecretSeed: []byte("floor")})
-	const addr principal.Address = "epoch-floor-peer"
-	// Every epochAt caller: minting, verification, and the stats
-	// snapshot. Any of these panicked before the fix.
-	ck := p.mint(addr, pfEpoch)
-	if !p.verifyCookie(addr, ck, pfEpoch) {
-		t.Fatal("cookie minted at the 1s epoch floor did not verify")
-	}
-	if got := p.stats(pfEpoch).Epoch; got != uint32(pfEpoch.Unix()) {
-		t.Fatalf("1s epochs: stats epoch = %d, want %d", got, pfEpoch.Unix())
-	}
-}
-
-// TestPrefilterSubSecondCookieTTLRejected: cookie age is compared in
-// whole seconds, so a CookieTTL in (0, 1s) truncated to zero and refused
-// every echo stamped in an earlier second — a sender's retry one second
-// after its challenge always failed as DropBadCookie. Such configs are
-// refused at construction, like a sub-second EpochInterval; the 1s
-// floor itself accepts that retry.
-func TestPrefilterSubSecondCookieTTLRejected(t *testing.T) {
-	for _, d := range []time.Duration{time.Nanosecond, 500 * time.Millisecond, 999 * time.Millisecond} {
-		if _, err := newPrefilter(PrefilterConfig{Enable: true, CookieTTL: d}); err == nil {
-			t.Fatalf("CookieTTL %v accepted (every cookie a second old would be refused)", d)
-		}
-	}
-	p := newTestPrefilter(t, PrefilterConfig{Enable: true, CookieTTL: time.Second, SecretSeed: []byte("ttl-floor")})
-	const addr principal.Address = "ttl-floor-peer"
-	if ck := p.mint(addr, pfEpoch); !p.verifyCookie(addr, ck, pfEpoch.Add(time.Second)) {
-		t.Fatal("cookie echoed one second after its challenge refused at the 1s CookieTTL floor")
-	}
-}
-
-// TestPrefilterCookieTTLShorterThanEpochGrace pins the interaction of
-// the two cookie age bounds: a cookie is accepted under the current or
-// previous epoch's secret (the rotation grace), but CookieTTL is an
-// independent, possibly tighter bound on the stamp. A TTL shorter than
-// the grace window must govern — prev-epoch cookies older than the TTL
-// are refused even though their secret still verifies.
-func TestPrefilterCookieTTLShorterThanEpochGrace(t *testing.T) {
-	p := newTestPrefilter(t, PrefilterConfig{
-		Enable:        true,
-		EpochInterval: 64 * time.Second,
-		CookieTTL:     10 * time.Second,
-		SecretSeed:    []byte("ttl"),
-	})
-	const addr principal.Address = "ttl-peer"
-	minted := pfEpoch.Add(60 * time.Second) // 4s before rotation
-	ck := p.mint(addr, minted)
-	// Within the TTL, across the epoch boundary: previous-epoch secret
-	// plus fresh stamp — accepted.
-	if !p.verifyCookie(addr, ck, minted.Add(8*time.Second)) {
-		t.Fatal("fresh prev-epoch cookie rejected inside the TTL")
-	}
-	// Past the TTL but still inside the previous-epoch grace (the
-	// rotation was only 4s after minting): the TTL must refuse it.
-	if p.verifyCookie(addr, ck, minted.Add(12*time.Second)) {
-		t.Fatal("cookie older than CookieTTL accepted under epoch grace")
-	}
-}
-
-// TestPrefilterPrefixLenExceedsAddress: a PrefixLen longer than the
-// source address must fall back to the whole address — no slice panic,
-// and the sketch still scores, penalizes and sheds that source.
+// TestPrefilterPrefixLenExceedsAddress: a source address shorter than
+// sketchPrefixLen is its own whole prefix — no slice panic, and the
+// sketch still scores, penalizes and sheds that source.
 func TestPrefilterPrefixLenExceedsAddress(t *testing.T) {
-	p := newTestPrefilter(t, PrefilterConfig{Enable: true, PrefixLen: 64, ShedThreshold: 4})
+	p := newTestPrefilter(t, PrefilterConfig{Enable: true})
 	const addr principal.Address = "tiny"
+	if len(addr) >= sketchPrefixLen {
+		t.Fatalf("address %q is not shorter than the %d-byte prefix", addr, sketchPrefixLen)
+	}
 	prefix := p.prefixOf(addr)
 	if prefix != string(addr) {
 		t.Fatalf("prefix of short address = %q, want whole address", prefix)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < sketchShedAt; i++ {
 		p.penalize(prefix)
 	}
-	if got := p.score(prefix); got < 4 {
-		t.Fatalf("score after 4 penalties = %d, want >= 4 (shed threshold)", got)
+	if got := p.score(prefix); got < sketchShedAt {
+		t.Fatalf("score after %d penalties = %d, want >= %d (shed threshold)", sketchShedAt, got, sketchShedAt)
 	}
+}
+
+// TestCookieBruteForceBound holds the cookie to the brute-force bound on
+// stateless forwarding (Alzahrani et al., PAPERS.md): a forger who never
+// saw a challenge guesses a cookieMACLen-byte MAC blind and expects
+// 2^(8·cookieMACLen−1) guesses before one passes. That must exceed the
+// datagrams a 10^8 datagram/s listener receives in one cookie TTL, the
+// longest that any one cookie is accepted.
+func TestCookieBruteForceBound(t *testing.T) {
+	const listenerRate = 1e8 // datagrams per second
+	guesses := math.Ldexp(1, 8*cookieMACLen-1)
+	window := listenerRate * cookieTTL.Seconds()
+	if guesses <= window {
+		t.Fatalf("a %d-byte cookie MAC expects %.3g blind guesses, no more than the %.3g datagrams a 10^8/s listener receives in one %v TTL",
+			cookieMACLen, guesses, window, cookieTTL)
+	}
+	t.Logf("expected blind guesses 2^%d ≈ %.3g; datagrams in one %v TTL at 10^8/s: %.3g", 8*cookieMACLen-1, guesses, cookieTTL, window)
 }
 
 // FuzzCookie hunts for panics and codec asymmetries in the cookie frame

@@ -121,12 +121,10 @@ type TenantConfig struct {
 	// ReplayCache enables exact duplicate suppression.
 	ReplayCache bool `json:"replay_cache,omitempty"`
 	// StateBudgetBytes is this tenant's soft-state hard limit (0 =
-	// unbudgeted). Because every tenant owns a private budget, one
-	// tenant's state can never evict another's.
+	// unbudgeted); pressure starts at 80% of it. Because every tenant
+	// owns a private budget, one tenant's state can never evict
+	// another's.
 	StateBudgetBytes int64 `json:"state_budget_bytes,omitempty"`
-	// StateBudgetHighWater is the pressure threshold; 0 defaults to
-	// 80% of StateBudgetBytes.
-	StateBudgetHighWater int64 `json:"state_budget_high_water,omitempty"`
 	// Admission bounds this tenant's new-peer keying work.
 	Admission *AdmissionConfig `json:"admission,omitempty"`
 	// Prefilter configures this tenant's stateless edge pre-filter.
@@ -139,15 +137,10 @@ type AdmissionConfig struct {
 	UpcallBurst int     `json:"upcall_burst,omitempty"`
 }
 
-// PrefilterConfig mirrors the operator-relevant subset of
-// core.PrefilterConfig in config-file form.
+// PrefilterConfig switches on core's adaptive edge pre-filter; its
+// tuning is core's constants.
 type PrefilterConfig struct {
-	Enable        bool     `json:"enable"`
-	EpochInterval Duration `json:"epoch_interval,omitempty"`
-	CookieTTL     Duration `json:"cookie_ttl,omitempty"`
-	PrefixLen     int      `json:"prefix_len,omitempty"`
-	ShedThreshold uint32   `json:"shed_threshold,omitempty"`
-	DecayEvery    uint64   `json:"decay_every,omitempty"`
+	Enable bool `json:"enable"`
 }
 
 // suiteByName resolves a registered suite by its canonical name.
@@ -217,40 +210,16 @@ func (c *Config) Validate() error {
 				"so nearly every datagram would be refused as stale (use 0 for the 10m default, or at least 1m)",
 				t.Name, time.Duration(t.FreshnessWindow))
 		}
-		// core.NewBudget would quietly repair each of these (no budget
-		// for a negative limit, its own default for an out-of-range
-		// mark), so a typo would run unbudgeted or at another threshold.
-		if t.StateBudgetBytes < 0 || t.StateBudgetHighWater < 0 {
-			return fmt.Errorf("gateway: tenant %q: negative state budget (state_budget_bytes %d, state_budget_high_water %d)",
-				t.Name, t.StateBudgetBytes, t.StateBudgetHighWater)
+		// core.NewBudget would quietly run a negative limit unbudgeted.
+		if t.StateBudgetBytes < 0 {
+			return fmt.Errorf("gateway: tenant %q: negative state_budget_bytes %d", t.Name, t.StateBudgetBytes)
 		}
-		if t.StateBudgetHighWater > t.StateBudgetBytes {
-			return fmt.Errorf("gateway: tenant %q: state_budget_high_water %d is above state_budget_bytes %d (0 bytes means unbudgeted, where a high-water mark has no effect)",
-				t.Name, t.StateBudgetHighWater, t.StateBudgetBytes)
-		}
-		// core would quietly read a negative admission or pre-filter
-		// value as "off" or as its default, so a sign typo would run
-		// without the gate or at another setting.
+		// core would quietly read a negative admission value as "off" or
+		// as its default, so a sign typo would run without the gate or at
+		// another setting.
 		if a := t.Admission; a != nil && (a.UpcallRate < 0 || a.UpcallBurst < 0) {
 			return fmt.Errorf("gateway: tenant %q: negative admission value (upcall_rate %v, upcall_burst %d)",
 				t.Name, a.UpcallRate, a.UpcallBurst)
-		}
-		if pf := t.Prefilter; pf != nil {
-			if pf.EpochInterval < 0 || pf.CookieTTL < 0 || pf.PrefixLen < 0 {
-				return fmt.Errorf("gateway: tenant %q: negative prefilter value (epoch_interval %v, cookie_ttl %v, prefix_len %d)",
-					t.Name, time.Duration(pf.EpochInterval), time.Duration(pf.CookieTTL), pf.PrefixLen)
-			}
-			// The floors core enforces at endpoint construction: epochs
-			// and cookie stamps count whole seconds. Catching them here
-			// gives -check the error too.
-			if pf.EpochInterval > 0 && pf.EpochInterval < Duration(time.Second) {
-				return fmt.Errorf("gateway: tenant %q: prefilter epoch_interval %v below the 1s epoch granularity",
-					t.Name, time.Duration(pf.EpochInterval))
-			}
-			if pf.CookieTTL > 0 && pf.CookieTTL < Duration(time.Second) {
-				return fmt.Errorf("gateway: tenant %q: prefilter cookie_ttl %v below the 1s cookie-stamp granularity",
-					t.Name, time.Duration(pf.CookieTTL))
-			}
 		}
 	}
 	return nil
@@ -327,11 +296,7 @@ func (t *TenantConfig) coreConfigFor() (core.Config, error) {
 	}
 	cfg.EnableReplayCache = t.ReplayCache
 	if t.StateBudgetBytes > 0 {
-		high := t.StateBudgetHighWater
-		if high <= 0 {
-			high = t.StateBudgetBytes * 8 / 10
-		}
-		cfg.StateBudget = core.NewBudget(high, t.StateBudgetBytes)
+		cfg.StateBudget = core.NewBudget(t.StateBudgetBytes*8/10, t.StateBudgetBytes)
 	}
 	if a := t.Admission; a != nil {
 		cfg.Admission = core.AdmissionConfig{
@@ -340,14 +305,7 @@ func (t *TenantConfig) coreConfigFor() (core.Config, error) {
 		}
 	}
 	if pf := t.Prefilter; pf != nil && pf.Enable {
-		cfg.Prefilter = core.PrefilterConfig{
-			Enable:        true,
-			EpochInterval: time.Duration(pf.EpochInterval),
-			CookieTTL:     time.Duration(pf.CookieTTL),
-			PrefixLen:     pf.PrefixLen,
-			ShedThreshold: pf.ShedThreshold,
-			DecayEvery:    pf.DecayEvery,
-		}
+		cfg.Prefilter = core.PrefilterConfig{Enable: true}
 	}
 	return cfg, nil
 }

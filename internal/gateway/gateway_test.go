@@ -876,48 +876,39 @@ func TestConfigFreshnessWindowFloor(t *testing.T) {
 	}
 }
 
-// TestConfigStateBudgetBounds: core.NewBudget quietly repairs an
-// out-of-range mark (no budget at all for a negative limit, its own
-// default for a high-water mark it cannot use), so a budget typo would
-// boot and run unbudgeted or at another threshold; Validate names the
-// tenant and both values instead.
+// TestConfigStateBudgetBounds: core.NewBudget quietly runs a negative
+// limit unbudgeted, so a budget typo would boot and run without one;
+// Validate names the tenant and the value instead.
 func TestConfigStateBudgetBounds(t *testing.T) {
 	for _, tc := range []struct {
-		bytes, high int64
-		ok          bool
+		bytes int64
+		ok    bool
 	}{
-		{0, 0, true},                // unbudgeted
-		{1 << 20, 0, true},          // the 80% default mark (bench/gwbench, examples/fbsgw)
-		{1 << 20, 1 << 19, true},    // an explicit mark inside the limit
-		{1 << 20, 1 << 20, true},    // pressure only at the limit itself
-		{1 << 20, 1<<20 + 1, false}, // mark above the limit: was silently 3/4 of it
-		{-1 << 20, 0, false},        // negative limit: was silently unbudgeted
-		{1 << 20, -1, false},        // negative mark: was silently the 80% default
-		{0, 1 << 19, false},         // a mark with no limit: was silently ignored
+		{0, true},         // unbudgeted
+		{1 << 20, true},   // pressure at 80% (bench/gwbench, examples/fbsgw)
+		{-1 << 20, false}, // negative limit: was silently unbudgeted
 	} {
 		cfg := oneTenant()
 		cfg.Tenants[0].StateBudgetBytes = tc.bytes
-		cfg.Tenants[0].StateBudgetHighWater = tc.high
 		err := cfg.Validate()
 		if (err == nil) != tc.ok {
-			t.Errorf("state_budget_bytes %d, high_water %d: Validate = %v, want ok=%v", tc.bytes, tc.high, err, tc.ok)
+			t.Errorf("state_budget_bytes %d: Validate = %v, want ok=%v", tc.bytes, err, tc.ok)
 			continue
 		}
 		if err == nil {
 			continue
 		}
-		for _, want := range []string{`"edge"`, strconv.FormatInt(tc.bytes, 10), strconv.FormatInt(tc.high, 10)} {
+		for _, want := range []string{`"edge"`, strconv.FormatInt(tc.bytes, 10)} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("state_budget_bytes %d, high_water %d: error lacks %s: %v", tc.bytes, tc.high, want, err)
+				t.Errorf("state_budget_bytes %d: error lacks %s: %v", tc.bytes, want, err)
 			}
 		}
 	}
 }
 
-// TestConfigAdmissionPrefilterBounds: core reads a negative admission or
-// pre-filter value as "off" or as its default, and measured a sub-second
-// cookie_ttl in whole seconds — zero, so every echo stamped in an earlier
-// second was refused. Validate refuses each, naming the tenant.
+// TestConfigAdmissionPrefilterBounds: core reads a negative admission
+// value as "off" or as its default; Validate refuses it, naming the
+// tenant.
 func TestConfigAdmissionPrefilterBounds(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -925,13 +916,8 @@ func TestConfigAdmissionPrefilterBounds(t *testing.T) {
 		ok   bool
 	}{
 		{"defaults", `"admission": {"upcall_rate": 200}, "prefilter": {"enable": true}`, true},
-		{"second floors", `"prefilter": {"enable": true, "epoch_interval": "1s", "cookie_ttl": "1s"}`, true},
-		{"sub-second cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "500ms"}`, false},
 		{"negative upcall_rate", `"admission": {"upcall_rate": -1}`, false},
 		{"negative upcall_burst", `"admission": {"upcall_rate": 200, "upcall_burst": -1}`, false},
-		{"negative epoch_interval", `"prefilter": {"enable": true, "epoch_interval": "-64s"}`, false},
-		{"negative cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "-2m"}`, false},
-		{"negative prefilter prefix_len", `"prefilter": {"enable": true, "prefix_len": -8}`, false},
 	} {
 		_, err := Parse([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", ` + tc.json + `}]}`))
 		if (err == nil) != tc.ok {
@@ -944,15 +930,26 @@ func TestConfigAdmissionPrefilterBounds(t *testing.T) {
 }
 
 // TestConfigRefusesAdmissionQuota: admission is a token bucket and
-// nothing more; per-prefix fairness is the pre-filter's sketch, with its
-// own prefix_len. A config still carrying the old per-prefix quota's
-// fields is refused by name rather than run without the protection it
-// asks for.
+// nothing more; per-prefix fairness is the pre-filter's sketch, whose
+// tuning is core's constants, as is the budget's 80% pressure mark. A
+// config still carrying the old per-prefix quota's fields, a pre-filter
+// tuning field or a high-water mark is refused by name rather than run
+// without the setting it asks for.
 func TestConfigRefusesAdmissionQuota(t *testing.T) {
-	for field, value := range map[string]string{"prefix_quota": "2", "prefix_len": "8", "quota_window": `"1s"`} {
-		_, err := Parse([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", "admission": {"upcall_rate": 200, "` + field + `": ` + value + `}}]}`))
-		if err == nil || !strings.Contains(err.Error(), `unknown field "`+field+`"`) {
-			t.Errorf("admission %s: Parse = %v, want the field refused by name", field, err)
+	for _, tc := range []struct{ field, tenant string }{
+		{"prefix_quota", `"admission": {"upcall_rate": 200, "prefix_quota": 2}`},
+		{"prefix_len", `"admission": {"upcall_rate": 200, "prefix_len": 8}`},
+		{"quota_window", `"admission": {"upcall_rate": 200, "quota_window": "1s"}`},
+		{"epoch_interval", `"prefilter": {"enable": true, "epoch_interval": "64s"}`},
+		{"cookie_ttl", `"prefilter": {"enable": true, "cookie_ttl": "128s"}`},
+		{"prefix_len", `"prefilter": {"enable": true, "prefix_len": 8}`},
+		{"shed_threshold", `"prefilter": {"enable": true, "shed_threshold": 32}`},
+		{"decay_every", `"prefilter": {"enable": true, "decay_every": 1024}`},
+		{"state_budget_high_water", `"state_budget_bytes": 1048576, "state_budget_high_water": 838860`},
+	} {
+		_, err := Parse([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", ` + tc.tenant + `}]}`))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: Parse = %v, want the field refused by name", tc.tenant, err)
 		}
 	}
 }
@@ -977,11 +974,11 @@ func FuzzGatewayConfig(f *testing.F) {
 	f.Add(example)
 	for _, tenant := range []string{
 		`"flow_idle_timeout": "2m", "flow_max_packets": 1000, "state_budget_bytes": 1048576`,
-		`"prefilter": {"enable": true, "cookie_ttl": "500ms"}`,
-		`"prefilter": {"enable": true, "epoch_interval": "1s", "cookie_ttl": "1s", "prefix_len": 4, "shed_threshold": 2, "decay_every": 16}`,
+		`"prefilter": {"enable": true}`,
 		`"admission": {"upcall_rate": -1}`,
 		`"admission": {"upcall_rate": 200, "upcall_burst": 50}`,
-		`"prefilter": {"enable": true, "epoch_interval": "-64s", "prefix_len": -8}`,
+		`"state_budget_bytes": -1`,
+		`"admission": {"upcall_rate": 200, "upcall_burst": 50}, "prefilter": {"enable": true}, "state_budget_bytes": 1048576`,
 	} {
 		f.Add([]byte(`{"tenants": [{"name": "edge", "address": "gw-edge", ` + tenant + `}]}`))
 	}

@@ -46,11 +46,10 @@ type DiffScenario struct {
 	Suite core.CipherID
 	// Prefilter pins the edge pre-filter ladder at a level on both
 	// sides (core.PrefilterOff leaves it disabled). Both sides derive
-	// the cookie secret from the same fixed seed, and take the same
-	// sketch threshold, decay period and prefix length, drawn from Seed
-	// away from their defaults, so sketch sheds, challenge refusals and
-	// cookie verdicts must agree exactly under settings an operator
-	// picks; the op stream additionally injects forged cookie frames.
+	// the cookie secret from the same fixed seed and run their own
+	// statement of the sketch constants, so sketch sheds, decays,
+	// challenge refusals and cookie verdicts must agree exactly; the op
+	// stream additionally injects forged cookie frames.
 	Prefilter core.PrefilterLevel
 }
 
@@ -68,6 +67,9 @@ type DiffReport struct {
 	// Sheds counts datagrams the pre-filter sketch refused before the
 	// header parse (DropPrefilter), on which both sides agreed.
 	Sheds uint64
+	// Decays counts the sketch's halving sweeps, on which both sides
+	// agreed.
+	Decays uint64
 	// Divergence is empty on success; otherwise it describes the first
 	// observable on which the two implementations disagreed.
 	Divergence string
@@ -84,8 +86,8 @@ func (r *DiffReport) Summary() string {
 	if r.Divergence != "" {
 		return fmt.Sprintf("DIVERGED after %d ops: %s", r.Ops, r.Divergence)
 	}
-	return fmt.Sprintf("ok: %d ops (%d sends, %d delivers, %d accepted, %d dropped, %d shed), implementations agree",
-		r.Ops, r.Sends, r.Delivers, r.Accepted, r.Dropped, r.Sheds)
+	return fmt.Sprintf("ok: %d ops (%d sends, %d delivers, %d accepted, %d dropped, %d shed, %d decays), implementations agree",
+		r.Ops, r.Sends, r.Delivers, r.Accepted, r.Dropped, r.Sheds, r.Decays)
 }
 
 // Artifact renders the op stream and both transcripts as a single
@@ -191,20 +193,9 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 	rep := &DiffReport{}
 	if sc.Prefilter != core.PrefilterOff {
 		// Pin the ladder (the reference has no pressure signals to
-		// adapt to) and share the secret seed so cookie MACs agree. The
-		// sketch settings come from their own generator, so the op
-		// stream of a seed does not depend on them: a threshold of 8–31
-		// (default 32) sheds early, a decay period of 128–895 charges
-		// (default 1024) forgives several times a run, and a prefix of
-		// 4–7 bytes (default 8) puts the three peers under one prefix or
-		// under three.
-		draw := cryptolib.NewLCGSeeded(sc.Seed ^ 0x5EEDF11E)
-		shed, decay, plen := 8+draw.Uint32()%24, 128+uint64(draw.Uint32()%768), 4+int(draw.Uint32()%4)
-		optPF = core.PrefilterConfig{Enable: true, ForceLevel: sc.Prefilter, SecretSeed: diffPrefilterSeed,
-			ShedThreshold: shed, DecayEvery: decay, PrefixLen: plen}
-		refPF = refmodel.PrefilterConfig{Enable: true, Level: sc.Prefilter, SecretSeed: diffPrefilterSeed,
-			ShedThreshold: shed, DecayEvery: decay, PrefixLen: plen}
-		rep.OpStream = append(rep.OpStream, fmt.Sprintf("prefilter %v shed_threshold=%d decay_every=%d prefix_len=%d", sc.Prefilter, shed, decay, plen))
+		// adapt to) and share the secret seed so cookie MACs agree.
+		optPF = core.PrefilterConfig{Enable: true, ForceLevel: sc.Prefilter, SecretSeed: diffPrefilterSeed}
+		refPF = refmodel.PrefilterConfig{Enable: true, Level: sc.Prefilter, SecretSeed: diffPrefilterSeed}
 	}
 	pairs := make([]diffPair, len(diffPeers))
 	for i, addr := range diffPeers {
@@ -554,7 +545,11 @@ func RunDiff(sc DiffScenario) (*DiffReport, error) {
 			if got := opt.Received; got != p.ref.Accepted() {
 				diverge("final accept totals differ at %s: opt=%d ref=%d", p.addr, got, p.ref.Accepted())
 			}
+			if got, want := opt.Prefilter.SketchDecays, p.ref.SketchDecays(); got != want {
+				diverge("sketch decays differ at %s: opt=%d ref=%d", p.addr, got, want)
+			}
 			rep.Sheds += od[core.DropPrefilter]
+			rep.Decays += opt.Prefilter.SketchDecays
 		}
 	}
 	rep.Complete = true

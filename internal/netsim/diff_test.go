@@ -97,9 +97,10 @@ func TestDifferentialSuites(t *testing.T) {
 
 // TestDifferentialPrefilter pins the edge pre-filter at each active
 // ladder rung on both implementations and demands exact agreement on
-// sketch sheds, challenge refusals, cookie-frame absorption and forged
-// echo rejection — the op stream injects forged cookie frames on top
-// of the usual bitflip/truncate damage.
+// sketch sheds and decays, challenge refusals, cookie-frame absorption
+// and forged echo rejection — the op stream injects forged cookie
+// frames on top of the usual bitflip/truncate damage. The stream is long
+// enough to charge one endpoint's sketch past its decay period.
 func TestDifferentialPrefilter(t *testing.T) {
 	for _, sc := range []struct {
 		name  string
@@ -113,7 +114,7 @@ func TestDifferentialPrefilter(t *testing.T) {
 			t.Parallel()
 			rep, err := RunDiff(DiffScenario{
 				Seed:        0xC00C1E + uint64(sc.level),
-				Ops:         4000,
+				Ops:         8000,
 				ReplayCache: true,
 				Prefilter:   sc.level,
 			})
@@ -128,6 +129,9 @@ func TestDifferentialPrefilter(t *testing.T) {
 			}
 			if rep.Sheds == 0 {
 				t.Fatalf("prefilter run shed nothing: the sketch settings no longer bite")
+			}
+			if rep.Decays == 0 {
+				t.Fatalf("prefilter run never decayed the sketch: the op stream no longer reaches the decay period")
 			}
 			t.Log(rep.Summary())
 		})

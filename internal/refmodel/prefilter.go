@@ -41,16 +41,22 @@ const (
 	pfFrameLen           = 3 + 4 + 4 + pfMACLen
 )
 
-// Sketch geometry and row salts, restated from core.
+// Sketch geometry and tuning (prefix length, shed score, decay period)
+// and the cookie clock (epoch and TTL, in seconds), restated from core.
 const (
-	pfSketchRows = 2
-	pfSketchCols = 1024
+	pfSketchRows    = 2
+	pfSketchCols    = 1024
+	pfPrefixLen     = 8
+	pfShedAt        = 32
+	pfDecayEvery    = 1024
+	pfEpochSecs     = 64
+	pfCookieTTLSecs = 2 * pfEpochSecs
 )
 
 var pfSketchSalts = [pfSketchRows]uint32{0x9e3779b9, 0x85ebca6b}
 
 // PrefilterConfig mirrors the subset of core.PrefilterConfig a
-// reference endpoint can honour. Defaults match core's.
+// reference endpoint can honour.
 type PrefilterConfig struct {
 	// Enable turns the pre-filter on.
 	Enable bool
@@ -62,18 +68,6 @@ type PrefilterConfig struct {
 	// SecretSeed derives the rotating cookie secret deterministically;
 	// empty draws a random root.
 	SecretSeed []byte
-	// EpochInterval is the secret rotation period; default 64s.
-	EpochInterval time.Duration
-	// CookieTTL bounds acceptable cookie age; default 2×EpochInterval.
-	CookieTTL time.Duration
-	// PrefixLen is the sketch prefix length; default 8.
-	PrefixLen int
-	// ShedThreshold is the sketch score at which a prefix is shed;
-	// default 32.
-	ShedThreshold uint32
-	// DecayEvery halves the sketch after this many charges; default
-	// 1024.
-	DecayEvery uint64
 }
 
 // pfCookie is a decoded cookie.
@@ -92,34 +86,14 @@ type refPrefilter struct {
 	obs     uint64
 	jar     map[principal.Address]pfCookie
 	learned uint64
+	decays  uint64
 }
 
-// newRefPrefilter applies core's defaults and derives the secret root
-// with the same chain: root = MD5("fbs-prefilter-root" | seed).
+// newRefPrefilter derives the secret root with core's chain: root =
+// MD5("fbs-prefilter-root" | seed).
 func newRefPrefilter(cfg PrefilterConfig) (*refPrefilter, error) {
 	if cfg.Level < core.PrefilterOff || cfg.Level > core.PrefilterChallenge {
 		return nil, fmt.Errorf("refmodel: prefilter level %d out of range", cfg.Level)
-	}
-	if cfg.EpochInterval <= 0 {
-		cfg.EpochInterval = 64 * time.Second
-	}
-	// Mirror of core's granularity floor: epochAt divides by
-	// EpochInterval in whole seconds, so a sub-second interval would be
-	// a zero divisor.
-	if cfg.EpochInterval < time.Second {
-		return nil, fmt.Errorf("refmodel: prefilter epoch interval %v below the 1s epoch granularity", cfg.EpochInterval)
-	}
-	if cfg.CookieTTL <= 0 {
-		cfg.CookieTTL = 2 * cfg.EpochInterval
-	}
-	if cfg.PrefixLen <= 0 {
-		cfg.PrefixLen = 8
-	}
-	if cfg.ShedThreshold == 0 {
-		cfg.ShedThreshold = 32
-	}
-	if cfg.DecayEvery == 0 {
-		cfg.DecayEvery = 1024
 	}
 	p := &refPrefilter{cfg: cfg, jar: make(map[principal.Address]pfCookie)}
 	if len(cfg.SecretSeed) > 0 {
@@ -136,8 +110,8 @@ func newRefPrefilter(cfg PrefilterConfig) (*refPrefilter, error) {
 // pfPrefix reduces an address to its sketch prefix.
 func (p *refPrefilter) pfPrefix(src principal.Address) string {
 	s := string(src)
-	if len(s) > p.cfg.PrefixLen {
-		s = s[:p.cfg.PrefixLen]
+	if len(s) > pfPrefixLen {
+		s = s[:pfPrefixLen]
 	}
 	return s
 }
@@ -163,19 +137,20 @@ func (p *refPrefilter) penalize(prefix string) {
 	p.buckets[0][pfSlot(0, prefix)]++
 	p.buckets[1][pfSlot(1, prefix)]++
 	p.obs++
-	if p.obs%p.cfg.DecayEvery == 0 {
+	if p.obs%pfDecayEvery == 0 {
 		for r := range p.buckets {
 			for c := range p.buckets[r] {
 				p.buckets[r][c] /= 2
 			}
 		}
+		p.decays++
 	}
 }
 
 // epochAt and secretFor restate the rotating secret chain: epoch =
 // unix / interval, secret_e = HMAC-MD5(root, epoch).
 func (p *refPrefilter) epochAt(now time.Time) uint32 {
-	return uint32(now.Unix() / int64(p.cfg.EpochInterval/time.Second))
+	return uint32(now.Unix() / pfEpochSecs)
 }
 
 func (p *refPrefilter) secretFor(epoch uint32) [pfMACLen]byte {
@@ -208,7 +183,7 @@ func (p *refPrefilter) verifyCookie(src principal.Address, ck pfCookie, now time
 	if age < 0 {
 		age = -age
 	}
-	if age > int64(p.cfg.CookieTTL/time.Second) {
+	if age > pfCookieTTLSecs {
 		return false
 	}
 	return p.cookieMAC(src, ck) == ck.mac
@@ -263,7 +238,7 @@ func (e *Endpoint) pfInbound(src principal.Address, wire []byte) ([]byte, error)
 	}
 	if p.cfg.Level >= core.PrefilterSketch {
 		prefix := p.pfPrefix(src)
-		if p.score(prefix) >= p.cfg.ShedThreshold {
+		if p.score(prefix) >= pfShedAt {
 			p.penalize(prefix)
 			e.drops[core.DropPrefilter]++
 			return nil, fmt.Errorf("%w: prefix %q", core.ErrPrefilter, prefix)
@@ -302,4 +277,15 @@ func (e *Endpoint) CookiesLearned() uint64 {
 		return 0
 	}
 	return e.pf.learned
+}
+
+// SketchDecays reports how many halving sweeps the reference sketch ran
+// (its analogue of PrefilterStats.SketchDecays).
+func (e *Endpoint) SketchDecays() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.pf == nil {
+		return 0
+	}
+	return e.pf.decays
 }

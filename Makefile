@@ -213,9 +213,10 @@ ci-soak:
 #   BENCH_suites.json   per-suite matrix; bench-validate enforces
 #                       completeness and the AES-128-GCM >= 5x
 #                       DES-CBC/keyed-MD5 claim.
-# bench-compare then gates both against the committed trajectory (>20%
-# throughput drop, or a doubled seal p99 on rows with >= 1000 seal
-# timings, fails CI) and appends passing
+# bench-compare then gates both against the committed trajectory's
+# series for this runner's fingerprint (>20% throughput drop, or a
+# doubled seal p99 on rows with >= 1000 seal timings, fails CI; so does
+# a runner with no series) and appends passing
 # runs so the baseline tracks the codebase. One iteration of the
 # keying-miss, master-key, RSA-1024 and provisioning benchmarks keeps
 # their rows, kernel and portable, from rotting (they key on Oakley 2,
@@ -225,7 +226,8 @@ ci-soak:
 # of BenchmarkUDPLoopbackBatch asserts the socket layer's one allocation
 # per batch (32 frames out through sendmmsg + GSO, in through
 # recvmmsg + GRO), one of BenchmarkCryptoLibTable runs the §7.2 table and
-# asserts its ChaCha20-Poly1305 rows at 0 allocs/op, and
+# asserts its ChaCha20-Poly1305 rows at 0 allocs/op, one of
+# BenchmarkRefusal keeps its per-DropReason rows running, and
 # gwbench-smoke (above) then checks the real daemon end to end — the
 # batched socket plane included.
 ci-bench:
@@ -233,7 +235,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch|CryptoLibTable' -benchtime 1x . ./internal/transport ./internal/cryptolib
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch|CryptoLibTable|Refusal' -benchtime 1x . ./internal/core ./internal/transport ./internal/cryptolib
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces

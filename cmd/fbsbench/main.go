@@ -23,7 +23,9 @@
 //
 // With -json the human-readable tables are suppressed and one JSON
 // document with every measured throughput (in kb/s) is written to
-// stdout, for consumption by scripts and regression harnesses.
+// stdout, for consumption by scripts and regression harnesses. Every
+// row carries the runner's fingerprint (CPU model, CPU count, kernel,
+// Go version), which fbsstat bench-compare gates by.
 package main
 
 import (
@@ -32,6 +34,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -88,6 +92,48 @@ type benchResult struct {
 	// to each of that config's rows.
 	SealLatency *latencyStats `json:"seal_latency,omitempty"`
 	OpenLatency *latencyStats `json:"open_latency,omitempty"`
+	// Host is the runner's fingerprint, the same on every row of a
+	// document: fbsstat bench-compare gates a row only against rows
+	// from the same fingerprint.
+	Host *runnerHost `json:"host,omitempty"`
+}
+
+// runnerHost fingerprints the machine a document was measured on. Its
+// fields are bench/gwbench's host fields, under the same names.
+type runnerHost struct {
+	CPU    string `json:"cpu"`
+	NProc  int    `json:"nproc"`
+	Kernel string `json:"kernel"`
+	Go     string `json:"go"`
+}
+
+// hostOf reads this machine's fingerprint: the CPU model name from
+// /proc/cpuinfo and the kernel release, "unknown" where they cannot be
+// read.
+func hostOf() runnerHost {
+	h := runnerHost{CPU: "unknown", NProc: runtime.NumCPU(), Kernel: "unknown", Go: runtime.Version()}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if b, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		h.Kernel = strings.TrimSpace(string(b))
+	}
+	return h
+}
+
+// withHost stamps every row of a document with this machine's
+// fingerprint.
+func withHost(rows []benchResult) []benchResult {
+	h := hostOf()
+	for i := range rows {
+		rows[i].Host = &h
+	}
+	return rows
 }
 
 // The whole flag surface; TestFlagSurface pins it.
@@ -127,7 +173,7 @@ func main() {
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
+		if err := enc.Encode(withHost(results)); err != nil {
 			fmt.Fprintln(os.Stderr, "fbsbench:", err)
 			os.Exit(1)
 		}

@@ -33,7 +33,7 @@ func TestJSONContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(rows)
+	blob, err := json.Marshal(withHost(rows))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +53,10 @@ func TestJSONContract(t *testing.T) {
 		}
 		if err := json.Unmarshal(row["kbps"], &kbps); err != nil || kbps <= 0 {
 			t.Fatalf("row %d (%s/%s): kbps = %s (%v), want > 0", i, section, config, row["kbps"], err)
+		}
+		var host runnerHost
+		if err := json.Unmarshal(row["host"], &host); err != nil || host.NProc <= 0 || host.Go == "" || host.CPU == "" || host.Kernel == "" {
+			t.Fatalf("row %d (%s/%s): host = %s (%v), want the runner fingerprint", i, section, config, row["host"], err)
 		}
 		sections[section]++
 		if section != "native" {

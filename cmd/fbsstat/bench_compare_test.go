@@ -12,11 +12,16 @@ func runJSON(t *testing.T, kbps float64, p99 int64) string {
 	return runJSONSamples(t, kbps, p99, 5000)
 }
 
+// testHost is the runner fingerprint of the documents these tests gate.
+var testHost = benchHost{CPU: "Test CPU @ 2.0GHz", NProc: 2, Kernel: "6.1.0", Go: "go1.24"}
+
 func runJSONSamples(t *testing.T, kbps float64, p99 int64, samples uint64) string {
 	t.Helper()
+	host := testHost
 	rows := []benchRow{{
 		Section: "native", Config: "FBS DES+MD5", Kbps: kbps,
 		SealLatency: &benchLatency{Count: samples, MeanNs: p99 / 2, P50Ns: p99 / 2, P95Ns: p99, P99Ns: p99},
+		Host:        &host,
 	}}
 	data, err := json.Marshal(rows)
 	if err != nil {
@@ -25,24 +30,42 @@ func runJSONSamples(t *testing.T, kbps float64, p99 int64, samples uint64) strin
 	return string(data)
 }
 
-func TestBenchCompareGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
-
-	// First run: no baseline, must pass and (with append) seed the file.
-	if err := benchCompare(strings.NewReader(runJSON(t, 10000, 50000)), path, true); err != nil {
-		t.Fatalf("first run: %v", err)
+// startSeries appends doc to the trajectory at path as the first run of
+// its fingerprint's series: the step the gate never takes itself.
+func startSeries(t *testing.T, path, doc string) {
+	t.Helper()
+	var rows []benchRow
+	if err := json.Unmarshal([]byte(doc), &rows); err != nil {
+		t.Fatal(err)
 	}
 	var entries []trajectoryEntry
-	data, err := os.ReadFile(path)
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &entries); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := json.Marshal(append(entries, trajectoryEntry{When: "2026-01-01T00:00:00Z", Rows: rows}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(data, &entries); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || len(entries[0].Rows) != 1 || entries[0].When == "" {
-		t.Fatalf("trajectory after first append: %+v", entries)
+}
+
+func TestBenchCompareGate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+
+	// A runner with no series fails by its fingerprint, and is not
+	// appended: a series starts only when its first run is committed.
+	err := benchCompare(strings.NewReader(runJSON(t, 10000, 50000)), path, true)
+	if err == nil || !strings.Contains(err.Error(), testHost.String()) {
+		t.Fatalf("run with no series: err = %v, want a failure naming %s", err, testHost)
 	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("a run with no series was appended")
+	}
+	startSeries(t, path, runJSON(t, 10000, 50000))
 
 	// A run inside the envelope passes and appends.
 	if err := benchCompare(strings.NewReader(runJSON(t, 8500, 90000)), path, true); err != nil {
@@ -60,27 +83,74 @@ func TestBenchCompareGate(t *testing.T) {
 	if err == nil {
 		t.Fatal("p99 regression not gated")
 	}
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries = nil
-	if err := json.Unmarshal(data, &entries); err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("failing runs were appended: %d entries", len(entries))
+	if n := trajectoryLen(t, path); n != 2 {
+		t.Fatalf("failing runs were appended: %d entries", n)
 	}
 
 	// A different fbsbench mode (suites section) has no baseline yet, so
 	// it passes even though the latest entry is a native run.
-	suites, err := json.Marshal([]benchRow{{Section: "suites", Config: "AES-128-GCM", Kbps: 1}})
+	host := testHost
+	suites, err := json.Marshal([]benchRow{{Section: "suites", Config: "AES-128-GCM", Kbps: 1, Host: &host}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := benchCompare(strings.NewReader(string(suites)), path, false); err != nil {
 		t.Fatalf("new-key run: %v", err)
 	}
+
+	// Another runner's document is not compared with this series — not
+	// even where it would pass — nor appended.
+	other := testHost
+	other.NProc = 64
+	fast, err := json.Marshal([]benchRow{{Section: "native", Config: "FBS DES+MD5", Kbps: 1e9, Host: &other}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = benchCompare(strings.NewReader(string(fast)), path, true)
+	if err == nil || !strings.Contains(err.Error(), other.String()) {
+		t.Fatalf("other runner: err = %v, want a failure naming %s", err, other)
+	}
+	// Nor is a document with no fingerprint at all.
+	bare, err := json.Marshal([]benchRow{{Section: "native", Config: "FBS DES+MD5", Kbps: 10000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := benchCompare(strings.NewReader(string(bare)), path, true); err == nil || !strings.Contains(err.Error(), "no runner fingerprint") {
+		t.Fatalf("unfingerprinted run: err = %v, want it refused", err)
+	}
+	if n := trajectoryLen(t, path); n != 2 {
+		t.Fatalf("a run from another runner was appended: %d entries", n)
+	}
+
+	// A second runner whose series is older than trajectoryKeep appends
+	// keeps its baseline: trimming evicts the first runner's old runs,
+	// never the second runner's only one.
+	startSeries(t, path, string(fast))
+	for i := 0; i < trajectoryKeep+5; i++ {
+		if err := benchCompare(strings.NewReader(runJSON(t, 10000, 50000)), path, true); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+	if n := trajectoryLen(t, path); n != trajectoryKeep {
+		t.Fatalf("trajectory holds %d entries, want %d", n, trajectoryKeep)
+	}
+	if err := benchCompare(strings.NewReader(string(fast)), path, false); err != nil {
+		t.Fatalf("the other runner's series was trimmed away: %v", err)
+	}
+}
+
+// trajectoryLen counts the runs committed at path.
+func trajectoryLen(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []trajectoryEntry
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
 }
 
 // TestBenchCompareP99NeedsSamples: a p99 is gated only where it is a
@@ -92,9 +162,7 @@ func TestBenchCompareP99NeedsSamples(t *testing.T) {
 		gated   bool
 	}{{90, false}, {5000, true}} {
 		path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
-		if err := benchCompare(strings.NewReader(runJSONSamples(t, 10000, 50000, tc.samples)), path, true); err != nil {
-			t.Fatalf("n=%d baseline: %v", tc.samples, err)
-		}
+		startSeries(t, path, runJSONSamples(t, 10000, 50000, tc.samples))
 		err := benchCompare(strings.NewReader(runJSONSamples(t, 10000, 200000, tc.samples)), path, false)
 		if failed := err != nil; failed != tc.gated {
 			t.Errorf("n=%d, seal p99 at 4x the committed: err = %v, gated should be %v", tc.samples, err, tc.gated)
@@ -102,13 +170,15 @@ func TestBenchCompareP99NeedsSamples(t *testing.T) {
 	}
 }
 
+// TestBenchCompareMissingTrajectory: a missing trajectory holds no
+// series, so the run fails by its fingerprint and creates nothing.
 func TestBenchCompareMissingTrajectory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nope.json")
-	if err := benchCompare(strings.NewReader(runJSON(t, 1000, 1000)), path, false); err != nil {
-		t.Fatalf("missing trajectory without -append should pass: %v", err)
+	if err := benchCompare(strings.NewReader(runJSON(t, 1000, 1000)), path, true); err == nil || !strings.Contains(err.Error(), "no series") {
+		t.Fatalf("missing trajectory: err = %v, want no series", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("trajectory file created without -append")
+		t.Fatal("trajectory file created for a run with no series")
 	}
 }
 

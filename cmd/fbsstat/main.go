@@ -26,10 +26,12 @@
 // overload, crash and reconfiguration matrices through this gate.
 //
 // bench-compare reads the same document and gates it against the
-// committed perf trajectory (BENCH_trajectory.json): a row that lost
-// more than 20% throughput, or whose seal p99 more than doubled (gated
-// only where both rows carry enough samples for a p99 to be a
-// percentile), versus its last committed measurement fails the run. With -append a passing
+// committed perf trajectory (BENCH_trajectory.json), on the series of
+// the document's runner fingerprint only: a row that lost more than 20%
+// throughput, or whose seal p99 more than doubled (gated only where both
+// rows carry enough samples for a p99 to be a percentile), versus its
+// last measurement from the same fingerprint fails the run, and so does
+// a document whose fingerprint has no series yet. With -append a passing
 // run is recorded as the next baseline; `make ci` runs it after every
 // fbsbench invocation.
 package main
@@ -169,6 +171,19 @@ type benchRow struct {
 	Kbps        float64       `json:"kbps"`
 	SealLatency *benchLatency `json:"seal_latency,omitempty"`
 	OpenLatency *benchLatency `json:"open_latency,omitempty"`
+	Host        *benchHost    `json:"host,omitempty"`
+}
+
+// benchHost is the runner fingerprint fbsbench stamps on every row.
+type benchHost struct {
+	CPU    string `json:"cpu"`
+	NProc  int    `json:"nproc"`
+	Kernel string `json:"kernel"`
+	Go     string `json:"go"`
+}
+
+func (h benchHost) String() string {
+	return fmt.Sprintf("%q, %d CPUs, kernel %s, %s", h.CPU, h.NProc, h.Kernel, h.Go)
 }
 
 // benchValidate stream-decodes a sequence of JSON documents from r:

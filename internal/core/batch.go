@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -98,9 +97,14 @@ type BatchResult struct {
 	// plaintext as dead space, exactly as the single-datagram append
 	// path does in its caller-discarded buffer).
 	Off, Len int
-	// Err is the sentinel error the single-datagram path would have
-	// returned for this datagram, so DropReasonOf(Err) recovers the
-	// exact DropReason. Nil on success.
+	// Drop is the verdict, decided where the walk refused the datagram
+	// and counted once in Snapshot's Drops. It is DropNone on success and
+	// for the two non-verdicts: an absorbed challenge frame, and a seal
+	// the endpoint's own configuration cannot perform.
+	Drop DropReason
+	// Err is nil on success, else a bare package sentinel or the error
+	// the key plane built (it wraps ErrKeying), never formatted per
+	// datagram; the single-datagram doors return it as it is.
 	Err error
 	// Trace is the datagram's trace ID when its observation gate fired,
 	// on either side, else 0. SendBatch stamps a seal's on the wire
@@ -193,7 +197,7 @@ func (e *Endpoint) sealWalk(dst []byte, dgs []transport.Datagram, id *FlowID, se
 		var n int
 		dst, n = e.sealRun(dst, dgs[i:j], flow, secret, res[i:j], tc)
 		if tc.active() {
-			tc.finish(root, res[i].Err)
+			tc.finish(root, res[i].Drop)
 			res[i].Trace = tc.id
 		}
 		sealed += n
@@ -253,13 +257,12 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			// is shed; existing flows are untouched. The refusal sheds
 			// exactly one datagram — a loop of single calls re-checks the
 			// budget for each — then retries the remainder as a fresh run.
-			e.metrics.drop(DropStateBudget)
+			res[0] = e.refuse(dgs[0].Source, DropStateBudget, ErrStateBudget)
 			e.maybeRelievePressure(now)
 			if tc.active() {
 				tc.span(Span{Kind: SpanClassify, Drop: DropStateBudget,
 					Flags: FlagBudgetRefused, Start: t, Dur: time.Since(t)})
 			}
-			res[0] = BatchResult{Off: len(dst), Err: fmt.Errorf("%w: flow to %q", ErrStateBudget, dgs[0].Destination)}
 			dgs, res = dgs[1:], res[1:]
 			continue
 		}
@@ -280,8 +283,7 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			// The run shares one key resolution; each datagram is still
 			// dropped and counted individually, as a loop would drop it.
 			for k := 0; k < n; k++ {
-				e.metrics.drop(DropKeying)
-				res[k] = BatchResult{Off: len(dst), Err: fmt.Errorf("%w: flow to %q: %w", ErrKeying, dgs[k].Destination, err)}
+				res[k] = e.refuse(dgs[k].Source, DropKeying, err)
 			}
 			dgs, res = dgs[n:], res[n:]
 			continue
@@ -335,10 +337,11 @@ func (e *Endpoint) sealRun(dst []byte, dgs []transport.Datagram, id FlowID, secr
 			t = tc.start()
 			out, err := suite.seal(encoded, hdrOff, h, ks, dgs[k].Payload, tc)
 			if tc.active() {
-				tc.crypto(t, sfl, secret, len(dgs[k].Payload), DropReasonOf(err))
+				tc.crypto(t, sfl, secret, len(dgs[k].Payload), DropNone)
 			}
 			if err != nil {
-				res[k] = BatchResult{Off: hdrOff, Err: err}
+				// A secret body on the NOP suite: no verdict, no count.
+				res[k] = BatchResult{Err: err}
 				continue
 			}
 			e.metrics.sealsBySuite[suite.ID()].Add(1)
@@ -416,7 +419,7 @@ func (e *Endpoint) openWalk(dst []byte, dgs []transport.Datagram, res []BatchRes
 		var n int
 		dst, n = e.openRun(dst, dgs[i:j], res[i:j], tc, alias)
 		if tc.active() {
-			tc.finish(root, res[i].Err)
+			tc.finish(root, res[i].Drop)
 			res[i].Trace = tc.id
 		}
 		opened += n
@@ -481,19 +484,20 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			dg := &dgs[k]
 			t = tc.start()
 			if dg.Destination != e.Addr() {
-				e.metrics.drop(DropNotForUs)
 				tc.parsed(t, 0, false, DropNotForUs)
-				res[k] = BatchResult{Err: fmt.Errorf("%w: %q", ErrNotForUs, dg.Destination)}
+				res[k] = e.refuse(dg.Source, DropNotForUs, ErrNotForUs)
 				continue
 			}
 			// (R1b) the edge pre-filter: control-frame absorption,
 			// echo-envelope verification, sketch shedding and the cookie
-			// challenge — all before any header parse or cache work, so a
-			// shed datagram costs two atomic loads and no parse. A verified
-			// echo rewrites dg.Payload in place.
+			// challenge — all before any header parse or cache work. A
+			// shed costs the ladder tick, a clock read, two sketch loads,
+			// the charge of the source's prefix and one drop count, and
+			// allocates nothing. A verified echo rewrites dg.Payload in
+			// place.
 			if e.pf != nil {
-				if err := e.prefilterInbound(dg, tc); err != nil {
-					res[k] = BatchResult{Err: err}
+				if drop, err := e.prefilterInbound(dg, tc); err != nil {
+					res[k] = e.refuse(dg.Source, drop, err)
 					continue
 				}
 				e.pf.headerParses.Add(1)
@@ -502,9 +506,8 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			var h Header
 			hn, err := h.Decode(dg.Payload)
 			if err != nil {
-				e.metrics.drop(DropMalformed)
 				tc.parsed(t, 0, false, DropMalformed)
-				res[k] = BatchResult{Err: fmt.Errorf("%w: %v", ErrMalformed, err)}
+				res[k] = e.refuse(dg.Source, DropMalformed, err)
 				continue
 			}
 			body := dg.Payload[hn:]
@@ -513,16 +516,14 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			// or crypto work.
 			suite, err := e.checkAlg(&h)
 			if err != nil {
-				e.metrics.drop(DropAlgorithm)
 				tc.parsed(t, h.SFL, false, DropAlgorithm)
-				res[k] = BatchResult{Err: err}
+				res[k] = e.refuse(dg.Source, DropAlgorithm, err)
 				continue
 			}
 			// (R3-4) freshness.
 			if !h.Timestamp.Fresh(now, e.cfg.FreshnessWindow) {
-				e.metrics.drop(DropStale)
 				tc.parsed(t, h.SFL, false, DropStale)
-				res[k] = BatchResult{Err: fmt.Errorf("%w: timestamp %v at %v", ErrStale, h.Timestamp.Time(), now)}
+				res[k] = e.refuse(dg.Source, DropStale, ErrStale)
 				continue
 			}
 			if tc.active() {
@@ -540,14 +541,21 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				ks, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, suite, la)
 				// The overload sheds carry their own reason; everything
 				// else on this path is a keying failure.
-				reason := dropOr(err, DropKeying)
+				drop := DropNone
+				switch err {
+				case nil:
+				case ErrKeyingOverload:
+					drop = DropKeyingOverload
+				case ErrStateBudget:
+					drop = DropStateBudget
+				default:
+					drop = DropKeying
+				}
 				if tc.active() {
-					tc.keyed(t, h.SFL, keyHit, note, reason)
+					tc.keyed(t, h.SFL, keyHit, note, drop)
 				}
 				if err != nil {
-					e.metrics.drop(reason)
-					e.prefilterObserveDrop(dg.Source, reason)
-					res[k] = BatchResult{Err: fmt.Errorf("%w: flow from %q: %w", ErrKeying, dg.Source, err)}
+					res[k] = e.refuse(dg.Source, drop, err)
 					continue
 				}
 				memoValid, memoSFL, memoSrc, memoKey = true, h.SFL, dg.Source, ks
@@ -555,19 +563,22 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			// (R7-11) the suite owns decryption and authentication: legacy
 			// suites decrypt-then-verify (the MAC covers the plaintext body,
 			// hoisted per the package comment), AEAD suites open the sealed
-			// box in one pass. Sentinel errors map straight onto drop
-			// reasons.
+			// box in one pass. A suite refuses with ErrBadMAC or, when its
+			// cipher cannot run, ErrDecrypt.
 			t = tc.start()
 			off := len(dst)
 			newDst, plain, err := suite.open(dst, h, ks, body, tc)
-			reason := dropOr(err, DropDecrypt)
+			drop := DropNone
+			if err == ErrBadMAC {
+				drop = DropBadMAC
+			} else if err != nil {
+				drop = DropDecrypt
+			}
 			if tc.active() {
-				tc.crypto(t, h.SFL, h.Secret(), len(plain), reason)
+				tc.crypto(t, h.SFL, h.Secret(), len(plain), drop)
 			}
 			if err != nil {
-				e.metrics.drop(reason)
-				e.prefilterObserveDrop(dg.Source, reason)
-				res[k] = BatchResult{Err: err}
+				res[k] = e.refuse(dg.Source, drop, err)
 				continue
 			}
 			dst = newDst
@@ -592,27 +603,20 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			}
 			for i := 0; i < nr; i++ {
 				k, h := pend.idx[i], &pend.hdr[i]
-				drop := DropNone
+				sp := Span{Kind: SpanReplay, SFL: h.SFL, Start: t, Dur: took}
 				switch pend.verdicts[i] {
 				case ReplayDuplicate:
-					drop = DropReplay
-					res[k] = BatchResult{Err: ErrReplay}
+					res[k] = e.refuse(dgs[k].Source, DropReplay, ErrReplay)
 				case ReplayRefused:
-					drop = DropReplayBudget
+					res[k] = e.refuse(dgs[k].Source, DropReplayBudget, ErrReplayBudget)
 					e.maybeRelievePressure(now)
-					res[k] = BatchResult{Err: fmt.Errorf("%w: from %q", ErrReplayBudget, dgs[k].Source)}
+					sp.Flags = FlagBudgetRefused
 				default:
 					dst, res[k] = e.deliver(dst, pend.off[i], pend.body[i], h, alias)
 					opened++
 				}
-				if drop != DropNone {
-					e.metrics.drop(drop)
-				}
 				if tc.active() {
-					sp := Span{Kind: SpanReplay, Drop: drop, SFL: h.SFL, Start: t, Dur: took}
-					if drop == DropReplayBudget {
-						sp.Flags = FlagBudgetRefused
-					}
+					sp.Drop = res[k].Drop
 					tc.span(sp)
 				}
 			}
@@ -722,6 +726,20 @@ func (e *Endpoint) deliver(dst []byte, off int, plain []byte, h *Header, alias *
 	e.metrics.receivedBytes.Add(uint64(len(plain)))
 	e.metrics.opensBySuite[h.Cipher].Add(1)
 	return dst, BatchResult{Off: off, Len: len(plain)}
+}
+
+// refuse is the walks' one accounting step for a datagram they do not
+// pass on: the drop count, the sketch charge when a forger causes
+// reason (prefilterCharges), and the result. An absorbed challenge
+// frame comes here with DropNone: control traffic, not a drop.
+func (e *Endpoint) refuse(src principal.Address, reason DropReason, err error) BatchResult {
+	if reason != DropNone {
+		e.metrics.drop(reason)
+	}
+	if e.pf != nil && prefilterCharges(reason) {
+		e.pf.penalize(e.pf.prefixOf(src))
+	}
+	return BatchResult{Drop: reason, Err: err}
 }
 
 // SendBatch seals dgs (SealBatch) and hands the sealed wire datagrams

@@ -112,9 +112,10 @@ func DropMap(drops [NumDropReasons]uint64) map[string]uint64 {
 	return out
 }
 
-// DropReasonOf maps a receive-path error to its DropReason. Unrecognised
-// errors (and nil) map to DropNone; callers that know the error came from
-// Open can treat that as "other".
+// DropReasonOf maps an error to its DropReason by the sentinel it wraps.
+// It is for errors from outside the walks (the IP stack's hooks, a
+// transport's send error, a differential harness); the walks report
+// BatchResult.Drop. Unrecognised errors (and nil) map to DropNone.
 func DropReasonOf(err error) DropReason {
 	switch {
 	case err == nil:
@@ -129,25 +130,16 @@ func DropReasonOf(err error) DropReason {
 		return DropMalformed
 	case errors.Is(err, ErrNotForUs):
 		return DropNotForUs
-	case errors.Is(err, ErrAlgorithmRejected):
-		return DropAlgorithm
-	case errors.Is(err, ErrAlgorithmUnknown):
+	case errors.Is(err, ErrAlgorithmRejected), errors.Is(err, ErrAlgorithmUnknown):
 		return DropAlgorithm
 	case errors.Is(err, ErrDecrypt):
 		return DropDecrypt
-	// The overload sheds are checked before the general keying error:
-	// the receive path wraps them in ErrKeying for callers that only
-	// distinguish "could not key", and the more specific reason must
-	// win for accounting.
 	case errors.Is(err, ErrKeyingOverload):
 		return DropKeyingOverload
 	case errors.Is(err, ErrStateBudget):
 		return DropStateBudget
 	case errors.Is(err, ErrReplayBudget):
 		return DropReplayBudget
-	// The pre-filter reasons are likewise checked before ErrKeying:
-	// DropChallenged is a refusal of keying admission and may reach
-	// callers wrapped in the general keying error.
 	case errors.Is(err, ErrPrefilter):
 		return DropPrefilter
 	case errors.Is(err, ErrBadCookie):
@@ -158,13 +150,4 @@ func DropReasonOf(err error) DropReason {
 		return DropKeying
 	}
 	return DropNone
-}
-
-// dropOr is DropReasonOf for a stage that knows what its failures mean:
-// an error carrying no reason of its own maps to fallback.
-func dropOr(err error, fallback DropReason) DropReason {
-	if r := DropReasonOf(err); r != DropNone || err == nil {
-		return r
-	}
-	return fallback
 }

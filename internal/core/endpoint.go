@@ -451,32 +451,29 @@ func (e *Endpoint) Flows() []FlowInfo { return e.fam.Snapshot() }
 // cipher nibbles and MAC/mode bytes the named suite cannot carry fail
 // with ErrAlgorithmUnknown), then policy (a known algorithm this
 // endpoint refuses fails with ErrAlgorithmRejected). Both map to
-// DropAlgorithm. The refmodel mirrors this decision table exactly.
+// DropAlgorithm, and both come back bare: the header the walk refused
+// holds the detail. The refmodel mirrors this decision table exactly.
 func (e *Endpoint) checkAlg(h *Header) (Suite, error) {
 	suite := SuiteByID(h.Cipher)
-	if suite == nil {
-		return nil, fmt.Errorf("%w: cipher %v", ErrAlgorithmUnknown, h.Cipher)
-	}
-	if !suite.ValidHeader(*h) {
-		return nil, fmt.Errorf("%w: suite %s cannot carry MAC %v / mode %v",
-			ErrAlgorithmUnknown, suite.Name(), h.MAC, h.Mode)
+	if suite == nil || !suite.ValidHeader(*h) {
+		return nil, ErrAlgorithmUnknown
 	}
 	if suite.AEAD() {
 		// Integrity is intrinsic — the MAC byte is structurally MACAEAD.
 		// The cipher accept-set binds secret and cleartext bodies alike
 		// (the suite authenticates both).
 		if len(e.cfg.AcceptCiphers) > 0 && !containsCipher(e.cfg.AcceptCiphers, h.Cipher) {
-			return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
+			return nil, ErrAlgorithmRejected
 		}
 		return suite, nil
 	}
 	// MACNull verifies nothing, so a receiver accepts it only when it is
 	// itself the NOP configuration: anyone can write a null-MAC header.
 	if h.MAC == cryptolib.MACNull && e.cfg.MAC != cryptolib.MACNull {
-		return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
+		return nil, ErrAlgorithmRejected
 	}
 	if h.Secret() && len(e.cfg.AcceptCiphers) > 0 && !containsCipher(e.cfg.AcceptCiphers, h.Cipher) {
-		return nil, fmt.Errorf("%w: MAC %v, cipher %v", ErrAlgorithmRejected, h.MAC, h.Cipher)
+		return nil, ErrAlgorithmRejected
 	}
 	return suite, nil
 }
@@ -542,8 +539,10 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (ks keyS
 // into one derivation and one expansion, and unknown peers (no cached
 // master key) must pass the admission gate and fit under the state
 // budget before any directory or Diffie-Hellman work begins. Known
-// peers bypass both — their keying costs one hash. la is openRun's
-// look-ahead over the rest of the chunk, nil where it does not apply.
+// peers bypass both — their keying costs one hash. Their sheds come
+// back as bare ErrKeyingOverload and ErrStateBudget, every other failure
+// as the key plane's error. la is openRun's look-ahead over the rest of
+// the chunk, nil where it does not apply.
 func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Suite, la *lookahead) (ks keySlot, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
 	if ks, ok := e.rfkc.Get(ck); ok {
@@ -562,7 +561,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Sui
 				if e.cfg.StateBudget.Level() == BudgetHard {
 					m.note |= FlagBudgetRefused
 					e.maybeRelievePressure(e.cfg.Clock.Now())
-					m.err = fmt.Errorf("%w: keying %q", ErrStateBudget, src)
+					m.err = ErrStateBudget
 					return m
 				}
 			}

@@ -147,15 +147,12 @@ func (h *Header) Encode(dst []byte) []byte {
 }
 
 // Decode parses a header from the front of b, returning the number of
-// bytes consumed.
+// bytes consumed; a short or other-version header is ErrMalformed.
 func (h *Header) Decode(b []byte) (int, error) {
-	if len(b) < HeaderSize {
-		return 0, fmt.Errorf("core: datagram too short for FBS header: %d < %d", len(b), HeaderSize)
+	if len(b) < HeaderSize || b[0] != HeaderVersion {
+		return 0, ErrMalformed
 	}
 	h.Version = b[0]
-	if h.Version != HeaderVersion {
-		return 0, fmt.Errorf("core: unsupported FBS header version %d", h.Version)
-	}
 	h.Flags = b[1]
 	h.MAC = cryptolib.MACID(b[2])
 	h.Cipher = CipherID(b[3] >> 4)

@@ -188,15 +188,16 @@ func (ks *KeyService) masterKeyMiss(peer principal.Address, note *SpanFlags) ([1
 		*note |= FlagKeyMKCHit
 		return k, nil
 	}
+	// Both failures wrap ErrKeying where they are built.
 	c, err := ks.certificate(peer)
 	if err != nil {
 		ks.stats.failures.Add(1)
-		return [16]byte{}, err
+		return [16]byte{}, fmt.Errorf("%w: certificate for %q: %w", ErrKeying, peer, err)
 	}
 	k, err := ks.self.MasterKey(c.Public)
 	if err != nil {
 		ks.stats.failures.Add(1)
-		return [16]byte{}, fmt.Errorf("core: master key with %q: %w", peer, err)
+		return [16]byte{}, fmt.Errorf("%w: master key with %q: %w", ErrKeying, peer, err)
 	}
 	ks.stats.masterKeyComputes.Add(1)
 	*note |= FlagKeyComputed
@@ -216,7 +217,7 @@ func (ks *KeyService) certificate(peer principal.Address) (*cert.Certificate, er
 		ks.stats.certFetches.Add(1)
 		c, err = ks.dir.Lookup(peer)
 		if err != nil {
-			return nil, fmt.Errorf("core: fetching certificate for %q: %w", peer, err)
+			return nil, fmt.Errorf("fetching: %w", err)
 		}
 		ks.pvc.Put(peer, c)
 	}

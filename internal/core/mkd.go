@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -30,8 +30,9 @@ type MKD struct {
 	upcalls atomic.Uint64
 }
 
-// ErrMKDStopped is returned by an upcall after Stop.
-var ErrMKDStopped = errors.New("core: master key daemon stopped")
+// ErrMKDStopped is returned by an upcall after Stop. It wraps ErrKeying,
+// so a datagram refused for it counts as DropKeying.
+var ErrMKDStopped = fmt.Errorf("%w: master key daemon stopped", ErrKeying)
 
 // NewMKD starts a master key daemon over the key service, serving misses
 // on workers goroutines (at least one) until Stop.

@@ -554,9 +554,9 @@ func (p *prefilter) emitChallenge(e *Endpoint, src principal.Address, now time.T
 }
 
 // prefilterInbound is the receive path's pre-parse stage, called after
-// the addressing check and before the header decode. It may rewrite
-// dg.Payload (stripping a verified echo envelope) or refuse the
-// datagram:
+// the addressing check and before the header decode. It strips a
+// verified echo envelope from dg.Payload, or returns a refusal's verdict
+// and bare sentinel for the walk to account (refuse):
 //
 //   - a challenge frame addressed to us is absorbed into the jar and
 //     reported as ErrChallengeAbsorbed (control traffic, DropNone);
@@ -569,7 +569,7 @@ func (p *prefilter) emitChallenge(e *Endpoint, src principal.Address, now time.T
 //   - at PrefilterChallenge, an unknown peer without an envelope is
 //     refused (DropChallenged) and a challenge is emitted in its
 //     place.
-func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error {
+func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) (DropReason, error) {
 	p := e.pf
 	p.tick(e)
 	now := e.cfg.Clock.Now()
@@ -584,15 +584,13 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 					if tc.active() {
 						tc.span(Span{Kind: SpanCookie, Start: now, Attr: uint64(ck.epoch)})
 					}
-					return fmt.Errorf("%w: from %q", ErrChallengeAbsorbed, dg.Source)
+					return DropNone, ErrChallengeAbsorbed
 				}
 				// A challenge frame with trailing bytes is not ours;
 				// fall through and let the header parse refuse it.
 			case CookieKindEcho:
 				if !p.verifyCookie(dg.Source, ck, now) {
 					p.echoRejected.Add(1)
-					p.penalize(p.prefixOf(dg.Source))
-					e.metrics.drop(DropBadCookie)
 					// Re-challenge (rate-capped): a sender whose jarred
 					// cookie was corrupted in flight would otherwise echo
 					// it forever; a fresh challenge lets it re-learn.
@@ -602,55 +600,47 @@ func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) error 
 					if tc.active() {
 						tc.span(Span{Kind: SpanPrefilter, Drop: DropBadCookie, Start: now, Attr: uint64(ck.epoch)})
 					}
-					return fmt.Errorf("%w: from %q", ErrBadCookie, dg.Source)
+					return DropBadCookie, ErrBadCookie
 				}
 				p.echoAccepted.Add(1)
 				dg.Payload = wire[CookieFrameLen:]
 				if tc.active() {
 					tc.span(Span{Kind: SpanPrefilter, Start: now, Attr: uint64(ck.epoch)})
 				}
-				return nil
+				return DropNone, nil
 			}
 		}
 	}
 	lvl := p.levelNow()
 	if lvl >= PrefilterSketch {
-		prefix := p.prefixOf(dg.Source)
-		if score := p.score(prefix); score >= sketchShedAt {
-			p.penalize(prefix)
+		if score := p.score(p.prefixOf(dg.Source)); score >= sketchShedAt {
 			p.sketchSheds.Add(1)
-			e.metrics.drop(DropPrefilter)
 			if tc.active() {
 				tc.span(Span{Kind: SpanPrefilter, Drop: DropPrefilter, Start: now, Attr: uint64(score)})
 			}
-			return fmt.Errorf("%w: prefix %q", ErrPrefilter, prefix)
+			return DropPrefilter, ErrPrefilter
 		}
 	}
 	if lvl >= PrefilterChallenge && !e.plane.ks.KnownPeer(dg.Source) {
 		p.emitChallenge(e, dg.Source, now, tc)
-		p.penalize(p.prefixOf(dg.Source))
-		e.metrics.drop(DropChallenged)
 		if tc.active() {
 			tc.span(Span{Kind: SpanPrefilter, Drop: DropChallenged, Start: now})
 		}
-		return fmt.Errorf("%w: %q", ErrChallenged, dg.Source)
+		return DropChallenged, ErrChallenged
 	}
-	return nil
+	return DropNone, nil
 }
 
-// prefilterObserveDrop feeds the sketch from downstream drops that
-// indicate forgery: MAC failures and admission-gate sheds. Stale,
-// malformed and budget drops are NOT charged — they arise from clock
-// skew, damage and legitimate overload, and charging them would let a
-// lossy link heat an honest prefix.
-func (e *Endpoint) prefilterObserveDrop(src principal.Address, reason DropReason) {
-	if e.pf == nil {
-		return
-	}
+// prefilterCharges reports whether a refusal for reason charges the
+// source's sketch prefix: the forgery-shaped ones. Stale, malformed and
+// budget drops are not — clock skew, damage and legitimate overload
+// cause them, and a lossy link must not heat an honest prefix.
+func prefilterCharges(reason DropReason) bool {
 	switch reason {
-	case DropBadMAC, DropKeyingOverload:
-		e.pf.penalize(e.pf.prefixOf(src))
+	case DropBadMAC, DropKeyingOverload, DropBadCookie, DropChallenged, DropPrefilter:
+		return true
 	}
+	return false
 }
 
 // prefilterWrap wraps an outgoing sealed datagram in an echo envelope

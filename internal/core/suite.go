@@ -60,7 +60,7 @@ type Suite interface {
 	SealAppend(dst []byte, hdrOff int, h Header, kf [16]byte, payload []byte, _ bool, tc *traceCtx) ([]byte, error)
 	// OpenAppend recovers and authenticates the body. For a secret body
 	// the plaintext is appended to dst; for a cleartext body the returned
-	// body aliases the input. Errors are the endpoint's sentinel errors
+	// body aliases the input. Errors are the endpoint's bare sentinels
 	// (ErrDecrypt, ErrBadMAC) — the caller maps them to drop reasons.
 	OpenAppend(dst []byte, h Header, kf [16]byte, body []byte, tc *traceCtx) (newDst []byte, plain []byte, err error)
 
@@ -209,7 +209,7 @@ func (l *legacySuite) open(dst []byte, h Header, ks keySlot, body []byte, tc *tr
 		kfs := ks.kf
 		c, err := h.Cipher.newCipher(kfs[:])
 		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
+			return nil, nil, ErrDecrypt
 		}
 		iv := h.iv()
 		// Stage the ciphertext at the end of dst and decrypt in place
@@ -219,7 +219,7 @@ func (l *legacySuite) open(dst []byte, h Header, ks keySlot, body []byte, tc *tr
 		dst = append(dst, body...)
 		plain := dst[off:]
 		if _, err := cryptolib.DecryptMode(c, h.Mode, iv[:], plain, plain); err != nil {
-			return nil, nil, fmt.Errorf("%w: %v", ErrDecrypt, err)
+			return nil, nil, ErrDecrypt
 		}
 		unpadded, err := cryptolib.Unpad(plain, cryptolib.BlockSize)
 		if err != nil {

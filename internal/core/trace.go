@@ -305,8 +305,8 @@ func (t *traceCtx) crypto(t0 time.Time, sfl SFL, secret bool, n int, drop DropRe
 // finish closes a traced run of one: the whole call's duration and
 // verdict go into root, the side's root span, which is emitted last.
 // Callers check active() first.
-func (t *traceCtx) finish(root Span, err error) {
+func (t *traceCtx) finish(root Span, drop DropReason) {
 	root.Dur = time.Since(root.Start)
-	root.Drop = DropReasonOf(err)
+	root.Drop = drop
 	t.span(root)
 }

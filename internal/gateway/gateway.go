@@ -77,10 +77,12 @@ type epoch struct {
 // listener is a persistent receive socket. Listeners belong to the
 // gateway, not to any epoch: endpoints send through them via a
 // nop-close wrapper, and only the gateway's shutdown (or a tenant
-// address disappearing from the config) actually closes one.
+// address disappearing from the config) actually closes one. It holds
+// its tenant's refusal-log limiter, so a flood mutes only its tenant.
 type listener struct {
-	addr principal.Address
-	tr   transport.Transport
+	addr     principal.Address
+	tr       transport.Transport
+	refusals refusalLog
 }
 
 // sharedTransport lets every shard of every epoch send on one listener
@@ -105,7 +107,6 @@ type Gateway struct {
 
 	// listeners is only touched by swap and shutdown, under swapMu.
 	listeners map[principal.Address]*listener
-	refusals  refusalLog
 
 	// The cumulative ledger. Every datagram ever pulled off a listener is
 	// counted in exactly one shard group, and every group is in exactly
@@ -423,7 +424,7 @@ func (g *Gateway) recvLoop(ln *listener) {
 			// An undecodable frame lands here, so anyone who can reach
 			// the socket can cause this line: it is rate-limited like a
 			// refusal, in the slot for errors that carry no DropReason.
-			if suppressed, ok := g.refusals.allow(core.DropNone, g.opts.Clock.Now()); ok {
+			if suppressed, ok := ln.refusals.allow(core.DropNone, g.opts.Clock.Now()); ok {
 				g.opts.Logf("gateway: listener %s: receive: %v (%d more suppressed since the last reason-less line)",
 					ln.addr, err, suppressed)
 			}
@@ -553,11 +554,12 @@ func (l *batchLoop) open(ep *epoch, batch []transport.Datagram) {
 						Payload:     l.clear[r.Off : r.Off+r.Len],
 					}, plane, plane.grp.ShardOfPair(plane.id.Addr, run[i].Source))
 				}
-			case errors.Is(r.Err, core.ErrChallengeAbsorbed):
+			case r.Drop == core.DropNone:
+				// An error with no verdict is an absorbed challenge frame.
 				absorbed++
 			default:
 				// Refused: the shard's drop ledger has the reason and the count.
-				g.logRefusal(r.Err, "refused datagram", run[i].Destination, run[i].Source)
+				g.logRefusal(plane.ln, r.Drop, r.Err, "refused datagram", run[i].Source)
 			}
 		}
 	}
@@ -579,7 +581,7 @@ func (l *batchLoop) echo() {
 		for i, r := range res {
 			if r.Err != nil {
 				failures++
-				g.logRefusal(r.Err, "echo seal refused", run[i].Source, run[i].Destination)
+				g.logRefusal(plane.ln, r.Drop, r.Err, "echo seal refused", run[i].Destination)
 				continue
 			}
 			l.queue(plane.ln, transport.Datagram{
@@ -619,7 +621,7 @@ func (l *batchLoop) flush() {
 			break
 		}
 		g.echoFailures.Add(1)
-		g.logRefusal(err, "echo send failed", out[n].Source, out[n].Destination)
+		g.logRefusal(l.outLn, core.DropNone, err, "echo send failed", out[n].Destination)
 		out = out[n+1:]
 	}
 	l.out = l.out[:0]
@@ -631,11 +633,11 @@ func (l *batchLoop) flush() {
 // it — at one spoofed datagram per line.
 const refusalLogInterval = time.Second
 
-// refusalLog rate-limits the per-datagram refusal lines: per DropReason
-// (slot DropNone takes errors that carry no reason, such as a failed
-// send), when the next line may be written and how many refusals have
-// gone unlogged since the last one. The drop ledger stays the exact
-// record; the log is a sample of it.
+// refusalLog rate-limits one tenant's per-datagram refusal lines: per
+// DropReason (slot DropNone takes errors that carry no reason, such as a
+// failed send), when the next line may be written and how many
+// refusals have gone unlogged since the last one. The drop ledger stays
+// the exact record; the log is a sample of it.
 type refusalLog [core.NumDropReasons]struct {
 	next       atomic.Int64 // unix nanos
 	suppressed atomic.Uint64
@@ -654,14 +656,14 @@ func (r *refusalLog) allow(reason core.DropReason, at time.Time) (suppressed uin
 	return slot.suppressed.Swap(0), true
 }
 
-// logRefusal writes at most one line per DropReason per
-// refusalLogInterval: the refusal at hand as the example, plus the
-// number of same-reason refusals suppressed since the previous line.
-func (g *Gateway) logRefusal(err error, what string, tenant, peer principal.Address) {
-	reason := core.DropReasonOf(err)
-	if suppressed, ok := g.refusals.allow(reason, g.opts.Clock.Now()); ok {
+// logRefusal writes at most one line per tenant (ln, its listener) and
+// DropReason per refusalLogInterval: the refusal at hand as the example,
+// formatted only then, plus the number of the tenant's same-reason
+// refusals suppressed since the previous line.
+func (g *Gateway) logRefusal(ln *listener, reason core.DropReason, err error, what string, peer principal.Address) {
+	if suppressed, ok := ln.refusals.allow(reason, g.opts.Clock.Now()); ok {
 		g.opts.Logf("gateway: tenant %s: %s, peer %s: %v (reason %s; %d more suppressed since its last line)",
-			tenant, what, peer, err, reason, suppressed)
+			ln.addr, what, peer, err, reason, suppressed)
 	}
 }
 

@@ -850,6 +850,57 @@ func TestGatewayRefusalLogIsRateLimited(t *testing.T) {
 	checkReconciliation(t, st)
 }
 
+// TestGatewayRefusalLogPerTenant: the limiter keeps one slot per
+// (tenant, DropReason), so one tenant's bad-MAC flood cannot mute the
+// line another tenant's first bad MAC writes.
+func TestGatewayRefusalLogPerTenant(t *testing.T) {
+	w := newGWWorld(t)
+	var mu sync.Mutex
+	var lines []string
+	opts := w.options()
+	opts.Logf = func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Start(&Config{Tenants: []TenantConfig{
+		{Name: "a", Address: "gw-a"}, {Name: "b", Address: "gw-b"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Shutdown(2 * time.Second) }) //nolint:errcheck
+	client := w.client("client-1")
+	forge := func(tenant principal.Address) transport.Datagram {
+		sealed, err := client.Seal(transport.Datagram{Destination: tenant, Payload: []byte("x")}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed.Payload[len(sealed.Payload)-1] ^= 0x01
+		return sealed
+	}
+	l := &batchLoop{g: g}
+	flood := forge("gw-a")
+	for i := 0; i < 1000; i++ {
+		l.dispatch([]transport.Datagram{flood})
+	}
+	l.dispatch([]transport.Datagram{forge("gw-b")})
+	mu.Lock()
+	defer mu.Unlock()
+	perTenant := map[string]int{}
+	for _, line := range lines {
+		if strings.Contains(line, "refused datagram") && strings.Contains(line, "reason bad_mac") {
+			perTenant[strings.Fields(line)[2]]++
+		}
+	}
+	if perTenant["gw-a:"] != 1 || perTenant["gw-b:"] != 1 {
+		t.Fatalf("bad-MAC lines per tenant = %v, want one each:\n%s", perTenant, strings.Join(lines, "\n"))
+	}
+}
+
 // TestConfigFreshnessWindowFloor: header timestamps have minute
 // resolution, so a freshness window under a minute refuses almost
 // everything as stale; Validate says so instead of letting it boot.
@@ -1513,18 +1564,32 @@ func TestGatewayReceiveErrorLogIsRateLimited(t *testing.T) {
 // TestGatewayDispatchAllocs pins the loop's steady state: a full batch
 // on the hit path (flows, keys and scratch warm) through dispatch —
 // steer, OpenBatch, SealBatch, SendBatch — costs at most two allocations
-// per datagram. The scalar loop this replaced cost twelve.
+// per datagram. The scalar loop this replaced cost twelve. Refusals add
+// nothing to that bound: on a second tenant with admission and the
+// pre-filter on, a batch of garbage, a bad MAC and a sketch shed costs
+// no allocation at all.
 func TestGatewayDispatchAllocs(t *testing.T) {
 	w := newGWWorld(t)
-	ln := newScriptedListener(0)
+	listeners := map[string]*scriptedListener{}
 	opts := w.options()
-	opts.Listen = func(TenantConfig) (transport.Transport, error) { return ln, nil }
+	opts.Listen = func(tc TenantConfig) (transport.Transport, error) {
+		ln := newScriptedListener(0)
+		listeners[tc.Address] = ln
+		return ln, nil
+	}
 	g, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// No replay cache, so the same sealed batch is accepted every time.
-	if err := g.Start(&Config{Tenants: []TenantConfig{{Name: "edge", Address: "gw-edge", Shards: 2, SecretEcho: true}}}); err != nil {
+	// The edge tenant has neither admission nor the pre-filter, so its
+	// batch takes the look-ahead path; the guard tenant's admission
+	// burst keys the three clients.
+	if err := g.Start(&Config{Tenants: []TenantConfig{
+		{Name: "edge", Address: "gw-edge", Shards: 2, SecretEcho: true},
+		{Name: "guard", Address: "gw-guard", Shards: 2, SecretEcho: true,
+			Admission: &AdmissionConfig{UpcallRate: 1, UpcallBurst: 4}, Prefilter: &PrefilterConfig{Enable: true}},
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.Shutdown(2 * time.Second) }) //nolint:errcheck
@@ -1532,14 +1597,18 @@ func TestGatewayDispatchAllocs(t *testing.T) {
 	// (the clients' own default is the paper's DES/keyed-MD5).
 	gcm := func(c *core.Config) { c.Cipher = core.CipherAES128GCM }
 	clients := []*core.Endpoint{w.client("client-0", gcm), w.client("client-1", gcm), w.client("client-2", gcm)}
-	batch := make([]transport.Datagram, maxBatch)
-	for i := range batch {
-		sealed, err := clients[i*len(clients)/maxBatch].Seal(transport.Datagram{Destination: "gw-edge", Payload: make([]byte, 64)}, true)
-		if err != nil {
-			t.Fatal(err)
+	sealBatch := func(dst principal.Address) []transport.Datagram {
+		batch := make([]transport.Datagram, maxBatch)
+		for i := range batch {
+			sealed, err := clients[i*len(clients)/maxBatch].Seal(transport.Datagram{Destination: dst, Payload: make([]byte, 64)}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch[i] = sealed
 		}
-		batch[i] = sealed
+		return batch
 	}
+	batch := sealBatch("gw-edge")
 	l := &batchLoop{g: g}
 	l.dispatch(batch) // keys the peers, grows the scratch
 	const runs = 50
@@ -1547,10 +1616,48 @@ func TestGatewayDispatchAllocs(t *testing.T) {
 	if perDatagram := perBatch / maxBatch; perDatagram > 2 {
 		t.Fatalf("dispatch allocates %.2f times per datagram (%.0f per batch of %d), want ≤ 2", perDatagram, perBatch, maxBatch)
 	}
-	if sent, want := ln.sent.Load(), uint64((runs+2)*maxBatch); sent != want {
+	if sent, want := listeners["gw-edge"].sent.Load(), uint64((runs+2)*maxBatch); sent != want {
 		t.Fatalf("%d echoes sent, want %d", sent, want)
 	}
 	t.Logf("dispatch: %.2f allocs per datagram", perBatch/maxBatch)
+
+	guarded := sealBatch("gw-guard")
+	l.dispatch(guarded) // keys the peers within the admission burst
+	if sent := listeners["gw-guard"].sent.Load(); sent != maxBatch {
+		t.Fatalf("%d echoes from the guard tenant, want %d", sent, maxBatch)
+	}
+	// Spoofed first contacts from one prefix, shed by admission, heat
+	// the prefix and climb the shard that steers the shed datagram to
+	// the sketch rung.
+	plane := g.current.Load().tenants["gw-guard"]
+	shed := guarded[0]
+	shed.Source = "spoof-00-shed"
+	rung := plane.grp.Shard(plane.grp.ShardOfIncoming(shed))
+	spoofs := make([]transport.Datagram, maxBatch)
+	for n := 0; rung.Snapshot().Prefilter.Level < int(core.PrefilterSketch); n++ {
+		if n == 1000 {
+			t.Fatal("a spoofed flood never climbed the pre-filter to the sketch rung")
+		}
+		for i := range spoofs {
+			spoofs[i] = guarded[0]
+			spoofs[i].Source = principal.Address(fmt.Sprintf("spoof-00-%d", n*maxBatch+i))
+		}
+		l.dispatch(spoofs)
+	}
+	forged := guarded[1].Clone()
+	forged.Payload[len(forged.Payload)-1] ^= 1
+	refused := []transport.Datagram{{Source: "client-1", Destination: "gw-guard", Payload: []byte{1, 2, 3}}, forged, shed}
+	was := plane.grp.Snapshot().Drops
+	l.dispatch(refused) // writes each reason's one log line
+	if allocs := testing.AllocsPerRun(runs, func() { l.dispatch(refused) }); allocs != 0 {
+		t.Fatalf("a refused batch allocates %.1f times, want 0", allocs)
+	}
+	now := plane.grp.Snapshot().Drops
+	for _, r := range []core.DropReason{core.DropMalformed, core.DropBadMAC, core.DropPrefilter} {
+		if now[r] == was[r] {
+			t.Errorf("the refused batch never reached %v: drops %v", r, core.DropMap(now))
+		}
+	}
 }
 
 // TestGatewaySweeperExpiresIdleFlows gives the FAM's sweeper module its

@@ -224,11 +224,9 @@ type Endpoint struct {
 	carriesPlane bool
 
 	// Overload plane: the keying admission gate (nil when disabled),
-	// the flow-key derivation single-flight, the rate limiter for
-	// pressure-relief sweeps, and the edge pre-filter (nil when
-	// disabled).
+	// the rate limiter for pressure-relief sweeps, and the edge
+	// pre-filter (nil when disabled).
 	gate           *admissionGate
-	flight         flight[flowCacheKey, keyResult[keySlot]]
 	lastPressure   atomic.Int64 // unix nanos of the last pressure sweep
 	pressureSweeps atomic.Uint64
 	pf             *prefilter
@@ -535,52 +533,39 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (ks keyS
 // receiveFlowKey returns the RFKC slot for an incoming datagram, built
 // on a miss for suite, the one the datagram's header names. hit reports
 // whether the RFKC served it. The miss path is where receive-side
-// overload control lives: concurrent misses for the same flow coalesce
-// into one derivation and one expansion, and unknown peers (no cached
-// master key) must pass the admission gate and fit under the state
-// budget before any directory or Diffie-Hellman work begins. Known
-// peers bypass both — their keying costs one hash. Their sheds come
-// back as bare ErrKeyingOverload and ErrStateBudget, every other failure
-// as the key plane's error. la is openRun's look-ahead over the rest of
+// overload control lives: unknown peers (no cached master key) must pass
+// the admission gate and fit under the state budget before any directory
+// or Diffie-Hellman work begins. Known peers bypass both — their keying
+// costs one hash. Their sheds come back as bare ErrKeyingOverload and
+// ErrStateBudget, every other failure as the key plane's error.
+// Concurrent misses on one flow each derive K_f; the MKD's flight is
+// what shares their upcall. la is openRun's look-ahead over the rest of
 // the chunk, nil where it does not apply.
 func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Suite, la *lookahead) (ks keySlot, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
 	if ks, ok := e.rfkc.Get(ck); ok {
 		return ks, true, note, nil
 	}
-	r, joined := e.flight.do(ck, func() (m keyResult[keySlot]) {
-		if e.gate != nil || e.cfg.StateBudget != nil {
-			if !e.plane.ks.KnownPeer(src) {
-				if e.gate != nil {
-					if m.err = e.gate.Admit(); m.err != nil {
-						m.note |= FlagAdmitRefused
-						return m
-					}
-					m.note |= FlagAdmitted
-				}
-				if e.cfg.StateBudget.Level() == BudgetHard {
-					m.note |= FlagBudgetRefused
-					e.maybeRelievePressure(e.cfg.Clock.Now())
-					m.err = ErrStateBudget
-					return m
-				}
+	if (e.gate != nil || e.cfg.StateBudget != nil) && !e.plane.ks.KnownPeer(src) {
+		if e.gate != nil {
+			if err := e.gate.Admit(); err != nil {
+				return keySlot{}, false, FlagAdmitRefused, err
 			}
+			note |= FlagAdmitted
 		}
-		master, mnote, err := e.plane.masterKey(src, e.gate, la)
-		m.note |= mnote
-		if m.err = err; err != nil {
-			return m
+		if e.cfg.StateBudget.Level() == BudgetHard {
+			e.maybeRelievePressure(e.cfg.Clock.Now())
+			return keySlot{}, false, note | FlagBudgetRefused, ErrStateBudget
 		}
-		m.key = suite.slot(FlowKey(cryptolib.HashMD5, sfl, master, src, dst))
-		e.rfkc.Put(ck, m.key)
-		return m
-	})
-	if joined {
-		// A follower shares the leader's result and note, plus the
-		// coalescing mark itself.
-		r.note |= FlagKeyCoalesced
 	}
-	return r.key, false, r.note, r.err
+	master, mnote, err := e.plane.masterKey(src, e.gate, la)
+	note |= mnote
+	if err != nil {
+		return keySlot{}, false, note, err
+	}
+	ks = suite.slot(FlowKey(cryptolib.HashMD5, sfl, master, src, dst))
+	e.rfkc.Put(ck, ks)
+	return ks, false, note, nil
 }
 
 // Seal performs FBS send processing (FBSSend, Figure 4): classify into a

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,110 +333,11 @@ func TestMKDStopStrandsNoWaiter(t *testing.T) {
 	}
 }
 
-func TestFlowKeyFlightCoalesces(t *testing.T) {
-	var fl flight[flowCacheKey, keyResult[[16]byte]]
-	var calls atomic.Int32
-	release := make(chan struct{})
-	ck := flowCacheKey{SFL: 1, Dst: "b", Src: "a"}
-	want := [16]byte{0xAB, 0xCD}
-
-	results := make(chan [16]byte, 9)
-	derive := func() keyResult[[16]byte] {
-		calls.Add(1)
-		<-release
-		return keyResult[[16]byte]{key: want}
-	}
-	// The leader takes the slot and blocks inside the derivation...
-	go func() {
-		r, _ := fl.do(ck, derive)
-		results <- r.key
-	}()
-	for calls.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	// ...then eight followers pile onto the same key; each must register
-	// as a dedup rather than starting its own derivation.
-	for i := 0; i < 8; i++ {
-		go func() {
-			r, _ := fl.do(ck, derive)
-			results <- r.key
-		}()
-	}
-	for fl.Dedups() != 8 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	for i := 0; i < 9; i++ {
-		if k := <-results; k != want {
-			t.Fatalf("waiter %d got key %x", i, k)
-		}
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("derivation ran %d times, want 1", n)
-	}
-}
-
-func TestFlowKeyFlightDistinctKeysIndependent(t *testing.T) {
-	var fl flight[flowCacheKey, keyResult[[16]byte]]
-	a, _ := fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult[[16]byte] {
-		return keyResult[[16]byte]{key: [16]byte{1}}
-	})
-	b, _ := fl.do(flowCacheKey{SFL: 2, Dst: "b", Src: "a"}, func() keyResult[[16]byte] {
-		return keyResult[[16]byte]{key: [16]byte{2}}
-	})
-	if a.key == b.key {
-		t.Fatal("distinct flows shared a derivation")
-	}
-	if fl.Dedups() != 0 {
-		t.Fatalf("sequential distinct derivations counted %d dedups", fl.Dedups())
-	}
-	// The slot is released after completion: a later derivation for the
-	// same key runs again (the RFKC, not the flight, is the cache).
-	var calls int
-	fl.do(flowCacheKey{SFL: 1, Dst: "b", Src: "a"}, func() keyResult[[16]byte] {
-		calls++
-		return keyResult[[16]byte]{key: [16]byte{1}}
-	})
-	if calls != 1 {
-		t.Fatal("post-completion derivation did not run")
-	}
-}
-
-func TestFlowKeyFlightPropagatesError(t *testing.T) {
-	var fl flight[flowCacheKey, keyResult[[16]byte]]
-	release := make(chan struct{})
-	started := make(chan struct{})
-	ck := flowCacheKey{SFL: 9, Dst: "b", Src: "a"}
-	errc := make(chan error, 2)
-	go func() {
-		r, _ := fl.do(ck, func() keyResult[[16]byte] {
-			close(started)
-			<-release
-			return keyResult[[16]byte]{err: ErrKeyingOverload}
-		})
-		errc <- r.err
-	}()
-	<-started
-	go func() {
-		r, _ := fl.do(ck, func() keyResult[[16]byte] { return keyResult[[16]byte]{} })
-		errc <- r.err
-	}()
-	for fl.Dedups() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-errc; !errors.Is(err, ErrKeyingOverload) {
-			t.Fatalf("waiter %d err = %v, want ErrKeyingOverload", i, err)
-		}
-	}
-}
-
-// TestOpenCoalescesFlowKeyMisses drives receiveFlowKey's flight through
-// Open: concurrent opens on one fresh flow, while the receiver's
-// directory holds the leading miss, share one derivation. Every other
-// open counts in Snapshot().FlowKeyDedups and its key span carries
-// FlagKeyCoalesced; a leader that never landed would hang them here.
+// TestOpenCoalescesFlowKeyMisses drives the MKD's per-peer flight
+// through Open: concurrent opens on one fresh flow, while the receiver's
+// directory holds the leading miss, each make an upcall but share one
+// master key computation. Every other open's key span carries
+// FlagKeyCoalesced; a worker that never landed would hang them here.
 func TestOpenCoalescesFlowKeyMisses(t *testing.T) {
 	w := newWorld(t)
 	bd := &blockingDirectory{Inner: w.dir, release: make(chan struct{})}
@@ -463,9 +363,9 @@ func TestOpenCoalescesFlowKeyMisses(t *testing.T) {
 			errc <- err
 		}()
 	}
-	for deadline := time.Now().Add(5 * time.Second); b.Snapshot().FlowKeyDedups < n-1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); b.Snapshot().MKDUpcalls < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("FlowKeyDedups = %d, want %d joins on the held miss", b.Snapshot().FlowKeyDedups, n-1)
+			t.Fatalf("MKDUpcalls = %d, want %d upcalls on the held miss", b.Snapshot().MKDUpcalls, n)
 		}
 	}
 	close(bd.release)
@@ -477,11 +377,15 @@ func TestOpenCoalescesFlowKeyMisses(t *testing.T) {
 				t.Fatalf("Open: %v", err)
 			}
 		case <-deadline:
-			t.Fatalf("%d of %d opens still waiting on the flow-key flight", n-i, n)
+			t.Fatalf("%d of %d opens still waiting on the MKD", n-i, n)
 		}
 	}
-	if d := b.Snapshot().FlowKeyDedups; d != n-1 {
-		t.Errorf("FlowKeyDedups = %d, want %d", d, n-1)
+	s := b.Snapshot()
+	if s.MKDUpcalls != n {
+		t.Errorf("MKDUpcalls = %d, want %d", s.MKDUpcalls, n)
+	}
+	if s.Keying.MasterKeyComputes != 1 {
+		t.Errorf("MasterKeyComputes = %d, want 1", s.Keying.MasterKeyComputes)
 	}
 	coalesced := 0
 	for _, spans := range tr.take() {

@@ -13,21 +13,36 @@ import (
 // daemon on an MKC miss; the daemon fetches certificates over the secure
 // flow bypass, computes the Diffie-Hellman master key, and installs it.
 // Here the daemon is worker goroutines serving requests over a channel,
-// with the key plane's single-flight in front so a burst of datagrams to
-// a new peer costs one certificate fetch and one exponentiation — the
-// behaviour the paper's caching design is built around. A peer is queued
-// at most once, so workers only ever overlap the misses of different
-// peers; a receive walk's look-ahead (see lookahead) is what hands them
-// several at once.
+// with a per-peer single-flight in front — the only one under the key
+// plane — so a burst of datagrams to a new peer costs one certificate
+// fetch and one exponentiation, the behaviour the paper's caching design
+// is built around. A peer is queued at most once, so workers only ever
+// overlap the misses of different peers; a receive walk's look-ahead
+// (see lookahead) is what hands them several at once.
 type MKD struct {
 	ks *KeyService
 
-	flight flight[principal.Address, keyResult[[16]byte]]
-	reqs   chan principal.Address
-	done   chan struct{}
-	once   sync.Once
+	// waiting holds, per peer with a request in flight, the channel of
+	// every upcall waiting on it; a worker lands the result on all of
+	// them. Stop lands ErrMKDStopped on every waiter and sets it nil,
+	// which refuses later upcalls.
+	mu      sync.Mutex
+	waiting map[principal.Address][]chan keyResult
+
+	reqs chan principal.Address
+	done chan struct{}
+	once sync.Once
 
 	upcalls atomic.Uint64
+}
+
+// keyResult is what the MKD lands on an upcall: a master key or its
+// error, and the keying flags of the work that produced it
+// (FlagKeyComputed and the like), which only the trace span reports.
+type keyResult struct {
+	key  [16]byte
+	note SpanFlags
+	err  error
 }
 
 // ErrMKDStopped is returned by an upcall after Stop. It wraps ErrKeying,
@@ -38,9 +53,10 @@ var ErrMKDStopped = fmt.Errorf("%w: master key daemon stopped", ErrKeying)
 // on workers goroutines (at least one) until Stop.
 func NewMKD(ks *KeyService, workers int) *MKD {
 	m := &MKD{
-		ks:   ks,
-		reqs: make(chan principal.Address, 64),
-		done: make(chan struct{}),
+		ks:      ks,
+		waiting: make(map[principal.Address][]chan keyResult),
+		reqs:    make(chan principal.Address, 64),
+		done:    make(chan struct{}),
 	}
 	for i := 0; i < max(workers, 1); i++ {
 		go m.serve()
@@ -52,12 +68,25 @@ func (m *MKD) serve() {
 	for {
 		select {
 		case peer := <-m.reqs:
-			var r keyResult[[16]byte]
+			var r keyResult
 			r.key, r.err = m.ks.masterKeyMiss(peer, &r.note)
-			m.flight.land(peer, r)
+			m.land(peer, r)
 		case <-m.done:
 			return
 		}
+	}
+}
+
+// land delivers r to every upcall waiting on peer; the next upcall for
+// peer queues a fresh request. Each channel holds one result, so land
+// never blocks on a waiter that gave up.
+func (m *MKD) land(peer principal.Address, r keyResult) {
+	m.mu.Lock()
+	w := m.waiting[peer]
+	delete(m.waiting, peer)
+	m.mu.Unlock()
+	for _, ch := range w {
+		ch <- r
 	}
 }
 
@@ -65,23 +94,28 @@ func (m *MKD) serve() {
 // kept once received, so whoever holds the upcall may read it again.
 type upcall struct {
 	peer   principal.Address
-	ch     chan keyResult[[16]byte]
+	ch     chan keyResult
 	joined SpanFlags // FlagKeyCoalesced when it joined a request in flight
 	done   bool
-	r      keyResult[[16]byte]
+	r      keyResult
 }
 
 // start enrols a request for peer's master key and queues peer for a
 // worker, unless a request for peer is already in flight; it does not
 // wait for the result.
 func (m *MKD) start(peer principal.Address) (upcall, error) {
-	ch, lead, ok := m.flight.join(peer)
-	if !ok {
+	ch := make(chan keyResult, 1)
+	m.mu.Lock()
+	if m.waiting == nil {
+		m.mu.Unlock()
 		return upcall{}, ErrMKDStopped
 	}
+	w, inFlight := m.waiting[peer]
+	m.waiting[peer] = append(w, ch)
+	m.mu.Unlock()
 	m.upcalls.Add(1)
 	u := upcall{peer: peer, ch: ch}
-	if !lead {
+	if inFlight {
 		u.joined = FlagKeyCoalesced
 		return u, nil
 	}
@@ -107,11 +141,21 @@ func (m *MKD) wait(u *upcall) ([16]byte, SpanFlags, error) {
 func (m *MKD) Upcalls() uint64 { return m.upcalls.Load() }
 
 // Stop terminates the daemon; pending upcalls fail with ErrMKDStopped,
-// and so does every later one: the flight closes before the workers are
-// told to exit, so no waiter is left without a result.
+// and so does every later one: the waiters are landed on and new
+// upcalls refused before the workers are told to exit, so no waiter is
+// left without a result.
 func (m *MKD) Stop() {
 	m.once.Do(func() {
-		m.flight.close(keyResult[[16]byte]{err: ErrMKDStopped})
+		m.mu.Lock()
+		waiting := m.waiting
+		m.waiting = nil
+		m.mu.Unlock()
+		stopped := keyResult{err: ErrMKDStopped}
+		for _, w := range waiting {
+			for _, ch := range w {
+				ch <- stopped
+			}
+		}
 		close(m.done)
 	})
 }

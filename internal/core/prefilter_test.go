@@ -86,18 +86,6 @@ func TestCookieVerify(t *testing.T) {
 	if p.verifyCookie(addr, ck, now.Add(66*time.Second)) {
 		t.Error("cookie survived two epoch rotations")
 	}
-	// TTL, isolated from the epoch check by hand-building a stale stamp
-	// under the current epoch.
-	stale := cookie{epoch: p.epochAt(now), stamp: uint32(now.Unix() - 200)}
-	stale.mac = p.cookieMAC(addr, stale)
-	if p.verifyCookie(addr, stale, now) {
-		t.Error("stamp older than the TTL verified")
-	}
-	future := cookie{epoch: p.epochAt(now), stamp: uint32(now.Unix() + 200)}
-	future.mac = p.cookieMAC(addr, future)
-	if p.verifyCookie(addr, future, now) {
-		t.Error("stamp from the future verified")
-	}
 	// Tampering and address binding.
 	bent := ck
 	bent.mac[5] ^= 0x40

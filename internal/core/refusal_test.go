@@ -20,13 +20,11 @@ type refusalRow struct {
 }
 
 // refusalRows builds one row per DropReason the walk decides without
-// keying work, on AES-128-GCM with a 64 B secret body. The rows left
-// out are decided behind a key-plane miss, whose single-flight allocates
-// the waiter it parks on: keying and keying_overload (an unknown peer),
-// state_budget (an unknown peer at the budget's hard limit);
-// BenchmarkKeyingMiss prices that path. decrypt is left out too: only a
-// legacy suite refuses for it, and a legacy suite builds its block
-// cipher per datagram.
+// keying work, on AES-128-GCM with a 64 B secret body. keying is left
+// out: it is decided behind an MKD upcall, which allocates the waiter
+// it parks on; BenchmarkKeyingMiss prices that path. decrypt is left
+// out too: only a legacy suite refuses for it, and a legacy suite
+// builds its block cipher per datagram.
 func refusalRows(tb testing.TB) []refusalRow {
 	w := newWorld(tb)
 	pair := func(mutate func(*Config)) (*Endpoint, *Endpoint) {
@@ -93,6 +91,27 @@ func refusalRows(tb testing.TB) []refusalRow {
 		}
 	}
 
+	// An unknown peer behind an exhausted gate: its one token is spent,
+	// and at 0.001 a second none comes back while the rows are run.
+	tx, rx = pair(func(c *Config) { c.Admission = AdmissionConfig{UpcallRate: 0.001, UpcallBurst: 1} })
+	if err := rx.gate.Admit(); err != nil {
+		tb.Fatal(err)
+	}
+	rows = append(rows, refusalRow{name: "keying_overload", rx: rx, dg: seal(tx), want: DropKeyingOverload})
+
+	// An unknown peer with rx's budget charged into its hard band: no
+	// flow key fits, so alice's first contact is refused before keying.
+	budget := NewBudget(0, 1<<20)
+	tx, rx = pair(func(c *Config) {
+		if c.Identity.Addr == "bob" {
+			c.StateBudget = budget
+		}
+	})
+	if !budget.TryCharge(budget.hard - budget.Used()) {
+		tb.Fatal("could not charge the budget to its hard limit")
+	}
+	rows = append(rows, refusalRow{name: "state_budget", rx: rx, dg: seal(tx), want: DropStateBudget})
+
 	// The sketch rung with alice's prefix already past the threshold:
 	// every shed charges it again, so it stays there.
 	tx, rx = pair(func(c *Config) { c.Prefilter = PrefilterConfig{Enable: true, ForceLevel: PrefilterSketch} })
@@ -132,7 +151,7 @@ func TestRefusalAllocs(t *testing.T) {
 		if allocs > r.allocs {
 			t.Errorf("%s: %.1f allocs/op, want ≤ %v", r.name, allocs, r.allocs)
 		}
-		t.Logf("%-14s %.1f allocs/op", r.name, allocs)
+		t.Logf("%-15s %.1f allocs/op", r.name, allocs)
 	}
 }
 

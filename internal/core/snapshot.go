@@ -63,7 +63,6 @@ type Snapshot struct {
 	Admission      AdmissionStats
 	Replay         ReplayStats
 	Prefilter      PrefilterStats
-	FlowKeyDedups  uint64
 	PressureSweeps uint64
 }
 
@@ -94,7 +93,6 @@ func (e *Endpoint) Snapshot() Snapshot {
 		Admission:      e.gate.Stats(),
 		Replay:         e.rc.Stats(),
 		Prefilter:      e.pf.stats(e.cfg.Clock.Now()),
-		FlowKeyDedups:  e.flight.Dedups(),
 		PressureSweeps: e.pressureSweeps.Load(),
 	}
 	if e.carriesPlane {
@@ -195,6 +193,5 @@ func (s *Snapshot) Merge(o Snapshot) {
 	p.HeaderParses += op.HeaderParses
 	p.SketchDecays += op.SketchDecays
 
-	s.FlowKeyDedups += o.FlowKeyDedups
 	s.PressureSweeps += o.PressureSweeps
 }

@@ -128,8 +128,8 @@ const (
 	FlagKeyMKCHit
 	// FlagKeyComputed: a Diffie-Hellman exponentiation was performed.
 	FlagKeyComputed
-	// FlagKeyCoalesced: this derivation joined an in-flight one (the
-	// key plane's single-flight, at the flow key or in the MKD).
+	// FlagKeyCoalesced: this miss joined an MKD upcall already in
+	// flight for the same peer (the key plane's one single-flight).
 	FlagKeyCoalesced
 	// FlagAdmitted: an unknown peer passed the keying admission gate.
 	FlagAdmitted

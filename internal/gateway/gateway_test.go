@@ -1646,14 +1646,18 @@ func TestGatewayDispatchAllocs(t *testing.T) {
 	}
 	forged := guarded[1].Clone()
 	forged.Payload[len(forged.Payload)-1] ^= 1
-	refused := []transport.Datagram{{Source: "client-1", Destination: "gw-guard", Payload: []byte{1, 2, 3}}, forged, shed}
+	// A first contact from a cold prefix passes the sketch and meets the
+	// spent admission bucket, until its own sheds heat the prefix too.
+	overload := guarded[0]
+	overload.Source = "spoof-01-gate"
+	refused := []transport.Datagram{{Source: "client-1", Destination: "gw-guard", Payload: []byte{1, 2, 3}}, forged, shed, overload}
 	was := plane.grp.Snapshot().Drops
 	l.dispatch(refused) // writes each reason's one log line
 	if allocs := testing.AllocsPerRun(runs, func() { l.dispatch(refused) }); allocs != 0 {
 		t.Fatalf("a refused batch allocates %.1f times, want 0", allocs)
 	}
 	now := plane.grp.Snapshot().Drops
-	for _, r := range []core.DropReason{core.DropMalformed, core.DropBadMAC, core.DropPrefilter} {
+	for _, r := range []core.DropReason{core.DropMalformed, core.DropBadMAC, core.DropPrefilter, core.DropKeyingOverload} {
 		if now[r] == was[r] {
 			t.Errorf("the refused batch never reached %v: drops %v", r, core.DropMap(now))
 		}

@@ -102,8 +102,7 @@ func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 	)
 
 	// Overload plane: the soft-state memory budget, the keying
-	// admission gate, replay-window occupancy, and the flow-key
-	// derivation single-flight.
+	// admission gate, replay-window occupancy, and pressure sweeps.
 	fams = append(fams,
 		GaugeFamily("fbs_budget_used_bytes", "Soft-state bytes currently charged to the memory budget.", float64(m.Budget.Used), lbls...),
 		GaugeFamily("fbs_budget_peak_bytes", "High-water mark of charged soft-state bytes.", float64(m.Budget.Peak), lbls...),
@@ -116,7 +115,6 @@ func EndpointFamilies(m core.Snapshot, lbls ...Label) []Family {
 		GaugeFamily("fbs_replay_entries", "Live replay-window entries.", float64(m.Replay.Entries), lbls...),
 		GaugeFamily("fbs_replay_peers", "Distinct peers holding replay-window entries.", float64(m.Replay.Peers), lbls...),
 		CounterFamily("fbs_replay_refusals_total", "Datagrams refused because the budget hard limit left no room to record their replay signature.", m.Replay.Refusals, lbls...),
-		CounterFamily("fbs_keying_flowkey_dedup_total", "Concurrent flow-key derivations coalesced into one.", m.FlowKeyDedups, lbls...),
 		CounterFamily("fbs_pressure_sweeps_total", "Tightened-threshold sweeps triggered by budget pressure.", m.PressureSweeps, lbls...),
 	)
 	shed := Family{Name: "fbs_admission_shed_total", Help: "New-peer keying attempts refused by the gate, by cause.", Type: "counter"}

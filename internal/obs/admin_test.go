@@ -131,7 +131,6 @@ func TestAdminPlane(t *testing.T) {
 		`fbs_admission_admitted_total{endpoint="bob"}`,
 		`fbs_admission_shed_total{endpoint="bob",cause="overload"}`,
 		`fbs_replay_entries{endpoint="bob"}`,
-		`fbs_keying_flowkey_dedup_total{endpoint="bob"}`,
 		`fbs_pressure_sweeps_total{endpoint="alice"}`,
 		`fbs_batch_seal_calls_total{endpoint="alice",size="4-7"} 1`,
 		`fbs_batch_open_calls_total{endpoint="bob",size="4-7"} 1`,

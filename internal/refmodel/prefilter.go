@@ -42,15 +42,14 @@ const (
 )
 
 // Sketch geometry and tuning (prefix length, shed score, decay period)
-// and the cookie clock (epoch and TTL, in seconds), restated from core.
+// and the cookie's epoch, in seconds, restated from core.
 const (
-	pfSketchRows    = 2
-	pfSketchCols    = 1024
-	pfPrefixLen     = 8
-	pfShedAt        = 32
-	pfDecayEvery    = 1024
-	pfEpochSecs     = 64
-	pfCookieTTLSecs = 2 * pfEpochSecs
+	pfSketchRows = 2
+	pfSketchCols = 1024
+	pfPrefixLen  = 8
+	pfShedAt     = 32
+	pfDecayEvery = 1024
+	pfEpochSecs  = 64
 )
 
 var pfSketchSalts = [pfSketchRows]uint32{0x9e3779b9, 0x85ebca6b}
@@ -172,18 +171,11 @@ func (p *refPrefilter) cookieMAC(src principal.Address, ck pfCookie) [pfMACLen]b
 	return out
 }
 
-// verifyCookie restates acceptance: current-or-previous epoch, stamp
-// within the TTL, MAC binding the claimed source.
+// verifyCookie restates acceptance: current-or-previous epoch, MAC
+// binding the claimed source (which bounds the stamp's age too).
 func (p *refPrefilter) verifyCookie(src principal.Address, ck pfCookie, now time.Time) bool {
 	cur := p.epochAt(now)
 	if ck.epoch != cur && ck.epoch+1 != cur {
-		return false
-	}
-	age := now.Unix() - int64(ck.stamp)
-	if age < 0 {
-		age = -age
-	}
-	if age > pfCookieTTLSecs {
 		return false
 	}
 	return p.cookieMAC(src, ck) == ck.mac

@@ -767,10 +767,23 @@ func (e *Endpoint) send(dgs []transport.Datagram, secret, batch bool) (n int, re
 		sc.res = make([]BatchResult, len(dgs))
 	}
 	res := sc.res[:len(dgs)]
+	echo := sc.echo[:0]
 	capHint := 0
 	for i := range dgs {
-		capHint += len(dgs[i].Payload) + sealRoom
+		room := len(dgs[i].Payload) + sealRoom
+		capHint += room
+		if e.pf != nil {
+			// A pending cookie challenge from this destination is echoed
+			// in an envelope around a copy of the sealed datagram, built
+			// at the tail of the same buffer.
+			ck, ok := e.echoCookie(dgs[i].Destination)
+			echo = append(echo, echoSlot{ck, ok})
+			if ok {
+				capHint += CookieFrameLen + room
+			}
+		}
 	}
+	sc.echo = echo
 	buf, _ := e.sealWalk(make([]byte, 0, capHint), dgs, nil, secret, res, batch)
 	wires, orig := sc.wires[:0], sc.orig[:0]
 	traced := false
@@ -782,11 +795,8 @@ func (e *Endpoint) send(dgs []transport.Datagram, secret, batch bool) (n int, re
 			continue
 		}
 		payload := buf[res[i].Off : res[i].Off+res[i].Len]
-		if e.pf != nil {
-			// Echo a pending cookie challenge from this destination: the
-			// envelope wraps the already-sealed datagram, so the sealed
-			// wire image itself is unchanged.
-			payload = e.prefilterWrap(payload, dgs[i].Destination)
+		if e.pf != nil && echo[i].ok {
+			payload, buf = e.wrapEcho(buf, payload, echo[i].ck)
 		}
 		wires = append(wires, transport.Datagram{
 			Source:      dgs[i].Source,
@@ -891,6 +901,13 @@ type batchScratch struct {
 	wires []transport.Datagram
 	orig  []int
 	raw   []transport.Datagram
+	echo  []echoSlot
+}
+
+// echoSlot is the cookie, if any, a datagram of a send echoes.
+type echoSlot struct {
+	ck cookie
+	ok bool
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}

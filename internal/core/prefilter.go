@@ -260,6 +260,7 @@ func sketchSlot(row int, prefix string) uint32 {
 type prefilter struct {
 	cfg  PrefilterConfig
 	root [cookieMACLen]byte // cookie secret root; epochs derive from it
+	keys atomic.Pointer[epochKeys]
 
 	// Ladder state. lvl is the adaptive level (ignored when
 	// ForceLevel pins it); seen drives the eval cadence; the streak
@@ -375,30 +376,47 @@ func (p *prefilter) penalize(prefix string) {
 }
 
 // Secret epochs. The per-epoch secret is an HMAC chain off the root,
-// so it is never stored: any epoch's secret can be rederived, which is
-// what lets a crashed endpoint (deterministic seed) resume honouring
-// its own cookies.
+// so it is never stored beyond a cache: any epoch's secret can be
+// rederived, which is what lets a crashed endpoint (deterministic seed)
+// resume honouring its own cookies.
 
 func (p *prefilter) epochAt(now time.Time) uint32 {
 	return uint32(now.Unix() / epochSeconds)
 }
 
-func (p *prefilter) secretFor(epoch uint32) [cookieMACLen]byte {
-	var eb [4]byte
-	binary.BigEndian.PutUint32(eb[:], epoch)
-	var out [cookieMACLen]byte
-	copy(out[:], cryptolib.MACHMACMD5.Compute(p.root[:], eb[:]))
-	return out
+// epochKeys are the secrets of one epoch and of the one before it, the
+// two a cookie can be minted or honoured under.
+type epochKeys struct {
+	epoch uint32
+	key   [2][cookieMACLen]byte // epoch, epoch-1
 }
 
-// cookieMAC binds a cookie to the challenged source address.
+// secretFor returns epoch's secret: from the cache when epoch is the
+// newest epoch seen or the one before it, derived otherwise. A newer
+// epoch replaces the cache, so the HMAC chain runs twice per epoch, not
+// per cookie.
+func (p *prefilter) secretFor(epoch uint32) [cookieMACLen]byte {
+	k := p.keys.Load()
+	switch {
+	case k != nil && epoch == k.epoch:
+		return k.key[0]
+	case k != nil && epoch == k.epoch-1:
+		return k.key[1]
+	case k != nil && epoch < k.epoch:
+		return cryptolib.HMACMD5Tagged(&p.root, "", epoch)
+	}
+	k = &epochKeys{epoch: epoch}
+	k.key[0] = cryptolib.HMACMD5Tagged(&p.root, "", epoch)
+	k.key[1] = cryptolib.HMACMD5Tagged(&p.root, "", epoch-1)
+	p.keys.Store(k)
+	return k.key[0]
+}
+
+// cookieMAC binds a cookie to the challenged source address:
+// HMAC-MD5 under the epoch's secret of the address and the stamp.
 func (p *prefilter) cookieMAC(addr principal.Address, ck cookie) [cookieMACLen]byte {
 	key := p.secretFor(ck.epoch)
-	var sb [4]byte
-	binary.BigEndian.PutUint32(sb[:], ck.stamp)
-	var out [cookieMACLen]byte
-	copy(out[:], cryptolib.MACHMACMD5.Compute(key[:], addr.Bytes(), sb[:]))
-	return out
+	return cryptolib.HMACMD5Tagged(&key, string(addr), ck.stamp)
 }
 
 // mint creates a cookie for addr under the current epoch.
@@ -639,20 +657,20 @@ func prefilterCharges(reason DropReason) bool {
 	return false
 }
 
-// prefilterWrap wraps an outgoing sealed datagram in an echo envelope
-// when the jar holds a fresh cookie from the destination. Applied
-// after Seal, so golden vectors and the sealed wire image are
-// untouched — the envelope is transport framing, stripped before the
-// peer's parse.
-func (e *Endpoint) prefilterWrap(payload []byte, dst principal.Address) []byte {
-	p := e.pf
-	ck, ok := p.jar.lookup(dst, e.cfg.Clock.Now())
-	if !ok {
-		return payload
-	}
-	out := make([]byte, 0, CookieFrameLen+len(payload))
-	out = appendCookieFrame(out, CookieKindEcho, ck)
-	out = append(out, payload...)
-	p.cookiesAttached.Add(1)
-	return out
+// echoCookie returns the cookie a challenge from dst left in the jar,
+// which the next datagram to dst must echo.
+func (e *Endpoint) echoCookie(dst principal.Address) (cookie, bool) {
+	return e.pf.jar.lookup(dst, e.cfg.Clock.Now())
+}
+
+// wrapEcho appends to buf an echo envelope carrying ck around a copy of
+// the sealed datagram payload, and returns the envelope and buf. The
+// sealed wire image itself is unchanged; send reserves the room, so the
+// envelope costs no allocation.
+func (e *Endpoint) wrapEcho(buf, payload []byte, ck cookie) (wrapped, rest []byte) {
+	start := len(buf)
+	buf = appendCookieFrame(buf, CookieKindEcho, ck)
+	buf = append(buf, payload...)
+	e.pf.cookiesAttached.Add(1)
+	return buf[start:], buf
 }

@@ -27,11 +27,11 @@ func exponentClasses(rng *rand.Rand, n, bits int) [2][]*big.Int {
 // TestConstantTime holds doc.go's constant-time claims to a measurement
 // (dudect: a leak is a |t| above 4.5 on the raw or the cropped samples
 // that a retake on a fresh class sequence repeats in the same
-// direction). On the kernel,
-// Shared, the fixed-base Public and both CRT halves of Sign take the same
-// time for a sparse and a random secret exponent of one length, and
-// MACID.Verify takes the same time for a tag wrong in its first byte and
-// one wrong in its last.
+// direction). On each kernel the CPU has — IFMA and MULX on an IFMA CPU
+// — Shared, the fixed-base Public, both CRT halves of Sign and the
+// two-stream walk that runs them together take the same time for a sparse
+// and a random secret exponent of one length, and MACID.Verify takes the
+// same time for a tag wrong in its first byte and one wrong in its last.
 //
 // PortableShared, big.Int.Exp, must leak under Shared's classes in the
 // same run: a control that reads clean means the host hides what this
@@ -41,7 +41,7 @@ func exponentClasses(rng *rand.Rand, n, bits int) [2][]*big.Int {
 // the host's noise; the kernel walks the same sixteen windows for either
 // class. Shared is also measured at GeneratePrivate's 256 bits.
 //
-// It takes about 10 s and skips under -race and -short; `make ci-soak`
+// It takes about 10 s per kernel and skips under -race and -short; `make ci-soak`
 // runs it once and `make nightly` ten times.
 func TestConstantTime(t *testing.T) {
 	dudect.SkipUntimed(t)
@@ -72,35 +72,46 @@ func TestConstantTime(t *testing.T) {
 		MACPrefixMD5.Verify(key, tags[c][i], msg)
 	}))
 
-	if !useMont {
+	if len(hostKernels()) == 0 {
 		t.Skip("no Montgomery kernel on this CPU: the exponentiations run on big.Int.Exp, which claims nothing")
 	}
 	g := Oakley2
 	peer := g.Public(big.NewInt(0x5eed))
-	word := exponentClasses(rng, 8000, 64)
-	check("DHGroup.Shared, one-word exponents", false, dudect.Measure(8000, 2, func(c, i int) {
-		g.Shared(word[c][i], peer)
-	}))
-	check("DHGroup.PortableShared, one-word exponents (control)", true, dudect.Measure(4000, 3, func(c, i int) {
-		g.PortableShared(word[c][i], peer)
-	}))
-	full := exponentClasses(rng, 8000, shortExponentBits)
-	check("DHGroup.Shared", false, dudect.Measure(8000, 4, func(c, i int) {
-		g.Shared(full[c][i], peer)
-	}))
-	pub := exponentClasses(rng, 40000, shortExponentBits)
-	check("DHGroup.Public", false, dudect.Measure(40000, 5, func(c, i int) {
-		g.Public(pub[c][i])
-	}))
 	k := rsaGoldenKey(t)
 	m := new(big.Int).SetBytes([]byte(rsaGoldenMsg))
-	for _, half := range []struct {
-		name     string
-		prime, d *big.Int
-	}{{"Sign, the half mod p", k.p, k.dP}, {"Sign, the half mod q", k.q, k.dQ}} {
-		ds := exponentClasses(rng, 20000, half.d.BitLen())
-		check(half.name, false, dudect.Measure(20000, 6, func(c, i int) {
-			expSecret(m, ds[c][i], half.prime)
+	for _, kind := range hostKernels() {
+		useKernel(t, kind)
+		name := func(row string) string { return kernelNames[kind] + ": " + row }
+		word := exponentClasses(rng, 8000, 64)
+		check(name("DHGroup.Shared, one-word exponents"), false, dudect.Measure(8000, 2, func(c, i int) {
+			g.Shared(word[c][i], peer)
+		}))
+		if kind == montBest {
+			check("DHGroup.PortableShared, one-word exponents (control)", true, dudect.Measure(4000, 3, func(c, i int) {
+				g.PortableShared(word[c][i], peer)
+			}))
+		}
+		full := exponentClasses(rng, 8000, shortExponentBits)
+		check(name("DHGroup.Shared"), false, dudect.Measure(8000, 4, func(c, i int) {
+			g.Shared(full[c][i], peer)
+		}))
+		pub := exponentClasses(rng, 40000, shortExponentBits)
+		check(name("DHGroup.Public"), false, dudect.Measure(40000, 5, func(c, i int) {
+			g.Public(pub[c][i])
+		}))
+		var halves [2][2][]*big.Int
+		for h, half := range []struct {
+			row      string
+			prime, d *big.Int
+		}{{"Sign, the half mod p", k.p, k.dP}, {"Sign, the half mod q", k.q, k.dQ}} {
+			ds := exponentClasses(rng, 20000, half.d.BitLen())
+			halves[0][h], halves[1][h] = ds[0], ds[1]
+			check(name(half.row), false, dudect.Measure(20000, 6, func(c, i int) {
+				expSecretOn(newMontModulus(half.prime), m, ds[c][i], half.prime)
+			}))
+		}
+		check(name("Sign, both halves as one two-stream walk"), false, dudect.Measure(20000, 7, func(c, i int) {
+			expCRT(newMontModulus(k.p), newMontModulus(k.q), m, halves[c][0][i], k.p, halves[c][1][i], k.q)
 		}))
 	}
 }

@@ -114,34 +114,40 @@ func (g DHGroup) Public(private *big.Int) *big.Int {
 
 // exp returns base^x mod p: the kernel's window walk where it serves p,
 // big.Int.Exp elsewhere.
-func (g DHGroup) exp(base, x *big.Int) *big.Int {
-	if x.Sign() >= 0 {
-		if mm := g.mont(); mm != nil {
-			return mm.exp(base, x)
+func (g DHGroup) exp(base, x *big.Int) *big.Int { return expSecretOn(g.mont(), base, x, g.P) }
+
+// oakleyMont holds Oakley 1's and 2's Montgomery contexts on each
+// kernel, each built on first use.
+var oakleyMont = forEachOakley(func(k montKind, g DHGroup) func() *montModulus {
+	return sync.OnceValue(func() *montModulus { return newMontModulusOn(k, g.P) })
+})
+
+// forEachOakley returns f's value for every kernel and built-in group,
+// indexed [kind][0 for Oakley 1, 1 for Oakley 2].
+func forEachOakley[T any](f func(montKind, DHGroup) T) (c [montIFMA + 1][2]T) {
+	for k := range c {
+		for i, g := range [2]DHGroup{Oakley1, Oakley2} {
+			c[k][i] = f(montKind(k), g)
 		}
 	}
-	return new(big.Int).Exp(base, x, g.P)
+	return c
 }
 
-// oakleyMont holds Oakley 1's and 2's Montgomery contexts, each built on
-// first use.
-var oakleyMont = [2]func() *montModulus{
-	sync.OnceValue(func() *montModulus { return newMontModulus(Oakley1.P) }),
-	sync.OnceValue(func() *montModulus { return newMontModulus(Oakley2.P) }),
-}
+// mont returns the Montgomery context for g's modulus on montUse, or nil
+// where the kernel does not serve it.
+func (g DHGroup) mont() *montModulus { return g.montOn(montUse) }
 
-// mont returns the Montgomery context for g's modulus, or nil where the
-// kernel does not serve it. Oakley 1 and 2, recognised by value, share
-// one context each; any other modulus builds its own per call, so no
-// group a certificate names can grow a cache.
-func (g DHGroup) mont() *montModulus {
+// montOn is mont on kernel k. Oakley 1 and 2, recognised by value, share
+// one context each per kernel; any other modulus builds its own per call,
+// so no group a certificate names can grow a cache.
+func (g DHGroup) montOn(k montKind) *montModulus {
 	switch {
 	case g.P.Cmp(Oakley2.P) == 0:
-		return oakleyMont[1]()
+		return oakleyMont[k][1]()
 	case g.P.Cmp(Oakley1.P) == 0:
-		return oakleyMont[0]()
+		return oakleyMont[k][0]()
 	}
-	return newMontModulus(g.P)
+	return newMontModulusOn(k, g.P)
 }
 
 // fixedBaseWindows and fixedBaseDigits shape the fixed-base table: the
@@ -155,20 +161,20 @@ const (
 // fixedBaseTable is g^(d·16^i) mod p for one group, in Montgomery form:
 // entry [i][d], digit 0 included. g^x is then the product of one entry
 // per digit of x — 63 products on the kernel instead of the 252
-// squarings and 63 products of the window walk.
+// squarings and 63 products of the window walk, 31 of them two at a time
+// on a two-stream product.
 type fixedBaseTable struct {
 	mm *montModulus
 	t  [fixedBaseWindows][fixedBaseDigits]montNat
 }
 
-// oakleyTables are Oakley 1's and 2's tables, each built on first use.
-var oakleyTables = [2]func() *fixedBaseTable{
-	sync.OnceValue(func() *fixedBaseTable { return newFixedBaseTable(Oakley1) }),
-	sync.OnceValue(func() *fixedBaseTable { return newFixedBaseTable(Oakley2) }),
-}
+// oakleyTables are Oakley 1's and 2's tables on each kernel, each built
+// on first use.
+var oakleyTables = forEachOakley(func(k montKind, g DHGroup) func() *fixedBaseTable {
+	return sync.OnceValue(func() *fixedBaseTable { return newFixedBaseTable(g.montOn(k), g) })
+})
 
-func newFixedBaseTable(g DHGroup) *fixedBaseTable {
-	mm := g.mont()
+func newFixedBaseTable(mm *montModulus, g DHGroup) *fixedBaseTable {
 	t := &fixedBaseTable{mm: mm}
 	var base montNat // g^(16^i)
 	mm.toMont(&base, g.G)
@@ -188,31 +194,42 @@ func newFixedBaseTable(g DHGroup) *fixedBaseTable {
 // (recognised by value), or an x that is not positive or is longer than
 // shortExponentBits.
 func (g DHGroup) fixedBase(x *big.Int) *fixedBaseTable {
-	if !useMont || x.Sign() <= 0 || x.BitLen() > shortExponentBits || !g.builtinSafePrime() {
+	if montUse == montNone || x.Sign() <= 0 || x.BitLen() > shortExponentBits || !g.builtinSafePrime() {
 		return nil
 	}
 	if g.P.Cmp(Oakley1.P) == 0 {
-		return oakleyTables[0]()
+		return oakleyTables[montUse][0]()
 	}
-	return oakleyTables[1]()
+	return oakleyTables[montUse][1]()
 }
 
 // exp returns g^x mod p for 0 < x < 2^shortExponentBits: every window
-// reads its digit's entry with montSelect and multiplies it in, a zero
-// digit included, so the work is the same for every x.
+// reads its digit's entry with the masked select and multiplies it in, a
+// zero digit included, so the work is the same for every x. The even and
+// the odd windows fill one accumulator each, as two streams of the
+// kernel's product where it has one, and the two multiply at the end.
 func (t *fixedBaseTable) exp(x *big.Int) *big.Int {
 	var digits [shortExponentBits / 64]uint64
 	for i, w := range x.Bits() {
 		digits[i] = uint64(w)
 	}
 	mm := t.mm
-	var acc, sel montNat
-	montSelect(&acc, &t.t[0], mm.n, digits[0]&15)
-	for i := 1; i < fixedBaseWindows; i++ {
-		montSelect(&sel, &t.t[i], mm.n, digits[i/16]>>(4*(i%16))&15)
-		mm.mul(&acc, &acc, &sel)
+	st := newMontStreams([2]*montModulus{mm, mm})
+	var acc, sel [2]montNat
+	for i := range fixedBaseWindows {
+		s := i % 2
+		d := digits[i/16] >> (4 * (i % 16)) & 15
+		if i < 2 {
+			mm.sel(&acc[s], &t.t[i], d)
+			continue
+		}
+		mm.sel(&sel[s], &t.t[i], d)
+		if s == 1 {
+			st.mul(&acc, &sel)
+		}
 	}
-	return mm.fromMont(&acc)
+	mm.mul(&acc[0], &acc[0], &acc[1])
+	return mm.fromMont(&acc[0])
 }
 
 // Shared computes the pair-based master secret g^(xy) mod p from one

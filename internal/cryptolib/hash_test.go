@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/md5"
 	"crypto/sha1"
+	"encoding/binary"
 	"encoding/hex"
 	stdcrc "hash/crc32"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +130,29 @@ func TestMACPartsConcatenate(t *testing.T) {
 		if !bytes.Equal(one, two) {
 			t.Errorf("%v: parts are not concatenated", id)
 		}
+	}
+}
+
+// TestHMACMD5Tagged: the stack HMAC-MD5 is MACHMACMD5.Compute over the
+// string and the big-endian word, for strings shorter and longer than
+// one block, and allocates nothing for a short one.
+func TestHMACMD5Tagged(t *testing.T) {
+	var key [16]byte
+	for i := range key {
+		key[i] = byte(7 * i)
+	}
+	for _, s := range []string{"", "alice", "10.0.0.1:4000", strings.Repeat("x", 61), strings.Repeat("y", 200)} {
+		for _, v := range []uint32{0, 1, 0xdeadbeef} {
+			var vb [4]byte
+			binary.BigEndian.PutUint32(vb[:], v)
+			want := MACHMACMD5.Compute(key[:], []byte(s), vb[:])
+			if got := HMACMD5Tagged(&key, s, v); !bytes.Equal(got[:], want) {
+				t.Fatalf("HMACMD5Tagged(%q, %d) = %x, want %x", s, v, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { HMACMD5Tagged(&key, "10.0.0.1:4000", 9) }); n != 0 {
+		t.Errorf("%.1f allocs/op, want 0", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/md5"
 	"crypto/sha1"
 	"crypto/subtle"
+	"encoding/binary"
 	"hash"
 )
 
@@ -107,4 +108,24 @@ func (m MACID) Verify(key, got []byte, parts ...[]byte) bool {
 		return false
 	}
 	return subtle.ConstantTimeCompare(want[:len(got)], got) == 1
+}
+
+// HMACMD5Tagged returns RFC 2104 HMAC-MD5 under a 16-byte key of s
+// followed by v big-endian — MACHMACMD5.Compute(key, []byte(s), v's four
+// bytes) — built on the stack: no allocation for an s of up to 60 bytes.
+func HMACMD5Tagged(key *[md5.Size]byte, s string, v uint32) [md5.Size]byte {
+	var pad [md5.BlockSize]byte
+	for i := range pad {
+		pad[i] = 0x36
+	}
+	for i, b := range key {
+		pad[i] ^= b
+	}
+	buf := make([]byte, 0, 2*md5.BlockSize)
+	buf = append(append(buf, pad[:]...), s...)
+	inner := md5.Sum(binary.BigEndian.AppendUint32(buf, v))
+	for i := range pad {
+		pad[i] ^= 0x36 ^ 0x5c
+	}
+	return md5.Sum(append(append(buf[:0], pad[:]...), inner[:]...))
 }

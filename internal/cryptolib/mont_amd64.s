@@ -1,8 +1,9 @@
-// The Montgomery kernel under DHGroup and the RSA keys, and the CPUID
-// probe that selects it: a product (montMulN), a squaring (montSqrN) and a
-// masked table read (montSelect) for moduli of N = 8, 12 and 16 words,
-// built on MULX (BMI2) and two independent carry chains, ADCX on CF and
-// ADOX on OF.
+// The MULX Montgomery kernel under DHGroup and the RSA keys, for the
+// CPUs and widths the IFMA kernel (mont_ifma_amd64.s) does not serve, and
+// the CPUID probe that selects it: a product (montMulN), a squaring
+// (montSqrN) and a masked table read (montSelect) for moduli of N = 8, 12
+// and 16 words, built on MULX (BMI2) and two independent carry chains,
+// ADCX on CF and ADOX on OF.
 //
 // The product and the squaring keep their accumulator T in a 2N-word
 // frame and walk it with DI. A product runs N rows; row i adds x·y[i]
@@ -1077,7 +1078,7 @@ entry:
 	POR     X2, X0
 	POR     X3, X1
 	PSUBL   X12, X14
-	ADDQ    $128, BX
+	ADDQ    $192, BX
 	DECQ    DX
 	JNZ     entry
 

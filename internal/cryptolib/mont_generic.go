@@ -3,10 +3,6 @@
 package cryptolib
 
 // No Montgomery kernel on this architecture: big.Int.Exp is the only path.
-const useMont = false
+const montBest = montNone
 
-func montKernel(int) (montMulFunc, montSqrFunc) { return nil, nil }
-
-func montSelect(*montNat, *[16]montNat, int, uint64) {
-	panic("cryptolib: no Montgomery kernel on this architecture")
-}
+func montKernelFor(montKind, int) *montKernel { return nil }

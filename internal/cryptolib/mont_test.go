@@ -3,14 +3,55 @@ package cryptolib
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math/big"
 	"math/rand/v2"
 	"sync"
 	"testing"
 )
 
-// montWidths are the widths, in 64-bit words, the kernel serves.
+// montWidths are the widths, in 64-bit words, a kernel may serve.
 var montWidths = [3]int{8, 12, 16}
+
+// kernelNames names each kernel in subtests and logs.
+var kernelNames = [...]string{montNone: "portable", montMULX: "mulx", montIFMA: "ifma"}
+
+// hostKernels are the kernels this CPU has, best first: IFMA and MULX on
+// an AVX-512 IFMA CPU, MULX alone on one with BMI2 and ADX, none
+// elsewhere.
+func hostKernels() []montKind {
+	switch montBest {
+	case montIFMA:
+		return []montKind{montIFMA, montMULX}
+	case montMULX:
+		return []montKind{montMULX}
+	}
+	return nil
+}
+
+// onEachKernel runs f once per kernel this CPU has, as a subtest named
+// after it, with new contexts built on that kernel: montUse is the
+// package's unexported hook for reaching MULX on a CPU whose best is
+// IFMA. It skips where the CPU has no kernel.
+func onEachKernel(t *testing.T, f func(t *testing.T, kind montKind)) {
+	t.Helper()
+	if len(hostKernels()) == 0 {
+		t.Skip("no Montgomery kernel on this CPU")
+	}
+	for _, kind := range hostKernels() {
+		t.Run(kernelNames[kind], func(t *testing.T) {
+			useKernel(t, kind)
+			f(t, kind)
+		})
+	}
+}
+
+// useKernel builds new contexts on kind until t ends.
+func useKernel(t testing.TB, kind montKind) {
+	old := montUse
+	montUse = kind
+	t.Cleanup(func() { montUse = old })
+}
 
 // montTestModuli returns odd moduli of n words: the built-in one of that
 // width, a random one with its top bit set, one whose top word is 1, and
@@ -34,101 +75,137 @@ func randBits(rng *rand.Rand, bits int) *big.Int {
 	return x.Rsh(x, uint(8*len(b)-bits))
 }
 
-// TestMontProductAgainstBig: montMul and montSqr return x·y·R⁻¹ mod m,
-// fully reduced, at every width, for edge and random operands below m.
+// TestMontProductAgainstBig: on every kernel the CPU has, montMul and
+// montSqr return x·y·R⁻¹ mod m at every width, below m on MULX and below
+// 2m on IFMA, for edge and random operands below m — and, on IFMA, whose
+// product takes them, below 2m.
 func TestMontProductAgainstBig(t *testing.T) {
-	if !useMont {
-		t.Skip("no Montgomery kernel on this CPU")
-	}
-	rng := rand.New(rand.NewPCG(1, 1))
-	for _, n := range montWidths {
-		for _, m := range montTestModuli(rng, n) {
-			mm := newMontModulus(m)
-			rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(64*n)), m)
-			ops := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(m, big.NewInt(1)), new(big.Int).Sub(m, big.NewInt(2))}
-			for range 8 {
-				ops = append(ops, new(big.Int).Mod(randBits(rng, 64*n), m))
-			}
-			for _, x := range ops {
-				for _, y := range ops {
-					var xm, ym, z montNat
-					loadNat(&xm, x)
-					loadNat(&ym, y)
-					want := new(big.Int).Mul(x, y)
-					want.Mul(want, rInv).Mod(want, m)
-					mm.mul(&z, &xm, &ym)
-					if got := natInt(&z); got.Cmp(want) != 0 {
-						t.Fatalf("%d words, m=%x: mul(%x, %x) = %x, want %x", n, m, x, y, got, want)
-					}
-					if x != y {
-						continue
-					}
-					mm.sqr(&z, &xm)
-					if got := natInt(&z); got.Cmp(want) != 0 {
-						t.Fatalf("%d words, m=%x: sqr(%x) = %x, want %x", n, m, x, got, want)
+	onEachKernel(t, func(t *testing.T, kind montKind) {
+		rng := rand.New(rand.NewPCG(1, 1))
+		for _, n := range montWidths {
+			for _, m := range montTestModuli(rng, n) {
+				mm := newMontModulus(m)
+				logR := mm.k.radix * uint(mm.k.limbs)
+				rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), logR), m)
+				one := big.NewInt(1)
+				bound := m
+				ops := []*big.Int{big.NewInt(0), one, new(big.Int).Sub(m, one), new(big.Int).Sub(m, big.NewInt(2))}
+				for range 8 {
+					ops = append(ops, new(big.Int).Mod(randBits(rng, 64*n), m))
+				}
+				if mm.k.radix == 52 {
+					bound = new(big.Int).Lsh(m, 1)
+					ops = append(ops, new(big.Int).Set(m), new(big.Int).Add(m, one), new(big.Int).Sub(bound, one),
+						new(big.Int).Add(m, new(big.Int).Mod(randBits(rng, 64*n), m)))
+				}
+				for _, x := range ops {
+					for _, y := range ops {
+						var xm, ym, z montNat
+						mm.load(&xm, x)
+						mm.load(&ym, y)
+						want := new(big.Int).Mul(x, y)
+						want.Mul(want, rInv).Mod(want, m)
+						check := func(op string) {
+							t.Helper()
+							got := mm.int(&z)
+							if got.Cmp(bound) >= 0 || new(big.Int).Mod(got, m).Cmp(want) != 0 {
+								t.Fatalf("%d words, m=%x: %s(%x, %x) = %x, want %x below %x", n, m, op, x, y, got, want, bound)
+							}
+						}
+						mm.mul(&z, &xm, &ym)
+						check("mul")
+						if x != y {
+							continue
+						}
+						mm.sqr(&z, &xm)
+						check("sqr")
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
-func natInt(z *montNat) *big.Int {
-	b := make([]byte, 8*montMaxWords)
-	for i, w := range z {
-		for j := range 8 {
-			b[len(b)-1-8*i-j] = byte(w >> (8 * j))
-		}
-	}
-	return new(big.Int).SetBytes(b)
-}
-
-// TestModExpAgainstBig: at every width the kernel's secret walk and its
-// public square-and-multiply give big.Int.Exp's result byte for byte, for
-// bases 0, 1, 2, m-1, m-2, random, m and above, and exponents 0, 1,
-// 2^k-1, 256-bit and full-length.
+// TestModExpAgainstBig: on every kernel the CPU has, at every width the
+// kernel's secret walk and its public square-and-multiply give
+// big.Int.Exp's result byte for byte, for bases 0, 1, 2, m-1, m-2,
+// random, m and above, and exponents 0, 1, 2^k-1, 256-bit and
+// full-length.
 func TestModExpAgainstBig(t *testing.T) {
-	if !useMont {
-		t.Skip("no Montgomery kernel on this CPU")
-	}
-	rng := rand.New(rand.NewPCG(2, 2))
-	for _, n := range montWidths {
-		for _, m := range montTestModuli(rng, n) {
-			mm := newMontModulus(m)
-			if mm == nil || mm.n != n {
-				t.Fatalf("no %d-word context for m=%x", n, m)
-			}
-			one, two := big.NewInt(1), big.NewInt(2)
-			bases := []*big.Int{
-				big.NewInt(0), one, two,
-				new(big.Int).Sub(m, one), new(big.Int).Sub(m, two),
-				new(big.Int).Mod(randBits(rng, 64*n), m),
-				new(big.Int).Set(m),
-				new(big.Int).Add(m, randBits(rng, 64*n-8)),
-				new(big.Int).Add(new(big.Int).Lsh(one, uint(64*n+5)), big.NewInt(3)),
-			}
-			short := randBits(rng, shortExponentBits)
-			short.SetBit(short, shortExponentBits-1, 1)
-			exps := []*big.Int{
-				big.NewInt(0), one, big.NewInt(15), big.NewInt(65537),
-				new(big.Int).Sub(new(big.Int).Lsh(one, 64), one),
-				new(big.Int).Sub(new(big.Int).Lsh(one, 255), one),
-				short, randBits(rng, m.BitLen()),
-			}
-			size := 8 * n
-			for _, x := range bases {
-				for _, e := range exps {
-					want := new(big.Int).Exp(x, e, m).FillBytes(make([]byte, size))
-					if got := mm.exp(x, e).FillBytes(make([]byte, size)); !bytes.Equal(got, want) {
-						t.Fatalf("%d words: exp(%x, %x) mod %x = %x, want %x", n, x, e, m, got, want)
-					}
-					if got := mm.expPublic(x, e).FillBytes(make([]byte, size)); !bytes.Equal(got, want) {
-						t.Fatalf("%d words: expPublic(%x, %x) mod %x = %x, want %x", n, x, e, m, got, want)
+	onEachKernel(t, func(t *testing.T, kind montKind) {
+		rng := rand.New(rand.NewPCG(2, 2))
+		for _, n := range montWidths {
+			for _, m := range montTestModuli(rng, n) {
+				mm := newMontModulus(m)
+				if mm == nil {
+					t.Fatalf("no %d-word context for m=%x", n, m)
+				}
+				one, two := big.NewInt(1), big.NewInt(2)
+				bases := []*big.Int{
+					big.NewInt(0), one, two,
+					new(big.Int).Sub(m, one), new(big.Int).Sub(m, two),
+					new(big.Int).Mod(randBits(rng, 64*n), m),
+					new(big.Int).Set(m),
+					new(big.Int).Add(m, randBits(rng, 64*n-8)),
+					new(big.Int).Add(new(big.Int).Lsh(one, uint(64*n+5)), big.NewInt(3)),
+				}
+				short := randBits(rng, shortExponentBits)
+				short.SetBit(short, shortExponentBits-1, 1)
+				exps := []*big.Int{
+					big.NewInt(0), one, big.NewInt(15), big.NewInt(65537),
+					new(big.Int).Sub(new(big.Int).Lsh(one, 64), one),
+					new(big.Int).Sub(new(big.Int).Lsh(one, 255), one),
+					short, randBits(rng, m.BitLen()),
+				}
+				size := 8 * n
+				for _, x := range bases {
+					for _, e := range exps {
+						want := new(big.Int).Exp(x, e, m).FillBytes(make([]byte, size))
+						if got := mm.exp(x, e).FillBytes(make([]byte, size)); !bytes.Equal(got, want) {
+							t.Fatalf("%d words: exp(%x, %x) mod %x = %x, want %x", n, x, e, m, got, want)
+						}
+						if got := mm.expPublic(x, e).FillBytes(make([]byte, size)); !bytes.Equal(got, want) {
+							t.Fatalf("%d words: expPublic(%x, %x) mod %x = %x, want %x", n, x, e, m, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+// TestExpWalkTwoStreams: on every kernel the CPU has, the two-stream walk
+// gives what two one-stream walks give, for moduli of one width and of
+// two, exponents of unequal word counts (the shorter padded with zero
+// digits) and of none, and bases at m-1.
+func TestExpWalkTwoStreams(t *testing.T) {
+	onEachKernel(t, func(t *testing.T, kind montKind) {
+		rng := rand.New(rand.NewPCG(7, 7))
+		one := big.NewInt(1)
+		for _, widths := range [][2]int{{8, 8}, {16, 16}, {12, 12}, {8, 16}} {
+			m0 := montTestModuli(rng, widths[0])
+			m1 := montTestModuli(rng, widths[1])
+			for i := range m0 {
+				mm := [2]*montModulus{newMontModulus(m0[i]), newMontModulus(m1[(i+1)%len(m1)])}
+				for _, bits := range [][2]int{{0, 0}, {64, 64}, {512, 64}, {1, 511}, {256, 0}, {widths[0] * 64, widths[1]*64 - 3}} {
+					var x, e [2]*big.Int
+					for s := range 2 {
+						x[s] = new(big.Int).Mod(randBits(rng, 64*widths[s]), mm[s].p)
+						if i%2 == 0 {
+							x[s].Sub(mm[s].p, one)
+						}
+						e[s] = randBits(rng, bits[s])
+					}
+					got := expWalk(mm, x, e)
+					for s := range 2 {
+						if want := mm[s].exp(x[s], e[s]); got[s].Cmp(want) != 0 {
+							t.Fatalf("widths %v, exponent bits %v: stream %d = %x, want %x", widths, bits, s, got[s], want)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestModExpFallsBack: an even modulus, another width and a negative
@@ -146,12 +223,12 @@ func TestModExpFallsBack(t *testing.T) {
 	x, e := big.NewInt(7), randBits(rng, 200)
 	for _, m := range []*big.Int{even, narrow, TestGroup.P} {
 		want := new(big.Int).Exp(x, e, m)
-		if expSecret(x, e, m).Cmp(want) != 0 || expPublic(x, e, m).Cmp(want) != 0 {
+		if expSecretOn(newMontModulus(m), x, e, m).Cmp(want) != 0 || expPublicOn(newMontModulus(m), x, e, m).Cmp(want) != 0 {
 			t.Fatalf("m=%x: x^e differs from big.Int.Exp", m)
 		}
 	}
 	neg := big.NewInt(-3)
-	if got, want := expSecret(x, neg, TestGroup.P), new(big.Int).Exp(x, neg, TestGroup.P); got.Cmp(want) != 0 {
+	if got, want := expSecretOn(newMontModulus(TestGroup.P), x, neg, TestGroup.P), new(big.Int).Exp(x, neg, TestGroup.P); got.Cmp(want) != 0 {
 		t.Fatal("a negative exponent differs from big.Int.Exp")
 	}
 }
@@ -183,42 +260,45 @@ func TestSharedMatchesPortable(t *testing.T) {
 	}
 }
 
-// TestKernelConcurrentUse: the Oakley contexts and fixed-base tables are
-// built once and then read by every caller; four goroutines computing g^x
-// and Shared on both groups at once agree with big.Int.Exp.
+// TestKernelConcurrentUse: on every kernel the CPU has, the Oakley
+// contexts and fixed-base tables are built once and then read by every
+// caller; four goroutines computing g^x and Shared on both groups at once
+// agree with big.Int.Exp.
 func TestKernelConcurrentUse(t *testing.T) {
-	var wg sync.WaitGroup
-	for w := range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(uint64(w), 6))
-			for i := range 8 {
-				g := [2]DHGroup{Oakley1, Oakley2}[i%2]
-				x := randBits(rng, shortExponentBits)
-				x.SetBit(x, shortExponentBits-1, 1)
-				pub := g.Public(x)
-				if pub.Cmp(new(big.Int).Exp(g.G, x, g.P)) != 0 {
-					t.Errorf("goroutine %d: g^x differs from big.Int.Exp", w)
-					return
+	onEachKernel(t, func(t *testing.T, kind montKind) {
+		var wg sync.WaitGroup
+		for w := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewPCG(uint64(w), 6))
+				for i := range 8 {
+					g := [2]DHGroup{Oakley1, Oakley2}[i%2]
+					x := randBits(rng, shortExponentBits)
+					x.SetBit(x, shortExponentBits-1, 1)
+					pub := g.Public(x)
+					if pub.Cmp(new(big.Int).Exp(g.G, x, g.P)) != 0 {
+						t.Errorf("goroutine %d: g^x differs from big.Int.Exp", w)
+						return
+					}
+					got, err := g.Shared(x, pub)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if want, _ := g.PortableShared(x, pub); got.Cmp(want) != 0 {
+						t.Errorf("goroutine %d: Shared differs from PortableShared", w)
+						return
+					}
 				}
-				got, err := g.Shared(x, pub)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if want, _ := g.PortableShared(x, pub); got.Cmp(want) != 0 {
-					t.Errorf("goroutine %d: Shared differs from PortableShared", w)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+			}()
+		}
+		wg.Wait()
+	})
 }
 
-// FuzzModExp holds the kernel to big.Int.Exp for any odd modulus of a
-// width it serves (picked by len(mod) mod 3; mod's bytes fill it from the
+// FuzzModExp holds every kernel the CPU has to big.Int.Exp for any odd
+// modulus of a width the kernels serve (picked by len(mod) mod 3; mod's bytes fill it from the
 // top, so short inputs give moduli with long runs of zero words), any base
 // and any exponent of up to 1024 bits.
 func FuzzModExp(f *testing.F) {
@@ -226,9 +306,6 @@ func FuzzModExp(f *testing.F) {
 	f.Add(Oakley1.P.Bytes(), Oakley1.P.Bytes(), []byte{1, 0, 1})
 	f.Add(TestGroup.P.Bytes(), []byte{}, []byte{})
 	f.Fuzz(func(t *testing.T, mod, base, exp []byte) {
-		if !useMont {
-			t.Skip("no Montgomery kernel on this CPU")
-		}
 		if len(exp) > 128 {
 			exp = exp[:128]
 		}
@@ -238,17 +315,19 @@ func FuzzModExp(f *testing.F) {
 		mb[7] |= 1 // a non-zero top word: exactly n words
 		mb[len(mb)-1] |= 1
 		m := new(big.Int).SetBytes(mb)
-		mm := newMontModulus(m)
-		if mm == nil || mm.n != n {
-			t.Fatalf("no %d-word context for m=%x", n, m)
-		}
 		x, e := new(big.Int).SetBytes(base), new(big.Int).SetBytes(exp)
 		want := new(big.Int).Exp(x, e, m)
-		if got := mm.exp(x, e); got.Cmp(want) != 0 {
-			t.Fatalf("exp(%x, %x) mod %x = %x, want %x", x, e, m, got, want)
-		}
-		if got := mm.expPublic(x, e); got.Cmp(want) != 0 {
-			t.Fatalf("expPublic(%x, %x) mod %x = %x, want %x", x, e, m, got, want)
+		for _, kind := range hostKernels() {
+			mm := newMontModulusOn(kind, m)
+			if mm == nil {
+				t.Fatalf("%s: no %d-word context for m=%x", kernelNames[kind], n, m)
+			}
+			if got := mm.exp(x, e); got.Cmp(want) != 0 {
+				t.Fatalf("%s: exp(%x, %x) mod %x = %x, want %x", kernelNames[kind], x, e, m, got, want)
+			}
+			if got := mm.expPublic(x, e); got.Cmp(want) != 0 {
+				t.Fatalf("%s: expPublic(%x, %x) mod %x = %x, want %x", kernelNames[kind], x, e, m, got, want)
+			}
 		}
 	})
 }
@@ -267,16 +346,7 @@ func rsaGoldenKey(t testing.TB) *RSAPrivateKey {
 	t.Helper()
 	p, _ := new(big.Int).SetString(rsaGoldenP, 16)
 	q, _ := new(big.Int).SetString(rsaGoldenQ, 16)
-	one, e := big.NewInt(1), big.NewInt(65537)
-	phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
-	d := new(big.Int).ModInverse(e, phi)
-	return &RSAPrivateKey{
-		RSAPublicKey: RSAPublicKey{N: new(big.Int).Mul(p, q), E: e}, D: d,
-		p: p, q: q,
-		dP:   new(big.Int).Mod(d, new(big.Int).Sub(p, one)),
-		dQ:   new(big.Int).Mod(d, new(big.Int).Sub(q, one)),
-		qInv: new(big.Int).ModInverse(q, p),
-	}
+	return newRSAKey(p, q, big.NewInt(65537))
 }
 
 func bigExp(x, e, m *big.Int) *big.Int { return new(big.Int).Exp(x, e, m) }
@@ -349,5 +419,37 @@ func BenchmarkRSA1024(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkMontKernel prices one product, one squaring and one
+// two-stream product (two products, one per stream) on every kernel the
+// CPU has, at 512 and 1024 bits.
+func BenchmarkMontKernel(b *testing.B) {
+	for _, kind := range hostKernels() {
+		for _, m := range []*big.Int{TestGroup.P, Oakley2.P} {
+			mm := newMontModulusOn(kind, m)
+			st := newMontStreams([2]*montModulus{mm, mm})
+			var x, y [2]montNat
+			mm.toMont(&x[0], big.NewInt(3))
+			mm.toMont(&y[0], big.NewInt(5))
+			x[1], y[1] = x[0], y[0]
+			name := fmt.Sprintf("%s/%d", kernelNames[kind], m.BitLen())
+			b.Run(name+"/mul", func(b *testing.B) {
+				for range b.N {
+					mm.mul(&x[0], &x[0], &y[0])
+				}
+			})
+			b.Run(name+"/sqr", func(b *testing.B) {
+				for range b.N {
+					mm.sqr(&x[0], &x[0])
+				}
+			})
+			b.Run(name+"/mul2", func(b *testing.B) {
+				for range b.N {
+					st.mul(&x, &y)
+				}
+			})
+		}
 	}
 }

@@ -10,8 +10,8 @@
 
 GO ?= go
 GOFMT ?= gofmt
-# FUZZTIME is per fuzz target; CI runs eight targets, so the default
-# keeps the whole fuzz-smoke step to ~120 s.
+# FUZZTIME is per fuzz target; CI runs nine targets, so the default
+# keeps the whole fuzz-smoke step to ~135 s.
 FUZZTIME ?= 15s
 # Pinned staticcheck build: `go run` fetches and caches it, so the
 # toolchain — not PATH — decides the version CI lints with.
@@ -86,7 +86,8 @@ examples:
 bench-smoke:
 	$(GO) run ./cmd/fbsbench -bytes 65536 -native -json | $(GO) run ./cmd/fbsstat bench-validate
 
-# fuzz-smoke gives each fuzz target (the core decoders, the differential
+# fuzz-smoke gives each fuzz target (the core decoders, the receive walk's
+# verdict before keying against the walk itself, the differential
 # harness, the ChaCha20 keystream kernel against its Go oracle, the
 # Montgomery kernel against big.Int.Exp, the UDP receive splitter over
 # attacker-shaped GRO messages, the gateway config parser against what a
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzHeaderDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzOpen$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzCookie$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzDecide$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsim -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzChaCha20Poly1305$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/cryptolib -run='^$$' -fuzz='^FuzzModExp$$' -fuzztime=$(FUZZTIME)

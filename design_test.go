@@ -398,6 +398,52 @@ func TestEntryPointTable(t *testing.T) {
 	t.Logf("%d entry points; %d rows", len(doors), len(rows))
 }
 
+// preKeyChecks are the receive walk's header verdicts before keying: the
+// header decode (R2), the algorithm policy (R2b) and freshness (R3-4).
+var preKeyChecks = []string{"Decode", "checkAlg", "Fresh"}
+
+// TestPreKeyVerdictIsDecided holds the seventh census's rule: in
+// internal/core's non-test code, only Endpoint.decide calls a pre-key
+// check, so the receive walk and its keying look-ahead judge a datagram
+// by one statement of the order, and an /explain or per-batch filter
+// built on decide judges it the same way.
+func TestPreKeyVerdictIsDecided(t *testing.T) {
+	calls := map[string]int{}
+	walkGoFiles(t, func(dir, path string, f *ast.File) {
+		if dir != "internal/core" || !censused(dir, path) {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			where := declKey(dir, fd)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || !slices.Contains(preKeyChecks, sel.Sel.Name) {
+					return true
+				}
+				calls[sel.Sel.Name]++
+				if where != "internal/core.Endpoint.decide" {
+					t.Errorf("%s calls %s, a pre-key check: judge the datagram through Endpoint.decide instead", where, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	})
+	for _, name := range preKeyChecks {
+		if calls[name] == 0 {
+			t.Errorf("no call of %s in internal/core: the census has lost what it counts", name)
+		}
+	}
+	t.Logf("pre-key checks called: %v", calls)
+}
+
 // recordSetters adds to set every field the file sets: "Type.Key" for a
 // key of a composite literal that names its struct type, and "*.Key" for
 // one whose type is elided and for a .Key = assignment, whose receiver's

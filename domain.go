@@ -221,7 +221,7 @@ func (p *Provision) parsed() error {
 			return
 		}
 		p.dir = cert.NewStaticDirectory()
-		p.ver = &cert.Verifier{CAKey: cryptolib.RSAPublicKey{N: n, E: e}}
+		p.ver = &cert.Verifier{CAKey: cryptolib.NewRSAPublicKey(n, e)}
 		for i, wire := range p.Certs {
 			c, err := cert.Unmarshal(wire)
 			if err != nil {

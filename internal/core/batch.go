@@ -479,55 +479,24 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		var memoSrc principal.Address
 		var memoKey keySlot
 		var t time.Time
+		var v verdict
 		nr := 0 // survivors pending a replay verdict
 		for k := 0; k < chunk; k++ {
 			dg := &dgs[k]
 			t = tc.start()
-			if dg.Destination != e.Addr() {
-				tc.parsed(t, 0, false, DropNotForUs)
-				res[k] = e.refuse(dg.Source, DropNotForUs, ErrNotForUs)
+			// The ladder's cadence counts the datagrams addressed here, and
+			// moves before their verdict reads the rung.
+			if e.pf != nil && dg.Destination == e.Addr() {
+				e.pf.tick(e)
+			}
+			// (R1-4) the verdict before keying, then what it implies.
+			e.decide(dg, now, &v)
+			if !e.account(dg, &v, now, t, tc) {
+				res[k] = e.refuse(dg.Source, v.drop, v.err)
 				continue
 			}
-			// (R1b) the edge pre-filter: control-frame absorption,
-			// echo-envelope verification, sketch shedding and the cookie
-			// challenge — all before any header parse or cache work. A
-			// shed costs the ladder tick, a clock read, two sketch loads,
-			// the charge of the source's prefix and one drop count, and
-			// allocates nothing. A verified echo rewrites dg.Payload in
-			// place.
-			if e.pf != nil {
-				if drop, err := e.prefilterInbound(dg, tc); err != nil {
-					res[k] = e.refuse(dg.Source, drop, err)
-					continue
-				}
-				e.pf.headerParses.Add(1)
-			}
-			// (R2) retrieve the security flow header.
-			var h Header
-			hn, err := h.Decode(dg.Payload)
-			if err != nil {
-				tc.parsed(t, 0, false, DropMalformed)
-				res[k] = e.refuse(dg.Source, DropMalformed, err)
-				continue
-			}
-			body := dg.Payload[hn:]
-			// (R2b) resolve the algorithm identification against the suite
-			// registry (structure) and the Accept* policy, before any keying
-			// or crypto work.
-			suite, err := e.checkAlg(&h)
-			if err != nil {
-				tc.parsed(t, h.SFL, false, DropAlgorithm)
-				res[k] = e.refuse(dg.Source, DropAlgorithm, err)
-				continue
-			}
-			// (R3-4) freshness.
-			if !h.Timestamp.Fresh(now, e.cfg.FreshnessWindow) {
-				tc.parsed(t, h.SFL, false, DropStale)
-				res[k] = e.refuse(dg.Source, DropStale, ErrStale)
-				continue
-			}
+			h, suite, body := &v.h, v.suite, dg.Payload[HeaderSize:]
 			if tc.active() {
-				tc.parsed(t, h.SFL, h.Secret(), DropNone)
 				t = time.Now()
 			}
 			// (R5-6) recover the flow key.
@@ -537,6 +506,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			} else {
 				var keyHit bool
 				var note SpanFlags
+				var err error
 				ahead.rest = dgs[k+1 : chunk]
 				ks, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, suite, la)
 				// The overload sheds carry their own reason; everything
@@ -567,7 +537,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			// cipher cannot run, ErrDecrypt.
 			t = tc.start()
 			off := len(dst)
-			newDst, plain, err := suite.open(dst, h, ks, body, tc)
+			newDst, plain, err := suite.open(dst, *h, ks, body, tc)
 			drop := DropNone
 			if err == ErrBadMAC {
 				drop = DropBadMAC
@@ -583,11 +553,11 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			}
 			dst = newDst
 			if pend == nil {
-				dst, res[k] = e.deliver(dst, off, plain, &h, alias)
+				dst, res[k] = e.deliver(dst, off, plain, h, alias)
 				opened++
 				continue
 			}
-			pend.idx[nr], pend.src[nr], pend.hdr[nr], pend.off[nr], pend.body[nr] = k, dg.Source, h, off, plain
+			pend.idx[nr], pend.src[nr], pend.hdr[nr], pend.off[nr], pend.body[nr] = k, dg.Source, *h, off, plain
 			nr++
 		}
 		// Optional exact-duplicate suppression (extension). A datagram is
@@ -658,10 +628,9 @@ func (la *lookahead) upcall(peer principal.Address) *upcall {
 // start runs the look-ahead at the chunk's first master-key miss, whose
 // upcall own is, and returns the walk's handle to own; nil when it does
 // not run (no look-ahead, not the first miss, or the budget above
-// normal). A later datagram qualifies as the walk itself would judge it
-// — addressed here, decoding, accepted by the algorithm policy, fresh —
-// and its flow key and its peer's master key are both uncached; the
-// caches are peeked, so no counter moves.
+// normal). A later datagram qualifies when decide passes it, as the
+// walk will, and its flow key and its peer's master key are both
+// uncached; the caches are peeked, so no counter moves.
 func (la *lookahead) start(own upcall) *upcall {
 	if la == nil || la.ran {
 		return nil
@@ -681,17 +650,14 @@ func (la *lookahead) start(own upcall) *upcall {
 	la.started = started
 	for i := range la.rest {
 		dg := &la.rest[i]
-		if dg.Destination != e.Addr() || la.upcall(dg.Source) != nil {
+		if la.upcall(dg.Source) != nil {
 			continue
 		}
-		var h Header
-		if _, err := h.Decode(dg.Payload); err != nil {
+		var v verdict
+		if e.decide(dg, la.now, &v); !v.pass() {
 			continue
 		}
-		if _, err := e.checkAlg(&h); err != nil || !h.Timestamp.Fresh(la.now, e.cfg.FreshnessWindow) {
-			continue
-		}
-		if _, ok := e.rfkc.Peek(flowCacheKey{SFL: h.SFL, Dst: dg.Destination, Src: dg.Source}); ok {
+		if _, ok := e.rfkc.Peek(flowCacheKey{SFL: v.h.SFL, Dst: dg.Destination, Src: dg.Source}); ok {
 			continue
 		}
 		if _, ok := e.plane.ks.mkc.Peek(dg.Source); ok {
@@ -776,7 +742,7 @@ func (e *Endpoint) send(dgs []transport.Datagram, secret, batch bool) (n int, re
 			// A pending cookie challenge from this destination is echoed
 			// in an envelope around a copy of the sealed datagram, built
 			// at the tail of the same buffer.
-			ck, ok := e.echoCookie(dgs[i].Destination)
+			ck, ok := e.pf.jar.lookup(dgs[i].Destination, e.cfg.Clock.Now())
 			echo = append(echo, echoSlot{ck, ok})
 			if ok {
 				capHint += CookieFrameLen + room

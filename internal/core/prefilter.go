@@ -14,43 +14,36 @@ import (
 	"fbs/internal/transport"
 )
 
-// This file is the edge pre-filter: the receive path's first line of
-// defense, sitting in front of the header parse, the caches, and the
+// This file is the edge pre-filter's state: the receive path's first
+// line of defense, in front of the header parse, the caches and the
 // keying admission gate. The admission gate (admission.go) bounds how
-// much *keying work* a spoofed-source flood can buy; this layer bounds
-// how much *any* work an offered forgery can buy, by refusing traffic
-// before the endpoint even parses it. It has two mechanisms and a
-// ladder that decides when they run:
+// much keying work a spoofed-source flood can buy; the pre-filter bounds
+// how much work of any kind an offered forgery can buy. Its verdicts are
+// Endpoint.decide's, and Endpoint.account does what they imply
+// (decide.go). It has two mechanisms and a ladder that decides when they
+// run:
 //
-//   - A per-prefix counting sketch: a fixed-size array of counters
-//     indexed by CRC hashes of the source-address prefix. Every drop
-//     that smells like forgery (bad MAC, admission shed, bad cookie,
-//     challenged, prefilter) charges the source's prefix; once a
-//     prefix's score crosses the threshold, its datagrams are refused
-//     (DropPrefilter) before the header parse. Periodic halving decay
-//     forgives a prefix that goes quiet. The sketch is zero-allocation
-//     and lock-free: two atomic loads to score, two atomic adds to
-//     charge.
+//   - A per-prefix counting sketch: counters indexed by CRC hashes of the
+//     source-address prefix. Every forgery-shaped drop (prefilterCharges)
+//     charges the source's prefix; a prefix scoring past the threshold is
+//     shed (DropPrefilter) before the header parse, and periodic halving
+//     decay forgives a prefix that goes quiet. Two atomic loads score it
+//     and two atomic adds charge it, with no lock and no allocation.
 //
-//   - A stateless cookie challenge: at the ladder's top level an
-//     unknown peer's datagram is not admitted to keying; the endpoint
-//     instead emits a small challenge frame carrying an HMAC cookie
-//     over (source address, rotating secret epoch, coarse timestamp)
-//     and retains nothing — the cookie IS the state, held by the
-//     sender. A legitimate sender's stack absorbs the challenge into
-//     its cookie jar and wraps its retries in an echo envelope; the
-//     receiver verifies the echo with one keyed-hash check, which
-//     proves return routability (a spoofed source never saw the
-//     cookie) and bypasses nothing else — budget, admission and suite
-//     policy still apply to the unwrapped datagram.
+//   - A stateless cookie challenge: at the ladder's top rung an unknown
+//     peer's datagram is refused and answered with a challenge frame
+//     carrying an HMAC cookie over (source address, rotating secret
+//     epoch, coarse timestamp); the receiver retains nothing. A
+//     legitimate sender absorbs it into its cookie jar and wraps its
+//     retries in an echo envelope, whose one keyed-hash check proves
+//     return routability and bypasses nothing else.
 //
-// The ladder (off → sketch → sketch+challenge) is driven by the same
-// pressure signals the overload plane already produces: the admission
-// gate's shed rate, the state budget's pressure band, and the keying
-// gate depth. Escalation and de-escalation both require a streak of
-// consistent evaluations (hysteresis), so a single hot sample cannot
-// flap the level. A mirrored implementation lives in internal/refmodel
-// so the differential harness can hold the two byte-identical.
+// The ladder (off → sketch → sketch+challenge) moves on the overload
+// plane's pressure signals (the admission gate's shed rate, the state
+// budget's band, the keying gate depth), each step after a streak of
+// consistent evaluations, so one hot sample cannot flap it. A mirrored
+// implementation lives in internal/refmodel so the differential harness
+// can hold the two byte-identical.
 
 // PrefilterLevel is a rung of the degradation ladder.
 type PrefilterLevel int32
@@ -538,16 +531,8 @@ func (p *prefilter) hotSignal(e *Endpoint) bool {
 	sheds := e.metrics.drops[DropKeyingOverload].Load()
 	delta := sheds - p.lastShedRead
 	p.lastShedRead = sheds
-	if delta*8 >= prefilterEvalEvery {
-		return true
-	}
-	if e.cfg.StateBudget.Level() != BudgetNormal {
-		return true
-	}
-	if e.gate.Stats().Depth >= prefilterHotGateDepth {
-		return true
-	}
-	return false
+	return delta*8 >= prefilterEvalEvery || e.cfg.StateBudget.Level() != BudgetNormal ||
+		e.gate.Stats().Depth >= prefilterHotGateDepth
 }
 
 // emitChallenge sends a challenge frame to src (best-effort, never
@@ -567,84 +552,6 @@ func (p *prefilter) emitChallenge(e *Endpoint, src principal.Address, now time.T
 	}
 }
 
-// prefilterInbound is the receive path's pre-parse stage, called after
-// the addressing check and before the header decode. It strips a
-// verified echo envelope from dg.Payload, or returns a refusal's verdict
-// and bare sentinel for the walk to account (refuse):
-//
-//   - a challenge frame addressed to us is absorbed into the jar and
-//     reported as ErrChallengeAbsorbed (control traffic, DropNone);
-//   - an echo envelope is verified — valid strips the envelope and
-//     proceeds (return routability proven, so the sketch and challenge
-//     are bypassed; everything downstream still applies), invalid is
-//     DropBadCookie;
-//   - at PrefilterSketch and above, a source prefix scoring past the
-//     threshold is shed (DropPrefilter) before any parse work;
-//   - at PrefilterChallenge, an unknown peer without an envelope is
-//     refused (DropChallenged) and a challenge is emitted in its
-//     place.
-func (e *Endpoint) prefilterInbound(dg *transport.Datagram, tc *traceCtx) (DropReason, error) {
-	p := e.pf
-	p.tick(e)
-	now := e.cfg.Clock.Now()
-	wire := dg.Payload
-	if len(wire) >= CookieFrameLen && wire[0] == CookieMagic {
-		if kind, ck, ok := parseCookieFrame(wire); ok {
-			switch kind {
-			case CookieKindChallenge:
-				if len(wire) == CookieFrameLen {
-					p.jar.learn(dg.Source, ck, now)
-					p.cookiesLearned.Add(1)
-					if tc.active() {
-						tc.span(Span{Kind: SpanCookie, Start: now, Attr: uint64(ck.epoch)})
-					}
-					return DropNone, ErrChallengeAbsorbed
-				}
-				// A challenge frame with trailing bytes is not ours;
-				// fall through and let the header parse refuse it.
-			case CookieKindEcho:
-				if !p.verifyCookie(dg.Source, ck, now) {
-					p.echoRejected.Add(1)
-					// Re-challenge (rate-capped): a sender whose jarred
-					// cookie was corrupted in flight would otherwise echo
-					// it forever; a fresh challenge lets it re-learn.
-					if p.levelNow() >= PrefilterChallenge {
-						p.emitChallenge(e, dg.Source, now, tc)
-					}
-					if tc.active() {
-						tc.span(Span{Kind: SpanPrefilter, Drop: DropBadCookie, Start: now, Attr: uint64(ck.epoch)})
-					}
-					return DropBadCookie, ErrBadCookie
-				}
-				p.echoAccepted.Add(1)
-				dg.Payload = wire[CookieFrameLen:]
-				if tc.active() {
-					tc.span(Span{Kind: SpanPrefilter, Start: now, Attr: uint64(ck.epoch)})
-				}
-				return DropNone, nil
-			}
-		}
-	}
-	lvl := p.levelNow()
-	if lvl >= PrefilterSketch {
-		if score := p.score(p.prefixOf(dg.Source)); score >= sketchShedAt {
-			p.sketchSheds.Add(1)
-			if tc.active() {
-				tc.span(Span{Kind: SpanPrefilter, Drop: DropPrefilter, Start: now, Attr: uint64(score)})
-			}
-			return DropPrefilter, ErrPrefilter
-		}
-	}
-	if lvl >= PrefilterChallenge && !e.plane.ks.KnownPeer(dg.Source) {
-		p.emitChallenge(e, dg.Source, now, tc)
-		if tc.active() {
-			tc.span(Span{Kind: SpanPrefilter, Drop: DropChallenged, Start: now})
-		}
-		return DropChallenged, ErrChallenged
-	}
-	return DropNone, nil
-}
-
 // prefilterCharges reports whether a refusal for reason charges the
 // source's sketch prefix: the forgery-shaped ones. Stale, malformed and
 // budget drops are not — clock skew, damage and legitimate overload
@@ -655,12 +562,6 @@ func prefilterCharges(reason DropReason) bool {
 		return true
 	}
 	return false
-}
-
-// echoCookie returns the cookie a challenge from dst left in the jar,
-// which the next datagram to dst must echo.
-func (e *Endpoint) echoCookie(dst principal.Address) (cookie, bool) {
-	return e.pf.jar.lookup(dst, e.cfg.Clock.Now())
 }
 
 // wrapEcho appends to buf an echo envelope carrying ck around a copy of

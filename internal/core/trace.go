@@ -257,21 +257,6 @@ func (t *traceCtx) start() (now time.Time) {
 	return now
 }
 
-// parsed emits the span of the receive stages that precede keying —
-// addressing, header decode, algorithm policy, freshness — begun at t0.
-// drop names the check that refused the datagram (DropNone: it goes on
-// to keying); sfl is zero until the header has decoded.
-func (t *traceCtx) parsed(t0 time.Time, sfl SFL, secret bool, drop DropReason) {
-	if !t.active() {
-		return
-	}
-	sp := Span{Kind: SpanParse, Drop: drop, SFL: sfl, Start: t0, Dur: time.Since(t0)}
-	if secret {
-		sp.Flags = FlagSecretBody
-	}
-	t.span(sp)
-}
-
 // keyed emits the span of the flow-key stage begun at t0, on either
 // side: which tier served the key, the keying plane's annotations and
 // the stage's verdict. Callers check active() first.

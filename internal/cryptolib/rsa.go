@@ -21,9 +21,16 @@ type RSAPublicKey struct {
 	N *big.Int
 	E *big.Int
 
-	// mont is N's Montgomery context, kept by a key GenerateRSA built; a
-	// key built from N and E alone builds one per operation.
+	// mont is N's Montgomery context, kept by a key GenerateRSA or
+	// NewRSAPublicKey built; a literal key of N and E alone builds one per
+	// operation.
 	mont *montModulus
+}
+
+// NewRSAPublicKey returns the public key (n, e) with n's Montgomery
+// context built once, so each Verify runs on it.
+func NewRSAPublicKey(n, e *big.Int) RSAPublicKey {
+	return RSAPublicKey{N: n, E: e, mont: newMontModulus(n)}
 }
 
 // RSAPrivateKey holds the private exponent alongside the public half.

@@ -34,6 +34,34 @@ func TestRSASignVerify(t *testing.T) {
 	}
 }
 
+// TestRSAPublicKeyKeepsMont: a public key rebuilt from N and E by
+// NewRSAPublicKey verifies like the GenerateRSA key it came from, and
+// allocates no more per Verify: it keeps N's Montgomery context instead
+// of building one per call.
+func TestRSAPublicKeyKeepsMont(t *testing.T) {
+	k, err := GenerateRSA(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("public value certificate for principal 10.0.0.1")
+	sig, err := k.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := NewRSAPublicKey(new(big.Int).Set(k.N), new(big.Int).Set(k.E))
+	if !rebuilt.Verify(msg, sig) {
+		t.Fatal("the rebuilt key rejects a valid signature")
+	}
+	kept := testing.AllocsPerRun(50, func() { k.RSAPublicKey.Verify(msg, sig) })
+	got := testing.AllocsPerRun(50, func() { rebuilt.Verify(msg, sig) })
+	if got > kept {
+		t.Errorf("Verify on NewRSAPublicKey allocates %.0f times, on the GenerateRSA key %.0f", got, kept)
+	}
+	literal := RSAPublicKey{N: k.N, E: k.E}
+	t.Logf("Verify: %.0f allocs on the generated key, %.0f on the rebuilt one, %.0f on a literal one",
+		kept, got, testing.AllocsPerRun(50, func() { literal.Verify(msg, sig) }))
+}
+
 func TestRSAVerifyWrongKey(t *testing.T) {
 	k1 := testRSAKey(t)
 	k2 := testRSAKey(t)

@@ -1563,11 +1563,11 @@ func TestGatewayReceiveErrorLogIsRateLimited(t *testing.T) {
 
 // TestGatewayDispatchAllocs pins the loop's steady state: a full batch
 // on the hit path (flows, keys and scratch warm) through dispatch —
-// steer, OpenBatch, SealBatch, SendBatch — costs at most two allocations
-// per datagram. The scalar loop this replaced cost twelve. Refusals add
-// nothing to that bound: on a second tenant with admission and the
-// pre-filter on, a batch of garbage, a bad MAC and a sketch shed costs
-// no allocation at all.
+// steer, OpenBatch, SealBatch, SendBatch — allocates nothing (at most
+// two per datagram under -race). Nor do
+// refusals: on a second tenant with admission and the pre-filter on, a
+// batch of garbage, a bad MAC and a sketch shed costs no allocation at
+// all.
 func TestGatewayDispatchAllocs(t *testing.T) {
 	w := newGWWorld(t)
 	listeners := map[string]*scriptedListener{}
@@ -1613,8 +1613,15 @@ func TestGatewayDispatchAllocs(t *testing.T) {
 	l.dispatch(batch) // keys the peers, grows the scratch
 	const runs = 50
 	perBatch := testing.AllocsPerRun(runs, func() { l.dispatch(batch) })
-	if perDatagram := perBatch / maxBatch; perDatagram > 2 {
-		t.Fatalf("dispatch allocates %.2f times per datagram (%.0f per batch of %d), want ≤ 2", perDatagram, perBatch, maxBatch)
+	// Under -race the scratch the loop recycles through a sync.Pool is
+	// now and then rebuilt, because the race detector's pool drops what
+	// it is given; the bound there stays the one it always was.
+	ceiling := 0.0
+	if raceEnabled {
+		ceiling = 2
+	}
+	if perDatagram := perBatch / maxBatch; perDatagram > ceiling {
+		t.Fatalf("dispatch allocates %.2f times per datagram (%.0f per batch of %d), want ≤ %v", perDatagram, perBatch, maxBatch, ceiling)
 	}
 	if sent, want := listeners["gw-edge"].sent.Load(), uint64((runs+2)*maxBatch); sent != want {
 		t.Fatalf("%d echoes sent, want %d", sent, want)

@@ -197,8 +197,8 @@ func pfParseFrame(wire []byte) (kind byte, ck pfCookie, ok bool) {
 	return kind, ck, true
 }
 
-// pfInbound is the reference pre-parse stage, mirroring core's
-// prefilterInbound ordering exactly: cookie frames first (absorb or
+// pfInbound is the reference pre-parse stage, mirroring the pre-filter
+// order of core's Endpoint.decide exactly: cookie frames first (absorb or
 // verify-and-strip), then the sketch, then the unknown-peer challenge.
 // Returns the (possibly envelope-stripped) wire, or the refusal error.
 // Caller holds e.mu.
@@ -249,7 +249,9 @@ func (e *Endpoint) pfInbound(src principal.Address, wire []byte) ([]byte, error)
 }
 
 // pfPenalize feeds the sketch from downstream forgery-indicating
-// drops, mirroring core's prefilterObserveDrop reason set.
+// drops: the downstream half of core's prefilterCharges reason set. Its
+// other charged reasons (bad cookie, challenged, prefilter) are charged
+// inline in pfInbound.
 func (e *Endpoint) pfPenalize(src principal.Address, reason core.DropReason) {
 	if e.pf == nil {
 		return

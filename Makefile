@@ -229,7 +229,9 @@ ci-soak:
 # per batch (32 frames out through sendmmsg + GSO, in through
 # recvmmsg + GRO), one of BenchmarkCryptoLibTable runs the §7.2 table and
 # asserts its ChaCha20-Poly1305 rows at 0 allocs/op, one of
-# BenchmarkRefusal keeps its per-DropReason rows running, and
+# BenchmarkRefusal keeps its per-DropReason rows running, one of
+# BenchmarkGatewayDispatch asserts the gateway loop's accepted batch at
+# 0 allocs/op and keeps its refused and one-datagram rows running, and
 # gwbench-smoke (above) then checks the real daemon end to end — the
 # batched socket plane included.
 ci-bench:
@@ -237,7 +239,7 @@ ci-bench:
 	$(GO) run ./cmd/fbsbench -suites -json | tee BENCH_suites.json | $(GO) run ./cmd/fbsstat bench-validate
 	$(GO) run ./cmd/fbsstat bench-compare -append < fbsbench.json
 	$(GO) run ./cmd/fbsstat bench-compare -append < BENCH_suites.json
-	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch|CryptoLibTable|Refusal' -benchtime 1x . ./internal/core ./internal/transport ./internal/cryptolib
+	$(GO) test -run '^$$' -bench 'KeyingMiss|MasterKeyComputation|RSA1024|RunOfOne|Provision|UDPLoopbackBatch|CryptoLibTable|Refusal|GatewayDispatch' -benchtime 1x . ./internal/core ./internal/transport ./internal/cryptolib ./internal/gateway
 	@$(MAKE) --no-print-directory gwbench-smoke
 
 # ci runs the same five jobs sequentially: a local `make ci` reproduces
@@ -250,16 +252,17 @@ ci: ci-lint ci-race ci-fuzz ci-soak ci-bench
 # stress (reconfiguration under load, and the gateway's swap and ledger
 # tests under the race detector) puts the epoch pin's increment-then-
 # recheck through many swap interleavings. The key-plane stress runs
-# the concurrent-miss, coalescing, MKD and key-plane tests ten times
-# under the race detector: concurrent misses on one flow each derive
-# their flow key, so only the MKD's per-peer flight stands between them.
+# the concurrent-miss, coalescing, MKD, key-plane and batch-keys-as-a-
+# loop tests ten times under the race detector: concurrent misses on one
+# flow each derive their flow key, so only the MKD's per-peer flight
+# stands between them.
 nightly:
 	$(GO) test -run 'ConstantTime' -count=10 ./internal/cryptolib ./internal/core
 	$(GO) test -run '^TestFigure8Composes$$' -count=10 .
 	FBS_TRACE_ARTIFACT_DIR=trace-artifacts $(GO) run ./cmd/fbschaos -trace -iterations 10
 	$(GO) run ./cmd/fbschaos -reconfig -iterations 10
 	$(GO) test -race -count=10 -run 'Swap|Ledger' ./internal/gateway
-	$(GO) test -race -count=10 -run 'Concurrent|Coalesc|MKD|KeyPlane' ./internal/core
+	$(GO) test -race -count=10 -run 'Concurrent|Coalesc|MKD|KeyPlane|OpenBatchKeys' ./internal/core
 	FBS_DIFF_ARTIFACT_DIR=diff-artifacts $(MAKE) diff DIFF_OPS=200000
 	$(MAKE) flood FLOOD_ITERATIONS=50
 	$(MAKE) fuzz-smoke FUZZTIME=150s

@@ -706,8 +706,8 @@ func BenchmarkKeyingMiss(b *testing.B) {
 	// peer_churn's shape: 8 peers × 4 datagrams of one flow each,
 	// interleaved, opened as one batch by a 2-shard group whose caches
 	// hold none of the 8 (flushed off the clock before every iteration).
-	// The batch pays 8 exponentiations; the look-ahead spreads them over
-	// the key plane's min(2, GOMAXPROCS) workers.
+	// The batch pays 8 exponentiations, keyed in order as a loop of
+	// single opens would key them: 8 serial misses.
 	const numPeers, perPeer = 8, 4
 	hub, err := d.NewShardedEndpoint("cold-hub", 2, func(shard int) (Transport, error) {
 		return net.Attach(Address(fmt.Sprintf("cold-hub-%d", shard)), 0)

@@ -404,9 +404,9 @@ var preKeyChecks = []string{"Decode", "checkAlg", "Fresh"}
 
 // TestPreKeyVerdictIsDecided holds the seventh census's rule: in
 // internal/core's non-test code, only Endpoint.decide calls a pre-key
-// check, so the receive walk and its keying look-ahead judge a datagram
-// by one statement of the order, and an /explain or per-batch filter
-// built on decide judges it the same way.
+// check, so the receive walk judges a datagram by one statement of the
+// order, and an /explain or per-batch filter built on decide judges it
+// the same way.
 func TestPreKeyVerdictIsDecided(t *testing.T) {
 	calls := map[string]int{}
 	walkGoFiles(t, func(dir, path string, f *ast.File) {
@@ -442,6 +442,67 @@ func TestPreKeyVerdictIsDecided(t *testing.T) {
 		}
 	}
 	t.Logf("pre-key checks called: %v", calls)
+}
+
+// TestEverySelectWalkIsScheduled holds the eighth census's rule: every
+// non-test function in internal/cryptolib that calls a kernel's masked
+// select (a method or field named sel), besides montModulus.sel, the
+// wrapper every walk goes through, is an exponentiation walk that
+// TestWalkScheduleIsSecretFree records. The schedule test names each
+// walk it records in a schedules literal; a walk added later fails
+// here until it gets one.
+func TestEverySelectWalkIsScheduled(t *testing.T) {
+	const dir, wrapper = "internal/cryptolib", "internal/cryptolib.montModulus.sel"
+	walks := map[string]bool{}    // functions that call a sel
+	recorded := map[string]bool{} // walks the schedule test names
+	walkGoFiles(t, func(d, path string, f *ast.File) {
+		if d != dir {
+			return
+		}
+		if path == dir+"/schedule_test.go" {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok || len(lit.Elts) < 2 {
+					return true
+				}
+				if id, ok := lit.Type.(*ast.Ident); !ok || id.Name != "schedules" {
+					return true
+				}
+				if name, ok := lit.Elts[1].(*ast.BasicLit); ok && name.Kind == token.STRING {
+					label, _ := strconv.Unquote(name.Value)
+					walk, _, _ := strings.Cut(label, ",")
+					recorded[dir+"."+walk] = true
+				}
+				return true
+			})
+		}
+		if !censused(d, path) {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || declKey(d, fd) == wrapper {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "sel" {
+						walks[declKey(d, fd)] = true
+					}
+				}
+				return true
+			})
+		}
+	})
+	if len(walks) == 0 || len(recorded) == 0 {
+		t.Fatalf("%d select walks, %d recorded walks: the census has lost what it counts", len(walks), len(recorded))
+	}
+	for walk := range walks {
+		if !recorded[walk] {
+			t.Errorf("%s calls a kernel select but TestWalkScheduleIsSecretFree does not record it: give it a schedules check there", walk)
+		}
+	}
+	t.Logf("select walks: %v; recorded: %v", walks, recorded)
 }
 
 // recordSetters adds to set every field the file sets: "Type.Key" for a

@@ -18,7 +18,10 @@ import (
 // refmodel differential harness pin the same code the batch entry
 // points execute, and a batch of N is observationally a loop of N
 // single calls: identical bytes, identical per-DropReason counters,
-// identical FAM accounting.
+// identical FAM accounting, and identical key-plane counters (MKC, PVC,
+// certificate fetches, exponentiations), since a chunk keys its misses
+// in order, as the loop does. Only the RFKC counts fewer lookups, by the
+// memo below.
 //
 // What a run amortises — and what it deliberately does not change:
 //
@@ -458,14 +461,6 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 	if e.rc != nil {
 		pend = new(replayPending)
 	}
-	// The look-ahead applies where keying a new peer involves no decision
-	// but the budget's, which it checks when it runs: behind an admission
-	// gate or a pre-filter a chunk keys serially, as a loop would.
-	var ahead lookahead
-	var la *lookahead
-	if len(dgs) > 1 && e.gate == nil && e.pf == nil {
-		la = &ahead
-	}
 	opened := 0
 	for len(dgs) > 0 {
 		chunk := len(dgs)
@@ -473,7 +468,6 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 			chunk = batchChunk
 		}
 		now := e.cfg.Clock.Now()
-		ahead = lookahead{e: e, now: now}
 		var memoValid bool
 		var memoSFL SFL
 		var memoSrc principal.Address
@@ -507,8 +501,7 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 				var keyHit bool
 				var note SpanFlags
 				var err error
-				ahead.rest = dgs[k+1 : chunk]
-				ks, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, suite, la)
+				ks, keyHit, note, err = e.receiveFlowKey(h.SFL, dg.Source, dg.Destination, suite)
 				// The overload sheds carry their own reason; everything
 				// else on this path is a keying failure.
 				drop := DropNone
@@ -594,83 +587,6 @@ func (e *Endpoint) openRun(dst []byte, dgs []transport.Datagram, res []BatchResu
 		dgs, res = dgs[chunk:], res[chunk:]
 	}
 	return dst, opened
-}
-
-// lookahead overlaps a chunk's master-key misses on the key plane's
-// workers. Without it the walk waits on each new peer's upcall in turn,
-// so however many workers the MKD runs, one exponentiation is under way
-// at a time. At the chunk's first miss it starts the daemon on every
-// later datagram that would reach the same miss, and each of those
-// upcalls stays the walk's handle for the rest of the chunk: a later
-// miss on that peer waits on it, so a slot-mate's key landing in the
-// MKC after it cannot cost a second exponentiation.
-type lookahead struct {
-	e       *Endpoint
-	now     time.Time
-	rest    []transport.Datagram // the chunk after the datagram being keyed
-	ran     bool
-	started []upcall // the first miss's own upcall, then the ones it started
-}
-
-// upcall returns the upcall the look-ahead started for peer, or nil.
-func (la *lookahead) upcall(peer principal.Address) *upcall {
-	if la == nil {
-		return nil
-	}
-	for i := range la.started {
-		if la.started[i].peer == peer {
-			return &la.started[i]
-		}
-	}
-	return nil
-}
-
-// start runs the look-ahead at the chunk's first master-key miss, whose
-// upcall own is, and returns the walk's handle to own; nil when it does
-// not run (no look-ahead, not the first miss, or the budget above
-// normal). A later datagram qualifies when decide passes it, as the
-// walk will, and its flow key and its peer's master key are both
-// uncached; the caches are peeked, so no counter moves.
-func (la *lookahead) start(own upcall) *upcall {
-	if la == nil || la.ran {
-		return nil
-	}
-	la.ran = true
-	e := la.e
-	if e.cfg.StateBudget.Level() != BudgetNormal {
-		return nil
-	}
-	// Sized so appends never move it: the walk holds pointers into it.
-	// Appends go to a local and are stored into la, never read back out
-	// of it: a slice read through la and stored again would take la's
-	// contents to the heap, the walk's datagrams with them, and escape
-	// analysis would then heap-allocate Open's run of one.
-	started := make([]upcall, 1, 1+len(la.rest))
-	started[0] = own
-	la.started = started
-	for i := range la.rest {
-		dg := &la.rest[i]
-		if la.upcall(dg.Source) != nil {
-			continue
-		}
-		var v verdict
-		if e.decide(dg, la.now, &v); !v.pass() {
-			continue
-		}
-		if _, ok := e.rfkc.Peek(flowCacheKey{SFL: v.h.SFL, Dst: dg.Destination, Src: dg.Source}); ok {
-			continue
-		}
-		if _, ok := e.plane.ks.mkc.Peek(dg.Source); ok {
-			continue
-		}
-		u, err := e.plane.mkd.start(dg.Source)
-		if err != nil {
-			break
-		}
-		started = append(started, u)
-		la.started = started
-	}
-	return &started[0]
 }
 
 // deliver accepts one authenticated datagram: it locates the body for

@@ -383,7 +383,7 @@ func (e *Endpoint) ReplayPerPeer() map[principal.Address]int { return e.rc.PerPe
 // the regular keying path (MKC, upcall), so it can fail with the same
 // keying errors a seal would.
 func (e *Endpoint) PeerFlowKey(sfl SFL, peer principal.Address) ([16]byte, error) {
-	master, _, err := e.plane.masterKey(peer, nil, nil)
+	master, _, err := e.plane.masterKey(peer, nil)
 	if err != nil {
 		return [16]byte{}, err
 	}
@@ -521,7 +521,7 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (ks keyS
 	if ks, ok := e.tfkc.Get(ck); ok {
 		return ks, true, note, nil
 	}
-	master, note, err := e.plane.masterKey(dst, nil, nil)
+	master, note, err := e.plane.masterKey(dst, nil)
 	if err != nil {
 		return keySlot{}, false, note, err
 	}
@@ -539,9 +539,8 @@ func (e *Endpoint) transmitFlowKey(sfl SFL, src, dst principal.Address) (ks keyS
 // costs one hash. Their sheds come back as bare ErrKeyingOverload and
 // ErrStateBudget, every other failure as the key plane's error.
 // Concurrent misses on one flow each derive K_f; the MKD's flight is
-// what shares their upcall. la is openRun's look-ahead over the rest of
-// the chunk, nil where it does not apply.
-func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Suite, la *lookahead) (ks keySlot, hit bool, note SpanFlags, err error) {
+// what shares their upcall.
+func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Suite) (ks keySlot, hit bool, note SpanFlags, err error) {
 	ck := flowCacheKey{SFL: sfl, Dst: dst, Src: src}
 	if ks, ok := e.rfkc.Get(ck); ok {
 		return ks, true, note, nil
@@ -558,7 +557,7 @@ func (e *Endpoint) receiveFlowKey(sfl SFL, src, dst principal.Address, suite Sui
 			return keySlot{}, false, note | FlagBudgetRefused, ErrStateBudget
 		}
 	}
-	master, mnote, err := e.plane.masterKey(src, e.gate, la)
+	master, mnote, err := e.plane.masterKey(src, e.gate)
 	note |= mnote
 	if err != nil {
 		return keySlot{}, false, note, err

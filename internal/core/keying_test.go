@@ -230,16 +230,6 @@ func TestFlowKeyUnambiguousEncoding(t *testing.T) {
 	}
 }
 
-// upcallKey is one upcall from start to result, as the key plane makes
-// it on an MKC miss.
-func upcallKey(m *MKD, peer principal.Address) ([16]byte, SpanFlags, error) {
-	u, err := m.start(peer)
-	if err != nil {
-		return [16]byte{}, 0, err
-	}
-	return m.wait(&u)
-}
-
 func TestMKDCoalescesUpcalls(t *testing.T) {
 	w := newWorld(t)
 	w.principal(t, "peer")
@@ -253,7 +243,7 @@ func TestMKDCoalescesUpcalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k, _, err := upcallKey(mkd, "peer")
+			k, _, err := mkd.upcall("peer")
 			if err != nil {
 				t.Error(err)
 				return
@@ -283,7 +273,7 @@ func TestMKDStop(t *testing.T) {
 	mkd := NewMKD(ks, 1)
 	mkd.Stop()
 	mkd.Stop() // idempotent
-	if _, _, err := upcallKey(mkd, "peer"); err != ErrMKDStopped {
+	if _, _, err := mkd.upcall("peer"); err != ErrMKDStopped {
 		t.Fatalf("Upcall after Stop = %v, want ErrMKDStopped", err)
 	}
 }
@@ -305,7 +295,7 @@ func TestMKDStopStrandsNoWaiter(t *testing.T) {
 	const n = 32
 	errc := make(chan error, n)
 	upcall := func(i int) {
-		_, _, err := upcallKey(mkd, peers[i%len(peers)])
+		_, _, err := mkd.upcall(peers[i%len(peers)])
 		errc <- err
 	}
 	for i := 0; i < n/2; i++ {

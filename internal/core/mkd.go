@@ -17,23 +17,30 @@ import (
 // plane — so a burst of datagrams to a new peer costs one certificate
 // fetch and one exponentiation, the behaviour the paper's caching design
 // is built around. A peer is queued at most once, so workers only ever
-// overlap the misses of different peers; a receive walk's look-ahead
-// (see lookahead) is what hands them several at once.
+// overlap the misses of different peers, made by callers on different
+// goroutines.
 type MKD struct {
 	ks *KeyService
 
-	// waiting holds, per peer with a request in flight, the channel of
-	// every upcall waiting on it; a worker lands the result on all of
-	// them. Stop lands ErrMKDStopped on every waiter and sets it nil,
-	// which refuses later upcalls.
+	// flights holds the record of every peer with a request in flight.
+	// A record leaves the map under mu, and whoever took it out — a
+	// worker landing its result, or Stop — closes it, so each is closed
+	// exactly once. Stop sets the map nil, which refuses later upcalls.
 	mu      sync.Mutex
-	waiting map[principal.Address][]chan keyResult
+	flights map[principal.Address]*flight
 
 	reqs chan principal.Address
 	done chan struct{}
 	once sync.Once
 
 	upcalls atomic.Uint64
+}
+
+// flight is one request's place in the daemon: r is written once,
+// before done is closed, and read by every waiter after.
+type flight struct {
+	done chan struct{}
+	r    keyResult
 }
 
 // keyResult is what the MKD lands on an upcall: a master key or its
@@ -54,7 +61,7 @@ var ErrMKDStopped = fmt.Errorf("%w: master key daemon stopped", ErrKeying)
 func NewMKD(ks *KeyService, workers int) *MKD {
 	m := &MKD{
 		ks:      ks,
-		waiting: make(map[principal.Address][]chan keyResult),
+		flights: make(map[principal.Address]*flight),
 		reqs:    make(chan principal.Address, 64),
 		done:    make(chan struct{}),
 	}
@@ -78,83 +85,66 @@ func (m *MKD) serve() {
 }
 
 // land delivers r to every upcall waiting on peer; the next upcall for
-// peer queues a fresh request. Each channel holds one result, so land
-// never blocks on a waiter that gave up.
+// peer queues a fresh request. A flight Stop already took is Stop's to
+// close.
 func (m *MKD) land(peer principal.Address, r keyResult) {
 	m.mu.Lock()
-	w := m.waiting[peer]
-	delete(m.waiting, peer)
+	f := m.flights[peer]
+	delete(m.flights, peer)
 	m.mu.Unlock()
-	for _, ch := range w {
-		ch <- r
+	if f != nil {
+		f.r = r
+		close(f.done)
 	}
 }
 
-// upcall is one request's place in the daemon's flight. Its result is
-// kept once received, so whoever holds the upcall may read it again.
-type upcall struct {
-	peer   principal.Address
-	ch     chan keyResult
-	joined SpanFlags // FlagKeyCoalesced when it joined a request in flight
-	done   bool
-	r      keyResult
-}
-
-// start enrols a request for peer's master key and queues peer for a
-// worker, unless a request for peer is already in flight; it does not
-// wait for the result.
-func (m *MKD) start(peer principal.Address) (upcall, error) {
-	ch := make(chan keyResult, 1)
+// upcall asks the daemon for peer's master key and waits for it. It
+// queues peer for a worker unless a request for peer is in flight, in
+// which case it joins that one (FlagKeyCoalesced) and allocates nothing.
+func (m *MKD) upcall(peer principal.Address) ([16]byte, SpanFlags, error) {
 	m.mu.Lock()
-	if m.waiting == nil {
+	if m.flights == nil {
 		m.mu.Unlock()
-		return upcall{}, ErrMKDStopped
+		return [16]byte{}, 0, ErrMKDStopped
 	}
-	w, inFlight := m.waiting[peer]
-	m.waiting[peer] = append(w, ch)
+	f, joined := m.flights[peer]
+	if !joined {
+		f = &flight{done: make(chan struct{})}
+		m.flights[peer] = f
+	}
 	m.mu.Unlock()
 	m.upcalls.Add(1)
-	u := upcall{peer: peer, ch: ch}
-	if inFlight {
-		u.joined = FlagKeyCoalesced
-		return u, nil
+	var note SpanFlags
+	if joined {
+		note = FlagKeyCoalesced
+	} else {
+		// A closed done means Stop took the map, f in it, and lands
+		// ErrMKDStopped on f.
+		select {
+		case m.reqs <- peer:
+		case <-m.done:
+		}
 	}
-	select {
-	case m.reqs <- peer:
-		return u, nil
-	case <-m.done:
-		return upcall{}, ErrMKDStopped
-	}
-}
-
-// wait blocks until u's result has landed.
-func (m *MKD) wait(u *upcall) ([16]byte, SpanFlags, error) {
-	if !u.done {
-		u.r = <-u.ch
-		u.done = true
-		u.r.note |= u.joined
-	}
-	return u.r.key, u.r.note, u.r.err
+	<-f.done
+	return f.r.key, f.r.note | note, f.r.err
 }
 
 // Upcalls returns how many upcalls were made.
 func (m *MKD) Upcalls() uint64 { return m.upcalls.Load() }
 
 // Stop terminates the daemon; pending upcalls fail with ErrMKDStopped,
-// and so does every later one: the waiters are landed on and new
+// and so does every later one: the flights are landed on and new
 // upcalls refused before the workers are told to exit, so no waiter is
 // left without a result.
 func (m *MKD) Stop() {
 	m.once.Do(func() {
 		m.mu.Lock()
-		waiting := m.waiting
-		m.waiting = nil
+		flights := m.flights
+		m.flights = nil
 		m.mu.Unlock()
-		stopped := keyResult{err: ErrMKDStopped}
-		for _, w := range waiting {
-			for _, ch := range w {
-				ch <- stopped
-			}
+		for _, f := range flights {
+			f.r = keyResult{err: ErrMKDStopped}
+			close(f.done)
 		}
 		close(m.done)
 	})

@@ -21,8 +21,8 @@ type refusalRow struct {
 
 // refusalRows builds one row per DropReason the walk decides without
 // keying work, on AES-128-GCM with a 64 B secret body. keying is left
-// out: it is decided behind an MKD upcall, which allocates the waiter
-// it parks on; BenchmarkKeyingMiss prices that path. decrypt is left
+// out: it is decided behind an MKD upcall, whose leader allocates the
+// flight its waiters park on; BenchmarkKeyingMiss prices that path. decrypt is left
 // out too: only a legacy suite refuses for it, and a legacy suite
 // builds its block cipher per datagram.
 func refusalRows(tb testing.TB) []refusalRow {

@@ -31,7 +31,7 @@ import (
 // the same keys across config swaps — exactly what a daemon's
 // provisioning state provides.
 type gwWorld struct {
-	t     *testing.T
+	t     testing.TB
 	dom   *fbs.Domain
 	net   *transport.Network
 	clock *core.SimClock
@@ -40,7 +40,7 @@ type gwWorld struct {
 	ids map[principal.Address]*principal.Identity
 }
 
-func newGWWorld(t *testing.T) *gwWorld {
+func newGWWorld(t testing.TB) *gwWorld {
 	t.Helper()
 	clock := core.NewSimClock(time.Date(2026, 7, 4, 12, 0, 0, 0, time.UTC))
 	dom, err := fbs.NewDomain("gw-test", fbs.WithGroup(cryptolib.TestGroup), fbs.WithClock(clock))
@@ -1561,6 +1561,104 @@ func TestGatewayReceiveErrorLogIsRateLimited(t *testing.T) {
 	}
 }
 
+// dispatchRig is the in-process world of TestGatewayDispatchAllocs and
+// BenchmarkGatewayDispatch: a gateway over scripted listeners with two
+// two-shard SecretEcho tenants — edge, with neither admission nor the
+// pre-filter, and guard, with both — three warm AES-128-GCM clients,
+// and the gateway's receive loop, driven by calling dispatch directly.
+// No replay cache, so the same sealed batch is accepted every time.
+type dispatchRig struct {
+	tb        testing.TB
+	g         *Gateway
+	l         *batchLoop
+	listeners map[string]*scriptedListener
+	clients   []*core.Endpoint
+}
+
+func newDispatchRig(tb testing.TB) *dispatchRig {
+	tb.Helper()
+	w := newGWWorld(tb)
+	r := &dispatchRig{tb: tb, listeners: map[string]*scriptedListener{}}
+	opts := w.options()
+	opts.Listen = func(tc TenantConfig) (transport.Transport, error) {
+		ln := newScriptedListener(0)
+		r.listeners[tc.Address] = ln
+		return ln, nil
+	}
+	g, err := New(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The guard tenant's admission burst keys the three clients.
+	if err := g.Start(&Config{Tenants: []TenantConfig{
+		{Name: "edge", Address: "gw-edge", Shards: 2, SecretEcho: true},
+		{Name: "guard", Address: "gw-guard", Shards: 2, SecretEcho: true,
+			Admission: &AdmissionConfig{UpcallRate: 1, UpcallBurst: 4}, Prefilter: &PrefilterConfig{Enable: true}},
+	}}); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { g.Shutdown(2 * time.Second) }) //nolint:errcheck
+	r.g, r.l = g, &batchLoop{g: g}
+	// The tenant's default suite on both legs, as a deployment has it
+	// (the clients' own default is the paper's DES/keyed-MD5).
+	gcm := func(c *core.Config) { c.Cipher = core.CipherAES128GCM }
+	r.clients = []*core.Endpoint{w.client("client-0", gcm), w.client("client-1", gcm), w.client("client-2", gcm)}
+	return r
+}
+
+// sealBatch seals a full batch of 64 B secret datagrams to dst, the
+// clients taking equal thirds of it in turn.
+func (r *dispatchRig) sealBatch(dst principal.Address) []transport.Datagram {
+	batch := make([]transport.Datagram, maxBatch)
+	for i := range batch {
+		sealed, err := r.clients[i*len(r.clients)/maxBatch].Seal(transport.Datagram{Destination: dst, Payload: make([]byte, 64)}, true)
+		if err != nil {
+			r.tb.Fatal(err)
+		}
+		batch[i] = sealed
+	}
+	return batch
+}
+
+// refusedBatch readies the guard tenant and returns a batch it refuses
+// without keying work: garbage, a bad MAC, a sketch shed and an
+// admission shed. Each reason's one log line is written before it
+// returns.
+func (r *dispatchRig) refusedBatch() []transport.Datagram {
+	guarded := r.sealBatch("gw-guard")
+	r.l.dispatch(guarded) // keys the peers within the admission burst
+	if sent := r.listeners["gw-guard"].sent.Load(); sent != maxBatch {
+		r.tb.Fatalf("%d echoes from the guard tenant, want %d", sent, maxBatch)
+	}
+	// Spoofed first contacts from one prefix, shed by admission, heat
+	// the prefix and climb the shard that steers the shed datagram to
+	// the sketch rung.
+	plane := r.g.current.Load().tenants["gw-guard"]
+	shed := guarded[0]
+	shed.Source = "spoof-00-shed"
+	rung := plane.grp.Shard(plane.grp.ShardOfIncoming(shed))
+	spoofs := make([]transport.Datagram, maxBatch)
+	for n := 0; rung.Snapshot().Prefilter.Level < int(core.PrefilterSketch); n++ {
+		if n == 1000 {
+			r.tb.Fatal("a spoofed flood never climbed the pre-filter to the sketch rung")
+		}
+		for i := range spoofs {
+			spoofs[i] = guarded[0]
+			spoofs[i].Source = principal.Address(fmt.Sprintf("spoof-00-%d", n*maxBatch+i))
+		}
+		r.l.dispatch(spoofs)
+	}
+	forged := guarded[1].Clone()
+	forged.Payload[len(forged.Payload)-1] ^= 1
+	// A first contact from a cold prefix passes the sketch and meets the
+	// spent admission bucket, until its own sheds heat the prefix too.
+	overload := guarded[0]
+	overload.Source = "spoof-01-gate"
+	refused := []transport.Datagram{{Source: "client-1", Destination: "gw-guard", Payload: []byte{1, 2, 3}}, forged, shed, overload}
+	r.l.dispatch(refused)
+	return refused
+}
+
 // TestGatewayDispatchAllocs pins the loop's steady state: a full batch
 // on the hit path (flows, keys and scratch warm) through dispatch —
 // steer, OpenBatch, SealBatch, SendBatch — allocates nothing (at most
@@ -1569,50 +1667,11 @@ func TestGatewayReceiveErrorLogIsRateLimited(t *testing.T) {
 // batch of garbage, a bad MAC and a sketch shed costs no allocation at
 // all.
 func TestGatewayDispatchAllocs(t *testing.T) {
-	w := newGWWorld(t)
-	listeners := map[string]*scriptedListener{}
-	opts := w.options()
-	opts.Listen = func(tc TenantConfig) (transport.Transport, error) {
-		ln := newScriptedListener(0)
-		listeners[tc.Address] = ln
-		return ln, nil
-	}
-	g, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No replay cache, so the same sealed batch is accepted every time.
-	// The edge tenant has neither admission nor the pre-filter, so its
-	// batch takes the look-ahead path; the guard tenant's admission
-	// burst keys the three clients.
-	if err := g.Start(&Config{Tenants: []TenantConfig{
-		{Name: "edge", Address: "gw-edge", Shards: 2, SecretEcho: true},
-		{Name: "guard", Address: "gw-guard", Shards: 2, SecretEcho: true,
-			Admission: &AdmissionConfig{UpcallRate: 1, UpcallBurst: 4}, Prefilter: &PrefilterConfig{Enable: true}},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { g.Shutdown(2 * time.Second) }) //nolint:errcheck
-	// The tenant's default suite on both legs, as a deployment has it
-	// (the clients' own default is the paper's DES/keyed-MD5).
-	gcm := func(c *core.Config) { c.Cipher = core.CipherAES128GCM }
-	clients := []*core.Endpoint{w.client("client-0", gcm), w.client("client-1", gcm), w.client("client-2", gcm)}
-	sealBatch := func(dst principal.Address) []transport.Datagram {
-		batch := make([]transport.Datagram, maxBatch)
-		for i := range batch {
-			sealed, err := clients[i*len(clients)/maxBatch].Seal(transport.Datagram{Destination: dst, Payload: make([]byte, 64)}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch[i] = sealed
-		}
-		return batch
-	}
-	batch := sealBatch("gw-edge")
-	l := &batchLoop{g: g}
-	l.dispatch(batch) // keys the peers, grows the scratch
+	r := newDispatchRig(t)
+	batch := r.sealBatch("gw-edge")
+	r.l.dispatch(batch) // keys the peers, grows the scratch
 	const runs = 50
-	perBatch := testing.AllocsPerRun(runs, func() { l.dispatch(batch) })
+	perBatch := testing.AllocsPerRun(runs, func() { r.l.dispatch(batch) })
 	// Under -race the scratch the loop recycles through a sync.Pool is
 	// now and then rebuilt, because the race detector's pool drops what
 	// it is given; the bound there stays the one it always was.
@@ -1623,51 +1682,54 @@ func TestGatewayDispatchAllocs(t *testing.T) {
 	if perDatagram := perBatch / maxBatch; perDatagram > ceiling {
 		t.Fatalf("dispatch allocates %.2f times per datagram (%.0f per batch of %d), want ≤ %v", perDatagram, perBatch, maxBatch, ceiling)
 	}
-	if sent, want := listeners["gw-edge"].sent.Load(), uint64((runs+2)*maxBatch); sent != want {
+	if sent, want := r.listeners["gw-edge"].sent.Load(), uint64((runs+2)*maxBatch); sent != want {
 		t.Fatalf("%d echoes sent, want %d", sent, want)
 	}
 	t.Logf("dispatch: %.2f allocs per datagram", perBatch/maxBatch)
 
-	guarded := sealBatch("gw-guard")
-	l.dispatch(guarded) // keys the peers within the admission burst
-	if sent := listeners["gw-guard"].sent.Load(); sent != maxBatch {
-		t.Fatalf("%d echoes from the guard tenant, want %d", sent, maxBatch)
-	}
-	// Spoofed first contacts from one prefix, shed by admission, heat
-	// the prefix and climb the shard that steers the shed datagram to
-	// the sketch rung.
-	plane := g.current.Load().tenants["gw-guard"]
-	shed := guarded[0]
-	shed.Source = "spoof-00-shed"
-	rung := plane.grp.Shard(plane.grp.ShardOfIncoming(shed))
-	spoofs := make([]transport.Datagram, maxBatch)
-	for n := 0; rung.Snapshot().Prefilter.Level < int(core.PrefilterSketch); n++ {
-		if n == 1000 {
-			t.Fatal("a spoofed flood never climbed the pre-filter to the sketch rung")
-		}
-		for i := range spoofs {
-			spoofs[i] = guarded[0]
-			spoofs[i].Source = principal.Address(fmt.Sprintf("spoof-00-%d", n*maxBatch+i))
-		}
-		l.dispatch(spoofs)
-	}
-	forged := guarded[1].Clone()
-	forged.Payload[len(forged.Payload)-1] ^= 1
-	// A first contact from a cold prefix passes the sketch and meets the
-	// spent admission bucket, until its own sheds heat the prefix too.
-	overload := guarded[0]
-	overload.Source = "spoof-01-gate"
-	refused := []transport.Datagram{{Source: "client-1", Destination: "gw-guard", Payload: []byte{1, 2, 3}}, forged, shed, overload}
+	refused := r.refusedBatch()
+	plane := r.g.current.Load().tenants["gw-guard"]
 	was := plane.grp.Snapshot().Drops
-	l.dispatch(refused) // writes each reason's one log line
-	if allocs := testing.AllocsPerRun(runs, func() { l.dispatch(refused) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(runs, func() { r.l.dispatch(refused) }); allocs != 0 {
 		t.Fatalf("a refused batch allocates %.1f times, want 0", allocs)
 	}
 	now := plane.grp.Snapshot().Drops
-	for _, r := range []core.DropReason{core.DropMalformed, core.DropBadMAC, core.DropPrefilter, core.DropKeyingOverload} {
-		if now[r] == was[r] {
-			t.Errorf("the refused batch never reached %v: drops %v", r, core.DropMap(now))
+	for _, reason := range []core.DropReason{core.DropMalformed, core.DropBadMAC, core.DropPrefilter, core.DropKeyingOverload} {
+		if now[reason] == was[reason] {
+			t.Errorf("the refused batch never reached %v: drops %v", reason, core.DropMap(now))
 		}
+	}
+}
+
+// BenchmarkGatewayDispatch prices the gateway's receive loop in process,
+// in ns per datagram, on TestGatewayDispatchAllocs's world: the accepted
+// batch (32 × 64 B AES-128-GCM from three warm clients through open,
+// echo seal and send), the refused mix, and a batch of one. The accepted
+// row asserts 0 allocs/op first, outside -race.
+func BenchmarkGatewayDispatch(b *testing.B) {
+	r := newDispatchRig(b)
+	accepted := r.sealBatch("gw-edge")
+	r.l.dispatch(accepted) // keys the peers, grows the scratch
+	if raceEnabled {
+		b.Log("-race: the accepted row's 0 allocs/op is not asserted")
+	} else if allocs := testing.AllocsPerRun(50, func() { r.l.dispatch(accepted) }); allocs != 0 {
+		b.Fatalf("an accepted batch allocates %.1f times, want 0", allocs)
+	}
+	for _, row := range []struct {
+		name  string
+		batch []transport.Datagram
+	}{
+		{"accepted", accepted},
+		{"refused", r.refusedBatch()},
+		{"one", accepted[:1]},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.l.dispatch(row.batch)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(row.batch)), "ns/dgram")
+		})
 	}
 }
 
